@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint bench benchcluster benchwrite benchdurable benchrepl benchtelemetry bencheviction benchsmoke clustersmoke walsmoke replsmoke telemetry-smoke fuzz
+.PHONY: all build test race vet lint loc bench benchcluster benchwrite benchdurable benchrepl benchtelemetry bencheviction benchsmoke clustersmoke walsmoke replsmoke telemetry-smoke fuzz
 
 all: lint build test
 
@@ -10,8 +10,17 @@ build:
 test:
 	$(GO) test ./...
 
+# race also sweeps GOMAXPROCS over the packages whose behaviour depends
+# on the stripe count, so a failure that only shows at 2 or 4 CPUs
+# cannot hide on a 1-CPU runner.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -cpu 1,2,4 ./internal/core ./internal/evict ./internal/kv ./internal/codec ./internal/telemetry
+
+# loc prints non-test Go lines per package (bench/ excluded) — the size
+# number tracked next to ns/op.
+loc:
+	./scripts/loc.sh
 
 vet:
 	$(GO) vet ./...

@@ -8,7 +8,6 @@ import (
 
 	"tcache/internal/cluster"
 	"tcache/internal/core"
-	"tcache/internal/db"
 	"tcache/internal/telemetry"
 	"tcache/internal/transport"
 )
@@ -78,7 +77,7 @@ func WithClusterProbation(d time.Duration) ClusterOption {
 }
 
 // WithClusterCacheOptions forwards options to the embedded local Cache
-// (strategy, TTL, capacity, shards, ...).
+// (strategy, TTL, memory budget, shards, ...).
 func WithClusterCacheOptions(opts ...CacheOption) ClusterOption {
 	return func(o *clusterOptions) { o.cache = append(o.cache, opts...) }
 }
@@ -215,9 +214,7 @@ func (b *clusterBackend) ValidatedUpdate(ctx context.Context, reads []ObservedRe
 }
 
 func (b *clusterBackend) Subscribe(name string, sink func(Invalidation)) (cancel func(), err error) {
-	return b.r.Subscribe(name, func(inv transport.Invalidation) {
-		sink(db.Invalidation{Key: inv.Key, Version: inv.Version})
-	})
+	return b.r.Subscribe(name, sink)
 }
 
 // setRoundTripHistogram forwards WithTelemetry's round-trip histogram
@@ -230,95 +227,29 @@ func (b *clusterBackend) setRoundTripHistogram(h *telemetry.Histogram) {
 // a (usually remote) database, applies and relays its invalidation
 // stream, and serves both the transactional client protocol and the
 // backend protocol cluster routers read through. ServeEdge is to
-// cmd/tcached what ServeDB is to cmd/tdbd.
-type Edge struct {
-	addr    string
-	backend *transport.DBClient
-	cache   *core.Cache
-	srv     *transport.CacheServer
-	unsub   func()
-	reg     *telemetry.Registry
-}
+// cmd/tcached what ServeDB is to cmd/tdbd: the daemon runs the same
+// code. Addr returns the bound listen address, Cache the node's cache,
+// ServeMetrics starts its admin HTTP listener (/metrics, /healthz,
+// /debug/pprof), and Close shuts everything down.
+type Edge = transport.Edge
 
 // ServeEdge starts an edge node: it dials the database at dbAddr,
 // attaches a cache (configured by opts; only core cache options apply),
 // subscribes to the invalidation stream — applying it locally and
 // relaying it to downstream subscribers — and serves on listen (for
 // example "127.0.0.1:0"). ctx bounds the initial dial and subscribe.
-//
-//tcache:metric
 func ServeEdge(ctx context.Context, dbAddr, listen string, opts ...CacheOption) (*Edge, error) {
 	o := cacheOptions{}
 	o.core.Strategy = core.StrategyRetry
 	for _, opt := range opts {
 		opt(&o)
 	}
-	backend, err := transport.DialDB(ctx, dbAddr, 4)
+	if o.name == "" {
+		o.name = fmt.Sprintf("edge-%d-%d", os.Getpid(), _cacheSeq.Add(1))
+	}
+	e, err := transport.ServeEdge(ctx, transport.EdgeConfig{DB: dbAddr, Listen: listen, Cache: o.core, Name: o.name})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("tcache: edge: %w", err)
 	}
-	o.core.Backend = backend
-	cache, err := core.New(o.core)
-	if err != nil {
-		backend.Close()
-		return nil, err
-	}
-	srv := transport.NewCacheServer(cache, nil)
-	// One registry per edge: the cache's counters/gauges/histograms, the
-	// relay gauges, and the backend conn pool — served over OpStats (flat
-	// encoding) and by ServeMetrics.
-	reg := telemetry.NewRegistry()
-	cache.RegisterMetrics(reg)
-	srv.RegisterMetrics(reg)
-	reg.Gauge("backend_pool_size", func() uint64 { return uint64(backend.PoolSize()) })
-	reg.Gauge("backend_pool_live", func() uint64 { return uint64(backend.LiveConns()) })
-	srv.SetRegistry(reg)
-	name := o.name
-	if name == "" {
-		name = fmt.Sprintf("edge-%d-%d", os.Getpid(), _cacheSeq.Add(1))
-	}
-	unsub, err := transport.SubscribeInvalidations(ctx, dbAddr, name, func(inv transport.Invalidation) {
-		cache.Invalidate(inv.Key, inv.Version)
-		srv.Broadcast(inv)
-	})
-	if err != nil {
-		cache.Close()
-		backend.Close()
-		return nil, fmt.Errorf("tcache: edge subscribe: %w", err)
-	}
-	addr, err := srv.Listen(listen)
-	if err != nil {
-		unsub()
-		cache.Close()
-		backend.Close()
-		return nil, err
-	}
-	return &Edge{addr: addr, backend: backend, cache: cache, srv: srv, unsub: unsub, reg: reg}, nil
-}
-
-// Addr returns the edge's bound listen address.
-func (e *Edge) Addr() string { return e.addr }
-
-// Cache exposes the edge's cache for metrics.
-func (e *Edge) Cache() *core.Cache { return e.cache }
-
-// ServeMetrics starts the edge's admin HTTP listener at addr: /metrics
-// serves the node's registry (hit/miss counters, read latency
-// histograms, relay and conn-pool gauges), /healthz answers role=edge,
-// and /debug/pprof serves the runtime profiles. It returns the bound
-// address and a stop function — the programmatic form of tcached's
-// -metrics-addr flag.
-func (e *Edge) ServeMetrics(addr string) (bound string, stop func(), err error) {
-	return telemetry.ServeAdmin(addr, e.reg, func() telemetry.Health {
-		return telemetry.Health{Healthy: true, Role: "edge"}
-	})
-}
-
-// Close stops serving, detaches from the invalidation stream, and shuts
-// the cache and backend connections down.
-func (e *Edge) Close() {
-	e.srv.Close()
-	e.unsub()
-	e.cache.Close()
-	e.backend.Close()
+	return e, nil
 }

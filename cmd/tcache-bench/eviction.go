@@ -228,7 +228,7 @@ func evictionHitRatio(d *db.DB, maxBytes int64, policy evict.Kind, admission boo
 	row := evictionHitRow{
 		Policy:           name,
 		HitPct:           100 * float64(m.Hits) / float64(m.Reads),
-		Evictions:        m.CapacityEvictions,
+		Evictions:        m.EvictionsLRU + m.EvictionsClock + m.EvictionsCost,
 		AdmissionRejects: m.AdmissionRejects,
 		ResidentBytes:    cache.ResidentBytes(),
 		MaxBytes:         cache.MaxBytes(),

@@ -134,7 +134,7 @@ func run() error {
 		return nil
 
 	case "ping":
-		// Role and durability health of a tdbd (protocol v5): "primary"
+		// Role and durability health of a tdbd: "primary"
 		// or "standby", plus the WAL's sticky fail-stop error if any.
 		j, _, err := parseJSON(cmd, rest)
 		if err != nil {

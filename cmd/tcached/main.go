@@ -28,7 +28,6 @@ import (
 
 	"tcache/internal/core"
 	"tcache/internal/evict"
-	"tcache/internal/telemetry"
 	"tcache/internal/transport"
 )
 
@@ -39,14 +38,12 @@ func main() {
 	}
 }
 
-//tcache:metric
 func run() error {
 	var (
 		listen   = flag.String("listen", "127.0.0.1:7071", "address to listen on")
 		dbAddr   = flag.String("db", "127.0.0.1:7070", "tdbd backend address")
 		strategy = flag.String("strategy", "retry", "inconsistency strategy: abort, evict, or retry")
 		ttl      = flag.Duration("ttl", 0, "cache entry TTL (0 = none)")
-		capacity = flag.Int("capacity", 0, "max cached entries (deprecated: use -max-bytes; 0 = unbounded)")
 		shards   = flag.Int("shards", 0, "cache lock stripes (0 = GOMAXPROCS; 1 = single mutex)")
 		maxBytes = flag.Int64("max-bytes", 0, "cache memory budget in bytes, keys+values+overhead (0 = unbounded)")
 		policy   = flag.String("evict", "lru", "eviction policy under -max-bytes: lru, clock, or cost")
@@ -67,74 +64,43 @@ func run() error {
 	if err != nil {
 		return err
 	}
-
-	backend, err := transport.DialDB(context.Background(), *dbAddr, *pool)
-	if err != nil {
-		return err
+	if *name == "" {
+		*name = fmt.Sprintf("tcached-%d", os.Getpid())
 	}
-	defer backend.Close()
 
-	cache, err := core.New(core.Config{
-		Backend:   backend,
-		Strategy:  strat,
-		TTL:       *ttl,
-		Capacity:  *capacity,
-		MaxBytes:  *maxBytes,
-		Policy:    kind,
-		Admission: *admit,
-		TxnGC:     *txnGC,
-		Shards:    *shards,
-		// The daemon always times its read paths: the scrape surface is
-		// the point of running it, and the instrumented warm hit stays
-		// allocation-free (gated by tcache-bench -fig telemetry).
-		Telemetry: core.NewTelemetry(),
+	edge, err := transport.ServeEdge(context.Background(), transport.EdgeConfig{
+		DB:     *dbAddr,
+		Listen: *listen,
+		Cache: core.Config{
+			Strategy:  strat,
+			TTL:       *ttl,
+			MaxBytes:  *maxBytes,
+			Policy:    kind,
+			Admission: *admit,
+			TxnGC:     *txnGC,
+			Shards:    *shards,
+			// The daemon always times its read paths: the scrape surface is
+			// the point of running it, and the instrumented warm hit stays
+			// allocation-free (gated by tcache-bench -fig telemetry).
+			Telemetry: core.NewTelemetry(),
+		},
+		Name:         *name,
+		BackendConns: *pool,
+		Logf:         log.Printf,
 	})
 	if err != nil {
 		return err
 	}
-	defer cache.Close()
-
-	srv := transport.NewCacheServer(cache, log.Printf)
-	reg := telemetry.NewRegistry()
-	cache.RegisterMetrics(reg)
-	srv.RegisterMetrics(reg)
-	reg.Gauge("backend_pool_size", func() uint64 { return uint64(backend.PoolSize()) })
-	reg.Gauge("backend_pool_live", func() uint64 { return uint64(backend.LiveConns()) })
-	srv.SetRegistry(reg)
-
-	subName := *name
-	if subName == "" {
-		subName = fmt.Sprintf("tcached-%d", os.Getpid())
-	}
-	// Apply upstream invalidations locally, then relay them to any
-	// downstream subscribers (cluster clients that picked this node as
-	// their invalidation home).
-	stop, err := transport.SubscribeInvalidations(context.Background(), *dbAddr, subName, func(inv transport.Invalidation) {
-		cache.Invalidate(inv.Key, inv.Version)
-		srv.Broadcast(inv)
-	})
-	if err != nil {
-		return fmt.Errorf("subscribe to %s: %w", *dbAddr, err)
-	}
-	defer stop()
-
-	addr, err := srv.Listen(*listen)
-	if err != nil {
-		return err
-	}
-	defer srv.Close()
+	defer edge.Close()
+	budget := ""
 	if *maxBytes > 0 {
-		log.Printf("tcached: serving on %s (backend=%s, strategy=%s, ttl=%v, shards=%d, budget=%dB policy=%s)",
-			addr, *dbAddr, strat, *ttl, cache.Shards(), *maxBytes, kind)
-	} else {
-		log.Printf("tcached: serving on %s (backend=%s, strategy=%s, ttl=%v, shards=%d)",
-			addr, *dbAddr, strat, *ttl, cache.Shards())
+		budget = fmt.Sprintf(", budget=%dB policy=%s", *maxBytes, kind)
 	}
+	log.Printf("tcached: serving on %s (backend=%s, strategy=%s, ttl=%v, shards=%d%s)",
+		edge.Addr(), *dbAddr, strat, *ttl, edge.Cache().Shards(), budget)
 
 	if *metricsAddr != "" {
-		mbound, mstop, merr := telemetry.ServeAdmin(*metricsAddr, reg, func() telemetry.Health {
-			return telemetry.Health{Healthy: true, Role: "edge"}
-		})
+		mbound, mstop, merr := edge.ServeMetrics(*metricsAddr)
 		if merr != nil {
 			return merr
 		}

@@ -23,7 +23,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -33,7 +32,6 @@ import (
 	"time"
 
 	"tcache/internal/db"
-	"tcache/internal/telemetry"
 	"tcache/internal/transport"
 )
 
@@ -83,84 +81,51 @@ func run() error {
 		d = db.Open(cfg)
 	}
 
-	// The role must be set before the first request is accepted: a write
-	// that lands in the gap would mint a version the primary never saw.
-	if *replicaOf != "" {
-		d.SetStandby(*replicaOf)
-	}
-
-	srv := transport.NewDBServer(d, log.Printf)
-	// One registry for both surfaces: OpStats over the wire (flat
-	// encoding, a superset of the legacy counter map) and the admin
-	// listener's /metrics.
-	reg := telemetry.NewRegistry()
-	d.RegisterMetrics(reg)
-	srv.RegisterMetrics(reg)
-	srv.SetRegistry(reg)
-
-	addr, err := srv.Listen(*listen)
+	// tcache.ServeDB runs this same node; the standby role, when asked
+	// for, is set before the first request is accepted.
+	node, err := transport.ServeDB(d, transport.DBNodeConfig{
+		Listen: *listen,
+		Logf:   log.Printf,
+		Standby: transport.StandbyConfig{
+			Primary:      *replicaOf,
+			Name:         *advertise,
+			AutoPromote:  *autoPromote,
+			PromoteAfter: *promoteAfter,
+		},
+	})
 	if err != nil {
 		_ = d.Close()
 		return err
 	}
+	// shutdown stops the node, then the database. A Close error means
+	// acknowledged commits may not have reached disk; exit non-zero so
+	// supervisors notice.
+	shutdown := func() error {
+		node.Close()
+		if err := d.Close(); err != nil {
+			return fmt.Errorf("close database: %w", err)
+		}
+		return nil
+	}
 
 	if *metricsAddr != "" {
-		mbound, mstop, merr := telemetry.ServeAdmin(*metricsAddr, reg, func() telemetry.Health {
-			h := telemetry.Health{Healthy: true, Role: d.Role().String()}
-			if st := d.ReplStatusNow(); st.Role == db.RoleStandby && st.Leader != "" {
-				h.Detail = "leader=" + st.Leader
-			}
-			if err := d.Health(); err != nil {
-				h.Healthy = false
-				h.Detail = err.Error()
-			}
-			return h
-		})
+		mbound, mstop, merr := node.ServeMetrics(*metricsAddr)
 		if merr != nil {
-			srv.Close()
-			_ = d.Close()
+			_ = shutdown()
 			return merr
 		}
 		defer mstop()
 		log.Printf("tdbd: metrics on http://%s/metrics", mbound)
 	}
 	log.Printf("tdbd: serving on %s (shards=%d, dep-bound=%d, wal=%q sync=%v, role=%s)",
-		addr, *shards, *depBound, *walDir, *walSync, d.Role())
-
-	sctx, stopStandby := context.WithCancel(context.Background())
-	standbyDone := make(chan struct{})
-	close(standbyDone)
+		node.Addr(), *shards, *depBound, *walDir, *walSync, d.Role())
 	if *replicaOf != "" {
-		name := *advertise
-		if name == "" {
-			name = addr
-		}
-		log.Printf("tdbd: standby of %s (replica identity %q, auto-promote=%v after %s)",
-			*replicaOf, name, *autoPromote, *promoteAfter)
-		standbyDone = make(chan struct{})
-		go func() {
-			defer close(standbyDone)
-			transport.RunStandby(sctx, d, transport.StandbyConfig{
-				Primary:      *replicaOf,
-				Name:         name,
-				AutoPromote:  *autoPromote,
-				PromoteAfter: *promoteAfter,
-				Logf:         log.Printf,
-			})
-		}()
+		log.Printf("tdbd: standby of %s (auto-promote=%v after %s)", *replicaOf, *autoPromote, *promoteAfter)
 	}
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	log.Printf("tdbd: shutting down")
-	stopStandby()
-	<-standbyDone
-	srv.Close()
-	// A Close error means acknowledged commits may not have reached
-	// disk; exit non-zero so supervisors notice.
-	if err := d.Close(); err != nil {
-		return fmt.Errorf("close database: %w", err)
-	}
-	return nil
+	return shutdown()
 }

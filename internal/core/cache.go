@@ -42,6 +42,7 @@ import (
 	"tcache/internal/clock"
 	"tcache/internal/evict"
 	"tcache/internal/kv"
+	"tcache/internal/telemetry"
 )
 
 // Strategy selects how the cache reacts when a read would expose an
@@ -183,26 +184,16 @@ type Config struct {
 	// is garbage-collected (protecting against clients that never send
 	// lastOp). 0 disables the sweeper.
 	TxnGC time.Duration
-	// Capacity bounds the number of cached entries; 0 means unbounded
-	// (the paper's prototype: "all objects in the workload fit in the
-	// cache").
-	//
-	// Deprecated: Capacity is the entry-count compatibility shim over
-	// the byte-budget subsystem — it behaves exactly like MaxBytes with
-	// every entry charged a cost of 1 (so with the default LRU policy
-	// and one shard it reproduces the historical exact-LRU semantics).
-	// New configurations should set MaxBytes, which accounts real
-	// memory. Setting both is an error.
-	Capacity int
 	// MaxBytes bounds the resident byte footprint of the cache: each
 	// entry is charged key length + value length + evict.EntryOverhead
 	// (plus retained older versions under multiversioning). 0 means
-	// unbounded. The budget is split across shards; each shard enforces
+	// unbounded (the paper's prototype: "all objects in the workload fit
+	// in the cache"). The budget is split across shards; each shard enforces
 	// its slice under its own lock with the configured eviction Policy,
 	// so bounded caches scale with cores exactly like unbounded ones.
 	MaxBytes int64
 	// Policy selects the eviction policy for bounded caches (MaxBytes
-	// or Capacity set): evict.LRU (default; exact per-shard LRU),
+	// set): evict.LRU (default; exact per-shard LRU),
 	// evict.Clock (second-chance ring, cheapest possible warm-hit
 	// touch), or evict.Cost (bytes × staleness scoring, so one huge
 	// cold blob doesn't outlive a thousand small hot entries).
@@ -250,16 +241,10 @@ type Cache struct {
 	hookMu sync.Mutex
 	hooks  []CompletionHook
 
-	metrics Metrics
-	tel     *Telemetry // nil = telemetry off; see Config.Telemetry
+	metrics  Metrics
+	counters *telemetry.CounterSet // metrics' tagged fields, walked once at New
+	tel      *Telemetry            // nil = telemetry off; see Config.Telemetry
 
-	// unitCost selects the deprecated Capacity shim: every entry costs
-	// 1 and the budget is the entry count, reproducing the legacy
-	// entry-count LRU bit for bit.
-	unitCost bool
-	// maxBytes is the configured total budget (Capacity in unit-cost
-	// mode), for the cache_max_bytes gauge.
-	maxBytes uint64
 	// policyEvictions points at the per-policy eviction counter the
 	// active policy increments (metrics.EvictionsLRU/Clock/Cost),
 	// resolved once at New so the eviction path never switches on the
@@ -458,9 +443,6 @@ func New(cfg Config) (*Cache, error) {
 	if cfg.Strategy == 0 {
 		cfg.Strategy = StrategyAbort
 	}
-	if cfg.Capacity > 0 && cfg.MaxBytes > 0 {
-		return nil, errors.New("tcache: Config.Capacity and Config.MaxBytes are mutually exclusive (Capacity is the deprecated entry-count shim)")
-	}
 	if cfg.MaxBytes < 0 {
 		return nil, errors.New("tcache: Config.MaxBytes must be >= 0")
 	}
@@ -476,20 +458,11 @@ func New(cfg Config) (*Cache, error) {
 		stripes: make([]*txnStripe, cfg.Shards),
 		tel:     cfg.Telemetry,
 	}
+	c.counters = telemetry.NewCounterSet(&c.metrics, MetricsSnapshot{})
 	for i := range c.shards {
 		c.shards[i] = &cacheShard{entries: make(map[kv.Key]*entry)}
 		c.stripes[i] = &txnStripe{txns: make(map[kv.TxnID]*txnRecord)}
 	}
-	// Resolve the budget: MaxBytes is the real thing; Capacity is the
-	// shim (unit costs, budget = entry count). Either way each shard
-	// enforces its slice of the total, at least one unit, under its own
-	// lock.
-	budget := uint64(cfg.MaxBytes)
-	if cfg.Capacity > 0 {
-		budget = uint64(cfg.Capacity)
-		c.unitCost = true
-	}
-	c.maxBytes = budget
 	switch cfg.Policy {
 	case evict.Clock:
 		c.policyEvictions = &c.metrics.EvictionsClock
@@ -498,7 +471,9 @@ func New(cfg Config) (*Cache, error) {
 	default:
 		c.policyEvictions = &c.metrics.EvictionsLRU
 	}
-	if budget > 0 {
+	// Each shard enforces its slice of the budget, at least one byte,
+	// under its own lock.
+	if budget := uint64(cfg.MaxBytes); budget > 0 {
 		base, rem := budget/uint64(cfg.Shards), budget%uint64(cfg.Shards)
 		for i, sh := range c.shards {
 			slice := base
@@ -646,9 +621,8 @@ func (c *Cache) ResidentBytes() uint64 {
 	return n
 }
 
-// MaxBytes returns the configured total byte budget (the Capacity value
-// in the deprecated unit-cost shim; 0 when unbounded).
-func (c *Cache) MaxBytes() uint64 { return c.maxBytes }
+// MaxBytes returns the configured total byte budget (0 when unbounded).
+func (c *Cache) MaxBytes() uint64 { return uint64(c.cfg.MaxBytes) }
 
 // EvictionPolicy returns the configured eviction policy kind.
 func (c *Cache) EvictionPolicy() evict.Kind { return c.cfg.Policy }
@@ -709,16 +683,12 @@ func (sh *cacheShard) removeEntry(e *entry) {
 	sh.ev.Remove(&e.h)
 }
 
-// entryCost is the byte cost charged against the budget for e: key +
+// cost is the byte cost charged against the budget for e: key +
 // current value + per-entry overhead, plus every retained older version
-// under multiversioning. In the deprecated Capacity shim every entry
-// costs exactly 1, making the budget an entry count.
+// under multiversioning.
 //
 //tcache:hotpath
-func (c *Cache) entryCost(e *entry) uint64 {
-	if c.unitCost {
-		return 1
-	}
+func (e *entry) cost() uint64 {
 	n := uint64(evict.EntryOverhead) + uint64(len(e.key)) + uint64(len(e.item.Value))
 	for i := range e.older {
 		n += uint64(evict.VersionOverhead) + uint64(len(e.older[i].Value))
@@ -742,7 +712,6 @@ func (c *Cache) enforceBudgetLocked(sh *cacheShard) {
 		}
 		victim := obj.(*entry)
 		delete(sh.entries, victim.key)
-		c.metrics.CapacityEvictions.Add(1)
 		c.policyEvictions.Add(1)
 		if c.tel != nil {
 			c.tel.EvictionScan.Observe(uint64(scanned))
@@ -770,7 +739,7 @@ func (c *Cache) insertShardLocked(sh *cacheShard, key kv.Key, item kv.Item) *ent
 			}
 			// In-place replacement changed the entry's footprint: re-charge
 			// it (update accounting, not just insert) and re-enforce.
-			sh.ev.Update(&e.h, c.entryCost(e))
+			sh.ev.Update(&e.h, e.cost())
 		} else if e.item.Version == item.Version {
 			// Re-fetch confirmed the cached item is still current: restart
 			// its TTL (a batch prefetch of a TTL-expired entry lands here)
@@ -788,7 +757,7 @@ func (c *Cache) insertShardLocked(sh *cacheShard, key kv.Key, item kv.Item) *ent
 	}
 	e := &entry{key: key, item: item, fetchedAt: c.clk.Now()}
 	sh.entries[key] = e
-	sh.ev.Add(&e.h, e, c.entryCost(e))
+	sh.ev.Add(&e.h, e, e.cost())
 	c.enforceBudgetLocked(sh)
 	return e
 }

@@ -401,9 +401,12 @@ func TestTTLExpiry(t *testing.T) {
 	}
 }
 
+// TestCapacityLRUEviction: a budget of exactly two entries on one shard
+// (exact LRU order is a per-shard property) evicts the least recently
+// used of three.
 func TestCapacityLRUEviction(t *testing.T) {
 	b := newMapBackend()
-	c := newCache(t, Config{Backend: b, Capacity: 2})
+	c := newCache(t, Config{Backend: b, MaxBytes: int64(2 * entryCostFor("a", 1)), Shards: 1})
 	b.put("a", "1", 1)
 	b.put("b", "2", 1)
 	b.put("c", "3", 1)
@@ -424,8 +427,8 @@ func TestCapacityLRUEviction(t *testing.T) {
 	if !c.Contains("a") || !c.Contains("c") {
 		t.Fatal("wrong entry evicted")
 	}
-	if got := c.Metrics().CapacityEvictions; got != 1 {
-		t.Fatalf("CapacityEvictions = %d, want 1", got)
+	if got := c.Metrics().EvictionsLRU; got != 1 {
+		t.Fatalf("EvictionsLRU = %d, want 1", got)
 	}
 	if c.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", c.Len())

@@ -18,6 +18,11 @@ func entryCostFor(key kv.Key, valLen int) uint64 {
 	return uint64(evict.EntryOverhead) + uint64(len(key)) + uint64(valLen)
 }
 
+// budgetEvictions sums the per-policy budget-eviction counters.
+func budgetEvictions(m MetricsSnapshot) uint64 {
+	return m.EvictionsLRU + m.EvictionsClock + m.EvictionsCost
+}
+
 // TestByteBudgetBoundsResidentBytes drives more data than the budget
 // through every policy and checks the core invariant: resident bytes
 // never exceed MaxBytes, and the per-policy eviction counter accounts
@@ -42,7 +47,7 @@ func TestByteBudgetBoundsResidentBytes(t *testing.T) {
 				t.Fatalf("Len = %d, want evictions to have dropped entries", got)
 			}
 			m := c.Metrics()
-			if m.CapacityEvictions == 0 {
+			if budgetEvictions(m) == 0 {
 				t.Fatal("no budget evictions recorded")
 			}
 			var policyCount uint64
@@ -54,8 +59,8 @@ func TestByteBudgetBoundsResidentBytes(t *testing.T) {
 			default:
 				policyCount = m.EvictionsLRU
 			}
-			if policyCount != m.CapacityEvictions {
-				t.Fatalf("per-policy eviction counter = %d, want %d (CapacityEvictions)", policyCount, m.CapacityEvictions)
+			if policyCount != budgetEvictions(m) {
+				t.Fatalf("%s eviction counter = %d, want all %d budget evictions", kind, policyCount, budgetEvictions(m))
 			}
 		})
 	}
@@ -121,7 +126,7 @@ func TestGrowingValueTriggersEviction(t *testing.T) {
 	if c.Len() >= len(keys) {
 		t.Fatal("growing a value in place triggered no eviction")
 	}
-	if got := c.Metrics().CapacityEvictions; got == 0 {
+	if got := c.Metrics().EvictionsLRU; got == 0 {
 		t.Fatal("no budget eviction recorded for the in-place growth")
 	}
 	// The survivors' accounting must be exact: resident equals the sum of
@@ -237,8 +242,8 @@ func TestAdmissionKeepsWorkingSetUnderScan(t *testing.T) {
 	// Without the doorkeeper all 500 scan keys would be inserted and
 	// churn the budget (~460 evictions at this entry size); with it only
 	// the filter's false positives ever get in.
-	if m.CapacityEvictions > 120 {
-		t.Fatalf("CapacityEvictions = %d, want the doorkeeper to absorb the scan", m.CapacityEvictions)
+	if m.EvictionsLRU > 120 {
+		t.Fatalf("EvictionsLRU = %d, want the doorkeeper to absorb the scan", m.EvictionsLRU)
 	}
 }
 
@@ -368,7 +373,7 @@ func TestEvictionConsistencyHammer(t *testing.T) {
 				sh.mu.Lock()
 				var want uint64
 				for _, e := range sh.entries {
-					want += c.entryCost(e)
+					want += e.cost()
 				}
 				if got := sh.ev.Used(); got != want {
 					t.Errorf("shard %d ledger = %d bytes, want exact sum %d", si, got, want)
@@ -431,30 +436,6 @@ func TestEvictionConsistencyHammer(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestCapacityShimStillCountsEntries pins the deprecated Capacity mode
-// on top of the byte subsystem: entry counts, not bytes, bound the
-// cache, regardless of value sizes.
-func TestCapacityShimStillCountsEntries(t *testing.T) {
-	b := newMapBackend()
-	c := newCache(t, Config{Backend: b, Capacity: 3, Shards: 1})
-	for i := 0; i < 10; i++ {
-		k := kv.Key(fmt.Sprintf("k%d", i))
-		b.put(k, strings.Repeat("x", 1+i*100), 1) // wildly different sizes
-		if _, err := c.Get(bgc, k); err != nil {
-			t.Fatal(err)
-		}
-		if got := c.Len(); got > 3 {
-			t.Fatalf("Len = %d, want <= Capacity 3", got)
-		}
-	}
-	if got := c.Len(); got != 3 {
-		t.Fatalf("final Len = %d, want 3", got)
-	}
-	if got := c.ResidentBytes(); got != 3 {
-		t.Fatalf("unit-cost resident = %d, want 3 (entry count)", got)
 	}
 }
 

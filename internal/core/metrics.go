@@ -2,42 +2,45 @@ package core
 
 import "sync/atomic"
 
-// Metrics holds the cache's monotonic counters; read them with Snapshot.
+// Metrics holds the cache's monotonic counters — the one place each is
+// declared. The metric tag is its registry name; Cache.Metrics and
+// Cache.RegisterMetrics are both derived from this struct (see
+// telemetry.CounterSet).
 type Metrics struct {
-	Reads                uint64v
-	Hits                 uint64v
-	Misses               uint64v
-	TTLExpiries          uint64v
-	TxnsStarted          uint64v
-	TxnsCommitted        uint64v
-	TxnsAborted          uint64v
-	TxnsAbortedOnClose   uint64v
-	TxnsGCed             uint64v
-	Detected             uint64v
-	DetectedEq1          uint64v
-	DetectedEq2          uint64v
-	Retries              uint64v
-	RetriesResolved      uint64v
-	Evictions            uint64v
-	CapacityEvictions    uint64v
-	EvictionsLRU         uint64v
-	EvictionsClock       uint64v
-	EvictionsCost        uint64v
-	AdmissionRejects     uint64v
-	InvalidationsApplied uint64v
-	InvalidationsStale   uint64v
-	InvalidationsNoop    uint64v
-	MVServedOld          uint64v
-	BackendErrors        uint64v
-	BatchPrefetches      uint64v
-	BatchPrefetchedKeys  uint64v
-	FloorRefetches       uint64v
+	Reads                uint64v `metric:"reads"`
+	Hits                 uint64v `metric:"hits"`
+	Misses               uint64v `metric:"misses"`
+	TTLExpiries          uint64v `metric:"ttl_expiries"`
+	TxnsStarted          uint64v `metric:"txns_started"`
+	TxnsCommitted        uint64v `metric:"txns_committed"`
+	TxnsAborted          uint64v `metric:"txns_aborted"`
+	TxnsAbortedOnClose   uint64v `metric:"txns_aborted_on_close"`
+	TxnsGCed             uint64v `metric:"txns_gced"`
+	Detected             uint64v `metric:"detected"`
+	DetectedEq1          uint64v `metric:"detected_eq1"`
+	DetectedEq2          uint64v `metric:"detected_eq2"`
+	Retries              uint64v `metric:"retries"`
+	RetriesResolved      uint64v `metric:"retries_resolved"`
+	Evictions            uint64v `metric:"evictions"`
+	EvictionsLRU         uint64v `metric:"budget_evictions_lru"`
+	EvictionsClock       uint64v `metric:"budget_evictions_clock"`
+	EvictionsCost        uint64v `metric:"budget_evictions_cost"`
+	AdmissionRejects     uint64v `metric:"admission_rejects"`
+	InvalidationsApplied uint64v `metric:"invalidations_applied"`
+	InvalidationsStale   uint64v `metric:"invalidations_stale"`
+	InvalidationsNoop    uint64v `metric:"invalidations_noop"`
+	MVServedOld          uint64v `metric:"mv_served_old"`
+	BackendErrors        uint64v `metric:"backend_errors"`
+	BatchPrefetches      uint64v `metric:"batch_prefetches"`
+	BatchPrefetchedKeys  uint64v `metric:"batch_prefetched_keys"`
+	FloorRefetches       uint64v `metric:"floor_refetches"`
 }
 
 // uint64v aliases atomic.Uint64 to keep the struct declaration compact.
 type uint64v = atomic.Uint64
 
-// MetricsSnapshot is a point-in-time copy of Metrics.
+// MetricsSnapshot is a point-in-time copy of Metrics: the same fields as
+// plain uint64s (a test holds the two field sets equal).
 type MetricsSnapshot struct {
 	Reads                uint64
 	Hits                 uint64
@@ -54,7 +57,6 @@ type MetricsSnapshot struct {
 	Retries              uint64
 	RetriesResolved      uint64
 	Evictions            uint64
-	CapacityEvictions    uint64
 	EvictionsLRU         uint64
 	EvictionsClock       uint64
 	EvictionsCost        uint64
@@ -79,35 +81,7 @@ func (m MetricsSnapshot) HitRatio() float64 {
 }
 
 // Metrics returns a snapshot of the cache counters.
-func (c *Cache) Metrics() MetricsSnapshot {
-	return MetricsSnapshot{
-		Reads:                c.metrics.Reads.Load(),
-		Hits:                 c.metrics.Hits.Load(),
-		Misses:               c.metrics.Misses.Load(),
-		TTLExpiries:          c.metrics.TTLExpiries.Load(),
-		TxnsStarted:          c.metrics.TxnsStarted.Load(),
-		TxnsCommitted:        c.metrics.TxnsCommitted.Load(),
-		TxnsAborted:          c.metrics.TxnsAborted.Load(),
-		TxnsAbortedOnClose:   c.metrics.TxnsAbortedOnClose.Load(),
-		TxnsGCed:             c.metrics.TxnsGCed.Load(),
-		Detected:             c.metrics.Detected.Load(),
-		DetectedEq1:          c.metrics.DetectedEq1.Load(),
-		DetectedEq2:          c.metrics.DetectedEq2.Load(),
-		Retries:              c.metrics.Retries.Load(),
-		RetriesResolved:      c.metrics.RetriesResolved.Load(),
-		Evictions:            c.metrics.Evictions.Load(),
-		CapacityEvictions:    c.metrics.CapacityEvictions.Load(),
-		EvictionsLRU:         c.metrics.EvictionsLRU.Load(),
-		EvictionsClock:       c.metrics.EvictionsClock.Load(),
-		EvictionsCost:        c.metrics.EvictionsCost.Load(),
-		AdmissionRejects:     c.metrics.AdmissionRejects.Load(),
-		InvalidationsApplied: c.metrics.InvalidationsApplied.Load(),
-		InvalidationsStale:   c.metrics.InvalidationsStale.Load(),
-		InvalidationsNoop:    c.metrics.InvalidationsNoop.Load(),
-		MVServedOld:          c.metrics.MVServedOld.Load(),
-		BackendErrors:        c.metrics.BackendErrors.Load(),
-		BatchPrefetches:      c.metrics.BatchPrefetches.Load(),
-		BatchPrefetchedKeys:  c.metrics.BatchPrefetchedKeys.Load(),
-		FloorRefetches:       c.metrics.FloorRefetches.Load(),
-	}
+func (c *Cache) Metrics() (out MetricsSnapshot) {
+	c.counters.Fill(&out)
+	return out
 }

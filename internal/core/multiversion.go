@@ -126,13 +126,13 @@ func (c *Cache) dropStaleVersionsLocked(sh *cacheShard, e *entry, staleBelow kv.
 			e.item = e.older[0]
 			e.older = e.older[1:]
 			e.staleLatest = true
-			sh.ev.Update(&e.h, c.entryCost(e))
+			sh.ev.Update(&e.h, e.cost())
 			return false
 		}
 		sh.removeEntry(e)
 		return true
 	}
 	// Trimming the history shrank the entry: refund the difference.
-	sh.ev.Update(&e.h, c.entryCost(e))
+	sh.ev.Update(&e.h, e.cost())
 	return false
 }

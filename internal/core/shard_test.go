@@ -22,20 +22,13 @@ func TestShardDefaults(t *testing.T) {
 	if got := unbounded.Shards(); got != want {
 		t.Fatalf("unbounded default Shards = %d, want GOMAXPROCS = %d", got, want)
 	}
-	bounded := newCache(t, Config{Backend: b, Capacity: 10})
-	if got := bounded.Shards(); got != want {
-		t.Fatalf("Capacity-bounded default Shards = %d, want GOMAXPROCS = %d", got, want)
-	}
 	byteBounded := newCache(t, Config{Backend: b, MaxBytes: 1 << 20})
 	if got := byteBounded.Shards(); got != want {
 		t.Fatalf("MaxBytes-bounded default Shards = %d, want GOMAXPROCS = %d", got, want)
 	}
-	explicit := newCache(t, Config{Backend: b, Capacity: 2, Shards: 5})
+	explicit := newCache(t, Config{Backend: b, MaxBytes: 1 << 10, Shards: 5})
 	if got := explicit.Shards(); got != 5 {
 		t.Fatalf("explicit Shards = %d, want 5", got)
-	}
-	if _, err := New(Config{Backend: b, Capacity: 2, MaxBytes: 100}); err == nil {
-		t.Fatal("New accepted both Capacity and MaxBytes")
 	}
 }
 
@@ -45,7 +38,8 @@ func TestShardDefaults(t *testing.T) {
 // eviction order and per-operation counter effects.
 func TestShardsOnePreservesSingleMutexSemantics(t *testing.T) {
 	b := newMapBackend()
-	c := newCache(t, Config{Backend: b, Capacity: 2, Shards: 1, Strategy: StrategyRetry})
+	// Room for exactly two entries: values here are one or two bytes.
+	c := newCache(t, Config{Backend: b, MaxBytes: int64(2 * entryCostFor("a", 2)), Shards: 1, Strategy: StrategyRetry})
 	b.put("a", "1", 1)
 	b.put("b", "2", 1)
 	b.put("c", "3", 1)
@@ -81,8 +75,7 @@ func TestShardsOnePreservesSingleMutexSemantics(t *testing.T) {
 		Misses:               5,
 		TxnsStarted:          1,
 		TxnsCommitted:        1,
-		CapacityEvictions:    2, // c evicts b; the a@2 refill evicts c
-		EvictionsLRU:         2, // the Capacity shim runs unit-cost LRU
+		EvictionsLRU:         2, // c evicts b; the a@2 refill evicts c
 		InvalidationsApplied: 1,
 	}
 	if m != want {

@@ -38,41 +38,11 @@ func NewTelemetry() *Telemetry {
 }
 
 // RegisterMetrics registers every cache counter, gauge, and histogram
-// into reg under the shared metric vocabulary. The counter names match
-// the legacy OpStats keys exactly, so pre-telemetry scrapers keep
-// working against a registry-backed server.
+// into reg under the shared metric vocabulary.
 //
 //tcache:metric
 func (c *Cache) RegisterMetrics(reg *telemetry.Registry) {
-	m := &c.metrics
-	reg.Counter("reads", m.Reads.Load)
-	reg.Counter("hits", m.Hits.Load)
-	reg.Counter("misses", m.Misses.Load)
-	reg.Counter("ttl_expiries", m.TTLExpiries.Load)
-	reg.Counter("txns_started", m.TxnsStarted.Load)
-	reg.Counter("txns_committed", m.TxnsCommitted.Load)
-	reg.Counter("txns_aborted", m.TxnsAborted.Load)
-	reg.Counter("txns_aborted_on_close", m.TxnsAbortedOnClose.Load)
-	reg.Counter("txns_gced", m.TxnsGCed.Load)
-	reg.Counter("detected", m.Detected.Load)
-	reg.Counter("detected_eq1", m.DetectedEq1.Load)
-	reg.Counter("detected_eq2", m.DetectedEq2.Load)
-	reg.Counter("retries", m.Retries.Load)
-	reg.Counter("retries_resolved", m.RetriesResolved.Load)
-	reg.Counter("evictions", m.Evictions.Load)
-	reg.Counter("capacity_evictions", m.CapacityEvictions.Load)
-	reg.Counter("budget_evictions_lru", m.EvictionsLRU.Load)
-	reg.Counter("budget_evictions_clock", m.EvictionsClock.Load)
-	reg.Counter("budget_evictions_cost", m.EvictionsCost.Load)
-	reg.Counter("admission_rejects", m.AdmissionRejects.Load)
-	reg.Counter("invalidations_applied", m.InvalidationsApplied.Load)
-	reg.Counter("invalidations_stale", m.InvalidationsStale.Load)
-	reg.Counter("invalidations_noop", m.InvalidationsNoop.Load)
-	reg.Counter("mv_served_old", m.MVServedOld.Load)
-	reg.Counter("backend_errors", m.BackendErrors.Load)
-	reg.Counter("batch_prefetches", m.BatchPrefetches.Load)
-	reg.Counter("batch_prefetched_keys", m.BatchPrefetchedKeys.Load)
-	reg.Counter("floor_refetches", m.FloorRefetches.Load)
+	c.counters.Register(reg)
 
 	reg.Gauge("cache_entries", func() uint64 { return uint64(c.Len()) })
 	reg.Gauge("cache_bytes", c.Bytes)

@@ -20,6 +20,7 @@ import (
 	"tcache/internal/kv"
 	"tcache/internal/lock"
 	"tcache/internal/storage"
+	"tcache/internal/telemetry"
 	"tcache/internal/wal"
 )
 
@@ -200,9 +201,10 @@ type DB struct {
 	role atomic.Int32
 	repl replState
 
-	closed  atomic.Bool
-	metrics Metrics
-	tel     *Telemetry // never nil; see Config.Telemetry
+	closed   atomic.Bool
+	metrics  Metrics
+	counters *telemetry.CounterSet // metrics' tagged fields, walked once at Open
+	tel      *Telemetry            // never nil; see Config.Telemetry
 }
 
 // Open creates a database.
@@ -223,6 +225,7 @@ func Open(cfg Config) *DB {
 		door:  newCommitDoor(),
 		tel:   tel,
 	}
+	d.counters = telemetry.NewCounterSet(&d.metrics, MetricsSnapshot{})
 	d.repl.acked = make(map[string]replAck)
 	d.shards = make([]*shardState, cfg.Shards)
 	for i := range d.shards {

@@ -1,23 +1,22 @@
 package db
 
-import (
-	"errors"
-	"sync/atomic"
-)
+import "sync/atomic"
 
-// Metrics holds the database's monotonic counters. All fields are updated
-// atomically; read a consistent view with Snapshot.
+// Metrics holds the database's monotonic counters — the one place each
+// is declared. The metric tag is its registry name; DB.Metrics and
+// DB.RegisterMetrics are both derived from this struct (see
+// telemetry.CounterSet).
 type Metrics struct {
-	TxnsStarted       atomic.Uint64
-	TxnsCommitted     atomic.Uint64
-	TxnsAborted       atomic.Uint64
-	Conflicts         atomic.Uint64
-	TxnReads          atomic.Uint64
-	TxnWrites         atomic.Uint64
-	SingleGets        atomic.Uint64
-	InvalidationsSent atomic.Uint64
-	Snapshots         atomic.Uint64
-	SnapshotFailures  atomic.Uint64
+	TxnsStarted       atomic.Uint64 `metric:"txns_started"`
+	TxnsCommitted     atomic.Uint64 `metric:"txns_committed"`
+	TxnsAborted       atomic.Uint64 `metric:"txns_aborted"`
+	Conflicts         atomic.Uint64 `metric:"conflicts"`
+	TxnReads          atomic.Uint64 `metric:"txn_reads"`
+	TxnWrites         atomic.Uint64 `metric:"txn_writes"`
+	SingleGets        atomic.Uint64 `metric:"single_gets"`
+	InvalidationsSent atomic.Uint64 `metric:"invalidations_sent"`
+	Snapshots         atomic.Uint64 `metric:"snapshots"`
+	SnapshotFailures  atomic.Uint64 `metric:"snapshot_failures"`
 }
 
 // MetricsSnapshot is a point-in-time copy of Metrics, plus the WAL's own
@@ -50,34 +49,17 @@ type MetricsSnapshot struct {
 }
 
 // Metrics returns a snapshot of the database counters.
-func (d *DB) Metrics() MetricsSnapshot {
-	out := MetricsSnapshot{
-		TxnsStarted:       d.metrics.TxnsStarted.Load(),
-		TxnsCommitted:     d.metrics.TxnsCommitted.Load(),
-		TxnsAborted:       d.metrics.TxnsAborted.Load(),
-		Conflicts:         d.metrics.Conflicts.Load(),
-		TxnReads:          d.metrics.TxnReads.Load(),
-		TxnWrites:         d.metrics.TxnWrites.Load(),
-		SingleGets:        d.metrics.SingleGets.Load(),
-		InvalidationsSent: d.metrics.InvalidationsSent.Load(),
-		Snapshots:         d.metrics.Snapshots.Load(),
-		SnapshotFailures:  d.metrics.SnapshotFailures.Load(),
-	}
-	if d.wal != nil {
-		w := d.wal.Metrics()
-		out.WALRecords = w.Records
-		out.WALBatches = w.Batches
-		out.WALFsyncs = w.Fsyncs
-		out.WALBytes = w.Bytes
-		out.WALRotations = w.Rotations
-	}
+func (d *DB) Metrics() (out MetricsSnapshot) {
+	d.counters.Fill(&out)
+	w := d.walMetrics()
+	out.WALRecords = w.Records
+	out.WALBatches = w.Batches
+	out.WALFsyncs = w.Fsyncs
+	out.WALBytes = w.Bytes
+	out.WALRotations = w.Rotations
 	st := d.ReplStatusNow()
 	out.ReplApplied = st.Applied
 	out.ReplReplicas = uint64(st.Replicas)
 	out.ReplLag = st.Lag
 	return out
 }
-
-// errorsIs is a seam for txn.go (kept tiny; aliasing the stdlib keeps the
-// import set of txn.go focused).
-func errorsIs(err, target error) bool { return errors.Is(err, target) }

@@ -164,11 +164,6 @@ func (d *DB) Snapshot() error {
 	return nil
 }
 
-// Compact bounds log growth by checkpointing the current committed
-// state; it is retained as the historical name for Snapshot. Unlike the
-// original implementation it does not block commits.
-func (d *DB) Compact() error { return d.Snapshot() }
-
 // noteCommitForSnapshot counts a commit toward the SnapshotEvery
 // threshold and kicks the background worker when it is reached.
 func (d *DB) noteCommitForSnapshot() {

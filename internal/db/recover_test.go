@@ -232,7 +232,7 @@ func TestSnapshotShrinksLogAndPreservesState(t *testing.T) {
 	}
 	before := dirSize(t, dir)
 	wantA, _ := d.Get("a")
-	if err := d.Compact(); err != nil {
+	if err := d.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
 	after := dirSize(t, dir)
@@ -261,7 +261,7 @@ func TestSnapshotShrinksLogAndPreservesState(t *testing.T) {
 
 func TestCompactNoWALIsNoop(t *testing.T) {
 	d := open(t, Config{DepBound: 5})
-	if err := d.Compact(); err != nil {
+	if err := d.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -278,7 +278,7 @@ func TestSnapshotConcurrentWithCommits(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 5; i++ {
-		if err := d.Compact(); err != nil {
+		if err := d.Snapshot(); err != nil {
 			t.Fatal(err)
 		}
 	}

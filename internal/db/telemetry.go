@@ -39,23 +39,11 @@ func NewTelemetry() *Telemetry {
 }
 
 // RegisterMetrics registers every database counter, the WAL and
-// replication gauges, and the latency histograms into reg. The counter
-// names match the legacy DB OpStats keys exactly, so pre-telemetry
-// scrapers keep working against a registry-backed server.
+// replication gauges, and the latency histograms into reg.
 //
 //tcache:metric
 func (d *DB) RegisterMetrics(reg *telemetry.Registry) {
-	m := &d.metrics
-	reg.Counter("txns_started", m.TxnsStarted.Load)
-	reg.Counter("txns_committed", m.TxnsCommitted.Load)
-	reg.Counter("txns_aborted", m.TxnsAborted.Load)
-	reg.Counter("conflicts", m.Conflicts.Load)
-	reg.Counter("txn_reads", m.TxnReads.Load)
-	reg.Counter("txn_writes", m.TxnWrites.Load)
-	reg.Counter("single_gets", m.SingleGets.Load)
-	reg.Counter("invalidations_sent", m.InvalidationsSent.Load)
-	reg.Counter("snapshots", m.Snapshots.Load)
-	reg.Counter("snapshot_failures", m.SnapshotFailures.Load)
+	d.counters.Register(reg)
 	reg.Counter("wal_records", func() uint64 { return d.walMetrics().Records })
 	reg.Counter("wal_batches", func() uint64 { return d.walMetrics().Batches })
 	reg.Counter("wal_fsyncs", func() uint64 { return d.walMetrics().Fsyncs })
@@ -80,6 +68,20 @@ func (d *DB) RegisterMetrics(reg *telemetry.Registry) {
 	reg.Histogram("wal_batch_ns", d.tel.WALBatch)
 	reg.Histogram("wal_fsync_ns", d.tel.WALFsync)
 	reg.Histogram("repl_apply_ns", d.tel.ReplApply)
+}
+
+// AdminHealth evaluates the node's /healthz: role from the replication
+// state, healthy unless the WAL carries a sticky write error.
+func (d *DB) AdminHealth() telemetry.Health {
+	h := telemetry.Health{Healthy: true, Role: d.Role().String()}
+	if st := d.ReplStatusNow(); st.Role == RoleStandby && st.Leader != "" {
+		h.Detail = "leader=" + st.Leader
+	}
+	if err := d.Health(); err != nil {
+		h.Healthy = false
+		h.Detail = err.Error()
+	}
+	return h
 }
 
 // walMetrics samples the WAL counters, or zeros for a database opened

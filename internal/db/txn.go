@@ -2,6 +2,7 @@ package db
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"tcache/internal/kv"
@@ -400,7 +401,7 @@ func (t *Txn) Commit() (kv.Version, error) {
 
 func errorsIsAny(err error, targets ...error) bool {
 	for _, t := range targets {
-		if errorsIs(err, t) {
+		if errors.Is(err, t) {
 			return true
 		}
 	}

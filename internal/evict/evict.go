@@ -17,9 +17,7 @@
 // Three policies ship behind the one Policy interface:
 //
 //   - LRU: exact per-shard least-recently-used via an intrusive doubly
-//     linked list. A warm hit splices the node to the front. This is the
-//     compatibility policy — with unit costs it reproduces the legacy
-//     Capacity semantics bit for bit.
+//     linked list. A warm hit splices the node to the front.
 //   - Clock: the classic second-chance ring. A warm hit sets one bool
 //     (no list splice, no pointer writes shared between hits), which is
 //     measurably cheaper under shard-lock contention; eviction sweeps a
@@ -41,8 +39,7 @@ import "fmt"
 type Kind uint8
 
 const (
-	// LRU is exact per-shard least-recently-used (the default and the
-	// legacy Capacity-mode behaviour).
+	// LRU is exact per-shard least-recently-used (the default).
 	LRU Kind = iota
 	// Clock is the second-chance ring: warm hits set a reference bit
 	// instead of splicing a list, trading exactness for the cheapest

@@ -106,7 +106,6 @@ func subCache(a, b core.MetricsSnapshot) core.MetricsSnapshot {
 		Retries:              a.Retries - b.Retries,
 		RetriesResolved:      a.RetriesResolved - b.RetriesResolved,
 		Evictions:            a.Evictions - b.Evictions,
-		CapacityEvictions:    a.CapacityEvictions - b.CapacityEvictions,
 		InvalidationsApplied: a.InvalidationsApplied - b.InvalidationsApplied,
 		InvalidationsStale:   a.InvalidationsStale - b.InvalidationsStale,
 		InvalidationsNoop:    a.InvalidationsNoop - b.InvalidationsNoop,

@@ -5,6 +5,8 @@ import (
 	"go/constant"
 	"go/token"
 	"go/types"
+	"reflect"
+	"strconv"
 
 	"tcache/internal/telemetry"
 )
@@ -18,7 +20,9 @@ import (
 // (telemetry.ValidMetricName — the exact grammar the registry enforces,
 // which excludes the '|' the flat wire encoding reserves and everything
 // Prometheus rejects), and no name may be registered twice across the
-// package's annotated functions.
+// package's annotated functions. A struct field tagged `metric:"name"`
+// (a counter declared for telemetry.CounterSet, which registers it
+// reflectively) is held to the same grammar and shares the namespace.
 var MetricName = &Analyzer{
 	Name: "metricname",
 	Doc:  "metric names in //tcache:metric funcs are lowercase_snake string constants, unique per package",
@@ -31,6 +35,12 @@ var metricRegMethods = map[string]bool{"Counter": true, "Gauge": true, "Histogra
 func runMetricName(pass *Pass) error {
 	seen := map[string]token.Pos{}
 	for _, f := range pass.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if st, ok := n.(*ast.StructType); ok {
+				checkMetricTags(pass, st, seen)
+			}
+			return true
+		})
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
@@ -43,6 +53,29 @@ func runMetricName(pass *Pass) error {
 		}
 	}
 	return nil
+}
+
+func checkMetricTags(pass *Pass, st *ast.StructType, seen map[string]token.Pos) {
+	for _, field := range st.Fields.List {
+		if field.Tag == nil {
+			continue
+		}
+		tag, err := strconv.Unquote(field.Tag.Value)
+		if err != nil {
+			continue
+		}
+		name, ok := reflect.StructTag(tag).Lookup("metric")
+		if !ok {
+			continue
+		}
+		if !telemetry.ValidMetricName(name) {
+			pass.Reportf(field.Tag.Pos(), "metric tag %q is not lowercase_snake (the registry will panic at runtime)", name)
+		} else if prev, dup := seen[name]; dup {
+			pass.Reportf(field.Tag.Pos(), "metric %q already registered at %s (duplicate names panic at runtime)", name, pass.Fset.Position(prev))
+		} else {
+			seen[name] = field.Tag.Pos()
+		}
+	}
 }
 
 func checkMetricFunc(pass *Pass, fd *ast.FuncDecl, seen map[string]token.Pos) {

@@ -32,3 +32,12 @@ func registersComputed(reg *Registry, prefix string) {
 func registersCross(reg *Registry) {
 	reg.Gauge("dup_name", nil) // want `registersCross: metric "dup_name" already registered`
 }
+
+// taggedCounters declares counters for reflective registration: tags
+// share the grammar and the namespace of explicit registrations.
+type taggedCounters struct {
+	Fine  uint64 `metric:"tagged_fine"`
+	Upper uint64 `metric:"Tagged"`      // want `metric tag "Tagged" is not lowercase_snake`
+	Again uint64 `metric:"tagged_fine"` // want `metric "tagged_fine" already registered`
+	Other uint64 `json:"Whatever"`
+}

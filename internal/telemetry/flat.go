@@ -6,15 +6,12 @@ import (
 )
 
 // Flat wire encoding: a whole registry snapshot folded into the
-// protocol-v5 `Stats map[string]uint64` that OpStats already carries,
-// so histograms and gauges cross the wire with ZERO codec or protocol
-// changes — old clients simply see extra keys, old servers simply
-// send fewer.
+// `Stats map[string]uint64` that OpStats carries — the one encoding
+// both servers answer in.
 //
 // The key grammar reserves '|', which ValidMetricName excludes:
 //
-//	name            counter (the legacy keys — unchanged, so existing
-//	                scrapers keep working against new servers)
+//	name            counter
 //	name|g          gauge
 //	name|h<i>       histogram bucket i count (zero buckets omitted)
 //	name|hsum       histogram sum of samples

@@ -3,7 +3,7 @@
 // gauges, and a registry that aggregates the per-tier counters
 // (core.Metrics, db.Metrics, WAL, router, client) into one named
 // snapshot. The same snapshot feeds three surfaces — the Prometheus
-// text exposition on the admin listener, the protocol-v5 OpStats flat
+// text exposition on the admin listener, the OpStats flat
 // map (see flat.go), and the in-process tcache.WithTelemetry hooks —
 // so every tier reports through one vocabulary.
 //

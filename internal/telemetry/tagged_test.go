@@ -1,0 +1,48 @@
+package telemetry
+
+import (
+	"sync/atomic"
+	"testing"
+)
+
+type taggedMetrics struct {
+	Hits    atomic.Uint64 `metric:"hits"`
+	Misses  atomic.Uint64 `metric:"misses"`
+	scratch int
+}
+
+type taggedSnapshot struct {
+	Extra  uint64
+	Misses uint64
+	Hits   uint64
+}
+
+func TestCounterSetDerivesRegistryAndSnapshot(t *testing.T) {
+	var m taggedMetrics
+	set := NewCounterSet(&m, taggedSnapshot{})
+	m.Hits.Add(3)
+	m.Misses.Add(5)
+
+	var snap taggedSnapshot
+	set.Fill(&snap)
+	if snap != (taggedSnapshot{Hits: 3, Misses: 5}) {
+		t.Fatalf("Fill = %+v", snap)
+	}
+	reg := NewRegistry()
+	set.Register(reg)
+	if got := reg.Snapshot().Counters; got["hits"] != 3 || got["misses"] != 5 || len(got) != 2 {
+		t.Fatalf("registered counters = %v", got)
+	}
+}
+
+func TestCounterSetRejectsUnsnapshottedCounter(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a tagged counter with no snapshot field was accepted")
+		}
+	}()
+	var m struct {
+		Orphan atomic.Uint64 `metric:"orphan"`
+	}
+	NewCounterSet(&m, taggedSnapshot{})
+}

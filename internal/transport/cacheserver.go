@@ -1,14 +1,9 @@
 package transport
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
-	"io"
-	"net"
-	"sync"
-	"sync/atomic"
 
 	"tcache/internal/core"
 	"tcache/internal/db"
@@ -22,51 +17,27 @@ import (
 //
 // Beyond the client-facing transactional protocol (OpRead, OpReadMulti,
 // OpCommit, OpAbort), a CacheServer also speaks the backend protocol —
-// item-granular OpGet and OpGetBatch (with read floors) plus OpSubscribe
-// push relays — so a tcached can itself be the Backend of downstream
-// caches: the mid-tier of a clustered edge deployment. The owner bridges
-// its upstream invalidation stream into Broadcast to feed the relays.
+// item-granular OpGet and OpGetBatch (with read floors), relayed
+// OpUpdate, and OpSubscribe push relays — so a tcached can itself be the
+// Backend of downstream caches: the mid-tier of a clustered edge
+// deployment. The owner bridges its upstream invalidation stream into
+// Broadcast to feed the relays.
 type CacheServer struct {
+	*server
 	cache *core.Cache
-	ln    net.Listener
-
-	// ctx is cancelled by Close; it bounds in-flight backend fetches.
-	ctx    context.Context
-	cancel context.CancelFunc
-
-	mu     sync.Mutex
-	conns  map[net.Conn]struct{}
-	closed bool
-	wg     sync.WaitGroup
-
-	// subs are the downstream invalidation relays, by subscriber name.
-	// Broadcast pushes to each relay's queue while holding subMu:
-	//
-	//tcache:lockorder relay < invq
-	subMu sync.Mutex //tcache:lockclass relay
-	subs  map[string]*invPusher
-
-	// reg, when set, replaces the legacy OpStats counter map with the
-	// full registry snapshot (counters + gauges + histograms) in flat
-	// wire encoding — protocol-v5 compatible: only more map keys.
-	reg atomic.Pointer[telemetry.Registry]
-
-	logf func(format string, args ...any)
 }
 
-// NewCacheServer wraps c; call Listen to start accepting.
+// NewCacheServer wraps c; call Listen to start accepting. OpStats is
+// answered from a registry holding the cache's metrics and the server's
+// own.
 func NewCacheServer(c *core.Cache, logf func(string, ...any)) *CacheServer {
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	//lint:ignore ctxdiscipline the server ctx spans all connections and is cancelled by Close, not by any one caller
-	ctx, cancel := context.WithCancel(context.Background())
-	return &CacheServer{
-		cache: c, ctx: ctx, cancel: cancel,
-		conns: make(map[net.Conn]struct{}),
-		subs:  make(map[string]*invPusher),
-		logf:  logf,
-	}
+	s := &CacheServer{server: newServer("tcached", logf), cache: c}
+	s.serve, s.inline = s.dispatch, cacheInline
+	reg := telemetry.NewRegistry()
+	c.RegisterMetrics(reg)
+	s.RegisterMetrics(reg)
+	s.SetRegistry(reg)
+	return s
 }
 
 // Broadcast relays one invalidation to every downstream subscriber. The
@@ -83,228 +54,23 @@ func (s *CacheServer) Broadcast(inv Invalidation) {
 	s.subMu.Unlock()
 }
 
-// Subscribers returns the number of connected downstream relays.
-func (s *CacheServer) Subscribers() int {
-	s.subMu.Lock()
-	defer s.subMu.Unlock()
-	return len(s.subs)
-}
-
-// SetRegistry makes OpStats serve the full registry snapshot (flat
-// encoding) instead of the legacy fixed counter map. Call it before
-// Listen; the registry should already aggregate the cache's metrics
-// (core.Cache.RegisterMetrics) and this server's (RegisterMetrics).
-func (s *CacheServer) SetRegistry(reg *telemetry.Registry) { s.reg.Store(reg) }
-
 // RegisterMetrics registers the server-local gauges: connected
 // downstream relays and their queued-invalidation backlog.
-// relay_subscribers keeps its legacy name but is now typed as a gauge
-// on the wire (it was always instantaneous, never a counter).
 //
 //tcache:metric
 func (s *CacheServer) RegisterMetrics(reg *telemetry.Registry) {
 	reg.Gauge("relay_subscribers", func() uint64 { return uint64(s.Subscribers()) })
-	reg.Gauge("relay_queue", func() uint64 { return s.queuedInvalidations() })
+	reg.Gauge("relay_queue", s.queuedInvalidations)
 }
 
-// queuedInvalidations sums the invalidation backlog across every
-// downstream relay.
-func (s *CacheServer) queuedInvalidations() uint64 {
-	s.subMu.Lock()
-	pushers := make([]*invPusher, 0, len(s.subs))
-	for _, p := range s.subs {
-		pushers = append(pushers, p)
-	}
-	s.subMu.Unlock()
-	var n uint64
-	for _, p := range pushers {
-		n += uint64(p.depth())
-	}
-	return n
-}
-
-// Listen binds addr and starts serving in the background, returning the
-// bound address.
-func (s *CacheServer) Listen(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", fmt.Errorf("transport: listen %s: %w", addr, err)
-	}
-	s.ln = ln
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		s.acceptLoop()
-	}()
-	return ln.Addr().String(), nil
-}
-
-// Close stops accepting and closes all connections.
-func (s *CacheServer) Close() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.closed = true
-	if s.ln != nil {
-		s.ln.Close()
-	}
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	s.cancel()
-	s.wg.Wait()
-}
-
-func (s *CacheServer) acceptLoop() {
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			return
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
-		s.conns[conn] = struct{}{}
-		s.wg.Add(1)
-		s.mu.Unlock()
-		go func() {
-			defer s.wg.Done()
-			s.handle(conn)
-		}()
-	}
-}
-
-// handle serves one connection: version handshake, then request frames
-// dispatched concurrently — a read stuck on a slow backend fetch never
-// head-of-line-blocks the other requests multiplexed on the connection.
-func (s *CacheServer) handle(conn net.Conn) {
-	// Defer order (LIFO): cancel in-flight fetches, close the connection
-	// — so a dispatch goroutine stuck writing to a peer that stopped
-	// reading errors out instead of wedging the wait — then wait for the
-	// dispatchers.
-	var reqWG sync.WaitGroup
-	defer reqWG.Wait()
-	defer func() {
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-		conn.Close()
-	}()
-	ctx, cancel := context.WithCancel(s.ctx)
-	defer cancel()
-
-	br := bufio.NewReader(conn)
-	if err := serverHandshake(conn, br); err != nil {
-		if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-			s.logf("tcached: handshake: %v", err)
-		}
-		return
-	}
-	fr := newFrameReader(br, s.logf)
-	var writeMu sync.Mutex
-
-	for {
-		typ, id, payload, err := fr.Read()
-		if err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-				s.logf("tcached: read: %v", err)
-			}
-			return
-		}
-		if typ != frameRequest {
-			continue
-		}
-		req, derr := decodeRequest(payload)
-		if derr != nil {
-			s.logf("tcached: decode: %v", derr)
-			resp := Response{Code: CodeError, Err: derr.Error()}
-			if writeResponseFrame(conn, &writeMu, id, &resp) != nil {
-				return
-			}
-			continue
-		}
-		if req.Op == OpSubscribe {
-			// Switch to push mode: relay this cache's upstream invalidation
-			// stream (fed via Broadcast) to the downstream subscriber.
-			s.servePush(conn, fr, &writeMu, id, req.Subscriber)
-			return
-		}
-		if cacheNonBlocking(req.Op) {
-			// Local-only ops answer inline: no goroutine hop, and they
-			// cannot head-of-line-block the connection.
-			resp := s.dispatch(ctx, req)
-			if err := writeResponseFrame(conn, &writeMu, id, &resp); err != nil {
-				s.logf("tcached: write: %v", err)
-				return
-			}
-			continue
-		}
-		reqWG.Add(1)
-		go func(id uint64, req Request) {
-			defer reqWG.Done()
-			resp := s.dispatch(ctx, req)
-			if err := writeResponseFrame(conn, &writeMu, id, &resp); err != nil {
-				s.logf("tcached: write: %v", err)
-				conn.Close() // unblock the frame reader
-			}
-		}(id, req)
-	}
-}
-
-// cacheNonBlocking reports whether op completes without ever waiting on
-// the backend, so the serving loop may run it inline. Read ops stay on
+// cacheInline: the local-only ops. Reads and relayed updates stay on
 // dispatch goroutines: a miss blocks on the backend fetch.
-func cacheNonBlocking(op Op) bool {
+func cacheInline(op Op) bool {
 	switch op {
 	case OpPing, OpStats, OpCommit, OpAbort:
 		return true
 	default:
 		return false
-	}
-}
-
-// servePush turns the connection into an invalidation relay for
-// subscriber name, mirroring the DB server's push mode: invalidations
-// fed to Broadcast are queued and flushed in coalesced batch frames. A
-// name already registered errors — two downstream caches sharing a name
-// would starve one of them, exactly the duplicate-subscriber protection
-// the database applies.
-func (s *CacheServer) servePush(conn net.Conn, fr *frameReader, writeMu *sync.Mutex, id uint64, name string) {
-	if name == "" {
-		name = conn.RemoteAddr().String()
-	}
-	p := newInvPusher(conn, writeMu)
-	s.subMu.Lock()
-	if _, dup := s.subs[name]; dup {
-		s.subMu.Unlock()
-		resp := Response{Code: CodeError, Err: fmt.Sprintf("%v: %q", db.ErrDuplicateSubscriber, name)}
-		_ = writeResponseFrame(conn, writeMu, id, &resp)
-		return
-	}
-	s.subs[name] = p
-	s.subMu.Unlock()
-	go p.run()
-	defer func() {
-		s.subMu.Lock()
-		delete(s.subs, name)
-		s.subMu.Unlock()
-		p.stop()
-	}()
-	resp := Response{Code: CodeOK}
-	if err := writeResponseFrame(conn, writeMu, id, &resp); err != nil {
-		return
-	}
-	// Block until the peer goes away, discarding anything it sends.
-	for {
-		if _, _, _, err := fr.Read(); err != nil {
-			return
-		}
 	}
 }
 
@@ -332,7 +98,7 @@ func (s *CacheServer) dispatch(ctx context.Context, req Request) Response {
 		item, ok, err := s.cache.GetItem(ctx, req.Key, req.MinVersion)
 		switch {
 		case err != nil:
-			return Response{Code: CodeError, Err: err.Error()}
+			return errorResponse("%v", err)
 		case !ok:
 			return Response{Code: CodeNotFound}
 		default:
@@ -342,13 +108,12 @@ func (s *CacheServer) dispatch(ctx context.Context, req Request) Response {
 	case OpGetBatch:
 		lookups, err := s.cache.GetItems(ctx, req.Keys, req.MinVersion)
 		if err != nil {
-			return Response{Code: CodeError, Err: err.Error()}
+			return errorResponse("%v", err)
 		}
 		return Response{Code: CodeOK, Batch: lookups}
 
 	case OpUpdate:
-		version, err := s.runUpdate(ctx, req)
-		return updateResponse(version, err)
+		return updateResponse(s.relayUpdate(ctx, req))
 
 	case OpCommit:
 		s.cache.Commit(kv.TxnID(req.TxnID))
@@ -359,55 +124,33 @@ func (s *CacheServer) dispatch(ctx context.Context, req Request) Response {
 		return Response{Code: CodeOK}
 
 	case OpStats:
-		// See DBServer.dispatch: a registry snapshot is a strict superset
-		// of the legacy map, carried in the same Stats field.
-		if reg := s.reg.Load(); reg != nil {
-			return Response{Code: CodeOK, Stats: telemetry.Flatten(reg.Snapshot())}
-		}
-		m := s.cache.Metrics()
-		return Response{Code: CodeOK, Stats: map[string]uint64{
-			"reads":             m.Reads,
-			"hits":              m.Hits,
-			"misses":            m.Misses,
-			"txns_started":      m.TxnsStarted,
-			"txns_committed":    m.TxnsCommitted,
-			"txns_aborted":      m.TxnsAborted,
-			"detected":          m.Detected,
-			"retries":           m.Retries,
-			"evictions":         m.Evictions,
-			"floor_refetches":   m.FloorRefetches,
-			"relay_subscribers": uint64(s.Subscribers()),
-		}}
+		return s.statsResponse()
 
 	case OpSubscribe:
-		// Subscriptions switch the connection into relay mode before
-		// dispatch (see handle); reaching here means a second OpSubscribe
-		// arrived on an already-dispatched stream.
-		return Response{Code: CodeError, Err: "tcached: subscribe must be the first request on its connection"}
+		// Switches the connection's mode before dispatch (see
+		// server.handle).
+		return errorResponse("tcached: op %q never reaches dispatch", req.Op)
 
 	case OpReplicate, OpPromote:
 		// DB-tier replication ops: caches neither stream WALs nor hold
 		// roles; replicas connect to a tdbd directly.
-		return Response{Code: CodeError, Err: fmt.Sprintf("tcached: op %q is a db-tier operation", req.Op)}
+		return errorResponse("tcached: op %q is a db-tier operation", req.Op)
 
 	default:
-		return Response{Code: CodeError, Err: fmt.Sprintf("tcached: unknown op %q", req.Op)}
+		return errorResponse("tcached: unknown op %q", req.Op)
 	}
 }
 
-// runUpdate relays a validated update through this cache's backend —
-// the mid-tier role of the unified write path: edge clients commit
-// through whichever tcached they reach, which forwards the observed
-// read versions and writes upstream (ultimately to the database, which
+// relayUpdate forwards a validated update through this cache's backend —
+// the mid-tier role of the write path: edge clients commit through
+// whichever tcached they reach, which forwards the observed read
+// versions and writes upstream (ultimately to the database, which
 // validates and commits). On a commit, the relay applies the writes'
 // invalidations to its own cache synchronously, so the node that
 // carried the update serves it immediately; on a validation conflict it
 // evicts its own stale copy of the conflicting key, so retries routed
 // through it refetch instead of re-reading the same stale version.
-func (s *CacheServer) runUpdate(ctx context.Context, req Request) (kv.Version, error) {
-	if req.ReadVersions == nil {
-		return kv.Version{}, errors.New("tcached: update requires the validated form (protocol v4 ReadVersions)")
-	}
+func (s *CacheServer) relayUpdate(ctx context.Context, req Request) (kv.Version, error) {
 	ub, ok := s.cache.Backend().(core.UpdaterBackend)
 	if !ok {
 		return kv.Version{}, fmt.Errorf("tcached: backend %T does not support updates", s.cache.Backend())
@@ -435,6 +178,6 @@ func readResponse(val kv.Value, err error) Response {
 	case errors.Is(err, core.ErrNotFound):
 		return Response{Code: CodeNotFound}
 	default:
-		return Response{Code: CodeError, Err: err.Error()}
+		return errorResponse("%v", err)
 	}
 }

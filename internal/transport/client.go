@@ -62,9 +62,7 @@ type muxResult struct {
 // writes whole frames, so a frame is never half-written by a cancelled
 // caller; a demux reader owns the read side and routes each response to
 // the pending call with the matching request id. Cancelling a call's ctx
-// simply abandons its pending slot — the connection stays healthy, unlike
-// the v1 gob transport, which had to poison the socket deadline and
-// discard the connection to interrupt blocked I/O.
+// simply abandons its pending slot — the connection stays healthy.
 type muxConn struct {
 	c       net.Conn
 	writeCh chan *[]byte
@@ -79,29 +77,59 @@ type muxConn struct {
 	dead chan struct{}
 }
 
-// dialMux dials addr, runs the version handshake, and starts the writer
-// and demux reader. ctx bounds the dial and handshake only.
-func dialMux(ctx context.Context, addr string) (*muxConn, error) {
+// dialPeer dials addr and runs the version handshake. With a non-nil
+// first request it also sends it and waits for its response — the mode
+// switch that opens a push or replication stream. ctx bounds the whole
+// exchange and nothing after it: the I/O is sequential and blocking, so
+// it is interrupted by poking the deadline if ctx fires. A failure to
+// complete the exchange is a health signal (ErrUnavailable); what a
+// server that answered said is the caller's to judge.
+func dialPeer(ctx context.Context, addr string, first *Request) (net.Conn, *frameReader, Response, error) {
 	var d net.Dialer
 	c, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
-		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
+		return nil, nil, Response{}, wrapUnavail(fmt.Errorf("transport: dial %s: %w", addr, err))
 	}
 	br := bufio.NewReader(c)
-	// The handshake is the only blocking I/O outside the two goroutines;
-	// interrupt it by poking the deadline if ctx fires.
+	fr := newFrameReader(br, nil)
 	stop := context.AfterFunc(ctx, func() { c.SetDeadline(time.Unix(1, 0)) })
-	err = clientHandshake(c, br)
+	resp, err := func() (Response, error) {
+		if err := clientHandshake(c, br); err != nil || first == nil {
+			return Response{}, err
+		}
+		if err := writeRequestFrame(c, nil, 1, first); err != nil {
+			return Response{}, err
+		}
+		for {
+			typ, id, payload, err := fr.Read()
+			if err != nil {
+				return Response{}, err
+			}
+			if typ == frameResponse && id == 1 {
+				return decodeResponse(payload)
+			}
+		}
+	}()
 	if !stop() && err == nil {
-		// The poke raced a completed handshake; the deadline may be
+		// The poke raced a completed exchange; the deadline may be
 		// poisoned, so the connection cannot be trusted.
 		err = ctx.Err()
 	}
 	if err != nil {
 		c.Close()
 		if ctxErr := ctx.Err(); ctxErr != nil {
-			return nil, ctxErr
+			return nil, nil, Response{}, ctxErr
 		}
+		return nil, nil, Response{}, wrapUnavail(err)
+	}
+	return c, fr, resp, nil
+}
+
+// dialMux dials addr and starts the writer and demux reader. ctx bounds
+// the dial and handshake only.
+func dialMux(ctx context.Context, addr string) (*muxConn, error) {
+	c, fr, _, err := dialPeer(ctx, addr, nil)
+	if err != nil {
 		return nil, err
 	}
 	cn := &muxConn{
@@ -111,7 +139,7 @@ func dialMux(ctx context.Context, addr string) (*muxConn, error) {
 		dead:    make(chan struct{}),
 	}
 	go cn.writeLoop()
-	go cn.readLoop(br)
+	go cn.readLoop(fr)
 	return cn, nil
 }
 
@@ -179,8 +207,7 @@ func (cn *muxConn) writeLoop() {
 	}
 }
 
-func (cn *muxConn) readLoop(br *bufio.Reader) {
-	fr := newFrameReader(br, nil)
+func (cn *muxConn) readLoop(fr *frameReader) {
 	for {
 		typ, id, payload, err := fr.Read()
 		if err != nil {
@@ -298,10 +325,10 @@ func WithRedialBackoff(d time.Duration) ClientOption {
 	return func(c *clientConfig) { c.redialBackoff = d }
 }
 
-// mux is a fixed-size set of multiplexed connections. Unlike the v1
-// pool — one connection per in-flight request — N concurrent calls share
-// these few connections; a slot whose connection died is redialed on
-// next use, so a restarted server is picked up transparently.
+// mux is a fixed-size set of multiplexed connections, the core of both
+// client types: N concurrent calls share these few connections, and a
+// slot whose connection died is redialed on next use, so a restarted
+// server is picked up transparently.
 type mux struct {
 	addr   string
 	cfg    clientConfig
@@ -405,9 +432,36 @@ func (m *mux) install(s *muxSlot, cn *muxConn) (*muxConn, error) {
 	return cn, nil
 }
 
-// close closes every connection without waiting for in-flight round
+// SetRoundTripHistogram makes every subsequent call record its wall
+// time (dial retries included) into h; nil disables. Safe to call
+// concurrently with in-flight requests.
+func (m *mux) SetRoundTripHistogram(h *telemetry.Histogram) { m.rtHist.Store(h) }
+
+// Ping checks liveness.
+func (m *mux) Ping(ctx context.Context) error {
+	_, err := m.call(ctx, Request{Op: OpPing})
+	return err
+}
+
+// Stats fetches the server's registry snapshot in the flat wire
+// encoding — a tdbd's database metrics, or a tcached's cache metrics.
+func (m *mux) Stats(ctx context.Context) (map[string]uint64, error) {
+	resp, err := m.call(ctx, Request{Op: OpStats})
+	return resp.Stats, err
+}
+
+// call is roundTrip for the ops whose only failure answer is CodeError.
+func (m *mux) call(ctx context.Context, req Request) (Response, error) {
+	resp, err := m.roundTrip(ctx, req)
+	if err == nil && resp.Code != CodeOK {
+		err = fmt.Errorf("transport: %s: %s", req.Op, resp.Err)
+	}
+	return resp, err
+}
+
+// Close closes every connection without waiting for in-flight round
 // trips; each pending call settles with ErrClientClosed.
-func (m *mux) close() {
+func (m *mux) Close() {
 	if m.closed.Swap(true) {
 		return
 	}
@@ -446,7 +500,7 @@ func (m *mux) roundTrip(ctx context.Context, req Request) (Response, error) {
 func (m *mux) doRoundTrip(ctx context.Context, req Request) (Response, error) {
 	s, cn, fresh, err := m.grab(ctx)
 	if err != nil {
-		return Response{}, wrapUnavail(err)
+		return Response{}, err // a failed dial arrives tagged by dialPeer
 	}
 	resp, err := cn.roundTrip(ctx, req)
 	if err == nil || fresh || ctx.Err() != nil ||
@@ -523,16 +577,18 @@ func idempotent(op Op) bool {
 }
 
 // DBClient talks to a tdbd instance. It implements core.Backend (and its
-// batch extension), so a remote database can back a local cache. Safe for
-// concurrent use; calls are multiplexed over a small fixed set of
-// connections, and failed connections are redialed transparently.
+// batch and updater extensions), so a remote database can back a local
+// cache. Safe for concurrent use; calls are multiplexed over a small
+// fixed set of connections, and failed connections are redialed
+// transparently.
 type DBClient struct {
-	mx *mux
+	*mux
 }
 
 var (
-	_ core.Backend      = (*DBClient)(nil)
-	_ core.BatchBackend = (*DBClient)(nil)
+	_ core.Backend        = (*DBClient)(nil)
+	_ core.BatchBackend   = (*DBClient)(nil)
+	_ core.UpdaterBackend = (*DBClient)(nil)
 )
 
 // DialDB connects to a backend-protocol server at addr — a tdbd, or a
@@ -548,23 +604,15 @@ func DialDB(ctx context.Context, addr string, conns int, opts ...ClientOption) (
 	if err != nil {
 		return nil, err
 	}
-	return &DBClient{mx: m}, nil
+	return &DBClient{m}, nil
 }
 
-// Close closes all connections.
-func (c *DBClient) Close() { c.mx.close() }
-
-// SetRoundTripHistogram makes every subsequent call record its wall
-// time (dial retries included) into h; nil disables. Safe to call
-// concurrently with in-flight requests.
-func (c *DBClient) SetRoundTripHistogram(h *telemetry.Histogram) { c.mx.rtHist.Store(h) }
-
 // PoolSize returns the configured number of multiplexed connections.
-func (c *DBClient) PoolSize() int { return len(c.mx.slots) }
+func (c *DBClient) PoolSize() int { return len(c.slots) }
 
 // LiveConns counts the pool slots holding a live connection right now —
 // the conn-pool gauge. Slots redial lazily, so this ramps with traffic.
-func (c *DBClient) LiveConns() int { return c.mx.liveConns() }
+func (c *DBClient) LiveConns() int { return c.liveConns() }
 
 // ReadItem implements core.Backend: a lock-free committed read, one round
 // trip.
@@ -577,7 +625,7 @@ func (c *DBClient) ReadItem(ctx context.Context, key kv.Key) (kv.Item, bool, err
 // its own backend otherwise. A tdbd ignores the floor (its reads are
 // always current). The zero floor is plain ReadItem.
 func (c *DBClient) ReadItemFloor(ctx context.Context, key kv.Key, floor kv.Version) (kv.Item, bool, error) {
-	resp, err := c.mx.roundTrip(ctx, Request{Op: OpGet, Key: key, MinVersion: floor})
+	resp, err := c.roundTrip(ctx, Request{Op: OpGet, Key: key, MinVersion: floor})
 	if err != nil {
 		return kv.Item{}, false, err
 	}
@@ -598,7 +646,7 @@ func (c *DBClient) ReadItems(ctx context.Context, keys []kv.Key) ([]kv.Lookup, e
 
 // ReadItemsFloor is ReadItems with a read floor; see ReadItemFloor.
 func (c *DBClient) ReadItemsFloor(ctx context.Context, keys []kv.Key, floor kv.Version) ([]kv.Lookup, error) {
-	resp, err := c.mx.roundTrip(ctx, Request{Op: OpGetBatch, Keys: keys, MinVersion: floor})
+	resp, err := c.roundTrip(ctx, Request{Op: OpGetBatch, Keys: keys, MinVersion: floor})
 	if err != nil {
 		return nil, err
 	}
@@ -619,19 +667,6 @@ func (c *DBClient) ReadItemsFloor(ctx context.Context, keys []kv.Key, floor kv.V
 	return resp.Batch, nil
 }
 
-// Update runs one legacy static-set update transaction (read set under
-// locks, then write set) and returns the commit version. Conflicts
-// surface as ErrConflict. It remains as the raw-op access the transport
-// tests (and seeding tools) need; the unified write path commits through
-// ValidatedUpdate instead.
-func (c *DBClient) Update(ctx context.Context, reads []kv.Key, writes []KeyValue) (kv.Version, error) {
-	resp, err := c.mx.roundTrip(ctx, Request{Op: OpUpdate, Reads: reads, Writes: writes})
-	if err != nil {
-		return kv.Version{}, err
-	}
-	return decodeUpdate(resp)
-}
-
 // ValidatedUpdate implements core.UpdaterBackend over the wire: one
 // OpUpdate round trip carrying the closure's observed read versions; the
 // server re-validates them under lock and commits the writes atomically.
@@ -641,19 +676,12 @@ func (c *DBClient) Update(ctx context.Context, reads []kv.Key, writes []KeyValue
 // call is not idempotent: a transport failure after the frame was sent
 // leaves the outcome unknown, so it is never blind-resent.
 func (c *DBClient) ValidatedUpdate(ctx context.Context, reads []kv.ObservedRead, writes []kv.KeyValue) (kv.Version, error) {
-	if reads == nil {
-		// Non-nil marks the validated form on the wire; nil would select
-		// the legacy static-set path.
-		reads = []kv.ObservedRead{}
-	}
-	resp, err := c.mx.roundTrip(ctx, Request{Op: OpUpdate, ReadVersions: reads, Writes: writes})
+	resp, err := c.roundTrip(ctx, Request{Op: OpUpdate, ReadVersions: reads, Writes: writes})
 	if err != nil {
 		return kv.Version{}, err
 	}
 	return decodeUpdate(resp)
 }
-
-var _ core.UpdaterBackend = (*DBClient)(nil)
 
 // decodeUpdate maps an OpUpdate response, rehydrating the validation
 // conflict detail when the server supplied one.
@@ -680,31 +708,6 @@ func decodeUpdate(resp Response) (kv.Version, error) {
 	}
 }
 
-// Ping checks liveness.
-func (c *DBClient) Ping(ctx context.Context) error {
-	resp, err := c.mx.roundTrip(ctx, Request{Op: OpPing})
-	if err != nil {
-		return err
-	}
-	if resp.Code != CodeOK {
-		return fmt.Errorf("transport: ping: %s", resp.Err)
-	}
-	return nil
-}
-
-// Stats fetches the server's counters — a tdbd's database metrics, or a
-// tcached mid-tier's cache metrics.
-func (c *DBClient) Stats(ctx context.Context) (map[string]uint64, error) {
-	resp, err := c.mx.roundTrip(ctx, Request{Op: OpStats})
-	if err != nil {
-		return nil, err
-	}
-	if resp.Code != CodeOK {
-		return nil, fmt.Errorf("transport: stats: %s", resp.Err)
-	}
-	return resp.Stats, nil
-}
-
 // subConn is a dedicated push-mode connection (invalidation stream). It
 // bypasses the mux machinery entirely: after the subscribe exchange, the
 // connection carries nothing but server-push invalidation frames, read
@@ -716,49 +719,13 @@ type subConn struct {
 
 func (sc *subConn) close() { sc.c.Close() }
 
-// subscribeConn dials addr, runs the handshake, and switches the
-// connection into the server's invalidation push mode for subscriber
-// name. ctx bounds the whole exchange.
+// subscribeConn dials addr and switches the connection into the
+// server's invalidation push mode for subscriber name. ctx bounds the
+// whole exchange.
 func subscribeConn(ctx context.Context, addr, name string) (*subConn, error) {
-	var d net.Dialer
-	c, err := d.DialContext(ctx, "tcp", addr)
+	c, fr, resp, err := dialPeer(ctx, addr, &Request{Op: OpSubscribe, Subscriber: name})
 	if err != nil {
-		return nil, wrapUnavail(fmt.Errorf("transport: dial %s: %w", addr, err))
-	}
-	br := bufio.NewReader(c)
-	fr := newFrameReader(br, nil)
-	// One goroutine, sequential I/O: interrupt it by poking the deadline
-	// if ctx fires mid-exchange.
-	stop := context.AfterFunc(ctx, func() { c.SetDeadline(time.Unix(1, 0)) })
-	resp, err := func() (Response, error) {
-		if err := clientHandshake(c, br); err != nil {
-			return Response{}, err
-		}
-		req := Request{Op: OpSubscribe, Subscriber: name}
-		if err := writeRequestFrame(c, nil, 1, &req); err != nil {
-			return Response{}, err
-		}
-		for {
-			typ, id, payload, err := fr.Read()
-			if err != nil {
-				return Response{}, err
-			}
-			if typ != frameResponse || id != 1 {
-				continue
-			}
-			return decodeResponse(payload)
-		}
-	}()
-	if !stop() && err == nil {
-		err = ctx.Err()
-	}
-	if err != nil {
-		c.Close()
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return nil, ctxErr
-		}
-		// The exchange never completed: a health signal, not a refusal.
-		return nil, wrapUnavail(err)
+		return nil, err
 	}
 	if resp.Code != CodeOK {
 		// The server answered and refused (duplicate subscriber name,
@@ -888,7 +855,7 @@ func streamInvalidations(ctx context.Context, sc *subConn, deliver func(Invalida
 // calls are multiplexed over one connection, which redials transparently
 // after failures.
 type CacheClient struct {
-	mx    *mux
+	*mux
 	txnID atomic.Uint64
 }
 
@@ -902,19 +869,12 @@ func DialCache(ctx context.Context, addr string, opts ...ClientOption) (*CacheCl
 	if err != nil {
 		return nil, err
 	}
-	return &CacheClient{mx: m}, nil
+	return &CacheClient{mux: m}, nil
 }
-
-// Close closes the connection.
-func (c *CacheClient) Close() { c.mx.close() }
-
-// SetRoundTripHistogram makes every subsequent call record its wall
-// time into h; nil disables.
-func (c *CacheClient) SetRoundTripHistogram(h *telemetry.Histogram) { c.mx.rtHist.Store(h) }
 
 // Get performs a plain cache read.
 func (c *CacheClient) Get(ctx context.Context, key kv.Key) (kv.Value, error) {
-	resp, err := c.mx.roundTrip(ctx, Request{Op: OpGet, Key: key})
+	resp, err := c.roundTrip(ctx, Request{Op: OpGet, Key: key})
 	if err != nil {
 		return nil, err
 	}
@@ -923,7 +883,7 @@ func (c *CacheClient) Get(ctx context.Context, key kv.Key) (kv.Value, error) {
 
 // Read performs one transactional read: read(txnID, key, lastOp).
 func (c *CacheClient) Read(ctx context.Context, txnID uint64, key kv.Key, lastOp bool) (kv.Value, error) {
-	resp, err := c.mx.roundTrip(ctx, Request{Op: OpRead, TxnID: txnID, Key: key, LastOp: lastOp})
+	resp, err := c.roundTrip(ctx, Request{Op: OpRead, TxnID: txnID, Key: key, LastOp: lastOp})
 	if err != nil {
 		return nil, err
 	}
@@ -933,7 +893,7 @@ func (c *CacheClient) Read(ctx context.Context, txnID uint64, key kv.Key, lastOp
 // ReadMulti performs the transactional reads of keys, in order, within
 // txnID — one round trip for the whole batch.
 func (c *CacheClient) ReadMulti(ctx context.Context, txnID uint64, keys []kv.Key, lastOp bool) ([]kv.Value, error) {
-	resp, err := c.mx.roundTrip(ctx, Request{Op: OpReadMulti, TxnID: txnID, Keys: keys, LastOp: lastOp})
+	resp, err := c.roundTrip(ctx, Request{Op: OpReadMulti, TxnID: txnID, Keys: keys, LastOp: lastOp})
 	if err != nil {
 		return nil, err
 	}
@@ -952,38 +912,14 @@ func (c *CacheClient) NewTxnID() uint64 { return c.txnID.Add(1) }
 
 // Commit finalizes a transaction without a further read.
 func (c *CacheClient) Commit(ctx context.Context, txnID uint64) error {
-	_, err := c.mx.roundTrip(ctx, Request{Op: OpCommit, TxnID: txnID})
+	_, err := c.roundTrip(ctx, Request{Op: OpCommit, TxnID: txnID})
 	return err
 }
 
 // Abort discards a transaction.
 func (c *CacheClient) Abort(ctx context.Context, txnID uint64) error {
-	_, err := c.mx.roundTrip(ctx, Request{Op: OpAbort, TxnID: txnID})
+	_, err := c.roundTrip(ctx, Request{Op: OpAbort, TxnID: txnID})
 	return err
-}
-
-// Stats fetches the server's counters.
-func (c *CacheClient) Stats(ctx context.Context) (map[string]uint64, error) {
-	resp, err := c.mx.roundTrip(ctx, Request{Op: OpStats})
-	if err != nil {
-		return nil, err
-	}
-	if resp.Code != CodeOK {
-		return nil, fmt.Errorf("transport: stats: %s", resp.Err)
-	}
-	return resp.Stats, nil
-}
-
-// Ping checks liveness.
-func (c *CacheClient) Ping(ctx context.Context) error {
-	resp, err := c.mx.roundTrip(ctx, Request{Op: OpPing})
-	if err != nil {
-		return err
-	}
-	if resp.Code != CodeOK {
-		return fmt.Errorf("transport: ping: %s", resp.Err)
-	}
-	return nil
 }
 
 func decodeRead(resp Response) (kv.Value, error) {

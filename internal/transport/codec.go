@@ -1,7 +1,6 @@
 package transport
 
-// The wire codec: protocol version 2, a hand-written length-prefixed
-// binary framing that replaced the gob streams of version 1.
+// The wire codec: a hand-written length-prefixed binary framing.
 //
 // Connections open with an 8-byte handshake in each direction —
 //
@@ -14,9 +13,10 @@ package transport
 // After the handshake the stream is a sequence of frames:
 //
 //	[2] frame magic 0xA9 0x7C
-//	[1] frame type (1 = request, 2 = response, 3 = invalidation batch)
+//	[1] frame type (request, response, invalidation batch, or one of
+//	    the three replication-stream types)
 //	[1] reserved (zero)
-//	[8] request id (big endian; 0 on invalidation batches)
+//	[8] request id (big endian; 0 on pushed frames)
 //	[4] payload length (big endian)
 //	[…] payload
 //
@@ -25,16 +25,14 @@ package transport
 // per-frame magic lets a reader that finds itself mid-garbage (a stale
 // or half-open connection, a peer that died mid-write) scan forward to
 // the next frame boundary and resynchronize instead of discarding the
-// connection wholesale — something the self-describing gob stream could
-// never do.
+// connection wholesale.
 //
-// Payloads are encoded with hand-written append-style encoders: varint
-// lengths, no reflection, no per-message type information. Encoders
-// append into sync.Pool-ed buffers that are recycled after the write;
-// decoders alias byte-slice fields ([]byte values) directly into the
-// frame's payload buffer (freshly allocated per frame, never pooled),
-// so a decoded Response costs one payload allocation plus the slice
-// headers instead of a reflective deep copy.
+// Payload fields are laid out by internal/codec (varints, nil-aware
+// counts, no reflection). Encoders append into sync.Pool-ed buffers
+// that are recycled after the write; decoders alias byte-slice fields
+// directly into the frame's payload buffer (freshly allocated per
+// frame, never pooled), so a decoded Response costs one payload
+// allocation plus the slice headers instead of a deep copy.
 
 import (
 	"encoding/binary"
@@ -45,22 +43,14 @@ import (
 	"sync"
 	"unsafe"
 
+	"tcache/internal/codec"
 	"tcache/internal/kv"
 	"tcache/internal/wal"
 )
 
-// ProtocolVersion is the wire protocol spoken by this build. Version 1
-// was the gob framing; version 2 introduced the binary codec in this
-// file; version 3 added the MinVersion read floor to requests (the
-// cluster tier's read-your-invalidations guard); version 4 added the
-// validated-update fields (ReadVersions on requests, the conflict
-// detail on responses) that carry the unified optimistic write path;
-// version 5 added DB-tier replication — the OpReplicate/OpPromote
-// operations, the role/health/leader response fields, the
-// CodeNotPrimary redirect, and the replication stream's snapshot,
-// record, and ack frame types — same framing each time, negotiated
-// exactly like v2/v3/v4.
-const ProtocolVersion = 5
+// ProtocolVersion is the wire protocol spoken by this build; both sides
+// of a connection must match exactly.
+const ProtocolVersion = 6
 
 // handshakeMagic opens every connection, in both directions.
 var handshakeMagic = [4]byte{'T', 'C', 'W', 'P'}
@@ -77,7 +67,7 @@ const (
 	frameResponse      = 2
 	frameInvalidations = 3
 
-	// Replication stream frames (protocol v5). After an accepted
+	// Replication stream frames. After an accepted
 	// OpReplicate, the primary pushes frameReplSnapshot frames (a batch
 	// of state entries; a zero-count frame terminates the image and
 	// carries the log cut to tail from) and then frameReplRecords frames
@@ -102,14 +92,9 @@ const (
 // written, keeping the stream framed.
 var ErrFrameTooLarge = errors.New("transport: frame exceeds maximum payload size")
 
-// Errors surfaced by the codec.
-var (
-	// ErrTruncatedFrame reports a payload that ended mid-field.
-	ErrTruncatedFrame = errors.New("transport: truncated frame payload")
-	// errNotWirePeer reports a peer that did not present the handshake
-	// magic (e.g. a version-1 gob client, or something else entirely).
-	errNotWirePeer = errors.New("transport: peer did not present the tcache wire handshake")
-)
+// errNotWirePeer reports a peer that did not present the handshake
+// magic.
+var errNotWirePeer = errors.New("transport: peer did not present the tcache wire handshake")
 
 // VersionMismatchError reports a peer speaking a different protocol
 // version; both versions are carried so operators can tell which side is
@@ -290,45 +275,7 @@ func (fr *frameReader) Read() (typ byte, id uint64, payload []byte, err error) {
 	return typ, id, payload, nil
 }
 
-// --- Primitive encoders -------------------------------------------------
-//
-// Byte slices and element counts use a nil-aware scheme — 0 encodes nil,
-// n+1 encodes length n — so decode(encode(x)) reproduces x exactly,
-// including the nil/empty distinction (the fuzz round-trip relies on it).
-
-func appendBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
-	}
-	return append(b, 0)
-}
-
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-func appendBytesNil(b, p []byte) []byte {
-	if p == nil {
-		return binary.AppendUvarint(b, 0)
-	}
-	b = binary.AppendUvarint(b, uint64(len(p))+1)
-	return append(b, p...)
-}
-
-// appendCountNil writes the nil-aware element count for a slice of length
-// n (negative means nil).
-func appendCountNil(b []byte, n int) []byte {
-	if n < 0 {
-		return binary.AppendUvarint(b, 0)
-	}
-	return binary.AppendUvarint(b, uint64(n)+1)
-}
-
-func appendVersion(b []byte, v kv.Version) []byte {
-	b = binary.AppendUvarint(b, v.Counter)
-	return binary.AppendUvarint(b, uint64(v.Node))
-}
+// --- Field encoders -----------------------------------------------------
 
 // appendPos encodes a WAL position (segment sequence + byte offset).
 // Offsets are never negative, so the uvarint encoding is exact.
@@ -337,90 +284,63 @@ func appendPos(b []byte, p wal.Pos) []byte {
 	return binary.AppendUvarint(b, uint64(p.Off))
 }
 
-func appendDepList(b []byte, l kv.DepList) []byte {
-	if l == nil {
-		return appendCountNil(b, -1)
-	}
-	b = appendCountNil(b, len(l))
-	for _, e := range l {
-		b = appendString(b, string(e.Key))
-		b = appendVersion(b, e.Version)
-	}
-	return b
-}
-
 func appendItem(b []byte, it kv.Item) []byte {
-	b = appendBytesNil(b, it.Value)
-	b = appendVersion(b, it.Version)
-	return appendDepList(b, it.Deps)
+	b = codec.AppendBytes(b, it.Value)
+	b = codec.AppendVersion(b, it.Version)
+	return codec.AppendDepList(b, it.Deps)
 }
 
 func appendKeySlice(b []byte, keys []kv.Key) []byte {
-	if keys == nil {
-		return appendCountNil(b, -1)
-	}
-	b = appendCountNil(b, len(keys))
+	b = codec.AppendLen(b, keys)
 	for _, k := range keys {
-		b = appendString(b, string(k))
+		b = codec.AppendString(b, string(k))
 	}
 	return b
 }
 
 func appendKeyValues(b []byte, kvs []KeyValue) []byte {
-	if kvs == nil {
-		return appendCountNil(b, -1)
-	}
-	b = appendCountNil(b, len(kvs))
+	b = codec.AppendLen(b, kvs)
 	for _, w := range kvs {
-		b = appendString(b, string(w.Key))
-		b = appendBytesNil(b, w.Value)
+		b = codec.AppendString(b, string(w.Key))
+		b = codec.AppendBytes(b, w.Value)
 	}
 	return b
 }
 
 func appendObservedReads(b []byte, rs []ObservedRead) []byte {
-	if rs == nil {
-		return appendCountNil(b, -1)
-	}
-	b = appendCountNil(b, len(rs))
+	b = codec.AppendLen(b, rs)
 	for _, r := range rs {
-		b = appendString(b, string(r.Key))
-		b = appendVersion(b, r.Version)
-		b = appendBool(b, r.Found)
+		b = codec.AppendString(b, string(r.Key))
+		b = codec.AppendVersion(b, r.Version)
+		b = codec.AppendBool(b, r.Found)
 	}
 	return b
 }
 
 func appendValues(b []byte, vals []kv.Value) []byte {
-	if vals == nil {
-		return appendCountNil(b, -1)
-	}
-	b = appendCountNil(b, len(vals))
+	b = codec.AppendLen(b, vals)
 	for _, v := range vals {
-		b = appendBytesNil(b, v)
+		b = codec.AppendBytes(b, v)
 	}
 	return b
 }
 
 func appendLookups(b []byte, ls []kv.Lookup) []byte {
-	if ls == nil {
-		return appendCountNil(b, -1)
-	}
-	b = appendCountNil(b, len(ls))
+	b = codec.AppendLen(b, ls)
 	for _, l := range ls {
 		b = appendItem(b, l.Item)
-		b = appendBool(b, l.Found)
+		b = codec.AppendBool(b, l.Found)
 	}
 	return b
 }
 
 func appendStats(b []byte, m map[string]uint64) []byte {
 	if m == nil {
-		return appendCountNil(b, -1)
+		return codec.AppendCount(b, -1)
 	}
-	b = appendCountNil(b, len(m))
+	b = codec.AppendCount(b, len(m))
 	for k, v := range m {
-		b = appendString(b, k)
+		b = codec.AppendString(b, k)
 		b = binary.AppendUvarint(b, v)
 	}
 	return b
@@ -429,470 +349,198 @@ func appendStats(b []byte, m map[string]uint64) []byte {
 // --- Message encoders ---------------------------------------------------
 
 func appendRequest(b []byte, req *Request) []byte {
-	b = appendString(b, string(req.Op))
-	b = appendString(b, string(req.Key))
+	b = codec.AppendString(b, string(req.Op))
+	b = codec.AppendString(b, string(req.Key))
 	b = binary.AppendUvarint(b, req.TxnID)
-	b = appendBool(b, req.LastOp)
+	b = codec.AppendBool(b, req.LastOp)
 	b = appendKeySlice(b, req.Keys)
-	b = appendString(b, req.Subscriber)
-	b = appendKeySlice(b, req.Reads)
+	b = codec.AppendString(b, req.Subscriber)
 	b = appendKeyValues(b, req.Writes)
-	b = appendVersion(b, req.MinVersion)
+	b = codec.AppendVersion(b, req.MinVersion)
 	b = appendObservedReads(b, req.ReadVersions)
 	return appendPos(b, req.ReplFrom)
 }
 
 func appendResponse(b []byte, resp *Response) []byte {
 	b = binary.AppendUvarint(b, uint64(resp.Code))
-	b = appendString(b, resp.Err)
-	b = appendBytesNil(b, resp.Value)
-	b = appendBool(b, resp.Found)
+	b = codec.AppendString(b, resp.Err)
+	b = codec.AppendBytes(b, resp.Value)
+	b = codec.AppendBool(b, resp.Found)
 	b = appendItem(b, resp.Item)
-	b = appendVersion(b, resp.Version)
+	b = codec.AppendVersion(b, resp.Version)
 	b = appendLookups(b, resp.Batch)
 	b = appendValues(b, resp.Values)
 	b = appendStats(b, resp.Stats)
-	b = appendString(b, string(resp.ConflictKey))
-	b = appendVersion(b, resp.ConflictVersion)
-	b = appendBool(b, resp.ConflictFound)
-	b = appendString(b, resp.Role)
-	b = appendString(b, resp.Leader)
-	b = appendBool(b, resp.Healthy)
-	b = appendString(b, resp.HealthErr)
+	b = codec.AppendString(b, string(resp.ConflictKey))
+	b = codec.AppendVersion(b, resp.ConflictVersion)
+	b = codec.AppendBool(b, resp.ConflictFound)
+	b = codec.AppendString(b, resp.Role)
+	b = codec.AppendString(b, resp.Leader)
+	b = codec.AppendBool(b, resp.Healthy)
+	b = codec.AppendString(b, resp.HealthErr)
 	b = binary.AppendUvarint(b, resp.ReplLag)
 	b = binary.AppendUvarint(b, resp.ReplCounter)
-	b = appendBool(b, resp.ReplSnapshot)
+	b = codec.AppendBool(b, resp.ReplSnapshot)
 	return appendPos(b, resp.ReplPos)
 }
 
 func appendInvalidations(b []byte, invs []Invalidation) []byte {
-	b = binary.AppendUvarint(b, uint64(len(invs)))
+	b = codec.AppendLen(b, invs)
 	for _, inv := range invs {
-		b = appendString(b, string(inv.Key))
-		b = appendVersion(b, inv.Version)
+		b = codec.AppendString(b, string(inv.Key))
+		b = codec.AppendVersion(b, inv.Version)
 	}
 	return b
 }
 
-// --- Decoder ------------------------------------------------------------
+// --- Field decoders -----------------------------------------------------
 
-// payloadDecoder walks one frame payload. Every accessor bounds-checks
-// and returns ErrTruncatedFrame instead of panicking; element counts are
-// validated against the remaining payload before any allocation, so an
-// adversarial count cannot force a huge allocation.
-type payloadDecoder struct {
-	b   []byte
-	off int
+// payloadDecoder walks one frame payload: codec.Decoder's bounds-checked,
+// sticky-error accessors (aliasing the payload, zero copy) plus the
+// message-level fields only the wire carries. A message decoder reads
+// its fields in order and reports d.Err() once at the end.
+type payloadDecoder struct{ codec.Decoder }
+
+func (d *payloadDecoder) key() kv.Key { return kv.Key(d.String()) }
+
+func (d *payloadDecoder) pos() wal.Pos {
+	return wal.Pos{Seq: d.Uvarint(), Off: int64(d.Uvarint())}
 }
 
-func (d *payloadDecoder) remaining() int { return len(d.b) - d.off }
-
-func (d *payloadDecoder) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(d.b[d.off:])
-	if n <= 0 {
-		return 0, ErrTruncatedFrame
-	}
-	d.off += n
-	return v, nil
+func (d *payloadDecoder) item() kv.Item {
+	return kv.Item{Value: d.Bytes(), Version: d.Version(), Deps: d.DepList()}
 }
 
-func (d *payloadDecoder) bool() (bool, error) {
-	if d.remaining() < 1 {
-		return false, ErrTruncatedFrame
-	}
-	v := d.b[d.off] != 0
-	d.off++
-	return v, nil
-}
-
-// take returns n payload bytes, aliasing the payload buffer (zero copy).
-func (d *payloadDecoder) take(n int) ([]byte, error) {
-	if n < 0 || d.remaining() < n {
-		return nil, ErrTruncatedFrame
-	}
-	p := d.b[d.off : d.off+n : d.off+n]
-	d.off += n
-	return p, nil
-}
-
-func (d *payloadDecoder) string() (string, error) {
-	n, err := d.uvarint()
-	if err != nil {
-		return "", err
-	}
-	p, err := d.take(int(n))
-	if err != nil {
-		return "", err
-	}
-	return string(p), nil
-}
-
-// stringShared decodes a string whose bytes alias the payload buffer
-// (zero copy, like take). Safe because payload buffers are allocated per
-// frame and never written after decoding; the string pins the payload
-// for as long as it lives, so it is used only where the win is real —
-// the dependency-list keys of response items, the dominant string volume
-// on the read path.
-func (d *payloadDecoder) stringShared() (string, error) {
-	n, err := d.uvarint()
-	if err != nil {
-		return "", err
-	}
-	p, err := d.take(int(n))
-	if err != nil {
-		return "", err
-	}
-	if len(p) == 0 {
-		return "", nil
-	}
-	return unsafe.String(&p[0], len(p)), nil
-}
-
-func (d *payloadDecoder) bytesNil() ([]byte, error) {
-	n, err := d.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	return d.take(int(n) - 1)
-}
-
-// countNil decodes a nil-aware element count, validating it against the
-// remaining payload at minBytes per element. Returns -1 for nil.
-func (d *payloadDecoder) countNil(minBytes int) (int, error) {
-	c, err := d.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if c == 0 {
-		return -1, nil
-	}
-	n := int(c - 1)
-	// Divide instead of multiplying: a hostile count near 2^64 would
-	// overflow n*minBytes and slip past the guard.
-	if n < 0 || n > d.remaining()/minBytes {
-		return 0, ErrTruncatedFrame
-	}
-	return n, nil
-}
-
-func (d *payloadDecoder) version() (kv.Version, error) {
-	c, err := d.uvarint()
-	if err != nil {
-		return kv.Version{}, err
-	}
-	node, err := d.uvarint()
-	if err != nil {
-		return kv.Version{}, err
-	}
-	return kv.Version{Counter: c, Node: uint32(node)}, nil
-}
-
-func (d *payloadDecoder) pos() (wal.Pos, error) {
-	seq, err := d.uvarint()
-	if err != nil {
-		return wal.Pos{}, err
-	}
-	off, err := d.uvarint()
-	if err != nil {
-		return wal.Pos{}, err
-	}
-	return wal.Pos{Seq: seq, Off: int64(off)}, nil
-}
-
-func (d *payloadDecoder) depList() (kv.DepList, error) {
-	n, err := d.countNil(3) // key len + 2 version varints
-	if err != nil || n < 0 {
-		return nil, err
-	}
-	l := make(kv.DepList, n)
-	for i := range l {
-		s, err := d.stringShared()
-		if err != nil {
-			return nil, err
-		}
-		v, err := d.version()
-		if err != nil {
-			return nil, err
-		}
-		l[i] = kv.DepEntry{Key: kv.Key(s), Version: v}
-	}
-	return l, nil
-}
-
-func (d *payloadDecoder) item() (kv.Item, error) {
-	val, err := d.bytesNil()
-	if err != nil {
-		return kv.Item{}, err
-	}
-	v, err := d.version()
-	if err != nil {
-		return kv.Item{}, err
-	}
-	deps, err := d.depList()
-	if err != nil {
-		return kv.Item{}, err
-	}
-	return kv.Item{Value: val, Version: v, Deps: deps}, nil
-}
-
-func (d *payloadDecoder) keySlice() ([]kv.Key, error) {
-	n, err := d.countNil(1)
-	if err != nil || n < 0 {
-		return nil, err
+func (d *payloadDecoder) keySlice() []kv.Key {
+	n := d.Count(1)
+	if n < 0 {
+		return nil
 	}
 	keys := make([]kv.Key, n)
 	for i := range keys {
-		s, err := d.string()
-		if err != nil {
-			return nil, err
-		}
-		keys[i] = kv.Key(s)
+		keys[i] = d.key()
 	}
-	return keys, nil
+	return keys
 }
 
-func (d *payloadDecoder) keyValues() ([]KeyValue, error) {
-	n, err := d.countNil(2)
-	if err != nil || n < 0 {
-		return nil, err
+func (d *payloadDecoder) keyValues() []KeyValue {
+	n := d.Count(2)
+	if n < 0 {
+		return nil
 	}
 	kvs := make([]KeyValue, n)
 	for i := range kvs {
-		s, err := d.string()
-		if err != nil {
-			return nil, err
-		}
-		val, err := d.bytesNil()
-		if err != nil {
-			return nil, err
-		}
-		kvs[i] = KeyValue{Key: kv.Key(s), Value: val}
+		kvs[i] = KeyValue{Key: d.key(), Value: d.Bytes()}
 	}
-	return kvs, nil
+	return kvs
 }
 
-func (d *payloadDecoder) observedReads() ([]ObservedRead, error) {
-	n, err := d.countNil(4) // key len + 2 version varints + found bool
-	if err != nil || n < 0 {
-		return nil, err
+func (d *payloadDecoder) observedReads() []ObservedRead {
+	n := d.Count(4) // key length + 2 version varints + found bool
+	if n < 0 {
+		return nil
 	}
 	rs := make([]ObservedRead, n)
 	for i := range rs {
-		s, err := d.string()
-		if err != nil {
-			return nil, err
-		}
-		v, err := d.version()
-		if err != nil {
-			return nil, err
-		}
-		found, err := d.bool()
-		if err != nil {
-			return nil, err
-		}
-		rs[i] = ObservedRead{Key: kv.Key(s), Version: v, Found: found}
+		rs[i] = ObservedRead{Key: d.key(), Version: d.Version(), Found: d.Bool()}
 	}
-	return rs, nil
+	return rs
 }
 
-func (d *payloadDecoder) values() ([]kv.Value, error) {
-	n, err := d.countNil(1)
-	if err != nil || n < 0 {
-		return nil, err
+func (d *payloadDecoder) values() []kv.Value {
+	n := d.Count(1)
+	if n < 0 {
+		return nil
 	}
 	vals := make([]kv.Value, n)
 	for i := range vals {
-		v, err := d.bytesNil()
-		if err != nil {
-			return nil, err
-		}
-		vals[i] = v
+		vals[i] = d.Bytes()
 	}
-	return vals, nil
+	return vals
 }
 
-func (d *payloadDecoder) lookups() ([]kv.Lookup, error) {
-	n, err := d.countNil(4)
-	if err != nil || n < 0 {
-		return nil, err
+func (d *payloadDecoder) lookups() []kv.Lookup {
+	n := d.Count(5) // nil value + 2 version varints + nil deps + found bool
+	if n < 0 {
+		return nil
 	}
 	ls := make([]kv.Lookup, n)
 	for i := range ls {
-		it, err := d.item()
-		if err != nil {
-			return nil, err
-		}
-		found, err := d.bool()
-		if err != nil {
-			return nil, err
-		}
-		ls[i] = kv.Lookup{Item: it, Found: found}
+		ls[i] = kv.Lookup{Item: d.item(), Found: d.Bool()}
 	}
-	return ls, nil
+	return ls
 }
 
-func (d *payloadDecoder) stats() (map[string]uint64, error) {
-	n, err := d.countNil(2)
-	if err != nil || n < 0 {
-		return nil, err
+func (d *payloadDecoder) stats() map[string]uint64 {
+	n := d.Count(2)
+	if n < 0 {
+		return nil
 	}
 	m := make(map[string]uint64, n)
-	for i := 0; i < n; i++ {
-		k, err := d.string()
-		if err != nil {
-			return nil, err
-		}
-		v, err := d.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		m[k] = v
+	for i := 0; i < n && d.Err() == nil; i++ {
+		k := d.String()
+		m[k] = d.Uvarint()
 	}
-	return m, nil
+	return m
 }
 
 // --- Message decoders ---------------------------------------------------
 
 func decodeRequest(payload []byte) (Request, error) {
-	d := payloadDecoder{b: payload}
-	var req Request
-	var err error
-	var s string
-	if s, err = d.string(); err != nil {
-		return req, err
+	d := payloadDecoder{codec.Decoder{B: payload}}
+	req := Request{
+		Op:           Op(d.String()),
+		Key:          d.key(),
+		TxnID:        d.Uvarint(),
+		LastOp:       d.Bool(),
+		Keys:         d.keySlice(),
+		Subscriber:   d.String(),
+		Writes:       d.keyValues(),
+		MinVersion:   d.Version(),
+		ReadVersions: d.observedReads(),
+		ReplFrom:     d.pos(),
 	}
-	req.Op = Op(s)
-	if s, err = d.string(); err != nil {
-		return req, err
-	}
-	req.Key = kv.Key(s)
-	if req.TxnID, err = d.uvarint(); err != nil {
-		return req, err
-	}
-	if req.LastOp, err = d.bool(); err != nil {
-		return req, err
-	}
-	if req.Keys, err = d.keySlice(); err != nil {
-		return req, err
-	}
-	if req.Subscriber, err = d.string(); err != nil {
-		return req, err
-	}
-	if req.Reads, err = d.keySlice(); err != nil {
-		return req, err
-	}
-	if req.Writes, err = d.keyValues(); err != nil {
-		return req, err
-	}
-	if req.MinVersion, err = d.version(); err != nil {
-		return req, err
-	}
-	if req.ReadVersions, err = d.observedReads(); err != nil {
-		return req, err
-	}
-	if req.ReplFrom, err = d.pos(); err != nil {
-		return req, err
-	}
-	return req, nil
+	return req, d.Err()
 }
 
 func decodeResponse(payload []byte) (Response, error) {
-	d := payloadDecoder{b: payload}
-	var resp Response
-	var err error
-	var code uint64
-	if code, err = d.uvarint(); err != nil {
-		return resp, err
+	d := payloadDecoder{codec.Decoder{B: payload}}
+	resp := Response{
+		Code:            Code(int(d.Uvarint())),
+		Err:             d.String(),
+		Value:           d.Bytes(),
+		Found:           d.Bool(),
+		Item:            d.item(),
+		Version:         d.Version(),
+		Batch:           d.lookups(),
+		Values:          d.values(),
+		Stats:           d.stats(),
+		ConflictKey:     d.key(),
+		ConflictVersion: d.Version(),
+		ConflictFound:   d.Bool(),
+		Role:            d.String(),
+		Leader:          d.String(),
+		Healthy:         d.Bool(),
+		HealthErr:       d.String(),
+		ReplLag:         d.Uvarint(),
+		ReplCounter:     d.Uvarint(),
+		ReplSnapshot:    d.Bool(),
+		ReplPos:         d.pos(),
 	}
-	resp.Code = Code(int(code))
-	if resp.Err, err = d.string(); err != nil {
-		return resp, err
-	}
-	if resp.Value, err = d.bytesNil(); err != nil {
-		return resp, err
-	}
-	if resp.Found, err = d.bool(); err != nil {
-		return resp, err
-	}
-	if resp.Item, err = d.item(); err != nil {
-		return resp, err
-	}
-	if resp.Version, err = d.version(); err != nil {
-		return resp, err
-	}
-	if resp.Batch, err = d.lookups(); err != nil {
-		return resp, err
-	}
-	if resp.Values, err = d.values(); err != nil {
-		return resp, err
-	}
-	if resp.Stats, err = d.stats(); err != nil {
-		return resp, err
-	}
-	var ck string
-	if ck, err = d.string(); err != nil {
-		return resp, err
-	}
-	resp.ConflictKey = kv.Key(ck)
-	if resp.ConflictVersion, err = d.version(); err != nil {
-		return resp, err
-	}
-	if resp.ConflictFound, err = d.bool(); err != nil {
-		return resp, err
-	}
-	if resp.Role, err = d.string(); err != nil {
-		return resp, err
-	}
-	if resp.Leader, err = d.string(); err != nil {
-		return resp, err
-	}
-	if resp.Healthy, err = d.bool(); err != nil {
-		return resp, err
-	}
-	if resp.HealthErr, err = d.string(); err != nil {
-		return resp, err
-	}
-	if resp.ReplLag, err = d.uvarint(); err != nil {
-		return resp, err
-	}
-	if resp.ReplCounter, err = d.uvarint(); err != nil {
-		return resp, err
-	}
-	if resp.ReplSnapshot, err = d.bool(); err != nil {
-		return resp, err
-	}
-	if resp.ReplPos, err = d.pos(); err != nil {
-		return resp, err
-	}
-	return resp, nil
+	return resp, d.Err()
 }
 
 func decodeInvalidations(payload []byte) ([]Invalidation, error) {
-	d := payloadDecoder{b: payload}
-	c, err := d.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	n := int(c)
-	if n < 0 || n > d.remaining()/3 {
-		return nil, ErrTruncatedFrame
+	d := payloadDecoder{codec.Decoder{B: payload}}
+	n := d.Count(3) // key length + 2 version varints
+	if n < 0 {
+		return nil, d.Err()
 	}
 	invs := make([]Invalidation, n)
 	for i := range invs {
-		s, err := d.string()
-		if err != nil {
-			return nil, err
-		}
-		v, err := d.version()
-		if err != nil {
-			return nil, err
-		}
-		invs[i] = Invalidation{Key: kv.Key(s), Version: v}
+		invs[i] = Invalidation{Key: d.key(), Version: d.Version()}
 	}
-	return invs, nil
+	return invs, d.Err()
 }
 
 // compactItem re-homes a decoded item into its own single backing buffer

@@ -138,7 +138,7 @@ func BenchmarkWireRoundTrip(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.Cleanup(cli.Close)
-	if _, err := cli.Update(bg, nil, []KeyValue{{Key: "k", Value: kv.Value("v")}}); err != nil {
+	if _, err := cli.ValidatedUpdate(bg, nil, []KeyValue{{Key: "k", Value: kv.Value("v")}}); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()

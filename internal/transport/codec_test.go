@@ -2,12 +2,15 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"reflect"
 	"testing"
 
+	"tcache/internal/codec"
 	"tcache/internal/kv"
+	"tcache/internal/wal"
 )
 
 // sampleRequests covers every field shape the Request encoder handles,
@@ -21,11 +24,15 @@ func sampleRequests() []Request {
 		{Op: OpGetBatch, Keys: []kv.Key{"a", "b", "c"}},
 		{Op: OpReadMulti, TxnID: 3, Keys: []kv.Key{}, LastOp: false},
 		{Op: OpSubscribe, Subscriber: "edge-1#4"},
-		{Op: OpUpdate, Reads: []kv.Key{"x"}, Writes: []KeyValue{
+		{Op: OpUpdate, Writes: []KeyValue{
 			{Key: "x", Value: kv.Value("v1")},
 			{Key: "y", Value: kv.Value{}},
 			{Key: "z", Value: nil},
+		}, ReadVersions: []ObservedRead{
+			{Key: "a", Version: kv.Version{Counter: 7, Node: 2}, Found: true},
+			{Key: "gone", Found: false},
 		}},
+		{Op: OpReplicate, Subscriber: "standby-1", ReplFrom: wal.Pos{Seq: 3, Off: 4096}},
 		{Op: "bogus", Key: "weird\x00key", Subscriber: "ütf8"},
 	}
 }
@@ -55,6 +62,9 @@ func sampleResponses() []Response {
 		{Code: CodeOK, Stats: map[string]uint64{"hits": 12, "misses": 3}},
 		{Code: CodeOK, Stats: map[string]uint64{}},
 		{Code: CodeAborted, Err: "eq.1 violation"},
+		{Code: CodeConflict, Err: "stale", ConflictKey: "a", ConflictVersion: kv.Version{Counter: 9, Node: 1}, ConflictFound: true},
+		{Code: CodeNotPrimary, Role: "standby", Leader: "10.0.0.1:7070", Healthy: true, ReplLag: 3, ReplCounter: 41},
+		{Code: CodeOK, ReplSnapshot: true, ReplPos: wal.Pos{Seq: 2, Off: 16}},
 	}
 }
 
@@ -123,43 +133,34 @@ func TestDecodeTruncatedNeverPanics(t *testing.T) {
 	}
 }
 
-// TestDecodeOversizedCountErrs builds payloads whose element counts claim
-// absurd lengths; the decoder must reject them without attempting the
-// allocation.
+// TestDecodeOversizedCountErrs builds message payloads whose element
+// counts claim absurd lengths; the decoder must reject them without
+// attempting the allocation. (The value-level counts — dependency lists,
+// record writes — are covered with the shared codec.)
 func TestDecodeOversizedCountErrs(t *testing.T) {
 	// A response whose Batch count claims 2^40 lookups.
 	var b []byte
-	b = appendUvarintForTest(b, uint64(CodeOK)) // Code
-	b = appendString(b, "")                     // Err
-	b = appendBytesNil(b, nil)                  // Value
-	b = appendBool(b, false)                    // Found
+	b = binary.AppendUvarint(b, uint64(CodeOK)) // Code
+	b = codec.AppendString(b, "")               // Err
+	b = codec.AppendBytes(b, nil)               // Value
+	b = codec.AppendBool(b, false)              // Found
 	b = appendItem(b, kv.Item{})                // Item
-	b = appendVersion(b, kv.Version{})          // Version
-	b = appendUvarintForTest(b, (1<<40)+1)      // Batch count: 2^40 entries
-	if _, err := decodeResponse(b); !errors.Is(err, ErrTruncatedFrame) {
-		t.Fatalf("oversized batch count: err = %v, want ErrTruncatedFrame", err)
+	b = codec.AppendVersion(b, kv.Version{})    // Version
+	b = binary.AppendUvarint(b, (1<<40)+1)      // Batch count: 2^40 entries
+	if _, err := decodeResponse(b); !errors.Is(err, codec.ErrTruncated) {
+		t.Fatalf("oversized batch count: err = %v, want codec.ErrTruncated", err)
 	}
 
 	// An invalidation batch claiming 2^40 entries.
-	inv := appendUvarintForTest(nil, 1<<40)
-	if _, err := decodeInvalidations(inv); !errors.Is(err, ErrTruncatedFrame) {
-		t.Fatalf("oversized invalidation count: err = %v, want ErrTruncatedFrame", err)
+	inv := binary.AppendUvarint(nil, (1<<40)+1)
+	if _, err := decodeInvalidations(inv); !errors.Is(err, codec.ErrTruncated) {
+		t.Fatalf("oversized invalidation count: err = %v, want codec.ErrTruncated", err)
 	}
-}
-
-// appendUvarintForTest mirrors binary.AppendUvarint without importing it
-// at every call site.
-func appendUvarintForTest(b []byte, v uint64) []byte {
-	for v >= 0x80 {
-		b = append(b, byte(v)|0x80)
-		v >>= 7
-	}
-	return append(b, byte(v))
 }
 
 // TestFrameReaderResync writes garbage between two valid frames; the
 // reader must skip to the next frame boundary instead of failing the
-// stream — the recovery the gob framing could not do.
+// stream.
 func TestFrameReaderResync(t *testing.T) {
 	var stream bytes.Buffer
 	req1 := Request{Op: OpPing}

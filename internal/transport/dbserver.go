@@ -1,251 +1,47 @@
 package transport
 
 import (
-	"bufio"
 	"context"
 	"errors"
-	"fmt"
-	"io"
-	"net"
-	"sync"
-	"sync/atomic"
 
 	"tcache/internal/db"
 	"tcache/internal/kv"
 	"tcache/internal/telemetry"
 )
 
-// DBServer serves a db.DB over TCP.
+// DBServer serves a db.DB over TCP: lock-free item reads, validated
+// updates, the invalidation push stream, and — for warm standbys — the
+// replication stream (repl.go).
 type DBServer struct {
+	*server
 	db *db.DB
-	ln net.Listener
-
-	// ctx is cancelled by Close; it bounds every in-flight update
-	// transaction, so a blocked lock wait cannot outlive the server (or
-	// wedge Close's wg.Wait).
-	ctx    context.Context
-	cancel context.CancelFunc
-
-	mu     sync.Mutex
-	conns  map[net.Conn]struct{}
-	closed bool
-	wg     sync.WaitGroup
-
-	// pushers tracks the live subscription streams so the telemetry
-	// gauge can sum their queued-invalidation backlogs.
-	pushMu  sync.Mutex
-	pushers map[*invPusher]struct{}
-
-	// reg, when set, replaces the legacy OpStats counter map with the
-	// full registry snapshot (counters + gauges + histograms) in flat
-	// wire encoding — protocol-v5 compatible: only more map keys.
-	reg atomic.Pointer[telemetry.Registry]
-
-	logf func(format string, args ...any)
 }
 
-// NewDBServer wraps d; call Serve to start accepting.
+// NewDBServer wraps d; call Listen to start accepting. OpStats is
+// answered from a registry holding the database's metrics and the
+// server's own.
 func NewDBServer(d *db.DB, logf func(string, ...any)) *DBServer {
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	//lint:ignore ctxdiscipline the server ctx spans all connections and is cancelled by Close, not by any one caller
-	ctx, cancel := context.WithCancel(context.Background())
-	return &DBServer{db: d, ctx: ctx, cancel: cancel, conns: make(map[net.Conn]struct{}),
-		pushers: make(map[*invPusher]struct{}), logf: logf}
+	s := &DBServer{server: newServer("tdbd", logf), db: d}
+	s.serve, s.inline, s.attach, s.stream = s.dispatch, dbInline, d.Subscribe, s.serveReplication
+	reg := telemetry.NewRegistry()
+	d.RegisterMetrics(reg)
+	s.RegisterMetrics(reg)
+	s.SetRegistry(reg)
+	return s
 }
-
-// SetRegistry makes OpStats serve the full registry snapshot (flat
-// encoding) instead of the legacy fixed counter map. Call it before
-// Listen; the registry should already aggregate the database's metrics
-// (db.RegisterMetrics) and this server's (RegisterMetrics).
-func (s *DBServer) SetRegistry(reg *telemetry.Registry) { s.reg.Store(reg) }
 
 // RegisterMetrics registers the server-local gauges: live subscription
 // streams and their queued-invalidation backlog.
 //
 //tcache:metric
 func (s *DBServer) RegisterMetrics(reg *telemetry.Registry) {
-	reg.Gauge("subscribers", func() uint64 {
-		s.pushMu.Lock()
-		defer s.pushMu.Unlock()
-		return uint64(len(s.pushers))
-	})
-	reg.Gauge("subscriber_queue", func() uint64 { return s.queuedInvalidations() })
+	reg.Gauge("subscribers", func() uint64 { return uint64(s.Subscribers()) })
+	reg.Gauge("subscriber_queue", s.queuedInvalidations)
 }
 
-// queuedInvalidations sums the invalidation backlog across every live
-// subscription stream.
-func (s *DBServer) queuedInvalidations() uint64 {
-	s.pushMu.Lock()
-	pushers := make([]*invPusher, 0, len(s.pushers))
-	for p := range s.pushers {
-		pushers = append(pushers, p)
-	}
-	s.pushMu.Unlock()
-	var n uint64
-	for _, p := range pushers {
-		n += uint64(p.depth())
-	}
-	return n
-}
-
-// Listen binds addr (e.g. "127.0.0.1:0") and starts serving in the
-// background. It returns the bound address.
-func (s *DBServer) Listen(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", fmt.Errorf("transport: listen %s: %w", addr, err)
-	}
-	s.ln = ln
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		s.acceptLoop()
-	}()
-	return ln.Addr().String(), nil
-}
-
-// Close stops accepting, cancels in-flight transactions, and closes every
-// connection; it blocks until the handler goroutines exit.
-func (s *DBServer) Close() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.closed = true
-	if s.ln != nil {
-		s.ln.Close()
-	}
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	s.cancel()
-	s.wg.Wait()
-}
-
-func (s *DBServer) acceptLoop() {
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
-		s.conns[conn] = struct{}{}
-		s.wg.Add(1)
-		s.mu.Unlock()
-		go func() {
-			defer s.wg.Done()
-			s.handle(conn)
-		}()
-	}
-}
-
-func (s *DBServer) dropConn(conn net.Conn) {
-	s.mu.Lock()
-	delete(s.conns, conn)
-	s.mu.Unlock()
-	conn.Close()
-}
-
-// handle serves one connection: version handshake, then a stream of
-// request frames, each dispatched on its own goroutine so a blocked
-// update never head-of-line-blocks the reads multiplexed behind it on
-// the same connection. Responses are written under writeMu, tagged with
-// the request id they answer.
-func (s *DBServer) handle(conn net.Conn) {
-	// ctx dies with this connection (and with the whole server), aborting
-	// any update transaction the peer abandoned mid-flight. Defer order
-	// (LIFO): cancel in-flight work, close the connection — so a dispatch
-	// goroutine stuck writing to a peer that stopped reading errors out
-	// instead of wedging the wait — then wait for the dispatchers.
-	var reqWG sync.WaitGroup
-	defer reqWG.Wait()
-	defer s.dropConn(conn)
-	ctx, cancel := context.WithCancel(s.ctx)
-	defer cancel()
-
-	br := bufio.NewReader(conn)
-	if err := serverHandshake(conn, br); err != nil {
-		if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-			s.logf("tdbd: handshake: %v", err)
-		}
-		return
-	}
-	fr := newFrameReader(br, s.logf)
-	var writeMu sync.Mutex
-
-	for {
-		typ, id, payload, err := fr.Read()
-		if err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-				s.logf("tdbd: read: %v", err)
-			}
-			return
-		}
-		if typ != frameRequest {
-			continue
-		}
-		req, derr := decodeRequest(payload)
-		if derr != nil {
-			// The frame boundary is intact, so the stream is still good:
-			// answer this id with an error instead of dropping the conn.
-			s.logf("tdbd: decode: %v", derr)
-			resp := Response{Code: CodeError, Err: derr.Error()}
-			if writeResponseFrame(conn, &writeMu, id, &resp) != nil {
-				return
-			}
-			continue
-		}
-		if req.Op == OpSubscribe {
-			// Switch to push mode: the ack is the last response on this
-			// connection; from here on the server pushes invalidation
-			// batches and ignores anything else the peer sends.
-			s.servePush(conn, fr, &writeMu, id, req.Subscriber)
-			return
-		}
-		if req.Op == OpReplicate {
-			// Switch to replication-stream mode (protocol v5): the mode
-			// response is the last request/response exchange; from here on
-			// the server pushes snapshot and record frames and reads only
-			// ack frames.
-			s.serveReplication(ctx, conn, fr, &writeMu, id, req)
-			return
-		}
-		if nonBlocking(req.Op) {
-			// Lock-free reads answer inline: no goroutine hop, and they
-			// cannot head-of-line-block the connection.
-			resp := s.dispatch(ctx, req)
-			if err := writeResponseFrame(conn, &writeMu, id, &resp); err != nil {
-				s.logf("tdbd: write: %v", err)
-				return
-			}
-			continue
-		}
-		reqWG.Add(1)
-		go func(id uint64, req Request) {
-			defer reqWG.Done()
-			resp := s.dispatch(ctx, req)
-			if err := writeResponseFrame(conn, &writeMu, id, &resp); err != nil {
-				s.logf("tdbd: write: %v", err)
-				conn.Close() // unblock the frame reader
-			}
-		}(id, req)
-	}
-}
-
-// nonBlocking reports whether op completes without waiting on locks or
-// other transactions, so the serving loop may run it inline instead of
-// paying for a dispatch goroutine. OpUpdate can block on lock queues and
-// must always run concurrently with the reader.
-func nonBlocking(op Op) bool {
+// dbInline: the lock-free reads and probes. OpUpdate can block on lock
+// queues and must always run concurrently with the reader.
+func dbInline(op Op) bool {
 	switch op {
 	case OpGet, OpGetBatch, OpPing, OpStats:
 		return true
@@ -254,136 +50,11 @@ func nonBlocking(op Op) bool {
 	}
 }
 
-// servePush turns the connection into an invalidation stream for
-// subscriber name: invalidations emitted by the database are queued and
-// flushed by a pusher goroutine, coalescing everything that accumulated
-// during one in-flight push into a single batched frame.
-func (s *DBServer) servePush(conn net.Conn, fr *frameReader, writeMu *sync.Mutex, id uint64, name string) {
-	if name == "" {
-		name = conn.RemoteAddr().String()
-	}
-	p := newInvPusher(conn, writeMu)
-	unsub, err := s.db.Subscribe(name, func(inv db.Invalidation) {
-		p.push(Invalidation{Key: inv.Key, Version: inv.Version})
-	})
-	if err != nil {
-		resp := Response{Code: CodeError, Err: err.Error()}
-		_ = writeResponseFrame(conn, writeMu, id, &resp)
-		return
-	}
-	s.pushMu.Lock()
-	s.pushers[p] = struct{}{}
-	s.pushMu.Unlock()
-	go p.run()
-	defer func() {
-		unsub()
-		p.stop()
-		s.pushMu.Lock()
-		delete(s.pushers, p)
-		s.pushMu.Unlock()
-	}()
-	resp := Response{Code: CodeOK}
-	if err := writeResponseFrame(conn, writeMu, id, &resp); err != nil {
-		return
-	}
-	// Block until the peer goes away, discarding anything it sends.
-	for {
-		if _, _, _, err := fr.Read(); err != nil {
-			return
-		}
-	}
-}
-
-// maxQueuedInvalidations bounds a subscriber's backlog. The pipeline is
-// asynchronous and unreliable by design, so overflow drops the oldest
-// queued invalidations rather than blocking the database's commit path.
-const maxQueuedInvalidations = 1 << 16
-
-// invPusher batches invalidations for one subscription connection: the
-// database's sink appends under a mutex and nudges the pusher, which
-// drains the whole backlog into one frame per write. Invalidations that
-// arrive while a frame is being written are coalesced into the next one.
-type invPusher struct {
-	conn    net.Conn
-	writeMu *sync.Mutex
-
-	mu    sync.Mutex //tcache:lockclass invq
-	queue []Invalidation
-
-	wake chan struct{}
-	done chan struct{}
-}
-
-func newInvPusher(conn net.Conn, writeMu *sync.Mutex) *invPusher {
-	return &invPusher{conn: conn, writeMu: writeMu, wake: make(chan struct{}, 1), done: make(chan struct{})}
-}
-
-func (p *invPusher) push(inv Invalidation) {
-	p.mu.Lock()
-	if len(p.queue) >= maxQueuedInvalidations {
-		p.queue = p.queue[1:]
-	}
-	p.queue = append(p.queue, inv)
-	p.mu.Unlock()
-	select {
-	case p.wake <- struct{}{}:
-	default:
-	}
-}
-
-func (p *invPusher) run() {
-	for {
-		select {
-		case <-p.wake:
-		case <-p.done:
-			return
-		}
-		p.mu.Lock()
-		batch := p.queue
-		p.queue = nil
-		p.mu.Unlock()
-		if len(batch) == 0 {
-			continue
-		}
-		// Chunk by encoded size: a backlog that built up behind a stalled
-		// push could otherwise exceed the frame payload cap, and failing
-		// the whole flush would flap the subscription forever.
-		for len(batch) > 0 {
-			n, size := 0, 0
-			for n < len(batch) && size < maxInvalidationFrameBytes {
-				size += len(batch[n].Key) + 24 // key bytes + varint/header slack
-				n++
-			}
-			if err := writeInvalidationFrame(p.conn, p.writeMu, batch[:n]); err != nil {
-				// Failures just drop this subscriber's messages; closing
-				// the socket makes the serving loop notice and unsubscribe.
-				p.conn.Close()
-				return
-			}
-			batch = batch[n:]
-		}
-	}
-}
-
-// maxInvalidationFrameBytes bounds one coalesced invalidation frame,
-// comfortably under maxFramePayload. It is a variable only so tests can
-// lower it to exercise the chunking path cheaply.
-var maxInvalidationFrameBytes = 1 << 20
-
-func (p *invPusher) stop() { close(p.done) }
-
-// depth returns the current queued-invalidation backlog.
-func (p *invPusher) depth() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.queue)
-}
-
 func (s *DBServer) dispatch(ctx context.Context, req Request) Response {
 	//tcache:exhaustive
 	switch req.Op {
 	case OpPing:
-		// The v5 ping doubles as a health and role probe: a sick WAL or a
+		// The ping doubles as a health and role probe: a sick WAL or a
 		// standby role surfaces here before a client commits anything.
 		st := s.db.ReplStatusNow()
 		return Response{
@@ -399,7 +70,7 @@ func (s *DBServer) dispatch(ctx context.Context, req Request) Response {
 	case OpPromote:
 		counter, err := s.db.Promote()
 		if err != nil {
-			return Response{Code: CodeError, Err: err.Error()}
+			return errorResponse("%v", err)
 		}
 		return Response{Code: CodeOK, Role: db.RolePrimary.String(), ReplCounter: counter}
 
@@ -413,75 +84,31 @@ func (s *DBServer) dispatch(ctx context.Context, req Request) Response {
 	case OpGetBatch:
 		lookups, err := s.db.ReadItems(ctx, req.Keys)
 		if err != nil {
-			return Response{Code: CodeError, Err: err.Error()}
+			return errorResponse("%v", err)
 		}
 		return Response{Code: CodeOK, Batch: lookups}
 
 	case OpUpdate:
-		version, err := s.runUpdate(ctx, req)
-		return updateResponse(version, err)
+		// Observed read versions are re-checked under lock, then the
+		// writes commit atomically.
+		return updateResponse(s.db.ValidatedUpdate(ctx, req.ReadVersions, req.Writes))
 
 	case OpStats:
-		// With a registry attached, OpStats carries the whole snapshot —
-		// histograms and gauges included — in the flat wire encoding. The
-		// registry's counter names are a superset of the legacy map, so
-		// old scrapers see the keys they always saw. Without one, the
-		// legacy fixed map keeps lightweight embedders unchanged.
-		if reg := s.reg.Load(); reg != nil {
-			return Response{Code: CodeOK, Stats: telemetry.Flatten(reg.Snapshot())}
-		}
-		m := s.db.Metrics()
-		return Response{Code: CodeOK, Stats: map[string]uint64{
-			"txns_started":       m.TxnsStarted,
-			"txns_committed":     m.TxnsCommitted,
-			"txns_aborted":       m.TxnsAborted,
-			"conflicts":          m.Conflicts,
-			"txn_reads":          m.TxnReads,
-			"txn_writes":         m.TxnWrites,
-			"single_gets":        m.SingleGets,
-			"invalidations_sent": m.InvalidationsSent,
-		}}
+		return s.statsResponse()
 
-	case OpSubscribe:
-		// Subscriptions switch the connection into push mode before
-		// dispatch (see handle); reaching here means a second OpSubscribe
-		// arrived on an already-dispatched stream.
-		return Response{Code: CodeError, Err: "tdbd: subscribe must be the first request on its connection"}
-
-	case OpReplicate:
-		// Replication switches the connection into stream mode before
-		// dispatch (see handle), same as OpSubscribe.
-		return Response{Code: CodeError, Err: "tdbd: replicate must be the first request on its connection"}
+	case OpSubscribe, OpReplicate:
+		// Both switch the connection's mode before dispatch (see
+		// server.handle).
+		return errorResponse("tdbd: op %q never reaches dispatch", req.Op)
 
 	case OpRead, OpReadMulti, OpCommit, OpAbort:
 		// Cache-tier transaction ops: the database speaks validated
-		// updates (OpUpdate with read versions), not the cache's
-		// incremental read/commit protocol.
-		return Response{Code: CodeError, Err: fmt.Sprintf("tdbd: op %q is a cache-tier operation", req.Op)}
+		// updates, not the cache's incremental read/commit protocol.
+		return errorResponse("tdbd: op %q is a cache-tier operation", req.Op)
 
 	default:
-		return Response{Code: CodeError, Err: fmt.Sprintf("tdbd: unknown op %q", req.Op)}
+		return errorResponse("tdbd: unknown op %q", req.Op)
 	}
-}
-
-func (s *DBServer) runUpdate(ctx context.Context, req Request) (kv.Version, error) {
-	if req.ReadVersions != nil {
-		// The validated (protocol v4) form: observed read versions are
-		// re-checked under lock, then the writes commit atomically.
-		return s.db.ValidatedUpdate(ctx, req.ReadVersions, req.Writes)
-	}
-	txn := s.db.BeginCtx(ctx)
-	for _, k := range req.Reads {
-		if _, _, err := txn.Read(k); err != nil {
-			return kv.Version{}, err
-		}
-	}
-	for _, w := range req.Writes {
-		if err := txn.Write(w.Key, w.Value); err != nil {
-			return kv.Version{}, err
-		}
-	}
-	return txn.Commit()
 }
 
 // updateResponse maps an update outcome onto the wire, carrying the
@@ -506,6 +133,6 @@ func updateResponse(version kv.Version, err error) Response {
 		}
 		return resp
 	default:
-		return Response{Code: CodeError, Err: err.Error()}
+		return errorResponse("%v", err)
 	}
 }

@@ -36,7 +36,7 @@ func TestServerCloseAbortsBlockedUpdate(t *testing.T) {
 
 	errc := make(chan error, 1)
 	go func() {
-		_, err := cli.Update(bg, nil, []KeyValue{{Key: "k", Value: kv.Value("blocked")}})
+		_, err := cli.ValidatedUpdate(bg, nil, []KeyValue{{Key: "k", Value: kv.Value("blocked")}})
 		errc <- err
 	}()
 	time.Sleep(20 * time.Millisecond) // let the update reach the lock queue
@@ -88,7 +88,7 @@ func TestClientCtxCancelledMidRoundTrip(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, err := cli.Update(ctx, nil, []KeyValue{{Key: "k", Value: kv.Value("blocked")}})
+		_, err := cli.ValidatedUpdate(ctx, nil, []KeyValue{{Key: "k", Value: kv.Value("blocked")}})
 		errc <- err
 	}()
 	time.Sleep(20 * time.Millisecond)
@@ -106,7 +106,7 @@ func TestClientCtxCancelledMidRoundTrip(t *testing.T) {
 	if _, err := holder.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cli.Update(bg, nil, []KeyValue{{Key: "k", Value: kv.Value("after")}}); err != nil {
+	if _, err := cli.ValidatedUpdate(bg, nil, []KeyValue{{Key: "k", Value: kv.Value("after")}}); err != nil {
 		t.Fatalf("post-cancel update = %v", err)
 	}
 	item, ok, err := cli.ReadItem(bg, "k")
@@ -140,7 +140,7 @@ func TestClientCloseUnblocksStuckRoundTrip(t *testing.T) {
 
 	errc := make(chan error, 1)
 	go func() {
-		_, err := cli.Update(bg, nil, []KeyValue{{Key: "k", Value: kv.Value("blocked")}})
+		_, err := cli.ValidatedUpdate(bg, nil, []KeyValue{{Key: "k", Value: kv.Value("blocked")}})
 		errc <- err
 	}()
 	time.Sleep(20 * time.Millisecond)
@@ -208,12 +208,10 @@ func TestSubscriptionResubscribesAfterServerRestart(t *testing.T) {
 	seed := func(keys ...kv.Key) {
 		t.Helper()
 		writes := make([]KeyValue, len(keys))
-		reads := make([]kv.Key, len(keys))
 		for i, k := range keys {
-			reads[i] = k
 			writes[i] = KeyValue{Key: k, Value: kv.Value("v-" + string(k))}
 		}
-		if _, err := cli.Update(bg, reads, writes); err != nil {
+		if _, err := cli.ValidatedUpdate(bg, nil, writes); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -273,26 +271,21 @@ func TestSubscriptionResubscribesAfterServerRestart(t *testing.T) {
 	}
 
 	// Liveness after reconnect: a post-restart update's invalidation
-	// reaches the cache and refreshes it.
+	// reaches the cache and refreshes it. The update is re-committed every
+	// round: one that lands before the stream has reattached loses its
+	// invalidation (the channel is lossy by design), so only an update
+	// after the reconnect can prove the stream is live again.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if _, err := cli.Update(bg, []kv.Key{"b"}, []KeyValue{{Key: "b", Value: kv.Value("fresh")}}); err == nil {
+		_, uerr := cli.ValidatedUpdate(bg, nil, []KeyValue{{Key: "b", Value: kv.Value("fresh")}})
+		val, err := cache.Get(bg, "b")
+		if uerr == nil && err == nil && string(val) == "fresh" {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("update never succeeded after restart")
+			t.Fatalf("invalidation never arrived after resubscribe; update = %v, b = %q (%v)", uerr, val, err)
 		}
 		time.Sleep(10 * time.Millisecond)
-	}
-	for {
-		val, err := cache.Get(bg, "b")
-		if err == nil && string(val) == "fresh" {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("invalidation never arrived after resubscribe; b = %q (%v)", val, err)
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }
 
@@ -346,7 +339,7 @@ func TestResubscribeNotLockedOutByStaleName(t *testing.T) {
 	}
 	t.Cleanup(cli.Close)
 	for {
-		if _, err := cli.Update(bg, nil, []KeyValue{{Key: "k", Value: kv.Value("v")}}); err == nil {
+		if _, err := cli.ValidatedUpdate(bg, nil, []KeyValue{{Key: "k", Value: kv.Value("v")}}); err == nil {
 			select {
 			case inv := <-got:
 				if inv.Key != "k" {
@@ -362,35 +355,13 @@ func TestResubscribeNotLockedOutByStaleName(t *testing.T) {
 	}
 }
 
-// TestDuplicateSubscriberRejectedOverWire exercises the db layer's
-// duplicate-name protection end to end.
-func TestDuplicateSubscriberRejectedOverWire(t *testing.T) {
-	d := db.Open(db.Config{})
-	t.Cleanup(func() { d.Close() })
-	srv := NewDBServer(d, t.Logf)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(srv.Close)
-
-	stop, err := SubscribeInvalidations(bg, addr, "edge", func(Invalidation) {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stop()
-	if _, err := SubscribeInvalidations(bg, addr, "edge", func(Invalidation) {}); err == nil {
-		t.Fatal("duplicate subscriber name accepted over the wire")
-	}
-}
-
 // TestBatchReadsOverWire covers OpGetBatch (DBClient.ReadItems) and
 // OpReadMulti (CacheClient.ReadMulti): N keys, one round trip each.
 func TestBatchReadsOverWire(t *testing.T) {
 	s := newStack(t, core.StrategyRetry)
 	keys := []kv.Key{"b1", "b2", "b3"}
 	for _, k := range keys {
-		if _, err := s.dbCli.Update(bg, nil, []KeyValue{{Key: k, Value: kv.Value("v-" + string(k))}}); err != nil {
+		if _, err := s.dbCli.ValidatedUpdate(bg, nil, []KeyValue{{Key: k, Value: kv.Value("v-" + string(k))}}); err != nil {
 			t.Fatal(err)
 		}
 	}

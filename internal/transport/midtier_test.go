@@ -1,7 +1,7 @@
 package transport
 
-// Tests for the mid-tier role of the cache server (protocol v3): the
-// backend protocol it now speaks — item-granular OpGet/OpGetBatch with
+// Tests for the mid-tier role of the cache server: the backend protocol
+// it speaks — item-granular OpGet/OpGetBatch with
 // read floors, OpSubscribe invalidation relays — and the client-side
 // redial cap.
 
@@ -67,7 +67,7 @@ func newMidTier(t *testing.T) *midTier {
 
 func (m *midTier) set(t *testing.T, key, val string) kv.Version {
 	t.Helper()
-	v, err := m.stack.dbCli.Update(bg, []kv.Key{kv.Key(key)}, []KeyValue{{Key: kv.Key(key), Value: kv.Value(val)}})
+	v, err := m.stack.dbCli.ValidatedUpdate(bg, nil, []KeyValue{{Key: kv.Key(key), Value: kv.Value(val)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestMidTierFloorOverWire(t *testing.T) {
 	}
 	t.Cleanup(srv.Close)
 
-	if _, err := dbCli.Update(bg, nil, []KeyValue{{Key: "k", Value: kv.Value("old")}}); err != nil {
+	if _, err := dbCli.ValidatedUpdate(bg, nil, []KeyValue{{Key: "k", Value: kv.Value("old")}}); err != nil {
 		t.Fatal(err)
 	}
 	cli, err := DialDB(bg, cacheAddr, 1)
@@ -158,7 +158,7 @@ func TestMidTierFloorOverWire(t *testing.T) {
 	if _, _, err := cli.ReadItem(bg, "k"); err != nil {
 		t.Fatal(err) // warms the stale-to-be cache
 	}
-	vNew, err := dbCli.Update(bg, []kv.Key{"k"}, []KeyValue{{Key: "k", Value: kv.Value("new")}})
+	vNew, err := dbCli.ValidatedUpdate(bg, nil, []KeyValue{{Key: "k", Value: kv.Value("new")}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestMidTierFloorOverWire(t *testing.T) {
 		t.Fatalf("floored read = %q@%s, want \"new\"@%s", item.Value, item.Version, vNew)
 	}
 	// Batch floors too.
-	if _, err := dbCli.Update(bg, []kv.Key{"k"}, []KeyValue{{Key: "k", Value: kv.Value("newer")}}); err != nil {
+	if _, err := dbCli.ValidatedUpdate(bg, nil, []KeyValue{{Key: "k", Value: kv.Value("newer")}}); err != nil {
 		t.Fatal(err)
 	}
 	lookups, err := cli.ReadItemsFloor(bg, []kv.Key{"k"}, kv.Version{Counter: vNew.Counter + 1})

@@ -20,6 +20,7 @@ import (
 	"testing"
 	"time"
 
+	"tcache/internal/codec"
 	"tcache/internal/db"
 	"tcache/internal/kv"
 )
@@ -51,7 +52,7 @@ func TestMuxCancelledRequestDoesNotKillConnection(t *testing.T) {
 	}
 	t.Cleanup(cli.Close)
 
-	if _, err := cli.Update(bg, nil, []KeyValue{{Key: "k", Value: kv.Value("v0")}}); err != nil {
+	if _, err := cli.ValidatedUpdate(bg, nil, []KeyValue{{Key: "k", Value: kv.Value("v0")}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -63,7 +64,7 @@ func TestMuxCancelledRequestDoesNotKillConnection(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	blocked := make(chan error, 1)
 	go func() {
-		_, err := cli.Update(ctx, nil, []KeyValue{{Key: "k", Value: kv.Value("blocked")}})
+		_, err := cli.ValidatedUpdate(ctx, nil, []KeyValue{{Key: "k", Value: kv.Value("blocked")}})
 		blocked <- err
 	}()
 	time.Sleep(20 * time.Millisecond) // let the update reach the lock queue
@@ -122,7 +123,7 @@ func TestServerCloseFailsAllPendingSlots(t *testing.T) {
 	errc := make(chan error, pending)
 	for i := 0; i < pending; i++ {
 		go func() {
-			_, err := cli.Update(bg, nil, []KeyValue{{Key: "k", Value: kv.Value("blocked")}})
+			_, err := cli.ValidatedUpdate(bg, nil, []KeyValue{{Key: "k", Value: kv.Value("blocked")}})
 			errc <- err
 		}()
 	}
@@ -153,12 +154,11 @@ func TestServerCloseFailsAllPendingSlots(t *testing.T) {
 	}
 }
 
-// TestHandshakeVersionMismatch covers both directions of the version
-// gate: a client facing a newer server gets a descriptive error naming
-// both versions, and a server rejects a client that presents a version
-// it does not speak.
+// TestHandshakeVersionMismatch: a client facing a newer server gets a
+// descriptive error naming both versions. (The server's side of the
+// gate is TestServerSkeleton's.)
 func TestHandshakeVersionMismatch(t *testing.T) {
-	// Fake "future" server speaking version 3.
+	// Fake "future" server, one version ahead.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -192,44 +192,12 @@ func TestHandshakeVersionMismatch(t *testing.T) {
 	if !strings.Contains(err.Error(), "version mismatch") {
 		t.Fatalf("error not descriptive: %q", err)
 	}
-
-	// Real server versus a stale (v1-style) client.
-	d := db.Open(db.Config{})
-	t.Cleanup(func() { d.Close() })
-	srv := NewDBServer(d, t.Logf)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(srv.Close)
-	c, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	hs := handshakeBytes()
-	hs[4] = 1
-	if _, err := c.Write(hs[:]); err != nil {
-		t.Fatal(err)
-	}
-	// The server replies with its own handshake (so we learn v2), then
-	// closes without serving frames.
-	peer, err := readHandshake(c)
-	if err != nil || peer != ProtocolVersion {
-		t.Fatalf("server handshake reply = (%d, %v)", peer, err)
-	}
-	c.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := c.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
-		t.Fatalf("server kept a v1 connection open (read = %v)", err)
-	}
 }
 
 // TestStaleConnResyncOverWire is the end-to-end frame-boundary recovery
 // demonstration: a raw client handshakes, spews garbage (a half-open
 // peer's leftovers), and then sends a well-formed ping frame. The server
-// resynchronizes at the frame boundary and answers the ping — with the
-// gob framing the stream would have been unusable from the first bad
-// byte.
+// resynchronizes at the frame boundary and answers the ping.
 func TestStaleConnResyncOverWire(t *testing.T) {
 	d := db.Open(db.Config{})
 	t.Cleanup(func() { d.Close() })
@@ -303,7 +271,7 @@ func TestMuxSharedConnectionConcurrency(t *testing.T) {
 	keys := make([]kv.Key, 8)
 	for i := range keys {
 		keys[i] = kv.Key(string(rune('a' + i)))
-		if _, err := cli.Update(bg, nil, []KeyValue{{Key: keys[i], Value: kv.Value("v-" + string(keys[i]))}}); err != nil {
+		if _, err := cli.ValidatedUpdate(bg, nil, []KeyValue{{Key: keys[i], Value: kv.Value("v-" + string(keys[i]))}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -388,7 +356,7 @@ func TestInvalidationBatchCoalescing(t *testing.T) {
 	for i := range writes {
 		writes[i] = KeyValue{Key: kv.Key(string(rune('A' + i))), Value: kv.Value("v")}
 	}
-	if _, err := cli.Update(bg, nil, writes); err != nil {
+	if _, err := cli.ValidatedUpdate(bg, nil, writes); err != nil {
 		t.Fatal(err)
 	}
 
@@ -434,7 +402,7 @@ func TestOversizedRequestRejected(t *testing.T) {
 	t.Cleanup(cli.Close)
 
 	huge := make(kv.Value, maxFramePayload+1)
-	if _, err := cli.Update(bg, nil, []KeyValue{{Key: "k", Value: huge}}); !errors.Is(err, ErrFrameTooLarge) {
+	if _, err := cli.ValidatedUpdate(bg, nil, []KeyValue{{Key: "k", Value: huge}}); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("oversized update = %v, want ErrFrameTooLarge", err)
 	}
 	// The connection was never poisoned: ordinary traffic still works.
@@ -462,7 +430,7 @@ func TestIdempotentRetryAfterServerRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(cli.Close)
-	if _, err := cli.Update(bg, nil, []KeyValue{{Key: "k", Value: kv.Value("v")}}); err != nil {
+	if _, err := cli.ValidatedUpdate(bg, nil, []KeyValue{{Key: "k", Value: kv.Value("v")}}); err != nil {
 		t.Fatal(err)
 	}
 	// Warm the second slot too, so both connections are established and
@@ -505,10 +473,10 @@ func TestCompactItemIndependence(t *testing.T) {
 			{Key: "", Version: kv.Version{Counter: 2}},
 		},
 	})
-	d := payloadDecoder{b: payload}
-	aliased, err := d.item()
-	if err != nil {
-		t.Fatal(err)
+	d := payloadDecoder{codec.Decoder{B: payload}}
+	aliased := d.item()
+	if d.Err() != nil {
+		t.Fatal(d.Err())
 	}
 	compact := compactItem(aliased)
 	if !reflect.DeepEqual(compact, aliased) {
@@ -565,7 +533,7 @@ func TestInvalidationBacklogChunked(t *testing.T) {
 	for i := range writes {
 		writes[i] = KeyValue{Key: kv.Key(fmt.Sprintf("chunk-key-with-some-length-%03d", i)), Value: kv.Value("v")}
 	}
-	if _, err := cli.Update(bg, nil, writes); err != nil {
+	if _, err := cli.ValidatedUpdate(bg, nil, writes); err != nil {
 		t.Fatal(err)
 	}
 

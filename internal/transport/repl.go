@@ -1,6 +1,6 @@
 package transport
 
-// The replication stream (protocol v5). A standby opens a connection,
+// The replication stream. A standby opens a connection,
 // sends OpReplicate with its resume cursor, and the primary answers
 // with the stream mode: resume (the cursor's segment is still live) or
 // full snapshot (a state image precedes the live records). From then on
@@ -19,17 +19,15 @@ package transport
 // longer holds it).
 
 import (
-	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
 	"sync"
-	"time"
 
+	"tcache/internal/codec"
 	"tcache/internal/db"
-	"tcache/internal/kv"
 	"tcache/internal/wal"
 )
 
@@ -48,79 +46,11 @@ const (
 )
 
 // --- Payload codecs -----------------------------------------------------
+//
+// Records and snapshot entries travel in internal/codec's layout — the
+// same bytes the WAL frames on disk.
 
-func appendWALRecord(b []byte, rec *wal.Record) []byte {
-	b = appendVersion(b, rec.Version)
-	b = appendCountNil(b, len(rec.Writes))
-	for i := range rec.Writes {
-		w := &rec.Writes[i]
-		b = appendString(b, string(w.Key))
-		b = appendBytesNil(b, w.Value)
-		b = appendDepList(b, w.Deps)
-	}
-	return b
-}
-
-func (d *payloadDecoder) walRecord() (wal.Record, error) {
-	var rec wal.Record
-	var err error
-	if rec.Version, err = d.version(); err != nil {
-		return rec, err
-	}
-	n, err := d.countNil(4) // key len + value len + dep count + slack
-	if err != nil {
-		return rec, err
-	}
-	if n < 0 {
-		return rec, nil
-	}
-	rec.Writes = make([]wal.Entry, n)
-	for i := range rec.Writes {
-		s, err := d.string()
-		if err != nil {
-			return rec, err
-		}
-		val, err := d.bytesNil()
-		if err != nil {
-			return rec, err
-		}
-		deps, err := d.depList()
-		if err != nil {
-			return rec, err
-		}
-		rec.Writes[i] = wal.Entry{Key: kv.Key(s), Value: val, Deps: deps}
-	}
-	return rec, nil
-}
-
-func appendSnapEntry(b []byte, e *wal.SnapshotEntry) []byte {
-	b = appendString(b, string(e.Key))
-	b = appendBytesNil(b, e.Value)
-	b = appendVersion(b, e.Version)
-	return appendDepList(b, e.Deps)
-}
-
-func (d *payloadDecoder) snapEntry() (wal.SnapshotEntry, error) {
-	var e wal.SnapshotEntry
-	var err error
-	var s string
-	if s, err = d.string(); err != nil {
-		return e, err
-	}
-	e.Key = kv.Key(s)
-	if e.Value, err = d.bytesNil(); err != nil {
-		return e, err
-	}
-	if e.Version, err = d.version(); err != nil {
-		return e, err
-	}
-	if e.Deps, err = d.depList(); err != nil {
-		return e, err
-	}
-	return e, nil
-}
-
-// Snapshot frame payload: [uvarint count][count entries]. A zero count
+// Snapshot frame payload: [nil-aware count][count entries]. A nil count
 // terminates the image and carries [cut pos][counter][total] — the log
 // position to tail from, the version counter at the cut, and the total
 // entry count of the image. The total lets the standby detect a lost
@@ -129,9 +59,9 @@ func (d *payloadDecoder) snapEntry() (wal.SnapshotEntry, error) {
 // of accepting a silently truncated image.
 func writeReplSnapshotFrame(w net.Conn, mu *sync.Mutex, entries []wal.SnapshotEntry) error {
 	return writeFrame(w, mu, frameReplSnapshot, 0, func(b []byte) []byte {
-		b = binary.AppendUvarint(b, uint64(len(entries)))
+		b = codec.AppendCount(b, len(entries))
 		for i := range entries {
-			b = appendSnapEntry(b, &entries[i])
+			b = codec.AppendSnapshotEntry(b, &entries[i])
 		}
 		return b
 	})
@@ -139,7 +69,7 @@ func writeReplSnapshotFrame(w net.Conn, mu *sync.Mutex, entries []wal.SnapshotEn
 
 func writeReplSnapshotEndFrame(w net.Conn, mu *sync.Mutex, cut wal.Pos, counter, total uint64) error {
 	return writeFrame(w, mu, frameReplSnapshot, 0, func(b []byte) []byte {
-		b = binary.AppendUvarint(b, 0)
+		b = codec.AppendCount(b, -1)
 		b = appendPos(b, cut)
 		b = binary.AppendUvarint(b, counter)
 		return binary.AppendUvarint(b, total)
@@ -147,75 +77,44 @@ func writeReplSnapshotEndFrame(w net.Conn, mu *sync.Mutex, cut wal.Pos, counter,
 }
 
 func decodeReplSnapshot(payload []byte) (entries []wal.SnapshotEntry, cut wal.Pos, counter, total uint64, done bool, err error) {
-	d := payloadDecoder{b: payload}
-	c, err := d.uvarint()
-	if err != nil {
-		return nil, wal.Pos{}, 0, 0, false, err
-	}
-	if c == 0 {
-		if cut, err = d.pos(); err != nil {
-			return nil, wal.Pos{}, 0, 0, false, err
-		}
-		if counter, err = d.uvarint(); err != nil {
-			return nil, wal.Pos{}, 0, 0, false, err
-		}
-		if total, err = d.uvarint(); err != nil {
-			return nil, wal.Pos{}, 0, 0, false, err
-		}
-		return nil, cut, counter, total, true, nil
-	}
-	n := int(c)
-	if n < 0 || n > d.remaining()/4 {
-		return nil, wal.Pos{}, 0, 0, false, ErrTruncatedFrame
+	d := payloadDecoder{codec.Decoder{B: payload}}
+	n := d.Count(5) // key length + nil value + 2 version varints + nil deps
+	if n < 0 {
+		cut, counter, total = d.pos(), d.Uvarint(), d.Uvarint()
+		return nil, cut, counter, total, true, d.Err()
 	}
 	entries = make([]wal.SnapshotEntry, n)
 	for i := range entries {
-		if entries[i], err = d.snapEntry(); err != nil {
-			return nil, wal.Pos{}, 0, 0, false, err
-		}
+		entries[i] = codec.DecodeSnapshotEntry(&d.Decoder)
 	}
-	return entries, wal.Pos{}, 0, 0, false, nil
+	return entries, wal.Pos{}, 0, 0, false, d.Err()
 }
 
-// Record frame payload: [start pos][end pos][uvarint count][records].
+// Record frame payload: [start pos][end pos][nil-aware count][records].
 // The records are the contiguous run of committed WAL records occupying
 // [start, end) of the primary's log.
 func writeReplRecordsFrame(w net.Conn, mu *sync.Mutex, start, end wal.Pos, recs []wal.Record) error {
 	return writeFrame(w, mu, frameReplRecords, 0, func(b []byte) []byte {
 		b = appendPos(b, start)
 		b = appendPos(b, end)
-		b = binary.AppendUvarint(b, uint64(len(recs)))
+		b = codec.AppendCount(b, len(recs))
 		for i := range recs {
-			b = appendWALRecord(b, &recs[i])
+			b = codec.AppendRecord(b, &recs[i])
 		}
 		return b
 	})
 }
 
 func decodeReplRecords(payload []byte) (start, end wal.Pos, recs []wal.Record, err error) {
-	d := payloadDecoder{b: payload}
-	if start, err = d.pos(); err != nil {
-		return
-	}
-	if end, err = d.pos(); err != nil {
-		return
-	}
-	c, err := d.uvarint()
-	if err != nil {
-		return
-	}
-	n := int(c)
-	if n < 0 || n > d.remaining()/3 {
-		err = ErrTruncatedFrame
-		return
-	}
-	recs = make([]wal.Record, n)
-	for i := range recs {
-		if recs[i], err = d.walRecord(); err != nil {
-			return
+	d := payloadDecoder{codec.Decoder{B: payload}}
+	start, end = d.pos(), d.pos()
+	if n := d.Count(3); n >= 0 { // 2 version varints + nil writes
+		recs = make([]wal.Record, n)
+		for i := range recs {
+			recs[i] = codec.DecodeRecord(&d.Decoder)
 		}
 	}
-	return
+	return start, end, recs, d.Err()
 }
 
 // Ack frame payload: [pos][counter] — the standby holds (durably) every
@@ -228,16 +127,9 @@ func writeReplAckFrame(w net.Conn, mu *sync.Mutex, pos wal.Pos, counter uint64) 
 }
 
 func decodeReplAck(payload []byte) (wal.Pos, uint64, error) {
-	d := payloadDecoder{b: payload}
-	pos, err := d.pos()
-	if err != nil {
-		return wal.Pos{}, 0, err
-	}
-	counter, err := d.uvarint()
-	if err != nil {
-		return wal.Pos{}, 0, err
-	}
-	return pos, counter, nil
+	d := payloadDecoder{codec.Decoder{B: payload}}
+	pos, counter := d.pos(), d.Uvarint()
+	return pos, counter, d.Err()
 }
 
 // --- Primary side: serving the stream -----------------------------------
@@ -247,20 +139,20 @@ func decodeReplAck(payload []byte) (wal.Pos, uint64, error) {
 // needed, then follow the live log. Acks are consumed by a dedicated
 // reader goroutine — the only reader after negotiation — and feed the
 // database's replica registry.
-func (s *DBServer) serveReplication(ctx context.Context, conn net.Conn, fr *frameReader, writeMu *sync.Mutex, id uint64, req Request) {
+func (s *DBServer) serveReplication(ctx context.Context, pc *peerConn, id uint64, req Request) {
 	d := s.db
 	name := req.Subscriber
 	if name == "" {
-		name = conn.RemoteAddr().String()
+		name = pc.RemoteAddr().String()
 	}
+	// A refusal is the connection's last frame either way, so its write
+	// error has no one to go to.
 	if st := d.ReplStatusNow(); st.Role != db.RolePrimary {
-		resp := Response{Code: CodeNotPrimary, Err: db.ErrNotPrimary.Error(), Role: st.Role.String(), Leader: st.Leader}
-		_ = writeResponseFrame(conn, writeMu, id, &resp)
+		_ = pc.respond(id, &Response{Code: CodeNotPrimary, Err: db.ErrNotPrimary.Error(), Role: st.Role.String(), Leader: st.Leader})
 		return
 	}
 	if !d.HasWAL() {
-		resp := Response{Code: CodeError, Err: db.ErrNoWAL.Error()}
-		_ = writeResponseFrame(conn, writeMu, id, &resp)
+		_ = pc.refuse(id, "%v", db.ErrNoWAL)
 		return
 	}
 
@@ -272,7 +164,7 @@ func (s *DBServer) serveReplication(ctx context.Context, conn net.Conn, fr *fram
 	} else {
 		resp.ReplSnapshot = true
 	}
-	if err := writeResponseFrame(conn, writeMu, id, &resp); err != nil {
+	if err := pc.respond(id, &resp); err != nil {
 		return
 	}
 
@@ -284,13 +176,13 @@ func (s *DBServer) serveReplication(ctx context.Context, conn net.Conn, fr *fram
 	var ackWG sync.WaitGroup
 	defer d.DropReplica(name)
 	defer ackWG.Wait()
-	defer conn.Close()
+	defer pc.Close()
 	ackWG.Add(1)
 	go func() {
 		defer ackWG.Done()
 		defer cancel() // a dead peer must also stop a tailer blocked on an idle log
 		for {
-			typ, _, payload, err := fr.Read()
+			typ, _, payload, err := pc.fr.Read()
 			if err != nil {
 				return
 			}
@@ -307,26 +199,26 @@ func (s *DBServer) serveReplication(ctx context.Context, conn net.Conn, fr *fram
 	}()
 
 	if !resume {
-		cut, err := s.streamSnapshot(conn, writeMu)
+		cut, err := s.streamSnapshot(pc)
 		if err != nil {
 			s.logf("tdbd: repl snapshot to %s: %v", name, err)
 			return
 		}
 		from = cut
 	}
-	s.streamRecords(sctx, conn, writeMu, name, from)
+	s.streamRecords(sctx, pc, name, from)
 }
 
 // streamSnapshot pushes a consistent full-state image, chunked into
 // frames, then the terminator carrying the log cut to tail from.
-func (s *DBServer) streamSnapshot(conn net.Conn, writeMu *sync.Mutex) (wal.Pos, error) {
+func (s *DBServer) streamSnapshot(pc *peerConn) (wal.Pos, error) {
 	var batch []wal.SnapshotEntry
 	size, total := 0, uint64(0)
 	flush := func() error {
 		if len(batch) == 0 {
 			return nil
 		}
-		err := writeReplSnapshotFrame(conn, writeMu, batch)
+		err := writeReplSnapshotFrame(pc, &pc.writeMu, batch)
 		batch, size = batch[:0], 0
 		return err
 	}
@@ -348,7 +240,7 @@ func (s *DBServer) streamSnapshot(conn net.Conn, writeMu *sync.Mutex) (wal.Pos, 
 	if err := flush(); err != nil {
 		return wal.Pos{}, err
 	}
-	if err := writeReplSnapshotEndFrame(conn, writeMu, cut, counter, total); err != nil {
+	if err := writeReplSnapshotEndFrame(pc, &pc.writeMu, cut, counter, total); err != nil {
 		return wal.Pos{}, err
 	}
 	return cut, nil
@@ -359,7 +251,7 @@ func (s *DBServer) streamSnapshot(conn net.Conn, writeMu *sync.Mutex) (wal.Pos, 
 // the connection, the log, or ctx dies; a lagged tailer (our cursor
 // truncated by a snapshot) just tears the stream down — the standby
 // re-negotiates and gets a fresh image.
-func (s *DBServer) streamRecords(ctx context.Context, conn net.Conn, writeMu *sync.Mutex, name string, from wal.Pos) {
+func (s *DBServer) streamRecords(ctx context.Context, pc *peerConn, name string, from wal.Pos) {
 	t, err := s.db.WALTail(from)
 	if err != nil {
 		s.logf("tdbd: repl tail for %s: %v", name, err)
@@ -392,7 +284,7 @@ func (s *DBServer) streamRecords(ctx context.Context, conn net.Conn, writeMu *sy
 			end = pos
 			size += recordWireSize(&rec)
 		}
-		if err := writeReplRecordsFrame(conn, writeMu, cursor, end, recs); err != nil {
+		if err := writeReplRecordsFrame(pc, &pc.writeMu, cursor, end, recs); err != nil {
 			return
 		}
 		cursor = end
@@ -434,45 +326,13 @@ type ReplStream struct {
 // *db.NotPrimaryError); an unreachable peer errors with ErrUnavailable
 // in the chain. ctx bounds the exchange only.
 func OpenReplication(ctx context.Context, addr, name string, from wal.Pos) (*ReplStream, error) {
-	var dl net.Dialer
-	c, err := dl.DialContext(ctx, "tcp", addr)
+	c, fr, resp, err := dialPeer(ctx, addr, &Request{Op: OpReplicate, Subscriber: name, ReplFrom: from})
 	if err != nil {
-		return nil, wrapUnavail(fmt.Errorf("transport: dial %s: %w", addr, err))
-	}
-	br := bufio.NewReader(c)
-	fr := newFrameReader(br, nil)
-	stop := context.AfterFunc(ctx, func() { c.SetDeadline(time.Unix(1, 0)) })
-	resp, err := func() (Response, error) {
-		if err := clientHandshake(c, br); err != nil {
-			return Response{}, err
-		}
-		req := Request{Op: OpReplicate, Subscriber: name, ReplFrom: from}
-		if err := writeRequestFrame(c, nil, 1, &req); err != nil {
-			return Response{}, err
-		}
-		for {
-			typ, id, payload, err := fr.Read()
-			if err != nil {
-				return Response{}, err
-			}
-			if typ != frameResponse || id != 1 {
-				continue
-			}
-			return decodeResponse(payload)
-		}
-	}()
-	if !stop() && err == nil {
-		err = ctx.Err()
-	}
-	if err != nil {
-		c.Close()
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return nil, ctxErr
-		}
-		return nil, wrapUnavail(err)
+		return nil, err
 	}
 	switch resp.Code {
 	case CodeOK:
+		return &ReplStream{c: c, fr: fr, snap: resp.ReplSnapshot, start: resp.ReplPos}, nil
 	case CodeNotPrimary:
 		c.Close()
 		return nil, fmt.Errorf("%w: %w", ErrNotPrimary, &db.NotPrimaryError{Leader: resp.Leader})
@@ -480,7 +340,6 @@ func OpenReplication(ctx context.Context, addr, name string, from wal.Pos) (*Rep
 		c.Close()
 		return nil, fmt.Errorf("transport: replicate: %s", resp.Err)
 	}
-	return &ReplStream{c: c, fr: fr, snap: resp.ReplSnapshot, start: resp.ReplPos}, nil
 }
 
 // SnapshotMode reports whether a full state image precedes the record
@@ -546,7 +405,7 @@ func (r *ReplStream) Close() { r.c.Close() }
 
 // --- Client status & promotion ------------------------------------------
 
-// NodeStatus is the protocol-v5 ping payload: the serving node's
+// NodeStatus is the ping payload: the serving node's
 // replication role and durability health.
 type NodeStatus struct {
 	Role      string // "primary" or "standby"
@@ -560,13 +419,7 @@ type NodeStatus struct {
 // Status pings the server and returns its replication role and
 // durability health.
 func (c *DBClient) Status(ctx context.Context) (NodeStatus, error) {
-	resp, err := c.mx.roundTrip(ctx, Request{Op: OpPing})
-	if err != nil {
-		return NodeStatus{}, err
-	}
-	if resp.Code != CodeOK {
-		return NodeStatus{}, fmt.Errorf("transport: ping: %s", resp.Err)
-	}
+	resp, err := c.call(ctx, Request{Op: OpPing})
 	return NodeStatus{
 		Role:      resp.Role,
 		Leader:    resp.Leader,
@@ -574,19 +427,13 @@ func (c *DBClient) Status(ctx context.Context) (NodeStatus, error) {
 		HealthErr: resp.HealthErr,
 		Lag:       resp.ReplLag,
 		Counter:   resp.ReplCounter,
-	}, nil
+	}, err
 }
 
 // Promote turns the standby this client is connected to into a
 // writable primary and returns the version counter it starts from.
 // Promoting a primary is a no-op (and returns its current counter).
 func (c *DBClient) Promote(ctx context.Context) (uint64, error) {
-	resp, err := c.mx.roundTrip(ctx, Request{Op: OpPromote})
-	if err != nil {
-		return 0, err
-	}
-	if resp.Code != CodeOK {
-		return 0, fmt.Errorf("transport: promote: %s", resp.Err)
-	}
-	return resp.ReplCounter, nil
+	resp, err := c.call(ctx, Request{Op: OpPromote})
+	return resp.ReplCounter, err
 }

@@ -92,7 +92,7 @@ func TestPingBothServers(t *testing.T) {
 
 func TestUpdateAndGetOverWire(t *testing.T) {
 	s := newStack(t, core.StrategyAbort)
-	v, err := s.dbCli.Update(bg, nil, []KeyValue{{Key: "k", Value: kv.Value("hello")}})
+	v, err := s.dbCli.ValidatedUpdate(bg, nil, []KeyValue{{Key: "k", Value: kv.Value("hello")}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,13 +122,13 @@ func TestGetMissOverWire(t *testing.T) {
 
 func TestInvalidationsFlowOverWire(t *testing.T) {
 	s := newStack(t, core.StrategyAbort)
-	if _, err := s.dbCli.Update(bg, nil, []KeyValue{{Key: "k", Value: kv.Value("v1")}}); err != nil {
+	if _, err := s.dbCli.ValidatedUpdate(bg, nil, []KeyValue{{Key: "k", Value: kv.Value("v1")}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.cli.Get(bg, "k"); err != nil { // cache k@v1
 		t.Fatal(err)
 	}
-	if _, err := s.dbCli.Update(bg, nil, []KeyValue{{Key: "k", Value: kv.Value("v2")}}); err != nil {
+	if _, err := s.dbCli.ValidatedUpdate(bg, nil, []KeyValue{{Key: "k", Value: kv.Value("v2")}}); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -184,7 +184,7 @@ func TestTransactionalReadDetectionOverWire(t *testing.T) {
 	dbCli, cli := newLossyStack(t, core.StrategyAbort)
 	seed := func(k kv.Key, v string) {
 		t.Helper()
-		if _, err := dbCli.Update(bg, nil, []KeyValue{{Key: k, Value: kv.Value(v)}}); err != nil {
+		if _, err := dbCli.ValidatedUpdate(bg, nil, []KeyValue{{Key: k, Value: kv.Value(v)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -194,7 +194,7 @@ func TestTransactionalReadDetectionOverWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One update transaction rewrites both; no invalidations arrive.
-	if _, err := dbCli.Update(bg, []kv.Key{"a", "b"}, []KeyValue{
+	if _, err := dbCli.ValidatedUpdate(bg, nil, []KeyValue{
 		{Key: "a", Value: kv.Value("a1")},
 		{Key: "b", Value: kv.Value("b1")},
 	}); err != nil {
@@ -213,13 +213,13 @@ func TestTransactionalReadDetectionOverWire(t *testing.T) {
 
 func TestRetryHealsOverWire(t *testing.T) {
 	dbCli, cli := newLossyStack(t, core.StrategyRetry)
-	if _, err := dbCli.Update(bg, nil, []KeyValue{{Key: "b", Value: kv.Value("b0")}}); err != nil {
+	if _, err := dbCli.ValidatedUpdate(bg, nil, []KeyValue{{Key: "b", Value: kv.Value("b0")}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := cli.Get(bg, "b"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dbCli.Update(bg, []kv.Key{"a", "b"}, []KeyValue{
+	if _, err := dbCli.ValidatedUpdate(bg, nil, []KeyValue{
 		{Key: "a", Value: kv.Value("a1")},
 		{Key: "b", Value: kv.Value("b1")},
 	}); err != nil {
@@ -237,7 +237,7 @@ func TestRetryHealsOverWire(t *testing.T) {
 
 func TestCacheStatsOverWire(t *testing.T) {
 	s := newStack(t, core.StrategyAbort)
-	if _, err := s.dbCli.Update(bg, nil, []KeyValue{{Key: "k", Value: kv.Value("v")}}); err != nil {
+	if _, err := s.dbCli.ValidatedUpdate(bg, nil, []KeyValue{{Key: "k", Value: kv.Value("v")}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.cli.Get(bg, "k"); err != nil {
@@ -261,7 +261,7 @@ func TestConflictSurfacesOverWire(t *testing.T) {
 	// path only on deadlock/timeout; instead exercise CodeError with an
 	// update against a closed DB.
 	s.db.Close()
-	_, err := s.dbCli.Update(bg, nil, []KeyValue{{Key: "k", Value: kv.Value("v")}})
+	_, err := s.dbCli.ValidatedUpdate(bg, nil, []KeyValue{{Key: "k", Value: kv.Value("v")}})
 	if err == nil {
 		t.Fatal("update against closed DB succeeded")
 	}
@@ -269,14 +269,14 @@ func TestConflictSurfacesOverWire(t *testing.T) {
 
 func TestUnknownOpRejected(t *testing.T) {
 	s := newStack(t, core.StrategyAbort)
-	resp, err := s.cli.mx.roundTrip(bg, Request{Op: "bogus"})
+	resp, err := s.cli.roundTrip(bg, Request{Op: "bogus"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resp.Code != CodeError {
 		t.Fatalf("code = %v", resp.Code)
 	}
-	resp, err = s.dbCli.mx.roundTrip(bg, Request{Op: "bogus"})
+	resp, err = s.dbCli.roundTrip(bg, Request{Op: "bogus"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestConcurrentWireClients(t *testing.T) {
 	s := newStack(t, core.StrategyRetry)
 	for i := 0; i < 20; i++ {
 		k := kv.Key(fmt.Sprintf("k%d", i))
-		if _, err := s.dbCli.Update(bg, nil, []KeyValue{{Key: k, Value: kv.Value("v")}}); err != nil {
+		if _, err := s.dbCli.ValidatedUpdate(bg, nil, []KeyValue{{Key: k, Value: kv.Value("v")}}); err != nil {
 			t.Fatal(err)
 		}
 	}

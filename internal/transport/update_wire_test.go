@@ -1,12 +1,12 @@
 package transport
 
-// Tests for the protocol-v4 validated update: the OpUpdate form that
-// carries observed read versions, the conflict detail coming back over
-// the wire, and the cache server's mid-tier relay with synchronous
-// self-invalidation.
+// Tests for OpUpdate: observed read versions validated at the database,
+// the conflict detail coming back over the wire, and the cache server's
+// mid-tier relay with synchronous self-invalidation.
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"tcache/internal/core"
@@ -20,7 +20,7 @@ import (
 // committed version — matchable under both ErrConflict identities.
 func TestValidatedUpdateOverWire(t *testing.T) {
 	s := newStack(t, core.StrategyAbort)
-	v1, err := s.dbCli.Update(bg, nil, []KeyValue{{Key: "k", Value: kv.Value("v1")}})
+	v1, err := s.dbCli.ValidatedUpdate(bg, nil, []KeyValue{{Key: "k", Value: kv.Value("v1")}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func silentMidTier(t *testing.T) (dbCli *DBClient, cache *core.Cache, cacheAddr 
 // serves the new value immediately after the update returns.
 func TestMidTierRelaysValidatedUpdate(t *testing.T) {
 	dbCli, _, cacheAddr := silentMidTier(t)
-	v1, err := dbCli.Update(bg, nil, []KeyValue{{Key: "k", Value: kv.Value("old")}})
+	v1, err := dbCli.ValidatedUpdate(bg, nil, []KeyValue{{Key: "k", Value: kv.Value("old")}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestMidTierRelaysValidatedUpdate(t *testing.T) {
 
 	// Conflict healing at the relay: let the DB move on underneath the
 	// mid-tier's (now re-cached) copy, then fail a validation through it.
-	v3, err := dbCli.Update(bg, nil, []KeyValue{{Key: "k", Value: kv.Value("newer")}})
+	v3, err := dbCli.ValidatedUpdate(bg, nil, []KeyValue{{Key: "k", Value: kv.Value("newer")}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,65 +163,58 @@ func TestMidTierRelaysValidatedUpdate(t *testing.T) {
 	}
 }
 
-// TestMidTierRejectsLegacyUpdate: the cache server only relays the
-// validated form; the static-set op is a DB-server-only legacy.
-func TestMidTierRejectsLegacyUpdate(t *testing.T) {
-	_, _, cacheAddr := silentMidTier(t)
+// TestUpdateAnsweredAlikeByBothTiers: there is one update op, so a tdbd
+// and a tcached relaying to it give the same answer to the same request
+// — an update with no writes commits nothing, successfully; one whose
+// observed versions are stale is a CodeConflict naming the stale key
+// and the version now committed.
+func TestUpdateAnsweredAlikeByBothTiers(t *testing.T) {
+	dbCli, _, cacheAddr := silentMidTier(t)
 	edge, err := DialDB(bg, cacheAddr, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer edge.Close()
-	if _, err := edge.Update(bg, nil, []KeyValue{{Key: "k", Value: kv.Value("x")}}); err == nil {
-		t.Fatal("legacy static-set update accepted by the cache server")
-	}
-}
-
-// TestValidatedUpdateCodecRoundTrip pins the v4 fields through the
-// codec: observed reads on requests (including the nil/empty
-// distinction that selects the op form) and the conflict detail on
-// responses.
-func TestValidatedUpdateCodecRoundTrip(t *testing.T) {
-	req := Request{
-		Op:     OpUpdate,
-		Writes: []KeyValue{{Key: "w", Value: kv.Value("v")}},
-		ReadVersions: []ObservedRead{
-			{Key: "a", Version: kv.Version{Counter: 7, Node: 2}, Found: true},
-			{Key: "gone", Found: false},
-		},
-	}
-	b := appendRequest(nil, &req)
-	got, err := decodeRequest(b)
+	v1, err := dbCli.ValidatedUpdate(bg, nil, []KeyValue{{Key: "k", Value: kv.Value("v1")}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.ReadVersions) != 2 || got.ReadVersions[0] != req.ReadVersions[0] || got.ReadVersions[1] != req.ReadVersions[1] {
-		t.Fatalf("ReadVersions = %+v", got.ReadVersions)
-	}
-
-	// nil (legacy) vs empty (validated blind write) must survive.
-	legacy := Request{Op: OpUpdate}
-	if got, err := decodeRequest(appendRequest(nil, &legacy)); err != nil || got.ReadVersions != nil {
-		t.Fatalf("nil ReadVersions decoded as %+v, %v", got.ReadVersions, err)
-	}
-	blind := Request{Op: OpUpdate, ReadVersions: []ObservedRead{}}
-	if got, err := decodeRequest(appendRequest(nil, &blind)); err != nil || got.ReadVersions == nil || len(got.ReadVersions) != 0 {
-		t.Fatalf("empty ReadVersions decoded as %+v, %v", got.ReadVersions, err)
-	}
-
-	resp := Response{
-		Code:            CodeConflict,
-		Err:             "stale",
-		ConflictKey:     "a",
-		ConflictVersion: kv.Version{Counter: 9, Node: 1},
-		ConflictFound:   true,
-	}
-	rb := appendResponse(nil, &resp)
-	rgot, err := decodeResponse(rb)
+	v2, err := dbCli.ValidatedUpdate(bg, nil, []KeyValue{{Key: "k", Value: kv.Value("v2")}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rgot.ConflictKey != "a" || rgot.ConflictVersion != resp.ConflictVersion || !rgot.ConflictFound {
-		t.Fatalf("conflict detail = %+v", rgot)
+
+	for _, tc := range []struct {
+		name string
+		req  Request
+		want Response
+	}{
+		{"no reads, no writes", Request{Op: OpUpdate}, Response{Code: CodeOK}},
+		{"fresh read, no writes",
+			Request{Op: OpUpdate, ReadVersions: []ObservedRead{{Key: "k", Version: v2, Found: true}}},
+			Response{Code: CodeOK}},
+		{"stale read",
+			Request{Op: OpUpdate,
+				ReadVersions: []ObservedRead{{Key: "k", Version: v1, Found: true}},
+				Writes:       []KeyValue{{Key: "k", Value: kv.Value("doomed")}}},
+			Response{Code: CodeConflict, ConflictKey: "k", ConflictVersion: v2, ConflictFound: true}},
+		{"stale absence",
+			Request{Op: OpUpdate, ReadVersions: []ObservedRead{{Key: "k"}}},
+			Response{Code: CodeConflict, ConflictKey: "k", ConflictVersion: v2, ConflictFound: true}},
+	} {
+		for tier, cli := range map[string]*DBClient{"tdbd": dbCli, "tcached": edge} {
+			got, err := cli.roundTrip(bg, tc.req)
+			if err != nil {
+				t.Fatalf("%s via %s: %v", tc.name, tier, err)
+			}
+			// Only the commit version and the error prose are free to vary.
+			got.Version, got.Err = kv.Version{}, ""
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("%s via %s = %+v, want %+v", tc.name, tier, got, tc.want)
+			}
+		}
+	}
+	if item, _, _ := dbCli.ReadItem(bg, "k"); string(item.Value) != "v2" {
+		t.Fatalf("a rejected or write-less update changed k to %q", item.Value)
 	}
 }

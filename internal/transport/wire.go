@@ -12,6 +12,7 @@ package transport
 import (
 	"fmt"
 
+	"tcache/internal/db"
 	"tcache/internal/kv"
 	"tcache/internal/wal"
 )
@@ -29,13 +30,10 @@ const (
 	// OpGetBatch reads many items in one round trip (DB server); the
 	// response carries one Lookup per requested key, positionally.
 	OpGetBatch Op = "get-batch"
-	// OpUpdate runs one update transaction. With ReadVersions set
-	// (protocol v4, the unified write path) the server validates the
-	// observed read versions and commits the Writes atomically, or
-	// rejects with CodeConflict; a cache server relays the op to its own
-	// backend, so edge clients commit through the mid-tier. Without
-	// ReadVersions it is the legacy static-set form: read the Reads set
-	// under locks, then write the Writes set (DB server only).
+	// OpUpdate runs one update transaction: the server validates the
+	// observed ReadVersions under lock and commits the Writes atomically,
+	// or rejects with CodeConflict. A cache server relays the op to its
+	// own backend, so edge clients commit through the mid-tier.
 	OpUpdate Op = "update"
 	// OpSubscribe switches a DB-server connection into a push stream of
 	// invalidations.
@@ -53,13 +51,13 @@ const (
 	// OpStats fetches the cache server's counters.
 	OpStats Op = "stats"
 	// OpReplicate switches a DB-server connection into the replication
-	// stream (protocol v5): the server answers with the stream mode
+	// stream: the server answers with the stream mode
 	// (resume or full snapshot), then pushes snapshot-entry and
 	// WAL-record frames; the standby sends ack frames back on the same
 	// connection. Primary only.
 	OpReplicate Op = "replicate"
-	// OpPromote turns a standby into a writable primary (protocol v5).
-	// Idempotent on a primary.
+	// OpPromote turns a standby into a writable primary. Idempotent on a
+	// primary.
 	OpPromote Op = "promote"
 )
 
@@ -83,13 +81,11 @@ type Request struct {
 	Keys []kv.Key
 	// Subscriber names the invalidation subscription (OpSubscribe).
 	Subscriber string
-	Reads      []kv.Key
-	Writes     []KeyValue
-	// ReadVersions is the observed read set of a validated OpUpdate
-	// (protocol v4): the server re-reads each key under lock and commits
-	// the Writes only if every version (and presence) still matches.
-	// nil selects the legacy static-set update; an empty non-nil slice is
-	// a blind validated write.
+	// Writes is the write set of an OpUpdate.
+	Writes []KeyValue
+	// ReadVersions is the observed read set of an OpUpdate: the server
+	// re-reads each key under lock and commits the Writes only if every
+	// version (and presence) still matches. Empty is a blind write.
 	ReadVersions []ObservedRead
 	// MinVersion is the read floor of OpGet and OpGetBatch on a cache
 	// server: a cached entry older than this is refetched from the
@@ -98,9 +94,8 @@ type Request struct {
 	// handed stale data by a failed-over node. The zero version means no
 	// floor; the DB server ignores it (its reads are always current).
 	MinVersion kv.Version
-	// ReplFrom is the resume cursor of an OpReplicate request (protocol
-	// v5): the primary-log position after the last record this standby
-	// applied. The zero position (a fresh or restarted standby) asks for
+	// ReplFrom is the resume cursor of an OpReplicate request: the
+	// primary-log position after the last record this standby applied. The zero position (a fresh or restarted standby) asks for
 	// a full state transfer; a non-zero position resumes the stream there
 	// if the segment is still live, falling back to a snapshot otherwise.
 	// The replica's identity rides in Subscriber.
@@ -124,8 +119,8 @@ const (
 	CodeConflict
 	// CodeError carries any other failure in Err.
 	CodeError
-	// CodeNotPrimary rejects a write sent to a standby (protocol v5);
-	// Leader, when set, names the primary to redirect to.
+	// CodeNotPrimary rejects a write sent to a standby; Leader, when set,
+	// names the primary to redirect to.
 	CodeNotPrimary
 )
 
@@ -164,8 +159,8 @@ type Response struct {
 	Values []kv.Value
 	// Stats is set for OpStats.
 	Stats map[string]uint64
-	// ConflictKey and ConflictVersion detail a CodeConflict from a
-	// validated OpUpdate (protocol v4): the observed read that failed
+	// ConflictKey and ConflictVersion detail a CodeConflict from an
+	// OpUpdate: the observed read that failed
 	// validation and the version now committed for it (ConflictFound
 	// false means the key no longer exists). An optimistic client uses
 	// them to invalidate its stale copy before retrying. Empty when the
@@ -173,8 +168,6 @@ type Response struct {
 	ConflictKey     kv.Key
 	ConflictVersion kv.Version
 	ConflictFound   bool
-	// Replication fields (protocol v5).
-	//
 	// Role and Leader report the serving node's replication role on
 	// OpPing, OpPromote, and CodeNotPrimary rejections; Leader is the
 	// primary's advertised address when this node is a standby that knows
@@ -199,7 +192,4 @@ type Response struct {
 }
 
 // Invalidation is pushed on subscription connections.
-type Invalidation struct {
-	Key     kv.Key
-	Version kv.Version
-}
+type Invalidation = db.Invalidation

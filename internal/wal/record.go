@@ -1,30 +1,23 @@
 package wal
 
-// On-disk record codec: length-prefixed binary frames in the PR-3 wire
-// idiom — varint fields, CRC32C per frame, sync.Pool-ed encode buffers,
-// no reflection. Every frame is
+// On-disk framing. Every frame is
 //
 //	[4] payload length (LE uint32)
 //	[4] CRC32C of payload (LE uint32)
 //	[…] payload
 //
 // and the first payload byte is the frame kind, so segments and
-// snapshots share one framing and one decoder. Decoders copy keys,
-// values and dependency keys out of the file buffer: recovered items
-// live for the life of the process and must not pin 64 MiB segment
-// reads.
-//
-// The structs below are annotated //tcache:wire so tcachelint's
-// wireexhaustive analyzer proves every field is referenced by both its
-// encoder and its decoder — the on-disk format cannot silently drift.
+// snapshots share one framing. What follows the kind byte is laid out
+// by internal/codec — the same record and entry encoding the
+// replication stream ships — decoded in Copy mode: recovered items live
+// for the life of the process and must not pin 64 MiB segment reads.
 
 import (
 	"encoding/binary"
-	"errors"
 	"hash/crc32"
 	"sync"
 
-	"tcache/internal/kv"
+	"tcache/internal/codec"
 )
 
 // Frame kinds. Segments hold only kindCommit frames; snapshot files are
@@ -47,41 +40,12 @@ const frameHeaderSize = 8
 // amd64/arm64), shared by all frame writers and readers.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Entry is one written object within a committed transaction.
-//
-//tcache:wire encode=appendEntry decode=decodeEntry
-type Entry struct {
-	Key   kv.Key
-	Value kv.Value
-	Deps  kv.DepList
-}
-
-// Record is one committed update transaction: the commit version and
-// every object it wrote. Replay applies records in log order, so the
-// last record writing a key decides its recovered state.
-//
-//tcache:wire encode=appendRecordPayload decode=decodeRecordPayload
-type Record struct {
-	Version kv.Version
-	Writes  []Entry
-}
-
-// SnapshotEntry is one live object in a snapshot: unlike a commit
-// record, each entry carries its own version (different keys in one
-// snapshot were committed at different times).
-//
-//tcache:wire encode=appendSnapshotEntry decode=decodeSnapshotEntry
-type SnapshotEntry struct {
-	Key     kv.Key
-	Value   kv.Value
-	Version kv.Version
-	Deps    kv.DepList
-}
-
-// errTruncatedPayload reports a frame payload that ended mid-field; the
-// replay layer classifies it as corruption (the CRC already matched, so
-// the bytes were written this way).
-var errTruncatedPayload = errors.New("wal: truncated frame payload")
+// The logged values; their byte layout lives in internal/codec.
+type (
+	Entry         = codec.Entry
+	Record        = codec.Record
+	SnapshotEntry = codec.SnapshotEntry
+)
 
 // --- Encode buffers -----------------------------------------------------
 
@@ -104,78 +68,14 @@ func putBuf(b *[]byte) {
 	bufPool.Put(b)
 }
 
-// --- Primitive encoders -------------------------------------------------
-//
-// Byte slices and element counts are nil-aware — 0 encodes nil, n+1
-// encodes length n — so decode(encode(x)) reproduces x exactly,
-// including the nil/empty distinction.
-
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-func appendBytesNil(b, p []byte) []byte {
-	if p == nil {
-		return binary.AppendUvarint(b, 0)
-	}
-	b = binary.AppendUvarint(b, uint64(len(p))+1)
-	return append(b, p...)
-}
-
-func appendCountNil(b []byte, n int) []byte {
-	if n < 0 {
-		return binary.AppendUvarint(b, 0)
-	}
-	return binary.AppendUvarint(b, uint64(n)+1)
-}
-
-func appendVersion(b []byte, v kv.Version) []byte {
-	b = binary.AppendUvarint(b, v.Counter)
-	return binary.AppendUvarint(b, uint64(v.Node))
-}
-
-func appendDepList(b []byte, l kv.DepList) []byte {
-	if l == nil {
-		return appendCountNil(b, -1)
-	}
-	b = appendCountNil(b, len(l))
-	for _, e := range l {
-		b = appendString(b, string(e.Key))
-		b = appendVersion(b, e.Version)
-	}
-	return b
-}
-
-// appendEntry encodes one commit-record write.
-func appendEntry(b []byte, e *Entry) []byte {
-	b = appendString(b, string(e.Key))
-	b = appendBytesNil(b, e.Value)
-	return appendDepList(b, e.Deps)
-}
-
 // appendRecordPayload encodes a commit record's frame payload.
 func appendRecordPayload(b []byte, rec *Record) []byte {
-	b = append(b, kindCommit)
-	b = appendVersion(b, rec.Version)
-	if rec.Writes == nil {
-		b = appendCountNil(b, -1)
-		return b
-	}
-	b = appendCountNil(b, len(rec.Writes))
-	for i := range rec.Writes {
-		b = appendEntry(b, &rec.Writes[i])
-	}
-	return b
+	return codec.AppendRecord(append(b, kindCommit), rec)
 }
 
 // appendSnapshotEntry encodes one snapshot entry's frame payload.
 func appendSnapshotEntry(b []byte, e *SnapshotEntry) []byte {
-	b = append(b, kindSnapEntry)
-	b = appendString(b, string(e.Key))
-	b = appendBytesNil(b, e.Value)
-	b = appendVersion(b, e.Version)
-	return appendDepList(b, e.Deps)
+	return codec.AppendSnapshotEntry(append(b, kindSnapEntry), e)
 }
 
 // appendFramed appends the [len][crc] header and payload to dst.
@@ -187,179 +87,14 @@ func appendFramed(dst, payload []byte) []byte {
 	return append(dst, payload...)
 }
 
-// --- Decoder ------------------------------------------------------------
-
-// payloadReader walks one frame payload. Every accessor bounds-checks
-// and returns errTruncatedPayload instead of panicking; element counts
-// are validated against the remaining payload before any allocation.
-type payloadReader struct {
-	b   []byte
-	off int
-}
-
-func (d *payloadReader) remaining() int { return len(d.b) - d.off }
-
-func (d *payloadReader) byte() (byte, error) {
-	if d.remaining() < 1 {
-		return 0, errTruncatedPayload
-	}
-	v := d.b[d.off]
-	d.off++
-	return v, nil
-}
-
-func (d *payloadReader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(d.b[d.off:])
-	if n <= 0 {
-		return 0, errTruncatedPayload
-	}
-	d.off += n
-	return v, nil
-}
-
-func (d *payloadReader) take(n int) ([]byte, error) {
-	if n < 0 || d.remaining() < n {
-		return nil, errTruncatedPayload
-	}
-	p := d.b[d.off : d.off+n : d.off+n]
-	d.off += n
-	return p, nil
-}
-
-// string decodes a length-prefixed string, copying out of the buffer.
-func (d *payloadReader) string() (string, error) {
-	n, err := d.uvarint()
-	if err != nil {
-		return "", err
-	}
-	p, err := d.take(int(n))
-	if err != nil {
-		return "", err
-	}
-	return string(p), nil
-}
-
-// bytesNil decodes a nil-aware byte slice, copying out of the buffer
-// (recovered values outlive the segment read).
-func (d *payloadReader) bytesNil() ([]byte, error) {
-	n, err := d.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	p, err := d.take(int(n) - 1)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, len(p))
-	copy(out, p)
-	return out, nil
-}
-
-// countNil decodes a nil-aware element count, validated against the
-// remaining payload at minBytes per element. Returns -1 for nil. The
-// guard divides instead of multiplying so a hostile count near 2^64
-// cannot overflow past it.
-func (d *payloadReader) countNil(minBytes int) (int, error) {
-	c, err := d.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if c == 0 {
-		return -1, nil
-	}
-	n := int(c - 1)
-	if n < 0 || n > d.remaining()/minBytes {
-		return 0, errTruncatedPayload
-	}
-	return n, nil
-}
-
-func (d *payloadReader) version() (kv.Version, error) {
-	c, err := d.uvarint()
-	if err != nil {
-		return kv.Version{}, err
-	}
-	node, err := d.uvarint()
-	if err != nil {
-		return kv.Version{}, err
-	}
-	return kv.Version{Counter: c, Node: uint32(node)}, nil
-}
-
-func (d *payloadReader) depList() (kv.DepList, error) {
-	n, err := d.countNil(3) // key len + version counter + node, 1 byte each minimum
-	if err != nil {
-		return nil, err
-	}
-	if n < 0 {
-		return nil, nil
-	}
-	l := make(kv.DepList, n)
-	for i := range l {
-		key, err := d.string()
-		if err != nil {
-			return nil, err
-		}
-		ver, err := d.version()
-		if err != nil {
-			return nil, err
-		}
-		l[i] = kv.DepEntry{Key: kv.Key(key), Version: ver}
-	}
-	return l, nil
-}
-
-// decodeEntry decodes one commit-record write.
-func decodeEntry(d *payloadReader) (Entry, error) {
-	var e Entry
-	key, err := d.string()
-	if err != nil {
-		return e, err
-	}
-	e.Key = kv.Key(key)
-	val, err := d.bytesNil()
-	if err != nil {
-		return e, err
-	}
-	e.Value = kv.Value(val)
-	e.Deps, err = d.depList()
-	return e, err
-}
-
 // decodeRecordPayload decodes a commit record from a frame payload
 // (including the kind byte). Trailing payload bytes are an error: the
 // CRC matched, so extra bytes mean an encoder/decoder mismatch.
 func decodeRecordPayload(p []byte) (Record, error) {
-	d := &payloadReader{b: p}
-	kind, err := d.byte()
-	if err != nil {
-		return Record{}, err
-	}
-	if kind != kindCommit {
-		return Record{}, errTruncatedPayload
-	}
-	var rec Record
-	if rec.Version, err = d.version(); err != nil {
-		return Record{}, err
-	}
-	// Minimum entry: 1-byte key length + nil value + nil dep list.
-	n, err := d.countNil(3)
-	if err != nil {
-		return Record{}, err
-	}
-	if n >= 0 {
-		rec.Writes = make([]Entry, n)
-		for i := range rec.Writes {
-			if rec.Writes[i], err = decodeEntry(d); err != nil {
-				return Record{}, err
-			}
-		}
-	}
-	if d.remaining() != 0 {
-		return Record{}, errTruncatedPayload
+	d := codec.Decoder{B: p, Copy: true}
+	kind, rec := d.Byte(), codec.DecodeRecord(&d)
+	if kind != kindCommit || d.Err() != nil || d.Remaining() != 0 {
+		return Record{}, codec.ErrTruncated
 	}
 	return rec, nil
 }
@@ -367,43 +102,19 @@ func decodeRecordPayload(p []byte) (Record, error) {
 // decodeSnapshotEntry decodes one snapshot entry from a frame payload
 // (including the kind byte).
 func decodeSnapshotEntry(p []byte) (SnapshotEntry, error) {
-	d := &payloadReader{b: p}
-	kind, err := d.byte()
-	if err != nil {
-		return SnapshotEntry{}, err
-	}
-	if kind != kindSnapEntry {
-		return SnapshotEntry{}, errTruncatedPayload
-	}
-	var e SnapshotEntry
-	key, err := d.string()
-	if err != nil {
-		return SnapshotEntry{}, err
-	}
-	e.Key = kv.Key(key)
-	val, err := d.bytesNil()
-	if err != nil {
-		return SnapshotEntry{}, err
-	}
-	e.Value = kv.Value(val)
-	if e.Version, err = d.version(); err != nil {
-		return SnapshotEntry{}, err
-	}
-	if e.Deps, err = d.depList(); err != nil {
-		return SnapshotEntry{}, err
-	}
-	if d.remaining() != 0 {
-		return SnapshotEntry{}, errTruncatedPayload
+	d := codec.Decoder{B: p, Copy: true}
+	kind, e := d.Byte(), codec.DecodeSnapshotEntry(&d)
+	if kind != kindSnapEntry || d.Err() != nil || d.Remaining() != 0 {
+		return SnapshotEntry{}, codec.ErrTruncated
 	}
 	return e, nil
 }
 
-// encodeRecord frames rec for a commit record count of n writes. The
-// count guard in appendRecordPayload's decoder mirror requires count
-// encoding to stay in sync; see decodeRecordPayload.
-func encodeRecord(rec *Record) (frame []byte, release func(), err error) {
+// encodeRecord encodes rec's frame payload into a pooled buffer; the
+// caller frames it and then calls release.
+func encodeRecord(rec *Record) (payload []byte, release func(), err error) {
 	buf := getBuf()
-	payload := appendRecordPayload((*buf)[:0], rec)
+	payload = appendRecordPayload((*buf)[:0], rec)
 	*buf = payload
 	if len(payload) > maxRecordSize {
 		putBuf(buf)

@@ -22,6 +22,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+
+	"tcache/internal/codec"
 )
 
 // SnapshotWriter streams one checkpoint. Not safe for concurrent use;
@@ -210,9 +212,9 @@ func readSnapshotFile(path string, cut uint64, h ReplayHandler) (counter uint64,
 	if class != frameOK || len(payload) < 1 || payload[0] != kindSnapMeta {
 		return corrupt("missing meta frame")
 	}
-	d := &payloadReader{b: payload, off: 1}
-	counter, derr := d.uvarint()
-	if derr != nil || d.remaining() != 0 {
+	d := codec.Decoder{B: payload, Off: 1}
+	counter = d.Uvarint()
+	if d.Err() != nil || d.Remaining() != 0 {
 		return corrupt("bad meta frame")
 	}
 	off = next
@@ -226,9 +228,9 @@ func readSnapshotFile(path string, cut uint64, h ReplayHandler) (counter uint64,
 			return corrupt(fmt.Sprintf("unreadable frame at offset %d: %s", off, classReason(class)))
 		}
 		if payload[0] == kindSnapFooter {
-			d := &payloadReader{b: payload, off: 1}
-			want, derr := d.uvarint()
-			if derr != nil || d.remaining() != 0 {
+			d := codec.Decoder{B: payload, Off: 1}
+			want := d.Uvarint()
+			if d.Err() != nil || d.Remaining() != 0 {
 				return corrupt("bad footer frame")
 			}
 			if want != uint64(entries) {

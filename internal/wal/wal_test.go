@@ -95,53 +95,33 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRecordCodecExact(t *testing.T) {
-	// decode(encode(x)) must reproduce x exactly, including the
-	// nil/empty distinctions.
-	cases := []Record{
-		{Version: kv.Version{Counter: 1, Node: 7}},
-		{Version: v(2), Writes: []Entry{{Key: "k", Value: nil, Deps: nil}}},
-		{Version: v(3), Writes: []Entry{{Key: "k", Value: kv.Value{}, Deps: kv.DepList{}}}},
-		{Version: v(4), Writes: []Entry{
-			{Key: "a", Value: kv.Value("x"), Deps: kv.DepList{{Key: "b", Version: kv.Version{Counter: 9, Node: 3}}}},
-			{Key: "", Value: kv.Value{0, 1, 2}, Deps: nil},
-		}},
+// TestFramePayloadStrictness covers what the WAL adds around the shared
+// codec (whose own round-trip, truncation and hostile-count tests live
+// in internal/codec): the kind byte must match the frame's role, and —
+// the CRC having matched — trailing bytes mean an encoder/decoder
+// mismatch, not a torn write.
+func TestFramePayloadStrictness(t *testing.T) {
+	r := rec(1, "k")
+	payload := appendRecordPayload(nil, &r)
+	if got, err := decodeRecordPayload(payload); err != nil || got.Version != r.Version || len(got.Writes) != len(r.Writes) {
+		t.Fatalf("decodeRecordPayload = %+v, %v", got, err)
 	}
-	for i, want := range cases {
-		payload := appendRecordPayload(nil, &want)
-		got, err := decodeRecordPayload(payload)
-		if err != nil {
-			t.Fatalf("case %d: decode: %v", i, err)
-		}
-		if got.Version != want.Version || len(got.Writes) != len(want.Writes) {
-			t.Fatalf("case %d: got %+v want %+v", i, got, want)
-		}
-		for j := range want.Writes {
-			w, g := want.Writes[j], got.Writes[j]
-			if g.Key != w.Key || !bytes.Equal(g.Value, w.Value) || (g.Value == nil) != (w.Value == nil) {
-				t.Fatalf("case %d write %d: got %+v want %+v", i, j, g, w)
-			}
-			if !g.Deps.Equal(w.Deps) || (g.Deps == nil) != (w.Deps == nil) {
-				t.Fatalf("case %d write %d deps: got %+v want %+v", i, j, g.Deps, w.Deps)
-			}
-		}
+	if _, err := decodeRecordPayload(append(payload[:len(payload):len(payload)], 0)); err == nil {
+		t.Fatal("commit payload with a trailing byte accepted")
 	}
-}
-
-func TestSnapshotEntryCodecExact(t *testing.T) {
-	want := SnapshotEntry{
-		Key:     "k",
-		Value:   kv.Value("v"),
-		Version: kv.Version{Counter: 42, Node: 2},
-		Deps:    kv.DepList{{Key: "d", Version: v(41)}},
+	if _, err := decodeSnapshotEntry(payload); err == nil {
+		t.Fatal("commit payload accepted as a snapshot entry")
 	}
-	got, err := decodeSnapshotEntry(appendSnapshotEntry(nil, &want))
-	if err != nil {
-		t.Fatal(err)
+	e := SnapshotEntry{Key: "k", Value: kv.Value("v"), Version: v(42)}
+	entry := appendSnapshotEntry(nil, &e)
+	if got, err := decodeSnapshotEntry(entry); err != nil || got.Key != e.Key || got.Version != e.Version {
+		t.Fatalf("decodeSnapshotEntry = %+v, %v", got, err)
 	}
-	if got.Key != want.Key || !bytes.Equal(got.Value, want.Value) ||
-		got.Version != want.Version || !got.Deps.Equal(want.Deps) {
-		t.Fatalf("got %+v want %+v", got, want)
+	if _, err := decodeRecordPayload(entry); err == nil {
+		t.Fatal("snapshot entry accepted as a commit record")
+	}
+	if _, err := decodeRecordPayload(nil); err == nil {
+		t.Fatal("empty payload accepted")
 	}
 }
 

@@ -23,8 +23,8 @@ import (
 //	remote, err := tcache.Dial(ctx, "db.example.com:7070")
 //	cache, err := tcache.NewCache(remote)
 //
-// Reads are multiplexed over a small fixed set of connections (the v2
-// binary wire protocol carries a request id per frame) that redial
+// Reads are multiplexed over a small fixed set of connections (the
+// wire protocol carries a request id per frame) that redial
 // transparently after failures; invalidation subscriptions resubscribe
 // automatically after the stream breaks (server restart, network blip).
 // Invalidations sent while a subscription is down are lost — exactly the
@@ -412,9 +412,6 @@ func (r *Remote) Subscribe(name string, sink func(Invalidation)) (cancel func(),
 		return nil, fmt.Errorf("tcache: %w", transport.ErrClientClosed)
 	}
 	r.mu.Unlock()
-	deliver := func(inv transport.Invalidation) {
-		sink(db.Invalidation{Key: inv.Key, Version: inv.Version})
-	}
 	sctx, scancel := context.WithCancel(r.ctx)
 	// The initial subscribe uses name verbatim and fails loudly (a
 	// duplicate name is a deliberate refusal, not a health signal).
@@ -428,7 +425,7 @@ func (r *Remote) Subscribe(name string, sink func(Invalidation)) (cancel func(),
 		defer close(done)
 		epoch := 0
 		for {
-			stream.Run(sctx, deliver)
+			stream.Run(sctx, sink)
 			if sctx.Err() != nil {
 				return
 			}
@@ -508,11 +505,6 @@ func (r *Remote) resubscribe(ctx context.Context, name string) (*transport.InvSt
 // names and the update is re-sent there — safe, because the rejection
 // happened before anything committed. A transport failure with the
 // outcome unknown is NOT retried.
-//
-// (The historical static-set Remote.Update(ctx, reads, writes) — reads
-// under locks, no versions, no closure — was replaced by the unified
-// API; the transport package's DBClient.Update keeps the raw op for
-// tests.)
 func (r *Remote) ValidatedUpdate(ctx context.Context, reads []ObservedRead, writes []KeyValue) (Version, error) {
 	var version Version
 	err := r.do(ctx, false, func(cli *transport.DBClient) error {
@@ -531,7 +523,7 @@ func (r *Remote) Ping(ctx context.Context) error {
 }
 
 // Status reports the current endpoint's replication role and durability
-// health (protocol v5).
+// health.
 func (r *Remote) Status(ctx context.Context) (transport.NodeStatus, error) {
 	var st transport.NodeStatus
 	err := r.do(ctx, true, func(cli *transport.DBClient) error {
@@ -560,17 +552,9 @@ func (r *Remote) Stats(ctx context.Context) (map[string]uint64, error) {
 // equivalent of running cmd/tdbd. It returns the bound address and a
 // stop function that closes the listener and every connection.
 func ServeDB(d *DB, addr string) (bound string, stop func(), err error) {
-	srv := transport.NewDBServer(d.inner, nil)
-	// Serve the full registry over OpStats: the flat encoding is a strict
-	// superset of the legacy counter map (histograms and gauges ride
-	// along as reserved-suffix keys old clients never look at).
-	reg := telemetry.NewRegistry()
-	d.inner.RegisterMetrics(reg)
-	srv.RegisterMetrics(reg)
-	srv.SetRegistry(reg)
-	bound, err = srv.Listen(addr)
+	n, err := transport.ServeDB(d.inner, transport.DBNodeConfig{Listen: addr})
 	if err != nil {
 		return "", nil, err
 	}
-	return bound, srv.Close, nil
+	return n.Addr(), n.Close, nil
 }

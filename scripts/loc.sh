@@ -1,0 +1,19 @@
+#!/usr/bin/env bash
+# Non-test Go lines per package — the size number ROADMAP tracks next to
+# ns/op (bench/ is the measuring harness, not the measured system, and
+# is excluded, as are dot-directories such as .bench_build/). Prints one "lines  package" row per directory, largest
+# first, then the total.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.*' -print0 |
+  xargs -0 wc -l |
+  awk '$2 != "total" {
+         dir = $2; sub(/\/[^\/]*$/, "", dir); if (dir == ".") dir = "./"
+         lines[dir] += $1; total += $1
+       }
+       END {
+         for (d in lines) printf "%7d  %s\n", lines[d], d | "sort -k1,1nr -k2"
+         close("sort -k1,1nr -k2")
+         printf "%7d  total\n", total
+       }'

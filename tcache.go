@@ -326,19 +326,6 @@ func WithTTL(ttl time.Duration) CacheOption {
 	return func(o *cacheOptions) { o.core.TTL = ttl }
 }
 
-// WithCapacity bounds the number of cached entries (0 = unbounded); the
-// least recently used entry is evicted when full.
-//
-// Deprecated: WithCapacity is the entry-count compatibility shim over
-// the byte-budget eviction subsystem (every entry charged a cost of 1).
-// New code should use WithMaxBytes, which bounds what actually matters
-// — resident memory — and composes with WithEvictionPolicy and
-// WithAdmission. Setting both WithCapacity and WithMaxBytes is an
-// error.
-func WithCapacity(n int) CacheOption {
-	return func(o *cacheOptions) { o.core.Capacity = n }
-}
-
 // WithMaxBytes bounds the cache's resident memory: each entry is
 // charged key length + value length + a fixed per-entry overhead (plus
 // retained older versions under WithMultiversion). 0 = unbounded. The
@@ -350,8 +337,8 @@ func WithMaxBytes(n int64) CacheOption {
 	return func(o *cacheOptions) { o.core.MaxBytes = n }
 }
 
-// EvictionPolicy selects how a bounded cache (WithMaxBytes or the
-// deprecated WithCapacity) chooses eviction victims.
+// EvictionPolicy selects how a bounded cache (WithMaxBytes) chooses
+// eviction victims.
 type EvictionPolicy = evict.Kind
 
 const (

@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"tcache/internal/core"
-	"tcache/internal/db"
 	"tcache/internal/telemetry"
 )
 
@@ -148,21 +147,5 @@ func latencySnap(h *telemetry.Histogram) LatencySnapshot {
 func (d *DB) ServeMetrics(addr string) (bound string, stop func(), err error) {
 	reg := telemetry.NewRegistry()
 	d.inner.RegisterMetrics(reg)
-	return telemetry.ServeAdmin(addr, reg, dbHealth(d.inner))
-}
-
-// dbHealth evaluates a database's /healthz: role from the replication
-// state, healthy unless the WAL carries a sticky write error.
-func dbHealth(d *db.DB) func() telemetry.Health {
-	return func() telemetry.Health {
-		h := telemetry.Health{Healthy: true, Role: d.Role().String()}
-		if st := d.ReplStatusNow(); st.Role == db.RoleStandby && st.Leader != "" {
-			h.Detail = "leader=" + st.Leader
-		}
-		if err := d.Health(); err != nil {
-			h.Healthy = false
-			h.Detail = err.Error()
-		}
-		return h
-	}
+	return telemetry.ServeAdmin(addr, reg, d.inner.AdminHealth)
 }
