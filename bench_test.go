@@ -146,6 +146,17 @@ func BenchmarkHeadline(b *testing.B) {
 // bgb is the background context used by benchmark reads.
 var bgb = context.Background()
 
+// benchKeys returns the first n object keys, built once outside the timed
+// loop: workload.ObjectKey is a Sprintf and an allocation, which the
+// hit-path benchmarks must not time.
+func benchKeys(n int) []kv.Key {
+	keys := make([]kv.Key, n)
+	for i := range keys {
+		keys[i] = workload.ObjectKey(i)
+	}
+	return keys
+}
+
 // BenchmarkCacheHitRead measures the §III-B validated read on a warm
 // cache (the latency-critical path: one client-to-cache round trip).
 func BenchmarkCacheHitRead(b *testing.B) {
@@ -158,13 +169,14 @@ func BenchmarkCacheHitRead(b *testing.B) {
 	}
 	defer cache.Close()
 	warm(b, cache, 5)
+	keys := benchKeys(5)
 
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		id := kv.TxnID(i + 1)
-		for r := 0; r < 5; r++ {
-			if _, err := cache.Read(bgb, id, workload.ObjectKey(r), r == 4); err != nil {
+		for r, key := range keys {
+			if _, err := cache.Read(bgb, id, key, r == 4); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -184,11 +196,12 @@ func BenchmarkCachePlainGet(b *testing.B) {
 	}
 	defer cache.Close()
 	warm(b, cache, 5)
+	keys := benchKeys(5)
 
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := cache.Get(bgb, workload.ObjectKey(i%5)); err != nil {
+		if _, err := cache.Get(bgb, keys[i%5]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -210,6 +223,7 @@ func BenchmarkCacheHitReadParallel(b *testing.B) {
 	}
 	defer cache.Close()
 	warm(b, cache, nKeys)
+	keys := benchKeys(nKeys)
 
 	var nextID atomic.Uint64
 	b.ResetTimer()
@@ -219,7 +233,7 @@ func BenchmarkCacheHitReadParallel(b *testing.B) {
 			id := nextID.Add(1)
 			base := int(id*5) % nKeys
 			for r := 0; r < 5; r++ {
-				if _, err := cache.Read(bgb, kv.TxnID(id), workload.ObjectKey((base+r)%nKeys), r == 4); err != nil {
+				if _, err := cache.Read(bgb, kv.TxnID(id), keys[(base+r)%nKeys], r == 4); err != nil {
 					b.Error(err)
 					return
 				}
@@ -243,6 +257,7 @@ func BenchmarkCachePlainGetParallel(b *testing.B) {
 	}
 	defer cache.Close()
 	warm(b, cache, nKeys)
+	keys := benchKeys(nKeys)
 
 	var offset atomic.Uint64
 	b.ResetTimer()
@@ -251,12 +266,76 @@ func BenchmarkCachePlainGetParallel(b *testing.B) {
 		i := int(offset.Add(17))
 		for pb.Next() {
 			i++
-			if _, err := cache.Get(bgb, workload.ObjectKey(i%nKeys)); err != nil {
+			if _, err := cache.Get(bgb, keys[i%nKeys]); err != nil {
 				b.Error(err)
 				return
 			}
 		}
 	})
+}
+
+// benchReadTxnCache is a warm public-API cache with telemetry on over
+// nKeys objects — the configuration the edge_hit workload of bench/ runs.
+func benchReadTxnCache(b *testing.B, nKeys int) (*Cache, []Key) {
+	d := OpenDB()
+	b.Cleanup(func() { d.Close() })
+	seedCluster(b, d.Core(), nKeys)
+	cache, err := NewCache(d, WithTelemetry(NewTelemetry()))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(cache.Close)
+	warm(b, cache.Core(), nKeys)
+	return cache, benchKeys(nKeys)
+}
+
+// BenchmarkCacheReadTxnGetMulti measures the public warm read
+// transaction, ReadTxn{GetMulti(5)} with telemetry on: one pass over the
+// touched shards, one validation under the stripe, one Commit.
+func BenchmarkCacheReadTxnGetMulti(b *testing.B) {
+	cache, keys := benchReadTxnCache(b, 5)
+	read := func(tx *ReadTx) error {
+		_, err := tx.GetMulti(bgb, keys...)
+		return err
+	}
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := cache.ReadTxn(bgb, read); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(5, "reads/txn")
+}
+
+// BenchmarkCacheReadTxnGetMultiParallel drives the same transaction from
+// GOMAXPROCS goroutines over 64 keys: compare -cpu 1 vs -cpu 2 for the
+// scaling of the whole client-side read path.
+func BenchmarkCacheReadTxnGetMultiParallel(b *testing.B) {
+	const nKeys = 64
+	cache, keys := benchReadTxnCache(b, nKeys)
+	var offset atomic.Uint64
+	b.ResetTimer()
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		base := int(offset.Add(17))
+		batch := make([]Key, 5)
+		read := func(tx *ReadTx) error {
+			_, err := tx.GetMulti(bgb, batch...)
+			return err
+		}
+		for pb.Next() {
+			base += 5
+			for r := range batch {
+				batch[r] = keys[(base+r)%nKeys]
+			}
+			if err := cache.ReadTxn(bgb, read); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+	b.ReportMetric(5, "reads/txn")
 }
 
 // BenchmarkDBUpdateTxn measures a 5-object read-then-write update

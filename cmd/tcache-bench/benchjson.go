@@ -50,6 +50,7 @@ func runBenchJSON(outPath, budgetPath string) error {
 		{"BenchmarkRemoteReadTxnColdMulti", benchRemoteReadTxnColdMulti},
 		{"BenchmarkCacheHitRead", benchCacheHitRead},
 		{"BenchmarkCachePlainGet", benchCachePlainGet},
+		{"BenchmarkCacheReadTxnGetMulti", benchCacheReadTxnGetMulti},
 	} {
 		r := testing.Benchmark(bench.fn)
 		if r.N == 0 {
@@ -266,11 +267,11 @@ func benchRemoteReadTxnColdMulti(b *testing.B) {
 }
 
 // localCache attaches a cache to an in-process DB with warmed keys.
-func localCache(b *testing.B, nKeys int) *tcache.Cache {
+func localCache(b *testing.B, nKeys int, opts ...tcache.CacheOption) *tcache.Cache {
 	b.Helper()
 	d := tcache.OpenDB(tcache.WithDepListBound(5))
 	b.Cleanup(func() { d.Close() })
-	cache, err := tcache.NewCache(d, tcache.WithStrategy(tcache.StrategyRetry))
+	cache, err := tcache.NewCache(d, opts...)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -307,6 +308,24 @@ func benchCacheHitRead(b *testing.B) {
 			}
 			return nil
 		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchCacheReadTxnGetMulti is the warm read transaction the edge_hit
+// workload of bench/ runs: ReadTxn{GetMulti(5)} with telemetry on.
+func benchCacheReadTxnGetMulti(b *testing.B) {
+	cache := localCache(b, 5, tcache.WithTelemetry(tcache.NewTelemetry()))
+	keys := benchKeys(5)
+	read := func(tx *tcache.ReadTx) error {
+		_, err := tx.GetMulti(benchCtx, keys...)
+		return err
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := cache.ReadTxn(benchCtx, read); err != nil {
 			b.Fatal(err)
 		}
 	}

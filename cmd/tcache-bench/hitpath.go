@@ -47,8 +47,11 @@ func runHitPath(quick bool, _ int64) error {
 		return err
 	}
 	defer cache.Close()
-	for i := 0; i < nKeys; i++ {
-		if _, err := cache.Get(context.Background(), workload.ObjectKey(i)); err != nil {
+	// Built once: ObjectKey is a Sprintf the timed loop must not pay for.
+	keys := make([]kv.Key, nKeys)
+	for i := range keys {
+		keys[i] = workload.ObjectKey(i)
+		if _, err := cache.Get(context.Background(), keys[i]); err != nil {
 			return err
 		}
 	}
@@ -58,7 +61,7 @@ func runHitPath(quick bool, _ int64) error {
 	fmt.Printf("%8s  %12s  %10s\n", "clients", "txns/sec", "vs 1")
 	var base float64
 	for _, clients := range []int{1, 2, 4, 8, 16} {
-		rate, err := hitPathRate(cache, clients, nKeys, readsPerTxn, per)
+		rate, err := hitPathRate(cache, clients, keys, readsPerTxn, per)
 		if err != nil {
 			return err
 		}
@@ -72,7 +75,7 @@ func runHitPath(quick bool, _ int64) error {
 
 // hitPathRate drives the cache from `clients` goroutines for roughly
 // `per` and returns committed transactions per second.
-func hitPathRate(cache *core.Cache, clients, nKeys, readsPerTxn int, per time.Duration) (float64, error) {
+func hitPathRate(cache *core.Cache, clients int, keys []kv.Key, readsPerTxn int, per time.Duration) (float64, error) {
 	var (
 		nextID atomic.Uint64
 		txns   atomic.Uint64
@@ -88,9 +91,9 @@ func hitPathRate(cache *core.Cache, clients, nKeys, readsPerTxn int, per time.Du
 			defer wg.Done()
 			for !stop.Load() {
 				id := nextID.Add(1)
-				base := int(id*uint64(readsPerTxn)) % nKeys
+				base := int(id*uint64(readsPerTxn)) % len(keys)
 				for r := 0; r < readsPerTxn; r++ {
-					k := workload.ObjectKey((base + r) % nKeys)
+					k := keys[(base+r)%len(keys)]
 					if _, err := cache.Read(context.Background(), kv.TxnID(id), k, r == readsPerTxn-1); err != nil {
 						mu.Lock()
 						if first == nil {

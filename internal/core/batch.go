@@ -2,128 +2,229 @@ package core
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"time"
 
 	"tcache/internal/kv"
 )
 
-// ReadMulti performs the transactional reads of keys, in order, within
-// txnID — semantically identical to calling Read once per key, with the
-// final read carrying lastOp. Its point is the miss path: all keys absent
-// from the cache are prefetched from the backend in ONE batch request
-// (BatchBackend) before the per-key validation runs, so a remote
-// transactional read of N cold keys costs one round trip instead of N.
+// The two steps every read shares (collect, fill) work on per-key scratch
+// the caller owns: out[i] receives what the cache or the backend produced
+// for keys[i], and state[i] starts as the key's shard index (≥ 0, "not
+// visited yet") and ends as slotHit or slotMiss. In between, a key the
+// cache could not serve holds pendingSlot(d, dup): d is its index in the
+// list of keys to fetch, and dup marks a later occurrence of a key already
+// on that list, whose lookup waits for the first occurrence's fill —
+// where a sequence of single reads would do it.
+const (
+	slotHit  int32 = -1
+	slotMiss int32 = -2
+)
+
+func pendingSlot(d int, dup bool) int32 {
+	s := -3 - int32(2*d)
+	if dup {
+		s--
+	}
+	return s
+}
+
+// pendingOf decodes a pendingSlot; ok is false for any other state.
+func pendingOf(s int32) (d int, dup, ok bool) {
+	if s > -3 {
+		return 0, false, false
+	}
+	p := int(-3 - s)
+	return p >> 1, p&1 == 1, true
+}
+
+// warmSampleEvery is the 1-in-N rate at which each shard times a warm
+// hit into Telemetry.ReadWarm; the first hit of every shard is sampled.
+const warmSampleEvery = 64
+
+// lookupLocked is the servable-entry check — the only one: it stores
+// key's cached item in out and reports true if the cache may serve it
+// under floor (present, within its TTL, not older than floor, not marked
+// superseded), touching it in the eviction order. An expired entry is
+// removed: left in place it would be pinned forever if the backend no
+// longer has the key. An entry older than floor stays cached — the fill
+// replaces it only with something newer. Callers hold sh.mu.
 //
-// Validation is unchanged: every key still passes the §III-B checks
-// against the transaction record one at a time, and the configured
-// strategy applies to any detected inconsistency. The first error stops
-// the batch and is returned.
-func (c *Cache) ReadMulti(ctx context.Context, txnID kv.TxnID, keys []kv.Key, lastOp bool) ([]kv.Value, error) {
-	if c.closed.Load() {
-		return nil, ErrClosed
+//tcache:hotpath
+//tcache:holds shard
+func (c *Cache) lookupLocked(sh *cacheShard, key kv.Key, floor kv.Version, out *kv.Lookup) bool {
+	// With c.tel nil (the default) no time stamp is taken at all; enabled,
+	// one hit in warmSampleEvery pays two clock reads and two atomic adds.
+	var start time.Time
+	sample := c.tel != nil && sh.warmHits%warmSampleEvery == 0
+	if sample {
+		start = time.Now()
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if len(keys) == 0 {
-		// An empty batch still honors lastOp: the transaction completes
-		// instead of leaking its record.
-		if lastOp {
-			c.Commit(txnID)
+	e, ok := sh.entries[key]
+	switch {
+	case !ok:
+	case c.cfg.TTL > 0 && c.clk.Since(e.fetchedAt) >= c.cfg.TTL:
+		sh.removeEntry(e)
+		c.metrics.TTLExpiries.Add(1)
+	case e.item.Version.Less(floor):
+		c.metrics.FloorRefetches.Add(1)
+	case e.staleLatest:
+		// Multiversioning: the newest cached version is superseded; the
+		// latest must come from the backend.
+	default:
+		sh.ev.Touch(&e.h)
+		if c.tel != nil {
+			sh.warmHits++
+			if sample {
+				c.tel.ReadWarm.ObserveSince(start)
+			}
 		}
-		return nil, nil
+		out.Item, out.Found = e.item, true
+		return true
 	}
+	return false
+}
+
+// collect is the first step of a read: it groups keys by entry shard and
+// takes each touched shard's lock once, serving what lookupLocked can and
+// listing the rest — each distinct key once — in missing, for fill. With count set
+// (non-transactional reads) the reads are counted on the shard here;
+// transactional reads are counted by readPass as it validates them.
+//
+//tcache:hotpath
+func (c *Cache) collect(keys []kv.Key, floor kv.Version, out []kv.Lookup, state []int32, missing *versionTable, count bool) {
+	for i, key := range keys {
+		state[i] = int32(kv.ShardIndex(key, len(c.shards)))
+	}
+	for i := range keys {
+		si := state[i]
+		if si < 0 {
+			continue // visited with an earlier key of its shard
+		}
+		sh := c.shards[si]
+		var reads, hits uint64
+		sh.mu.Lock()
+		for j := i; j < len(keys); j++ {
+			if state[j] != si {
+				continue
+			}
+			key := keys[j]
+			if d := missing.find(key); d >= 0 {
+				state[j] = pendingSlot(d, true)
+				continue
+			}
+			reads++
+			if c.lookupLocked(sh, key, floor, &out[j]) {
+				state[j] = slotHit
+				hits++
+			} else {
+				state[j] = pendingSlot(missing.add(key, kv.Version{}), false)
+			}
+		}
+		if count {
+			sh.hot.count(reads, hits)
+		}
+		sh.mu.Unlock()
+	}
+}
+
+// fill is the second step of a read that collect could not serve whole:
+// it fetches missing from the backend and resolves every pending key, in
+// key order, inserting what was found. It returns the error the keys it
+// could not resolve carry — a failed fetch (its first failure; keys
+// fetched before it are filled) or ErrClosed.
+func (c *Cache) fill(ctx context.Context, keys []kv.Key, floor kv.Version, out []kv.Lookup, state []int32, missing []ReadVersion, count bool) error {
 	var start time.Time
 	if c.tel != nil {
 		start = time.Now()
 	}
-	c.prefetch(ctx, keys)
-	vals := make([]kv.Value, len(keys))
+	var buf [batchInline]kv.Lookup
+	lookups, err := c.fetchItems(ctx, missing, len(keys) > 1, buf[:0])
+	if c.closed.Load() {
+		return ErrClosed
+	}
+	filled := 0
 	for i, key := range keys {
-		val, err := c.Read(ctx, txnID, key, lastOp && i == len(keys)-1)
-		if err != nil {
-			return nil, err
+		d, dup, pending := pendingOf(state[i])
+		if !pending || d >= len(lookups) {
+			continue
 		}
-		vals[i] = val
+		lu, hits := lookups[d], uint64(0)
+		sh := c.shardFor(key)
+		sh.mu.Lock()
+		// A later occurrence of a key this batch already filled is an
+		// ordinary lookup now: a hit, unless admission declined it.
+		if dup && c.lookupLocked(sh, key, floor, &lu) {
+			hits = 1
+		}
+		if dup && count {
+			sh.hot.count(1, hits)
+		}
+		if hits == 0 && lu.Found {
+			filled++
+			// A nil entry means the admission doorkeeper declined the key
+			// (first sighting): the fetched item is served uncached —
+			// for the caller, a served miss like any other.
+			if e := c.insertShardLocked(sh, key, lu.Item); e != nil {
+				lu.Item = e.item
+			}
+		}
+		sh.mu.Unlock()
+		out[i], state[i] = lu, slotMiss
+		if hits == 1 {
+			state[i] = slotHit
+		}
 	}
-	if c.tel != nil {
-		c.tel.ReadMulti.ObserveSince(start)
+	if c.tel != nil && filled > 0 {
+		// Each filled key's serving latency is the whole fetch + fill, so
+		// they all record the same elapsed cold sample.
+		cold := uint64(time.Since(start))
+		for ; filled > 0; filled-- {
+			c.tel.ReadCold.Observe(cold)
+		}
 	}
-	return vals, nil
+	return err
 }
 
-// prefetch batch-fetches every key of the read set that the cache cannot
-// currently serve and inserts the results. It is best-effort: a backend
-// that does not batch, a failed batch request, or entries invalidated
-// between prefetch and read all degrade to the ordinary per-key miss
-// path, never to an error. Insertion goes through insertShardLocked, so a
-// prefetched item never replaces a newer cached version.
-func (c *Cache) prefetch(ctx context.Context, keys []kv.Key) {
-	bb, ok := c.cfg.Backend.(BatchBackend)
-	if !ok {
-		return
-	}
-	missing := keys[:0:0]
-	// Typical batches are small: linear dedup avoids a map allocation per
-	// batch read. Large batches spill to a map so dedup stays O(n).
-	var seenIdx map[kv.Key]struct{}
-	if len(keys) > 32 {
-		seenIdx = make(map[kv.Key]struct{}, len(keys))
-	}
-	seen := func(key kv.Key, upto []kv.Key) bool {
-		if seenIdx != nil {
-			if _, dup := seenIdx[key]; dup {
-				return true
+// fetchItems reads the missing keys from the backend: for a batch read,
+// in one request when the backend batches (BatchPrefetches /
+// BatchPrefetchedKeys count those requests and the keys they found); key
+// by key — appending to buf — for a one-key read, a backend that does not
+// batch, or a failed batch request. On a per-key failure it returns the
+// lookups before the failing key with the error. A ctx cancelled during
+// the batch request is returned as is, not counted as a backend error.
+func (c *Cache) fetchItems(ctx context.Context, missing []ReadVersion, batch bool, buf []kv.Lookup) ([]kv.Lookup, error) {
+	if bb, ok := c.cfg.Backend.(BatchBackend); ok && batch {
+		keys := make([]kv.Key, len(missing))
+		for d := range missing {
+			keys[d] = missing[d].Key
+		}
+		lookups, err := bb.ReadItems(ctx, keys)
+		if err == nil && len(lookups) != len(keys) {
+			err = errors.New("tcache: batch backend returned mismatched lookup count")
+		}
+		if err == nil {
+			c.metrics.BatchPrefetches.Add(1)
+			for _, lu := range lookups {
+				if lu.Found {
+					c.metrics.BatchPrefetchedKeys.Add(1)
+				}
 			}
-			seenIdx[key] = struct{}{}
-			return false
+			return lookups, nil
 		}
-		for _, k := range upto {
-			if k == key {
-				return true
-			}
+		if cerr := ctx.Err(); cerr != nil {
+			return nil, cerr
 		}
-		return false
-	}
-	for i, key := range keys {
-		if seen(key, keys[:i]) {
-			continue
-		}
-		sh := c.shardFor(key)
-		sh.mu.Lock()
-		e, cached := sh.entries[key]
-		servable := cached && !e.staleLatest &&
-			!(c.cfg.TTL > 0 && c.clk.Since(e.fetchedAt) >= c.cfg.TTL)
-		sh.mu.Unlock()
-		if !servable {
-			missing = append(missing, key)
-		}
-	}
-	if len(missing) == 0 {
-		return
-	}
-	lookups, err := bb.ReadItems(ctx, missing)
-	if err != nil || len(lookups) != len(missing) {
 		c.metrics.BackendErrors.Add(1)
-		return
 	}
-	c.metrics.BatchPrefetches.Add(1)
-	for i, lu := range lookups {
-		if !lu.Found {
-			continue
+	for d := range missing {
+		item, ok, err := c.cfg.Backend.ReadItem(ctx, missing[d].Key)
+		if err != nil {
+			c.metrics.BackendErrors.Add(1)
+			return buf, fmt.Errorf("tcache: backend read %q: %w", missing[d].Key, err)
 		}
-		key := missing[i]
-		sh := c.shardFor(key)
-		sh.mu.Lock()
-		if !c.closed.Load() {
-			// A nil entry means the admission doorkeeper declined the key
-			// (first sighting): the triggering read will fetch it per-key —
-			// one extra round trip — and admit it on that second sighting.
-			if e := c.insertShardLocked(sh, key, lu.Item); e != nil {
-				e.prefetched = true
-			}
-		}
-		sh.mu.Unlock()
-		c.metrics.BatchPrefetchedKeys.Add(1)
+		buf = append(buf, kv.Lookup{Item: item, Found: ok})
 	}
+	return buf, nil
 }

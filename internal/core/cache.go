@@ -13,21 +13,24 @@
 //
 // # Concurrency
 //
-// The cache is lock-striped along two independent axes so the hit path
-// scales with cores instead of serializing on one global mutex:
+// The cache is lock-striped along two independent axes:
 //
-//   - the entry table (and its LRU ring) is hash-partitioned into
+//   - the entry table (and its eviction ledger) is hash-partitioned into
 //     Config.Shards cacheShards, keyed by the same FNV-1a hash the
 //     storage and db packages use;
-//   - the transaction-record table is striped into as many txnStripes,
-//     keyed by TxnID.
+//   - the transaction-record table is striped into txnStripes (64)
+//     stripes, keyed by TxnID.
 //
-// A transactional read locks exactly one entry shard and one transaction
-// stripe, always in that fixed order (entry shard first), and never holds
-// two locks of the same kind at once; cross-shard work (evicting a stale
-// object that hashes elsewhere) runs after both locks are released.
-// Completion hooks are always invoked with no cache lock held, so hooks
-// may call back into the cache.
+// A read — one key or a batch — is served in one pass (read.go): each
+// entry shard its keys touch is locked once to collect the servable
+// items, then the transaction's stripe is locked once to validate them
+// in key order, record them and finish. The pass never holds two locks;
+// only the strategy code a failed check falls into holds a shard and a
+// stripe together, always in that order (entry shard first), and never
+// two locks of the same kind; cross-shard work (evicting a stale object
+// that hashes elsewhere) runs after both are released. Completion hooks
+// are always invoked with no cache lock held, so hooks may call back
+// into the cache.
 package core
 
 import (
@@ -209,18 +212,19 @@ type Config struct {
 	// T-Cache; see multiversion.go). Values ≤ 1 disable it.
 	Multiversion int
 	// Shards is the number of lock stripes the entry table (with its
-	// per-shard eviction state) and the transaction-record table are
-	// each split over. 0 picks runtime.GOMAXPROCS(0) whether or not the
-	// cache is bounded: budgets are enforced per shard (each shard owns
-	// ≈ MaxBytes/Shards, at least one unit), so a memory bound no
-	// longer costs the lock striping. 1 preserves the historical
-	// single-mutex semantics — and makes per-shard LRU exactly global
-	// LRU. With Shards > 1 eviction is approximately global: each shard
-	// ranks only its own residents.
+	// per-shard eviction state) is split over. 0 picks
+	// runtime.GOMAXPROCS(0) whether or not the cache is bounded: budgets
+	// are enforced per shard (each shard owns ≈ MaxBytes/Shards, at
+	// least one unit), so a memory bound no longer costs the lock
+	// striping. 1 makes per-shard LRU exactly global LRU. With
+	// Shards > 1 eviction is approximately global: each shard ranks
+	// only its own residents. The transaction-record table is striped
+	// separately (txnStripes): its stripes own no budget.
 	Shards int
 	// Telemetry, when non-nil, receives latency observations from the
-	// read hot paths (warm hit, cold fill, batch read). Nil disables
-	// instrumentation entirely — the hot paths take no time stamps.
+	// read paths (sampled warm hits, cold fills, whole batches). Nil
+	// disables instrumentation entirely — the read paths take no time
+	// stamps.
 	Telemetry *Telemetry
 }
 
@@ -230,7 +234,7 @@ type Cache struct {
 	clk clock.Clock
 
 	shards  []*cacheShard
-	stripes []*txnStripe
+	stripes []txnStripe // txnStripes of them, each on its own cache lines
 
 	closed atomic.Bool
 
@@ -238,8 +242,10 @@ type Cache struct {
 	gcMu    sync.Mutex
 	gcTimer clock.Timer
 
+	// hooks is copy-on-write: OnComplete (serialized by hookMu) stores
+	// a fresh slice, emit reads it with one atomic load and no lock.
 	hookMu sync.Mutex
-	hooks  []CompletionHook
+	hooks  atomic.Pointer[[]CompletionHook]
 
 	metrics  Metrics
 	counters *telemetry.CounterSet // metrics' tagged fields, walked once at New
@@ -252,40 +258,74 @@ type Cache struct {
 	policyEvictions *uint64v
 }
 
-// The locking protocol (PR 1), as enforced by tcachelint's lockorder
-// analyzer: an entry-shard lock may be held when acquiring a txn-stripe
-// lock, never the reverse, and at most one lock of each kind is held at
-// a time.
+// The locking protocol, as enforced by tcachelint's lockorder analyzer:
+// an entry-shard lock may be held when acquiring a txn-stripe lock, never
+// the reverse, and at most one lock of each kind is held at a time.
 //
 //tcache:lockorder shard < stripe
+
+// hotCounters are the counters every read and every transaction moves:
+// plain integers beside a shard or stripe mutex, written only under it —
+// the lock the writer holds anyway — and summed by Cache.Metrics, so
+// serving hits on two cores writes no shared counter line. Transactional
+// reads count on their stripe as they are validated; non-transactional
+// reads count on the shard that served them.
+type hotCounters [len(hotNames)]uint64
+
+// hotNames lists the hot counters by their Metrics tags, in index order.
+var hotNames = [...]string{"reads", "hits", "misses", "txns_started", "txns_committed"}
+
+const (
+	hotReads = iota
+	hotHits
+	hotMisses
+	hotTxnsStarted
+	hotTxnsCommitted
+)
+
+// count adds n reads, hits of them served from the cache.
+//
+//tcache:hotpath
+func (h *hotCounters) count(n, hits uint64) {
+	h[hotReads] += n
+	h[hotHits] += hits
+	h[hotMisses] += n - hits
+}
 
 // cacheShard is one lock stripe of the entry table: a partition of the key
 // space with its own mutex and its own slice of the eviction budget.
 type cacheShard struct {
-	mu      sync.Mutex //tcache:lockclass shard
-	entries map[kv.Key]*entry
+	mu  sync.Mutex //tcache:lockclass shard
+	hot hotCounters
+	// warmHits counts hits served with telemetry on; it is the shard's
+	// warm-sample clock (lookupLocked).
+	warmHits uint64
+	entries  map[kv.Key]*entry
 	// ev is this shard's eviction ledger: byte budget, policy state,
 	// and optional admission doorkeeper. Its zero value is the
 	// unbounded no-op, and every call into it is made under mu.
 	ev evict.Shard
+	_  [64]byte // keeps the next shard's mutex off this shard's last line
 }
 
-// txnStripe is one lock stripe of the transaction-record table.
+// txnStripes is the number of lock stripes of the transaction-record
+// table. Stripes own no budget, so there are many: consecutive TxnIDs
+// land on different stripes and concurrent transactions rarely meet.
+const txnStripes = 64
+
+// txnStripe is one lock stripe of the transaction-record table, padded
+// to two cache lines so neighbours in Cache.stripes never share one.
 type txnStripe struct {
 	mu   sync.Mutex //tcache:lockclass stripe
 	txns map[kv.TxnID]*txnRecord
+	hot  hotCounters
+	_    [72]byte // 56 bytes of fields above + 72 = 128
 }
 
 type entry struct {
 	key       kv.Key
 	item      kv.Item
 	fetchedAt time.Time
-	// prefetched marks an entry inserted by a batch prefetch whose
-	// triggering read has not consumed it yet: the first read serves it as
-	// a miss (the backend fetch happened, just batched), keeping hit-ratio
-	// accounting — and therefore measured DB load — identical to the
-	// per-key path.
-	prefetched bool
 	// older retains superseded versions, newest first (multiversioning).
 	older []kv.Item
 	// staleLatest marks that item is no longer the latest committed
@@ -297,50 +337,81 @@ type entry struct {
 	h evict.Handle
 }
 
-// txnRecord tracks one in-flight read-only transaction: the version each
-// key was read at, and the largest version any read (or any read's
-// dependency list) expects for each key. Its fields are guarded by the
-// owning stripe's mutex.
+// versionTable maps keys to versions in insertion order: a small slice
+// searched linearly, not a map — transactions read a handful of keys (the
+// paper's workloads read ~5), and at that size an append beats a map
+// allocation plus hashed inserts on every read. idx stays nil until the
+// table outgrows txnRecordSpill, so a huge batch degrades to O(1) map
+// lookups instead of quadratic scans under a lock.
+type versionTable struct {
+	rows []ReadVersion
+	idx  map[kv.Key]int
+}
+
+// txnRecordSpill is the table size beyond which a key index is built.
+const txnRecordSpill = 32
+
+// find returns key's row index, or -1.
 //
-// Both tables are small slices searched linearly, not maps: transactions
-// read a handful of keys (the paper's workloads read ~5), and at that
-// size two slice appends beat two map allocations plus hashed inserts on
-// every read — this is the warm-hit path, where every allocation shows
-// up in the served-read latency.
+//tcache:hotpath
+func (t *versionTable) find(key kv.Key) int {
+	if t.idx != nil {
+		if i, ok := t.idx[key]; ok {
+			return i
+		}
+		return -1
+	}
+	for i := range t.rows {
+		if t.rows[i].Key == key {
+			return i
+		}
+	}
+	return -1
+}
+
+// add appends a row for key (not yet in the table) and returns its index.
+//
+//tcache:hotpath
+func (t *versionTable) add(key kv.Key, v kv.Version) int {
+	if t.idx == nil && len(t.rows) >= txnRecordSpill {
+		t.idx = make(map[kv.Key]int, 2*len(t.rows))
+		for i := range t.rows {
+			t.idx[t.rows[i].Key] = i
+		}
+	}
+	if t.idx != nil {
+		t.idx[key] = len(t.rows)
+	}
+	t.rows = append(t.rows, ReadVersion{Key: key, Version: v})
+	return len(t.rows) - 1
+}
+
+// txnRecord tracks one in-flight read-only transaction. Its fields are
+// guarded by the owning stripe's mutex.
 type txnRecord struct {
-	// order doubles as the read-version table: each key's first read is
-	// appended exactly once, in read order, so it serves both the eq.1/2
-	// lookups and the completion report.
-	order []ReadVersion
-	// expected holds the largest version any read (or its dependency
-	// list) expects per key.
-	expected []ReadVersion
-	// readIdx and expIdx index the two tables by key. They stay nil —
-	// and lookups stay linear — until a table outgrows txnRecordSpill,
-	// so a huge batch read degrades to O(1) map lookups instead of
-	// quadratic scans while holding the stripe lock.
-	readIdx  map[kv.Key]int
-	expIdx   map[kv.Key]int
+	// reads holds each key's first read, in read order: it serves both
+	// the eq.1/2 lookups and the completion report.
+	reads versionTable
+	// expected holds the largest version any read (or any read's
+	// dependency list) expects per key.
+	expected versionTable
 	lastUsed time.Time
-	// Inline backing arrays sized for the common case (the paper's
-	// workloads read ~5 keys with ~5 dependencies each): a whole record
-	// costs one allocation; larger transactions spill to the heap via
-	// ordinary append.
-	orderBuf    [8]ReadVersion
+	// Inline backing arrays sized for the common case (~5 keys with ~5
+	// dependencies each): a whole record is one allocation, and larger
+	// transactions spill to the heap via ordinary append.
+	readsBuf    [8]ReadVersion
 	expectedBuf [12]ReadVersion
 }
 
-// txnRecordSpill is the table size beyond which a record builds key
-// indexes. Below it, linear scans over the inline arrays win on both
-// allocations and time.
-const txnRecordSpill = 32
+// recPool recycles the records of finished transactions (emit).
+var recPool = sync.Pool{New: func() any { return new(txnRecord) }}
 
-// newTxnRecord allocates a record with its tables pointing at the inline
-// buffers.
+// newTxnRecord returns an empty record with its tables pointing at the
+// inline buffers.
 func newTxnRecord() *txnRecord {
-	rec := &txnRecord{}
-	rec.order = rec.orderBuf[:0]
-	rec.expected = rec.expectedBuf[:0]
+	rec := recPool.Get().(*txnRecord)
+	rec.reads = versionTable{rows: rec.readsBuf[:0]}
+	rec.expected = versionTable{rows: rec.expectedBuf[:0]}
 	return rec
 }
 
@@ -348,53 +419,8 @@ func newTxnRecord() *txnRecord {
 //
 //tcache:hotpath
 func (rec *txnRecord) readVersion(key kv.Key) (kv.Version, bool) {
-	if rec.readIdx != nil {
-		i, ok := rec.readIdx[key]
-		if !ok {
-			return kv.Version{}, false
-		}
-		return rec.order[i].Version, true
-	}
-	for i := range rec.order {
-		if rec.order[i].Key == key {
-			return rec.order[i].Version, true
-		}
-	}
-	return kv.Version{}, false
-}
-
-// appendRead records the first read of key, maintaining (or building)
-// the spill index.
-//
-//tcache:hotpath
-func (rec *txnRecord) appendRead(key kv.Key, v kv.Version) {
-	if rec.readIdx == nil && len(rec.order) >= txnRecordSpill {
-		rec.readIdx = make(map[kv.Key]int, 2*len(rec.order))
-		for i := range rec.order {
-			rec.readIdx[rec.order[i].Key] = i
-		}
-	}
-	if rec.readIdx != nil {
-		rec.readIdx[key] = len(rec.order)
-	}
-	rec.order = append(rec.order, ReadVersion{Key: key, Version: v})
-}
-
-// expectedVersion returns the largest version the record expects for key.
-//
-//tcache:hotpath
-func (rec *txnRecord) expectedVersion(key kv.Key) (kv.Version, bool) {
-	if rec.expIdx != nil {
-		i, ok := rec.expIdx[key]
-		if !ok {
-			return kv.Version{}, false
-		}
-		return rec.expected[i].Version, true
-	}
-	for i := range rec.expected {
-		if rec.expected[i].Key == key {
-			return rec.expected[i].Version, true
-		}
+	if i := rec.reads.find(key); i >= 0 {
+		return rec.reads.rows[i].Version, true
 	}
 	return kv.Version{}, false
 }
@@ -403,33 +429,12 @@ func (rec *txnRecord) expectedVersion(key kv.Key) (kv.Version, bool) {
 //
 //tcache:hotpath
 func (rec *txnRecord) bumpExpected(key kv.Key, v kv.Version) {
-	if rec.expIdx != nil {
-		if i, ok := rec.expIdx[key]; ok {
-			if rec.expected[i].Version.Less(v) {
-				rec.expected[i].Version = v
-			}
-			return
-		}
-	} else {
-		for i := range rec.expected {
-			if rec.expected[i].Key == key {
-				if rec.expected[i].Version.Less(v) {
-					rec.expected[i].Version = v
-				}
-				return
-			}
-		}
-		if len(rec.expected) >= txnRecordSpill {
-			rec.expIdx = make(map[kv.Key]int, 2*len(rec.expected))
-			for i := range rec.expected {
-				rec.expIdx[rec.expected[i].Key] = i
-			}
-		}
+	i := rec.expected.find(key)
+	if i < 0 {
+		rec.expected.add(key, v)
+	} else if row := &rec.expected.rows[i]; row.Version.Less(v) {
+		row.Version = v
 	}
-	if rec.expIdx != nil {
-		rec.expIdx[key] = len(rec.expected)
-	}
-	rec.expected = append(rec.expected, ReadVersion{Key: key, Version: v})
 }
 
 // New creates a cache.
@@ -455,13 +460,15 @@ func New(cfg Config) (*Cache, error) {
 		cfg:     cfg,
 		clk:     cfg.Clock,
 		shards:  make([]*cacheShard, cfg.Shards),
-		stripes: make([]*txnStripe, cfg.Shards),
+		stripes: make([]txnStripe, txnStripes),
 		tel:     cfg.Telemetry,
 	}
-	c.counters = telemetry.NewCounterSet(&c.metrics, MetricsSnapshot{})
+	c.bindCounters()
 	for i := range c.shards {
 		c.shards[i] = &cacheShard{entries: make(map[kv.Key]*entry)}
-		c.stripes[i] = &txnStripe{txns: make(map[kv.TxnID]*txnRecord)}
+	}
+	for i := range c.stripes {
+		c.stripes[i].txns = make(map[kv.TxnID]*txnRecord)
 	}
 	switch cfg.Policy {
 	case evict.Clock:
@@ -515,7 +522,7 @@ func (c *Cache) shardFor(key kv.Key) *cacheShard {
 //
 //tcache:hotpath
 func (c *Cache) stripeFor(txnID kv.TxnID) *txnStripe {
-	return c.stripes[uint64(txnID)%uint64(len(c.stripes))]
+	return &c.stripes[uint64(txnID)%txnStripes]
 }
 
 // Close stops background work, aborts every in-flight transaction record,
@@ -531,44 +538,59 @@ func (c *Cache) Close() {
 		c.gcTimer.Stop()
 	}
 	c.gcMu.Unlock()
-	var comps []Completion
-	for _, st := range c.stripes {
-		st.mu.Lock()
-		for id, rec := range st.txns {
-			comps = append(comps, Completion{TxnID: id, Reads: rec.order, Committed: false})
-			delete(st.txns, id)
-			c.metrics.TxnsAbortedOnClose.Add(1)
-		}
-		st.mu.Unlock()
-	}
-	c.emitAll(comps)
+	c.drain(&c.metrics.TxnsAbortedOnClose, func(*txnRecord) bool { return true })
 }
 
 // OnComplete registers a hook observing every finished transaction.
 func (c *Cache) OnComplete(h CompletionHook) {
 	c.hookMu.Lock()
 	defer c.hookMu.Unlock()
-	c.hooks = append(c.hooks, h)
+	var hooks []CompletionHook
+	if cur := c.hooks.Load(); cur != nil {
+		hooks = append(hooks, *cur...)
+	}
+	hooks = append(hooks, h)
+	c.hooks.Store(&hooks)
 }
 
-func (c *Cache) emit(comp Completion) {
-	c.hookMu.Lock()
-	if len(c.hooks) == 0 {
-		c.hookMu.Unlock()
-		return
+// emit reports the end of txnID — whose record rec the caller has
+// unlinked from its stripe — to the registered hooks, then recycles rec.
+// Hooks get their own copy of the reads, so they may keep it. Callers
+// hold no cache lock, and with no hook registered emit takes none either
+// and builds no report.
+func (c *Cache) emit(txnID kv.TxnID, rec *txnRecord, committed bool, attempted *ReadVersion) {
+	if hooks := c.hooks.Load(); hooks != nil {
+		comp := Completion{
+			TxnID:     txnID,
+			Reads:     append([]ReadVersion(nil), rec.reads.rows...),
+			Committed: committed,
+			Attempted: attempted,
+		}
+		for _, h := range *hooks {
+			h(comp)
+		}
 	}
-	hooks := make([]CompletionHook, len(c.hooks))
-	copy(hooks, c.hooks)
-	c.hookMu.Unlock()
-	for _, h := range hooks {
-		h(comp)
-	}
+	recPool.Put(rec)
 }
 
-// emitAll delivers queued completion reports with no cache lock held.
-func (c *Cache) emitAll(comps []Completion) {
-	for _, comp := range comps {
-		c.emit(comp)
+// drain unlinks every transaction record stale(rec) selects, counts it
+// on counter, and reports it as an uncommitted transaction.
+func (c *Cache) drain(counter *uint64v, stale func(*txnRecord) bool) {
+	finished := map[kv.TxnID]*txnRecord{}
+	for i := range c.stripes {
+		st := &c.stripes[i]
+		st.mu.Lock()
+		for id, rec := range st.txns {
+			if stale(rec) {
+				finished[id] = rec
+				delete(st.txns, id)
+				counter.Add(1)
+			}
+		}
+		st.mu.Unlock()
+	}
+	for id, rec := range finished {
+		c.emit(id, rec, false, nil)
 	}
 }
 
@@ -596,15 +618,30 @@ func (c *Cache) Invalidate(key kv.Key, version kv.Version) {
 	c.metrics.InvalidationsStale.Add(1)
 }
 
-// Len returns the number of cached entries.
-func (c *Cache) Len() int {
-	n := 0
+// sumShards adds up f over the entry shards, each under its lock.
+func (c *Cache) sumShards(f func(*cacheShard) uint64) (n uint64) {
 	for _, sh := range c.shards {
 		sh.mu.Lock()
-		n += len(sh.entries)
+		n += f(sh)
 		sh.mu.Unlock()
 	}
 	return n
+}
+
+// sumStripes adds up f over the transaction stripes, each under its lock.
+func (c *Cache) sumStripes(f func(*txnStripe) uint64) (n uint64) {
+	for i := range c.stripes {
+		st := &c.stripes[i]
+		st.mu.Lock()
+		n += f(st)
+		st.mu.Unlock()
+	}
+	return n
+}
+
+// Len returns the number of cached entries.
+func (c *Cache) Len() int {
+	return int(c.sumShards(func(sh *cacheShard) uint64 { return uint64(len(sh.entries)) }))
 }
 
 // ResidentBytes returns the bytes currently charged against the
@@ -612,13 +649,7 @@ func (c *Cache) Len() int {
 // shards maintain, not a walk over the entries, so it is exact with
 // respect to the accounting the budget enforces.
 func (c *Cache) ResidentBytes() uint64 {
-	var n uint64
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		n += sh.ev.Used()
-		sh.mu.Unlock()
-	}
-	return n
+	return c.sumShards(func(sh *cacheShard) uint64 { return sh.ev.Used() })
 }
 
 // MaxBytes returns the configured total byte budget (0 when unbounded).
@@ -629,13 +660,7 @@ func (c *Cache) EvictionPolicy() evict.Kind { return c.cfg.Policy }
 
 // ActiveTxns returns the number of in-flight transaction records.
 func (c *Cache) ActiveTxns() int {
-	n := 0
-	for _, st := range c.stripes {
-		st.mu.Lock()
-		n += len(st.txns)
-		st.mu.Unlock()
-	}
-	return n
+	return int(c.sumStripes(func(st *txnStripe) uint64 { return uint64(len(st.txns)) }))
 }
 
 // Contains reports whether key is currently cached (ignoring TTL).
@@ -654,24 +679,12 @@ func (c *Cache) gcSweep() {
 		return
 	}
 	now := c.clk.Now()
-	var comps []Completion
-	for _, st := range c.stripes {
-		st.mu.Lock()
-		for id, rec := range st.txns {
-			if now.Sub(rec.lastUsed) >= c.cfg.TxnGC {
-				comps = append(comps, Completion{TxnID: id, Reads: rec.order, Committed: false})
-				delete(st.txns, id)
-				c.metrics.TxnsGCed.Add(1)
-			}
-		}
-		st.mu.Unlock()
-	}
 	c.gcMu.Lock()
 	if !c.closed.Load() {
 		c.gcTimer = c.clk.AfterFunc(c.cfg.TxnGC, c.gcSweep)
 	}
 	c.gcMu.Unlock()
-	c.emitAll(comps)
+	c.drain(&c.metrics.TxnsGCed, func(rec *txnRecord) bool { return now.Sub(rec.lastUsed) >= c.cfg.TxnGC })
 }
 
 // removeEntry unlinks e from the shard's map and eviction ledger

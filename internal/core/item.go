@@ -8,6 +8,44 @@ import (
 	"tcache/internal/kv"
 )
 
+// lookupPass is the non-transactional read: collect what the cache can
+// serve under floor, then fetch and insert the rest. A backend failure
+// fails the whole call.
+//
+//tcache:hotpath
+func (c *Cache) lookupPass(ctx context.Context, keys []kv.Key, floor kv.Version, out []kv.Lookup, state []int32) error {
+	if c.closed.Load() {
+		return ErrClosed
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	var missing versionTable
+	if c.collect(keys, floor, out, state, &missing, true); len(missing.rows) > 0 {
+		return c.fill(ctx, keys, floor, out, state, missing.rows, true)
+	}
+	return nil
+}
+
+// lookupOne is the one-key lookupPass behind Get, GetItem and RETRY's
+// refetch; a key the backend does not have is ErrNotFound.
+//
+//tcache:hotpath
+func (c *Cache) lookupOne(ctx context.Context, key kv.Key, floor kv.Version) (kv.Item, error) {
+	var (
+		keys  = [1]kv.Key{key}
+		out   [1]kv.Lookup
+		state [1]int32
+	)
+	if err := c.lookupPass(ctx, keys[:], floor, out[:], state[:]); err != nil {
+		return kv.Item{}, err
+	}
+	if !out[0].Found {
+		return kv.Item{}, ErrNotFound
+	}
+	return out[0].Item, nil
+}
+
 // GetItem is the item-granular, non-transactional read that lets a Cache
 // act as the Backend of another cache — the mid-tier role of a clustered
 // edge deployment. It serves the cached item (value, commit version, and
@@ -19,29 +57,19 @@ import (
 // older than floor is refetched from the backend instead of served, so a
 // client that already observed a newer version of this key's range (a
 // cluster router failing over from a dead node) is never handed data
-// staler than its own history. The zero floor disables the check.
+// staler than its own history. The refetched item is served whatever its
+// version: the backend chain bottoms out at the database, which is
+// authoritative, and a floor inflated by a neighbouring key's commit
+// must not turn into an error. The zero floor disables the check.
 //
 // The returned Item shares the cache's memory (copy-on-write; see Read)
 // and must be treated as read-only.
 func (c *Cache) GetItem(ctx context.Context, key kv.Key, floor kv.Version) (kv.Item, bool, error) {
-	if c.closed.Load() {
-		return kv.Item{}, false, ErrClosed
-	}
-	if err := ctx.Err(); err != nil {
-		return kv.Item{}, false, err
-	}
-	c.metrics.Reads.Add(1)
-	sh := c.shardFor(key)
-	sh.mu.Lock()
-	item, err := c.lookupFloorShardLocked(ctx, sh, key, floor)
-	sh.mu.Unlock()
+	item, err := c.lookupOne(ctx, key, floor)
 	if errors.Is(err, ErrNotFound) {
 		return kv.Item{}, false, nil
 	}
-	if err != nil {
-		return kv.Item{}, false, err
-	}
-	return item, true, nil
+	return item, err == nil, err
 }
 
 // GetItems is the batch form of GetItem: one Lookup per requested key,
@@ -49,120 +77,27 @@ func (c *Cache) GetItem(ctx context.Context, key kv.Key, floor kv.Version) (kv.I
 // come from the cache; all remaining keys are fetched from the backend
 // in a single batch request when the backend supports batching, and
 // inserted so later reads hit. A backend failure fails the whole call.
+// This is the batch path cluster routers drive (OpGetBatch), so it feeds
+// the same warm/cold/multi histograms the transactional reads do.
 //
 // Like GetItem, returned Items share the cache's memory and must be
 // treated as read-only.
 func (c *Cache) GetItems(ctx context.Context, keys []kv.Key, floor kv.Version) ([]kv.Lookup, error) {
-	if c.closed.Load() {
-		return nil, ErrClosed
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	// Telemetry gate, mirroring lookupFloorShardLocked: nil c.tel means
-	// no clock reads at all. Enabled, each served key costs a stamp and
-	// an atomic add — zero allocations. This is the batch path cluster
-	// routers drive (OpGetBatch), so it feeds the same warm/cold/multi
-	// histograms the transactional reads do.
-	var start, keyStart time.Time
+	var start time.Time
 	if c.tel != nil {
 		start = time.Now()
 	}
+	var stateBuf [batchInline]int32
+	state := stateBuf[:]
+	if len(keys) > batchInline {
+		state = make([]int32, len(keys))
+	}
 	out := make([]kv.Lookup, len(keys))
-	var missing []kv.Key
-	var missingIdx []int
-	for i, key := range keys {
-		c.metrics.Reads.Add(1)
-		if c.tel != nil {
-			keyStart = time.Now()
-		}
-		sh := c.shardFor(key)
-		sh.mu.Lock()
-		e, cached := sh.entries[key]
-		// Mirrors lookupFloorShardLocked's hit check, including the
-		// expiry removal: an expired entry left in place would be pinned
-		// forever if the backend no longer has the key.
-		switch {
-		case !cached:
-		case c.cfg.TTL > 0 && c.clk.Since(e.fetchedAt) >= c.cfg.TTL:
-			sh.removeEntry(e)
-			c.metrics.TTLExpiries.Add(1)
-		case e.item.Version.Less(floor):
-			c.metrics.FloorRefetches.Add(1)
-		case e.staleLatest:
-		default:
-			c.metrics.Hits.Add(1)
-			sh.ev.Touch(&e.h)
-			out[i] = kv.Lookup{Item: e.item, Found: true}
-			sh.mu.Unlock()
-			if c.tel != nil {
-				c.tel.ReadWarm.ObserveSince(keyStart)
-			}
-			continue
-		}
-		sh.mu.Unlock()
-		c.metrics.Misses.Add(1)
-		missing = append(missing, key)
-		missingIdx = append(missingIdx, i)
-	}
-	if len(missing) == 0 {
-		if c.tel != nil {
-			c.tel.ReadMulti.ObserveSince(start)
-		}
-		return out, nil
-	}
-
-	lookups, err := c.fetchItems(ctx, missing)
-	if err != nil {
-		c.metrics.BackendErrors.Add(1)
+	if err := c.lookupPass(ctx, keys, floor, out, state[:len(keys)]); err != nil {
 		return nil, err
 	}
-	for j, lu := range lookups {
-		if !lu.Found {
-			continue
-		}
-		key := missing[j]
-		sh := c.shardFor(key)
-		sh.mu.Lock()
-		if c.closed.Load() {
-			sh.mu.Unlock()
-			return nil, ErrClosed
-		}
-		c.insertShardLocked(sh, key, lu.Item)
-		sh.mu.Unlock()
-		out[missingIdx[j]] = lu
-	}
 	if c.tel != nil {
-		// Each missed key's serving latency is the whole lookup + batch
-		// fill, so they all record the same elapsed cold sample.
-		cold := uint64(time.Since(start))
-		for range missing {
-			c.tel.ReadCold.Observe(cold)
-		}
 		c.tel.ReadMulti.ObserveSince(start)
 	}
 	return out, nil
-}
-
-// fetchItems reads keys from the backend, batched when it supports it.
-func (c *Cache) fetchItems(ctx context.Context, keys []kv.Key) ([]kv.Lookup, error) {
-	if bb, ok := c.cfg.Backend.(BatchBackend); ok {
-		lookups, err := bb.ReadItems(ctx, keys)
-		if err != nil {
-			return nil, err
-		}
-		if len(lookups) != len(keys) {
-			return nil, errors.New("tcache: batch backend returned mismatched lookup count")
-		}
-		return lookups, nil
-	}
-	lookups := make([]kv.Lookup, len(keys))
-	for i, key := range keys {
-		item, ok, err := c.cfg.Backend.ReadItem(ctx, key)
-		if err != nil {
-			return nil, err
-		}
-		lookups[i] = kv.Lookup{Item: item, Found: ok}
-	}
-	return lookups, nil
 }

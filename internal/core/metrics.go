@@ -1,11 +1,16 @@
 package core
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+
+	"tcache/internal/telemetry"
+)
 
 // Metrics holds the cache's monotonic counters — the one place each is
 // declared. The metric tag is its registry name; Cache.Metrics and
 // Cache.RegisterMetrics are both derived from this struct (see
-// telemetry.CounterSet).
+// telemetry.CounterSet). The five counters every read or transaction
+// moves are declared here but counted in hotCounters (bindCounters).
 type Metrics struct {
 	Reads                uint64v `metric:"reads"`
 	Hits                 uint64v `metric:"hits"`
@@ -84,4 +89,16 @@ func (m MetricsSnapshot) HitRatio() float64 {
 func (c *Cache) Metrics() (out MetricsSnapshot) {
 	c.counters.Fill(&out)
 	return out
+}
+
+// bindCounters builds the counter set and declares the hot counters as
+// sums over the shards and stripes that hold them.
+func (c *Cache) bindCounters() {
+	c.counters = telemetry.NewCounterSet(&c.metrics, MetricsSnapshot{})
+	for i, name := range hotNames {
+		c.counters.Striped(name, func() uint64 {
+			return c.sumShards(func(sh *cacheShard) uint64 { return sh.hot[i] }) +
+				c.sumStripes(func(st *txnStripe) uint64 { return st.hot[i] })
+		})
+	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"reflect"
 	"testing"
+	"unsafe"
 )
 
 // TestMetricsSnapshotMatchesDeclaration holds MetricsSnapshot to exactly
@@ -22,5 +23,13 @@ func TestMetricsSnapshotMatchesDeclaration(t *testing.T) {
 		if mf.Name != sf.Name || sf.Type.Kind() != reflect.Uint64 {
 			t.Errorf("field %d: Metrics.%s vs MetricsSnapshot.%s (%s)", i, mf.Name, sf.Name, sf.Type)
 		}
+	}
+}
+
+// TestTxnStripePadding: neighbouring stripes of Cache.stripes must not
+// share a cache line (or the adjacent line the prefetcher pairs with it).
+func TestTxnStripePadding(t *testing.T) {
+	if size := unsafe.Sizeof(txnStripe{}); size%128 != 0 {
+		t.Fatalf("txnStripe is %d bytes, want a multiple of 128: adjust its padding", size)
 	}
 }

@@ -25,20 +25,21 @@ import (
 // staler than with eviction. Serializability is unaffected — every served
 // version passes the same checks.
 
-// readMV is the transactional read path when multiversioning is enabled.
-// Called with sh.mu (the entry shard of key) and st.mu held, the
-// transaction record resolved, and the latest committed version already
-// looked up (item); returns with both locks released (via the shared
-// completion paths).
+// readMV validates item — what the read pass collected for key — against
+// the transaction record and serves it; if it fails the §III-B checks it
+// tries the entry's retained versions (none without multiversioning), and
+// only then hands the violation to the strategy. Called with sh.mu (the
+// entry shard of key) and st.mu held; returns the item it served with
+// both locks released (via the shared completion paths).
 //
 // The latest version is preferred — exactly like the plain cache (entries
 // whose newest version is known-superseded act as misses). Retained
-// versions are consulted ONLY when the latest fails the §III-B checks:
+// versions are consulted ONLY when the latest fails the checks:
 // multiversioning converts would-be aborts into consistent serves, never
 // fresh reads into stale ones.
 //
 //tcache:holds shard,stripe
-func (c *Cache) readMV(ctx context.Context, sh *cacheShard, st *txnStripe, txnID kv.TxnID, rec *txnRecord, key kv.Key, item kv.Item, lastOp bool) (kv.Value, error) {
+func (c *Cache) readMV(ctx context.Context, sh *cacheShard, st *txnStripe, txnID kv.TxnID, rec *txnRecord, key kv.Key, item kv.Item, lastOp bool) (kv.Item, error) {
 	v, bad := checkRead(rec, key, item)
 	if !bad {
 		return c.serve(sh, st, txnID, rec, key, item, lastOp)
@@ -54,26 +55,15 @@ func (c *Cache) readMV(ctx context.Context, sh *cacheShard, st *txnStripe, txnID
 	return c.handleViolation(ctx, sh, st, txnID, rec, key, item, v, lastOp)
 }
 
-// serve records the read and returns the value, releasing st.mu then
-// sh.mu and emitting any completion afterwards.
+// serve records the read and returns the item, releasing sh.mu then
+// st.mu and emitting any completion afterwards.
 //
 //tcache:holds shard,stripe
-func (c *Cache) serve(sh *cacheShard, st *txnStripe, txnID kv.TxnID, rec *txnRecord, key kv.Key, item kv.Item, lastOp bool) (kv.Value, error) {
+func (c *Cache) serve(sh *cacheShard, st *txnStripe, txnID kv.TxnID, rec *txnRecord, key kv.Key, item kv.Item, lastOp bool) (kv.Item, error) {
 	recordRead(rec, key, item)
-	var (
-		comp Completion
-		fin  bool
-	)
-	if lastOp {
-		comp, fin = c.finishStripeLocked(st, txnID, rec, true, nil), true
-	}
-	val := item.Value // shared read-only; see the hit path in Read
-	st.mu.Unlock()
 	sh.mu.Unlock()
-	if fin {
-		c.emit(comp)
-	}
-	return val, nil
+	c.release(st, txnID, rec, lastOp)
+	return item, nil
 }
 
 // pushVersionLocked records that e's current item is superseded by item,

@@ -1,0 +1,353 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
+	"testing"
+
+	"tcache/internal/kv"
+)
+
+// Tests of the one-pass read (read.go, batch.go): a batch must be
+// indistinguishable from the same keys read one at a time.
+
+// diffSide is one of the two caches of the differential test with the
+// completions its hook saw.
+type diffSide struct {
+	c     *Cache
+	comps []Completion
+}
+
+func newDiffSide(t *testing.T, cfg Config, hooks bool) *diffSide {
+	s := &diffSide{c: newCache(t, cfg)}
+	if hooks {
+		// Kept as delivered: a hook owns the reads it is handed.
+		s.c.OnComplete(func(cp Completion) { s.comps = append(s.comps, cp) })
+	}
+	return s
+}
+
+// sequential is the reference: one Read per key, the last carrying
+// lastOp, stopping at the first error. It reports how many keys it read.
+func sequential(c *Cache, id kv.TxnID, keys []kv.Key, lastOp bool) ([]kv.Value, int, error) {
+	if len(keys) == 0 {
+		if lastOp {
+			c.Commit(id)
+		}
+		return nil, 0, nil
+	}
+	vals := make([]kv.Value, len(keys))
+	for i, k := range keys {
+		v, err := c.Read(bgc, id, k, lastOp && i == len(keys)-1)
+		if err != nil {
+			return nil, i, err
+		}
+		vals[i] = v
+	}
+	return vals, len(keys), nil
+}
+
+// errShape reduces an error to what callers can observe of it.
+func errShape(err error) string {
+	var ie *InconsistencyError
+	switch {
+	case err == nil:
+		return "ok"
+	case errors.As(err, &ie):
+		return fmt.Sprintf("eq%d key=%s stale=%s txn=%d", ie.Equation, ie.Key, ie.StaleKey, ie.TxnID)
+	case errors.Is(err, ErrNotFound):
+		return "notfound"
+	case errors.Is(err, ErrTxnAborted):
+		return "aborted"
+	}
+	return err.Error()
+}
+
+// TestReadMultiMatchesSequentialReads is the seeded differential test of
+// the one-pass read: over a small key space with interleaved backend
+// writes (whose dependency lists make eq.1 and eq.2 fire), partially
+// delivered invalidations, duplicate and absent keys, every strategy and
+// multiversioning on and off, ReadMulti(keys) on one cache and the
+// sequence of Read(key) on a twin produce identical values, errors,
+// completions, resident keys and counter deltas at every step.
+func TestReadMultiMatchesSequentialReads(t *testing.T) {
+	var eq1At, eq2At [5]int // violations seen per batch position, all configs
+	for _, strategy := range []Strategy{StrategyAbort, StrategyEvict, StrategyRetry} {
+		for _, mv := range []int{1, 3} {
+			for _, hooks := range []bool{true, false} {
+				for seed := int64(1); seed <= 12; seed++ {
+					name := fmt.Sprintf("%v/mv%d/hooks=%v/seed%d", strategy, mv, hooks, seed)
+					runDifferential(t, name, Config{Strategy: strategy, Multiversion: mv, Shards: 3}, hooks, seed, &eq1At, &eq2At)
+				}
+			}
+		}
+	}
+	for pos := 0; pos < 5; pos++ {
+		if pos > 0 && eq1At[pos] == 0 || eq2At[pos] == 0 {
+			t.Errorf("batch position %d never tripped eq.1 (%d) or eq.2 (%d): the test lost its coverage", pos, eq1At[pos], eq2At[pos])
+		}
+	}
+}
+
+func runDifferential(t *testing.T, name string, cfg Config, hooks bool, seed int64, eq1At, eq2At *[5]int) {
+	rng := rand.New(rand.NewSource(seed))
+	b := newBatchBackend()
+	cfg.Backend = b
+	batch, single := newDiffSide(t, cfg, hooks), newDiffSide(t, cfg, hooks)
+	keys := []kv.Key{"a", "b", "c", "d", "e", "f", "ghost"} // ghost is never written
+	version := uint64(0)
+	current := map[kv.Key]uint64{}
+	write := func(k kv.Key, deps ...kv.DepEntry) {
+		b.put(k, fmt.Sprintf("%s@%d", k, version), version, deps...)
+		current[k] = version
+	}
+	for _, k := range keys[:6] {
+		version++
+		write(k)
+	}
+	id := kv.TxnID(1)
+	for step := 0; step < 120; step++ {
+		fail := func(format string, args ...any) {
+			t.Helper()
+			t.Fatalf("%s step %d: %s", name, step, fmt.Sprintf(format, args...))
+		}
+		if rng.Intn(3) == 0 {
+			// One update transaction writes two keys, each depending on
+			// the other and on a third; each invalidation is lost with
+			// probability 1/2 — on both caches alike.
+			version++
+			x, y, z := keys[rng.Intn(6)], keys[rng.Intn(6)], keys[rng.Intn(6)]
+			write(x, dep(y, version), dep(z, current[z]))
+			write(y, dep(x, version), dep(z, current[z]))
+			for _, k := range []kv.Key{x, y} {
+				if rng.Intn(2) == 0 {
+					batch.c.Invalidate(k, kv.Version{Counter: version})
+					single.c.Invalidate(k, kv.Version{Counter: version})
+				}
+			}
+			continue
+		}
+		read := make([]kv.Key, rng.Intn(6))
+		for i := range read {
+			read[i] = keys[rng.Intn(len(keys))]
+			if rng.Intn(40) == 0 {
+				read[i] = "ghost"
+			}
+		}
+		lastOp := rng.Intn(2) == 0
+		beforeB, beforeS := batch.c.Metrics(), single.c.Metrics()
+		gotVals, gotErr := batch.c.ReadMulti(bgc, id, read, lastOp)
+		wantVals, stopped, wantErr := sequential(single.c, id, read, lastOp)
+		if errShape(gotErr) != errShape(wantErr) {
+			fail("ReadMulti(%v) = %v, sequential reads = %v", read, gotErr, wantErr)
+		}
+		if !reflect.DeepEqual(gotVals, wantVals) {
+			fail("ReadMulti(%v) values %q, sequential reads %q", read, gotVals, wantVals)
+		}
+		if !reflect.DeepEqual(batch.comps, single.comps) {
+			fail("completions diverged after %v:\n batch  %+v\n single %+v", read, batch.comps, single.comps)
+		}
+		deltaB, deltaS := metricsDelta(batch.c.Metrics(), beforeB), metricsDelta(single.c.Metrics(), beforeS)
+		// Only a batch issues batch backend calls.
+		deltaB.BatchPrefetches, deltaB.BatchPrefetchedKeys = 0, 0
+		var ie *InconsistencyError
+		if errors.As(gotErr, &ie) && ie.Equation == 1 && slices.Contains(read[stopped+1:], ie.StaleKey) {
+			// The one legitimate difference: the eq.1 violator is also a
+			// later key of this batch, so the batch may have refetched it
+			// before the violation was found — nothing stale is left for
+			// EVICT/RETRY to evict.
+			deltaB.Evictions, deltaS.Evictions = 0, 0
+		}
+		if deltaB != deltaS {
+			fail("counter deltas diverged after %v (err %v):\n batch  %+v\n single %+v", read, gotErr, deltaB, deltaS)
+		}
+		if deltaB.Reads != deltaB.Hits+deltaB.Misses {
+			fail("Reads %d != Hits %d + Misses %d", deltaB.Reads, deltaB.Hits, deltaB.Misses)
+		}
+		if ie != nil {
+			if ie.Equation == 1 {
+				eq1At[stopped]++
+			} else {
+				eq2At[stopped]++
+			}
+		}
+		if gotErr != nil {
+			// The batch looked up (and filled) the keys behind the failing
+			// one before validating; the single reads never reached them.
+			// Bring both caches to the same contents before going on.
+			for _, k := range read[stopped:] {
+				batch.c.Get(bgc, k)
+				single.c.Get(bgc, k)
+			}
+		}
+		for _, k := range keys {
+			if batch.c.Contains(k) != single.c.Contains(k) {
+				fail("after %v (err %v): Contains(%s) batch %v, single %v", read, gotErr, k, batch.c.Contains(k), single.c.Contains(k))
+			}
+		}
+		if batch.c.ActiveTxns() != single.c.ActiveTxns() {
+			fail("ActiveTxns batch %d, single %d", batch.c.ActiveTxns(), single.c.ActiveTxns())
+		}
+		if lastOp || errors.Is(gotErr, ErrTxnAborted) || rng.Intn(4) == 0 {
+			if rng.Intn(2) == 0 { // leaves no record behind either way
+				batch.c.Abort(id)
+				single.c.Abort(id)
+			}
+			id++
+		}
+	}
+}
+
+// metricsDelta returns after - before, field by field.
+func metricsDelta(after, before MetricsSnapshot) MetricsSnapshot {
+	a, b := reflect.ValueOf(&after).Elem(), reflect.ValueOf(before)
+	for i := 0; i < a.NumField(); i++ {
+		a.Field(i).SetUint(a.Field(i).Uint() - b.Field(i).Uint())
+	}
+	return after
+}
+
+// TestReadsEqualHitsPlusMisses pins the accounting identity on every read
+// path: single, batch, floor refetch, TTL expiry, admission-declined,
+// RETRY's refetch and a failed fetch (counted once).
+func TestReadsEqualHitsPlusMisses(t *testing.T) {
+	check := func(t *testing.T, c *Cache, reads, hits uint64) {
+		t.Helper()
+		m := c.Metrics()
+		if m.Reads != reads || m.Hits != hits || m.Misses != reads-hits {
+			t.Fatalf("reads/hits/misses = %d/%d/%d, want %d/%d/%d", m.Reads, m.Hits, m.Misses, reads, hits, reads-hits)
+		}
+	}
+	t.Run("single and batch", func(t *testing.T) {
+		b := newBatchBackend()
+		c := newCache(t, Config{Backend: b})
+		b.put("a", "1", 1)
+		b.put("b", "1", 1)
+		c.Read(bgc, 1, "a", true)                                // miss
+		c.ReadMulti(bgc, 2, []kv.Key{"a", "b", "b"}, true)       // hit, miss, hit (served by b's fill)
+		c.GetItems(bgc, []kv.Key{"a", "zz", "zz"}, kv.Version{}) // hit, miss, miss (never found)
+		check(t, c, 7, 3)
+	})
+	t.Run("floor refetch", func(t *testing.T) {
+		b := newBatchBackend()
+		c := newCache(t, Config{Backend: b})
+		b.put("a", "1", 1)
+		c.Get(bgc, "a")
+		c.GetItem(bgc, "a", kv.Version{Counter: 5})
+		c.GetItems(bgc, []kv.Key{"a", "a"}, kv.Version{Counter: 5})
+		check(t, c, 4, 0)
+		if got := c.Metrics().FloorRefetches; got != 3 {
+			t.Fatalf("FloorRefetches = %d, want 3", got)
+		}
+	})
+	t.Run("admission declined", func(t *testing.T) {
+		b := newBatchBackend()
+		c := newCache(t, Config{Backend: b, MaxBytes: 1 << 20, Admission: true, Shards: 1})
+		b.put("a", "1", 1)
+		c.ReadMulti(bgc, 1, []kv.Key{"a", "a"}, true) // declined, then admitted: two misses
+		c.Get(bgc, "a")
+		check(t, c, 3, 1)
+		if got := c.Metrics().AdmissionRejects; got != 1 {
+			t.Fatalf("AdmissionRejects = %d, want 1", got)
+		}
+	})
+	t.Run("retry refetch", func(t *testing.T) {
+		c, _ := staleBCache(t, StrategyRetry)
+		if _, err := c.ReadMulti(bgc, 1, []kv.Key{"A", "B"}, true); err != nil {
+			t.Fatal(err)
+		}
+		m := c.Metrics()
+		if m.Retries != 1 || m.Reads != m.Hits+m.Misses {
+			t.Fatalf("retries %d, reads %d, hits %d, misses %d", m.Retries, m.Reads, m.Hits, m.Misses)
+		}
+	})
+	t.Run("failed fetch", func(t *testing.T) {
+		b := newMapBackend()
+		c := newCache(t, Config{Backend: failingBackend{b}})
+		if _, err := c.ReadMulti(bgc, 1, []kv.Key{"a", "b"}, true); err == nil {
+			t.Fatal("ReadMulti over a dead backend succeeded")
+		}
+		check(t, c, 1, 0) // stopped at the first key
+		if got := c.Metrics().BackendErrors; got != 1 {
+			t.Fatalf("BackendErrors = %d, want 1", got)
+		}
+		if c.ActiveTxns() != 1 {
+			t.Fatal("a failed fetch must leave the transaction to its caller")
+		}
+	})
+}
+
+// failingBackend fails every read.
+type failingBackend struct{ *mapBackend }
+
+func (failingBackend) ReadItem(context.Context, kv.Key) (kv.Item, bool, error) {
+	return kv.Item{}, false, errors.New("backend down")
+}
+
+// TestReadMultiCancelledDuringBatchFetch: a ctx cancelled while the batch
+// request is in flight surfaces as ctx.Err() — not as a backend error
+// followed by per-key failures — and the transaction survives.
+func TestReadMultiCancelledDuringBatchFetch(t *testing.T) {
+	b := newBatchBackend()
+	c := newCache(t, Config{Backend: cancellingBackend{b}})
+	b.put("a", "1", 1)
+	b.put("b", "1", 1)
+	ctx, cancel := context.WithCancel(context.Background())
+	_, err := c.ReadMulti(context.WithValue(ctx, cancelKey{}, cancel), 1, []kv.Key{"a", "b"}, true)
+	if err != context.Canceled {
+		t.Fatalf("ReadMulti = %v, want context.Canceled itself", err)
+	}
+	if m := c.Metrics(); m.BackendErrors != 0 || b.getCount() != 0 {
+		t.Fatalf("BackendErrors = %d, per-key backend reads = %d; want 0/0", m.BackendErrors, b.getCount())
+	}
+	if c.ActiveTxns() != 1 {
+		t.Fatal("cancelled batch destroyed the txn record")
+	}
+}
+
+type cancelKey struct{}
+
+// cancellingBackend cancels the request's ctx inside ReadItems.
+type cancellingBackend struct{ *batchBackend }
+
+func (cancellingBackend) ReadItems(ctx context.Context, keys []kv.Key) ([]kv.Lookup, error) {
+	ctx.Value(cancelKey{}).(context.CancelFunc)()
+	return nil, ctx.Err()
+}
+
+// TestReadMultiLargeBatchAndDuplicates: a batch beyond txnRecordSpill
+// (and beyond the inline scratch), with every key repeated, reads like
+// the sequence of single reads — one fetch per distinct key.
+func TestReadMultiLargeBatchAndDuplicates(t *testing.T) {
+	b := newBatchBackend()
+	c := newCache(t, Config{Backend: b, Shards: 4})
+	var keys []kv.Key
+	for i := 0; i < 2*txnRecordSpill+3; i++ {
+		k := kv.Key(fmt.Sprintf("k%03d", i))
+		b.put(k, string(k), 1)
+		keys = append(keys, k, k)
+	}
+	var comp Completion
+	c.OnComplete(func(cp Completion) { comp = cp })
+	vals, err := c.ReadMulti(bgc, 1, keys, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range vals {
+		if string(v) != string(keys[i]) {
+			t.Fatalf("vals[%d] = %q, want %q", i, v, keys[i])
+		}
+	}
+	distinct := uint64(len(keys) / 2)
+	m := c.Metrics()
+	if m.Reads != 2*distinct || m.Misses != distinct || m.Hits != distinct || m.BatchPrefetches != 1 || m.BatchPrefetchedKeys != distinct {
+		t.Fatalf("metrics = %+v, want %d misses and %d hits from one batch call", m, distinct, distinct)
+	}
+	if !comp.Committed || uint64(len(comp.Reads)) != distinct {
+		t.Fatalf("completion = committed %v with %d reads, want %d distinct", comp.Committed, len(comp.Reads), distinct)
+	}
+}

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"time"
 
 	"tcache/internal/kv"
@@ -36,116 +35,226 @@ type violation struct {
 // ctx.Err() and leaves the transaction record intact (the caller decides
 // whether to Abort it — Cache.ReadTxn in the public package does).
 //
-// Locking: Read acquires the entry shard of key, then the transaction
-// stripe of txnID — the fixed order every path in this package follows —
-// and holds at most one lock of each kind at any time.
+// Read is the one-key case of ReadMulti: both are readPass.
 //
 //tcache:hotpath
 func (c *Cache) Read(ctx context.Context, txnID kv.TxnID, key kv.Key, lastOp bool) (kv.Value, error) {
-	if c.closed.Load() {
-		return nil, ErrClosed
-	}
-	if err := ctx.Err(); err != nil {
+	var (
+		keys  = [1]kv.Key{key}
+		out   [1]kv.Lookup
+		state [1]int32
+		vals  [1]kv.Value
+	)
+	if err := c.readPass(ctx, txnID, keys[:], out[:], state[:], vals[:], lastOp); err != nil {
 		return nil, err
 	}
-	c.metrics.Reads.Add(1)
+	return vals[0], nil
+}
 
-	// Resolve the transaction record first and stamp lastUsed, so the GC
-	// sweeper never collects a record whose owner is mid-read: the fresh
-	// stamp protects it for a full TxnGC window even if the backend fetch
-	// below stalls. The stripe is released before the entry shard is
-	// taken (the fixed order never holds a stripe while acquiring a
-	// shard) and re-validated afterwards.
-	st := c.stripeFor(txnID)
-	st.mu.Lock()
+// ReadMulti performs the transactional reads of keys, in order, within
+// txnID — the values, errors, completions, evictions and counters of
+// calling Read once per key, with the final read carrying lastOp — in
+// one pass: every entry shard the keys touch is locked once, all keys
+// the cache cannot serve are fetched from the backend in ONE batch
+// request (BatchBackend), and the transaction's stripe is locked once to
+// validate the whole batch. A remote transactional read of N cold keys
+// costs one round trip instead of N; a warm one costs (shards touched +
+// 1) lock acquisitions instead of 3N.
+//
+// Validation is unchanged: every key still passes the §III-B checks
+// against the transaction record one at a time, in key order, and the
+// configured strategy applies to any detected inconsistency. The first
+// error stops the batch and is returned; keys behind it were looked up
+// (and filled) but are neither validated nor counted as reads.
+func (c *Cache) ReadMulti(ctx context.Context, txnID kv.TxnID, keys []kv.Key, lastOp bool) ([]kv.Value, error) {
+	if len(keys) == 0 {
+		if c.closed.Load() {
+			return nil, ErrClosed
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		// An empty batch still honors lastOp: the transaction completes
+		// instead of leaking its record.
+		if lastOp {
+			c.Commit(txnID)
+		}
+		return nil, nil
+	}
+	var start time.Time
+	if c.tel != nil {
+		start = time.Now()
+	}
+	// The scratch of a typical batch lives on the stack; the values are
+	// the caller's to keep.
+	var outBuf [batchInline]kv.Lookup
+	var stateBuf [batchInline]int32
+	out, state := outBuf[:], stateBuf[:]
+	if len(keys) > batchInline {
+		out, state = make([]kv.Lookup, len(keys)), make([]int32, len(keys))
+	}
+	vals := make([]kv.Value, len(keys))
+	if err := c.readPass(ctx, txnID, keys, out[:len(keys)], state[:len(keys)], vals, lastOp); err != nil {
+		return nil, err
+	}
+	if c.tel != nil {
+		c.tel.ReadMulti.ObserveSince(start)
+	}
+	return vals, nil
+}
+
+// batchInline is the batch size whose per-key scratch fits the stack
+// (the paper's transactions read ~5 keys).
+const batchInline = 8
+
+// readPass is the transactional read: collect what the cache can serve
+// (one lock per touched shard), fetch and insert the rest (one backend
+// batch), then validate in key order under the transaction's stripe
+// (one lock), recording each read, writing its value to vals and
+// finishing the transaction on lastOp. No two locks are ever held
+// together here; a key that fails its check drops into readLocked, which
+// takes the shard and the stripe the strategy code needs, and the pass
+// resumes behind it. out and state are per-key scratch, len(keys) each.
+//
+//tcache:hotpath
+func (c *Cache) readPass(ctx context.Context, txnID kv.TxnID, keys []kv.Key, out []kv.Lookup, state []int32, vals []kv.Value, lastOp bool) error {
 	if c.closed.Load() {
-		// Close drained this stripe (or is about to); don't resurrect a
-		// record it would never complete.
+		return ErrClosed
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	st := c.stripeFor(txnID)
+	var (
+		rec      *txnRecord
+		fetchErr error
+	)
+	var missing versionTable
+	if c.collect(keys, kv.Version{}, out, state, &missing, false); len(missing.rows) > 0 {
+		if c.cfg.TxnGC > 0 {
+			// Resolve the record and stamp lastUsed before the fetch, so
+			// the GC sweeper never collects a record whose owner is
+			// stalled in the backend: the fresh stamp protects it for a
+			// full TxnGC window. A warm pass cannot stall and skips this.
+			st.mu.Lock()
+			var err error
+			rec, err = c.txnLocked(st, txnID, nil)
+			st.mu.Unlock()
+			if err != nil {
+				return err
+			}
+		}
+		if fetchErr = c.fill(ctx, keys, kv.Version{}, out, state, missing.rows, false); errors.Is(fetchErr, ErrClosed) {
+			return ErrClosed
+		}
+	}
+	for i := 0; ; {
+		st.mu.Lock()
+		var err error
+		if rec, err = c.txnLocked(st, txnID, rec); err != nil {
+			st.mu.Unlock()
+			return err
+		}
+		var reads, hits uint64
+		for ; i < len(keys); i++ {
+			reads++
+			if state[i] == slotHit {
+				hits++
+			}
+			if !out[i].Found {
+				// Backend miss or fetch failure (including ctx
+				// cancellation): the read fails but the transaction
+				// survives; a lastOp flag still completes it.
+				err = ErrNotFound
+				if state[i] != slotMiss {
+					err = fetchErr
+				}
+				break
+			}
+			if _, bad := checkRead(rec, keys[i], out[i].Item); bad {
+				break
+			}
+			recordRead(rec, keys[i], out[i].Item)
+			// Copy-on-write sharing: cached values are immutable (updates
+			// replace the whole item, never mutate the slice), so the
+			// caller gets the cached slice, not a copy per read.
+			vals[i] = out[i].Item.Value
+		}
+		st.hot.count(reads, hits)
+		if err != nil || i == len(keys) {
+			c.release(st, txnID, rec, lastOp && i >= len(keys)-1)
+			return err
+		}
 		st.mu.Unlock()
+
+		served, err := c.readLocked(ctx, st, txnID, rec, keys[i], out[i].Item, lastOp && i == len(keys)-1)
+		if err != nil {
+			return err
+		}
+		vals[i] = served.Value
+		if out[i].Item.Version.Less(served.Version) {
+			// RETRY refetched the key: a later duplicate in this batch
+			// must see what the refetch installed, as a later Read would.
+			for j := i + 1; j < len(keys); j++ {
+				if keys[j] == keys[i] {
+					out[j].Item = served
+				}
+			}
+		}
+		if i++; i == len(keys) {
+			return nil
+		}
+	}
+}
+
+// txnLocked returns txnID's record, creating it when the transaction is
+// new. want is the record an earlier step of the same read resolved: if
+// the stripe no longer holds it, the transaction was finished while no
+// lock was held (Close drained it, GC collected it, or a concurrent
+// Abort/Commit raced this read) and its completion has been emitted —
+// the read fails rather than resurrect it with its validation state
+// lost. Callers hold st.mu.
+//
+//tcache:hotpath
+//tcache:holds stripe
+func (c *Cache) txnLocked(st *txnStripe, txnID kv.TxnID, want *txnRecord) (*txnRecord, error) {
+	if c.closed.Load() {
+		// Close drained this stripe (or is about to); don't create a
+		// record it would never complete.
 		return nil, ErrClosed
 	}
 	rec, ok := st.txns[txnID]
-	if !ok {
+	switch {
+	case want != nil && rec != want:
+		return nil, ErrTxnAborted
+	case !ok:
 		rec = newTxnRecord()
 		st.txns[txnID] = rec
-		c.metrics.TxnsStarted.Add(1)
+		st.hot[hotTxnsStarted]++
 	}
 	if c.cfg.TxnGC > 0 {
 		// Only the GC sweeper reads lastUsed; without one, skip the clock
 		// read on every served hit.
 		rec.lastUsed = c.clk.Now()
 	}
-	st.mu.Unlock()
+	return rec, nil
+}
 
+// readLocked reads key for the strategy code: it takes the entry shard of
+// key, then the transaction stripe — the fixed order — re-validates item
+// (what the pass collected for key) under both, and serves it, an older
+// retained version, RETRY's refetch, or the abort. It returns the item it
+// served with both locks released.
+func (c *Cache) readLocked(ctx context.Context, st *txnStripe, txnID kv.TxnID, rec *txnRecord, key kv.Key, item kv.Item, lastOp bool) (kv.Item, error) {
 	sh := c.shardFor(key)
 	sh.mu.Lock()
-	item, lerr := c.lookupShardLocked(ctx, sh, key)
-	if errors.Is(lerr, ErrClosed) {
-		sh.mu.Unlock()
-		return nil, ErrClosed
-	}
-
 	st.mu.Lock()
-	if cur, ok := st.txns[txnID]; !ok || cur != rec {
-		// The record was finished while no lock was held (Close drained
-		// it, GC collected it, or a concurrent Abort/Commit raced this
-		// read); its completion has already been emitted — don't
-		// resurrect it with its validation state lost.
+	if _, err := c.txnLocked(st, txnID, rec); err != nil {
 		st.mu.Unlock()
 		sh.mu.Unlock()
-		if c.closed.Load() {
-			return nil, ErrClosed
-		}
-		return nil, ErrTxnAborted
+		return kv.Item{}, err
 	}
-
-	if lerr != nil {
-		// Backend miss or fetch failure (including ctx cancellation): the
-		// read fails but the transaction survives; a lastOp flag still
-		// completes it.
-		var (
-			comp Completion
-			fin  bool
-		)
-		if lastOp {
-			comp, fin = c.finishStripeLocked(st, txnID, rec, true, nil), true
-		}
-		st.mu.Unlock()
-		sh.mu.Unlock()
-		if fin {
-			c.emit(comp)
-		}
-		return nil, lerr
-	}
-
-	if c.cfg.Multiversion > 1 {
-		return c.readMV(ctx, sh, st, txnID, rec, key, item, lastOp)
-	}
-
-	v, bad := checkRead(rec, key, item)
-	if bad {
-		return c.handleViolation(ctx, sh, st, txnID, rec, key, item, v, lastOp)
-	}
-
-	recordRead(rec, key, item)
-	var (
-		comp Completion
-		fin  bool
-	)
-	if lastOp {
-		comp, fin = c.finishStripeLocked(st, txnID, rec, true, nil), true
-	}
-	// Copy-on-write sharing: cached values are immutable (updates replace
-	// the whole item, never mutate the slice), so the hit path hands the
-	// caller the cached slice instead of a fresh copy per read. Callers
-	// must treat returned values as read-only.
-	val := item.Value
-	st.mu.Unlock()
-	sh.mu.Unlock()
-	if fin {
-		c.emit(comp)
-	}
-	return val, nil
+	return c.readMV(ctx, sh, st, txnID, rec, key, item, lastOp)
 }
 
 // Get is the plain, non-transactional read API (a consistency-unaware
@@ -154,46 +263,23 @@ func (c *Cache) Read(ctx context.Context, txnID kv.TxnID, key kv.Key, lastOp boo
 //
 //tcache:hotpath
 func (c *Cache) Get(ctx context.Context, key kv.Key) (kv.Value, error) {
-	if c.closed.Load() {
-		return nil, ErrClosed
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	c.metrics.Reads.Add(1)
-	sh := c.shardFor(key)
-	sh.mu.Lock()
-	item, err := c.lookupShardLocked(ctx, sh, key)
-	if err != nil {
-		sh.mu.Unlock()
-		return nil, err
-	}
-	val := item.Value // shared read-only; see the hit path in Read
-	sh.mu.Unlock()
-	return val, nil
+	item, err := c.lookupOne(ctx, key, kv.Version{})
+	return item.Value, err // shared read-only; see readPass
 }
 
 // Commit finalizes a transaction without a further read, for clients
 // that cannot know in advance which read is their last and therefore
 // never set lastOp. The transaction is reported as committed. Committing
 // an unknown transaction is a no-op.
-func (c *Cache) Commit(txnID kv.TxnID) {
-	st := c.stripeFor(txnID)
-	st.mu.Lock()
-	rec, ok := st.txns[txnID]
-	if !ok {
-		st.mu.Unlock()
-		return
-	}
-	comp := c.finishStripeLocked(st, txnID, rec, true, nil)
-	st.mu.Unlock()
-	c.emit(comp)
-}
+func (c *Cache) Commit(txnID kv.TxnID) { c.finish(txnID, true) }
 
 // Abort discards the transaction record without a final read; the
 // transaction is reported as aborted. Aborting an unknown transaction is a
 // no-op (it may have been garbage-collected already).
-func (c *Cache) Abort(txnID kv.TxnID) {
+func (c *Cache) Abort(txnID kv.TxnID) { c.finish(txnID, false) }
+
+//tcache:hotpath
+func (c *Cache) finish(txnID kv.TxnID, committed bool) {
 	st := c.stripeFor(txnID)
 	st.mu.Lock()
 	rec, ok := st.txns[txnID]
@@ -201,96 +287,28 @@ func (c *Cache) Abort(txnID kv.TxnID) {
 		st.mu.Unlock()
 		return
 	}
-	c.metrics.TxnsAborted.Add(1)
-	comp := c.finishStripeLocked(st, txnID, rec, false, nil)
+	if !committed {
+		c.metrics.TxnsAborted.Add(1)
+	}
+	c.finishStripeLocked(st, txnID, committed)
 	st.mu.Unlock()
-	c.emit(comp)
+	c.emit(txnID, rec, committed, nil)
 }
 
-// lookupShardLocked returns the item for key, filling from the backend on
-// a miss or TTL expiry. It is called with sh.mu held (and no transaction
-// stripe held) and releases and re-acquires sh.mu around the backend
-// fetch. Backend failures (a cancelled ctx, a dead remote peer) surface
-// as the backend's error, distinct from ErrNotFound.
+// release ends a read's hold on the stripe: it unlocks st.mu and, when
+// commit is set (the read carried lastOp), first finishes the transaction
+// as committed and afterwards emits its completion.
 //
 //tcache:hotpath
-//tcache:holds shard
-func (c *Cache) lookupShardLocked(ctx context.Context, sh *cacheShard, key kv.Key) (kv.Item, error) {
-	return c.lookupFloorShardLocked(ctx, sh, key, kv.Version{})
-}
-
-// lookupFloorShardLocked is lookupShardLocked with a read floor: a cached
-// entry older than floor is not served but refetched from the backend —
-// the caller (a cluster router's failed-over read) has already observed a
-// newer version in this key's range, so the local copy cannot be trusted.
-// The refetched item is served whatever its version: the backend chain
-// bottoms out at the database, which is authoritative, and a floor
-// inflated by a neighbouring key's commit must not turn into an error.
-// The zero floor disables the check.
-//
-//tcache:hotpath
-//tcache:holds shard
-func (c *Cache) lookupFloorShardLocked(ctx context.Context, sh *cacheShard, key kv.Key, floor kv.Version) (kv.Item, error) {
-	// Telemetry gate: with c.tel nil (the default) the hot path takes no
-	// time stamp at all; enabled, the cost is two clock reads and two
-	// atomic adds — zero allocations either way.
-	var start time.Time
-	if c.tel != nil {
-		start = time.Now()
+//tcache:holds stripe
+func (c *Cache) release(st *txnStripe, txnID kv.TxnID, rec *txnRecord, commit bool) {
+	if !commit {
+		st.mu.Unlock()
+		return
 	}
-	if e, ok := sh.entries[key]; ok {
-		switch {
-		case c.cfg.TTL > 0 && c.clk.Since(e.fetchedAt) >= c.cfg.TTL:
-			sh.removeEntry(e)
-			c.metrics.TTLExpiries.Add(1)
-		case e.item.Version.Less(floor):
-			// Too old for the caller: fall through to the backend fetch.
-			// The entry stays cached — insertShardLocked below replaces it
-			// only with something newer.
-			c.metrics.FloorRefetches.Add(1)
-		case e.staleLatest:
-			// Multiversioning: the newest cached version is superseded;
-			// the latest must come from the backend.
-		case e.prefetched:
-			e.prefetched = false
-			c.metrics.Misses.Add(1)
-			sh.ev.Touch(&e.h)
-			return e.item, nil
-		default:
-			c.metrics.Hits.Add(1)
-			sh.ev.Touch(&e.h)
-			if c.tel != nil {
-				c.tel.ReadWarm.ObserveSince(start)
-			}
-			return e.item, nil
-		}
-	}
-	c.metrics.Misses.Add(1)
-	sh.mu.Unlock()
-	item, ok, err := c.cfg.Backend.ReadItem(ctx, key)
-	sh.mu.Lock()
-	if c.closed.Load() {
-		return kv.Item{}, ErrClosed
-	}
-	if err != nil {
-		c.metrics.BackendErrors.Add(1)
-		//lint:ignore hotalloc backend-error path only; the hit path above returns before reaching this allocation
-		return kv.Item{}, fmt.Errorf("tcache: backend read %q: %w", key, err)
-	}
-	if !ok {
-		return kv.Item{}, ErrNotFound
-	}
-	e := c.insertShardLocked(sh, key, item)
-	if c.tel != nil {
-		c.tel.ReadCold.ObserveSince(start)
-	}
-	if e == nil {
-		// Admission declined to cache the key (first sighting): serve the
-		// fetched item directly — for the caller this is indistinguishable
-		// from a served miss.
-		return item, nil
-	}
-	return e.item, nil
+	c.finishStripeLocked(st, txnID, true)
+	st.mu.Unlock()
+	c.emit(txnID, rec, true, nil)
 }
 
 // checkRead evaluates the paper's two consistency checks for reading item
@@ -308,8 +326,8 @@ func (c *Cache) lookupFloorShardLocked(ctx context.Context, sh *cacheShard, key 
 //
 //tcache:hotpath
 func checkRead(rec *txnRecord, key kv.Key, item kv.Item) (violation, bool) {
-	if exp, ok := rec.expectedVersion(key); ok && item.Version.Less(exp) {
-		return violation{equation: 2, staleKey: key, staleBelow: exp}, true
+	if i := rec.expected.find(key); i >= 0 && item.Version.Less(rec.expected.rows[i].Version) {
+		return violation{equation: 2, staleKey: key, staleBelow: rec.expected.rows[i].Version}, true
 	}
 	if prev, ok := rec.readVersion(key); ok && prev.Less(item.Version) {
 		return violation{equation: 1, staleKey: key, staleBelow: item.Version}, true
@@ -326,8 +344,8 @@ func checkRead(rec *txnRecord, key kv.Key, item kv.Item) (violation, bool) {
 //
 //tcache:hotpath
 func recordRead(rec *txnRecord, key kv.Key, item kv.Item) {
-	if _, seen := rec.readVersion(key); !seen {
-		rec.appendRead(key, item.Version)
+	if rec.reads.find(key) < 0 {
+		rec.reads.add(key, item.Version)
 	}
 	rec.bumpExpected(key, item.Version)
 	for _, dep := range item.Deps {
@@ -337,17 +355,17 @@ func recordRead(rec *txnRecord, key kv.Key, item kv.Item) {
 
 // handleViolation applies the configured strategy to a detected violation.
 // Called with sh.mu (the entry shard of key) and st.mu held; returns with
-// both released. The returned value is non-nil only when StrategyRetry
+// both released. The returned item is set only when StrategyRetry
 // resolved the read.
 //
-// An equation-2 violator is the key being read itself, so RETRY's
-// evict-and-refetch stays within the already-held shard. An equation-1
-// violator may hash to a different shard; it is evicted after both locks
-// are dropped (the eviction is version-conditional, so running it late is
+// An equation-2 violator is the key being read itself, so RETRY evicts it
+// from the already-held shard before refetching. An equation-1 violator
+// may hash to a different shard; it is evicted after both locks are
+// dropped (the eviction is version-conditional, so running it late is
 // safe), keeping the one-entry-shard-at-a-time invariant.
 //
 //tcache:holds shard,stripe
-func (c *Cache) handleViolation(ctx context.Context, sh *cacheShard, st *txnStripe, txnID kv.TxnID, rec *txnRecord, key kv.Key, item kv.Item, v violation, lastOp bool) (kv.Value, error) {
+func (c *Cache) handleViolation(ctx context.Context, sh *cacheShard, st *txnStripe, txnID kv.TxnID, rec *txnRecord, key kv.Key, item kv.Item, v violation, lastOp bool) (kv.Item, error) {
 	c.metrics.Detected.Add(1)
 	if v.equation == 1 {
 		c.metrics.DetectedEq1.Add(1)
@@ -357,29 +375,23 @@ func (c *Cache) handleViolation(ctx context.Context, sh *cacheShard, st *txnStri
 
 	if c.cfg.Strategy == StrategyRetry && v.equation == 2 {
 		// The violator is the object being read: treat the access as a
-		// miss and serve it from the database (§III-B, RETRY). The stripe
-		// is released around the re-fetch so the sh → st lock order is
-		// re-established afterwards.
+		// miss and serve it from the database (§III-B, RETRY). Both locks
+		// are released around the refetch — a second, non-transactional
+		// read of key, counted as one — and re-taken in order afterwards.
 		c.metrics.Retries.Add(1)
 		c.evictStaleShardLocked(sh, v)
 		st.mu.Unlock()
-		fresh, err := c.lookupShardLocked(ctx, sh, key)
+		sh.mu.Unlock()
+		fresh, err := c.lookupOne(ctx, key, kv.Version{})
 		if errors.Is(err, ErrClosed) {
-			sh.mu.Unlock()
-			return nil, ErrClosed
+			return kv.Item{}, ErrClosed
 		}
+		sh.mu.Lock()
 		st.mu.Lock()
-		if cur, ok := st.txns[txnID]; !ok || cur != rec {
-			// The record was finished while the stripe was released —
-			// Close drained it, or a concurrent Abort/Commit/GC got there
-			// first — and its completion has already been emitted; don't
-			// finish it twice.
+		if _, terr := c.txnLocked(st, txnID, rec); terr != nil {
 			st.mu.Unlock()
 			sh.mu.Unlock()
-			if c.closed.Load() {
-				return nil, ErrClosed
-			}
-			return nil, ErrTxnAborted
+			return kv.Item{}, terr
 		}
 		if err != nil && !errors.Is(err, ErrNotFound) {
 			// The re-fetch failed outright (ctx cancelled, backend dead):
@@ -387,27 +399,13 @@ func (c *Cache) handleViolation(ctx context.Context, sh *cacheShard, st *txnStri
 			// abort; the transaction record survives for the caller.
 			st.mu.Unlock()
 			sh.mu.Unlock()
-			return nil, err
+			return kv.Item{}, err
 		}
 		if err == nil {
 			v2, bad := checkRead(rec, key, fresh)
 			if !bad {
 				c.metrics.RetriesResolved.Add(1)
-				recordRead(rec, key, fresh)
-				var (
-					comp Completion
-					fin  bool
-				)
-				if lastOp {
-					comp, fin = c.finishStripeLocked(st, txnID, rec, true, nil), true
-				}
-				val := fresh.Value // shared read-only; see the hit path in Read
-				st.mu.Unlock()
-				sh.mu.Unlock()
-				if fin {
-					c.emit(comp)
-				}
-				return val, nil
+				return c.serve(sh, st, txnID, rec, key, fresh, lastOp)
 			}
 			// The fresh copy exposes a violation among *previous* reads;
 			// fall through to evict-and-abort with the new evidence.
@@ -428,7 +426,7 @@ func (c *Cache) handleViolation(ctx context.Context, sh *cacheShard, st *txnStri
 	}
 
 	c.metrics.TxnsAborted.Add(1)
-	comp := c.finishStripeLocked(st, txnID, rec, false, &ReadVersion{Key: key, Version: item.Version})
+	c.finishStripeLocked(st, txnID, false)
 	st.mu.Unlock()
 	sh.mu.Unlock()
 	if staleShard != nil {
@@ -436,8 +434,8 @@ func (c *Cache) handleViolation(ctx context.Context, sh *cacheShard, st *txnStri
 		c.evictStaleShardLocked(staleShard, v)
 		staleShard.mu.Unlock()
 	}
-	c.emit(comp)
-	return nil, &InconsistencyError{TxnID: txnID, Key: key, StaleKey: v.staleKey, Equation: v.equation}
+	c.emit(txnID, rec, false, &ReadVersion{Key: key, Version: item.Version})
+	return kv.Item{}, &InconsistencyError{TxnID: txnID, Key: key, StaleKey: v.staleKey, Equation: v.equation}
 }
 
 // evictStaleShardLocked removes the violating object's cached copy if it
@@ -462,21 +460,14 @@ func (c *Cache) evictStaleShardLocked(sh *cacheShard, v violation) {
 	}
 }
 
-// finishStripeLocked removes the transaction record from its stripe and
-// builds its completion report; callers emit it once every lock is
-// released. attempted, if non-nil, is the violating read that triggered an
-// abort.
+// finishStripeLocked removes the transaction's record from its stripe;
+// callers emit its completion once every lock is released.
 //
+//tcache:hotpath
 //tcache:holds stripe
-func (c *Cache) finishStripeLocked(st *txnStripe, txnID kv.TxnID, rec *txnRecord, committed bool, attempted *ReadVersion) Completion {
+func (c *Cache) finishStripeLocked(st *txnStripe, txnID kv.TxnID, committed bool) {
 	delete(st.txns, txnID)
 	if committed {
-		c.metrics.TxnsCommitted.Add(1)
-	}
-	return Completion{
-		TxnID:     txnID,
-		Reads:     rec.order,
-		Committed: committed,
-		Attempted: attempted,
+		st.hot[hotTxnsCommitted]++
 	}
 }

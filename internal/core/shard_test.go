@@ -228,7 +228,7 @@ func TestShardHammer(t *testing.T) {
 		nKeys   = 100
 		readers = 8
 	)
-	b := newMapBackend()
+	b := newBatchBackend()
 	for i := 0; i < nKeys; i++ {
 		b.put(hammerKey(i), "v1", 1)
 	}
@@ -254,31 +254,56 @@ func TestShardHammer(t *testing.T) {
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 
-	// Readers: 5-key transactions whose read sets span shards.
+	// Readers: 5-key transactions whose read sets span shards — half of
+	// them key by key, half as one ReadMulti batch.
 	for g := 0; g < readers; g++ {
 		g := g
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			keys := make([]kv.Key, 5)
 			for i := 0; ; i++ {
 				id := kv.TxnID(g*1_000_000 + i + 1)
-				for r := 0; r < 5; r++ {
-					k := hammerKey((g*31 + i*7 + r*13) % nKeys)
-					if _, err := c.Read(bgc, id, k, r == 4); err != nil {
-						if errors.Is(err, ErrClosed) {
-							return
-						}
-						if errors.Is(err, ErrTxnAborted) {
-							break // txn finished (aborted); next txn
-						}
-						t.Errorf("read: %v", err)
-						return
-					}
+				for r := range keys {
+					keys[r] = hammerKey((g*31 + i*7 + r*13) % nKeys)
 				}
-				select {
-				case <-stop:
-					// Keep running until Close kicks us out via ErrClosed.
-				default:
+				var err error
+				if g%2 == 0 {
+					for r := 0; r < 5 && err == nil; r++ {
+						_, err = c.Read(bgc, id, keys[r], r == 4)
+					}
+				} else {
+					_, err = c.ReadMulti(bgc, id, keys, true)
+				}
+				switch {
+				case errors.Is(err, ErrClosed):
+					return
+				case err != nil && !errors.Is(err, ErrTxnAborted): // aborted: txn finished; next txn
+					t.Errorf("read: %v", err)
+					return
+				}
+			}
+		}()
+	}
+
+	// The edge's batch path shares the shards with them.
+	for g := 0; g < 2; g++ {
+		g := g
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			keys := make([]kv.Key, 5)
+			for i := 0; ; i++ {
+				for r := range keys {
+					keys[r] = hammerKey((g*17 + i*3 + r*11) % nKeys)
+				}
+				lookups, err := c.GetItems(bgc, keys, kv.Version{Counter: uint64(i % 3)})
+				if errors.Is(err, ErrClosed) {
+					return
+				}
+				if err != nil || len(lookups) != len(keys) {
+					t.Errorf("GetItems = %d lookups, %v", len(lookups), err)
+					return
 				}
 			}
 		}()
@@ -343,6 +368,9 @@ func TestShardHammer(t *testing.T) {
 	}
 	if uint64(len(perTxn)) != finished {
 		t.Fatalf("hook saw %d completions, metrics finished %d", len(perTxn), finished)
+	}
+	if m.Reads != m.Hits+m.Misses {
+		t.Fatalf("Reads %d != Hits %d + Misses %d", m.Reads, m.Hits, m.Misses)
 	}
 }
 

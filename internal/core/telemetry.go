@@ -5,21 +5,25 @@ import (
 )
 
 // Telemetry is the cache's optional latency instrumentation: log-bucketed
-// histograms fed from the read hot paths. It is wired through
-// Config.Telemetry; a nil Telemetry (the default) keeps the hot paths
-// entirely untouched — not even a clock read — and a non-nil one adds
-// two time stamps and two atomic adds per read, zero allocations
+// histograms fed from the read paths. It is wired through
+// Config.Telemetry; a nil Telemetry (the default) keeps the read paths
+// entirely untouched — not even a clock read — and a non-nil one times
+// each batch once and one warm hit in warmSampleEvery, zero allocations
 // (proven by `tcache-bench -fig telemetry`).
 type Telemetry struct {
-	// ReadWarm observes the latency (ns) of reads served from the cache
-	// (a warm hit: no backend round trip).
+	// ReadWarm observes the latency (ns) of serving one key from the
+	// cache under its shard lock (a warm hit: no backend round trip).
+	// It is a sample — every warmSampleEvery-th hit of each shard, the
+	// first included — so its count is a sample count; the hits counter
+	// is the exact series.
 	ReadWarm *telemetry.Histogram
 	// ReadCold observes the latency (ns) of reads filled from the
-	// backend (miss, TTL expiry, floor refetch).
+	// backend (miss, TTL expiry, floor refetch): the fetch plus the
+	// inserts, once per filled key.
 	ReadCold *telemetry.Histogram
-	// ReadMulti observes whole batch reads — transactional ReadMulti
-	// calls (prefetch included) and the item-granular GetItems batches
-	// cluster routers drive.
+	// ReadMulti observes whole batch reads, one observation each —
+	// transactional ReadMulti calls (fetch included) and the
+	// item-granular GetItems batches cluster routers drive.
 	ReadMulti *telemetry.Histogram
 	// EvictionScan observes how many candidates the eviction policy
 	// examined per victim (1 for exact LRU; CLOCK and cost-aware sweep
@@ -67,16 +71,13 @@ func (c *Cache) RegisterMetrics(reg *telemetry.Registry) {
 // versions included. It walks the shards under their locks — a scrape-
 // time operation, not a hot-path one.
 func (c *Cache) Bytes() uint64 {
-	var n uint64
-	for _, sh := range c.shards {
-		sh.mu.Lock()
+	return c.sumShards(func(sh *cacheShard) (n uint64) {
 		for key, e := range sh.entries {
 			n += uint64(len(key)) + uint64(len(e.item.Value))
 			for i := range e.older {
 				n += uint64(len(e.older[i].Value))
 			}
 		}
-		sh.mu.Unlock()
-	}
-	return n
+		return n
+	})
 }

@@ -96,10 +96,8 @@ func (t *Txn) Read(key kv.Key) (kv.Item, bool, error) {
 	}
 	t.db.metrics.TxnReads.Add(1)
 	item, found := t.db.shardFor(key).store.Get(key)
-	if i, ok := t.readIx[key]; ok {
-		// Repeat read under 2PL returns the same version; keep first record.
-		_ = i
-	} else {
+	// A repeat read under 2PL returns the same version; keep the first record.
+	if _, ok := t.readIx[key]; !ok {
 		t.readIx[key] = len(t.reads)
 		t.reads = append(t.reads, readAccess{key: key, item: item, found: found})
 	}

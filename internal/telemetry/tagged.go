@@ -13,11 +13,16 @@ import (
 // struct's fields directly — and from it the tier derives both its
 // registry registration and its plain-uint64 snapshot struct, so a
 // counter added to the declaration shows up everywhere or fails loudly.
+//
+// A tier whose hottest counters would make every core write one cache
+// line keeps those striped — plain integers beside locks it already
+// takes — and declares the sum with Striped; the field stays the one
+// declaration of the counter's name and snapshot slot.
 type CounterSet struct{ counters []taggedCounter }
 
 type taggedCounter struct {
 	name  string
-	value *atomic.Uint64
+	load  func() uint64
 	field int // the counter's field index in the snapshot struct
 }
 
@@ -39,15 +44,30 @@ func NewCounterSet(metrics, snapshot any) *CounterSet {
 			panic(fmt.Sprintf("telemetry: counter %s.%s (metric %q) must be an atomic.Uint64 with a uint64 field of the same name in %s",
 				mv.Type(), f.Name, name, snap))
 		}
-		s.counters = append(s.counters, taggedCounter{name, c, sf.Index[0]})
+		s.counters = append(s.counters, taggedCounter{name, c.Load, sf.Index[0]})
 	}
 	return s
+}
+
+// Striped declares that the counter registered as name is kept in
+// stripes: its value is the tagged field plus sum(), which the tier
+// computes over its stripes under their own locks. It panics on an
+// unknown name.
+func (s *CounterSet) Striped(name string, sum func() uint64) {
+	for i := range s.counters {
+		if c := &s.counters[i]; c.name == name {
+			field := c.load
+			c.load = func() uint64 { return field() + sum() }
+			return
+		}
+	}
+	panic(fmt.Sprintf("telemetry: no counter %q to stripe", name))
 }
 
 // Register registers every counter in the set into reg.
 func (s *CounterSet) Register(reg *Registry) {
 	for _, c := range s.counters {
-		reg.Counter(c.name, c.value.Load)
+		reg.Counter(c.name, c.load)
 	}
 }
 
@@ -56,6 +76,6 @@ func (s *CounterSet) Register(reg *Registry) {
 func (s *CounterSet) Fill(snapshot any) {
 	v := reflect.ValueOf(snapshot).Elem()
 	for _, c := range s.counters {
-		v.Field(c.field).SetUint(c.value.Load())
+		v.Field(c.field).SetUint(c.load())
 	}
 }

@@ -35,6 +35,38 @@ func TestCounterSetDerivesRegistryAndSnapshot(t *testing.T) {
 	}
 }
 
+func TestCounterSetStripedAddsTheStripesToTheField(t *testing.T) {
+	var m taggedMetrics
+	set := NewCounterSet(&m, taggedSnapshot{})
+	stripes := []uint64{4, 6}
+	set.Striped("hits", func() (n uint64) {
+		for _, s := range stripes {
+			n += s
+		}
+		return n
+	})
+	m.Hits.Add(1)
+	m.Misses.Add(2)
+
+	var snap taggedSnapshot
+	set.Fill(&snap)
+	if snap != (taggedSnapshot{Hits: 11, Misses: 2}) {
+		t.Fatalf("Fill = %+v, want the field plus both stripes", snap)
+	}
+	reg := NewRegistry()
+	set.Register(reg)
+	stripes[0] = 5
+	if got := reg.Snapshot().Counters["hits"]; got != 12 {
+		t.Fatalf("registered hits = %d, want 12 (read at scrape time)", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("striping an undeclared counter was accepted")
+		}
+	}()
+	set.Striped("nope", func() uint64 { return 0 })
+}
+
 func TestCounterSetRejectsUnsnapshottedCounter(t *testing.T) {
 	defer func() {
 		if recover() == nil {

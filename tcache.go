@@ -375,15 +375,13 @@ func WithAdmission() CacheOption {
 }
 
 // WithCacheShards sets the number of lock stripes the cache's entry table
-// and transaction-record table are split over, letting the hit path scale
-// across cores instead of serializing on one mutex. 1 preserves the
-// historical single-mutex semantics exactly (and makes per-shard LRU
-// exactly global LRU); 0 (the default) picks runtime.GOMAXPROCS(0)
-// stripes whether or not the cache is bounded — byte budgets are
-// enforced per shard, so a memory bound no longer costs the striping.
-// With more than one shard, a bounded cache's eviction is approximately
-// — rather than exactly — global: each shard ranks only its own
-// residents.
+// is split over (the transaction-record table has its own, fixed
+// striping). 1 makes per-shard LRU exactly global LRU; 0 (the default)
+// picks runtime.GOMAXPROCS(0) stripes whether or not the cache is
+// bounded — byte budgets are enforced per shard, so a memory bound no
+// longer costs the striping. With more than one shard, a bounded cache's
+// eviction is approximately — rather than exactly — global: each shard
+// ranks only its own residents.
 func WithCacheShards(n int) CacheOption {
 	return func(o *cacheOptions) { o.core.Shards = n }
 }
@@ -511,10 +509,12 @@ func (t *ReadTx) Get(ctx context.Context, key Key) (Value, error) {
 }
 
 // GetMulti reads keys, in order, within the transaction — semantically
-// identical to one Get per key, but all keys missing from the cache are
+// identical to one Get per key, but served in one pass: each cache shard
+// the keys touch is locked once, all keys missing from the cache are
 // fetched from the backend in a single batch request (one round trip to a
-// remote database instead of one per key). Every read is validated
-// individually; the first error stops the batch.
+// remote database instead of one per key), and the batch is validated
+// under one lock. Every read is validated individually, in order; the
+// first error stops the batch.
 //
 // Like Get, the returned Values are shared with the cache and must be
 // treated as read-only; Clone before modifying.

@@ -95,8 +95,12 @@ type TelemetrySnapshot struct {
 	// RoundTrip is the wire round trip under a *Remote or cluster
 	// backend (zero for in-process backends).
 	RoundTrip LatencySnapshot
-	// ReadWarm is the cache's lock-to-serve time for warm hits; ReadCold
-	// includes the backend fill; ReadMulti is a whole GetMulti batch.
+	// ReadWarm is the cache's lock-to-serve time for one warm hit,
+	// sampled (every 64th hit of each cache shard, the first included),
+	// so its Count is a sample count — Stats().Hits is exact. ReadCold
+	// is the backend fetch and fill, once per filled key; ReadMulti is a
+	// whole GetMulti batch, once per batch. ReadTxn, Update and
+	// ReadMulti counts are exact.
 	ReadWarm, ReadCold, ReadMulti LatencySnapshot
 }
 
