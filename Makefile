@@ -11,11 +11,13 @@ test:
 	$(GO) test ./...
 
 # race also sweeps GOMAXPROCS over the packages whose behaviour depends
-# on the stripe count, so a failure that only shows at 2 or 4 CPUs
-# cannot hide on a 1-CPU runner.
+# on the stripe count, and over the write path's tests (commit, install,
+# relay), so a failure that only shows at 2 or 4 CPUs cannot hide on a
+# 1-CPU runner.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -cpu 1,2,4 ./internal/core ./internal/evict ./internal/kv ./internal/codec ./internal/telemetry
+	$(GO) test -race -cpu 1,2,4 -run 'Update|Install|Commit' . ./internal/cluster
 
 # loc prints non-test Go lines per package (bench/ excluded) — the size
 # number tracked next to ns/op.

@@ -191,9 +191,8 @@ type clusterBackend struct {
 }
 
 var (
-	_ Backend        = (*clusterBackend)(nil)
-	_ BatchBackend   = (*clusterBackend)(nil)
-	_ UpdaterBackend = (*clusterBackend)(nil)
+	_ Backend      = (*clusterBackend)(nil)
+	_ BatchBackend = (*clusterBackend)(nil)
 )
 
 func (b *clusterBackend) ReadItem(ctx context.Context, key Key) (Item, bool, error) {
@@ -204,11 +203,18 @@ func (b *clusterBackend) ReadItems(ctx context.Context, keys []Key) ([]Lookup, e
 	return b.r.ReadItems(ctx, keys)
 }
 
-// ValidatedUpdate relays an optimistic commit through a live edge node
-// (which forwards it to the database) and raises the router's per-range
-// write marks, so this client's subsequent reads on ANY node are floored
-// at its own commit — the cluster half of read-your-writes. This is what
-// makes ClusterCache.Update (inherited from the embedded Cache) work.
+// CommitUpdate relays an optimistic commit through a live edge node
+// (which forwards it to the database and the database's answer back) and
+// raises the router's per-range write marks, so this client's subsequent
+// reads on ANY node are floored at its own commit — the cluster half of
+// read-your-writes, for the keys the local cache does not hold. This is
+// what makes ClusterCache.Update (inherited from the embedded Cache) work.
+func (b *clusterBackend) CommitUpdate(ctx context.Context, reads []ObservedRead, writes []KeyValue) (CommitResult, error) {
+	return b.r.CommitUpdate(ctx, reads, writes)
+}
+
+// ValidatedUpdate implements UpdaterBackend: CommitUpdate without the
+// lists.
 func (b *clusterBackend) ValidatedUpdate(ctx context.Context, reads []ObservedRead, writes []KeyValue) (Version, error) {
 	return b.r.ValidatedUpdate(ctx, reads, writes)
 }

@@ -96,8 +96,11 @@ func newClusterRig(t *testing.T, nEdges int, opts ...tcache.ClusterOption) *clus
 			}
 		}
 	})
-	opts = append(opts, tcache.WithClusterHealth(25*time.Millisecond, 500*time.Millisecond),
-		tcache.WithClusterFailThreshold(2))
+	// The rig's defaults first, so a test's own options override them.
+	opts = append([]tcache.ClusterOption{
+		tcache.WithClusterHealth(25*time.Millisecond, 500*time.Millisecond),
+		tcache.WithClusterFailThreshold(2),
+	}, opts...)
 	cc, err := tcache.DialCluster(ctx, addrs, opts...)
 	if err != nil {
 		t.Fatal(err)

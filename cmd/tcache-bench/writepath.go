@@ -11,7 +11,11 @@ package main
 //   - a blind Remote write (no observed reads: the pure commit round
 //     trip);
 //   - Cache.Update on a remote-backed cache, including the synchronous
-//     self-invalidation that buys read-your-writes at the edge.
+//     commit install that buys read-your-writes at the edge — and, for
+//     a repeated update, the next attempt's whole snapshot: the figure
+//     also counts the database reads a repeated 5-key read-modify-write
+//     costs per commit (5 when the cache evicted what it wrote, 0 now
+//     that it keeps it).
 //
 // Results go to BENCH_pr5.json; matching entries in bench_budget.json
 // gate allocs/op regressions (CI runs this with -quick).
@@ -30,32 +34,50 @@ import (
 
 const writeBenchOut = "BENCH_pr5.json"
 
-// writeStack builds the remote deployment and returns every tier's
-// Updater handle.
-func writeStack(b *testing.B) (*tcache.DB, *tcache.Remote, *tcache.Cache) {
-	b.Helper()
-	d := tcache.OpenDB(tcache.WithDepListBound(5))
-	b.Cleanup(func() { d.Close() })
+// openWriteStack builds the remote deployment — a served DB holding one
+// seeded key, a Remote dialed to it, a cache on the Remote — and returns
+// every tier's Updater handle with the function that tears it down.
+func openWriteStack() (d *tcache.DB, remote *tcache.Remote, cache *tcache.Cache, closeAll func(), err error) {
+	var closers []func()
+	closeAll = func() {
+		for i := len(closers) - 1; i >= 0; i-- {
+			closers[i]()
+		}
+	}
+	defer func() {
+		if err != nil {
+			closeAll()
+		}
+	}()
+	d = tcache.OpenDB(tcache.WithDepListBound(5))
+	closers = append(closers, func() { d.Close() })
 	addr, stop, err := tcache.ServeDB(d, "127.0.0.1:0")
 	if err != nil {
-		b.Fatal(err)
+		return nil, nil, nil, nil, err
 	}
-	b.Cleanup(stop)
-	remote, err := tcache.Dial(benchCtx, addr)
-	if err != nil {
-		b.Fatal(err)
+	closers = append(closers, stop)
+	if remote, err = tcache.Dial(benchCtx, addr); err != nil {
+		return nil, nil, nil, nil, err
 	}
-	b.Cleanup(remote.Close)
-	cache, err := tcache.NewCache(remote, tcache.WithStrategy(tcache.StrategyRetry))
-	if err != nil {
-		b.Fatal(err)
+	closers = append(closers, remote.Close)
+	if cache, err = tcache.NewCache(remote, tcache.WithStrategy(tcache.StrategyRetry)); err != nil {
+		return nil, nil, nil, nil, err
 	}
-	b.Cleanup(cache.Close)
-	if err := d.Update(benchCtx, func(tx *tcache.Tx) error {
+	closers = append(closers, cache.Close)
+	err = d.Update(benchCtx, func(tx *tcache.Tx) error {
 		return tx.Set(workload.ObjectKey(0), kv.Value("seed"))
-	}); err != nil {
+	})
+	return d, remote, cache, closeAll, err
+}
+
+// writeStack is openWriteStack for a benchmark.
+func writeStack(b *testing.B) (*tcache.DB, *tcache.Remote, *tcache.Cache) {
+	b.Helper()
+	d, remote, cache, closeAll, err := openWriteStack()
+	if err != nil {
 		b.Fatal(err)
 	}
+	b.Cleanup(closeAll)
 	return d, remote, cache
 }
 
@@ -107,6 +129,42 @@ func benchWritePathCacheUpdate(b *testing.B) {
 	rmwLoop(b, cache)
 }
 
+// backendReadsPerCachedUpdate repeats a 5-key read-modify-write through
+// a remote-backed cache and returns the lock-free reads the database
+// served per committed update after the first.
+func backendReadsPerCachedUpdate() (float64, error) {
+	d, _, cache, closeAll, err := openWriteStack()
+	if err != nil {
+		return 0, err
+	}
+	defer closeAll()
+	keys := make([]tcache.Key, 5)
+	for i := range keys {
+		keys[i] = workload.ObjectKey(i)
+	}
+	const updates = 200
+	var before uint64
+	for i := 0; i <= updates; i++ {
+		if i == 1 { // the first update's reads are cold either way
+			before = d.Core().Metrics().SingleGets
+		}
+		if err := cache.Update(benchCtx, func(tx *tcache.Tx) error {
+			for _, k := range keys {
+				if _, _, err := tx.Get(benchCtx, k); err != nil {
+					return err
+				}
+				if err := tx.Set(k, kv.Value("w")); err != nil {
+					return err
+				}
+			}
+			return nil
+		}); err != nil {
+			return 0, err
+		}
+	}
+	return float64(d.Core().Metrics().SingleGets-before) / updates, nil
+}
+
 // runWritePath runs the write-path benchmarks, writes BENCH_pr5.json,
 // and applies the allocs/op budget gate to any matching entries in
 // bench_budget.json.
@@ -145,6 +203,15 @@ func runWritePath(quick bool, seed int64) error {
 		results[bench.name] = res
 		fmt.Printf("  %-36s %12.0f ns/op %8d B/op %6d allocs/op\n",
 			bench.name, res.NsPerOp, res.BytesPerOp, res.AllocsPerOp)
+	}
+
+	reads, err := backendReadsPerCachedUpdate()
+	if err != nil {
+		return fmt.Errorf("repeated cached update: %w", err)
+	}
+	fmt.Printf("  database reads per repeated 5-key cached update: %.2f (5.00 before commit install)\n", reads)
+	if reads != 0 {
+		return fmt.Errorf("a repeated cached update read the database %.2f times per commit: the cache is not keeping what it commits", reads)
 	}
 
 	report := struct {

@@ -260,8 +260,8 @@ func run() error {
 		st := clusterCache.Stats(ctx)
 		local := st.Local
 		if local.Reads > 0 {
-			fmt.Printf("local cache hit ratio: %.3f (detected %d, retries %d, floor refetches %d)\n",
-				local.HitRatio(), local.Detected, local.Retries, local.FloorRefetches)
+			fmt.Printf("local cache hit ratio: %.3f (detected %d, retries %d, floor refetches %d, commit installs %d)\n",
+				local.HitRatio(), local.Detected, local.Retries, local.FloorRefetches, local.CommitInstalls)
 		}
 		for _, ns := range st.Nodes {
 			hits, misses := ns.Stats["hits"], ns.Stats["misses"]

@@ -307,8 +307,8 @@ func ExampleUpdater() {
 		}
 	}
 
-	// The cache reads its own write instantly (self-invalidation), no
-	// matter how slow or lossy the invalidation stream is.
+	// The cache reads its own write instantly (the commit installed it),
+	// no matter how slow or lossy the invalidation stream is.
 	v, err := cache.Get(ctx, "stock")
 	fmt.Printf("stock=%s err=%v\n", v, err)
 	// Output:

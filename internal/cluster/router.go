@@ -645,22 +645,23 @@ type subBatch struct {
 
 // --- Updates -------------------------------------------------------------
 
-// ValidatedUpdate implements the write half of the backend contract
-// (core.UpdaterBackend): the optimistic update is relayed through a
+// CommitUpdate implements the write half of the backend contract
+// (core.CommitBackend): the optimistic update is relayed through a
 // live node — any tcached forwards it to the database, which validates
-// the observed read versions and commits — and the per-range write
-// marks are raised so this client's subsequent reads, on any node,
-// carry a floor at least as new as its own commit (read-your-writes
-// across the tier) or as the conflicting committed version (so a stale
-// mid-tier copy cannot livelock the retry). Relays rotate round-robin
-// over the live nodes so a writing fleet spreads its update traffic
-// instead of funnelling through one member.
+// the observed read versions and commits, and hands the database's
+// answer (version and per-write dependency lists) back — and the
+// per-range write marks are raised so this client's subsequent reads, on
+// any node, carry a floor at least as new as its own commit
+// (read-your-writes across the tier) or as the conflicting committed
+// version (so a stale mid-tier copy cannot livelock the retry). Relays
+// rotate round-robin over the live nodes so a writing fleet spreads its
+// update traffic instead of funnelling through one member.
 //
 // Updates are not idempotent: a transport failure after the frame was
 // sent leaves the outcome unknown, so the call is NOT failed over to
 // another node — the failure surfaces to the caller, and the node's
 // health accounting takes the hit.
-func (r *Router) ValidatedUpdate(ctx context.Context, reads []kv.ObservedRead, writes []kv.KeyValue) (kv.Version, error) {
+func (r *Router) CommitUpdate(ctx context.Context, reads []kv.ObservedRead, writes []kv.KeyValue) (kv.CommitResult, error) {
 	var n *node
 	start := int((r.upNext.Add(1) - 1) % uint64(len(r.node)))
 	for off := 0; off < len(r.node); off++ {
@@ -670,9 +671,9 @@ func (r *Router) ValidatedUpdate(ctx context.Context, reads []kv.ObservedRead, w
 		}
 	}
 	if n == nil {
-		return kv.Version{}, fmt.Errorf("cluster: update: %w", ErrNoNodes)
+		return kv.CommitResult{}, fmt.Errorf("cluster: update: %w", ErrNoNodes)
 	}
-	version, err := n.cli.Load().ValidatedUpdate(ctx, reads, writes)
+	res, err := n.cli.Load().CommitUpdate(ctx, reads, writes)
 	if err != nil {
 		var ce *db.ConflictError
 		if errors.As(err, &ce) && ce.Found {
@@ -681,13 +682,20 @@ func (r *Router) ValidatedUpdate(ctx context.Context, reads []kv.ObservedRead, w
 		if ctx.Err() == nil && errors.Is(err, transport.ErrUnavailable) {
 			r.recordFailure(n)
 		}
-		return kv.Version{}, err
+		return kv.CommitResult{}, err
 	}
 	n.recordSuccess()
 	for _, w := range writes {
-		r.observeWrite(rangeOf(KeyHash(w.Key)), version)
+		r.observeWrite(rangeOf(KeyHash(w.Key)), res.Version)
 	}
-	return version, nil
+	return res, nil
+}
+
+// ValidatedUpdate implements core.UpdaterBackend: CommitUpdate without
+// the lists.
+func (r *Router) ValidatedUpdate(ctx context.Context, reads []kv.ObservedRead, writes []kv.KeyValue) (kv.Version, error) {
+	res, err := r.CommitUpdate(ctx, reads, writes)
+	return res.Version, err
 }
 
 // --- Invalidation subscription ------------------------------------------

@@ -606,6 +606,57 @@ func TestConflictDoesNotTripEjection(t *testing.T) {
 	}
 }
 
+// TestRouterCommitUpdateRelaysTheAnswer: a commit through the router
+// comes back with the database's own answer — the version and, per
+// write, the dependency list now stored with the key — whichever node
+// relayed it, and floors this client's next reads of the written ranges
+// at that version: the home edges cached the old values a moment ago and
+// may not have heard the invalidation yet, but the read after the commit
+// returns the new one.
+func TestRouterCommitUpdateRelaysTheAnswer(t *testing.T) {
+	rg := newRig(t, 3)
+	keys := testKeys(3)
+	rg.set(keys, "v1")
+	r, err := cluster.NewRouter(bg, fastConfig(rg.addrs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+
+	for round := 0; round < 3; round++ { // one relay per node
+		var reads []kv.ObservedRead
+		var writes []kv.KeyValue
+		for _, k := range keys {
+			item, ok, err := r.ReadItem(bg, k)
+			if err != nil || !ok {
+				t.Fatalf("read %q = %v, %v", k, ok, err)
+			}
+			reads = append(reads, kv.ObservedRead{Key: k, Version: item.Version, Found: true})
+			writes = append(writes, kv.KeyValue{Key: k, Value: kv.Value(fmt.Sprintf("round-%d", round))})
+		}
+		res, err := r.CommitUpdate(bg, reads, writes)
+		if err != nil || len(res.Deps) != len(writes) {
+			t.Fatalf("round %d: CommitUpdate = %+v, %v", round, res, err)
+		}
+		for i, w := range writes {
+			stored, _, err := rg.db.ReadItem(bg, w.Key)
+			if err != nil || stored.Version != res.Version || !stored.Deps.Equal(res.Deps[i]) || len(res.Deps[i]) != len(keys)-1 {
+				t.Errorf("round %d: %q answered %s@%s, the database stored %s@%s (%v)",
+					round, w.Key, res.Deps[i], res.Version, stored.Deps, stored.Version, err)
+			}
+			if item, _, err := r.ReadItem(bg, w.Key); err != nil || item.Version != res.Version {
+				t.Errorf("round %d: read of %q after the commit = %q@%s, %v; want version %s",
+					round, w.Key, item.Value, item.Version, err, res.Version)
+			}
+		}
+	}
+	// ValidatedUpdate is the same call without the lists.
+	v, err := r.ValidatedUpdate(bg, nil, []kv.KeyValue{{Key: keys[0], Value: kv.Value("blind")}})
+	if stored, _, _ := rg.db.ReadItem(bg, keys[0]); err != nil || stored.Version != v {
+		t.Fatalf("ValidatedUpdate = %s, %v; the database holds %s", v, err, stored.Version)
+	}
+}
+
 // TestProbationWindowOnSimClock pins the probation window to the
 // injected clock: with the simulation clock frozen the window can never
 // expire, and one deterministic advance past it flips the node to up —

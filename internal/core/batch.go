@@ -45,11 +45,13 @@ const warmSampleEvery = 64
 
 // lookupLocked is the servable-entry check — the only one: it stores
 // key's cached item in out and reports true if the cache may serve it
-// under floor (present, within its TTL, not older than floor, not marked
-// superseded), touching it in the eviction order. An expired entry is
-// removed: left in place it would be pinned forever if the backend no
-// longer has the key. An entry older than floor stays cached — the fill
-// replaces it only with something newer. Callers hold sh.mu.
+// under floor (present, within its TTL, not older than floor unless a
+// fetch under that floor confirmed it, not marked superseded), touching
+// it in the eviction order. An expired entry is removed: left in place it
+// would be pinned forever if the backend no longer has the key. An entry
+// behind floor stays cached — the fill replaces it with something newer
+// or confirms it, so a floor costs one fetch per raise, not one per read.
+// Callers hold sh.mu.
 //
 //tcache:hotpath
 //tcache:holds shard
@@ -67,7 +69,7 @@ func (c *Cache) lookupLocked(sh *cacheShard, key kv.Key, floor kv.Version, out *
 	case c.cfg.TTL > 0 && c.clk.Since(e.fetchedAt) >= c.cfg.TTL:
 		sh.removeEntry(e)
 		c.metrics.TTLExpiries.Add(1)
-	case e.item.Version.Less(floor):
+	case e.item.Version.Less(floor) && e.confirmed.Less(floor):
 		c.metrics.FloorRefetches.Add(1)
 	case e.staleLatest:
 		// Multiversioning: the newest cached version is superseded; the
@@ -168,6 +170,9 @@ func (c *Cache) fill(ctx context.Context, keys []kv.Key, floor kv.Version, out [
 			// for the caller, a served miss like any other.
 			if e := c.insertShardLocked(sh, key, lu.Item); e != nil {
 				lu.Item = e.item
+				if e.confirmed.Less(floor) {
+					e.confirmed = floor
+				}
 			}
 		}
 		sh.mu.Unlock()

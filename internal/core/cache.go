@@ -138,9 +138,40 @@ type BatchBackend interface {
 // the backend's conflict error (db.ConflictError for the in-process
 // database, relayed across the wire by the transport). Backends that
 // implement it (*db.DB, transport.DBClient, cluster.Router) let a cache
-// sitting on top offer the unified read-modify-write API.
+// sitting on top offer the unified read-modify-write API. Backends that
+// can also say what they committed implement CommitBackend beside it.
 type UpdaterBackend interface {
 	ValidatedUpdate(ctx context.Context, reads []kv.ObservedRead, writes []kv.KeyValue) (kv.Version, error)
+}
+
+// CommitBackend is the optional extension of UpdaterBackend whose commit
+// reports what was committed: the version and the dependency list stored
+// with each write (kv.CommitResult). The committing cache installs those
+// items (Install) instead of evicting its copies and fetching them back.
+// Every in-tree UpdaterBackend implements it; behind one that does not,
+// a commit falls back to self-invalidation.
+type CommitBackend interface {
+	CommitUpdate(ctx context.Context, reads []kv.ObservedRead, writes []kv.KeyValue) (kv.CommitResult, error)
+}
+
+// CommitFunc is the commit call of a backend's write extension.
+type CommitFunc func(ctx context.Context, reads []kv.ObservedRead, writes []kv.KeyValue) (kv.CommitResult, error)
+
+// Committer returns b's commit call: CommitBackend's when b has it, else
+// UpdaterBackend's answering with a bare version (no lists), else nil —
+// b takes no updates.
+func Committer(b Backend) CommitFunc {
+	switch b := b.(type) {
+	case CommitBackend:
+		return b.CommitUpdate
+	case UpdaterBackend:
+		return func(ctx context.Context, reads []kv.ObservedRead, writes []kv.KeyValue) (kv.CommitResult, error) {
+			version, err := b.ValidatedUpdate(ctx, reads, writes)
+			return kv.CommitResult{Version: version}, err
+		}
+	default:
+		return nil
+	}
 }
 
 // ReadVersion is one (key, version) pair of a completed transaction's
@@ -331,6 +362,13 @@ type entry struct {
 	// staleLatest marks that item is no longer the latest committed
 	// version (set by invalidations under multiversioning).
 	staleLatest bool
+	// confirmed is the highest read floor a backend fetch has returned
+	// this entry (or found it still current) under: floors up to it are
+	// served from the cache although item.Version — the key's own last
+	// write — may be older than a floor a neighbouring key's commit
+	// raised. It lives and dies with the entry, so whatever evicts a
+	// rewritten key also takes its mark.
+	confirmed kv.Version
 	// h is the entry's intrusive eviction node (policy list links, byte
 	// cost, reference bit); owned by the shard's evict ledger, guarded
 	// by the shard mutex.
@@ -616,6 +654,31 @@ func (c *Cache) Invalidate(key kv.Key, version kv.Version) {
 		return
 	}
 	c.metrics.InvalidationsStale.Add(1)
+}
+
+// Install caches item as key's committed state without a fetch: the
+// fill of a miss whose answer the caller already holds — the committing
+// client's own write, rebuilt from the commit's version and dependency
+// list. It is insertShardLocked under the shard lock, so it obeys what
+// every fill obeys: an entry already at a newer version stays, older
+// versions are retained under multiversioning, the byte budget is
+// enforced, the admission doorkeeper may decline a first-sighted key,
+// and nothing is inserted after Close; CommitInstalls counts the items
+// kept. And like a fill it can cross a newer invalidation that arrived
+// first and found nothing to evict: the item is then cached behind the
+// database until the §III-B checks or the next invalidation catch it —
+// the exposure of any fetch that crosses an invalidation, no more.
+func (c *Cache) Install(key kv.Key, item kv.Item) {
+	if c.closed.Load() {
+		return
+	}
+	sh := c.shardFor(key)
+	sh.mu.Lock()
+	e := c.insertShardLocked(sh, key, item)
+	sh.mu.Unlock()
+	if e != nil {
+		c.metrics.CommitInstalls.Add(1)
+	}
 }
 
 // sumShards adds up f over the entry shards, each under its lock.

@@ -39,6 +39,7 @@ type Metrics struct {
 	BatchPrefetches      uint64v `metric:"batch_prefetches"`
 	BatchPrefetchedKeys  uint64v `metric:"batch_prefetched_keys"`
 	FloorRefetches       uint64v `metric:"floor_refetches"`
+	CommitInstalls       uint64v `metric:"commit_installs"`
 }
 
 // uint64v aliases atomic.Uint64 to keep the struct declaration compact.
@@ -74,6 +75,7 @@ type MetricsSnapshot struct {
 	BatchPrefetches      uint64
 	BatchPrefetchedKeys  uint64
 	FloorRefetches       uint64
+	CommitInstalls       uint64
 }
 
 // HitRatio returns hits / (hits + misses), or 1 if there were no reads.

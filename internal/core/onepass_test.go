@@ -236,13 +236,25 @@ func TestReadsEqualHitsPlusMisses(t *testing.T) {
 		b := newBatchBackend()
 		c := newCache(t, Config{Backend: b})
 		b.put("a", "1", 1)
-		c.Get(bgc, "a")
-		c.GetItem(bgc, "a", kv.Version{Counter: 5})
-		c.GetItems(bgc, []kv.Key{"a", "a"}, kv.Version{Counter: 5})
-		check(t, c, 4, 0)
-		if got := c.Metrics().FloorRefetches; got != 3 {
-			t.Fatalf("FloorRefetches = %d, want 3", got)
+		floor := func(n uint64) kv.Version { return kv.Version{Counter: n} }
+		c.Get(bgc, "a")                               // miss
+		c.GetItem(bgc, "a", floor(5))                 // behind the floor: refetched, same version, confirmed under 5
+		c.GetItems(bgc, []kv.Key{"a", "a"}, floor(5)) // hit, hit: one fetch per floor raise, not per read
+		c.GetItem(bgc, "a", floor(3))                 // hit: a lower floor is covered
+		c.GetItem(bgc, "a", floor(9))                 // the floor rose: refetched once more
+		c.GetItem(bgc, "a", floor(9))                 // hit
+		check(t, c, 7, 4)
+		if got := c.Metrics().FloorRefetches; got != 2 {
+			t.Fatalf("FloorRefetches = %d, want 2", got)
 		}
+		// The mark goes with the entry: a rewritten key is fetched again
+		// under the same floor, and served whatever its version.
+		b.put("a", "2", 2)
+		c.Invalidate("a", floor(2))
+		if item, ok, err := c.GetItem(bgc, "a", floor(9)); err != nil || !ok || item.Version != floor(2) {
+			t.Fatalf("read after invalidation = %v, %v, %v", item.Version, ok, err)
+		}
+		check(t, c, 8, 4)
 	})
 	t.Run("admission declined", func(t *testing.T) {
 		b := newBatchBackend()

@@ -28,6 +28,12 @@ type Txn struct {
 	readIx map[kv.Key]int
 	writes []writeAccess
 	wrIx   map[kv.Key]int
+
+	// deps, when non-nil (CommitUpdate sets it), receives the dependency
+	// list Commit stores with each write: deps[i] belongs to writes[i].
+	// The interactive Begin/Commit path leaves it nil and pays one nil
+	// check per write.
+	deps []kv.DepList
 }
 
 type readAccess struct {
@@ -313,11 +319,14 @@ func (t *Txn) Commit() (kv.Version, error) {
 
 	// Phase 1: prepare.
 	byShard := make(map[*shardState][]preparedWrite, 2)
-	for _, w := range t.writes {
+	for i, w := range t.writes {
 		item := kv.Item{
 			Value:   w.value,
 			Version: vt,
 			Deps:    d.composeDeps(w.key, full, txnVersions),
+		}
+		if t.deps != nil {
+			t.deps[i] = item.Deps
 		}
 		s := d.shardFor(w.key)
 		byShard[s] = append(byShard[s], preparedWrite{key: w.key, item: item})

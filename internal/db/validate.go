@@ -34,7 +34,7 @@ func (e *ConflictError) Error() string {
 // Unwrap makes errors.Is(err, ErrConflict) hold.
 func (e *ConflictError) Unwrap() error { return ErrConflict }
 
-// ValidatedUpdate commits one optimistic update transaction: every
+// CommitUpdate commits one optimistic update transaction: every
 // observed read is re-read under a shared lock and compared against the
 // version (and presence) the client saw; if all still match, the write
 // set is applied through the ordinary two-phase commit, atomically and
@@ -47,7 +47,12 @@ func (e *ConflictError) Unwrap() error { return ErrConflict }
 // lock-free ReadItem calls), buffers the writes, and ships both sets
 // here for validation-and-commit in a single exchange. Blind writes
 // (an empty read set) commit unconditionally.
-func (d *DB) ValidatedUpdate(ctx context.Context, reads []kv.ObservedRead, writes []kv.KeyValue) (kv.Version, error) {
+//
+// The result carries the commit version and, per write, the dependency
+// list stored with it — everything but the value of each committed item,
+// which the writer already holds. The lists are the transaction's own:
+// the store keeps copies.
+func (d *DB) CommitUpdate(ctx context.Context, reads []kv.ObservedRead, writes []kv.KeyValue) (kv.CommitResult, error) {
 	start := time.Now()
 	txn := d.BeginCtx(ctx)
 	for _, r := range reads {
@@ -55,24 +60,41 @@ func (d *DB) ValidatedUpdate(ctx context.Context, reads []kv.ObservedRead, write
 		if err != nil {
 			// Lock conflicts and cancellations already rolled the
 			// transaction back.
-			return kv.Version{}, err
+			return kv.CommitResult{}, err
 		}
 		if found != r.Found || (found && item.Version != r.Version) {
 			d.metrics.Conflicts.Add(1)
 			d.metrics.TxnsAborted.Add(1)
 			txn.rollback()
 			d.tel.UpdateConflict.ObserveSince(start)
-			return kv.Version{}, &ConflictError{Key: r.Key, Current: item.Version, Found: found}
+			return kv.CommitResult{}, &ConflictError{Key: r.Key, Current: item.Version, Found: found}
 		}
 	}
 	for _, w := range writes {
 		if err := txn.Write(w.Key, w.Value); err != nil {
-			return kv.Version{}, err
+			return kv.CommitResult{}, err
 		}
 	}
+	txn.deps = make([]kv.DepList, len(txn.writes))
 	version, err := txn.Commit()
-	if err == nil {
-		d.tel.UpdateCommit.ObserveSince(start)
+	if err != nil {
+		return kv.CommitResult{}, err
 	}
-	return version, err
+	d.tel.UpdateCommit.ObserveSince(start)
+	res := kv.CommitResult{Version: version, Deps: txn.deps}
+	if len(txn.writes) != len(writes) {
+		// A key written more than once: the transaction holds it once.
+		res.Deps = make([]kv.DepList, len(writes))
+		for i, w := range writes {
+			res.Deps[i] = txn.deps[txn.wrIx[w.Key]]
+		}
+	}
+	return res, nil
+}
+
+// ValidatedUpdate is CommitUpdate for callers that want only the commit
+// version.
+func (d *DB) ValidatedUpdate(ctx context.Context, reads []kv.ObservedRead, writes []kv.KeyValue) (kv.Version, error) {
+	res, err := d.CommitUpdate(ctx, reads, writes)
+	return res.Version, err
 }

@@ -97,3 +97,50 @@ func TestValidatedUpdateConflicts(t *testing.T) {
 		}
 	})
 }
+
+// TestCommitUpdateReportsStoredLists: the commit's answer carries, per
+// write and in request order, the dependency list now stored with the
+// key — inherited and pinned entries included — and a key written twice
+// carries its list in both positions. The interactive path captures
+// nothing.
+func TestCommitUpdateReportsStoredLists(t *testing.T) {
+	d := Open(Config{DepBound: 3, Shards: 2})
+	defer d.Close()
+	ctx := context.Background()
+	vr := seedOne(t, d, "read-only", "r")
+	seedOne(t, d, "pinned", "p")
+	d.Pin("a", "pinned")
+
+	res, err := d.CommitUpdate(ctx,
+		[]kv.ObservedRead{{Key: "read-only", Version: vr, Found: true}},
+		[]kv.KeyValue{{Key: "a", Value: kv.Value("1")}, {Key: "b", Value: kv.Value("2")}, {Key: "a", Value: kv.Value("3")}})
+	if err != nil || len(res.Deps) != 3 {
+		t.Fatalf("CommitUpdate = %+v, %v", res, err)
+	}
+	for i, key := range []kv.Key{"a", "b", "a"} {
+		stored, ok := d.Get(key)
+		if !ok || stored.Version != res.Version || !stored.Deps.Equal(res.Deps[i]) {
+			t.Errorf("write %d (%q) answered %s@%s, stored %s@%s", i, key, res.Deps[i], res.Version, stored.Deps, stored.Version)
+		}
+	}
+	if _, ok := res.Deps[0].Lookup("pinned"); !ok {
+		t.Errorf("a's list lost its pinned dependency: %s", res.Deps[0])
+	}
+	if v, ok := res.Deps[1].Lookup("read-only"); !ok || v != vr {
+		t.Errorf("b's list lost the read-set dependency: %s", res.Deps[1])
+	}
+	if item, _ := d.Get("a"); string(item.Value) != "3" {
+		t.Errorf("a = %q, want the last write of the set", item.Value)
+	}
+
+	if res, err := d.CommitUpdate(ctx, []kv.ObservedRead{{Key: "a", Version: res.Version, Found: true}}, nil); err != nil || len(res.Deps) != 0 || !res.Version.IsZero() {
+		t.Errorf("write-less commit = %+v, %v", res, err)
+	}
+	txn := d.Begin()
+	if err := txn.Write("c", kv.Value("interactive")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := txn.Commit(); err != nil || txn.deps != nil {
+		t.Errorf("interactive commit = %v, captured %v", err, txn.deps)
+	}
+}

@@ -134,6 +134,18 @@ type KeyValue struct {
 	Value Value
 }
 
+// CommitResult is what a committed update transaction reports back: the
+// commit version, and for each write — positionally — the dependency list
+// the database stored with it (§III-A). With the writer's own value these
+// make the committed Item, so a cache in front of the writer can keep what
+// it wrote instead of refetching it. A key written twice in one write set
+// carries the same list in both positions; its last value is the one
+// committed.
+type CommitResult struct {
+	Version Version
+	Deps    []DepList
+}
+
 // Access is one read-set or write-set tuple presented to the dependency
 // aggregation at commit time: the key accessed, the version relevant to the
 // dependency (the version read for read-set entries; the new transaction

@@ -25,13 +25,16 @@ import (
 type CacheServer struct {
 	*server
 	cache *core.Cache
+	// commit is the cache backend's commit call, which OpUpdate relays
+	// through (nil when the backend takes no updates).
+	commit core.CommitFunc
 }
 
 // NewCacheServer wraps c; call Listen to start accepting. OpStats is
 // answered from a registry holding the cache's metrics and the server's
 // own.
 func NewCacheServer(c *core.Cache, logf func(string, ...any)) *CacheServer {
-	s := &CacheServer{server: newServer("tcached", logf), cache: c}
+	s := &CacheServer{server: newServer("tcached", logf), cache: c, commit: core.Committer(c.Backend())}
 	s.serve, s.inline = s.dispatch, cacheInline
 	reg := telemetry.NewRegistry()
 	c.RegisterMetrics(reg)
@@ -145,28 +148,31 @@ func (s *CacheServer) dispatch(ctx context.Context, req Request) Response {
 // the mid-tier role of the write path: edge clients commit through
 // whichever tcached they reach, which forwards the observed read
 // versions and writes upstream (ultimately to the database, which
-// validates and commits). On a commit, the relay applies the writes'
-// invalidations to its own cache synchronously, so the node that
-// carried the update serves it immediately; on a validation conflict it
+// validates and commits) and hands the answer — commit version and
+// per-write dependency lists — back unchanged for the client's cache to
+// install. The relay itself only invalidates: it is a round-robin hop,
+// not the written keys' home, so keeping them would fill a bounded cache
+// with entries no read is routed to. Applying the invalidations
+// synchronously means the node that carried the update never serves the
+// old value after acknowledging the new one; on a validation conflict it
 // evicts its own stale copy of the conflicting key, so retries routed
 // through it refetch instead of re-reading the same stale version.
-func (s *CacheServer) relayUpdate(ctx context.Context, req Request) (kv.Version, error) {
-	ub, ok := s.cache.Backend().(core.UpdaterBackend)
-	if !ok {
-		return kv.Version{}, fmt.Errorf("tcached: backend %T does not support updates", s.cache.Backend())
+func (s *CacheServer) relayUpdate(ctx context.Context, req Request) (kv.CommitResult, error) {
+	if s.commit == nil {
+		return kv.CommitResult{}, fmt.Errorf("tcached: backend %T does not support updates", s.cache.Backend())
 	}
-	version, err := ub.ValidatedUpdate(ctx, req.ReadVersions, req.Writes)
+	res, err := s.commit(ctx, req.ReadVersions, req.Writes)
 	if err != nil {
 		var ce *db.ConflictError
 		if errors.As(err, &ce) && ce.Found {
 			s.cache.Invalidate(ce.Key, ce.Current)
 		}
-		return kv.Version{}, err
+		return kv.CommitResult{}, err
 	}
 	for _, w := range req.Writes {
-		s.cache.Invalidate(w.Key, version)
+		s.cache.Invalidate(w.Key, res.Version)
 	}
-	return version, nil
+	return res, nil
 }
 
 func readResponse(val kv.Value, err error) Response {

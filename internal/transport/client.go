@@ -589,6 +589,7 @@ var (
 	_ core.Backend        = (*DBClient)(nil)
 	_ core.BatchBackend   = (*DBClient)(nil)
 	_ core.UpdaterBackend = (*DBClient)(nil)
+	_ core.CommitBackend  = (*DBClient)(nil)
 )
 
 // DialDB connects to a backend-protocol server at addr — a tdbd, or a
@@ -667,44 +668,57 @@ func (c *DBClient) ReadItemsFloor(ctx context.Context, keys []kv.Key, floor kv.V
 	return resp.Batch, nil
 }
 
-// ValidatedUpdate implements core.UpdaterBackend over the wire: one
-// OpUpdate round trip carrying the closure's observed read versions; the
-// server re-validates them under lock and commits the writes atomically.
-// A validation failure comes back as a *db.ConflictError (wrapping
+// CommitUpdate implements core.CommitBackend over the wire: one OpUpdate
+// round trip carrying the closure's observed read versions; the server
+// re-validates them under lock and commits the writes atomically,
+// answering with the commit version and each write's stored dependency
+// list. A validation failure comes back as a *db.ConflictError (wrapping
 // ErrConflict and db.ErrConflict) naming the stale key and its committed
 // version, so the caller can invalidate its copy before retrying. The
 // call is not idempotent: a transport failure after the frame was sent
 // leaves the outcome unknown, so it is never blind-resent.
-func (c *DBClient) ValidatedUpdate(ctx context.Context, reads []kv.ObservedRead, writes []kv.KeyValue) (kv.Version, error) {
+func (c *DBClient) CommitUpdate(ctx context.Context, reads []kv.ObservedRead, writes []kv.KeyValue) (kv.CommitResult, error) {
 	resp, err := c.roundTrip(ctx, Request{Op: OpUpdate, ReadVersions: reads, Writes: writes})
 	if err != nil {
-		return kv.Version{}, err
+		return kv.CommitResult{}, err
 	}
 	return decodeUpdate(resp)
 }
 
+// ValidatedUpdate implements core.UpdaterBackend: CommitUpdate without
+// the lists.
+func (c *DBClient) ValidatedUpdate(ctx context.Context, reads []kv.ObservedRead, writes []kv.KeyValue) (kv.Version, error) {
+	res, err := c.CommitUpdate(ctx, reads, writes)
+	return res.Version, err
+}
+
 // decodeUpdate maps an OpUpdate response, rehydrating the validation
-// conflict detail when the server supplied one.
-func decodeUpdate(resp Response) (kv.Version, error) {
+// conflict detail when the server supplied one. The lists of a commit
+// are re-homed out of the response frame (see compactItem): a cache that
+// installs one of many written items must not pin the whole frame.
+func decodeUpdate(resp Response) (kv.CommitResult, error) {
 	switch resp.Code {
 	case CodeOK:
-		return resp.Version, nil
+		for i, l := range resp.WriteDeps {
+			resp.WriteDeps[i] = compactItem(kv.Item{Deps: l}).Deps
+		}
+		return kv.CommitResult{Version: resp.Version, Deps: resp.WriteDeps}, nil
 	case CodeNotPrimary:
 		// Rehydrate the typed rejection so callers can read the leader
 		// address and redirect; it wraps both the transport and the db
 		// not-primary identities.
-		return kv.Version{}, fmt.Errorf("%w: %w", ErrNotPrimary, &db.NotPrimaryError{Leader: resp.Leader})
+		return kv.CommitResult{}, fmt.Errorf("%w: %w", ErrNotPrimary, &db.NotPrimaryError{Leader: resp.Leader})
 	case CodeConflict:
 		if resp.ConflictKey != "" {
 			// Wrap under both conflict identities: transport callers match
 			// ErrConflict, the shared retry driver matches db.ErrConflict,
 			// and errors.As still reaches the detail.
-			return kv.Version{}, fmt.Errorf("%w: %w",
+			return kv.CommitResult{}, fmt.Errorf("%w: %w",
 				ErrConflict, &db.ConflictError{Key: resp.ConflictKey, Current: resp.ConflictVersion, Found: resp.ConflictFound})
 		}
-		return kv.Version{}, fmt.Errorf("%w: %s", ErrConflict, resp.Err)
+		return kv.CommitResult{}, fmt.Errorf("%w: %s", ErrConflict, resp.Err)
 	default:
-		return kv.Version{}, fmt.Errorf("transport: update: %s", resp.Err)
+		return kv.CommitResult{}, fmt.Errorf("transport: update: %s", resp.Err)
 	}
 }
 

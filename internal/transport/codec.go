@@ -50,7 +50,7 @@ import (
 
 // ProtocolVersion is the wire protocol spoken by this build; both sides
 // of a connection must match exactly.
-const ProtocolVersion = 6
+const ProtocolVersion = 7
 
 // handshakeMagic opens every connection, in both directions.
 var handshakeMagic = [4]byte{'T', 'C', 'W', 'P'}
@@ -334,6 +334,14 @@ func appendLookups(b []byte, ls []kv.Lookup) []byte {
 	return b
 }
 
+func appendDepLists(b []byte, ls []kv.DepList) []byte {
+	b = codec.AppendLen(b, ls)
+	for _, l := range ls {
+		b = codec.AppendDepList(b, l)
+	}
+	return b
+}
+
 func appendStats(b []byte, m map[string]uint64) []byte {
 	if m == nil {
 		return codec.AppendCount(b, -1)
@@ -368,6 +376,7 @@ func appendResponse(b []byte, resp *Response) []byte {
 	b = codec.AppendBool(b, resp.Found)
 	b = appendItem(b, resp.Item)
 	b = codec.AppendVersion(b, resp.Version)
+	b = appendDepLists(b, resp.WriteDeps)
 	b = appendLookups(b, resp.Batch)
 	b = appendValues(b, resp.Values)
 	b = appendStats(b, resp.Stats)
@@ -471,6 +480,18 @@ func (d *payloadDecoder) lookups() []kv.Lookup {
 	return ls
 }
 
+func (d *payloadDecoder) depLists() []kv.DepList {
+	n := d.Count(1) // a nil list is one byte
+	if n < 0 {
+		return nil
+	}
+	ls := make([]kv.DepList, n)
+	for i := range ls {
+		ls[i] = d.DepList()
+	}
+	return ls
+}
+
 func (d *payloadDecoder) stats() map[string]uint64 {
 	n := d.Count(2)
 	if n < 0 {
@@ -512,6 +533,7 @@ func decodeResponse(payload []byte) (Response, error) {
 		Found:           d.Bool(),
 		Item:            d.item(),
 		Version:         d.Version(),
+		WriteDeps:       d.depLists(),
 		Batch:           d.lookups(),
 		Values:          d.values(),
 		Stats:           d.stats(),

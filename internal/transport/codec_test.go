@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"net"
 	"reflect"
 	"testing"
 
@@ -54,6 +55,12 @@ func sampleResponses() []Response {
 			},
 		}},
 		{Code: CodeOK, Version: kv.Version{Counter: 1 << 60, Node: ^uint32(0)}},
+		{Code: CodeOK, Version: kv.Version{Counter: 8, Node: 1}, WriteDeps: []kv.DepList{
+			{{Key: "b", Version: kv.Version{Counter: 8, Node: 1}}, {Key: "old", Version: kv.Version{Counter: 2}}},
+			nil,
+			{},
+		}},
+		{Code: CodeOK, WriteDeps: []kv.DepList{}},
 		{Code: CodeOK, Batch: []kv.Lookup{
 			{Item: kv.Item{Value: kv.Value("v"), Version: kv.Version{Counter: 5}, Deps: kv.DepList{}}, Found: true},
 			{},
@@ -138,17 +145,23 @@ func TestDecodeTruncatedNeverPanics(t *testing.T) {
 // attempting the allocation. (The value-level counts — dependency lists,
 // record writes — are covered with the shared codec.)
 func TestDecodeOversizedCountErrs(t *testing.T) {
-	// A response whose Batch count claims 2^40 lookups.
-	var b []byte
-	b = binary.AppendUvarint(b, uint64(CodeOK)) // Code
-	b = codec.AppendString(b, "")               // Err
-	b = codec.AppendBytes(b, nil)               // Value
-	b = codec.AppendBool(b, false)              // Found
-	b = appendItem(b, kv.Item{})                // Item
-	b = codec.AppendVersion(b, kv.Version{})    // Version
-	b = binary.AppendUvarint(b, (1<<40)+1)      // Batch count: 2^40 entries
-	if _, err := decodeResponse(b); !errors.Is(err, codec.ErrTruncated) {
-		t.Fatalf("oversized batch count: err = %v, want codec.ErrTruncated", err)
+	// A response up to and including Version; the counted fields follow.
+	var head []byte
+	head = binary.AppendUvarint(head, uint64(CodeOK)) // Code
+	head = codec.AppendString(head, "")               // Err
+	head = codec.AppendBytes(head, nil)               // Value
+	head = codec.AppendBool(head, false)              // Found
+	head = appendItem(head, kv.Item{})                // Item
+	head = codec.AppendVersion(head, kv.Version{})    // Version
+	huge := func(b []byte) []byte { return binary.AppendUvarint(b, (1<<40)+1) }
+	for name, payload := range map[string][]byte{
+		"2^40 dependency lists":           huge(head[:len(head):len(head)]),
+		"one list of 2^40 entries":        huge(codec.AppendCount(head[:len(head):len(head)], 1)),
+		"2^40 lookups after no dep lists": huge(appendDepLists(head[:len(head):len(head)], nil)),
+	} {
+		if _, err := decodeResponse(payload); !errors.Is(err, codec.ErrTruncated) {
+			t.Fatalf("%s: err = %v, want codec.ErrTruncated", name, err)
+		}
 	}
 
 	// An invalidation batch claiming 2^40 entries.
@@ -281,5 +294,27 @@ func TestHandshakeRoundTrip(t *testing.T) {
 	}
 	if _, err := readHandshake(bytes.NewReader([]byte{'T', 'C'})); err == nil {
 		t.Fatal("short handshake accepted")
+	}
+}
+
+// TestHandshakeRefusesV6: the update response grew a field in v7, so a
+// v6 peer — whose decoder would misread every response after it — is
+// turned away by either side before any frame is exchanged.
+func TestHandshakeRefusesV6(t *testing.T) {
+	v6 := handshakeBytes()
+	v6[4] = 6
+	for side, shake := range map[string]func(net.Conn, io.Reader) error{"server": serverHandshake, "client": clientHandshake} {
+		local, peer := net.Pipe()
+		// The peer presents v6 and swallows whatever we send (net.Pipe is
+		// unbuffered, so each direction needs its own goroutine).
+		go io.Copy(io.Discard, peer)
+		go peer.Write(v6[:])
+		err := shake(local, local)
+		var vm *VersionMismatchError
+		if !errors.As(err, &vm) || vm.Local != ProtocolVersion || vm.Peer != 6 {
+			t.Errorf("%s handshake with a v6 peer = %v, want a v%d/v6 mismatch", side, err, ProtocolVersion)
+		}
+		local.Close()
+		peer.Close()
 	}
 }

@@ -91,7 +91,7 @@ func (s *DBServer) dispatch(ctx context.Context, req Request) Response {
 	case OpUpdate:
 		// Observed read versions are re-checked under lock, then the
 		// writes commit atomically.
-		return updateResponse(s.db.ValidatedUpdate(ctx, req.ReadVersions, req.Writes))
+		return updateResponse(s.db.CommitUpdate(ctx, req.ReadVersions, req.Writes))
 
 	case OpStats:
 		return s.statsResponse()
@@ -114,10 +114,10 @@ func (s *DBServer) dispatch(ctx context.Context, req Request) Response {
 // updateResponse maps an update outcome onto the wire, carrying the
 // validation conflict detail (stale key + committed version) when there
 // is one so optimistic clients can heal their caches before retrying.
-func updateResponse(version kv.Version, err error) Response {
+func updateResponse(res kv.CommitResult, err error) Response {
 	switch {
 	case err == nil:
-		return Response{Code: CodeOK, Version: version}
+		return Response{Code: CodeOK, Version: res.Version, WriteDeps: res.Deps}
 	case errors.Is(err, db.ErrNotPrimary):
 		resp := Response{Code: CodeNotPrimary, Err: err.Error()}
 		var npe *db.NotPrimaryError

@@ -2,7 +2,8 @@ package transport
 
 // Tests for OpUpdate: observed read versions validated at the database,
 // the conflict detail coming back over the wire, and the cache server's
-// mid-tier relay with synchronous self-invalidation.
+// mid-tier relay, which hands the commit's answer back and invalidates
+// its own copies synchronously.
 
 import (
 	"errors"
@@ -167,7 +168,9 @@ func TestMidTierRelaysValidatedUpdate(t *testing.T) {
 // and a tcached relaying to it give the same answer to the same request
 // — an update with no writes commits nothing, successfully; one whose
 // observed versions are stale is a CodeConflict naming the stale key
-// and the version now committed.
+// and the version now committed; a commit answers with the dependency
+// list the database stored with each write, which the relay hands back
+// untouched.
 func TestUpdateAnsweredAlikeByBothTiers(t *testing.T) {
 	dbCli, _, cacheAddr := silentMidTier(t)
 	edge, err := DialDB(bg, cacheAddr, 1)
@@ -189,10 +192,10 @@ func TestUpdateAnsweredAlikeByBothTiers(t *testing.T) {
 		req  Request
 		want Response
 	}{
-		{"no reads, no writes", Request{Op: OpUpdate}, Response{Code: CodeOK}},
+		{"no reads, no writes", Request{Op: OpUpdate}, Response{Code: CodeOK, WriteDeps: []kv.DepList{}}},
 		{"fresh read, no writes",
 			Request{Op: OpUpdate, ReadVersions: []ObservedRead{{Key: "k", Version: v2, Found: true}}},
-			Response{Code: CodeOK}},
+			Response{Code: CodeOK, WriteDeps: []kv.DepList{}}},
 		{"stale read",
 			Request{Op: OpUpdate,
 				ReadVersions: []ObservedRead{{Key: "k", Version: v1, Found: true}},
@@ -216,5 +219,32 @@ func TestUpdateAnsweredAlikeByBothTiers(t *testing.T) {
 	}
 	if item, _, _ := dbCli.ReadItem(bg, "k"); string(item.Value) != "v2" {
 		t.Fatalf("a rejected or write-less update changed k to %q", item.Value)
+	}
+
+	// A commit: each tier answers with one list per write, and each list
+	// is what the database stored with that key at the commit version.
+	commit := Request{Op: OpUpdate,
+		ReadVersions: []ObservedRead{{Key: "k", Version: v2, Found: true}},
+		Writes:       []KeyValue{{Key: "a", Value: kv.Value("1")}, {Key: "b", Value: kv.Value("2")}, {Key: "a", Value: kv.Value("3")}}}
+	shape := map[string][][]kv.Key{}
+	for tier, cli := range map[string]*DBClient{"tdbd": dbCli, "tcached": edge} {
+		got, err := cli.roundTrip(bg, commit)
+		if err != nil || got.Code != CodeOK || len(got.WriteDeps) != len(commit.Writes) {
+			t.Fatalf("commit via %s = %+v, %v", tier, got, err)
+		}
+		for i, w := range commit.Writes {
+			stored, ok, err := dbCli.ReadItem(bg, w.Key)
+			if err != nil || !ok || stored.Version != got.Version || !stored.Deps.Equal(got.WriteDeps[i]) {
+				t.Errorf("via %s: write %d (%q) answered %s@%s, the database stored %s@%s",
+					tier, i, w.Key, got.WriteDeps[i], got.Version, stored.Deps, stored.Version)
+			}
+			if len(got.WriteDeps[i]) == 0 {
+				t.Errorf("via %s: write %d (%q) came back without a dependency list", tier, i, w.Key)
+			}
+			shape[tier] = append(shape[tier], got.WriteDeps[i].Keys())
+		}
+	}
+	if !reflect.DeepEqual(shape["tdbd"], shape["tcached"]) {
+		t.Errorf("the tiers answered the same commit with different lists: %v vs %v", shape["tdbd"], shape["tcached"])
 	}
 }

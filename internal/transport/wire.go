@@ -153,6 +153,12 @@ type Response struct {
 	Found   bool
 	Item    kv.Item
 	Version kv.Version
+	// WriteDeps is set on an OpUpdate commit: the dependency list the
+	// database stored with each of the request's Writes, positionally.
+	// With Version and the writer's own values they are the committed
+	// items, which the committing client's cache installs instead of
+	// refetching. A relaying cache server passes them through unchanged.
+	WriteDeps []kv.DepList
 	// Batch is set for OpGetBatch: one Lookup per requested key.
 	Batch []kv.Lookup
 	// Values is set for OpReadMulti: one value per requested key.

@@ -494,25 +494,33 @@ func (r *Remote) resubscribe(ctx context.Context, name string) (*transport.InvSt
 	}
 }
 
-// ValidatedUpdate implements UpdaterBackend: one OpUpdate round trip
+// CommitUpdate implements CommitBackend: one OpUpdate round trip
 // carrying the observed read versions, which the database validates
-// under lock before committing the writes atomically. Most callers want
-// Update (the closure form, which records the observations and retries
-// conflicts); this is the raw capability a Cache attached to this
-// Remote commits through.
+// under lock before committing the writes atomically; the answer carries
+// the commit version and each write's stored dependency list. Most
+// callers want Update (the closure form, which records the observations
+// and retries conflicts); this is the raw capability a Cache attached to
+// this Remote commits through.
 //
 // A standby's rejection (db.ErrNotPrimary) redirects to the leader it
 // names and the update is re-sent there — safe, because the rejection
 // happened before anything committed. A transport failure with the
 // outcome unknown is NOT retried.
-func (r *Remote) ValidatedUpdate(ctx context.Context, reads []ObservedRead, writes []KeyValue) (Version, error) {
-	var version Version
+func (r *Remote) CommitUpdate(ctx context.Context, reads []ObservedRead, writes []KeyValue) (CommitResult, error) {
+	var res CommitResult
 	err := r.do(ctx, false, func(cli *transport.DBClient) error {
 		var e error
-		version, e = cli.ValidatedUpdate(ctx, reads, writes)
+		res, e = cli.CommitUpdate(ctx, reads, writes)
 		return e
 	})
-	return version, err
+	return res, err
+}
+
+// ValidatedUpdate implements UpdaterBackend: CommitUpdate without the
+// lists.
+func (r *Remote) ValidatedUpdate(ctx context.Context, reads []ObservedRead, writes []KeyValue) (Version, error) {
+	res, err := r.CommitUpdate(ctx, reads, writes)
+	return res.Version, err
 }
 
 // Ping checks liveness with one round trip.

@@ -292,6 +292,9 @@ type Cache struct {
 	inner *core.Cache
 	unsub func()
 	seq   atomic.Uint64
+	// commit is the backend's commit call (nil when it takes no updates),
+	// resolved once at NewCache.
+	commit core.CommitFunc
 
 	// readTxnHist and updateHist are the whole-transaction latency
 	// histograms of an attached Telemetry (nil without WithTelemetry —
@@ -459,7 +462,7 @@ func NewCache(b Backend, opts ...CacheOption) (*Cache, error) {
 		inner.Close()
 		return nil, fmt.Errorf("tcache: subscribe %q: %w", name, err)
 	}
-	c := &Cache{inner: inner, unsub: unsub}
+	c := &Cache{inner: inner, unsub: unsub, commit: core.Committer(b)}
 	if t := o.telemetry; t != nil {
 		c.readTxnHist = t.readTxn
 		c.updateHist = t.update

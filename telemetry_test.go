@@ -181,8 +181,16 @@ func TestWithTelemetryClientHistograms(t *testing.T) {
 	}
 	defer c.Close()
 
-	if err := c.Update(ctx, func(tx *tcache.Tx) error {
+	// The cache's own Update would install "tk" (no cold read at all),
+	// so the key is written at the database and a second key through the
+	// cache.
+	if err := d.Update(ctx, func(tx *tcache.Tx) error {
 		return tx.Set("tk", tcache.Value("v1"))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Update(ctx, func(tx *tcache.Tx) error {
+		return tx.Set("tk2", tcache.Value("v1"))
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -8,10 +8,11 @@ package tcache
 //   - *Remote runs the closure against optimistic snapshot reads and
 //     commits reads-and-writes in ONE validated wire round trip;
 //   - *Cache and *ClusterCache do the same, serving the closure's reads
-//     from the cache when possible, and on commit apply their own
-//     writes' invalidations locally and synchronously — so the edge
-//     reads its writes before the asynchronous invalidation stream
-//     catches up.
+//     from the cache when possible, and on commit install their own
+//     writes — the committed items, rebuilt from the commit's answer —
+//     locally and synchronously, so the edge reads its writes from its
+//     own cache, with no refetch and before the asynchronous
+//     invalidation stream catches up.
 //
 // All three retry concurrency conflicts through the same jittered
 // exponential backoff driver, so contended writers behave identically
@@ -22,8 +23,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
+	"tcache/internal/core"
 	"tcache/internal/db"
 	"tcache/internal/kv"
 )
@@ -62,11 +65,32 @@ type ConflictError = db.ConflictError
 // a *ConflictError. *DB and *Remote implement it (and so does the
 // cluster tier), which is what lets a Cache attached to them offer
 // Update.
+//
+// A backend that can also report what it committed implements the
+// optional extension CommitBackend; a cache in front of one keeps its own
+// committed writes instead of evicting them.
 type UpdaterBackend interface {
 	ValidatedUpdate(ctx context.Context, reads []ObservedRead, writes []KeyValue) (Version, error)
 }
 
-var _ = []UpdaterBackend{(*DB)(nil), (*Remote)(nil)}
+// CommitResult is a commit's answer: its version and, per write, the
+// dependency list the database stored with it.
+type CommitResult = kv.CommitResult
+
+// CommitBackend is the optional extension of UpdaterBackend: the same
+// validated commit, answering with a CommitResult. Cache.Update prefers
+// it — the written items are installed in the cache (commit install) —
+// and falls back to ValidatedUpdate plus self-invalidation behind a
+// backend that has only that. *DB, *Remote and the cluster tier
+// implement both, ValidatedUpdate as CommitUpdate minus the lists.
+type CommitBackend interface {
+	CommitUpdate(ctx context.Context, reads []ObservedRead, writes []KeyValue) (CommitResult, error)
+}
+
+var (
+	_ = []UpdaterBackend{(*DB)(nil), (*Remote)(nil), (*clusterBackend)(nil)}
+	_ = []CommitBackend{(*DB)(nil), (*Remote)(nil), (*clusterBackend)(nil)}
+)
 
 // ErrUpdatesUnsupported reports an Update on a cache whose backend does
 // not implement UpdaterBackend.
@@ -84,6 +108,7 @@ type Tx struct {
 // the remote and cache tiers.
 type txHandle interface {
 	get(ctx context.Context, key Key) (Value, bool, error)
+	getMulti(ctx context.Context, keys []Key) ([]Value, error)
 	set(key Key, value Value) error
 }
 
@@ -98,6 +123,18 @@ type txHandle interface {
 // before modifying.
 func (t *Tx) Get(ctx context.Context, key Key) (Value, bool, error) {
 	return t.h.get(ctx, key)
+}
+
+// GetMulti reads keys, in order, within the update transaction — one Get
+// per key in meaning, but the keys the transaction has neither written
+// nor read yet are fetched together: one cache pass, one backend request
+// for all that miss, one round trip to a remote database instead of one
+// per key. A key that does not exist yields a nil Value (use Get to tell
+// it from a key stored with one).
+//
+// Like Get, the returned Values must be treated as read-only.
+func (t *Tx) GetMulti(ctx context.Context, keys ...Key) ([]Value, error) {
+	return t.h.getMulti(ctx, keys)
 }
 
 // Set buffers a write of key within the update transaction; it becomes
@@ -166,6 +203,17 @@ func (t dbTx) get(ctx context.Context, key Key) (Value, bool, error) {
 	return item.Value, found, nil
 }
 
+func (t dbTx) getMulti(ctx context.Context, keys []Key) ([]Value, error) {
+	vals := make([]Value, len(keys))
+	for i, key := range keys {
+		var err error
+		if vals[i], _, err = t.get(ctx, key); err != nil {
+			return nil, err
+		}
+	}
+	return vals, nil
+}
+
 func (t dbTx) set(key Key, value Value) error {
 	return t.txn.Write(key, value)
 }
@@ -199,53 +247,107 @@ func rollbackError(fnErr, abortErr error) error {
 	return errors.Join(fnErr, fmt.Errorf("tcache: rollback: %w", abortErr))
 }
 
-// ValidatedUpdate implements UpdaterBackend on the in-process database:
-// the observed reads are re-read under shared locks and compared, and
-// the writes committed only if every version still matches.
+// CommitUpdate implements CommitBackend on the in-process database: the
+// observed reads are re-read under shared locks and compared, and the
+// writes committed only if every version still matches.
+func (d *DB) CommitUpdate(ctx context.Context, reads []ObservedRead, writes []KeyValue) (CommitResult, error) {
+	return d.inner.CommitUpdate(ctx, reads, writes)
+}
+
+// ValidatedUpdate implements UpdaterBackend: CommitUpdate without the
+// lists.
 func (d *DB) ValidatedUpdate(ctx context.Context, reads []ObservedRead, writes []KeyValue) (Version, error) {
 	return d.inner.ValidatedUpdate(ctx, reads, writes)
 }
 
 // --- Optimistic implementation (Remote, Cache, ClusterCache) --------------
 
-// snapshotRead is the source an optimistic transaction reads from: the
-// cache for a cache-attached updater, a lock-free backend read otherwise.
-type snapshotRead func(ctx context.Context, key Key) (Item, bool, error)
+// snapshot is the source an optimistic transaction reads from: the cache
+// for a cache-attached updater, lock-free backend reads otherwise.
+type snapshot interface {
+	ReadItem(ctx context.Context, key Key) (Item, bool, error)
+	ReadItems(ctx context.Context, keys []Key) ([]Lookup, error)
+}
 
 // occTx is an optimistic update transaction: snapshot reads recorded
 // first-read-wins (so the closure sees a stable snapshot and the commit
 // can validate it), writes buffered until commit.
 type occTx struct {
-	read   snapshotRead
+	snap   snapshot
 	reads  []ObservedRead
 	vals   []Value // value at first read, aligned with reads
 	writes []KeyValue
+	// ahead holds what a retry fetched, in one request, for the keys the
+	// failed attempt read (aheadKeys, positionally): the closure's first
+	// read of one of them is served — and only then recorded — from here.
+	aheadKeys []Key
+	ahead     []Lookup
+}
+
+// held returns key's value if the transaction wrote it (read-your-writes
+// within the closure) or read it before (repeat reads serve the recorded
+// observation: the closure sees one stable snapshot even if the backend
+// moves underneath it).
+func (o *occTx) held(key Key) (val Value, found, ok bool) {
+	for i := range o.writes {
+		if o.writes[i].Key == key {
+			return o.writes[i].Value.Clone(), true, true
+		}
+	}
+	for i := range o.reads {
+		if o.reads[i].Key == key {
+			return o.vals[i], o.reads[i].Found, true
+		}
+	}
+	return nil, false, false
+}
+
+// observe records the first read of key and returns what the closure sees.
+func (o *occTx) observe(key Key, lu Lookup) Value {
+	o.reads = append(o.reads, ObservedRead{Key: key, Version: lu.Item.Version, Found: lu.Found})
+	o.vals = append(o.vals, lu.Item.Value)
+	return lu.Item.Value
 }
 
 func (o *occTx) get(ctx context.Context, key Key) (Value, bool, error) {
-	// Read-your-writes within the closure: serve the buffered write.
-	for i := range o.writes {
-		if o.writes[i].Key == key {
-			return o.writes[i].Value.Clone(), true, nil
-		}
+	if val, found, ok := o.held(key); ok {
+		return val, found, nil
 	}
-	// Repeat reads serve the recorded observation: the closure sees one
-	// stable snapshot even if the backend moves underneath it.
-	for i := range o.reads {
-		if o.reads[i].Key == key {
-			return o.vals[i], o.reads[i].Found, nil
-		}
+	if i := slices.Index(o.aheadKeys, key); i >= 0 {
+		return o.observe(key, o.ahead[i]), o.ahead[i].Found, nil
 	}
-	item, found, err := o.read(ctx, key)
+	item, found, err := o.snap.ReadItem(ctx, key)
 	if err != nil {
 		return nil, false, err
 	}
-	o.reads = append(o.reads, ObservedRead{Key: key, Version: item.Version, Found: found})
-	o.vals = append(o.vals, item.Value)
-	if !found {
-		return nil, false, nil
+	return o.observe(key, Lookup{Item: item, Found: found}), found, nil
+}
+
+func (o *occTx) getMulti(ctx context.Context, keys []Key) ([]Value, error) {
+	var fetch []Key
+	for _, key := range keys {
+		if _, _, ok := o.held(key); !ok && !slices.Contains(fetch, key) && !slices.Contains(o.aheadKeys, key) {
+			fetch = append(fetch, key)
+		}
 	}
-	return item.Value, true, nil
+	if len(fetch) > 0 {
+		lookups, err := o.snap.ReadItems(ctx, fetch)
+		if err != nil {
+			return nil, err
+		}
+		for j, lu := range lookups {
+			o.observe(fetch[j], lu)
+		}
+	}
+	// Every key is held or fetched ahead now: get serves it locally.
+	vals := make([]Value, len(keys))
+	for i, key := range keys {
+		var err error
+		if vals[i], _, err = o.get(ctx, key); err != nil {
+			return nil, err
+		}
+	}
+	return vals, nil
 }
 
 func (o *occTx) set(key Key, value Value) error {
@@ -262,27 +364,42 @@ func (o *occTx) set(key Key, value Value) error {
 
 // occUpdate is the shared optimistic driver: run fn against snapshot
 // reads, commit the observed read versions plus buffered writes in one
-// ValidatedUpdate, and retry conflicts. committed (optional) runs after
-// a successful commit with the writes and their commit version — the
-// self-invalidation hook; conflicted (optional) runs on each validation
-// conflict before the retry — the cache-healing hook.
-func occUpdate(ctx context.Context, fn func(tx *Tx) error, read snapshotRead, ub UpdaterBackend,
-	committed func(writes []KeyValue, version Version), conflicted func(*ConflictError)) error {
+// validated commit, and retry conflicts — each retry first fetching the
+// failed attempt's read set in one request, so a closure that reads key
+// by key pays one round trip for its second try, not one per key.
+// committed (optional) runs after a successful commit with the writes and
+// the commit's answer — the cache's install hook; conflicted (optional)
+// runs on each validation conflict before the retry — the cache-healing
+// hook.
+func occUpdate(ctx context.Context, fn func(tx *Tx) error, snap snapshot, commit core.CommitFunc,
+	committed func(writes []KeyValue, res CommitResult), conflicted func(*ConflictError)) error {
+	var again []Key // the read set of the attempt that just conflicted
 	return retryConflicts(ctx, func(ctx context.Context) error {
-		o := &occTx{read: read}
+		o := &occTx{snap: snap}
+		if len(again) > 0 {
+			ahead, err := snap.ReadItems(ctx, again)
+			if err != nil {
+				return err
+			}
+			o.aheadKeys, o.ahead = again, ahead
+		}
 		if err := fn(&Tx{h: o}); err != nil {
 			return err
 		}
-		version, err := ub.ValidatedUpdate(ctx, o.reads, o.writes)
+		res, err := commit(ctx, o.reads, o.writes)
 		if err != nil {
 			var ce *ConflictError
 			if conflicted != nil && errors.As(err, &ce) {
 				conflicted(ce)
 			}
+			again = again[:0]
+			for _, r := range o.reads {
+				again = append(again, r.Key)
+			}
 			return err
 		}
 		if committed != nil {
-			committed(o.writes, version)
+			committed(o.writes, res)
 		}
 		return nil
 	})
@@ -301,25 +418,32 @@ func occUpdate(ctx context.Context, fn func(tx *Tx) error, read snapshotRead, ub
 func (r *Remote) Update(ctx context.Context, fn func(tx *Tx) error) error {
 	// Reads go through the failover-aware path, so a retry loop follows
 	// the Remote to a promoted standby instead of pinning a dead client.
-	return occUpdate(ctx, fn, r.ReadItem, r, nil, nil)
+	return occUpdate(ctx, fn, r, r.CommitUpdate, nil, nil)
 }
 
 // Update implements Updater on a cache: fn's reads are served from the
 // cache when it can (missing keys fill from the backend as usual), the
-// writes are buffered, and the transaction commits through the
-// backend's ValidatedUpdate — for a *Remote backend that is one wire
-// round trip; through a cluster tier, one round trip to a relaying edge
-// node. The cache requires its Backend to implement UpdaterBackend and
-// returns ErrUpdatesUnsupported otherwise.
+// writes are buffered, and the transaction commits through the backend's
+// write extension — for a *Remote backend that is one wire round trip;
+// through a cluster tier, one round trip to a relaying edge node. The
+// cache requires its Backend to implement UpdaterBackend and returns
+// ErrUpdatesUnsupported otherwise.
 //
-// On commit the cache applies its own writes' invalidations locally and
-// synchronously (self-invalidation), so a read on this cache
-// immediately after Update observes the written value — read-your-writes
-// at the edge — even while the asynchronous invalidation stream is
-// still in flight (or lossy). On a validation conflict the stale cached
-// copy of the conflicting key is evicted before the retry, so the fresh
-// attempt re-reads through to the backend instead of re-observing the
-// same stale version.
+// On commit the cache keeps what it wrote (commit install): a
+// CommitBackend answers with the commit version and each write's stored
+// dependency list, which with the transaction's own values are the
+// committed items — exactly what a read-through right after the commit
+// would have cached — and they are installed locally and synchronously.
+// A read on this cache immediately after Update is a hit on the written
+// value: read-your-writes at the edge without a refetch, even while the
+// asynchronous invalidation stream is still in flight (or lossy; its echo
+// of this commit then counts as a stale invalidation). Behind a backend
+// that is only an UpdaterBackend the commit answers with a bare version
+// and the cache falls back to self-invalidation: it evicts its copies of
+// the written keys, and the next read refetches them. On a validation
+// conflict the stale cached copy of the conflicting key is evicted
+// before the retry, so the fresh attempt re-reads through to the backend
+// instead of re-observing the same stale version.
 func (c *Cache) Update(ctx context.Context, fn func(tx *Tx) error) error {
 	if c.updateHist == nil {
 		return c.update(ctx, fn)
@@ -330,21 +454,33 @@ func (c *Cache) Update(ctx context.Context, fn func(tx *Tx) error) error {
 	return err
 }
 
+// cacheSnapshot reads an optimistic transaction's snapshot through the
+// cache.
+type cacheSnapshot struct{ c *core.Cache }
+
+func (s cacheSnapshot) ReadItem(ctx context.Context, key Key) (Item, bool, error) {
+	return s.c.GetItem(ctx, key, kv.Version{})
+}
+
+func (s cacheSnapshot) ReadItems(ctx context.Context, keys []Key) ([]Lookup, error) {
+	return s.c.GetItems(ctx, keys, kv.Version{})
+}
+
 func (c *Cache) update(ctx context.Context, fn func(tx *Tx) error) error {
-	ub, ok := c.inner.Backend().(UpdaterBackend)
-	if !ok {
+	if c.commit == nil {
 		return fmt.Errorf("%w (%T)", ErrUpdatesUnsupported, c.inner.Backend())
 	}
-	return occUpdate(ctx, fn,
-		func(ctx context.Context, key Key) (Item, bool, error) {
-			return c.inner.GetItem(ctx, key, kv.Version{})
-		},
-		ub,
-		func(writes []KeyValue, version Version) {
-			// Self-invalidation: our own commit's invalidations, applied
-			// synchronously instead of waiting for the async stream.
-			for _, w := range writes {
-				c.inner.Invalidate(w.Key, version)
+	return occUpdate(ctx, fn, cacheSnapshot{c.inner}, c.commit,
+		func(writes []KeyValue, res CommitResult) {
+			// The one install-or-invalidate decision: did the lists come
+			// back?
+			install := len(res.Deps) == len(writes)
+			for i, w := range writes {
+				if install {
+					c.inner.Install(w.Key, Item{Value: w.Value, Version: res.Version, Deps: res.Deps[i]})
+				} else {
+					c.inner.Invalidate(w.Key, res.Version)
+				}
 			}
 		},
 		func(ce *ConflictError) {

@@ -46,6 +46,23 @@ func TestDBUpdateClosureErrorNotShadowed(t *testing.T) {
 	}
 }
 
+// mapSnapshot is an in-memory snapshot source; every key it holds is at
+// version 1.
+type mapSnapshot map[Key]Value
+
+func (m mapSnapshot) ReadItem(_ context.Context, key Key) (Item, bool, error) {
+	v, ok := m[key]
+	return Item{Value: v, Version: Version{Counter: 1}}, ok, nil
+}
+
+func (m mapSnapshot) ReadItems(ctx context.Context, keys []Key) ([]Lookup, error) {
+	out := make([]Lookup, len(keys))
+	for i, k := range keys {
+		out[i].Item, out[i].Found, _ = m.ReadItem(ctx, k)
+	}
+	return out, nil
+}
+
 // TestOccTxSnapshotSemantics covers the optimistic transaction handle:
 // read-your-buffered-writes inside the closure, first-read-wins repeat
 // reads (a stable snapshot even if the source moves), and not-found
@@ -53,11 +70,8 @@ func TestDBUpdateClosureErrorNotShadowed(t *testing.T) {
 func TestOccTxSnapshotSemantics(t *testing.T) {
 	ctx := context.Background()
 	version := Version{Counter: 1}
-	source := map[Key]Value{"a": Value("a1")}
-	o := &occTx{read: func(ctx context.Context, key Key) (Item, bool, error) {
-		v, ok := source[key]
-		return Item{Value: v, Version: version}, ok, nil
-	}}
+	source := mapSnapshot{"a": Value("a1")}
+	o := &occTx{snap: source}
 	tx := &Tx{h: o}
 
 	// First read observes the source.
@@ -92,5 +106,34 @@ func TestOccTxSnapshotSemantics(t *testing.T) {
 	// The write buffer kept the last value per key, exactly once.
 	if len(o.writes) != 1 || string(o.writes[0].Value) != "mine" {
 		t.Fatalf("write buffer = %+v", o.writes)
+	}
+}
+
+// TestOccTxReadsAhead covers what a retry fetched ahead of the closure:
+// a key is served from it on the closure's first read — and only then
+// becomes an observation the commit validates — while a key the retry's
+// closure no longer reads is never validated, and GetMulti fetches only
+// what is neither held nor fetched ahead.
+func TestOccTxReadsAhead(t *testing.T) {
+	ctx := context.Background()
+	source := mapSnapshot{"a": Value("a-now"), "b": Value("b-now"), "c": Value("c-now")}
+	o := &occTx{
+		snap:      source,
+		aheadKeys: []Key{"a", "b"},
+		ahead:     []Lookup{{Item: Item{Value: Value("a-ahead"), Version: Version{Counter: 7}}, Found: true}, {}},
+	}
+	tx := &Tx{h: o}
+	vals, err := tx.GetMulti(ctx, "c", "a", "c")
+	if err != nil || string(vals[0]) != "c-now" || string(vals[1]) != "a-ahead" || string(vals[2]) != "c-now" {
+		t.Fatalf("GetMulti = %q, %v", vals, err)
+	}
+	if len(o.reads) != 2 || o.reads[0].Key != "c" || o.reads[1] != (ObservedRead{Key: "a", Version: Version{Counter: 7}, Found: true}) {
+		t.Fatalf("observations = %+v, want c (fetched) then a (from the read-ahead); b was never read", o.reads)
+	}
+	if _, found, err := tx.Get(ctx, "b"); err != nil || found {
+		t.Fatalf("b, fetched ahead as missing = %v, %v", found, err)
+	}
+	if len(o.reads) != 3 || o.reads[2].Found {
+		t.Fatalf("observations = %+v, want b recorded as not found", o.reads)
 	}
 }

@@ -3,7 +3,7 @@ package tcache_test
 // Tests for the unified write path: one Updater API across *DB,
 // *Remote, *Cache, and *ClusterCache, optimistic validation over the
 // wire, conflict-retry convergence, and the edge's read-your-writes
-// guarantee (self-invalidation locally, write-mark floors across the
+// guarantee (commit install locally, write-mark floors across the
 // cluster tier).
 
 import (
@@ -196,8 +196,8 @@ func TestRemoteUpdateCancelMidCommit(t *testing.T) {
 
 // TestCacheUpdateReadYourWritesLossyLink is the headline edge guarantee:
 // with EVERY invalidation dropped, a cache that commits through Update
-// still reads its own writes immediately — the self-invalidation applied
-// at commit replaces the asynchronous stream for the writer's own keys.
+// still reads its own writes immediately — the items installed at commit
+// replace the asynchronous stream for the writer's own keys.
 // It also exercises conflict healing: the cache's stale snapshot is
 // rejected by validation, evicted, and the retry commits against fresh
 // reads.
@@ -264,7 +264,9 @@ func TestCacheUpdateReadYourWritesLossyLink(t *testing.T) {
 // TestClusterUpdateFloorsStaleNode is the cluster write-then-read floor
 // interaction: the client commits through one edge node while the
 // written key's HOME node still caches the old value (its invalidation
-// link is silent). The router's write mark must floor the next read —
+// link is silent). The client's own cache installed the write, so its
+// next read is a local hit; once that copy is gone (evicted, declined by
+// admission, never held) the router's write mark must floor the read —
 // routed to that stale home node — forcing it to refetch from the
 // database instead of serving the client data older than its own
 // commit.
@@ -356,8 +358,16 @@ func TestClusterUpdateFloorsStaleNode(t *testing.T) {
 		t.Fatalf("home node should still cache \"old\", got %q, %v, %v", item.Value, ok, err)
 	}
 
-	// The client's own read, though, is floored at its commit: routed to
+	// The client's own read is served by the item its commit installed.
+	if v, err := cc.Get(ctx, key); err != nil || string(v) != "new" {
+		t.Fatalf("read after cluster Update = %q, %v, want \"new\" (commit install)", v, err)
+	}
+	if fr := caches[1].Metrics().FloorRefetches; fr != 0 {
+		t.Fatalf("the installed write was refetched (%d floor refetches)", fr)
+	}
+	// Without the local copy the read is floored at the commit: routed to
 	// the stale home node, which must refetch instead of serving "old".
+	cc.Invalidate(key, tcache.Version{Counter: 1 << 62})
 	if v, err := cc.Get(ctx, key); err != nil || string(v) != "new" {
 		t.Fatalf("read after cluster Update = %q, %v, want \"new\" (write-mark floor)", v, err)
 	}
