@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint loc bench benchcluster benchwrite benchdurable benchrepl benchtelemetry bencheviction benchsmoke clustersmoke walsmoke replsmoke telemetry-smoke fuzz
+.PHONY: all build test race vet lint loc benchsmoke clustersmoke walsmoke replsmoke telemetry-smoke fuzz
 
 all: lint build test
 
@@ -13,11 +13,13 @@ test:
 # race also sweeps GOMAXPROCS over the packages whose behaviour depends
 # on the stripe count, and over the write path's tests (commit, install,
 # relay), so a failure that only shows at 2 or 4 CPUs cannot hide on a
-# 1-CPU runner.
+# 1-CPU runner. The last line runs the allocs/op table (alloc_test.go)
+# without the race detector, which moves its pooled-record rows.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -cpu 1,2,4 ./internal/core ./internal/evict ./internal/kv ./internal/codec ./internal/telemetry
 	$(GO) test -race -cpu 1,2,4 -run 'Update|Install|Commit' . ./internal/cluster
+	$(GO) test -run 'Alloc' -cpu 1,2,4 .
 
 # loc prints non-test Go lines per package (bench/ excluded) — the size
 # number tracked next to ns/op.
@@ -37,43 +39,6 @@ lint: vet
 	else echo "staticcheck not installed; skipping (CI runs it)"; fi
 	$(GO) run ./cmd/tcachelint ./...
 
-# The bench* targets each regenerate one checked-in benchmark JSON and
-# enforce its allocs/op budget; CI uploads the files as artifacts and
-# fails on regressions:
-#   bench        BENCH_pr3.json  remote (loopback wire) + hit-path
-#   benchcluster BENCH_pr4.json  cluster routing overhead vs plain Dial
-#   benchwrite   BENCH_pr5.json  unified write path cost per tier
-bench:
-	$(GO) run ./cmd/tcache-bench -benchjson BENCH_pr3.json -bench-budget bench_budget.json
-
-benchcluster:
-	$(GO) run ./cmd/tcache-bench -fig cluster
-
-benchwrite:
-	$(GO) run ./cmd/tcache-bench -fig writepath
-
-#   benchdurable BENCH_pr7.json  sync-commit throughput vs concurrent
-#   writers; gates that group commit coalesces fsyncs (≤0.9/commit @16)
-benchdurable:
-	$(GO) run ./cmd/tcache-bench -fig durability
-
-#   benchrepl    BENCH_pr8.json  commit cost with no/async/sync
-#   replication plus the client-visible failover time; gates async
-#   convergence, sync lag = 0, and failover under 5s
-benchrepl:
-	$(GO) run ./cmd/tcache-bench -fig replication
-
-#   benchtelemetry BENCH_pr9.json  warm-hit cost with telemetry off vs
-#   on; gates that the instrumented hit adds zero allocations
-benchtelemetry:
-	$(GO) run ./cmd/tcache-bench -fig telemetry
-
-#   bencheviction BENCH_pr10.json  byte-budgeted cache: per-policy hit
-#   ratio under zipfian pressure, the bounded-warm-hit zero-extra-alloc
-#   gate, and 1-vs-8-stripe scaling of the bounded touch path
-bencheviction:
-	$(GO) run ./cmd/tcache-bench -fig eviction
-
 # clustersmoke runs the end-to-end fleet check: 1 tdbd + 3 tcached on
 # loopback, driven by tcache-load -cluster (with a -write-mix share
 # committed through the edge relay) and tcache-cli. The tdbd runs with
@@ -92,13 +57,13 @@ replsmoke:
 
 # telemetry-smoke is the observability gate: the telemetry package
 # race-clean (histogram hammer, registry, Prometheus golden file,
-# admin listener), the end-to-end metric-surface tests (live /metrics
+# admin listener) and the end-to-end metric-surface tests (live /metrics
 # scrapes on both daemons, WithTelemetry hooks, cluster stats
-# breakdown), then the warm-hit overhead gate.
+# breakdown). The warm-hit overhead gate is alloc_test.go's
+# telemetry-on == telemetry-off row pair.
 telemetry-smoke:
 	$(GO) test -race -count=1 ./internal/telemetry
 	$(GO) test -race -count=1 -run 'ServeMetrics|WithTelemetry|ClusterStatsReports' .
-	$(GO) run ./cmd/tcache-bench -fig telemetry
 
 # walsmoke is the durability gate: the WAL package race-clean (torture
 # replays, crash windows, group commit), the db-level recovery +
@@ -109,11 +74,11 @@ walsmoke:
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime 15s ./internal/wal
 
 # benchsmoke is the CI quick pass: paper figures, hot paths, the codec
-# micro-benchmarks, and the PR 5 unified write-path benches.
+# micro-benchmarks, and two figures through the printer itself.
 benchsmoke:
 	$(GO) test -run '^$$' -bench 'Fig|Headline|Cache|Remote' -benchtime 100ms .
 	$(GO) test -run '^$$' -bench 'Codec|WireRoundTrip' -benchtime 100ms ./internal/transport
-	$(GO) run ./cmd/tcache-bench -fig writepath -quick
+	$(GO) run ./cmd/tcache-figs -quick -fig 3,headline
 
 # fuzz gives the wire codec and the WAL replay path a short adversarial
 # shake (decoders must never panic or over-allocate; accepted inputs

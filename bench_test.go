@@ -1,8 +1,11 @@
 // Benchmarks regenerating every table and figure of the paper's §V on
-// scaled-down parameters (run cmd/tcache-bench for paper-scale output),
+// scaled-down parameters (run cmd/tcache-figs for paper-scale output),
 // plus micro-benchmarks of the protocol's hot paths. Figure benchmarks
 // report their headline quantity with b.ReportMetric, so `go test
-// -bench=.` doubles as a smoke reproduction of the evaluation.
+// -bench=.` doubles as a smoke reproduction of the evaluation. These
+// are for measuring while you work: the numbers of record are bench/'s
+// rows, and what these paths may allocate is gated by alloc_test.go,
+// which shares the set-up helpers below.
 package tcache
 
 import (
@@ -157,6 +160,10 @@ func benchKeys(n int) []kv.Key {
 	return keys
 }
 
+// evictAll is an invalidation version above anything committed: it
+// evicts whatever the cache holds for the key.
+var evictAll = kv.Version{Counter: ^uint64(0) - 1}
+
 // BenchmarkCacheHitRead measures the §III-B validated read on a warm
 // cache (the latency-critical path: one client-to-cache round trip).
 func BenchmarkCacheHitRead(b *testing.B) {
@@ -276,7 +283,7 @@ func BenchmarkCachePlainGetParallel(b *testing.B) {
 
 // benchReadTxnCache is a warm public-API cache with telemetry on over
 // nKeys objects — the configuration the edge_hit workload of bench/ runs.
-func benchReadTxnCache(b *testing.B, nKeys int) (*Cache, []Key) {
+func benchReadTxnCache(b testing.TB, nKeys int) (*Cache, []Key) {
 	d := OpenDB()
 	b.Cleanup(func() { d.Close() })
 	seedCluster(b, d.Core(), nKeys)
@@ -458,9 +465,10 @@ func BenchmarkDetectionUnderStaleness(b *testing.B) {
 
 // --- Remote (loopback) benchmarks ---------------------------------------
 
-// remoteBench builds the paper's deployment over loopback: a served DB,
-// a Dial-attached Remote, and a T-Cache on top.
-func remoteBench(b *testing.B, nKeys int) (*DB, *Cache) {
+// remoteBench builds the paper's deployment over loopback: a served DB
+// holding nKeys seeded objects, a Dial-attached Remote, and a T-Cache on
+// top.
+func remoteBench(b testing.TB, nKeys int) (*DB, *Remote, *Cache) {
 	b.Helper()
 	ctx := context.Background()
 	d := OpenDB(WithDepListBound(5))
@@ -490,14 +498,14 @@ func remoteBench(b *testing.B, nKeys int) (*DB, *Cache) {
 	}); err != nil {
 		b.Fatal(err)
 	}
-	return d, cache
+	return d, remote, cache
 }
 
 // BenchmarkRemoteReadTxn measures a 5-key read-only transaction against
 // a Dial-attached remote backend with a warm cache: the edge hot path —
 // hits are validated locally, no wire traffic.
 func BenchmarkRemoteReadTxn(b *testing.B) {
-	_, cache := remoteBench(b, 5)
+	_, _, cache := remoteBench(b, 5)
 	keys := make([]Key, 5)
 	for i := range keys {
 		keys[i] = workload.ObjectKey(i)
@@ -525,17 +533,16 @@ func BenchmarkRemoteReadTxn(b *testing.B) {
 // BenchmarkRemoteReadTxnColdSingle measures the same transaction with an
 // always-cold cache and per-key Gets: 5 wire round trips per txn.
 func BenchmarkRemoteReadTxnColdSingle(b *testing.B) {
-	_, cache := remoteBench(b, 5)
+	_, _, cache := remoteBench(b, 5)
 	keys := make([]Key, 5)
 	for i := range keys {
 		keys[i] = workload.ObjectKey(i)
 	}
-	evict := kv.Version{Counter: ^uint64(0) - 1}
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		for _, k := range keys {
-			cache.Invalidate(k, evict)
+			cache.Invalidate(k, evictAll)
 		}
 		if err := cache.ReadTxn(bgb, func(tx *ReadTx) error {
 			for _, k := range keys {
@@ -554,17 +561,16 @@ func BenchmarkRemoteReadTxnColdSingle(b *testing.B) {
 // BenchmarkRemoteReadTxnColdMulti is the batched counterpart: the same 5
 // cold keys through GetMulti, one wire round trip per txn.
 func BenchmarkRemoteReadTxnColdMulti(b *testing.B) {
-	_, cache := remoteBench(b, 5)
+	_, _, cache := remoteBench(b, 5)
 	keys := make([]Key, 5)
 	for i := range keys {
 		keys[i] = workload.ObjectKey(i)
 	}
-	evict := kv.Version{Counter: ^uint64(0) - 1}
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		for _, k := range keys {
-			cache.Invalidate(k, evict)
+			cache.Invalidate(k, evictAll)
 		}
 		if err := cache.ReadTxn(bgb, func(tx *ReadTx) error {
 			_, err := tx.GetMulti(bgb, keys...)
@@ -576,7 +582,7 @@ func BenchmarkRemoteReadTxnColdMulti(b *testing.B) {
 	b.ReportMetric(1, "roundtrips/txn")
 }
 
-func seedCluster(b *testing.B, d *db.DB, n int) {
+func seedCluster(b testing.TB, d *db.DB, n int) {
 	b.Helper()
 	txn := d.Begin()
 	for i := 0; i < n; i++ {
@@ -589,7 +595,7 @@ func seedCluster(b *testing.B, d *db.DB, n int) {
 	}
 }
 
-func warm(b *testing.B, cache *core.Cache, n int) {
+func warm(b testing.TB, cache *core.Cache, n int) {
 	b.Helper()
 	for i := 0; i < n; i++ {
 		if _, err := cache.Get(bgb, workload.ObjectKey(i)); err != nil {

@@ -81,7 +81,7 @@ func run() error {
 			Shards:    *shards,
 			// The daemon always times its read paths: the scrape surface is
 			// the point of running it, and the instrumented warm hit stays
-			// allocation-free (gated by tcache-bench -fig telemetry).
+			// allocation-free (TestAllocBudgets' CoreWarmHitTelemetry row).
 			Telemetry: core.NewTelemetry(),
 		},
 		Name:         *name,

@@ -16,8 +16,8 @@
 // The cache is lock-striped along two independent axes:
 //
 //   - the entry table (and its eviction ledger) is hash-partitioned into
-//     Config.Shards cacheShards, keyed by the same FNV-1a hash the
-//     storage and db packages use;
+//     Config.Shards cacheShards, keyed by the same FNV-1a hash the db
+//     package uses;
 //   - the transaction-record table is striped into txnStripes (64)
 //     stripes, keyed by TxnID.
 //

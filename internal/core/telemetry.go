@@ -9,7 +9,7 @@ import (
 // Config.Telemetry; a nil Telemetry (the default) keeps the read paths
 // entirely untouched — not even a clock read — and a non-nil one times
 // each batch once and one warm hit in warmSampleEvery, zero allocations
-// (proven by `tcache-bench -fig telemetry`).
+// (TestAllocBudgets' CoreWarmHitTelemetry row in the root package).
 type Telemetry struct {
 	// ReadWarm observes the latency (ns) of serving one key from the
 	// cache under its shard lock (a warm hit: no backend round trip).

@@ -19,7 +19,6 @@ import (
 
 	"tcache/internal/kv"
 	"tcache/internal/lock"
-	"tcache/internal/storage"
 	"tcache/internal/telemetry"
 	"tcache/internal/wal"
 )
@@ -161,9 +160,11 @@ type DB struct {
 
 	// commitMu serializes the decide+apply phase of 2PC, which makes
 	// version order equal commit order and keeps hooks totally ordered.
-	// The commit lock is taken before any shard lock, never after:
+	// The commit lock is taken before any shard or store lock, never
+	// after:
 	//
 	//tcache:lockorder commit < dbshard
+	//tcache:lockorder commit < store
 	commitMu sync.Mutex //tcache:lockclass commit
 	versionC atomic.Uint64
 	txnC     atomic.Uint64
@@ -388,7 +389,7 @@ func (d *DB) Len() int {
 // store and prepared-transaction log.
 type shardState struct {
 	id    int
-	store *storage.Store
+	store *store
 
 	mu       sync.Mutex //tcache:lockclass dbshard
 	prepared map[uint64][]preparedWrite
@@ -402,7 +403,7 @@ type preparedWrite struct {
 func newShardState(id int) *shardState {
 	return &shardState{
 		id:       id,
-		store:    storage.NewStore(8),
+		store:    newStore(8),
 		prepared: make(map[uint64][]preparedWrite),
 	}
 }

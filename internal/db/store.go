@@ -1,0 +1,112 @@
+package db
+
+import (
+	"sync"
+
+	"tcache/internal/kv"
+)
+
+// store is the hash-sharded map from keys to versioned items under one
+// 2PC participant. Items carry their commit version and dependency list
+// (kv.Item); the store imposes no consistency semantics — that is the
+// job of the database's concurrency control. It is safe for concurrent
+// use. Items are deep-copied on the way in, and — except for GetShared,
+// which shares storage under a read-only copy-on-write contract — on
+// the way out, so callers can never alias mutable internal state.
+type store struct {
+	shards []*storeShard
+}
+
+type storeShard struct {
+	mu    sync.RWMutex //tcache:lockclass store
+	items map[kv.Key]kv.Item
+}
+
+// newStore creates a store with the given number of hash shards
+// (values < 1 are treated as 1).
+func newStore(numShards int) *store {
+	if numShards < 1 {
+		numShards = 1
+	}
+	s := &store{shards: make([]*storeShard, numShards)}
+	for i := range s.shards {
+		s.shards[i] = &storeShard{items: make(map[kv.Key]kv.Item)}
+	}
+	return s
+}
+
+func (s *store) shardOf(key kv.Key) *storeShard {
+	return s.shards[kv.ShardIndex(key, len(s.shards))]
+}
+
+// Get returns a deep copy of the item stored under key.
+func (s *store) Get(key kv.Key) (kv.Item, bool) {
+	sh := s.shardOf(key)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	it, ok := sh.items[key]
+	if !ok {
+		return kv.Item{}, false
+	}
+	return it.Clone(), true
+}
+
+// GetShared returns the item stored under key without copying — the
+// read hot path. Stored items are effectively immutable: Put deep-copies
+// on the way in and replaces the map entry wholesale, so a shared item's
+// Value and Deps are never mutated afterwards. Callers must honor the copy-on-write contract and treat
+// them as read-only; use Get for a private copy.
+func (s *store) GetShared(key kv.Key) (kv.Item, bool) {
+	sh := s.shardOf(key)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	it, ok := sh.items[key]
+	return it, ok
+}
+
+// Version returns the stored version of key without copying the payload,
+// and whether the key exists.
+func (s *store) Version(key kv.Key) (kv.Version, bool) {
+	sh := s.shardOf(key)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	it, ok := sh.items[key]
+	return it.Version, ok
+}
+
+// Put stores a deep copy of item under key, replacing any prior item.
+func (s *store) Put(key kv.Key, item kv.Item) {
+	sh := s.shardOf(key)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	sh.items[key] = item.Clone()
+}
+
+// Len returns the total number of stored items.
+func (s *store) Len() int {
+	n := 0
+	for _, sh := range s.shards {
+		sh.mu.RLock()
+		n += len(sh.items)
+		sh.mu.RUnlock()
+	}
+	return n
+}
+
+// Range calls f for every (key, item) pair until f returns false. The item
+// passed to f is a deep copy. Iteration holds one shard's read lock at a
+// time; concurrent writers may be observed or missed.
+func (s *store) Range(f func(key kv.Key, item kv.Item) bool) {
+	for _, sh := range s.shards {
+		sh.mu.RLock()
+		for k, it := range sh.items {
+			cp := it.Clone()
+			sh.mu.RUnlock()
+			if !f(k, cp) {
+				return
+			}
+			sh.mu.RLock()
+		}
+		sh.mu.RUnlock()
+	}
+}

@@ -1,0 +1,130 @@
+package db
+
+import (
+	"fmt"
+	"sync"
+	"testing"
+
+	"tcache/internal/kv"
+)
+
+func storeItem(val string, ver uint64) kv.Item {
+	return kv.Item{Value: kv.Value(val), Version: kv.Version{Counter: ver}}
+}
+
+func TestStorePutGet(t *testing.T) {
+	s := newStore(4)
+	s.Put("a", storeItem("va", 1))
+	got, ok := s.Get("a")
+	if !ok || string(got.Value) != "va" || got.Version.Counter != 1 {
+		t.Fatalf("Get = %+v, %v", got, ok)
+	}
+	if _, ok := s.Get("missing"); ok {
+		t.Fatal("Get(missing) = ok")
+	}
+}
+
+func TestStoreGetReturnsCopy(t *testing.T) {
+	s := newStore(1)
+	s.Put("a", kv.Item{Value: kv.Value("xy"), Deps: kv.DepList{{Key: "d", Version: kv.Version{Counter: 1}}}})
+	got, _ := s.Get("a")
+	got.Value[0] = 'Z'
+	got.Deps[0].Key = "mutated"
+	again, _ := s.Get("a")
+	if string(again.Value) != "xy" || again.Deps[0].Key != "d" {
+		t.Fatal("Get returned aliased internal state")
+	}
+}
+
+func TestStorePutStoresCopy(t *testing.T) {
+	s := newStore(1)
+	it := kv.Item{Value: kv.Value("xy")}
+	s.Put("a", it)
+	it.Value[0] = 'Z'
+	got, _ := s.Get("a")
+	if string(got.Value) != "xy" {
+		t.Fatal("Put aliased caller's value")
+	}
+}
+
+func TestStoreVersion(t *testing.T) {
+	s := newStore(2)
+	s.Put("a", storeItem("v", 7))
+	ver, ok := s.Version("a")
+	if !ok || ver.Counter != 7 {
+		t.Fatalf("Version = %v, %v", ver, ok)
+	}
+	if _, ok := s.Version("nope"); ok {
+		t.Fatal("Version(missing) = ok")
+	}
+}
+
+func TestStoreLen(t *testing.T) {
+	s := newStore(8)
+	for i := 0; i < 100; i++ {
+		s.Put(kv.Key(fmt.Sprintf("k%d", i)), storeItem("v", uint64(i)))
+	}
+	if got := s.Len(); got != 100 {
+		t.Fatalf("Len = %d, want 100", got)
+	}
+}
+
+func TestStoreRange(t *testing.T) {
+	s := newStore(4)
+	for i := 0; i < 10; i++ {
+		s.Put(kv.Key(fmt.Sprintf("k%d", i)), storeItem("v", uint64(i)))
+	}
+	n := 0
+	s.Range(func(k kv.Key, it kv.Item) bool {
+		n++
+		return true
+	})
+	if n != 10 {
+		t.Fatalf("Range visited %d, want 10", n)
+	}
+	n = 0
+	s.Range(func(k kv.Key, it kv.Item) bool {
+		n++
+		return n < 3
+	})
+	if n != 3 {
+		t.Fatalf("early-stop Range visited %d, want 3", n)
+	}
+}
+
+func TestStoreZeroShardsClamped(t *testing.T) {
+	s := newStore(0)
+	if len(s.shards) != 1 {
+		t.Fatalf("%d shards, want 1", len(s.shards))
+	}
+	s.Put("a", storeItem("v", 1))
+	if _, ok := s.Get("a"); !ok {
+		t.Fatal("single-shard store lost item")
+	}
+}
+
+func TestStoreConcurrentAccess(t *testing.T) {
+	s := newStore(8)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		g := g
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				k := kv.Key(fmt.Sprintf("k%d", i%32))
+				switch (g + i) % 4 {
+				case 0:
+					s.Put(k, storeItem("v", uint64(i)))
+				case 1:
+					s.Get(k)
+				case 2:
+					s.GetShared(k)
+				case 3:
+					s.Version(k)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}

@@ -2,10 +2,12 @@ package experiment
 
 import (
 	"context"
+	"reflect"
 	"testing"
 	"time"
 
 	"tcache/internal/core"
+	"tcache/internal/kv"
 	"tcache/internal/workload"
 )
 
@@ -80,6 +82,56 @@ func TestMeasureDeltas(t *testing.T) {
 	shares := m.ConsistentPct() + m.InconsistentPct() + m.AbortedPct()
 	if shares < 99.9 || shares > 100.1 {
 		t.Fatalf("outcome shares sum to %v", shares)
+	}
+}
+
+// TestMeasureSubtractsEveryCounter: a Measurement field is after −
+// before for every counter its snapshot type declares, including ones
+// the figures do not read — here the batch-prefetch counters, moved by a
+// cold ReadMulti inside the window.
+func TestMeasureSubtractsEveryCounter(t *testing.T) {
+	ctx := context.Background()
+	col, err := NewColumn(ColumnConfig{DepBound: 5, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer col.Close()
+	gen := &workload.PerfectClusters{Objects: 100, ClusterSize: 5, TxnSize: 5}
+	col.SeedObjects(workload.AllObjectKeys(105)) // the generators never touch the last five
+	drive := Drive{UpdateRate: 50, ReadRate: 100, Duration: 2 * time.Second}
+	if err := col.Run(ctx, drive, gen, gen); err != nil {
+		t.Fatal(err)
+	}
+
+	mon0, cache0, db0 := col.Mon.Stats(), col.Cache.Metrics(), col.DB.Metrics()
+	m, err := col.Measure(func() error {
+		if _, err := col.Cache.ReadMulti(ctx, kv.TxnID(1)<<40, workload.AllObjectKeys(105)[100:], true); err != nil {
+			return err
+		}
+		return col.Run(ctx, drive, gen, gen)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Cache.BatchPrefetches != 1 || m.Cache.BatchPrefetchedKeys != 5 {
+		t.Errorf("window's cold ReadMulti: BatchPrefetches = %d, BatchPrefetchedKeys = %d, want 1 and 5",
+			m.Cache.BatchPrefetches, m.Cache.BatchPrefetchedKeys)
+	}
+	for _, c := range []struct {
+		name               string
+		got, after, before any
+	}{
+		{"Mon", m.Mon, col.Mon.Stats(), mon0},
+		{"Cache", m.Cache, col.Cache.Metrics(), cache0},
+		{"DB", m.DB, col.DB.Metrics(), db0},
+	} {
+		got, after, before := reflect.ValueOf(c.got), reflect.ValueOf(c.after), reflect.ValueOf(c.before)
+		for i := 0; i < got.NumField(); i++ {
+			if want := after.Field(i).Uint() - before.Field(i).Uint(); got.Field(i).Uint() != want {
+				t.Errorf("Measurement.%s.%s = %d, want %d (after %d − before %d)", c.name, got.Type().Field(i).Name,
+					got.Field(i).Uint(), want, after.Field(i).Uint(), before.Field(i).Uint())
+			}
+		}
 	}
 }
 

@@ -16,8 +16,8 @@ import (
 // This file holds the experiments that go beyond the paper's figures:
 // the §VII future directions made concrete (pinned dependencies and
 // per-object dependency-list bounds on a web-album workload) and two
-// ablations of design choices called out in DESIGN.md (the
-// version-recency LRU and the invalidation drop rate).
+// ablations of design choices (the version-recency LRU pruning of
+// dependency lists and the invalidation drop rate).
 
 // AlbumParams parameterizes the §VII web-album experiment.
 type AlbumParams struct {

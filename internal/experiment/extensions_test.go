@@ -100,7 +100,7 @@ func TestAbortSoundnessProperty(t *testing.T) {
 	// non-serializable, so the monitor's AbortedConsistent counter —
 	// spurious aborts — must stay zero. This holds for all strategies
 	// and bounds because a dependency entry (k,v) can only exist in an
-	// object whose version is ≥ v (see DESIGN.md §5).
+	// object whose version is ≥ v (the §III-A aggregation rule).
 	for _, strategy := range []core.Strategy{core.StrategyAbort, core.StrategyEvict, core.StrategyRetry} {
 		for _, bound := range []int{1, 3, 5} {
 			col, err := NewColumn(ColumnConfig{

@@ -6,6 +6,7 @@ import (
 	"tcache/internal/core"
 	"tcache/internal/db"
 	"tcache/internal/monitor"
+	"tcache/internal/telemetry"
 )
 
 // Measurement is the delta of all system counters over a measurement
@@ -28,9 +29,9 @@ func (c *Column) Measure(run func() error) (Measurement, error) {
 	err := run()
 	return Measurement{
 		Duration: c.Clk.Since(t0),
-		Mon:      subMon(c.Mon.Stats(), mon0),
-		Cache:    subCache(c.Cache.Metrics(), cache0),
-		DB:       subDB(c.DB.Metrics(), db0),
+		Mon:      telemetry.Sub(c.Mon.Stats(), mon0),
+		Cache:    telemetry.Sub(c.Cache.Metrics(), cache0),
+		DB:       telemetry.Sub(c.DB.Metrics(), db0),
 	}, err
 }
 
@@ -78,50 +79,4 @@ func pct(num, den uint64) float64 {
 		return 0
 	}
 	return 100 * float64(num) / float64(den)
-}
-
-func subMon(a, b monitor.Stats) monitor.Stats {
-	return monitor.Stats{
-		CommittedConsistent:   a.CommittedConsistent - b.CommittedConsistent,
-		CommittedInconsistent: a.CommittedInconsistent - b.CommittedInconsistent,
-		AbortedConsistent:     a.AbortedConsistent - b.AbortedConsistent,
-		AbortedInconsistent:   a.AbortedInconsistent - b.AbortedInconsistent,
-		Updates:               a.Updates - b.Updates,
-	}
-}
-
-func subCache(a, b core.MetricsSnapshot) core.MetricsSnapshot {
-	return core.MetricsSnapshot{
-		Reads:                a.Reads - b.Reads,
-		Hits:                 a.Hits - b.Hits,
-		Misses:               a.Misses - b.Misses,
-		TTLExpiries:          a.TTLExpiries - b.TTLExpiries,
-		TxnsStarted:          a.TxnsStarted - b.TxnsStarted,
-		TxnsCommitted:        a.TxnsCommitted - b.TxnsCommitted,
-		TxnsAborted:          a.TxnsAborted - b.TxnsAborted,
-		TxnsGCed:             a.TxnsGCed - b.TxnsGCed,
-		Detected:             a.Detected - b.Detected,
-		DetectedEq1:          a.DetectedEq1 - b.DetectedEq1,
-		DetectedEq2:          a.DetectedEq2 - b.DetectedEq2,
-		Retries:              a.Retries - b.Retries,
-		RetriesResolved:      a.RetriesResolved - b.RetriesResolved,
-		Evictions:            a.Evictions - b.Evictions,
-		InvalidationsApplied: a.InvalidationsApplied - b.InvalidationsApplied,
-		InvalidationsStale:   a.InvalidationsStale - b.InvalidationsStale,
-		InvalidationsNoop:    a.InvalidationsNoop - b.InvalidationsNoop,
-		MVServedOld:          a.MVServedOld - b.MVServedOld,
-	}
-}
-
-func subDB(a, b db.MetricsSnapshot) db.MetricsSnapshot {
-	return db.MetricsSnapshot{
-		TxnsStarted:       a.TxnsStarted - b.TxnsStarted,
-		TxnsCommitted:     a.TxnsCommitted - b.TxnsCommitted,
-		TxnsAborted:       a.TxnsAborted - b.TxnsAborted,
-		Conflicts:         a.Conflicts - b.Conflicts,
-		TxnReads:          a.TxnReads - b.TxnReads,
-		TxnWrites:         a.TxnWrites - b.TxnWrites,
-		SingleGets:        a.SingleGets - b.SingleGets,
-		InvalidationsSent: a.InvalidationsSent - b.InvalidationsSent,
-	}
 }

@@ -13,6 +13,7 @@ import (
 	"tcache/internal/db"
 	"tcache/internal/kv"
 	"tcache/internal/monitor"
+	"tcache/internal/telemetry"
 	"tcache/internal/workload"
 )
 
@@ -255,8 +256,8 @@ func RunMultiEdge(ctx context.Context, p MultiEdgeParams) (*MultiEdgeResult, err
 	for e, me := range edges {
 		res.Edges[e] = EdgeMeasurement{
 			Edge:  e,
-			Mon:   subMon(me.mon.Stats(), mon0[e]),
-			Cache: subCache(me.cache.Metrics(), cache0[e]),
+			Mon:   telemetry.Sub(me.mon.Stats(), mon0[e]),
+			Cache: telemetry.Sub(me.cache.Metrics(), cache0[e]),
 		}
 	}
 	return res, nil

@@ -115,7 +115,7 @@ func MergeDeps(bound int, accesses []Access) DepList {
 
 // MergeDepsPositional is MergeDeps with the inherited entries ranked by
 // list position instead of version recency. It exists for the ablation
-// study (cmd/tcache-bench -fig lru): positional ranking lets dead
+// study (cmd/tcache-figs -fig lru): positional ranking lets dead
 // entries inherited from the first access displace newer, relevant
 // dependencies indefinitely.
 func MergeDepsPositional(bound int, accesses []Access) DepList {

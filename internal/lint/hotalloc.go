@@ -5,13 +5,14 @@ import (
 	"go/types"
 )
 
-// HotAlloc is the static complement of the bench_budget.json runtime
-// gate: functions annotated //tcache:hotpath may not introduce the
-// allocation patterns the PR 3 purge removed — fmt calls, non-constant
-// string concatenation, map/slice composite literals, or closures that
-// capture locals (each capture forces a heap allocation). Struct
-// literals and make() remain fine: the compiler stack-allocates the
-// former, and the latter is explicit and reviewable.
+// HotAlloc is the static complement of the runtime allocation budgets
+// (alloc_test.go in the root package): functions annotated
+// //tcache:hotpath may not introduce the allocation patterns the PR 3
+// purge removed — fmt calls, non-constant string concatenation,
+// map/slice composite literals, or closures that capture locals (each
+// capture forces a heap allocation). Struct literals and make() remain
+// fine: the compiler stack-allocates the former, and the latter is
+// explicit and reviewable.
 var HotAlloc = &Analyzer{
 	Name: "hotalloc",
 	Doc:  "no fmt, string concat, map/slice literals, or capturing closures in //tcache:hotpath funcs",

@@ -58,7 +58,7 @@ var cowSources = []cowSource{
 	{"tcache/internal/core", "Cache", "GetItem", kindItem},
 	{"tcache/internal/core", "Cache", "GetItems", kindLookups},
 	{"tcache/internal/db", "DB", "Get", kindItem},
-	{"tcache/internal/storage", "Store", "GetShared", kindItem},
+	{"tcache/internal/db", "store", "GetShared", kindItem},
 }
 
 func runSharedValue(pass *Pass) error {

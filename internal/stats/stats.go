@@ -1,7 +1,7 @@
 // Package stats provides the small statistical toolkit used by the
-// experiment harness: online samples with percentiles (the paper reports
-// medians with 10/90-percentile error bars), time-bucketed series for the
-// convergence plots, and rate counters.
+// experiment harness and the load driver: samples with percentiles (the
+// paper reports medians with 10/90-percentile error bars) and
+// time-bucketed series for the convergence plots.
 package stats
 
 import (
@@ -15,29 +15,16 @@ import (
 type Sample struct {
 	xs     []float64
 	sorted bool
-	sum    float64
 }
 
 // Add records one observation.
 func (s *Sample) Add(x float64) {
 	s.xs = append(s.xs, x)
 	s.sorted = false
-	s.sum += x
 }
 
 // N returns the number of observations.
 func (s *Sample) N() int { return len(s.xs) }
-
-// Sum returns the sum of all observations.
-func (s *Sample) Sum() float64 { return s.sum }
-
-// Mean returns the arithmetic mean, or NaN for an empty sample.
-func (s *Sample) Mean() float64 {
-	if len(s.xs) == 0 {
-		return math.NaN()
-	}
-	return s.sum / float64(len(s.xs))
-}
 
 func (s *Sample) sort() {
 	if !s.sorted {
@@ -69,15 +56,6 @@ func (s *Sample) Percentile(p float64) float64 {
 	return s.xs[lo]*(1-frac) + s.xs[hi]*frac
 }
 
-// Median returns the 50th percentile.
-func (s *Sample) Median() float64 { return s.Percentile(50) }
-
-// Min returns the smallest observation, or NaN for an empty sample.
-func (s *Sample) Min() float64 { return s.Percentile(0) }
-
-// Max returns the largest observation, or NaN for an empty sample.
-func (s *Sample) Max() float64 { return s.Percentile(100) }
-
 // Quantiles returns the (10, 50, 90) percentiles, matching the error bars
 // in the paper's Figure 7.
 func (s *Sample) Quantiles() (p10, p50, p90 float64) {
@@ -91,13 +69,4 @@ func (s *Sample) String() string {
 	}
 	p10, p50, p90 := s.Quantiles()
 	return fmt.Sprintf("%.4g [%.4g,%.4g] (n=%d)", p50, p10, p90, s.N())
-}
-
-// Ratio returns num/den as a percentage, or 0 if den is zero. Experiment
-// tables report most quantities as percentages.
-func Ratio(num, den float64) float64 {
-	if den == 0 {
-		return 0
-	}
-	return 100 * num / den
 }

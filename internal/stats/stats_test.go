@@ -11,11 +11,11 @@ import (
 
 func TestSampleEmpty(t *testing.T) {
 	var s Sample
-	if !math.IsNaN(s.Mean()) || !math.IsNaN(s.Median()) {
+	if !math.IsNaN(s.Percentile(50)) {
 		t.Fatal("empty sample should return NaN")
 	}
-	if s.N() != 0 || s.Sum() != 0 {
-		t.Fatal("empty sample has nonzero N or Sum")
+	if s.N() != 0 {
+		t.Fatal("empty sample has nonzero N")
 	}
 	if s.String() != "empty" {
 		t.Fatalf("String = %q", s.String())
@@ -27,20 +27,17 @@ func TestSampleBasics(t *testing.T) {
 	for _, x := range []float64{4, 1, 3, 2, 5} {
 		s.Add(x)
 	}
-	if got := s.Mean(); got != 3 {
-		t.Fatalf("Mean = %v, want 3", got)
+	if got := s.N(); got != 5 {
+		t.Fatalf("N = %v, want 5", got)
 	}
-	if got := s.Median(); got != 3 {
-		t.Fatalf("Median = %v, want 3", got)
+	if got := s.Percentile(50); got != 3 {
+		t.Fatalf("median = %v, want 3", got)
 	}
-	if got := s.Min(); got != 1 {
-		t.Fatalf("Min = %v, want 1", got)
+	if got := s.Percentile(0); got != 1 {
+		t.Fatalf("min = %v, want 1", got)
 	}
-	if got := s.Max(); got != 5 {
-		t.Fatalf("Max = %v, want 5", got)
-	}
-	if got := s.Sum(); got != 15 {
-		t.Fatalf("Sum = %v, want 15", got)
+	if got := s.Percentile(100); got != 5 {
+		t.Fatalf("max = %v, want 5", got)
 	}
 }
 
@@ -110,10 +107,10 @@ func TestPercentileMatchesSortedRank(t *testing.T) {
 func TestSampleAddAfterPercentile(t *testing.T) {
 	var s Sample
 	s.Add(1)
-	_ = s.Median()
+	_ = s.Percentile(50)
 	s.Add(100)
-	if got := s.Max(); got != 100 {
-		t.Fatalf("Max after re-add = %v, want 100", got)
+	if got := s.Percentile(100); got != 100 {
+		t.Fatalf("max after re-add = %v, want 100", got)
 	}
 }
 
@@ -125,15 +122,6 @@ func TestQuantiles(t *testing.T) {
 	p10, p50, p90 := s.Quantiles()
 	if p10 != 10 || p50 != 50 || p90 != 90 {
 		t.Fatalf("Quantiles = %v,%v,%v", p10, p50, p90)
-	}
-}
-
-func TestRatio(t *testing.T) {
-	if got := Ratio(1, 4); got != 25 {
-		t.Fatalf("Ratio(1,4) = %v, want 25", got)
-	}
-	if got := Ratio(5, 0); got != 0 {
-		t.Fatalf("Ratio(x,0) = %v, want 0", got)
 	}
 }
 
@@ -153,14 +141,19 @@ func TestTimeSeriesBasics(t *testing.T) {
 	if got := ts.Count(1, "b"); got != 1 {
 		t.Fatalf("Count(1,b) = %d, want 1", got)
 	}
-	if got := ts.Rate(0, "a"); got != 2 {
-		t.Fatalf("Rate(0,a) = %v, want 2", got)
-	}
 	if got := ts.Total(0); got != 2 {
 		t.Fatalf("Total(0) = %d, want 2", got)
 	}
 	if got := ts.Share(0, "a"); got != 100 {
 		t.Fatalf("Share(0,a) = %v, want 100", got)
+	}
+	ts.Add(origin.Add(200*time.Millisecond), "b")
+	ts.Add(origin.Add(300*time.Millisecond), "b")
+	if got := ts.Share(0, "a"); got != 50 {
+		t.Fatalf("Share(0,a) = %v, want 50", got)
+	}
+	if got := ts.Share(7, "a"); got != 0 {
+		t.Fatalf("Share of an empty bucket = %v, want 0", got)
 	}
 }
 
@@ -177,25 +170,6 @@ func TestTimeSeriesOutOfRange(t *testing.T) {
 	ts := NewTimeSeries(time.Unix(0, 0), time.Second)
 	if ts.Count(5, "a") != 0 || ts.Total(-1) != 0 {
 		t.Fatal("out-of-range bucket should count 0")
-	}
-}
-
-func TestTimeSeriesLabelsSorted(t *testing.T) {
-	ts := NewTimeSeries(time.Unix(0, 0), time.Second)
-	ts.Add(time.Unix(0, 0), "zeta")
-	ts.Add(time.Unix(0, 0), "alpha")
-	labels := ts.Labels()
-	if len(labels) != 2 || labels[0] != "alpha" || labels[1] != "zeta" {
-		t.Fatalf("Labels = %v", labels)
-	}
-}
-
-func TestTimeSeriesTableRenders(t *testing.T) {
-	ts := NewTimeSeries(time.Unix(0, 0), time.Second)
-	ts.Add(time.Unix(0, 0), "ok")
-	tbl := ts.Table()
-	if len(tbl) == 0 {
-		t.Fatal("empty table")
 	}
 }
 

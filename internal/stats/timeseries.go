@@ -1,10 +1,6 @@
 package stats
 
-import (
-	"fmt"
-	"strings"
-	"time"
-)
+import "time"
 
 // TimeSeries buckets labelled event counts into fixed-width windows of
 // virtual time. The convergence experiments (Figs. 4 and 5) use it to plot
@@ -16,7 +12,6 @@ type TimeSeries struct {
 	width  time.Duration
 	// buckets[i][label] counts events in window i.
 	buckets []map[string]int
-	labels  map[string]struct{}
 }
 
 // NewTimeSeries creates a series with the given bucket width; events are
@@ -25,11 +20,7 @@ func NewTimeSeries(origin time.Time, width time.Duration) *TimeSeries {
 	if width <= 0 {
 		panic("stats: TimeSeries bucket width must be positive")
 	}
-	return &TimeSeries{
-		origin: origin,
-		width:  width,
-		labels: make(map[string]struct{}),
-	}
+	return &TimeSeries{origin: origin, width: width}
 }
 
 // Add counts one event with the given label at time t. Events before the
@@ -44,7 +35,6 @@ func (ts *TimeSeries) Add(t time.Time, label string) {
 		ts.buckets = append(ts.buckets, make(map[string]int))
 	}
 	ts.buckets[i][label]++
-	ts.labels[label] = struct{}{}
 }
 
 // Buckets returns the number of buckets (the index of the last bucket that
@@ -77,55 +67,17 @@ func (ts *TimeSeries) Total(i int) int {
 	return n
 }
 
-// Rate returns label's count in bucket i expressed as events per second.
-func (ts *TimeSeries) Rate(i int, label string) float64 {
-	return float64(ts.Count(i, label)) / ts.width.Seconds()
-}
-
-// Share returns label's fraction of bucket i's total as a percentage.
+// Share returns label's fraction of bucket i's total as a percentage
+// (0 for an empty bucket).
 func (ts *TimeSeries) Share(i int, label string) float64 {
-	return Ratio(float64(ts.Count(i, label)), float64(ts.Total(i)))
+	total := ts.Total(i)
+	if total == 0 {
+		return 0
+	}
+	return 100 * float64(ts.Count(i, label)) / float64(total)
 }
 
 // BucketStart returns the start offset of bucket i from the origin.
 func (ts *TimeSeries) BucketStart(i int) time.Duration {
 	return time.Duration(i) * ts.width
-}
-
-// Labels returns the set of labels seen, sorted.
-func (ts *TimeSeries) Labels() []string {
-	out := make([]string, 0, len(ts.labels))
-	for l := range ts.labels {
-		out = append(out, l)
-	}
-	sortStrings(out)
-	return out
-}
-
-// Table renders the series as a fixed-width text table with one row per
-// bucket: time offset, then per-label rates in events/sec.
-func (ts *TimeSeries) Table() string {
-	labels := ts.Labels()
-	var b strings.Builder
-	fmt.Fprintf(&b, "%10s", "t[s]")
-	for _, l := range labels {
-		fmt.Fprintf(&b, " %14s", l+"/s")
-	}
-	b.WriteByte('\n')
-	for i := 0; i < len(ts.buckets); i++ {
-		fmt.Fprintf(&b, "%10.1f", ts.BucketStart(i).Seconds())
-		for _, l := range labels {
-			fmt.Fprintf(&b, " %14.1f", ts.Rate(i, l))
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-func sortStrings(xs []string) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }

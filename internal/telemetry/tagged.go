@@ -79,3 +79,18 @@ func (s *CounterSet) Fill(snapshot any) {
 		v.Field(c.field).SetUint(c.load())
 	}
 }
+
+// Sub returns after − before field by field, for a snapshot struct Fill
+// writes: every field a uint64. Walking the type, not a list, is the
+// point — a counter added to the declaration is subtracted here without
+// an edit. A field that went down (a gauge such as a replication lag)
+// wraps, as unsigned subtraction does. It panics on any other field
+// kind.
+func Sub[T any](after, before T) T {
+	var out T
+	va, vb, vo := reflect.ValueOf(after), reflect.ValueOf(before), reflect.ValueOf(&out).Elem()
+	for i := 0; i < vo.NumField(); i++ {
+		vo.Field(i).SetUint(va.Field(i).Uint() - vb.Field(i).Uint())
+	}
+	return out
+}

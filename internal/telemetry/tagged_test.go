@@ -78,3 +78,15 @@ func TestCounterSetRejectsUnsnapshottedCounter(t *testing.T) {
 	}
 	NewCounterSet(&m, taggedSnapshot{})
 }
+
+func TestSubSubtractsEveryField(t *testing.T) {
+	after := taggedSnapshot{Extra: 10, Misses: 7, Hits: 100}
+	before := taggedSnapshot{Extra: 4, Misses: 7, Hits: 1}
+	if got, want := Sub(after, before), (taggedSnapshot{Extra: 6, Misses: 0, Hits: 99}); got != want {
+		t.Fatalf("Sub = %+v, want %+v", got, want)
+	}
+	// A field that went down wraps like the unsigned subtraction it is.
+	if got := Sub(before, after).Hits; got != ^uint64(0)-98 {
+		t.Fatalf("Sub of a decreased field = %d, want 1-100 mod 2^64", got)
+	}
+}

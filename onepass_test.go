@@ -44,27 +44,6 @@ func warmCache(t *testing.T, n int, opts ...tcache.CacheOption) (*tcache.Cache, 
 	return c, keys
 }
 
-// TestWarmReadTxnAllocations pins what a warm ReadTxn{GetMulti(5)} may
-// allocate with telemetry on and no completion hook: the ReadTx and the
-// result slice. The transaction record is recycled and no completion
-// report is built.
-func TestWarmReadTxnAllocations(t *testing.T) {
-	ctx := context.Background()
-	c, keys := warmCache(t, 5, tcache.WithTelemetry(tcache.NewTelemetry()))
-	read := func(tx *tcache.ReadTx) error {
-		_, err := tx.GetMulti(ctx, keys...)
-		return err
-	}
-	allocs := testing.AllocsPerRun(1000, func() {
-		if err := c.ReadTxn(ctx, read); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 2 {
-		t.Fatalf("warm ReadTxn{GetMulti(5)} = %.1f allocs, want <= 2", allocs)
-	}
-}
-
 // TestCompletionReadsSurviveRecycling: a completion hook may keep the
 // Completion.Reads it is handed; 10 000 further transactions — each
 // reusing a recycled transaction record — must not write into what it

@@ -44,8 +44,8 @@
 //
 // Read-only transactions served by the cache never contact the database
 // on hits; the cache detects most non-serializable read sets locally
-// using the bounded dependency lists the database maintains (see
-// DESIGN.md for the protocol).
+// using the bounded dependency lists the database maintains (the
+// protocol is README.md's opening section; the paper's §III).
 package tcache
 
 import (
