@@ -13,12 +13,15 @@ test:
 # race also sweeps GOMAXPROCS over the packages whose behaviour depends
 # on the stripe count, and over the write path's tests (commit, install,
 # relay), so a failure that only shows at 2 or 4 CPUs cannot hide on a
-# 1-CPU runner. The last line runs the allocs/op table (alloc_test.go)
-# without the race detector, which moves its pooled-record rows.
+# 1-CPU runner; the 'Determin|Subgraph' line is the same-seed-same-bytes
+# gate (graph order, topology builds, column runs). The last line runs
+# the allocs/op table (alloc_test.go) without the race detector, which
+# moves its pooled-record rows.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -cpu 1,2,4 ./internal/core ./internal/evict ./internal/kv ./internal/codec ./internal/telemetry
 	$(GO) test -race -cpu 1,2,4 -run 'Update|Install|Commit' . ./internal/cluster
+	$(GO) test -race -cpu 1,2,4 -run 'Determin|Subgraph' ./internal/graph ./internal/experiment
 	$(GO) test -run 'Alloc' -cpu 1,2,4 .
 
 # loc prints non-test Go lines per package (bench/ excluded) — the size

@@ -198,7 +198,12 @@ func (g *Graph) Subgraph(nodes []int) *Graph {
 		}
 	}
 	out := New(len(nodes))
-	for u, i := range relabel {
+	// In the order given, never the map's: adjacency order decides which
+	// neighbour a seeded random walk draws.
+	for i, u := range nodes {
+		if at, ok := relabel[u]; !ok || at != i {
+			continue // unknown id, or an earlier duplicate of a later one
+		}
 		for _, w := range g.adj[u] {
 			if j, ok := relabel[int(w)]; ok && i < j {
 				out.AddEdge(i, j)

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -294,5 +295,33 @@ func TestDegreeHistogram(t *testing.T) {
 		if h[i] != want[i] {
 			t.Fatalf("histogram = %v, want %v", h, want)
 		}
+	}
+}
+
+// TestSubgraphAdjacencyOrderIsDeterministic: the induced adjacency lists
+// follow the order of nodes (and, within a node, the parent's adjacency
+// order) — a seeded random walk over the result draws neighbours by
+// position, so any other order changes every topology-driven experiment.
+func TestSubgraphAdjacencyOrderIsDeterministic(t *testing.T) {
+	g := New(64)
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 400; i++ {
+		g.AddEdge(rng.Intn(64), rng.Intn(64))
+	}
+	nodes := rng.Perm(64)[:40]
+	nodes = append(nodes, nodes[3], -1, 99) // a duplicate and two unknown ids
+	want := g.Subgraph(nodes)
+	for round := 0; round < 20; round++ {
+		got := g.Subgraph(nodes)
+		for u := 0; u < want.NumNodes(); u++ {
+			if !reflect.DeepEqual(got.Neighbors(u), want.Neighbors(u)) {
+				t.Fatalf("round %d: node %d neighbours %v, first build had %v", round, u, got.Neighbors(u), want.Neighbors(u))
+			}
+		}
+	}
+	// nodes[3] appears twice: its later position wins the label, the
+	// earlier one is an isolated placeholder.
+	if want.Degree(3) != 0 {
+		t.Fatalf("duplicate's earlier slot has degree %d, want 0", want.Degree(3))
 	}
 }
