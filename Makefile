@@ -76,10 +76,11 @@ walsmoke:
 	$(GO) test -race -count=1 -run 'Recover|Snapshot|Crash|Close|Compact|ConcurrentCommits|Background' ./internal/db
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime 15s ./internal/wal
 
-# benchsmoke is the CI quick pass: paper figures, hot paths, the codec
+# benchsmoke is the CI quick pass: paper figures, hot paths, what the
+# consistency check adds to a plain read (check-ns/txn), the codec
 # micro-benchmarks, and two figures through the printer itself.
 benchsmoke:
-	$(GO) test -run '^$$' -bench 'Fig|Headline|Cache|Remote' -benchtime 100ms .
+	$(GO) test -run '^$$' -bench 'Fig|Headline|Cache|Remote|NominalOverhead' -benchtime 100ms .
 	$(GO) test -run '^$$' -bench 'Codec|WireRoundTrip' -benchtime 100ms ./internal/transport
 	$(GO) run ./cmd/tcache-figs -quick -fig 3,headline
 

@@ -54,8 +54,10 @@ var allocTable = []struct {
 		cache, keys := benchReadTxnCache(t, 1)
 		return func() error { _, err := cache.Get(bgb, keys[0]); return err }
 	}},
-	// Cold: every key evicted, then one OpReadMulti round trip.
-	{"ColdReadTxnGetMulti5OverDial", 45, "", func(t *testing.T) func() error {
+	// Cold: every key evicted, then one OpReadMulti round trip; each of
+	// the five fills allocates its entry and the entry's dependency-key
+	// hashes (the CoreInstall5Deps row).
+	{"ColdReadTxnGetMulti5OverDial", 50, "", func(t *testing.T) func() error {
 		_, _, cache := remoteBench(t, 5)
 		return readTxnMulti(cache, benchKeys(5), true)
 	}},
@@ -117,6 +119,27 @@ var allocTable = []struct {
 	}},
 	{"CoreWarmHitCost", 0, "CoreWarmHit", func(t *testing.T) func() error {
 		return coreWarmHit(t, core.Config{MaxBytes: 1 << 20, Policy: evict.Cost})
+	}},
+	// A newer item replacing a cached one, five dependencies: the one
+	// allocation is the entry's slice of dependency-key hashes, which is
+	// what lets the warm rows above check eq.1/eq.2 without hashing.
+	{"CoreInstall5Deps", 1, "", func(t *testing.T) func() error {
+		d := db.Open(db.Config{})
+		t.Cleanup(func() { d.Close() })
+		cache, err := core.New(core.Config{Backend: d})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(cache.Close)
+		item := kv.Item{Value: kv.Value("v")}
+		for _, k := range benchKeys(5) {
+			item.Deps = append(item.Deps, kv.DepEntry{Key: k})
+		}
+		return func() error {
+			item.Version.Counter++
+			cache.Install("installed", item)
+			return nil
+		}
 	}},
 }
 

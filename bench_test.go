@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"tcache/internal/core"
 	"tcache/internal/db"
@@ -283,8 +284,8 @@ func BenchmarkCachePlainGetParallel(b *testing.B) {
 
 // benchReadTxnCache is a warm public-API cache with telemetry on over
 // nKeys objects — the configuration the edge_hit workload of bench/ runs.
-func benchReadTxnCache(b testing.TB, nKeys int) (*Cache, []Key) {
-	d := OpenDB()
+func benchReadTxnCache(b testing.TB, nKeys int, opts ...DBOption) (*Cache, []Key) {
+	d := OpenDB(opts...)
 	b.Cleanup(func() { d.Close() })
 	seedCluster(b, d.Core(), nKeys)
 	cache, err := NewCache(d, WithTelemetry(NewTelemetry()))
@@ -313,6 +314,49 @@ func BenchmarkCacheReadTxnGetMulti(b *testing.B) {
 		}
 	}
 	b.ReportMetric(5, "reads/txn")
+}
+
+// BenchmarkNominalOverhead puts a number on the paper's "nominal
+// overhead": the warm ReadTxn{GetMulti(5)} minus a GetItems of the same
+// five keys — everything a transaction adds to a plain multi-key read
+// (its record, the §III-B checks over each item's dependency list, the
+// commit, its histogram) — at dependency-list bounds 0, 3 and 5. The two
+// reads alternate in blocks so a noisy minute lands on both. Reported,
+// not gated: it is a timing.
+func BenchmarkNominalOverhead(b *testing.B) {
+	for _, k := range []int{0, 3, 5} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			cache, keys := benchReadTxnCache(b, 5, WithDepListBound(k))
+			if item, _, _ := cache.Core().GetItem(bgb, keys[0], kv.Version{}); len(item.Deps) != min(k, 4) {
+				b.Fatalf("k=%d: %s carries %d dependencies, want %d", k, keys[0], len(item.Deps), min(k, 4))
+			}
+			read := func(tx *ReadTx) error {
+				_, err := tx.GetMulti(bgb, keys...)
+				return err
+			}
+			var txn, plain time.Duration
+			b.ResetTimer()
+			for done := 0; done < b.N; done += 256 {
+				n := min(256, b.N-done)
+				t0 := time.Now()
+				for i := 0; i < n; i++ {
+					if err := cache.ReadTxn(bgb, read); err != nil {
+						b.Fatal(err)
+					}
+				}
+				t1 := time.Now()
+				for i := 0; i < n; i++ {
+					if _, err := cache.Core().GetItems(bgb, keys, kv.Version{}); err != nil {
+						b.Fatal(err)
+					}
+				}
+				txn, plain = txn+t1.Sub(t0), plain+time.Since(t1)
+			}
+			b.ReportMetric(float64(txn)/float64(b.N), "txn-ns")
+			b.ReportMetric(float64(plain)/float64(b.N), "getitems-ns")
+			b.ReportMetric(float64(txn-plain)/float64(b.N), "check-ns/txn")
+		})
+	}
 }
 
 // BenchmarkCacheReadTxnGetMultiParallel drives the same transaction from

@@ -11,12 +11,22 @@ import (
 
 // The two steps every read shares (collect, fill) work on per-key scratch
 // the caller owns: out[i] receives what the cache or the backend produced
-// for keys[i], and state[i] starts as the key's shard index (≥ 0, "not
-// visited yet") and ends as slotHit or slotMiss. In between, a key the
-// cache could not serve holds pendingSlot(d, dup): d is its index in the
-// list of keys to fetch, and dup marks a later occurrence of a key already
-// on that list, whose lookup waits for the first occurrence's fill —
-// where a sequence of single reads would do it.
+// for keys[i] and slots[i] what the pass knows about it. A slot's state
+// starts as the key's shard index (≥ 0, "not visited yet") and ends as
+// slotHit or slotMiss. In between, a key the cache could not serve holds
+// pendingSlot(d, dup): d is its index in the list of keys to fetch, and
+// dup marks a later occurrence of a key already on that list, whose
+// lookup waits for the first occurrence's fill — where a sequence of
+// single reads would do it.
+type keySlot struct {
+	state int32
+	// hash is the key's hash, computed once per pass: it picks the shard
+	// here and finds the key's row in the transaction record afterwards.
+	hash uint64
+	// depHash is the served entry's (entry.depHash): shared, read-only.
+	depHash []uint64
+}
+
 const (
 	slotHit  int32 = -1
 	slotMiss int32 = -2
@@ -44,7 +54,8 @@ func pendingOf(s int32) (d int, dup, ok bool) {
 const warmSampleEvery = 64
 
 // lookupLocked is the servable-entry check — the only one: it stores
-// key's cached item in out and reports true if the cache may serve it
+// key's cached item in out (its dependency hashes in slot) and reports
+// true if the cache may serve it
 // under floor (present, within its TTL, not older than floor unless a
 // fetch under that floor confirmed it, not marked superseded), touching
 // it in the eviction order. An expired entry is removed: left in place it
@@ -55,7 +66,7 @@ const warmSampleEvery = 64
 //
 //tcache:hotpath
 //tcache:holds shard
-func (c *Cache) lookupLocked(sh *cacheShard, key kv.Key, floor kv.Version, out *kv.Lookup) bool {
+func (c *Cache) lookupLocked(sh *cacheShard, key kv.Key, floor kv.Version, out *kv.Lookup, slot *keySlot) bool {
 	// With c.tel nil (the default) no time stamp is taken at all; enabled,
 	// one hit in warmSampleEvery pays two clock reads and two atomic adds.
 	var start time.Time
@@ -82,7 +93,7 @@ func (c *Cache) lookupLocked(sh *cacheShard, key kv.Key, floor kv.Version, out *
 				c.tel.ReadWarm.ObserveSince(start)
 			}
 		}
-		out.Item, out.Found = e.item, true
+		out.Item, out.Found, slot.depHash = e.item, true, e.depHash
 		return true
 	}
 	return false
@@ -95,12 +106,13 @@ func (c *Cache) lookupLocked(sh *cacheShard, key kv.Key, floor kv.Version, out *
 // transactional reads are counted by readPass as it validates them.
 //
 //tcache:hotpath
-func (c *Cache) collect(keys []kv.Key, floor kv.Version, out []kv.Lookup, state []int32, missing *versionTable, count bool) {
+func (c *Cache) collect(keys []kv.Key, floor kv.Version, out []kv.Lookup, slots []keySlot, missing *keyTable, count bool) {
 	for i, key := range keys {
-		state[i] = int32(kv.ShardIndex(key, len(c.shards)))
+		h := c.hash(key)
+		slots[i] = keySlot{state: c.shardIndex(h), hash: h}
 	}
 	for i := range keys {
-		si := state[i]
+		si := slots[i].state
 		if si < 0 {
 			continue // visited with an earlier key of its shard
 		}
@@ -108,20 +120,21 @@ func (c *Cache) collect(keys []kv.Key, floor kv.Version, out []kv.Lookup, state 
 		var reads, hits uint64
 		sh.mu.Lock()
 		for j := i; j < len(keys); j++ {
-			if state[j] != si {
+			slot := &slots[j]
+			if slot.state != si {
 				continue
 			}
 			key := keys[j]
-			if d := missing.find(key); d >= 0 {
-				state[j] = pendingSlot(d, true)
+			if d := missing.find(0, slot.hash, key); d >= 0 {
+				slot.state = pendingSlot(int(d), true)
 				continue
 			}
 			reads++
-			if c.lookupLocked(sh, key, floor, &out[j]) {
-				state[j] = slotHit
+			if c.lookupLocked(sh, key, floor, &out[j], slot) {
+				slot.state = slotHit
 				hits++
 			} else {
-				state[j] = pendingSlot(missing.add(key, kv.Version{}), false)
+				slot.state = pendingSlot(int(missing.add(slot.hash, key)), false)
 			}
 		}
 		if count {
@@ -136,7 +149,7 @@ func (c *Cache) collect(keys []kv.Key, floor kv.Version, out []kv.Lookup, state 
 // key order, inserting what was found. It returns the error the keys it
 // could not resolve carry — a failed fetch (its first failure; keys
 // fetched before it are filled) or ErrClosed.
-func (c *Cache) fill(ctx context.Context, keys []kv.Key, floor kv.Version, out []kv.Lookup, state []int32, missing []ReadVersion, count bool) error {
+func (c *Cache) fill(ctx context.Context, keys []kv.Key, floor kv.Version, out []kv.Lookup, slots []keySlot, missing []recRow, count bool) error {
 	var start time.Time
 	if c.tel != nil {
 		start = time.Now()
@@ -148,16 +161,17 @@ func (c *Cache) fill(ctx context.Context, keys []kv.Key, floor kv.Version, out [
 	}
 	filled := 0
 	for i, key := range keys {
-		d, dup, pending := pendingOf(state[i])
+		slot := &slots[i]
+		d, dup, pending := pendingOf(slot.state)
 		if !pending || d >= len(lookups) {
 			continue
 		}
 		lu, hits := lookups[d], uint64(0)
-		sh := c.shardFor(key)
+		sh := c.shards[c.shardIndex(slot.hash)]
 		sh.mu.Lock()
 		// A later occurrence of a key this batch already filled is an
 		// ordinary lookup now: a hit, unless admission declined it.
-		if dup && c.lookupLocked(sh, key, floor, &lu) {
+		if dup && c.lookupLocked(sh, key, floor, &lu, slot) {
 			hits = 1
 		}
 		if dup && count {
@@ -169,16 +183,18 @@ func (c *Cache) fill(ctx context.Context, keys []kv.Key, floor kv.Version, out [
 			// (first sighting): the fetched item is served uncached —
 			// for the caller, a served miss like any other.
 			if e := c.insertShardLocked(sh, key, lu.Item); e != nil {
-				lu.Item = e.item
+				lu.Item, slot.depHash = e.item, e.depHash
 				if e.confirmed.Less(floor) {
 					e.confirmed = floor
 				}
+			} else {
+				slot.depHash = c.hashDeps(lu.Item.Deps)
 			}
 		}
 		sh.mu.Unlock()
-		out[i], state[i] = lu, slotMiss
+		out[i], slot.state = lu, slotMiss
 		if hits == 1 {
-			state[i] = slotHit
+			slot.state = slotHit
 		}
 	}
 	if c.tel != nil && filled > 0 {
@@ -199,11 +215,11 @@ func (c *Cache) fill(ctx context.Context, keys []kv.Key, floor kv.Version, out [
 // batch, or a failed batch request. On a per-key failure it returns the
 // lookups before the failing key with the error. A ctx cancelled during
 // the batch request is returned as is, not counted as a backend error.
-func (c *Cache) fetchItems(ctx context.Context, missing []ReadVersion, batch bool, buf []kv.Lookup) ([]kv.Lookup, error) {
+func (c *Cache) fetchItems(ctx context.Context, missing []recRow, batch bool, buf []kv.Lookup) ([]kv.Lookup, error) {
 	if bb, ok := c.cfg.Backend.(BatchBackend); ok && batch {
 		keys := make([]kv.Key, len(missing))
 		for d := range missing {
-			keys[d] = missing[d].Key
+			keys[d] = missing[d].key
 		}
 		lookups, err := bb.ReadItems(ctx, keys)
 		if err == nil && len(lookups) != len(keys) {
@@ -224,10 +240,10 @@ func (c *Cache) fetchItems(ctx context.Context, missing []ReadVersion, batch boo
 		c.metrics.BackendErrors.Add(1)
 	}
 	for d := range missing {
-		item, ok, err := c.cfg.Backend.ReadItem(ctx, missing[d].Key)
+		item, ok, err := c.cfg.Backend.ReadItem(ctx, missing[d].key)
 		if err != nil {
 			c.metrics.BackendErrors.Add(1)
-			return buf, fmt.Errorf("tcache: backend read %q: %w", missing[d].Key, err)
+			return buf, fmt.Errorf("tcache: backend read %q: %w", missing[d].key, err)
 		}
 		buf = append(buf, kv.Lookup{Item: item, Found: ok})
 	}

@@ -16,8 +16,8 @@
 // The cache is lock-striped along two independent axes:
 //
 //   - the entry table (and its eviction ledger) is hash-partitioned into
-//     Config.Shards cacheShards, keyed by the same FNV-1a hash the db
-//     package uses;
+//     Config.Shards cacheShards, keyed by hashKey (64-bit FNV-1a) — the
+//     hash that also finds a key's row in a transaction record;
 //   - the transaction-record table is striped into txnStripes (64)
 //     stripes, keyed by TxnID.
 //
@@ -267,6 +267,9 @@ type Cache struct {
 	shards  []*cacheShard
 	stripes []txnStripe // txnStripes of them, each on its own cache lines
 
+	// hash is hashKey; a test swaps it to force collisions.
+	hash func(kv.Key) uint64
+
 	closed atomic.Bool
 
 	// gcMu guards gcTimer against the sweep-vs-Close reschedule race.
@@ -354,8 +357,12 @@ type txnStripe struct {
 }
 
 type entry struct {
-	key       kv.Key
-	item      kv.Item
+	key  kv.Key
+	item kv.Item
+	// depHash[i] is the key hash of item.Deps[i] (hashDeps). Like the
+	// item it is replaced whole, never written in place: reads carry the
+	// slice out of the shard lock.
+	depHash   []uint64
 	fetchedAt time.Time
 	// older retains superseded versions, newest first (multiversioning).
 	older []kv.Item
@@ -375,33 +382,50 @@ type entry struct {
 	h evict.Handle
 }
 
-// versionTable maps keys to versions in insertion order: a small slice
-// searched linearly, not a map — transactions read a handful of keys (the
-// paper's workloads read ~5), and at that size an append beats a map
-// allocation plus hashed inserts on every read. idx stays nil until the
-// table outgrows txnRecordSpill, so a huge batch degrades to O(1) map
-// lookups instead of quadratic scans under a lock.
-type versionTable struct {
-	rows []ReadVersion
-	idx  map[kv.Key]int
+// recRow is what one transaction knows about one key: the largest version
+// any of its reads (or their dependency lists) expects of it and, once the
+// key itself was read, the version first returned.
+type recRow struct {
+	// hash is the key's hash, compared before the string: a workload's
+	// keys are same-length, same-prefix strings, so a string mismatch is
+	// decided at its last bytes and a hash mismatch in one compare.
+	hash     uint64
+	key      kv.Key
+	expected kv.Version
+	read     kv.Version // valid when seq > 0
+	// seq is the key's 1-based position among the transaction's first
+	// reads; 0 marks a key only dependency lists have named so far.
+	seq int32
+}
+
+// keyTable holds rows in insertion order: a small slice searched
+// linearly, not a map — transactions read a handful of keys (the paper's
+// workloads read ~5), and at that size an append beats a map allocation
+// plus hashed inserts on every read. idx stays nil until the table
+// outgrows txnRecordSpill, so a huge batch degrades to O(1) map lookups
+// instead of quadratic scans under a lock.
+type keyTable struct {
+	rows []recRow
+	idx  map[kv.Key]int32
 }
 
 // txnRecordSpill is the table size beyond which a key index is built.
 const txnRecordSpill = 32
 
-// find returns key's row index, or -1.
+// find returns the index of key's row among the rows from index from on,
+// or -1; hash is the key's hash.
 //
 //tcache:hotpath
-func (t *versionTable) find(key kv.Key) int {
+func (t *keyTable) find(from int, hash uint64, key kv.Key) int32 {
 	if t.idx != nil {
 		if i, ok := t.idx[key]; ok {
 			return i
 		}
 		return -1
 	}
-	for i := range t.rows {
-		if t.rows[i].Key == key {
-			return i
+	for i := from; i < len(t.rows); i++ {
+		if t.rows[i].hash == hash && t.rows[i].key == key {
+			return int32(i)
 		}
 	}
 	return -1
@@ -410,69 +434,91 @@ func (t *versionTable) find(key kv.Key) int {
 // add appends a row for key (not yet in the table) and returns its index.
 //
 //tcache:hotpath
-func (t *versionTable) add(key kv.Key, v kv.Version) int {
+func (t *keyTable) add(hash uint64, key kv.Key) int32 {
 	if t.idx == nil && len(t.rows) >= txnRecordSpill {
-		t.idx = make(map[kv.Key]int, 2*len(t.rows))
+		t.idx = make(map[kv.Key]int32, 2*len(t.rows))
 		for i := range t.rows {
-			t.idx[t.rows[i].Key] = i
+			t.idx[t.rows[i].key] = int32(i)
 		}
 	}
 	if t.idx != nil {
-		t.idx[key] = len(t.rows)
+		t.idx[key] = int32(len(t.rows))
 	}
-	t.rows = append(t.rows, ReadVersion{Key: key, Version: v})
-	return len(t.rows) - 1
+	t.rows = append(t.rows, recRow{hash: hash, key: key})
+	return int32(len(t.rows) - 1)
 }
 
-// txnRecord tracks one in-flight read-only transaction. Its fields are
-// guarded by the owning stripe's mutex.
+// txnRecord tracks one in-flight read-only transaction: one row per key
+// it has read or seen named in a dependency list, which serves the
+// eq.1/eq.2 lookups and the completion report. Its fields are guarded by
+// the owning stripe's mutex.
 type txnRecord struct {
-	// reads holds each key's first read, in read order: it serves both
-	// the eq.1/2 lookups and the completion report.
-	reads versionTable
-	// expected holds the largest version any read (or any read's
-	// dependency list) expects per key.
-	expected versionTable
+	keyTable
+	nread    int32   // keys read so far: the last seq handed out
+	at       []int32 // admit's scratch: the rows of the key and its dependencies
 	lastUsed time.Time
-	// Inline backing arrays sized for the common case (~5 keys with ~5
-	// dependencies each): a whole record is one allocation, and larger
-	// transactions spill to the heap via ordinary append.
-	readsBuf    [8]ReadVersion
-	expectedBuf [12]ReadVersion
+	// Inline backing arrays sized for the common case (~5 keys whose ~5
+	// dependencies mostly name each other): a whole record is one
+	// allocation, and larger transactions spill to the heap via ordinary
+	// append.
+	rowsBuf [12]recRow
+	atBuf   [8]int32
 }
 
 // recPool recycles the records of finished transactions (emit).
 var recPool = sync.Pool{New: func() any { return new(txnRecord) }}
 
-// newTxnRecord returns an empty record with its tables pointing at the
+// newTxnRecord returns an empty record with its slices pointing at the
 // inline buffers.
 func newTxnRecord() *txnRecord {
 	rec := recPool.Get().(*txnRecord)
-	rec.reads = versionTable{rows: rec.readsBuf[:0]}
-	rec.expected = versionTable{rows: rec.expectedBuf[:0]}
+	rec.keyTable = keyTable{rows: rec.rowsBuf[:0]}
+	rec.nread, rec.at = 0, rec.atBuf[:0]
 	return rec
 }
 
-// readVersion returns the version key was first read at.
-//
-//tcache:hotpath
-func (rec *txnRecord) readVersion(key kv.Key) (kv.Version, bool) {
-	if i := rec.reads.find(key); i >= 0 {
-		return rec.reads.rows[i].Version, true
+// readSet returns each key's first read, in read order.
+func (rec *txnRecord) readSet() []ReadVersion {
+	if rec.nread == 0 {
+		return nil
 	}
-	return kv.Version{}, false
+	out := make([]ReadVersion, rec.nread)
+	for i := range rec.rows {
+		if row := &rec.rows[i]; row.seq > 0 {
+			out[row.seq-1] = ReadVersion{Key: row.key, Version: row.read}
+		}
+	}
+	return out
 }
 
-// bumpExpected raises the expected version of key to at least v.
+// hashKey is the cache's key hash, 64-bit FNV-1a: it picks a key's entry
+// shard and finds its row in a transaction record. It is deterministic —
+// which entries share a shard's byte budget, and so what a bounded cache
+// evicts, must not change from one process to the next.
 //
 //tcache:hotpath
-func (rec *txnRecord) bumpExpected(key kv.Key, v kv.Version) {
-	i := rec.expected.find(key)
-	if i < 0 {
-		rec.expected.add(key, v)
-	} else if row := &rec.expected.rows[i]; row.Version.Less(v) {
-		row.Version = v
+func hashKey(key kv.Key) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(key); i++ {
+		h ^= uint64(key[i])
+		h *= 1099511628211
 	}
+	return h
+}
+
+// hashDeps returns the hashes of deps' keys, positionally; nil for an
+// empty list. It is computed once per cached item, when the item enters
+// the cache, and lives with the entry — never in kv.DepEntry, whose
+// encodings (wire, WAL, store) it would grow.
+func (c *Cache) hashDeps(deps kv.DepList) []uint64 {
+	if len(deps) == 0 {
+		return nil
+	}
+	out := make([]uint64, len(deps))
+	for i := range deps {
+		out[i] = c.hash(deps[i].Key)
+	}
+	return out
 }
 
 // New creates a cache.
@@ -499,6 +545,7 @@ func New(cfg Config) (*Cache, error) {
 		clk:     cfg.Clock,
 		shards:  make([]*cacheShard, cfg.Shards),
 		stripes: make([]txnStripe, txnStripes),
+		hash:    hashKey,
 		tel:     cfg.Telemetry,
 	}
 	c.bindCounters()
@@ -549,11 +596,19 @@ func (c *Cache) Shards() int { return len(c.shards) }
 // discover its optional capabilities — BatchBackend, UpdaterBackend.
 func (c *Cache) Backend() Backend { return c.cfg.Backend }
 
+// shardIndex maps a key hash onto an entry shard. The two halves are
+// folded because FNV-1a's lowest bits are its weakest.
+//
+//tcache:hotpath
+func (c *Cache) shardIndex(hash uint64) int32 {
+	return int32(uint32(hash^hash>>32) % uint32(len(c.shards)))
+}
+
 // shardFor returns the entry shard responsible for key.
 //
 //tcache:hotpath
 func (c *Cache) shardFor(key kv.Key) *cacheShard {
-	return c.shards[kv.ShardIndex(key, len(c.shards))]
+	return c.shards[c.shardIndex(c.hash(key))]
 }
 
 // stripeFor returns the transaction stripe responsible for txnID.
@@ -600,7 +655,7 @@ func (c *Cache) emit(txnID kv.TxnID, rec *txnRecord, committed bool, attempted *
 	if hooks := c.hooks.Load(); hooks != nil {
 		comp := Completion{
 			TxnID:     txnID,
-			Reads:     append([]ReadVersion(nil), rec.reads.rows...),
+			Reads:     rec.readSet(),
 			Committed: committed,
 			Attempted: attempted,
 		}
@@ -795,6 +850,14 @@ func (c *Cache) enforceBudgetLocked(sh *cacheShard) {
 	}
 }
 
+// setItemLocked makes item the entry's current version, with the hashes
+// of its dependency keys. Callers hold the entry's shard mutex.
+//
+//tcache:holds shard
+func (c *Cache) setItemLocked(e *entry, item kv.Item) {
+	e.item, e.depHash = item, c.hashDeps(item.Deps)
+}
+
 // insertShardLocked adds or replaces the entry for key, charging the
 // byte budget and enforcing this shard's slice of it. It returns nil
 // when the admission doorkeeper declines a first-sighted key — the
@@ -810,7 +873,7 @@ func (c *Cache) insertShardLocked(sh *cacheShard, key kv.Key, item kv.Item) *ent
 			if c.cfg.Multiversion > 1 {
 				c.pushVersionLocked(e, item)
 			} else {
-				e.item = item
+				c.setItemLocked(e, item)
 				e.fetchedAt = c.clk.Now()
 			}
 			// In-place replacement changed the entry's footprint: re-charge
@@ -831,7 +894,8 @@ func (c *Cache) insertShardLocked(sh *cacheShard, key kv.Key, item kv.Item) *ent
 		c.metrics.AdmissionRejects.Add(1)
 		return nil
 	}
-	e := &entry{key: key, item: item, fetchedAt: c.clk.Now()}
+	e := &entry{key: key, fetchedAt: c.clk.Now()}
+	c.setItemLocked(e, item)
 	sh.entries[key] = e
 	sh.ev.Add(&e.h, e, e.cost())
 	c.enforceBudgetLocked(sh)

@@ -13,16 +13,17 @@ import (
 // fails the whole call.
 //
 //tcache:hotpath
-func (c *Cache) lookupPass(ctx context.Context, keys []kv.Key, floor kv.Version, out []kv.Lookup, state []int32) error {
+func (c *Cache) lookupPass(ctx context.Context, keys []kv.Key, floor kv.Version, out []kv.Lookup, slots []keySlot) error {
 	if c.closed.Load() {
 		return ErrClosed
 	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	var missing versionTable
-	if c.collect(keys, floor, out, state, &missing, true); len(missing.rows) > 0 {
-		return c.fill(ctx, keys, floor, out, state, missing.rows, true)
+	var missing keyTable
+	if c.collect(keys, floor, out, slots, &missing, true); len(missing.rows) > 0 {
+		// Like readPass, look at ctx only when there is a fetch to bound.
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		return c.fill(ctx, keys, floor, out, slots, missing.rows, true)
 	}
 	return nil
 }
@@ -35,9 +36,9 @@ func (c *Cache) lookupOne(ctx context.Context, key kv.Key, floor kv.Version) (kv
 	var (
 		keys  = [1]kv.Key{key}
 		out   [1]kv.Lookup
-		state [1]int32
+		slots [1]keySlot
 	)
-	if err := c.lookupPass(ctx, keys[:], floor, out[:], state[:]); err != nil {
+	if err := c.lookupPass(ctx, keys[:], floor, out[:], slots[:]); err != nil {
 		return kv.Item{}, err
 	}
 	if !out[0].Found {
@@ -87,17 +88,19 @@ func (c *Cache) GetItems(ctx context.Context, keys []kv.Key, floor kv.Version) (
 	if c.tel != nil {
 		start = time.Now()
 	}
-	var stateBuf [batchInline]int32
-	state := stateBuf[:]
+	var slotBuf [batchInline]keySlot
+	slots := slotBuf[:]
 	if len(keys) > batchInline {
-		state = make([]int32, len(keys))
+		slots = make([]keySlot, len(keys))
 	}
 	out := make([]kv.Lookup, len(keys))
-	if err := c.lookupPass(ctx, keys, floor, out, state[:len(keys)]); err != nil {
+	if err := c.lookupPass(ctx, keys, floor, out, slots[:len(keys)]); err != nil {
 		return nil, err
 	}
 	if c.tel != nil {
-		c.tel.ReadMulti.ObserveSince(start)
+		// No transaction to pick the stripe: the first key's hash does
+		// (slots is never empty; an empty batch finds a zero there).
+		c.tel.ReadMulti.Stripe(slots[0].hash).ObserveSince(start)
 	}
 	return out, nil
 }

@@ -39,28 +39,29 @@ import (
 // fresh reads into stale ones.
 //
 //tcache:holds shard,stripe
-func (c *Cache) readMV(ctx context.Context, sh *cacheShard, st *txnStripe, txnID kv.TxnID, rec *txnRecord, key kv.Key, item kv.Item, lastOp bool) (kv.Item, error) {
-	v, bad := checkRead(rec, key, item)
+func (c *Cache) readMV(ctx context.Context, sh *cacheShard, st *txnStripe, txnID kv.TxnID, rec *txnRecord, r keyRead, lastOp bool) (kv.Item, error) {
+	v, bad := rec.admit(r.key, r.hash, r.item, r.depHash)
 	if !bad {
-		return c.serve(sh, st, txnID, rec, key, item, lastOp)
+		return c.serve(sh, st, txnID, rec, r.item, lastOp)
 	}
-	if e, ok := sh.entries[key]; ok {
+	if e, ok := sh.entries[r.key]; ok {
 		for _, old := range e.older {
-			if _, oldBad := checkRead(rec, key, old); !oldBad {
+			// Retained versions keep no hashes: this is the violation
+			// path, which can afford to compute them.
+			if _, oldBad := rec.admit(r.key, r.hash, old, c.hashDeps(old.Deps)); !oldBad {
 				c.metrics.MVServedOld.Add(1)
-				return c.serve(sh, st, txnID, rec, key, old, lastOp)
+				return c.serve(sh, st, txnID, rec, old, lastOp)
 			}
 		}
 	}
-	return c.handleViolation(ctx, sh, st, txnID, rec, key, item, v, lastOp)
+	return c.handleViolation(ctx, sh, st, txnID, rec, r, v, lastOp)
 }
 
-// serve records the read and returns the item, releasing sh.mu then
-// st.mu and emitting any completion afterwards.
+// serve returns item, which admit has folded into the record, releasing
+// sh.mu then st.mu and emitting any completion afterwards.
 //
 //tcache:holds shard,stripe
-func (c *Cache) serve(sh *cacheShard, st *txnStripe, txnID kv.TxnID, rec *txnRecord, key kv.Key, item kv.Item, lastOp bool) (kv.Item, error) {
-	recordRead(rec, key, item)
+func (c *Cache) serve(sh *cacheShard, st *txnStripe, txnID kv.TxnID, rec *txnRecord, item kv.Item, lastOp bool) (kv.Item, error) {
 	sh.mu.Unlock()
 	c.release(st, txnID, rec, lastOp)
 	return item, nil
@@ -79,7 +80,7 @@ func (c *Cache) pushVersionLocked(e *entry, item kv.Item) {
 			e.older = e.older[:keep]
 		}
 	}
-	e.item = item
+	c.setItemLocked(e, item)
 	e.staleLatest = false
 	e.fetchedAt = c.clk.Now()
 }
@@ -113,7 +114,7 @@ func (c *Cache) dropStaleVersionsLocked(sh *cacheShard, e *entry, staleBelow kv.
 	e.older = kept
 	if e.item.Version.Less(staleBelow) {
 		if len(e.older) > 0 {
-			e.item = e.older[0]
+			c.setItemLocked(e, e.older[0])
 			e.older = e.older[1:]
 			e.staleLatest = true
 			sh.ev.Update(&e.h, e.cost())

@@ -81,7 +81,7 @@ func TestReadMultiMatchesSequentialReads(t *testing.T) {
 			for _, hooks := range []bool{true, false} {
 				for seed := int64(1); seed <= 12; seed++ {
 					name := fmt.Sprintf("%v/mv%d/hooks=%v/seed%d", strategy, mv, hooks, seed)
-					runDifferential(t, name, Config{Strategy: strategy, Multiversion: mv, Shards: 3}, hooks, seed, &eq1At, &eq2At)
+					runDifferential(t, name, Config{Strategy: strategy, Multiversion: mv, Shards: 3}, hooks, seed, nil, &eq1At, &eq2At)
 				}
 			}
 		}
@@ -93,11 +93,16 @@ func TestReadMultiMatchesSequentialReads(t *testing.T) {
 	}
 }
 
-func runDifferential(t *testing.T, name string, cfg Config, hooks bool, seed int64, eq1At, eq2At *[5]int) {
+// runDifferential drives one seeded history through both sides; with
+// batchHash set, the batch side hashes its keys with it instead of hashKey.
+func runDifferential(t *testing.T, name string, cfg Config, hooks bool, seed int64, batchHash func(kv.Key) uint64, eq1At, eq2At *[5]int) {
 	rng := rand.New(rand.NewSource(seed))
 	b := newBatchBackend()
 	cfg.Backend = b
 	batch, single := newDiffSide(t, cfg, hooks), newDiffSide(t, cfg, hooks)
+	if batchHash != nil {
+		batch.c.hash = batchHash // before the first insert
+	}
 	keys := []kv.Key{"a", "b", "c", "d", "e", "f", "ghost"} // ghost is never written
 	version := uint64(0)
 	current := map[kv.Key]uint64{}

@@ -42,10 +42,10 @@ func (c *Cache) Read(ctx context.Context, txnID kv.TxnID, key kv.Key, lastOp boo
 	var (
 		keys  = [1]kv.Key{key}
 		out   [1]kv.Lookup
-		state [1]int32
+		slots [1]keySlot
 		vals  [1]kv.Value
 	)
-	if err := c.readPass(ctx, txnID, keys[:], out[:], state[:], vals[:], lastOp); err != nil {
+	if err := c.readPass(ctx, txnID, keys[:], out[:], slots[:], vals[:], lastOp); err != nil {
 		return nil, err
 	}
 	return vals[0], nil
@@ -88,17 +88,17 @@ func (c *Cache) ReadMulti(ctx context.Context, txnID kv.TxnID, keys []kv.Key, la
 	// The scratch of a typical batch lives on the stack; the values are
 	// the caller's to keep.
 	var outBuf [batchInline]kv.Lookup
-	var stateBuf [batchInline]int32
-	out, state := outBuf[:], stateBuf[:]
+	var slotBuf [batchInline]keySlot
+	out, slots := outBuf[:], slotBuf[:]
 	if len(keys) > batchInline {
-		out, state = make([]kv.Lookup, len(keys)), make([]int32, len(keys))
+		out, slots = make([]kv.Lookup, len(keys)), make([]keySlot, len(keys))
 	}
 	vals := make([]kv.Value, len(keys))
-	if err := c.readPass(ctx, txnID, keys, out[:len(keys)], state[:len(keys)], vals, lastOp); err != nil {
+	if err := c.readPass(ctx, txnID, keys, out[:len(keys)], slots[:len(keys)], vals, lastOp); err != nil {
 		return nil, err
 	}
 	if c.tel != nil {
-		c.tel.ReadMulti.ObserveSince(start)
+		c.tel.ReadMulti.Stripe(uint64(txnID)).ObserveSince(start)
 	}
 	return vals, nil
 }
@@ -114,23 +114,27 @@ const batchInline = 8
 // finishing the transaction on lastOp. No two locks are ever held
 // together here; a key that fails its check drops into readLocked, which
 // takes the shard and the stripe the strategy code needs, and the pass
-// resumes behind it. out and state are per-key scratch, len(keys) each.
+// resumes behind it. out and slots are per-key scratch, len(keys) each.
+//
+// ctx is consulted only when there is something to fetch: a pass that
+// collect served whole cannot block, and the transaction's owner checks
+// its ctx once before committing (tcache.Cache.ReadTxn).
 //
 //tcache:hotpath
-func (c *Cache) readPass(ctx context.Context, txnID kv.TxnID, keys []kv.Key, out []kv.Lookup, state []int32, vals []kv.Value, lastOp bool) error {
+func (c *Cache) readPass(ctx context.Context, txnID kv.TxnID, keys []kv.Key, out []kv.Lookup, slots []keySlot, vals []kv.Value, lastOp bool) error {
 	if c.closed.Load() {
 		return ErrClosed
-	}
-	if err := ctx.Err(); err != nil {
-		return err
 	}
 	st := c.stripeFor(txnID)
 	var (
 		rec      *txnRecord
 		fetchErr error
 	)
-	var missing versionTable
-	if c.collect(keys, kv.Version{}, out, state, &missing, false); len(missing.rows) > 0 {
+	var missing keyTable
+	if c.collect(keys, kv.Version{}, out, slots, &missing, false); len(missing.rows) > 0 {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		if c.cfg.TxnGC > 0 {
 			// Resolve the record and stamp lastUsed before the fetch, so
 			// the GC sweeper never collects a record whose owner is
@@ -144,7 +148,7 @@ func (c *Cache) readPass(ctx context.Context, txnID kv.TxnID, keys []kv.Key, out
 				return err
 			}
 		}
-		if fetchErr = c.fill(ctx, keys, kv.Version{}, out, state, missing.rows, false); errors.Is(fetchErr, ErrClosed) {
+		if fetchErr = c.fill(ctx, keys, kv.Version{}, out, slots, missing.rows, false); errors.Is(fetchErr, ErrClosed) {
 			return ErrClosed
 		}
 	}
@@ -158,7 +162,7 @@ func (c *Cache) readPass(ctx context.Context, txnID kv.TxnID, keys []kv.Key, out
 		var reads, hits uint64
 		for ; i < len(keys); i++ {
 			reads++
-			if state[i] == slotHit {
+			if slots[i].state == slotHit {
 				hits++
 			}
 			if !out[i].Found {
@@ -166,15 +170,14 @@ func (c *Cache) readPass(ctx context.Context, txnID kv.TxnID, keys []kv.Key, out
 				// cancellation): the read fails but the transaction
 				// survives; a lastOp flag still completes it.
 				err = ErrNotFound
-				if state[i] != slotMiss {
+				if slots[i].state != slotMiss {
 					err = fetchErr
 				}
 				break
 			}
-			if _, bad := checkRead(rec, keys[i], out[i].Item); bad {
+			if _, bad := rec.admit(keys[i], slots[i].hash, out[i].Item, slots[i].depHash); bad {
 				break
 			}
-			recordRead(rec, keys[i], out[i].Item)
 			// Copy-on-write sharing: cached values are immutable (updates
 			// replace the whole item, never mutate the slice), so the
 			// caller gets the cached slice, not a copy per read.
@@ -187,7 +190,8 @@ func (c *Cache) readPass(ctx context.Context, txnID kv.TxnID, keys []kv.Key, out
 		}
 		st.mu.Unlock()
 
-		served, err := c.readLocked(ctx, st, txnID, rec, keys[i], out[i].Item, lastOp && i == len(keys)-1)
+		r := keyRead{key: keys[i], hash: slots[i].hash, item: out[i].Item, depHash: slots[i].depHash}
+		served, err := c.readLocked(ctx, st, txnID, rec, r, lastOp && i == len(keys)-1)
 		if err != nil {
 			return err
 		}
@@ -197,7 +201,7 @@ func (c *Cache) readPass(ctx context.Context, txnID kv.TxnID, keys []kv.Key, out
 			// must see what the refetch installed, as a later Read would.
 			for j := i + 1; j < len(keys); j++ {
 				if keys[j] == keys[i] {
-					out[j].Item = served
+					out[j].Item, slots[j].depHash = served, c.hashDeps(served.Deps)
 				}
 			}
 		}
@@ -240,13 +244,13 @@ func (c *Cache) txnLocked(st *txnStripe, txnID kv.TxnID, want *txnRecord) (*txnR
 	return rec, nil
 }
 
-// readLocked reads key for the strategy code: it takes the entry shard of
-// key, then the transaction stripe — the fixed order — re-validates item
-// (what the pass collected for key) under both, and serves it, an older
-// retained version, RETRY's refetch, or the abort. It returns the item it
-// served with both locks released.
-func (c *Cache) readLocked(ctx context.Context, st *txnStripe, txnID kv.TxnID, rec *txnRecord, key kv.Key, item kv.Item, lastOp bool) (kv.Item, error) {
-	sh := c.shardFor(key)
+// readLocked reads r.key for the strategy code: it takes the entry shard
+// of the key, then the transaction stripe — the fixed order — re-validates
+// r.item (what the pass collected for the key) under both, and serves it,
+// an older retained version, RETRY's refetch, or the abort. It returns the
+// item it served with both locks released.
+func (c *Cache) readLocked(ctx context.Context, st *txnStripe, txnID kv.TxnID, rec *txnRecord, r keyRead, lastOp bool) (kv.Item, error) {
+	sh := c.shards[c.shardIndex(r.hash)]
 	sh.mu.Lock()
 	st.mu.Lock()
 	if _, err := c.txnLocked(st, txnID, rec); err != nil {
@@ -254,7 +258,7 @@ func (c *Cache) readLocked(ctx context.Context, st *txnStripe, txnID kv.TxnID, r
 		sh.mu.Unlock()
 		return kv.Item{}, err
 	}
-	return c.readMV(ctx, sh, st, txnID, rec, key, item, lastOp)
+	return c.readMV(ctx, sh, st, txnID, rec, r, lastOp)
 }
 
 // Get is the plain, non-transactional read API (a consistency-unaware
@@ -311,8 +315,21 @@ func (c *Cache) release(st *txnStripe, txnID kv.TxnID, rec *txnRecord, commit bo
 	c.emit(txnID, rec, true, nil)
 }
 
-// checkRead evaluates the paper's two consistency checks for reading item
-// under rec.
+// keyRead is one key on its way through the §III-B checks: the item the
+// cache or the backend produced for it, and the hashes the checks find
+// record rows by.
+type keyRead struct {
+	key     kv.Key
+	hash    uint64 // the key's hash
+	item    kv.Item
+	depHash []uint64 // the hashes of item.Deps' keys, positionally
+}
+
+// admit evaluates the paper's two consistency checks for reading item —
+// key's, with hash and depHash as in keyRead — under rec and, when both
+// pass, folds the read into the record. A violation leaves the record
+// untouched: the key and every dependency are checked before anything is
+// written.
 //
 // Equation 2: the current read is older than the version some previous
 // read (or a previous read's dependency list) expects for this key.
@@ -324,33 +341,58 @@ func (c *Cache) release(st *txnStripe, txnID kv.TxnID, rec *txnRecord, commit bo
 // earlier read is stale evidence, exactly as if the current read carried a
 // self-dependency.
 //
+// Each of the 1 + len(item.Deps) keys is looked up once: the checks leave
+// the rows they found in rec.at, and the writes go back to them.
+//
 //tcache:hotpath
-func checkRead(rec *txnRecord, key kv.Key, item kv.Item) (violation, bool) {
-	if i := rec.expected.find(key); i >= 0 && item.Version.Less(rec.expected.rows[i].Version) {
-		return violation{equation: 2, staleKey: key, staleBelow: rec.expected.rows[i].Version}, true
+func (rec *txnRecord) admit(key kv.Key, hash uint64, item kv.Item, depHash []uint64) (violation, bool) {
+	at := append(rec.at[:0], rec.find(0, hash, key))
+	if i := at[0]; i >= 0 {
+		row := &rec.rows[i]
+		if item.Version.Less(row.expected) {
+			return violation{equation: 2, staleKey: key, staleBelow: row.expected}, true
+		}
+		if row.seq > 0 && row.read.Less(item.Version) {
+			return violation{equation: 1, staleKey: key, staleBelow: item.Version}, true
+		}
 	}
-	if prev, ok := rec.readVersion(key); ok && prev.Less(item.Version) {
-		return violation{equation: 1, staleKey: key, staleBelow: item.Version}, true
-	}
-	for _, dep := range item.Deps {
-		if prev, ok := rec.readVersion(dep.Key); ok && prev.Less(dep.Version) {
+	for j, dep := range item.Deps {
+		i := rec.find(0, depHash[j], dep.Key)
+		if i >= 0 && rec.rows[i].seq > 0 && rec.rows[i].read.Less(dep.Version) {
 			return violation{equation: 1, staleKey: dep.Key, staleBelow: dep.Version}, true
+		}
+		at = append(at, i)
+	}
+	rec.at = at
+
+	// A key the table did not hold gets a row — unless an earlier write of
+	// this same read just added one (a dependency list naming a key twice,
+	// or the key being read): those rows start at fresh.
+	fresh := len(rec.rows)
+	i := at[0]
+	if i < 0 {
+		i = rec.add(hash, key)
+	}
+	row := &rec.rows[i]
+	if row.seq == 0 {
+		rec.nread++
+		row.seq, row.read = rec.nread, item.Version
+	}
+	if row.expected.Less(item.Version) {
+		row.expected = item.Version
+	}
+	for j, dep := range item.Deps {
+		i := at[1+j]
+		if i < 0 {
+			if i = rec.find(fresh, depHash[j], dep.Key); i < 0 {
+				i = rec.add(depHash[j], dep.Key)
+			}
+		}
+		if row := &rec.rows[i]; row.expected.Less(dep.Version) {
+			row.expected = dep.Version
 		}
 	}
 	return violation{}, false
-}
-
-// recordRead folds a successful read into the transaction record.
-//
-//tcache:hotpath
-func recordRead(rec *txnRecord, key kv.Key, item kv.Item) {
-	if rec.reads.find(key) < 0 {
-		rec.reads.add(key, item.Version)
-	}
-	rec.bumpExpected(key, item.Version)
-	for _, dep := range item.Deps {
-		rec.bumpExpected(dep.Key, dep.Version)
-	}
 }
 
 // handleViolation applies the configured strategy to a detected violation.
@@ -365,7 +407,8 @@ func recordRead(rec *txnRecord, key kv.Key, item kv.Item) {
 // safe), keeping the one-entry-shard-at-a-time invariant.
 //
 //tcache:holds shard,stripe
-func (c *Cache) handleViolation(ctx context.Context, sh *cacheShard, st *txnStripe, txnID kv.TxnID, rec *txnRecord, key kv.Key, item kv.Item, v violation, lastOp bool) (kv.Item, error) {
+func (c *Cache) handleViolation(ctx context.Context, sh *cacheShard, st *txnStripe, txnID kv.TxnID, rec *txnRecord, r keyRead, v violation, lastOp bool) (kv.Item, error) {
+	key, item := r.key, r.item
 	c.metrics.Detected.Add(1)
 	if v.equation == 1 {
 		c.metrics.DetectedEq1.Add(1)
@@ -402,10 +445,10 @@ func (c *Cache) handleViolation(ctx context.Context, sh *cacheShard, st *txnStri
 			return kv.Item{}, err
 		}
 		if err == nil {
-			v2, bad := checkRead(rec, key, fresh)
+			v2, bad := rec.admit(key, r.hash, fresh, c.hashDeps(fresh.Deps))
 			if !bad {
 				c.metrics.RetriesResolved.Add(1)
-				return c.serve(sh, st, txnID, rec, key, fresh, lastOp)
+				return c.serve(sh, st, txnID, rec, fresh, lastOp)
 			}
 			// The fresh copy exposes a violation among *previous* reads;
 			// fall through to evict-and-abort with the new evidence.

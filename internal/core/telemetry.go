@@ -23,8 +23,10 @@ type Telemetry struct {
 	ReadCold *telemetry.Histogram
 	// ReadMulti observes whole batch reads, one observation each —
 	// transactional ReadMulti calls (fetch included) and the
-	// item-granular GetItems batches cluster routers drive.
-	ReadMulti *telemetry.Histogram
+	// item-granular GetItems batches cluster routers drive. Every core
+	// records here once per batch, so it is striped (by TxnID; by the
+	// first key's hash where there is no transaction).
+	ReadMulti *telemetry.StripedHistogram
 	// EvictionScan observes how many candidates the eviction policy
 	// examined per victim (1 for exact LRU; CLOCK and cost-aware sweep
 	// or sample) — the budget-enforcement cost distribution.
@@ -36,7 +38,7 @@ func NewTelemetry() *Telemetry {
 	return &Telemetry{
 		ReadWarm:     new(telemetry.Histogram),
 		ReadCold:     new(telemetry.Histogram),
-		ReadMulti:    new(telemetry.Histogram),
+		ReadMulti:    new(telemetry.StripedHistogram),
 		EvictionScan: new(telemetry.Histogram),
 	}
 }
@@ -56,7 +58,8 @@ func (c *Cache) RegisterMetrics(reg *telemetry.Registry) {
 
 	// Histogram families are registered even when telemetry is disabled
 	// (nil receivers record nothing) so the scrape surface is stable.
-	var warm, cold, multi, escan *telemetry.Histogram
+	var warm, cold, escan *telemetry.Histogram
+	var multi *telemetry.StripedHistogram
 	if c.tel != nil {
 		warm, cold, multi, escan = c.tel.ReadWarm, c.tel.ReadCold, c.tel.ReadMulti, c.tel.EvictionScan
 	}

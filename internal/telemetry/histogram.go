@@ -109,6 +109,49 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
+// histStripes is the stripe count of a StripedHistogram.
+const histStripes = 16
+
+// StripedHistogram is a Histogram for a path every core records on —
+// CounterSet.Striped's idea applied to a histogram: histStripes
+// histograms, each on cache lines of its own, merged at Snapshot. The
+// recorder picks its stripe by an id it already has (a transaction id, a
+// key hash), so two cores finishing transactions at once add to
+// different lines instead of queueing on one.
+//
+// The zero value is ready to use; a nil *StripedHistogram hands out nil
+// stripes, which record nothing.
+type StripedHistogram struct {
+	stripes [histStripes]struct {
+		Histogram
+		_ [120]byte // ≥ a line of slack, so neighbours share none however the array is aligned
+	}
+}
+
+// Stripe returns the histogram the recorder identified by id records
+// into.
+//
+//tcache:hotpath
+func (s *StripedHistogram) Stripe(id uint64) *Histogram {
+	if s == nil {
+		return nil
+	}
+	return &s.stripes[id%histStripes].Histogram
+}
+
+// Snapshot merges the stripes' snapshots; count conservation holds as it
+// does for one Histogram.
+func (s *StripedHistogram) Snapshot() HistogramSnapshot {
+	var out HistogramSnapshot
+	if s == nil {
+		return out
+	}
+	for i := range s.stripes {
+		out.Merge(s.stripes[i].Snapshot())
+	}
+	return out
+}
+
 // HistogramSnapshot is a point-in-time copy of a Histogram: plain
 // values, safe to merge, serialize, and summarize.
 type HistogramSnapshot struct {

@@ -51,6 +51,11 @@ func TestHistogramNilSafe(t *testing.T) {
 	if s.Count() != 0 || s.Sum != 0 {
 		t.Fatalf("nil histogram snapshot not empty: %+v", s)
 	}
+	var sh *StripedHistogram
+	sh.Stripe(3).Observe(42) // a nil set hands out nil stripes
+	if s := sh.Snapshot(); s.Count() != 0 || s.Sum != 0 {
+		t.Fatalf("nil striped histogram snapshot not empty: %+v", s)
+	}
 }
 
 func TestHistogramQuantiles(t *testing.T) {
@@ -109,9 +114,27 @@ func TestHistogramMerge(t *testing.T) {
 // TestHistogramHammer is the concurrency gate: many goroutines record
 // while others snapshot and merge; when the dust settles every
 // observation must be present exactly once (count conservation). Run
-// under -race this also proves the record path is data-race free.
+// under -race this also proves the record path is data-race free. The
+// striped histogram goes through the same hammer, each sample recorded on
+// the stripe its value picks, so all stripes are written concurrently
+// while the snapshoters merge them.
 func TestHistogramHammer(t *testing.T) {
-	var h Histogram
+	var plain Histogram
+	var striped StripedHistogram
+	t.Run("plain", func(t *testing.T) {
+		hammer(t, func(v uint64) { plain.Observe(v) }, plain.Snapshot)
+	})
+	t.Run("striped", func(t *testing.T) {
+		hammer(t, func(v uint64) { striped.Stripe(v).Observe(v) }, striped.Snapshot)
+		for i := range striped.stripes {
+			if s := striped.stripes[i].Snapshot(); s.Count() == 0 {
+				t.Errorf("stripe %d recorded nothing", i)
+			}
+		}
+	})
+}
+
+func hammer(t *testing.T, observe func(uint64), snapshot func() HistogramSnapshot) {
 	const (
 		writers     = 8
 		perWriter   = 50000
@@ -130,7 +153,7 @@ func TestHistogramHammer(t *testing.T) {
 					return
 				default:
 				}
-				merged.Merge(h.Snapshot())
+				merged.Merge(snapshot())
 				_ = merged.Quantile(0.99)
 			}
 		}()
@@ -146,7 +169,7 @@ func TestHistogramHammer(t *testing.T) {
 			var local uint64
 			for j := 0; j < perWriter; j++ {
 				v := uint64(rng.Int63n(1 << 30))
-				h.Observe(v)
+				observe(v)
 				local += v
 			}
 			sumMu.Lock()
@@ -157,7 +180,7 @@ func TestHistogramHammer(t *testing.T) {
 	writersWG.Wait()
 	close(stop)
 	snaps.Wait()
-	s := h.Snapshot()
+	s := snapshot()
 	if got := s.Count(); got != writers*perWriter {
 		t.Fatalf("count not conserved: %d, want %d", got, writers*perWriter)
 	}

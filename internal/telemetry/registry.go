@@ -25,7 +25,13 @@ type metric struct {
 	name string
 	kind Kind
 	read func() uint64
-	hist *Histogram
+	hist HistogramSource
+}
+
+// HistogramSource is what the registry samples a histogram family from:
+// a *Histogram or a *StripedHistogram.
+type HistogramSource interface {
+	Snapshot() HistogramSnapshot
 }
 
 // Registry is a named collection of counters, gauges, and histograms —
@@ -98,7 +104,10 @@ func (r *Registry) Gauge(name string, read func() uint64) {
 // Histogram registers h under name. A nil h registers an always-empty
 // histogram so a metric family stays present (and scrapeable) even
 // when the tier that fills it is disabled.
-func (r *Registry) Histogram(name string, h *Histogram) {
+func (r *Registry) Histogram(name string, h HistogramSource) {
+	if h == nil {
+		h = (*Histogram)(nil)
+	}
 	r.register(metric{name: name, kind: KindHistogram, hist: h})
 }
 

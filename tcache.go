@@ -299,7 +299,7 @@ type Cache struct {
 	// readTxnHist and updateHist are the whole-transaction latency
 	// histograms of an attached Telemetry (nil without WithTelemetry —
 	// the paths then take no time stamps).
-	readTxnHist *telemetry.Histogram
+	readTxnHist *telemetry.StripedHistogram
 	updateHist  *telemetry.Histogram
 }
 
@@ -538,24 +538,28 @@ func (t *ReadTx) GetMulti(ctx context.Context, keys ...Key) ([]Value, error) {
 // aborts and ReadTxn returns an error wrapping ErrTxnAborted (the caller
 // may simply retry). A cache hit never contacts the database.
 //
-// Cancelling ctx aborts the transaction: the in-flight read returns
-// ctx.Err(), the transaction record is released, and ReadTxn returns the
-// context's error.
+// Cancelling ctx aborts the transaction: a read that has to fetch
+// returns ctx.Err() (one the cache can serve completes — it cannot
+// block), the transaction record is released, and ReadTxn returns the
+// context's error instead of committing.
 func (c *Cache) ReadTxn(ctx context.Context, fn func(tx *ReadTx) error) error {
+	id := kv.TxnID(c.seq.Add(1))
 	if c.readTxnHist == nil {
-		return c.readTxn(ctx, fn)
+		return c.readTxn(ctx, id, fn)
 	}
 	start := time.Now()
-	err := c.readTxn(ctx, fn)
-	c.readTxnHist.ObserveSince(start)
+	err := c.readTxn(ctx, id, fn)
+	c.readTxnHist.Stripe(uint64(id)).ObserveSince(start)
 	return err
 }
 
-func (c *Cache) readTxn(ctx context.Context, fn func(tx *ReadTx) error) error {
-	if err := ctx.Err(); err != nil {
+// readTxn consults ctx twice: on entry and before committing. In
+// between, a read the cache serves cannot block and does not look (a
+// read that must fetch does, before the fetch).
+func (c *Cache) readTxn(ctx context.Context, id kv.TxnID, fn func(tx *ReadTx) error) error {
+	if err := ctxErr(ctx); err != nil {
 		return err
 	}
-	id := kv.TxnID(c.seq.Add(1))
 	tx := &ReadTx{cache: c.inner, id: id}
 	err := fn(tx)
 	if tx.err != nil {
@@ -565,7 +569,7 @@ func (c *Cache) readTxn(ctx context.Context, fn func(tx *ReadTx) error) error {
 	if err == nil {
 		// fn may have swallowed a cancellation; the transaction must not
 		// commit as if the read set were complete.
-		err = ctx.Err()
+		err = ctxErr(ctx)
 	}
 	if err != nil {
 		c.inner.Abort(id)
@@ -573,6 +577,19 @@ func (c *Cache) readTxn(ctx context.Context, fn func(tx *ReadTx) error) error {
 	}
 	c.inner.Commit(id)
 	return nil
+}
+
+// ctxErr is ctx.Err() for a path that runs while ctx is almost always
+// live: a cancellable context answers Err under its mutex, which every
+// goroutine sharing the ctx then queues on, but Done with one atomic load
+// — so poll Done, and ask Err only once it is closed.
+func ctxErr(ctx context.Context) error {
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	default:
+		return nil
+	}
 }
 
 // Get performs a plain, non-transactional cache read. The returned

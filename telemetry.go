@@ -28,7 +28,7 @@ import (
 // observations merge into the same histograms).
 type Telemetry struct {
 	core      *core.Telemetry
-	readTxn   *telemetry.Histogram
+	readTxn   *telemetry.StripedHistogram // every core, once per transaction
 	update    *telemetry.Histogram
 	roundTrip *telemetry.Histogram
 	reg       *telemetry.Registry
@@ -40,7 +40,7 @@ type Telemetry struct {
 func NewTelemetry() *Telemetry {
 	t := &Telemetry{
 		core:      core.NewTelemetry(),
-		readTxn:   &telemetry.Histogram{},
+		readTxn:   &telemetry.StripedHistogram{},
 		update:    &telemetry.Histogram{},
 		roundTrip: &telemetry.Histogram{},
 	}
@@ -125,10 +125,7 @@ func (t *Telemetry) WritePrometheus(w io.Writer) error {
 	return telemetry.WritePrometheus(w, telemetry.MetricsPrefix, t.reg.Snapshot())
 }
 
-func latencySnap(h *telemetry.Histogram) LatencySnapshot {
-	if h == nil {
-		return LatencySnapshot{}
-	}
+func latencySnap(h telemetry.HistogramSource) LatencySnapshot {
 	s := h.Snapshot()
 	return LatencySnapshot{
 		Count: s.Count(),
