@@ -13,15 +13,16 @@ test:
 # race also sweeps GOMAXPROCS over the packages whose behaviour depends
 # on the stripe count, and over the write path's tests (commit, install,
 # relay), so a failure that only shows at 2 or 4 CPUs cannot hide on a
-# 1-CPU runner; the 'Determin|Subgraph' line is the same-seed-same-bytes
-# gate (graph order, topology builds, column runs). The last line runs
+# 1-CPU runner; the 'Determin|Subgraph|Golden' line is the
+# same-seed-same-bytes gate (graph order, topology builds, column runs,
+# every figure's -quick table). The last line runs
 # the allocs/op table (alloc_test.go) without the race detector, which
 # moves its pooled-record rows.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -cpu 1,2,4 ./internal/core ./internal/evict ./internal/kv ./internal/codec ./internal/telemetry
 	$(GO) test -race -cpu 1,2,4 -run 'Update|Install|Commit' . ./internal/cluster
-	$(GO) test -race -cpu 1,2,4 -run 'Determin|Subgraph' ./internal/graph ./internal/experiment
+	$(GO) test -race -cpu 1,2,4 -run 'Determin|Subgraph|Golden' ./internal/graph ./internal/experiment
 	$(GO) test -run 'Alloc' -cpu 1,2,4 .
 
 # loc prints non-test Go lines per package (bench/ excluded) — the size
@@ -76,11 +77,12 @@ walsmoke:
 	$(GO) test -race -count=1 -run 'Recover|Snapshot|Crash|Close|Compact|ConcurrentCommits|Background' ./internal/db
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime 15s ./internal/wal
 
-# benchsmoke is the CI quick pass: paper figures, hot paths, what the
-# consistency check adds to a plain read (check-ns/txn), the codec
-# micro-benchmarks, and two figures through the printer itself.
+# benchsmoke is the CI quick pass: hot paths, what the consistency check
+# adds to a plain read (check-ns/txn), the codec micro-benchmarks, and
+# two figures through the printer itself (every figure's table is
+# internal/experiment's golden test, part of `go test ./...`).
 benchsmoke:
-	$(GO) test -run '^$$' -bench 'Fig|Headline|Cache|Remote|NominalOverhead' -benchtime 100ms .
+	$(GO) test -run '^$$' -bench 'Cache|Remote|NominalOverhead' -benchtime 100ms .
 	$(GO) test -run '^$$' -bench 'Codec|WireRoundTrip' -benchtime 100ms ./internal/transport
 	$(GO) run ./cmd/tcache-figs -quick -fig 3,headline
 

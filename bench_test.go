@@ -1,11 +1,8 @@
-// Benchmarks regenerating every table and figure of the paper's §V on
-// scaled-down parameters (run cmd/tcache-figs for paper-scale output),
-// plus micro-benchmarks of the protocol's hot paths. Figure benchmarks
-// report their headline quantity with b.ReportMetric, so `go test
-// -bench=.` doubles as a smoke reproduction of the evaluation. These
-// are for measuring while you work: the numbers of record are bench/'s
-// rows, and what these paths may allocate is gated by alloc_test.go,
-// which shares the set-up helpers below.
+// Micro-benchmarks of the protocol's hot paths. These are for measuring
+// while you work: the numbers of record are bench/'s rows, what these
+// paths may allocate is gated by alloc_test.go, which shares the set-up
+// helpers below, and the paper's figures are counted, not timed — they
+// are internal/experiment's golden tables.
 package tcache
 
 import (
@@ -18,132 +15,10 @@ import (
 
 	"tcache/internal/core"
 	"tcache/internal/db"
-	"tcache/internal/experiment"
 	"tcache/internal/kv"
 	"tcache/internal/monitor"
 	"tcache/internal/workload"
 )
-
-// BenchmarkFig3AlphaSweep regenerates Fig. 3 (detection vs Pareto α) and
-// reports the detection ratio at the most clustered point.
-func BenchmarkFig3AlphaSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.RunAlphaSweep(context.Background(), experiment.QuickAlphaParams())
-		if err != nil {
-			b.Fatal(err)
-		}
-		last := res.Points[len(res.Points)-1]
-		b.ReportMetric(last.Detection, "detect@a4_%")
-	}
-}
-
-// BenchmarkFig4Convergence regenerates Fig. 4 (cluster formation) and
-// reports the post-switch inconsistent share.
-func BenchmarkFig4Convergence(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.RunConvergence(context.Background(), experiment.QuickConvergenceParams())
-		if err != nil {
-			b.Fatal(err)
-		}
-		_, post, _ := res.WindowShares(res.SwitchBucket+2, res.Series.Buckets())
-		b.ReportMetric(post, "postInconsist_%")
-	}
-}
-
-// BenchmarkFig5Drift regenerates Fig. 5 (drifting clusters) and reports
-// the number of cluster shifts simulated.
-func BenchmarkFig5Drift(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.RunDrift(context.Background(), experiment.QuickDriftParams())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(len(res.Shifts)), "shifts")
-	}
-}
-
-// BenchmarkFig6Strategies regenerates Fig. 6 (ABORT/EVICT/RETRY on the
-// synthetic workload) and reports RETRY's uncommittable share relative
-// to ABORT's (the paper's ~23%).
-func BenchmarkFig6Strategies(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.RunStrategyComparison(context.Background(), experiment.QuickStrategyParams())
-		if err != nil {
-			b.Fatal(err)
-		}
-		abort, _ := res.Row(core.StrategyAbort)
-		retry, _ := res.Row(core.StrategyRetry)
-		if abort.Uncommittable() > 0 {
-			b.ReportMetric(100*retry.Uncommittable()/abort.Uncommittable(), "retryVsAbort_%")
-		}
-	}
-}
-
-// BenchmarkFig7abTopologies regenerates the Fig. 7(a,b) topology
-// construction and reports the clustering-coefficient gap.
-func BenchmarkFig7abTopologies(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		ts, err := experiment.DescribeTopologies(experiment.QuickTopologyParams())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(ts[0].Clustering-ts[1].Clustering, "ccGap")
-	}
-}
-
-// BenchmarkFig7cDepListSweep regenerates Fig. 7(c) and reports the
-// Amazon-workload inconsistency remaining at the largest bound, as a
-// percentage of the k=0 value.
-func BenchmarkFig7cDepListSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.RunDepListSweep(context.Background(), experiment.QuickDepSweepParams())
-		if err != nil {
-			b.Fatal(err)
-		}
-		s := res[0].Points
-		if base := s[0].Inconsistency; base > 0 {
-			b.ReportMetric(100*s[len(s)-1].Inconsistency/base, "remaining_%")
-		}
-	}
-}
-
-// BenchmarkFig7dTTLSweep regenerates Fig. 7(d) and reports the DB-load
-// multiplier at the shortest TTL.
-func BenchmarkFig7dTTLSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.RunTTLSweep(context.Background(), experiment.QuickTTLSweepParams())
-		if err != nil {
-			b.Fatal(err)
-		}
-		pts := res[0].Points
-		b.ReportMetric(pts[len(pts)-1].DBAccessNormed, "dbLoad_%")
-	}
-}
-
-// BenchmarkFig8StrategiesRealistic regenerates Fig. 8 and reports the
-// ABORT detection ratio on the Amazon workload (the paper's 70%).
-func BenchmarkFig8StrategiesRealistic(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.RunStrategyComparisonRealistic(context.Background(), experiment.QuickRealisticStrategyParams())
-		if err != nil {
-			b.Fatal(err)
-		}
-		abort, _ := res.PerTopology[experiment.TopologyAmazon].Row(core.StrategyAbort)
-		b.ReportMetric(abort.M.DetectionRatio(), "detect_%")
-	}
-}
-
-// BenchmarkHeadline regenerates the §I/§VIII summary and reports the
-// consistent-rate increase on the Amazon workload (the paper's 33–58%).
-func BenchmarkHeadline(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.RunHeadline(context.Background(), experiment.QuickHeadlineParams())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Rows[0].ConsistentRateIncrease, "rateGain_%")
-	}
-}
 
 // --- Protocol micro-benchmarks ------------------------------------------
 
@@ -645,59 +520,6 @@ func warm(b testing.TB, cache *core.Cache, n int) {
 		if _, err := cache.Get(bgb, workload.ObjectKey(i)); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkExtAlbumPinning regenerates the §VII web-album experiment and
-// reports the detection gain of pinning over plain LRU.
-func BenchmarkExtAlbumPinning(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.RunAlbum(context.Background(), experiment.QuickAlbumParams())
-		if err != nil {
-			b.Fatal(err)
-		}
-		plain, _ := res.Row("lru-only")
-		pinned, _ := res.Row("pinned-acl")
-		b.ReportMetric(pinned.Detection-plain.Detection, "detectGain_pp")
-	}
-}
-
-// BenchmarkExtLRUAblation regenerates the pruning-policy ablation and
-// reports the positional policy's excess inconsistency.
-func BenchmarkExtLRUAblation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.RunMergeAblation(context.Background(), experiment.QuickMergeAblationParams())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Rows[1].MeanInconsistency-res.Rows[0].MeanInconsistency, "excess_pp")
-	}
-}
-
-// BenchmarkExtDropSweep regenerates the loss-sensitivity ablation and
-// reports T-Cache's committed inconsistency at 80% loss.
-func BenchmarkExtDropSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.RunDropSweep(context.Background(), experiment.QuickDropSweepParams())
-		if err != nil {
-			b.Fatal(err)
-		}
-		last := res.Points[len(res.Points)-1]
-		b.ReportMetric(last.Inconsistency, "inconsist@80%loss_%")
-	}
-}
-
-// BenchmarkExtMultiversion regenerates the §VI multiversion extension and
-// reports the abort reduction of a 4-version cache over plain T-Cache.
-func BenchmarkExtMultiversion(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.RunMultiversion(context.Background(), experiment.QuickMultiversionParams())
-		if err != nil {
-			b.Fatal(err)
-		}
-		plain, _ := res.Row(experiment.TopologyAmazon, 1)
-		mv, _ := res.Row(experiment.TopologyAmazon, 4)
-		b.ReportMetric(plain.Aborted-mv.Aborted, "abortCut_pp")
 	}
 }
 

@@ -5,16 +5,16 @@
 // Usage:
 //
 //	tcache-figs                 # run everything at paper scale
-//	tcache-figs -fig 7c,8       # some figures: 3, 4, 5, 6, 7ab, 7c, 7d, 8,
-//	                            # headline, album, lru, drop, mv, multiedge
+//	tcache-figs -fig 7c,8       # some figures (-h lists the ids)
 //	tcache-figs -quick          # scaled-down smoke run
 //	tcache-figs -seed 7         # change the simulation seed
 //
-// It prints the paper's figures and nothing else: what is timed is a
+// It prints experiment.Figures and nothing else: what is timed is a
 // bench/ row named in BENCHMARK.json, what is counted is a go test
-// assertion (README "Where a number lives"). Each experiment's doc
-// comment in internal/experiment names the paper figure it reproduces
-// and what to look for in its table.
+// assertion (README "Where a number lives") — for these tables,
+// internal/experiment's golden test. Each experiment's doc comment there
+// names the paper figure it reproduces and what to look for in its
+// table.
 package main
 
 import (

@@ -33,12 +33,13 @@ import (
 	"math/rand"
 	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"tcache"
 	"tcache/internal/cluster"
 	"tcache/internal/kv"
-	"tcache/internal/stats"
+	"tcache/internal/telemetry"
 	"tcache/internal/transport"
 	"tcache/internal/workload"
 )
@@ -50,13 +51,22 @@ func main() {
 	}
 }
 
+// counters is the run's tally: one latency sample per committed update
+// and per read-only transaction (committed or aborted), so the
+// histograms' counts are the transaction counts.
 type counters struct {
-	mu        sync.Mutex
-	updates   int
-	commits   int
-	aborts    int
-	readLat   stats.Sample
-	updateLat stats.Sample
+	aborts    atomic.Uint64
+	readLat   telemetry.Histogram
+	updateLat telemetry.Histogram
+}
+
+// latency renders s as "median [p10,p90] (n=N)" in microseconds.
+func latency(s telemetry.HistogramSnapshot) string {
+	if s.Count() == 0 {
+		return "empty"
+	}
+	us := func(q float64) float64 { return float64(s.Quantile(q)) / 1e3 }
+	return fmt.Sprintf("%.4g [%.4g,%.4g] (n=%d)", us(0.5), us(0.1), us(0.9), s.Count())
 }
 
 // updateTxn runs one read-modify-write transaction over keys through the
@@ -164,10 +174,7 @@ func run() error {
 			}
 			return false
 		}
-		c.mu.Lock()
-		c.updates++
-		c.updateLat.Add(float64(time.Since(t0).Microseconds()))
-		c.mu.Unlock()
+		c.updateLat.ObserveSince(t0)
 		return true
 	}
 
@@ -221,7 +228,6 @@ func run() error {
 				}
 				keys := gen.Pick(rng)
 				t0 := time.Now()
-				aborted := false
 				if err := runTxn(keys); err != nil {
 					if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 						return
@@ -230,31 +236,23 @@ func run() error {
 						fmt.Fprintln(os.Stderr, "read:", err)
 						return
 					}
-					aborted = true
+					c.aborts.Add(1)
 				}
-				c.mu.Lock()
-				if aborted {
-					c.aborts++
-				} else {
-					c.commits++
-				}
-				c.readLat.Add(float64(time.Since(t0).Microseconds()))
-				c.mu.Unlock()
+				c.readLat.ObserveSince(t0)
 			}
 		}()
 	}
 	wg.Wait()
 
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	secs := duration.Seconds()
+	updates, reads := c.updateLat.Snapshot(), c.readLat.Snapshot()
 	fmt.Printf("\n--- %v of load ---\n", *duration)
 	fmt.Printf("update txns:     %8d (%.0f/s), latency[us] %s\n",
-		c.updates, float64(c.updates)/secs, c.updateLat.String())
+		updates.Count(), float64(updates.Count())/secs, latency(updates))
 	fmt.Printf("read txns:       %8d (%.0f/s), latency[us] %s\n",
-		c.commits+c.aborts, float64(c.commits+c.aborts)/secs, c.readLat.String())
+		reads.Count(), float64(reads.Count())/secs, latency(reads))
 	fmt.Printf("aborted (stale): %8d (%.2f%%)\n",
-		c.aborts, 100*float64(c.aborts)/float64(max(1, c.commits+c.aborts)))
+		c.aborts.Load(), 100*float64(c.aborts.Load())/float64(max(1, reads.Count())))
 
 	if clusterCache != nil {
 		st := clusterCache.Stats(ctx)

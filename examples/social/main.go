@@ -49,10 +49,10 @@ func main() {
 		base, tc := s.Points[0], s.Points[1]
 		fmt.Println()
 		fmt.Printf("plain cache (k=0):   %.1f%% of timeline reads showed torn state; hit ratio %.3f\n",
-			base.Inconsistency, base.HitRatio)
+			base.M.InconsistencyRatio(), base.M.HitRatio())
 		fmt.Printf("T-Cache (k=3,RETRY): %.1f%% torn; hit ratio %.3f; DB load %.0f%% of baseline\n",
-			tc.Inconsistency, tc.HitRatio, tc.DBAccessNormed)
+			tc.M.InconsistencyRatio(), tc.M.HitRatio(), tc.DBAccessNormed)
 		fmt.Printf("reduction:           %.0f%% of inconsistencies eliminated with 3-entry dependency lists\n",
-			100*(1-tc.Inconsistency/base.Inconsistency))
+			100*(1-tc.M.InconsistencyRatio()/base.M.InconsistencyRatio()))
 	}
 }

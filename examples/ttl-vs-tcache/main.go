@@ -60,7 +60,7 @@ func main() {
 		fmt.Println("T-Cache: grow the dependency lists")
 		fmt.Printf("  %8s %18s %10s %14s\n", "k", "inconsistency[%]", "hit-ratio", "db-load[%]")
 		for _, pt := range s.Points {
-			fmt.Printf("  %8d %18.1f %10.3f %14.0f\n", pt.Bound, pt.Inconsistency, pt.HitRatio, pt.DBAccessNormed)
+			fmt.Printf("  %8d %18.1f %10.3f %14.0f\n", pt.Bound, pt.M.InconsistencyRatio(), pt.M.HitRatio(), pt.DBAccessNormed)
 		}
 	}
 	fmt.Println()
@@ -71,7 +71,7 @@ func main() {
 		fmt.Println("Baseline: shrink the TTL")
 		fmt.Printf("  %8s %18s %10s %14s\n", "ttl[s]", "inconsistency[%]", "hit-ratio", "db-load[%]")
 		for _, pt := range s.Points {
-			fmt.Printf("  %8.0f %18.1f %10.3f %14.0f\n", pt.TTL.Seconds(), pt.Inconsistency, pt.HitRatio, pt.DBAccessNormed)
+			fmt.Printf("  %8.0f %18.1f %10.3f %14.0f\n", pt.TTL.Seconds(), pt.M.InconsistencyRatio(), pt.M.HitRatio(), pt.DBAccessNormed)
 		}
 	}
 	fmt.Println()

@@ -180,7 +180,7 @@ type Router struct {
 
 	subMu  sync.Mutex //tcache:lockclass sub
 	subSeq uint64
-	subs   map[uint64]context.CancelFunc
+	subs   map[uint64]func() // each live subscription's stop
 	closed bool
 
 	// rtHist, when set, times every node's wire round trips — applied to
@@ -217,7 +217,7 @@ func NewRouter(ctx context.Context, cfg Config) (*Router, error) {
 		node:   make([]*node, len(cfg.Addrs)),
 		ctx:    rctx,
 		cancel: cancel,
-		subs:   make(map[uint64]context.CancelFunc),
+		subs:   make(map[uint64]func()),
 	}
 	live := 0
 	for i, addr := range cfg.Addrs {
@@ -255,8 +255,13 @@ func (r *Router) Close() {
 		return
 	}
 	r.closed = true
+	stops := r.subs
+	r.subs = nil
 	r.subMu.Unlock()
 	r.cancel()
+	for _, stop := range stops {
+		stop() // r.cancel ended the stream; this waits for its goroutine
+	}
 	r.wg.Wait()
 	for _, n := range r.node {
 		if cli := n.cli.Load(); cli != nil {
@@ -353,8 +358,10 @@ func (n *node) recordSuccess() {
 
 // startProbe launches the re-probe loop for an ejected node (at most one
 // per node at a time). The wg.Add runs under subMu against the closed
-// flag for the same reason Subscribe's does: reads racing Close may
-// still be recording failures.
+// flag: Close sets closed under this mutex before it calls wg.Wait, so
+// an Add outside the critical section could race Wait (documented
+// WaitGroup misuse) — and reads racing Close may still be recording
+// failures.
 func (r *Router) startProbe(n *node) {
 	if !n.probing.CompareAndSwap(false, true) {
 		return
@@ -709,9 +716,7 @@ func (r *Router) ValidatedUpdate(ctx context.Context, reads []kv.ObservedRead, w
 // designed to survive, and exactly why failover reads carry floors.
 //
 // The initial subscribe must succeed on some node (a duplicate name is
-// reported immediately); reconnects append "#<epoch>" to sidestep a
-// half-open corpse registration, as the single-backend subscription
-// does.
+// reported immediately); transport.Resubscribe owns the reconnect loop.
 func (r *Router) Subscribe(name string, sink func(transport.Invalidation)) (cancel func(), err error) {
 	r.subMu.Lock()
 	if r.closed {
@@ -725,68 +730,26 @@ func (r *Router) Subscribe(name string, sink func(transport.Invalidation)) (canc
 		sink(inv)
 	}
 
-	sctx, scancel := context.WithCancel(r.ctx)
-	st, err := r.openSub(sctx, name)
+	stop, err := transport.Resubscribe(r.ctx, name, r.openSub, deliver)
 	if err != nil {
-		scancel()
 		return nil, err
 	}
 
 	r.subMu.Lock()
 	if r.closed {
 		r.subMu.Unlock()
-		scancel()
-		st.Close()
+		stop()
 		return nil, transport.ErrClientClosed
 	}
 	r.subSeq++
 	id := r.subSeq
-	r.subs[id] = scancel
-	// Under subMu with the closed re-check: Close sets closed under this
-	// mutex before it calls wg.Wait, so an Add outside the critical
-	// section could race Wait (documented WaitGroup misuse) and leave
-	// the stream goroutine outliving Close.
-	r.wg.Add(1)
+	r.subs[id] = stop
 	r.subMu.Unlock()
-
-	done := make(chan struct{})
-	go func() {
-		defer r.wg.Done()
-		defer close(done)
-		epoch := 0
-		cur := st
-		for {
-			cur.Run(sctx, deliver)
-			cur.Close()
-			if sctx.Err() != nil {
-				return
-			}
-			// The stream broke: fail over to any live node with backoff.
-			epoch++
-			backoff := 10 * time.Millisecond
-			for {
-				next, serr := r.openSub(sctx, fmt.Sprintf("%s#%d", name, epoch))
-				if serr == nil {
-					cur = next
-					break
-				}
-				select {
-				case <-sctx.Done():
-					return
-				case <-time.After(backoff):
-				}
-				if backoff *= 2; backoff > time.Second {
-					backoff = time.Second
-				}
-			}
-		}
-	}()
 	return func() {
 		r.subMu.Lock()
 		delete(r.subs, id)
 		r.subMu.Unlock()
-		scancel()
-		<-done
+		stop()
 	}, nil
 }
 

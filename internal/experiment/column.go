@@ -1,8 +1,10 @@
 // Package experiment wires the full system of the paper's Fig. 2 — a
-// database column, a T-Cache, an unreliable asynchronous invalidation
-// channel, update and read-only clients, and the consistency monitor —
-// on the simulation clock, and provides one runner per figure of the
-// paper's evaluation section (§V).
+// database column fronted by one or more edge T-Caches, each behind its
+// own unreliable asynchronous invalidation channel and with its own
+// read-only clients and consistency monitor, under one update stream —
+// on the simulation clock (Column), runs it one way (trial), and lists
+// one runner per figure of the paper's evaluation section (§V) and of
+// this repo's extensions of it (Figures).
 package experiment
 
 import (
@@ -24,6 +26,11 @@ import (
 // ColumnConfig configures one simulated column (Fig. 2). Zero values get
 // the paper's defaults from §IV.
 type ColumnConfig struct {
+	// Edges is the number of edge caches fronting the database (default
+	// 1, the paper's single column). Every edge gets its own cache,
+	// invalidation link, monitor, read client and randomness; the update
+	// stream is shared.
+	Edges int
 	// DepBound is the dependency-list bound k (§IV uses up to 5).
 	DepBound int
 	// DepBoundFor optionally overrides DepBound per key (§VII).
@@ -42,7 +49,8 @@ type ColumnConfig struct {
 	// TTL bounds cache-entry life span (0 = none); used by the Fig. 7d
 	// baseline.
 	TTL time.Duration
-	// DropRate is the invalidation loss probability (default 0.2, §IV).
+	// DropRate is each invalidation link's loss probability; 0 selects
+	// §IV's 20%, so a lossless channel is not expressible.
 	DropRate float64
 	// InvalDelay and InvalJitter shape asynchronous invalidation
 	// delivery (defaults 10ms + 40ms jitter).
@@ -50,16 +58,16 @@ type ColumnConfig struct {
 	InvalJitter time.Duration
 	// Seed drives all randomness in the column (default 1).
 	Seed int64
-
-	// noDrop forces DropRate 0 (DropRate 0 normally means "default").
-	noDrop bool
 }
 
 func (c ColumnConfig) withDefaults() ColumnConfig {
+	if c.Edges == 0 {
+		c.Edges = 1
+	}
 	if c.Strategy == 0 {
 		c.Strategy = core.StrategyAbort
 	}
-	if c.DropRate == 0 && !c.noDrop {
+	if c.DropRate == 0 {
 		c.DropRate = 0.2
 	}
 	if c.InvalDelay == 0 {
@@ -74,53 +82,33 @@ func (c ColumnConfig) withDefaults() ColumnConfig {
 	return c
 }
 
-// Verdicted is a completed read-only transaction paired with the
-// monitor's classification.
-type Verdicted struct {
-	At        time.Time
-	Committed bool
-	// Consistent is the monitor's serializability verdict on the reads.
-	Consistent bool
-}
-
-// Outcome labels for time series and breakdowns.
-const (
-	LabelConsistent   = "consistent"   // committed, serializable
-	LabelInconsistent = "inconsistent" // committed, NOT serializable
-	LabelAborted      = "aborted"      // aborted by T-Cache
-)
-
-// Label returns the outcome label of v.
-func (v Verdicted) Label() string {
-	switch {
-	case !v.Committed:
-		return LabelAborted
-	case v.Consistent:
-		return LabelConsistent
-	default:
-		return LabelInconsistent
-	}
-}
-
-// Column is one simulated cache column. All activity runs on the
-// embedded simulation clock; nothing is concurrent, so runs are exactly
-// reproducible for a given seed.
+// Column is one simulated database column and its edge caches. All
+// activity runs on the embedded simulation clock; nothing is concurrent,
+// so runs are exactly reproducible for a given seed.
 type Column struct {
-	Clk   *clock.Sim
-	DB    *db.DB
+	Clk *clock.Sim
+	DB  *db.DB
+	// Cache and Mon are edge 0's: the whole column when Edges is 1.
 	Cache *core.Cache
 	Mon   *monitor.Monitor
 
+	born      time.Time // the clock's reading when the column was built
+	edges     []*edge
 	updateRNG *rand.Rand
+}
+
+// edge is one edge cache with everything that is private to it.
+type edge struct {
+	cache     *core.Cache
+	mon       *monitor.Monitor
+	link      *chaos.Injector[db.Invalidation]
 	readRNG   *rand.Rand
 	nextTxnID kv.TxnID
-	onVerdict func(Verdicted)
 }
 
 // NewColumn builds the Fig. 2 topology.
 func NewColumn(cfg ColumnConfig) (*Column, error) {
 	cfg = cfg.withDefaults()
-	clk := clock.NewSimAtZero()
 	d := db.Open(db.Config{
 		DepBound:    cfg.DepBound,
 		DepBoundFor: cfg.DepBoundFor,
@@ -129,44 +117,69 @@ func NewColumn(cfg ColumnConfig) (*Column, error) {
 	for owner, deps := range cfg.Pins {
 		d.Pin(owner, deps...)
 	}
-	cache, err := core.New(core.Config{
-		Backend:      d,
-		Clock:        clk,
-		Strategy:     cfg.Strategy,
-		TTL:          cfg.TTL,
-		Multiversion: cfg.Multiversion,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("experiment: build cache: %w", err)
-	}
+	return newColumnOn(d, cfg)
+}
+
+// newColumnOn attaches cfg.Edges edges to d, which it owns: on failure
+// d and the caches built so far are closed.
+func newColumnOn(d *db.DB, cfg ColumnConfig) (*Column, error) {
+	clk := clock.NewSimAtZero()
 	col := &Column{
 		Clk:       clk,
 		DB:        d,
-		Cache:     cache,
-		Mon:       monitor.New(),
+		born:      clk.Now(),
 		updateRNG: rand.New(rand.NewSource(cfg.Seed)),
-		readRNG:   rand.New(rand.NewSource(cfg.Seed + 7919)),
 	}
-
-	inj := chaos.New[db.Invalidation](clk, chaos.Config{
-		DropRate:  cfg.DropRate,
-		BaseDelay: cfg.InvalDelay,
-		Jitter:    cfg.InvalJitter,
-		Seed:      cfg.Seed + 104729,
-	})
-	if _, err := d.Subscribe("cache", inj.Wrap(func(inv db.Invalidation) {
-		cache.Invalidate(inv.Key, inv.Version)
-	})); err != nil {
-		return nil, fmt.Errorf("experiment: subscribe: %w", err)
+	for e := 0; e < cfg.Edges; e++ {
+		if err := col.addEdge(cfg, e); err != nil {
+			col.Close()
+			return nil, err
+		}
 	}
-
+	col.Cache, col.Mon = col.edges[0].cache, col.edges[0].mon
 	d.OnCommit(func(rec db.CommitRecord) {
 		reads := make([]monitor.Read, len(rec.Reads))
 		for i, r := range rec.Reads {
 			reads[i] = monitor.Read{Key: r.Key, Version: r.Version}
 		}
-		col.Mon.RecordUpdate(rec.Version, rec.Writes, reads)
+		for _, ed := range col.edges {
+			ed.mon.RecordUpdate(rec.Version, rec.Writes, reads)
+		}
 	})
+	return col, nil
+}
+
+// addEdge builds edge e — cache, lossy link, monitor glue — on the
+// column's database. Edge 0's seeds are the single column's; the others
+// are spaced so no two streams coincide.
+func (c *Column) addEdge(cfg ColumnConfig, e int) error {
+	cache, err := core.New(core.Config{
+		Backend:      c.DB,
+		Clock:        c.Clk,
+		Strategy:     cfg.Strategy,
+		TTL:          cfg.TTL,
+		Multiversion: cfg.Multiversion,
+	})
+	if err != nil {
+		return fmt.Errorf("experiment: edge %d cache: %w", e, err)
+	}
+	ed := &edge{
+		cache:   cache,
+		mon:     monitor.New(),
+		readRNG: rand.New(rand.NewSource(cfg.Seed + 7919 + 1000*int64(e))),
+		link: chaos.New[db.Invalidation](c.Clk, chaos.Config{
+			DropRate:  cfg.DropRate,
+			BaseDelay: cfg.InvalDelay,
+			Jitter:    cfg.InvalJitter,
+			Seed:      cfg.Seed + 104729*int64(e+1),
+		}),
+	}
+	c.edges = append(c.edges, ed)
+	if _, err := c.DB.Subscribe(fmt.Sprintf("edge-%d", e), ed.link.Wrap(func(inv db.Invalidation) {
+		cache.Invalidate(inv.Key, inv.Version)
+	})); err != nil {
+		return fmt.Errorf("experiment: edge %d subscribe: %w", e, err)
+	}
 	cache.OnComplete(func(comp core.Completion) {
 		reads := make([]monitor.Read, 0, len(comp.Reads)+1)
 		for _, r := range comp.Reads {
@@ -178,44 +191,39 @@ func NewColumn(cfg ColumnConfig) (*Column, error) {
 		if comp.Attempted != nil {
 			reads = append(reads, monitor.Read{Key: comp.Attempted.Key, Version: comp.Attempted.Version})
 		}
-		verdict := col.Mon.RecordReadOnly(reads, comp.Committed)
-		if col.onVerdict != nil {
-			col.onVerdict(Verdicted{
-				At:         clk.Now(),
-				Committed:  comp.Committed,
-				Consistent: verdict.Consistent,
-			})
-		}
+		ed.mon.RecordReadOnly(reads, comp.Committed)
 	})
-	return col, nil
+	return nil
 }
 
 // Close releases the column's resources.
 func (c *Column) Close() {
-	c.Cache.Close()
+	for _, ed := range c.edges {
+		ed.cache.Close()
+	}
 	c.DB.Close()
 }
 
-// OnVerdict registers a callback invoked for every classified read-only
-// transaction (used by the time-series experiments).
-func (c *Column) OnVerdict(fn func(Verdicted)) { c.onVerdict = fn }
-
 // SeedObjects loads every key at version 1 into the database and
-// registers it with the monitor.
+// registers it with every edge's monitor.
 func (c *Column) SeedObjects(keys []kv.Key) {
 	v := kv.Version{Counter: 1}
 	for _, k := range keys {
 		c.DB.Seed(k, kv.Value("seed:"+k), v)
-		c.Mon.Seed(k, v)
+		for _, ed := range c.edges {
+			ed.mon.Seed(k, v)
+		}
 	}
 }
 
-// WarmCache touches every key once through the cache so the measured
-// phase starts from a hot cache (the paper's steady state).
+// WarmCache touches every key once through each edge's cache so the
+// measured phase starts from hot caches (the paper's steady state).
 func (c *Column) WarmCache(ctx context.Context, keys []kv.Key) error {
-	for _, k := range keys {
-		if _, err := c.Cache.Get(ctx, k); err != nil {
-			return fmt.Errorf("experiment: warm %q: %w", k, err)
+	for _, ed := range c.edges {
+		for _, k := range keys {
+			if _, err := ed.cache.Get(ctx, k); err != nil {
+				return fmt.Errorf("experiment: warm %q: %w", k, err)
+			}
 		}
 	}
 	return nil
@@ -244,16 +252,20 @@ func (c *Column) RunUpdateTxn(gen workload.Generator) error {
 }
 
 // RunReadTxn executes one read-only transaction over gen's key set
-// through the cache, reporting whether it committed.
+// through edge 0's cache, reporting whether it committed.
 func (c *Column) RunReadTxn(ctx context.Context, gen workload.Generator) (bool, error) {
-	keys := gen.Pick(c.readRNG)
-	c.nextTxnID++
-	id := c.nextTxnID
+	return c.edges[0].runReadTxn(ctx, gen)
+}
+
+func (ed *edge) runReadTxn(ctx context.Context, gen workload.Generator) (bool, error) {
+	keys := gen.Pick(ed.readRNG)
+	ed.nextTxnID++
+	id := ed.nextTxnID
 	for i, k := range keys {
-		_, err := c.Cache.Read(ctx, id, k, i == len(keys)-1)
+		_, err := ed.cache.Read(ctx, id, k, i == len(keys)-1)
 		switch {
 		case err == nil:
-		case isAbort(err):
+		case errors.Is(err, core.ErrTxnAborted):
 			return false, nil
 		default:
 			return false, fmt.Errorf("experiment: read %q: %w", k, err)
@@ -262,13 +274,9 @@ func (c *Column) RunReadTxn(ctx context.Context, gen workload.Generator) (bool, 
 	return true, nil
 }
 
-func isAbort(err error) bool {
-	return errors.Is(err, core.ErrTxnAborted)
-}
-
-// Drive describes client load: update transactions at UpdateRate/s and
-// read-only transactions at ReadRate/s for Duration of virtual time
-// (§IV: 100 update/s and 500 read/s).
+// Drive describes client load: update transactions at UpdateRate/s on
+// the database and read-only transactions at ReadRate/s on every edge,
+// for Duration of virtual time (§IV: 100 update/s and 500 read/s).
 type Drive struct {
 	UpdateRate float64
 	ReadRate   float64
@@ -304,22 +312,21 @@ func (c *Column) Run(ctx context.Context, d Drive, updGen, readGen workload.Gene
 	readInterval := time.Duration(float64(time.Second) / d.ReadRate)
 	end := c.Clk.Now().Add(d.Duration)
 
-	var updTick, readTick func()
-	updTick = func() {
-		keep(c.RunUpdateTxn(updGen))
-		if next := c.Clk.Now().Add(updInterval); next.Before(end) {
-			c.Clk.At(next, updTick)
+	// One update client, then one read client per edge, in edge order.
+	every := func(interval time.Duration, txn func() error) {
+		var tick func()
+		tick = func() {
+			keep(txn())
+			if next := c.Clk.Now().Add(interval); next.Before(end) {
+				c.Clk.At(next, tick)
+			}
 		}
+		c.Clk.AfterFunc(interval, tick)
 	}
-	readTick = func() {
-		_, err := c.RunReadTxn(ctx, readGen)
-		keep(err)
-		if next := c.Clk.Now().Add(readInterval); next.Before(end) {
-			c.Clk.At(next, readTick)
-		}
+	every(updInterval, func() error { return c.RunUpdateTxn(updGen) })
+	for _, ed := range c.edges {
+		every(readInterval, func() error { _, err := ed.runReadTxn(ctx, readGen); return err })
 	}
-	c.Clk.AfterFunc(updInterval, updTick)
-	c.Clk.AfterFunc(readInterval, readTick)
 	c.Clk.Run(end)
 	// Let in-flight invalidations drain so back-to-back Run calls do not
 	// leak deliveries across measurement phases.

@@ -2,12 +2,15 @@ package experiment
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"testing"
 	"time"
 
 	"tcache/internal/core"
+	"tcache/internal/db"
 	"tcache/internal/kv"
+	"tcache/internal/monitor"
 	"tcache/internal/workload"
 )
 
@@ -30,6 +33,83 @@ func TestColumnBasicRun(t *testing.T) {
 	}
 	if col.Mon.Stats().Updates == 0 {
 		t.Fatal("no update transactions recorded")
+	}
+}
+
+// TestNewColumnClosesOnSubscribeFailure: an edge whose subscriber name is
+// already taken fails the build, and the database the column was given —
+// with the edges attached before the failing one — is closed, not leaked.
+func TestNewColumnClosesOnSubscribeFailure(t *testing.T) {
+	d := db.Open(db.Config{})
+	if _, err := d.Subscribe("edge-1", func(db.Invalidation) {}); err != nil {
+		t.Fatal(err)
+	}
+	col, err := newColumnOn(d, ColumnConfig{Edges: 2}.withDefaults())
+	if !errors.Is(err, db.ErrDuplicateSubscriber) || col != nil {
+		t.Fatalf("newColumnOn with edge-1 taken = %v, %v; want nil, ErrDuplicateSubscriber", col, err)
+	}
+	if _, _, err := d.Begin().Read("k"); !errors.Is(err, db.ErrClosed) {
+		t.Fatalf("read on the failed column's database = %v, want db.ErrClosed", err)
+	}
+}
+
+// TestColumnEdgesIndependent: three edges on one database. Every edge's
+// monitor sees every commit; the edges' invalidation links share a loss
+// rate but not their losses; and Measure's per-edge deltas sum to the
+// Measurement they come in.
+func TestColumnEdgesIndependent(t *testing.T) {
+	ctx := context.Background()
+	col, err := NewColumn(ColumnConfig{Edges: 3, DepBound: 5, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer col.Close()
+	if len(col.edges) != 3 || col.Cache != col.edges[0].cache || col.Mon != col.edges[0].mon {
+		t.Fatalf("3-edge column has %d edges; Cache/Mon are not edge 0's", len(col.edges))
+	}
+	gen := &workload.PerfectClusters{Objects: 100, ClusterSize: 5, TxnSize: 5}
+	col.SeedObjects(workload.AllObjectKeys(100))
+	if err := col.WarmCache(ctx, workload.AllObjectKeys(100)); err != nil {
+		t.Fatal(err)
+	}
+	m, err := col.Measure(func() error {
+		return col.Run(ctx, Drive{UpdateRate: 50, ReadRate: 200, Duration: 10 * time.Second}, gen, gen)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	commits := col.DB.Metrics().TxnsCommitted
+	if commits == 0 {
+		t.Fatal("no update committed; test has no power")
+	}
+	var mon monitor.Stats
+	var cache core.MetricsSnapshot
+	drops := make(map[uint64]bool)
+	for e, ed := range col.edges {
+		if got := ed.mon.Stats().Updates; got != commits {
+			t.Errorf("edge %d's monitor recorded %d updates, the database committed %d", e, got, commits)
+		}
+		if m.Edges[e].Mon.ReadOnly() == 0 || m.Edges[e].Cache.Hits == 0 {
+			t.Errorf("edge %d served no read-only transactions: %+v", e, m.Edges[e].Mon)
+		}
+		link := ed.link.Stats()
+		if link.Dropped == 0 || link.Delivered == 0 {
+			t.Errorf("edge %d's link: %+v, want both drops and deliveries at 20%% loss", e, link)
+		}
+		drops[link.Dropped] = true
+		mon, cache = sum(mon, m.Edges[e].Mon), sum(cache, m.Edges[e].Cache)
+	}
+	// Same rate, separately seeded: three links that lost exactly the
+	// same number of the same invalidations would be one link.
+	if len(drops) == 1 {
+		t.Errorf("all three links dropped the same number of invalidations: %v", drops)
+	}
+	if mon != m.Mon || cache != m.Cache {
+		t.Errorf("per-edge deltas do not sum to the Measurement:\n mon   %+v vs %+v\n cache %+v vs %+v", mon, m.Mon, cache, m.Cache)
+	}
+	if m.Mon.Updates != 3*m.DB.TxnsCommitted {
+		t.Errorf("Measurement.Mon.Updates = %d, want one per edge per commit (3 × %d)", m.Mon.Updates, m.DB.TxnsCommitted)
 	}
 }
 
@@ -143,16 +223,15 @@ func TestAlphaSweepShape(t *testing.T) {
 	if len(res.Points) != 3 {
 		t.Fatalf("points = %d", len(res.Points))
 	}
-	lo, mid, hi := res.Points[0], res.Points[1], res.Points[2]
+	lo, mid, hi := res.Points[0].M.DetectionRatio(), res.Points[1].M.DetectionRatio(), res.Points[2].M.DetectionRatio()
 	// Fig. 3 shape: detection grows with clustering.
-	if !(hi.Detection > mid.Detection && mid.Detection > lo.Detection) {
-		t.Fatalf("detection not increasing in alpha: %v / %v / %v",
-			lo.Detection, mid.Detection, hi.Detection)
+	if !(hi > mid && mid > lo) {
+		t.Fatalf("detection not increasing in alpha: %v / %v / %v", lo, mid, hi)
 	}
 	// At alpha=4 accesses are almost perfectly clustered: near-perfect
 	// detection (the paper reaches 100%).
-	if hi.Detection < 90 {
-		t.Fatalf("alpha=4 detection = %.1f, want >90", hi.Detection)
+	if hi < 90 {
+		t.Fatalf("alpha=4 detection = %.1f, want >90", hi)
 	}
 	if len(res.Table()) == 0 {
 		t.Fatal("empty table")
@@ -168,7 +247,7 @@ func TestConvergenceShape(t *testing.T) {
 	// (uniform access defeats the dependency lists); after the switch
 	// the inconsistent share collapses and aborts rise.
 	preC, preI, preA := res.WindowShares(1, res.SwitchBucket)
-	post := res.Series.Buckets()
+	post := len(res.Series)
 	postC, postI, postA := res.WindowShares(res.SwitchBucket+2, post)
 	_ = preC
 	_ = postC
@@ -204,13 +283,13 @@ func TestDriftShape(t *testing.T) {
 	spike, settled := 0.0, 0.0
 	n := 0
 	for _, s := range res.Shifts {
-		if s+1 >= res.Series.Buckets() {
+		if s+1 >= len(res.Series) {
 			continue
 		}
-		spike += res.InconsistencyAt(s) + res.InconsistencyAt(s+1)
+		spike += res.Series[s].InconsistencyRatio() + res.Series[s+1].InconsistencyRatio()
 		settleIdx := s + int(res.Params.ShiftEvery/res.Params.Bucket) - 1
-		if settleIdx < res.Series.Buckets() {
-			settled += res.InconsistencyAt(settleIdx)
+		if settleIdx < len(res.Series) {
+			settled += res.Series[settleIdx].InconsistencyRatio()
 			n++
 		}
 	}
@@ -302,16 +381,16 @@ func TestDepListSweepShape(t *testing.T) {
 		}
 		k0, k3 := s.Points[0], s.Points[1]
 		// Fig. 7c shape: dependency lists cut inconsistency sharply...
-		if k0.Inconsistency == 0 {
+		if k0.M.InconsistencyRatio() == 0 {
 			t.Fatalf("%s: k=0 shows no inconsistency; experiment has no power", s.Kind)
 		}
-		if k3.Inconsistency >= k0.Inconsistency*0.6 {
+		if k3.M.InconsistencyRatio() >= k0.M.InconsistencyRatio()*0.6 {
 			t.Fatalf("%s: k=3 inconsistency %.2f not well below k=0 %.2f",
-				s.Kind, k3.Inconsistency, k0.Inconsistency)
+				s.Kind, k3.M.InconsistencyRatio(), k0.M.InconsistencyRatio())
 		}
 		// ...with no visible effect on hit ratio or DB load.
-		if k0.HitRatio-k3.HitRatio > 0.02 {
-			t.Fatalf("%s: hit ratio degraded: %.3f → %.3f", s.Kind, k0.HitRatio, k3.HitRatio)
+		if k0.M.HitRatio()-k3.M.HitRatio() > 0.02 {
+			t.Fatalf("%s: hit ratio degraded: %.3f → %.3f", s.Kind, k0.M.HitRatio(), k3.M.HitRatio())
 		}
 		if k3.DBAccessNormed > 115 {
 			t.Fatalf("%s: db load grew to %.1f%%", s.Kind, k3.DBAccessNormed)
@@ -334,13 +413,13 @@ func TestTTLSweepShape(t *testing.T) {
 		long, short := s.Points[0], s.Points[1]
 		// Fig. 7d shape: shrinking the TTL reduces inconsistency but
 		// costs hit ratio and DB load.
-		if short.Inconsistency >= long.Inconsistency {
+		if short.M.InconsistencyRatio() >= long.M.InconsistencyRatio() {
 			t.Fatalf("%s: ttl=%v inconsistency %.2f not below ttl=%v %.2f",
-				s.Kind, short.TTL, short.Inconsistency, long.TTL, long.Inconsistency)
+				s.Kind, short.TTL, short.M.InconsistencyRatio(), long.TTL, long.M.InconsistencyRatio())
 		}
-		if short.HitRatio >= long.HitRatio {
+		if short.M.HitRatio() >= long.M.HitRatio() {
 			t.Fatalf("%s: short TTL did not cost hit ratio (%.3f vs %.3f)",
-				s.Kind, short.HitRatio, long.HitRatio)
+				s.Kind, short.M.HitRatio(), long.M.HitRatio())
 		}
 		if short.DBAccessNormed <= long.DBAccessNormed {
 			t.Fatalf("%s: short TTL did not increase DB load (%.1f vs %.1f)",
@@ -384,7 +463,7 @@ func TestRealisticStrategyShape(t *testing.T) {
 }
 
 func TestHeadlineShape(t *testing.T) {
-	res, err := RunHeadline(context.Background(), QuickHeadlineParams())
+	res, err := RunHeadline(context.Background(), QuickRealisticStrategyParams())
 	if err != nil {
 		t.Fatal(err)
 	}

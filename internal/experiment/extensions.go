@@ -9,7 +9,6 @@ import (
 	"tcache/internal/core"
 	"tcache/internal/db"
 	"tcache/internal/kv"
-	"tcache/internal/stats"
 	"tcache/internal/workload"
 )
 
@@ -53,13 +52,11 @@ func QuickAlbumParams() AlbumParams {
 	return p
 }
 
-// AlbumRow is one configuration's outcome.
+// AlbumRow is one configuration's outcome: M's InconsistencyRatio,
+// DetectionRatio and HitRatio.
 type AlbumRow struct {
-	Config        string
-	Inconsistency float64
-	Detection     float64
-	HitRatio      float64
-	M             Measurement
+	Config string
+	M      Measurement
 }
 
 // AlbumResult compares plain LRU, pinned ACL dependencies, and per-key
@@ -99,38 +96,17 @@ func RunAlbum(ctx context.Context, p AlbumParams) (*AlbumResult, error) {
 
 	res := &AlbumResult{Params: p}
 	for _, c := range configs {
-		cfg := c.cfg
-		cfg.Strategy = core.StrategyAbort
-		cfg.Seed = p.Seed
-		col, err := NewColumn(cfg)
+		t := trial{
+			cfg: c.cfg, upd: w.UpdateGen(), read: w.ReadGen(), keys: w.Keys(),
+			drive: p.Drive, warmup: p.Warmup, window: p.MeasureFor,
+		}
+		t.cfg.Strategy = core.StrategyAbort
+		t.cfg.Seed = p.Seed
+		m, _, err := t.run(ctx)
 		if err != nil {
 			return nil, err
 		}
-		col.SeedObjects(w.Keys())
-		if err := col.WarmCache(ctx, w.Keys()); err != nil {
-			col.Close()
-			return nil, err
-		}
-		warm := p.Drive
-		warm.Duration = p.Warmup
-		if err := col.Run(ctx, warm, w.UpdateGen(), w.ReadGen()); err != nil {
-			col.Close()
-			return nil, err
-		}
-		meas := p.Drive
-		meas.Duration = p.MeasureFor
-		m, err := col.Measure(func() error { return col.Run(ctx, meas, w.UpdateGen(), w.ReadGen()) })
-		col.Close()
-		if err != nil {
-			return nil, err
-		}
-		res.Rows = append(res.Rows, AlbumRow{
-			Config:        c.name,
-			Inconsistency: m.InconsistencyRatio(),
-			Detection:     m.DetectionRatio(),
-			HitRatio:      m.HitRatio(),
-			M:             m,
-		})
+		res.Rows = append(res.Rows, AlbumRow{Config: c.name, M: m})
 	}
 	return res, nil
 }
@@ -142,7 +118,7 @@ func (r *AlbumResult) Table() string {
 	fmt.Fprintf(&b, "%14s %18s %14s %10s\n", "config", "inconsistency[%]", "detection[%]", "hit-ratio")
 	for _, row := range r.Rows {
 		fmt.Fprintf(&b, "%14s %18.1f %14.1f %10.3f\n",
-			row.Config, row.Inconsistency, row.Detection, row.HitRatio)
+			row.Config, row.M.InconsistencyRatio(), row.M.DetectionRatio(), row.M.HitRatio())
 	}
 	return b.String()
 }
@@ -157,32 +133,22 @@ func (r *AlbumResult) Row(name string) (AlbumRow, bool) {
 	return AlbumRow{}, false
 }
 
-// MergeAblationParams parameterizes the LRU-policy ablation: the Fig. 5
-// drift workload run under both pruning policies.
-type MergeAblationParams struct {
-	Drift DriftParams
-}
-
-// DefaultMergeAblationParams uses a faster drift than Fig. 5 so the
-// positional policy's failure to converge shows within a short run.
-func DefaultMergeAblationParams() MergeAblationParams {
+// DefaultMergeAblationParams is the LRU-policy ablation's setup: the
+// Fig. 5 drift workload (run under both pruning policies) with a faster
+// drift, so the positional policy's failure to converge shows within a
+// short run. Its quick variant is QuickDriftParams.
+func DefaultMergeAblationParams() DriftParams {
 	p := DefaultDriftParams()
 	p.ShiftEvery = 60 * time.Second
 	p.Duration = 400 * time.Second
-	return MergeAblationParams{Drift: p}
+	return p
 }
 
-// QuickMergeAblationParams is a scaled-down variant for tests.
-func QuickMergeAblationParams() MergeAblationParams {
-	return MergeAblationParams{Drift: QuickDriftParams()}
-}
-
-// MergeAblationRow is one policy's outcome.
+// MergeAblationRow is one policy's outcome: M.InconsistencyRatio() is
+// the committed-inconsistency ratio over the whole run.
 type MergeAblationRow struct {
 	Policy string
-	// MeanInconsistency is the committed-inconsistency ratio averaged
-	// over the whole run.
-	MeanInconsistency float64
+	M      Measurement
 }
 
 // MergeAblationResult compares version-recency LRU against positional
@@ -192,7 +158,7 @@ type MergeAblationResult struct {
 }
 
 // RunMergeAblation runs the drift workload under both policies.
-func RunMergeAblation(ctx context.Context, p MergeAblationParams) (*MergeAblationResult, error) {
+func RunMergeAblation(ctx context.Context, p DriftParams) (*MergeAblationResult, error) {
 	res := &MergeAblationResult{}
 	for _, pol := range []struct {
 		name   string
@@ -201,57 +167,11 @@ func RunMergeAblation(ctx context.Context, p MergeAblationParams) (*MergeAblatio
 		{"recency-lru", db.MergeRecency},
 		{"positional", db.MergePositional},
 	} {
-		dp := p.Drift
-		r, err := runDriftWithPolicy(ctx, dp, pol.policy)
+		m, _, err := driftTrial(p, pol.policy, new([]int)).run(ctx)
 		if err != nil {
 			return nil, err
 		}
-		var committed, inconsistent int
-		for i := 0; i < r.Series.Buckets(); i++ {
-			committed += r.Series.Count(i, LabelConsistent) + r.Series.Count(i, LabelInconsistent)
-			inconsistent += r.Series.Count(i, LabelInconsistent)
-		}
-		mean := 0.0
-		if committed > 0 {
-			mean = 100 * float64(inconsistent) / float64(committed)
-		}
-		res.Rows = append(res.Rows, MergeAblationRow{Policy: pol.name, MeanInconsistency: mean})
-	}
-	return res, nil
-}
-
-// runDriftWithPolicy is RunDrift with a configurable merge policy.
-func runDriftWithPolicy(ctx context.Context, p DriftParams, policy db.MergePolicy) (*DriftResult, error) {
-	col, err := NewColumn(ColumnConfig{
-		DepBound: p.DepBound,
-		Strategy: core.StrategyAbort,
-		Seed:     p.Seed,
-		DepMerge: policy,
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer col.Close()
-
-	series := stats.NewTimeSeries(col.Clk.Now(), p.Bucket)
-	col.OnVerdict(func(v Verdicted) { series.Add(v.At, v.Label()) })
-	gen := &workload.PerfectClusters{Objects: p.Objects, ClusterSize: p.ClusterSize, TxnSize: p.TxnSize}
-	col.SeedObjects(workload.AllObjectKeys(p.Objects))
-	if err := col.WarmCache(ctx, workload.AllObjectKeys(p.Objects)); err != nil {
-		return nil, err
-	}
-	res := &DriftResult{Params: p, Series: series}
-	var scheduleShift func()
-	scheduleShift = func() {
-		gen.Advance()
-		res.Shifts = append(res.Shifts, int(col.Clk.Since(series.Origin())/p.Bucket))
-		col.Clk.AfterFunc(p.ShiftEvery, scheduleShift)
-	}
-	col.Clk.AfterFunc(p.ShiftEvery, scheduleShift)
-	drive := p.Drive
-	drive.Duration = p.Duration
-	if err := col.Run(ctx, drive, gen, gen); err != nil {
-		return nil, err
+		res.Rows = append(res.Rows, MergeAblationRow{Policy: pol.name, M: m})
 	}
 	return res, nil
 }
@@ -262,13 +182,14 @@ func (r *MergeAblationResult) Table() string {
 	b.WriteString("Ablation — dependency-list pruning policy under cluster drift\n")
 	fmt.Fprintf(&b, "%14s %24s\n", "policy", "mean inconsistency[%]")
 	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%14s %24.2f\n", row.Policy, row.MeanInconsistency)
+		fmt.Fprintf(&b, "%14s %24.2f\n", row.Policy, row.M.InconsistencyRatio())
 	}
 	return b.String()
 }
 
 // DropSweepParams parameterizes the invalidation-loss sensitivity
-// ablation: the paper fixes the drop rate at 20%; this sweeps it.
+// ablation: the paper fixes the drop rate at 20%; this sweeps it. Every
+// rate must be above 0, which ColumnConfig.DropRate reads as "default".
 type DropSweepParams struct {
 	Objects     int
 	ClusterSize int
@@ -281,8 +202,8 @@ type DropSweepParams struct {
 	Seed        int64
 }
 
-// DefaultDropSweepParams sweeps loss from a perfect channel to near-total
-// loss on the perfectly clustered workload.
+// DefaultDropSweepParams sweeps loss from one invalidation in a thousand
+// to four in five on the perfectly clustered workload.
 func DefaultDropSweepParams() DropSweepParams {
 	return DropSweepParams{
 		Objects:     2000,
@@ -308,17 +229,12 @@ func QuickDropSweepParams() DropSweepParams {
 }
 
 // DropSweepPoint is one drop-rate's outcome: how much staleness the
-// channel creates (exposure, measured at k=0) and how T-Cache holds up
-// (with dependency lists).
+// channel creates — Exposure.InconsistencyRatio(), a plain cache (k=0)
+// at this loss rate — and how T-Cache holds up with dependency lists
+// under ABORT: M's InconsistencyRatio and AbortedPct.
 type DropSweepPoint struct {
-	DropRate float64
-	// Exposure is the committed-inconsistency ratio of a plain cache
-	// (k=0) at this loss rate.
-	Exposure float64
-	// Inconsistency and Aborted are T-Cache's outcome shares (k>0,
-	// ABORT strategy).
-	Inconsistency float64
-	Aborted       float64
+	DropRate    float64
+	Exposure, M Measurement
 }
 
 // DropSweepResult is the loss-sensitivity ablation.
@@ -330,45 +246,23 @@ type DropSweepResult struct {
 // RunDropSweep measures exposure and T-Cache behaviour per drop rate.
 func RunDropSweep(ctx context.Context, p DropSweepParams) (*DropSweepResult, error) {
 	res := &DropSweepResult{Params: p}
-	run := func(rate float64, bound int) (Measurement, error) {
-		cfg := ColumnConfig{DepBound: bound, Strategy: core.StrategyAbort, Seed: p.Seed, DropRate: rate}
-		if rate == 0 {
-			cfg.DropRate = 0.000001 // ColumnConfig treats 0 as "default"
-		}
-		col, err := NewColumn(cfg)
-		if err != nil {
-			return Measurement{}, err
-		}
-		defer col.Close()
-		gen := &workload.PerfectClusters{Objects: p.Objects, ClusterSize: p.ClusterSize, TxnSize: p.TxnSize}
-		col.SeedObjects(workload.AllObjectKeys(p.Objects))
-		if err := col.WarmCache(ctx, workload.AllObjectKeys(p.Objects)); err != nil {
-			return Measurement{}, err
-		}
-		w := p.Drive
-		w.Duration = p.Warmup
-		if err := col.Run(ctx, w, gen, gen); err != nil {
-			return Measurement{}, err
-		}
-		meas := p.Drive
-		meas.Duration = p.MeasureFor
-		return col.Measure(func() error { return col.Run(ctx, meas, gen, gen) })
+	gen := &workload.PerfectClusters{Objects: p.Objects, ClusterSize: p.ClusterSize, TxnSize: p.TxnSize}
+	t := trial{
+		upd: gen, read: gen, keys: workload.AllObjectKeys(p.Objects),
+		drive: p.Drive, warmup: p.Warmup, window: p.MeasureFor,
 	}
 	for _, rate := range p.DropRates {
-		exposure, err := run(rate, 0)
-		if err != nil {
+		pt := DropSweepPoint{DropRate: rate}
+		var err error
+		t.cfg = ColumnConfig{DepBound: 0, Strategy: core.StrategyAbort, Seed: p.Seed, DropRate: rate}
+		if pt.Exposure, _, err = t.run(ctx); err != nil {
 			return nil, err
 		}
-		tc, err := run(rate, p.DepBound)
-		if err != nil {
+		t.cfg.DepBound = p.DepBound
+		if pt.M, _, err = t.run(ctx); err != nil {
 			return nil, err
 		}
-		res.Points = append(res.Points, DropSweepPoint{
-			DropRate:      rate,
-			Exposure:      exposure.InconsistencyRatio(),
-			Inconsistency: tc.InconsistencyRatio(),
-			Aborted:       tc.AbortedPct(),
-		})
+		res.Points = append(res.Points, pt)
 	}
 	return res, nil
 }
@@ -380,7 +274,7 @@ func (r *DropSweepResult) Table() string {
 	fmt.Fprintf(&b, "%10s %14s %20s %12s\n", "drop", "exposure[%]", "tc-inconsist[%]", "aborted[%]")
 	for _, pt := range r.Points {
 		fmt.Fprintf(&b, "%10.3f %14.1f %20.2f %12.1f\n",
-			pt.DropRate, pt.Exposure, pt.Inconsistency, pt.Aborted)
+			pt.DropRate, pt.Exposure.InconsistencyRatio(), pt.M.InconsistencyRatio(), pt.M.AbortedPct())
 	}
 	return b.String()
 }

@@ -22,18 +22,18 @@ func TestAlbumPinningHelps(t *testing.T) {
 
 	// §VII: pinning the picture→ACL dependency must catch stale-ACL
 	// renders that pure bound-1 LRU misses.
-	if pinned.Inconsistency >= plain.Inconsistency {
+	if pinned.M.InconsistencyRatio() >= plain.M.InconsistencyRatio() {
 		t.Fatalf("pinning did not reduce inconsistency: %.2f vs %.2f",
-			pinned.Inconsistency, plain.Inconsistency)
+			pinned.M.InconsistencyRatio(), plain.M.InconsistencyRatio())
 	}
-	if pinned.Detection <= plain.Detection {
+	if pinned.M.DetectionRatio() <= plain.M.DetectionRatio() {
 		t.Fatalf("pinning did not improve detection: %.1f vs %.1f",
-			pinned.Detection, plain.Detection)
+			pinned.M.DetectionRatio(), plain.M.DetectionRatio())
 	}
 	// Longer ACL lists must also help over the flat short bound.
-	if perKey.Inconsistency >= plain.Inconsistency {
+	if perKey.M.InconsistencyRatio() >= plain.M.InconsistencyRatio() {
 		t.Fatalf("per-key bounds did not reduce inconsistency: %.2f vs %.2f",
-			perKey.Inconsistency, plain.Inconsistency)
+			perKey.M.InconsistencyRatio(), plain.M.InconsistencyRatio())
 	}
 	if len(res.Table()) == 0 {
 		t.Fatal("empty table")
@@ -41,7 +41,7 @@ func TestAlbumPinningHelps(t *testing.T) {
 }
 
 func TestMergeAblationRecencyWins(t *testing.T) {
-	res, err := RunMergeAblation(context.Background(), QuickMergeAblationParams())
+	res, err := RunMergeAblation(context.Background(), QuickDriftParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,9 +55,9 @@ func TestMergeAblationRecencyWins(t *testing.T) {
 	// The version-recency LRU must recover from drift at least as well
 	// as positional inheritance; under drift it should be strictly
 	// better (stale entries squat under the positional policy).
-	if recency.MeanInconsistency > positional.MeanInconsistency {
+	if recency.M.InconsistencyRatio() > positional.M.InconsistencyRatio() {
 		t.Fatalf("recency LRU (%.3f%%) worse than positional (%.3f%%)",
-			recency.MeanInconsistency, positional.MeanInconsistency)
+			recency.M.InconsistencyRatio(), positional.M.InconsistencyRatio())
 	}
 	if len(res.Table()) == 0 {
 		t.Fatal("empty table")
@@ -74,20 +74,20 @@ func TestDropSweepShape(t *testing.T) {
 	}
 	low, high := res.Points[0], res.Points[1]
 	// More loss → more staleness exposure at k=0.
-	if high.Exposure <= low.Exposure {
+	if high.Exposure.InconsistencyRatio() <= low.Exposure.InconsistencyRatio() {
 		t.Fatalf("exposure not increasing in drop rate: %.1f vs %.1f",
-			low.Exposure, high.Exposure)
+			low.Exposure.InconsistencyRatio(), high.Exposure.InconsistencyRatio())
 	}
 	// T-Cache on the perfectly clustered workload keeps committed
 	// inconsistency far below exposure even at extreme loss.
-	if high.Inconsistency >= high.Exposure/4 {
+	if high.M.InconsistencyRatio() >= high.Exposure.InconsistencyRatio()/4 {
 		t.Fatalf("T-Cache inconsistency %.2f not well below exposure %.1f",
-			high.Inconsistency, high.Exposure)
+			high.M.InconsistencyRatio(), high.Exposure.InconsistencyRatio())
 	}
 	// The price of loss is aborts, which must grow with the drop rate.
-	if high.Aborted <= low.Aborted {
+	if high.M.AbortedPct() <= low.M.AbortedPct() {
 		t.Fatalf("aborts not increasing in drop rate: %.1f vs %.1f",
-			low.Aborted, high.Aborted)
+			low.M.AbortedPct(), high.M.AbortedPct())
 	}
 	if len(res.Table()) == 0 {
 		t.Fatal("empty table")
@@ -144,13 +144,13 @@ func TestMultiversionReducesAborts(t *testing.T) {
 		}
 		// §VI: version retention converts aborts into consistent commits
 		// served from the cache's history.
-		if mv.Aborted >= plain.Aborted {
-			t.Fatalf("%s: MV aborts %.1f not below plain %.1f", kind, mv.Aborted, plain.Aborted)
+		if mv.M.AbortedPct() >= plain.M.AbortedPct() {
+			t.Fatalf("%s: MV aborts %.1f not below plain %.1f", kind, mv.M.AbortedPct(), plain.M.AbortedPct())
 		}
-		if mv.Consistent <= plain.Consistent {
-			t.Fatalf("%s: MV consistent %.1f not above plain %.1f", kind, mv.Consistent, plain.Consistent)
+		if mv.M.ConsistentPct() <= plain.M.ConsistentPct() {
+			t.Fatalf("%s: MV consistent %.1f not above plain %.1f", kind, mv.M.ConsistentPct(), plain.M.ConsistentPct())
 		}
-		if mv.ServedOldRate == 0 {
+		if mv.ServedOldRate() == 0 {
 			t.Fatalf("%s: multiversioning never served a retained version", kind)
 		}
 		// Serving retained versions must not create NEW inconsistencies
@@ -159,9 +159,9 @@ func TestMultiversionReducesAborts(t *testing.T) {
 		// deterministic) and clusters around 1.25–1.31×; the bound leaves
 		// headroom so noise does not flake the suite while still catching
 		// a real regression.
-		if mv.Inconsistent > plain.Inconsistent*1.4+1 {
+		if mv.M.InconsistentPct() > plain.M.InconsistentPct()*1.4+1 {
 			t.Fatalf("%s: MV inconsistency %.1f well above plain %.1f",
-				kind, mv.Inconsistent, plain.Inconsistent)
+				kind, mv.M.InconsistentPct(), plain.M.InconsistentPct())
 		}
 	}
 	if len(res.Table()) == 0 {

@@ -50,13 +50,12 @@ func QuickAlphaParams() AlphaParams {
 	return p
 }
 
-// AlphaPoint is one x/y point of Fig. 3.
+// AlphaPoint is one x/y point of Fig. 3: M.DetectionRatio() — the
+// percentage of actually-inconsistent transactions T-Cache aborted — at
+// one α.
 type AlphaPoint struct {
 	Alpha float64
-	// Detection is the percentage of actually-inconsistent transactions
-	// aborted by T-Cache.
-	Detection float64
-	M         Measurement
+	M     Measurement
 }
 
 // AlphaResult is the regenerated Fig. 3.
@@ -70,39 +69,21 @@ type AlphaResult struct {
 func RunAlphaSweep(ctx context.Context, p AlphaParams) (*AlphaResult, error) {
 	res := &AlphaResult{Params: p}
 	for i, alpha := range p.Alphas {
-		col, err := NewColumn(ColumnConfig{
-			DepBound: p.DepBound,
-			Strategy: core.StrategyAbort,
-			Seed:     p.Seed + int64(i),
-		})
-		if err != nil {
-			return nil, err
-		}
 		gen := &workload.ParetoClusters{
 			Objects:     p.Objects,
 			ClusterSize: p.ClusterSize,
 			TxnSize:     p.TxnSize,
 			Alpha:       alpha,
 		}
-		col.SeedObjects(workload.AllObjectKeys(p.Objects))
-		if err := col.WarmCache(ctx, workload.AllObjectKeys(p.Objects)); err != nil {
-			col.Close()
-			return nil, err
-		}
-		warm := p.Drive
-		warm.Duration = p.Warmup
-		if err := col.Run(ctx, warm, gen, gen); err != nil {
-			col.Close()
-			return nil, err
-		}
-		meas := p.Drive
-		meas.Duration = p.MeasureFor
-		m, err := col.Measure(func() error { return col.Run(ctx, meas, gen, gen) })
-		col.Close()
+		m, _, err := trial{
+			cfg: ColumnConfig{DepBound: p.DepBound, Strategy: core.StrategyAbort, Seed: p.Seed + int64(i)},
+			upd: gen, read: gen, keys: workload.AllObjectKeys(p.Objects),
+			drive: p.Drive, warmup: p.Warmup, window: p.MeasureFor,
+		}.run(ctx)
 		if err != nil {
 			return nil, err
 		}
-		res.Points = append(res.Points, AlphaPoint{Alpha: alpha, Detection: m.DetectionRatio(), M: m})
+		res.Points = append(res.Points, AlphaPoint{Alpha: alpha, M: m})
 	}
 	return res, nil
 }
@@ -113,7 +94,7 @@ func (r *AlphaResult) Table() string {
 	b.WriteString("Fig. 3 — Ratio of detected inconsistencies as a function of Pareto alpha\n")
 	fmt.Fprintf(&b, "%10s %22s %24s\n", "alpha", "detected-inconsist[%]", "committed-inconsist[txn]")
 	for _, pt := range r.Points {
-		fmt.Fprintf(&b, "%10.4f %22.1f %24d\n", pt.Alpha, pt.Detection, pt.M.Mon.CommittedInconsistent)
+		fmt.Fprintf(&b, "%10.4f %22.1f %24d\n", pt.Alpha, pt.M.DetectionRatio(), pt.M.Mon.CommittedInconsistent)
 	}
 	return b.String()
 }

@@ -6,8 +6,8 @@ import (
 	"strings"
 	"time"
 
+	"tcache/internal/clock"
 	"tcache/internal/core"
-	"tcache/internal/stats"
 	"tcache/internal/workload"
 )
 
@@ -56,26 +56,14 @@ func QuickConvergenceParams() ConvergenceParams {
 // transaction outcomes over time.
 type ConvergenceResult struct {
 	Params ConvergenceParams
-	Series *stats.TimeSeries
+	// Series holds one Measurement per Params.Bucket of the run.
+	Series []Measurement
 	// SwitchBucket is the bucket index at which clustering started.
 	SwitchBucket int
 }
 
 // RunConvergence regenerates Fig. 4.
 func RunConvergence(ctx context.Context, p ConvergenceParams) (*ConvergenceResult, error) {
-	col, err := NewColumn(ColumnConfig{
-		DepBound: p.DepBound,
-		Strategy: core.StrategyAbort,
-		Seed:     p.Seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer col.Close()
-
-	series := stats.NewTimeSeries(col.Clk.Now(), p.Bucket)
-	col.OnVerdict(func(v Verdicted) { series.Add(v.At, v.Label()) })
-
 	gen := &workload.Switch{
 		Before: &workload.Uniform{Objects: p.Objects, TxnSize: p.TxnSize},
 		After: &workload.PerfectClusters{
@@ -84,15 +72,13 @@ func RunConvergence(ctx context.Context, p ConvergenceParams) (*ConvergenceResul
 			TxnSize:     p.TxnSize,
 		},
 	}
-	col.SeedObjects(workload.AllObjectKeys(p.Objects))
-	if err := col.WarmCache(ctx, workload.AllObjectKeys(p.Objects)); err != nil {
-		return nil, err
-	}
-	col.Clk.AfterFunc(p.SwitchAt, gen.Flip)
-
-	drive := p.Drive
-	drive.Duration = p.Duration
-	if err := col.Run(ctx, drive, gen, gen); err != nil {
+	_, series, err := trial{
+		cfg: ColumnConfig{DepBound: p.DepBound, Strategy: core.StrategyAbort, Seed: p.Seed},
+		upd: gen, read: gen, keys: workload.AllObjectKeys(p.Objects),
+		drive: p.Drive, window: p.Duration, bucket: p.Bucket,
+		schedule: func(clk *clock.Sim) { clk.AfterFunc(p.SwitchAt, gen.Flip) },
+	}.run(ctx)
+	if err != nil {
 		return nil, err
 	}
 	return &ConvergenceResult{
@@ -110,32 +96,24 @@ func (r *ConvergenceResult) Table() string {
 	fmt.Fprintf(&b, " (accesses clustered from t=%.0fs)\n", r.Params.SwitchAt.Seconds())
 	fmt.Fprintf(&b, "%8s %14s %14s %14s %12s\n",
 		"t[s]", "consistent[%]", "inconsist[%]", "aborted[%]", "txn/s")
-	for i := 0; i < r.Series.Buckets(); i++ {
+	for i, m := range r.Series {
 		mark := " "
 		if i == r.SwitchBucket {
 			mark = "*"
 		}
 		fmt.Fprintf(&b, "%7.0f%s %14.1f %14.1f %14.1f %12.1f\n",
-			r.Series.BucketStart(i).Seconds(), mark,
-			r.Series.Share(i, LabelConsistent),
-			r.Series.Share(i, LabelInconsistent),
-			r.Series.Share(i, LabelAborted),
-			float64(r.Series.Total(i))/r.Series.Width().Seconds())
+			(time.Duration(i) * r.Params.Bucket).Seconds(), mark,
+			m.ConsistentPct(), m.InconsistentPct(), m.AbortedPct(),
+			float64(m.Mon.ReadOnly())/r.Params.Bucket.Seconds())
 	}
 	return b.String()
 }
 
-// WindowShares averages the outcome shares over buckets [from, to).
+// WindowShares is the outcome breakdown over buckets [from, to).
 func (r *ConvergenceResult) WindowShares(from, to int) (consistent, inconsistent, aborted float64) {
-	var c, i2, a, tot int
-	for i := from; i < to && i < r.Series.Buckets(); i++ {
-		c += r.Series.Count(i, LabelConsistent)
-		i2 += r.Series.Count(i, LabelInconsistent)
-		a += r.Series.Count(i, LabelAborted)
-		tot += r.Series.Total(i)
+	var w Measurement
+	for i := from; i < to && i < len(r.Series); i++ {
+		w.Mon = sum(w.Mon, r.Series[i].Mon)
 	}
-	if tot == 0 {
-		return 0, 0, 0
-	}
-	return 100 * float64(c) / float64(tot), 100 * float64(i2) / float64(tot), 100 * float64(a) / float64(tot)
+	return w.ConsistentPct(), w.InconsistentPct(), w.AbortedPct()
 }

@@ -6,8 +6,10 @@ import (
 	"strings"
 	"time"
 
+	"tcache/internal/clock"
+	"tcache/internal/core"
 	"tcache/internal/db"
-	"tcache/internal/stats"
+	"tcache/internal/workload"
 )
 
 // DriftParams parameterizes the Fig. 5 experiment: perfectly clustered
@@ -56,33 +58,49 @@ func QuickDriftParams() DriftParams {
 // ratio over time with the shift instants marked.
 type DriftResult struct {
 	Params DriftParams
-	Series *stats.TimeSeries
+	// Series holds one Measurement per Params.Bucket of the run.
+	Series []Measurement
 	// Shifts are the bucket indices at which the clusters shifted.
 	Shifts []int
 }
 
 // RunDrift regenerates Fig. 5.
 func RunDrift(ctx context.Context, p DriftParams) (*DriftResult, error) {
-	res, err := runDriftWithPolicy(ctx, p, db.MergeRecency)
-	if err != nil {
+	res := &DriftResult{Params: p}
+	t := driftTrial(p, db.MergeRecency, &res.Shifts)
+	t.bucket = p.Bucket
+	var err error
+	if _, res.Series, err = t.run(ctx); err != nil {
 		return nil, err
 	}
 	// Trim shift marks that fall beyond the run.
-	for len(res.Shifts) > 0 && res.Shifts[len(res.Shifts)-1] >= res.Series.Buckets() {
+	for len(res.Shifts) > 0 && res.Shifts[len(res.Shifts)-1] >= len(res.Series) {
 		res.Shifts = res.Shifts[:len(res.Shifts)-1]
 	}
 	return res, nil
 }
 
-// InconsistencyAt returns the committed-inconsistency ratio (percent of
-// committed transactions) in bucket i.
-func (r *DriftResult) InconsistencyAt(i int) float64 {
-	c := r.Series.Count(i, LabelConsistent)
-	in := r.Series.Count(i, LabelInconsistent)
-	if c+in == 0 {
-		return 0
+// driftTrial is the Fig. 5 run under the given dependency-list pruning
+// policy: perfectly clustered accesses whose clusters advance by one
+// object every p.ShiftEvery. As the trial runs, shifts collects the
+// bucket index of each advance.
+func driftTrial(p DriftParams, policy db.MergePolicy, shifts *[]int) trial {
+	gen := &workload.PerfectClusters{Objects: p.Objects, ClusterSize: p.ClusterSize, TxnSize: p.TxnSize}
+	return trial{
+		cfg: ColumnConfig{DepBound: p.DepBound, Strategy: core.StrategyAbort, Seed: p.Seed, DepMerge: policy},
+		upd: gen, read: gen, keys: workload.AllObjectKeys(p.Objects),
+		drive: p.Drive, window: p.Duration,
+		schedule: func(clk *clock.Sim) {
+			start := clk.Now()
+			var shift func()
+			shift = func() {
+				gen.Advance()
+				*shifts = append(*shifts, int(clk.Since(start)/p.Bucket))
+				clk.AfterFunc(p.ShiftEvery, shift)
+			}
+			clk.AfterFunc(p.ShiftEvery, shift)
+		},
 	}
-	return 100 * float64(in) / float64(c+in)
 }
 
 // Table renders the inconsistency-ratio series with shift marks.
@@ -95,15 +113,14 @@ func (r *DriftResult) Table() string {
 	b.WriteString("Fig. 5 — Drifting clusters: inconsistency ratio over time")
 	fmt.Fprintf(&b, " (clusters shift every %.0fs, marked *)\n", r.Params.ShiftEvery.Seconds())
 	fmt.Fprintf(&b, "%8s %20s %14s\n", "t[s]", "inconsistency[%]", "aborted[%]")
-	for i := 0; i < r.Series.Buckets(); i++ {
+	for i, m := range r.Series {
 		mark := " "
 		if shiftSet[i] {
 			mark = "*"
 		}
 		fmt.Fprintf(&b, "%7.0f%s %20.2f %14.1f\n",
-			r.Series.BucketStart(i).Seconds(), mark,
-			r.InconsistencyAt(i),
-			r.Series.Share(i, LabelAborted))
+			(time.Duration(i) * r.Params.Bucket).Seconds(), mark,
+			m.InconsistencyRatio(), m.AbortedPct())
 	}
 	return b.String()
 }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"tcache/internal/core"
-	"tcache/internal/kv"
 	"tcache/internal/workload"
 )
 
@@ -53,19 +52,17 @@ func QuickStrategyParams() StrategyParams {
 }
 
 // StrategyRow is one bar of Figs. 6/8: the outcome breakdown under one
-// strategy.
+// strategy, as M's ConsistentPct, InconsistentPct and AbortedPct (each a
+// share of all read-only transactions).
 type StrategyRow struct {
-	Strategy     core.Strategy
-	Consistent   float64 // % of all read-only transactions
-	Inconsistent float64
-	Aborted      float64
-	M            Measurement
+	Strategy core.Strategy
+	M        Measurement
 }
 
 // Uncommittable is the paper's comparison metric for EVICT/RETRY: the
 // share of transactions that could not commit consistently (inconsistent
 // commits plus aborts).
-func (r StrategyRow) Uncommittable() float64 { return r.Inconsistent + r.Aborted }
+func (r StrategyRow) Uncommittable() float64 { return r.M.InconsistentPct() + r.M.AbortedPct() }
 
 // StrategyResult is the regenerated Fig. 6 (or Fig. 8 for one topology).
 type StrategyResult struct {
@@ -76,57 +73,31 @@ type StrategyResult struct {
 // RunStrategyComparison regenerates Fig. 6: one run per strategy on
 // identical workload seeds.
 func RunStrategyComparison(ctx context.Context, p StrategyParams) (*StrategyResult, error) {
-	res := &StrategyResult{Title: "Fig. 6 — strategy efficacy (synthetic, Pareto alpha=1)"}
+	gen := &workload.ParetoClusters{
+		Objects:     p.Objects,
+		ClusterSize: p.ClusterSize,
+		TxnSize:     p.TxnSize,
+		Alpha:       p.Alpha,
+	}
+	return compareStrategies(ctx, "Fig. 6 — strategy efficacy (synthetic, Pareto alpha=1)", trial{
+		cfg: ColumnConfig{DepBound: p.DepBound, Seed: p.Seed},
+		upd: gen, read: gen, keys: workload.AllObjectKeys(p.Objects),
+		drive: p.Drive, warmup: p.Warmup, window: p.MeasureFor,
+	})
+}
+
+// compareStrategies runs t once per strategy; shared by Figs. 6 and 8.
+func compareStrategies(ctx context.Context, title string, t trial) (*StrategyResult, error) {
+	res := &StrategyResult{Title: title}
 	for _, s := range Strategies {
-		gen := &workload.ParetoClusters{
-			Objects:     p.Objects,
-			ClusterSize: p.ClusterSize,
-			TxnSize:     p.TxnSize,
-			Alpha:       p.Alpha,
-		}
-		row, err := runStrategyOnce(ctx, ColumnConfig{
-			DepBound: p.DepBound,
-			Strategy: s,
-			Seed:     p.Seed,
-		}, gen, workload.AllObjectKeys(p.Objects), p.Warmup, p.MeasureFor, p.Drive)
+		t.cfg.Strategy = s
+		m, _, err := t.run(ctx)
 		if err != nil {
 			return nil, err
 		}
-		res.Rows = append(res.Rows, row)
+		res.Rows = append(res.Rows, StrategyRow{Strategy: s, M: m})
 	}
 	return res, nil
-}
-
-// runStrategyOnce builds a column, warms it, and measures the outcome
-// breakdown; shared by Figs. 6 and 8.
-func runStrategyOnce(ctx context.Context, cfg ColumnConfig, gen workload.Generator, keys []kv.Key, warmup, measureFor time.Duration, drive Drive) (StrategyRow, error) {
-	col, err := NewColumn(cfg)
-	if err != nil {
-		return StrategyRow{}, err
-	}
-	defer col.Close()
-	col.SeedObjects(keys)
-	if err := col.WarmCache(ctx, keys); err != nil {
-		return StrategyRow{}, err
-	}
-	w := drive
-	w.Duration = warmup
-	if err := col.Run(ctx, w, gen, gen); err != nil {
-		return StrategyRow{}, err
-	}
-	meas := drive
-	meas.Duration = measureFor
-	m, err := col.Measure(func() error { return col.Run(ctx, meas, gen, gen) })
-	if err != nil {
-		return StrategyRow{}, err
-	}
-	return StrategyRow{
-		Strategy:     cfg.Strategy,
-		Consistent:   m.ConsistentPct(),
-		Inconsistent: m.InconsistentPct(),
-		Aborted:      m.AbortedPct(),
-		M:            m,
-	}, nil
 }
 
 // Table renders the stacked-bar data of Fig. 6 / Fig. 8.
@@ -138,7 +109,7 @@ func (r *StrategyResult) Table() string {
 		"strategy", "consistent[%]", "inconsist[%]", "aborted[%]", "uncommittable[%]")
 	for _, row := range r.Rows {
 		fmt.Fprintf(&b, "%8s %14.1f %14.1f %12.1f %18.1f\n",
-			row.Strategy, row.Consistent, row.Inconsistent, row.Aborted, row.Uncommittable())
+			row.Strategy, row.M.ConsistentPct(), row.M.InconsistentPct(), row.M.AbortedPct(), row.Uncommittable())
 	}
 	return b.String()
 }

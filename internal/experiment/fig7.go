@@ -23,6 +23,10 @@ const (
 	TopologyOrkut TopologyKind = "orkut"
 )
 
+// topologies is the fixed order in which the realistic-workload figures
+// run and print the two topologies.
+var topologies = []TopologyKind{TopologyAmazon, TopologyOrkut}
+
 // TopologyParams parameterizes topology construction (§V-B1): generate a
 // large graph and down-sample it to SampleTo nodes by random walks with
 // 15% restart probability.
@@ -61,6 +65,19 @@ func BuildTopology(kind TopologyKind, p TopologyParams) (*graph.Graph, error) {
 	return graph.RandomWalkSample(full, p.SampleTo, p.Restart, p.Seed+13), nil
 }
 
+// graphTrial is the §V-B1 workload as a trial: update and read-only
+// transactions alike are random walks of walkSteps steps over the
+// sampled kind topology. The caller fills in the column config and the
+// phases.
+func graphTrial(kind TopologyKind, p TopologyParams, walkSteps int) (trial, error) {
+	g, err := BuildTopology(kind, p)
+	if err != nil {
+		return trial{}, err
+	}
+	gen := &workload.GraphWalk{Graph: g, Steps: walkSteps, Prefix: string(kind) + "-"}
+	return trial{upd: gen, read: gen, keys: gen.Keys()}, nil
+}
+
 // TopologyStats summarizes a sampled topology (the quantitative stand-in
 // for the Fig. 7a/7b drawings).
 type TopologyStats struct {
@@ -76,7 +93,7 @@ type TopologyStats struct {
 // both sampled topologies.
 func DescribeTopologies(p TopologyParams) ([]TopologyStats, error) {
 	out := make([]TopologyStats, 0, 2)
-	for _, kind := range []TopologyKind{TopologyAmazon, TopologyOrkut} {
+	for _, kind := range topologies {
 		g, err := BuildTopology(kind, p)
 		if err != nil {
 			return nil, err
@@ -147,14 +164,13 @@ func QuickDepSweepParams() DepSweepParams {
 	return p
 }
 
-// DepSweepPoint is one x position of Fig. 7(c) for one workload.
+// DepSweepPoint is one x position of Fig. 7(c) for one workload: M's
+// InconsistencyRatio (% of committed transactions) and HitRatio.
 type DepSweepPoint struct {
-	Bound         int
-	Inconsistency float64 // % of committed transactions
-	HitRatio      float64
-	// DBAccessNormed is the DB access rate as a percentage of the k=0
-	// (consistency-unaware cache) rate, matching the paper's "normed"
-	// bottom panel.
+	Bound int
+	// DBAccessNormed is the DB access rate as a percentage of the rate at
+	// the sweep's first bound (k=0, the consistency-unaware cache),
+	// matching the paper's "normed" bottom panel.
 	DBAccessNormed float64
 	M              Measurement
 }
@@ -168,67 +184,37 @@ type DepSweepSeries struct {
 // RunDepListSweep regenerates Fig. 7(c) for both topologies.
 func RunDepListSweep(ctx context.Context, p DepSweepParams) ([]DepSweepSeries, error) {
 	var out []DepSweepSeries
-	for _, kind := range []TopologyKind{TopologyAmazon, TopologyOrkut} {
-		g, err := BuildTopology(kind, p.Topology)
+	for _, kind := range topologies {
+		t, err := graphTrial(kind, p.Topology, p.WalkSteps)
 		if err != nil {
 			return nil, err
 		}
+		t.drive, t.warmup, t.window = p.Drive, p.Warmup, p.MeasureFor
 		series := DepSweepSeries{Kind: kind}
-		baselineRate := 0.0
+		baseRate := 0.0
 		for _, k := range p.Bounds {
-			gen := &workload.GraphWalk{Graph: g, Steps: p.WalkSteps, Prefix: string(kind) + "-"}
-			m, err := measureGraphRun(ctx, ColumnConfig{
-				DepBound: k,
-				Strategy: p.Strategy,
-				Seed:     p.Seed,
-			}, gen, p.Warmup, p.MeasureFor, p.Drive)
+			t.cfg = ColumnConfig{DepBound: k, Strategy: p.Strategy, Seed: p.Seed}
+			m, _, err := t.run(ctx)
 			if err != nil {
 				return nil, err
 			}
-			rate := m.DBAccessRate()
-			if k == 0 || baselineRate == 0 {
-				if baselineRate == 0 {
-					baselineRate = rate
-				}
+			if baseRate == 0 {
+				baseRate = m.DBAccessRate()
 			}
-			normed := 100.0
-			if baselineRate > 0 {
-				normed = 100 * rate / baselineRate
-			}
-			series.Points = append(series.Points, DepSweepPoint{
-				Bound:          k,
-				Inconsistency:  m.InconsistencyRatio(),
-				HitRatio:       m.HitRatio(),
-				DBAccessNormed: normed,
-				M:              m,
-			})
+			series.Points = append(series.Points, DepSweepPoint{Bound: k, DBAccessNormed: normed(m, baseRate), M: m})
 		}
 		out = append(out, series)
 	}
 	return out, nil
 }
 
-// measureGraphRun builds a column over a graph workload, warms it and
-// measures one window. Shared by Figs. 7c, 7d and 8.
-func measureGraphRun(ctx context.Context, cfg ColumnConfig, gen *workload.GraphWalk, warmup, measureFor time.Duration, drive Drive) (Measurement, error) {
-	col, err := NewColumn(cfg)
-	if err != nil {
-		return Measurement{}, err
+// normed is m's DB access rate as a percentage of baseRate (100 when
+// there is no baseline to compare with).
+func normed(m Measurement, baseRate float64) float64 {
+	if baseRate <= 0 {
+		return 100
 	}
-	defer col.Close()
-	keys := gen.Keys()
-	col.SeedObjects(keys)
-	if err := col.WarmCache(ctx, keys); err != nil {
-		return Measurement{}, err
-	}
-	w := drive
-	w.Duration = warmup
-	if err := col.Run(ctx, w, gen, gen); err != nil {
-		return Measurement{}, err
-	}
-	meas := drive
-	meas.Duration = measureFor
-	return col.Measure(func() error { return col.Run(ctx, meas, gen, gen) })
+	return 100 * m.DBAccessRate() / baseRate
 }
 
 // DepSweepTable renders Fig. 7(c).
@@ -240,7 +226,7 @@ func DepSweepTable(series []DepSweepSeries) string {
 	for _, s := range series {
 		for _, pt := range s.Points {
 			fmt.Fprintf(&b, "%8s %6d %18.1f %10.3f %17.1f\n",
-				s.Kind, pt.Bound, pt.Inconsistency, pt.HitRatio, pt.DBAccessNormed)
+				s.Kind, pt.Bound, pt.M.InconsistencyRatio(), pt.M.HitRatio(), pt.DBAccessNormed)
 		}
 	}
 	return b.String()
@@ -289,11 +275,10 @@ func QuickTTLSweepParams() TTLSweepParams {
 	return p
 }
 
-// TTLSweepPoint is one x position of Fig. 7(d) for one workload.
+// TTLSweepPoint is one x position of Fig. 7(d) for one workload: M's
+// InconsistencyRatio and HitRatio.
 type TTLSweepPoint struct {
 	TTL            time.Duration
-	Inconsistency  float64
-	HitRatio       float64
 	DBAccessNormed float64 // % of the no-TTL plain-cache rate
 	M              Measurement
 }
@@ -308,46 +293,26 @@ type TTLSweepSeries struct {
 // with entry TTLs, normalized against the no-TTL baseline.
 func RunTTLSweep(ctx context.Context, p TTLSweepParams) ([]TTLSweepSeries, error) {
 	var out []TTLSweepSeries
-	for _, kind := range []TopologyKind{TopologyAmazon, TopologyOrkut} {
-		g, err := BuildTopology(kind, p.Topology)
+	for _, kind := range topologies {
+		t, err := graphTrial(kind, p.Topology, p.WalkSteps)
 		if err != nil {
 			return nil, err
 		}
+		t.drive, t.warmup, t.window = p.Drive, p.Warmup, p.MeasureFor
 		// Baseline: no TTL, plain cache.
-		baseGen := &workload.GraphWalk{Graph: g, Steps: p.WalkSteps, Prefix: string(kind) + "-"}
-		base, err := measureGraphRun(ctx, ColumnConfig{
-			DepBound: 0,
-			Strategy: core.StrategyAbort,
-			Seed:     p.Seed,
-		}, baseGen, p.Warmup, p.MeasureFor, p.Drive)
+		t.cfg = ColumnConfig{DepBound: 0, Strategy: core.StrategyAbort, Seed: p.Seed}
+		base, _, err := t.run(ctx)
 		if err != nil {
 			return nil, err
 		}
-		baseRate := base.DBAccessRate()
-
 		series := TTLSweepSeries{Kind: kind}
 		for _, ttl := range p.TTLs {
-			gen := &workload.GraphWalk{Graph: g, Steps: p.WalkSteps, Prefix: string(kind) + "-"}
-			m, err := measureGraphRun(ctx, ColumnConfig{
-				DepBound: 0,
-				Strategy: core.StrategyAbort,
-				TTL:      ttl,
-				Seed:     p.Seed,
-			}, gen, p.Warmup, p.MeasureFor, p.Drive)
+			t.cfg.TTL = ttl
+			m, _, err := t.run(ctx)
 			if err != nil {
 				return nil, err
 			}
-			normed := 100.0
-			if baseRate > 0 {
-				normed = 100 * m.DBAccessRate() / baseRate
-			}
-			series.Points = append(series.Points, TTLSweepPoint{
-				TTL:            ttl,
-				Inconsistency:  m.InconsistencyRatio(),
-				HitRatio:       m.HitRatio(),
-				DBAccessNormed: normed,
-				M:              m,
-			})
+			series.Points = append(series.Points, TTLSweepPoint{TTL: ttl, DBAccessNormed: normed(m, base.DBAccessRate()), M: m})
 		}
 		out = append(out, series)
 	}
@@ -363,7 +328,7 @@ func TTLSweepTable(series []TTLSweepSeries) string {
 	for _, s := range series {
 		for _, pt := range s.Points {
 			fmt.Fprintf(&b, "%8s %9.0f %18.1f %10.3f %17.1f\n",
-				s.Kind, pt.TTL.Seconds(), pt.Inconsistency, pt.HitRatio, pt.DBAccessNormed)
+				s.Kind, pt.TTL.Seconds(), pt.M.InconsistencyRatio(), pt.M.HitRatio(), pt.DBAccessNormed)
 		}
 	}
 	return b.String()

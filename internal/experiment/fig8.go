@@ -5,12 +5,11 @@ import (
 	"fmt"
 	"strings"
 	"time"
-
-	"tcache/internal/workload"
 )
 
-// RealisticStrategyParams parameterizes Fig. 8: the ABORT/EVICT/RETRY
-// comparison on the realistic topologies with dependency lists of 3.
+// RealisticStrategyParams parameterizes Fig. 8 — the ABORT/EVICT/RETRY
+// comparison on the realistic topologies with dependency lists of 3 —
+// and the headline summary, which is read off the same runs.
 type RealisticStrategyParams struct {
 	Topology   TopologyParams
 	DepBound   int
@@ -53,23 +52,16 @@ type RealisticStrategyResult struct {
 // RunStrategyComparisonRealistic regenerates Fig. 8.
 func RunStrategyComparisonRealistic(ctx context.Context, p RealisticStrategyParams) (*RealisticStrategyResult, error) {
 	out := &RealisticStrategyResult{PerTopology: make(map[TopologyKind]*StrategyResult, 2)}
-	for _, kind := range []TopologyKind{TopologyAmazon, TopologyOrkut} {
-		g, err := BuildTopology(kind, p.Topology)
+	for _, kind := range topologies {
+		t, err := graphTrial(kind, p.Topology, p.WalkSteps)
 		if err != nil {
 			return nil, err
 		}
-		res := &StrategyResult{Title: fmt.Sprintf("Fig. 8 — strategy efficacy (%s, k=%d)", kind, p.DepBound)}
-		for _, s := range Strategies {
-			gen := &workload.GraphWalk{Graph: g, Steps: p.WalkSteps, Prefix: string(kind) + "-"}
-			row, err := runStrategyOnce(ctx, ColumnConfig{
-				DepBound: p.DepBound,
-				Strategy: s,
-				Seed:     p.Seed,
-			}, gen, gen.Keys(), p.Warmup, p.MeasureFor, p.Drive)
-			if err != nil {
-				return nil, err
-			}
-			res.Rows = append(res.Rows, row)
+		t.cfg = ColumnConfig{DepBound: p.DepBound, Seed: p.Seed}
+		t.drive, t.warmup, t.window = p.Drive, p.Warmup, p.MeasureFor
+		res, err := compareStrategies(ctx, fmt.Sprintf("Fig. 8 — strategy efficacy (%s, k=%d)", kind, p.DepBound), t)
+		if err != nil {
+			return nil, err
 		}
 		out.PerTopology[kind] = res
 	}
@@ -79,7 +71,7 @@ func RunStrategyComparisonRealistic(ctx context.Context, p RealisticStrategyPara
 // Table renders both topologies' breakdowns.
 func (r *RealisticStrategyResult) Table() string {
 	var b strings.Builder
-	for _, kind := range []TopologyKind{TopologyAmazon, TopologyOrkut} {
+	for _, kind := range topologies {
 		if res, ok := r.PerTopology[kind]; ok {
 			b.WriteString(res.Table())
 		}

@@ -59,14 +59,14 @@ var Figures = []Figure{
 	{"8", adapt(DefaultRealisticStrategyParams, QuickRealisticStrategyParams,
 		func(p *RealisticStrategyParams, s int64) { p.Seed = s },
 		RunStrategyComparisonRealistic, (*RealisticStrategyResult).Table)},
-	{"headline", adapt(DefaultHeadlineParams, QuickHeadlineParams,
-		func(p *HeadlineParams, s int64) { p.Seed = s },
+	{"headline", adapt(DefaultRealisticStrategyParams, QuickRealisticStrategyParams,
+		func(p *RealisticStrategyParams, s int64) { p.Seed = s },
 		RunHeadline, (*HeadlineResult).Table)},
 	{"album", adapt(DefaultAlbumParams, QuickAlbumParams,
 		func(p *AlbumParams, s int64) { p.Seed = s },
 		RunAlbum, (*AlbumResult).Table)},
-	{"lru", adapt(DefaultMergeAblationParams, QuickMergeAblationParams,
-		func(p *MergeAblationParams, s int64) { p.Drift.Seed = s },
+	{"lru", adapt(DefaultMergeAblationParams, QuickDriftParams,
+		func(p *DriftParams, s int64) { p.Seed = s },
 		RunMergeAblation, (*MergeAblationResult).Table)},
 	{"drop", adapt(DefaultDropSweepParams, QuickDropSweepParams,
 		func(p *DropSweepParams, s int64) { p.Seed = s },

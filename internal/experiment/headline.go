@@ -4,47 +4,9 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"time"
 
 	"tcache/internal/core"
-	"tcache/internal/workload"
 )
-
-// HeadlineParams parameterizes the paper's summary numbers (§I, §VIII):
-// with dependency lists of size 3, T-Cache detects 43–70% of the
-// inconsistencies and increases the consistent-transaction rate by
-// 33–58%, with nominal overhead.
-type HeadlineParams struct {
-	Topology   TopologyParams
-	DepBound   int
-	WalkSteps  int
-	Warmup     time.Duration
-	MeasureFor time.Duration
-	Drive      Drive
-	Seed       int64
-}
-
-// DefaultHeadlineParams matches the Fig. 7c/8 setup with k=3.
-func DefaultHeadlineParams() HeadlineParams {
-	return HeadlineParams{
-		Topology:   DefaultTopologyParams(),
-		DepBound:   3,
-		WalkSteps:  4,
-		Warmup:     20 * time.Second,
-		MeasureFor: 120 * time.Second,
-		Drive:      Drive{UpdateRate: 100, ReadRate: 500},
-		Seed:       1,
-	}
-}
-
-// QuickHeadlineParams is a scaled-down variant for tests.
-func QuickHeadlineParams() HeadlineParams {
-	p := DefaultHeadlineParams()
-	p.Topology = QuickTopologyParams()
-	p.Warmup = 5 * time.Second
-	p.MeasureFor = 25 * time.Second
-	return p
-}
 
 // HeadlineRow is one topology's summary. The paper's two headline claims
 // come from different strategies: "detects 43–70% of the inconsistencies"
@@ -74,23 +36,24 @@ type HeadlineResult struct {
 	Rows []HeadlineRow
 }
 
-// RunHeadline computes the summary numbers from three runs per topology:
-// the k=0 baseline, T-Cache with ABORT (detection ratio), and T-Cache
-// with RETRY (consistent-rate increase and overhead).
-func RunHeadline(ctx context.Context, p HeadlineParams) (*HeadlineResult, error) {
+// RunHeadline computes the paper's summary numbers (§I, §VIII: with
+// dependency lists of size 3, T-Cache detects 43–70% of the
+// inconsistencies and increases the consistent-transaction rate by
+// 33–58%, with nominal overhead) on Fig. 8's setup, from three runs per
+// topology: the k=0 baseline, T-Cache with ABORT (detection ratio), and
+// T-Cache with RETRY (consistent-rate increase and overhead).
+func RunHeadline(ctx context.Context, p RealisticStrategyParams) (*HeadlineResult, error) {
 	res := &HeadlineResult{}
-	for _, kind := range []TopologyKind{TopologyAmazon, TopologyOrkut} {
-		g, err := BuildTopology(kind, p.Topology)
+	for _, kind := range topologies {
+		t, err := graphTrial(kind, p.Topology, p.WalkSteps)
 		if err != nil {
 			return nil, err
 		}
+		t.drive, t.warmup, t.window = p.Drive, p.Warmup, p.MeasureFor
 		run := func(bound int, strategy core.Strategy) (Measurement, error) {
-			gen := &workload.GraphWalk{Graph: g, Steps: p.WalkSteps, Prefix: string(kind) + "-"}
-			return measureGraphRun(ctx, ColumnConfig{
-				DepBound: bound,
-				Strategy: strategy,
-				Seed:     p.Seed,
-			}, gen, p.Warmup, p.MeasureFor, p.Drive)
+			t.cfg = ColumnConfig{DepBound: bound, Strategy: strategy, Seed: p.Seed}
+			m, _, err := t.run(ctx)
+			return m, err
 		}
 		base, err := run(0, core.StrategyAbort)
 		if err != nil {

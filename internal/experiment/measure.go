@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"reflect"
 	"time"
 
 	"tcache/internal/core"
@@ -14,25 +15,62 @@ import (
 // windows; our simulation is deterministic, so a single window suffices.
 type Measurement struct {
 	Duration time.Duration
-	Mon      monitor.Stats
-	Cache    core.MetricsSnapshot
-	DB       db.MetricsSnapshot
+	// Mon and Cache are summed over the column's edges (so Mon.Updates
+	// counts every update once per edge); DB is the shared database's.
+	Mon   monitor.Stats
+	Cache core.MetricsSnapshot
+	DB    db.MetricsSnapshot
+	// Edges is the same window edge by edge — Mon and Cache only; what
+	// they sum to is the Measurement itself.
+	Edges []Measurement
 }
 
-// Measure snapshots all counters, executes run (which should advance the
-// simulation), and returns the counter deltas.
+// Measure executes run (which should advance the simulation) and
+// returns every counter's delta over it.
 func (c *Column) Measure(run func() error) (Measurement, error) {
-	mon0 := c.Mon.Stats()
-	cache0 := c.Cache.Metrics()
-	db0 := c.DB.Metrics()
-	t0 := c.Clk.Now()
+	before := c.counters()
 	err := run()
-	return Measurement{
-		Duration: c.Clk.Since(t0),
-		Mon:      telemetry.Sub(c.Mon.Stats(), mon0),
-		Cache:    telemetry.Sub(c.Cache.Metrics(), cache0),
-		DB:       telemetry.Sub(c.DB.Metrics(), db0),
-	}, err
+	return c.counters().since(before), err
+}
+
+// counters is the Measurement since the column was built: every
+// counter's current value.
+func (c *Column) counters() Measurement {
+	m := Measurement{
+		Duration: c.Clk.Since(c.born),
+		DB:       c.DB.Metrics(),
+		Edges:    make([]Measurement, len(c.edges)),
+	}
+	for e, ed := range c.edges {
+		em := Measurement{Duration: m.Duration, Mon: ed.mon.Stats(), Cache: ed.cache.Metrics()}
+		m.Edges[e] = em
+		m.Mon, m.Cache = sum(m.Mon, em.Mon), sum(m.Cache, em.Cache)
+	}
+	return m
+}
+
+// since returns m − before, counter by counter and edge by edge.
+func (m Measurement) since(before Measurement) Measurement {
+	d := Measurement{
+		Duration: m.Duration - before.Duration,
+		Mon:      telemetry.Sub(m.Mon, before.Mon),
+		Cache:    telemetry.Sub(m.Cache, before.Cache),
+		DB:       telemetry.Sub(m.DB, before.DB),
+	}
+	for e := range m.Edges {
+		d.Edges = append(d.Edges, m.Edges[e].since(before.Edges[e]))
+	}
+	return d
+}
+
+// sum returns a + b field by field, for the all-uint64 snapshot structs
+// telemetry.Sub subtracts.
+func sum[T any](a, b T) T {
+	va, vb := reflect.ValueOf(&a).Elem(), reflect.ValueOf(b)
+	for i := 0; i < va.NumField(); i++ {
+		va.Field(i).SetUint(va.Field(i).Uint() + vb.Field(i).Uint())
+	}
+	return a
 }
 
 // InconsistencyRatio is the percentage of committed read-only

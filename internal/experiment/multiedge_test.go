@@ -18,16 +18,16 @@ func TestMultiEdgeRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Edges) != p.Edges {
-		t.Fatalf("edges = %d, want %d", len(res.Edges), p.Edges)
+	if len(res.M.Edges) != p.Edges {
+		t.Fatalf("edges = %d, want %d", len(res.M.Edges), p.Edges)
 	}
 	totalAborts := uint64(0)
-	for _, e := range res.Edges {
+	for i, e := range res.M.Edges {
 		if e.Mon.ReadOnly() == 0 {
-			t.Fatalf("edge %d classified no transactions", e.Edge)
+			t.Fatalf("edge %d classified no transactions", i)
 		}
 		if e.Cache.Hits == 0 {
-			t.Fatalf("edge %d recorded no cache hits", e.Edge)
+			t.Fatalf("edge %d recorded no cache hits", i)
 		}
 		totalAborts += e.Mon.AbortedConsistent + e.Mon.AbortedInconsistent
 	}
@@ -43,9 +43,9 @@ func TestMultiEdgeRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range res.Edges {
-		if res.Edges[i].Mon != res2.Edges[i].Mon {
-			t.Fatalf("edge %d diverged across identical runs:\n%+v\n%+v", i, res.Edges[i].Mon, res2.Edges[i].Mon)
+	for i := range res.M.Edges {
+		if res.M.Edges[i].Mon != res2.M.Edges[i].Mon {
+			t.Fatalf("edge %d diverged across identical runs:\n%+v\n%+v", i, res.M.Edges[i].Mon, res2.M.Edges[i].Mon)
 		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"tcache/internal/core"
-	"tcache/internal/workload"
 )
 
 // MultiversionParams parameterizes the §VI extension experiment: T-Cache
@@ -50,16 +49,19 @@ func QuickMultiversionParams() MultiversionParams {
 	return p
 }
 
-// MultiversionRow is one configuration's outcome.
+// MultiversionRow is one configuration's outcome: M's ConsistentPct,
+// InconsistentPct and AbortedPct (shares of all read-only transactions)
+// and HitRatio.
 type MultiversionRow struct {
-	Kind          TopologyKind
-	Versions      int
-	Consistent    float64 // % of all read-only transactions
-	Inconsistent  float64
-	Aborted       float64
-	ServedOldRate float64 // multiversion hits per 100 transactions
-	HitRatio      float64
-	M             Measurement
+	Kind     TopologyKind
+	Versions int
+	M        Measurement
+}
+
+// ServedOldRate is multiversion hits — reads served a retained older
+// version — per 100 read-only transactions.
+func (r MultiversionRow) ServedOldRate() float64 {
+	return pct(r.M.Cache.MVServedOld, r.M.Mon.ReadOnly())
 }
 
 // MultiversionResult is the §VI extension comparison.
@@ -70,36 +72,19 @@ type MultiversionResult struct {
 // RunMultiversion compares version-retention depths on both topologies.
 func RunMultiversion(ctx context.Context, p MultiversionParams) (*MultiversionResult, error) {
 	res := &MultiversionResult{}
-	for _, kind := range []TopologyKind{TopologyAmazon, TopologyOrkut} {
-		g, err := BuildTopology(kind, p.Topology)
+	for _, kind := range topologies {
+		t, err := graphTrial(kind, p.Topology, p.WalkSteps)
 		if err != nil {
 			return nil, err
 		}
+		t.drive, t.warmup, t.window = p.Drive, p.Warmup, p.MeasureFor
 		for _, versions := range p.Versions {
-			gen := &workload.GraphWalk{Graph: g, Steps: p.WalkSteps, Prefix: string(kind) + "-"}
-			m, err := measureGraphRun(ctx, ColumnConfig{
-				DepBound:     p.DepBound,
-				Strategy:     core.StrategyAbort,
-				Multiversion: versions,
-				Seed:         p.Seed,
-			}, gen, p.Warmup, p.MeasureFor, p.Drive)
+			t.cfg = ColumnConfig{DepBound: p.DepBound, Strategy: core.StrategyAbort, Multiversion: versions, Seed: p.Seed}
+			m, _, err := t.run(ctx)
 			if err != nil {
 				return nil, err
 			}
-			servedOld := 0.0
-			if n := m.Mon.ReadOnly(); n > 0 {
-				servedOld = 100 * float64(m.Cache.MVServedOld) / float64(n)
-			}
-			res.Rows = append(res.Rows, MultiversionRow{
-				Kind:          kind,
-				Versions:      versions,
-				Consistent:    m.ConsistentPct(),
-				Inconsistent:  m.InconsistentPct(),
-				Aborted:       m.AbortedPct(),
-				ServedOldRate: servedOld,
-				HitRatio:      m.HitRatio(),
-				M:             m,
-			})
+			res.Rows = append(res.Rows, MultiversionRow{Kind: kind, Versions: versions, M: m})
 		}
 	}
 	return res, nil
@@ -113,8 +98,8 @@ func (r *MultiversionResult) Table() string {
 		"workload", "V", "consistent[%]", "inconsist[%]", "aborted[%]", "servedOld[%]", "hit-ratio")
 	for _, row := range r.Rows {
 		fmt.Fprintf(&b, "%8s %4d %14.1f %14.1f %12.1f %14.1f %10.3f\n",
-			row.Kind, row.Versions, row.Consistent, row.Inconsistent,
-			row.Aborted, row.ServedOldRate, row.HitRatio)
+			row.Kind, row.Versions, row.M.ConsistentPct(), row.M.InconsistentPct(),
+			row.M.AbortedPct(), row.ServedOldRate(), row.M.HitRatio())
 	}
 	return b.String()
 }

@@ -753,24 +753,37 @@ func subscribeConn(ctx context.Context, addr, name string) (*subConn, error) {
 
 // SubscribeInvalidations opens a dedicated connection to a tdbd and
 // streams invalidations into deliver until ctx is cancelled or stop is
-// called. The server batches invalidations that accumulate while a push
-// is in flight into a single frame; deliver is called once per
-// invalidation, on the receive goroutine. When the stream breaks (server
-// restart, network blip) it redials and resubscribes automatically with
-// exponential backoff, so a cache stays attached to its invalidation
-// feed across reconnects; invalidations sent during the gap are lost,
-// which is exactly the lossy asynchronous channel the T-Cache protocol
-// is designed to survive.
-//
-// The initial subscribe uses name verbatim, so a second live cache with
-// the same name is rejected (the duplicate-subscriber protection).
-// Reconnect attempts append "#<epoch>" to the name: after a half-open
-// disconnect the server may still hold the previous registration (it
-// only notices the dead peer when a push fails or its read errors), and
-// retrying the bare name would be locked out by our own corpse forever.
+// called — Resubscribe against the one fixed address. The server batches
+// invalidations that accumulate while a push is in flight into a single
+// frame; deliver is called once per invalidation, on the receive
+// goroutine.
 func SubscribeInvalidations(ctx context.Context, addr, name string, deliver func(Invalidation)) (stop func(), err error) {
+	return Resubscribe(ctx, name, func(ctx context.Context, name string) (*InvStream, error) {
+		return OpenInvalidationStream(ctx, addr, name)
+	}, deliver)
+}
+
+// Resubscribe keeps one invalidation subscription alive until ctx is
+// cancelled or stop is called (stop waits for the stream goroutine).
+// open registers the given subscriber name wherever the caller's
+// topology says the stream should live now — a fixed address, the next
+// node of a failover list, the first live node of a fleet. When the
+// stream breaks (server restart, network blip, failover) it is reopened
+// automatically with jittered exponential backoff, 10 ms to 1 s, so a
+// cache stays attached to its invalidation feed across reconnects;
+// invalidations sent during the gap are lost, which is exactly the lossy
+// asynchronous channel the T-Cache protocol is designed to survive.
+//
+// The first open uses name verbatim and its error is returned, so a
+// second live cache with the same name is rejected (the
+// duplicate-subscriber protection). Every reopen attempt appends the
+// next "#<epoch>" to the name: after a half-open disconnect the server
+// may still hold an earlier registration (it only notices the dead peer
+// when a push fails or its read errors), and retrying a name it refused
+// would be locked out by our own corpse forever.
+func Resubscribe(ctx context.Context, name string, open func(ctx context.Context, name string) (*InvStream, error), deliver func(Invalidation)) (stop func(), err error) {
 	sctx, cancel := context.WithCancel(ctx)
-	sc, err := subscribeConn(sctx, addr, name)
+	st, err := open(sctx, name)
 	if err != nil {
 		cancel()
 		return nil, err
@@ -778,28 +791,20 @@ func SubscribeInvalidations(ctx context.Context, addr, name string, deliver func
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		epoch := 0
-		for {
-			streamInvalidations(sctx, sc, deliver)
-			if sctx.Err() != nil {
-				return
-			}
-			// Reconnect with backoff until the subscription is cancelled.
-			epoch++
-			backoff := 10 * time.Millisecond
-			for {
-				next, err := subscribeConn(sctx, addr, fmt.Sprintf("%s#%d", name, epoch))
+		for epoch := 1; ; {
+			st.Run(sctx, deliver)
+			for backoff := 10 * time.Millisecond; ; backoff = min(2*backoff, time.Second) {
+				if sctx.Err() != nil {
+					return
+				}
+				next, err := open(sctx, fmt.Sprintf("%s#%d", name, epoch))
+				epoch++
 				if err == nil {
-					sc = next
+					st = next
 					break
 				}
-				select {
-				case <-sctx.Done():
+				if sleepJittered(sctx, backoff) != nil {
 					return
-				case <-time.After(backoff):
-				}
-				if backoff *= 2; backoff > time.Second {
-					backoff = time.Second
 				}
 			}
 		}
@@ -810,9 +815,8 @@ func SubscribeInvalidations(ctx context.Context, addr, name string, deliver func
 	}, nil
 }
 
-// InvStream is ONE open subscription connection — no automatic
-// reconnect, unlike SubscribeInvalidations. Callers that fail over
-// between addresses (the cluster router) own the retry loop.
+// InvStream is ONE open subscription connection — what a Resubscribe
+// open function returns.
 type InvStream struct {
 	sc *subConn
 }

@@ -399,12 +399,13 @@ func (r *Remote) ReadItems(ctx context.Context, keys []Key) ([]Lookup, error) {
 
 // Subscribe implements Backend: it opens a dedicated connection that
 // streams the database's invalidations into sink, resubscribing
-// automatically whenever the stream breaks, until the Remote is closed
-// (or the returned cancel is called). A name already registered at the
-// server errors. With multiple addresses the resubscribe follows the
-// failover: each reconnect first tries the node the client currently
-// talks to, then the rest of the list — so after a promotion the edge
-// is attached to the new primary's (relayed) invalidation stream.
+// automatically whenever the stream breaks (transport.Resubscribe),
+// until the Remote is closed (or the returned cancel is called). A name
+// already registered at the server errors. With multiple addresses the
+// subscription follows the failover: each (re)connect first tries the
+// node the client currently talks to, then the rest of the list — so
+// after a promotion the edge is attached to the new primary's (relayed)
+// invalidation stream.
 func (r *Remote) Subscribe(name string, sink func(Invalidation)) (cancel func(), err error) {
 	r.mu.Lock()
 	if r.closed {
@@ -412,37 +413,9 @@ func (r *Remote) Subscribe(name string, sink func(Invalidation)) (cancel func(),
 		return nil, fmt.Errorf("tcache: %w", transport.ErrClientClosed)
 	}
 	r.mu.Unlock()
-	sctx, scancel := context.WithCancel(r.ctx)
-	// The initial subscribe uses name verbatim and fails loudly (a
-	// duplicate name is a deliberate refusal, not a health signal).
-	stream, err := transport.OpenInvalidationStream(sctx, r.currentAddr(), name)
+	stop, err := transport.Resubscribe(r.ctx, name, r.openInvStream, sink)
 	if err != nil {
-		scancel()
 		return nil, err
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		epoch := 0
-		for {
-			stream.Run(sctx, sink)
-			if sctx.Err() != nil {
-				return
-			}
-			// Reconnect with backoff, rotating addresses from the current
-			// endpoint; the epoch suffix sidesteps our own half-open corpse
-			// still registered server-side.
-			epoch++
-			next, err := r.resubscribe(sctx, fmt.Sprintf("%s#%d", name, epoch))
-			if err != nil {
-				return // only on cancellation
-			}
-			stream = next
-		}
-	}()
-	stop := func() {
-		scancel()
-		<-done
 	}
 
 	r.mu.Lock()
@@ -465,33 +438,26 @@ func (r *Remote) Subscribe(name string, sink func(Invalidation)) (cancel func(),
 	}, nil
 }
 
-// resubscribe reopens an invalidation stream, retrying with jittered
-// backoff until it succeeds or ctx is cancelled. Each round tries the
-// current endpoint's address first, then the rest of the list.
-func (r *Remote) resubscribe(ctx context.Context, name string) (*transport.InvStream, error) {
-	backoff := 10 * time.Millisecond
-	for {
-		r.cliMu.Lock()
-		addrs := append([]string(nil), r.addrs...)
-		cur := r.cur
-		r.cliMu.Unlock()
-		for k := 0; k < len(addrs); k++ {
-			addr := addrs[(cur+k)%len(addrs)]
-			s, err := transport.OpenInvalidationStream(ctx, addr, name)
-			if err == nil {
-				return s, nil
-			}
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
+// openInvStream opens an invalidation stream under name on the first
+// node that accepts it, trying the current endpoint's address first,
+// then the rest of the list. A node that answers with a refusal (a
+// duplicate name) surfaces that error; unreachable nodes are skipped.
+func (r *Remote) openInvStream(ctx context.Context, name string) (*transport.InvStream, error) {
+	r.cliMu.Lock()
+	addrs := append([]string(nil), r.addrs...)
+	cur := r.cur
+	r.cliMu.Unlock()
+	var err error
+	for k := range addrs {
+		var s *transport.InvStream
+		if s, err = transport.OpenInvalidationStream(ctx, addrs[(cur+k)%len(addrs)], name); err == nil {
+			return s, nil
 		}
-		if err := jitteredSleep(ctx, backoff); err != nil {
-			return nil, err
-		}
-		if backoff *= 2; backoff > time.Second {
-			backoff = time.Second
+		if ctx.Err() != nil || !errors.Is(err, transport.ErrUnavailable) {
+			break
 		}
 	}
+	return nil, err
 }
 
 // CommitUpdate implements CommitBackend: one OpUpdate round trip
