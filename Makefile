@@ -11,8 +11,10 @@ test:
 	$(GO) test ./...
 
 # race also sweeps GOMAXPROCS over the packages whose behaviour depends
-# on the stripe count, and over the write path's tests (commit, install,
-# relay), so a failure that only shows at 2 or 4 CPUs cannot hide on a
+# on the stripe count, over the write path's tests (commit, install,
+# relay) and over the routed read's (callers writing their own frames on
+# a shared connection, pipelined sub-batches, dispatch workers), so a
+# failure that only shows at 2 or 4 CPUs cannot hide on a
 # 1-CPU runner; the 'Determin|Subgraph|Golden' line is the
 # same-seed-same-bytes gate (graph order, topology builds, column runs,
 # every figure's -quick table). The last line runs
@@ -22,6 +24,8 @@ race:
 	$(GO) test -race ./...
 	$(GO) test -race -cpu 1,2,4 ./internal/core ./internal/evict ./internal/kv ./internal/codec ./internal/telemetry
 	$(GO) test -race -cpu 1,2,4 -run 'Update|Install|Commit' . ./internal/cluster
+	$(GO) test -race -cpu 1,2,4 -run 'Mux|Pipelin|Worker|StaleConn' ./internal/transport
+	$(GO) test -race -cpu 1,2,4 -run 'ReadItems' ./internal/cluster
 	$(GO) test -race -cpu 1,2,4 -run 'Determin|Subgraph|Golden' ./internal/graph ./internal/experiment
 	$(GO) test -run 'Alloc' -cpu 1,2,4 .
 

@@ -57,7 +57,7 @@ var allocTable = []struct {
 	// Cold: every key evicted, then one OpReadMulti round trip; each of
 	// the five fills allocates its entry and the entry's dependency-key
 	// hashes (the CoreInstall5Deps row).
-	{"ColdReadTxnGetMulti5OverDial", 50, "", func(t *testing.T) func() error {
+	{"ColdReadTxnGetMulti5OverDial", 49, "", func(t *testing.T) func() error {
 		_, _, cache := remoteBench(t, 5)
 		return readTxnMulti(cache, benchKeys(5), true)
 	}},
@@ -67,10 +67,12 @@ var allocTable = []struct {
 	{"WarmReadTxn5GetOverCluster", 1, "WarmReadTxn5GetOverDial", func(t *testing.T) func() error {
 		return readTxnGets(t, clusterBench(t, 5).Cache, benchKeys(5))
 	}},
-	{"ColdRead1OverCluster", 15, "", func(t *testing.T) func() error {
+	{"ColdRead1OverCluster", 11, "", func(t *testing.T) func() error {
 		return readTxnMulti(clusterBench(t, 1).Cache, benchKeys(1), true)
 	}},
-	{"ColdReadTxnGetMulti5OverCluster", 110, "", func(t *testing.T) func() error {
+	// Five keys land on two or three nodes depending on the edges' ports:
+	// 50 or 56, up to 68 under -race.
+	{"ColdReadTxnGetMulti5OverCluster", 72, "", func(t *testing.T) func() error {
 		return readTxnMulti(clusterBench(t, 5).Cache, benchKeys(5), true)
 	}},
 

@@ -186,6 +186,9 @@ type Router struct {
 	// rtHist, when set, times every node's wire round trips — applied to
 	// live clients and to any client a probe dials later.
 	rtHist atomic.Pointer[telemetry.Histogram]
+
+	// scratch recycles ReadItems' working memory (*readScratch).
+	scratch sync.Pool
 }
 
 // SetRoundTripHistogram wires h into every node client, current and
@@ -219,6 +222,7 @@ func NewRouter(ctx context.Context, cfg Config) (*Router, error) {
 		cancel: cancel,
 		subs:   make(map[uint64]func()),
 	}
+	r.scratch.New = func() any { return &readScratch{groups: make([]subBatch, 2*len(cfg.Addrs))} }
 	live := 0
 	for i, addr := range cfg.Addrs {
 		n := &node{addr: addr, clk: cfg.Clock}
@@ -553,20 +557,20 @@ func (r *Router) serveFor(hash uint64, excluded *memberSet) (member int, floored
 }
 
 // ReadItems implements the batch Backend read: keys are grouped into
-// per-node sub-batches (floored and unfloored separately), the
-// sub-batches run concurrently, and the results are reassembled in
-// request order. A sub-batch that fails on a dead node is re-routed to
-// the survivors and retried; only a fleet-wide outage or an
+// per-node sub-batches (floored and unfloored separately), every
+// sub-batch is put on the wire from the calling goroutine before the
+// first answer is awaited, and the results are reassembled in request
+// order. A sub-batch that fails on a dead node is re-routed to the
+// survivors and retried; only a fleet-wide outage or an
 // application-level error fails the call.
 func (r *Router) ReadItems(ctx context.Context, keys []kv.Key) ([]kv.Lookup, error) {
+	sc := r.scratch.Get().(*readScratch)
+	defer r.release(sc)
 	out := make([]kv.Lookup, len(keys))
-	hashes := make([]uint64, len(keys))
+	sc.hashes, sc.remaining = sc.hashes[:0], sc.remaining[:0]
 	for i, k := range keys {
-		hashes[i] = KeyHash(k)
-	}
-	remaining := make([]int, len(keys))
-	for i := range remaining {
-		remaining[i] = i
+		sc.hashes = append(sc.hashes, KeyHash(k))
+		sc.remaining = append(sc.remaining, i)
 	}
 	// Each round assigns the remaining keys to live nodes and runs the
 	// sub-batches; keys on a node that died mid-round roll into the next
@@ -577,10 +581,10 @@ func (r *Router) ReadItems(ctx context.Context, keys []kv.Key) ([]kv.Lookup, err
 	// excludes at least one more member, so len(node) rounds bound the
 	// walk even if every node dies in sequence.
 	var excluded memberSet
-	for round := 0; len(remaining) > 0 && round <= len(r.node); round++ {
-		groups := make(map[int]*subBatch)
-		for _, i := range remaining {
-			m, floored, ok := r.serveFor(hashes[i], &excluded)
+	for round := 0; len(sc.remaining) > 0 && round <= len(r.node); round++ {
+		sc.resetGroups()
+		for _, i := range sc.remaining {
+			m, floored, ok := r.serveFor(sc.hashes[i], &excluded)
 			if !ok {
 				return nil, fmt.Errorf("cluster: read batch: %w", ErrNoNodes)
 			}
@@ -588,66 +592,92 @@ func (r *Router) ReadItems(ctx context.Context, keys []kv.Key) ([]kv.Lookup, err
 			if floored {
 				gk |= 1
 			}
-			g := groups[gk]
-			if g == nil {
-				g = &subBatch{node: m, floored: floored}
-				groups[gk] = g
+			g := &sc.groups[gk]
+			if len(g.idx) == 0 {
+				sc.used = append(sc.used, gk)
+				g.floor = kv.Version{}
 			}
 			g.keys = append(g.keys, keys[i])
 			g.idx = append(g.idx, i)
-			if f := r.readFloor(rangeOf(hashes[i]), floored); g.floor.Less(f) {
+			if f := r.readFloor(rangeOf(sc.hashes[i]), floored); g.floor.Less(f) {
 				g.floor = f
 			}
 		}
-		var wg sync.WaitGroup
-		for _, g := range groups {
-			wg.Add(1)
-			go func(g *subBatch) {
-				defer wg.Done()
-				g.lookups, g.err = r.node[g.node].cli.Load().ReadItemsFloor(ctx, g.keys, g.floor)
-			}(g)
+		for _, gk := range sc.used {
+			g := &sc.groups[gk]
+			r.node[gk>>1].cli.Load().StartReadItemsFloor(ctx, &g.call, g.keys, g.floor)
 		}
-		wg.Wait()
-		remaining = remaining[:0]
-		for _, g := range groups {
-			n := r.node[g.node]
-			if g.err != nil {
-				if ctx.Err() != nil {
-					return nil, g.err
+		// Every started sub-batch is collected, even past a failure, so none
+		// is left holding a connection slot or the scratch's key slices.
+		sc.remaining = sc.remaining[:0]
+		var failed error
+		for _, gk := range sc.used {
+			g, n := &sc.groups[gk], r.node[gk>>1]
+			lookups, err := g.call.Wait(ctx)
+			switch {
+			case err == nil:
+				n.recordSuccess()
+				for j, lu := range lookups {
+					i := g.idx[j]
+					out[i] = lu
+					if lu.Found {
+						r.observe(rangeOf(sc.hashes[i]), lu.Item.Version)
+					}
 				}
-				if !errors.Is(g.err, transport.ErrUnavailable) {
-					return nil, g.err
+			case ctx.Err() != nil || !errors.Is(err, transport.ErrUnavailable):
+				// Cancelled, or the node answered: an application-level error
+				// is not a health signal, and another node would answer the same.
+				if failed == nil {
+					failed = err
 				}
+			default:
 				r.recordFailure(n)
-				excluded.add(g.node)
-				remaining = append(remaining, g.idx...)
-				continue
+				excluded.add(gk >> 1)
+				sc.remaining = append(sc.remaining, g.idx...)
 			}
-			n.recordSuccess()
-			for j, lu := range g.lookups {
-				i := g.idx[j]
-				out[i] = lu
-				if lu.Found {
-					r.observe(rangeOf(hashes[i]), lu.Item.Version)
-				}
-			}
+		}
+		if failed != nil {
+			return nil, failed
 		}
 	}
-	if len(remaining) > 0 {
+	if len(sc.remaining) > 0 {
 		return nil, fmt.Errorf("cluster: read batch: %w", ErrNoNodes)
 	}
 	return out, nil
 }
 
+// readScratch is the working memory of one ReadItems call, pooled per
+// router.
+type readScratch struct {
+	hashes    []uint64 // per requested key
+	remaining []int    // key indices not yet answered
+	// groups is the sub-batch table, indexed member<<1|floored; used lists
+	// the entries filled this round, in send order.
+	groups []subBatch
+	used   []int
+}
+
+// resetGroups empties the sub-batches the last round filled.
+func (sc *readScratch) resetGroups() {
+	for _, gk := range sc.used {
+		g := &sc.groups[gk]
+		clear(g.keys) // a pooled scratch must not pin the caller's keys
+		g.keys, g.idx = g.keys[:0], g.idx[:0]
+	}
+	sc.used = sc.used[:0]
+}
+
+func (r *Router) release(sc *readScratch) {
+	sc.resetGroups()
+	r.scratch.Put(sc)
+}
+
 // subBatch is the per-node slice of one batch read.
 type subBatch struct {
-	node    int
-	floored bool
-	floor   kv.Version
-	keys    []kv.Key
-	idx     []int
-	lookups []kv.Lookup
-	err     error
+	floor kv.Version
+	keys  []kv.Key
+	idx   []int
+	call  transport.BatchRead
 }
 
 // --- Updates -------------------------------------------------------------

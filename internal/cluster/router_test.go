@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -497,8 +498,9 @@ func TestBatchFailoverOnTwoNodeFleet(t *testing.T) {
 
 // stallServer accepts connections and completes the wire handshake but
 // never answers a frame: the fail-slow node (a wedged process, a
-// black-holed network) that only the probe deadline can expose.
-func stallServer(t *testing.T) string {
+// black-holed network) that only the probe deadline can expose. asked,
+// if not nil, counts the connections a request has arrived on.
+func stallServer(t *testing.T, asked *atomic.Int64) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -523,9 +525,12 @@ func stallServer(t *testing.T) string {
 				}
 				// Swallow everything, answer nothing.
 				buf := make([]byte, 4096)
-				for {
+				for first := true; ; first = false {
 					if _, err := c.Read(buf); err != nil {
 						return
+					}
+					if first && asked != nil {
+						asked.Add(1)
 					}
 				}
 			}(c)
@@ -534,12 +539,68 @@ func stallServer(t *testing.T) string {
 	return ln.Addr().String()
 }
 
+// settledGoroutines returns runtime.NumGoroutine once it has held still
+// for 50 ms: goroutines of earlier tests and of set-up are still exiting
+// when a test starts.
+func settledGoroutines() int {
+	n, since := runtime.NumGoroutine(), time.Now()
+	for time.Since(since) < 50*time.Millisecond {
+		time.Sleep(5 * time.Millisecond)
+		if now := runtime.NumGoroutine(); now != n {
+			n, since = now, time.Now()
+		}
+	}
+	return n
+}
+
+// TestReadItemsStaysOnTheCallersGoroutine: a cold batch read fanned out
+// over three nodes that all withhold their replies is, while it waits,
+// one goroutine — the caller's. Every sub-batch is on the wire and none
+// of them got a goroutine of its own.
+func TestReadItemsStaysOnTheCallersGoroutine(t *testing.T) {
+	var asked atomic.Int64
+	cfg := cluster.Config{
+		Addrs:    []string{stallServer(t, &asked), stallServer(t, &asked), stallServer(t, &asked)},
+		PoolSize: 1, // dialed by NewRouter: the read below dials nothing
+		// No probe may fire during the test: a ping is a goroutine too.
+		ProbeInterval: time.Hour,
+	}
+	router, err := cluster.NewRouter(bg, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer router.Close()
+
+	ctx, cancel := context.WithCancel(bg)
+	defer cancel()
+	before := settledGoroutines()
+	done := make(chan error, 1)
+	go func() {
+		_, err := router.ReadItems(ctx, testKeys(60)) // 60 keys: every node owns some
+		done <- err
+	}()
+	waitFor(t, 5*time.Second, "a sub-batch on every node", func() bool { return asked.Load() == 3 })
+	if during := runtime.NumGoroutine(); during != before+1 {
+		t.Errorf("%d goroutines while the read waits on 3 nodes, %d before it: want exactly the caller's one more", during, before)
+	}
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("cancelled read = %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("cancelled read never returned")
+	}
+	waitFor(t, 5*time.Second, "the caller's goroutine to exit", func() bool { return runtime.NumGoroutine() == before })
+}
+
 // TestHealthEjectsFailSlowNode: a node that keeps its TCP session open
 // but never answers must be ejected by the probe deadline — transport
 // errors alone would never fire for it.
 func TestHealthEjectsFailSlowNode(t *testing.T) {
 	r := newRig(t, 1)
-	stall := stallServer(t)
+	stall := stallServer(t, nil)
 
 	cfg := fastConfig([]string{r.addrs[0], stall})
 	cfg.ProbeTimeout = 200 * time.Millisecond

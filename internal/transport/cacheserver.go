@@ -64,10 +64,11 @@ func (s *CacheServer) Broadcast(inv Invalidation) {
 func (s *CacheServer) RegisterMetrics(reg *telemetry.Registry) {
 	reg.Gauge("relay_subscribers", func() uint64 { return uint64(s.Subscribers()) })
 	reg.Gauge("relay_queue", s.queuedInvalidations)
+	s.registerDropped(reg)
 }
 
-// cacheInline: the local-only ops. Reads and relayed updates stay on
-// dispatch goroutines: a miss blocks on the backend fetch.
+// cacheInline: the local-only ops. Reads and relayed updates go to
+// dispatch workers: a miss blocks on the backend fetch.
 func cacheInline(op Op) bool {
 	switch op {
 	case OpPing, OpStats, OpCommit, OpAbort:

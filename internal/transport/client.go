@@ -57,16 +57,30 @@ type muxResult struct {
 	err  error
 }
 
+// callPool recycles pending slots. A slot is settled exactly once, by
+// readLoop or by fail: only the caller that took that result, or took the
+// slot out of the pending table first (abandon), may reuse it.
+var callPool = sync.Pool{New: func() any { return make(chan muxResult, 1) }}
+
+// writeStall bounds a frame write: the write deadline is kept one to two
+// writeStall ahead, so a peer that stopped reading fails the connection
+// instead of wedging the caller in Write, which cannot see its ctx.
+const writeStall = 30 * time.Second
+
 // muxConn is one multiplexed connection: any number of in-flight round
-// trips share it. A writer goroutine owns the socket's write side and
-// writes whole frames, so a frame is never half-written by a cancelled
-// caller; a demux reader owns the read side and routes each response to
-// the pending call with the matching request id. Cancelling a call's ctx
-// simply abandons its pending slot — the connection stays healthy.
+// trips share it. A caller writes its own request, as one whole frame,
+// while it holds the write side, so a cancelled caller never tears a
+// frame; the write side is a one-token channel, not a mutex, so that a
+// caller queued for it can still give up when its ctx fires. A demux
+// reader owns the read side and routes each response to the pending
+// call with the matching request id. Cancelling a call's ctx simply
+// abandons its pending slot — the connection stays healthy.
 type muxConn struct {
-	c       net.Conn
-	writeCh chan *[]byte
-	nextID  atomic.Uint64
+	c      net.Conn
+	nextID atomic.Uint64
+
+	wlock     chan struct{} // holds a token while a frame is written
+	wdeadline time.Time     // the socket's write deadline; guarded by wlock
 
 	mu      sync.Mutex //tcache:lockclass mux
 	pending map[uint64]chan muxResult
@@ -125,8 +139,8 @@ func dialPeer(ctx context.Context, addr string, first *Request) (net.Conn, *fram
 	return c, fr, resp, nil
 }
 
-// dialMux dials addr and starts the writer and demux reader. ctx bounds
-// the dial and handshake only.
+// dialMux dials addr and starts the demux reader. ctx bounds the dial and
+// handshake only.
 func dialMux(ctx context.Context, addr string) (*muxConn, error) {
 	c, fr, _, err := dialPeer(ctx, addr, nil)
 	if err != nil {
@@ -134,11 +148,10 @@ func dialMux(ctx context.Context, addr string) (*muxConn, error) {
 	}
 	cn := &muxConn{
 		c:       c,
-		writeCh: make(chan *[]byte, 64),
+		wlock:   make(chan struct{}, 1),
 		pending: make(map[uint64]chan muxResult),
 		dead:    make(chan struct{}),
 	}
-	go cn.writeLoop()
 	go cn.readLoop(fr)
 	return cn, nil
 }
@@ -173,40 +186,6 @@ func (cn *muxConn) fail(err error) {
 	}
 }
 
-// failErr returns the error the connection died with.
-func (cn *muxConn) failErr() error {
-	cn.mu.Lock()
-	defer cn.mu.Unlock()
-	if cn.err != nil {
-		return cn.err
-	}
-	return ErrClientClosed
-}
-
-func (cn *muxConn) writeLoop() {
-	for {
-		select {
-		case buf := <-cn.writeCh:
-			_, err := cn.c.Write(*buf)
-			putFrameBuf(buf)
-			if err != nil {
-				cn.fail(fmt.Errorf("transport: write: %w", err))
-				return
-			}
-		case <-cn.dead:
-			// Recycle anything still queued; enqueuers were settled by fail.
-			for {
-				select {
-				case buf := <-cn.writeCh:
-					putFrameBuf(buf)
-				default:
-					return
-				}
-			}
-		}
-	}
-}
-
 func (cn *muxConn) readLoop(fr *frameReader) {
 	for {
 		typ, id, payload, err := fr.Read()
@@ -235,60 +214,80 @@ func (cn *muxConn) readLoop(fr *frameReader) {
 	}
 }
 
-// deregister abandons a pending slot (cancellation path).
-func (cn *muxConn) deregister(id uint64) {
+// abandon gives up pending slot id, recycling it only if it was still
+// registered: otherwise readLoop or fail holds it and will settle it.
+func (cn *muxConn) abandon(id uint64, ch chan muxResult) {
 	cn.mu.Lock()
+	_, registered := cn.pending[id]
 	delete(cn.pending, id)
 	cn.mu.Unlock()
+	if registered {
+		callPool.Put(ch)
+	}
 }
 
-// roundTrip sends req and waits for its response, multiplexed with any
-// number of concurrent calls on the same connection. ctx cancellation
-// abandons the pending slot and returns immediately; the connection
-// remains usable for other calls.
-func (cn *muxConn) roundTrip(ctx context.Context, req Request) (Response, error) {
+// send registers a pending slot for req and writes its frame on the
+// calling goroutine; await collects the reply, and any number of sends
+// may precede their awaits. A write error fails the connection, which
+// settles the slot: it surfaces from await. ctx cancelled while queued
+// for the write side abandons the slot and returns at once.
+//
+//tcache:hotpath
+func (cn *muxConn) send(ctx context.Context, req *Request) (uint64, chan muxResult, error) {
 	if err := ctx.Err(); err != nil {
-		return Response{}, err
+		return 0, nil, err
 	}
 	id := cn.nextID.Add(1)
-	ch := make(chan muxResult, 1)
+	ch := callPool.Get().(chan muxResult)
 	cn.mu.Lock()
 	if cn.closed {
 		err := cn.err
 		cn.mu.Unlock()
-		return Response{}, err
+		callPool.Put(ch)
+		return 0, nil, err
 	}
 	cn.pending[id] = ch
 	cn.mu.Unlock()
 
-	buf := getFrameBuf()
-	b := beginFrame((*buf)[:0], frameRequest, id)
-	b = appendRequest(b, &req)
-	if len(b)-frameHeaderSize > maxFramePayload {
-		*buf = b
-		putFrameBuf(buf)
-		cn.deregister(id)
-		return Response{}, ErrFrameTooLarge
-	}
-	*buf = finishFrame(b)
-
 	select {
-	case cn.writeCh <- buf:
-	case <-cn.dead:
-		putFrameBuf(buf)
-		cn.deregister(id)
-		return Response{}, cn.failErr()
-	case <-ctx.Done():
-		putFrameBuf(buf)
-		cn.deregister(id)
-		return Response{}, ctx.Err()
+	case cn.wlock <- struct{}{}:
+	default:
+		select {
+		case cn.wlock <- struct{}{}:
+		case <-cn.dead:
+			return id, ch, nil // fail has settled the slot: await reports why
+		case <-ctx.Done():
+			cn.abandon(id, ch)
+			return 0, nil, ctx.Err()
+		}
 	}
+	if now := time.Now(); cn.wdeadline.Sub(now) < writeStall {
+		cn.wdeadline = now.Add(2 * writeStall)
+		cn.c.SetWriteDeadline(cn.wdeadline)
+	}
+	err := writeRequestFrame(cn.c, nil, id, req)
+	<-cn.wlock
+	if err == ErrFrameTooLarge { // nothing was written: the connection is fine
+		cn.abandon(id, ch)
+		return 0, nil, err
+	}
+	if err != nil {
+		cn.fail(err)
+	}
+	return id, ch, nil
+}
 
+// await waits for the reply to send's request id. ctx cancellation
+// abandons the slot; the connection remains usable for other calls.
+//
+//tcache:hotpath
+func (cn *muxConn) await(ctx context.Context, id uint64, ch chan muxResult) (Response, error) {
 	select {
 	case r := <-ch:
+		callPool.Put(ch)
 		return r.resp, r.err
 	case <-ctx.Done():
-		cn.deregister(id)
+		cn.abandon(id, ch)
 		return Response{}, ctx.Err()
 	}
 }
@@ -341,8 +340,9 @@ type mux struct {
 	rtHist atomic.Pointer[telemetry.Histogram]
 }
 
-// liveConns counts slots holding a live connection right now.
-func (m *mux) liveConns() int {
+// LiveConns counts the pool slots holding a live connection right now —
+// the conn-pool gauge. Slots redial lazily, so this ramps with traffic.
+func (m *mux) LiveConns() int {
 	n := 0
 	for _, s := range m.slots {
 		s.mu.Lock()
@@ -476,8 +476,35 @@ func (m *mux) Close() {
 	}
 }
 
-// roundTrip runs one request on the next connection. A failure on a
-// previously established (possibly stale) connection is retried on a
+// inflight is one mux round trip between start and wait; the caller
+// owns it and fills in req.
+type inflight struct {
+	req   Request
+	began time.Time // zero unless a round-trip histogram is attached
+	s     *muxSlot
+	cn    *muxConn
+	fresh bool
+	id    uint64
+	ch    chan muxResult
+	err   error // why start could not send; wait reports or retries it
+}
+
+// start sends f.req on the next connection without waiting for the
+// reply, so a caller may start several calls — on this mux or others —
+// before it waits for any. What went wrong, if anything, is kept for wait.
+//
+//tcache:hotpath
+func (m *mux) start(ctx context.Context, f *inflight) {
+	if m.rtHist.Load() != nil {
+		f.began = time.Now()
+	}
+	if f.s, f.cn, f.fresh, f.err = m.grab(ctx); f.err == nil {
+		f.id, f.ch, f.err = f.cn.send(ctx, &f.req)
+	}
+}
+
+// wait collects the reply to a started call. A failure on a previously
+// established (possibly stale) connection is retried on a
 // guaranteed-fresh dial — a server restart leaves every pooled
 // connection half-dead, so rotating to another slot could fail the same
 // way — but only for idempotent operations (an Update whose response was
@@ -485,31 +512,43 @@ func (m *mux) Close() {
 // attempts per call, with a jittered exponential backoff before the
 // second and later attempts. The cap is what lets a flapping node fail
 // fast to a cluster health checker instead of being retried forever by
-// every caller.
-func (m *mux) roundTrip(ctx context.Context, req Request) (Response, error) {
-	h := m.rtHist.Load()
-	if h == nil {
-		return m.doRoundTrip(ctx, req)
+// every caller. The histogram sees the time from start to here, redials
+// included — the latency the caller experienced.
+//
+//tcache:hotpath
+func (m *mux) wait(ctx context.Context, f *inflight) (Response, error) {
+	if f.cn == nil {
+		return Response{}, f.err // a failed dial arrives tagged by dialPeer
 	}
-	start := time.Now()
-	resp, err := m.doRoundTrip(ctx, req)
-	h.ObserveSince(start)
+	resp, err := Response{}, f.err
+	if err == nil {
+		resp, err = f.cn.await(ctx, f.id, f.ch)
+	}
+	if err != nil {
+		resp, err = m.redial(ctx, f, err)
+	}
+	if !f.began.IsZero() {
+		if h := m.rtHist.Load(); h != nil {
+			h.ObserveSince(f.began)
+		}
+	}
 	return resp, err
 }
 
-func (m *mux) doRoundTrip(ctx context.Context, req Request) (Response, error) {
-	s, cn, fresh, err := m.grab(ctx)
-	if err != nil {
-		return Response{}, err // a failed dial arrives tagged by dialPeer
-	}
-	resp, err := cn.roundTrip(ctx, req)
-	if err == nil || fresh || ctx.Err() != nil ||
+// roundTrip is start and wait back to back.
+func (m *mux) roundTrip(ctx context.Context, req Request) (Response, error) {
+	f := inflight{req: req}
+	m.start(ctx, &f)
+	return m.wait(ctx, &f)
+}
+
+// redial is wait's retry ladder for a call that failed with err on f.cn.
+func (m *mux) redial(ctx context.Context, f *inflight, err error) (Response, error) {
+	if f.fresh || ctx.Err() != nil || !idempotent(f.req.Op) ||
 		errors.Is(err, ErrClientClosed) || errors.Is(err, ErrFrameTooLarge) {
-		return resp, wrapUnavail(err)
+		return Response{}, wrapUnavail(err)
 	}
-	if !idempotent(req.Op) {
-		return resp, wrapUnavail(err)
-	}
+	var resp Response
 	backoff := m.cfg.redialBackoff
 	for attempt := 0; attempt < m.cfg.maxRedials; attempt++ {
 		if attempt > 0 {
@@ -530,9 +569,11 @@ func (m *mux) doRoundTrip(ctx context.Context, req Request) (Response, error) {
 			}
 			continue // the node may be mid-restart; back off and re-dial
 		}
-		resp, err = redialed.roundTrip(ctx, req)
+		if f.id, f.ch, err = redialed.send(ctx, &f.req); err == nil {
+			resp, err = redialed.await(ctx, f.id, f.ch)
+		}
 		if redialed.alive() {
-			if use, ierr := m.install(s, redialed); ierr != nil || use != redialed {
+			if use, ierr := m.install(f.s, redialed); ierr != nil || use != redialed {
 				// The slot moved on (a racing caller installed its own dial,
 				// or the mux closed); this connection served its one retry.
 				redialed.fail(ErrClientClosed)
@@ -611,10 +652,6 @@ func DialDB(ctx context.Context, addr string, conns int, opts ...ClientOption) (
 // PoolSize returns the configured number of multiplexed connections.
 func (c *DBClient) PoolSize() int { return len(c.slots) }
 
-// LiveConns counts the pool slots holding a live connection right now —
-// the conn-pool gauge. Slots redial lazily, so this ramps with traffic.
-func (c *DBClient) LiveConns() int { return c.liveConns() }
-
 // ReadItem implements core.Backend: a lock-free committed read, one round
 // trip.
 func (c *DBClient) ReadItem(ctx context.Context, key kv.Key) (kv.Item, bool, error) {
@@ -642,12 +679,37 @@ func (c *DBClient) ReadItemFloor(ctx context.Context, key kv.Key, floor kv.Versi
 
 // ReadItems implements core.BatchBackend: all keys in one round trip.
 func (c *DBClient) ReadItems(ctx context.Context, keys []kv.Key) ([]kv.Lookup, error) {
-	return c.ReadItemsFloor(ctx, keys, kv.Version{})
+	var b BatchRead
+	c.StartReadItemsFloor(ctx, &b, keys, kv.Version{})
+	return b.Wait(ctx)
 }
 
-// ReadItemsFloor is ReadItems with a read floor; see ReadItemFloor.
-func (c *DBClient) ReadItemsFloor(ctx context.Context, keys []kv.Key, floor kv.Version) ([]kv.Lookup, error) {
-	resp, err := c.roundTrip(ctx, Request{Op: OpGetBatch, Keys: keys, MinVersion: floor})
+// BatchRead is one batch read split at the socket: after
+// StartReadItemsFloor the request is on the wire, and Wait collects the
+// answer — so a caller fanning a read out over several nodes starts every
+// sub-batch before it waits for the first, all on its own goroutine. The
+// zero value is ready, and reusable after Wait; keys must stay untouched
+// until then.
+type BatchRead struct {
+	m *mux
+	f inflight
+}
+
+// StartReadItemsFloor sends ReadItems with a read floor (see
+// ReadItemFloor) and returns without waiting; a failure to send is
+// reported by b.Wait.
+//
+//tcache:hotpath
+func (c *DBClient) StartReadItemsFloor(ctx context.Context, b *BatchRead, keys []kv.Key, floor kv.Version) {
+	b.m = c.mux
+	b.f = inflight{req: Request{Op: OpGetBatch, Keys: keys, MinVersion: floor}}
+	b.m.start(ctx, &b.f)
+}
+
+// Wait returns the batch's lookups, one per key, positionally.
+func (b *BatchRead) Wait(ctx context.Context) ([]kv.Lookup, error) {
+	keys := b.f.req.Keys
+	resp, err := b.m.wait(ctx, &b.f)
 	if err != nil {
 		return nil, err
 	}
@@ -722,35 +784,6 @@ func decodeUpdate(resp Response) (kv.CommitResult, error) {
 	}
 }
 
-// subConn is a dedicated push-mode connection (invalidation stream). It
-// bypasses the mux machinery entirely: after the subscribe exchange, the
-// connection carries nothing but server-push invalidation frames, read
-// synchronously by the subscription goroutine.
-type subConn struct {
-	c  net.Conn
-	fr *frameReader
-}
-
-func (sc *subConn) close() { sc.c.Close() }
-
-// subscribeConn dials addr and switches the connection into the
-// server's invalidation push mode for subscriber name. ctx bounds the
-// whole exchange.
-func subscribeConn(ctx context.Context, addr, name string) (*subConn, error) {
-	c, fr, resp, err := dialPeer(ctx, addr, &Request{Op: OpSubscribe, Subscriber: name})
-	if err != nil {
-		return nil, err
-	}
-	if resp.Code != CodeOK {
-		// The server answered and refused (duplicate subscriber name,
-		// usually): deliberately NOT ErrUnavailable — retrying elsewhere
-		// or later would not help.
-		c.Close()
-		return nil, fmt.Errorf("transport: subscribe: %s", resp.Err)
-	}
-	return &subConn{c: c, fr: fr}, nil
-}
-
 // SubscribeInvalidations opens a dedicated connection to a tdbd and
 // streams invalidations into deliver until ctx is cancelled or stop is
 // called — Resubscribe against the one fixed address. The server batches
@@ -816,9 +849,12 @@ func Resubscribe(ctx context.Context, name string, open func(ctx context.Context
 }
 
 // InvStream is ONE open subscription connection — what a Resubscribe
-// open function returns.
+// open function returns. It bypasses the mux machinery entirely: after
+// the subscribe exchange the connection carries nothing but server-push
+// invalidation frames, read synchronously by Run.
 type InvStream struct {
-	sc *subConn
+	c  net.Conn
+	fr *frameReader
 }
 
 // OpenInvalidationStream dials addr (a tdbd, or a tcached relaying its
@@ -826,33 +862,34 @@ type InvStream struct {
 // (duplicate name, version mismatch) errors immediately; an unreachable
 // peer errors with ErrUnavailable in the chain. ctx bounds the exchange.
 func OpenInvalidationStream(ctx context.Context, addr, name string) (*InvStream, error) {
-	sc, err := subscribeConn(ctx, addr, name)
+	c, fr, resp, err := dialPeer(ctx, addr, &Request{Op: OpSubscribe, Subscriber: name})
 	if err != nil {
 		return nil, err
 	}
-	return &InvStream{sc: sc}, nil
+	if resp.Code != CodeOK {
+		// The server answered and refused (duplicate subscriber name,
+		// usually): deliberately NOT ErrUnavailable — retrying elsewhere
+		// or later would not help.
+		c.Close()
+		return nil, fmt.Errorf("transport: subscribe: %s", resp.Err)
+	}
+	return &InvStream{c: c, fr: fr}, nil
 }
+
+// Close tears the connection down (Run, if in flight, returns).
+func (s *InvStream) Close() { s.c.Close() }
 
 // Run delivers invalidations until the stream breaks or ctx is
 // cancelled; the connection is closed when it returns. Run consumes the
 // stream — call it once.
 func (s *InvStream) Run(ctx context.Context, deliver func(Invalidation)) {
-	streamInvalidations(ctx, s.sc, deliver)
-}
-
-// Close tears the connection down (Run, if in flight, returns).
-func (s *InvStream) Close() { s.sc.close() }
-
-// streamInvalidations decodes push frames from sc until the connection
-// breaks or ctx is cancelled; it closes sc before returning.
-func streamInvalidations(ctx context.Context, sc *subConn, deliver func(Invalidation)) {
-	stop := context.AfterFunc(ctx, sc.close) // unblock the reader on cancel
+	stop := context.AfterFunc(ctx, s.Close) // unblock the reader on cancel
 	defer func() {
 		stop()
-		sc.close()
+		s.Close()
 	}()
 	for {
-		typ, _, payload, err := sc.fr.Read()
+		typ, _, payload, err := s.fr.Read()
 		if err != nil {
 			return
 		}

@@ -37,6 +37,7 @@ func NewDBServer(d *db.DB, logf func(string, ...any)) *DBServer {
 func (s *DBServer) RegisterMetrics(reg *telemetry.Registry) {
 	reg.Gauge("subscribers", func() uint64 { return uint64(s.Subscribers()) })
 	reg.Gauge("subscriber_queue", s.queuedInvalidations)
+	s.registerDropped(reg)
 }
 
 // dbInline: the lock-free reads and probes. OpUpdate can block on lock

@@ -183,7 +183,9 @@ func TestMidTierFloorOverWire(t *testing.T) {
 	if _, err := dbCli.ValidatedUpdate(bg, nil, []KeyValue{{Key: "k", Value: kv.Value("newer")}}); err != nil {
 		t.Fatal(err)
 	}
-	lookups, err := cli.ReadItemsFloor(bg, []kv.Key{"k"}, kv.Version{Counter: vNew.Counter + 1})
+	var b BatchRead
+	cli.StartReadItemsFloor(bg, &b, []kv.Key{"k"}, kv.Version{Counter: vNew.Counter + 1})
+	lookups, err := b.Wait(bg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ package transport
 // internals are exactly the kind of code that rots without it.
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
@@ -17,12 +18,14 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"tcache/internal/codec"
 	"tcache/internal/db"
 	"tcache/internal/kv"
+	"tcache/internal/telemetry"
 )
 
 // connCount reports how many live connections the DB server tracks.
@@ -557,4 +560,267 @@ func TestInvalidationBacklogChunked(t *testing.T) {
 			t.Fatalf("invalidation %d = %q, want %q", i, inv.Key, want)
 		}
 	}
+}
+
+// rawServer accepts connections, completes the handshake, and hands each
+// one to serve with its accept order: a peer the tests script frame by
+// frame.
+func rawServer(t *testing.T, serve func(n int, p rawPeer)) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for n := 0; ; n++ {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func(n int) {
+				defer c.Close()
+				br := bufio.NewReader(c)
+				if serverHandshake(c, br) == nil {
+					serve(n, rawPeer{c, newFrameReader(br, nil)})
+				}
+			}(n)
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// waitUntil polls cond, failing the test if it stays false for 5 s.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// TestMuxConcurrentFramesArriveWhole: callers write their own frames
+// now, so sixteen of them pushing frames of every size up to 4 KiB
+// through ONE connection must still put only whole frames on the wire —
+// the peer never has to resync and every payload decodes — and each
+// reply, sent back out of order, must reach the caller that asked.
+func TestMuxConcurrentFramesArriveWhole(t *testing.T) {
+	const callers, frames = 16, 50
+	type tally struct{ served, resyncs int }
+	done := make(chan tally, 1)
+	addr := rawServer(t, func(_ int, p rawPeer) {
+		var (
+			got     tally
+			writeMu sync.Mutex
+		)
+		defer func() { done <- got }()
+		for {
+			typ, id, payload, err := p.fr.Read()
+			if err != nil {
+				got.resyncs = p.fr.Resyncs
+				return
+			}
+			req, err := decodeRequest(payload)
+			if typ != frameRequest || err != nil || req.Op != OpGet {
+				t.Errorf("frame %d: type %d, request %+v, decode error %v", id, typ, req, err)
+				return
+			}
+			got.served++
+			go func() { // off the read loop: replies overtake one another
+				resp := Response{Code: CodeOK, Item: kv.Item{Value: kv.Value(req.Key)}}
+				_ = writeResponseFrame(p, &writeMu, id, &resp) // a failed write shows as a caller's error
+			}()
+		}
+	})
+	cli, err := DialDB(bg, addr, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < frames; i++ {
+				key := kv.Key(fmt.Sprintf("%d/%d/%s", g, i, strings.Repeat("k", (g*997+i*131)%4096)))
+				item, ok, err := cli.ReadItem(bg, key)
+				if err != nil || !ok || kv.Key(item.Value) != key {
+					t.Errorf("caller %d frame %d: got %d bytes, %v, %v; want its own %d-byte key back", g, i, len(item.Value), ok, err, len(key))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	cli.Close()
+	select {
+	case got := <-done:
+		if got.served != callers*frames || got.resyncs != 0 {
+			t.Fatalf("peer decoded %d frames with %d resyncs, want %d and 0", got.served, got.resyncs, callers*frames)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("peer never saw the connection close")
+	}
+}
+
+// TestMuxCancelWhileWriteSideHeld: a caller queued behind another
+// caller's frame write gives up the moment its ctx is cancelled, leaves
+// no pending slot behind, and the connection — which it never touched —
+// keeps serving.
+func TestMuxCancelWhileWriteSideHeld(t *testing.T) {
+	d := db.Open(db.Config{})
+	t.Cleanup(func() { d.Close() })
+	srv := NewDBServer(d, t.Logf)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	cli, err := DialDB(bg, addr, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cli.Close)
+	cn := cli.slots[0].cn
+	pending := func() int {
+		cn.mu.Lock()
+		defer cn.mu.Unlock()
+		return len(cn.pending)
+	}
+
+	cn.wlock <- struct{}{} // another caller is mid-frame
+	ctx, cancel := context.WithCancel(bg)
+	errc := make(chan error, 1)
+	go func() {
+		_, _, err := cli.ReadItem(ctx, "k")
+		errc <- err
+	}()
+	waitUntil(t, "the read to queue for the write side", func() bool { return pending() == 1 })
+	cancel()
+	select {
+	case err := <-errc:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled while queued = %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a caller queued for the write side ignored its ctx")
+	}
+	if n := pending(); n != 0 {
+		t.Fatalf("%d pending slots after the cancel, want 0", n)
+	}
+	<-cn.wlock // the frame in progress completes
+
+	if err := cli.Ping(bg); err != nil {
+		t.Fatalf("ping after the cancel = %v", err)
+	}
+	if n := srv.connCount(); n != 1 {
+		t.Fatalf("server sees %d connections, want 1 (no redial after cancel)", n)
+	}
+}
+
+// TestPipelinedStaleConnRetriedOnce is TestStaleConnResyncOverWire's
+// sibling on the client side: a connection that died without the client
+// noticing (the peer drops it on its first frame, as a restarted server's
+// half-open socket would) takes a pipelined batch read; Wait must carry
+// it into the redial ladder and get the answer from exactly one fresh
+// dial, which then serves the next call too.
+func TestPipelinedStaleConnRetriedOnce(t *testing.T) {
+	var conns, requests atomic.Int64
+	addr := rawServer(t, func(n int, p rawPeer) {
+		conns.Add(1)
+		for {
+			_, id, payload, err := p.fr.Read()
+			if err != nil {
+				return
+			}
+			requests.Add(1)
+			if n == 0 {
+				return // the stale connection: dies on use, answers nothing
+			}
+			req, err := decodeRequest(payload)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resp := Response{Code: CodeOK, Batch: make([]kv.Lookup, len(req.Keys))}
+			for i, k := range req.Keys {
+				resp.Batch[i] = kv.Lookup{Found: true, Item: kv.Item{Value: kv.Value(k)}}
+			}
+			if err := writeResponseFrame(p, nil, id, &resp); err != nil {
+				return
+			}
+		}
+	})
+	cli, err := DialDB(bg, addr, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cli.Close)
+	h := &telemetry.Histogram{}
+	cli.SetRoundTripHistogram(h)
+
+	keys := []kv.Key{"a", "b", "c"}
+	for call, want := range []struct{ conns, requests int64 }{{2, 2}, {2, 3}} {
+		var b BatchRead
+		cli.StartReadItemsFloor(bg, &b, keys, kv.Version{})
+		lookups, err := b.Wait(bg)
+		if err != nil || len(lookups) != len(keys) {
+			t.Fatalf("call %d: pipelined read = %v, %v", call, lookups, err)
+		}
+		for i, lu := range lookups {
+			if !lu.Found || kv.Key(lu.Item.Value) != keys[i] {
+				t.Fatalf("call %d: lookup %d = %+v, want key %q echoed", call, i, lu, keys[i])
+			}
+		}
+		if c, r := conns.Load(), requests.Load(); c != want.conns || r != want.requests {
+			t.Fatalf("call %d: peer saw %d connections and %d request frames, want %d and %d", call, c, r, want.conns, want.requests)
+		}
+	}
+	if snap := h.Snapshot(); snap.Count() != 2 {
+		t.Fatalf("round-trip histogram holds %d observations for 2 calls", snap.Count())
+	}
+}
+
+// TestMuxClientFaultsSurfaceUnwrapped: the two failures that say nothing
+// about the peer — a request too large to frame, a client already closed
+// — come back as themselves from the one-call and the pipelined path
+// alike, never tagged ErrUnavailable, and the first leaves the
+// connection in service.
+func TestMuxClientFaultsSurfaceUnwrapped(t *testing.T) {
+	d := db.Open(db.Config{})
+	t.Cleanup(func() { d.Close() })
+	srv := NewDBServer(d, t.Logf)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	cli, err := DialDB(bg, addr, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cli.Close)
+
+	huge := []kv.Key{kv.Key(make([]byte, maxFramePayload+1))}
+	both := func(want error) {
+		t.Helper()
+		if _, err := cli.ReadItems(bg, huge); err != want {
+			t.Fatalf("ReadItems = %v, want %v itself", err, want)
+		}
+		var b BatchRead
+		cli.StartReadItemsFloor(bg, &b, huge, kv.Version{})
+		if _, err := b.Wait(bg); err != want {
+			t.Fatalf("pipelined read = %v, want %v itself", err, want)
+		}
+	}
+	both(ErrFrameTooLarge)
+	if err := cli.Ping(bg); err != nil {
+		t.Fatalf("ping after the oversized requests = %v", err)
+	}
+	if n := srv.connCount(); n != 1 {
+		t.Fatalf("server sees %d connections, want 1", n)
+	}
+	cli.Close()
+	both(ErrClientClosed)
 }

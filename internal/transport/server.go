@@ -9,13 +9,14 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"tcache/internal/db"
 	"tcache/internal/telemetry"
 )
 
 // server is the serving skeleton both tiers run: listener, connection
-// set, handshake, frame demux, inline-vs-goroutine dispatch, the
+// set, handshake, frame demux, inline-vs-worker dispatch, the
 // invalidation-push registry, the stats registry, and shutdown
 // ordering. DBServer and CacheServer embed it and supply only what
 // differs between them, through the four fields below.
@@ -27,7 +28,7 @@ type server struct {
 	serve func(ctx context.Context, req Request) Response
 	// inline reports whether op completes without ever waiting (on locks,
 	// other transactions, a backend), so the connection's read loop may
-	// run it in place instead of paying for a dispatch goroutine.
+	// run it in place instead of handing it to a dispatch worker.
 	inline func(Op) bool
 	// attach connects a new subscription's queue to the tier's
 	// invalidation source. Nil when the owner feeds every queue itself
@@ -50,12 +51,20 @@ type server struct {
 	closed bool
 	wg     sync.WaitGroup
 
+	// work hands a request that may block to a parked dispatch worker
+	// (handOff). Unbuffered: a send succeeds only while one is waiting.
+	work chan task
+
 	// subs are the live invalidation-push streams, by subscriber name.
 	// Broadcast pushes to each stream's queue while holding subMu:
 	//
 	//tcache:lockorder relay < invq
 	subMu sync.Mutex //tcache:lockclass relay
 	subs  map[string]*invPusher
+	// invDropped counts invalidations dropped off the head of a full
+	// subscriber queue — the loss rate of the paper's unreliable channel,
+	// as this server produces it.
+	invDropped atomic.Uint64
 
 	// reg is what OpStats answers from: counters, gauges and histograms
 	// in the flat wire encoding.
@@ -71,6 +80,7 @@ func newServer(tier string, logf func(string, ...any)) *server {
 	return &server{
 		tier: tier, logf: logf, ctx: ctx, cancel: cancel,
 		conns: make(map[net.Conn]struct{}),
+		work:  make(chan task),
 		subs:  make(map[string]*invPusher),
 	}
 }
@@ -86,6 +96,14 @@ func (s *server) statsResponse() Response {
 	return Response{Code: CodeOK, Stats: telemetry.Flatten(s.reg.Load().Snapshot())}
 }
 
+// registerDropped registers the dropped-invalidation counter, under one
+// name on both tiers.
+//
+//tcache:metric
+func (s *server) registerDropped(reg *telemetry.Registry) {
+	reg.Counter("relay_invalidations_dropped", s.invDropped.Load)
+}
+
 // Subscribers returns the number of live invalidation-push streams.
 func (s *server) Subscribers() int {
 	s.subMu.Lock()
@@ -95,15 +113,10 @@ func (s *server) Subscribers() int {
 
 // queuedInvalidations sums the invalidation backlog across every live
 // push stream.
-func (s *server) queuedInvalidations() uint64 {
+func (s *server) queuedInvalidations() (n uint64) {
 	s.subMu.Lock()
-	pushers := make([]*invPusher, 0, len(s.subs))
+	defer s.subMu.Unlock()
 	for _, p := range s.subs {
-		pushers = append(pushers, p)
-	}
-	s.subMu.Unlock()
-	var n uint64
-	for _, p := range pushers {
 		n += uint64(p.depth())
 	}
 	return n
@@ -205,18 +218,75 @@ func (pc *peerConn) refuse(id uint64, format string, args ...any) error {
 	return pc.respond(id, &resp)
 }
 
+// task is one request on its way to a dispatch worker: what to serve,
+// where to answer, and the connection's in-flight count to release.
+type task struct {
+	ctx  context.Context
+	pc   *peerConn
+	id   uint64
+	req  Request
+	done *sync.WaitGroup
+}
+
+// workerLinger is how long an idle dispatch worker stays parked before
+// it exits. A variable only so tests can lower it.
+var workerLinger = time.Second
+
+// handOff runs t off the connection's read loop: on a parked worker when
+// there is one, on a new worker otherwise. There is no cap — a request
+// never queues behind another that is blocked.
+func (s *server) handOff(t task) {
+	select {
+	case s.work <- t:
+	default:
+		s.wg.Add(1)
+		go s.worker(t)
+	}
+}
+
+// worker serves t, then parks for the next task any connection of this
+// server hands over, so a steady stream of requests runs on stacks
+// already grown to the depth serve needs instead of growing a fresh
+// goroutine's each time.
+//
+//tcache:hotpath
+func (s *server) worker(t task) {
+	defer s.wg.Done()
+	idle := time.NewTimer(workerLinger)
+	defer idle.Stop()
+	for {
+		resp := s.serve(t.ctx, t.req)
+		if err := t.pc.respond(t.id, &resp); err != nil {
+			s.logIO("write", err)
+			t.pc.Close() // unblock the frame reader
+		}
+		t.done.Done()
+		t = task{} // pin nothing while parked
+		// Reset without Stop-and-drain: a tick left over from a request that
+		// outlasted the linger only lets this worker go a little early.
+		idle.Reset(workerLinger)
+		select {
+		case t = <-s.work:
+		case <-idle.C:
+			return
+		case <-s.ctx.Done():
+			return
+		}
+	}
+}
+
 // handle serves one connection: version handshake, then a stream of
-// request frames. Requests that may block are dispatched on their own
-// goroutine, so a blocked update (or a read stuck on a slow backend
-// fetch) never head-of-line-blocks the requests multiplexed behind it
-// on the same connection; responses are written under the connection's
-// write mutex, tagged with the request id they answer.
+// request frames. Requests that may block are handed to a dispatch
+// worker, so a blocked update (or a read stuck on a slow backend fetch)
+// never head-of-line-blocks the requests multiplexed behind it on the
+// same connection; responses are written under the connection's write
+// mutex, tagged with the request id they answer.
 func (s *server) handle(conn net.Conn) {
 	// ctx dies with this connection (and with the whole server), aborting
 	// any work the peer abandoned mid-flight. Defer order (LIFO): cancel
-	// in-flight work, close the connection — so a dispatch goroutine
-	// stuck writing to a peer that stopped reading errors out instead of
-	// wedging the wait — then wait for the dispatchers.
+	// in-flight work, close the connection — so a worker stuck writing to
+	// a peer that stopped reading errors out instead of wedging the wait
+	// — then wait for this connection's requests to leave the workers.
 	var reqWG sync.WaitGroup
 	defer reqWG.Wait()
 	defer s.dropConn(conn)
@@ -272,14 +342,7 @@ func (s *server) handle(conn net.Conn) {
 			}
 		default:
 			reqWG.Add(1)
-			go func(id uint64, req Request) {
-				defer reqWG.Done()
-				resp := s.serve(ctx, req)
-				if err := pc.respond(id, &resp); err != nil {
-					s.logIO("write", err)
-					conn.Close() // unblock the frame reader
-				}
-			}(id, req)
+			s.handOff(task{ctx: ctx, pc: pc, id: id, req: req, done: &reqWG})
 		}
 	}
 }
@@ -322,7 +385,7 @@ func (s *server) servePush(pc *peerConn, id uint64, name string) {
 	if name == "" {
 		name = pc.RemoteAddr().String()
 	}
-	p := newInvPusher(pc)
+	p := newInvPusher(pc, &s.invDropped)
 	detach, err := s.register(name, p)
 	if err != nil {
 		_ = pc.refuse(id, "%v", err) // the conn closes either way
@@ -352,7 +415,8 @@ func (s *server) servePush(pc *peerConn, id uint64, name string) {
 
 // maxQueuedInvalidations bounds a subscriber's backlog. The pipeline is
 // asynchronous and unreliable by design, so overflow drops the oldest
-// queued invalidations rather than blocking the database's commit path.
+// queued invalidations — counted, as relay_invalidations_dropped —
+// rather than blocking the database's commit path.
 const maxQueuedInvalidations = 1 << 16
 
 // maxInvalidationFrameBytes bounds one coalesced invalidation frame,
@@ -367,21 +431,26 @@ var maxInvalidationFrameBytes = 1 << 20
 type invPusher struct {
 	pc *peerConn
 
-	mu    sync.Mutex //tcache:lockclass invq
-	queue []Invalidation
+	mu      sync.Mutex //tcache:lockclass invq
+	queue   []Invalidation
+	dropped *atomic.Uint64 // the server's invDropped
 
 	wake chan struct{}
 	done chan struct{}
 }
 
-func newInvPusher(pc *peerConn) *invPusher {
-	return &invPusher{pc: pc, wake: make(chan struct{}, 1), done: make(chan struct{})}
+func newInvPusher(pc *peerConn, dropped *atomic.Uint64) *invPusher {
+	return &invPusher{pc: pc, dropped: dropped, wake: make(chan struct{}, 1), done: make(chan struct{})}
 }
 
 func (p *invPusher) push(inv Invalidation) {
 	p.mu.Lock()
 	if len(p.queue) >= maxQueuedInvalidations {
+		// The backing array outlives the reslice: clear the dropped head so
+		// it stops pinning its key.
+		p.queue[0] = Invalidation{}
 		p.queue = p.queue[1:]
+		p.dropped.Add(1)
 	}
 	p.queue = append(p.queue, inv)
 	p.mu.Unlock()

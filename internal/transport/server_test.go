@@ -9,6 +9,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -232,5 +233,159 @@ func TestServerSkeleton(t *testing.T) {
 				}
 			})
 		})
+	}
+}
+
+// settledGoroutines returns runtime.NumGoroutine once it has held still
+// for 50 ms: goroutines of earlier tests are still exiting when a test
+// starts.
+func settledGoroutines() int {
+	n, since := runtime.NumGoroutine(), time.Now()
+	for time.Since(since) < 50*time.Millisecond {
+		time.Sleep(5 * time.Millisecond)
+		if now := runtime.NumGoroutine(); now != n {
+			n, since = now, time.Now()
+		}
+	}
+	return n
+}
+
+// TestWorkerReuseAndLinger counts dispatch workers by counting
+// goroutines: a stream of blocking requests, one at a time, is served by
+// a few parked workers, not by a goroutine each (more than one, because
+// a worker answers before it parks and the next request can arrive while
+// it is still on its way); requests blocked at once each hold a worker;
+// and workers left idle exit on their own.
+func TestWorkerReuseAndLinger(t *testing.T) {
+	// Restored by the last cleanup to run: after the server's Close has
+	// waited for every worker that reads it.
+	linger := workerLinger
+	t.Cleanup(func() { workerLinger = linger })
+	workerLinger = 100 * time.Millisecond
+
+	d := db.Open(db.Config{})
+	t.Cleanup(func() { d.Close() })
+	srv := NewDBServer(d, t.Logf)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	p := dialRaw(t, addr, ProtocolVersion)
+	update := func(id uint64, key kv.Key) {
+		p.send(t, id, Request{Op: OpUpdate, Writes: []KeyValue{{Key: key, Value: kv.Value("v")}}})
+	}
+	idle := settledGoroutines() // no worker yet: nothing has been dispatched
+
+	for id := uint64(1); id <= 50; id++ {
+		update(id, "free")
+		if resp := p.response(t, id); resp.Code != CodeOK {
+			t.Fatalf("update %d = %+v", id, resp)
+		}
+	}
+	parked := runtime.NumGoroutine() - idle
+	if parked < 1 || parked > 10 {
+		t.Fatalf("%d workers after 50 updates in a row, want a few parked ones, not one per request", parked)
+	}
+
+	// One more update than there are workers, all parked on a held lock:
+	// every worker is taken and one more is started.
+	holder := d.Begin()
+	if err := holder.Write("held", kv.Value("x")); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i <= parked; i++ {
+		update(uint64(100+i), "held")
+	}
+	waitUntil(t, "a worker for each blocked update", func() bool { return runtime.NumGoroutine() == idle+parked+1 })
+	if _, err := holder.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i <= parked; i++ { // the answers, in whatever order the lock queue released them
+		if _, _, _, err := p.fr.Read(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	waitUntil(t, "idle workers to exit", func() bool { return runtime.NumGoroutine() == idle })
+	update(200, "free") // and the next request starts one again
+	if resp := p.response(t, 200); resp.Code != CodeOK {
+		t.Fatalf("update after the workers left = %+v", resp)
+	}
+}
+
+// TestWorkersGoneAfterClose: Close with requests blocked in three
+// workers cancels them, waits for each connection's requests to leave
+// the workers (handle's drain order) and for the workers themselves —
+// when it returns, nothing the server started is still running.
+func TestWorkersGoneAfterClose(t *testing.T) {
+	for kind, start := range serverKinds {
+		t.Run(kind, func(t *testing.T) {
+			before := settledGoroutines()
+			s := start(t)
+			p := dialRaw(t, s.addr, ProtocolVersion)
+			running := runtime.NumGoroutine()
+			for id := uint64(1); id <= 3; id++ {
+				p.send(t, id, s.blocked)
+			}
+			waitUntil(t, "three workers", func() bool { return runtime.NumGoroutine() == running+3 })
+			s.close()
+			p.Close()
+			waitUntil(t, "every server goroutine to be gone", func() bool { return runtime.NumGoroutine() <= before })
+		})
+	}
+}
+
+// TestInvalidationOverflowCountedAndDropped stalls a subscriber (it
+// never reads) and relays invalidations at it until the socket backs up
+// and its queue overflows: the queue holds at its bound, what fell off
+// its head is counted as relay_invalidations_dropped, and nothing else
+// went missing.
+func TestInvalidationOverflowCountedAndDropped(t *testing.T) {
+	cache, err := core.New(core.Config{Backend: blockingBackend{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cache.Close)
+	srv := NewCacheServer(cache, t.Logf)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	p := dialRaw(t, addr, ProtocolVersion)
+	p.send(t, 1, Request{Op: OpSubscribe, Subscriber: "stalled"})
+	if resp := p.response(t, 1); resp.Code != CodeOK {
+		t.Fatalf("subscribe = %+v", resp)
+	}
+
+	// 1 KiB keys: a few thousand fill the loopback socket buffers, after
+	// which the pusher is stuck in a write and the queue only grows.
+	key := kv.Key(strings.Repeat("k", 1024))
+	stats := func() map[string]uint64 { return srv.statsResponse().Stats }
+	sent := uint64(0)
+	for st := stats(); st["relay_invalidations_dropped"] < 1000 || st["relay_queue|g"] < maxQueuedInvalidations; st = stats() {
+		if sent > 50*maxQueuedInvalidations {
+			t.Fatalf("no drop after %d invalidations at a subscriber that reads nothing", sent)
+		}
+		for i := 0; i < 4096; i++ {
+			sent++
+			srv.Broadcast(Invalidation{Key: key, Version: kv.Version{Counter: sent}})
+		}
+	}
+	st := stats()
+	if st["relay_queue|g"] != maxQueuedInvalidations {
+		t.Fatalf("relay_queue = %d with drops counted, want it held at the bound %d", st["relay_queue|g"], maxQueuedInvalidations)
+	}
+	// Everything sent is queued, dropped, or was taken by the pusher: what
+	// the socket swallowed plus the one batch it is stuck writing.
+	if onWire := sent - st["relay_queue|g"] - st["relay_invalidations_dropped"]; onWire == 0 || onWire > 2*maxQueuedInvalidations {
+		t.Fatalf("sent %d, queued %d, dropped %d: %d unaccounted for", sent, st["relay_queue|g"], st["relay_invalidations_dropped"], onWire)
+	}
+	// The tdbd registry carries the same counter.
+	d := db.Open(db.Config{})
+	t.Cleanup(func() { d.Close() })
+	if _, ok := NewDBServer(d, nil).statsResponse().Stats["relay_invalidations_dropped"]; !ok {
+		t.Fatal("tdbd registry has no relay_invalidations_dropped")
 	}
 }
