@@ -11,8 +11,9 @@ test:
 	$(GO) test ./...
 
 # race also sweeps GOMAXPROCS over the packages whose behaviour depends
-# on the stripe count, over the write path's tests (commit, install,
-# relay) and over the routed read's (callers writing their own frames on
+# on the stripe count, over the log (flusher, appenders and tailers share
+# one positioned-write file), over the write path's tests (commit,
+# install, relay) and over the routed read's (callers writing their own frames on
 # a shared connection, pipelined sub-batches, dispatch workers), so a
 # failure that only shows at 2 or 4 CPUs cannot hide on a
 # 1-CPU runner; the 'Determin|Subgraph|Golden' line is the
@@ -23,6 +24,7 @@ test:
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -cpu 1,2,4 ./internal/core ./internal/evict ./internal/kv ./internal/codec ./internal/telemetry
+	$(GO) test -race -cpu 1,2,4 ./internal/wal
 	$(GO) test -race -cpu 1,2,4 -run 'Update|Install|Commit' . ./internal/cluster
 	$(GO) test -race -cpu 1,2,4 -run 'Mux|Pipelin|Worker|StaleConn' ./internal/transport
 	$(GO) test -race -cpu 1,2,4 -run 'ReadItems' ./internal/cluster
@@ -74,8 +76,9 @@ telemetry-smoke:
 	$(GO) test -race -count=1 -run 'ServeMetrics|WithTelemetry|ClusterStatsReports' .
 
 # walsmoke is the durability gate: the WAL package race-clean (torture
-# replays, crash windows, group commit), the db-level recovery +
-# process-SIGKILL torture, and a short replay fuzz shake.
+# replays — truncations, bit flips, sector holes in an in-place batch —
+# crash windows, group commit, the directory lock), the db-level
+# recovery + process-SIGKILL torture, and a short replay fuzz shake.
 walsmoke:
 	$(GO) test -race -count=1 ./internal/wal
 	$(GO) test -race -count=1 -run 'Recover|Snapshot|Crash|Close|Compact|ConcurrentCommits|Background' ./internal/db

@@ -40,6 +40,7 @@ type MetricsSnapshot struct {
 	WALFsyncs         uint64
 	WALBytes          uint64
 	WALRotations      uint64
+	WALExtends        uint64
 	// Replication counters (see repl.go): records applied from the
 	// primary (standby), connected acknowledged replicas (primary), and
 	// the version-counter lag of the slowest connected replica.
@@ -57,6 +58,7 @@ func (d *DB) Metrics() (out MetricsSnapshot) {
 	out.WALFsyncs = w.Fsyncs
 	out.WALBytes = w.Bytes
 	out.WALRotations = w.Rotations
+	out.WALExtends = w.Extends
 	st := d.ReplStatusNow()
 	out.ReplApplied = st.Applied
 	out.ReplReplicas = uint64(st.Replicas)

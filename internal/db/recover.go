@@ -204,7 +204,11 @@ func (d *DB) logCommit(version kv.Version, byShard map[*shardState][]preparedWri
 	if d.wal == nil {
 		return wal.Pos{}, nil
 	}
-	rec := wal.Record{Version: version}
+	n := 0
+	for _, writes := range byShard {
+		n += len(writes)
+	}
+	rec := wal.Record{Version: version, Writes: make([]wal.Entry, 0, n)}
 	for _, writes := range byShard {
 		for _, w := range writes {
 			rec.Writes = append(rec.Writes, wal.Entry{

@@ -49,6 +49,7 @@ func (d *DB) RegisterMetrics(reg *telemetry.Registry) {
 	reg.Counter("wal_fsyncs", func() uint64 { return d.walMetrics().Fsyncs })
 	reg.Counter("wal_bytes", func() uint64 { return d.walMetrics().Bytes })
 	reg.Counter("wal_rotations", func() uint64 { return d.walMetrics().Rotations })
+	reg.Counter("wal_extends", func() uint64 { return d.walMetrics().Extends })
 	reg.Counter("repl_applied", func() uint64 { return d.ReplStatusNow().Applied })
 
 	reg.Gauge("repl_lag", func() uint64 { return d.ReplStatusNow().Lag })

@@ -265,6 +265,7 @@ func (s *DBServer) streamRecords(ctx context.Context, pc *peerConn, name string,
 	drained, stopDrain := context.WithCancel(context.Background())
 	stopDrain()
 	cursor := from
+	var recs []wal.Record // one slice for every frame: the encoder keeps none of it
 	for {
 		rec, end, err := t.Next(ctx)
 		if err != nil {
@@ -273,7 +274,7 @@ func (s *DBServer) streamRecords(ctx context.Context, pc *peerConn, name string,
 			}
 			return
 		}
-		recs := []wal.Record{rec}
+		recs = append(recs[:0], rec)
 		size := recordWireSize(&rec)
 		for len(recs) < maxReplBatchRecords && size < replFrameBytes {
 			rec, pos, err := t.Next(drained)

@@ -2,8 +2,6 @@ package wal
 
 import (
 	"errors"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"tcache/internal/kv"
@@ -16,22 +14,41 @@ import (
 //   - Replay never panics and never over-allocates on hostile lengths.
 //   - It either succeeds or fails with a named ErrCorrupt error.
 //   - On success, re-replaying the directory yields byte-identical
-//     records (the torn tail was truncated, so recovery is stable):
+//     records (the torn tail was zeroed, so recovery is stable):
 //     replay can only ever surface records that were actually framed,
 //     CRC-validated, and decoded — never invented ones.
 func FuzzWALReplay(f *testing.F) {
 	// Seed with realistic shapes: a valid log, a torn tail, a bit flip,
-	// a garbage prefix, and snapshot-looking bytes in a segment.
-	valid := fileHeader(segMagic, 1)
-	for i := uint64(1); i <= 3; i++ {
-		r := Record{Version: kv.Version{Counter: i}, Writes: []Entry{{
+	// a garbage prefix, snapshot-looking bytes in a segment, and what
+	// in-place writes leave: a zero fill after the frames, and a final
+	// three-frame batch with a hole in its first or its middle frame.
+	fuzzRec := func(i uint64) Record {
+		return Record{Version: kv.Version{Counter: i}, Writes: []Entry{{
 			Key:   "k",
 			Value: kv.Value("v"),
 			Deps:  kv.DepList{{Key: "d", Version: kv.Version{Counter: i - 1}}},
 		}}}
+	}
+	valid := fileHeader(segMagic, 1)
+	for i := uint64(1); i <= 3; i++ {
+		r := fuzzRec(i)
 		valid = appendFramed(valid, appendRecordPayload(nil, &r))
 	}
 	f.Add(valid)
+	fill := make([]byte, 300)
+	f.Add(append(valid[:len(valid):len(valid)], fill...))
+	var batch []byte
+	for i := uint64(4); i <= 6; i++ {
+		r := fuzzRec(i)
+		batch, _ = appendRecordFrame(batch, &r)
+	}
+	closeFrames(batch, 0)
+	frame := len(batch) / 3
+	for _, hole := range []int{0, frame} {
+		holed := append([]byte(nil), batch...)
+		clear(holed[hole+2 : hole+frame-2])
+		f.Add(append(append(valid[:len(valid):len(valid)], holed...), fill...))
+	}
 	f.Add(valid[:len(valid)-5])
 	flipped := append([]byte(nil), valid...)
 	flipped[len(flipped)/2] ^= 0x40
@@ -41,18 +58,12 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dir := t.TempDir()
-		if err := writeManifest(dir, manifest{FirstSeg: 1}); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, segName(1)), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
+		dir, _ := imageDir(t, data)
 		first := replayOnce(t, dir)
 		if first == nil {
 			return // named corruption error: acceptable, log untouched
 		}
-		// Success: recovery truncated any torn tail, so a second
+		// Success: recovery zeroed any torn tail, so a second
 		// recovery must see the exact same committed prefix.
 		second := replayOnce(t, dir)
 		if second == nil {

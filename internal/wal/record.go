@@ -1,13 +1,19 @@
 package wal
 
-// On-disk framing. Every frame is
+// On-disk framing (format version 2). Every frame is
 //
 //	[4] payload length (LE uint32)
-//	[4] CRC32C of payload (LE uint32)
+//	[4] CRC32C of payload ‖ batch offset (LE uint32)
+//	[4] batch offset (LE uint32)
 //	[…] payload
 //
-// and the first payload byte is the frame kind, so segments and
-// snapshots share one framing. What follows the kind byte is laid out
+// The batch offset is the frame's distance from the first byte of the
+// group-commit batch it was written in, so a frame at file offset Y
+// says "my batch began at Y − off". Batches are the unit of fsync;
+// recovery uses the field to tell the torn final batch from damaged
+// durable history (see replay.go). Snapshot frames carry 0. The first
+// payload byte is the frame kind, so segments and snapshots share one
+// framing. What follows the kind byte is laid out
 // by internal/codec — the same record and entry encoding the
 // replication stream ships — decoded in Copy mode: recovered items live
 // for the life of the process and must not pin 64 MiB segment reads.
@@ -15,6 +21,7 @@ package wal
 import (
 	"encoding/binary"
 	"hash/crc32"
+	"math"
 	"sync"
 
 	"tcache/internal/codec"
@@ -33,8 +40,8 @@ const (
 // length field can never force a giant allocation during replay.
 const maxRecordSize = 64 << 20
 
-// frameHeaderSize is the [len][crc] prefix of every frame.
-const frameHeaderSize = 8
+// frameHeaderSize is the [len][crc][batch offset] prefix of every frame.
+const frameHeaderSize = 12
 
 // castagnoli is the CRC32C polynomial table (hardware-accelerated on
 // amd64/arm64), shared by all frame writers and readers.
@@ -78,13 +85,55 @@ func appendSnapshotEntry(b []byte, e *SnapshotEntry) []byte {
 	return codec.AppendSnapshotEntry(append(b, kindSnapEntry), e)
 }
 
-// appendFramed appends the [len][crc] header and payload to dst.
+// openFrame fills in the length and the payload checksum of frame (a
+// header's worth of space followed by exactly the payload), leaving the
+// batch offset open: an appender computes this much without holding the
+// log's mutex, and closeFrame completes it once the offset is known.
+func openFrame(frame []byte) {
+	payload := frame[frameHeaderSize:]
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
+}
+
+// closeFrame stamps the open frame at frame[0] with its batch offset and
+// folds the offset into the checksum. The field saturates; recovery
+// never looks further than scanWindow past the damage it is judging, so
+// a saturated offset still places the batch start before that damage.
+func closeFrame(frame []byte, off int) {
+	binary.LittleEndian.PutUint32(frame[8:12], uint32(min(uint64(off), math.MaxUint32)))
+	crc := crc32.Update(binary.LittleEndian.Uint32(frame[4:8]), castagnoli, frame[8:12])
+	binary.LittleEndian.PutUint32(frame[4:8], crc)
+}
+
+// closeFrames closes every open frame in batch[from:], each with its
+// position in batch as the offset.
+func closeFrames(batch []byte, from int) {
+	for from < len(batch) {
+		closeFrame(batch[from:], from)
+		from += frameHeaderSize + int(binary.LittleEndian.Uint32(batch[from:from+4]))
+	}
+}
+
+// appendFramed appends payload as a complete frame that is a batch of
+// its own (offset 0): the snapshot writer's framing.
 func appendFramed(dst, payload []byte) []byte {
-	var hdr [frameHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
+	start := len(dst)
+	dst = append(append(dst, make([]byte, frameHeaderSize)...), payload...)
+	openFrame(dst[start:])
+	closeFrame(dst[start:], 0)
+	return dst
+}
+
+// appendRecordFrame appends rec's open frame to dst, encoding the
+// payload in place behind the header.
+func appendRecordFrame(dst []byte, rec *Record) ([]byte, error) {
+	start := len(dst)
+	dst = appendRecordPayload(append(dst, make([]byte, frameHeaderSize)...), rec)
+	if len(dst)-start-frameHeaderSize > maxRecordSize {
+		return dst[:start], ErrRecordTooLarge
+	}
+	openFrame(dst[start:])
+	return dst, nil
 }
 
 // decodeRecordPayload decodes a commit record from a frame payload
@@ -108,17 +157,4 @@ func decodeSnapshotEntry(p []byte) (SnapshotEntry, error) {
 		return SnapshotEntry{}, codec.ErrTruncated
 	}
 	return e, nil
-}
-
-// encodeRecord encodes rec's frame payload into a pooled buffer; the
-// caller frames it and then calls release.
-func encodeRecord(rec *Record) (payload []byte, release func(), err error) {
-	buf := getBuf()
-	payload = appendRecordPayload((*buf)[:0], rec)
-	*buf = payload
-	if len(payload) > maxRecordSize {
-		putBuf(buf)
-		return nil, nil, ErrRecordTooLarge
-	}
-	return payload, func() { putBuf(buf) }, nil
 }

@@ -1,24 +1,34 @@
 package wal
 
 // Recovery. Replay reads the snapshot (if any) and every live segment
-// in order, then arms the log for appending. The torn-tail rule is the
-// heart of crash safety:
+// in order, then arms the log for appending.
 //
-//   - In any segment but the last, every frame must be intact: an
-//     unreadable frame there means committed, previously-readable
-//     history was damaged, and replay refuses with CorruptSegmentError
-//     rather than silently dropping it.
-//   - In the last segment, the first unreadable frame is presumed to be
-//     the torn tail of the crashed final write — unless a valid frame
-//     parses after it, which proves the damage sits in the middle of
-//     written history and is corruption, not a torn write. Torn bytes
-//     are truncated away so the next append starts at a record boundary.
+// Every segment but the last is sealed: exactly its header and frames,
+// fully fsynced. Anything unreadable there is damaged history, and
+// replay refuses with CorruptSegmentError rather than drop it.
 //
-// Because batches are written with a single Write on an O_APPEND-free
-// descriptor, a crash can tear only the final contiguous byte range; a
-// valid-prefix-then-garbage file is exactly what recovery expects.
+// The last segment is the active one, written in place into a zero
+// fill: zeros from a frame boundary to EOF are the clean end of the
+// log. Anything else unreadable, at offset X, is either the torn final
+// batch or damaged history. Under Options.Sync a batch is fsynced
+// before the next is written, so at most one batch — the last, never
+// acknowledged — can be partly on disk; being a positioned write it may
+// be there with holes, any of its sectors persisted and any not. Every
+// frame says where its batch began (record.go), so:
+//
+//   - X is a torn tail iff no valid frame after X belongs to a batch
+//     that began after X: whatever still parses beyond the tear is more
+//     of the same unacknowledged batch. The tail is zeroed.
+//   - A valid frame of a batch that began after X proves the bytes at X
+//     were fsynced before that batch was written — durable history
+//     once — and replay refuses, leaving the file untouched.
+//
+// Without Options.Sync the log promises process-crash safety only (the
+// page cache survives whole); after a power loss any unsynced batch may
+// have the holes, which the rule reports as the corruption they are.
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -46,7 +56,9 @@ type ReplayInfo struct {
 	Records int
 	// Segments is the number of live segments scanned.
 	Segments int
-	// TornBytes is the size of the truncated torn tail (0 = clean).
+	// TornBytes is the size of the discarded torn tail, from the first
+	// unreadable frame to the last non-zero byte (0 = clean: the active
+	// segment's zero fill is not damage and is not counted).
 	TornBytes int64
 }
 
@@ -80,26 +92,26 @@ func nextFrame(b []byte, off int) ([]byte, int, frameErrClass) {
 	}
 	want := binary.LittleEndian.Uint32(b[off+4 : off+8])
 	payload := b[off+frameHeaderSize : off+frameHeaderSize+n]
-	if crc32.Checksum(payload, castagnoli) != want {
+	if crc32.Update(crc32.Checksum(payload, castagnoli), castagnoli, b[off+8:off+12]) != want {
 		return nil, off, frameBadCRC
 	}
 	return payload, off + frameHeaderSize + n, frameOK
 }
 
-// lookahead scan bounds: a corrupt middle is distinguished from a torn
-// tail by finding a later valid record, but the scan must stay cheap on
+// lookahead scan bounds: damaged history is distinguished from a torn
+// tail by finding a later batch, but the scan must stay cheap on
 // hostile input (fuzzing feeds megabytes of garbage).
 const (
 	scanWindow      = 4 << 20
 	scanMaxAttempts = 1 << 16
 )
 
-// validRecordAfter reports whether any byte offset in (from, end) parses
-// as a valid commit-record frame — proof that damage at `from` is
-// mid-history corruption rather than a torn tail. The kind-byte
-// prefilter rejects ~255/256 of random positions before the CRC runs.
-func validRecordAfter(b []byte, from int) bool {
-	end := len(b)
+// laterBatchAfter reports whether any byte offset in (from, end) parses
+// as a valid commit-record frame of a batch that began after from —
+// proof that the damage at from was durable history once, not the torn
+// final batch. The length and kind-byte prefilter rejects the zero
+// holes and ~255/256 of random positions before the CRC runs.
+func laterBatchAfter(b []byte, from, end int) bool {
 	if end-from > scanWindow {
 		end = from + scanWindow
 	}
@@ -116,8 +128,9 @@ func validRecordAfter(b []byte, from int) bool {
 		if attempts > scanMaxAttempts {
 			return false
 		}
-		payload := b[off+frameHeaderSize : off+frameHeaderSize+n]
-		if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(b[off+4:off+8]) {
+		batchOff := binary.LittleEndian.Uint32(b[off+8 : off+12])
+		payload, _, class := nextFrame(b, off)
+		if class != frameOK || int64(off)-int64(batchOff) <= int64(from) {
 			continue
 		}
 		if _, err := decodeRecordPayload(payload); err == nil {
@@ -130,7 +143,7 @@ func validRecordAfter(b []byte, from int) bool {
 // Replay recovers the log: snapshot entries, then tail records, in
 // order. It must be called exactly once, before any Append; it arms the
 // append path, creating the first segment if the directory is fresh and
-// truncating a torn tail so the next record lands on a frame boundary.
+// zeroing a torn tail so the next batch lands in a clean fill.
 func (l *Log) Replay(h ReplayHandler) (ReplayInfo, error) {
 	l.mu.Lock()
 	if l.closed {
@@ -153,19 +166,18 @@ func (l *Log) Replay(h ReplayHandler) (ReplayInfo, error) {
 		info.SnapshotEntries = entries
 	}
 
+	var end int64 // first byte after the last segment's readable frames
 	for i, seq := range l.segs {
 		last := i == len(l.segs)-1
-		torn, err := l.replaySegment(seq, last, h, &info)
+		var err error
+		end, info.TornBytes, err = l.replaySegment(seq, last, h, &info)
 		if err != nil {
 			return info, err
 		}
 		info.Segments++
-		info.TornBytes = torn
 	}
 
-	// Arm the append path: open the active segment (creating it for a
-	// fresh log), truncating any torn tail first.
-	if err := l.openActive(info.TornBytes); err != nil {
+	if err := l.openActive(end, info.TornBytes); err != nil {
 		return info, err
 	}
 	l.mu.Lock()
@@ -179,61 +191,59 @@ func (l *Log) Replay(h ReplayHandler) (ReplayInfo, error) {
 	return info, nil
 }
 
-// replaySegment scans one segment. Only the last segment may have a
-// torn tail; returns its size in bytes (0 otherwise).
-func (l *Log) replaySegment(seq uint64, last bool, h ReplayHandler, info *ReplayInfo) (int64, error) {
+// replaySegment scans one segment and returns where its readable frames
+// end. Only the last segment may have a torn tail; torn is its size in
+// bytes (0 otherwise), starting at end. An end below fileHeaderSize
+// means the segment's creation itself was torn.
+func (l *Log) replaySegment(seq uint64, last bool, h ReplayHandler, info *ReplayInfo) (end, torn int64, err error) {
 	path := filepath.Join(l.dir, segName(seq))
 	b, err := os.ReadFile(path)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	if len(b) < fileHeaderSize {
 		if last {
 			// Torn segment creation: the header write itself was cut
 			// short. Nothing was ever appended here (appends require a
 			// durable header), so recreating it loses nothing.
-			return int64(len(b)), nil
+			return 0, int64(len(b)), nil
 		}
-		return 0, &CorruptSegmentError{Path: path, Reason: "short header"}
+		return 0, 0, &CorruptSegmentError{Path: path, Reason: "short header"}
 	}
 	if reason := checkFileHeader(b, segMagic, seq); reason != "" {
-		return 0, &CorruptSegmentError{Path: path, Reason: reason}
+		return 0, 0, &CorruptSegmentError{Path: path, Reason: reason}
 	}
 
 	valid := fileHeaderSize
 	for {
 		payload, next, class := nextFrame(b, valid)
-		switch class {
-		case frameOK:
-			rec, err := decodeRecordPayload(payload)
-			if err != nil {
-				class = frameBadBody
-				break
-			}
-			if rec.Version.Counter > info.Counter {
-				info.Counter = rec.Version.Counter
-			}
-			if h.Record != nil {
-				if err := h.Record(rec); err != nil {
-					return 0, err
+		if class == frameOK {
+			rec, derr := decodeRecordPayload(payload)
+			if derr == nil {
+				if rec.Version.Counter > info.Counter {
+					info.Counter = rec.Version.Counter
 				}
+				if h.Record != nil {
+					if err := h.Record(rec); err != nil {
+						return 0, 0, err
+					}
+				}
+				info.Records++
+				valid = next
+				continue
 			}
-			info.Records++
-			valid = next
-			continue
-		case frameEOF:
-			return 0, nil
+			class = frameBadBody
 		}
-		// Unreadable frame at `valid`.
-		if !last {
-			return 0, &CorruptSegmentError{Path: path, Offset: int64(valid), Reason: classReason(class)}
+		// End of the file, or an unreadable frame at `valid`.
+		tail := bytes.TrimRight(b[valid:], "\x00")
+		if len(tail) == 0 && (last || class == frameEOF) {
+			return int64(valid), 0, nil // clean end, zero fill (if any) and all
 		}
-		if class != frameShort && validRecordAfter(b, valid) {
-			// Valid history continues past the damage: this is mid-log
-			// corruption, not the torn tail of the final write.
-			return 0, &CorruptSegmentError{Path: path, Offset: int64(valid), Reason: classReason(class)}
+		tornEnd := valid + len(tail)
+		if !last || laterBatchAfter(b, valid, tornEnd) {
+			return 0, 0, &CorruptSegmentError{Path: path, Offset: int64(valid), Reason: classReason(class)}
 		}
-		return int64(len(b) - valid), nil
+		return int64(valid), int64(len(tail)), nil
 	}
 }
 
@@ -251,64 +261,48 @@ func classReason(c frameErrClass) string {
 	return "unreadable frame"
 }
 
-// openActive opens the highest segment for appending, truncating
-// tornBytes off its end first, or creates segment firstSeg for a fresh
-// log (including re-creating a final segment torn during creation).
-func (l *Log) openActive(tornBytes int64) error {
+// openActive opens the highest segment for positioned writes at end,
+// first zeroing the torn bytes there — a batch must only ever land in
+// zeros, or a leftover of the torn one could parse as a frame behind a
+// shorter successor. The segment keeps whatever zero fill it has. A
+// fresh log, or a final segment torn during creation (end below the
+// header), gets a newly created segment instead.
+func (l *Log) openActive(end, torn int64) error {
 	l.fileMu.Lock()
 	defer l.fileMu.Unlock()
-	if len(l.segs) == 0 {
-		f, err := createSegment(l.dir, l.firstSeg)
+	l.seq = l.firstSeg
+	if len(l.segs) > 0 {
+		l.seq = l.segs[len(l.segs)-1]
+	}
+	path := filepath.Join(l.dir, segName(l.seq))
+	if end < fileHeaderSize {
+		if len(l.segs) > 0 {
+			if err := os.Remove(path); err != nil {
+				return err
+			}
+		}
+		f, err := createSegment(l.dir, l.seq)
 		if err != nil {
 			return err
 		}
-		l.f = f
-		l.seq = l.firstSeg
-		l.size = fileHeaderSize
-		l.flushed = Pos{Seq: l.seq, Off: l.size}
-		return nil
-	}
-	seq := l.segs[len(l.segs)-1]
-	path := filepath.Join(l.dir, segName(seq))
-	st, err := os.Stat(path)
-	if err != nil {
-		return err
-	}
-	size := st.Size()
-	if size < fileHeaderSize {
-		// Torn creation (see replaySegment): recreate the segment.
-		if err := os.Remove(path); err != nil {
-			return err
-		}
-		f, err := createSegment(l.dir, seq)
+		l.f, l.size, l.alloc = f, fileHeaderSize, fileHeaderSize
+	} else {
+		f, err := os.OpenFile(path, os.O_WRONLY, 0o644)
 		if err != nil {
 			return err
 		}
-		l.f = f
-		l.seq = seq
-		l.size = fileHeaderSize
-		l.flushed = Pos{Seq: l.seq, Off: l.size}
-		return nil
-	}
-	if tornBytes > 0 {
-		size -= tornBytes
-		if err := os.Truncate(path, size); err != nil {
-			return err
+		st, err := f.Stat()
+		if err == nil && torn > 0 {
+			if err = writeZeros(f, end, torn); err == nil {
+				err = f.Sync()
+			}
 		}
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	if tornBytes > 0 {
-		if err := f.Sync(); err != nil {
+		if err != nil {
 			f.Close()
 			return err
 		}
+		l.f, l.size, l.alloc = f, end, st.Size()
 	}
-	l.f = f
-	l.seq = seq
-	l.size = size
 	l.flushed = Pos{Seq: l.seq, Off: l.size}
 	return nil
 }

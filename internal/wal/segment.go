@@ -6,6 +6,15 @@ package wal
 // are created write-temp-free (O_EXCL + header + fsync file + fsync
 // dir): a crash mid-creation leaves a short file that is recreated on
 // the next open, never mistaken for committed history.
+//
+// The active (highest) segment is longer than its frames: the flusher
+// keeps it zero-filled ahead of the write cursor (Log.extendLocked) and
+// positions each batch into the fill, so a batch's fsync flushes data
+// blocks that are already allocated under a length that is already
+// durable, and commits nothing through the filesystem journal. Frames
+// are never all-zero, so the fill reads back as the end of the log.
+// Rotation and Close truncate the fill away: a sealed segment is
+// exactly its header and frames.
 
 import (
 	"encoding/binary"
@@ -18,7 +27,7 @@ import (
 const (
 	segMagic      = "TCWS" // T-Cache WAL Segment
 	snapMagic     = "TCSN" // T-Cache SNapshot
-	formatVersion = 1
+	formatVersion = 2      // 2: frames carry their batch offset (record.go)
 	// fileHeaderSize covers both segment and snapshot headers:
 	// [4] magic, [1] format version, [3] zero padding, [8] BE sequence.
 	fileHeaderSize = 16
@@ -96,6 +105,23 @@ func createSegment(dir string, seq uint64) (*os.File, error) {
 		return nil, err
 	}
 	return f, nil
+}
+
+// zeros is the one source of zero fill; a package-level array costs no
+// heap and no per-extension allocation.
+var zeros [64 << 10]byte
+
+// writeZeros overwrites [off, off+n) of f with zeros.
+func writeZeros(f *os.File, off, n int64) error {
+	for n > 0 {
+		chunk := zeros[:min(n, int64(len(zeros)))]
+		if _, err := f.WriteAt(chunk, off); err != nil {
+			return err
+		}
+		off += int64(len(chunk))
+		n -= int64(len(chunk))
+	}
+	return nil
 }
 
 // listSegments returns the sequence numbers of all segment files in

@@ -76,13 +76,7 @@ func (l *Log) BeginSnapshot(cut uint64, counter uint64) (*SnapshotWriter, error)
 		return nil, err
 	}
 	// Meta frame: the durable version counter.
-	buf := getBuf()
-	payload := append((*buf)[:0], kindSnapMeta)
-	payload = binary.AppendUvarint(payload, counter)
-	*buf = payload
-	_, err = w.bw.Write(appendFramed(nil, payload))
-	putBuf(buf)
-	if err != nil {
+	if _, err := w.bw.Write(appendFramed(nil, binary.AppendUvarint([]byte{kindSnapMeta}, counter))); err != nil {
 		w.fail()
 		return nil, err
 	}
@@ -129,12 +123,7 @@ func (w *SnapshotWriter) Commit() error {
 	l := w.l
 	defer l.clearSnapping()
 
-	buf := getBuf()
-	payload := append((*buf)[:0], kindSnapFooter)
-	payload = binary.AppendUvarint(payload, w.entries)
-	*buf = payload
-	_, err := w.bw.Write(appendFramed(nil, payload))
-	putBuf(buf)
+	_, err := w.bw.Write(appendFramed(nil, binary.AppendUvarint([]byte{kindSnapFooter}, w.entries)))
 	if err == nil {
 		err = w.bw.Flush()
 	}

@@ -18,6 +18,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 )
 
 // tailChunk bounds one read, so tailing a large sealed segment streams
@@ -32,7 +33,8 @@ type Tailer struct {
 	pos  Pos // next unread byte
 	f    *os.File
 	fseq uint64
-	buf  []byte // unconsumed bytes of segment pos.Seq, starting at pos.Off
+	buf  []byte // bytes of segment pos.Seq; buf[r:] is unconsumed and starts at pos.Off
+	r    int
 }
 
 // Tail starts a tailer at from. A zero position means "from the oldest
@@ -68,16 +70,16 @@ func (l *Log) Resumable(from Pos) bool {
 // (ErrTailerLagged).
 func (t *Tailer) Next(ctx context.Context) (Record, Pos, error) {
 	for {
-		if len(t.buf) > 0 {
-			payload, next, class := nextFrame(t.buf, 0)
+		if t.r < len(t.buf) {
+			payload, next, class := nextFrame(t.buf, t.r)
 			switch class {
 			case frameOK:
 				rec, err := decodeRecordPayload(payload)
 				if err != nil {
 					return Record{}, Pos{}, t.corrupt("undecodable record payload")
 				}
-				t.buf = t.buf[next:]
-				t.pos.Off += int64(next)
+				t.pos.Off += int64(next - t.r)
+				t.r = next
 				return rec, t.pos, nil
 			case frameShort:
 				// Need more bytes; fall through to fill.
@@ -107,7 +109,7 @@ func (t *Tailer) Next(ctx context.Context) (Record, Pos, error) {
 				continue
 			}
 			if sealed {
-				if len(t.buf) > 0 {
+				if t.r < len(t.buf) {
 					// Sealed segments end on a frame boundary; leftover
 					// bytes mean the file was damaged under us.
 					return Record{}, Pos{}, t.corrupt("torn frame in sealed segment")
@@ -130,8 +132,9 @@ func (t *Tailer) Next(ctx context.Context) (Record, Pos, error) {
 	}
 }
 
-// fill reads up to tailChunk unconsumed bytes of the current segment
-// into the buffer: to limit, or to EOF when limit < 0 (sealed). It
+// fill reads up to tailChunk more bytes of the current segment into the
+// buffer's spare capacity (records are decoded by copy, so consumed
+// bytes are reused): to limit, or to EOF when limit < 0 (sealed). It
 // returns the number of bytes added.
 func (t *Tailer) fill(limit int64) (int, error) {
 	if t.f == nil || t.fseq != t.pos.Seq {
@@ -156,6 +159,8 @@ func (t *Tailer) fill(limit int64) (int, error) {
 		}
 		limit = st.Size()
 	}
+	t.buf = t.buf[:copy(t.buf, t.buf[t.r:])]
+	t.r = 0
 	start := t.pos.Off + int64(len(t.buf))
 	want := limit - start
 	if want <= 0 {
@@ -164,12 +169,10 @@ func (t *Tailer) fill(limit int64) (int, error) {
 	if want > tailChunk {
 		want = tailChunk
 	}
-	chunk := make([]byte, want)
-	n, err := io.ReadFull(io.NewSectionReader(t.f, start, want), chunk)
-	if n > 0 {
-		t.buf = append(t.buf, chunk[:n]...)
-	}
-	if err != nil && err != io.ErrUnexpectedEOF && err != io.EOF {
+	t.buf = slices.Grow(t.buf, int(want))
+	n, err := t.f.ReadAt(t.buf[len(t.buf):len(t.buf)+int(want)], start)
+	t.buf = t.buf[:len(t.buf)+n]
+	if err != nil && err != io.EOF {
 		return n, err
 	}
 	return n, nil
@@ -188,7 +191,7 @@ func (t *Tailer) closeFile() {
 		t.f.Close()
 		t.f = nil
 	}
-	t.buf = nil
+	t.buf, t.r = nil, 0
 }
 
 // Close releases the tailer's file handle. The tailer must not be used

@@ -2,6 +2,7 @@
 // segmented write-ahead log with group commit plus a snapshot/checkpoint
 // layer. A log directory holds
 //
+//	LOCK                      flock'ed by the one process that has the log open
 //	MANIFEST                  root pointer: first live segment + snapshot
 //	snap-%016d.snap           newest durable checkpoint (at most one)
 //	seg-%016d.wal             live segments, contiguous sequence numbers
@@ -9,13 +10,15 @@
 // Appends go to the highest segment; segments rotate at a size
 // threshold. Concurrent committers coalesce: each appends its encoded
 // record to the open batch and waits, while a dedicated flusher writes
-// whole batches with one buffered write and (when Options.Sync) one
-// fsync — so Sync durability costs one fsync per batch, not per
-// transaction. A snapshot covers every segment below its cut sequence;
-// committing a snapshot advances the manifest and deletes the covered
-// segments. Recovery (Replay) loads the snapshot, replays the tail
-// segments tolerating a torn final record, and surfaces corruption of
-// committed history as named errors instead of silently truncating it.
+// whole batches with one positioned write into the segment's zero fill
+// and (when Options.Sync) one fsync — so Sync durability costs one
+// fsync per batch, not per transaction, and that fsync has no new file
+// size to commit through the filesystem journal. A snapshot covers
+// every segment below its cut sequence; committing a snapshot advances
+// the manifest and deletes the covered segments. Recovery (Replay)
+// loads the snapshot, replays the tail segments tolerating a torn final
+// batch, and surfaces corruption of committed history as named errors
+// instead of silently truncating it.
 package wal
 
 import (
@@ -26,6 +29,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"tcache/internal/telemetry"
@@ -43,6 +47,9 @@ var (
 	// ErrRecordTooLarge is returned by Append when one record exceeds the
 	// 64 MiB frame bound.
 	ErrRecordTooLarge = errors.New("wal: record exceeds maximum size")
+	// ErrLocked is returned by Open while another Log, in any process,
+	// holds the directory: two writers would overwrite each other's commits.
+	ErrLocked = errors.New("wal: log directory is locked by another process")
 	// ErrWriteFailed wraps the first write or fsync error; the log
 	// fail-stops after it (every later Append returns it) because a
 	// failed fsync leaves the kernel page cache unreliable.
@@ -141,7 +148,10 @@ type Options struct {
 	FsyncHist *telemetry.Histogram
 }
 
-const defaultSegmentSize = 64 << 20
+const (
+	defaultSegmentSize = 64 << 20
+	lockName           = "LOCK"
+)
 
 func (o Options) withDefaults() Options {
 	if o.SegmentSize <= 0 {
@@ -162,10 +172,12 @@ type Metrics struct {
 	Fsyncs    uint64 // fsyncs issued for batches
 	Bytes     uint64 // record bytes written (including frame headers)
 	Rotations uint64 // segment rotations
+	Extends   uint64 // zero-fill extensions of the active segment
 }
 
 // batch is one group-commit unit: the concatenated frames of every
-// record appended while the previous batch was being flushed. seq and
+// record appended while the previous batch was being flushed, each
+// stamped with its offset in buf (record.go). seq and
 // base are stamped by writeBatch (under fileMu, before the write) so
 // each appender can compute its record's end position after done; the
 // channel close publishes them.
@@ -204,9 +216,13 @@ type Log struct {
 	// fileMu guards the active segment file and the directory state
 	// (first segment, snapshot name). Lock order: fileMu before mu —
 	// writeBatch and rotation report sticky errors while holding fileMu.
+	// The file holds frames in [fileHeaderSize, size) and zeros in
+	// [size, alloc); alloc is its length.
 	fileMu   sync.Mutex
+	lock     *os.File // LOCK, flock'ed from Open to Close
 	f        *os.File
 	size     int64
+	alloc    int64
 	seq      uint64 // active (highest) segment sequence
 	firstSeg uint64 // lowest live segment sequence (manifest)
 	snap     string // snapshot file name ("" = none)
@@ -224,6 +240,7 @@ type Log struct {
 	fsyncs    atomic.Uint64
 	bytes     atomic.Uint64
 	rotations atomic.Uint64
+	extends   atomic.Uint64
 
 	// segs holds the segment sequences discovered at Open, consumed by
 	// Replay.
@@ -237,13 +254,32 @@ type Log struct {
 // Open removes crash leftovers — temp files, segments below the
 // manifest's first sequence, snapshots the manifest does not name —
 // which is how every crash window of the snapshot protocol converges
-// back to a consistent directory.
-func Open(dir string, opts Options) (*Log, error) {
+// back to a consistent directory. It holds the directory's LOCK until
+// Close, and fails with ErrLocked while another Log does.
+func Open(dir string, opts Options) (_ *Log, err error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
+	// The kernel drops the flock when the descriptor closes, so a killed
+	// process never leaves the directory locked.
+	lock, err := os.OpenFile(filepath.Join(dir, lockName), os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	defer func() {
+		if err != nil {
+			lock.Close()
+		}
+	}()
+	if err := syscall.Flock(int(lock.Fd()), syscall.LOCK_EX|syscall.LOCK_NB); err != nil {
+		if errors.Is(err, syscall.EWOULDBLOCK) {
+			return nil, fmt.Errorf("%w: %s", ErrLocked, dir)
+		}
+		return nil, fmt.Errorf("wal: flock %s: %w", dir, err)
+	}
 	l := &Log{
 		dir:         dir,
+		lock:        lock,
 		opts:        opts.withDefaults(),
 		cur:         newBatch(),
 		kick:        make(chan struct{}, 1),
@@ -348,6 +384,7 @@ func (l *Log) Metrics() Metrics {
 		Fsyncs:    l.fsyncs.Load(),
 		Bytes:     l.bytes.Load(),
 		Rotations: l.rotations.Load(),
+		Extends:   l.extends.Load(),
 	}
 }
 
@@ -358,38 +395,7 @@ func (l *Log) Metrics() Metrics {
 // returned Pos is the end of the record's frame — the cursor a replica
 // holding this record (and everything before it) acknowledges.
 func (l *Log) Append(rec Record) (Pos, error) {
-	payload, release, err := encodeRecord(&rec)
-	if err != nil {
-		return Pos{}, err
-	}
-	l.mu.Lock()
-	if !l.replayed || l.closed {
-		l.mu.Unlock()
-		release()
-		return Pos{}, ErrClosed
-	}
-	if l.werr != nil {
-		err := l.werr
-		l.mu.Unlock()
-		release()
-		return Pos{}, err
-	}
-	b := l.cur
-	b.buf = appendFramed(b.buf, payload)
-	end := len(b.buf)
-	b.n++
-	l.mu.Unlock()
-	release()
-
-	select {
-	case l.kick <- struct{}{}:
-	default:
-	}
-	<-b.done
-	if b.err != nil {
-		return Pos{}, b.err
-	}
-	return Pos{Seq: b.seq, Off: b.base + int64(end)}, nil
+	return l.AppendBatch([]Record{rec})
 }
 
 // AppendBatch durably logs several commit records as one unit, sharing
@@ -401,37 +407,31 @@ func (l *Log) AppendBatch(recs []Record) (Pos, error) {
 		return Pos{}, nil
 	}
 	frames := getBuf()
-	tmp := (*frames)[:0]
+	defer putBuf(frames)
 	for i := range recs {
-		payload, release, err := encodeRecord(&recs[i])
-		if err != nil {
-			*frames = tmp
-			putBuf(frames)
+		var err error
+		if *frames, err = appendRecordFrame(*frames, &recs[i]); err != nil {
 			return Pos{}, err
 		}
-		tmp = appendFramed(tmp, payload)
-		release()
 	}
-	*frames = tmp
 
 	l.mu.Lock()
 	if !l.replayed || l.closed {
 		l.mu.Unlock()
-		putBuf(frames)
 		return Pos{}, ErrClosed
 	}
 	if l.werr != nil {
 		err := l.werr
 		l.mu.Unlock()
-		putBuf(frames)
 		return Pos{}, err
 	}
 	b := l.cur
-	b.buf = append(b.buf, tmp...)
+	start := len(b.buf)
+	b.buf = append(b.buf, *frames...)
+	closeFrames(b.buf, start)
 	end := len(b.buf)
 	b.n += len(recs)
 	l.mu.Unlock()
-	putBuf(frames)
 
 	select {
 	case l.kick <- struct{}{}:
@@ -482,22 +482,29 @@ func (l *Log) flusher() {
 	}
 }
 
-// writeBatch writes one batch to the active segment. A write or fsync
-// failure fails the batch (its commits are not durable) and fail-stops
-// the log. A post-write rotation failure does NOT fail the batch — its
-// records are already durable, and failing an acknowledged-durable
-// commit would let an "aborted" transaction resurrect at recovery — it
-// only fail-stops future appends.
+// writeBatch writes one batch into the active segment's zero fill,
+// extending the fill first when the batch would run past it. A write or
+// fsync failure fails the batch (its commits are not durable) and
+// fail-stops the log. A post-write rotation failure does NOT fail the
+// batch — its records are already durable, and failing an
+// acknowledged-durable commit would let an "aborted" transaction
+// resurrect at recovery — it only fail-stops future appends.
 func (l *Log) writeBatch(b *batch) error {
 	start := time.Now() // cheap next to the write+fsync it measures
 	l.fileMu.Lock()
 	defer l.fileMu.Unlock()
 	b.seq = l.seq
 	b.base = l.size
-	if _, err := l.f.Write(b.buf); err != nil {
+	end := l.size + int64(len(b.buf))
+	if end > l.alloc {
+		if err := l.extendLocked(end); err != nil {
+			return l.fail(err)
+		}
+	}
+	if _, err := l.f.WriteAt(b.buf, l.size); err != nil {
 		return l.fail(err)
 	}
-	l.size += int64(len(b.buf))
+	l.size = end
 	if l.opts.Sync {
 		syncStart := time.Now()
 		if err := l.f.Sync(); err != nil {
@@ -516,6 +523,31 @@ func (l *Log) writeBatch(b *batch) error {
 	}
 	l.advanceFlushedLocked()
 	l.opts.BatchHist.ObserveSince(start)
+	return nil
+}
+
+// extendLocked grows the active segment's zero fill to cover at least
+// need bytes and, under Options.Sync, makes the new length durable, so
+// that the batch fsyncs that follow write into allocated blocks and
+// find no metadata to journal. A step doubles the file: by at least
+// minExtend (a log that only sees set-up traffic pays for one small
+// step), by at most maxExtend (every queued commit waits for the step
+// to reach the disk), and never past the rotation threshold except as
+// far as the batch in hand reaches. Caller holds fileMu.
+func (l *Log) extendLocked(need int64) error {
+	const minExtend, maxExtend = 64 << 10, 4 << 20
+	step := min(max(l.alloc, minExtend), maxExtend)
+	target := max(min(l.alloc+step, l.opts.SegmentSize), need)
+	if err := writeZeros(l.f, l.alloc, target-l.alloc); err != nil {
+		return err
+	}
+	if l.opts.Sync {
+		if err := l.f.Sync(); err != nil {
+			return err
+		}
+	}
+	l.alloc = target
+	l.extends.Add(1)
 	return nil
 }
 
@@ -570,27 +602,36 @@ func (l *Log) fail(err error) error {
 	return wrapped
 }
 
-// rotateLocked seals the active segment (fsync even when Options.Sync
-// is off — a sealed segment is always fully durable) and opens the next
-// one. Caller holds fileMu.
-func (l *Log) rotateLocked() error {
-	if err := l.f.Sync(); err != nil {
-		return err
+// sealLocked cuts the zero fill off the active segment, makes it
+// durable (even when Options.Sync is off) and closes it: a sealed
+// segment is exactly its header and frames, which is what lets replay
+// demand every byte of one and a tailer read one to EOF. The handle is
+// gone either way. Caller holds fileMu.
+func (l *Log) sealLocked() error {
+	err := l.f.Truncate(l.size)
+	if err == nil {
+		err = l.f.Sync()
 	}
-	if err := l.f.Close(); err != nil {
-		return err
+	if cerr := l.f.Close(); err == nil {
+		err = cerr
 	}
-	// The sealed file is gone either way; a nil handle keeps a failed
-	// rotation (fail-stop follows) from masking its error with "file
-	// already closed" at Close time.
 	l.f = nil
+	return err
+}
+
+// rotateLocked seals the active segment and opens the next one. Caller
+// holds fileMu.
+func (l *Log) rotateLocked() error {
+	if err := l.sealLocked(); err != nil {
+		return err
+	}
 	f, err := createSegment(l.dir, l.seq+1)
 	if err != nil {
 		return err
 	}
 	l.f = f
 	l.seq++
-	l.size = fileHeaderSize
+	l.size, l.alloc = fileHeaderSize, fileHeaderSize
 	l.rotations.Add(1)
 	return nil
 }
@@ -637,18 +678,14 @@ func (l *Log) Close() error {
 		l.fileMu.Lock()
 		defer l.fileMu.Unlock()
 		if l.f != nil {
-			err := l.f.Sync()
-			if cerr := l.f.Close(); err == nil {
-				err = cerr
-			}
-			l.f = nil
-			l.closeErr = err
+			l.closeErr = l.sealLocked()
 		}
 		if l.closeErr == nil {
 			l.mu.Lock()
 			l.closeErr = l.werr
 			l.mu.Unlock()
 		}
+		l.lock.Close() // drops the flock
 		// Wake tailers so they observe the closed log instead of waiting
 		// for a flush that will never come.
 		close(l.flushCh)

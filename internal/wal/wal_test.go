@@ -183,24 +183,104 @@ func TestAppendAfterCloseRefused(t *testing.T) {
 	}
 }
 
+// crashCopy copies a live log directory the way a crash would leave it:
+// every segment at its on-disk length, zero fill included.
+func crashCopy(t *testing.T, dir string) string {
+	t.Helper()
+	dst := t.TempDir()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dst
+}
+
+func fileSize(t *testing.T, path string) int64 {
+	t.Helper()
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fi.Size()
+}
+
 func TestSyncModeDurableWithoutClose(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := openLog(t, dir, Options{Sync: true})
-	if _, err := l.Append(rec(1, "k")); err != nil {
+	end, err := l.Append(rec(1, "k"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	// No Close: the copy on disk must already replay. (Reading the live
-	// directory from a second Log is fine for the assertion; the first
-	// log is not used afterwards.)
-	_, recs, _ := replayAll(t, dir, Options{})
-	if len(recs) != 1 {
-		t.Fatalf("sync append not visible: %d", len(recs))
+	if m := l.Metrics(); m.Fsyncs != 1 || m.Records != 1 || m.Extends != 1 {
+		t.Fatalf("metrics = %+v, want 1 record, 1 fsync, 1 extension", m)
 	}
-	if m := l.Metrics(); m.Fsyncs == 0 || m.Records != 1 {
-		t.Fatalf("metrics = %+v, want fsyncs > 0 and 1 record", m)
+	// No Close: the directory as a crash would leave it must already
+	// replay, and its zero fill is the clean end of the log, not a tear.
+	live := fileSize(t, lastSegPath(t, dir))
+	if live <= end.Off {
+		t.Fatalf("active segment is %d bytes for frames ending at %d: not zero-filled ahead", live, end.Off)
+	}
+	crashed := crashCopy(t, dir)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := fileSize(t, lastSegPath(t, dir)); got != end.Off {
+		t.Fatalf("closed segment is %d bytes, want exactly its frames (%d)", got, end.Off)
+	}
+
+	l2, info := openLog(t, crashed, Options{Sync: true})
+	if info.Records != 1 || info.TornBytes != 0 {
+		t.Fatalf("crash copy replayed %d records with %d torn bytes, want 1 and 0", info.Records, info.TornBytes)
+	}
+	// The recovered segment keeps its fill: appending neither shrinks
+	// the file nor extends it again.
+	if _, err := l2.Append(rec(2, "k")); err != nil {
+		t.Fatal(err)
+	}
+	if got := fileSize(t, lastSegPath(t, crashed)); got != live || l2.Metrics().Extends != 0 {
+		t.Fatalf("recovered segment went %d -> %d bytes with %d extensions; want the fill reused", live, got, l2.Metrics().Extends)
+	}
+	if err := l2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, recs, _ := replayAll(t, crashed, Options{}); len(recs) != 2 {
+		t.Fatalf("replayed %d records after appending to the crash copy, want 2", len(recs))
+	}
+}
+
+func TestOpenLocksDirectory(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := openLog(t, dir, Options{})
+	if _, err := Open(dir, Options{}); !errors.Is(err, ErrLocked) {
+		t.Fatalf("second Open of a held directory: %v, want ErrLocked", err)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
+	}
+	l2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("Open after Close: %v", err)
+	}
+	if err := l2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// A failed Open must not keep the lock either.
+	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte("junk"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := Open(dir, Options{}); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("Open %d of a corrupt manifest: %v, want ErrCorrupt", i, err)
+		}
 	}
 }
 
@@ -404,7 +484,7 @@ func TestTornTailTruncated(t *testing.T) {
 	if info.TornBytes == 0 {
 		t.Fatal("torn tail not reported")
 	}
-	// The tail was truncated: appending and replaying again must yield
+	// The tail was discarded: appending and replaying again must yield
 	// the 4 survivors plus the new record, nothing else.
 	l, _ := openLog(t, dir, Options{})
 	if _, err := l.Append(rec(99, "k")); err != nil {
@@ -970,13 +1050,7 @@ func TestTortureEveryTruncationOffset(t *testing.T) {
 		t.Fatal(err)
 	}
 	for cut := 0; cut <= len(full); cut++ {
-		dir2 := t.TempDir()
-		if err := writeManifest(dir2, manifest{FirstSeg: 1}); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir2, segName(1)), full[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
+		dir2, _ := imageDir(t, full[:cut])
 		l, err := Open(dir2, Options{})
 		if err != nil {
 			t.Fatalf("cut %d: open: %v", cut, err)
@@ -1006,13 +1080,7 @@ func TestTortureEveryBitFlip(t *testing.T) {
 		data := make([]byte, len(full))
 		copy(data, full)
 		data[off] ^= 0xA5
-		dir2 := t.TempDir()
-		if err := writeManifest(dir2, manifest{FirstSeg: 1}); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir2, segName(1)), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
+		dir2, _ := imageDir(t, data)
 		l, err := Open(dir2, Options{})
 		if err != nil {
 			continue // refused at open: acceptable (e.g. header damage)

@@ -6,6 +6,8 @@
 # same directory: committed values must survive byte-for-byte at their
 # exact versions, and the recovered counter must stay a floor under
 # new commits (the eq. 1/eq. 2 edge guarantees assume monotonicity).
+# While it lives, a second tdbd on the same -wal-dir must be refused
+# (the log directory is flock'ed); once it is killed, the lock is free.
 #
 # The replication leg then attaches a warm standby (tdbd -replica-of),
 # waits for the lag metric to drain, kill -9s the primary a second
@@ -142,12 +144,23 @@ if ! [[ "$counter_before" =~ ^[0-9]+$ ]]; then
   exit 1
 fi
 
+# Two daemons positioning writes into one segment would overwrite each
+# other's commits: the live tdbd holds the directory's lock.
+if "$BIN/tdbd" -listen 127.0.0.1:7479 -wal-dir "$WAL" >"$LOGS/tdbd-second.log" 2>&1; then
+  echo "FAIL: a second tdbd opened the live primary's -wal-dir" >&2
+  exit 1
+fi
+grep -q "locked by another process" "$LOGS/tdbd-second.log"
+
 kill -9 "$TDBD_PID"
 wait "$TDBD_PID" 2>/dev/null || true
 "$BIN/tdbd" -listen "$DB" -wal-dir "$WAL" -snapshot-every 100 >"$LOGS/tdbd-restart.log" 2>&1 &
 TDBD_PID=$!
 wait_up "$DB"
+# The killed daemon's lock died with it, and the zero fill it left ahead
+# of its last commit is the clean end of the log, not a torn tail.
 grep -q "recovered $WAL" "$LOGS/tdbd-restart.log"
+grep -q "torn tail 0 bytes" "$LOGS/tdbd-restart.log"
 
 # The committed value must come back at its exact pre-kill version.
 after=$("$BIN/tcache-cli" -db "$DB" get smoke-key)
