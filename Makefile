@@ -16,9 +16,10 @@ test:
 # install, relay) and over the routed read's (callers writing their own frames on
 # a shared connection, pipelined sub-batches, dispatch workers), so a
 # failure that only shows at 2 or 4 CPUs cannot hide on a
-# 1-CPU runner; the 'Determin|Subgraph|Golden' line is the
+# 1-CPU runner; the 'Determin|Subgraph|Golden|Theorem1' line is the
 # same-seed-same-bytes gate (graph order, topology builds, column runs,
-# every figure's -quick table). The last line runs
+# every figure's -quick table) plus Theorem 1 on both topologies under
+# every strategy. The last line runs
 # the allocs/op table (alloc_test.go) without the race detector, which
 # moves its pooled-record rows.
 race:
@@ -28,7 +29,7 @@ race:
 	$(GO) test -race -cpu 1,2,4 -run 'Update|Install|Commit' . ./internal/cluster
 	$(GO) test -race -cpu 1,2,4 -run 'Mux|Pipelin|Worker|StaleConn' ./internal/transport
 	$(GO) test -race -cpu 1,2,4 -run 'ReadItems' ./internal/cluster
-	$(GO) test -race -cpu 1,2,4 -run 'Determin|Subgraph|Golden' ./internal/graph ./internal/experiment
+	$(GO) test -race -cpu 1,2,4 -run 'Determin|Subgraph|Golden|Theorem1' ./internal/graph ./internal/experiment
 	$(GO) test -run 'Alloc' -cpu 1,2,4 .
 
 # loc prints non-test Go lines per package (bench/ excluded) — the size

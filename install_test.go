@@ -157,75 +157,73 @@ func installRigs() map[string]func(t *testing.T, opts ...tcache.CacheOption) *in
 // cache holds exactly the items the database stored — a ReadTxn over the
 // written keys is all hits and reaches no backend, and a repeated
 // read-modify-write reads nothing between its commits — whatever the
-// backend tier, with and without multiversioning and a byte budget.
+// backend tier, with and without a byte budget.
 func TestUpdateInstallsCommittedItems(t *testing.T) {
 	ctx := context.Background()
 	for tier, build := range installRigs() {
-		for _, mv := range []int{1, 3} {
-			for _, maxBytes := range []int64{0, 1 << 20} {
-				t.Run(fmt.Sprintf("%s/mv%d/max%d", tier, mv, maxBytes), func(t *testing.T) {
-					r := build(t, tcache.WithMultiversion(mv), tcache.WithMaxBytes(maxBytes))
-					keys := groupKeys(0, 5)
-					// Two of the five exist (and are read, so cached) before
-					// the update; three are created by it.
-					if err := r.db.Update(ctx, bumpAll(ctx, keys[:2])); err != nil {
-						t.Fatal(err)
-					}
-					if err := r.cache.Update(ctx, bumpAll(ctx, keys)); err != nil {
-						t.Fatal(err)
-					}
-					if got := r.cache.Stats().CommitInstalls; got != 5 {
-						t.Fatalf("CommitInstalls = %d after one 5-key commit, want 5", got)
-					}
+		for _, maxBytes := range []int64{0, 1 << 20} {
+			t.Run(fmt.Sprintf("%s/max%d", tier, maxBytes), func(t *testing.T) {
+				r := build(t, tcache.WithMaxBytes(maxBytes))
+				keys := groupKeys(0, 5)
+				// Two of the five exist (and are read, so cached) before
+				// the update; three are created by it.
+				if err := r.db.Update(ctx, bumpAll(ctx, keys[:2])); err != nil {
+					t.Fatal(err)
+				}
+				if err := r.cache.Update(ctx, bumpAll(ctx, keys)); err != nil {
+					t.Fatal(err)
+				}
+				if got := r.cache.Stats().CommitInstalls; got != 5 {
+					t.Fatalf("CommitInstalls = %d after one 5-key commit, want 5", got)
+				}
 
-					before, beforeBackend, beforeDB := r.cache.Stats(), r.backendReads(), r.dbReads()
-					want := []uint64{2, 2, 1, 1, 1}
-					if err := r.cache.ReadTxn(ctx, func(tx *tcache.ReadTx) error {
-						vals, err := tx.GetMulti(ctx, keys...)
-						for i, v := range vals {
-							if got := binary.BigEndian.Uint64(v); got != want[i] {
-								return fmt.Errorf("%q = %d, want %d", keys[i], got, want[i])
-							}
-						}
-						return err
-					}); err != nil {
-						t.Fatal(err)
-					}
-					after := r.cache.Stats()
-					if after.Hits-before.Hits != 5 || after.Misses != before.Misses {
-						t.Fatalf("read of the written keys: %d hits, %d misses, want 5/0", after.Hits-before.Hits, after.Misses-before.Misses)
-					}
-
-					// Field for field what the database stored.
-					for _, k := range keys {
-						cached, ok, err := r.cache.Core().GetItem(ctx, k, kv.Version{})
-						stored, sok, serr := r.db.Core().ReadItem(ctx, k)
-						if err != nil || serr != nil || !ok || !sok {
-							t.Fatalf("%q: cache %v/%v, db %v/%v", k, ok, err, sok, serr)
-						}
-						if !reflect.DeepEqual(cached, stored) {
-							t.Errorf("%q installed as %v@%s %s, the database stored %v@%s %s",
-								k, cached.Value, cached.Version, cached.Deps, stored.Value, stored.Version, stored.Deps)
+				before, beforeBackend, beforeDB := r.cache.Stats(), r.backendReads(), r.dbReads()
+				want := []uint64{2, 2, 1, 1, 1}
+				if err := r.cache.ReadTxn(ctx, func(tx *tcache.ReadTx) error {
+					vals, err := tx.GetMulti(ctx, keys...)
+					for i, v := range vals {
+						if got := binary.BigEndian.Uint64(v); got != want[i] {
+							return fmt.Errorf("%q = %d, want %d", keys[i], got, want[i])
 						}
 					}
-					beforeDB += uint64(len(keys)) // the comparison's own reads
+					return err
+				}); err != nil {
+					t.Fatal(err)
+				}
+				after := r.cache.Stats()
+				if after.Hits-before.Hits != 5 || after.Misses != before.Misses {
+					t.Fatalf("read of the written keys: %d hits, %d misses, want 5/0", after.Hits-before.Hits, after.Misses-before.Misses)
+				}
 
-					// The next update of the same keys reads its whole
-					// snapshot from the cache.
-					if err := r.cache.Update(ctx, bumpAll(ctx, keys)); err != nil {
-						t.Fatal(err)
+				// Field for field what the database stored.
+				for _, k := range keys {
+					cached, ok, err := r.cache.Core().GetItem(ctx, k, kv.Version{})
+					stored, sok, serr := r.db.Core().ReadItem(ctx, k)
+					if err != nil || serr != nil || !ok || !sok {
+						t.Fatalf("%q: cache %v/%v, db %v/%v", k, ok, err, sok, serr)
 					}
-					if got := r.backendReads() - beforeBackend; got != 0 {
-						t.Errorf("%d reads reached the backend after the commit installed its writes", got)
+					if !reflect.DeepEqual(cached, stored) {
+						t.Errorf("%q installed as %v@%s %s, the database stored %v@%s %s",
+							k, cached.Value, cached.Version, cached.Deps, stored.Value, stored.Version, stored.Deps)
 					}
-					if got := r.dbReads() - beforeDB; got != 0 {
-						t.Errorf("%d reads reached the database between two commits of the same keys", got)
-					}
-					if got := r.cache.Stats().CommitInstalls; got != 10 {
-						t.Errorf("CommitInstalls = %d after two 5-key commits, want 10", got)
-					}
-				})
-			}
+				}
+				beforeDB += uint64(len(keys)) // the comparison's own reads
+
+				// The next update of the same keys reads its whole
+				// snapshot from the cache.
+				if err := r.cache.Update(ctx, bumpAll(ctx, keys)); err != nil {
+					t.Fatal(err)
+				}
+				if got := r.backendReads() - beforeBackend; got != 0 {
+					t.Errorf("%d reads reached the backend after the commit installed its writes", got)
+				}
+				if got := r.dbReads() - beforeDB; got != 0 {
+					t.Errorf("%d reads reached the database between two commits of the same keys", got)
+				}
+				if got := r.cache.Stats().CommitInstalls; got != 10 {
+					t.Errorf("CommitInstalls = %d after two 5-key commits, want 10", got)
+				}
+			})
 		}
 	}
 }

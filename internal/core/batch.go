@@ -55,14 +55,13 @@ const warmSampleEvery = 64
 
 // lookupLocked is the servable-entry check — the only one: it stores
 // key's cached item in out (its dependency hashes in slot) and reports
-// true if the cache may serve it
-// under floor (present, within its TTL, not older than floor unless a
-// fetch under that floor confirmed it, not marked superseded), touching
-// it in the eviction order. An expired entry is removed: left in place it
-// would be pinned forever if the backend no longer has the key. An entry
-// behind floor stays cached — the fill replaces it with something newer
-// or confirms it, so a floor costs one fetch per raise, not one per read.
-// Callers hold sh.mu.
+// true if the cache may serve it under floor (present, within its TTL,
+// not older than floor unless a fetch under that floor confirmed it),
+// touching it in the eviction order. An expired entry is removed: left
+// in place it would be pinned forever if the backend no longer has the
+// key. An entry behind floor stays cached — the fill replaces it with
+// something newer or confirms it, so a floor costs one fetch per raise,
+// not one per read. Callers hold sh.mu.
 //
 //tcache:hotpath
 //tcache:holds shard
@@ -82,9 +81,6 @@ func (c *Cache) lookupLocked(sh *cacheShard, key kv.Key, floor kv.Version, out *
 		c.metrics.TTLExpiries.Add(1)
 	case e.item.Version.Less(floor) && e.confirmed.Less(floor):
 		c.metrics.FloorRefetches.Add(1)
-	case e.staleLatest:
-		// Multiversioning: the newest cached version is superseded; the
-		// latest must come from the backend.
 	default:
 		sh.ev.Touch(&e.h)
 		if c.tel != nil {

@@ -219,12 +219,12 @@ type Config struct {
 	// lastOp). 0 disables the sweeper.
 	TxnGC time.Duration
 	// MaxBytes bounds the resident byte footprint of the cache: each
-	// entry is charged key length + value length + evict.EntryOverhead
-	// (plus retained older versions under multiversioning). 0 means
-	// unbounded (the paper's prototype: "all objects in the workload fit
-	// in the cache"). The budget is split across shards; each shard enforces
-	// its slice under its own lock with the configured eviction Policy,
-	// so bounded caches scale with cores exactly like unbounded ones.
+	// entry is charged key length + value length + evict.EntryOverhead.
+	// 0 means unbounded (the paper's prototype: "all objects in the
+	// workload fit in the cache"). The budget is split across shards; each
+	// shard enforces its slice under its own lock with the configured
+	// eviction Policy, so bounded caches scale with cores exactly like
+	// unbounded ones.
 	MaxBytes int64
 	// Policy selects the eviction policy for bounded caches (MaxBytes
 	// set): evict.LRU (default; exact per-shard LRU),
@@ -237,11 +237,6 @@ type Config struct {
 	// first sighting, so one-hit-wonder scans cannot flush the working
 	// set. Ignored when the cache is unbounded.
 	Admission bool
-	// Multiversion retains up to this many committed versions per entry
-	// and serves each transaction the newest version that keeps it
-	// serializable (the TxCache technique §VI suggests combining with
-	// T-Cache; see multiversion.go). Values ≤ 1 disable it.
-	Multiversion int
 	// Shards is the number of lock stripes the entry table (with its
 	// per-shard eviction state) is split over. 0 picks
 	// runtime.GOMAXPROCS(0) whether or not the cache is bounded: budgets
@@ -356,6 +351,12 @@ type txnStripe struct {
 	_    [72]byte // 56 bytes of fields above + 72 = 128
 }
 
+// entry is one cached key. It holds exactly one committed version: an
+// invalidation or a stale-read eviction removes it, and a newer fill
+// replaces it. It keeps no superseded versions (TxCache-style retention,
+// §VI): at default parameters retention raised committed inconsistency
+// by 2.2–4.2 points under every strategy and topology, turning detected
+// aborts into undetected inconsistency (ROADMAP item 12b).
 type entry struct {
 	key  kv.Key
 	item kv.Item
@@ -364,11 +365,6 @@ type entry struct {
 	// slice out of the shard lock.
 	depHash   []uint64
 	fetchedAt time.Time
-	// older retains superseded versions, newest first (multiversioning).
-	older []kv.Item
-	// staleLatest marks that item is no longer the latest committed
-	// version (set by invalidations under multiversioning).
-	staleLatest bool
 	// confirmed is the highest read floor a backend fetch has returned
 	// this entry (or found it still current) under: floors up to it are
 	// served from the cache although item.Version — the key's own last
@@ -699,10 +695,6 @@ func (c *Cache) Invalidate(key kv.Key, version kv.Version) {
 		c.metrics.InvalidationsNoop.Add(1)
 		return
 	}
-	if c.cfg.Multiversion > 1 {
-		c.invalidateMVLocked(e, version)
-		return
-	}
 	if e.item.Version.Less(version) {
 		sh.removeEntry(e)
 		c.metrics.InvalidationsApplied.Add(1)
@@ -715,14 +707,14 @@ func (c *Cache) Invalidate(key kv.Key, version kv.Version) {
 // fill of a miss whose answer the caller already holds — the committing
 // client's own write, rebuilt from the commit's version and dependency
 // list. It is insertShardLocked under the shard lock, so it obeys what
-// every fill obeys: an entry already at a newer version stays, older
-// versions are retained under multiversioning, the byte budget is
-// enforced, the admission doorkeeper may decline a first-sighted key,
-// and nothing is inserted after Close; CommitInstalls counts the items
-// kept. And like a fill it can cross a newer invalidation that arrived
-// first and found nothing to evict: the item is then cached behind the
-// database until the §III-B checks or the next invalidation catch it —
-// the exposure of any fetch that crosses an invalidation, no more.
+// every fill obeys: an entry already at a newer version stays, an older
+// one is replaced in place, the byte budget is enforced, the admission
+// doorkeeper may decline a first-sighted key, and nothing is inserted
+// after Close; CommitInstalls counts the items kept. And like a fill it
+// can cross a newer invalidation that arrived first and found nothing to
+// evict: the item is then cached behind the database until the §III-B
+// checks or the next invalidation catch it — the exposure of any fetch
+// that crosses an invalidation, no more.
 func (c *Cache) Install(key kv.Key, item kv.Item) {
 	if c.closed.Load() {
 		return
@@ -814,17 +806,12 @@ func (sh *cacheShard) removeEntry(e *entry) {
 	sh.ev.Remove(&e.h)
 }
 
-// cost is the byte cost charged against the budget for e: key +
-// current value + per-entry overhead, plus every retained older version
-// under multiversioning.
+// cost is the byte cost charged against the budget for e: key + value +
+// per-entry overhead.
 //
 //tcache:hotpath
 func (e *entry) cost() uint64 {
-	n := uint64(evict.EntryOverhead) + uint64(len(e.key)) + uint64(len(e.item.Value))
-	for i := range e.older {
-		n += uint64(evict.VersionOverhead) + uint64(len(e.older[i].Value))
-	}
-	return n
+	return uint64(evict.EntryOverhead) + uint64(len(e.key)) + uint64(len(e.item.Value))
 }
 
 // enforceBudgetLocked evicts until the shard is back under its byte
@@ -870,21 +857,15 @@ func (c *Cache) setItemLocked(e *entry, item kv.Item) {
 func (c *Cache) insertShardLocked(sh *cacheShard, key kv.Key, item kv.Item) *entry {
 	if e, ok := sh.entries[key]; ok {
 		if e.item.Version.Less(item.Version) {
-			if c.cfg.Multiversion > 1 {
-				c.pushVersionLocked(e, item)
-			} else {
-				c.setItemLocked(e, item)
-				e.fetchedAt = c.clk.Now()
-			}
+			c.setItemLocked(e, item)
+			e.fetchedAt = c.clk.Now()
 			// In-place replacement changed the entry's footprint: re-charge
 			// it (update accounting, not just insert) and re-enforce.
 			sh.ev.Update(&e.h, e.cost())
 		} else if e.item.Version == item.Version {
 			// Re-fetch confirmed the cached item is still current: restart
-			// its TTL (a batch prefetch of a TTL-expired entry lands here)
-			// and, under multiversioning, clear the superseded mark.
+			// its TTL (a batch prefetch of a TTL-expired entry lands here).
 			e.fetchedAt = c.clk.Now()
-			e.staleLatest = false
 		}
 		sh.ev.Touch(&e.h)
 		c.enforceBudgetLocked(sh)

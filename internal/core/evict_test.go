@@ -13,7 +13,7 @@ import (
 )
 
 // entryCostFor computes the byte cost the cache should charge for a key
-// with the given value length (no multiversion history).
+// with the given value length.
 func entryCostFor(key kv.Key, valLen int) uint64 {
 	return uint64(evict.EntryOverhead) + uint64(len(key)) + uint64(valLen)
 }
@@ -436,26 +436,5 @@ func TestEvictionConsistencyHammer(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestMultiversionHistoryChargesBudget pins that retained older
-// versions count against the byte budget and are refunded when the
-// history is trimmed.
-func TestMultiversionHistoryChargesBudget(t *testing.T) {
-	b := newMapBackend()
-	c := newCache(t, Config{Backend: b, MaxBytes: 1 << 20, Shards: 1, Multiversion: 3})
-	b.put("k", strings.Repeat("a", 100), 1)
-	if _, err := c.Get(bgc, "k"); err != nil {
-		t.Fatal(err)
-	}
-	single := c.ResidentBytes()
-	b.put("k", strings.Repeat("b", 100), 2)
-	if _, _, err := c.GetItem(bgc, "k", kv.Version{Counter: 2}); err != nil {
-		t.Fatal(err)
-	}
-	withHistory := c.ResidentBytes()
-	if want := single + evict.VersionOverhead + 100; withHistory != want {
-		t.Fatalf("resident with one retained version = %d, want %d", withHistory, want)
 	}
 }

@@ -29,8 +29,7 @@ func cachedVersion(c *Cache, key kv.Key) uint64 {
 // TestInstallIsAFillWithoutAFetch: Install obeys every rule a miss fill
 // obeys — it serves later reads with no backend call, never replaces a
 // newer entry with an older one, loses to a newer invalidation that
-// follows it, retains history under multiversioning, and inserts nothing
-// once the cache is closed.
+// follows it, and inserts nothing once the cache is closed.
 func TestInstallIsAFillWithoutAFetch(t *testing.T) {
 	t.Run("serves reads", func(t *testing.T) {
 		b := newMapBackend()
@@ -70,25 +69,6 @@ func TestInstallIsAFillWithoutAFetch(t *testing.T) {
 		c.Invalidate("a", kv.Version{Counter: 6})
 		if c.Contains("a") {
 			t.Fatal("a@5 survived the invalidation of a@6")
-		}
-	})
-	t.Run("multiversion", func(t *testing.T) {
-		b := newMapBackend()
-		c := newCache(t, Config{Backend: b, Multiversion: 3})
-		b.put("a", "a1", 1)
-		c.Get(bgc, "a")
-		c.Invalidate("a", kv.Version{Counter: 5}) // marks a@1 superseded
-		c.Install("a", itemAt("a5", 5))
-		sh := c.shardFor("a")
-		sh.mu.Lock()
-		e := sh.entries["a"]
-		older, stale := len(e.older), e.staleLatest
-		sh.mu.Unlock()
-		if older != 1 || stale || cachedVersion(c, "a") != 5 {
-			t.Fatalf("after install: %d retained versions, staleLatest %v, latest a@%d", older, stale, cachedVersion(c, "a"))
-		}
-		if v, err := c.Get(bgc, "a"); err != nil || string(v) != "a5" || b.getCount() != 1 {
-			t.Fatalf("read after install = %q, %v (%d backend reads)", v, err, b.getCount())
 		}
 	})
 	t.Run("byte budget", func(t *testing.T) {
@@ -134,96 +114,94 @@ func TestInstallHammer(t *testing.T) {
 	for i := 0; i < nKeys; i++ {
 		b.put(hammerKey(i), "v1", 1)
 	}
-	for _, mv := range []int{1, 3} {
-		c, err := New(Config{Backend: b, Shards: 4, Multiversion: mv, MaxBytes: 1 << 20})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var (
-			wg      sync.WaitGroup
-			stop    = make(chan struct{})
-			commits atomic.Uint64
-			echoes  = make(chan ReadVersion, 256) // the lossy stream: full means dropped
-		)
-		commits.Store(1)
-		// Writers: each owns a quarter of the keys, so versions rise per key.
-		for w := 0; w < 4; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := w; ; i = (i + 4) % nKeys {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					key, v := hammerKey(i), commits.Add(1)
-					b.put(key, "w", v)
-					c.Install(key, itemAt("w", v))
-					select {
-					case echoes <- ReadVersion{Key: key, Version: kv.Version{Counter: v}}:
-					default:
-					}
-				}
-			}(w)
-		}
-		// The stream: every echo delivered late, and once more for luck.
+	c, err := New(Config{Backend: b, Shards: 4, MaxBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		wg      sync.WaitGroup
+		stop    = make(chan struct{})
+		commits atomic.Uint64
+		echoes  = make(chan ReadVersion, 256) // the lossy stream: full means dropped
+	)
+	commits.Store(1)
+	// Writers: each owns a quarter of the keys, so versions rise per key.
+	for w := 0; w < 4; w++ {
 		wg.Add(1)
-		go func() {
+		go func(w int) {
 			defer wg.Done()
-			var prev ReadVersion
-			for {
+			for i := w; ; i = (i + 4) % nKeys {
 				select {
 				case <-stop:
 					return
-				case inv := <-echoes:
-					c.Invalidate(inv.Key, inv.Version)
-					c.Invalidate(prev.Key, prev.Version)
-					prev = inv
+				default:
+				}
+				key, v := hammerKey(i), commits.Add(1)
+				b.put(key, "w", v)
+				c.Install(key, itemAt("w", v))
+				select {
+				case echoes <- ReadVersion{Key: key, Version: kv.Version{Counter: v}}:
+				default:
 				}
 			}
-		}()
-		// Readers: plain and floored lookups; both fill on a miss.
-		for r := 0; r < 2; r++ {
-			wg.Add(1)
-			go func(r int) {
-				defer wg.Done()
-				last := make([]uint64, nKeys)
-				for i := r; ; i = (i + 1) % nKeys {
-					item, ok, err := c.GetItem(bgc, hammerKey(i), kv.Version{Counter: uint64(r) * last[i]})
-					if errors.Is(err, ErrClosed) {
-						return
-					}
-					if err != nil || !ok {
-						t.Errorf("GetItem(%s) = %v, %v", hammerKey(i), ok, err)
-						return
-					}
-					if item.Version.Counter < last[i] {
-						t.Errorf("mv %d: %s went back from version %d to %d", mv, hammerKey(i), last[i], item.Version.Counter)
-						return
-					}
-					last[i] = item.Version.Counter
-				}
-			}(r)
-		}
-		// Let every party make progress, then close mid-flight.
-		deadline := time.Now().Add(5 * time.Second)
-		for !t.Failed() && time.Now().Before(deadline) {
-			if m := c.Metrics(); m.CommitInstalls >= 1000 && m.InvalidationsStale >= 100 && m.Reads >= 1000 {
-				break
+		}(w)
+	}
+	// The stream: every echo delivered late, and once more for luck.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		var prev ReadVersion
+		for {
+			select {
+			case <-stop:
+				return
+			case inv := <-echoes:
+				c.Invalidate(inv.Key, inv.Version)
+				c.Invalidate(prev.Key, prev.Version)
+				prev = inv
 			}
-			time.Sleep(time.Millisecond)
 		}
-		c.Close()
-		close(stop)
-		wg.Wait()
-		n := c.Len()
-		c.Install(hammerKey(0), itemAt("late", 1<<40))
-		if c.Len() != n {
-			t.Fatalf("mv %d: Install after Close changed the cache", mv)
+	}()
+	// Readers: plain and floored lookups; both fill on a miss.
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			last := make([]uint64, nKeys)
+			for i := r; ; i = (i + 1) % nKeys {
+				item, ok, err := c.GetItem(bgc, hammerKey(i), kv.Version{Counter: uint64(r) * last[i]})
+				if errors.Is(err, ErrClosed) {
+					return
+				}
+				if err != nil || !ok {
+					t.Errorf("GetItem(%s) = %v, %v", hammerKey(i), ok, err)
+					return
+				}
+				if item.Version.Counter < last[i] {
+					t.Errorf("%s went back from version %d to %d", hammerKey(i), last[i], item.Version.Counter)
+					return
+				}
+				last[i] = item.Version.Counter
+			}
+		}(r)
+	}
+	// Let every party make progress, then close mid-flight.
+	deadline := time.Now().Add(5 * time.Second)
+	for !t.Failed() && time.Now().Before(deadline) {
+		if m := c.Metrics(); m.CommitInstalls >= 1000 && m.InvalidationsStale >= 100 && m.Reads >= 1000 {
+			break
 		}
-		if m := c.Metrics(); m.CommitInstalls == 0 || m.InvalidationsStale == 0 || m.Reads != m.Hits+m.Misses {
-			t.Fatalf("mv %d: installs %d, stale echoes %d, reads %d = hits %d + misses %d?", mv, m.CommitInstalls, m.InvalidationsStale, m.Reads, m.Hits, m.Misses)
-		}
+		time.Sleep(time.Millisecond)
+	}
+	c.Close()
+	close(stop)
+	wg.Wait()
+	n := c.Len()
+	c.Install(hammerKey(0), itemAt("late", 1<<40))
+	if c.Len() != n {
+		t.Fatal("Install after Close changed the cache")
+	}
+	if m := c.Metrics(); m.CommitInstalls == 0 || m.InvalidationsStale == 0 || m.Reads != m.Hits+m.Misses {
+		t.Fatalf("installs %d, stale echoes %d, reads %d = hits %d + misses %d?", m.CommitInstalls, m.InvalidationsStale, m.Reads, m.Hits, m.Misses)
 	}
 }

@@ -34,7 +34,6 @@ type Metrics struct {
 	InvalidationsApplied uint64v `metric:"invalidations_applied"`
 	InvalidationsStale   uint64v `metric:"invalidations_stale"`
 	InvalidationsNoop    uint64v `metric:"invalidations_noop"`
-	MVServedOld          uint64v `metric:"mv_served_old"`
 	BackendErrors        uint64v `metric:"backend_errors"`
 	BatchPrefetches      uint64v `metric:"batch_prefetches"`
 	BatchPrefetchedKeys  uint64v `metric:"batch_prefetched_keys"`
@@ -70,7 +69,6 @@ type MetricsSnapshot struct {
 	InvalidationsApplied uint64
 	InvalidationsStale   uint64
 	InvalidationsNoop    uint64
-	MVServedOld          uint64
 	BackendErrors        uint64
 	BatchPrefetches      uint64
 	BatchPrefetchedKeys  uint64

@@ -70,19 +70,17 @@ func errShape(err error) string {
 // TestReadMultiMatchesSequentialReads is the seeded differential test of
 // the one-pass read: over a small key space with interleaved backend
 // writes (whose dependency lists make eq.1 and eq.2 fire), partially
-// delivered invalidations, duplicate and absent keys, every strategy and
-// multiversioning on and off, ReadMulti(keys) on one cache and the
-// sequence of Read(key) on a twin produce identical values, errors,
-// completions, resident keys and counter deltas at every step.
+// delivered invalidations, duplicate and absent keys and every strategy,
+// ReadMulti(keys) on one cache and the sequence of Read(key) on a twin
+// produce identical values, errors, completions, resident keys and
+// counter deltas at every step.
 func TestReadMultiMatchesSequentialReads(t *testing.T) {
 	var eq1At, eq2At [5]int // violations seen per batch position, all configs
 	for _, strategy := range []Strategy{StrategyAbort, StrategyEvict, StrategyRetry} {
-		for _, mv := range []int{1, 3} {
-			for _, hooks := range []bool{true, false} {
-				for seed := int64(1); seed <= 12; seed++ {
-					name := fmt.Sprintf("%v/mv%d/hooks=%v/seed%d", strategy, mv, hooks, seed)
-					runDifferential(t, name, Config{Strategy: strategy, Multiversion: mv, Shards: 3}, hooks, seed, nil, &eq1At, &eq2At)
-				}
+		for _, hooks := range []bool{true, false} {
+			for seed := int64(1); seed <= 12; seed++ {
+				name := fmt.Sprintf("%v/hooks=%v/seed%d", strategy, hooks, seed)
+				runDifferential(t, name, Config{Strategy: strategy, Shards: 3}, hooks, seed, nil, &eq1At, &eq2At)
 			}
 		}
 	}

@@ -245,10 +245,11 @@ func (c *Cache) txnLocked(st *txnStripe, txnID kv.TxnID, want *txnRecord) (*txnR
 }
 
 // readLocked reads r.key for the strategy code: it takes the entry shard
-// of the key, then the transaction stripe — the fixed order — re-validates
-// r.item (what the pass collected for the key) under both, and serves it,
-// an older retained version, RETRY's refetch, or the abort. It returns the
-// item it served with both locks released.
+// of the key, then the transaction stripe — the fixed order — and
+// re-validates r.item (what the pass collected for the key) under both:
+// it serves the item if it now passes, else hands the violation to
+// handleViolation (RETRY's refetch or the abort). It returns the item it
+// served with both locks released.
 func (c *Cache) readLocked(ctx context.Context, st *txnStripe, txnID kv.TxnID, rec *txnRecord, r keyRead, lastOp bool) (kv.Item, error) {
 	sh := c.shards[c.shardIndex(r.hash)]
 	sh.mu.Lock()
@@ -258,7 +259,20 @@ func (c *Cache) readLocked(ctx context.Context, st *txnStripe, txnID kv.TxnID, r
 		sh.mu.Unlock()
 		return kv.Item{}, err
 	}
-	return c.readMV(ctx, sh, st, txnID, rec, r, lastOp)
+	if v, bad := rec.admit(r.key, r.hash, r.item, r.depHash); bad {
+		return c.handleViolation(ctx, sh, st, txnID, rec, r, v, lastOp)
+	}
+	return c.serve(sh, st, txnID, rec, r.item, lastOp)
+}
+
+// serve returns item, which admit has folded into the record, releasing
+// sh.mu then st.mu and emitting any completion afterwards.
+//
+//tcache:holds shard,stripe
+func (c *Cache) serve(sh *cacheShard, st *txnStripe, txnID kv.TxnID, rec *txnRecord, item kv.Item, lastOp bool) (kv.Item, error) {
+	sh.mu.Unlock()
+	c.release(st, txnID, rec, lastOp)
+	return item, nil
 }
 
 // Get is the plain, non-transactional read API (a consistency-unaware
@@ -487,17 +501,7 @@ func (c *Cache) handleViolation(ctx context.Context, sh *cacheShard, st *txnStri
 //
 //tcache:holds shard
 func (c *Cache) evictStaleShardLocked(sh *cacheShard, v violation) {
-	e, ok := sh.entries[v.staleKey]
-	if !ok {
-		return
-	}
-	if c.cfg.Multiversion > 1 {
-		if c.dropStaleVersionsLocked(sh, e, v.staleBelow) {
-			c.metrics.Evictions.Add(1)
-		}
-		return
-	}
-	if e.item.Version.Less(v.staleBelow) {
+	if e, ok := sh.entries[v.staleKey]; ok && e.item.Version.Less(v.staleBelow) {
 		sh.removeEntry(e)
 		c.metrics.Evictions.Add(1)
 	}

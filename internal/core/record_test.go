@@ -170,11 +170,9 @@ func TestCacheHashCollisionsChangeNothing(t *testing.T) {
 	var eq1At, eq2At [5]int
 	twoHashes := func(k kv.Key) uint64 { return uint64(len(k)) & 1 } // "ghost" apart, a–f together
 	for _, strategy := range []Strategy{StrategyAbort, StrategyEvict, StrategyRetry} {
-		for _, mv := range []int{1, 3} {
-			for seed := int64(101); seed <= 108; seed++ {
-				name := fmt.Sprintf("colliding/%v/mv%d/seed%d", strategy, mv, seed)
-				runDifferential(t, name, Config{Strategy: strategy, Multiversion: mv, Shards: 3}, true, seed, twoHashes, &eq1At, &eq2At)
-			}
+		for seed := int64(101); seed <= 108; seed++ {
+			name := fmt.Sprintf("colliding/%v/seed%d", strategy, seed)
+			runDifferential(t, name, Config{Strategy: strategy, Shards: 3}, true, seed, twoHashes, &eq1At, &eq2At)
 		}
 	}
 	if eq1At == [5]int{} || eq2At == [5]int{} {

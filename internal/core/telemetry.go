@@ -70,16 +70,12 @@ func (c *Cache) RegisterMetrics(reg *telemetry.Registry) {
 }
 
 // Bytes returns the approximate memory footprint of the cached values:
-// the sum of key and value lengths over every entry, retained older
-// versions included. It walks the shards under their locks — a scrape-
-// time operation, not a hot-path one.
+// the sum of key and value lengths over every entry. It walks the shards
+// under their locks — a scrape-time operation, not a hot-path one.
 func (c *Cache) Bytes() uint64 {
 	return c.sumShards(func(sh *cacheShard) (n uint64) {
 		for key, e := range sh.entries {
 			n += uint64(len(key)) + uint64(len(e.item.Value))
-			for i := range e.older {
-				n += uint64(len(e.older[i].Value))
-			}
 		}
 		return n
 	})

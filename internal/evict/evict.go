@@ -84,10 +84,6 @@ func ParseKind(s string) (Kind, error) {
 // workloads from undercounting — a million 10-byte entries is not 10MB.
 const EntryOverhead = 160
 
-// VersionOverhead is the per-retained-version surcharge under
-// multiversioning (an extra kv.Item header in the entry's history).
-const VersionOverhead = 48
-
 // Handle is the intrusive policy node embedded (by value) in each cache
 // entry. All fields are owned by the policy and guarded by the cache
 // shard's mutex; the cache only passes &entry.h pointers in.
@@ -224,10 +220,9 @@ func (s *Shard) Add(h *Handle, obj any, cost uint64) {
 	s.policy.Add(h)
 }
 
-// Update re-charges a linked entry whose byte cost changed in place
-// (value replaced by a newer version, multiversion history grown or
-// trimmed). The accounting delta is applied to the running total;
-// callers then re-check NeedEvict.
+// Update re-charges a linked entry whose byte cost changed in place (its
+// value replaced by a newer version). The accounting delta is applied to
+// the running total; callers then re-check NeedEvict.
 func (s *Shard) Update(h *Handle, cost uint64) {
 	if s.policy == nil || !h.linked() {
 		return

@@ -43,9 +43,6 @@ type ColumnConfig struct {
 	Pins map[kv.Key][]kv.Key
 	// Strategy is the inconsistency reaction (default ABORT).
 	Strategy core.Strategy
-	// Multiversion retains that many committed versions per cache entry
-	// (≤1 disables; the §VI TxCache extension).
-	Multiversion int
 	// TTL bounds cache-entry life span (0 = none); used by the Fig. 7d
 	// baseline.
 	TTL time.Duration
@@ -154,11 +151,10 @@ func newColumnOn(d *db.DB, cfg ColumnConfig) (*Column, error) {
 // are spaced so no two streams coincide.
 func (c *Column) addEdge(cfg ColumnConfig, e int) error {
 	cache, err := core.New(core.Config{
-		Backend:      c.DB,
-		Clock:        c.Clk,
-		Strategy:     cfg.Strategy,
-		TTL:          cfg.TTL,
-		Multiversion: cfg.Multiversion,
+		Backend:  c.DB,
+		Clock:    c.Clk,
+		Strategy: cfg.Strategy,
+		TTL:      cfg.TTL,
 	})
 	if err != nil {
 		return fmt.Errorf("experiment: edge %d cache: %w", e, err)

@@ -71,9 +71,6 @@ var Figures = []Figure{
 	{"drop", adapt(DefaultDropSweepParams, QuickDropSweepParams,
 		func(p *DropSweepParams, s int64) { p.Seed = s },
 		RunDropSweep, (*DropSweepResult).Table)},
-	{"mv", adapt(DefaultMultiversionParams, QuickMultiversionParams,
-		func(p *MultiversionParams, s int64) { p.Seed = s },
-		RunMultiversion, (*MultiversionResult).Table)},
 	{"multiedge", adapt(DefaultMultiEdgeParams, QuickMultiEdgeParams,
 		func(p *MultiEdgeParams, s int64) { p.Seed = s },
 		RunMultiEdge, (*MultiEdgeResult).Table)},

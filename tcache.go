@@ -330,12 +330,12 @@ func WithTTL(ttl time.Duration) CacheOption {
 }
 
 // WithMaxBytes bounds the cache's resident memory: each entry is
-// charged key length + value length + a fixed per-entry overhead (plus
-// retained older versions under WithMultiversion). 0 = unbounded. The
-// budget is split across the cache shards and enforced per shard under
-// the shard lock, so a bounded cache keeps the same multi-core scaling
-// as an unbounded one. Pair with WithEvictionPolicy to choose how
-// victims are picked and WithAdmission to keep one-hit wonders out.
+// charged key length + value length + a fixed per-entry overhead.
+// 0 = unbounded. The budget is split across the cache shards and
+// enforced per shard under the shard lock, so a bounded cache keeps the
+// same multi-core scaling as an unbounded one. Pair with
+// WithEvictionPolicy to choose how victims are picked and WithAdmission
+// to keep one-hit wonders out.
 func WithMaxBytes(n int64) CacheOption {
 	return func(o *cacheOptions) { o.core.MaxBytes = n }
 }
@@ -387,14 +387,6 @@ func WithAdmission() CacheOption {
 // ranks only its own residents.
 func WithCacheShards(n int) CacheOption {
 	return func(o *cacheOptions) { o.core.Shards = n }
-}
-
-// WithMultiversion retains up to n committed versions per cache entry
-// and serves each transaction the newest version that keeps it
-// serializable — the TxCache technique the paper suggests combining with
-// T-Cache (§VI). Values ≤ 1 disable it.
-func WithMultiversion(n int) CacheOption {
-	return func(o *cacheOptions) { o.core.Multiversion = n }
 }
 
 // WithClock substitutes the time source (e.g. a simulation clock).
