@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+	"time"
 
 	"tcache/internal/kv"
 )
@@ -71,9 +72,10 @@ func errShape(err error) string {
 // the one-pass read: over a small key space with interleaved backend
 // writes (whose dependency lists make eq.1 and eq.2 fire), partially
 // delivered invalidations, duplicate and absent keys and every strategy,
-// ReadMulti(keys) on one cache and the sequence of Read(key) on a twin
-// produce identical values, errors, completions, resident keys and
-// counter deltas at every step.
+// ReadMulti(keys) on one cache, the sequence of Read(key) on a twin and
+// Txn.ReadMulti on a transaction from Begin on a third produce identical
+// values, errors, completions, resident keys and counter deltas at every
+// step.
 func TestReadMultiMatchesSequentialReads(t *testing.T) {
 	var eq1At, eq2At [5]int // violations seen per batch position, all configs
 	for _, strategy := range []Strategy{StrategyAbort, StrategyEvict, StrategyRetry} {
@@ -91,16 +93,20 @@ func TestReadMultiMatchesSequentialReads(t *testing.T) {
 	}
 }
 
-// runDifferential drives one seeded history through both sides; with
-// batchHash set, the batch side hashes its keys with it instead of hashKey.
+// runDifferential drives one seeded history through the three sides: the
+// ID-keyed batch and single reads, and an owned transaction (Begin,
+// Txn.ReadMulti, Finish) that ends where lastOp would end the ID-keyed
+// ones and is abandoned or aborted where they are. With batchHash set,
+// the batch side hashes its keys with it instead of hashKey.
 func runDifferential(t *testing.T, name string, cfg Config, hooks bool, seed int64, batchHash func(kv.Key) uint64, eq1At, eq2At *[5]int) {
 	rng := rand.New(rand.NewSource(seed))
 	b := newBatchBackend()
 	cfg.Backend = b
-	batch, single := newDiffSide(t, cfg, hooks), newDiffSide(t, cfg, hooks)
+	batch, single, owned := newDiffSide(t, cfg, hooks), newDiffSide(t, cfg, hooks), newDiffSide(t, cfg, hooks)
 	if batchHash != nil {
 		batch.c.hash = batchHash // before the first insert
 	}
+	sides := []*diffSide{batch, single, owned}
 	keys := []kv.Key{"a", "b", "c", "d", "e", "f", "ghost"} // ghost is never written
 	version := uint64(0)
 	current := map[kv.Key]uint64{}
@@ -113,6 +119,7 @@ func runDifferential(t *testing.T, name string, cfg Config, hooks bool, seed int
 		write(k)
 	}
 	id := kv.TxnID(1)
+	var txn *Txn // the owned side's open transaction; nil until its next read
 	for step := 0; step < 120; step++ {
 		fail := func(format string, args ...any) {
 			t.Helper()
@@ -121,15 +128,16 @@ func runDifferential(t *testing.T, name string, cfg Config, hooks bool, seed int
 		if rng.Intn(3) == 0 {
 			// One update transaction writes two keys, each depending on
 			// the other and on a third; each invalidation is lost with
-			// probability 1/2 — on both caches alike.
+			// probability 1/2 — on every cache alike.
 			version++
 			x, y, z := keys[rng.Intn(6)], keys[rng.Intn(6)], keys[rng.Intn(6)]
 			write(x, dep(y, version), dep(z, current[z]))
 			write(y, dep(x, version), dep(z, current[z]))
 			for _, k := range []kv.Key{x, y} {
 				if rng.Intn(2) == 0 {
-					batch.c.Invalidate(k, kv.Version{Counter: version})
-					single.c.Invalidate(k, kv.Version{Counter: version})
+					for _, s := range sides {
+						s.c.Invalidate(k, kv.Version{Counter: version})
+					}
 				}
 			}
 			continue
@@ -142,31 +150,49 @@ func runDifferential(t *testing.T, name string, cfg Config, hooks bool, seed int
 			}
 		}
 		lastOp := rng.Intn(2) == 0
-		beforeB, beforeS := batch.c.Metrics(), single.c.Metrics()
+		beforeB, beforeS, beforeO := batch.c.Metrics(), single.c.Metrics(), owned.c.Metrics()
 		gotVals, gotErr := batch.c.ReadMulti(bgc, id, read, lastOp)
 		wantVals, stopped, wantErr := sequential(single.c, id, read, lastOp)
-		if errShape(gotErr) != errShape(wantErr) {
-			fail("ReadMulti(%v) = %v, sequential reads = %v", read, gotErr, wantErr)
+		if txn == nil {
+			txn = owned.c.Begin(id, time.Time{})
 		}
-		if !reflect.DeepEqual(gotVals, wantVals) {
-			fail("ReadMulti(%v) values %q, sequential reads %q", read, gotVals, wantVals)
+		ownVals, ownErr := txn.ReadMulti(bgc, read)
+		if lastOp && (wantErr == nil || stopped == len(read)-1) {
+			// lastOp's rule: the transaction ends with this read, as
+			// committed — unless the read aborted it (ending it already)
+			// or stopped short of its last key.
+			txn.Finish(true)
+			txn = nil
 		}
-		if !reflect.DeepEqual(batch.comps, single.comps) {
-			fail("completions diverged after %v:\n batch  %+v\n single %+v", read, batch.comps, single.comps)
+		for _, got := range []struct {
+			side string
+			vals []kv.Value
+			err  error
+		}{{"ReadMulti", gotVals, gotErr}, {"Txn.ReadMulti", ownVals, ownErr}} {
+			if errShape(got.err) != errShape(wantErr) {
+				fail("%s(%v) = %v, sequential reads = %v", got.side, read, got.err, wantErr)
+			}
+			if !reflect.DeepEqual(got.vals, wantVals) {
+				fail("%s(%v) values %q, sequential reads %q", got.side, read, got.vals, wantVals)
+			}
 		}
-		deltaB, deltaS := metricsDelta(batch.c.Metrics(), beforeB), metricsDelta(single.c.Metrics(), beforeS)
+		if !reflect.DeepEqual(batch.comps, single.comps) || !reflect.DeepEqual(owned.comps, single.comps) {
+			fail("completions diverged after %v:\n batch  %+v\n single %+v\n owned  %+v", read, batch.comps, single.comps, owned.comps)
+		}
+		deltaB, deltaS, deltaO := metricsDelta(batch.c.Metrics(), beforeB), metricsDelta(single.c.Metrics(), beforeS), metricsDelta(owned.c.Metrics(), beforeO)
 		// Only a batch issues batch backend calls.
 		deltaB.BatchPrefetches, deltaB.BatchPrefetchedKeys = 0, 0
+		deltaO.BatchPrefetches, deltaO.BatchPrefetchedKeys = 0, 0
 		var ie *InconsistencyError
 		if errors.As(gotErr, &ie) && ie.Equation == 1 && slices.Contains(read[stopped+1:], ie.StaleKey) {
 			// The one legitimate difference: the eq.1 violator is also a
 			// later key of this batch, so the batch may have refetched it
 			// before the violation was found — nothing stale is left for
 			// EVICT/RETRY to evict.
-			deltaB.Evictions, deltaS.Evictions = 0, 0
+			deltaB.Evictions, deltaS.Evictions, deltaO.Evictions = 0, 0, 0
 		}
-		if deltaB != deltaS {
-			fail("counter deltas diverged after %v (err %v):\n batch  %+v\n single %+v", read, gotErr, deltaB, deltaS)
+		if deltaB != deltaS || deltaO != deltaS {
+			fail("counter deltas diverged after %v (err %v):\n batch  %+v\n single %+v\n owned  %+v", read, gotErr, deltaB, deltaS, deltaO)
 		}
 		if deltaB.Reads != deltaB.Hits+deltaB.Misses {
 			fail("Reads %d != Hits %d + Misses %d", deltaB.Reads, deltaB.Hits, deltaB.Misses)
@@ -179,27 +205,34 @@ func runDifferential(t *testing.T, name string, cfg Config, hooks bool, seed int
 			}
 		}
 		if gotErr != nil {
-			// The batch looked up (and filled) the keys behind the failing
-			// one before validating; the single reads never reached them.
-			// Bring both caches to the same contents before going on.
+			// The batches looked up (and filled) the keys behind the
+			// failing one before validating; the single reads never
+			// reached them. Bring every cache to the same contents before
+			// going on.
 			for _, k := range read[stopped:] {
-				batch.c.Get(bgc, k)
-				single.c.Get(bgc, k)
+				for _, s := range sides {
+					s.c.Get(bgc, k)
+				}
 			}
 		}
 		for _, k := range keys {
-			if batch.c.Contains(k) != single.c.Contains(k) {
-				fail("after %v (err %v): Contains(%s) batch %v, single %v", read, gotErr, k, batch.c.Contains(k), single.c.Contains(k))
+			if b, s, o := batch.c.Contains(k), single.c.Contains(k), owned.c.Contains(k); b != s || o != s {
+				fail("after %v (err %v): Contains(%s) batch %v, single %v, owned %v", read, gotErr, k, b, s, o)
 			}
 		}
-		if batch.c.ActiveTxns() != single.c.ActiveTxns() {
-			fail("ActiveTxns batch %d, single %d", batch.c.ActiveTxns(), single.c.ActiveTxns())
+		if b, s, o := batch.c.ActiveTxns(), single.c.ActiveTxns(), owned.c.ActiveTxns(); b != s || o != s {
+			fail("ActiveTxns batch %d, single %d, owned %d", b, s, o)
 		}
 		if lastOp || errors.Is(gotErr, ErrTxnAborted) || rng.Intn(4) == 0 {
 			if rng.Intn(2) == 0 { // leaves no record behind either way
 				batch.c.Abort(id)
 				single.c.Abort(id)
+				if txn != nil {
+					txn.Finish(false)
+				}
 			}
+			// Otherwise an open transaction is abandoned, on every side.
+			txn = nil
 			id++
 		}
 	}
