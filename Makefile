@@ -13,8 +13,10 @@ test:
 # race also sweeps GOMAXPROCS over the packages whose behaviour depends
 # on the stripe count, over the log (flusher, appenders and tailers share
 # one positioned-write file), over the write path's tests (commit,
-# install, relay) and over the routed read's (callers writing their own frames on
-# a shared connection, pipelined sub-batches, dispatch workers), so a
+# install, relay), over the read transactions' (owned ReadTxn handles,
+# the ID-keyed table, Close mid-flight) and over the routed read's
+# (callers writing their own frames on a shared connection, pipelined
+# sub-batches, dispatch workers), so a
 # failure that only shows at 2 or 4 CPUs cannot hide on a
 # 1-CPU runner; the 'Determin|Subgraph|Golden|Theorem1' line is the
 # same-seed-same-bytes gate (graph order, topology builds, column runs,
@@ -27,6 +29,7 @@ race:
 	$(GO) test -race -cpu 1,2,4 ./internal/core ./internal/evict ./internal/kv ./internal/codec ./internal/telemetry
 	$(GO) test -race -cpu 1,2,4 ./internal/wal
 	$(GO) test -race -cpu 1,2,4 -run 'Update|Install|Commit' . ./internal/cluster
+	$(GO) test -race -cpu 1,2,4 -run 'ReadTxn|Close|Txn' . ./internal/core
 	$(GO) test -race -cpu 1,2,4 -run 'Mux|Pipelin|Worker|StaleConn' ./internal/transport
 	$(GO) test -race -cpu 1,2,4 -run 'ReadItems' ./internal/cluster
 	$(GO) test -race -cpu 1,2,4 -run 'Determin|Subgraph|Golden|Theorem1' ./internal/graph ./internal/experiment

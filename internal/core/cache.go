@@ -5,32 +5,30 @@
 //
 // The cache stores, alongside each object's value, its commit version and
 // its bounded dependency list as maintained by the database (§III-A). For
-// every in-flight read-only transaction it keeps a record of the versions
-// read and the versions expected by their dependency lists, and validates
-// every new read against that record (§III-B, equations 1 and 2). On a
-// detected inconsistency it applies one of three strategies: ABORT, EVICT,
-// or RETRY.
+// every in-flight read-only transaction (a Txn) it keeps a record of the
+// versions read and the versions expected by their dependency lists, and
+// validates every new read against that record (§III-B, equations 1 and
+// 2). On a detected inconsistency it applies one of three strategies:
+// ABORT, EVICT, or RETRY.
 //
 // # Concurrency
 //
-// The cache is lock-striped along two independent axes:
+// The entry table (and its eviction ledger) is hash-partitioned into
+// Config.Shards cacheShards, keyed by hashKey (64-bit FNV-1a) — the hash
+// that also finds a key's row in a transaction record. A read — one key
+// or a batch — is served in one pass (read.go): each entry shard its keys
+// touch is locked once to collect the servable items, then the items are
+// validated in key order against the transaction's record with no lock
+// held, because a record always has exactly one holder. The strategy code
+// a failed check falls into locks only the shard of an entry it evicts.
 //
-//   - the entry table (and its eviction ledger) is hash-partitioned into
-//     Config.Shards cacheShards, keyed by hashKey (64-bit FNV-1a) — the
-//     hash that also finds a key's row in a transaction record;
-//   - the transaction-record table is striped into txnStripes (64)
-//     stripes, keyed by TxnID.
-//
-// A read — one key or a batch — is served in one pass (read.go): each
-// entry shard its keys touch is locked once to collect the servable
-// items, then the transaction's stripe is locked once to validate them
-// in key order, record them and finish. The pass never holds two locks;
-// only the strategy code a failed check falls into holds a shard and a
-// stripe together, always in that order (entry shard first), and never
-// two locks of the same kind; cross-shard work (evicting a stale object
-// that hashes elsewhere) runs after both are released. Completion hooks
-// are always invoked with no cache lock held, so hooks may call back
-// into the cache.
+// A transaction from Begin (the public API's ReadTxn) is owned by its
+// caller and is in no table. The txnStripes (64) stripes of the
+// transaction table only map the wire protocol's TxnIDs to their Txns
+// (Read, ReadMulti, Commit and Abort by ID), under the rule txn.go
+// states; a stripe's mutex is never held together with a shard's.
+// Completion hooks are always invoked with no cache lock held, so hooks
+// may call back into the cache.
 package core
 
 import (
@@ -214,9 +212,10 @@ type Config struct {
 	// The TTL-based baseline of Fig. 7(d) sets this and disables
 	// dependency checking at the database (DepBound 0).
 	TTL time.Duration
-	// TxnGC bounds how long an idle transaction record is kept before it
-	// is garbage-collected (protecting against clients that never send
-	// lastOp). 0 disables the sweeper.
+	// TxnGC bounds how long an idle transaction of the ID-keyed API is
+	// kept before it is garbage-collected (protecting against clients that
+	// never send lastOp). A Txn from Begin is its holder's to end and is
+	// never collected. 0 disables the sweeper.
 	TxnGC time.Duration
 	// MaxBytes bounds the resident byte footprint of the cache: each
 	// entry is charged key length + value length + evict.EntryOverhead.
@@ -244,7 +243,7 @@ type Config struct {
 	// least one unit), so a memory bound no longer costs the lock
 	// striping. 1 makes per-shard LRU exactly global LRU. With
 	// Shards > 1 eviction is approximately global: each shard ranks
-	// only its own residents. The transaction-record table is striped
+	// only its own residents. The transaction table is striped
 	// separately (txnStripes): its stripes own no budget.
 	Shards int
 	// Telemetry, when non-nil, receives latency observations from the
@@ -288,35 +287,39 @@ type Cache struct {
 }
 
 // The locking protocol, as enforced by tcachelint's lockorder analyzer:
-// an entry-shard lock may be held when acquiring a txn-stripe lock, never
-// the reverse, and at most one lock of each kind is held at a time.
-//
-//tcache:lockorder shard < stripe
+// the cache's two lock classes, shard and stripe, are never held together
+// — no lockorder relation joins them, so any nesting is flagged — and at
+// most one lock of each is held at a time.
 
-// hotCounters are the counters every read and every transaction moves:
-// plain integers beside a shard or stripe mutex, written only under it —
-// the lock the writer holds anyway — and summed by Cache.Metrics, so
-// serving hits on two cores writes no shared counter line. Transactional
-// reads count on their stripe as they are validated; non-transactional
-// reads count on the shard that served them.
-type hotCounters [len(hotNames)]uint64
+// The counters every read and every transaction moves are not Metrics'
+// shared atomics: each is kept beside the shard or stripe it belongs to
+// and summed by Cache.Metrics, so serving hits on two cores writes no
+// shared counter line. Non-transactional reads count on the entry shard
+// that served them, in plain integers under its mutex (shardCounts). A
+// transaction counts on its stripe (stripeFor of its TxnID), atomically
+// and lock-free: its start at its first read, each read pass's hits and
+// misses at the end of the pass (a warm pass adds one counter), its
+// commit when it ends — the stripe line that TxnID's transactions have
+// always written. reads is hits + misses.
 
-// hotNames lists the hot counters by their Metrics tags, in index order.
-var hotNames = [...]string{"reads", "hits", "misses", "txns_started", "txns_committed"}
+// hotNames lists a stripe's counters by their Metrics tags, in index
+// order; the first two are a shard's as well.
+var hotNames = [...]string{"hits", "misses", "txns_started", "txns_committed"}
 
 const (
-	hotReads = iota
-	hotHits
+	hotHits = iota
 	hotMisses
 	hotTxnsStarted
 	hotTxnsCommitted
 )
 
+// shardCounts are an entry shard's read counters: hits and misses.
+type shardCounts [hotMisses + 1]uint64
+
 // count adds n reads, hits of them served from the cache.
 //
 //tcache:hotpath
-func (h *hotCounters) count(n, hits uint64) {
-	h[hotReads] += n
+func (h *shardCounts) count(n, hits uint64) {
 	h[hotHits] += hits
 	h[hotMisses] += n - hits
 }
@@ -325,7 +328,7 @@ func (h *hotCounters) count(n, hits uint64) {
 // space with its own mutex and its own slice of the eviction budget.
 type cacheShard struct {
 	mu  sync.Mutex //tcache:lockclass shard
-	hot hotCounters
+	hot shardCounts
 	// warmHits counts hits served with telemetry on; it is the shard's
 	// warm-sample clock (lookupLocked).
 	warmHits uint64
@@ -337,18 +340,20 @@ type cacheShard struct {
 	_  [64]byte // keeps the next shard's mutex off this shard's last line
 }
 
-// txnStripes is the number of lock stripes of the transaction-record
-// table. Stripes own no budget, so there are many: consecutive TxnIDs
+// txnStripes is the number of stripes of the transaction table and its
+// counters. Stripes own no budget, so there are many: consecutive TxnIDs
 // land on different stripes and concurrent transactions rarely meet.
 const txnStripes = 64
 
-// txnStripe is one lock stripe of the transaction-record table, padded
-// to two cache lines so neighbours in Cache.stripes never share one.
+// txnStripe is one stripe of the transaction table — the ID-keyed
+// transactions, under txn.go's rule — and of the transaction counters,
+// padded to two cache lines so neighbours in Cache.stripes never share
+// one.
 type txnStripe struct {
 	mu   sync.Mutex //tcache:lockclass stripe
-	txns map[kv.TxnID]*txnRecord
-	hot  hotCounters
-	_    [72]byte // 56 bytes of fields above + 72 = 128
+	txns map[kv.TxnID]*Txn
+	hot  [len(hotNames)]uint64v
+	_    [80]byte // 48 bytes of fields above + 80 = 128
 }
 
 // entry is one cached key. It holds exactly one committed version: an
@@ -446,31 +451,27 @@ func (t *keyTable) add(hash uint64, key kv.Key) int32 {
 
 // txnRecord tracks one in-flight read-only transaction: one row per key
 // it has read or seen named in a dependency list, which serves the
-// eq.1/eq.2 lookups and the completion report. Its fields are guarded by
-// the owning stripe's mutex.
+// eq.1/eq.2 lookups and the completion report. It is part of its Txn and
+// belongs to whoever holds that.
 type txnRecord struct {
 	keyTable
-	nread    int32   // keys read so far: the last seq handed out
-	at       []int32 // admit's scratch: the rows of the key and its dependencies
-	lastUsed time.Time
+	nread int32   // keys read so far: the last seq handed out
+	at    []int32 // admit's scratch: the rows of the key and its dependencies
 	// Inline backing arrays sized for the common case (~5 keys whose ~5
-	// dependencies mostly name each other): a whole record is one
-	// allocation, and larger transactions spill to the heap via ordinary
+	// dependencies mostly name each other): a record needs no allocation
+	// of its own, and larger transactions spill to the heap via ordinary
 	// append.
 	rowsBuf [12]recRow
 	atBuf   [8]int32
 }
 
-// recPool recycles the records of finished transactions (emit).
-var recPool = sync.Pool{New: func() any { return new(txnRecord) }}
-
-// newTxnRecord returns an empty record with its slices pointing at the
-// inline buffers.
-func newTxnRecord() *txnRecord {
-	rec := recPool.Get().(*txnRecord)
+// reset empties the record, its slices pointing back at the inline
+// buffers.
+//
+//tcache:hotpath
+func (rec *txnRecord) reset() {
 	rec.keyTable = keyTable{rows: rec.rowsBuf[:0]}
 	rec.nread, rec.at = 0, rec.atBuf[:0]
-	return rec
 }
 
 // readSet returns each key's first read, in read order.
@@ -549,7 +550,7 @@ func New(cfg Config) (*Cache, error) {
 		c.shards[i] = &cacheShard{entries: make(map[kv.Key]*entry)}
 	}
 	for i := range c.stripes {
-		c.stripes[i].txns = make(map[kv.TxnID]*txnRecord)
+		c.stripes[i].txns = make(map[kv.TxnID]*Txn)
 	}
 	switch cfg.Policy {
 	case evict.Clock:
@@ -614,10 +615,12 @@ func (c *Cache) stripeFor(txnID kv.TxnID) *txnStripe {
 	return &c.stripes[uint64(txnID)%txnStripes]
 }
 
-// Close stops background work, aborts every in-flight transaction record,
-// and reports each as an uncommitted Completion to the registered hooks
-// (so monitors never undercount aborts). Subsequent reads fail with
-// ErrClosed. Close is idempotent.
+// Close stops background work and ends every in-flight transaction as
+// aborted-on-close, reporting each as an uncommitted Completion to the
+// registered hooks (so monitors never undercount aborts): the idle ones
+// of the transaction table at once, one an ID-keyed call holds when the
+// call hands it back, an owned one (Begin) at its next read or Finish.
+// Subsequent reads fail with ErrClosed. Close is idempotent.
 func (c *Cache) Close() {
 	if !c.closed.CompareAndSwap(false, true) {
 		return
@@ -627,7 +630,7 @@ func (c *Cache) Close() {
 		c.gcTimer.Stop()
 	}
 	c.gcMu.Unlock()
-	c.drain(&c.metrics.TxnsAbortedOnClose, func(*txnRecord) bool { return true })
+	c.drain(&c.metrics.TxnsAbortedOnClose, func(*Txn) bool { return true })
 }
 
 // OnComplete registers a hook observing every finished transaction.
@@ -642,44 +645,25 @@ func (c *Cache) OnComplete(h CompletionHook) {
 	c.hooks.Store(&hooks)
 }
 
-// emit reports the end of txnID — whose record rec the caller has
-// unlinked from its stripe — to the registered hooks, then recycles rec.
-// Hooks get their own copy of the reads, so they may keep it. Callers
-// hold no cache lock, and with no hook registered emit takes none either
-// and builds no report.
-func (c *Cache) emit(txnID kv.TxnID, rec *txnRecord, committed bool, attempted *ReadVersion) {
-	if hooks := c.hooks.Load(); hooks != nil {
-		comp := Completion{
-			TxnID:     txnID,
-			Reads:     rec.readSet(),
-			Committed: committed,
-			Attempted: attempted,
-		}
-		for _, h := range *hooks {
-			h(comp)
-		}
-	}
-	recPool.Put(rec)
-}
-
-// drain unlinks every transaction record stale(rec) selects, counts it
-// on counter, and reports it as an uncommitted transaction.
-func (c *Cache) drain(counter *uint64v, stale func(*txnRecord) bool) {
-	finished := map[kv.TxnID]*txnRecord{}
+// drain takes every idle transaction stale selects out of the transaction
+// table, counts it on counter and reports it as uncommitted. A Txn a call
+// has checked out is that call's to end (checkin).
+func (c *Cache) drain(counter *uint64v, stale func(*Txn) bool) {
+	var ended []*Txn
 	for i := range c.stripes {
 		st := &c.stripes[i]
 		st.mu.Lock()
-		for id, rec := range st.txns {
-			if stale(rec) {
-				finished[id] = rec
+		for id, t := range st.txns {
+			if !t.busy && stale(t) {
 				delete(st.txns, id)
-				counter.Add(1)
+				ended = append(ended, t)
 			}
 		}
 		st.mu.Unlock()
 	}
-	for id, rec := range finished {
-		c.emit(id, rec, false, nil)
+	for _, t := range ended {
+		t.end(counter, false, nil)
+		t.recycle()
 	}
 }
 
@@ -738,13 +722,14 @@ func (c *Cache) sumShards(f func(*cacheShard) uint64) (n uint64) {
 	return n
 }
 
-// sumStripes adds up f over the transaction stripes, each under its lock.
-func (c *Cache) sumStripes(f func(*txnStripe) uint64) (n uint64) {
-	for i := range c.stripes {
-		st := &c.stripes[i]
-		st.mu.Lock()
-		n += f(st)
-		st.mu.Unlock()
+// hotSum adds up hot counter i over the stripes and, for hits and
+// misses, over the shards.
+func (c *Cache) hotSum(i int) (n uint64) {
+	for s := range c.stripes {
+		n += c.stripes[s].hot[i].Load()
+	}
+	if i < len(shardCounts{}) {
+		n += c.sumShards(func(sh *cacheShard) uint64 { return sh.hot[i] })
 	}
 	return n
 }
@@ -768,9 +753,14 @@ func (c *Cache) MaxBytes() uint64 { return uint64(c.cfg.MaxBytes) }
 // EvictionPolicy returns the configured eviction policy kind.
 func (c *Cache) EvictionPolicy() evict.Kind { return c.cfg.Policy }
 
-// ActiveTxns returns the number of in-flight transaction records.
+// ActiveTxns returns the number of transactions begun and not yet ended,
+// owned and ID-keyed alike: every start counted, less every ending.
 func (c *Cache) ActiveTxns() int {
-	return int(c.sumStripes(func(st *txnStripe) uint64 { return uint64(len(st.txns)) }))
+	// Endings first: a transaction they include began earlier, so the
+	// starts loaded afterwards include it too.
+	ended := c.hotSum(hotTxnsCommitted) + c.metrics.TxnsAborted.Load() +
+		c.metrics.TxnsAbortedOnClose.Load() + c.metrics.TxnsGCed.Load()
+	return int(c.hotSum(hotTxnsStarted) - ended)
 }
 
 // Contains reports whether key is currently cached (ignoring TTL).
@@ -782,7 +772,7 @@ func (c *Cache) Contains(key kv.Key) bool {
 	return ok
 }
 
-// gcSweep drops transaction records idle for longer than TxnGC and
+// gcSweep ends the ID-keyed transactions idle for longer than TxnGC and
 // reschedules itself.
 func (c *Cache) gcSweep() {
 	if c.closed.Load() {
@@ -794,7 +784,7 @@ func (c *Cache) gcSweep() {
 		c.gcTimer = c.clk.AfterFunc(c.cfg.TxnGC, c.gcSweep)
 	}
 	c.gcMu.Unlock()
-	c.drain(&c.metrics.TxnsGCed, func(rec *txnRecord) bool { return now.Sub(rec.lastUsed) >= c.cfg.TxnGC })
+	c.drain(&c.metrics.TxnsGCed, func(t *Txn) bool { return now.Sub(t.lastUsed) >= c.cfg.TxnGC })
 }
 
 // removeEntry unlinks e from the shard's map and eviction ledger

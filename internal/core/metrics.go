@@ -10,7 +10,8 @@ import (
 // declared. The metric tag is its registry name; Cache.Metrics and
 // Cache.RegisterMetrics are both derived from this struct (see
 // telemetry.CounterSet). The five counters every read or transaction
-// moves are declared here but counted in hotCounters (bindCounters).
+// moves are declared here but counted on the shards and stripes
+// (hotNames; reads is hits + misses).
 type Metrics struct {
 	Reads                uint64v `metric:"reads"`
 	Hits                 uint64v `metric:"hits"`
@@ -96,9 +97,7 @@ func (c *Cache) Metrics() (out MetricsSnapshot) {
 func (c *Cache) bindCounters() {
 	c.counters = telemetry.NewCounterSet(&c.metrics, MetricsSnapshot{})
 	for i, name := range hotNames {
-		c.counters.Striped(name, func() uint64 {
-			return c.sumShards(func(sh *cacheShard) uint64 { return sh.hot[i] }) +
-				c.sumStripes(func(st *txnStripe) uint64 { return st.hot[i] })
-		})
+		c.counters.Striped(name, func() uint64 { return c.hotSum(i) })
 	}
+	c.counters.Striped("reads", func() uint64 { return c.hotSum(hotHits) + c.hotSum(hotMisses) })
 }

@@ -43,6 +43,13 @@ func (r *refRecord) record(key kv.Key, item kv.Item) {
 	}
 }
 
+// newTxnRecord returns an empty record, as a fresh Txn holds.
+func newTxnRecord() *txnRecord {
+	rec := new(txnRecord)
+	rec.reset()
+	return rec
+}
+
 // contents flattens a txnRecord into refRecord's shape.
 func (rec *txnRecord) contents() *refRecord {
 	out := &refRecord{read: map[kv.Key]kv.Version{}, expected: map[kv.Key]kv.Version{}, order: rec.readSet()}

@@ -2,41 +2,369 @@ package core
 
 import (
 	"context"
+	"sync"
 	"time"
 
 	"tcache/internal/kv"
 )
 
-// Txn is one read-only transaction: every read made through it is
-// validated against the transaction's earlier reads (§III-B) until
-// Finish ends it.
+// Txn is one read-only transaction: the record its reads are validated
+// against (§III-B) and what the cache reports when it ends.
+//
+// A record has exactly one guard. A Txn from Begin is owned: its caller
+// alone uses it, from Begin to Finish, so nothing locks it and no table
+// holds it. A Txn of the ID-keyed API (Cache.Read, ReadMulti, Commit and
+// Abort by TxnID — the wire protocol's) outlives a call, so it lives in
+// the transaction table, whose rule is checkout's.
 type Txn struct {
 	c  *Cache
 	id kv.TxnID
+	// st is stripeFor(id): it counts t, and holds t when t is ID-keyed.
+	st  *txnStripe
+	rec txnRecord
+	// start, set by Begin, is the start of t's first batch read: a caller
+	// that times the whole transaction hands its stamp over rather than
+	// the batch reading the clock again.
+	start time.Time
+	// begun is set by the first read to reach validation: from then on t
+	// counts as started and its end is reported.
+	begun bool
+	// err is why the cache ended t before its holder did — the
+	// *InconsistencyError of a detected violation, or ErrClosed — and
+	// what every later read and Finish returns; nil while t is open.
+	err error
+
+	// Of an ID-keyed Txn, guarded by st.mu (see checkout):
+	busy     bool          // a call has it checked out
+	handback chan struct{} // closed when it is handed back; nil until a call waits
+	ending   txnEnd        // how a Commit or Abort asked it to end while busy
+	lastUsed time.Time     // when a call last took or returned it (TxnGC)
 }
 
-// Begin starts the read-only transaction id. start is the caller's
-// start stamp for the transaction (the zero time when it took none).
+// txnEnd is the end a Commit or Abort asked of a busy ID-keyed Txn.
+type txnEnd int8
+
+const (
+	endNone txnEnd = iota
+	endCommit
+	endAbort
+)
+
+// txnPool recycles ended transactions, record and all.
+var txnPool = sync.Pool{New: func() any { return new(Txn) }}
+
+// newTxn returns an open, empty Txn for id.
+//
+//tcache:hotpath
+func (c *Cache) newTxn(id kv.TxnID) *Txn {
+	t := txnPool.Get().(*Txn)
+	t.c, t.id, t.st = c, id, c.stripeFor(id)
+	t.rec.reset()
+	t.start, t.begun, t.err = time.Time{}, false, nil
+	t.busy, t.handback, t.ending, t.lastUsed = false, nil, endNone, time.Time{}
+	return t
+}
+
+// recycle returns t to the pool; its holder must not use it again.
+func (t *Txn) recycle() {
+	t.c = nil
+	txnPool.Put(t)
+}
+
+// Begin starts the read-only transaction id, owned by the caller until
+// Finish. id names it in its completion and errors. start, unless zero,
+// is the start of its first batch read (ReadMulti): telemetry then times
+// that batch from the caller's own stamp.
+//
+//tcache:hotpath
 func (c *Cache) Begin(id kv.TxnID, start time.Time) *Txn {
-	return &Txn{c: c, id: id}
+	t := c.newTxn(id)
+	t.start = start
+	return t
 }
 
-// Read reads key within t.
+// Read reads key within t, validating it against t's earlier reads: the
+// values, errors, completions and counters of Cache.Read, without the
+// table. Once the cache has ended t (a detected violation, or Close) it
+// returns why.
+//
+//tcache:hotpath
 func (t *Txn) Read(ctx context.Context, key kv.Key) (kv.Value, error) {
-	return t.c.Read(ctx, t.id, key, false)
+	val, _, err := t.read(ctx, key)
+	return val, err
 }
 
-// ReadMulti reads keys, in order, within t.
+// ReadMulti reads keys, in order, within t: Cache.ReadMulti's one pass,
+// without the table.
+//
+//tcache:hotpath
 func (t *Txn) ReadMulti(ctx context.Context, keys []kv.Key) ([]kv.Value, error) {
-	return t.c.ReadMulti(ctx, t.id, keys, false)
+	vals, _, err := t.readMulti(ctx, keys)
+	return vals, err
 }
 
-// Finish ends t, committed or aborted.
+// Finish ends t — committed, or aborted — reports it to the completion
+// hooks and recycles it: t must not be used afterwards. A transaction
+// that never read ends without a report. One the cache already ended is
+// not reported again; Finish returns why it ended. Once the cache is
+// closed, Finish ends t aborted-on-close and returns ErrClosed.
+//
+//tcache:hotpath
 func (t *Txn) Finish(commit bool) error {
-	if commit {
-		t.c.Commit(t.id)
-	} else {
-		t.c.Abort(t.id)
+	err := t.finish(commit)
+	t.recycle()
+	return err
+}
+
+// read is Read, also reporting whether the read reached its key (see
+// readPass).
+//
+//tcache:hotpath
+func (t *Txn) read(ctx context.Context, key kv.Key) (kv.Value, bool, error) {
+	t.start = time.Time{} // the first read was no batch: the stamp is spent
+	var (
+		keys  = [1]kv.Key{key}
+		out   [1]kv.Lookup
+		slots [1]keySlot
+		vals  [1]kv.Value
+	)
+	last, err := t.c.readPass(ctx, t, keys[:], out[:], slots[:], vals[:])
+	return vals[0], last, err
+}
+
+// readMulti is ReadMulti, also reporting whether the pass reached its
+// last key (see readPass).
+//
+//tcache:hotpath
+func (t *Txn) readMulti(ctx context.Context, keys []kv.Key) ([]kv.Value, bool, error) {
+	c := t.c
+	start := t.start
+	t.start = time.Time{}
+	if len(keys) == 0 {
+		// Nothing to read, but an empty batch answers for its transaction
+		// and its ctx as a full one would.
+		if err := t.check(); err != nil {
+			return nil, false, err
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, false, err
+		}
+		return nil, true, nil
+	}
+	if c.tel != nil && start.IsZero() {
+		start = time.Now()
+	}
+	// The scratch of a typical batch lives on the stack; the values are
+	// the caller's to keep.
+	var outBuf [batchInline]kv.Lookup
+	var slotBuf [batchInline]keySlot
+	out, slots := outBuf[:], slotBuf[:]
+	if len(keys) > batchInline {
+		out, slots = make([]kv.Lookup, len(keys)), make([]keySlot, len(keys))
+	}
+	vals := make([]kv.Value, len(keys))
+	last, err := c.readPass(ctx, t, keys, out[:len(keys)], slots[:len(keys)], vals)
+	if err != nil {
+		return nil, last, err
+	}
+	if c.tel != nil {
+		c.tel.ReadMulti.Stripe(uint64(t.id)).ObserveSince(start)
+	}
+	return vals, true, nil
+}
+
+// check returns why t cannot read: the cache ended it, or is closed.
+//
+//tcache:hotpath
+func (t *Txn) check() error {
+	if t.err != nil {
+		return t.err
+	}
+	if t.c.closed.Load() {
+		return t.closedOut()
 	}
 	return nil
+}
+
+// begin counts t as started, at its first read to reach validation.
+//
+//tcache:hotpath
+func (t *Txn) begin() {
+	if !t.begun {
+		t.begun = true
+		t.st.hot[hotTxnsStarted].Add(1)
+	}
+}
+
+// count adds a pass's reads, hits of them served from the cache, to t's
+// stripe: only the counters that moved, so a warm pass adds one.
+//
+//tcache:hotpath
+func (t *Txn) count(reads, hits uint64) {
+	if hits > 0 {
+		t.st.hot[hotHits].Add(hits)
+	}
+	if misses := reads - hits; misses > 0 {
+		t.st.hot[hotMisses].Add(misses)
+	}
+}
+
+// end counts t's outcome on counter and reports it to the completion
+// hooks — attempted is the read an abort blocked. Hooks get their own
+// copy of the reads, so they may keep it; with none registered end
+// builds no report. Callers hold no lock.
+func (t *Txn) end(counter *uint64v, committed bool, attempted *ReadVersion) {
+	counter.Add(1)
+	if hooks := t.c.hooks.Load(); hooks != nil {
+		comp := Completion{TxnID: t.id, Reads: t.rec.readSet(), Committed: committed, Attempted: attempted}
+		for _, h := range *hooks {
+			h(comp)
+		}
+	}
+}
+
+// finish ends t at its holder's request: committed or aborted, or — the
+// cache being closed — aborted-on-close, returning ErrClosed. If the
+// cache already ended t it returns why and reports nothing more; a t that
+// never began ends without a report.
+//
+//tcache:hotpath
+func (t *Txn) finish(commit bool) error {
+	if err := t.check(); err != nil {
+		return err
+	}
+	switch {
+	case !t.begun:
+	case commit:
+		t.end(&t.st.hot[hotTxnsCommitted], true, nil)
+	default:
+		t.end(&t.c.metrics.TxnsAborted, false, nil)
+	}
+	return nil
+}
+
+// closedOut is t's answer to a closed cache. Close drains only the idle
+// part of the transaction table, so a Txn it cannot reach — owned, or
+// checked out by a call — ends itself aborted-on-close, once, the first
+// time it meets the closed cache. It returns ErrClosed.
+func (t *Txn) closedOut() error {
+	if t.err == nil {
+		t.err = ErrClosed
+		if t.begun {
+			t.end(&t.c.metrics.TxnsAbortedOnClose, false, nil)
+		}
+	}
+	return ErrClosed
+}
+
+// checkout hands the caller of an ID-keyed call the Txn of txnID — a
+// fresh one if the table has none — checked out for that call, or fails
+// with ErrClosed, or with ctx's error while it waits its turn.
+//
+// The transaction table's rule: a stripe's mutex guards its map and, of
+// each Txn in it, busy, handback, ending and lastUsed — nothing else, and
+// it is never held with an entry shard. A call checks its Txn out (busy
+// set under the mutex), uses it as its owner with no lock held, and hands
+// it back (checkin). Whatever else meets a busy Txn leaves it to that
+// call: Commit and Abort record the end they want (ending), the TxnGC
+// sweeper and Close skip it, and a second call for the same ID waits for
+// the handback — TxnIDs are unique per wire client only, so calls of
+// different clients can meet on one.
+//
+//tcache:hotpath
+func (c *Cache) checkout(ctx context.Context, txnID kv.TxnID) (*Txn, error) {
+	st := c.stripeFor(txnID)
+	st.mu.Lock()
+	for {
+		if c.closed.Load() {
+			// Close drained this stripe, or is about to: don't add a Txn
+			// it would never end.
+			st.mu.Unlock()
+			return nil, ErrClosed
+		}
+		t := st.txns[txnID]
+		if t == nil {
+			t = c.newTxn(txnID)
+			st.txns[txnID] = t
+		}
+		if !t.busy {
+			t.busy = true
+			if c.cfg.TxnGC > 0 {
+				// Only the GC sweeper reads lastUsed; without one, skip
+				// the clock.
+				t.lastUsed = c.clk.Now()
+			}
+			st.mu.Unlock()
+			return t, nil
+		}
+		// Wait for the call inside to hand t back, then look again: t may
+		// have ended meanwhile.
+		if t.handback == nil {
+			t.handback = make(chan struct{})
+		}
+		handback := t.handback
+		st.mu.Unlock()
+		select {
+		case <-handback:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		st.mu.Lock()
+	}
+}
+
+// checkin hands t back after a call. t ends here if the call commits it
+// (its read carried lastOp), if a Commit or Abort asked meanwhile, if the
+// call ended it or never began it, or if the cache closed — then checkin
+// returns finish's error; otherwise t waits in the table for the next
+// call.
+//
+//tcache:hotpath
+func (c *Cache) checkin(t *Txn, commit bool) error {
+	st := t.st
+	st.mu.Lock()
+	t.busy = false
+	if t.handback != nil {
+		close(t.handback)
+		t.handback = nil
+	}
+	end := t.ending
+	if commit {
+		end = endCommit
+	}
+	if end == endNone && t.err == nil && t.begun && !c.closed.Load() {
+		if c.cfg.TxnGC > 0 {
+			t.lastUsed = c.clk.Now()
+		}
+		st.mu.Unlock()
+		return nil
+	}
+	delete(st.txns, t.id)
+	st.mu.Unlock()
+	err := t.finish(end == endCommit)
+	t.recycle()
+	return err
+}
+
+// endID ends the ID-keyed transaction txnID as Commit or Abort asks: at
+// once if it is idle, when its call hands it back if it is busy.
+func (c *Cache) endID(txnID kv.TxnID, end txnEnd) {
+	st := c.stripeFor(txnID)
+	st.mu.Lock()
+	t := st.txns[txnID]
+	switch {
+	case t == nil:
+		st.mu.Unlock()
+		return
+	case t.busy:
+		if t.ending == endNone {
+			t.ending = end
+		}
+		st.mu.Unlock()
+		return
+	}
+	delete(st.txns, txnID)
+	st.mu.Unlock()
+	t.finish(end == endCommit)
+	t.recycle()
 }

@@ -256,16 +256,18 @@ func (c *Column) RunReadTxn(ctx context.Context, gen workload.Generator) (bool, 
 func (ed *edge) runReadTxn(ctx context.Context, gen workload.Generator) (bool, error) {
 	keys := gen.Pick(ed.readRNG)
 	ed.nextTxnID++
-	id := ed.nextTxnID
-	for i, k := range keys {
-		_, err := ed.cache.Read(ctx, id, k, i == len(keys)-1)
-		switch {
-		case err == nil:
-		case errors.Is(err, core.ErrTxnAborted):
-			return false, nil
-		default:
+	txn := ed.cache.Begin(ed.nextTxnID, time.Time{})
+	for _, k := range keys {
+		if _, err := txn.Read(ctx, k); err != nil {
+			txn.Finish(false)
+			if errors.Is(err, core.ErrTxnAborted) {
+				return false, nil
+			}
 			return false, fmt.Errorf("experiment: read %q: %w", k, err)
 		}
+	}
+	if err := txn.Finish(true); err != nil {
+		return false, fmt.Errorf("experiment: commit: %w", err)
 	}
 	return true, nil
 }
@@ -277,6 +279,11 @@ type Drive struct {
 	UpdateRate float64
 	ReadRate   float64
 	Duration   time.Duration
+	// Around, when set, runs each transaction Run schedules — update
+	// reports which client scheduled it — and must call txn exactly once
+	// and return its error: a harness wraps each transaction this way to
+	// time it. Nil runs them bare.
+	Around func(update bool, txn func() error) error
 }
 
 func (d Drive) withDefaults() Drive {
@@ -309,7 +316,11 @@ func (c *Column) Run(ctx context.Context, d Drive, updGen, readGen workload.Gene
 	end := c.Clk.Now().Add(d.Duration)
 
 	// One update client, then one read client per edge, in edge order.
-	every := func(interval time.Duration, txn func() error) {
+	every := func(interval time.Duration, update bool, txn func() error) {
+		if d.Around != nil {
+			bare := txn
+			txn = func() error { return d.Around(update, bare) }
+		}
 		var tick func()
 		tick = func() {
 			keep(txn())
@@ -319,9 +330,9 @@ func (c *Column) Run(ctx context.Context, d Drive, updGen, readGen workload.Gene
 		}
 		c.Clk.AfterFunc(interval, tick)
 	}
-	every(updInterval, func() error { return c.RunUpdateTxn(updGen) })
+	every(updInterval, true, func() error { return c.RunUpdateTxn(updGen) })
 	for _, ed := range c.edges {
-		every(readInterval, func() error { _, err := ed.runReadTxn(ctx, readGen); return err })
+		every(readInterval, false, func() error { _, err := ed.runReadTxn(ctx, readGen); return err })
 	}
 	c.Clk.Run(end)
 	// Let in-flight invalidations drain so back-to-back Run calls do not

@@ -113,6 +113,48 @@ func TestColumnEdgesIndependent(t *testing.T) {
 	}
 }
 
+// TestRunAroundSeesEveryTransaction: Drive.Around runs once around every
+// transaction Run schedules — each update, and each read of every edge —
+// and wrapping them changes nothing: the same seed ends in the same
+// counters with and without it.
+func TestRunAroundSeesEveryTransaction(t *testing.T) {
+	ctx := context.Background()
+	run := func(around func(bool, func() error) error) Measurement {
+		col, err := NewColumn(ColumnConfig{Edges: 2, DepBound: 3, Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer col.Close()
+		gen := &workload.PerfectClusters{Objects: 100, ClusterSize: 5, TxnSize: 5}
+		col.SeedObjects(workload.AllObjectKeys(100))
+		m, err := col.Measure(func() error {
+			return col.Run(ctx, Drive{UpdateRate: 50, ReadRate: 100, Duration: 3 * time.Second, Around: around}, gen, gen)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	var updates, reads uint64
+	wrapped := run(func(update bool, txn func() error) error {
+		if update {
+			updates++
+		} else {
+			reads++
+		}
+		return txn()
+	})
+	if updates == 0 || updates != wrapped.DB.TxnsCommitted {
+		t.Errorf("Around saw %d updates, the database committed %d", updates, wrapped.DB.TxnsCommitted)
+	}
+	if reads == 0 || reads != wrapped.Mon.ReadOnly() || reads != wrapped.Cache.TxnsStarted {
+		t.Errorf("Around saw %d reads; the monitors classified %d, the caches started %d", reads, wrapped.Mon.ReadOnly(), wrapped.Cache.TxnsStarted)
+	}
+	if bare := run(nil); !reflect.DeepEqual(bare, wrapped) {
+		t.Errorf("wrapping changed the run:\n bare    %+v\n wrapped %+v", bare, wrapped)
+	}
+}
+
 func TestColumnDeterministic(t *testing.T) {
 	run := func() (uint64, uint64) {
 		col, err := NewColumn(ColumnConfig{DepBound: 3, Seed: 99})

@@ -55,6 +55,8 @@ var cowSources = []cowSource{
 	{"tcache/internal/core", "Cache", "Read", kindShared},
 	{"tcache/internal/core", "Cache", "Get", kindShared},
 	{"tcache/internal/core", "Cache", "ReadMulti", kindValues},
+	{"tcache/internal/core", "Txn", "Read", kindShared},
+	{"tcache/internal/core", "Txn", "ReadMulti", kindValues},
 	{"tcache/internal/core", "Cache", "GetItem", kindItem},
 	{"tcache/internal/core", "Cache", "GetItems", kindLookups},
 	{"tcache/internal/db", "DB", "Get", kindItem},

@@ -12,6 +12,35 @@ import (
 	"tcache/internal/kv"
 )
 
+// TestReadTxKeptPastReadTxn: a ReadTx kept after its ReadTxn returned
+// cannot reopen the transaction — a late Get or GetMulti fails with
+// ErrTxnDone and starts nothing (it used to start a transaction that,
+// with TxnGC off, nothing ever ended).
+func TestReadTxKeptPastReadTxn(t *testing.T) {
+	d, c := openPair(t)
+	if err := d.Update(bg, func(tx *Tx) error { return tx.Set("k", Value("v")) }); err != nil {
+		t.Fatal(err)
+	}
+	var kept *ReadTx
+	if err := c.ReadTxn(bg, func(tx *ReadTx) error {
+		kept = tx
+		_, err := tx.Get(bg, "k")
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := kept.Get(bg, "k"); !errors.Is(err, ErrTxnDone) {
+		t.Fatalf("late Get = %v, want ErrTxnDone", err)
+	}
+	if _, err := kept.GetMulti(bg, "k"); !errors.Is(err, ErrTxnDone) {
+		t.Fatalf("late GetMulti = %v, want ErrTxnDone", err)
+	}
+	m := c.Stats()
+	if got := c.Core().ActiveTxns(); got != 0 || m.TxnsStarted != 1 || m.TxnsCommitted != 1 {
+		t.Fatalf("after the late reads: ActiveTxns %d, started %d, committed %d; want 0, 1, 1", got, m.TxnsStarted, m.TxnsCommitted)
+	}
+}
+
 // TestReadTxnCloseHammer is internal/core's TestShardHammer through the
 // public API: ReadTxn from eight goroutines — half key by key, half one
 // GetMulti — while a writer commits pairs of keys whose invalidations a

@@ -131,6 +131,9 @@ var (
 	ErrTxnAborted = core.ErrTxnAborted
 	// ErrNotFound reports a key absent from both cache and database.
 	ErrNotFound = core.ErrNotFound
+	// ErrTxnDone reports a read through a ReadTx after its ReadTxn
+	// returned: the transaction has ended, and the read starts no other.
+	ErrTxnDone = errors.New("tcache: read transaction already finished")
 	// ErrConflict reports an update-transaction concurrency conflict —
 	// a lock arbitration loss in the database, or a stale optimistic
 	// snapshot rejected at validation. Every Updater implementation
@@ -378,8 +381,7 @@ func WithAdmission() CacheOption {
 }
 
 // WithCacheShards sets the number of lock stripes the cache's entry table
-// is split over (the transaction-record table has its own, fixed
-// striping). 1 makes per-shard LRU exactly global LRU; 0 (the default)
+// is split over (the transaction table has its own, fixed striping). 1 makes per-shard LRU exactly global LRU; 0 (the default)
 // picks runtime.GOMAXPROCS(0) stripes whether or not the cache is
 // bounded — byte budgets are enforced per shard, so a memory bound no
 // longer costs the striping. With more than one shard, a bounded cache's
@@ -394,8 +396,10 @@ func WithClock(c clock.Clock) CacheOption {
 	return func(o *cacheOptions) { o.core.Clock = c }
 }
 
-// WithTxnGC bounds how long idle transaction records are kept before
-// being garbage-collected (protects against clients that never finish).
+// WithTxnGC bounds how long idle transactions of the ID-keyed API
+// (Core().Read and ReadMulti, the wire protocol's) are kept before being
+// garbage-collected (protects against clients that never finish).
+// ReadTxn's transactions always end when ReadTxn returns.
 func WithTxnGC(d time.Duration) CacheOption {
 	return func(o *cacheOptions) { o.core.TxnGC = d }
 }
@@ -478,29 +482,24 @@ func (c *Cache) Close() {
 // serving it over the wire).
 func (c *Cache) Core() *core.Cache { return c.inner }
 
-// ReadTx is a read-only transaction handle passed to Cache.ReadTxn.
+// ReadTx is a read-only transaction handle passed to Cache.ReadTxn. It is
+// valid only until ReadTxn returns.
 type ReadTx struct {
-	cache *core.Cache
-	id    kv.TxnID
-	err   error
+	txn *core.Txn // nil once ReadTxn has returned
 }
 
 // Get reads key through the cache within the transaction. ctx bounds the
 // backend fetch on a miss. After the transaction aborts, further reads
-// return the abort error.
+// return the abort error; after ReadTxn returns, ErrTxnDone.
 //
 // The returned Value is shared with the cache (copy-on-write: updates
 // replace whole items rather than mutating served slices) and must be
 // treated as read-only; Clone it before modifying.
 func (t *ReadTx) Get(ctx context.Context, key Key) (Value, error) {
-	if t.err != nil && errors.Is(t.err, ErrTxnAborted) {
-		return nil, t.err
+	if t.txn == nil {
+		return nil, ErrTxnDone
 	}
-	val, err := t.cache.Read(ctx, t.id, key, false)
-	if err != nil && errors.Is(err, ErrTxnAborted) {
-		t.err = err
-	}
-	return val, err
+	return t.txn.Read(ctx, key)
 }
 
 // GetMulti reads keys, in order, within the transaction — semantically
@@ -514,14 +513,10 @@ func (t *ReadTx) Get(ctx context.Context, key Key) (Value, error) {
 // Like Get, the returned Values are shared with the cache and must be
 // treated as read-only; Clone before modifying.
 func (t *ReadTx) GetMulti(ctx context.Context, keys ...Key) ([]Value, error) {
-	if t.err != nil && errors.Is(t.err, ErrTxnAborted) {
-		return nil, t.err
+	if t.txn == nil {
+		return nil, ErrTxnDone
 	}
-	vals, err := t.cache.ReadMulti(ctx, t.id, keys, false)
-	if err != nil && errors.Is(err, ErrTxnAborted) {
-		t.err = err
-	}
-	return vals, err
+	return t.txn.ReadMulti(ctx, keys)
 }
 
 // ReadTxn runs fn as one read-only transaction against the cache. All
@@ -537,38 +532,39 @@ func (t *ReadTx) GetMulti(ctx context.Context, keys ...Key) ([]Value, error) {
 func (c *Cache) ReadTxn(ctx context.Context, fn func(tx *ReadTx) error) error {
 	id := kv.TxnID(c.seq.Add(1))
 	if c.readTxnHist == nil {
-		return c.readTxn(ctx, id, fn)
+		return c.readTxn(ctx, id, time.Time{}, fn)
 	}
+	// One stamp starts both the transaction's observation and its first
+	// batch's (client_read_multi_ns).
 	start := time.Now()
-	err := c.readTxn(ctx, id, fn)
+	err := c.readTxn(ctx, id, start, fn)
 	c.readTxnHist.Stripe(uint64(id)).ObserveSince(start)
 	return err
 }
 
 // readTxn consults ctx twice: on entry and before committing. In
 // between, a read the cache serves cannot block and does not look (a
-// read that must fetch does, before the fetch).
-func (c *Cache) readTxn(ctx context.Context, id kv.TxnID, fn func(tx *ReadTx) error) error {
+// read that must fetch does, before the fetch). The transaction is the
+// ReadTx's for as long as fn runs, and no longer: a ReadTx kept past it
+// cannot reach the transaction, which is recycled.
+func (c *Cache) readTxn(ctx context.Context, id kv.TxnID, start time.Time, fn func(tx *ReadTx) error) error {
 	if err := ctxErr(ctx); err != nil {
 		return err
 	}
-	tx := &ReadTx{cache: c.inner, id: id}
+	tx := &ReadTx{txn: c.inner.Begin(id, start)}
 	err := fn(tx)
-	if tx.err != nil {
-		// Already aborted by the cache.
-		return tx.err
-	}
+	txn := tx.txn
+	tx.txn = nil
 	if err == nil {
 		// fn may have swallowed a cancellation; the transaction must not
 		// commit as if the read set were complete.
 		err = ctxErr(ctx)
 	}
-	if err != nil {
-		c.inner.Abort(id)
-		return err
+	// An abort the cache detected, or Close, outranks fn's own error.
+	if ferr := txn.Finish(err == nil); ferr != nil {
+		return ferr
 	}
-	c.inner.Commit(id)
-	return nil
+	return err
 }
 
 // ctxErr is ctx.Err() for a path that runs while ctx is almost always
