@@ -16,7 +16,8 @@ test:
 # install, relay), over the read transactions' (owned ReadTxn handles,
 # the ID-keyed table, Close mid-flight) and over the routed read's
 # (callers writing their own frames on a shared connection, pipelined
-# sub-batches, dispatch workers), so a
+# sub-batches, dispatch workers) and the wire's read transactions
+# (server-minted, one per request, several clients at once), so a
 # failure that only shows at 2 or 4 CPUs cannot hide on a
 # 1-CPU runner; the 'Determin|Subgraph|Golden|Theorem1' line is the
 # same-seed-same-bytes gate (graph order, topology builds, column runs,
@@ -30,7 +31,7 @@ race:
 	$(GO) test -race -cpu 1,2,4 ./internal/wal
 	$(GO) test -race -cpu 1,2,4 -run 'Update|Install|Commit' . ./internal/cluster
 	$(GO) test -race -cpu 1,2,4 -run 'ReadTxn|Close|Txn' . ./internal/core
-	$(GO) test -race -cpu 1,2,4 -run 'Mux|Pipelin|Worker|StaleConn' ./internal/transport
+	$(GO) test -race -cpu 1,2,4 -run 'Mux|Pipelin|Worker|StaleConn|ReadTxn|WireClients' ./internal/transport
 	$(GO) test -race -cpu 1,2,4 -run 'ReadItems' ./internal/cluster
 	$(GO) test -race -cpu 1,2,4 -run 'Determin|Subgraph|Golden|Theorem1' ./internal/graph ./internal/experiment
 	$(GO) test -run 'Alloc' -cpu 1,2,4 .

@@ -54,7 +54,7 @@ var allocTable = []struct {
 		cache, keys := benchReadTxnCache(t, 1)
 		return func() error { _, err := cache.Get(bgb, keys[0]); return err }
 	}},
-	// Cold: every key evicted, then one OpReadMulti round trip; each of
+	// Cold: every key evicted, then one OpGetBatch round trip; each of
 	// the five fills allocates its entry and the entry's dependency-key
 	// hashes (the CoreInstall5Deps row).
 	{"ColdReadTxnGetMulti5OverDial", 49, "", func(t *testing.T) func() error {

@@ -225,8 +225,8 @@ func run() error {
 		for i, k := range rest {
 			keys[i] = kv.Key(k)
 		}
-		// One wire round trip for the whole transaction (OpReadMulti).
-		vals, err := cli.ReadMulti(ctx, cli.NewTxnID(), keys, true)
+		// One wire round trip for the whole transaction (OpReadTxn).
+		vals, err := cli.ReadTxn(ctx, keys)
 		if errors.Is(err, transport.ErrAborted) {
 			fmt.Println("transaction aborted: inconsistency detected — retry")
 			return nil

@@ -139,8 +139,8 @@ func run() error {
 
 	// In cluster mode every reader shares one local T-Cache attached to
 	// the fleet, and updates commit through the same tier (an edge node
-	// relays them to the database); otherwise readers speak the thin
-	// transactional protocol to the single tcached and updates go
+	// relays them to the database); otherwise readers send each
+	// transaction to the single tcached as one request and updates go
 	// straight to the database.
 	var clusterCache *tcache.ClusterCache
 	var updater tcache.Updater = remote
@@ -212,8 +212,8 @@ func run() error {
 				}
 				defer cli.Close()
 				runTxn = func(keys []kv.Key) error {
-					// One round trip per transaction (OpReadMulti).
-					_, err := cli.ReadMulti(loadCtx, cli.NewTxnID(), keys, true)
+					// One round trip per transaction (OpReadTxn).
+					_, err := cli.ReadTxn(loadCtx, keys)
 					return err
 				}
 			}

@@ -1,12 +1,14 @@
 // Command tcached runs a T-Cache edge server as a TCP daemon: it fills
 // misses from a tdbd backend, subscribes to its invalidation stream, and
-// offers clients the transactional read interface of §III-B.
+// offers clients §III-B's validated read-only transactions, each one
+// request (OpReadTxn) that begins and ends on the server.
 //
 // Usage:
 //
 //	tcached [-listen 127.0.0.1:7071] [-db 127.0.0.1:7070] \
 //	        [-strategy retry|evict|abort] [-ttl 0] [-shards 0] \
 //	        [-max-bytes 0] [-evict lru|clock|cost] [-admission] \
+//	        [-name tcached-PID] [-backend-conns 4] \
 //	        [-metrics-addr 127.0.0.1:9071]
 //
 // With -metrics-addr an admin HTTP listener serves /metrics (hit/miss
@@ -24,7 +26,6 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"tcache/internal/core"
 	"tcache/internal/evict"
@@ -48,7 +49,6 @@ func run() error {
 		maxBytes = flag.Int64("max-bytes", 0, "cache memory budget in bytes, keys+values+overhead (0 = unbounded)")
 		policy   = flag.String("evict", "lru", "eviction policy under -max-bytes: lru, clock, or cost")
 		admit    = flag.Bool("admission", false, "enable doorkeeper admission control (bounded caches only)")
-		txnGC    = flag.Duration("txn-gc", time.Minute, "idle transaction record GC interval (0 = none)")
 		name     = flag.String("name", "", "subscriber name reported to the backend")
 		pool     = flag.Int("backend-conns", 4, "backend connection pool size")
 
@@ -77,7 +77,6 @@ func run() error {
 			MaxBytes:  *maxBytes,
 			Policy:    kind,
 			Admission: *admit,
-			TxnGC:     *txnGC,
 			Shards:    *shards,
 			// The daemon always times its read paths: the scrape surface is
 			// the point of running it, and the instrumented warm hit stays

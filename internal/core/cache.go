@@ -22,11 +22,12 @@
 // held, because a record always has exactly one holder. The strategy code
 // a failed check falls into locks only the shard of an entry it evicts.
 //
-// A transaction from Begin (the public API's ReadTxn) is owned by its
-// caller and is in no table. The txnStripes (64) stripes of the
-// transaction table only map the wire protocol's TxnIDs to their Txns
-// (Read, ReadMulti, Commit and Abort by ID), under the rule txn.go
-// states; a stripe's mutex is never held together with a shard's.
+// A transaction from Begin (the public API's ReadTxn, a cache server's
+// read transaction) is owned by its caller and is in no table. The
+// txnStripes (64) stripes of the transaction table only map the TxnIDs of
+// the ID-keyed API (Read, ReadMulti and Abort by ID) to their Txns, under
+// the rule txn.go states; a stripe's mutex is never held together with a
+// shard's.
 // Completion hooks are always invoked with no cache lock held, so hooks
 // may call back into the cache.
 package core
@@ -88,6 +89,9 @@ var (
 	ErrNotFound = errors.New("tcache: key not found")
 	// ErrClosed reports that the cache is shut down.
 	ErrClosed = errors.New("tcache: closed")
+	// ErrTxnBusy reports an ID-keyed call (Read, ReadMulti, Abort) on a
+	// transaction another call is still inside.
+	ErrTxnBusy = errors.New("tcache: transaction busy in another call")
 )
 
 // InconsistencyError is the concrete error wrapped into ErrTxnAborted; it
@@ -204,7 +208,7 @@ type CompletionHook func(Completion)
 type Config struct {
 	// Backend fills cache misses. Required.
 	Backend Backend
-	// Clock drives TTL expiry and transaction GC. Defaults to clock.Real.
+	// Clock drives TTL expiry. Defaults to clock.Real.
 	Clock clock.Clock
 	// Strategy is the inconsistency reaction (default StrategyAbort).
 	Strategy Strategy
@@ -212,11 +216,6 @@ type Config struct {
 	// The TTL-based baseline of Fig. 7(d) sets this and disables
 	// dependency checking at the database (DepBound 0).
 	TTL time.Duration
-	// TxnGC bounds how long an idle transaction of the ID-keyed API is
-	// kept before it is garbage-collected (protecting against clients that
-	// never send lastOp). A Txn from Begin is its holder's to end and is
-	// never collected. 0 disables the sweeper.
-	TxnGC time.Duration
 	// MaxBytes bounds the resident byte footprint of the cache: each
 	// entry is charged key length + value length + evict.EntryOverhead.
 	// 0 means unbounded (the paper's prototype: "all objects in the
@@ -265,10 +264,6 @@ type Cache struct {
 	hash func(kv.Key) uint64
 
 	closed atomic.Bool
-
-	// gcMu guards gcTimer against the sweep-vs-Close reschedule race.
-	gcMu    sync.Mutex
-	gcTimer clock.Timer
 
 	// hooks is copy-on-write: OnComplete (serialized by hookMu) stores
 	// a fresh slice, emit reads it with one atomic load and no lock.
@@ -575,13 +570,6 @@ func New(cfg Config) (*Cache, error) {
 			sh.ev = evict.NewShard(cfg.Policy, slice, cfg.Admission)
 		}
 	}
-	if cfg.TxnGC > 0 {
-		// Under gcMu: a tiny TxnGC can fire the sweep (which reassigns
-		// gcTimer under gcMu) before this store completes.
-		c.gcMu.Lock()
-		c.gcTimer = c.clk.AfterFunc(cfg.TxnGC, c.gcSweep)
-		c.gcMu.Unlock()
-	}
 	return c, nil
 }
 
@@ -615,22 +603,32 @@ func (c *Cache) stripeFor(txnID kv.TxnID) *txnStripe {
 	return &c.stripes[uint64(txnID)%txnStripes]
 }
 
-// Close stops background work and ends every in-flight transaction as
-// aborted-on-close, reporting each as an uncommitted Completion to the
-// registered hooks (so monitors never undercount aborts): the idle ones
-// of the transaction table at once, one an ID-keyed call holds when the
-// call hands it back, an owned one (Begin) at its next read or Finish.
-// Subsequent reads fail with ErrClosed. Close is idempotent.
+// Close ends every in-flight transaction as aborted-on-close, reporting
+// each as an uncommitted Completion to the registered hooks (so monitors
+// never undercount aborts): the idle ones of the transaction table at
+// once, one an ID-keyed call holds when the call hands it back (checkin),
+// an owned one (Begin) at its next read or Finish. Subsequent reads fail
+// with ErrClosed. Close is idempotent.
 func (c *Cache) Close() {
 	if !c.closed.CompareAndSwap(false, true) {
 		return
 	}
-	c.gcMu.Lock()
-	if c.gcTimer != nil {
-		c.gcTimer.Stop()
+	var ended []*Txn
+	for i := range c.stripes {
+		st := &c.stripes[i]
+		st.mu.Lock()
+		for id, t := range st.txns {
+			if !t.busy {
+				delete(st.txns, id)
+				ended = append(ended, t)
+			}
+		}
+		st.mu.Unlock()
 	}
-	c.gcMu.Unlock()
-	c.drain(&c.metrics.TxnsAbortedOnClose, func(*Txn) bool { return true })
+	for _, t := range ended {
+		t.end(&c.metrics.TxnsAbortedOnClose, false, nil)
+		t.recycle()
+	}
 }
 
 // OnComplete registers a hook observing every finished transaction.
@@ -643,28 +641,6 @@ func (c *Cache) OnComplete(h CompletionHook) {
 	}
 	hooks = append(hooks, h)
 	c.hooks.Store(&hooks)
-}
-
-// drain takes every idle transaction stale selects out of the transaction
-// table, counts it on counter and reports it as uncommitted. A Txn a call
-// has checked out is that call's to end (checkin).
-func (c *Cache) drain(counter *uint64v, stale func(*Txn) bool) {
-	var ended []*Txn
-	for i := range c.stripes {
-		st := &c.stripes[i]
-		st.mu.Lock()
-		for id, t := range st.txns {
-			if !t.busy && stale(t) {
-				delete(st.txns, id)
-				ended = append(ended, t)
-			}
-		}
-		st.mu.Unlock()
-	}
-	for _, t := range ended {
-		t.end(counter, false, nil)
-		t.recycle()
-	}
 }
 
 // Invalidate is the upcall the database (or its unreliable delivery
@@ -759,7 +735,7 @@ func (c *Cache) ActiveTxns() int {
 	// Endings first: a transaction they include began earlier, so the
 	// starts loaded afterwards include it too.
 	ended := c.hotSum(hotTxnsCommitted) + c.metrics.TxnsAborted.Load() +
-		c.metrics.TxnsAbortedOnClose.Load() + c.metrics.TxnsGCed.Load()
+		c.metrics.TxnsAbortedOnClose.Load()
 	return int(c.hotSum(hotTxnsStarted) - ended)
 }
 
@@ -770,21 +746,6 @@ func (c *Cache) Contains(key kv.Key) bool {
 	defer sh.mu.Unlock()
 	_, ok := sh.entries[key]
 	return ok
-}
-
-// gcSweep ends the ID-keyed transactions idle for longer than TxnGC and
-// reschedules itself.
-func (c *Cache) gcSweep() {
-	if c.closed.Load() {
-		return
-	}
-	now := c.clk.Now()
-	c.gcMu.Lock()
-	if !c.closed.Load() {
-		c.gcTimer = c.clk.AfterFunc(c.cfg.TxnGC, c.gcSweep)
-	}
-	c.gcMu.Unlock()
-	c.drain(&c.metrics.TxnsGCed, func(t *Txn) bool { return now.Sub(t.lastUsed) >= c.cfg.TxnGC })
 }
 
 // removeEntry unlinks e from the shard's map and eviction ledger

@@ -435,28 +435,6 @@ func TestCapacityLRUEviction(t *testing.T) {
 	}
 }
 
-func TestTxnGCSweep(t *testing.T) {
-	clk := clock.NewSimAtZero()
-	b := newMapBackend()
-	c := newCache(t, Config{Backend: b, Clock: clk, TxnGC: time.Second})
-	b.put("x", "1", 1)
-	var comps []Completion
-	c.OnComplete(func(cp Completion) { comps = append(comps, cp) })
-	if _, err := c.Read(bgc, 42, "x", false); err != nil { // never sends lastOp
-		t.Fatal(err)
-	}
-	clk.RunFor(2500 * time.Millisecond)
-	if c.ActiveTxns() != 0 {
-		t.Fatal("abandoned txn record not GCed")
-	}
-	if got := c.Metrics().TxnsGCed; got != 1 {
-		t.Fatalf("TxnsGCed = %d, want 1", got)
-	}
-	if len(comps) != 1 || comps[0].Committed {
-		t.Fatalf("GCed txn completion = %+v", comps)
-	}
-}
-
 func TestClosedCacheRejects(t *testing.T) {
 	b := newMapBackend()
 	c := newCache(t, Config{Backend: b})

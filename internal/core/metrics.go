@@ -21,7 +21,6 @@ type Metrics struct {
 	TxnsCommitted        uint64v `metric:"txns_committed"`
 	TxnsAborted          uint64v `metric:"txns_aborted"`
 	TxnsAbortedOnClose   uint64v `metric:"txns_aborted_on_close"`
-	TxnsGCed             uint64v `metric:"txns_gced"`
 	Detected             uint64v `metric:"detected"`
 	DetectedEq1          uint64v `metric:"detected_eq1"`
 	DetectedEq2          uint64v `metric:"detected_eq2"`
@@ -56,7 +55,6 @@ type MetricsSnapshot struct {
 	TxnsCommitted        uint64
 	TxnsAborted          uint64
 	TxnsAbortedOnClose   uint64
-	TxnsGCed             uint64
 	Detected             uint64
 	DetectedEq1          uint64
 	DetectedEq2          uint64

@@ -34,10 +34,11 @@ func newDiffSide(t *testing.T, cfg Config, hooks bool) *diffSide {
 
 // sequential is the reference: one Read per key, the last carrying
 // lastOp, stopping at the first error. It reports how many keys it read.
+// With no key to carry it, lastOp rides on an empty batch.
 func sequential(c *Cache, id kv.TxnID, keys []kv.Key, lastOp bool) ([]kv.Value, int, error) {
 	if len(keys) == 0 {
 		if lastOp {
-			c.Commit(id)
+			c.ReadMulti(bgc, id, nil, true)
 		}
 		return nil, 0, nil
 	}

@@ -27,19 +27,19 @@ type violation struct {
 // callers that need to modify it must copy it first (kv.Value.Clone). If an inconsistency is
 // detected the transaction is aborted and an error wrapping ErrTxnAborted
 // is returned (for StrategyRetry, only when the read-through could not
-// resolve the violation). lastOp lets the cache garbage-collect the
-// transaction record; the transaction is then reported as committed.
+// resolve the violation). lastOp ends the transaction, reported as
+// committed, and releases its record.
 //
 // ctx bounds the backend fetch on a miss; a cancellation surfaces as
 // ctx.Err() and leaves the transaction record intact (the caller decides
-// whether to Abort it — Cache.ReadTxn in the public package does).
+// whether to Abort it).
 //
-// Read is the ID-keyed form of Txn.Read, for transactions that span
-// calls (the wire protocol's): the transaction lives in the transaction
-// table between calls (txn.go). A call for a transaction another call is
-// still inside waits for that call to return, or for its own ctx.
+// Read is the ID-keyed form of Txn.Read, for an in-process caller whose
+// transaction spans calls: the transaction lives in the transaction table
+// between calls (txn.go). A call for a transaction another call is still
+// inside fails at once with ErrTxnBusy.
 func (c *Cache) Read(ctx context.Context, txnID kv.TxnID, key kv.Key, lastOp bool) (kv.Value, error) {
-	t, err := c.checkout(ctx, txnID)
+	t, err := c.checkout(txnID)
 	if err != nil {
 		return nil, err
 	}
@@ -69,7 +69,7 @@ func (c *Cache) Read(ctx context.Context, txnID kv.TxnID, key kv.Key, lastOp boo
 //
 // Like Read, it is the ID-keyed form of its Txn method.
 func (c *Cache) ReadMulti(ctx context.Context, txnID kv.TxnID, keys []kv.Key, lastOp bool) ([]kv.Value, error) {
-	t, err := c.checkout(ctx, txnID)
+	t, err := c.checkout(txnID)
 	if err != nil {
 		return nil, err
 	}
@@ -172,18 +172,27 @@ func (c *Cache) Get(ctx context.Context, key kv.Key) (kv.Value, error) {
 	return item.Value, err // shared read-only; see readPass
 }
 
-// Commit finalizes a transaction without a further read, for clients
-// that cannot know in advance which read is their last and therefore
-// never set lastOp. The transaction is reported as committed. Committing
-// an unknown transaction is a no-op; one a call is inside commits when
-// the call returns.
-func (c *Cache) Commit(txnID kv.TxnID) { c.endID(txnID, endCommit) }
-
-// Abort discards the transaction record without a final read; the
-// transaction is reported as aborted. Aborting an unknown transaction is a
-// no-op (it may have been garbage-collected already); one a call is
-// inside aborts when the call returns.
-func (c *Cache) Abort(txnID kv.TxnID) { c.endID(txnID, endAbort) }
+// Abort ends the transaction txnID without a further read; it is reported
+// as aborted. Aborting an unknown transaction is a no-op. A transaction
+// another call is inside is left to that call: Abort returns ErrTxnBusy.
+func (c *Cache) Abort(txnID kv.TxnID) error {
+	st := c.stripeFor(txnID)
+	st.mu.Lock()
+	t := st.txns[txnID]
+	switch {
+	case t == nil:
+		st.mu.Unlock()
+		return nil
+	case t.busy:
+		st.mu.Unlock()
+		return ErrTxnBusy
+	}
+	delete(st.txns, txnID)
+	st.mu.Unlock()
+	err := t.finish(false)
+	t.recycle()
+	return err
+}
 
 // keyRead is one key on its way through the §III-B checks: the item the
 // cache or the backend produced for it, and the hashes the checks find

@@ -13,9 +13,10 @@ import (
 //
 // A record has exactly one guard. A Txn from Begin is owned: its caller
 // alone uses it, from Begin to Finish, so nothing locks it and no table
-// holds it. A Txn of the ID-keyed API (Cache.Read, ReadMulti, Commit and
-// Abort by TxnID — the wire protocol's) outlives a call, so it lives in
-// the transaction table, whose rule is checkout's.
+// holds it. A Txn of the ID-keyed API (Cache.Read, ReadMulti and Abort by
+// TxnID, for an in-process caller that spreads one transaction over
+// several calls) outlives a call, so it lives in the transaction table,
+// whose rule is checkout's.
 type Txn struct {
 	c  *Cache
 	id kv.TxnID
@@ -34,21 +35,10 @@ type Txn struct {
 	// what every later read and Finish returns; nil while t is open.
 	err error
 
-	// Of an ID-keyed Txn, guarded by st.mu (see checkout):
-	busy     bool          // a call has it checked out
-	handback chan struct{} // closed when it is handed back; nil until a call waits
-	ending   txnEnd        // how a Commit or Abort asked it to end while busy
-	lastUsed time.Time     // when a call last took or returned it (TxnGC)
+	// busy, of an ID-keyed Txn, is set while a call has it checked out;
+	// guarded by st.mu (see checkout).
+	busy bool
 }
-
-// txnEnd is the end a Commit or Abort asked of a busy ID-keyed Txn.
-type txnEnd int8
-
-const (
-	endNone txnEnd = iota
-	endCommit
-	endAbort
-)
 
 // txnPool recycles ended transactions, record and all.
 var txnPool = sync.Pool{New: func() any { return new(Txn) }}
@@ -60,8 +50,7 @@ func (c *Cache) newTxn(id kv.TxnID) *Txn {
 	t := txnPool.Get().(*Txn)
 	t.c, t.id, t.st = c, id, c.stripeFor(id)
 	t.rec.reset()
-	t.start, t.begun, t.err = time.Time{}, false, nil
-	t.busy, t.handback, t.ending, t.lastUsed = false, nil, endNone, time.Time{}
+	t.start, t.begun, t.err, t.busy = time.Time{}, false, nil, false
 	return t
 }
 
@@ -259,112 +248,58 @@ func (t *Txn) closedOut() error {
 
 // checkout hands the caller of an ID-keyed call the Txn of txnID — a
 // fresh one if the table has none — checked out for that call, or fails
-// with ErrClosed, or with ctx's error while it waits its turn.
+// with ErrClosed, or with ErrTxnBusy if another call has it.
 //
 // The transaction table's rule: a stripe's mutex guards its map and, of
-// each Txn in it, busy, handback, ending and lastUsed — nothing else, and
-// it is never held with an entry shard. A call checks its Txn out (busy
-// set under the mutex), uses it as its owner with no lock held, and hands
-// it back (checkin). Whatever else meets a busy Txn leaves it to that
-// call: Commit and Abort record the end they want (ending), the TxnGC
-// sweeper and Close skip it, and a second call for the same ID waits for
-// the handback — TxnIDs are unique per wire client only, so calls of
-// different clients can meet on one.
+// each Txn in it, busy — nothing else, and it is never held with an entry
+// shard. A call checks its Txn out (busy set under the mutex), uses it as
+// its owner with no lock held, and hands it back (checkin). Whatever else
+// meets a busy Txn leaves it to that call: Close skips it, and a second
+// call or an Abort for the same ID fails at once with ErrTxnBusy. Every
+// caller of this API is in-process and mints its own IDs, so two calls
+// meet on one only by the caller's own doing.
 //
 //tcache:hotpath
-func (c *Cache) checkout(ctx context.Context, txnID kv.TxnID) (*Txn, error) {
+func (c *Cache) checkout(txnID kv.TxnID) (*Txn, error) {
 	st := c.stripeFor(txnID)
 	st.mu.Lock()
-	for {
-		if c.closed.Load() {
-			// Close drained this stripe, or is about to: don't add a Txn
-			// it would never end.
-			st.mu.Unlock()
-			return nil, ErrClosed
-		}
-		t := st.txns[txnID]
-		if t == nil {
-			t = c.newTxn(txnID)
-			st.txns[txnID] = t
-		}
-		if !t.busy {
-			t.busy = true
-			if c.cfg.TxnGC > 0 {
-				// Only the GC sweeper reads lastUsed; without one, skip
-				// the clock.
-				t.lastUsed = c.clk.Now()
-			}
-			st.mu.Unlock()
-			return t, nil
-		}
-		// Wait for the call inside to hand t back, then look again: t may
-		// have ended meanwhile.
-		if t.handback == nil {
-			t.handback = make(chan struct{})
-		}
-		handback := t.handback
+	if c.closed.Load() {
+		// Close drained this stripe, or is about to: don't add a Txn it
+		// would never end.
 		st.mu.Unlock()
-		select {
-		case <-handback:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		st.mu.Lock()
+		return nil, ErrClosed
 	}
+	t := st.txns[txnID]
+	switch {
+	case t == nil:
+		t = c.newTxn(txnID)
+		st.txns[txnID] = t
+	case t.busy:
+		st.mu.Unlock()
+		return nil, ErrTxnBusy
+	}
+	t.busy = true
+	st.mu.Unlock()
+	return t, nil
 }
 
 // checkin hands t back after a call. t ends here if the call commits it
-// (its read carried lastOp), if a Commit or Abort asked meanwhile, if the
-// call ended it or never began it, or if the cache closed — then checkin
-// returns finish's error; otherwise t waits in the table for the next
-// call.
+// (its read carried lastOp), if the cache ended it, if the call never
+// began it, or if the cache closed — then checkin returns finish's error;
+// otherwise t waits in the table for the next call.
 //
 //tcache:hotpath
 func (c *Cache) checkin(t *Txn, commit bool) error {
 	st := t.st
 	st.mu.Lock()
 	t.busy = false
-	if t.handback != nil {
-		close(t.handback)
-		t.handback = nil
-	}
-	end := t.ending
-	if commit {
-		end = endCommit
-	}
-	if end == endNone && t.err == nil && t.begun && !c.closed.Load() {
-		if c.cfg.TxnGC > 0 {
-			t.lastUsed = c.clk.Now()
-		}
+	if !commit && t.err == nil && t.begun && !c.closed.Load() {
 		st.mu.Unlock()
 		return nil
 	}
 	delete(st.txns, t.id)
 	st.mu.Unlock()
-	err := t.finish(end == endCommit)
+	err := t.finish(commit)
 	t.recycle()
 	return err
-}
-
-// endID ends the ID-keyed transaction txnID as Commit or Abort asks: at
-// once if it is idle, when its call hands it back if it is busy.
-func (c *Cache) endID(txnID kv.TxnID, end txnEnd) {
-	st := c.stripeFor(txnID)
-	st.mu.Lock()
-	t := st.txns[txnID]
-	switch {
-	case t == nil:
-		st.mu.Unlock()
-		return
-	case t.busy:
-		if t.ending == endNone {
-			t.ending = end
-		}
-		st.mu.Unlock()
-		return
-	}
-	delete(st.txns, txnID)
-	st.mu.Unlock()
-	t.finish(end == endCommit)
-	t.recycle()
 }

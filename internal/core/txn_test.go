@@ -3,11 +3,9 @@ package core
 import (
 	"context"
 	"errors"
-	"runtime"
 	"testing"
 	"time"
 
-	"tcache/internal/clock"
 	"tcache/internal/kv"
 )
 
@@ -72,25 +70,16 @@ func (b *gateBackend) ReadItem(ctx context.Context, key kv.Key) (kv.Item, bool, 
 	return b.mapBackend.ReadItem(ctx, key)
 }
 
-// awaitingHandback reports whether a call waits for txnID's Txn.
-func awaitingHandback(c *Cache, txnID kv.TxnID) bool {
-	st := c.stripeFor(txnID)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	t := st.txns[txnID]
-	return t != nil && t.handback != nil
-}
-
 // TestIDTxnLeftToItsCall: while an ID-keyed call is inside a transaction
-// (blocked in a fetch), a second call for the same ID waits its turn —
-// giving up with its ctx — and the GC sweeper and Close leave the
-// transaction alone; an Abort asked meanwhile, or the Close, ends it when
-// the call returns — once.
+// (blocked in a fetch), a second call or an Abort for the same ID fails at
+// once with ErrTxnBusy and leaves the transaction alone, and so does
+// Close: a Close asked meanwhile ends it when the call returns — once.
+// Without one the transaction stays open for its next call, and Abort
+// ends it.
 func TestIDTxnLeftToItsCall(t *testing.T) {
 	for _, closeIt := range []bool{false, true} {
-		clk := clock.NewSimAtZero()
 		b := newGateBackend()
-		c, err := New(Config{Backend: b, Clock: clk, TxnGC: time.Second})
+		c, err := New(Config{Backend: b})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,44 +96,40 @@ func TestIDTxnLeftToItsCall(t *testing.T) {
 			done <- err
 		}()
 		<-b.entered
-		waitCtx, cancel := context.WithCancel(bgc)
-		waited := make(chan error)
-		go func() {
-			_, err := c.Read(waitCtx, 7, "x", false)
-			waited <- err
-		}()
-		for !awaitingHandback(c, 7) {
-			select {
-			case err := <-waited:
-				t.Fatalf("overlapping read returned %v while the first call was inside", err)
-			default:
-				runtime.Gosched()
-			}
+		if _, err := c.Read(bgc, 7, "x", false); !errors.Is(err, ErrTxnBusy) {
+			t.Fatalf("overlapping Read = %v, want ErrTxnBusy", err)
 		}
-		cancel()
-		if err := <-waited; !errors.Is(err, context.Canceled) {
-			t.Fatalf("overlapping read = %v, want its ctx's context.Canceled", err)
+		if _, err := c.ReadMulti(bgc, 7, []kv.Key{"x"}, true); !errors.Is(err, ErrTxnBusy) {
+			t.Fatalf("overlapping ReadMulti = %v, want ErrTxnBusy", err)
 		}
-		clk.RunFor(5 * time.Second) // the sweeper runs, and skips the busy transaction
+		if err := c.Abort(7); !errors.Is(err, ErrTxnBusy) {
+			t.Fatalf("overlapping Abort = %v, want ErrTxnBusy", err)
+		}
 		if closeIt {
 			c.Close()
-		} else {
-			c.Abort(7)
 		}
 		if len(comps) != 0 {
 			t.Fatalf("close=%v: the transaction ended under its call: %+v", closeIt, comps)
 		}
 		close(b.release)
 		err = <-done
-		m := c.Metrics()
-		switch {
-		case closeIt && (!errors.Is(err, ErrClosed) || m.TxnsAbortedOnClose != 1):
-			t.Fatalf("read across Close = %v, aborted-on-close %d; want ErrClosed, 1", err, m.TxnsAbortedOnClose)
-		case !closeIt && (err != nil || m.TxnsAborted != 1):
-			t.Fatalf("read across Abort = %v, aborted %d; want nil, 1", err, m.TxnsAborted)
+		if closeIt {
+			if m := c.Metrics(); !errors.Is(err, ErrClosed) || m.TxnsAbortedOnClose != 1 {
+				t.Fatalf("read across Close = %v, aborted-on-close %d; want ErrClosed, 1", err, m.TxnsAbortedOnClose)
+			}
+		} else {
+			if err != nil || c.ActiveTxns() != 1 {
+				t.Fatalf("read beside the refused calls = %v, active %d; want nil, 1", err, c.ActiveTxns())
+			}
+			if err := c.Abort(7); err != nil {
+				t.Fatal(err)
+			}
+			if m := c.Metrics(); m.TxnsAborted != 1 || len(comps) != 1 || len(comps[0].Reads) != 2 {
+				t.Fatalf("after Abort: aborted %d, completions %+v; want 1 holding x and slow", m.TxnsAborted, comps)
+			}
 		}
-		if len(comps) != 1 || comps[0].Committed || m.TxnsGCed != 0 || c.ActiveTxns() != 0 {
-			t.Fatalf("close=%v: completions %+v, GCed %d, active %d; want one uncommitted, 0, 0", closeIt, comps, m.TxnsGCed, c.ActiveTxns())
+		if len(comps) != 1 || comps[0].Committed || c.ActiveTxns() != 0 {
+			t.Fatalf("close=%v: completions %+v, active %d; want one uncommitted, 0", closeIt, comps, c.ActiveTxns())
 		}
 		c.Close()
 	}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"tcache/internal/kv"
+	"tcache/internal/wal"
 )
 
 func open(t *testing.T, cfg Config) *DB {
@@ -643,5 +644,28 @@ func TestSeedRaisesVersionCounter(t *testing.T) {
 		// independent), but Seed promises monotone counters for
 		// deterministic tests.
 		t.Fatalf("commit version %v below seeded counter", v)
+	}
+}
+
+// TestReplicaRegistryFollowsNewestStream: a standby that reconnects
+// registers under its old name on a newer stream while the old stream
+// may still be tearing down. The old stream's late ack and its teardown
+// must leave the newer stream's entry alone.
+func TestReplicaRegistryFollowsNewestStream(t *testing.T) {
+	d := open(t, Config{})
+	old, cur := d.ReplStream(), d.ReplStream()
+	if cur <= old {
+		t.Fatalf("stream ids %d then %d, want increasing", old, cur)
+	}
+	want := replAck{stream: cur, pos: wal.Pos{Seq: 2, Off: 50}, counter: 5}
+	d.NoteReplicaAck("s", cur, want.pos, want.counter)
+	d.NoteReplicaAck("s", old, wal.Pos{Seq: 1, Off: 10}, 1) // late, from the old stream
+	d.DropReplica("s", old)
+	if got := d.repl.acked["s"]; got != want {
+		t.Fatalf("entry after the old stream's ack and teardown = %+v, want %+v", got, want)
+	}
+	d.DropReplica("s", cur)
+	if n := d.ReplStatusNow().Replicas; n != 0 {
+		t.Fatalf("%d replicas after the current stream dropped, want 0", n)
 	}
 }

@@ -75,9 +75,11 @@ type replState struct {
 	acked   map[string]replAck // per-replica acknowledged cursor
 	waiters []replWaiter       // commits waiting for minSync acks
 	applied uint64             // records applied via ApplyReplicated (standby)
+	streams uint64             // replication stream ids handed out
 }
 
 type replAck struct {
+	stream  uint64 // the stream that reported it
 	pos     wal.Pos
 	counter uint64
 }
@@ -310,13 +312,29 @@ func (d *DB) WALDurable() wal.Pos {
 	return d.wal.Durable()
 }
 
-// NoteReplicaAck records that replica name holds everything before pos
-// (applied through version counter), waking any commit waiting on
-// synchronous replication.
-func (d *DB) NoteReplicaAck(name string, pos wal.Pos, counter uint64) {
+// ReplStream returns a fresh replication stream id for NoteReplicaAck
+// and DropReplica; ids increase in call order.
+func (d *DB) ReplStream() uint64 {
+	d.repl.mu.Lock()
+	defer d.repl.mu.Unlock()
+	d.repl.streams++
+	return d.repl.streams
+}
+
+// NoteReplicaAck records that replica name, over replication stream
+// `stream`, holds everything before pos (applied through version
+// counter), waking any commit waiting on synchronous replication. A
+// replica that reconnects keeps its name on a newer stream, and its old
+// stream may still be tearing down: an ack from an older stream than the
+// one on record is ignored.
+func (d *DB) NoteReplicaAck(name string, stream uint64, pos wal.Pos, counter uint64) {
 	s := &d.repl
 	s.mu.Lock()
-	s.acked[name] = replAck{pos: pos, counter: counter}
+	if a, ok := s.acked[name]; ok && a.stream > stream {
+		s.mu.Unlock()
+		return
+	}
+	s.acked[name] = replAck{stream: stream, pos: pos, counter: counter}
 	if len(s.waiters) > 0 {
 		kept := s.waiters[:0]
 		for _, w := range s.waiters {
@@ -331,10 +349,14 @@ func (d *DB) NoteReplicaAck(name string, pos wal.Pos, counter uint64) {
 	s.mu.Unlock()
 }
 
-// DropReplica removes a disconnected replica from the ack registry.
-func (d *DB) DropReplica(name string) {
+// DropReplica removes a disconnected replica from the ack registry —
+// unless its entry came from a newer stream than `stream`, which a
+// reconnect can open before the old stream's teardown gets here.
+func (d *DB) DropReplica(name string, stream uint64) {
 	d.repl.mu.Lock()
-	delete(d.repl.acked, name)
+	if a, ok := d.repl.acked[name]; ok && a.stream <= stream {
+		delete(d.repl.acked, name)
+	}
 	d.repl.mu.Unlock()
 }
 

@@ -26,8 +26,8 @@ func (v Value) Clone() Value {
 	return out
 }
 
-// TxnID identifies a read-only cache transaction. Cache clients mint these;
-// the cache uses them to group reads belonging to one transaction.
+// TxnID identifies a read-only cache transaction. Whoever begins one mints
+// it; the cache uses it to group reads belonging to one transaction.
 type TxnID uint64
 
 // ShardIndex hashes key onto one of n shards with 32-bit FNV-1a. Every

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
+	"time"
 
 	"tcache/internal/core"
 	"tcache/internal/db"
@@ -15,12 +17,11 @@ import (
 // typically a DBClient pointed at a tdbd instance, with the invalidation
 // stream bridged by SubscribeInvalidations.
 //
-// Beyond the client-facing transactional protocol (OpRead, OpReadMulti,
-// OpCommit, OpAbort), a CacheServer also speaks the backend protocol —
-// item-granular OpGet and OpGetBatch (with read floors), relayed
-// OpUpdate, and OpSubscribe push relays — so a tcached can itself be the
-// Backend of downstream caches: the mid-tier of a clustered edge
-// deployment. The owner bridges its upstream invalidation stream into
+// Beyond the client-facing read transaction (OpReadTxn), a CacheServer
+// also speaks the backend protocol — item-granular OpGet and OpGetBatch
+// (with read floors), relayed OpUpdate, and OpSubscribe push relays — so
+// a tcached can itself be the Backend of downstream caches: the mid-tier
+// of a clustered edge deployment. The owner bridges its upstream invalidation stream into
 // Broadcast to feed the relays.
 type CacheServer struct {
 	*server
@@ -28,6 +29,8 @@ type CacheServer struct {
 	// commit is the cache backend's commit call, which OpUpdate relays
 	// through (nil when the backend takes no updates).
 	commit core.CommitFunc
+	// txnSeq mints the IDs of OpReadTxn's transactions.
+	txnSeq atomic.Uint64
 }
 
 // NewCacheServer wraps c; call Listen to start accepting. OpStats is
@@ -71,7 +74,7 @@ func (s *CacheServer) RegisterMetrics(reg *telemetry.Registry) {
 // dispatch workers: a miss blocks on the backend fetch.
 func cacheInline(op Op) bool {
 	switch op {
-	case OpPing, OpStats, OpCommit, OpAbort:
+	case OpPing, OpStats:
 		return true
 	default:
 		return false
@@ -84,16 +87,8 @@ func (s *CacheServer) dispatch(ctx context.Context, req Request) Response {
 	case OpPing:
 		return Response{Code: CodeOK}
 
-	case OpRead:
-		val, err := s.cache.Read(ctx, kv.TxnID(req.TxnID), req.Key, req.LastOp)
-		return readResponse(val, err)
-
-	case OpReadMulti:
-		vals, err := s.cache.ReadMulti(ctx, kv.TxnID(req.TxnID), req.Keys, req.LastOp)
-		if err != nil {
-			return readResponse(nil, err)
-		}
-		return Response{Code: CodeOK, Values: vals, Found: true}
+	case OpReadTxn:
+		return readResponse(s.readTxn(ctx, req.Keys))
 
 	case OpGet:
 		// Item-granular so a DBClient peer (a downstream cache's backend)
@@ -119,14 +114,6 @@ func (s *CacheServer) dispatch(ctx context.Context, req Request) Response {
 	case OpUpdate:
 		return updateResponse(s.relayUpdate(ctx, req))
 
-	case OpCommit:
-		s.cache.Commit(kv.TxnID(req.TxnID))
-		return Response{Code: CodeOK}
-
-	case OpAbort:
-		s.cache.Abort(kv.TxnID(req.TxnID))
-		return Response{Code: CodeOK}
-
 	case OpStats:
 		return s.statsResponse()
 
@@ -143,6 +130,22 @@ func (s *CacheServer) dispatch(ctx context.Context, req Request) Response {
 	default:
 		return errorResponse("tcached: unknown op %q", req.Op)
 	}
+}
+
+// readTxn runs keys as one read-only transaction, as tcache.Cache.ReadTxn
+// runs GetMulti(keys): owned by this request under an ID the server mints,
+// so no two requests share a record and none outlives its request. A
+// detected violation, a missing key or a cancelled ctx ends it aborted.
+func (s *CacheServer) readTxn(ctx context.Context, keys []kv.Key) ([]kv.Value, error) {
+	t := s.cache.Begin(kv.TxnID(s.txnSeq.Add(1)), time.Time{})
+	vals, err := t.ReadMulti(ctx, keys)
+	if err == nil {
+		err = ctx.Err()
+	}
+	if ferr := t.Finish(err == nil); ferr != nil {
+		err = ferr
+	}
+	return vals, err
 }
 
 // relayUpdate forwards a validated update through this cache's backend —
@@ -176,10 +179,11 @@ func (s *CacheServer) relayUpdate(ctx context.Context, req Request) (kv.CommitRe
 	return res, nil
 }
 
-func readResponse(val kv.Value, err error) Response {
+// readResponse maps a read transaction's outcome onto the wire.
+func readResponse(vals []kv.Value, err error) Response {
 	switch {
 	case err == nil:
-		return Response{Code: CodeOK, Value: val, Found: true}
+		return Response{Code: CodeOK, Values: vals, Found: true}
 	case errors.Is(err, core.ErrTxnAborted):
 		return Response{Code: CodeAborted, Err: err.Error()}
 	case errors.Is(err, core.ErrNotFound):

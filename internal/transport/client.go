@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -108,10 +109,23 @@ func dialPeer(ctx context.Context, addr string, first *Request) (net.Conn, *fram
 	fr := newFrameReader(br, nil)
 	stop := context.AfterFunc(ctx, func() { c.SetDeadline(time.Unix(1, 0)) })
 	resp, err := func() (Response, error) {
-		if err := clientHandshake(c, br); err != nil || first == nil {
+		if first == nil {
+			return Response{}, clientHandshake(c, br)
+		}
+		// The request rides behind our handshake in the same write instead
+		// of a round trip later: the server reads both from one buffer. On
+		// a link that loses chunks without closing, a lost server
+		// handshake then fails the read below at once, on the reply,
+		// instead of leaving both sides waiting until ctx ends.
+		hs := handshakeBytes()
+		out := bytes.NewBuffer(hs[:])
+		if err := writeRequestFrame(out, nil, 1, first); err != nil {
 			return Response{}, err
 		}
-		if err := writeRequestFrame(c, nil, 1, first); err != nil {
+		if _, err := c.Write(out.Bytes()); err != nil {
+			return Response{}, fmt.Errorf("transport: write handshake: %w", err)
+		}
+		if err := readServerHandshake(br); err != nil {
 			return Response{}, err
 		}
 		for {
@@ -604,9 +618,8 @@ func sleepJittered(ctx context.Context, d time.Duration) error {
 }
 
 // idempotent reports whether op can safely be re-sent after a failure
-// whose outcome is unknown. Reads and pings qualify; updates do not (the
-// first send may have committed), and commit/abort acknowledgements are
-// not worth a blind resend either. Promotion is idempotent by
+// whose outcome is unknown. Item reads and pings qualify; updates do not
+// (the first send may have committed). Promotion is idempotent by
 // construction (promoting a primary is a no-op), so it may be resent.
 func idempotent(op Op) bool {
 	switch op {
@@ -911,7 +924,6 @@ func (s *InvStream) Run(ctx context.Context, deliver func(Invalidation)) {
 // after failures.
 type CacheClient struct {
 	*mux
-	txnID atomic.Uint64
 }
 
 // DialCache connects to a tcached at addr. ctx bounds the dial.
@@ -936,19 +948,12 @@ func (c *CacheClient) Get(ctx context.Context, key kv.Key) (kv.Value, error) {
 	return decodeRead(resp)
 }
 
-// Read performs one transactional read: read(txnID, key, lastOp).
-func (c *CacheClient) Read(ctx context.Context, txnID uint64, key kv.Key, lastOp bool) (kv.Value, error) {
-	resp, err := c.roundTrip(ctx, Request{Op: OpRead, TxnID: txnID, Key: key, LastOp: lastOp})
-	if err != nil {
-		return nil, err
-	}
-	return decodeRead(resp)
-}
-
-// ReadMulti performs the transactional reads of keys, in order, within
-// txnID — one round trip for the whole batch.
-func (c *CacheClient) ReadMulti(ctx context.Context, txnID uint64, keys []kv.Key, lastOp bool) ([]kv.Value, error) {
-	resp, err := c.roundTrip(ctx, Request{Op: OpReadMulti, TxnID: txnID, Keys: keys, LastOp: lastOp})
+// ReadTxn reads keys, in order, as one read-only transaction on the
+// server, in one round trip: the transaction begins and ends there —
+// committed if every read succeeds, aborted on a detected inconsistency
+// (ErrAborted), a missing key (ErrNotFound) or any other failure.
+func (c *CacheClient) ReadTxn(ctx context.Context, keys []kv.Key) ([]kv.Value, error) {
+	resp, err := c.roundTrip(ctx, Request{Op: OpReadTxn, Keys: keys})
 	if err != nil {
 		return nil, err
 	}
@@ -957,24 +962,9 @@ func (c *CacheClient) ReadMulti(ctx context.Context, txnID uint64, keys []kv.Key
 		return nil, err
 	}
 	if len(resp.Values) != len(keys) {
-		return nil, fmt.Errorf("transport: read-multi: %d values for %d keys", len(resp.Values), len(keys))
+		return nil, fmt.Errorf("transport: read-txn: %d values for %d keys", len(resp.Values), len(keys))
 	}
 	return resp.Values, nil
-}
-
-// NewTxnID mints a client-unique transaction id.
-func (c *CacheClient) NewTxnID() uint64 { return c.txnID.Add(1) }
-
-// Commit finalizes a transaction without a further read.
-func (c *CacheClient) Commit(ctx context.Context, txnID uint64) error {
-	_, err := c.roundTrip(ctx, Request{Op: OpCommit, TxnID: txnID})
-	return err
-}
-
-// Abort discards a transaction.
-func (c *CacheClient) Abort(ctx context.Context, txnID uint64) error {
-	_, err := c.roundTrip(ctx, Request{Op: OpAbort, TxnID: txnID})
-	return err
 }
 
 func decodeRead(resp Response) (kv.Value, error) {

@@ -50,7 +50,7 @@ import (
 
 // ProtocolVersion is the wire protocol spoken by this build; both sides
 // of a connection must match exactly.
-const ProtocolVersion = 7
+const ProtocolVersion = 8
 
 // handshakeMagic opens every connection, in both directions.
 var handshakeMagic = [4]byte{'T', 'C', 'W', 'P'}
@@ -136,6 +136,12 @@ func clientHandshake(c net.Conn, r io.Reader) error {
 	if _, err := c.Write(hs[:]); err != nil {
 		return fmt.Errorf("transport: write handshake: %w", err)
 	}
+	return readServerHandshake(r)
+}
+
+// readServerHandshake reads the server's handshake and rejects a version
+// mismatch.
+func readServerHandshake(r io.Reader) error {
 	peer, err := readHandshake(r)
 	if err != nil {
 		return err
@@ -359,8 +365,6 @@ func appendStats(b []byte, m map[string]uint64) []byte {
 func appendRequest(b []byte, req *Request) []byte {
 	b = codec.AppendString(b, string(req.Op))
 	b = codec.AppendString(b, string(req.Key))
-	b = binary.AppendUvarint(b, req.TxnID)
-	b = codec.AppendBool(b, req.LastOp)
 	b = appendKeySlice(b, req.Keys)
 	b = codec.AppendString(b, req.Subscriber)
 	b = appendKeyValues(b, req.Writes)
@@ -512,8 +516,6 @@ func decodeRequest(payload []byte) (Request, error) {
 	req := Request{
 		Op:           Op(d.String()),
 		Key:          d.key(),
-		TxnID:        d.Uvarint(),
-		LastOp:       d.Bool(),
 		Keys:         d.keySlice(),
 		Subscriber:   d.String(),
 		Writes:       d.keyValues(),

@@ -21,9 +21,9 @@ func sampleRequests() []Request {
 		{},
 		{Op: OpPing},
 		{Op: OpGet, Key: "user:42"},
-		{Op: OpRead, Key: "k", TxnID: 77, LastOp: true},
 		{Op: OpGetBatch, Keys: []kv.Key{"a", "b", "c"}},
-		{Op: OpReadMulti, TxnID: 3, Keys: []kv.Key{}, LastOp: false},
+		{Op: OpReadTxn, Keys: []kv.Key{"k"}},
+		{Op: OpReadTxn, Keys: []kv.Key{}},
 		{Op: OpSubscribe, Subscriber: "edge-1#4"},
 		{Op: OpUpdate, Writes: []KeyValue{
 			{Key: "x", Value: kv.Value("v1")},

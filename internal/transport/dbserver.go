@@ -102,9 +102,9 @@ func (s *DBServer) dispatch(ctx context.Context, req Request) Response {
 		// server.handle).
 		return errorResponse("tdbd: op %q never reaches dispatch", req.Op)
 
-	case OpRead, OpReadMulti, OpCommit, OpAbort:
-		// Cache-tier transaction ops: the database speaks validated
-		// updates, not the cache's incremental read/commit protocol.
+	case OpReadTxn:
+		// The cache tier's read transaction: the database speaks validated
+		// updates, not cache transactions.
 		return errorResponse("tdbd: op %q is a cache-tier operation", req.Op)
 
 	default:

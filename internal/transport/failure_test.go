@@ -356,7 +356,7 @@ func TestResubscribeNotLockedOutByStaleName(t *testing.T) {
 }
 
 // TestBatchReadsOverWire covers OpGetBatch (DBClient.ReadItems) and
-// OpReadMulti (CacheClient.ReadMulti): N keys, one round trip each.
+// OpReadTxn (CacheClient.ReadTxn): N keys, one round trip each.
 func TestBatchReadsOverWire(t *testing.T) {
 	s := newStack(t, core.StrategyRetry)
 	keys := []kv.Key{"b1", "b2", "b3"}
@@ -377,15 +377,38 @@ func TestBatchReadsOverWire(t *testing.T) {
 		t.Fatalf("lookups[1] = %q", lookups[1].Item.Value)
 	}
 
-	id := s.cli.NewTxnID()
-	vals, err := s.cli.ReadMulti(bg, id, keys, true)
+	vals, err := s.cli.ReadTxn(bg, keys)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(vals) != 3 || string(vals[2]) != "v-b3" {
-		t.Fatalf("ReadMulti = %q", vals)
+		t.Fatalf("ReadTxn = %q", vals)
 	}
-	if _, err := s.cli.ReadMulti(bg, s.cli.NewTxnID(), []kv.Key{"ghost"}, true); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("ReadMulti(ghost) = %v, want ErrNotFound", err)
+	if _, err := s.cli.ReadTxn(bg, []kv.Key{"ghost"}); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("ReadTxn(ghost) = %v, want ErrNotFound", err)
+	}
+}
+
+// TestReadTxnMissEndsOverWire: a read transaction that stops on a key
+// found nowhere, mid-batch, ends with its request, aborted: no record is
+// left open for a later request to finish.
+func TestReadTxnMissEndsOverWire(t *testing.T) {
+	s := newStack(t, core.StrategyRetry)
+	for _, k := range []kv.Key{"a", "b"} {
+		if _, err := s.dbCli.ValidatedUpdate(bg, nil, []KeyValue{{Key: k, Value: kv.Value("v")}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := s.cache.Metrics()
+	if _, err := s.cli.ReadTxn(bg, []kv.Key{"a", "ghost", "b"}); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("ReadTxn(a, ghost, b) = %v, want ErrNotFound", err)
+	}
+	m := s.cache.Metrics()
+	if got := s.cache.ActiveTxns(); got != 0 {
+		t.Fatalf("the transaction outlived its request: %d active", got)
+	}
+	if m.TxnsStarted-before.TxnsStarted != 1 || m.TxnsAborted-before.TxnsAborted != 1 || m.TxnsCommitted != before.TxnsCommitted {
+		t.Fatalf("started +%d, aborted +%d, committed +%d; want +1, +1, +0",
+			m.TxnsStarted-before.TxnsStarted, m.TxnsAborted-before.TxnsAborted, m.TxnsCommitted-before.TxnsCommitted)
 	}
 }

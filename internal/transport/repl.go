@@ -13,10 +13,10 @@ package transport
 // Contiguity is the safety argument: a standby applies a record frame
 // only if the frame's start position equals its cursor, so its state is
 // always an exact committed prefix of the primary's log. Any break —
-// a dropped connection, a lagged tailer whose segment was truncated, a
-// decode failure — tears the stream down, and the standby re-negotiates
-// from its cursor (falling back to a full snapshot when the primary no
-// longer holds it).
+// a dropped connection, a lost frame, a lagged tailer whose segment was
+// truncated, a decode failure — tears the stream down, and the standby
+// re-negotiates from its cursor (falling back to a full snapshot when
+// the primary no longer holds it).
 
 import (
 	"context"
@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"time"
 
 	"tcache/internal/codec"
 	"tcache/internal/db"
@@ -174,7 +175,8 @@ func (s *DBServer) serveReplication(ctx context.Context, pc *peerConn, id uint64
 	sctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var ackWG sync.WaitGroup
-	defer d.DropReplica(name)
+	stream := d.ReplStream()
+	defer d.DropReplica(name, stream)
 	defer ackWG.Wait()
 	defer pc.Close()
 	ackWG.Add(1)
@@ -194,7 +196,7 @@ func (s *DBServer) serveReplication(ctx context.Context, pc *peerConn, id uint64
 				s.logf("tdbd: repl ack decode: %v", derr)
 				continue
 			}
-			d.NoteReplicaAck(name, pos, counter)
+			d.NoteReplicaAck(name, stream, pos, counter)
 		}
 	}()
 
@@ -352,19 +354,32 @@ func (r *ReplStream) SnapshotMode() bool { return r.snap }
 // image's log cut.
 func (r *ReplStream) Start() wal.Pos { return r.start }
 
+// replImageIdle bounds the wait for the next image frame. The primary
+// writes the image back to back, so a silent link mid-image means its
+// terminator was lost; without a bound, a standby of an idle primary
+// would wait for it forever.
+var replImageIdle = 10 * time.Second
+
 // NextSnapshot returns the next batch of state-image entries. done
 // reports the image terminator: Start() then holds the log cut the
 // record stream continues from, counter the primary's version counter
 // at the cut, and total the entry count of the complete image — the
 // caller must verify it applied exactly that many entries before
-// trusting the transfer.
+// trusting the transfer. A record frame before the terminator, or
+// replImageIdle without a frame, means the terminator was lost and fails
+// the transfer.
 func (r *ReplStream) NextSnapshot() (entries []wal.SnapshotEntry, counter, total uint64, done bool, err error) {
 	for {
+		_ = r.c.SetReadDeadline(time.Now().Add(replImageIdle))
 		typ, _, payload, err := r.fr.Read()
 		if err != nil {
 			return nil, 0, 0, false, wrapUnavail(fmt.Errorf("transport: repl read: %w", err))
 		}
-		if typ != frameReplSnapshot {
+		switch typ {
+		case frameReplRecords:
+			return nil, 0, 0, false, errors.New("transport: repl image cut short: record frame before its terminator")
+		case frameReplSnapshot:
+		default:
 			continue
 		}
 		entries, cut, counter, total, done, err := decodeReplSnapshot(payload)
@@ -373,6 +388,7 @@ func (r *ReplStream) NextSnapshot() (entries []wal.SnapshotEntry, counter, total
 		}
 		if done {
 			r.start = cut
+			_ = r.c.SetReadDeadline(time.Time{}) // the record stream may idle
 		}
 		return entries, counter, total, done, nil
 	}

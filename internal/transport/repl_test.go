@@ -2,8 +2,12 @@ package transport
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
+	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -71,7 +75,7 @@ func (r *replRig) startStandby(primaryAddr string) (*db.DB, string, context.Canc
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		RunStandby(ctx, sd, StandbyConfig{Primary: primaryAddr, Name: saddr})
+		RunStandby(ctx, sd, StandbyConfig{Primary: primaryAddr, Name: saddr, Logf: r.t.Logf})
 	}()
 	r.t.Cleanup(func() {
 		cancel()
@@ -258,4 +262,213 @@ func TestReplicationUnderChaos(t *testing.T) {
 	// Heal the byte-level faults too and require exact convergence.
 	link.SetConfig(chaos.ConnConfig{})
 	rig.waitConverged(sd, 20*time.Second)
+}
+
+// frameDropProxy forwards each accepted connection to a target and
+// passes the server-to-client direction through frame by frame, so a
+// test can lose exactly the frames it names. drop sees every frame's
+// kind in stream order, across connections, and swallows the ones it
+// returns true for; the client-to-server direction is copied clean.
+type frameDropProxy struct {
+	addr string
+
+	mu      sync.Mutex
+	drop    func(kind string) bool
+	conns   int           // connections accepted (stream opens)
+	images  int           // image terminators sent, delivered or not
+	dropped chan struct{} // closed at the first swallowed frame
+}
+
+// replFrameKind names a server-to-client frame of the replication
+// stream: "entries" and "terminator" for the state image, "records" for
+// the live log, "other" for the rest (the mode response).
+func replFrameKind(typ byte, payload []byte) string {
+	switch typ {
+	case frameReplRecords:
+		return "records"
+	case frameReplSnapshot:
+		if _, _, _, _, done, _ := decodeReplSnapshot(payload); done {
+			return "terminator"
+		}
+		return "entries"
+	}
+	return "other"
+}
+
+// dropFirst swallows the first frame of one kind and nothing else.
+func dropFirst(kind string) func(string) bool {
+	done := false
+	return func(k string) bool {
+		if k != kind || done {
+			return false
+		}
+		done = true
+		return true
+	}
+}
+
+func newFrameDropProxy(t *testing.T, target string, drop func(kind string) bool) *frameDropProxy {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &frameDropProxy{addr: ln.Addr().String(), drop: drop, dropped: make(chan struct{})}
+	var (
+		wg    sync.WaitGroup
+		cmu   sync.Mutex
+		opens []net.Conn
+	)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			down, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			up, err := net.Dial("tcp", target)
+			if err != nil {
+				down.Close()
+				continue
+			}
+			cmu.Lock()
+			opens = append(opens, down, up)
+			cmu.Unlock()
+			p.mu.Lock()
+			p.conns++
+			p.mu.Unlock()
+			wg.Add(2)
+			go func() {
+				defer wg.Done()
+				io.Copy(up, down) //nolint:errcheck // either side closing ends the pair
+				up.Close()
+				down.Close()
+			}()
+			go func() {
+				defer wg.Done()
+				p.forward(down, up)
+				up.Close()
+				down.Close()
+			}()
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		cmu.Lock()
+		for _, c := range opens {
+			c.Close()
+		}
+		cmu.Unlock()
+		wg.Wait()
+	})
+	return p
+}
+
+// forward copies the server's handshake, then one whole frame at a time.
+func (p *frameDropProxy) forward(down, up net.Conn) {
+	hs := make([]byte, handshakeSize)
+	if _, err := io.ReadFull(up, hs); err != nil {
+		return
+	}
+	if _, err := down.Write(hs); err != nil {
+		return
+	}
+	for {
+		hdr := make([]byte, frameHeaderSize)
+		if _, err := io.ReadFull(up, hdr); err != nil {
+			return
+		}
+		frame := append(hdr, make([]byte, binary.BigEndian.Uint32(hdr[12:16]))...)
+		if _, err := io.ReadFull(up, frame[frameHeaderSize:]); err != nil {
+			return
+		}
+		kind := replFrameKind(hdr[2], frame[frameHeaderSize:])
+		p.mu.Lock()
+		swallow := p.drop(kind)
+		if swallow {
+			select {
+			case <-p.dropped:
+			default:
+				close(p.dropped)
+			}
+		}
+		if kind == "terminator" {
+			p.images++
+		}
+		p.mu.Unlock()
+		if swallow {
+			continue
+		}
+		if _, err := down.Write(frame); err != nil {
+			return
+		}
+	}
+}
+
+func (p *frameDropProxy) counts() (conns, images int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.conns, p.images
+}
+
+// TestReplicationHealsScriptedLoss loses one chosen frame of the
+// replication stream and requires the standby to converge to the exact
+// primary state and acknowledge a live stream after one reconnect —
+// resuming from its cursor when the lost frame held records, and taking
+// a second image only when the first was cut short. Each case names the
+// frame it loses, so a failure reproduces every time.
+func TestReplicationHealsScriptedLoss(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		lose string
+		// after runs once the frame is gone; the standby must notice.
+		after      func(rig *replRig)
+		imageIdle  time.Duration // replImageIdle for the case; 0 keeps the default
+		wantImages int           // images the primary sent, the cut-short one included
+	}{
+		// The next frame starts past the cursor: reconnect and resume
+		// there, no second image.
+		{"first record after the image", "records", func(rig *replRig) { rig.commit(1) }, 0, 1},
+		// The terminator's entry count exposes the loss.
+		{"one image chunk", "entries", func(*replRig) {}, 0, 2},
+		// A record frame arrives where the terminator should have, well
+		// inside the default image read bound.
+		{"terminator, then a commit", "terminator", func(rig *replRig) { rig.commit(1) }, 0, 2},
+		// Nothing arrives at all: the image read times out.
+		{"terminator, idle primary", "terminator", func(*replRig) {}, 300 * time.Millisecond, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.imageIdle > 0 {
+				defer func(d time.Duration) { replImageIdle = d }(replImageIdle)
+				replImageIdle = tc.imageIdle
+			}
+			rig := newReplRig(t)
+			rig.commit(10)
+			proxy := newFrameDropProxy(t, rig.addr, dropFirst(tc.lose))
+			sd, _, _ := rig.startStandby(proxy.addr)
+			if tc.lose == "records" {
+				rig.waitConverged(sd, 5*time.Second) // the image first
+				rig.commit(1)                        // its frame is lost
+			}
+			select {
+			case <-proxy.dropped:
+			case <-time.After(5 * time.Second):
+				t.Fatalf("no %s frame was ever sent", tc.lose)
+			}
+			tc.after(rig)
+			rig.waitConverged(sd, 5*time.Second)
+			// Equal state is not enough — a standby stuck waiting for a lost
+			// terminator holds the image's entries too. It must be following
+			// the live log, which it acknowledges.
+			for deadline := time.Now().Add(5 * time.Second); rig.primary.ReplStatusNow().Replicas != 1; time.Sleep(5 * time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("the standby never acknowledged a live stream: %+v", rig.primary.ReplStatusNow())
+				}
+			}
+			if conns, images := proxy.counts(); conns != 2 || images != tc.wantImages {
+				t.Fatalf("healed with %d stream opens and %d images, want 2 and %d", conns, images, tc.wantImages)
+			}
+		})
+	}
 }

@@ -4,10 +4,11 @@ package transport
 // stream, and feed every received frame through db.ApplyReplicated so
 // this node's durable state, version counter, and invalidation stream
 // stay an exact committed prefix of the primary's. The resume cursor is
-// kept in primary-log coordinates and in memory only — a restarted
-// standby re-joins with a full state transfer, which the idempotent
-// apply path (last-wins puts, max-raise counter) makes safe on top of
-// whatever its own log recovered.
+// the end of the last applied record frame, in primary-log coordinates;
+// a broken stream or a lost frame reconnects from it. It is kept in
+// memory only — a restarted standby re-joins with a full state
+// transfer, which the idempotent apply path (last-wins puts, max-raise
+// counter) makes safe on top of whatever its own log recovered.
 //
 // On primary loss the loop reconnects with jittered backoff forever,
 // unless AutoPromote is set: once the primary has been unreachable for
@@ -58,7 +59,9 @@ func RunStandby(ctx context.Context, d *db.DB, cfg StandbyConfig) {
 		}
 		// Bound the negotiation: a peer (or network) that swallows the mode
 		// response must not wedge the loop — time out, back off, redial.
-		octx, ocancel := context.WithTimeout(ctx, 5*time.Second)
+		// The primary answers before it streams anything, so the bound is
+		// a dial plus one round trip, and a lossy link pays it per loss.
+		octx, ocancel := context.WithTimeout(ctx, 2*time.Second)
 		st, err := OpenReplication(octx, cfg.Primary, cfg.Name, cursor)
 		ocancel()
 		if err != nil {
@@ -128,8 +131,9 @@ func followStream(ctx context.Context, d *db.DB, st *ReplStream, cursor *wal.Pos
 				// Snapshot frames have no positional contiguity, so a lost
 				// or reordered entry frame is only visible here: the
 				// terminator declares how many entries the image holds.
-				// Refuse a short transfer — the cursor is still zero, so
-				// the reconnect streams a fresh image.
+				// Refuse a short transfer — the cursor is unchanged (zero,
+				// or one the primary no longer holds), so the reconnect
+				// streams a fresh image.
 				if applied != total {
 					return fmt.Errorf("tdbd: snapshot image incomplete: applied %d of %d entries", applied, total)
 				}
@@ -164,12 +168,13 @@ func followStream(ctx context.Context, d *db.DB, st *ReplStream, cursor *wal.Pos
 		}
 		*lastContact = time.Now()
 		if start != *cursor {
-			// A contiguity break means this stream cannot be trusted to be
-			// an exact prefix; drop the cursor so the reconnect takes a
-			// fresh image.
-			prev := *cursor
-			*cursor = wal.Pos{}
-			return fmt.Errorf("tdbd: replication gap: frame starts at %s, cursor at %s", start, prev)
+			// A frame was lost or reordered. Everything before the cursor
+			// was applied contiguously and acknowledged, so the reconnect
+			// resumes there: the primary re-streams the missing run if its
+			// log still holds it and sends a fresh image only if not.
+			// Zeroing the cursor would turn every lost frame into a full
+			// state transfer — itself lossy — which livelocks a lossy link.
+			return fmt.Errorf("tdbd: replication gap: frame starts at %s, cursor at %s", start, *cursor)
 		}
 		if _, err := d.ApplyReplicated(recs); err != nil {
 			return err

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -201,11 +202,8 @@ func TestTransactionalReadDetectionOverWire(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	id := cli.NewTxnID()
-	if _, err := cli.Read(bg, id, "a", false); err != nil { // miss: fresh a + deps
-		t.Fatal(err)
-	}
-	_, err := cli.Read(bg, id, "b", true) // stale cached b: must abort
+	// a misses (fresh a1, naming b1); the stale cached b0 must abort.
+	_, err := cli.ReadTxn(bg, []kv.Key{"a", "b"})
 	if !errors.Is(err, ErrAborted) {
 		t.Fatalf("wire read of torn snapshot = %v, want ErrAborted", err)
 	}
@@ -225,13 +223,12 @@ func TestRetryHealsOverWire(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	id := cli.NewTxnID()
-	if _, err := cli.Read(bg, id, "a", false); err != nil {
+	vals, err := cli.ReadTxn(bg, []kv.Key{"a", "b"}) // RETRY reads b through to the DB
+	if err != nil {
 		t.Fatal(err)
 	}
-	val, err := cli.Read(bg, id, "b", true) // RETRY reads through to the DB
-	if err != nil || string(val) != "b1" {
-		t.Fatalf("wire RETRY = %q, %v", val, err)
+	if string(vals[1]) != "b1" {
+		t.Fatalf("wire RETRY served b = %q, want b1", vals[1])
 	}
 }
 
@@ -285,6 +282,10 @@ func TestUnknownOpRejected(t *testing.T) {
 	}
 }
 
+// TestConcurrentWireClients: four clients' read transactions, run side by
+// side on one server, each validate against a record of their own — every
+// completion reads exactly the keys one request named — and every one
+// that starts ends.
 func TestConcurrentWireClients(t *testing.T) {
 	s := newStack(t, core.StrategyRetry)
 	for i := 0; i < 20; i++ {
@@ -293,6 +294,21 @@ func TestConcurrentWireClients(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	readSet := func(keys []kv.Key) string { return fmt.Sprint(keys) }
+	var (
+		mu        sync.Mutex
+		requested = map[string]int{} // read sets named by requests, as a multiset
+		completed = map[string]int{} // read sets of completions
+	)
+	s.cache.OnComplete(func(cp core.Completion) {
+		keys := make([]kv.Key, len(cp.Reads))
+		for i, r := range cp.Reads {
+			keys[i] = r.Key
+		}
+		mu.Lock()
+		completed[readSet(keys)]++
+		mu.Unlock()
+	})
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		g := g
@@ -306,18 +322,29 @@ func TestConcurrentWireClients(t *testing.T) {
 			}
 			defer cli.Close()
 			for i := 0; i < 50; i++ {
-				id := cli.NewTxnID()
-				for r := 0; r < 5; r++ {
-					k := kv.Key(fmt.Sprintf("k%d", (g+i+r)%20))
-					if _, err := cli.Read(bg, id, k, r == 4); err != nil && !errors.Is(err, ErrAborted) {
-						t.Errorf("read: %v", err)
-						return
-					}
+				keys := make([]kv.Key, 5)
+				for r := range keys {
+					keys[r] = kv.Key(fmt.Sprintf("k%d", (g+i+r)%20))
+				}
+				mu.Lock()
+				requested[readSet(keys)]++
+				mu.Unlock()
+				if _, err := cli.ReadTxn(bg, keys); err != nil {
+					t.Errorf("read txn %v: %v", keys, err)
+					return
 				}
 			}
 		}()
 	}
 	wg.Wait()
+	if !reflect.DeepEqual(completed, requested) {
+		t.Fatalf("completions' read sets differ from the requests':\n completed %v\n requested %v", completed, requested)
+	}
+	m := s.cache.Metrics()
+	if m.TxnsStarted != 200 || m.TxnsStarted != m.TxnsCommitted+m.TxnsAborted || s.cache.ActiveTxns() != 0 {
+		t.Fatalf("started %d, committed %d, aborted %d, active %d; want 200 started, each ended",
+			m.TxnsStarted, m.TxnsCommitted, m.TxnsAborted, s.cache.ActiveTxns())
+	}
 }
 
 func TestCodeStrings(t *testing.T) {

@@ -38,16 +38,10 @@ const (
 	// OpSubscribe switches a DB-server connection into a push stream of
 	// invalidations.
 	OpSubscribe Op = "subscribe"
-	// OpRead is the cache server's transactional read:
-	// read(txnID, key, lastOp).
-	OpRead Op = "read"
-	// OpReadMulti is the cache server's batch transactional read: all of
-	// Keys are read in order within TxnID for one round trip.
-	OpReadMulti Op = "read-multi"
-	// OpCommit finalizes a cache transaction without a further read.
-	OpCommit Op = "commit"
-	// OpAbort discards a cache transaction.
-	OpAbort Op = "abort"
+	// OpReadTxn is the cache server's read-only transaction: Keys are read
+	// in order within one transaction that begins and ends with the
+	// request — committed if every read succeeds, aborted otherwise.
+	OpReadTxn Op = "read-txn"
 	// OpStats fetches the cache server's counters.
 	OpStats Op = "stats"
 	// OpReplicate switches a DB-server connection into the replication
@@ -73,11 +67,9 @@ type ObservedRead = kv.ObservedRead
 //
 //tcache:wire encode=appendRequest decode=decodeRequest
 type Request struct {
-	Op     Op
-	Key    kv.Key
-	TxnID  uint64
-	LastOp bool
-	// Keys is the key list of batch operations (OpGetBatch, OpReadMulti).
+	Op  Op
+	Key kv.Key
+	// Keys is the key list of batch operations (OpGetBatch, OpReadTxn).
 	Keys []kv.Key
 	// Subscriber names the invalidation subscription (OpSubscribe).
 	Subscriber string
@@ -161,7 +153,7 @@ type Response struct {
 	WriteDeps []kv.DepList
 	// Batch is set for OpGetBatch: one Lookup per requested key.
 	Batch []kv.Lookup
-	// Values is set for OpReadMulti: one value per requested key.
+	// Values is set for OpReadTxn: one value per requested key.
 	Values []kv.Value
 	// Stats is set for OpStats.
 	Stats map[string]uint64

@@ -14,8 +14,8 @@ import (
 
 // TestReadTxKeptPastReadTxn: a ReadTx kept after its ReadTxn returned
 // cannot reopen the transaction — a late Get or GetMulti fails with
-// ErrTxnDone and starts nothing (it used to start a transaction that,
-// with TxnGC off, nothing ever ended).
+// ErrTxnDone and starts nothing (it used to start a transaction that
+// nothing ever ended).
 func TestReadTxKeptPastReadTxn(t *testing.T) {
 	d, c := openPair(t)
 	if err := d.Update(bg, func(tx *Tx) error { return tx.Set("k", Value("v")) }); err != nil {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -186,7 +185,7 @@ func (r *Remote) dialAny(ctx context.Context, start int) (*transport.DBClient, i
 	var lastErr error
 	for attempt := 0; attempt < r.opts.dialAttempts; attempt++ {
 		if attempt > 0 {
-			if err := jitteredSleep(ctx, backoff); err != nil {
+			if err := sleepJittered(ctx, backoff); err != nil {
 				return nil, 0, lastErr
 			}
 			if backoff *= 2; backoff > time.Second {
@@ -209,22 +208,6 @@ func (r *Remote) dialAny(ctx context.Context, start int) (*transport.DBClient, i
 		}
 	}
 	return nil, 0, lastErr
-}
-
-// jitteredSleep sleeps a uniformly random duration in [d/2, d), bailing
-// out early with ctx.Err() on cancellation.
-func jitteredSleep(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d/2 + time.Duration(rand.Int63n(int64(d/2)+1)))
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }
 
 // client returns the current endpoint.

@@ -220,10 +220,10 @@ func TestRemoteUpdateRoundTrip(t *testing.T) {
 }
 
 // TestReadTxnCancelReleasesRecord cancels a ReadTxn's ctx mid-read and
-// proves the transaction record is released (no leak for the idle-txn GC
-// to report) and the error is the context's.
+// proves the transaction record is released and the error is the
+// context's.
 func TestReadTxnCancelReleasesRecord(t *testing.T) {
-	r := newRemoteRig(t, tcache.WithTxnGC(50*time.Millisecond))
+	r := newRemoteRig(t)
 	ctx := context.Background()
 	if err := r.db.Update(ctx, func(tx *tcache.Tx) error {
 		return tx.Set("k", tcache.Value("v"))
@@ -245,9 +245,6 @@ func TestReadTxnCancelReleasesRecord(t *testing.T) {
 	}
 	if got := r.cache.Core().ActiveTxns(); got != 0 {
 		t.Fatalf("cancelled ReadTxn leaked %d txn records", got)
-	}
-	if got := r.cache.Stats().TxnsGCed; got != 0 {
-		t.Fatalf("GC collected %d records; cancellation should have released them first", got)
 	}
 
 	// A swallowed cancellation must not commit a partial read set either.

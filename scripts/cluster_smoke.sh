@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Cluster e2e smoke: spawn 1 tdbd + 3 tcached on loopback, drive the
 # fleet with tcache-load -cluster, exercise tcache-cli's cluster
-# commands, and verify all three nodes actually served traffic.
+# commands, and verify all three nodes actually served traffic; then
+# drive one edge directly (tcache-cli read, tcache-load -cache), whose
+# read transactions must each end with their request.
 # The tdbd runs with a WAL and is then kill -9'd and restarted on the
 # same directory: committed values must survive byte-for-byte at their
 # exact versions, and the recovered counter must stay a floor under
@@ -132,6 +134,33 @@ awk '/^tcache_cache_resident_bytes /{r=$2} /^tcache_cache_max_bytes /{m=$2}
 curl -fsS "http://$DB_METRICS/healthz" | grep -q 'ok role=primary'
 curl -fsS "http://$EDGE0_METRICS/healthz" | grep -q 'ok role=edge'
 echo "telemetry surface live on both tiers"
+
+# (After the scrape: this load re-seeds the objects, whose invalidations
+# empty edge 0's cache.)
+echo "== one edge, one OpReadTxn per transaction (tcache-cli, tcache-load) =="
+EDGE=${EDGES[1]}
+"$BIN/tcache-cli" -cache "$EDGE" read smoke-key | tee "$LOGS/cli-edge.log"
+grep -q 'smoke-key = "smoke-value"' "$LOGS/cli-edge.log"
+grep -q 'transaction committed' "$LOGS/cli-edge.log"
+# A transaction that meets a missing key fails — and ends with its request.
+if "$BIN/tcache-cli" -cache "$EDGE" read smoke-key __ghost__ >"$LOGS/cli-ghost.log" 2>&1; then
+  echo "FAIL: a read transaction over a missing key committed" >&2
+  exit 1
+fi
+"$BIN/tcache-load" -db "$DB" -cache "$EDGE" \
+  -duration 1s -readers 2 -updaters 1 -objects 300 | tee "$LOGS/load-edge.log"
+edge_read_txns=$(awk '/read txns:/ {print $3}' "$LOGS/load-edge.log")
+if [ "${edge_read_txns:-0}" -le 0 ]; then
+  echo "FAIL: no read transactions served by $EDGE" >&2
+  exit 1
+fi
+# Every transaction the edge started has ended: none outlives its request.
+"$BIN/tcache-cli" -cache "$EDGE" stats | awk '
+  $1 == "txns_started" {s = $2} $1 == "txns_committed" {c = $2} $1 == "txns_aborted" {a = $2}
+  END {
+    if (s + 0 == 0 || s != c + a) {print "FAIL: started " s ", committed " c ", aborted " a > "/dev/stderr"; exit 1}
+    print "edge transactions: started " s " = committed " c " + aborted " a
+  }'
 
 echo "== kill -9 tdbd, recover from the WAL =="
 # get prints: key = "value" @counter.node deps=[...]; field 4 is the

@@ -396,14 +396,6 @@ func WithClock(c clock.Clock) CacheOption {
 	return func(o *cacheOptions) { o.core.Clock = c }
 }
 
-// WithTxnGC bounds how long idle transactions of the ID-keyed API
-// (Core().Read and ReadMulti, the wire protocol's) are kept before being
-// garbage-collected (protects against clients that never finish).
-// ReadTxn's transactions always end when ReadTxn returns.
-func WithTxnGC(d time.Duration) CacheOption {
-	return func(o *cacheOptions) { o.core.TxnGC = d }
-}
-
 // WithLossyLink routes invalidations through an unreliable asynchronous
 // channel that drops a fraction of messages and delays the rest — the
 // environment the paper targets. Without it, invalidations are delivered

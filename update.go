@@ -172,10 +172,12 @@ func retryConflicts(ctx context.Context, attempt func(ctx context.Context) error
 }
 
 // sleepJittered sleeps for a uniformly random duration in [d/2, d),
-// returning early with ctx.Err() on cancellation.
+// returning early with ctx.Err() on cancellation; d <= 0 does not sleep.
 func sleepJittered(ctx context.Context, d time.Duration) error {
-	jittered := d/2 + time.Duration(rand.Int63n(int64(d/2)+1))
-	t := time.NewTimer(jittered)
+	if d <= 0 {
+		return ctx.Err()
+	}
+	t := time.NewTimer(d/2 + time.Duration(rand.Int63n(int64(d/2)+1)))
 	defer t.Stop()
 	select {
 	case <-t.C:
