@@ -12,8 +12,9 @@ test:
 
 # race also sweeps GOMAXPROCS over the packages whose behaviour depends
 # on the stripe count, over the log (flusher, appenders and tailers share
-# one positioned-write file), over the write path's tests (commit,
-# install, relay), over the read transactions' (owned ReadTxn handles,
+# one positioned-write file), over the database and its lock manager
+# (the commit door, deadlock detection, the money-transfer invariant),
+# over the write path's tests (commit, install, relay), over the read transactions' (owned ReadTxn handles,
 # the ID-keyed table, Close mid-flight) and over the routed read's
 # (callers writing their own frames on a shared connection, pipelined
 # sub-batches, dispatch workers) and the wire's read transactions
@@ -29,6 +30,7 @@ race:
 	$(GO) test -race ./...
 	$(GO) test -race -cpu 1,2,4 ./internal/core ./internal/evict ./internal/kv ./internal/codec ./internal/telemetry
 	$(GO) test -race -cpu 1,2,4 ./internal/wal
+	$(GO) test -race -cpu 1,2,4 ./internal/db ./internal/lock
 	$(GO) test -race -cpu 1,2,4 -run 'Update|Install|Commit' . ./internal/cluster
 	$(GO) test -race -cpu 1,2,4 -run 'ReadTxn|Close|Txn' . ./internal/core
 	$(GO) test -race -cpu 1,2,4 -run 'Mux|Pipelin|Worker|StaleConn|ReadTxn|WireClients' ./internal/transport

@@ -265,9 +265,10 @@ func BenchmarkCacheReadTxnGetMultiParallel(b *testing.B) {
 }
 
 // BenchmarkDBUpdateTxn measures a 5-object read-then-write update
-// transaction through two-phase commit with dependency aggregation.
+// transaction through strict two-phase locking, commit and dependency
+// aggregation.
 func BenchmarkDBUpdateTxn(b *testing.B) {
-	d := db.Open(db.Config{DepBound: 5, Shards: 4})
+	d := db.Open(db.Config{DepBound: 5})
 	defer d.Close()
 	seedCluster(b, d, 5)
 

@@ -2,7 +2,7 @@
 //
 // Usage:
 //
-//	tdbd [-listen 127.0.0.1:7070] [-shards 4] [-dep-bound 5]
+//	tdbd [-listen 127.0.0.1:7070] [-dep-bound 5]
 //	     [-wal-dir /var/lib/tdbd/wal] [-wal-sync=true]
 //	     [-snapshot-every 10000] [-wal-segment-size 67108864]
 //	     [-metrics-addr 127.0.0.1:9070]
@@ -45,7 +45,6 @@ func main() {
 func run() error {
 	var (
 		listen    = flag.String("listen", "127.0.0.1:7070", "address to listen on")
-		shards    = flag.Int("shards", 1, "number of two-phase-commit shards")
 		depBound  = flag.Int("dep-bound", 5, "dependency-list length k per object (0 disables, -1 unbounded)")
 		walDir    = flag.String("wal-dir", "", "write-ahead-log directory; empty = in-memory only")
 		walSync   = flag.Bool("wal-sync", true, "fsync commit batches before acknowledging (requires -wal-dir)")
@@ -63,7 +62,7 @@ func run() error {
 	)
 	flag.Parse()
 
-	cfg := db.Config{Shards: *shards, DepBound: *depBound, NodeID: uint32(*nodeID), ReplMinSync: *replMinSync}
+	cfg := db.Config{DepBound: *depBound, NodeID: uint32(*nodeID), ReplMinSync: *replMinSync}
 	var d *db.DB
 	if *walDir != "" {
 		cfg.WALSync = *walSync
@@ -117,8 +116,8 @@ func run() error {
 		defer mstop()
 		log.Printf("tdbd: metrics on http://%s/metrics", mbound)
 	}
-	log.Printf("tdbd: serving on %s (shards=%d, dep-bound=%d, wal=%q sync=%v, role=%s)",
-		node.Addr(), *shards, *depBound, *walDir, *walSync, d.Role())
+	log.Printf("tdbd: serving on %s (dep-bound=%d, wal=%q sync=%v, role=%s)",
+		node.Addr(), *depBound, *walDir, *walSync, d.Role())
 	if *replicaOf != "" {
 		log.Printf("tdbd: standby of %s (auto-promote=%v after %s)", *replicaOf, *autoPromote, *promoteAfter)
 	}

@@ -1,7 +1,10 @@
-// Package db implements the backend: a sharded, serializable transactional
-// key-value store with two-phase commit, per-key strict two-phase locking,
-// Lamport-style version assignment, and dependency-list maintenance as
-// specified in §III-A of the paper.
+// Package db implements the backend: a serializable transactional
+// key-value store with per-key strict two-phase locking, Lamport-style
+// version assignment, and dependency-list maintenance as specified in
+// §III-A of the paper. The cache needs only serializable update
+// transactions that mint versions and keep dependency lists, so the
+// database commits as one participant: a commit is one write-ahead-log
+// record applied to one store.
 //
 // Update transactions go through Begin/Read/Write/Commit. Caches use the
 // lock-free single-entry Get for miss fills, exactly as the paper's caches
@@ -15,7 +18,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"tcache/internal/kv"
 	"tcache/internal/lock"
@@ -26,14 +28,12 @@ import (
 // Errors returned by transaction operations.
 var (
 	// ErrConflict means the transaction lost a concurrency-control fight
-	// (deadlock victim or lock wait timeout) and should be retried.
+	// (deadlock victim) and should be retried.
 	ErrConflict = errors.New("db: transaction conflict")
 	// ErrTxnDone means the transaction already committed or aborted.
 	ErrTxnDone = errors.New("db: transaction already finished")
 	// ErrClosed means the database is shut down.
 	ErrClosed = errors.New("db: closed")
-	// ErrAborted is returned by Commit when a prepare hook voted no.
-	ErrAborted = errors.New("db: transaction aborted at prepare")
 	// ErrDuplicateSubscriber is returned by Subscribe when the name is
 	// already taken: silently replacing the previous sink would starve one
 	// of the two caches of invalidations.
@@ -45,10 +45,6 @@ type Config struct {
 	// NodeID disambiguates versions minted by independent DB deployments.
 	// It becomes the Node component of every commit version.
 	NodeID uint32
-	// Shards is the number of two-phase-commit participants the key space
-	// is hash-partitioned over. Values < 1 mean 1 (the paper's single
-	// "column").
-	Shards int
 	// DepBound is the maximum dependency-list length k stored per object.
 	// 0 disables dependency tracking; kv.Unbounded (-1) never truncates
 	// (the Theorem 1 configuration).
@@ -63,8 +59,6 @@ type Config struct {
 	// lists are pruned (default MergeRecency). MergePositional exists
 	// for the ablation study; see kv.MergeDeps.
 	DepMerge MergePolicy
-	// LockTimeout bounds lock waits (0 = rely on deadlock detection only).
-	LockTimeout time.Duration
 
 	// WALSync, for databases opened with Recover, fsyncs every commit
 	// batch before it is applied (group commit amortizes the fsyncs
@@ -105,14 +99,6 @@ const (
 	MergePositional
 )
 
-func (c *Config) withDefaults() Config {
-	out := *c
-	if out.Shards < 1 {
-		out.Shards = 1
-	}
-	return out
-}
-
 // Invalidation is the asynchronous message the database sends to caches
 // after an update transaction: the key written and its new version.
 type Invalidation struct {
@@ -145,25 +131,17 @@ type CommitRecord struct {
 // so they observe commits in version order.
 type CommitHook func(CommitRecord)
 
-// PrepareHook can veto a prepare during two-phase commit; it exists for
-// failure-injection tests. Returning an error makes the shard vote no and
-// the transaction abort with ErrAborted.
-type PrepareHook func(txnID uint64, shard int) error
-
 // DB is the transactional backend. It is safe for concurrent use.
 type DB struct {
-	cfg    Config
-	shards []*shardState
-	// locks is shared across shards so the wait-for graph spans the whole
-	// deployment; per-shard lock tables would miss cross-shard deadlocks.
+	cfg   Config
+	store *store
 	locks *lock.Manager
 
-	// commitMu serializes the decide+apply phase of 2PC, which makes
-	// version order equal commit order and keeps hooks totally ordered.
-	// The commit lock is taken before any shard or store lock, never
+	// commitMu serializes version minting and door-ticket issue, which
+	// makes version order equal commit order and keeps hooks totally
+	// ordered. The commit lock is taken before any store lock, never
 	// after:
 	//
-	//tcache:lockorder commit < dbshard
 	//tcache:lockorder commit < store
 	commitMu sync.Mutex //tcache:lockclass commit
 	versionC atomic.Uint64
@@ -177,7 +155,6 @@ type DB struct {
 	subs        map[string]InvalidationSink
 	hookMu      sync.Mutex
 	commitHooks []CommitHook
-	prepareHook PrepareHook
 
 	// wal, when non-nil, makes commits durable (see Recover). door
 	// sequences the apply phase so version order survives the move of
@@ -210,28 +187,20 @@ type DB struct {
 
 // Open creates a database.
 func Open(cfg Config) *DB {
-	cfg = (&cfg).withDefaults()
-	var lockOpts []lock.Option
-	if cfg.LockTimeout > 0 {
-		lockOpts = append(lockOpts, lock.WithTimeout(cfg.LockTimeout))
-	}
 	tel := cfg.Telemetry
 	if tel == nil {
 		tel = NewTelemetry()
 	}
 	d := &DB{
 		cfg:   cfg,
-		locks: lock.NewManager(lockOpts...),
+		store: newStore(),
+		locks: lock.NewManager(),
 		subs:  make(map[string]InvalidationSink),
 		door:  newCommitDoor(),
 		tel:   tel,
 	}
 	d.counters = telemetry.NewCounterSet(&d.metrics, MetricsSnapshot{})
 	d.repl.acked = make(map[string]replAck)
-	d.shards = make([]*shardState, cfg.Shards)
-	for i := range d.shards {
-		d.shards[i] = newShardState(i)
-	}
 	return d
 }
 
@@ -265,15 +234,8 @@ func (d *DB) Close() error {
 	return d.wal.Close()
 }
 
-// Shards returns the number of 2PC participants.
-func (d *DB) Shards() int { return len(d.shards) }
-
 // DepBound returns the configured dependency-list bound.
 func (d *DB) DepBound() int { return d.cfg.DepBound }
-
-func (d *DB) shardFor(key kv.Key) *shardState {
-	return d.shards[storageShard(key, len(d.shards))]
-}
 
 // Get performs a lock-free single-entry read of the current committed
 // item, the path caches use to fill misses. The boolean reports
@@ -282,7 +244,7 @@ func (d *DB) shardFor(key kv.Key) *shardState {
 // Deps must be treated as read-only.
 func (d *DB) Get(key kv.Key) (kv.Item, bool) {
 	d.metrics.SingleGets.Add(1)
-	return d.shardFor(key).store.GetShared(key)
+	return d.store.GetShared(key)
 }
 
 // ReadItem is the cache backend read (core.Backend): a lock-free
@@ -316,7 +278,7 @@ func (d *DB) Seed(key kv.Key, value kv.Value, version kv.Version) {
 	if version.Counter > cur {
 		d.versionC.Store(version.Counter)
 	}
-	d.shardFor(key).store.Put(key, kv.Item{Value: value, Version: version})
+	d.store.Put(key, kv.Item{Value: value, Version: version})
 }
 
 // Subscribe registers an invalidation sink under name. A name already in
@@ -344,13 +306,6 @@ func (d *DB) OnCommit(h CommitHook) {
 	d.commitHooks = append(d.commitHooks, h)
 }
 
-// SetPrepareHook installs a failure-injection hook for two-phase commit.
-func (d *DB) SetPrepareHook(h PrepareHook) {
-	d.hookMu.Lock()
-	defer d.hookMu.Unlock()
-	d.prepareHook = h
-}
-
 func (d *DB) emitInvalidations(writes []kv.Key, version kv.Version) {
 	d.subMu.Lock()
 	sinks := make([]InvalidationSink, 0, len(d.subs))
@@ -376,72 +331,5 @@ func (d *DB) runCommitHooks(rec CommitRecord) {
 	}
 }
 
-// Len returns the number of stored objects across all shards.
-func (d *DB) Len() int {
-	n := 0
-	for _, s := range d.shards {
-		n += s.store.Len()
-	}
-	return n
-}
-
-// shardState is one 2PC participant: a slice of the key space with its own
-// store and prepared-transaction log.
-type shardState struct {
-	id    int
-	store *store
-
-	mu       sync.Mutex //tcache:lockclass dbshard
-	prepared map[uint64][]preparedWrite
-}
-
-type preparedWrite struct {
-	key  kv.Key
-	item kv.Item
-}
-
-func newShardState(id int) *shardState {
-	return &shardState{
-		id:       id,
-		store:    newStore(8),
-		prepared: make(map[uint64][]preparedWrite),
-	}
-}
-
-// prepare logs the writes this shard must apply if the decision is commit.
-// A real deployment would flush this log to stable storage before voting.
-func (s *shardState) prepare(txnID uint64, writes []preparedWrite) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.prepared[txnID] = writes
-}
-
-// commit applies the prepared writes.
-func (s *shardState) commit(txnID uint64) {
-	s.mu.Lock()
-	writes := s.prepared[txnID]
-	delete(s.prepared, txnID)
-	s.mu.Unlock()
-	for _, w := range writes {
-		s.store.Put(w.key, w.item)
-	}
-}
-
-// abort discards the prepared writes.
-func (s *shardState) abort(txnID uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.prepared, txnID)
-}
-
-func (s *shardState) preparedCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.prepared)
-}
-
-// storageShard hashes a key onto one of n participants (the shared
-// kv.ShardIndex hash, so placement matches the other sharded components).
-func storageShard(key kv.Key, n int) int {
-	return kv.ShardIndex(key, n)
-}
+// Len returns the number of stored objects.
+func (d *DB) Len() int { return d.store.Len() }

@@ -398,61 +398,10 @@ func TestCommitHooksSeeVersionOrder(t *testing.T) {
 	}
 }
 
-func TestPrepareHookVeto(t *testing.T) {
-	d := open(t, Config{DepBound: 5})
-	d.SetPrepareHook(func(txnID uint64, shard int) error {
-		return errors.New("injected fault")
-	})
-	txn := d.Begin()
-	if err := txn.Write("a", kv.Value("x")); err != nil {
-		t.Fatal(err)
-	}
-	_, err := txn.Commit()
-	if !errors.Is(err, ErrAborted) {
-		t.Fatalf("Commit = %v, want ErrAborted", err)
-	}
-	if _, ok := d.Get("a"); ok {
-		t.Fatal("vetoed write became visible")
-	}
-	d.SetPrepareHook(nil)
-	write(t, d, "a") // locks were released
-}
-
-func TestPrepareHookPartialVeto(t *testing.T) {
-	// With many shards, a veto on one must abort the prepared others.
-	d := open(t, Config{DepBound: 5, Shards: 8})
-	calls := 0
-	d.SetPrepareHook(func(txnID uint64, shard int) error {
-		calls++
-		if calls == 2 {
-			return errors.New("fault on second shard")
-		}
-		return nil
-	})
-	txn := d.Begin()
-	keys := []kv.Key{"a", "b", "c", "d", "e", "f"}
-	for _, k := range keys {
-		if err := txn.Write(k, kv.Value("x")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := txn.Commit(); !errors.Is(err, ErrAborted) {
-		t.Fatalf("Commit = %v, want ErrAborted", err)
-	}
-	for _, k := range keys {
-		if _, ok := d.Get(k); ok {
-			t.Fatalf("write %s visible after aborted 2PC", k)
-		}
-	}
-	for _, s := range d.shards {
-		if n := s.preparedCount(); n != 0 {
-			t.Fatalf("shard %d retains %d prepared txns", s.id, n)
-		}
-	}
-}
-
+// TestMultiShardCommitAtomicity: one commit whose keys span several of
+// the store's stripes makes every write visible at the one version.
 func TestMultiShardCommitAtomicity(t *testing.T) {
-	d := open(t, Config{DepBound: 5, Shards: 4})
+	d := open(t, Config{DepBound: 5})
 	v := write(t, d, "a", "b", "c", "d", "e", "f", "g", "h")
 	for _, k := range []kv.Key{"a", "b", "c", "d", "e", "f", "g", "h"} {
 		it, ok := d.Get(k)
@@ -464,7 +413,7 @@ func TestMultiShardCommitAtomicity(t *testing.T) {
 
 func TestSerializabilityMoneyTransfer(t *testing.T) {
 	// Classic invariant: concurrent transfers preserve the total.
-	d := open(t, Config{DepBound: 5, Shards: 4})
+	d := open(t, Config{DepBound: 5})
 	const accounts = 8
 	for i := 0; i < accounts; i++ {
 		d.Seed(kv.Key(fmt.Sprintf("acct%d", i)), kv.Value{100}, kv.Version{Counter: 1})
@@ -617,21 +566,6 @@ func TestRepeatReadRecordsOnce(t *testing.T) {
 	mustCommit(t, txn)
 	if len(rec.Reads) != 1 {
 		t.Fatalf("repeat reads recorded %d times: %+v", len(rec.Reads), rec.Reads)
-	}
-}
-
-func TestShardDistribution(t *testing.T) {
-	counts := make([]int, 4)
-	for i := 0; i < 1000; i++ {
-		counts[storageShard(kv.Key(fmt.Sprintf("key-%d", i)), 4)]++
-	}
-	for s, c := range counts {
-		if c < 100 {
-			t.Fatalf("shard %d badly underloaded: %d/1000", s, c)
-		}
-	}
-	if storageShard("anything", 1) != 0 {
-		t.Fatal("single shard must map to 0")
 	}
 }
 

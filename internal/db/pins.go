@@ -120,7 +120,7 @@ func (d *DB) composeDeps(key kv.Key, full kv.DepList, txnVersions map[kv.Key]kv.
 		if !ok {
 			if fromList, found := rest.Lookup(p); found {
 				ver, ok = fromList, true
-			} else if stored, found := d.shardFor(p).store.Version(p); found {
+			} else if stored, found := d.store.Version(p); found {
 				ver, ok = stored, true
 			}
 		}

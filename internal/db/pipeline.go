@@ -5,9 +5,9 @@ import "sync"
 // commitDoor sequences the apply half of the commit pipeline.
 //
 // The commit path splits in two so group commit can work: version
-// minting and shard prepare happen under commitMu, but the WAL append
-// happens OUTSIDE it — that is where concurrent committers overlap and
-// share fsyncs. The door restores total order afterwards: each
+// minting and building the written items happen under commitMu, but
+// the WAL append happens OUTSIDE it — that is where concurrent
+// committers overlap and share fsyncs. The door restores total order afterwards: each
 // committer takes a ticket while still under commitMu (so ticket order
 // equals version order), appends concurrently, then waits for its turn
 // to apply, run hooks, and emit invalidations. Observers therefore

@@ -48,7 +48,7 @@ func Recover(cfg Config, dir string) (*DB, error) {
 	}
 	info, err := log.Replay(wal.ReplayHandler{
 		Snapshot: func(e wal.SnapshotEntry) error {
-			d.shardFor(e.Key).store.Put(e.Key, kv.Item{
+			d.store.Put(e.Key, kv.Item{
 				Value:   e.Value,
 				Version: e.Version,
 				Deps:    e.Deps,
@@ -57,7 +57,7 @@ func Recover(cfg Config, dir string) (*DB, error) {
 		},
 		Record: func(rec wal.Record) error {
 			for _, w := range rec.Writes {
-				d.shardFor(w.Key).store.Put(w.Key, kv.Item{
+				d.store.Put(w.Key, kv.Item{
 					Value:   w.Value,
 					Version: rec.Version,
 					Deps:    w.Deps,
@@ -124,7 +124,7 @@ func (d *DB) Snapshot() error {
 	d.commitMu.Unlock()
 
 	// Wait the ticket through: every commit minted before the cut has
-	// fully applied to the shard stores, so the scan below observes all
+	// fully applied to the store, so the scan below observes all
 	// of them. Commits minted after the ticket may also be observed —
 	// harmless, because their records live in segments >= cut and
 	// replay is last-wins (the log never deletes keys).
@@ -137,20 +137,15 @@ func (d *DB) Snapshot() error {
 		return fmt.Errorf("db: snapshot: %w", err)
 	}
 	var addErr error
-	for _, s := range d.shards {
-		s.store.Range(func(key kv.Key, item kv.Item) bool {
-			addErr = sw.Add(wal.SnapshotEntry{
-				Key:     key,
-				Value:   item.Value,
-				Version: item.Version,
-				Deps:    item.Deps,
-			})
-			return addErr == nil
+	d.store.Range(func(key kv.Key, item kv.Item) bool {
+		addErr = sw.Add(wal.SnapshotEntry{
+			Key:     key,
+			Value:   item.Value,
+			Version: item.Version,
+			Deps:    item.Deps,
 		})
-		if addErr != nil {
-			break
-		}
-	}
+		return addErr == nil
+	})
 	if addErr != nil {
 		sw.Abort()
 		d.metrics.SnapshotFailures.Add(1)
@@ -196,27 +191,18 @@ func (d *DB) snapshotWorker() {
 }
 
 // logCommit appends the transaction to the WAL (write-ahead: called
-// between prepare and apply, outside commitMu so concurrent committers
-// coalesce into group-commit batches). A nil wal is a no-op. The
-// returned position is the end of the record's frame — what a replica
-// must acknowledge before a synchronous commit returns.
-func (d *DB) logCommit(version kv.Version, byShard map[*shardState][]preparedWrite) (wal.Pos, error) {
+// between minting and apply, outside commitMu so concurrent committers
+// coalesce into group-commit batches). items[i] is what writes[i]
+// stores; the record lists the writes in request order. A nil wal is a
+// no-op. The returned position is the end of the record's frame — what
+// a replica must acknowledge before a synchronous commit returns.
+func (d *DB) logCommit(version kv.Version, writes []writeAccess, items []kv.Item) (wal.Pos, error) {
 	if d.wal == nil {
 		return wal.Pos{}, nil
 	}
-	n := 0
-	for _, writes := range byShard {
-		n += len(writes)
-	}
-	rec := wal.Record{Version: version, Writes: make([]wal.Entry, 0, n)}
-	for _, writes := range byShard {
-		for _, w := range writes {
-			rec.Writes = append(rec.Writes, wal.Entry{
-				Key:   w.key,
-				Value: w.item.Value,
-				Deps:  w.item.Deps,
-			})
-		}
+	rec := wal.Record{Version: version, Writes: make([]wal.Entry, len(writes))}
+	for i, w := range writes {
+		rec.Writes[i] = wal.Entry{Key: w.key, Value: items[i].Value, Deps: items[i].Deps}
 	}
 	pos, err := d.wal.Append(rec)
 	if err != nil {

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"tcache/internal/kv"
+	"tcache/internal/lock"
 	"tcache/internal/wal"
 )
 
@@ -400,6 +401,54 @@ func TestCloseReportsWALError(t *testing.T) {
 	}
 	if !errors.Is(err, wal.ErrWriteFailed) {
 		t.Fatalf("Close error not named: %v", err)
+	}
+}
+
+// TestCommitAbortsOnWALAppendFailure covers the commit's one abort after
+// the version is minted: the log refuses the record. Nothing may be
+// applied, the locks must be released, the abort counted, and the door
+// advanced so the next committer does not wait forever for this ticket.
+func TestCommitAbortsOnWALAppendFailure(t *testing.T) {
+	d := recoverDB(t, Config{DepBound: 5}, t.TempDir())
+	defer d.Close()
+	if err := d.wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	aborted := d.Metrics().TxnsAborted
+	txn := d.Begin()
+	if err := txn.Write("a", kv.Value("x")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := txn.Commit(); !errors.Is(err, wal.ErrClosed) {
+		t.Fatalf("Commit = %v, want the wrapped wal.ErrClosed", err)
+	}
+	if _, ok := d.Get("a"); ok {
+		t.Fatal("a write whose append failed became visible")
+	}
+	if !d.locks.TryAcquire(1<<62, "a", lock.Exclusive) {
+		t.Fatal("the aborted commit kept its exclusive lock")
+	}
+	d.locks.ReleaseAll(1 << 62)
+	if got := d.Metrics().TxnsAborted - aborted; got != 1 {
+		t.Fatalf("TxnsAborted rose by %d, want 1", got)
+	}
+	done := make(chan error, 1)
+	go func() {
+		txn := d.Begin()
+		if err := txn.Write("b", kv.Value("y")); err != nil {
+			done <- err
+			return
+		}
+		_, err := txn.Commit()
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, wal.ErrClosed) {
+			t.Fatalf("second Commit = %v, want the wrapped wal.ErrClosed", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("second commit hung at the door behind the aborted ticket")
 	}
 }
 

@@ -184,7 +184,7 @@ func (d *DB) ApplyReplicated(recs []wal.Record) (wal.Pos, error) {
 			counter = rec.Version.Counter
 		}
 		for _, w := range rec.Writes {
-			d.shardFor(w.Key).store.Put(w.Key, kv.Item{
+			d.store.Put(w.Key, kv.Item{
 				Value:   w.Value,
 				Version: rec.Version,
 				Deps:    w.Deps,
@@ -262,20 +262,18 @@ func (d *DB) ReplSnapshot(fn func(wal.SnapshotEntry) error) (wal.Pos, uint64, er
 	d.door.wait(ticket)
 	d.door.exit()
 
-	for _, s := range d.shards {
-		var addErr error
-		s.store.Range(func(key kv.Key, item kv.Item) bool {
-			addErr = fn(wal.SnapshotEntry{
-				Key:     key,
-				Value:   item.Value,
-				Version: item.Version,
-				Deps:    item.Deps,
-			})
-			return addErr == nil
+	var addErr error
+	d.store.Range(func(key kv.Key, item kv.Item) bool {
+		addErr = fn(wal.SnapshotEntry{
+			Key:     key,
+			Value:   item.Value,
+			Version: item.Version,
+			Deps:    item.Deps,
 		})
-		if addErr != nil {
-			return wal.Pos{}, 0, addErr
-		}
+		return addErr == nil
+	})
+	if addErr != nil {
+		return wal.Pos{}, 0, addErr
 	}
 	return wal.Pos{Seq: cut}, counter, nil
 }

@@ -6,15 +6,20 @@ import (
 	"tcache/internal/kv"
 )
 
-// store is the hash-sharded map from keys to versioned items under one
-// 2PC participant. Items carry their commit version and dependency list
-// (kv.Item); the store imposes no consistency semantics — that is the
-// job of the database's concurrency control. It is safe for concurrent
-// use. Items are deep-copied on the way in, and — except for GetShared,
-// which shares storage under a read-only copy-on-write contract — on
-// the way out, so callers can never alias mutable internal state.
+// storeStripes is the number of RWMutex stripes the store hashes its
+// keys over, so concurrent readers and the committer rarely share a lock.
+const storeStripes = 8
+
+// store is the database's map from keys to versioned items, striped
+// over storeStripes locks. Items carry their commit version and
+// dependency list (kv.Item); the store imposes no consistency semantics
+// — that is the job of the database's concurrency control. It is safe
+// for concurrent use. Items are deep-copied on the way in, and — except
+// for GetShared, which shares storage under a read-only copy-on-write
+// contract — on the way out, so callers can never alias mutable
+// internal state.
 type store struct {
-	shards []*storeShard
+	shards [storeStripes]storeShard
 }
 
 type storeShard struct {
@@ -22,21 +27,16 @@ type storeShard struct {
 	items map[kv.Key]kv.Item
 }
 
-// newStore creates a store with the given number of hash shards
-// (values < 1 are treated as 1).
-func newStore(numShards int) *store {
-	if numShards < 1 {
-		numShards = 1
-	}
-	s := &store{shards: make([]*storeShard, numShards)}
+func newStore() *store {
+	s := &store{}
 	for i := range s.shards {
-		s.shards[i] = &storeShard{items: make(map[kv.Key]kv.Item)}
+		s.shards[i].items = make(map[kv.Key]kv.Item)
 	}
 	return s
 }
 
 func (s *store) shardOf(key kv.Key) *storeShard {
-	return s.shards[kv.ShardIndex(key, len(s.shards))]
+	return &s.shards[kv.ShardIndex(key, storeStripes)]
 }
 
 // Get returns a deep copy of the item stored under key.
@@ -85,7 +85,8 @@ func (s *store) Put(key kv.Key, item kv.Item) {
 // Len returns the total number of stored items.
 func (s *store) Len() int {
 	n := 0
-	for _, sh := range s.shards {
+	for i := range s.shards {
+		sh := &s.shards[i]
 		sh.mu.RLock()
 		n += len(sh.items)
 		sh.mu.RUnlock()
@@ -94,10 +95,11 @@ func (s *store) Len() int {
 }
 
 // Range calls f for every (key, item) pair until f returns false. The item
-// passed to f is a deep copy. Iteration holds one shard's read lock at a
+// passed to f is a deep copy. Iteration holds one stripe's read lock at a
 // time; concurrent writers may be observed or missed.
 func (s *store) Range(f func(key kv.Key, item kv.Item) bool) {
-	for _, sh := range s.shards {
+	for i := range s.shards {
+		sh := &s.shards[i]
 		sh.mu.RLock()
 		for k, it := range sh.items {
 			cp := it.Clone()

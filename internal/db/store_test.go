@@ -13,7 +13,7 @@ func storeItem(val string, ver uint64) kv.Item {
 }
 
 func TestStorePutGet(t *testing.T) {
-	s := newStore(4)
+	s := newStore()
 	s.Put("a", storeItem("va", 1))
 	got, ok := s.Get("a")
 	if !ok || string(got.Value) != "va" || got.Version.Counter != 1 {
@@ -25,7 +25,7 @@ func TestStorePutGet(t *testing.T) {
 }
 
 func TestStoreGetReturnsCopy(t *testing.T) {
-	s := newStore(1)
+	s := newStore()
 	s.Put("a", kv.Item{Value: kv.Value("xy"), Deps: kv.DepList{{Key: "d", Version: kv.Version{Counter: 1}}}})
 	got, _ := s.Get("a")
 	got.Value[0] = 'Z'
@@ -37,7 +37,7 @@ func TestStoreGetReturnsCopy(t *testing.T) {
 }
 
 func TestStorePutStoresCopy(t *testing.T) {
-	s := newStore(1)
+	s := newStore()
 	it := kv.Item{Value: kv.Value("xy")}
 	s.Put("a", it)
 	it.Value[0] = 'Z'
@@ -48,7 +48,7 @@ func TestStorePutStoresCopy(t *testing.T) {
 }
 
 func TestStoreVersion(t *testing.T) {
-	s := newStore(2)
+	s := newStore()
 	s.Put("a", storeItem("v", 7))
 	ver, ok := s.Version("a")
 	if !ok || ver.Counter != 7 {
@@ -60,7 +60,7 @@ func TestStoreVersion(t *testing.T) {
 }
 
 func TestStoreLen(t *testing.T) {
-	s := newStore(8)
+	s := newStore()
 	for i := 0; i < 100; i++ {
 		s.Put(kv.Key(fmt.Sprintf("k%d", i)), storeItem("v", uint64(i)))
 	}
@@ -70,7 +70,7 @@ func TestStoreLen(t *testing.T) {
 }
 
 func TestStoreRange(t *testing.T) {
-	s := newStore(4)
+	s := newStore()
 	for i := 0; i < 10; i++ {
 		s.Put(kv.Key(fmt.Sprintf("k%d", i)), storeItem("v", uint64(i)))
 	}
@@ -92,19 +92,8 @@ func TestStoreRange(t *testing.T) {
 	}
 }
 
-func TestStoreZeroShardsClamped(t *testing.T) {
-	s := newStore(0)
-	if len(s.shards) != 1 {
-		t.Fatalf("%d shards, want 1", len(s.shards))
-	}
-	s.Put("a", storeItem("v", 1))
-	if _, ok := s.Get("a"); !ok {
-		t.Fatal("single-shard store lost item")
-	}
-}
-
 func TestStoreConcurrentAccess(t *testing.T) {
-	s := newStore(8)
+	s := newStore()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		g := g

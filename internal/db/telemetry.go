@@ -13,7 +13,7 @@ import (
 // allocations.
 type Telemetry struct {
 	// UpdateCommit observes successful ValidatedUpdate calls (ns),
-	// validation + two-phase commit + WAL durability included.
+	// validation + commit + WAL durability included.
 	UpdateCommit *telemetry.Histogram
 	// UpdateConflict observes ValidatedUpdate calls rejected with a
 	// validation conflict (ns) — the cost of an optimistic miss.

@@ -10,8 +10,8 @@ import (
 )
 
 // Txn is an update transaction. Reads take shared locks, writes take
-// exclusive locks (strict two-phase locking), and Commit runs two-phase
-// commit across the shards the transaction touched.
+// exclusive locks (strict two-phase locking), and Commit makes every
+// write visible at one new version.
 //
 // The transaction carries the context it was begun with (BeginCtx):
 // cancellation aborts blocked lock waits, rolls the transaction back, and
@@ -101,7 +101,7 @@ func (t *Txn) Read(key kv.Key) (kv.Item, bool, error) {
 		return kv.Item{}, false, err
 	}
 	t.db.metrics.TxnReads.Add(1)
-	item, found := t.db.shardFor(key).store.Get(key)
+	item, found := t.db.store.Get(key)
 	// A repeat read under 2PL returns the same version; keep the first record.
 	if _, ok := t.readIx[key]; !ok {
 		t.readIx[key] = len(t.reads)
@@ -138,7 +138,7 @@ func (t *Txn) Write(key kv.Key, value kv.Value) error {
 		t.writes[i].value = value.Clone()
 		return nil
 	}
-	old, _ := t.db.shardFor(key).store.Get(key)
+	old, _ := t.db.store.Get(key)
 	t.wrIx[key] = len(t.writes)
 	t.writes = append(t.writes, writeAccess{key: key, value: value.Clone(), old: old})
 	return nil
@@ -156,7 +156,7 @@ func (t *Txn) acquire(key kv.Key, mode lock.Mode) error {
 	case errorsIsAny(err, context.Canceled, context.DeadlineExceeded):
 		t.rollback()
 		return err
-	case errorsIsAny(err, lock.ErrDeadlock, lock.ErrTimeout):
+	case errors.Is(err, lock.ErrDeadlock):
 		t.db.metrics.Conflicts.Add(1)
 		t.rollback()
 		return fmt.Errorf("%w: %s on %q: %s", ErrConflict, mode, key, err)
@@ -182,9 +182,6 @@ func (t *Txn) rollback() {
 		return
 	}
 	t.done = true
-	for _, s := range t.touchedShards() {
-		s.abort(t.id)
-	}
 	t.db.locks.ReleaseAll(lock.Owner(t.id))
 }
 
@@ -212,29 +209,11 @@ func (t *Txn) mergeBound() int {
 	return bound
 }
 
-// touchedShards returns the distinct shards this transaction accessed.
-func (t *Txn) touchedShards() []*shardState {
-	seen := make(map[int]*shardState, 2)
-	for _, r := range t.reads {
-		s := t.db.shardFor(r.key)
-		seen[s.id] = s
-	}
-	for _, w := range t.writes {
-		s := t.db.shardFor(w.key)
-		seen[s.id] = s
-	}
-	out := make([]*shardState, 0, len(seen))
-	for _, s := range seen {
-		out = append(out, s)
-	}
-	return out
-}
-
-// Commit runs two-phase commit through the three-stage pipeline:
+// Commit runs the three-stage pipeline:
 //
 //  1. Under commitMu: decide the commit version (strictly greater than
 //     every version the transaction accessed, per §III-A), aggregate
-//     the full dependency list, prepare every touched shard, and take a
+//     the full dependency list, build every written item, and take a
 //     commit-door ticket (ticket order = version order).
 //  2. Outside all locks: append the commit record to the write-ahead
 //     log. This is where concurrent committers overlap — group commit
@@ -243,7 +222,9 @@ func (t *Txn) touchedShards() []*shardState {
 //     locks, and publish commit records and invalidations, so observers
 //     see commits in exact version order.
 //
-// Read-only update transactions (no writes) commit trivially.
+// A failed append applies nothing: the transaction aborts, releasing its
+// locks and its door ticket. Read-only update transactions (no writes)
+// commit trivially.
 func (t *Txn) Commit() (kv.Version, error) {
 	if t.done {
 		return kv.Version{}, ErrTxnDone
@@ -317,52 +298,26 @@ func (t *Txn) Commit() (kv.Version, error) {
 	}
 	full := merge(mergeBound, accesses)
 
-	// Phase 1: prepare.
-	byShard := make(map[*shardState][]preparedWrite, 2)
+	items := make([]kv.Item, len(t.writes))
 	for i, w := range t.writes {
-		item := kv.Item{
+		items[i] = kv.Item{
 			Value:   w.value,
 			Version: vt,
 			Deps:    d.composeDeps(w.key, full, txnVersions),
 		}
 		if t.deps != nil {
-			t.deps[i] = item.Deps
+			t.deps[i] = items[i].Deps
 		}
-		s := d.shardFor(w.key)
-		byShard[s] = append(byShard[s], preparedWrite{key: w.key, item: item})
-	}
-	d.hookMu.Lock()
-	hook := d.prepareHook
-	d.hookMu.Unlock()
-	prepared := make([]*shardState, 0, len(byShard))
-	for s, writes := range byShard {
-		if hook != nil {
-			if err := hook(t.id, s.id); err != nil {
-				for _, p := range prepared {
-					p.abort(t.id)
-				}
-				d.metrics.TxnsAborted.Add(1)
-				t.done = true
-				d.locks.ReleaseAll(lock.Owner(t.id))
-				d.commitMu.Unlock()
-				return kv.Version{}, fmt.Errorf("%w: shard %d: %s", ErrAborted, s.id, err)
-			}
-		}
-		s.prepare(t.id, writes)
-		prepared = append(prepared, s)
 	}
 	ticket := d.door.enter()
 	d.commitMu.Unlock()
 
 	// Write-ahead, outside all locks: the decision is durable before it
 	// is applied, and concurrent committers share group-commit batches.
-	walPos, logErr := d.logCommit(vt, byShard)
+	walPos, logErr := d.logCommit(vt, t.writes, items)
 
 	d.door.wait(ticket)
 	if logErr != nil {
-		for _, p := range prepared {
-			p.abort(t.id)
-		}
 		d.metrics.TxnsAborted.Add(1)
 		t.done = true
 		d.locks.ReleaseAll(lock.Owner(t.id))
@@ -370,9 +325,9 @@ func (t *Txn) Commit() (kv.Version, error) {
 		return kv.Version{}, logErr
 	}
 
-	// Phase 2: commit, in version order behind the door.
-	for s := range byShard {
-		s.commit(t.id)
+	// Apply, in version order behind the door.
+	for i, w := range t.writes {
+		d.store.Put(w.key, items[i])
 	}
 	t.done = true
 	d.locks.ReleaseAll(lock.Owner(t.id))

@@ -37,7 +37,7 @@ func (e *ConflictError) Unwrap() error { return ErrConflict }
 // CommitUpdate commits one optimistic update transaction: every
 // observed read is re-read under a shared lock and compared against the
 // version (and presence) the client saw; if all still match, the write
-// set is applied through the ordinary two-phase commit, atomically and
+// set is applied through the ordinary Txn.Commit, atomically and
 // serializably. The first mismatch aborts with a ConflictError wrapping
 // ErrConflict — the caller's optimistic snapshot is stale and the
 // transaction must be retried against fresh reads.

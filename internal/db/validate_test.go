@@ -104,7 +104,7 @@ func TestValidatedUpdateConflicts(t *testing.T) {
 // carries its list in both positions. The interactive path captures
 // nothing.
 func TestCommitUpdateReportsStoredLists(t *testing.T) {
-	d := Open(Config{DepBound: 3, Shards: 2})
+	d := Open(Config{DepBound: 3})
 	defer d.Close()
 	ctx := context.Background()
 	vr := seedOne(t, d, "read-only", "r")

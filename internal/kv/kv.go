@@ -30,10 +30,8 @@ func (v Value) Clone() Value {
 // it; the cache uses it to group reads belonging to one transaction.
 type TxnID uint64
 
-// ShardIndex hashes key onto one of n shards with 32-bit FNV-1a. Every
-// hash-sharded component (the database's 2PC participants and their
-// item stores, the cache's lock stripes) uses it, so the algorithm lives
-// in one place. n ≤ 1 always yields 0.
+// ShardIndex hashes key onto one of n shards with 32-bit FNV-1a (the
+// database store's lock stripes). n ≤ 1 always yields 0.
 func ShardIndex(key Key, n int) int {
 	if n <= 1 {
 		return 0

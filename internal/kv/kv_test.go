@@ -1,6 +1,7 @@
 package kv
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -125,4 +126,21 @@ func TestItemClone(t *testing.T) {
 
 func randVersion(r *rand.Rand) Version {
 	return Version{Counter: uint64(r.Intn(50)), Node: uint32(r.Intn(3))}
+}
+
+func TestShardDistribution(t *testing.T) {
+	counts := make([]int, 4)
+	for i := 0; i < 1000; i++ {
+		counts[ShardIndex(Key(fmt.Sprintf("key-%d", i)), 4)]++
+	}
+	for s, c := range counts {
+		if c < 100 {
+			t.Fatalf("shard %d badly underloaded: %d/1000", s, c)
+		}
+	}
+	for _, n := range []int{-1, 0, 1} {
+		if got := ShardIndex("anything", n); got != 0 {
+			t.Fatalf("ShardIndex(_, %d) = %d, want 0", n, got)
+		}
+	}
 }

@@ -5,7 +5,10 @@
 //
 // The paper's backend is "a transactional key-value store with two-phase
 // commit"; this lock manager is the concurrency-control half of that
-// substrate.
+// substrate. Two-phase commit exists there because its participants are
+// separate machines; the database here is one participant, so a commit
+// needs only these locks and one log record. Every wait ends in a grant,
+// a deadlock verdict, the caller's ctx, or Close.
 package lock
 
 import (
@@ -13,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 )
 
 // Mode is a lock mode.
@@ -43,8 +45,6 @@ var (
 	// closed a cycle in the wait-for graph. The caller should abort and
 	// retry its transaction.
 	ErrDeadlock = errors.New("lock: deadlock detected")
-	// ErrTimeout is returned when the configured wait timeout elapses.
-	ErrTimeout = errors.New("lock: wait timed out")
 	// ErrClosed is returned when the manager is shut down while waiting.
 	ErrClosed = errors.New("lock: manager closed")
 )
@@ -55,11 +55,10 @@ type Owner uint64
 // Manager is a lock table keyed by string keys. The zero value is not
 // usable; construct with NewManager.
 type Manager struct {
-	mu      sync.Mutex //tcache:lockclass lockmgr
-	locks   map[string]*lockState
-	held    map[Owner]map[string]Mode // reverse index for ReleaseAll
-	timeout time.Duration             // 0 = no timeout
-	closed  bool
+	mu     sync.Mutex //tcache:lockclass lockmgr
+	locks  map[string]*lockState
+	held   map[Owner]map[string]Mode // reverse index for ReleaseAll
+	closed bool
 }
 
 type lockState struct {
@@ -74,33 +73,19 @@ type waiter struct {
 	done  bool       // set under Manager.mu once resolved
 }
 
-// Option configures a Manager.
-type Option func(*Manager)
-
-// WithTimeout bounds how long an Acquire may block (wall-clock time).
-// Zero (the default) waits indefinitely, relying on deadlock detection.
-func WithTimeout(d time.Duration) Option {
-	return func(m *Manager) { m.timeout = d }
-}
-
 // NewManager returns an empty lock table.
-func NewManager(opts ...Option) *Manager {
-	m := &Manager{
+func NewManager() *Manager {
+	return &Manager{
 		locks: make(map[string]*lockState),
 		held:  make(map[Owner]map[string]Mode),
 	}
-	for _, o := range opts {
-		o(m)
-	}
-	return m
 }
 
 // Acquire blocks until owner holds key in at least the requested mode.
 // Re-acquiring an already-held mode is a no-op; requesting Exclusive while
 // holding Shared performs an upgrade. It returns ErrDeadlock if waiting
-// would create a wait-for cycle, ErrTimeout if the configured timeout
-// elapses, ctx.Err() if the context is cancelled while waiting, or
-// ErrClosed if the manager shuts down.
+// would create a wait-for cycle, ctx.Err() if the context is cancelled
+// while waiting, or ErrClosed if the manager shuts down.
 func (m *Manager) Acquire(ctx context.Context, owner Owner, key string, mode Mode) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -143,28 +128,20 @@ func (m *Manager) Acquire(ctx context.Context, owner Owner, key string, mode Mod
 	}
 	m.mu.Unlock()
 
-	var timeoutC <-chan time.Time
-	if m.timeout > 0 {
-		t := time.NewTimer(m.timeout)
-		defer t.Stop()
-		timeoutC = t.C
-	}
 	select {
 	case err := <-w.ready:
 		return err
-	case <-timeoutC:
-		return m.abandonWait(ls, w, ErrTimeout)
 	case <-ctx.Done():
 		return m.abandonWait(ls, w, ctx.Err())
 	}
 }
 
-// abandonWait withdraws w from the queue after a timeout or cancellation,
-// unless the grant raced the wakeup — then the lock is kept.
+// abandonWait withdraws w from the queue after a cancellation, unless
+// the grant raced the wakeup — then the lock is kept.
 func (m *Manager) abandonWait(ls *lockState, w *waiter, reason error) error {
 	m.mu.Lock()
 	if w.done {
-		// Granted concurrently with the timeout/cancel; keep the lock (the
+		// Granted concurrently with the cancel; keep the lock (the
 		// caller's rollback path releases it if the transaction dies).
 		m.mu.Unlock()
 		return <-w.ready

@@ -191,22 +191,6 @@ func TestUpgradeDeadlockDetected(t *testing.T) {
 	}
 }
 
-func TestTimeout(t *testing.T) {
-	m := NewManager(WithTimeout(20 * time.Millisecond))
-	if err := m.Acquire(bg, 1, "k", Exclusive); err != nil {
-		t.Fatal(err)
-	}
-	err := m.Acquire(bg, 2, "k", Exclusive)
-	if !errors.Is(err, ErrTimeout) {
-		t.Fatalf("err = %v, want ErrTimeout", err)
-	}
-	// Timed-out waiter must not receive the lock later.
-	m.ReleaseAll(1)
-	if !m.TryAcquire(3, "k", Exclusive) {
-		t.Fatal("lock leaked to a timed-out waiter")
-	}
-}
-
 func TestCloseWakesWaiters(t *testing.T) {
 	m := NewManager()
 	if err := m.Acquire(bg, 1, "k", Exclusive); err != nil {

@@ -328,12 +328,18 @@ func TestUpdateCancelUnblocksLockWait(t *testing.T) {
 	}
 }
 
-// TestUpdateConflictBackoffHonorsCtx forces a deadlock-prone workload to
-// exercise the jittered-backoff retry loop, then checks a cancelled ctx
-// stops a conflict-looping update.
+// TestUpdateConflictBackoffHonorsCtx drives the jittered-backoff retry
+// loop with an optimistic update that can never commit — its closure
+// commits a rival write to the key it read, so every attempt fails
+// validation — then checks the ctx deadline stops the loop.
 func TestUpdateConflictBackoffHonorsCtx(t *testing.T) {
-	d := tcache.OpenDB(tcache.WithLockTimeout(5 * time.Millisecond))
+	d := tcache.OpenDB()
 	defer d.Close()
+	c, err := tcache.NewCache(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
 	ctx := context.Background()
 	if err := d.Update(ctx, func(tx *tcache.Tx) error {
 		return tx.Set("k", tcache.Value("v0"))
@@ -341,40 +347,31 @@ func TestUpdateConflictBackoffHonorsCtx(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Hold the lock forever (from this test's perspective).
-	hold := make(chan struct{})
-	held := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_ = d.Update(ctx, func(tx *tcache.Tx) error {
-			if err := tx.Set("k", tcache.Value("held")); err != nil {
-				return err
-			}
-			close(held)
-			<-hold
-			return nil
-		})
-	}()
-	<-held
-
-	// The contender hits ErrConflict (lock timeout) repeatedly; the retry
-	// loop backs off until the ctx deadline stops it.
 	wctx, cancel := context.WithTimeout(ctx, 150*time.Millisecond)
 	defer cancel()
+	attempts := 0
 	start := time.Now()
-	err := d.Update(wctx, func(tx *tcache.Tx) error {
+	err = c.Update(wctx, func(tx *tcache.Tx) error {
+		attempts++
+		if _, _, err := tx.Get(wctx, "k"); err != nil {
+			return err
+		}
+		if err := d.Update(ctx, func(rival *tcache.Tx) error {
+			return rival.Set("k", tcache.Value(fmt.Sprintf("rival%d", attempts)))
+		}); err != nil {
+			return err
+		}
 		return tx.Set("k", tcache.Value("contender"))
 	})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("conflict-looping update = %v, want context.DeadlineExceeded", err)
 	}
+	if attempts < 2 {
+		t.Fatalf("%d attempt(s): the conflict was never retried", attempts)
+	}
 	if elapsed := time.Since(start); elapsed > 3*time.Second {
 		t.Fatalf("retry loop ignored ctx for %v", elapsed)
 	}
-	close(hold)
-	wg.Wait()
 }
 
 // TestNewCacheDuplicateNameSurfaces covers the Subscribe bugfix through

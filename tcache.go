@@ -159,23 +159,12 @@ var (
 // DBOption configures OpenDB.
 type DBOption func(*db.Config)
 
-// WithShards sets the number of two-phase-commit participants the key
-// space is partitioned over (default 1).
-func WithShards(n int) DBOption {
-	return func(c *db.Config) { c.Shards = n }
-}
-
 // WithDepListBound sets the dependency-list length k the database
 // maintains per object (default 5, the paper's setting). Longer lists
 // detect more inconsistencies at slightly higher metadata cost; 0
 // disables dependency tracking.
 func WithDepListBound(k int) DBOption {
 	return func(c *db.Config) { c.DepBound = k }
-}
-
-// WithLockTimeout bounds update-transaction lock waits.
-func WithLockTimeout(d time.Duration) DBOption {
-	return func(c *db.Config) { c.LockTimeout = d }
 }
 
 // WithFsync controls whether OpenDurableDB fsyncs every commit batch
@@ -204,7 +193,7 @@ func WithSnapshotEvery(n int) DBOption {
 
 // OpenDB creates an in-process backend database.
 func OpenDB(opts ...DBOption) *DB {
-	cfg := db.Config{DepBound: 5, Shards: 1}
+	cfg := db.Config{DepBound: 5}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -222,7 +211,7 @@ func OpenDB(opts ...DBOption) *DB {
 // versions of this package before the segmented format — a single gob
 // file at a path — are not readable; there is no migration.
 func OpenDurableDB(dir string, opts ...DBOption) (*DB, error) {
-	cfg := db.Config{DepBound: 5, Shards: 1, WALSync: true}
+	cfg := db.Config{DepBound: 5, WALSync: true}
 	for _, o := range opts {
 		o(&cfg)
 	}
