@@ -11,7 +11,8 @@ test:
 	$(GO) test ./...
 
 # race also sweeps GOMAXPROCS over the packages whose behaviour depends
-# on the stripe count, over the log (flusher, appenders and tailers share
+# on the stripe count (and over the workload generators' shared key
+# tables and the monitor's reused classification scratch), over the log (flusher, appenders and tailers share
 # one positioned-write file), over the database and its lock manager
 # (the commit door, deadlock detection, the money-transfer invariant),
 # over the write path's tests (commit, install, relay), over the read transactions' (owned ReadTxn handles,
@@ -28,7 +29,7 @@ test:
 # moves its pooled-record rows.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -cpu 1,2,4 ./internal/core ./internal/evict ./internal/kv ./internal/codec ./internal/telemetry
+	$(GO) test -race -cpu 1,2,4 ./internal/core ./internal/evict ./internal/kv ./internal/codec ./internal/telemetry ./internal/workload ./internal/monitor
 	$(GO) test -race -cpu 1,2,4 ./internal/wal
 	$(GO) test -race -cpu 1,2,4 ./internal/db ./internal/lock
 	$(GO) test -race -cpu 1,2,4 -run 'Update|Install|Commit' . ./internal/cluster

@@ -271,18 +271,19 @@ func BenchmarkDBUpdateTxn(b *testing.B) {
 	d := db.Open(db.Config{DepBound: 5})
 	defer d.Close()
 	seedCluster(b, d, 5)
+	keys := benchKeys(5)
 
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		txn := d.Begin()
-		for r := 0; r < 5; r++ {
-			if _, _, err := txn.Read(workload.ObjectKey(r)); err != nil {
+		for _, k := range keys {
+			if _, _, err := txn.Read(k); err != nil {
 				b.Fatal(err)
 			}
 		}
-		for r := 0; r < 5; r++ {
-			if err := txn.Write(workload.ObjectKey(r), kv.Value("v")); err != nil {
+		for _, k := range keys {
+			if err := txn.Write(k, kv.Value("v")); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -351,32 +352,33 @@ func BenchmarkDetectionUnderStaleness(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer cache.Close()
+	keys := benchKeys(2)
 
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		// Cache b, update {a,b} without invalidation, then read a then b.
-		if _, err := cache.Get(bgb, workload.ObjectKey(1)); err != nil {
+		if _, err := cache.Get(bgb, keys[1]); err != nil {
 			b.Fatal(err)
 		}
 		txn := d.Begin()
-		for r := 0; r < 2; r++ {
-			if _, _, err := txn.Read(workload.ObjectKey(r)); err != nil {
+		for _, k := range keys {
+			if _, _, err := txn.Read(k); err != nil {
 				b.Fatal(err)
 			}
-			if err := txn.Write(workload.ObjectKey(r), kv.Value("v")); err != nil {
+			if err := txn.Write(k, kv.Value("v")); err != nil {
 				b.Fatal(err)
 			}
 		}
 		if _, err := txn.Commit(); err != nil {
 			b.Fatal(err)
 		}
-		cache.Invalidate(workload.ObjectKey(0), kv.Version{Counter: ^uint64(0)}) // evict a only
+		cache.Invalidate(keys[0], kv.Version{Counter: ^uint64(0)}) // evict a only
 		id := kv.TxnID(i + 1)
-		if _, err := cache.Read(bgb, id, workload.ObjectKey(0), false); err != nil {
+		if _, err := cache.Read(bgb, id, keys[0], false); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := cache.Read(bgb, id, workload.ObjectKey(1), true); err != nil &&
+		if _, err := cache.Read(bgb, id, keys[1], true); err != nil &&
 			!errors.Is(err, core.ErrTxnAborted) {
 			b.Fatal(err)
 		}

@@ -104,9 +104,10 @@ func (d *DB) boundFor(key kv.Key) int {
 // composeDeps builds the final stored dependency list for written object
 // key from the transaction's full merged list: pinned dependencies first
 // (force-included at their current committed versions, never truncated),
-// then the remaining entries, truncated to key's bound. Called under
-// commitMu, so store version lookups are stable.
-func (d *DB) composeDeps(key kv.Key, full kv.DepList, txnVersions map[kv.Key]kv.Version) kv.DepList {
+// then the remaining entries, truncated to key's bound. A pin the
+// committing transaction t touched carries its version in the commit at
+// vt. Called under commitMu, so store version lookups are stable.
+func (d *DB) composeDeps(key kv.Key, full kv.DepList, t *Txn, vt kv.Version) kv.DepList {
 	bound := d.boundFor(key)
 	rest := full.WithoutKey(key)
 	pins := d.pinned.get(key)
@@ -116,7 +117,7 @@ func (d *DB) composeDeps(key kv.Key, full kv.DepList, txnVersions map[kv.Key]kv.
 
 	out := make(kv.DepList, 0, len(pins)+len(rest))
 	for _, p := range pins {
-		ver, ok := txnVersions[p]
+		ver, ok := t.accessVersion(p, vt)
 		if !ok {
 			if fromList, found := rest.Lookup(p); found {
 				ver, ok = fromList, true

@@ -279,17 +279,14 @@ func (t *Txn) Commit() (kv.Version, error) {
 	// the new version vt; read-set entries use the version observed.
 	// Entries for never-written keys carry no information and are skipped.
 	accesses := make([]kv.Access, 0, len(t.writes)+len(t.reads))
-	txnVersions := make(map[kv.Key]kv.Version, len(t.writes)+len(t.reads))
 	for _, w := range t.writes {
 		accesses = append(accesses, kv.Access{Key: w.key, Version: vt, Deps: w.old.Deps})
-		txnVersions[w.key] = vt
 	}
 	for _, r := range t.reads {
 		if _, alsoWritten := t.wrIx[r.key]; alsoWritten || !r.found {
 			continue
 		}
 		accesses = append(accesses, kv.Access{Key: r.key, Version: r.item.Version, Deps: r.item.Deps})
-		txnVersions[r.key] = r.item.Version
 	}
 	mergeBound := t.mergeBound()
 	merge := kv.MergeDeps
@@ -303,7 +300,7 @@ func (t *Txn) Commit() (kv.Version, error) {
 		items[i] = kv.Item{
 			Value:   w.value,
 			Version: vt,
-			Deps:    d.composeDeps(w.key, full, txnVersions),
+			Deps:    d.composeDeps(w.key, full, t, vt),
 		}
 		if t.deps != nil {
 			t.deps[i] = items[i].Deps
@@ -359,6 +356,19 @@ func (t *Txn) Commit() (kv.Version, error) {
 		return kv.Version{}, fmt.Errorf("db: commit awaiting %d sync replica(s): %w", d.cfg.ReplMinSync, err)
 	}
 	return vt, nil
+}
+
+// accessVersion is the version key has in the commit at vt, if the
+// transaction touched it: vt for a written key, the observed version for
+// a key only read (and found). It is what the commit's accesses record.
+func (t *Txn) accessVersion(key kv.Key, vt kv.Version) (kv.Version, bool) {
+	if _, ok := t.wrIx[key]; ok {
+		return vt, true
+	}
+	if i, ok := t.readIx[key]; ok && t.reads[i].found {
+		return t.reads[i].item.Version, true
+	}
+	return kv.Version{}, false
 }
 
 func errorsIsAny(err error, targets ...error) bool {

@@ -12,6 +12,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
+	"strconv"
 	"time"
 
 	"tcache/internal/chaos"
@@ -235,8 +237,9 @@ func (c *Column) RunUpdateTxn(gen workload.Generator) error {
 			return fmt.Errorf("experiment: update read %q: %w", k, err)
 		}
 	}
+	var buf [24]byte // Write copies the value, so one buffer serves every key
 	for _, k := range keys {
-		val := kv.Value(fmt.Sprintf("v%d", c.updateRNG.Int63()))
+		val := kv.Value(strconv.AppendInt(append(buf[:0], 'v'), c.updateRNG.Int63(), 10))
 		if err := txn.Write(k, val); err != nil {
 			return fmt.Errorf("experiment: update write %q: %w", k, err)
 		}
@@ -341,17 +344,15 @@ func (c *Column) Run(ctx context.Context, d Drive, updGen, readGen workload.Gene
 	return firstErr
 }
 
-// dedup removes repeated keys, keeping first-access order: update
-// transactions must not read/write the same key twice.
+// dedup removes repeated keys in place, keeping first-access order:
+// update transactions must not read/write the same key twice. A
+// transaction's handful of keys is searched by scanning.
 func dedup(keys []kv.Key) []kv.Key {
-	seen := make(map[kv.Key]struct{}, len(keys))
-	out := keys[:0:len(keys)]
+	out := keys[:0]
 	for _, k := range keys {
-		if _, ok := seen[k]; ok {
-			continue
+		if !slices.Contains(out, k) {
+			out = append(out, k)
 		}
-		seen[k] = struct{}{}
-		out = append(out, k)
 	}
 	return out
 }

@@ -109,6 +109,12 @@ func (l DepList) Normalize() DepList {
 // bound < 0 (Unbounded) disables truncation. bound == 0 always returns nil,
 // which degrades T-Cache to a consistency-unaware cache (the k=0 point of
 // Fig. 7c).
+//
+// A merge of at most mergeSpill entries (own accesses plus inherited
+// lists) dedups by a linear scan of the result and orders the inherited
+// entries with a stable insertion sort, allocating only the result and
+// the inherited scratch; a larger merge indexes keys in a map and sorts
+// with sort.SliceStable. Both give the same list.
 func MergeDeps(bound int, accesses []Access) DepList {
 	return mergeDeps(bound, accesses, false)
 }
@@ -122,6 +128,11 @@ func MergeDepsPositional(bound int, accesses []Access) DepList {
 	return mergeDeps(bound, accesses, true)
 }
 
+// mergeSpill is the merge size above which mergeDeps indexes keys in a
+// map and sorts with sort.SliceStable; at or below it, scans and an
+// insertion sort are cheaper and allocate nothing.
+const mergeSpill = 32
+
 func mergeDeps(bound int, accesses []Access, positional bool) DepList {
 	if bound == 0 {
 		return nil
@@ -132,16 +143,34 @@ func mergeDeps(bound int, accesses []Access, positional bool) DepList {
 		capHint += len(a.Deps)
 	}
 	merged := make(DepList, 0, capHint)
-	index := make(map[Key]int, capHint)
+	var index map[Key]int // nil up to mergeSpill entries: add scans merged
+	if capHint > mergeSpill {
+		index = make(map[Key]int, capHint)
+	}
 
 	add := func(e DepEntry) {
-		if i, ok := index[e.Key]; ok {
+		i := -1
+		if index != nil {
+			if j, ok := index[e.Key]; ok {
+				i = j
+			}
+		} else {
+			for j := range merged {
+				if merged[j].Key == e.Key {
+					i = j
+					break
+				}
+			}
+		}
+		if i >= 0 {
 			if merged[i].Version.Less(e.Version) {
 				merged[i].Version = e.Version
 			}
 			return
 		}
-		index[e.Key] = len(merged)
+		if index != nil {
+			index[e.Key] = len(merged)
+		}
 		merged = append(merged, e)
 	}
 
@@ -156,9 +185,7 @@ func mergeDeps(bound int, accesses []Access, positional bool) DepList {
 		inherited = append(inherited, a.Deps...)
 	}
 	if !positional {
-		sort.SliceStable(inherited, func(i, j int) bool {
-			return inherited[j].Version.Less(inherited[i].Version)
-		})
+		sortNewestFirst(inherited)
 	}
 	for _, e := range inherited {
 		add(e)
@@ -168,6 +195,23 @@ func mergeDeps(bound int, accesses []Access, positional bool) DepList {
 		merged = merged[:bound:bound]
 	}
 	return merged
+}
+
+// sortNewestFirst stably orders l by descending version: an insertion
+// sort up to mergeSpill entries, sort.SliceStable above.
+func sortNewestFirst(l DepList) {
+	if len(l) > mergeSpill {
+		sort.SliceStable(l, func(i, j int) bool { return l[j].Version.Less(l[i].Version) })
+		return
+	}
+	for i := 1; i < len(l); i++ {
+		e := l[i]
+		j := i
+		for ; j > 0 && l[j-1].Version.Less(e.Version); j-- {
+			l[j] = l[j-1]
+		}
+		l[j] = e
+	}
 }
 
 // WithoutKey returns a copy of the list with any entry for key removed.

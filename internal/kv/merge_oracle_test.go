@@ -120,3 +120,22 @@ func TestMergeDepsMatchesReference(t *testing.T) {
 		t.Fatalf("only %d of 3000 inputs crossed the 32-entry spill", spilled)
 	}
 }
+
+// TestMergeDepsAllocs gates the commit-time merge of a 5-object
+// transaction whose objects carry 3 dependencies each: the result and the
+// inherited scratch, nothing per entry.
+func TestMergeDepsAllocs(t *testing.T) {
+	accesses := make([]Access, 5)
+	for i := range accesses {
+		deps := make(DepList, 3)
+		for j := range deps {
+			deps[j] = DepEntry{Key: Key(fmt.Sprintf("d%d-%d", i, j)), Version: Version{Counter: uint64(10*i + j)}}
+		}
+		accesses[i] = Access{Key: Key(fmt.Sprintf("o%d", i)), Version: Version{Counter: 100}, Deps: deps}
+	}
+	for _, merge := range []func(int, []Access) DepList{MergeDeps, MergeDepsPositional} {
+		if n := testing.AllocsPerRun(200, func() { merge(6, accesses) }); n > 2 {
+			t.Fatalf("merge of 5 accesses × 3 deps allocates %v times, want ≤ 2", n)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"slices"
 	"sort"
 
 	"tcache/internal/kv"
@@ -30,6 +31,14 @@ import (
 // consistent" implies "exactly consistent", so the cheap interval test
 // short-circuits the common case and the graph search runs only on
 // version-torn read sets.
+//
+// A classification allocates nothing once its scratch has grown: the
+// writer set, the DFS stack and the visited marks live in exactState and
+// are reused by every classification, which is safe because all of them
+// run under the monitor's one mutex. Visited marks are epoch stamps in a
+// slice parallel to updates: a classification takes a fresh epoch, so
+// marks left by earlier ones read as unvisited without being cleared
+// (they are zeroed only when the epoch counter wraps).
 
 // updateTxn is one committed update transaction's access sets.
 type updateTxn struct {
@@ -48,6 +57,24 @@ type exactState struct {
 	// readers maps a (key, version) pair to the indices of update
 	// transactions that read exactly that version (wr successors).
 	readers map[DepEntry][]int
+
+	// Classification scratch (see the file comment). marks[i] == epoch
+	// means updates[i] was visited by the current classification; marks
+	// is kept as long as updates.
+	marks   []uint32
+	epoch   uint32
+	writers []int
+	stack   []int
+}
+
+// nextEpoch starts a classification's visited set.
+func (s *exactState) nextEpoch() uint32 {
+	s.epoch++
+	if s.epoch == 0 {
+		clear(s.marks)
+		s.epoch = 1
+	}
+	return s.epoch
 }
 
 func (s *exactState) init() {
@@ -82,10 +109,13 @@ func (s *exactState) record(version kv.Version, writes []kv.Key, reads []Read) {
 	}
 	u := updateTxn{version: version, writes: writes, reads: reads}
 	n := len(s.updates)
+	s.marks = append(s.marks, 0)
 	if n == 0 || s.updates[n-1].version.Less(version) {
 		s.updates = append(s.updates, u)
 		s.byVer[version] = n
 	} else {
+		// Marks are only compared with a later classification's fresh
+		// epoch, so the one appended above may stand for any position.
 		i := sort.Search(n, func(i int) bool { return !s.updates[i].version.Less(version) })
 		s.updates = append(s.updates, updateTxn{})
 		copy(s.updates[i+1:], s.updates[i:])
@@ -126,45 +156,49 @@ func (m *Monitor) classifyExactLocked(reads []Read) bool {
 	if m.consistentLocked(reads) {
 		return true // interval-consistent ⇒ exactly consistent
 	}
-	m.exact.init()
+	s := &m.exact
+	s.init()
 
 	// Predecessors: writers of the versions read.
-	writerIdx := make(map[int]struct{}, len(reads))
+	writers := s.writers[:0]
 	var maxW kv.Version
 	for _, r := range reads {
 		if r.Version.IsZero() {
 			continue
 		}
-		if i, ok := m.exact.byVer[r.Version]; ok {
+		if i, ok := s.byVer[r.Version]; ok {
 			// The version must actually have written this key: a phantom
 			// version registered defensively for one key must not make
 			// its transaction a predecessor for another key's read.
-			if !containsWrite(m.exact.updates[i].writes, r.Key) {
+			if !containsWrite(s.updates[i].writes, r.Key) {
 				continue
 			}
-			writerIdx[i] = struct{}{}
+			if !slices.Contains(writers, i) {
+				writers = append(writers, i)
+			}
 			if maxW.Less(r.Version) {
 				maxW = r.Version
 			}
 		}
 	}
-	if len(writerIdx) == 0 {
+	s.writers = writers
+	if len(writers) == 0 {
 		return true
 	}
 
 	// Successor constraints: overwriters of the versions read. T is
 	// non-serializable iff some overwriter reaches some writer.
-	visited := make(map[int]bool)
+	epoch := s.nextEpoch()
 	for _, r := range reads {
 		next, ok := m.nextVersionLocked(r.Key, r.Version)
 		if !ok || maxW.Less(next) {
 			continue
 		}
-		oi, ok := m.exact.byVer[next]
+		oi, ok := s.byVer[next]
 		if !ok {
 			continue // overwrite by a seed (cannot happen in practice)
 		}
-		if m.reachesLocked(oi, writerIdx, maxW, visited) {
+		if m.reachesLocked(oi, writers, maxW, epoch) {
 			return false
 		}
 	}
@@ -173,31 +207,33 @@ func (m *Monitor) classifyExactLocked(reads []Read) bool {
 
 // reachesLocked runs a DFS over conflict successors from node start,
 // pruned to versions ≤ maxVer, returning true if it hits any target.
-// visited is shared across the per-overwriter searches of one
-// classification (reachability is monotone, so sharing is sound: a node
-// already explored without hitting a target never will).
-func (m *Monitor) reachesLocked(start int, targets map[int]struct{}, maxVer kv.Version, visited map[int]bool) bool {
-	stack := []int{start}
+// Nodes marked with epoch are shared across the per-overwriter searches
+// of one classification (reachability is monotone, so sharing is sound:
+// a node already explored without hitting a target never will).
+func (m *Monitor) reachesLocked(start int, targets []int, maxVer kv.Version, epoch uint32) bool {
+	s := &m.exact
+	stack := append(s.stack[:0], start)
+	defer func() { s.stack = stack[:0] }()
 	for len(stack) > 0 {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if _, hit := targets[u]; hit {
+		if slices.Contains(targets, u) {
 			return true
 		}
-		if visited[u] {
+		if s.marks[u] == epoch {
 			continue
 		}
-		visited[u] = true
-		txn := m.exact.updates[u]
+		s.marks[u] = epoch
+		txn := &s.updates[u]
 		// ww and wr successors per written key.
 		for _, k := range txn.writes {
 			if nv, ok := m.nextVersionLocked(k, txn.version); ok && !maxVer.Less(nv) {
-				if i, ok := m.exact.byVer[nv]; ok {
+				if i, ok := s.byVer[nv]; ok {
 					stack = append(stack, i)
 				}
 			}
-			for _, i := range m.exact.readers[DepEntry{Key: k, Version: txn.version}] {
-				if !maxVer.Less(m.exact.updates[i].version) {
+			for _, i := range s.readers[DepEntry{Key: k, Version: txn.version}] {
+				if !maxVer.Less(s.updates[i].version) {
 					stack = append(stack, i)
 				}
 			}
@@ -205,7 +241,7 @@ func (m *Monitor) reachesLocked(start int, targets map[int]struct{}, maxVer kv.V
 		// rw successors per read version.
 		for _, r := range txn.reads {
 			if nv, ok := m.nextVersionLocked(r.Key, r.Version); ok && !maxVer.Less(nv) {
-				if i, ok := m.exact.byVer[nv]; ok && i != u {
+				if i, ok := s.byVer[nv]; ok && i != u {
 					stack = append(stack, i)
 				}
 			}
@@ -236,6 +272,7 @@ func (m *Monitor) trimExactLocked(watermark kv.Version) {
 	}
 	dropped := s.updates[:i]
 	s.updates = append([]updateTxn(nil), s.updates[i:]...)
+	s.marks = s.marks[:len(s.updates)]
 	for _, u := range dropped {
 		delete(s.byVer, u.version)
 	}

@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -288,4 +289,67 @@ func TestExactMatchesReference(t *testing.T) {
 		t.Fatalf("graph search passed %d and failed %d torn read sets: the histories do not exercise it", reordered, cyclic)
 	}
 	t.Logf("torn read sets: %d serializable by reordering, %d cyclic", reordered, cyclic)
+}
+
+// TestExactEpochWrap checks the visited marks across a wrap of their
+// epoch counter. On a transitive conflict chain, whose search must pass
+// through the overwriter it starts from: a wrap before any mark exists
+// must not leave an epoch every unmarked node matches, and a second wrap
+// straight after it must clear the marks the first stamped, or the
+// restarted epoch finds the chain already visited. Then, over random
+// histories, every verdict after a wrap equals the reference's.
+func TestExactEpochWrap(t *testing.T) {
+	m := New()
+	m.RecordUpdate(v(1), []kv.Key{"x"}, nil)
+	m.RecordUpdate(v(2), []kv.Key{"z"}, nil)
+	m.RecordUpdate(v(3), []kv.Key{"y"}, nil)
+	m.RecordUpdate(v(10), []kv.Key{"x", "z"}, []Read{{"x", v(1)}, {"z", v(2)}})
+	m.RecordUpdate(v(11), []kv.Key{"z"}, []Read{{"z", v(10)}})
+	m.RecordUpdate(v(12), []kv.Key{"y"}, []Read{{"z", v(11)}})
+	torn := []Read{{"x", v(1)}, {"y", v(12)}}
+	for i, wrap := range []bool{true, true, false} {
+		if wrap {
+			m.exact.epoch = math.MaxUint32
+		}
+		if m.ClassifyExact(torn) {
+			t.Fatalf("classification %d (epoch now %d): chain 10 → 11 → 12 not found", i, m.exact.epoch)
+		}
+	}
+
+	for seed := int64(1); seed <= 5; seed++ {
+		h := newOracleHistory(t, seed)
+		h.run(300)
+		h.m.exact.epoch = math.MaxUint32 - 5
+		h.run(300)
+		if e := h.m.exact.epoch; e >= math.MaxUint32-5 || e == 0 {
+			t.Fatalf("seed %d: epoch %d never wrapped", seed, e)
+		}
+	}
+}
+
+// TestClassifyExactAllocs gates the exact classifier on a version-torn
+// read set against a 10k-transaction history (BenchmarkMonitorClassifyExact's
+// set-up): once its scratch has grown, a classification allocates nothing.
+func TestClassifyExactAllocs(t *testing.T) {
+	key := func(i int) kv.Key { return kv.Key(fmt.Sprintf("o%06d", i)) }
+	m := New()
+	for c := uint64(1); c <= 10000; c++ {
+		k := key(int(c) % 100)
+		var reads []Read
+		if c > 100 {
+			reads = []Read{{Key: k, Version: kv.Version{Counter: c - 100}}}
+		}
+		m.RecordUpdate(kv.Version{Counter: c}, []kv.Key{k}, reads)
+	}
+	reads := []Read{
+		{Key: key(0), Version: kv.Version{Counter: 9500}},
+		{Key: key(1), Version: kv.Version{Counter: 9901}},
+		{Key: key(2), Version: kv.Version{Counter: 9902}},
+	}
+	if m.Classify(reads) {
+		t.Fatal("read set is strict-consistent; the gate would not reach the graph search")
+	}
+	if n := testing.AllocsPerRun(200, func() { m.ClassifyExact(reads) }); n != 0 {
+		t.Fatalf("ClassifyExact allocates %v times per torn read set, want 0", n)
+	}
 }

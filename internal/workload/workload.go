@@ -7,12 +7,23 @@
 // A Generator produces the key set of one transaction; the same generator
 // drives both update and read-only clients (the paper uses 5-object
 // transactions for both).
+//
+// The built-in generators name each object with one string: the first
+// Pick (or Keys) builds the generator's key table, and every pick and
+// Keys hand out the table's strings, so the database, the caches and the
+// monitor that keep a key all share it instead of holding a copy per
+// transaction. The table is built once and only read after, so Pick is
+// safe to call from several goroutines at once, each with its own rng. A
+// generator's object-count fields (Objects, or the Graph's node count)
+// and GraphWalk's Prefix must not change after its first Pick or Keys.
 package workload
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 
 	"tcache/internal/graph"
 	"tcache/internal/kv"
@@ -34,6 +45,27 @@ func ObjectKey(i int) kv.Key {
 	return kv.Key(fmt.Sprintf("o%06d", i))
 }
 
+// keyTable is a generator's object keys, built once on first use.
+type keyTable struct {
+	once sync.Once
+	keys []kv.Key
+}
+
+// build returns the table, filling it with n keys named by name the first
+// time.
+func (t *keyTable) build(n int, name func(i int) kv.Key) []kv.Key {
+	t.once.Do(func() {
+		t.keys = make([]kv.Key, n)
+		for i := range t.keys {
+			t.keys[i] = name(i)
+		}
+	})
+	return t.keys
+}
+
+// objects returns the table of ObjectKey(0..n-1).
+func (t *keyTable) objects(n int) []kv.Key { return t.build(n, ObjectKey) }
+
 // PerfectClusters is the paper's first synthetic workload: objects
 // 0..Objects-1 are divided into clusters of ClusterSize; each transaction
 // picks one cluster uniformly and then TxnSize objects uniformly with
@@ -46,21 +78,27 @@ type PerfectClusters struct {
 	// (c*ClusterSize+Shift ... ) mod Objects. DriftingClusters advances
 	// it over time (Fig. 5).
 	Shift int
+
+	keys keyTable
 }
 
 var _ Generator = (*PerfectClusters)(nil)
 
 // Pick implements Generator.
 func (p *PerfectClusters) Pick(rng *rand.Rand) []kv.Key {
+	keys := p.keys.objects(p.Objects)
 	clusters := p.Objects / p.ClusterSize
 	c := rng.Intn(clusters)
 	out := make([]kv.Key, p.TxnSize)
 	for i := range out {
 		o := (c*p.ClusterSize + rng.Intn(p.ClusterSize) + p.Shift) % p.Objects
-		out[i] = ObjectKey(o)
+		out[i] = keys[o]
 	}
 	return out
 }
+
+// Keys returns every object key, for seeding.
+func (p *PerfectClusters) Keys() []kv.Key { return slices.Clone(p.keys.objects(p.Objects)) }
 
 // Advance shifts the cluster boundaries by one object, wrapping at
 // Objects (the Fig. 5 drift step: 0−4,5−9 → 1−5,6−10, …).
@@ -79,21 +117,27 @@ type ParetoClusters struct {
 	TxnSize     int
 	// Alpha is the Pareto shape parameter (Fig. 3 sweeps 1/32 … 4).
 	Alpha float64
+
+	keys keyTable
 }
 
 var _ Generator = (*ParetoClusters)(nil)
 
 // Pick implements Generator.
 func (p *ParetoClusters) Pick(rng *rand.Rand) []kv.Key {
+	keys := p.keys.objects(p.Objects)
 	clusters := p.Objects / p.ClusterSize
 	head := rng.Intn(clusters) * p.ClusterSize
 	out := make([]kv.Key, p.TxnSize)
 	for i := range out {
 		off := int(BoundedPareto(rng, p.Alpha, 1, float64(p.Objects))) - 1
-		out[i] = ObjectKey((head + off) % p.Objects)
+		out[i] = keys[(head+off)%p.Objects]
 	}
 	return out
 }
+
+// Keys returns every object key, for seeding.
+func (p *ParetoClusters) Keys() []kv.Key { return slices.Clone(p.keys.objects(p.Objects)) }
 
 // BoundedPareto draws from a Pareto distribution with shape alpha
 // truncated to [lo, hi], by inverse-CDF sampling:
@@ -121,18 +165,24 @@ func BoundedPareto(rng *rand.Rand, alpha, lo, hi float64) float64 {
 type Uniform struct {
 	Objects int
 	TxnSize int
+
+	keys keyTable
 }
 
 var _ Generator = (*Uniform)(nil)
 
 // Pick implements Generator.
 func (u *Uniform) Pick(rng *rand.Rand) []kv.Key {
+	keys := u.keys.objects(u.Objects)
 	out := make([]kv.Key, u.TxnSize)
 	for i := range out {
-		out[i] = ObjectKey(rng.Intn(u.Objects))
+		out[i] = keys[rng.Intn(u.Objects)]
 	}
 	return out
 }
+
+// Keys returns every object key, for seeding.
+func (u *Uniform) Keys() []kv.Key { return slices.Clone(u.keys.objects(u.Objects)) }
 
 // Switch delegates to Before until Flip is called, then to After. It
 // implements the Fig. 4 cluster-formation experiment (uniform accesses
@@ -167,33 +217,34 @@ type GraphWalk struct {
 	Steps int
 	// Prefix namespaces the keys, so two topologies can share a DB.
 	Prefix string
+
+	keys keyTable
 }
 
 var _ Generator = (*GraphWalk)(nil)
 
 // Pick implements Generator.
 func (g *GraphWalk) Pick(rng *rand.Rand) []kv.Key {
+	keys := g.table()
 	start := rng.Intn(g.Graph.NumNodes())
 	walk := g.Graph.RandomWalk(start, g.Steps, rng)
 	out := make([]kv.Key, len(walk))
 	for i, n := range walk {
-		out[i] = g.Key(n)
+		out[i] = keys[n]
 	}
 	return out
 }
 
 // Key names node n's object.
-func (g *GraphWalk) Key(n int) kv.Key {
-	return kv.Key(fmt.Sprintf("%sn%06d", g.Prefix, n))
-}
+func (g *GraphWalk) Key(n int) kv.Key { return g.table()[n] }
 
 // Keys returns every object key of the topology, for seeding.
-func (g *GraphWalk) Keys() []kv.Key {
-	out := make([]kv.Key, g.Graph.NumNodes())
-	for i := range out {
-		out[i] = g.Key(i)
-	}
-	return out
+func (g *GraphWalk) Keys() []kv.Key { return slices.Clone(g.table()) }
+
+func (g *GraphWalk) table() []kv.Key {
+	return g.keys.build(g.Graph.NumNodes(), func(n int) kv.Key {
+		return kv.Key(fmt.Sprintf("%sn%06d", g.Prefix, n))
+	})
 }
 
 // AllObjectKeys returns ObjectKey(0..n-1), for seeding synthetic

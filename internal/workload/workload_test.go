@@ -3,8 +3,12 @@ package workload
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
+	"unsafe"
 
 	"tcache/internal/graph"
 	"tcache/internal/kv"
@@ -282,5 +286,95 @@ func TestBoundedParetoMeanDecreasesWithAlpha(t *testing.T) {
 	m1, m2 := mean(0.25), mean(2)
 	if !(m1 > m2) || math.IsNaN(m1) || math.IsNaN(m2) {
 		t.Fatalf("mean(0.25)=%v should exceed mean(2)=%v", m1, m2)
+	}
+}
+
+// walkGraph is a 100-node path: every walk takes all its steps.
+func walkGraph() *graph.Graph {
+	g := graph.New(100)
+	for i := 0; i < 99; i++ {
+		g.AddEdge(i, i+1)
+	}
+	return g
+}
+
+// TestPickSharesTableStrings checks that picks hand out the generator's
+// key strings rather than formatting new ones: GraphWalk.Pick allocates
+// only its walk and the returned slice, and every picked key is the very
+// string Keys returns for that object.
+func TestPickSharesTableStrings(t *testing.T) {
+	w := &GraphWalk{Graph: walkGraph(), Steps: 5, Prefix: "amz-"}
+	rng := rand.New(rand.NewSource(12))
+	if n := testing.AllocsPerRun(200, func() { w.Pick(rng) }); n > 2 {
+		t.Fatalf("GraphWalk.Pick allocates %v times, want ≤ 2 (the walk and the key slice)", n)
+	}
+	p := &PerfectClusters{Objects: 100, ClusterSize: 5, TxnSize: 5}
+	if n := testing.AllocsPerRun(200, func() { p.Pick(rng) }); n > 1 {
+		t.Fatalf("PerfectClusters.Pick allocates %v times, want ≤ 1 (the key slice)", n)
+	}
+
+	sameString := func(a, b kv.Key) bool {
+		return len(a) == len(b) && unsafe.StringData(string(a)) == unsafe.StringData(string(b))
+	}
+	keys := w.Keys()
+	for _, k := range w.Pick(rng) {
+		n, err := strconv.Atoi(strings.TrimPrefix(string(k), "amz-n"))
+		if err != nil {
+			t.Fatalf("key %q: %v", k, err)
+		}
+		if !sameString(k, keys[n]) || !sameString(k, w.Key(n)) {
+			t.Fatalf("picked %q is not the table's string for node %d", k, n)
+		}
+	}
+	objs := p.Keys()
+	for _, k := range p.Pick(rng) {
+		if i := objIndex(t, k); !sameString(k, objs[i]) {
+			t.Fatalf("picked %q is not the table's string for object %d", k, i)
+		}
+	}
+	// Keys is a fresh slice each call: a caller may reorder its copy.
+	objs[0] = "scribbled"
+	if p.Keys()[0] != ObjectKey(0) {
+		t.Fatal("Keys returned the table itself")
+	}
+}
+
+// TestPickConcurrentFirstUse races the first picks of fresh generators
+// from 8 goroutines, each with its own rng: the key table is built once,
+// and each goroutine's picks equal a sequential replay of its seed. Run it
+// under -race.
+func TestPickConcurrentFirstUse(t *testing.T) {
+	fresh := map[string]func() Generator{
+		"GraphWalk": func() Generator { return &GraphWalk{Graph: walkGraph(), Steps: 5} },
+		"PerfectClusters": func() Generator {
+			return &PerfectClusters{Objects: 100, ClusterSize: 5, TxnSize: 5}
+		},
+	}
+	for name, mk := range fresh {
+		t.Run(name, func(t *testing.T) {
+			const workers, picks = 8, 200
+			shared := mk()
+			got := make([][][]kv.Key, workers)
+			var wg sync.WaitGroup
+			for i := range got {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(int64(i)))
+					for j := 0; j < picks; j++ {
+						got[i] = append(got[i], shared.Pick(rng))
+					}
+				}()
+			}
+			wg.Wait()
+			for i := range got {
+				replay, rng := mk(), rand.New(rand.NewSource(int64(i)))
+				for j, keys := range got[i] {
+					if want := replay.Pick(rng); !slices.Equal(keys, want) {
+						t.Fatalf("worker %d pick %d = %v, sequential replay %v", i, j, keys, want)
+					}
+				}
+			}
+		})
 	}
 }
