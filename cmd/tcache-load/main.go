@@ -121,7 +121,7 @@ func run() error {
 	// is one round trip instead of one per object.
 	gen := &workload.PerfectClusters{Objects: *objects, ClusterSize: *clusterSize, TxnSize: *txnSize}
 	fmt.Printf("seeding %d objects...\n", *objects)
-	all := gen.Keys()
+	all := workload.AllObjectKeys(*objects)
 	const seedChunk = 100
 	for start := 0; start < len(all); start += seedChunk {
 		chunk := all[start:min(start+seedChunk, len(all))]

@@ -248,7 +248,7 @@ func RunDropSweep(ctx context.Context, p DropSweepParams) (*DropSweepResult, err
 	res := &DropSweepResult{Params: p}
 	gen := &workload.PerfectClusters{Objects: p.Objects, ClusterSize: p.ClusterSize, TxnSize: p.TxnSize}
 	t := trial{
-		upd: gen, read: gen, keys: gen.Keys(),
+		upd: gen, read: gen, keys: workload.AllObjectKeys(p.Objects),
 		drive: p.Drive, warmup: p.Warmup, window: p.MeasureFor,
 	}
 	for _, rate := range p.DropRates {

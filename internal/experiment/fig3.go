@@ -77,7 +77,7 @@ func RunAlphaSweep(ctx context.Context, p AlphaParams) (*AlphaResult, error) {
 		}
 		m, _, err := trial{
 			cfg: ColumnConfig{DepBound: p.DepBound, Strategy: core.StrategyAbort, Seed: p.Seed + int64(i)},
-			upd: gen, read: gen, keys: gen.Keys(),
+			upd: gen, read: gen, keys: workload.AllObjectKeys(p.Objects),
 			drive: p.Drive, warmup: p.Warmup, window: p.MeasureFor,
 		}.run(ctx)
 		if err != nil {

@@ -64,14 +64,17 @@ type ConvergenceResult struct {
 
 // RunConvergence regenerates Fig. 4.
 func RunConvergence(ctx context.Context, p ConvergenceParams) (*ConvergenceResult, error) {
-	clustered := &workload.PerfectClusters{Objects: p.Objects, ClusterSize: p.ClusterSize, TxnSize: p.TxnSize}
 	gen := &workload.Switch{
 		Before: &workload.Uniform{Objects: p.Objects, TxnSize: p.TxnSize},
-		After:  clustered,
+		After: &workload.PerfectClusters{
+			Objects:     p.Objects,
+			ClusterSize: p.ClusterSize,
+			TxnSize:     p.TxnSize,
+		},
 	}
 	_, series, err := trial{
 		cfg: ColumnConfig{DepBound: p.DepBound, Strategy: core.StrategyAbort, Seed: p.Seed},
-		upd: gen, read: gen, keys: clustered.Keys(),
+		upd: gen, read: gen, keys: workload.AllObjectKeys(p.Objects),
 		drive: p.Drive, window: p.Duration, bucket: p.Bucket,
 		schedule: func(clk *clock.Sim) { clk.AfterFunc(p.SwitchAt, gen.Flip) },
 	}.run(ctx)

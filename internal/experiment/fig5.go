@@ -88,7 +88,7 @@ func driftTrial(p DriftParams, policy db.MergePolicy, shifts *[]int) trial {
 	gen := &workload.PerfectClusters{Objects: p.Objects, ClusterSize: p.ClusterSize, TxnSize: p.TxnSize}
 	return trial{
 		cfg: ColumnConfig{DepBound: p.DepBound, Strategy: core.StrategyAbort, Seed: p.Seed, DepMerge: policy},
-		upd: gen, read: gen, keys: gen.Keys(),
+		upd: gen, read: gen, keys: workload.AllObjectKeys(p.Objects),
 		drive: p.Drive, window: p.Duration,
 		schedule: func(clk *clock.Sim) {
 			start := clk.Now()

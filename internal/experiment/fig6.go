@@ -81,7 +81,7 @@ func RunStrategyComparison(ctx context.Context, p StrategyParams) (*StrategyResu
 	}
 	return compareStrategies(ctx, "Fig. 6 — strategy efficacy (synthetic, Pareto alpha=1)", trial{
 		cfg: ColumnConfig{DepBound: p.DepBound, Seed: p.Seed},
-		upd: gen, read: gen, keys: gen.Keys(),
+		upd: gen, read: gen, keys: workload.AllObjectKeys(p.Objects),
 		drive: p.Drive, warmup: p.Warmup, window: p.MeasureFor,
 	})
 }

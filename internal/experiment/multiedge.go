@@ -78,7 +78,7 @@ func RunMultiEdge(ctx context.Context, p MultiEdgeParams) (*MultiEdgeResult, err
 			Edges: p.Edges, DepBound: 5, Strategy: p.Strategy,
 			DropRate: p.DropRate, Seed: p.Seed,
 		},
-		upd: gen, read: gen, keys: gen.Keys(),
+		upd: gen, read: gen, keys: workload.AllObjectKeys(p.Objects),
 		drive: p.Drive, warmup: p.Warmup, window: p.MeasureFor,
 	}.run(ctx)
 	if err != nil {

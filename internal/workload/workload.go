@@ -8,14 +8,14 @@
 // drives both update and read-only clients (the paper uses 5-object
 // transactions for both).
 //
-// The built-in generators name each object with one string: the first
-// Pick (or Keys) builds the generator's key table, and every pick and
-// Keys hand out the table's strings, so the database, the caches and the
-// monitor that keep a key all share it instead of holding a copy per
-// transaction. The table is built once and only read after, so Pick is
-// safe to call from several goroutines at once, each with its own rng. A
-// generator's object-count fields (Objects, or the Graph's node count)
-// and GraphWalk's Prefix must not change after its first Pick or Keys.
+// The built-in generators name each object with one string, so the
+// database, the caches and the monitor that keep a key all share it
+// instead of holding a copy per transaction. PerfectClusters,
+// ParetoClusters, Uniform and AllObjectKeys hand out one package-wide
+// table of ObjectKey strings, grown on demand; a GraphWalk builds its node→key table on its
+// first Pick, Key or Keys, and its Graph's node count and Prefix must not
+// change after. Tables are only read once built, so Pick is safe to call
+// from several goroutines at once, each with its own rng.
 package workload
 
 import (
@@ -24,6 +24,7 @@ import (
 	"math/rand"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"tcache/internal/graph"
 	"tcache/internal/kv"
@@ -45,26 +46,39 @@ func ObjectKey(i int) kv.Key {
 	return kv.Key(fmt.Sprintf("o%06d", i))
 }
 
-// keyTable is a generator's object keys, built once on first use.
-type keyTable struct {
-	once sync.Once
-	keys []kv.Key
+// objectKeys is the one table of ObjectKey strings: every generator over
+// numbered objects picks from it and AllObjectKeys copies it, whatever the
+// object count. It only grows: a longer request builds a longer copy under mu,
+// keeping the strings already made, and publishes it for lock-free reads.
+// Entry i is always ObjectKey(i), so no user of the table sees another's
+// state in it.
+var objectKeys struct {
+	mu    sync.Mutex
+	table atomic.Pointer[[]kv.Key]
 }
 
-// build returns the table, filling it with n keys named by name the first
-// time.
-func (t *keyTable) build(n int, name func(i int) kv.Key) []kv.Key {
-	t.once.Do(func() {
-		t.keys = make([]kv.Key, n)
-		for i := range t.keys {
-			t.keys[i] = name(i)
+// objectTable returns the shared strings of ObjectKey(0..n-1).
+func objectTable(n int) []kv.Key {
+	if t := objectKeys.table.Load(); t != nil && len(*t) >= n {
+		return (*t)[:n:n]
+	}
+	objectKeys.mu.Lock()
+	defer objectKeys.mu.Unlock()
+	var t []kv.Key
+	if p := objectKeys.table.Load(); p != nil {
+		t = *p
+	}
+	if len(t) < n {
+		grown := make([]kv.Key, n)
+		copy(grown, t)
+		for i := len(t); i < n; i++ {
+			grown[i] = ObjectKey(i)
 		}
-	})
-	return t.keys
+		t = grown
+		objectKeys.table.Store(&t)
+	}
+	return t[:n:n]
 }
-
-// objects returns the table of ObjectKey(0..n-1).
-func (t *keyTable) objects(n int) []kv.Key { return t.build(n, ObjectKey) }
 
 // PerfectClusters is the paper's first synthetic workload: objects
 // 0..Objects-1 are divided into clusters of ClusterSize; each transaction
@@ -78,15 +92,13 @@ type PerfectClusters struct {
 	// (c*ClusterSize+Shift ... ) mod Objects. DriftingClusters advances
 	// it over time (Fig. 5).
 	Shift int
-
-	keys keyTable
 }
 
 var _ Generator = (*PerfectClusters)(nil)
 
 // Pick implements Generator.
 func (p *PerfectClusters) Pick(rng *rand.Rand) []kv.Key {
-	keys := p.keys.objects(p.Objects)
+	keys := objectTable(p.Objects)
 	clusters := p.Objects / p.ClusterSize
 	c := rng.Intn(clusters)
 	out := make([]kv.Key, p.TxnSize)
@@ -96,9 +108,6 @@ func (p *PerfectClusters) Pick(rng *rand.Rand) []kv.Key {
 	}
 	return out
 }
-
-// Keys returns every object key, for seeding.
-func (p *PerfectClusters) Keys() []kv.Key { return slices.Clone(p.keys.objects(p.Objects)) }
 
 // Advance shifts the cluster boundaries by one object, wrapping at
 // Objects (the Fig. 5 drift step: 0−4,5−9 → 1−5,6−10, …).
@@ -117,15 +126,13 @@ type ParetoClusters struct {
 	TxnSize     int
 	// Alpha is the Pareto shape parameter (Fig. 3 sweeps 1/32 … 4).
 	Alpha float64
-
-	keys keyTable
 }
 
 var _ Generator = (*ParetoClusters)(nil)
 
 // Pick implements Generator.
 func (p *ParetoClusters) Pick(rng *rand.Rand) []kv.Key {
-	keys := p.keys.objects(p.Objects)
+	keys := objectTable(p.Objects)
 	clusters := p.Objects / p.ClusterSize
 	head := rng.Intn(clusters) * p.ClusterSize
 	out := make([]kv.Key, p.TxnSize)
@@ -135,9 +142,6 @@ func (p *ParetoClusters) Pick(rng *rand.Rand) []kv.Key {
 	}
 	return out
 }
-
-// Keys returns every object key, for seeding.
-func (p *ParetoClusters) Keys() []kv.Key { return slices.Clone(p.keys.objects(p.Objects)) }
 
 // BoundedPareto draws from a Pareto distribution with shape alpha
 // truncated to [lo, hi], by inverse-CDF sampling:
@@ -165,24 +169,19 @@ func BoundedPareto(rng *rand.Rand, alpha, lo, hi float64) float64 {
 type Uniform struct {
 	Objects int
 	TxnSize int
-
-	keys keyTable
 }
 
 var _ Generator = (*Uniform)(nil)
 
 // Pick implements Generator.
 func (u *Uniform) Pick(rng *rand.Rand) []kv.Key {
-	keys := u.keys.objects(u.Objects)
+	keys := objectTable(u.Objects)
 	out := make([]kv.Key, u.TxnSize)
 	for i := range out {
 		out[i] = keys[rng.Intn(u.Objects)]
 	}
 	return out
 }
-
-// Keys returns every object key, for seeding.
-func (u *Uniform) Keys() []kv.Key { return slices.Clone(u.keys.objects(u.Objects)) }
 
 // Switch delegates to Before until Flip is called, then to After. It
 // implements the Fig. 4 cluster-formation experiment (uniform accesses
@@ -218,7 +217,8 @@ type GraphWalk struct {
 	// Prefix namespaces the keys, so two topologies can share a DB.
 	Prefix string
 
-	keys keyTable
+	keysOnce sync.Once
+	keys     []kv.Key
 }
 
 var _ Generator = (*GraphWalk)(nil)
@@ -241,18 +241,17 @@ func (g *GraphWalk) Key(n int) kv.Key { return g.table()[n] }
 // Keys returns every object key of the topology, for seeding.
 func (g *GraphWalk) Keys() []kv.Key { return slices.Clone(g.table()) }
 
+// table returns the node→key table, building it on first use.
 func (g *GraphWalk) table() []kv.Key {
-	return g.keys.build(g.Graph.NumNodes(), func(n int) kv.Key {
-		return kv.Key(fmt.Sprintf("%sn%06d", g.Prefix, n))
+	g.keysOnce.Do(func() {
+		g.keys = make([]kv.Key, g.Graph.NumNodes())
+		for n := range g.keys {
+			g.keys[n] = kv.Key(fmt.Sprintf("%sn%06d", g.Prefix, n))
+		}
 	})
+	return g.keys
 }
 
 // AllObjectKeys returns ObjectKey(0..n-1), for seeding synthetic
-// workloads.
-func AllObjectKeys(n int) []kv.Key {
-	out := make([]kv.Key, n)
-	for i := range out {
-		out[i] = ObjectKey(i)
-	}
-	return out
-}
+// workloads: a fresh slice over the strings the generators pick.
+func AllObjectKeys(n int) []kv.Key { return slices.Clone(objectTable(n)) }

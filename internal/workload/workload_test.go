@@ -298,10 +298,11 @@ func walkGraph() *graph.Graph {
 	return g
 }
 
-// TestPickSharesTableStrings checks that picks hand out the generator's
-// key strings rather than formatting new ones: GraphWalk.Pick allocates
-// only its walk and the returned slice, and every picked key is the very
-// string Keys returns for that object.
+// TestPickSharesTableStrings checks that picks hand out table strings
+// rather than formatting new ones: GraphWalk.Pick allocates only its walk
+// and the returned slice, every picked key is the very string Keys and
+// Key return for that node, and every ObjectKey generator — whatever its
+// object count — picks the strings AllObjectKeys seeds with.
 func TestPickSharesTableStrings(t *testing.T) {
 	w := &GraphWalk{Graph: walkGraph(), Steps: 5, Prefix: "amz-"}
 	rng := rand.New(rand.NewSource(12))
@@ -326,16 +327,27 @@ func TestPickSharesTableStrings(t *testing.T) {
 			t.Fatalf("picked %q is not the table's string for node %d", k, n)
 		}
 	}
-	objs := p.Keys()
-	for _, k := range p.Pick(rng) {
-		if i := objIndex(t, k); !sameString(k, objs[i]) {
-			t.Fatalf("picked %q is not the table's string for object %d", k, i)
+	objs := AllObjectKeys(100)
+	for _, g := range []Generator{
+		p,
+		&ParetoClusters{Objects: 100, ClusterSize: 5, TxnSize: 5, Alpha: 1},
+		&Uniform{Objects: 100, TxnSize: 5},
+		&Uniform{Objects: 80, TxnSize: 5},   // a shorter view of the table
+		&Uniform{Objects: 4000, TxnSize: 5}, // grows it
+	} {
+		for _, k := range g.Pick(rng) {
+			if i := objIndex(t, k); i < len(objs) && !sameString(k, objs[i]) {
+				t.Fatalf("%T picked %q, not the seeded string for object %d", g, k, i)
+			}
 		}
 	}
-	// Keys is a fresh slice each call: a caller may reorder its copy.
+	if grown := AllObjectKeys(4000); !sameString(grown[7], objs[7]) || grown[3999] != ObjectKey(3999) {
+		t.Fatal("growing the table replaced the strings already handed out")
+	}
+	// AllObjectKeys is a fresh slice each call: a caller may reorder its copy.
 	objs[0] = "scribbled"
-	if p.Keys()[0] != ObjectKey(0) {
-		t.Fatal("Keys returned the table itself")
+	if AllObjectKeys(1)[0] != ObjectKey(0) {
+		t.Fatal("AllObjectKeys returned the table itself")
 	}
 }
 
@@ -346,8 +358,10 @@ func TestPickSharesTableStrings(t *testing.T) {
 func TestPickConcurrentFirstUse(t *testing.T) {
 	fresh := map[string]func() Generator{
 		"GraphWalk": func() Generator { return &GraphWalk{Graph: walkGraph(), Steps: 5} },
+		// An object count no other test uses, so the first picks race to
+		// grow the shared table.
 		"PerfectClusters": func() Generator {
-			return &PerfectClusters{Objects: 100, ClusterSize: 5, TxnSize: 5}
+			return &PerfectClusters{Objects: 7919, ClusterSize: 7, TxnSize: 5}
 		},
 	}
 	for name, mk := range fresh {
