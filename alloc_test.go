@@ -122,6 +122,12 @@ var allocTable = []struct {
 	{"CoreWarmHitCost", 0, "CoreWarmHit", func(t *testing.T) func() error {
 		return coreWarmHit(t, core.Config{MaxBytes: 1 << 20, Policy: evict.Cost})
 	}},
+	// A fill into a full budget under each policy: the policy's Add links
+	// the new entry and its eviction Removes one resident. The one
+	// allocation is the entry itself.
+	{"CoreFillEvictLRU", 1, "", func(t *testing.T) func() error { return coreFillEvict(t, evict.LRU) }},
+	{"CoreFillEvictClock", 1, "", func(t *testing.T) func() error { return coreFillEvict(t, evict.Clock) }},
+	{"CoreFillEvictCost", 1, "", func(t *testing.T) func() error { return coreFillEvict(t, evict.Cost) }},
 	// A newer item replacing a cached one, five dependencies: the one
 	// allocation is the entry's slice of dependency-key hashes, which is
 	// what lets the warm rows above check eq.1/eq.2 without hashing.
@@ -315,4 +321,38 @@ func coreWarmHit(t *testing.T, cfg core.Config) func() error {
 		}
 		return nil
 	}
+}
+
+// coreFillEvict returns one install of a key the cache does not hold, on
+// a core cache already at its byte budget, so that each install evicts
+// one resident. The keys are built here, outside the measured op.
+func coreFillEvict(t *testing.T, policy evict.Kind) func() error {
+	d := db.Open(db.Config{})
+	t.Cleanup(func() { d.Close() })
+	cache, err := core.New(core.Config{Backend: d, MaxBytes: 16 << 10, Shards: 1, Policy: policy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cache.Close)
+	evicted := func() uint64 {
+		m := cache.Metrics()
+		return m.EvictionsLRU + m.EvictionsClock + m.EvictionsCost
+	}
+	keys, item, next := benchKeys(4*allocRuns), kv.Item{Value: kv.Value("v")}, 0
+	install := func() error {
+		item.Version.Counter++
+		cache.Install(keys[next], item)
+		next++
+		return nil
+	}
+	for evicted() == 0 {
+		install()
+	}
+	from, base := next, evicted()
+	t.Cleanup(func() {
+		if n := evicted() - base; n != uint64(next-from) {
+			t.Errorf("%d installs evicted %d residents, want one each", next-from, n)
+		}
+	})
+	return install
 }

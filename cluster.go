@@ -41,13 +41,6 @@ type clusterOptions struct {
 // ClusterOption configures DialCluster.
 type ClusterOption func(*clusterOptions)
 
-// WithClusterVNodes sets the virtual-node count per fleet member
-// (default 128). More points smooth the member shares at slightly larger
-// ring memory.
-func WithClusterVNodes(n int) ClusterOption {
-	return func(o *clusterOptions) { o.router.VNodes = n }
-}
-
 // WithClusterPoolSize sets the multiplexed connection count per node
 // (default 2).
 func WithClusterPoolSize(n int) ClusterOption {
@@ -67,13 +60,6 @@ func WithClusterHealth(interval, timeout time.Duration) ClusterOption {
 		o.router.ProbeInterval = interval
 		o.router.ProbeTimeout = timeout
 	}
-}
-
-// WithClusterProbation sets how long a re-admitted node keeps serving
-// floored reads while it may still be missing invalidations from its
-// absence (default 10s).
-func WithClusterProbation(d time.Duration) ClusterOption {
-	return func(o *clusterOptions) { o.router.Probation = d }
 }
 
 // WithClusterCacheOptions forwards options to the embedded local Cache

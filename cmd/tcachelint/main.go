@@ -1,11 +1,11 @@
 // Command tcachelint runs the repository's static-analysis suite: the
 // analyzers in internal/lint that enforce the lock hierarchy, the
 // no-blocking-under-lock rule, context discipline, the copy-on-write
-// read contract, hot-path allocation budgets, and wire-protocol
-// exhaustiveness. Run it from the module root:
+// read contract, and wire-protocol exhaustiveness. Run it from the
+// module root:
 //
 //	tcachelint ./...
-//	tcachelint -analyzers lockorder,hotalloc ./internal/core/...
+//	tcachelint -analyzers lockorder,sharedvalue ./internal/core/...
 //
 // Exit status is 1 when any finding survives //lint:ignore suppression,
 // 2 on usage or load errors.

@@ -63,7 +63,6 @@ const warmSampleEvery = 64
 // something newer or confirms it, so a floor costs one fetch per raise,
 // not one per read. Callers hold sh.mu.
 //
-//tcache:hotpath
 //tcache:holds shard
 func (c *Cache) lookupLocked(sh *cacheShard, key kv.Key, floor kv.Version, out *kv.Lookup, slot *keySlot) bool {
 	// With c.tel nil (the default) no time stamp is taken at all; enabled,
@@ -100,8 +99,6 @@ func (c *Cache) lookupLocked(sh *cacheShard, key kv.Key, floor kv.Version, out *
 // listing the rest — each distinct key once — in missing, for fill. With count set
 // (non-transactional reads) the reads are counted on the shard here;
 // transactional reads are counted by readPass as it validates them.
-//
-//tcache:hotpath
 func (c *Cache) collect(keys []kv.Key, floor kv.Version, out []kv.Lookup, slots []keySlot, missing *keyTable, count bool) {
 	for i, key := range keys {
 		h := c.hash(key)

@@ -312,8 +312,6 @@ const (
 type shardCounts [hotMisses + 1]uint64
 
 // count adds n reads, hits of them served from the cache.
-//
-//tcache:hotpath
 func (h *shardCounts) count(n, hits uint64) {
 	h[hotHits] += hits
 	h[hotMisses] += n - hits
@@ -410,8 +408,6 @@ const txnRecordSpill = 32
 
 // find returns the index of key's row among the rows from index from on,
 // or -1; hash is the key's hash.
-//
-//tcache:hotpath
 func (t *keyTable) find(from int, hash uint64, key kv.Key) int32 {
 	if t.idx != nil {
 		if i, ok := t.idx[key]; ok {
@@ -428,8 +424,6 @@ func (t *keyTable) find(from int, hash uint64, key kv.Key) int32 {
 }
 
 // add appends a row for key (not yet in the table) and returns its index.
-//
-//tcache:hotpath
 func (t *keyTable) add(hash uint64, key kv.Key) int32 {
 	if t.idx == nil && len(t.rows) >= txnRecordSpill {
 		t.idx = make(map[kv.Key]int32, 2*len(t.rows))
@@ -462,8 +456,6 @@ type txnRecord struct {
 
 // reset empties the record, its slices pointing back at the inline
 // buffers.
-//
-//tcache:hotpath
 func (rec *txnRecord) reset() {
 	rec.keyTable = keyTable{rows: rec.rowsBuf[:0]}
 	rec.nread, rec.at = 0, rec.atBuf[:0]
@@ -487,8 +479,6 @@ func (rec *txnRecord) readSet() []ReadVersion {
 // shard and finds its row in a transaction record. It is deterministic —
 // which entries share a shard's byte budget, and so what a bounded cache
 // evicts, must not change from one process to the next.
-//
-//tcache:hotpath
 func hashKey(key kv.Key) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(key); i++ {
@@ -583,22 +573,16 @@ func (c *Cache) Backend() Backend { return c.cfg.Backend }
 
 // shardIndex maps a key hash onto an entry shard. The two halves are
 // folded because FNV-1a's lowest bits are its weakest.
-//
-//tcache:hotpath
 func (c *Cache) shardIndex(hash uint64) int32 {
 	return int32(uint32(hash^hash>>32) % uint32(len(c.shards)))
 }
 
 // shardFor returns the entry shard responsible for key.
-//
-//tcache:hotpath
 func (c *Cache) shardFor(key kv.Key) *cacheShard {
 	return c.shards[c.shardIndex(c.hash(key))]
 }
 
 // stripeFor returns the transaction stripe responsible for txnID.
-//
-//tcache:hotpath
 func (c *Cache) stripeFor(txnID kv.TxnID) *txnStripe {
 	return &c.stripes[uint64(txnID)%txnStripes]
 }
@@ -759,8 +743,6 @@ func (sh *cacheShard) removeEntry(e *entry) {
 
 // cost is the byte cost charged against the budget for e: key + value +
 // per-entry overhead.
-//
-//tcache:hotpath
 func (e *entry) cost() uint64 {
 	return uint64(evict.EntryOverhead) + uint64(len(e.key)) + uint64(len(e.item.Value))
 }
@@ -803,7 +785,6 @@ func (c *Cache) setItemLocked(e *entry, item kv.Item) {
 // consistency-safe (an uncached read is just a permanent cold read).
 // Callers hold sh.mu.
 //
-//tcache:hotpath
 //tcache:holds shard
 func (c *Cache) insertShardLocked(sh *cacheShard, key kv.Key, item kv.Item) *entry {
 	if e, ok := sh.entries[key]; ok {

@@ -11,8 +11,6 @@ import (
 // lookupPass is the non-transactional read: collect what the cache can
 // serve under floor, then fetch and insert the rest. A backend failure
 // fails the whole call.
-//
-//tcache:hotpath
 func (c *Cache) lookupPass(ctx context.Context, keys []kv.Key, floor kv.Version, out []kv.Lookup, slots []keySlot) error {
 	if c.closed.Load() {
 		return ErrClosed
@@ -30,8 +28,6 @@ func (c *Cache) lookupPass(ctx context.Context, keys []kv.Key, floor kv.Version,
 
 // lookupOne is the one-key lookupPass behind Get, GetItem and RETRY's
 // refetch; a key the backend does not have is ErrNotFound.
-//
-//tcache:hotpath
 func (c *Cache) lookupOne(ctx context.Context, key kv.Key, floor kv.Version) (kv.Item, error) {
 	var (
 		keys  = [1]kv.Key{key}

@@ -97,8 +97,6 @@ const batchInline = 8
 // ctx is consulted only when there is something to fetch: a pass that
 // collect served whole cannot block, and the transaction's owner checks
 // its ctx once before committing (tcache.Cache.ReadTxn).
-//
-//tcache:hotpath
 func (c *Cache) readPass(ctx context.Context, t *Txn, keys []kv.Key, out []kv.Lookup, slots []keySlot, vals []kv.Value) (bool, error) {
 	if err := t.check(); err != nil {
 		return false, err
@@ -165,8 +163,6 @@ func (c *Cache) readPass(ctx context.Context, t *Txn, keys []kv.Key, out []kv.Lo
 // Get is the plain, non-transactional read API (a consistency-unaware
 // cache access). It shares the store, TTL handling, and miss path with
 // Read. ctx bounds the backend fetch on a miss.
-//
-//tcache:hotpath
 func (c *Cache) Get(ctx context.Context, key kv.Key) (kv.Value, error) {
 	item, err := c.lookupOne(ctx, key, kv.Version{})
 	return item.Value, err // shared read-only; see readPass
@@ -222,8 +218,6 @@ type keyRead struct {
 //
 // Each of the 1 + len(item.Deps) keys is looked up once: the checks leave
 // the rows they found in rec.at, and the writes go back to them.
-//
-//tcache:hotpath
 func (rec *txnRecord) admit(key kv.Key, hash uint64, item kv.Item, depHash []uint64) (violation, bool) {
 	at := append(rec.at[:0], rec.find(0, hash, key))
 	if i := at[0]; i >= 0 {

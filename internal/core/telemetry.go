@@ -45,8 +45,6 @@ func NewTelemetry() *Telemetry {
 
 // RegisterMetrics registers every cache counter, gauge, and histogram
 // into reg under the shared metric vocabulary.
-//
-//tcache:metric
 func (c *Cache) RegisterMetrics(reg *telemetry.Registry) {
 	c.counters.Register(reg)
 

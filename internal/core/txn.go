@@ -44,8 +44,6 @@ type Txn struct {
 var txnPool = sync.Pool{New: func() any { return new(Txn) }}
 
 // newTxn returns an open, empty Txn for id.
-//
-//tcache:hotpath
 func (c *Cache) newTxn(id kv.TxnID) *Txn {
 	t := txnPool.Get().(*Txn)
 	t.c, t.id, t.st = c, id, c.stripeFor(id)
@@ -64,8 +62,6 @@ func (t *Txn) recycle() {
 // Finish. id names it in its completion and errors. start, unless zero,
 // is the start of its first batch read (ReadMulti): telemetry then times
 // that batch from the caller's own stamp.
-//
-//tcache:hotpath
 func (c *Cache) Begin(id kv.TxnID, start time.Time) *Txn {
 	t := c.newTxn(id)
 	t.start = start
@@ -76,8 +72,6 @@ func (c *Cache) Begin(id kv.TxnID, start time.Time) *Txn {
 // values, errors, completions and counters of Cache.Read, without the
 // table. Once the cache has ended t (a detected violation, or Close) it
 // returns why.
-//
-//tcache:hotpath
 func (t *Txn) Read(ctx context.Context, key kv.Key) (kv.Value, error) {
 	val, _, err := t.read(ctx, key)
 	return val, err
@@ -85,8 +79,6 @@ func (t *Txn) Read(ctx context.Context, key kv.Key) (kv.Value, error) {
 
 // ReadMulti reads keys, in order, within t: Cache.ReadMulti's one pass,
 // without the table.
-//
-//tcache:hotpath
 func (t *Txn) ReadMulti(ctx context.Context, keys []kv.Key) ([]kv.Value, error) {
 	vals, _, err := t.readMulti(ctx, keys)
 	return vals, err
@@ -97,8 +89,6 @@ func (t *Txn) ReadMulti(ctx context.Context, keys []kv.Key) ([]kv.Value, error) 
 // that never read ends without a report. One the cache already ended is
 // not reported again; Finish returns why it ended. Once the cache is
 // closed, Finish ends t aborted-on-close and returns ErrClosed.
-//
-//tcache:hotpath
 func (t *Txn) Finish(commit bool) error {
 	err := t.finish(commit)
 	t.recycle()
@@ -107,8 +97,6 @@ func (t *Txn) Finish(commit bool) error {
 
 // read is Read, also reporting whether the read reached its key (see
 // readPass).
-//
-//tcache:hotpath
 func (t *Txn) read(ctx context.Context, key kv.Key) (kv.Value, bool, error) {
 	t.start = time.Time{} // the first read was no batch: the stamp is spent
 	var (
@@ -123,8 +111,6 @@ func (t *Txn) read(ctx context.Context, key kv.Key) (kv.Value, bool, error) {
 
 // readMulti is ReadMulti, also reporting whether the pass reached its
 // last key (see readPass).
-//
-//tcache:hotpath
 func (t *Txn) readMulti(ctx context.Context, keys []kv.Key) ([]kv.Value, bool, error) {
 	c := t.c
 	start := t.start
@@ -163,8 +149,6 @@ func (t *Txn) readMulti(ctx context.Context, keys []kv.Key) ([]kv.Value, bool, e
 }
 
 // check returns why t cannot read: the cache ended it, or is closed.
-//
-//tcache:hotpath
 func (t *Txn) check() error {
 	if t.err != nil {
 		return t.err
@@ -176,8 +160,6 @@ func (t *Txn) check() error {
 }
 
 // begin counts t as started, at its first read to reach validation.
-//
-//tcache:hotpath
 func (t *Txn) begin() {
 	if !t.begun {
 		t.begun = true
@@ -187,8 +169,6 @@ func (t *Txn) begin() {
 
 // count adds a pass's reads, hits of them served from the cache, to t's
 // stripe: only the counters that moved, so a warm pass adds one.
-//
-//tcache:hotpath
 func (t *Txn) count(reads, hits uint64) {
 	if hits > 0 {
 		t.st.hot[hotHits].Add(hits)
@@ -216,8 +196,6 @@ func (t *Txn) end(counter *uint64v, committed bool, attempted *ReadVersion) {
 // cache being closed — aborted-on-close, returning ErrClosed. If the
 // cache already ended t it returns why and reports nothing more; a t that
 // never began ends without a report.
-//
-//tcache:hotpath
 func (t *Txn) finish(commit bool) error {
 	if err := t.check(); err != nil {
 		return err
@@ -258,8 +236,6 @@ func (t *Txn) closedOut() error {
 // call or an Abort for the same ID fails at once with ErrTxnBusy. Every
 // caller of this API is in-process and mints its own IDs, so two calls
 // meet on one only by the caller's own doing.
-//
-//tcache:hotpath
 func (c *Cache) checkout(txnID kv.TxnID) (*Txn, error) {
 	st := c.stripeFor(txnID)
 	st.mu.Lock()
@@ -287,8 +263,6 @@ func (c *Cache) checkout(txnID kv.TxnID) (*Txn, error) {
 // (its read carried lastOp), if the cache ended it, if the call never
 // began it, or if the cache closed — then checkin returns finish's error;
 // otherwise t waits in the table for the next call.
-//
-//tcache:hotpath
 func (c *Cache) checkin(t *Txn, commit bool) error {
 	st := t.st
 	st.mu.Lock()

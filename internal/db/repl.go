@@ -301,15 +301,6 @@ func (d *DB) WALTail(from wal.Pos) (*wal.Tailer, error) {
 	return d.wal.Tail(from), nil
 }
 
-// WALDurable returns the durable end of this node's log (zero without
-// a WAL).
-func (d *DB) WALDurable() wal.Pos {
-	if d.wal == nil {
-		return wal.Pos{}
-	}
-	return d.wal.Durable()
-}
-
 // ReplStream returns a fresh replication stream id for NoteReplicaAck
 // and DropReplica; ids increase in call order.
 func (d *DB) ReplStream() uint64 {

@@ -40,8 +40,6 @@ func NewTelemetry() *Telemetry {
 
 // RegisterMetrics registers every database counter, the WAL and
 // replication gauges, and the latency histograms into reg.
-//
-//tcache:metric
 func (d *DB) RegisterMetrics(reg *telemetry.Registry) {
 	d.counters.Register(reg)
 	reg.Counter("wal_records", func() uint64 { return d.walMetrics().Records })

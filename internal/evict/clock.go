@@ -28,8 +28,6 @@ func (c *clockPolicy) Len() int { return c.n }
 // last — with its reference bit clear: a brand-new entry earns its
 // second chance by being touched, not by arriving, which is what makes
 // the ring scan-resistant when an insert burst triggers eviction.
-//
-//tcache:hotpath
 func (c *clockPolicy) Add(h *Handle) {
 	h.ref = false
 	h.prev = c.hand.prev
@@ -40,15 +38,11 @@ func (c *clockPolicy) Add(h *Handle) {
 }
 
 // Touch grants the second chance: one store, no splice.
-//
-//tcache:hotpath
 func (c *clockPolicy) Touch(h *Handle) {
 	h.ref = true
 }
 
 // Remove unlinks h, stepping the hand off it first.
-//
-//tcache:hotpath
 func (c *clockPolicy) Remove(h *Handle) {
 	if c.hand == h {
 		c.hand = h.next

@@ -30,8 +30,6 @@ func newCost() *costPolicy {
 func (p *costPolicy) Len() int { return p.n }
 
 // Add links h behind the hand with a fresh stamp.
-//
-//tcache:hotpath
 func (p *costPolicy) Add(h *Handle) {
 	p.now++
 	h.tick = p.now
@@ -43,16 +41,12 @@ func (p *costPolicy) Add(h *Handle) {
 }
 
 // Touch stamps the handle with the current logical time.
-//
-//tcache:hotpath
 func (p *costPolicy) Touch(h *Handle) {
 	p.now++
 	h.tick = p.now
 }
 
 // Remove unlinks h, stepping the hand off it first.
-//
-//tcache:hotpath
 func (p *costPolicy) Remove(h *Handle) {
 	if p.hand == h {
 		p.hand = h.next

@@ -108,8 +108,6 @@ func (h *Handle) Cost() uint64 { return h.cost }
 // handles (unbounded caches, already-evicted entries) must be ignored
 // by Touch/Remove — the cache may race a touch against its own budget
 // enforcement evicting the same entry one call earlier.
-//
-//tcache:hotpath
 func (h *Handle) linked() bool { return h.next != nil }
 
 // Policy is one replacement policy over a set of handles. Implementations
@@ -199,8 +197,6 @@ func (s *Shard) Admit(key string) bool {
 
 // Touch records a warm hit. Safe on unlinked handles (unbounded shards,
 // entries the budget already evicted).
-//
-//tcache:hotpath
 func (s *Shard) Touch(h *Handle) {
 	if s.policy == nil || !h.linked() {
 		return

@@ -20,16 +20,12 @@ func newLRU() *lru {
 func (l *lru) Len() int { return l.n }
 
 // Add links h at the MRU position.
-//
-//tcache:hotpath
 func (l *lru) Add(h *Handle) {
 	l.pushFront(h)
 	l.n++
 }
 
 // Touch splices h to the MRU position.
-//
-//tcache:hotpath
 func (l *lru) Touch(h *Handle) {
 	if l.root.next == h {
 		return
@@ -39,8 +35,6 @@ func (l *lru) Touch(h *Handle) {
 }
 
 // Remove unlinks h and marks it unlinked.
-//
-//tcache:hotpath
 func (l *lru) Remove(h *Handle) {
 	l.unlink(h)
 	h.prev, h.next = nil, nil
@@ -58,7 +52,6 @@ func (l *lru) Evict() (*Handle, int) {
 	return h, 1
 }
 
-//tcache:hotpath
 func (l *lru) pushFront(h *Handle) {
 	h.prev = &l.root
 	h.next = l.root.next
@@ -66,7 +59,6 @@ func (l *lru) pushFront(h *Handle) {
 	h.next.prev = h
 }
 
-//tcache:hotpath
 func (l *lru) unlink(h *Handle) {
 	h.prev.next = h.next
 	h.next.prev = h.prev

@@ -6,9 +6,7 @@ var All = []*Analyzer{
 	NoLockedCalls,
 	CtxDiscipline,
 	SharedValue,
-	HotAlloc,
 	WireExhaustive,
-	MetricName,
 }
 
 // ByName returns the named analyzer, or nil.

@@ -1,5 +1,5 @@
 // Package lint is tcachelint: a family of static analyzers that
-// mechanically enforce this repository's concurrency and hot-path
+// mechanically enforce this repository's concurrency and wire-protocol
 // invariants — the rules that previously lived only in comments and
 // reviewer memory. The paper's consistency guarantees (eq.1/eq.2
 // read-your-invalidations) rest on these invariants holding everywhere,
@@ -17,15 +17,13 @@
 //	//tcache:lockorder A < B    package-level — A may be held when acquiring B
 //	//tcache:holds A[,B]        on a func — it is called with these classes held
 //	//tcache:hook               on a func type — values of it run outside all locks
-//	//tcache:hotpath            on a func — the hot-path allocation rules apply
-//	//tcache:cowreturn          on a func — its result is copy-on-write shared
 //	//tcache:exhaustive         on a switch — cases must cover the tag type's consts
 //	//tcache:wire encode=F decode=G  on a struct — every field wired in both codecs
 //
 // A finding is suppressed with a staticcheck-style ignore comment on the
 // flagged line (or the line above), with a mandatory justification:
 //
-//	//lint:ignore lockorder,hotalloc <why this is safe>
+//	//lint:ignore lockorder,sharedvalue <why this is safe>
 //
 // An ignore with no justification is itself a finding.
 package lint
@@ -90,7 +88,7 @@ func (d Diagnostic) String() string {
 
 // directive is one parsed //tcache:NAME [args] comment.
 type directive struct {
-	name string // e.g. "hotpath", "lockclass"
+	name string // e.g. "holds", "lockclass"
 	args string // remainder after the name, trimmed
 	pos  token.Pos
 	// line / endLine are the comment's physical lines, used to attach

@@ -23,16 +23,8 @@ func TestSharedValue(t *testing.T) {
 	linttest.Run(t, "testdata/src/sharedvalue", lint.SharedValue)
 }
 
-func TestHotAlloc(t *testing.T) {
-	linttest.Run(t, "testdata/src/hotalloc", lint.HotAlloc)
-}
-
 func TestWireExhaustive(t *testing.T) {
 	linttest.Run(t, "testdata/src/wireexhaustive", lint.WireExhaustive)
-}
-
-func TestMetricName(t *testing.T) {
-	linttest.Run(t, "testdata/src/metricname", lint.MetricName)
 }
 
 // TestRepoIsLintClean is the meta-test: the full suite over the whole

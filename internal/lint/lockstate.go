@@ -71,8 +71,6 @@ type lockModel struct {
 	// hookTypes are named func types annotated //tcache:hook: values of
 	// these run user code and must never be invoked under a classed lock.
 	hookTypes map[*types.TypeName]bool
-	// cowFuncs are same-package functions annotated //tcache:cowreturn.
-	cowFuncs map[*types.Func]bool
 
 	funcs []funcInfo
 	// summaries: classes each function may acquire on behalf of its
@@ -98,7 +96,6 @@ func buildLockModel(pass *Pass) *lockModel {
 		orderOK:   make(map[string]map[string]bool),
 		holds:     make(map[*types.Func][]string),
 		hookTypes: make(map[*types.TypeName]bool),
-		cowFuncs:  make(map[*types.Func]bool),
 		summaries: make(map[*types.Func]stringSet),
 		effects:   make(map[*types.Func]stringSet),
 	}
@@ -158,9 +155,6 @@ func (m *lockModel) discoverFile(f *ast.File) {
 						}
 					}
 					m.holds[fn] = classes
-				}
-				if _, ok := docDirective(n.Doc, fset, "cowreturn"); ok {
-					m.cowFuncs[fn] = true
 				}
 			}
 			if n.Body != nil {

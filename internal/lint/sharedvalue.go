@@ -15,8 +15,7 @@ import (
 // only the shared byte regions (Value bytes, Deps lists) are protected.
 //
 // Tracking is per-function and flow-insensitive across branches; taint
-// does not survive a call boundary. //tcache:cowreturn marks additional
-// same-package sources.
+// does not survive a call boundary.
 var SharedValue = &Analyzer{
 	Name: "sharedvalue",
 	Doc:  "no mutation of COW values returned by read APIs without Clone",
@@ -64,14 +63,13 @@ var cowSources = []cowSource{
 }
 
 func runSharedValue(pass *Pass) error {
-	m := buildLockModel(pass) // for //tcache:cowreturn discovery
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
 			}
-			tr := &taintTracker{pass: pass, model: m, taints: make(map[types.Object]taint)}
+			tr := &taintTracker{pass: pass, taints: make(map[types.Object]taint)}
 			tr.walk(fd.Body)
 		}
 	}
@@ -85,7 +83,6 @@ type taint struct {
 
 type taintTracker struct {
 	pass   *Pass
-	model  *lockModel
 	taints map[types.Object]taint
 }
 
@@ -106,15 +103,11 @@ func (tr *taintTracker) walk(body *ast.BlockStmt) {
 	})
 }
 
-// sourceOf matches a call against the COW source table and
-// //tcache:cowreturn annotations.
+// sourceOf matches a call against the COW source table.
 func (tr *taintTracker) sourceOf(call *ast.CallExpr) (taint, bool) {
 	fn := calleeFunc(tr.pass.TypesInfo, call)
 	if fn == nil || fn.Pkg() == nil {
 		return taint{}, false
-	}
-	if tr.model.cowFuncs[fn] {
-		return taint{kind: kindShared, src: fn.Name() + " (//tcache:cowreturn)"}, true
 	}
 	recv := receiverTypeName(fn)
 	for _, s := range cowSources {

@@ -1,31 +1,28 @@
 package sharedvalue
 
-// clone is any call producing fresh bytes: its result is mutable.
-func clone(b []byte) []byte {
-	out := make([]byte, len(b))
-	copy(out, b)
-	return out
-}
+import "tcache/internal/db"
 
-func cloneFirst() {
-	v := clone(get("k"))
+func cloneFirst(d *db.DB) {
+	it, _ := d.Get("k")
+	v := it.Value.Clone()
 	v[0] = 'x'
 }
 
 // reassigned replaces the whole slice before mutating; the taint does
 // not survive the reassignment.
-func reassigned() {
-	v := get("k")
+func reassigned(d *db.DB) {
+	it, _ := d.Get("k")
+	v := it.Value
 	v = []byte("fresh")
 	v[0] = 'x'
 	_ = v
 }
 
 // readOnly never mutates the shared bytes.
-func readOnly() int {
-	v := get("k")
+func readOnly(d *db.DB) int {
+	it, _ := d.Get("k")
 	n := 0
-	for _, b := range v {
+	for _, b := range it.Value {
 		n += int(b)
 	}
 	return n

@@ -1,33 +1,32 @@
-// Package sharedvalue exercises the sharedvalue analyzer: values
-// returned by //tcache:cowreturn sources alias shared memory and must
-// be cloned before any byte-level mutation.
+// Package sharedvalue exercises the sharedvalue analyzer: items
+// returned by the store's read APIs alias shared memory, and their
+// Value bytes must be cloned before any byte-level mutation.
 package sharedvalue
 
-import "sort"
+import (
+	"sort"
 
-// get stands in for the repo's COW read APIs.
-//
-//tcache:cowreturn
-func get(key string) []byte {
-	return []byte(key)
+	"tcache/internal/db"
+)
+
+func mutateIndex(d *db.DB) {
+	it, _ := d.Get("k")
+	it.Value[0] = 'x' // want `index assignment into shared copy-on-write value returned by DB.Get`
 }
 
-func mutateIndex() {
-	v := get("k")
-	v[0] = 'x' // want `index assignment into shared copy-on-write value returned by get`
+func mutateAppend(d *db.DB) []byte {
+	it, _ := d.Get("k")
+	v := it.Value
+	return append(v, 'x') // want `append to shared copy-on-write value returned by DB.Get`
 }
 
-func mutateAppend() []byte {
-	v := get("k")
-	return append(v, 'x') // want `append to shared copy-on-write value returned by get`
+func mutateCopy(d *db.DB) {
+	it, _ := d.Get("k")
+	copy(it.Value, "yz") // want `copy into shared copy-on-write value returned by DB.Get`
 }
 
-func mutateCopy() {
-	v := get("k")
-	copy(v, "yz") // want `copy into shared copy-on-write value returned by get`
-}
-
-func mutateSort() {
-	v := get("k")
-	sort.Slice(v, func(i, j int) bool { return v[i] < v[j] }) // want `in-place sort of shared copy-on-write value returned by get`
+func mutateSort(d *db.DB) {
+	it, _ := d.Get("k")
+	v := it.Value
+	sort.Slice(v, func(i, j int) bool { return v[i] < v[j] }) // want `in-place sort of shared copy-on-write value returned by DB.Get`
 }

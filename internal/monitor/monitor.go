@@ -13,9 +13,9 @@
 // writer of o). A cycle through T exists iff some overwriter of one of
 // T's reads precedes (or is) the writer of another of T's reads — i.e.
 // iff the version intervals [v, next(v)) of T's reads have empty
-// intersection. RecordReadOnly uses that interval test; the explicit
-// graph construction and cycle search are also implemented (CheckSGT) and
-// the two are cross-checked by tests.
+// intersection: Classify's interval test, which CheckSGT restates as an
+// explicit graph search (tests cross-check the two). RecordReadOnly uses
+// the exact test (classifyExactLocked), where it is only a short-circuit.
 package monitor
 
 import (

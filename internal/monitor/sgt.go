@@ -14,10 +14,10 @@ import (
 // read version's overwriter — and reports whether the graph remains
 // acyclic, i.e. whether T can be placed in the serialization.
 //
-// It is equivalent to the interval test used by RecordReadOnly (tests
-// cross-check the two); it exists because the paper's monitor "performs
-// full serialization graph testing", and as executable documentation of
-// why the interval test is correct.
+// It is equivalent to Classify's interval test (tests cross-check the
+// two), not to RecordReadOnly's exact test (classifyExactLocked). It
+// exists because the paper's monitor "performs full serialization graph
+// testing", and to document why the interval test is correct.
 func (m *Monitor) CheckSGT(reads []Read) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -63,8 +63,6 @@ func BucketUpper(i int) uint64 {
 }
 
 // Observe records one sample. Wait-free, zero allocations.
-//
-//tcache:hotpath
 func (h *Histogram) Observe(v uint64) {
 	if h == nil {
 		return
@@ -79,8 +77,6 @@ func (h *Histogram) Observe(v uint64) {
 // allocations; a nil receiver or zero start is a no-op, so callers
 // stamp start only when telemetry is enabled and pass it through
 // unconditionally.
-//
-//tcache:hotpath
 func (h *Histogram) ObserveSince(start time.Time) {
 	if h == nil || start.IsZero() {
 		return
@@ -130,8 +126,6 @@ type StripedHistogram struct {
 
 // Stripe returns the histogram the recorder identified by id records
 // into.
-//
-//tcache:hotpath
 func (s *StripedHistogram) Stripe(id uint64) *Histogram {
 	if s == nil {
 		return nil

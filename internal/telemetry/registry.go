@@ -43,8 +43,8 @@ type HistogramSource interface {
 // read path and samples every source on call. Metric names must be
 // lowercase_snake and unique within a registry — enforced here at
 // registration (panic: a bad name is a programmer error, caught by the
-// metricname analyzer and the tests long before production) so the
-// exposition encoders can trust the namespace.
+// tests that build every daemon's registry long before production) so
+// the exposition encoders can trust the namespace.
 type Registry struct {
 	mu      sync.Mutex
 	metrics []metric

@@ -62,8 +62,6 @@ func (s *CacheServer) Broadcast(inv Invalidation) {
 
 // RegisterMetrics registers the server-local gauges: connected
 // downstream relays and their queued-invalidation backlog.
-//
-//tcache:metric
 func (s *CacheServer) RegisterMetrics(reg *telemetry.Registry) {
 	reg.Gauge("relay_subscribers", func() uint64 { return uint64(s.Subscribers()) })
 	reg.Gauge("relay_queue", s.queuedInvalidations)

@@ -245,8 +245,6 @@ func (cn *muxConn) abandon(id uint64, ch chan muxResult) {
 // may precede their awaits. A write error fails the connection, which
 // settles the slot: it surfaces from await. ctx cancelled while queued
 // for the write side abandons the slot and returns at once.
-//
-//tcache:hotpath
 func (cn *muxConn) send(ctx context.Context, req *Request) (uint64, chan muxResult, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, nil, err
@@ -293,8 +291,6 @@ func (cn *muxConn) send(ctx context.Context, req *Request) (uint64, chan muxResu
 
 // await waits for the reply to send's request id. ctx cancellation
 // abandons the slot; the connection remains usable for other calls.
-//
-//tcache:hotpath
 func (cn *muxConn) await(ctx context.Context, id uint64, ch chan muxResult) (Response, error) {
 	select {
 	case r := <-ch:
@@ -506,8 +502,6 @@ type inflight struct {
 // start sends f.req on the next connection without waiting for the
 // reply, so a caller may start several calls — on this mux or others —
 // before it waits for any. What went wrong, if anything, is kept for wait.
-//
-//tcache:hotpath
 func (m *mux) start(ctx context.Context, f *inflight) {
 	if m.rtHist.Load() != nil {
 		f.began = time.Now()
@@ -528,8 +522,6 @@ func (m *mux) start(ctx context.Context, f *inflight) {
 // fast to a cluster health checker instead of being retried forever by
 // every caller. The histogram sees the time from start to here, redials
 // included — the latency the caller experienced.
-//
-//tcache:hotpath
 func (m *mux) wait(ctx context.Context, f *inflight) (Response, error) {
 	if f.cn == nil {
 		return Response{}, f.err // a failed dial arrives tagged by dialPeer
@@ -711,8 +703,6 @@ type BatchRead struct {
 // StartReadItemsFloor sends ReadItems with a read floor (see
 // ReadItemFloor) and returns without waiting; a failure to send is
 // reported by b.Wait.
-//
-//tcache:hotpath
 func (c *DBClient) StartReadItemsFloor(ctx context.Context, b *BatchRead, keys []kv.Key, floor kv.Version) {
 	b.m = c.mux
 	b.f = inflight{req: Request{Op: OpGetBatch, Keys: keys, MinVersion: floor}}

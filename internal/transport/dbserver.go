@@ -32,8 +32,6 @@ func NewDBServer(d *db.DB, logf func(string, ...any)) *DBServer {
 
 // RegisterMetrics registers the server-local gauges: live subscription
 // streams and their queued-invalidation backlog.
-//
-//tcache:metric
 func (s *DBServer) RegisterMetrics(reg *telemetry.Registry) {
 	reg.Gauge("subscribers", func() uint64 { return uint64(s.Subscribers()) })
 	reg.Gauge("subscriber_queue", s.queuedInvalidations)

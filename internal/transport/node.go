@@ -45,8 +45,6 @@ type Edge struct {
 // cache, subscribes to the invalidation stream — applying it locally
 // and relaying it to downstream subscribers — and serves on cfg.Listen.
 // ctx bounds the initial dial and subscribe.
-//
-//tcache:metric
 func ServeEdge(ctx context.Context, cfg EdgeConfig) (_ *Edge, err error) {
 	e := &Edge{}
 	defer func() {

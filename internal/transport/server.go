@@ -98,8 +98,6 @@ func (s *server) statsResponse() Response {
 
 // registerDropped registers the dropped-invalidation counter, under one
 // name on both tiers.
-//
-//tcache:metric
 func (s *server) registerDropped(reg *telemetry.Registry) {
 	reg.Counter("relay_invalidations_dropped", s.invDropped.Load)
 }
@@ -248,8 +246,6 @@ func (s *server) handOff(t task) {
 // server hands over, so a steady stream of requests runs on stacks
 // already grown to the depth serve needs instead of growing a fresh
 // goroutine's each time.
-//
-//tcache:hotpath
 func (s *server) worker(t task) {
 	defer s.wg.Done()
 	idle := time.NewTimer(workerLinger)

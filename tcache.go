@@ -349,12 +349,6 @@ const (
 	EvictCost = evict.Cost
 )
 
-// ParseEvictionPolicy parses a policy name ("lru", "clock", "cost") as
-// accepted by the daemons' -evict flag.
-func ParseEvictionPolicy(s string) (EvictionPolicy, error) {
-	return evict.ParseKind(s)
-}
-
 // WithEvictionPolicy selects the eviction policy of a bounded cache.
 // Ignored when the cache is unbounded.
 func WithEvictionPolicy(p EvictionPolicy) CacheOption {
@@ -378,11 +372,6 @@ func WithAdmission() CacheOption {
 // ranks only its own residents.
 func WithCacheShards(n int) CacheOption {
 	return func(o *cacheOptions) { o.core.Shards = n }
-}
-
-// WithClock substitutes the time source (e.g. a simulation clock).
-func WithClock(c clock.Clock) CacheOption {
-	return func(o *cacheOptions) { o.core.Clock = c }
 }
 
 // WithLossyLink routes invalidations through an unreliable asynchronous

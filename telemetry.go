@@ -35,8 +35,6 @@ type Telemetry struct {
 }
 
 // NewTelemetry allocates the client-side histogram set.
-//
-//tcache:metric
 func NewTelemetry() *Telemetry {
 	t := &Telemetry{
 		core:      core.NewTelemetry(),
