@@ -122,6 +122,7 @@ func TestExactStrictImpliesExact(t *testing.T) {
 	for iter := 0; iter < 200; iter++ {
 		m := New()
 		latest := map[kv.Key]kv.Version{}
+		written := map[kv.Version]bool{}
 		for ver := uint64(1); ver <= uint64(10+r.Intn(25)); ver++ {
 			var writes []kv.Key
 			var reads []Read
@@ -137,6 +138,7 @@ func TestExactStrictImpliesExact(t *testing.T) {
 				continue
 			}
 			m.RecordUpdate(v(ver), writes, reads)
+			written[v(ver)] = true
 			for _, k := range writes {
 				latest[k] = v(ver)
 			}
@@ -149,7 +151,7 @@ func TestExactStrictImpliesExact(t *testing.T) {
 				if r.Intn(2) == 0 {
 					ver = v(uint64(1 + r.Intn(int(lv.Counter))))
 					// Snap to an existing version for realism.
-					if _, exists := m.exact.byVer[ver]; !exists {
+					if !written[ver] {
 						ver = lv
 					}
 				}
