@@ -107,7 +107,7 @@ func (s *exactState) record(version kv.Version, writes []kv.Key, reads []Read) {
 		}
 		return
 	}
-	u := updateTxn{version: version, writes: writes, reads: reads}
+	u := updateTxn{version: version, writes: slices.Clone(writes), reads: slices.Clone(reads)}
 	n := len(s.updates)
 	s.marks = append(s.marks, 0)
 	if n == 0 || s.updates[n-1].version.Less(version) {

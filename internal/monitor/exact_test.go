@@ -3,6 +3,7 @@ package monitor
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"tcache/internal/kv"
@@ -194,5 +195,39 @@ func TestExactTrimPreservesRecentClassification(t *testing.T) {
 	m.RecordUpdate(v(62), []kv.Key{"y"}, []Read{{"x", v(61)}})
 	if m.ClassifyExact([]Read{{"x", v(60)}, {"y", v(62)}}) {
 		t.Fatal("post-trim conflict chain not detected")
+	}
+}
+
+// TestRecordUpdateCopiesItsInputs records one history twice: once with
+// fresh slices per call, once through a single reused pair of buffers, as
+// the column's commit hook does. The monitor must keep no reference to
+// what it was given, so both classify the torn read {x@1, y@12} alike: 10
+// overwrote x and 12 wrote y, but neither 10 nor 11 reaches 12.
+func TestRecordUpdateCopiesItsInputs(t *testing.T) {
+	history := []struct {
+		ver    uint64
+		writes []kv.Key
+		reads  []Read
+	}{
+		{1, []kv.Key{"x", "y"}, nil},
+		{10, []kv.Key{"x"}, []Read{{"x", v(1)}}},
+		{11, []kv.Key{"z"}, []Read{{"z", v(0)}}},
+		{12, []kv.Key{"y"}, []Read{{"y", v(1)}}},
+	}
+	fresh, reused := New(), New()
+	var wbuf []kv.Key
+	var rbuf []Read
+	for _, u := range history {
+		fresh.RecordUpdate(v(u.ver), slices.Clone(u.writes), slices.Clone(u.reads))
+		wbuf = append(wbuf[:0], u.writes...)
+		rbuf = append(rbuf[:0], u.reads...)
+		reused.RecordUpdate(v(u.ver), wbuf, rbuf)
+	}
+	torn := []Read{{"x", v(1)}, {"y", v(12)}}
+	if !fresh.ClassifyExact(torn) {
+		t.Fatal("fresh slices: 10 and 12 are independent, the torn read serializes")
+	}
+	if !reused.ClassifyExact(torn) {
+		t.Fatal("reused buffers: the monitor kept the caller's slices and recorded history was rewritten")
 	}
 }

@@ -114,7 +114,8 @@ func (m *Monitor) Seed(key kv.Key, version kv.Version) {
 // the exact conflict graph; pass nil if unknown, which conservatively
 // drops rw edges out of this transaction). The database's commit hook
 // guarantees calls arrive in version order, but the monitor tolerates
-// any order.
+// any order. The monitor keeps no reference to writes or reads, so a
+// caller may reuse their backing arrays.
 func (m *Monitor) RecordUpdate(version kv.Version, writes []kv.Key, reads []Read) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
