@@ -2,7 +2,6 @@ package monitor
 
 import (
 	"slices"
-	"sort"
 
 	"tcache/internal/kv"
 )
@@ -32,6 +31,24 @@ import (
 // short-circuits the common case and the graph search runs only on
 // version-torn read sets.
 //
+// Layout. updates is ordered by version; an update's written key ids and
+// its reads are spans of two arenas, and the readers of one key version
+// are a list threaded through a third (links), headed in the version's
+// history entry. Nothing here holds a pointer, so the garbage collector
+// scans none of it, and the search follows slice indices instead of
+// hashing. Three rules keep its verdicts those of the original map-based
+// indexes (exact_oracle_test.go's refMonitor):
+//
+//   - The node at version v is the update with that version, whether or
+//     not it wrote the key: an entry with no writer of its own (a seed, or
+//     a phantom registered by RecordReadOnly) falls back to a search of
+//     updates by version (updateAt).
+//   - Readers of a key version that has no history entry yet wait in
+//     pending and join the entry when it is inserted (insertLocked).
+//   - An update recorded out of version order shifts every stored update
+//     index at or above its position (rare: the db's commit hooks run in
+//     version order).
+//
 // A classification allocates nothing once its scratch has grown: the
 // writer set, the DFS stack and the visited marks live in exactState and
 // are reused by every classification, which is safe because all of them
@@ -40,31 +57,36 @@ import (
 // marks left by earlier ones read as unvisited without being cleared
 // (they are zeroed only when the epoch counter wraps).
 
-// updateTxn is one committed update transaction's access sets.
-type updateTxn struct {
-	version kv.Version
-	writes  []kv.Key
-	reads   []Read
+// update is one committed update transaction: its version and its spans
+// of exactState.writes and exactState.reads.
+type update struct {
+	ver  kv.Version
+	w, r span
 }
 
-// exactState holds the conflict-graph indexes, embedded in Monitor.
+// span is the run [off, off+n) of an arena.
+type span struct{ off, n int32 }
+
+// link is one reader of a key version: an update index and the next link.
+type link struct{ update, next int32 }
+
+// exactState holds the conflict graph, embedded in Monitor.
 type exactState struct {
-	// updates is ordered by version (commit hooks deliver in order; the
-	// insert path tolerates stragglers).
-	updates []updateTxn
-	// byVer maps a commit version to its index in updates.
-	byVer map[kv.Version]int
-	// readers maps a (key, version) pair to the indices of update
-	// transactions that read exactly that version (wr successors).
-	readers map[DepEntry][]int
+	updates []update
+	writes  []int32
+	reads   []keyRead
+	links   []link
+	// pending heads the reader lists of key versions not yet in hist.
+	pending map[keyRead]int32
 
 	// Classification scratch (see the file comment). marks[i] == epoch
 	// means updates[i] was visited by the current classification; marks
 	// is kept as long as updates.
 	marks   []uint32
 	epoch   uint32
-	writers []int
-	stack   []int
+	writers []int32
+	stack   []int32
+	rs      []keyRead
 }
 
 // nextEpoch starts a classification's visited set.
@@ -77,108 +99,158 @@ func (s *exactState) nextEpoch() uint32 {
 	return s.epoch
 }
 
-func (s *exactState) init() {
-	if s.byVer == nil {
-		s.byVer = make(map[kv.Version]int)
-		s.readers = make(map[DepEntry][]int)
+// find returns the position of version v in updates and whether it is
+// there.
+func (s *exactState) find(v kv.Version) (int, bool) {
+	n := len(s.updates)
+	if n == 0 || s.updates[n-1].ver.Less(v) {
+		return n, false
 	}
+	lo, hi := 0, n
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if s.updates[mid].ver.Less(v) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, s.updates[lo].ver == v
 }
 
-// record registers an update transaction's access sets. Out-of-order
-// versions are inserted at their sorted position (rare: only when hooks
-// race, which the db's commitMu prevents).
-func (s *exactState) record(version kv.Version, writes []kv.Key, reads []Read) {
-	s.init()
-	if i, dup := s.byVer[version]; dup {
-		// Merge: callers may report one transaction's writes in pieces.
-		u := &s.updates[i]
-		for _, k := range writes {
-			if !containsWrite(u.writes, k) {
-				u.writes = append(u.writes, k)
-			}
-		}
-		for _, r := range reads {
-			if r.Version.IsZero() {
-				continue
-			}
-			u.reads = append(u.reads, r)
-			de := DepEntry{Key: r.Key, Version: r.Version}
-			s.readers[de] = append(s.readers[de], i)
-		}
-		return
+// updateAt returns the index of the update at e's version, or -1.
+func (s *exactState) updateAt(e entry) int32 {
+	if e.writer >= 0 {
+		return e.writer
 	}
-	u := updateTxn{version: version, writes: slices.Clone(writes), reads: slices.Clone(reads)}
-	n := len(s.updates)
-	s.marks = append(s.marks, 0)
-	if n == 0 || s.updates[n-1].version.Less(version) {
-		s.updates = append(s.updates, u)
-		s.byVer[version] = n
-	} else {
-		// Marks are only compared with a later classification's fresh
-		// epoch, so the one appended above may stand for any position.
-		i := sort.Search(n, func(i int) bool { return !s.updates[i].version.Less(version) })
-		s.updates = append(s.updates, updateTxn{})
-		copy(s.updates[i+1:], s.updates[i:])
-		s.updates[i] = u
-		for v, idx := range s.byVer {
-			if idx >= i {
-				s.byVer[v] = idx + 1
-			}
-		}
-		s.byVer[version] = i
-		for de, idxs := range s.readers {
-			for j, idx := range idxs {
-				if idx >= i {
-					idxs[j] = idx + 1
-				}
-			}
-			s.readers[de] = idxs
-		}
+	if i, ok := s.find(e.ver); ok {
+		return int32(i)
 	}
+	return -1
+}
+
+// addReader puts update u at the front of the reader list *head.
+func (s *exactState) addReader(head *int32, u int32) {
+	s.links = append(s.links, link{u, *head})
+	*head = int32(len(s.links) - 1)
+}
+
+// moveToEnd returns arena with span sp at its end, copying the span
+// there unless it already ends the arena, so that appending extends it.
+func moveToEnd[T any](arena []T, sp *span) []T {
+	if int(sp.off+sp.n) != len(arena) {
+		off := int32(len(arena))
+		arena = append(arena, arena[sp.off:sp.off+sp.n]...)
+		sp.off = off
+	}
+	return arena
+}
+
+// recordLocked registers an update transaction's access sets, merging
+// a version reported in several calls. A version's first report keeps
+// its zero-version reads (rw edges to the key's first writer); a merged
+// one drops them, as the original indexes did.
+func (m *Monitor) recordLocked(version kv.Version, writes []kv.Key, reads []Read) {
+	s := &m.exact
+	i, merge := s.find(version)
+	if !merge {
+		m.insertUpdateLocked(i, version)
+	}
+	u := int32(i)
+	up := &s.updates[i]
+	s.writes = moveToEnd(s.writes, &up.w)
+	for _, k := range writes {
+		id := m.intern(k)
+		if !version.IsZero() {
+			j := m.insertLocked(id, version)
+			m.hist[id][j].writer = u
+		}
+		s.writes = append(s.writes, id)
+		up.w.n++
+	}
+	s.reads = moveToEnd(s.reads, &up.r)
 	for _, r := range reads {
-		if r.Version.IsZero() {
+		kr := keyRead{r.Version, m.intern(r.Key)}
+		if !merge || !kr.ver.IsZero() {
+			s.reads = append(s.reads, kr)
+			up.r.n++
+		}
+		if kr.ver.IsZero() {
 			continue
 		}
-		de := DepEntry{Key: r.Key, Version: r.Version}
-		s.readers[de] = append(s.readers[de], s.byVer[version])
+		h := m.hist[kr.id]
+		if j, ok := seek(h, kr.ver); ok {
+			s.addReader(&h[j].readers, u)
+			continue
+		}
+		head, ok := s.pending[kr]
+		if !ok {
+			head = -1
+		}
+		s.addReader(&head, u)
+		if s.pending == nil {
+			s.pending = make(map[keyRead]int32)
+		}
+		s.pending[kr] = head
 	}
 }
 
-// DepEntry is a (key, version) pair used as a reader-index key.
-type DepEntry struct {
-	Key     kv.Key
-	Version kv.Version
+// insertUpdateLocked inserts an empty update at position i of updates,
+// shifting the stored index of every update it displaces.
+func (m *Monitor) insertUpdateLocked(i int, version kv.Version) {
+	s := &m.exact
+	s.marks = append(s.marks, 0) // compared only with a fresh epoch
+	u := update{ver: version, w: span{int32(len(s.writes)), 0}, r: span{int32(len(s.reads)), 0}}
+	if i == len(s.updates) {
+		s.updates = append(s.updates, u)
+		return
+	}
+	s.updates = slices.Insert(s.updates, i, u)
+	for _, h := range m.hist {
+		for j := range h {
+			if h[j].writer >= int32(i) {
+				h[j].writer++
+			}
+		}
+	}
+	for j := range s.links {
+		if s.links[j].update >= int32(i) {
+			s.links[j].update++
+		}
+	}
 }
 
-// classifyExactLocked reports whether reads form a serializable snapshot
+// ClassifyExact classifies a read set with exact conflict-based
+// serialization graph testing, without touching the statistics.
+func (m *Monitor) ClassifyExact(reads []Read) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.classifyExactLocked(m.lookupLocked(reads))
+}
+
+// classifyExactLocked reports whether rs forms a serializable snapshot
 // under exact conflict-based SGT. Caller holds m.mu.
-func (m *Monitor) classifyExactLocked(reads []Read) bool {
-	if m.consistentLocked(reads) {
+func (m *Monitor) classifyExactLocked(rs []keyRead) bool {
+	if m.consistentLocked(rs) {
 		return true // interval-consistent ⇒ exactly consistent
 	}
 	s := &m.exact
-	s.init()
 
-	// Predecessors: writers of the versions read.
+	// Predecessors: the updates that wrote the versions read. A phantom
+	// version registered defensively for one key has no writer there, so
+	// its update is not made a predecessor by that key's read.
 	writers := s.writers[:0]
 	var maxW kv.Version
-	for _, r := range reads {
-		if r.Version.IsZero() {
+	for _, r := range rs {
+		if r.id < 0 || r.ver.IsZero() {
 			continue
 		}
-		if i, ok := s.byVer[r.Version]; ok {
-			// The version must actually have written this key: a phantom
-			// version registered defensively for one key must not make
-			// its transaction a predecessor for another key's read.
-			if !containsWrite(s.updates[i].writes, r.Key) {
-				continue
+		h := m.hist[r.id]
+		if j, ok := seek(h, r.ver); ok && h[j].writer >= 0 {
+			if !slices.Contains(writers, h[j].writer) {
+				writers = append(writers, h[j].writer)
 			}
-			if !slices.Contains(writers, i) {
-				writers = append(writers, i)
-			}
-			if maxW.Less(r.Version) {
-				maxW = r.Version
-			}
+			maxW = kv.Max(maxW, r.ver)
 		}
 	}
 	s.writers = writers
@@ -189,28 +261,24 @@ func (m *Monitor) classifyExactLocked(reads []Read) bool {
 	// Successor constraints: overwriters of the versions read. T is
 	// non-serializable iff some overwriter reaches some writer.
 	epoch := s.nextEpoch()
-	for _, r := range reads {
-		next, ok := m.nextVersionLocked(r.Key, r.Version)
-		if !ok || maxW.Less(next) {
+	for _, r := range rs {
+		e, ok := m.nextLocked(r.id, r.ver)
+		if !ok || maxW.Less(e.ver) {
 			continue
 		}
-		oi, ok := s.byVer[next]
-		if !ok {
-			continue // overwrite by a seed (cannot happen in practice)
-		}
-		if m.reachesLocked(oi, writers, maxW, epoch) {
+		if o := s.updateAt(e); o >= 0 && m.reachesLocked(o, writers, maxW, epoch) {
 			return false
 		}
 	}
 	return true
 }
 
-// reachesLocked runs a DFS over conflict successors from node start,
+// reachesLocked runs a DFS over conflict successors from update start,
 // pruned to versions ≤ maxVer, returning true if it hits any target.
 // Nodes marked with epoch are shared across the per-overwriter searches
 // of one classification (reachability is monotone, so sharing is sound:
 // a node already explored without hitting a target never will).
-func (m *Monitor) reachesLocked(start int, targets []int, maxVer kv.Version, epoch uint32) bool {
+func (m *Monitor) reachesLocked(start int32, targets []int32, maxVer kv.Version, epoch uint32) bool {
 	s := &m.exact
 	stack := append(s.stack[:0], start)
 	defer func() { s.stack = stack[:0] }()
@@ -224,80 +292,38 @@ func (m *Monitor) reachesLocked(start int, targets []int, maxVer kv.Version, epo
 			continue
 		}
 		s.marks[u] = epoch
-		txn := &s.updates[u]
-		// ww and wr successors per written key.
-		for _, k := range txn.writes {
-			if nv, ok := m.nextVersionLocked(k, txn.version); ok && !maxVer.Less(nv) {
-				if i, ok := s.byVer[nv]; ok {
-					stack = append(stack, i)
+		up := s.updates[u]
+		// ww and wr successors per written key: the readers of the
+		// version u wrote, then the key's next version.
+		for _, id := range s.writes[up.w.off : up.w.off+up.w.n] {
+			h := m.hist[id]
+			j, ok := seek(h, up.ver)
+			if ok {
+				for l := h[j].readers; l >= 0; l = s.links[l].next {
+					if r := s.links[l].update; !maxVer.Less(s.updates[r].ver) {
+						stack = append(stack, r)
+					}
+				}
+				j++
+			}
+			if j < len(h) && !maxVer.Less(h[j].ver) {
+				if o := s.updateAt(h[j]); o >= 0 {
+					stack = append(stack, o)
 				}
 			}
-			for _, i := range s.readers[DepEntry{Key: k, Version: txn.version}] {
-				if !maxVer.Less(s.updates[i].version) {
-					stack = append(stack, i)
+		}
+		// rw successors per read version: its next version.
+		for _, r := range s.reads[up.r.off : up.r.off+up.r.n] {
+			h := m.hist[r.id]
+			j, ok := seek(h, r.ver)
+			if ok {
+				j++
+			}
+			if j < len(h) && !maxVer.Less(h[j].ver) {
+				if o := s.updateAt(h[j]); o >= 0 {
+					stack = append(stack, o)
 				}
 			}
-		}
-		// rw successors per read version.
-		for _, r := range txn.reads {
-			if nv, ok := m.nextVersionLocked(r.Key, r.Version); ok && !maxVer.Less(nv) {
-				if i, ok := s.byVer[nv]; ok && i != u {
-					stack = append(stack, i)
-				}
-			}
-		}
-	}
-	return false
-}
-
-// ClassifyExact classifies a read set with exact conflict-based
-// serialization graph testing, without touching the statistics.
-func (m *Monitor) ClassifyExact(reads []Read) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.classifyExactLocked(reads)
-}
-
-// trimExactLocked drops conflict-graph state strictly below watermark.
-func (m *Monitor) trimExactLocked(watermark kv.Version) {
-	s := &m.exact
-	if len(s.updates) == 0 {
-		return
-	}
-	i := sort.Search(len(s.updates), func(i int) bool {
-		return !s.updates[i].version.Less(watermark)
-	})
-	if i == 0 {
-		return
-	}
-	dropped := s.updates[:i]
-	s.updates = append([]updateTxn(nil), s.updates[i:]...)
-	s.marks = s.marks[:len(s.updates)]
-	for _, u := range dropped {
-		delete(s.byVer, u.version)
-	}
-	for v, idx := range s.byVer {
-		s.byVer[v] = idx - i
-	}
-	for de, idxs := range s.readers {
-		out := idxs[:0]
-		for _, idx := range idxs {
-			if idx >= i {
-				out = append(out, idx-i)
-			}
-		}
-		if len(out) == 0 {
-			delete(s.readers, de)
-			continue
-		}
-		s.readers[de] = out
-	}
-}
-
-func containsWrite(xs []kv.Key, k kv.Key) bool {
-	for _, x := range xs {
-		if x == k {
-			return true
 		}
 	}
 	return false

@@ -1,7 +1,6 @@
 package monitor
 
 import (
-	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -174,27 +173,6 @@ func TestExactEmptyAndUnknown(t *testing.T) {
 	}
 	if !m.ClassifyExact([]Read{{"ghost", v(3)}}) {
 		t.Fatal("read of unknown version must classify consistent")
-	}
-}
-
-func TestExactTrimPreservesRecentClassification(t *testing.T) {
-	m := New()
-	for i := uint64(1); i <= 50; i++ {
-		k := kv.Key(fmt.Sprintf("k%d", i%5))
-		var reads []Read
-		if i > 5 {
-			reads = []Read{{Key: k, Version: v(i - 5)}}
-		}
-		m.RecordUpdate(v(i), []kv.Key{k}, reads)
-	}
-	m.TrimBelow(v(30))
-	// Recent conflicts still classify: k0@45 overwritten at 50, and
-	// txn 50 read k0@45 — wait, same key; use two keys above watermark.
-	m.RecordUpdate(v(60), []kv.Key{"x"}, nil)
-	m.RecordUpdate(v(61), []kv.Key{"x"}, []Read{{"x", v(60)}})
-	m.RecordUpdate(v(62), []kv.Key{"y"}, []Read{{"x", v(61)}})
-	if m.ClassifyExact([]Read{{"x", v(60)}, {"y", v(62)}}) {
-		t.Fatal("post-trim conflict chain not detected")
 	}
 }
 

@@ -13,13 +13,19 @@
 // writer of o). A cycle through T exists iff some overwriter of one of
 // T's reads precedes (or is) the writer of another of T's reads — i.e.
 // iff the version intervals [v, next(v)) of T's reads have empty
-// intersection: Classify's interval test, which CheckSGT restates as an
-// explicit graph search (tests cross-check the two). RecordReadOnly uses
-// the exact test (classifyExactLocked), where it is only a short-circuit.
+// intersection: Classify's interval test. RecordReadOnly uses the exact
+// test (classifyExactLocked, exact.go), where it is only a short-circuit.
+//
+// The monitor holds every update of a run, so its indexes are flat and
+// pointer-free: the garbage collector scans one slice header per key,
+// not the history. Each key is interned to an int32 id where it enters
+// the API. hist[id] is that key's versions, ascending; each entry names
+// the update that wrote the key at that version and heads the list of
+// updates that read it. exact.go holds the updates themselves.
 package monitor
 
 import (
-	"sort"
+	"slices"
 	"sync"
 
 	"tcache/internal/kv"
@@ -84,21 +90,36 @@ func (s Stats) DetectionRatio() float64 {
 // Monitor is safe for concurrent use.
 type Monitor struct {
 	mu sync.Mutex
-	// hist[k] is the ordered version history of k (ascending).
-	hist map[kv.Key][]kv.Version
-	// order is every update-transaction version in commit order; it is
-	// the serialization backbone used by the strict-order graph search
-	// (CheckSGT).
-	order []kv.Version
-	// exact holds the conflict-graph indexes for exact serialization
-	// graph testing (exact.go).
+	// ids interns keys; hist[id] is key id's version history.
+	ids  map[kv.Key]int32
+	hist [][]entry
+	// exact holds the updates and the classification scratch (exact.go).
 	exact exactState
 	stats Stats
 }
 
+// entry is one version of one key.
+type entry struct {
+	ver kv.Version
+	// writer is the index in exact.updates of the update that wrote the
+	// key at ver, or -1 (a seed, or a phantom version registered by
+	// RecordReadOnly).
+	writer int32
+	// readers heads the list in exact.links of the updates that read the
+	// key at ver, or is -1.
+	readers int32
+}
+
+// keyRead is a read with its key interned; id is -1 for a key the
+// monitor has never seen.
+type keyRead struct {
+	ver kv.Version
+	id  int32
+}
+
 // New creates an empty monitor.
 func New() *Monitor {
-	return &Monitor{hist: make(map[kv.Key][]kv.Version)}
+	return &Monitor{ids: make(map[kv.Key]int32)}
 }
 
 // Seed registers an object's initial version so reads of never-updated
@@ -106,7 +127,9 @@ func New() *Monitor {
 func (m *Monitor) Seed(key kv.Key, version kv.Version) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.insertVersionLocked(key, version)
+	if !version.IsZero() {
+		m.insertLocked(m.intern(key), version)
+	}
 }
 
 // RecordUpdate registers a committed update transaction: the commit
@@ -114,23 +137,14 @@ func (m *Monitor) Seed(key kv.Key, version kv.Version) {
 // the exact conflict graph; pass nil if unknown, which conservatively
 // drops rw edges out of this transaction). The database's commit hook
 // guarantees calls arrive in version order, but the monitor tolerates
-// any order. The monitor keeps no reference to writes or reads, so a
-// caller may reuse their backing arrays.
+// any order, and one version reported in several calls. The monitor
+// keeps no reference to writes or reads, so a caller may reuse their
+// backing arrays.
 func (m *Monitor) RecordUpdate(version kv.Version, writes []kv.Key, reads []Read) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.stats.Updates++
-	for _, k := range writes {
-		m.insertVersionLocked(k, version)
-	}
-	m.exact.record(version, writes, reads)
-	if n := len(m.order); n == 0 || m.order[n-1].Less(version) {
-		m.order = append(m.order, version)
-	} else if i := sort.Search(n, func(i int) bool { return !m.order[i].Less(version) }); i == n || m.order[i] != version {
-		m.order = append(m.order, kv.Version{})
-		copy(m.order[i+1:], m.order[i:])
-		m.order[i] = version
-	}
+	m.recordLocked(version, writes, reads)
 }
 
 // RecordReadOnly classifies a completed read-only transaction with exact
@@ -140,10 +154,16 @@ func (m *Monitor) RecordUpdate(version kv.Version, writes []kv.Key, reads []Read
 func (m *Monitor) RecordReadOnly(reads []Read, committed bool) Verdict {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	rs := m.exact.rs[:0]
 	for _, r := range reads {
-		m.insertVersionLocked(r.Key, r.Version)
+		id := m.intern(r.Key)
+		if !r.Version.IsZero() {
+			m.insertLocked(id, r.Version)
+		}
+		rs = append(rs, keyRead{r.Version, id})
 	}
-	consistent := m.classifyExactLocked(reads)
+	m.exact.rs = rs
+	consistent := m.classifyExactLocked(rs)
 	switch {
 	case committed && consistent:
 		m.stats.CommittedConsistent++
@@ -164,7 +184,7 @@ func (m *Monitor) RecordReadOnly(reads []Read, committed bool) Verdict {
 func (m *Monitor) Classify(reads []Read) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.consistentLocked(reads)
+	return m.consistentLocked(m.lookupLocked(reads))
 }
 
 // Stats returns a snapshot of the counters.
@@ -174,100 +194,97 @@ func (m *Monitor) Stats() Stats {
 	return m.stats
 }
 
-// ResetStats zeroes the counters, keeping version histories. The
-// convergence experiments use it to measure per-window rates.
-func (m *Monitor) ResetStats() Stats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := m.stats
-	m.stats = Stats{}
-	return out
-}
-
 // consistentLocked is the interval test: the snapshot {(k_i, v_i)} is
 // serializable iff the intervals [v_i, next(k_i, v_i)) share a point,
 // i.e. iff max_i(v_i) < min_i(next(k_i, v_i)).
-func (m *Monitor) consistentLocked(reads []Read) bool {
-	if len(reads) == 0 {
-		return true
+func (m *Monitor) consistentLocked(rs []keyRead) bool {
+	var maxRead kv.Version
+	for _, r := range rs {
+		maxRead = kv.Max(maxRead, r.ver)
 	}
-	maxRead := reads[0].Version
-	for _, r := range reads[1:] {
-		maxRead = kv.Max(maxRead, r.Version)
-	}
-	for _, r := range reads {
-		next, ok := m.nextVersionLocked(r.Key, r.Version)
-		if ok && !maxRead.Less(next) {
+	for _, r := range rs {
+		if e, ok := m.nextLocked(r.id, r.ver); ok && !maxRead.Less(e.ver) {
 			return false
 		}
 	}
 	return true
 }
 
-// insertVersionLocked adds version to key's ordered history (idempotent).
-// The zero version (never-written) is not tracked: it denotes "before any
-// write", which the interval test handles via the first real version.
-func (m *Monitor) insertVersionLocked(key kv.Key, version kv.Version) {
-	if version.IsZero() {
-		return
+// lookupLocked interns reads into the scratch read set without
+// registering keys: a key the monitor never saw gets id -1.
+func (m *Monitor) lookupLocked(reads []Read) []keyRead {
+	rs := m.exact.rs[:0]
+	for _, r := range reads {
+		id, ok := m.ids[r.Key]
+		if !ok {
+			id = -1
+		}
+		rs = append(rs, keyRead{r.Version, id})
 	}
-	h := m.hist[key]
-	n := len(h)
-	if n == 0 || h[n-1].Less(version) {
-		m.hist[key] = append(h, version)
-		return
-	}
-	i := sort.Search(n, func(i int) bool { return !h[i].Less(version) })
-	if i < n && h[i] == version {
-		return
-	}
-	h = append(h, kv.Version{})
-	copy(h[i+1:], h[i:])
-	h[i] = version
-	m.hist[key] = h
+	m.exact.rs = rs
+	return rs
 }
 
-// nextVersionLocked returns the smallest version of key strictly greater
-// than v, if any. For the zero version (key read before any write) that
-// is the key's first version.
-func (m *Monitor) nextVersionLocked(key kv.Key, v kv.Version) (kv.Version, bool) {
-	h := m.hist[key]
-	i := sort.Search(len(h), func(i int) bool { return v.Less(h[i]) })
+// intern returns key's id, registering it with an empty history.
+func (m *Monitor) intern(key kv.Key) int32 {
+	id, ok := m.ids[key]
+	if !ok {
+		id = int32(len(m.hist))
+		m.ids[key] = id
+		m.hist = append(m.hist, nil)
+	}
+	return id
+}
+
+// seek returns the index of the first entry of h at or after v, and
+// whether it is v.
+func seek(h []entry, v kv.Version) (int, bool) {
+	lo, hi := 0, len(h)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if h[mid].ver.Less(v) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(h) && h[lo].ver == v
+}
+
+// insertLocked adds the non-zero version v to key id's history
+// (idempotent) and returns its index there. Readers that were recorded
+// before the version existed join the new entry. The zero version is not
+// tracked: it denotes "before any write", which the interval test
+// handles via the key's first real version.
+func (m *Monitor) insertLocked(id int32, v kv.Version) int {
+	h := m.hist[id]
+	i, found := seek(h, v)
+	if found {
+		return i
+	}
+	e := entry{ver: v, writer: -1, readers: -1}
+	if head, ok := m.exact.pending[keyRead{v, id}]; ok {
+		e.readers = head
+		delete(m.exact.pending, keyRead{v, id})
+	}
+	m.hist[id] = slices.Insert(h, i, e)
+	return i
+}
+
+// nextLocked returns the first entry of key id's history strictly after
+// v. For the zero version (key read before any write) that is the key's
+// first version.
+func (m *Monitor) nextLocked(id int32, v kv.Version) (entry, bool) {
+	if id < 0 {
+		return entry{}, false
+	}
+	h := m.hist[id]
+	i, found := seek(h, v)
+	if found {
+		i++
+	}
 	if i == len(h) {
-		return kv.Version{}, false
+		return entry{}, false
 	}
 	return h[i], true
-}
-
-// HistoryLen returns the number of recorded versions for key (testing and
-// introspection).
-func (m *Monitor) HistoryLen(key kv.Key) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.hist[key])
-}
-
-// TrimBelow discards history entries strictly older than watermark,
-// always keeping each key's latest version, and drops trimmed update
-// versions from the serialization backbone. Long-running deployments call
-// it periodically; classifications of transactions that read versions
-// older than the watermark may then be (conservatively) wrong, so trim
-// only below the oldest in-flight transaction.
-func (m *Monitor) TrimBelow(watermark kv.Version) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for k, h := range m.hist {
-		i := sort.Search(len(h), func(i int) bool { return !h[i].Less(watermark) })
-		if i >= len(h) {
-			i = len(h) - 1 // keep the latest
-		}
-		if i > 0 {
-			m.hist[k] = append([]kv.Version(nil), h[i:]...)
-		}
-	}
-	i := sort.Search(len(m.order), func(i int) bool { return !m.order[i].Less(watermark) })
-	if i > 0 {
-		m.order = append([]kv.Version(nil), m.order[i:]...)
-	}
-	m.trimExactLocked(watermark)
 }

@@ -3,6 +3,7 @@ package monitor
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"tcache/internal/kv"
@@ -135,24 +136,6 @@ func TestStatsRatiosEmpty(t *testing.T) {
 		t.Fatal("empty stats ratios should be 0")
 	}
 }
-
-func TestResetStats(t *testing.T) {
-	m := New()
-	m.RecordUpdate(v(1), []kv.Key{"a"}, nil)
-	m.RecordReadOnly([]Read{{"a", v(1)}}, true)
-	old := m.ResetStats()
-	if old.CommittedConsistent != 1 {
-		t.Fatalf("ResetStats returned %+v", old)
-	}
-	if s := m.Stats(); s != (Stats{}) {
-		t.Fatalf("stats not reset: %+v", s)
-	}
-	// History survives reset.
-	if m.HistoryLen("a") != 1 {
-		t.Fatal("history lost on reset")
-	}
-}
-
 func TestOutOfOrderUpdatesTolerated(t *testing.T) {
 	m := New()
 	m.RecordUpdate(v(5), []kv.Key{"a"}, nil)
@@ -186,36 +169,6 @@ func TestUnknownVersionRegisteredDefensively(t *testing.T) {
 	m.RecordReadOnly([]Read{{"a", v(9)}}, true)
 	if got := m.HistoryLen("a"); got != 1 {
 		t.Fatalf("HistoryLen = %d, want 1", got)
-	}
-}
-
-func TestTrimBelow(t *testing.T) {
-	m := New()
-	for i := uint64(1); i <= 10; i++ {
-		m.RecordUpdate(v(i), []kv.Key{"a"}, nil)
-	}
-	m.RecordUpdate(v(11), []kv.Key{"b"}, nil)
-	m.TrimBelow(v(8))
-	if got := m.HistoryLen("a"); got != 3 { // 8, 9, 10
-		t.Fatalf("HistoryLen(a) = %d, want 3", got)
-	}
-	if got := m.HistoryLen("b"); got != 1 {
-		t.Fatalf("HistoryLen(b) = %d, want 1", got)
-	}
-	// Classification above the watermark still works; txn 11 read a@10,
-	// so a conflict path a-overwriter(10) → 11 exists.
-	m.RecordUpdate(v(12), []kv.Key{"b"}, []Read{{"a", v(10)}})
-	if got := m.RecordReadOnly([]Read{{"a", v(9)}, {"b", v(12)}}, true); got.Consistent {
-		t.Fatal("a@9 overwritten at 10 must conflict with b@12 (12 read a@10)")
-	}
-}
-
-func TestTrimBelowKeepsLatest(t *testing.T) {
-	m := New()
-	m.RecordUpdate(v(1), []kv.Key{"a"}, nil)
-	m.TrimBelow(v(100))
-	if got := m.HistoryLen("a"); got != 1 {
-		t.Fatalf("TrimBelow dropped the latest version: %d", got)
 	}
 }
 
@@ -281,4 +234,60 @@ func TestConcurrentRecording(t *testing.T) {
 	if m.Stats().ReadOnly() != 500 {
 		t.Fatal("lost read-only records")
 	}
+}
+
+// TestMonitorHeapPerUpdate gates what the monitor retains per update. It
+// records 20k updates of paper_sim's shape — 5 writes, each read at its
+// prior version — over 2,000 seeded keys, then classifies 100k 5-read
+// transactions, a quarter of whose reads are one version stale (they
+// must retain nothing), and checks the live heap
+// growth per update against a ceiling measured on that layout.
+func TestMonitorHeapPerUpdate(t *testing.T) {
+	const keys, updates, classifications = 2000, 20000, 100000
+	key := make([]kv.Key, keys)
+	for i := range key {
+		key[i] = kv.Key(fmt.Sprintf("o%06d", i))
+	}
+	latest, prev := make([]uint64, keys), make([]uint64, keys)
+	r := rand.New(rand.NewSource(1))
+	writes := make([]kv.Key, 5)
+	reads := make([]Read, 5)
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	m := New()
+	for i := range key {
+		latest[i], prev[i] = 1, 1
+		m.Seed(key[i], kv.Version{Counter: 1})
+	}
+	for c := uint64(2); c < updates+2; c++ {
+		for j := range writes {
+			k := r.Intn(keys)
+			writes[j] = key[k]
+			reads[j] = Read{Key: key[k], Version: kv.Version{Counter: latest[k]}}
+			prev[k], latest[k] = latest[k], c
+		}
+		m.RecordUpdate(kv.Version{Counter: c}, writes, reads)
+	}
+	for i := 0; i < classifications; i++ {
+		for j := range reads {
+			k := r.Intn(keys)
+			ver := latest[k]
+			if r.Intn(4) == 0 {
+				ver = prev[k] // a stale read: some read sets are torn
+			}
+			reads[j] = Read{Key: key[k], Version: kv.Version{Counter: ver}}
+		}
+		m.RecordReadOnly(reads, true)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(m)
+	per := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / updates
+	const ceiling = 500
+	if per > ceiling {
+		t.Fatalf("monitor retains %.0f bytes per update, ceiling %d", per, ceiling)
+	}
+	t.Logf("%.0f bytes retained per update (ceiling %d)", per, ceiling)
 }

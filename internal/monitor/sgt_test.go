@@ -1,8 +1,6 @@
 package monitor
 
 import (
-	"sort"
-
 	"tcache/internal/kv"
 )
 
@@ -14,38 +12,29 @@ import (
 // read version's overwriter — and reports whether the graph remains
 // acyclic, i.e. whether T can be placed in the serialization.
 //
-// It is equivalent to Classify's interval test (tests cross-check the
-// two), not to RecordReadOnly's exact test (classifyExactLocked). It
-// exists because the paper's monitor "performs full serialization graph
-// testing", and to document why the interval test is correct.
+// It is equivalent to Classify's interval test (the tests below
+// cross-check the two), not to RecordReadOnly's exact test. It documents
+// why the interval test is correct.
 func (m *Monitor) CheckSGT(reads []Read) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 
-	// Node ids: 0..len(order)-1 are update transactions in serialization
-	// order; node T is len(order).
-	n := len(m.order)
+	// Node ids: 0..n-1 are update transactions in serialization order;
+	// node T is n.
+	n := len(m.exact.updates)
 	tNode := n
-	index := func(v kv.Version) (int, bool) {
-		i := sort.Search(n, func(i int) bool { return !m.order[i].Less(v) })
-		if i < n && m.order[i] == v {
-			return i, true
-		}
-		return 0, false
-	}
-
 	adj := make([][]int, n+1)
 	// Serialization backbone: each update precedes the next.
 	for i := 0; i+1 < n; i++ {
 		adj[i] = append(adj[i], i+1)
 	}
 	// Read-from and anti-dependency edges.
-	for _, r := range reads {
-		if w, ok := index(r.Version); ok {
+	for _, r := range m.lookupLocked(reads) {
+		if w, ok := m.exact.find(r.ver); ok {
 			adj[w] = append(adj[w], tNode) // writer(v) → T
 		}
-		if next, ok := m.nextVersionLocked(r.Key, r.Version); ok {
-			if o, ok := index(next); ok {
+		if next, ok := m.nextLocked(r.id, r.ver); ok {
+			if o, ok := m.exact.find(next.ver); ok {
 				adj[tNode] = append(adj[tNode], o) // T → overwriter(v)
 			}
 		}
@@ -68,4 +57,15 @@ func (m *Monitor) CheckSGT(reads []Read) bool {
 		stack = append(stack, adj[u]...)
 	}
 	return true
+}
+
+// HistoryLen returns the number of recorded versions of key.
+func (m *Monitor) HistoryLen(key kv.Key) int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	id, ok := m.ids[key]
+	if !ok {
+		return 0
+	}
+	return len(m.hist[id])
 }
