@@ -136,10 +136,14 @@ func newColumnOn(d *db.DB, cfg ColumnConfig) (*Column, error) {
 		}
 	}
 	col.Cache, col.Mon = col.edges[0].cache, col.edges[0].mon
+	// This hook and each edge's completion hook (addEdge) reuse one read
+	// buffer: the monitor copies what it records, commit hooks run under
+	// the commit lock, and a column runs on one goroutine.
+	var reads []monitor.Read
 	d.OnCommit(func(rec db.CommitRecord) {
-		reads := make([]monitor.Read, len(rec.Reads))
-		for i, r := range rec.Reads {
-			reads[i] = monitor.Read{Key: r.Key, Version: r.Version}
+		reads = reads[:0]
+		for _, r := range rec.Reads {
+			reads = append(reads, monitor.Read{Key: r.Key, Version: r.Version})
 		}
 		for _, ed := range col.edges {
 			ed.mon.RecordUpdate(rec.Version, rec.Writes, reads)
@@ -178,8 +182,9 @@ func (c *Column) addEdge(cfg ColumnConfig, e int) error {
 	})); err != nil {
 		return fmt.Errorf("experiment: edge %d subscribe: %w", e, err)
 	}
+	var reads []monitor.Read
 	cache.OnComplete(func(comp core.Completion) {
-		reads := make([]monitor.Read, 0, len(comp.Reads)+1)
+		reads = reads[:0]
 		for _, r := range comp.Reads {
 			reads = append(reads, monitor.Read{Key: r.Key, Version: r.Version})
 		}
