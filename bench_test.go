@@ -554,3 +554,46 @@ func BenchmarkMonitorClassifyExact(b *testing.B) {
 		m.ClassifyExact(reads)
 	}
 }
+
+// BenchmarkMonitorRecord measures the monitor's cost per transaction pair
+// in paper_sim's shape: one RecordUpdate (5 writes, each read at its
+// prior version) and one RecordReadOnly of 5 reads, one of them a version
+// stale, over 1,000 keys. The history restarts every 64k updates so a
+// long run's memory stays bounded.
+func BenchmarkMonitorRecord(b *testing.B) {
+	const keys, window = 1000, 1 << 16
+	key := workload.AllObjectKeys(keys)
+	latest, prev := make([]uint64, keys), make([]uint64, keys)
+	writes := make([]kv.Key, 5)
+	reads := make([]monitor.Read, 5)
+	var m *monitor.Monitor
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if i%window == 0 {
+			b.StopTimer()
+			m = monitor.New()
+			for k := range latest {
+				latest[k], prev[k] = 1, 1
+				m.Seed(key[k], kv.Version{Counter: 1})
+			}
+			b.StartTimer()
+		}
+		c := uint64(i%window) + 2
+		for j := range writes {
+			k := (i*7 + j*211) % keys
+			writes[j] = key[k]
+			reads[j] = monitor.Read{Key: writes[j], Version: kv.Version{Counter: latest[k]}}
+			prev[k], latest[k] = latest[k], c
+		}
+		m.RecordUpdate(kv.Version{Counter: c}, writes, reads)
+		for j := range reads {
+			k := (i*13 + j*197) % keys
+			ver := latest[k]
+			if j == 0 {
+				ver = prev[k]
+			}
+			reads[j] = monitor.Read{Key: key[k], Version: kv.Version{Counter: ver}}
+		}
+		m.RecordReadOnly(reads, true)
+	}
+}
