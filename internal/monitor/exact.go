@@ -149,7 +149,7 @@ func moveToEnd[T any](arena []T, sp *span) []T {
 // recordLocked registers an update transaction's access sets, merging
 // a version reported in several calls. A version's first report keeps
 // its zero-version reads (rw edges to the key's first writer); a merged
-// one drops them, as the original indexes did.
+// one drops them, the rule refMonitor (the oracle) keeps too.
 func (m *Monitor) recordLocked(version kv.Version, writes []kv.Key, reads []Read) {
 	s := &m.exact
 	i, merge := s.find(version)

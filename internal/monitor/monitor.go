@@ -210,8 +210,8 @@ func (m *Monitor) consistentLocked(rs []keyRead) bool {
 	return true
 }
 
-// lookupLocked interns reads into the scratch read set without
-// registering keys: a key the monitor never saw gets id -1.
+// lookupLocked copies reads, with their key ids, into the scratch read
+// set without registering keys: a key the monitor never saw gets id -1.
 func (m *Monitor) lookupLocked(reads []Read) []keyRead {
 	rs := m.exact.rs[:0]
 	for _, r := range reads {

@@ -136,6 +136,7 @@ func TestStatsRatiosEmpty(t *testing.T) {
 		t.Fatal("empty stats ratios should be 0")
 	}
 }
+
 func TestOutOfOrderUpdatesTolerated(t *testing.T) {
 	m := New()
 	m.RecordUpdate(v(5), []kv.Key{"a"}, nil)

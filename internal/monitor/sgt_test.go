@@ -1,8 +1,6 @@
 package monitor
 
-import (
-	"tcache/internal/kv"
-)
+import "tcache/internal/kv"
 
 // CheckSGT classifies a read-only transaction by explicit serialization
 // graph testing [Bernstein 87]: it materializes the serialization graph —
@@ -12,9 +10,10 @@ import (
 // read version's overwriter — and reports whether the graph remains
 // acyclic, i.e. whether T can be placed in the serialization.
 //
-// It is equivalent to Classify's interval test (the tests below
-// cross-check the two), not to RecordReadOnly's exact test. It documents
-// why the interval test is correct.
+// It is equivalent to Classify's interval test
+// (TestCheckSGTMatchesIntervalTest cross-checks the two), not to
+// RecordReadOnly's exact test. It documents why the interval test is
+// correct.
 func (m *Monitor) CheckSGT(reads []Read) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
