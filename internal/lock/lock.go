@@ -132,13 +132,14 @@ func (m *Manager) Acquire(ctx context.Context, owner Owner, key string, mode Mod
 	case err := <-w.ready:
 		return err
 	case <-ctx.Done():
-		return m.abandonWait(ls, w, ctx.Err())
+		return m.abandonWait(ls, key, w, ctx.Err())
 	}
 }
 
 // abandonWait withdraws w from the queue after a cancellation, unless
-// the grant raced the wakeup — then the lock is kept.
-func (m *Manager) abandonWait(ls *lockState, w *waiter, reason error) error {
+// the grant raced the wakeup — then the lock is kept. Waiters queued
+// behind w that w alone was holding back are granted at once.
+func (m *Manager) abandonWait(ls *lockState, key string, w *waiter, reason error) error {
 	m.mu.Lock()
 	if w.done {
 		// Granted concurrently with the cancel; keep the lock (the
@@ -147,6 +148,8 @@ func (m *Manager) abandonWait(ls *lockState, w *waiter, reason error) error {
 		return <-w.ready
 	}
 	m.removeWaiterLocked(ls, w)
+	m.pumpLocked(ls, key)
+	m.maybeGCLocked(key, ls)
 	m.mu.Unlock()
 	return reason
 }

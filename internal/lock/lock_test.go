@@ -309,3 +309,63 @@ func TestHeldModesSnapshot(t *testing.T) {
 		t.Fatal("HeldModes returned live map")
 	}
 }
+
+// waitQueued returns once n acquisitions are queued on key.
+func waitQueued(t *testing.T, m *Manager, key string, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		m.mu.Lock()
+		q := 0
+		if ls := m.locks[key]; ls != nil {
+			q = len(ls.queue)
+		}
+		m.mu.Unlock()
+		if q >= n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d waiters queued on %q after 5s, want %d", q, key, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestCancelledWaitWakesCompatibleWaiters: owner 1 holds S, owner 2
+// queues for X and owner 3 for S behind it. When owner 2 gives up, owner
+// 3 is compatible with the holder and must be granted at once, not when
+// owner 1 releases; the emptied lock entry is then collected.
+func TestCancelledWaitWakesCompatibleWaiters(t *testing.T) {
+	m := NewManager()
+	if err := m.Acquire(bg, 1, "k", Shared); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	x := make(chan error, 1)
+	go func() { x <- m.Acquire(ctx, 2, "k", Exclusive) }()
+	waitQueued(t, m, "k", 1)
+	s := make(chan error, 1)
+	go func() { s <- m.Acquire(bg, 3, "k", Shared) }()
+	waitQueued(t, m, "k", 2)
+
+	cancel()
+	if err := <-x; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled Acquire = %v, want context.Canceled", err)
+	}
+	select {
+	case err := <-s:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("shared waiter still blocked behind a withdrawn exclusive waiter")
+	}
+	m.ReleaseAll(1)
+	m.ReleaseAll(3)
+	m.mu.Lock()
+	n := len(m.locks)
+	m.mu.Unlock()
+	if n != 0 {
+		t.Fatalf("%d lock entries left after every holder released, want 0", n)
+	}
+}
