@@ -265,8 +265,8 @@ func BenchmarkCacheReadTxnGetMultiParallel(b *testing.B) {
 }
 
 // BenchmarkDBUpdateTxn measures a 5-object read-then-write update
-// transaction through strict two-phase locking, commit and dependency
-// aggregation.
+// transaction through key-ordered locking, validation, commit and
+// dependency aggregation.
 func BenchmarkDBUpdateTxn(b *testing.B) {
 	d := db.Open(db.Config{DepBound: 5})
 	defer d.Close()
@@ -276,20 +276,23 @@ func BenchmarkDBUpdateTxn(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		txn := d.Begin()
-		for _, k := range keys {
-			if _, _, err := txn.Read(k); err != nil {
-				b.Fatal(err)
-			}
-		}
-		for _, k := range keys {
-			if err := txn.Write(k, kv.Value("v")); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if _, err := txn.Commit(); err != nil {
-			b.Fatal(err)
-		}
+		rewrite(b, d, keys)
+	}
+}
+
+// rewrite reads keys (lock-free) and writes "v" to each, in one update
+// transaction.
+func rewrite(b testing.TB, d *db.DB, keys []kv.Key) {
+	b.Helper()
+	reads := make([]kv.ObservedRead, len(keys))
+	writes := make([]kv.KeyValue, len(keys))
+	for i, k := range keys {
+		item, found := d.Get(k)
+		reads[i] = kv.ObservedRead{Key: k, Version: item.Version, Found: found}
+		writes[i] = kv.KeyValue{Key: k, Value: kv.Value("v")}
+	}
+	if _, err := d.CommitUpdate(bgb, reads, writes); err != nil {
+		b.Fatal(err)
 	}
 }
 
@@ -361,18 +364,7 @@ func BenchmarkDetectionUnderStaleness(b *testing.B) {
 		if _, err := cache.Get(bgb, keys[1]); err != nil {
 			b.Fatal(err)
 		}
-		txn := d.Begin()
-		for _, k := range keys {
-			if _, _, err := txn.Read(k); err != nil {
-				b.Fatal(err)
-			}
-			if err := txn.Write(k, kv.Value("v")); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if _, err := txn.Commit(); err != nil {
-			b.Fatal(err)
-		}
+		rewrite(b, d, keys)
 		cache.Invalidate(keys[0], kv.Version{Counter: ^uint64(0)}) // evict a only
 		id := kv.TxnID(i + 1)
 		if _, err := cache.Read(bgb, id, keys[0], false); err != nil {
@@ -506,13 +498,11 @@ func BenchmarkRemoteReadTxnColdMulti(b *testing.B) {
 
 func seedCluster(b testing.TB, d *db.DB, n int) {
 	b.Helper()
-	txn := d.Begin()
-	for i := 0; i < n; i++ {
-		if err := txn.Write(workload.ObjectKey(i), kv.Value("seed")); err != nil {
-			b.Fatal(err)
-		}
+	writes := make([]kv.KeyValue, n)
+	for i := range writes {
+		writes[i] = kv.KeyValue{Key: workload.ObjectKey(i), Value: kv.Value("seed")}
 	}
-	if _, err := txn.Commit(); err != nil {
+	if _, err := d.CommitUpdate(bgb, nil, writes); err != nil {
 		b.Fatal(err)
 	}
 }

@@ -52,15 +52,11 @@ func TestDefinition1WeakerThanGlobalSerializability(t *testing.T) {
 
 	// Seed x and y via two independent transactions.
 	write := func(key kv.Key, val string) kv.Version {
-		txn := d.Begin()
-		if err := txn.Write(key, kv.Value(val)); err != nil {
-			t.Fatal(err)
-		}
-		v, err := txn.Commit()
+		res, err := d.CommitUpdate(bgc, nil, []kv.KeyValue{{Key: key, Value: kv.Value(val)}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return v
+		return res.Version
 	}
 	oldX := write("x", "x0")
 	oldY := write("y", "y0")
@@ -174,29 +170,23 @@ func TestPerCacheSerializabilityManyCaches(t *testing.T) {
 	keys := make([]kv.Key, 20)
 	for i := range keys {
 		keys[i] = kv.Key(fmt.Sprintf("k%d", i))
-		txn := d.Begin()
-		if err := txn.Write(keys[i], kv.Value("seed")); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := txn.Commit(); err != nil {
+		if _, err := d.CommitUpdate(bgc, nil, []kv.KeyValue{{Key: keys[i], Value: kv.Value("seed")}}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	var txnID kv.TxnID
 	for round := 0; round < 200; round++ {
 		// One update over a 4-key window.
-		txn := d.Begin()
-		var newV kv.Version
+		var reads []kv.ObservedRead
+		var writes []kv.KeyValue
 		for j := 0; j < 4; j++ {
 			k := keys[(round+j)%len(keys)]
-			if _, _, err := txn.Read(k); err != nil {
-				t.Fatal(err)
-			}
-			if err := txn.Write(k, kv.Value(fmt.Sprintf("r%d", round))); err != nil {
-				t.Fatal(err)
-			}
+			item, found := d.Get(k)
+			reads = append(reads, kv.ObservedRead{Key: k, Version: item.Version, Found: found})
+			writes = append(writes, kv.KeyValue{Key: k, Value: kv.Value(fmt.Sprintf("r%d", round))})
 		}
-		newV, err := txn.Commit()
+		res, err := d.CommitUpdate(bgc, reads, writes)
+		newV := res.Version
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -95,18 +95,16 @@ func (r *rig) seedObjects(t *testing.T, n int) {
 // updateTxn runs one read-then-write update transaction over keys.
 func (r *rig) updateTxn(t *testing.T, keys []kv.Key) {
 	t.Helper()
-	txn := r.db.Begin()
+	var reads []kv.ObservedRead
+	var writes []kv.KeyValue
 	for _, k := range keys {
-		if _, _, err := txn.Read(k); err != nil {
-			t.Fatalf("update read %s: %v", k, err)
-		}
+		item, found := r.db.Get(k)
+		reads = append(reads, kv.ObservedRead{Key: k, Version: item.Version, Found: found})
 	}
 	for _, k := range keys {
-		if err := txn.Write(k, kv.Value(fmt.Sprintf("v@%d", r.rng.Int()))); err != nil {
-			t.Fatalf("update write %s: %v", k, err)
-		}
+		writes = append(writes, kv.KeyValue{Key: k, Value: kv.Value(fmt.Sprintf("v@%d", r.rng.Int()))})
 	}
-	if _, err := txn.Commit(); err != nil {
+	if _, err := r.db.CommitUpdate(bgc, reads, writes); err != nil {
 		t.Fatalf("update commit: %v", err)
 	}
 }

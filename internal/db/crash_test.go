@@ -42,20 +42,14 @@ func TestCrashWriterHelper(t *testing.T) {
 	}
 	fmt.Printf("start %d\n", start)
 	for i := start; ; i++ {
-		tx := d.Begin()
+		var reads []kv.Key
 		if i > 0 {
 			// Read the previous key so the new one depends on it; the
 			// parent verifies the dependency metadata survived the kill.
-			if _, _, err := tx.Read(kv.Key(fmt.Sprintf("k%d", i-1))); err != nil {
-				fmt.Printf("read-error %v\n", err)
-				os.Exit(1)
-			}
+			reads = []kv.Key{kv.Key(fmt.Sprintf("k%d", i-1))}
 		}
-		if err := tx.Write(kv.Key(fmt.Sprintf("k%d", i)), kv.Value(fmt.Sprintf("v%d", i))); err != nil {
-			fmt.Printf("write-error %v\n", err)
-			os.Exit(1)
-		}
-		v, err := tx.Commit()
+		res, err := d.CommitUpdate(bg, observe(d, reads...), []kv.KeyValue{{Key: kv.Key(fmt.Sprintf("k%d", i)), Value: kv.Value(fmt.Sprintf("v%d", i))}})
+		v := res.Version
 		if err != nil {
 			fmt.Printf("commit-error %v\n", err)
 			os.Exit(1)
@@ -179,11 +173,8 @@ func verifyCrashRecovery(t *testing.T, dir string, round, maxAcked int, maxCount
 		t.Fatalf("round %d: recovered counter %d below acked %d", round, got, maxCounter)
 	}
 	// And the database keeps working: one more commit.
-	tx := d.Begin()
-	if err := tx.Write(kv.Key(fmt.Sprintf("probe%d", round)), kv.Value("ok")); err != nil {
-		t.Fatal(err)
-	}
-	v, err := tx.Commit()
+	res, err := d.CommitUpdate(bg, nil, []kv.KeyValue{{Key: kv.Key(fmt.Sprintf("probe%d", round)), Value: kv.Value("ok")}})
+	v := res.Version
 	if err != nil {
 		t.Fatalf("round %d: post-recovery commit: %v", round, err)
 	}

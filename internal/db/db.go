@@ -6,9 +6,12 @@
 // database commits as one participant: a commit is one write-ahead-log
 // record applied to one store.
 //
-// Update transactions go through Begin/Read/Write/Commit. Caches use the
-// lock-free single-entry Get for miss fills, exactly as the paper's caches
-// do ("performing single-entry reads (no locks, no transactions)"), and
+// Every update transaction is one CommitUpdate call carrying the reads
+// its caller observed and the writes it makes: the keys are locked up
+// front in key order, the reads validated, and the writes committed at
+// one new version. Caches use the lock-free single-entry ReadItem and
+// ReadItems for miss fills, exactly as the paper's caches do
+// ("performing single-entry reads (no locks, no transactions)"), and
 // receive asynchronous invalidations through Subscribe.
 package db
 
@@ -27,11 +30,10 @@ import (
 
 // Errors returned by transaction operations.
 var (
-	// ErrConflict means the transaction lost a concurrency-control fight
-	// (deadlock victim) and should be retried.
+	// ErrConflict means an update's observed reads went stale before it
+	// could commit (see ConflictError); it should be retried against
+	// fresh reads.
 	ErrConflict = errors.New("db: transaction conflict")
-	// ErrTxnDone means the transaction already committed or aborted.
-	ErrTxnDone = errors.New("db: transaction already finished")
 	// ErrClosed means the database is shut down.
 	ErrClosed = errors.New("db: closed")
 	// ErrDuplicateSubscriber is returned by Subscribe when the name is
@@ -238,23 +240,25 @@ func (d *DB) Close() error {
 func (d *DB) DepBound() int { return d.cfg.DepBound }
 
 // Get performs a lock-free single-entry read of the current committed
-// item, the path caches use to fill misses. The boolean reports
-// presence. The returned item shares the store's backing memory
-// (copy-on-write: commits replace items wholesale), so its Value and
-// Deps must be treated as read-only.
+// item. It is the uncounted peek (an update's own observations, tests);
+// reads served to caches go through ReadItem and ReadItems, which count
+// as single_gets. The boolean reports presence. The returned item
+// shares the store's backing memory (copy-on-write: commits replace
+// items wholesale), so its Value and Deps must be treated as read-only.
 func (d *DB) Get(key kv.Key) (kv.Item, bool) {
-	d.metrics.SingleGets.Add(1)
 	return d.store.GetShared(key)
 }
 
 // ReadItem is the cache backend read (core.Backend): a lock-free
-// single-entry read of the current committed item. The in-process store
-// never blocks, so ctx is only checked for early cancellation.
+// single-entry read of the current committed item, the path caches use
+// to fill misses. The in-process store never blocks, so ctx is only
+// checked for early cancellation.
 func (d *DB) ReadItem(ctx context.Context, key kv.Key) (kv.Item, bool, error) {
 	if err := ctx.Err(); err != nil {
 		return kv.Item{}, false, err
 	}
-	item, ok := d.Get(key)
+	d.metrics.SingleGets.Add(1)
+	item, ok := d.store.GetShared(key)
 	return item, ok, nil
 }
 
@@ -264,9 +268,10 @@ func (d *DB) ReadItems(ctx context.Context, keys []kv.Key) ([]kv.Lookup, error) 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	d.metrics.SingleGets.Add(uint64(len(keys)))
 	out := make([]kv.Lookup, len(keys))
 	for i, k := range keys {
-		out[i].Item, out[i].Found = d.Get(k)
+		out[i].Item, out[i].Found = d.store.GetShared(k)
 	}
 	return out, nil
 }

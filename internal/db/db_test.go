@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -19,36 +20,43 @@ func open(t *testing.T, cfg Config) *DB {
 	return d
 }
 
-func mustCommit(t *testing.T, txn *Txn) kv.Version {
-	t.Helper()
-	v, err := txn.Commit()
-	if err != nil {
-		t.Fatalf("Commit: %v", err)
+var bg = context.Background()
+
+// observe is what lock-free reads of keys see now: a sequential caller's
+// snapshot, valid at the next commit.
+func observe(d *DB, keys ...kv.Key) []kv.ObservedRead {
+	out := make([]kv.ObservedRead, len(keys))
+	for i, k := range keys {
+		item, found := d.Get(k)
+		out[i] = kv.ObservedRead{Key: k, Version: item.Version, Found: found}
 	}
-	return v
+	return out
 }
 
+// mustCommit commits reads (observed now) and writes, failing the test on
+// any error.
+func mustCommit(t *testing.T, d *DB, reads []kv.Key, writes ...kv.KeyValue) kv.Version {
+	t.Helper()
+	res, err := d.CommitUpdate(bg, observe(d, reads...), writes)
+	if err != nil {
+		t.Fatalf("CommitUpdate: %v", err)
+	}
+	return res.Version
+}
+
+// write reads keys and writes "v" to each, in one transaction.
 func write(t *testing.T, d *DB, keys ...kv.Key) kv.Version {
 	t.Helper()
-	txn := d.Begin()
-	for _, k := range keys {
-		if _, _, err := txn.Read(k); err != nil {
-			t.Fatalf("Read(%s): %v", k, err)
-		}
-		if err := txn.Write(k, kv.Value("v")); err != nil {
-			t.Fatalf("Write(%s): %v", k, err)
-		}
+	writes := make([]kv.KeyValue, len(keys))
+	for i, k := range keys {
+		writes[i] = kv.KeyValue{Key: k, Value: kv.Value("v")}
 	}
-	return mustCommit(t, txn)
+	return mustCommit(t, d, keys, writes...)
 }
 
 func TestCommitMakesWritesVisible(t *testing.T) {
 	d := open(t, Config{DepBound: 5})
-	txn := d.Begin()
-	if err := txn.Write("a", kv.Value("hello")); err != nil {
-		t.Fatal(err)
-	}
-	v := mustCommit(t, txn)
+	v := mustCommit(t, d, nil, kv.KeyValue{Key: "a", Value: kv.Value("hello")})
 	it, ok := d.Get("a")
 	if !ok || string(it.Value) != "hello" || it.Version != v {
 		t.Fatalf("Get = %+v, %v; want hello@%v", it, ok, v)
@@ -58,14 +66,7 @@ func TestCommitMakesWritesVisible(t *testing.T) {
 func TestCommitVersionExceedsAccessed(t *testing.T) {
 	d := open(t, Config{DepBound: 5, NodeID: 3})
 	d.Seed("a", kv.Value("x"), kv.Version{Counter: 100, Node: 9})
-	txn := d.Begin()
-	if _, _, err := txn.Read("a"); err != nil {
-		t.Fatal(err)
-	}
-	if err := txn.Write("b", kv.Value("y")); err != nil {
-		t.Fatal(err)
-	}
-	v := mustCommit(t, txn)
+	v := mustCommit(t, d, []kv.Key{"a"}, kv.KeyValue{Key: "b", Value: kv.Value("y")})
 	if v.Counter <= 100 {
 		t.Fatalf("commit version %v not above read version 100", v)
 	}
@@ -93,16 +94,8 @@ func TestDependencyListsPerPaperExample(t *testing.T) {
 	write(t, d, "o1") // seed with independent histories
 	write(t, d, "o2")
 
-	txn := d.Begin()
-	for _, k := range []kv.Key{"o1", "o2"} {
-		if _, _, err := txn.Read(k); err != nil {
-			t.Fatal(err)
-		}
-		if err := txn.Write(k, kv.Value("new")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	vt := mustCommit(t, txn)
+	vt := mustCommit(t, d, []kv.Key{"o1", "o2"},
+		kv.KeyValue{Key: "o1", Value: kv.Value("new")}, kv.KeyValue{Key: "o2", Value: kv.Value("new")})
 
 	o1, _ := d.Get("o1")
 	if got, ok := o1.Deps.Lookup("o2"); !ok || got != vt {
@@ -165,60 +158,47 @@ func TestDepUnbounded(t *testing.T) {
 	}
 }
 
-func TestReadYourWrites(t *testing.T) {
-	d := open(t, Config{DepBound: 5})
-	txn := d.Begin()
-	if err := txn.Write("a", kv.Value("mine")); err != nil {
-		t.Fatal(err)
-	}
-	it, ok, err := txn.Read("a")
-	if err != nil || !ok || string(it.Value) != "mine" {
-		t.Fatalf("read-your-writes = %q, %v, %v", it.Value, ok, err)
-	}
-	mustCommit(t, txn)
-}
-
+// TestReadMissingKey: a transaction that observed a key missing commits
+// while it still is, and the commit record lists the read at the zero
+// version; once the key exists the same observation conflicts.
 func TestReadMissingKey(t *testing.T) {
 	d := open(t, Config{DepBound: 5})
-	txn := d.Begin()
-	it, ok, err := txn.Read("ghost")
-	if err != nil {
+	var rec CommitRecord
+	d.OnCommit(func(r CommitRecord) { rec = r })
+	ghost := []kv.ObservedRead{{Key: "ghost"}}
+	if _, err := d.CommitUpdate(bg, ghost, []kv.KeyValue{{Key: "w", Value: kv.Value("x")}}); err != nil {
 		t.Fatal(err)
 	}
-	if ok || !it.Version.IsZero() {
-		t.Fatalf("missing read = %+v, %v", it, ok)
+	if len(rec.Reads) != 1 || rec.Reads[0] != (ReadRecord{Key: "ghost"}) {
+		t.Fatalf("record reads = %+v, want ghost at the zero version", rec.Reads)
 	}
-	if err := txn.Abort(); err != nil {
-		t.Fatal(err)
+	write(t, d, "ghost")
+	if _, err := d.CommitUpdate(bg, ghost, nil); !errors.Is(err, ErrConflict) {
+		t.Fatalf("missing-key observation of an existing key = %v, want ErrConflict", err)
 	}
 }
 
 func TestReadOnlyUpdateTxnCommits(t *testing.T) {
 	d := open(t, Config{DepBound: 5})
 	write(t, d, "a")
-	txn := d.Begin()
-	if _, _, err := txn.Read("a"); err != nil {
-		t.Fatal(err)
-	}
-	v, err := txn.Commit()
-	if err != nil {
-		t.Fatal(err)
-	}
+	v := mustCommit(t, d, []kv.Key{"a"})
 	if !v.IsZero() {
 		t.Fatalf("read-only commit minted version %v", v)
 	}
 }
 
+// TestAbortDiscardsWrites: a transaction that fails validation applies
+// none of its writes, and releases its locks.
 func TestAbortDiscardsWrites(t *testing.T) {
 	d := open(t, Config{DepBound: 5})
 	write(t, d, "a")
 	before, _ := d.Get("a")
-	txn := d.Begin()
-	if err := txn.Write("a", kv.Value("changed")); err != nil {
-		t.Fatal(err)
+	stale := []kv.ObservedRead{{Key: "a", Version: kv.Version{Counter: 1 << 40}, Found: true}}
+	if _, err := d.CommitUpdate(bg, stale, []kv.KeyValue{{Key: "a", Value: kv.Value("changed")}, {Key: "b", Value: kv.Value("new")}}); !errors.Is(err, ErrConflict) {
+		t.Fatalf("stale commit = %v, want ErrConflict", err)
 	}
-	if err := txn.Abort(); err != nil {
-		t.Fatal(err)
+	if _, ok := d.Get("b"); ok {
+		t.Fatal("abort leaked a write of a new key")
 	}
 	after, _ := d.Get("a")
 	if after.Version != before.Version || string(after.Value) != string(before.Value) {
@@ -226,24 +206,6 @@ func TestAbortDiscardsWrites(t *testing.T) {
 	}
 	// Locks must be released: another txn can write immediately.
 	write(t, d, "a")
-}
-
-func TestFinishedTxnRejectsOps(t *testing.T) {
-	d := open(t, Config{DepBound: 5})
-	txn := d.Begin()
-	mustCommit(t, txn)
-	if _, _, err := txn.Read("a"); !errors.Is(err, ErrTxnDone) {
-		t.Fatalf("Read after commit = %v, want ErrTxnDone", err)
-	}
-	if err := txn.Write("a", nil); !errors.Is(err, ErrTxnDone) {
-		t.Fatalf("Write after commit = %v, want ErrTxnDone", err)
-	}
-	if _, err := txn.Commit(); !errors.Is(err, ErrTxnDone) {
-		t.Fatalf("second Commit = %v, want ErrTxnDone", err)
-	}
-	if err := txn.Abort(); !errors.Is(err, ErrTxnDone) {
-		t.Fatalf("Abort after commit = %v, want ErrTxnDone", err)
-	}
 }
 
 func TestInvalidationsEmitted(t *testing.T) {
@@ -287,57 +249,51 @@ func TestSubscribeDuplicateNameRejected(t *testing.T) {
 	cancel2()
 }
 
+// TestCancelledTxnUnblocksLockWait: a transaction queued for a lock
+// returns ctx's error when cancelled, having taken the lock of the key
+// it had already locked (a, before k in key order) and released it.
 func TestCancelledTxnUnblocksLockWait(t *testing.T) {
 	d := open(t, Config{})
 	write(t, d, "k")
-
-	holder := d.Begin()
-	if err := holder.Write("k", kv.Value("held")); err != nil {
+	hold, err := d.HoldKey(bg, "k")
+	if err != nil {
 		t.Fatal(err)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
-	waiter := d.BeginCtx(ctx)
 	errc := make(chan error, 1)
 	go func() {
-		_, _, err := waiter.Read("k")
+		_, err := d.CommitUpdate(ctx, observe(d, "k"), []kv.KeyValue{{Key: "a", Value: kv.Value("waiter")}})
 		errc <- err
 	}()
-	time.Sleep(10 * time.Millisecond) // let the waiter queue up
+	if err := hold.Queued(bg, 1); err != nil {
+		t.Fatal(err)
+	}
 	cancel()
 	if err := <-errc; !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled lock wait = %v, want context.Canceled", err)
 	}
 
-	// The cancelled waiter withdrew from the queue and released its locks:
-	// a third transaction gets the lock as soon as the holder commits.
-	if _, err := holder.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	next := d.Begin()
-	if err := next.Write("k", kv.Value("next")); err != nil {
-		t.Fatalf("post-cancel writer blocked: %v", err)
-	}
-	if _, err := next.Commit(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Every operation on the cancelled transaction now fails ErrTxnDone.
-	if _, _, err := waiter.Read("k"); !errors.Is(err, ErrTxnDone) {
-		t.Fatalf("Read on cancelled txn = %v, want ErrTxnDone", err)
+	// The cancelled waiter withdrew from k's queue and released a: a
+	// writer of a commits while k is still held, and one of k as soon as
+	// the hold ends.
+	mustCommit(t, d, nil, kv.KeyValue{Key: "a", Value: kv.Value("next")})
+	hold.Release()
+	mustCommit(t, d, []kv.Key{"k"}, kv.KeyValue{Key: "k", Value: kv.Value("next")})
+	if it, _ := d.Get("a"); string(it.Value) != "next" {
+		t.Fatalf("a = %q, want next: the cancelled transaction wrote", it.Value)
 	}
 }
 
-func TestBeginCtxPreCancelled(t *testing.T) {
+func TestCommitUpdatePreCancelled(t *testing.T) {
 	d := open(t, Config{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	txn := d.BeginCtx(ctx)
-	if err := txn.Write("k", kv.Value("v")); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Write = %v, want context.Canceled", err)
+	if _, err := d.CommitUpdate(ctx, nil, []kv.KeyValue{{Key: "k", Value: kv.Value("v")}}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("CommitUpdate = %v, want context.Canceled", err)
 	}
-	if _, err := txn.Commit(); !errors.Is(err, ErrTxnDone) {
-		t.Fatalf("Commit after cancelled rollback = %v, want ErrTxnDone", err)
+	if _, ok := d.Get("k"); ok {
+		t.Fatal("a cancelled transaction wrote")
 	}
 }
 
@@ -347,16 +303,10 @@ func TestCommitRecordContents(t *testing.T) {
 	var rec CommitRecord
 	d.OnCommit(func(r CommitRecord) { rec = r })
 
-	txn := d.Begin()
-	if _, _, err := txn.Read("r"); err != nil {
-		t.Fatal(err)
-	}
-	if err := txn.Write("w", kv.Value("x")); err != nil {
-		t.Fatal(err)
-	}
-	v := mustCommit(t, txn)
+	prev := rec.TxnID
+	v := mustCommit(t, d, []kv.Key{"r"}, kv.KeyValue{Key: "w", Value: kv.Value("x")})
 
-	if rec.Version != v || rec.TxnID != txn.ID() {
+	if rec.Version != v || rec.TxnID <= prev {
 		t.Fatalf("record = %+v", rec)
 	}
 	if len(rec.Reads) != 1 || rec.Reads[0].Key != "r" || rec.Reads[0].Version != seedV {
@@ -378,12 +328,8 @@ func TestCommitHooksSeeVersionOrder(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
-				txn := d.Begin()
-				if err := txn.Write(kv.Key(fmt.Sprintf("g%d-%d", g, i)), kv.Value("v")); err != nil {
-					t.Errorf("write: %v", err)
-					return
-				}
-				if _, err := txn.Commit(); err != nil {
+				w := []kv.KeyValue{{Key: kv.Key(fmt.Sprintf("g%d-%d", g, i)), Value: kv.Value("v")}}
+				if _, err := d.CommitUpdate(bg, nil, w); err != nil {
 					t.Errorf("commit: %v", err)
 					return
 				}
@@ -411,8 +357,11 @@ func TestMultiShardCommitAtomicity(t *testing.T) {
 	}
 }
 
+// TestSerializabilityMoneyTransfer: concurrent transfers preserve the
+// total. Each transfer lists its keys, reads and writes alike, in random
+// order — the crossed orders that once needed a deadlock detector — so
+// it must neither deadlock (the wall time is bounded) nor lose money.
 func TestSerializabilityMoneyTransfer(t *testing.T) {
-	// Classic invariant: concurrent transfers preserve the total.
 	d := open(t, Config{DepBound: 5})
 	const accounts = 8
 	for i := 0; i < accounts; i++ {
@@ -421,6 +370,7 @@ func TestSerializabilityMoneyTransfer(t *testing.T) {
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		g := g
+		rng := rand.New(rand.NewSource(int64(g)))
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -428,7 +378,7 @@ func TestSerializabilityMoneyTransfer(t *testing.T) {
 				from := kv.Key(fmt.Sprintf("acct%d", (g+i)%accounts))
 				to := kv.Key(fmt.Sprintf("acct%d", (g+i+1)%accounts))
 				for {
-					err := transfer(d, from, to)
+					err := transfer(d, rng, from, to)
 					if err == nil {
 						break
 					}
@@ -440,7 +390,13 @@ func TestSerializabilityMoneyTransfer(t *testing.T) {
 			}
 		}()
 	}
-	wg.Wait()
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(time.Minute):
+		t.Fatal("transfers still running after a minute: deadlock")
+	}
 	total := 0
 	for i := 0; i < accounts; i++ {
 		it, ok := d.Get(kv.Key(fmt.Sprintf("acct%d", i)))
@@ -454,77 +410,59 @@ func TestSerializabilityMoneyTransfer(t *testing.T) {
 	}
 }
 
-func transfer(d *DB, from, to kv.Key) error {
-	txn := d.Begin()
-	a, _, err := txn.Read(from)
-	if err != nil {
-		return err
-	}
-	b, _, err := txn.Read(to)
-	if err != nil {
-		return err
-	}
+// transfer moves one unit from one account to another, listing both its
+// reads and its writes in an order drawn from rng.
+func transfer(d *DB, rng *rand.Rand, from, to kv.Key) error {
+	a, _ := d.Get(from)
+	b, _ := d.Get(to)
 	if a.Value[0] == 0 {
-		return txn.Abort()
+		return nil
 	}
-	if err := txn.Write(from, kv.Value{a.Value[0] - 1}); err != nil {
-		return err
+	reads := []kv.ObservedRead{{Key: from, Version: a.Version, Found: true}, {Key: to, Version: b.Version, Found: true}}
+	writes := []kv.KeyValue{{Key: from, Value: kv.Value{a.Value[0] - 1}}, {Key: to, Value: kv.Value{b.Value[0] + 1}}}
+	if rng.Intn(2) == 0 {
+		reads[0], reads[1] = reads[1], reads[0]
 	}
-	if err := txn.Write(to, kv.Value{b.Value[0] + 1}); err != nil {
-		return err
+	if rng.Intn(2) == 0 {
+		writes[0], writes[1] = writes[1], writes[0]
 	}
-	_, err = txn.Commit()
+	_, err := d.CommitUpdate(bg, reads, writes)
 	return err
 }
 
+// TestConflictAutoRollsBack: a transaction that loses validation is
+// rolled back by CommitUpdate itself — nothing applied, every lock
+// released — so the next transaction on the same keys proceeds at once.
 func TestConflictAutoRollsBack(t *testing.T) {
 	d := open(t, Config{DepBound: 5})
-	t1 := d.Begin()
-	t2 := d.Begin()
-	if err := t1.Write("x", kv.Value("1")); err != nil {
-		t.Fatal(err)
+	write(t, d, "x", "y")
+	stale := observe(d, "y", "x")
+	write(t, d, "x")
+	_, err := d.CommitUpdate(bg, stale, []kv.KeyValue{{Key: "x", Value: kv.Value("1")}, {Key: "y", Value: kv.Value("1")}})
+	var ce *ConflictError
+	if !errors.As(err, &ce) || ce.Key != "x" {
+		t.Fatalf("stale commit = %v, want a ConflictError on x", err)
 	}
-	if err := t2.Write("y", kv.Value("2")); err != nil {
-		t.Fatal(err)
+	ctx, cancel := context.WithTimeout(bg, 5*time.Second)
+	defer cancel()
+	if _, err := d.CommitUpdate(ctx, observe(d, "x", "y"), []kv.KeyValue{{Key: "y", Value: kv.Value("2")}, {Key: "x", Value: kv.Value("2")}}); err != nil {
+		t.Fatalf("commit after the conflict = %v: the loser kept its locks", err)
 	}
-	errc := make(chan error, 1)
-	go func() { errc <- t1.Write("y", kv.Value("1")) }()
-	// t2 closing the cycle must get ErrConflict and be rolled back.
-	var deadlockErr error
-	for {
-		deadlockErr = t2.Write("x", kv.Value("2"))
-		break
-	}
-	if errors.Is(deadlockErr, ErrConflict) {
-		if _, err := t2.Commit(); !errors.Is(err, ErrTxnDone) {
-			t.Fatalf("conflicted txn not rolled back: %v", err)
+	for _, k := range []kv.Key{"x", "y"} {
+		if it, _ := d.Get(k); string(it.Value) != "2" {
+			t.Fatalf("%s = %q, want 2", k, it.Value)
 		}
-		if err := <-errc; err != nil {
-			t.Fatalf("survivor errored: %v", err)
-		}
-		mustCommit(t, t1)
-		return
 	}
-	// Scheduling may let t1's goroutine block first and t1 be the victim.
-	if err := <-errc; !errors.Is(err, ErrConflict) {
-		t.Fatalf("no deadlock detected anywhere: t2=%v t1=%v", deadlockErr, err)
-	}
-	mustCommit(t, t2)
 }
 
 func TestClosedDBRejectsOps(t *testing.T) {
 	d := Open(Config{DepBound: 5})
-	txn := d.Begin()
 	d.Close()
-	if _, _, err := txn.Read("a"); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Read on closed = %v", err)
+	if _, err := d.CommitUpdate(bg, observe(d, "a"), nil); !errors.Is(err, ErrClosed) {
+		t.Fatalf("read-only commit on closed = %v", err)
 	}
-	txn2 := d.Begin()
-	if err := txn2.Write("a", nil); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Write on closed = %v", err)
-	}
-	if _, err := d.Begin().Commit(); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Commit on closed = %v", err)
+	if _, err := d.CommitUpdate(bg, nil, []kv.KeyValue{{Key: "a"}}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("write on closed = %v", err)
 	}
 	d.Close() // idempotent
 }
@@ -532,11 +470,15 @@ func TestClosedDBRejectsOps(t *testing.T) {
 func TestMetricsCounts(t *testing.T) {
 	d := open(t, Config{DepBound: 5})
 	write(t, d, "a", "b")
-	txn := d.Begin()
-	if err := txn.Abort(); err != nil {
+	cancelled, cancel := context.WithCancel(bg)
+	cancel()
+	if _, err := d.CommitUpdate(cancelled, nil, nil); !errors.Is(err, context.Canceled) {
 		t.Fatal(err)
 	}
-	d.Get("a")
+	d.Get("a") // the uncounted peek
+	if _, _, err := d.ReadItem(bg, "a"); err != nil {
+		t.Fatal(err)
+	}
 	m := d.Metrics()
 	if m.TxnsStarted != 2 || m.TxnsCommitted != 1 || m.TxnsAborted != 1 {
 		t.Fatalf("txn counters = %+v", m)
@@ -554,16 +496,7 @@ func TestRepeatReadRecordsOnce(t *testing.T) {
 	write(t, d, "a")
 	var rec CommitRecord
 	d.OnCommit(func(r CommitRecord) { rec = r })
-	txn := d.Begin()
-	for i := 0; i < 3; i++ {
-		if _, _, err := txn.Read("a"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := txn.Write("b", kv.Value("x")); err != nil {
-		t.Fatal(err)
-	}
-	mustCommit(t, txn)
+	mustCommit(t, d, []kv.Key{"a", "a", "a"}, kv.KeyValue{Key: "b", Value: kv.Value("x")})
 	if len(rec.Reads) != 1 {
 		t.Fatalf("repeat reads recorded %d times: %+v", len(rec.Reads), rec.Reads)
 	}

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -63,20 +64,20 @@ func goldenSchedule(seed int64, n int) []goldenTxn {
 	return out
 }
 
-// runGoldenTxn commits one transaction of the schedule.
+// runGoldenTxn commits one transaction of the schedule, observing each
+// read key as it is now (the schedule is sequential). The lists the
+// commit answers with must be the ones it stored, by request index.
 func runGoldenTxn(d *DB, g goldenTxn) (kv.Version, error) {
-	txn := d.Begin()
-	for _, k := range g.reads {
-		if _, _, err := txn.Read(k); err != nil {
-			return kv.Version{}, err
+	res, err := d.CommitUpdate(bg, observe(d, g.reads...), g.writes)
+	if err != nil {
+		return kv.Version{}, err
+	}
+	for i, w := range g.writes {
+		if item, _ := d.Get(w.Key); !slices.Equal(res.Deps[i], item.Deps) {
+			return kv.Version{}, fmt.Errorf("write %d (%s) answered deps %v, stored %v", i, w.Key, res.Deps[i], item.Deps)
 		}
 	}
-	for _, w := range g.writes {
-		if err := txn.Write(w.Key, w.Value); err != nil {
-			return kv.Version{}, err
-		}
-	}
-	return txn.Commit()
+	return res.Version, nil
 }
 
 // TestCommitGolden runs a seeded sequential schedule of update

@@ -107,7 +107,7 @@ func (d *DB) boundFor(key kv.Key) int {
 // then the remaining entries, truncated to key's bound. A pin the
 // committing transaction t touched carries its version in the commit at
 // vt. Called under commitMu, so store version lookups are stable.
-func (d *DB) composeDeps(key kv.Key, full kv.DepList, t *Txn, vt kv.Version) kv.DepList {
+func (d *DB) composeDeps(key kv.Key, full kv.DepList, t *txn, vt kv.Version) kv.DepList {
 	bound := d.boundFor(key)
 	rest := full.WithoutKey(key)
 	pins := d.pinned.get(key)

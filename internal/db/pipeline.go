@@ -14,11 +14,12 @@ import "sync"
 // still see commits in exact version order, just as they did when the
 // whole commit ran under commitMu.
 //
-// Correctness of the concurrent middle: strict 2PL gives concurrent
-// committers disjoint write sets, so their applies commute; per-key log
-// order still matches version order because a later writer of a key can
-// only mint after the earlier writer released the key's exclusive lock,
-// which happens after the earlier append.
+// Correctness of the concurrent middle: key-ordered locks, taken before
+// minting and held through apply, give concurrent committers disjoint
+// write sets, so their applies commute; per-key log order still matches
+// version order because a later writer of a key can only mint after the
+// earlier writer released the key's exclusive lock, which happens after
+// the earlier append.
 //
 // Tickets are issued only while holding commitMu, so the door mutex
 // nests strictly inside it:

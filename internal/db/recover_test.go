@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"tcache/internal/kv"
-	"tcache/internal/lock"
 	"tcache/internal/wal"
 )
 
@@ -415,31 +414,23 @@ func TestCommitAbortsOnWALAppendFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	aborted := d.Metrics().TxnsAborted
-	txn := d.Begin()
-	if err := txn.Write("a", kv.Value("x")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := txn.Commit(); !errors.Is(err, wal.ErrClosed) {
+	if _, err := d.CommitUpdate(bg, nil, []kv.KeyValue{{Key: "a", Value: kv.Value("x")}}); !errors.Is(err, wal.ErrClosed) {
 		t.Fatalf("Commit = %v, want the wrapped wal.ErrClosed", err)
 	}
 	if _, ok := d.Get("a"); ok {
 		t.Fatal("a write whose append failed became visible")
 	}
-	if !d.locks.TryAcquire(1<<62, "a", lock.Exclusive) {
-		t.Fatal("the aborted commit kept its exclusive lock")
+	hold, err := d.HoldKey(bg, "a") // at once, or the aborted commit kept its lock
+	if err != nil {
+		t.Fatal(err)
 	}
-	d.locks.ReleaseAll(1 << 62)
+	hold.Release()
 	if got := d.Metrics().TxnsAborted - aborted; got != 1 {
 		t.Fatalf("TxnsAborted rose by %d, want 1", got)
 	}
 	done := make(chan error, 1)
 	go func() {
-		txn := d.Begin()
-		if err := txn.Write("b", kv.Value("y")); err != nil {
-			done <- err
-			return
-		}
-		_, err := txn.Commit()
+		_, err := d.CommitUpdate(bg, nil, []kv.KeyValue{{Key: "b", Value: kv.Value("y")}})
 		done <- err
 	}()
 	select {

@@ -1,39 +1,99 @@
 package db
 
 import (
+	"cmp"
 	"context"
-	"errors"
 	"fmt"
+	"slices"
+	"time"
 
 	"tcache/internal/kv"
 	"tcache/internal/lock"
 )
 
-// Txn is an update transaction. Reads take shared locks, writes take
-// exclusive locks (strict two-phase locking), and Commit makes every
-// write visible at one new version.
+// CommitUpdate commits one update transaction — the database's only
+// kind. The caller ran its logic against snapshot reads (its cache, or
+// lock-free ReadItem calls) and ships what it observed and what it
+// writes in one call:
 //
-// The transaction carries the context it was begun with (BeginCtx):
-// cancellation aborts blocked lock waits, rolls the transaction back, and
-// surfaces ctx.Err() from the in-flight operation.
+//  1. Every key is locked once, in key order, in its final mode:
+//     exclusive if written, shared if only read. One global order and
+//     no upgrades cannot deadlock (see package lock).
+//  2. Under those locks each observed read is compared with the
+//     committed version (and presence) of its key. The first mismatch
+//     aborts with a ConflictError wrapping ErrConflict — the caller's
+//     snapshot is stale and the transaction must be retried against
+//     fresh reads. Blind writes (no reads) commit unconditionally.
+//  3. The commit pipeline (commit, below) makes every write visible at
+//     one new version.
 //
-// A Txn is not safe for concurrent use by multiple goroutines.
-type Txn struct {
-	db   *DB
-	ctx  context.Context
-	id   uint64
-	done bool
+// Repeated reads of a key are recorded once; a key written more than
+// once stores its last value. The commit record, the merged dependency
+// list, the log record and the invalidations keep request order; only
+// the lock acquisition is sorted.
+//
+// The result carries the commit version and, per write (by request
+// index), the dependency list stored with it — everything but the value
+// of each committed item, which the writer already holds. The lists are
+// the transaction's own: the store keeps copies. A read-only
+// transaction commits at the zero version.
+func (d *DB) CommitUpdate(ctx context.Context, reads []kv.ObservedRead, writes []kv.KeyValue) (kv.CommitResult, error) {
+	start := time.Now()
+	d.metrics.TxnsStarted.Add(1)
+	t := &txn{id: d.txnC.Add(1)}
+	if d.closed.Load() {
+		return kv.CommitResult{}, d.abort(t, ErrClosed)
+	}
+	// Fail writes on a standby before taking locks; commit re-checks
+	// authoritatively under commitMu.
+	if len(writes) > 0 && Role(d.role.Load()) != RolePrimary {
+		return kv.CommitResult{}, d.abort(t, &NotPrimaryError{Leader: d.LeaderAddr()})
+	}
+	if err := d.lockKeys(ctx, lock.Owner(t.id), reads, writes); err != nil {
+		return kv.CommitResult{}, d.abort(t, err)
+	}
+	d.metrics.TxnReads.Add(uint64(len(reads)))
+	d.metrics.TxnWrites.Add(uint64(len(writes)))
 
+	for _, r := range reads {
+		item, found := d.store.GetShared(r.Key)
+		if found != r.Found || (found && item.Version != r.Version) {
+			d.metrics.Conflicts.Add(1)
+			d.tel.UpdateConflict.ObserveSince(start)
+			return kv.CommitResult{}, d.abort(t, &ConflictError{Key: r.Key, Current: item.Version, Found: found})
+		}
+		if !slices.ContainsFunc(t.reads, func(a readAccess) bool { return a.key == r.Key }) {
+			t.reads = append(t.reads, readAccess{key: r.Key, item: item, found: found})
+		}
+	}
+	for _, w := range writes {
+		if i := t.writeIndex(w.Key); i >= 0 {
+			t.writes[i].value = w.Value
+			continue
+		}
+		old, _ := d.store.GetShared(w.Key)
+		t.writes = append(t.writes, writeAccess{key: w.Key, value: w.Value, old: old})
+	}
+
+	version, items, err := d.commit(ctx, t)
+	if err != nil {
+		return kv.CommitResult{}, err
+	}
+	d.tel.UpdateCommit.ObserveSince(start)
+	res := kv.CommitResult{Version: version, Deps: make([]kv.DepList, len(writes))}
+	for i, w := range writes {
+		res.Deps[i] = items[t.writeIndex(w.Key)].Deps
+	}
+	return res, nil
+}
+
+// txn is one update transaction inside CommitUpdate, holding every lock
+// it needs: the first occurrence of each key read and of each key
+// written, in request order.
+type txn struct {
+	id     uint64 // lock owner and CommitRecord.TxnID
 	reads  []readAccess
-	readIx map[kv.Key]int
 	writes []writeAccess
-	wrIx   map[kv.Key]int
-
-	// deps, when non-nil (CommitUpdate sets it), receives the dependency
-	// list Commit stores with each write: deps[i] belongs to writes[i].
-	// The interactive Begin/Commit path leaves it nil and pays one nil
-	// check per write.
-	deps []kv.DepList
 }
 
 type readAccess struct {
@@ -45,151 +105,60 @@ type readAccess struct {
 type writeAccess struct {
 	key   kv.Key
 	value kv.Value
-	old   kv.Item // committed item at first write lock (version+deps)
+	old   kv.Item // committed item under the lock (version+deps)
 }
 
-// Begin starts an update transaction that cannot be cancelled
-// (equivalent to BeginCtx with context.Background()).
-func (d *DB) Begin() *Txn {
-	//lint:ignore ctxdiscipline Begin is the documented no-cancellation variant; callers wanting cancellation use BeginCtx
-	return d.BeginCtx(context.Background())
+// writeIndex is the position of key in t.writes, or -1.
+func (t *txn) writeIndex(key kv.Key) int {
+	return slices.IndexFunc(t.writes, func(w writeAccess) bool { return w.key == key })
 }
 
-// BeginCtx starts an update transaction bound to ctx: every subsequent
-// Read/Write/Commit checks the context first, and lock waits abort with
-// ctx.Err() when it is cancelled — releasing the transaction's locks and
-// unblocking queued waiters.
-func (d *DB) BeginCtx(ctx context.Context) *Txn {
-	if ctx == nil {
-		//lint:ignore ctxdiscipline nil means the caller explicitly opted out of cancellation
-		ctx = context.Background()
-	}
-	d.metrics.TxnsStarted.Add(1)
-	return &Txn{
-		db:     d,
-		ctx:    ctx,
-		id:     d.txnC.Add(1),
-		readIx: make(map[kv.Key]int),
-		wrIx:   make(map[kv.Key]int),
-	}
+// keyLock is one entry of a transaction's lock plan.
+type keyLock struct {
+	key  kv.Key
+	mode lock.Mode
 }
 
-// ID returns the transaction's identifier (used as its lock owner).
-func (t *Txn) ID() uint64 { return t.id }
-
-// Read returns the current committed item for key (or the transaction's
-// own buffered write). The boolean reports whether the key exists. On
-// ErrConflict the transaction has already been aborted.
-func (t *Txn) Read(key kv.Key) (kv.Item, bool, error) {
-	if t.done {
-		return kv.Item{}, false, ErrTxnDone
-	}
-	if err := t.ctx.Err(); err != nil {
-		t.rollback()
-		return kv.Item{}, false, err
-	}
-	if t.db.closed.Load() {
-		t.rollback()
-		return kv.Item{}, false, ErrClosed
-	}
-	// Read-your-writes: serve from the write buffer.
-	if i, ok := t.wrIx[key]; ok {
-		w := t.writes[i]
-		return kv.Item{Value: w.value.Clone(), Version: w.old.Version, Deps: w.old.Deps.Clone()}, true, nil
-	}
-	if err := t.acquire(key, lock.Shared); err != nil {
-		return kv.Item{}, false, err
-	}
-	t.db.metrics.TxnReads.Add(1)
-	item, found := t.db.store.Get(key)
-	// A repeat read under 2PL returns the same version; keep the first record.
-	if _, ok := t.readIx[key]; !ok {
-		t.readIx[key] = len(t.reads)
-		t.reads = append(t.reads, readAccess{key: key, item: item, found: found})
-	}
-	return item, found, nil
-}
-
-// Write buffers a new value for key. The exclusive lock is taken
-// immediately; the value becomes visible at Commit.
-func (t *Txn) Write(key kv.Key, value kv.Value) error {
-	if t.done {
-		return ErrTxnDone
-	}
-	if err := t.ctx.Err(); err != nil {
-		t.rollback()
+// lockKeys takes every lock a transaction needs before it reads anything:
+// each key once, in key order, exclusive if written and shared if only
+// read.
+func (d *DB) lockKeys(ctx context.Context, owner lock.Owner, reads []kv.ObservedRead, writes []kv.KeyValue) error {
+	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if t.db.closed.Load() {
-		t.rollback()
-		return ErrClosed
+	plan := make([]keyLock, 0, len(reads)+len(writes))
+	for _, w := range writes {
+		plan = append(plan, keyLock{w.Key, lock.Exclusive})
 	}
-	// Fail writes on a standby before taking locks; Commit re-checks
-	// authoritatively under commitMu.
-	if Role(t.db.role.Load()) != RolePrimary {
-		t.rollback()
-		return &NotPrimaryError{Leader: t.db.LeaderAddr()}
+	for _, r := range reads {
+		plan = append(plan, keyLock{r.Key, lock.Shared})
 	}
-	if err := t.acquire(key, lock.Exclusive); err != nil {
-		return err
+	slices.SortFunc(plan, func(a, b keyLock) int {
+		return cmp.Or(cmp.Compare(a.key, b.key), cmp.Compare(b.mode, a.mode))
+	})
+	for i, l := range plan {
+		if i > 0 && l.key == plan[i-1].key {
+			continue // a key's first entry carries its strongest mode
+		}
+		if err := d.locks.Acquire(ctx, owner, string(l.key), l.mode); err != nil {
+			return fmt.Errorf("db: acquire %s on %q: %w", l.mode, l.key, err)
+		}
 	}
-	t.db.metrics.TxnWrites.Add(1)
-	if i, ok := t.wrIx[key]; ok {
-		t.writes[i].value = value.Clone()
-		return nil
-	}
-	old, _ := t.db.store.Get(key)
-	t.wrIx[key] = len(t.writes)
-	t.writes = append(t.writes, writeAccess{key: key, value: value.Clone(), old: old})
 	return nil
 }
 
-// acquire takes a lock, translating concurrency-control losses into
-// ErrConflict and rolling the transaction back so the caller can retry.
-// A context cancellation is NOT a conflict: it propagates as ctx.Err() so
-// callers stop retrying.
-func (t *Txn) acquire(key kv.Key, mode lock.Mode) error {
-	err := t.db.locks.Acquire(t.ctx, lock.Owner(t.id), string(key), mode)
-	switch {
-	case err == nil:
-		return nil
-	case errorsIsAny(err, context.Canceled, context.DeadlineExceeded):
-		t.rollback()
-		return err
-	case errors.Is(err, lock.ErrDeadlock):
-		t.db.metrics.Conflicts.Add(1)
-		t.rollback()
-		return fmt.Errorf("%w: %s on %q: %s", ErrConflict, mode, key, err)
-	default:
-		t.rollback()
-		return fmt.Errorf("db: acquire %s on %q: %w", mode, key, err)
-	}
-}
-
-// Abort rolls the transaction back. Aborting a finished transaction
-// returns ErrTxnDone.
-func (t *Txn) Abort() error {
-	if t.done {
-		return ErrTxnDone
-	}
-	t.db.metrics.TxnsAborted.Add(1)
-	t.rollback()
-	return nil
-}
-
-func (t *Txn) rollback() {
-	if t.done {
-		return
-	}
-	t.done = true
-	t.db.locks.ReleaseAll(lock.Owner(t.id))
+// abort ends t without committing anything: its locks are released and
+// err is returned.
+func (d *DB) abort(t *txn, err error) error {
+	d.locks.ReleaseAll(lock.Owner(t.id))
+	d.metrics.TxnsAborted.Add(1)
+	return err
 }
 
 // mergeBound returns the bound for the transaction's full merged list:
 // one above the largest per-object bound among the written keys (room
 // for the self-entry removed per object), or unbounded if any is.
-func (t *Txn) mergeBound() int {
-	d := t.db
+func (d *DB) mergeBound(t *txn) int {
 	bound := d.cfg.DepBound
 	if d.cfg.DepBoundFor != nil {
 		bound = 0
@@ -209,7 +178,9 @@ func (t *Txn) mergeBound() int {
 	return bound
 }
 
-// Commit runs the three-stage pipeline:
+// commit runs the three-stage pipeline for a transaction that holds all
+// its locks, returning the commit version and the item stored for each
+// of t.writes:
 //
 //  1. Under commitMu: decide the commit version (strictly greater than
 //     every version the transaction accessed, per §III-A), aggregate
@@ -223,29 +194,15 @@ func (t *Txn) mergeBound() int {
 //     see commits in exact version order.
 //
 // A failed append applies nothing: the transaction aborts, releasing its
-// locks and its door ticket. Read-only update transactions (no writes)
-// commit trivially.
-func (t *Txn) Commit() (kv.Version, error) {
-	if t.done {
-		return kv.Version{}, ErrTxnDone
-	}
-	if err := t.ctx.Err(); err != nil {
-		t.rollback()
-		return kv.Version{}, err
-	}
-	if t.db.closed.Load() {
-		t.rollback()
-		return kv.Version{}, ErrClosed
-	}
-	d := t.db
-
+// locks and its door ticket. Read-only transactions (no writes) commit
+// trivially.
+func (d *DB) commit(ctx context.Context, t *txn) (kv.Version, []kv.Item, error) {
 	if len(t.writes) == 0 {
-		// Nothing to apply; under 2PL the reads are trivially serializable
-		// at this point in time.
-		t.done = true
+		// Nothing to apply; under the shared locks the reads are
+		// trivially serializable at this point in time.
 		d.locks.ReleaseAll(lock.Owner(t.id))
 		d.metrics.TxnsCommitted.Add(1)
-		return kv.Version{}, nil
+		return kv.Version{}, nil, nil
 	}
 
 	d.commitMu.Lock()
@@ -255,10 +212,7 @@ func (t *Txn) Commit() (kv.Version, error) {
 	if Role(d.role.Load()) != RolePrimary {
 		leader := d.LeaderAddr()
 		d.commitMu.Unlock()
-		d.metrics.TxnsAborted.Add(1)
-		t.done = true
-		d.locks.ReleaseAll(lock.Owner(t.id))
-		return kv.Version{}, &NotPrimaryError{Leader: leader}
+		return kv.Version{}, nil, d.abort(t, &NotPrimaryError{Leader: leader})
 	}
 
 	// Decide the commit version: larger than every accessed version and
@@ -283,17 +237,16 @@ func (t *Txn) Commit() (kv.Version, error) {
 		accesses = append(accesses, kv.Access{Key: w.key, Version: vt, Deps: w.old.Deps})
 	}
 	for _, r := range t.reads {
-		if _, alsoWritten := t.wrIx[r.key]; alsoWritten || !r.found {
+		if !r.found || t.writeIndex(r.key) >= 0 {
 			continue
 		}
 		accesses = append(accesses, kv.Access{Key: r.key, Version: r.item.Version, Deps: r.item.Deps})
 	}
-	mergeBound := t.mergeBound()
 	merge := kv.MergeDeps
 	if d.cfg.DepMerge == MergePositional {
 		merge = kv.MergeDepsPositional
 	}
-	full := merge(mergeBound, accesses)
+	full := merge(d.mergeBound(t), accesses)
 
 	items := make([]kv.Item, len(t.writes))
 	for i, w := range t.writes {
@@ -301,9 +254,6 @@ func (t *Txn) Commit() (kv.Version, error) {
 			Value:   w.value,
 			Version: vt,
 			Deps:    d.composeDeps(w.key, full, t, vt),
-		}
-		if t.deps != nil {
-			t.deps[i] = items[i].Deps
 		}
 	}
 	ticket := d.door.enter()
@@ -315,18 +265,15 @@ func (t *Txn) Commit() (kv.Version, error) {
 
 	d.door.wait(ticket)
 	if logErr != nil {
-		d.metrics.TxnsAborted.Add(1)
-		t.done = true
-		d.locks.ReleaseAll(lock.Owner(t.id))
+		err := d.abort(t, logErr)
 		d.door.exit()
-		return kv.Version{}, logErr
+		return kv.Version{}, nil, err
 	}
 
 	// Apply, in version order behind the door.
 	for i, w := range t.writes {
 		d.store.Put(w.key, items[i])
 	}
-	t.done = true
 	d.locks.ReleaseAll(lock.Owner(t.id))
 	d.metrics.TxnsCommitted.Add(1)
 
@@ -352,30 +299,23 @@ func (t *Txn) Commit() (kv.Version, error) {
 	// hold the record. The commit has already applied locally either
 	// way; an error here means its replication state is unknown, and the
 	// caller must treat the outcome as unresolved rather than aborted.
-	if err := d.waitReplicated(t.ctx, walPos); err != nil {
-		return kv.Version{}, fmt.Errorf("db: commit awaiting %d sync replica(s): %w", d.cfg.ReplMinSync, err)
+	if err := d.waitReplicated(ctx, walPos); err != nil {
+		return kv.Version{}, nil, fmt.Errorf("db: commit awaiting %d sync replica(s): %w", d.cfg.ReplMinSync, err)
 	}
-	return vt, nil
+	return vt, items, nil
 }
 
 // accessVersion is the version key has in the commit at vt, if the
 // transaction touched it: vt for a written key, the observed version for
 // a key only read (and found). It is what the commit's accesses record.
-func (t *Txn) accessVersion(key kv.Key, vt kv.Version) (kv.Version, bool) {
-	if _, ok := t.wrIx[key]; ok {
+func (t *txn) accessVersion(key kv.Key, vt kv.Version) (kv.Version, bool) {
+	if t.writeIndex(key) >= 0 {
 		return vt, true
 	}
-	if i, ok := t.readIx[key]; ok && t.reads[i].found {
-		return t.reads[i].item.Version, true
-	}
-	return kv.Version{}, false
-}
-
-func errorsIsAny(err error, targets ...error) bool {
-	for _, t := range targets {
-		if errors.Is(err, t) {
-			return true
+	for _, r := range t.reads {
+		if r.key == key {
+			return r.item.Version, r.found
 		}
 	}
-	return false
+	return kv.Version{}, false
 }

@@ -10,15 +10,11 @@ import (
 
 func seedOne(t *testing.T, d *DB, key kv.Key, val string) kv.Version {
 	t.Helper()
-	txn := d.Begin()
-	if err := txn.Write(key, kv.Value(val)); err != nil {
-		t.Fatal(err)
-	}
-	v, err := txn.Commit()
+	res, err := d.CommitUpdate(bg, nil, []kv.KeyValue{{Key: key, Value: kv.Value(val)}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return v
+	return res.Version
 }
 
 func TestValidatedUpdateCommits(t *testing.T) {
@@ -135,12 +131,5 @@ func TestCommitUpdateReportsStoredLists(t *testing.T) {
 
 	if res, err := d.CommitUpdate(ctx, []kv.ObservedRead{{Key: "a", Version: res.Version, Found: true}}, nil); err != nil || len(res.Deps) != 0 || !res.Version.IsZero() {
 		t.Errorf("write-less commit = %+v, %v", res, err)
-	}
-	txn := d.Begin()
-	if err := txn.Write("c", kv.Value("interactive")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := txn.Commit(); err != nil || txn.deps != nil {
-		t.Errorf("interactive commit = %v, captured %v", err, txn.deps)
 	}
 }

@@ -233,23 +233,22 @@ func (c *Column) WarmCache(ctx context.Context, keys []kv.Key) error {
 }
 
 // RunUpdateTxn executes one update transaction over gen's key set:
-// read all objects, then write them all (§V-B1).
+// read all objects, then write them all (§V-B1). The reads are
+// uncounted lock-free peeks; CommitUpdate locks and validates them.
 func (c *Column) RunUpdateTxn(gen workload.Generator) error {
 	keys := dedup(gen.Pick(c.updateRNG))
-	txn := c.DB.Begin()
-	for _, k := range keys {
-		if _, _, err := txn.Read(k); err != nil {
-			return fmt.Errorf("experiment: update read %q: %w", k, err)
-		}
+	reads := make([]kv.ObservedRead, len(keys))
+	writes := make([]kv.KeyValue, len(keys))
+	var buf []byte // backs every value; CommitUpdate stores copies
+	for i, k := range keys {
+		item, found := c.DB.Get(k)
+		reads[i] = kv.ObservedRead{Key: k, Version: item.Version, Found: found}
+		n := len(buf)
+		buf = strconv.AppendInt(append(buf, 'v'), c.updateRNG.Int63(), 10)
+		writes[i] = kv.KeyValue{Key: k, Value: buf[n:len(buf):len(buf)]}
 	}
-	var buf [24]byte // Write copies the value, so one buffer serves every key
-	for _, k := range keys {
-		val := kv.Value(strconv.AppendInt(append(buf[:0], 'v'), c.updateRNG.Int63(), 10))
-		if err := txn.Write(k, val); err != nil {
-			return fmt.Errorf("experiment: update write %q: %w", k, err)
-		}
-	}
-	if _, err := txn.Commit(); err != nil {
+	//lint:ignore ctxdiscipline the simulation has no caller to cancel it, and RunUpdateTxn's signature is fixed by its callers
+	if _, err := c.DB.CommitUpdate(context.Background(), reads, writes); err != nil {
 		return fmt.Errorf("experiment: update commit: %w", err)
 	}
 	return nil

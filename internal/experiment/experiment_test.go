@@ -48,7 +48,7 @@ func TestNewColumnClosesOnSubscribeFailure(t *testing.T) {
 	if !errors.Is(err, db.ErrDuplicateSubscriber) || col != nil {
 		t.Fatalf("newColumnOn with edge-1 taken = %v, %v; want nil, ErrDuplicateSubscriber", col, err)
 	}
-	if _, _, err := d.Begin().Read("k"); !errors.Is(err, db.ErrClosed) {
+	if _, err := d.CommitUpdate(context.Background(), []kv.ObservedRead{{Key: "k"}}, nil); !errors.Is(err, db.ErrClosed) {
 		t.Fatalf("read on the failed column's database = %v, want db.ErrClosed", err)
 	}
 }

@@ -1,14 +1,21 @@
-// Package lock implements the per-key lock table used by the database's
-// update transactions (strict two-phase locking with shared/exclusive
-// modes, lock upgrades, FIFO queuing, and wait-for-graph deadlock
-// detection).
+// Package lock implements the per-key lock table behind the database's
+// update transactions: shared and exclusive modes, FIFO queuing, and
+// waits bounded by the caller's ctx.
 //
 // The paper's backend is "a transactional key-value store with two-phase
 // commit"; this lock manager is the concurrency-control half of that
 // substrate. Two-phase commit exists there because its participants are
 // separate machines; the database here is one participant, so a commit
-// needs only these locks and one log record. Every wait ends in a grant,
-// a deadlock verdict, the caller's ctx, or Close.
+// needs only these locks and one log record.
+//
+// The database takes every lock a transaction needs up front, each key
+// once, in its final mode and in key order, and releases them together.
+// Under that discipline the table needs neither upgrades nor deadlock
+// detection: a waiter holds only keys smaller than the one it waits on,
+// so it waits either for a holder that is itself waiting on a larger
+// key, or for a waiter queued ahead of it on the same key, and no chain
+// of waits can close into a cycle. Every wait ends in a grant, the
+// caller's ctx, or Close.
 package lock
 
 import (
@@ -39,15 +46,8 @@ func (m Mode) String() string {
 	}
 }
 
-// Errors returned by Acquire.
-var (
-	// ErrDeadlock is returned to the requester whose wait would have
-	// closed a cycle in the wait-for graph. The caller should abort and
-	// retry its transaction.
-	ErrDeadlock = errors.New("lock: deadlock detected")
-	// ErrClosed is returned when the manager is shut down while waiting.
-	ErrClosed = errors.New("lock: manager closed")
-)
+// ErrClosed is returned when the manager is shut down while waiting.
+var ErrClosed = errors.New("lock: manager closed")
 
 // Owner identifies a lock-holding transaction.
 type Owner uint64
@@ -57,7 +57,7 @@ type Owner uint64
 type Manager struct {
 	mu     sync.Mutex //tcache:lockclass lockmgr
 	locks  map[string]*lockState
-	held   map[Owner]map[string]Mode // reverse index for ReleaseAll
+	held   map[Owner][]string // reverse index for ReleaseAll
 	closed bool
 }
 
@@ -77,15 +77,16 @@ type waiter struct {
 func NewManager() *Manager {
 	return &Manager{
 		locks: make(map[string]*lockState),
-		held:  make(map[Owner]map[string]Mode),
+		held:  make(map[Owner][]string),
 	}
 }
 
-// Acquire blocks until owner holds key in at least the requested mode.
-// Re-acquiring an already-held mode is a no-op; requesting Exclusive while
-// holding Shared performs an upgrade. It returns ErrDeadlock if waiting
-// would create a wait-for cycle, ctx.Err() if the context is cancelled
-// while waiting, or ErrClosed if the manager shuts down.
+// Acquire blocks until owner holds key in mode, behind every request
+// already queued on key. Re-acquiring a key already held in the same or
+// a stronger mode is a no-op; there are no upgrades, so asking for
+// Exclusive while holding Shared is an error. It returns ctx.Err() if
+// the context is cancelled while waiting, or ErrClosed if the manager
+// shuts down.
 func (m *Manager) Acquire(ctx context.Context, owner Owner, key string, mode Mode) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -100,32 +101,20 @@ func (m *Manager) Acquire(ctx context.Context, owner Owner, key string, mode Mod
 		ls = &lockState{holders: make(map[Owner]Mode)}
 		m.locks[key] = ls
 	}
-
-	if cur, ok := ls.holders[owner]; ok && cur >= mode {
+	if cur, ok := ls.holders[owner]; ok {
 		m.mu.Unlock()
-		return nil // already held in a sufficient mode
+		if cur < mode {
+			return fmt.Errorf("lock: owner %d holds %q in mode %s and cannot upgrade", owner, key, cur)
+		}
+		return nil
 	}
-
-	if m.grantableLocked(ls, owner, mode) {
+	if len(ls.queue) == 0 && compatible(ls, mode) {
 		m.grantLocked(ls, key, owner, mode)
 		m.mu.Unlock()
 		return nil
 	}
-
 	w := &waiter{owner: owner, mode: mode, ready: make(chan error, 1)}
-	// Upgrades jump the queue: they already hold the lock and queued
-	// requests behind them can never be granted first anyway.
-	if _, upgrading := ls.holders[owner]; upgrading {
-		ls.queue = append([]*waiter{w}, ls.queue...)
-	} else {
-		ls.queue = append(ls.queue, w)
-	}
-
-	if m.wouldDeadlockLocked(owner) {
-		m.removeWaiterLocked(ls, w)
-		m.mu.Unlock()
-		return ErrDeadlock
-	}
+	ls.queue = append(ls.queue, w)
 	m.mu.Unlock()
 
 	select {
@@ -143,51 +132,46 @@ func (m *Manager) abandonWait(ls *lockState, key string, w *waiter, reason error
 	m.mu.Lock()
 	if w.done {
 		// Granted concurrently with the cancel; keep the lock (the
-		// caller's rollback path releases it if the transaction dies).
+		// caller's ReleaseAll frees it).
 		m.mu.Unlock()
 		return <-w.ready
 	}
-	m.removeWaiterLocked(ls, w)
+	for i, q := range ls.queue {
+		if q == w {
+			ls.queue = append(ls.queue[:i], ls.queue[i+1:]...)
+			break
+		}
+	}
 	m.pumpLocked(ls, key)
 	m.maybeGCLocked(key, ls)
 	m.mu.Unlock()
 	return reason
 }
 
-// TryAcquire acquires without blocking, reporting whether it succeeded.
-func (m *Manager) TryAcquire(owner Owner, key string, mode Mode) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return false
-	}
-	ls := m.locks[key]
-	if ls == nil {
-		ls = &lockState{holders: make(map[Owner]Mode)}
-		m.locks[key] = ls
-	}
-	if cur, ok := ls.holders[owner]; ok && cur >= mode {
-		return true
-	}
-	if !m.grantableLocked(ls, owner, mode) {
-		return false
-	}
-	m.grantLocked(ls, key, owner, mode)
-	return true
-}
-
 // ReleaseAll releases every lock held by owner and wakes newly grantable
-// waiters. Strict 2PL releases everything at commit/abort.
+// waiters. A transaction releases everything at once, at commit or
+// abort.
 func (m *Manager) ReleaseAll(owner Owner) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for key := range m.held[owner] {
+	for _, key := range m.held[owner] {
 		ls := m.locks[key]
 		delete(ls.holders, owner)
 		m.pumpLocked(ls, key)
 		m.maybeGCLocked(key, ls)
 	}
 	delete(m.held, owner)
+}
+
+// Waiting reports how many requests are queued on key. It is a test
+// seam: it lets a test see a transaction parked behind a held lock.
+func (m *Manager) Waiting(key string) int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if ls := m.locks[key]; ls != nil {
+		return len(ls.queue)
+	}
+	return 0
 }
 
 // Close fails all waiters with ErrClosed and rejects future acquisitions.
@@ -210,31 +194,9 @@ func (m *Manager) Close() {
 	}
 }
 
-// HeldModes returns a snapshot of the modes owner currently holds, keyed
-// by lock key. It exists for tests and introspection.
-func (m *Manager) HeldModes(owner Owner) map[string]Mode {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[string]Mode, len(m.held[owner]))
-	for k, md := range m.held[owner] {
-		out[k] = md
-	}
-	return out
-}
-
-// grantableLocked reports whether owner may take key in mode right now,
-// respecting FIFO order for non-upgrade requests.
-//
-//tcache:holds lockmgr
-func (m *Manager) grantableLocked(ls *lockState, owner Owner, mode Mode) bool {
-	_, holding := ls.holders[owner]
-	if !holding && len(ls.queue) > 0 {
-		return false // FIFO: others are already waiting
-	}
-	for h, hm := range ls.holders {
-		if h == owner {
-			continue
-		}
+// compatible reports whether mode can be granted beside ls's holders.
+func compatible(ls *lockState, mode Mode) bool {
+	for _, hm := range ls.holders {
 		if mode == Exclusive || hm == Exclusive {
 			return false
 		}
@@ -245,12 +207,7 @@ func (m *Manager) grantableLocked(ls *lockState, owner Owner, mode Mode) bool {
 //tcache:holds lockmgr
 func (m *Manager) grantLocked(ls *lockState, key string, owner Owner, mode Mode) {
 	ls.holders[owner] = mode
-	hm := m.held[owner]
-	if hm == nil {
-		hm = make(map[string]Mode)
-		m.held[owner] = hm
-	}
-	hm[key] = mode
+	m.held[owner] = append(m.held[owner], key)
 }
 
 // pumpLocked grants queued waiters that became compatible, in FIFO order,
@@ -258,23 +215,8 @@ func (m *Manager) grantLocked(ls *lockState, key string, owner Owner, mode Mode)
 //
 //tcache:holds lockmgr
 func (m *Manager) pumpLocked(ls *lockState, key string) {
-	for len(ls.queue) > 0 {
+	for len(ls.queue) > 0 && compatible(ls, ls.queue[0].mode) {
 		w := ls.queue[0]
-		// Upgrades bypass the FIFO check in grantableLocked because the
-		// waiter is already a holder.
-		compatible := true
-		for h, hm := range ls.holders {
-			if h == w.owner {
-				continue
-			}
-			if w.mode == Exclusive || hm == Exclusive {
-				compatible = false
-				break
-			}
-		}
-		if !compatible {
-			return
-		}
 		ls.queue = ls.queue[1:]
 		m.grantLocked(ls, key, w.owner, w.mode)
 		w.done = true
@@ -284,75 +226,8 @@ func (m *Manager) pumpLocked(ls *lockState, key string) {
 }
 
 //tcache:holds lockmgr
-func (m *Manager) removeWaiterLocked(ls *lockState, w *waiter) {
-	for i, q := range ls.queue {
-		if q == w {
-			ls.queue = append(ls.queue[:i], ls.queue[i+1:]...)
-			return
-		}
-	}
-}
-
-//tcache:holds lockmgr
 func (m *Manager) maybeGCLocked(key string, ls *lockState) {
 	if len(ls.holders) == 0 && len(ls.queue) == 0 {
 		delete(m.locks, key)
 	}
-}
-
-// wouldDeadlockLocked runs a DFS over the wait-for graph starting from
-// start, returning true if start is reachable from itself. An edge A→B
-// exists when A waits on a lock that B holds, or on a lock where B is
-// queued ahead of A.
-//
-//tcache:holds lockmgr
-func (m *Manager) wouldDeadlockLocked(start Owner) bool {
-	adj := func(o Owner) []Owner {
-		var out []Owner
-		for _, ls := range m.locks {
-			pos := -1
-			var w *waiter
-			for i, q := range ls.queue {
-				if q.owner == o {
-					pos, w = i, q
-					break
-				}
-			}
-			if w == nil {
-				continue
-			}
-			for h := range ls.holders {
-				if h != o && conflicts(w.mode, ls.holders[h]) {
-					out = append(out, h)
-				}
-			}
-			for i := 0; i < pos; i++ {
-				if q := ls.queue[i]; q.owner != o {
-					out = append(out, q.owner)
-				}
-			}
-		}
-		return out
-	}
-
-	visited := make(map[Owner]bool)
-	var stack []Owner
-	stack = append(stack, adj(start)...)
-	for len(stack) > 0 {
-		o := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if o == start {
-			return true
-		}
-		if visited[o] {
-			continue
-		}
-		visited[o] = true
-		stack = append(stack, adj(o)...)
-	}
-	return false
-}
-
-func conflicts(a, b Mode) bool {
-	return a == Exclusive || b == Exclusive
 }

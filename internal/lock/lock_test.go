@@ -21,7 +21,7 @@ func TestCancelledWaitUnblocksAndWithdraws(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() { errc <- m.Acquire(ctx, 2, "k", Exclusive) }()
-	time.Sleep(10 * time.Millisecond)
+	waitQueued(t, m, "k", 1)
 	cancel()
 	if err := <-errc; !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled Acquire = %v, want context.Canceled", err)
@@ -43,8 +43,8 @@ func TestAcquireWithPreCancelledContext(t *testing.T) {
 	if err := m.Acquire(ctx, 1, "k", Shared); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Acquire = %v, want context.Canceled", err)
 	}
-	if got := m.HeldModes(1); len(got) != 0 {
-		t.Fatalf("cancelled acquire left locks held: %v", got)
+	if !tryAcquire(m, 2, "k", Exclusive) {
+		t.Fatal("cancelled acquire left the lock held")
 	}
 }
 
@@ -65,11 +65,11 @@ func TestExclusiveBlocksShared(t *testing.T) {
 	if err := m.Acquire(bg, 1, "k", Exclusive); err != nil {
 		t.Fatal(err)
 	}
-	if m.TryAcquire(2, "k", Shared) {
+	if tryAcquire(m, 2, "k", Shared) {
 		t.Fatal("shared granted while exclusive held")
 	}
 	m.ReleaseAll(1)
-	if !m.TryAcquire(2, "k", Shared) {
+	if !tryAcquire(m, 2, "k", Shared) {
 		t.Fatal("shared not granted after release")
 	}
 }
@@ -82,7 +82,7 @@ func TestReacquireIsNoop(t *testing.T) {
 		}
 	}
 	m.ReleaseAll(1)
-	if !m.TryAcquire(2, "k", Exclusive) {
+	if !tryAcquire(m, 2, "k", Exclusive) {
 		t.Fatal("lock not fully released")
 	}
 }
@@ -96,8 +96,8 @@ func TestSharedHolderSatisfiesSharedRequest(t *testing.T) {
 	if err := m.Acquire(bg, 1, "k", Shared); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.HeldModes(1)["k"]; got != Exclusive {
-		t.Fatalf("mode = %v, want X (no downgrade)", got)
+	if tryAcquire(m, 2, "k", Shared) {
+		t.Fatal("shared granted to another owner: the exclusive lock was downgraded")
 	}
 }
 
@@ -108,7 +108,7 @@ func TestBlockedAcquireWakesOnRelease(t *testing.T) {
 	}
 	got := make(chan error, 1)
 	go func() { got <- m.Acquire(bg, 2, "k", Exclusive) }()
-	time.Sleep(10 * time.Millisecond) // let the goroutine enqueue
+	waitQueued(t, m, "k", 1)
 	m.ReleaseAll(1)
 	select {
 	case err := <-got:
@@ -120,77 +120,6 @@ func TestBlockedAcquireWakesOnRelease(t *testing.T) {
 	}
 }
 
-func TestUpgradeSharedToExclusive(t *testing.T) {
-	m := NewManager()
-	if err := m.Acquire(bg, 1, "k", Shared); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Acquire(bg, 2, "k", Shared); err != nil {
-		t.Fatal(err)
-	}
-	got := make(chan error, 1)
-	go func() { got <- m.Acquire(bg, 1, "k", Exclusive) }()
-	time.Sleep(10 * time.Millisecond)
-	select {
-	case err := <-got:
-		t.Fatalf("upgrade granted while another sharer holds: %v", err)
-	default:
-	}
-	m.ReleaseAll(2)
-	if err := <-got; err != nil {
-		t.Fatal(err)
-	}
-	if m.HeldModes(1)["k"] != Exclusive {
-		t.Fatal("upgrade did not take effect")
-	}
-}
-
-func TestDeadlockDetected(t *testing.T) {
-	m := NewManager()
-	if err := m.Acquire(bg, 1, "a", Exclusive); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Acquire(bg, 2, "b", Exclusive); err != nil {
-		t.Fatal(err)
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- m.Acquire(bg, 1, "b", Exclusive) }() // 1 waits on 2
-	time.Sleep(20 * time.Millisecond)
-	// 2 requesting "a" closes the cycle and must get ErrDeadlock.
-	err := m.Acquire(bg, 2, "a", Exclusive)
-	if !errors.Is(err, ErrDeadlock) {
-		t.Fatalf("err = %v, want ErrDeadlock", err)
-	}
-	// Victim aborts; txn 1 proceeds.
-	m.ReleaseAll(2)
-	if err := <-errc; err != nil {
-		t.Fatal(err)
-	}
-	m.ReleaseAll(1)
-}
-
-func TestUpgradeDeadlockDetected(t *testing.T) {
-	// Classic upgrade deadlock: both hold S, both request X.
-	m := NewManager()
-	if err := m.Acquire(bg, 1, "k", Shared); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Acquire(bg, 2, "k", Shared); err != nil {
-		t.Fatal(err)
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- m.Acquire(bg, 1, "k", Exclusive) }()
-	time.Sleep(20 * time.Millisecond)
-	err := m.Acquire(bg, 2, "k", Exclusive)
-	if !errors.Is(err, ErrDeadlock) {
-		t.Fatalf("err = %v, want ErrDeadlock", err)
-	}
-	m.ReleaseAll(2)
-	if err := <-errc; err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestCloseWakesWaiters(t *testing.T) {
 	m := NewManager()
 	if err := m.Acquire(bg, 1, "k", Exclusive); err != nil {
@@ -198,7 +127,7 @@ func TestCloseWakesWaiters(t *testing.T) {
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- m.Acquire(bg, 2, "k", Exclusive) }()
-	time.Sleep(10 * time.Millisecond)
+	waitQueued(t, m, "k", 1)
 	m.Close()
 	if err := <-errc; !errors.Is(err, ErrClosed) {
 		t.Fatalf("err = %v, want ErrClosed", err)
@@ -231,7 +160,7 @@ func TestFIFOOrdering(t *testing.T) {
 			mu.Unlock()
 			m.ReleaseAll(i)
 		}()
-		time.Sleep(15 * time.Millisecond) // serialize enqueue order
+		waitQueued(t, m, "k", int(i-1)) // serialize enqueue order
 	}
 	m.ReleaseAll(1)
 	wg.Wait()
@@ -298,16 +227,12 @@ func TestModeString(t *testing.T) {
 	}
 }
 
-func TestHeldModesSnapshot(t *testing.T) {
-	m := NewManager()
-	if err := m.Acquire(bg, 1, "a", Shared); err != nil {
-		t.Fatal(err)
-	}
-	held := m.HeldModes(1)
-	held["a"] = Exclusive // mutating the snapshot must not affect the table
-	if m.HeldModes(1)["a"] != Shared {
-		t.Fatal("HeldModes returned live map")
-	}
+// tryAcquire reports whether owner gets key in mode without waiting: a
+// grantable request is granted before Acquire ever looks at the timeout.
+func tryAcquire(m *Manager, owner Owner, key string, mode Mode) bool {
+	ctx, cancel := context.WithTimeout(bg, 10*time.Millisecond)
+	defer cancel()
+	return m.Acquire(ctx, owner, key, mode) == nil
 }
 
 // waitQueued returns once n acquisitions are queued on key.
@@ -315,12 +240,7 @@ func waitQueued(t *testing.T, m *Manager, key string, n int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		m.mu.Lock()
-		q := 0
-		if ls := m.locks[key]; ls != nil {
-			q = len(ls.queue)
-		}
-		m.mu.Unlock()
+		q := m.Waiting(key)
 		if q >= n {
 			return
 		}
@@ -367,5 +287,23 @@ func TestCancelledWaitWakesCompatibleWaiters(t *testing.T) {
 	m.mu.Unlock()
 	if n != 0 {
 		t.Fatalf("%d lock entries left after every holder released, want 0", n)
+	}
+}
+
+// TestUpgradeRefused: a Shared holder asking for Exclusive gets an error
+// at once, keeps its Shared lock, and queues nothing.
+func TestUpgradeRefused(t *testing.T) {
+	m := NewManager()
+	if err := m.Acquire(bg, 1, "k", Shared); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Acquire(bg, 1, "k", Exclusive); err == nil {
+		t.Fatal("upgrade granted")
+	}
+	if n := m.Waiting("k"); n != 0 {
+		t.Fatalf("%d waiters after a refused upgrade, want 0", n)
+	}
+	if !tryAcquire(m, 2, "k", Shared) || tryAcquire(m, 3, "k", Exclusive) {
+		t.Fatal("refused upgrade changed the held mode")
 	}
 }

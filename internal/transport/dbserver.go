@@ -74,7 +74,10 @@ func (s *DBServer) dispatch(ctx context.Context, req Request) Response {
 		return Response{Code: CodeOK, Role: db.RolePrimary.String(), ReplCounter: counter}
 
 	case OpGet:
-		item, ok := s.db.Get(req.Key)
+		item, ok, err := s.db.ReadItem(ctx, req.Key)
+		if err != nil {
+			return errorResponse("%v", err)
+		}
 		if !ok {
 			return Response{Code: CodeNotFound}
 		}

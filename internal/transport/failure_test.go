@@ -29,17 +29,14 @@ func TestServerCloseAbortsBlockedUpdate(t *testing.T) {
 	}
 	t.Cleanup(cli.Close)
 
-	holder := d.Begin()
-	if err := holder.Write("k", kv.Value("held")); err != nil {
-		t.Fatal(err)
-	}
+	hold := holdKey(t, d, "k")
 
 	errc := make(chan error, 1)
 	go func() {
 		_, err := cli.ValidatedUpdate(bg, nil, []KeyValue{{Key: "k", Value: kv.Value("blocked")}})
 		errc <- err
 	}()
-	time.Sleep(20 * time.Millisecond) // let the update reach the lock queue
+	waitQueued(t, hold, 1)
 
 	closed := make(chan struct{})
 	go func() {
@@ -54,11 +51,10 @@ func TestServerCloseAbortsBlockedUpdate(t *testing.T) {
 	if err := <-errc; err == nil {
 		t.Fatal("blocked update succeeded despite server close")
 	}
-	// The cancelled transaction released its (queued) locks: the holder
-	// can still commit.
-	if _, err := holder.Commit(); err != nil {
-		t.Fatalf("holder commit after server close = %v", err)
-	}
+	// The cancelled transaction left no lock behind: once the hold ends,
+	// an update of k commits.
+	hold.Release()
+	commitSoon(t, d, "k")
 }
 
 // TestClientCtxCancelledMidRoundTrip blocks an update behind a held lock
@@ -80,10 +76,7 @@ func TestClientCtxCancelledMidRoundTrip(t *testing.T) {
 	}
 	t.Cleanup(cli.Close)
 
-	holder := d.Begin()
-	if err := holder.Write("k", kv.Value("held")); err != nil {
-		t.Fatal(err)
-	}
+	hold := holdKey(t, d, "k")
 
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
@@ -91,7 +84,7 @@ func TestClientCtxCancelledMidRoundTrip(t *testing.T) {
 		_, err := cli.ValidatedUpdate(ctx, nil, []KeyValue{{Key: "k", Value: kv.Value("blocked")}})
 		errc <- err
 	}()
-	time.Sleep(20 * time.Millisecond)
+	waitQueued(t, hold, 1)
 	cancel()
 	select {
 	case err := <-errc:
@@ -103,9 +96,7 @@ func TestClientCtxCancelledMidRoundTrip(t *testing.T) {
 	}
 
 	// The interrupted connection is discarded; the next call redials.
-	if _, err := holder.Commit(); err != nil {
-		t.Fatal(err)
-	}
+	hold.Release()
 	if _, err := cli.ValidatedUpdate(bg, nil, []KeyValue{{Key: "k", Value: kv.Value("after")}}); err != nil {
 		t.Fatalf("post-cancel update = %v", err)
 	}
@@ -133,17 +124,14 @@ func TestClientCloseUnblocksStuckRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	holder := d.Begin()
-	if err := holder.Write("k", kv.Value("held")); err != nil {
-		t.Fatal(err)
-	}
+	hold := holdKey(t, d, "k")
 
 	errc := make(chan error, 1)
 	go func() {
 		_, err := cli.ValidatedUpdate(bg, nil, []KeyValue{{Key: "k", Value: kv.Value("blocked")}})
 		errc <- err
 	}()
-	time.Sleep(20 * time.Millisecond)
+	waitQueued(t, hold, 1)
 
 	closed := make(chan struct{})
 	go func() {
@@ -163,9 +151,7 @@ func TestClientCloseUnblocksStuckRoundTrip(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("blocked round trip never returned after Close")
 	}
-	if _, err := holder.Commit(); err != nil {
-		t.Fatal(err)
-	}
+	hold.Release()
 	if _, _, err := cli.ReadItem(bg, "k"); !errors.Is(err, ErrClientClosed) {
 		t.Fatalf("read on closed client = %v, want ErrClientClosed", err)
 	}
@@ -228,18 +214,14 @@ func TestSubscriptionResubscribesAfterServerRestart(t *testing.T) {
 	// Updates during the outage are impossible over the wire, but the DB
 	// itself moves on: one transaction rewrites a and b; the cache hears
 	// nothing (its subscription is down).
-	txn := d.Begin()
+	var reads []kv.ObservedRead
+	var writes []KeyValue
 	for _, k := range []kv.Key{"a", "b"} {
-		if _, _, err := txn.Read(k); err != nil {
-			t.Fatal(err)
-		}
+		item, found := d.Get(k)
+		reads = append(reads, kv.ObservedRead{Key: k, Version: item.Version, Found: found})
+		writes = append(writes, KeyValue{Key: k, Value: kv.Value("torn-" + string(k))})
 	}
-	for _, k := range []kv.Key{"a", "b"} {
-		if err := txn.Write(k, kv.Value("torn-"+string(k))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := txn.Commit(); err != nil {
+	if _, err := d.CommitUpdate(bg, reads, writes); err != nil {
 		t.Fatal(err)
 	}
 

@@ -59,10 +59,7 @@ func TestMuxCancelledRequestDoesNotKillConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	holder := d.Begin()
-	if err := holder.Write("k", kv.Value("held")); err != nil {
-		t.Fatal(err)
-	}
+	hold := holdKey(t, d, "k")
 
 	ctx, cancel := context.WithCancel(context.Background())
 	blocked := make(chan error, 1)
@@ -70,7 +67,7 @@ func TestMuxCancelledRequestDoesNotKillConnection(t *testing.T) {
 		_, err := cli.ValidatedUpdate(ctx, nil, []KeyValue{{Key: "k", Value: kv.Value("blocked")}})
 		blocked <- err
 	}()
-	time.Sleep(20 * time.Millisecond) // let the update reach the lock queue
+	waitQueued(t, hold, 1)
 
 	// A read multiplexed behind the blocked update completes immediately.
 	if item, ok, err := cli.ReadItem(bg, "k"); err != nil || !ok || string(item.Value) != "v0" {
@@ -95,9 +92,8 @@ func TestMuxCancelledRequestDoesNotKillConnection(t *testing.T) {
 	if n := srv.connCount(); n != 1 {
 		t.Fatalf("server sees %d connections, want 1 (no redial after cancel)", n)
 	}
-	if _, err := holder.Commit(); err != nil {
-		t.Fatal(err)
-	}
+	hold.Release()
+	commitSoon(t, d, "k")
 }
 
 // TestServerCloseFailsAllPendingSlots parks three concurrent updates on
@@ -117,10 +113,7 @@ func TestServerCloseFailsAllPendingSlots(t *testing.T) {
 	}
 	t.Cleanup(cli.Close)
 
-	holder := d.Begin()
-	if err := holder.Write("k", kv.Value("held")); err != nil {
-		t.Fatal(err)
-	}
+	hold := holdKey(t, d, "k")
 
 	const pending = 3
 	errc := make(chan error, pending)
@@ -130,7 +123,7 @@ func TestServerCloseFailsAllPendingSlots(t *testing.T) {
 			errc <- err
 		}()
 	}
-	time.Sleep(30 * time.Millisecond) // let all three enter the demux table
+	waitQueued(t, hold, pending) // all three are in the demux table
 
 	closed := make(chan struct{})
 	go func() {
@@ -152,9 +145,8 @@ func TestServerCloseFailsAllPendingSlots(t *testing.T) {
 			t.Fatalf("pending slot %d never settled after server close", i)
 		}
 	}
-	if _, err := holder.Commit(); err != nil {
-		t.Fatalf("holder commit after server close = %v", err)
-	}
+	hold.Release()
+	commitSoon(t, d, "k")
 }
 
 // TestHandshakeVersionMismatch: a client facing a newer server gets a
@@ -597,6 +589,39 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 		if time.Now().After(deadline) {
 			t.Fatalf("timed out waiting for %s", what)
 		}
+	}
+}
+
+// holdKey parks every update of key on d behind a held lock until the
+// returned hold is released (see db.KeyHold).
+func holdKey(t *testing.T, d *db.DB, key kv.Key) *db.KeyHold {
+	t.Helper()
+	h, err := d.HoldKey(bg, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
+// waitQueued returns once n updates wait behind h.
+func waitQueued(t *testing.T, h *db.KeyHold, n int) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(bg, 5*time.Second)
+	defer cancel()
+	if err := h.Queued(ctx, n); err != nil {
+		t.Fatalf("%d updates never queued behind the held lock: %v", n, err)
+	}
+}
+
+// commitSoon commits a write of key directly on d, failing the test if
+// the key's lock is not free within 5 s: an update the test abandoned
+// must not have left it held.
+func commitSoon(t *testing.T, d *db.DB, key kv.Key) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(bg, 5*time.Second)
+	defer cancel()
+	if _, err := d.CommitUpdate(ctx, nil, []KeyValue{{Key: key, Value: kv.Value("after")}}); err != nil {
+		t.Fatalf("commit of %s after the hold = %v", key, err)
 	}
 }
 

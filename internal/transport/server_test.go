@@ -40,10 +40,7 @@ var serverKinds = map[string]func(t *testing.T) skeletonServer{
 	"tdbd": func(t *testing.T) skeletonServer {
 		d := db.Open(db.Config{})
 		t.Cleanup(func() { d.Close() })
-		holder := d.Begin() // never finished: its write lock parks every update of "k"
-		if err := holder.Write("k", kv.Value("held")); err != nil {
-			t.Fatal(err)
-		}
+		holdKey(t, d, "k") // never released: it parks every update of "k"
 		srv := NewDBServer(d, t.Logf)
 		addr, err := srv.Listen("127.0.0.1:0")
 		if err != nil {
@@ -290,17 +287,13 @@ func TestWorkerReuseAndLinger(t *testing.T) {
 
 	// One more update than there are workers, all parked on a held lock:
 	// every worker is taken and one more is started.
-	holder := d.Begin()
-	if err := holder.Write("held", kv.Value("x")); err != nil {
-		t.Fatal(err)
-	}
+	hold := holdKey(t, d, "held")
 	for i := 0; i <= parked; i++ {
 		update(uint64(100+i), "held")
 	}
+	waitQueued(t, hold, parked+1)
 	waitUntil(t, "a worker for each blocked update", func() bool { return runtime.NumGoroutine() == idle+parked+1 })
-	if _, err := holder.Commit(); err != nil {
-		t.Fatal(err)
-	}
+	hold.Release()
 	for i := 0; i <= parked; i++ { // the answers, in whatever order the lock queue released them
 		if _, _, _, err := p.fr.Read(); err != nil {
 			t.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -268,7 +267,7 @@ func TestReadTxnCancelReleasesRecord(t *testing.T) {
 }
 
 // TestUpdateCancelUnblocksLockWait wedges an update behind a held lock
-// through the public API and cancels it: the call must return
+// (db.KeyHold, reached through DB.Core) and cancels it: the call must return
 // context.Canceled promptly and leave the lock queue clean.
 func TestUpdateCancelUnblocksLockWait(t *testing.T) {
 	d := tcache.OpenDB()
@@ -280,23 +279,10 @@ func TestUpdateCancelUnblocksLockWait(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	hold := make(chan struct{})
-	held := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_ = d.Update(ctx, func(tx *tcache.Tx) error {
-			if err := tx.Set("k", tcache.Value("held")); err != nil {
-				return err
-			}
-			close(held)
-			<-hold // keep the exclusive lock until released
-			return nil
-		})
-	}()
-	<-held
-
+	hold, err := d.Core().HoldKey(ctx, "k")
+	if err != nil {
+		t.Fatal(err)
+	}
 	wctx, cancel := context.WithCancel(ctx)
 	errc := make(chan error, 1)
 	go func() {
@@ -304,7 +290,11 @@ func TestUpdateCancelUnblocksLockWait(t *testing.T) {
 			return tx.Set("k", tcache.Value("blocked"))
 		})
 	}()
-	time.Sleep(20 * time.Millisecond) // let the update queue on the lock
+	qctx, qcancel := context.WithTimeout(ctx, 5*time.Second)
+	defer qcancel()
+	if err := hold.Queued(qctx, 1); err != nil {
+		t.Fatalf("the update never queued on the lock: %v", err)
+	}
 	cancel()
 	select {
 	case err := <-errc:
@@ -315,8 +305,7 @@ func TestUpdateCancelUnblocksLockWait(t *testing.T) {
 		t.Fatal("cancelled Update never unblocked from the lock wait")
 	}
 
-	close(hold)
-	wg.Wait()
+	hold.Release()
 	// The queue is clean: a fresh update acquires the lock normally.
 	if err := d.Update(ctx, func(tx *tcache.Tx) error {
 		return tx.Set("k", tcache.Value("after"))

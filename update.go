@@ -1,12 +1,12 @@
 package tcache
 
 // The unified write path. One API — Update(ctx, func(tx *Tx) error) —
-// implemented by every tier of the deployment:
+// implemented by every tier of the deployment, each running the closure
+// against optimistic snapshot reads and committing reads-and-writes in
+// one validated commit:
 //
-//   - *DB runs the closure inside an interactive serializable update
-//     transaction (strict two-phase locking, the in-process path);
-//   - *Remote runs the closure against optimistic snapshot reads and
-//     commits reads-and-writes in ONE validated wire round trip;
+//   - *DB commits in process, through the database's CommitUpdate;
+//   - *Remote commits in ONE validated wire round trip;
 //   - *Cache and *ClusterCache do the same, serving the closure's reads
 //     from the cache when possible, and on commit install their own
 //     writes — the committed items, rebuilt from the commit's answer —
@@ -14,9 +14,9 @@ package tcache
 //     own cache, with no refetch and before the asynchronous
 //     invalidation stream catches up.
 //
-// All three retry concurrency conflicts through the same jittered
-// exponential backoff driver, so contended writers behave identically
-// whether they commit in process, over the wire, or through a cluster.
+// All of them run one driver, occUpdate, so contended writers retry
+// identically whether they commit in process, over the wire, or through
+// a cluster.
 
 import (
 	"context"
@@ -100,23 +100,13 @@ var ErrUpdatesUnsupported = errors.New("tcache: backend does not support updates
 // reads within the transaction, buffered writes that become visible
 // atomically at commit.
 type Tx struct {
-	h txHandle
-}
-
-// txHandle is the per-backend transaction mechanism behind Tx: an
-// interactive 2PL transaction for *DB, an optimistic buffered one for
-// the remote and cache tiers.
-type txHandle interface {
-	get(ctx context.Context, key Key) (Value, bool, error)
-	getMulti(ctx context.Context, keys []Key) ([]Value, error)
-	set(key Key, value Value) error
+	h *occTx
 }
 
 // Get reads key within the update transaction: the transaction's own
-// buffered write if there is one, otherwise the backing snapshot (a
-// locked read for *DB, the cache or a lock-free backend read for the
-// optimistic tiers — re-validated at commit). The boolean reports
-// whether the key exists; ctx bounds a blocking or remote read.
+// buffered write if there is one, otherwise the backing snapshot (the
+// cache, or a lock-free backend read — re-validated at commit). The
+// boolean reports whether the key exists; ctx bounds a remote read.
 //
 // As everywhere in this package, the returned Value may share memory
 // with the store or cache and must be treated as read-only; Clone it
@@ -146,9 +136,9 @@ func (t *Tx) Set(key Key, value Value) error {
 // --- Shared conflict-retry driver ---------------------------------------
 
 // retryConflicts runs attempt, retrying ErrConflict failures with
-// jittered exponential backoff until ctx is cancelled. Every Updater
-// implementation commits through this one driver, so conflict behavior
-// is identical across the in-process, remote, and cluster write paths.
+// jittered exponential backoff until ctx is cancelled. occUpdate, and so
+// every Updater, commits through it, so conflict behavior is identical
+// across the in-process, remote, and cluster write paths.
 func retryConflicts(ctx context.Context, attempt func(ctx context.Context) error) error {
 	backoff := time.Millisecond
 	const maxBackoff = 100 * time.Millisecond
@@ -187,71 +177,23 @@ func sleepJittered(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// --- *DB: the interactive in-process implementation ----------------------
+// --- *DB: the in-process implementation --------------------------------
 
-// dbTx adapts an interactive db.Txn to the Tx handle.
-type dbTx struct {
-	txn *db.Txn
-}
-
-func (t dbTx) get(ctx context.Context, key Key) (Value, bool, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, false, err
-	}
-	item, found, err := t.txn.Read(key)
-	if err != nil {
-		return nil, false, err
-	}
-	return item.Value, found, nil
-}
-
-func (t dbTx) getMulti(ctx context.Context, keys []Key) ([]Value, error) {
-	vals := make([]Value, len(keys))
-	for i, key := range keys {
-		var err error
-		if vals[i], _, err = t.get(ctx, key); err != nil {
-			return nil, err
-		}
-	}
-	return vals, nil
-}
-
-func (t dbTx) set(key Key, value Value) error {
-	return t.txn.Write(key, value)
-}
-
-// Update implements Updater: fn runs inside an interactive serializable
-// update transaction (reads take shared locks, writes exclusive ones),
-// committing on nil return and rolling back on error. Concurrency
-// conflicts (deadlock victims, lock timeouts) are retried transparently
-// with jittered exponential backoff; cancelling ctx stops the retry
-// loop, aborts the in-flight transaction, and unblocks any lock wait it
-// is queued in.
+// Update implements Updater: fn runs against optimistic snapshot reads
+// (lock-free reads of the committed state), the writes are buffered, and
+// the transaction commits through CommitUpdate — the driver Remote and
+// Cache use, minus the wire and the cache. A commit whose reads went
+// stale is retried against fresh reads with jittered exponential
+// backoff; cancelling ctx stops the retry loop and unblocks any lock
+// wait the commit is queued in.
 func (d *DB) Update(ctx context.Context, fn func(tx *Tx) error) error {
-	return retryConflicts(ctx, func(ctx context.Context) error {
-		txn := d.inner.BeginCtx(ctx)
-		if err := fn(&Tx{h: dbTx{txn: txn}}); err != nil {
-			if abortErr := txn.Abort(); abortErr != nil && !errors.Is(abortErr, db.ErrTxnDone) {
-				return rollbackError(err, abortErr)
-			}
-			return err
-		}
-		_, err := txn.Commit()
-		return err
-	})
-}
-
-// rollbackError combines a closure's failure with a failed rollback so
-// neither is lost: historically the rollback error silently replaced the
-// closure's, hiding the primary cause. Both remain matchable with
-// errors.Is/As.
-func rollbackError(fnErr, abortErr error) error {
-	return errors.Join(fnErr, fmt.Errorf("tcache: rollback: %w", abortErr))
+	return occUpdate(ctx, fn, d, d.CommitUpdate, nil, nil)
 }
 
 // CommitUpdate implements CommitBackend on the in-process database: the
-// observed reads are re-read under shared locks and compared, and the
-// writes committed only if every version still matches.
+// transaction's keys are locked in key order, the observed reads
+// compared with the committed versions, and the writes committed only
+// if every version still matches.
 func (d *DB) CommitUpdate(ctx context.Context, reads []ObservedRead, writes []KeyValue) (CommitResult, error) {
 	return d.inner.CommitUpdate(ctx, reads, writes)
 }

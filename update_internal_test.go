@@ -6,28 +6,9 @@ import (
 	"testing"
 )
 
-// TestRollbackErrorKeepsBothCauses is the regression test for the
-// error-shadowing bug in DB.Update: when the closure fails AND the
-// rollback fails, the combined error must still match the closure's
-// error (the primary cause) as well as the rollback's — the old code
-// returned only the rollback error, silently discarding what actually
-// went wrong.
-func TestRollbackErrorKeepsBothCauses(t *testing.T) {
-	fnErr := errors.New("closure failed")
-	abortErr := errors.New("rollback failed")
-	err := rollbackError(fnErr, abortErr)
-	if !errors.Is(err, fnErr) {
-		t.Fatalf("combined error lost the closure's error: %v", err)
-	}
-	if !errors.Is(err, abortErr) {
-		t.Fatalf("combined error lost the rollback error: %v", err)
-	}
-}
-
-// TestDBUpdateClosureErrorNotShadowed pins the ordinary rollback path:
-// the closure's error comes back verbatim even when the transaction was
-// already finished by the time Update rolls it back (Abort returning
-// ErrTxnDone must not replace it).
+// TestDBUpdateClosureErrorNotShadowed pins the rollback path: the
+// closure's error comes back verbatim, and its buffered write is never
+// committed.
 func TestDBUpdateClosureErrorNotShadowed(t *testing.T) {
 	d := OpenDB()
 	defer d.Close()

@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"strconv"
 	"sync"
 	"testing"
@@ -131,10 +132,93 @@ func TestRemoteOCCConflictRetryConverges(t *testing.T) {
 	}
 }
 
+// TestDBUpdateMoneyTransfer: concurrent transfers through DB.Update, each
+// reading and writing its two accounts in random order — the crossed
+// orders that once needed a deadlock detector — preserve the total and
+// finish within a bounded wall time.
+func TestDBUpdateMoneyTransfer(t *testing.T) {
+	d := tcache.OpenDB()
+	defer d.Close()
+	ctx := context.Background()
+	const accounts, workers, transfers = 8, 8, 50
+	acct := func(i int) tcache.Key { return tcache.Key(fmt.Sprintf("acct%d", i%accounts)) }
+	if err := d.Update(ctx, func(tx *tcache.Tx) error {
+		for i := 0; i < accounts; i++ {
+			if err := tx.Set(acct(i), tcache.Value{100}); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		rng := rand.New(rand.NewSource(int64(g)))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < transfers; i++ {
+				keys := []tcache.Key{acct(g + i), acct(g + i + 1)} // from, to
+				flipRead, flipWrite := rng.Intn(2) == 0, rng.Intn(2) == 0
+				err := d.Update(ctx, func(tx *tcache.Tx) error {
+					order := keys
+					if flipRead {
+						order = []tcache.Key{keys[1], keys[0]}
+					}
+					vals, err := tx.GetMulti(ctx, order...)
+					if err != nil {
+						return err
+					}
+					from, to := vals[0][0], vals[1][0]
+					if flipRead {
+						from, to = to, from
+					}
+					if from == 0 {
+						return nil
+					}
+					w := []tcache.KeyValue{{Key: keys[0], Value: tcache.Value{from - 1}}, {Key: keys[1], Value: tcache.Value{to + 1}}}
+					if flipWrite {
+						w[0], w[1] = w[1], w[0]
+					}
+					for _, kv := range w {
+						if err := tx.Set(kv.Key, kv.Value); err != nil {
+							return err
+						}
+					}
+					return nil
+				})
+				if err != nil {
+					t.Errorf("transfer: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(time.Minute):
+		t.Fatal("transfers still running after a minute: deadlock")
+	}
+	total := 0
+	for i := 0; i < accounts; i++ {
+		v, ok, err := d.Get(ctx, acct(i))
+		if err != nil || !ok {
+			t.Fatalf("account %d = %v, %v", i, ok, err)
+		}
+		total += int(v[0])
+	}
+	if total != accounts*100 {
+		t.Fatalf("total = %d, want %d (serializability violated)", total, accounts*100)
+	}
+}
+
 // TestRemoteUpdateCancelMidCommit wedges a remote commit behind a held
 // database lock and cancels its ctx: the call must return promptly with
-// the context error, and the system must stay clean — once the lock
-// holder releases, a fresh update commits normally.
+// the context error, and the system must stay clean — once the hold is
+// released, a fresh update commits normally.
 func TestRemoteUpdateCancelMidCommit(t *testing.T) {
 	r := newRemoteRig(t)
 	ctx := context.Background()
@@ -144,23 +228,10 @@ func TestRemoteUpdateCancelMidCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	hold := make(chan struct{})
-	held := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_ = r.db.Update(ctx, func(tx *tcache.Tx) error {
-			if err := tx.Set("k", tcache.Value("held")); err != nil {
-				return err
-			}
-			close(held)
-			<-hold // keep the exclusive lock
-			return nil
-		})
-	}()
-	<-held
-
+	hold, err := r.db.Core().HoldKey(ctx, "k")
+	if err != nil {
+		t.Fatal(err)
+	}
 	wctx, cancel := context.WithCancel(ctx)
 	errc := make(chan error, 1)
 	go func() {
@@ -168,7 +239,11 @@ func TestRemoteUpdateCancelMidCommit(t *testing.T) {
 			return tx.Set("k", tcache.Value("blocked"))
 		})
 	}()
-	time.Sleep(20 * time.Millisecond) // let the commit queue on the server-side lock
+	qctx, qcancel := context.WithTimeout(ctx, 5*time.Second)
+	defer qcancel()
+	if err := hold.Queued(qctx, 1); err != nil {
+		t.Fatalf("the commit never queued on the server-side lock: %v", err)
+	}
 	cancel()
 	select {
 	case err := <-errc:
@@ -179,8 +254,7 @@ func TestRemoteUpdateCancelMidCommit(t *testing.T) {
 		t.Fatal("cancelled remote Update never returned")
 	}
 
-	close(hold)
-	wg.Wait()
+	hold.Release()
 	// Clean release: a fresh update acquires the lock and commits.
 	cctx, ccancel := context.WithTimeout(ctx, 5*time.Second)
 	defer ccancel()
