@@ -40,7 +40,7 @@ import (
 func (d *DB) CommitUpdate(ctx context.Context, reads []kv.ObservedRead, writes []kv.KeyValue) (kv.CommitResult, error) {
 	start := time.Now()
 	d.metrics.TxnsStarted.Add(1)
-	t := &txn{id: d.txnC.Add(1)}
+	t := &txn{id: d.txnC.Add(1), keys: lockPlan(reads, writes)}
 	if d.closed.Load() {
 		return kv.CommitResult{}, d.abort(t, ErrClosed)
 	}
@@ -49,7 +49,7 @@ func (d *DB) CommitUpdate(ctx context.Context, reads []kv.ObservedRead, writes [
 	if len(writes) > 0 && Role(d.role.Load()) != RolePrimary {
 		return kv.CommitResult{}, d.abort(t, &NotPrimaryError{Leader: d.LeaderAddr()})
 	}
-	if err := d.lockKeys(ctx, lock.Owner(t.id), reads, writes); err != nil {
+	if err := d.lockKeys(ctx, t); err != nil {
 		return kv.CommitResult{}, d.abort(t, err)
 	}
 	d.metrics.TxnReads.Add(uint64(len(reads)))
@@ -62,17 +62,19 @@ func (d *DB) CommitUpdate(ctx context.Context, reads []kv.ObservedRead, writes [
 			d.tel.UpdateConflict.ObserveSince(start)
 			return kv.CommitResult{}, d.abort(t, &ConflictError{Key: r.Key, Current: item.Version, Found: found})
 		}
-		if !slices.ContainsFunc(t.reads, func(a readAccess) bool { return a.key == r.Key }) {
+		if k := t.key(r.Key); k.read < 0 {
+			k.read = len(t.reads)
 			t.reads = append(t.reads, readAccess{key: r.Key, item: item, found: found})
 		}
 	}
 	for _, w := range writes {
-		if i := t.writeIndex(w.Key); i >= 0 {
-			t.writes[i].value = w.Value
-			continue
+		if k := t.key(w.Key); k.write < 0 {
+			k.write = len(t.writes)
+			old, _ := d.store.GetShared(w.Key)
+			t.writes = append(t.writes, writeAccess{key: w.Key, value: w.Value, old: old})
+		} else {
+			t.writes[k.write].value = w.Value
 		}
-		old, _ := d.store.GetShared(w.Key)
-		t.writes = append(t.writes, writeAccess{key: w.Key, value: w.Value, old: old})
 	}
 
 	version, items, err := d.commit(ctx, t)
@@ -82,16 +84,17 @@ func (d *DB) CommitUpdate(ctx context.Context, reads []kv.ObservedRead, writes [
 	d.tel.UpdateCommit.ObserveSince(start)
 	res := kv.CommitResult{Version: version, Deps: make([]kv.DepList, len(writes))}
 	for i, w := range writes {
-		res.Deps[i] = items[t.writeIndex(w.Key)].Deps
+		res.Deps[i] = items[t.key(w.Key).write].Deps
 	}
 	return res, nil
 }
 
-// txn is one update transaction inside CommitUpdate, holding every lock
-// it needs: the first occurrence of each key read and of each key
-// written, in request order.
+// txn is one update transaction inside CommitUpdate: its keys, and the
+// first occurrence of each key read and of each key written, in request
+// order.
 type txn struct {
-	id     uint64 // lock owner and CommitRecord.TxnID
+	id     uint64    // lock owner and CommitRecord.TxnID
+	keys   []keyLock // one per key, in key order (see lockPlan)
 	reads  []readAccess
 	writes []writeAccess
 }
@@ -108,40 +111,51 @@ type writeAccess struct {
 	old   kv.Item // committed item under the lock (version+deps)
 }
 
-// writeIndex is the position of key in t.writes, or -1.
-func (t *txn) writeIndex(key kv.Key) int {
-	return slices.IndexFunc(t.writes, func(w writeAccess) bool { return w.key == key })
-}
-
-// keyLock is one entry of a transaction's lock plan.
+// keyLock is one key of a transaction: the mode it is locked in and
+// where it sits in the transaction's reads and writes (-1: absent).
+// Looking a key up here is a binary search, so a transaction of n keys
+// costs O(n log n), however many it repeats.
 type keyLock struct {
-	key  kv.Key
-	mode lock.Mode
+	key         kv.Key
+	mode        lock.Mode
+	read, write int
 }
 
-// lockKeys takes every lock a transaction needs before it reads anything:
-// each key once, in key order, exclusive if written and shared if only
-// read.
-func (d *DB) lockKeys(ctx context.Context, owner lock.Owner, reads []kv.ObservedRead, writes []kv.KeyValue) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
+// lockPlan lists each key the transaction touches once, in key order,
+// with its mode: exclusive if written, shared if only read.
+func lockPlan(reads []kv.ObservedRead, writes []kv.KeyValue) []keyLock {
 	plan := make([]keyLock, 0, len(reads)+len(writes))
 	for _, w := range writes {
-		plan = append(plan, keyLock{w.Key, lock.Exclusive})
+		plan = append(plan, keyLock{key: w.Key, mode: lock.Exclusive, read: -1, write: -1})
 	}
 	for _, r := range reads {
-		plan = append(plan, keyLock{r.Key, lock.Shared})
+		plan = append(plan, keyLock{key: r.Key, mode: lock.Shared, read: -1, write: -1})
 	}
 	slices.SortFunc(plan, func(a, b keyLock) int {
 		return cmp.Or(cmp.Compare(a.key, b.key), cmp.Compare(b.mode, a.mode))
 	})
-	for i, l := range plan {
-		if i > 0 && l.key == plan[i-1].key {
-			continue // a key's first entry carries its strongest mode
-		}
-		if err := d.locks.Acquire(ctx, owner, string(l.key), l.mode); err != nil {
-			return fmt.Errorf("db: acquire %s on %q: %w", l.mode, l.key, err)
+	// A key's first entry carries its strongest mode.
+	return slices.CompactFunc(plan, func(a, b keyLock) bool { return a.key == b.key })
+}
+
+// key returns key's entry in t.keys, or nil if t does not touch it.
+func (t *txn) key(key kv.Key) *keyLock {
+	i, ok := slices.BinarySearchFunc(t.keys, key, func(k keyLock, key kv.Key) int { return cmp.Compare(k.key, key) })
+	if !ok {
+		return nil
+	}
+	return &t.keys[i]
+}
+
+// lockKeys takes every lock t needs before it reads anything, in key
+// order.
+func (d *DB) lockKeys(ctx context.Context, t *txn) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	for _, k := range t.keys {
+		if err := d.locks.Acquire(ctx, lock.Owner(t.id), string(k.key), k.mode); err != nil {
+			return fmt.Errorf("db: acquire %s on %q: %w", k.mode, k.key, err)
 		}
 	}
 	return nil
@@ -237,7 +251,7 @@ func (d *DB) commit(ctx context.Context, t *txn) (kv.Version, []kv.Item, error) 
 		accesses = append(accesses, kv.Access{Key: w.key, Version: vt, Deps: w.old.Deps})
 	}
 	for _, r := range t.reads {
-		if !r.found || t.writeIndex(r.key) >= 0 {
+		if !r.found || t.key(r.key).write >= 0 {
 			continue
 		}
 		accesses = append(accesses, kv.Access{Key: r.key, Version: r.item.Version, Deps: r.item.Deps})
@@ -309,13 +323,13 @@ func (d *DB) commit(ctx context.Context, t *txn) (kv.Version, []kv.Item, error) 
 // transaction touched it: vt for a written key, the observed version for
 // a key only read (and found). It is what the commit's accesses record.
 func (t *txn) accessVersion(key kv.Key, vt kv.Version) (kv.Version, bool) {
-	if t.writeIndex(key) >= 0 {
+	switch k := t.key(key); {
+	case k == nil:
+		return kv.Version{}, false
+	case k.write >= 0:
 		return vt, true
+	default:
+		r := t.reads[k.read]
+		return r.item.Version, r.found
 	}
-	for _, r := range t.reads {
-		if r.key == key {
-			return r.item.Version, r.found
-		}
-	}
-	return kv.Version{}, false
 }
