@@ -14,12 +14,15 @@ test:
 # on the stripe count (and over the workload generators' shared key
 # tables and the monitor's reused classification scratch), over the log (flusher, appenders and tailers share
 # one positioned-write file), over the database and its lock manager
-# (the commit door, deadlock detection, the money-transfer invariant),
+# (the commit door, key-ordered locking, the money-transfer invariant
+# with crossed key orders),
 # over the write path's tests (commit, install, relay), over the read transactions' (owned ReadTxn handles,
 # the ID-keyed table, Close mid-flight) and over the routed read's
 # (callers writing their own frames on a shared connection, pipelined
-# sub-batches, dispatch workers) and the wire's read transactions
-# (server-minted, one per request, several clients at once), so a
+# sub-batches, dispatch workers), the wire's read transactions
+# (server-minted, one per request, several clients at once) and the
+# servers' and clients' shutdown and cancellation paths (updates parked
+# behind a held key, db.KeyHold), so a
 # failure that only shows at 2 or 4 CPUs cannot hide on a
 # 1-CPU runner; the 'Determin|Subgraph|Golden|Theorem1' line is the
 # same-seed-same-bytes gate (graph order, topology builds, column runs,
@@ -34,7 +37,7 @@ race:
 	$(GO) test -race -cpu 1,2,4 ./internal/db ./internal/lock
 	$(GO) test -race -cpu 1,2,4 -run 'Update|Install|Commit' . ./internal/cluster
 	$(GO) test -race -cpu 1,2,4 -run 'ReadTxn|Close|Txn' . ./internal/core
-	$(GO) test -race -cpu 1,2,4 -run 'Mux|Pipelin|Worker|StaleConn|ReadTxn|WireClients' ./internal/transport
+	$(GO) test -race -cpu 1,2,4 -run 'Mux|Pipelin|Worker|StaleConn|ReadTxn|WireClients|Blocked|CtxCancelled|Stuck|PendingSlots|Skeleton' ./internal/transport
 	$(GO) test -race -cpu 1,2,4 -run 'ReadItems' ./internal/cluster
 	$(GO) test -race -cpu 1,2,4 -run 'Determin|Subgraph|Golden|Theorem1' ./internal/graph ./internal/experiment
 	$(GO) test -run 'Alloc' -cpu 1,2,4 .
