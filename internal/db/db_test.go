@@ -470,9 +470,9 @@ func TestClosedDBRejectsOps(t *testing.T) {
 func TestMetricsCounts(t *testing.T) {
 	d := open(t, Config{DepBound: 5})
 	write(t, d, "a", "b")
-	cancelled, cancel := context.WithCancel(bg)
-	cancel()
-	if _, err := d.CommitUpdate(cancelled, nil, nil); !errors.Is(err, context.Canceled) {
+	// A conflict counts the reads up to the stale one, and no writes.
+	stale := append(observe(d, "b"), kv.ObservedRead{Key: "a"}, kv.ObservedRead{Key: "z"})
+	if _, err := d.CommitUpdate(bg, stale, []kv.KeyValue{{Key: "a"}}); !errors.Is(err, ErrConflict) {
 		t.Fatal(err)
 	}
 	d.Get("a") // the uncounted peek
@@ -483,7 +483,7 @@ func TestMetricsCounts(t *testing.T) {
 	if m.TxnsStarted != 2 || m.TxnsCommitted != 1 || m.TxnsAborted != 1 {
 		t.Fatalf("txn counters = %+v", m)
 	}
-	if m.TxnReads != 2 || m.TxnWrites != 2 {
+	if m.TxnReads != 4 || m.TxnWrites != 2 || m.Conflicts != 1 {
 		t.Fatalf("op counters = %+v", m)
 	}
 	if m.SingleGets != 1 {

@@ -52,12 +52,11 @@ func (d *DB) CommitUpdate(ctx context.Context, reads []kv.ObservedRead, writes [
 	if err := d.lockKeys(ctx, t); err != nil {
 		return kv.CommitResult{}, d.abort(t, err)
 	}
-	d.metrics.TxnReads.Add(uint64(len(reads)))
-	d.metrics.TxnWrites.Add(uint64(len(writes)))
 
-	for _, r := range reads {
+	for i, r := range reads {
 		item, found := d.store.GetShared(r.Key)
 		if found != r.Found || (found && item.Version != r.Version) {
+			d.metrics.TxnReads.Add(uint64(i + 1))
 			d.metrics.Conflicts.Add(1)
 			d.tel.UpdateConflict.ObserveSince(start)
 			return kv.CommitResult{}, d.abort(t, &ConflictError{Key: r.Key, Current: item.Version, Found: found})
@@ -67,6 +66,8 @@ func (d *DB) CommitUpdate(ctx context.Context, reads []kv.ObservedRead, writes [
 			t.reads = append(t.reads, readAccess{key: r.Key, item: item, found: found})
 		}
 	}
+	d.metrics.TxnReads.Add(uint64(len(reads)))
+	d.metrics.TxnWrites.Add(uint64(len(writes)))
 	for _, w := range writes {
 		if k := t.key(w.Key); k.write < 0 {
 			k.write = len(t.writes)
