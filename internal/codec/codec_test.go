@@ -3,8 +3,10 @@ package codec
 import (
 	"encoding/binary"
 	"errors"
+	"math/rand"
 	"reflect"
 	"testing"
+	"testing/quick"
 
 	"tcache/internal/kv"
 )
@@ -59,6 +61,49 @@ func TestRoundTripExact(t *testing.T) {
 				t.Fatalf("snapshot entry %d (copy=%v):\n got %#v\nwant %#v", i, copyOut, got, want)
 			}
 		}
+	}
+}
+
+// filled returns a T whose every field testing/quick has set to a random
+// non-zero value, so a round trip that drops any field fails without a
+// sample naming it. A field type quick cannot generate fails the test.
+func filled[T any](t *testing.T, r *rand.Rand) T {
+	t.Helper()
+	var x T
+	v := reflect.ValueOf(&x).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		for f := v.Field(i); f.IsZero(); {
+			g, ok := quick.Value(f.Type(), r)
+			if !ok {
+				t.Fatalf("%T.%s: testing/quick cannot generate a %s", x, v.Type().Field(i).Name, f.Type())
+			}
+			f.Set(g)
+		}
+	}
+	return x
+}
+
+// roundTrips checks that dec(enc(want)) is want, byte for byte consumed,
+// in both decoder modes.
+func roundTrips[T any](t *testing.T, want T, enc func([]byte, *T) []byte, dec func(*Decoder) T) {
+	t.Helper()
+	for _, copyOut := range []bool{false, true} {
+		d := Decoder{B: enc(nil, &want), Copy: copyOut}
+		got := dec(&d)
+		if d.Err() != nil || d.Remaining() != 0 || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%T round trip (copy=%v): err %v, %d bytes left over\n got %#v\nwant %#v", want, copyOut, d.Err(), d.Remaining(), got, want)
+		}
+	}
+}
+
+// TestEveryFieldRoundTrips fills every field of each stored struct, so a
+// field one codec side forgets fails here with no sample to edit.
+func TestEveryFieldRoundTrips(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 100; i++ {
+		roundTrips(t, filled[Entry](t, r), AppendEntry, DecodeEntry)
+		roundTrips(t, filled[Record](t, r), AppendRecord, DecodeRecord)
+		roundTrips(t, filled[SnapshotEntry](t, r), AppendSnapshotEntry, DecodeSnapshotEntry)
 	}
 }
 

@@ -5,9 +5,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math/rand"
 	"net"
 	"reflect"
 	"testing"
+	"testing/quick"
 
 	"tcache/internal/codec"
 	"tcache/internal/kv"
@@ -97,6 +99,41 @@ func TestResponseRoundTrip(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, resp) {
 			t.Fatalf("round trip mismatch:\n got %#v\nwant %#v", got, resp)
+		}
+	}
+}
+
+// filled returns a T whose every field testing/quick has set to a random
+// non-zero value, so a round trip that drops any field fails without a
+// sample naming it. A field type quick cannot generate fails the test.
+func filled[T any](t *testing.T, r *rand.Rand) T {
+	t.Helper()
+	var x T
+	v := reflect.ValueOf(&x).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		for f := v.Field(i); f.IsZero(); {
+			g, ok := quick.Value(f.Type(), r)
+			if !ok {
+				t.Fatalf("%T.%s: testing/quick cannot generate a %s", x, v.Type().Field(i).Name, f.Type())
+			}
+			f.Set(g)
+		}
+	}
+	return x
+}
+
+// TestEveryFieldRoundTrips fills every field of Request and Response, so
+// a field one codec side forgets fails here with no sample to edit.
+func TestEveryFieldRoundTrips(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 100; i++ {
+		req := filled[Request](t, r)
+		if got, err := decodeRequest(appendRequest(nil, &req)); err != nil || !reflect.DeepEqual(got, req) {
+			t.Fatalf("request round trip: err %v\n got %#v\nwant %#v", err, got, req)
+		}
+		resp := filled[Response](t, r)
+		if got, err := decodeResponse(appendResponse(nil, &resp)); err != nil || !reflect.DeepEqual(got, resp) {
+			t.Fatalf("response round trip: err %v\n got %#v\nwant %#v", err, got, resp)
 		}
 	}
 }
