@@ -5,7 +5,7 @@
 // module root:
 //
 //	tcachelint ./...
-//	tcachelint -analyzers lockorder,sharedvalue ./internal/core/...
+//	tcachelint -analyzers locks,sharedvalue ./internal/core/...
 //
 // Exit status is 1 when any finding survives //lint:ignore suppression,
 // 2 on usage or load errors.

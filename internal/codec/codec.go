@@ -25,8 +25,6 @@ import (
 var ErrTruncated = errors.New("codec: truncated payload")
 
 // Entry is one written object within a committed transaction.
-//
-//tcache:wire encode=AppendEntry decode=DecodeEntry
 type Entry struct {
 	Key   kv.Key
 	Value kv.Value
@@ -36,8 +34,6 @@ type Entry struct {
 // Record is one committed update transaction: the commit version and
 // every object it wrote. Replay applies records in log order, so the
 // last record writing a key decides its recovered state.
-//
-//tcache:wire encode=AppendRecord decode=DecodeRecord
 type Record struct {
 	Version kv.Version
 	Writes  []Entry
@@ -46,8 +42,6 @@ type Record struct {
 // SnapshotEntry is one live object in a snapshot: unlike a commit
 // record, each entry carries its own version (different keys in one
 // snapshot were committed at different times).
-//
-//tcache:wire encode=AppendSnapshotEntry decode=DecodeSnapshotEntry
 type SnapshotEntry struct {
 	Key     kv.Key
 	Value   kv.Value

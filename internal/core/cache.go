@@ -199,7 +199,7 @@ type Completion struct {
 
 // CompletionHook observes finished read-only transactions. Hooks run
 // user code and are always emitted with no cache lock held; tcachelint's
-// nolockedcalls analyzer enforces that.
+// locks analyzer enforces that.
 //
 //tcache:hook
 type CompletionHook func(Completion)
@@ -281,7 +281,7 @@ type Cache struct {
 	policyEvictions *uint64v
 }
 
-// The locking protocol, as enforced by tcachelint's lockorder analyzer:
+// The locking protocol, as enforced by tcachelint's locks analyzer:
 // the cache's two lock classes, shard and stripe, are never held together
 // — no lockorder relation joins them, so any nesting is flagged — and at
 // most one lock of each is held at a time.

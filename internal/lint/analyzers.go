@@ -2,8 +2,7 @@ package lint
 
 // All is the full tcachelint suite in reporting order.
 var All = []*Analyzer{
-	Lockorder,
-	NoLockedCalls,
+	Locks,
 	CtxDiscipline,
 	SharedValue,
 	WireExhaustive,

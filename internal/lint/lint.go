@@ -18,12 +18,11 @@
 //	//tcache:holds A[,B]        on a func — it is called with these classes held
 //	//tcache:hook               on a func type — values of it run outside all locks
 //	//tcache:exhaustive         on a switch — cases must cover the tag type's consts
-//	//tcache:wire encode=F decode=G  on a struct — every field wired in both codecs
 //
 // A finding is suppressed with a staticcheck-style ignore comment on the
 // flagged line (or the line above), with a mandatory justification:
 //
-//	//lint:ignore lockorder,sharedvalue <why this is safe>
+//	//lint:ignore locks,sharedvalue <why this is safe>
 //
 // An ignore with no justification is itself a finding.
 package lint

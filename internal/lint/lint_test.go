@@ -7,12 +7,13 @@ import (
 	"tcache/internal/lint/linttest"
 )
 
-func TestLockorder(t *testing.T) {
-	linttest.Run(t, "testdata/src/lockorder", lint.Lockorder)
-}
-
-func TestNoLockedCalls(t *testing.T) {
-	linttest.Run(t, "testdata/src/nolockedcalls", lint.NoLockedCalls)
+// TestLocks runs the one lock analyzer over both of its testdata
+// packages: the ordering rules and the nothing-blocking-under-a-lock
+// rules.
+func TestLocks(t *testing.T) {
+	for _, dir := range []string{"lockorder", "nolockedcalls"} {
+		t.Run(dir, func(t *testing.T) { linttest.Run(t, "testdata/src/"+dir, lint.Locks) })
+	}
 }
 
 func TestCtxDiscipline(t *testing.T) {

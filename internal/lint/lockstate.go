@@ -314,24 +314,13 @@ func isTerminalCall(info *types.Info, call *ast.CallExpr) bool {
 // effects, and same-package call edges, then iterates both maps to a
 // fixpoint so transitive behavior is visible at every call site.
 func (m *lockModel) computeSummaries() {
-	type raw struct {
-		acquires stringSet
-		effects  stringSet
-		callees  []*types.Func
-	}
-	info := m.pass.TypesInfo
-	raws := make(map[*types.Func]*raw)
-
+	raws := make(map[*types.Func]*rawSummary)
 	for _, fi := range m.funcs {
 		if fi.obj == nil {
 			continue
 		}
-		r := &raw{acquires: newSet(), effects: newSet()}
-		w := &lockWalker{model: m, collect: true, handler: collectHandler{r: &collected{
-			acquire: func(class string) { r.acquires[class] = true },
-			effect:  func(e string) { r.effects[e] = true },
-			callee:  func(fn *types.Func) { r.callees = append(r.callees, fn) },
-		}}}
+		r := &rawSummary{m: m, acquires: newSet(), effects: newSet()}
+		w := &lockWalker{model: m, collect: true, handler: r}
 		w.walkFunc(fi.decl.Body, newSet())
 		raws[fi.obj] = r
 	}
@@ -363,42 +352,37 @@ func (m *lockModel) computeSummaries() {
 			}
 		}
 	}
-	_ = info
 }
 
-// collected receives summary-collection events.
-type collected struct {
-	acquire func(class string)
-	effect  func(e string)
-	callee  func(fn *types.Func)
+// rawSummary is the lockHandler of summary collection: one function's
+// direct acquisitions, direct effects and same-package callees.
+type rawSummary struct {
+	m                 *lockModel
+	acquires, effects stringSet
+	callees           []*types.Func
 }
 
-type collectHandler struct{ r *collected }
+func (r *rawSummary) acquire(class string, pos token.Pos, held stringSet) { r.acquires[class] = true }
 
-func (h collectHandler) acquire(class string, pos token.Pos, held stringSet) { h.r.acquire(class) }
-
-func (h collectHandler) call(fn *types.Func, call *ast.CallExpr, held stringSet, m *lockModel) {
-	if fn == nil {
-		if name, ok := m.hookInvocation(call); ok {
-			h.r.effect("invocation of //tcache:hook type " + name)
+func (r *rawSummary) call(fn *types.Func, call *ast.CallExpr, held stringSet) {
+	switch {
+	case fn == nil:
+		if name, ok := r.m.hookInvocation(call); ok {
+			r.effects["invocation of //tcache:hook type "+name] = true
 		}
-		return
-	}
-	if e := directEffect(fn); e != "" {
-		h.r.effect(e)
-		return
-	}
-	if fn.Pkg() == m.pass.Pkg {
-		h.r.callee(fn)
+	case directEffect(fn) != "":
+		r.effects[directEffect(fn)] = true
+	case fn.Pkg() == r.m.pass.Pkg:
+		r.callees = append(r.callees, fn)
 	}
 }
 
-func (h collectHandler) send(s *ast.SendStmt, held stringSet) { h.r.effect("channel send") }
+func (r *rawSummary) send(s *ast.SendStmt, held stringSet) { r.effects["channel send"] = true }
 
 // lockHandler receives flow-walk events with the held set at that point.
 type lockHandler interface {
 	acquire(class string, pos token.Pos, held stringSet)
-	call(fn *types.Func, call *ast.CallExpr, held stringSet, m *lockModel)
+	call(fn *types.Func, call *ast.CallExpr, held stringSet)
 	// send fires only for potentially blocking sends: bare send
 	// statements and selects without a default clause.
 	send(s *ast.SendStmt, held stringSet)
@@ -674,7 +658,7 @@ func (w *lockWalker) walkDefer(call *ast.CallExpr, held stringSet) stringSet {
 		return held
 	}
 	if w.collect {
-		w.handler.call(calleeFunc(w.model.pass.TypesInfo, call), call, held, w.model)
+		w.handler.call(calleeFunc(w.model.pass.TypesInfo, call), call, held)
 	}
 	return held
 }
@@ -723,7 +707,7 @@ func (w *lockWalker) walkExpr(e ast.Expr, held stringSet) stringSet {
 		if isTerminalCall(w.model.pass.TypesInfo, e) {
 			return nil
 		}
-		w.handler.call(calleeFunc(w.model.pass.TypesInfo, e), e, held, w.model)
+		w.handler.call(calleeFunc(w.model.pass.TypesInfo, e), e, held)
 		return held
 	case *ast.FuncLit:
 		w.funcLits = append(w.funcLits, e)

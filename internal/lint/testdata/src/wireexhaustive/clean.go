@@ -22,41 +22,3 @@ func partial(op Op) bool {
 	}
 	return false
 }
-
-//tcache:wire encode=encodePair decode=decodePair
-type Pair struct {
-	X uint64
-	Y uint64
-}
-
-func encodePair(b []byte, p *Pair) []byte {
-	return append(b, byte(p.X), byte(p.Y))
-}
-
-func decodePair(b []byte) Pair {
-	return Pair{X: uint64(b[0]), Y: uint64(b[1])}
-}
-
-// SnapEntry mirrors the WAL snapshot codec idiom: an append-style
-// encoder taking a pointer, and a decoder that fills fields in
-// assignment position (`e.Version, err = ...`). Assignment-position
-// selector uses must count as references, or the WAL structs would all
-// be false positives.
-//
-//tcache:wire encode=encodeSnapEntry decode=decodeSnapEntry
-type SnapEntry struct {
-	Key     string
-	Version uint64
-}
-
-func encodeSnapEntry(b []byte, e *SnapEntry) []byte {
-	b = append(b, e.Key...)
-	return append(b, byte(e.Version))
-}
-
-func decodeSnapEntry(b []byte) (SnapEntry, error) {
-	var e SnapEntry
-	e.Key = string(b[:1])
-	e.Version = uint64(b[1])
-	return e, nil
-}

@@ -6,19 +6,16 @@ import (
 	"strings"
 )
 
-// WireExhaustive keeps the wire protocol closed under extension, two
-// ways. A switch annotated //tcache:exhaustive must mention every
-// package-level constant of its tag type in an explicit case — so adding
-// an Op constant breaks the build of both dispatch switches until they
-// answer it (PR 4 found an unhandled OpStats by accident; this finds the
-// next one by construction). A struct annotated
-// //tcache:wire encode=F decode=G must have every field referenced in
-// both named codec functions — the framed codec is field-ordered, so a
-// field encoded but not decoded (or vice versa) silently desyncs the
-// stream.
+// WireExhaustive keeps the wire protocol closed under extension: a
+// switch annotated //tcache:exhaustive must mention every package-level
+// constant of its tag type in an explicit case — so adding an Op
+// constant breaks the build of both dispatch switches until they answer
+// it. (Codec symmetry — every field of a wire struct encoded and decoded
+// — is not a name check here but a round trip of every field, filled by
+// testing/quick, in each codec's tests.)
 var WireExhaustive = &Analyzer{
 	Name: "wireexhaustive",
-	Doc:  "annotated switches cover every tag-type constant; wire structs are codec-symmetric",
+	Doc:  "annotated switches cover every constant of their tag type",
 	Run:  runWireExhaustive,
 }
 
@@ -33,7 +30,6 @@ func runWireExhaustive(pass *Pass) error {
 			}
 			return true
 		})
-		checkWireStructs(pass, f)
 	}
 	return nil
 }
@@ -89,101 +85,4 @@ func checkExhaustiveSwitch(pass *Pass, sw *ast.SwitchStmt) {
 		}
 		pass.Reportf(sw.Pos(), "//tcache:exhaustive switch on %s is missing case(s) for: %s", named.Obj().Name(), strings.Join(missing.sorted(), ", "))
 	}
-}
-
-// checkWireStructs finds //tcache:wire-annotated structs in f and
-// verifies the named encode and decode functions reference every field.
-func checkWireStructs(pass *Pass, f *ast.File) {
-	for _, decl := range f.Decls {
-		gd, ok := decl.(*ast.GenDecl)
-		if !ok {
-			continue
-		}
-		for _, spec := range gd.Specs {
-			ts, ok := spec.(*ast.TypeSpec)
-			if !ok {
-				continue
-			}
-			doc := ts.Doc
-			if doc == nil && len(gd.Specs) == 1 {
-				doc = gd.Doc
-			}
-			d, ok := docDirective(doc, pass.Fset, "wire")
-			if !ok {
-				continue
-			}
-			st, ok := ts.Type.(*ast.StructType)
-			if !ok {
-				pass.Reportf(ts.Pos(), "//tcache:wire on non-struct type %s", ts.Name.Name)
-				continue
-			}
-			encName, decName := parseWireArgs(d.args)
-			if encName == "" || decName == "" {
-				pass.Reportf(d.pos, "malformed //tcache:wire: want `//tcache:wire encode=F decode=G`")
-				continue
-			}
-			checkWireStruct(pass, ts, st, encName, decName)
-		}
-	}
-}
-
-func parseWireArgs(args string) (enc, dec string) {
-	for _, kv := range strings.Fields(args) {
-		k, v, _ := strings.Cut(kv, "=")
-		switch k {
-		case "encode":
-			enc = v
-		case "decode":
-			dec = v
-		}
-	}
-	return enc, dec
-}
-
-func checkWireStruct(pass *Pass, ts *ast.TypeSpec, st *ast.StructType, encName, decName string) {
-	// Field objects as declared, for identity matching against uses.
-	fields := make(map[types.Object]string)
-	for _, field := range st.Fields.List {
-		for _, name := range field.Names {
-			if obj := pass.TypesInfo.Defs[name]; obj != nil {
-				fields[obj] = name.Name
-			}
-		}
-	}
-	for _, fnName := range []string{encName, decName} {
-		fd := findFuncDecl(pass, fnName)
-		if fd == nil {
-			pass.Reportf(ts.Pos(), "//tcache:wire on %s names %s, which is not a function in this package", ts.Name.Name, fnName)
-			continue
-		}
-		used := make(map[types.Object]bool)
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok {
-				if obj := pass.TypesInfo.Uses[id]; obj != nil {
-					used[obj] = true
-				}
-			}
-			return true
-		})
-		missing := newSet()
-		for obj, name := range fields {
-			if !used[obj] {
-				missing[name] = true
-			}
-		}
-		if len(missing) > 0 {
-			pass.Reportf(fd.Pos(), "%s does not reference field(s) %s of wire struct %s: encode/decode must stay symmetric", fnName, strings.Join(missing.sorted(), ", "), ts.Name.Name)
-		}
-	}
-}
-
-func findFuncDecl(pass *Pass, name string) *ast.FuncDecl {
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil && fd.Name.Name == name && fd.Body != nil {
-				return fd
-			}
-		}
-	}
-	return nil
 }

@@ -186,7 +186,7 @@ func (m *Manager) Close() {
 		for _, w := range ls.queue {
 			if !w.done {
 				w.done = true
-				//lint:ignore nolockedcalls ready is buffered(1) and written at most once per waiter, so this send can never block
+				//lint:ignore locks ready is buffered(1) and written at most once per waiter, so this send can never block
 				w.ready <- ErrClosed
 			}
 		}
@@ -220,7 +220,7 @@ func (m *Manager) pumpLocked(ls *lockState, key string) {
 		ls.queue = ls.queue[1:]
 		m.grantLocked(ls, key, w.owner, w.mode)
 		w.done = true
-		//lint:ignore nolockedcalls ready is buffered(1) and written at most once per waiter, so this send can never block
+		//lint:ignore locks ready is buffered(1) and written at most once per waiter, so this send can never block
 		w.ready <- nil
 	}
 }

@@ -64,8 +64,6 @@ type KeyValue = kv.KeyValue
 type ObservedRead = kv.ObservedRead
 
 // Request is the client→server message.
-//
-//tcache:wire encode=appendRequest decode=decodeRequest
 type Request struct {
 	Op  Op
 	Key kv.Key
@@ -136,8 +134,6 @@ func (c Code) String() string {
 }
 
 // Response is the server→client message.
-//
-//tcache:wire encode=appendResponse decode=decodeResponse
 type Response struct {
 	Code    Code
 	Err     string

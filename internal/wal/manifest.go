@@ -23,8 +23,6 @@ const (
 )
 
 // manifest is the decoded MANIFEST file.
-//
-//tcache:wire encode=encodeManifest decode=parseManifest
 type manifest struct {
 	// FirstSeg is the lowest live segment sequence; earlier segments are
 	// covered by the snapshot and may be deleted.
