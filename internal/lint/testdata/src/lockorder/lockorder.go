@@ -1,5 +1,5 @@
-// Package lockorder exercises the lockorder analyzer: class discovery
-// from //tcache:lockclass tags, order checking against
+// Package lockorder exercises the locks analyzer's ordering rules:
+// class discovery from //tcache:lockclass tags, order checking against
 // //tcache:lockorder relations, transitive acquisition summaries, and
 // //tcache:holds preconditions. The class names mirror the real
 // hierarchy (shard < stripe) so the testdata demonstrates the exact

@@ -1,6 +1,6 @@
-// Package nolockedcalls exercises the nolockedcalls analyzer: channel
-// sends, I/O, hook invocations, and transitive effects reached while a
-// classed mutex is held.
+// Package nolockedcalls exercises the locks analyzer's blocking rules:
+// channel sends, I/O, hook invocations, and transitive effects reached
+// while a classed mutex is held.
 package nolockedcalls
 
 import (
