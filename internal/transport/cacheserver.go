@@ -99,7 +99,7 @@ func (s *CacheServer) dispatch(ctx context.Context, req Request) Response {
 		case !ok:
 			return Response{Code: CodeNotFound}
 		default:
-			return Response{Code: CodeOK, Value: item.Value, Found: true, Item: item}
+			return Response{Code: CodeOK, Item: item}
 		}
 
 	case OpGetBatch:
@@ -181,7 +181,7 @@ func (s *CacheServer) relayUpdate(ctx context.Context, req Request) (kv.CommitRe
 func readResponse(vals []kv.Value, err error) Response {
 	switch {
 	case err == nil:
-		return Response{Code: CodeOK, Values: vals, Found: true}
+		return Response{Code: CodeOK, Values: vals}
 	case errors.Is(err, core.ErrTxnAborted):
 		return Response{Code: CodeAborted, Err: err.Error()}
 	case errors.Is(err, core.ErrNotFound):

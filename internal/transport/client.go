@@ -960,7 +960,7 @@ func (c *CacheClient) ReadTxn(ctx context.Context, keys []kv.Key) ([]kv.Value, e
 func decodeRead(resp Response) (kv.Value, error) {
 	switch resp.Code {
 	case CodeOK:
-		return resp.Value, nil
+		return resp.Item.Value, nil
 	case CodeAborted:
 		return nil, fmt.Errorf("%w: %s", ErrAborted, resp.Err)
 	case CodeNotFound:

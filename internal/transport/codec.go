@@ -50,7 +50,7 @@ import (
 
 // ProtocolVersion is the wire protocol spoken by this build; both sides
 // of a connection must match exactly.
-const ProtocolVersion = 8
+const ProtocolVersion = 9
 
 // handshakeMagic opens every connection, in both directions.
 var handshakeMagic = [4]byte{'T', 'C', 'W', 'P'}
@@ -376,8 +376,6 @@ func appendRequest(b []byte, req *Request) []byte {
 func appendResponse(b []byte, resp *Response) []byte {
 	b = binary.AppendUvarint(b, uint64(resp.Code))
 	b = codec.AppendString(b, resp.Err)
-	b = codec.AppendBytes(b, resp.Value)
-	b = codec.AppendBool(b, resp.Found)
 	b = appendItem(b, resp.Item)
 	b = codec.AppendVersion(b, resp.Version)
 	b = appendDepLists(b, resp.WriteDeps)
@@ -531,8 +529,6 @@ func decodeResponse(payload []byte) (Response, error) {
 	resp := Response{
 		Code:            Code(int(d.Uvarint())),
 		Err:             d.String(),
-		Value:           d.Bytes(),
-		Found:           d.Bool(),
 		Item:            d.item(),
 		Version:         d.Version(),
 		WriteDeps:       d.depLists(),

@@ -46,9 +46,9 @@ func sampleResponses() []Response {
 		{},
 		{Code: CodeOK},
 		{Code: CodeNotFound, Err: "nope"},
-		{Code: CodeOK, Value: kv.Value("hello"), Found: true},
-		{Code: CodeOK, Value: kv.Value{}, Found: true},
-		{Code: CodeOK, Found: true, Item: kv.Item{
+		{Code: CodeOK, Item: kv.Item{Value: kv.Value("hello")}},
+		{Code: CodeOK, Item: kv.Item{Value: kv.Value{}}},
+		{Code: CodeOK, Item: kv.Item{
 			Value:   kv.Value("payload"),
 			Version: kv.Version{Counter: 99, Node: 7},
 			Deps: kv.DepList{
@@ -186,8 +186,6 @@ func TestDecodeOversizedCountErrs(t *testing.T) {
 	var head []byte
 	head = binary.AppendUvarint(head, uint64(CodeOK)) // Code
 	head = codec.AppendString(head, "")               // Err
-	head = codec.AppendBytes(head, nil)               // Value
-	head = codec.AppendBool(head, false)              // Found
 	head = appendItem(head, kv.Item{})                // Item
 	head = codec.AppendVersion(head, kv.Version{})    // Version
 	huge := func(b []byte) []byte { return binary.AppendUvarint(b, (1<<40)+1) }

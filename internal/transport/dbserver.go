@@ -81,7 +81,7 @@ func (s *DBServer) dispatch(ctx context.Context, req Request) Response {
 		if !ok {
 			return Response{Code: CodeNotFound}
 		}
-		return Response{Code: CodeOK, Item: item, Found: true, Value: item.Value}
+		return Response{Code: CodeOK, Item: item}
 
 	case OpGetBatch:
 		lookups, err := s.db.ReadItems(ctx, req.Keys)

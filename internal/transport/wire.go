@@ -137,8 +137,6 @@ func (c Code) String() string {
 type Response struct {
 	Code    Code
 	Err     string
-	Value   kv.Value
-	Found   bool
 	Item    kv.Item
 	Version kv.Version
 	// WriteDeps is set on an OpUpdate commit: the dependency list the
