@@ -39,23 +39,11 @@ func (s *store) shardOf(key kv.Key) *storeShard {
 	return &s.shards[kv.ShardIndex(key, storeStripes)]
 }
 
-// Get returns a deep copy of the item stored under key.
-func (s *store) Get(key kv.Key) (kv.Item, bool) {
-	sh := s.shardOf(key)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	it, ok := sh.items[key]
-	if !ok {
-		return kv.Item{}, false
-	}
-	return it.Clone(), true
-}
-
 // GetShared returns the item stored under key without copying — the
 // read hot path. Stored items are effectively immutable: Put deep-copies
 // on the way in and replaces the map entry wholesale, so a shared item's
 // Value and Deps are never mutated afterwards. Callers must honor the copy-on-write contract and treat
-// them as read-only; use Get for a private copy.
+// them as read-only; Clone the item for a private copy.
 func (s *store) GetShared(key kv.Key) (kv.Item, bool) {
 	sh := s.shardOf(key)
 	sh.mu.RLock()

@@ -15,24 +15,12 @@ func storeItem(val string, ver uint64) kv.Item {
 func TestStorePutGet(t *testing.T) {
 	s := newStore()
 	s.Put("a", storeItem("va", 1))
-	got, ok := s.Get("a")
+	got, ok := s.GetShared("a")
 	if !ok || string(got.Value) != "va" || got.Version.Counter != 1 {
-		t.Fatalf("Get = %+v, %v", got, ok)
+		t.Fatalf("GetShared = %+v, %v", got, ok)
 	}
-	if _, ok := s.Get("missing"); ok {
-		t.Fatal("Get(missing) = ok")
-	}
-}
-
-func TestStoreGetReturnsCopy(t *testing.T) {
-	s := newStore()
-	s.Put("a", kv.Item{Value: kv.Value("xy"), Deps: kv.DepList{{Key: "d", Version: kv.Version{Counter: 1}}}})
-	got, _ := s.Get("a")
-	got.Value[0] = 'Z'
-	got.Deps[0].Key = "mutated"
-	again, _ := s.Get("a")
-	if string(again.Value) != "xy" || again.Deps[0].Key != "d" {
-		t.Fatal("Get returned aliased internal state")
+	if _, ok := s.GetShared("missing"); ok {
+		t.Fatal("GetShared(missing) = ok")
 	}
 }
 
@@ -41,7 +29,7 @@ func TestStorePutStoresCopy(t *testing.T) {
 	it := kv.Item{Value: kv.Value("xy")}
 	s.Put("a", it)
 	it.Value[0] = 'Z'
-	got, _ := s.Get("a")
+	got, _ := s.GetShared("a")
 	if string(got.Value) != "xy" {
 		t.Fatal("Put aliased caller's value")
 	}
@@ -102,14 +90,12 @@ func TestStoreConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				k := kv.Key(fmt.Sprintf("k%d", i%32))
-				switch (g + i) % 4 {
+				switch (g + i) % 3 {
 				case 0:
 					s.Put(k, storeItem("v", uint64(i)))
 				case 1:
-					s.Get(k)
-				case 2:
 					s.GetShared(k)
-				case 3:
+				case 2:
 					s.Version(k)
 				}
 			}
