@@ -147,9 +147,8 @@ func moveToEnd[T any](arena []T, sp *span) []T {
 }
 
 // recordLocked registers an update transaction's access sets, merging
-// a version reported in several calls. A version's first report keeps
-// its zero-version reads (rw edges to the key's first writer); a merged
-// one drops them, the rule refMonitor (the oracle) keeps too.
+// a version reported in several calls. Every report keeps its
+// zero-version reads: they are rw edges to the key's first writer.
 func (m *Monitor) recordLocked(version kv.Version, writes []kv.Key, reads []Read) {
 	s := &m.exact
 	i, merge := s.find(version)
@@ -171,10 +170,8 @@ func (m *Monitor) recordLocked(version kv.Version, writes []kv.Key, reads []Read
 	s.reads = moveToEnd(s.reads, &up.r)
 	for _, r := range reads {
 		kr := keyRead{r.Version, m.intern(r.Key)}
-		if !merge || !kr.ver.IsZero() {
-			s.reads = append(s.reads, kr)
-			up.r.n++
-		}
+		s.reads = append(s.reads, kr)
+		up.r.n++
 		if kr.ver.IsZero() {
 			continue
 		}

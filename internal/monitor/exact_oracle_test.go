@@ -14,12 +14,11 @@ import (
 // refMonitor is the map-based monitor the flat layout replaced, kept as
 // the differential oracle: per-key version histories, a version → update
 // index map, a (key, version) → readers map and a fresh visited map per
-// classification. It copies what RecordUpdate is given, and it keeps two
-// rules of the original that verdicts depend on: a version's first
-// report keeps its zero-version reads (they are rw edges to the key's
-// first writer), a merged report drops them; and a version's writer is
-// looked up by version alone, so a phantom can name an update that never
-// wrote the key.
+// classification. It copies what RecordUpdate is given, keeps every
+// report's zero-version reads (they are rw edges to the key's first
+// writer), and keeps a rule of the original that verdicts depend on: a
+// version's writer is looked up by version alone, so a phantom can name
+// an update that never wrote the key.
 type refMonitor struct {
 	hist    map[kv.Key][]kv.Version
 	updates []refUpdate
@@ -76,11 +75,7 @@ func (m *refMonitor) RecordUpdate(version kv.Version, writes []kv.Key, reads []R
 				u.writes = append(u.writes, k)
 			}
 		}
-		for _, r := range reads {
-			if !r.Version.IsZero() {
-				u.reads = append(u.reads, r)
-			}
-		}
+		u.reads = append(u.reads, reads...)
 	} else {
 		i = sort.Search(len(m.updates), func(i int) bool { return !m.updates[i].version.Less(version) })
 		m.updates = slices.Insert(m.updates, i, refUpdate{version, slices.Clone(writes), slices.Clone(reads)})

@@ -99,6 +99,23 @@ func TestExactMergesDuplicateVersionRecords(t *testing.T) {
 	}
 }
 
+func TestExactMergedReportKeepsZeroVersionReads(t *testing.T) {
+	// Txn 10's second report carries its read of w before w existed: an
+	// rw edge to w's first writer, txn 11. T reads x@1 (10 overwrote x)
+	// and y@11, so T precedes 10 ≺ 11 yet follows 11 — a cycle only
+	// through the second report's read. The oracle must agree.
+	for _, m := range []recorder{New(), newRefMonitor()} {
+		m.RecordUpdate(v(1), []kv.Key{"x"}, nil)
+		m.RecordUpdate(v(2), []kv.Key{"y"}, nil)
+		m.RecordUpdate(v(10), []kv.Key{"x"}, []Read{{"x", v(1)}})
+		m.RecordUpdate(v(10), nil, []Read{{"w", kv.Version{}}})
+		m.RecordUpdate(v(11), []kv.Key{"y", "w"}, []Read{{"y", v(2)}})
+		if m.ClassifyExact([]Read{{"x", v(1)}, {"y", v(11)}}) {
+			t.Fatalf("%T: a merged report's zero-version read lost its rw edge", m)
+		}
+	}
+}
+
 func TestExactPhantomWriterIgnored(t *testing.T) {
 	// A version registered defensively for key b (never actually
 	// written by that transaction) must not act as b's writer.
