@@ -47,6 +47,8 @@ type cowSource struct {
 // always result 0 of the call.
 var cowSources = []cowSource{
 	{"tcache", "DB", "Get", kindShared},
+	{"tcache", "DB", "ReadItem", kindItem},
+	{"tcache", "DB", "ReadItems", kindLookups},
 	{"tcache", "ReadTx", "Get", kindShared},
 	{"tcache", "ReadTx", "GetMulti", kindValues},
 	{"tcache", "Cache", "Get", kindShared},
@@ -59,6 +61,8 @@ var cowSources = []cowSource{
 	{"tcache/internal/core", "Cache", "GetItem", kindItem},
 	{"tcache/internal/core", "Cache", "GetItems", kindLookups},
 	{"tcache/internal/db", "DB", "Get", kindItem},
+	{"tcache/internal/db", "DB", "ReadItem", kindItem},
+	{"tcache/internal/db", "DB", "ReadItems", kindLookups},
 	{"tcache/internal/db", "store", "GetShared", kindItem},
 }
 

@@ -1,9 +1,9 @@
-// Package sharedvalue exercises the sharedvalue analyzer: items
-// returned by the store's read APIs alias shared memory, and their
-// Value bytes must be cloned before any byte-level mutation.
+// Package sharedvalue exercises the sharedvalue analyzer: items the
+// store's read APIs return alias shared memory, cloned before mutation.
 package sharedvalue
 
 import (
+	"context"
 	"sort"
 
 	"tcache/internal/db"
@@ -20,9 +20,9 @@ func mutateAppend(d *db.DB) []byte {
 	return append(v, 'x') // want `append to shared copy-on-write value returned by DB.Get`
 }
 
-func mutateCopy(d *db.DB) {
-	it, _ := d.Get("k")
-	copy(it.Value, "yz") // want `copy into shared copy-on-write value returned by DB.Get`
+func mutateCopy(ctx context.Context, d *db.DB) {
+	it, _, _ := d.ReadItem(ctx, "k")
+	copy(it.Value, "yz") // want `copy into shared copy-on-write value returned by DB.ReadItem`
 }
 
 func mutateSort(d *db.DB) {
