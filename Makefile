@@ -50,12 +50,14 @@ loc:
 vet:
 	$(GO) vet ./...
 
-# lint is the full static-analysis gate: go vet, staticcheck (when
-# installed — CI always runs it via its pinned action), and tcachelint,
+# lint is the full static-analysis gate: go vet, gofmt (no file may
+# differ from its formatted form), staticcheck (when installed — CI
+# always runs it via its pinned action), and tcachelint,
 # the repo's own analyzer suite (see README "Static analysis").
 # tcachelint is built from this module's working tree, so the analyzer
 # version can never drift from the code it checks.
 lint: vet
+	test -z "$$(gofmt -l .)"
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
 	else echo "staticcheck not installed; skipping (CI runs it)"; fi
 	$(GO) run ./cmd/tcachelint ./...
