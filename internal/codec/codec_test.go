@@ -38,49 +38,41 @@ func sampleSnapshotEntries() []SnapshotEntry {
 }
 
 // TestRoundTripExact: decode(encode(x)) reproduces x exactly in both
-// decoder modes — aliasing (the wire) and copying (the WAL).
+// decoder modes — aliasing (the wire) and copying (the WAL) — for the
+// samples and for values with every field filled.
 func TestRoundTripExact(t *testing.T) {
-	for _, copyOut := range []bool{false, true} {
-		for i, want := range sampleRecords() {
-			d := Decoder{B: AppendRecord(nil, &want), Copy: copyOut}
-			got := DecodeRecord(&d)
-			if d.Err() != nil || d.Remaining() != 0 {
-				t.Fatalf("record %d (copy=%v): err = %v, %d bytes left over", i, copyOut, d.Err(), d.Remaining())
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("record %d (copy=%v):\n got %#v\nwant %#v", i, copyOut, got, want)
-			}
-		}
-		for i, want := range sampleSnapshotEntries() {
-			d := Decoder{B: AppendSnapshotEntry(nil, &want), Copy: copyOut}
-			got := DecodeSnapshotEntry(&d)
-			if d.Err() != nil || d.Remaining() != 0 {
-				t.Fatalf("snapshot entry %d (copy=%v): err = %v, %d bytes left over", i, copyOut, d.Err(), d.Remaining())
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("snapshot entry %d (copy=%v):\n got %#v\nwant %#v", i, copyOut, got, want)
-			}
-		}
+	for _, e := range filled[Entry](t, 100) {
+		roundTrips(t, e, AppendEntry, DecodeEntry)
+	}
+	for _, rec := range append(sampleRecords(), filled[Record](t, 100)...) {
+		roundTrips(t, rec, AppendRecord, DecodeRecord)
+	}
+	for _, e := range append(sampleSnapshotEntries(), filled[SnapshotEntry](t, 100)...) {
+		roundTrips(t, e, AppendSnapshotEntry, DecodeSnapshotEntry)
 	}
 }
 
-// filled returns a T whose every field testing/quick has set to a random
-// non-zero value, so a round trip that drops any field fails without a
-// sample naming it. A field type quick cannot generate fails the test.
-func filled[T any](t *testing.T, r *rand.Rand) T {
+// filled returns n values of T whose every field testing/quick has set
+// to a random non-zero value (seeded, so the values repeat), so a round
+// trip that drops any field fails without a sample naming it. A field
+// type quick cannot generate fails the test.
+func filled[T any](t *testing.T, n int) []T {
 	t.Helper()
-	var x T
-	v := reflect.ValueOf(&x).Elem()
-	for i := 0; i < v.NumField(); i++ {
-		for f := v.Field(i); f.IsZero(); {
-			g, ok := quick.Value(f.Type(), r)
-			if !ok {
-				t.Fatalf("%T.%s: testing/quick cannot generate a %s", x, v.Type().Field(i).Name, f.Type())
+	r := rand.New(rand.NewSource(1))
+	out := make([]T, n)
+	for k := range out {
+		v := reflect.ValueOf(&out[k]).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			for f := v.Field(i); f.IsZero(); {
+				g, ok := quick.Value(f.Type(), r)
+				if !ok {
+					t.Fatalf("%s.%s: testing/quick cannot generate a %s", v.Type(), v.Type().Field(i).Name, f.Type())
+				}
+				f.Set(g)
 			}
-			f.Set(g)
 		}
 	}
-	return x
+	return out
 }
 
 // roundTrips checks that dec(enc(want)) is want, byte for byte consumed,
@@ -93,17 +85,6 @@ func roundTrips[T any](t *testing.T, want T, enc func([]byte, *T) []byte, dec fu
 		if d.Err() != nil || d.Remaining() != 0 || !reflect.DeepEqual(got, want) {
 			t.Fatalf("%T round trip (copy=%v): err %v, %d bytes left over\n got %#v\nwant %#v", want, copyOut, d.Err(), d.Remaining(), got, want)
 		}
-	}
-}
-
-// TestEveryFieldRoundTrips fills every field of each stored struct, so a
-// field one codec side forgets fails here with no sample to edit.
-func TestEveryFieldRoundTrips(t *testing.T) {
-	r := rand.New(rand.NewSource(1))
-	for i := 0; i < 100; i++ {
-		roundTrips(t, filled[Entry](t, r), AppendEntry, DecodeEntry)
-		roundTrips(t, filled[Record](t, r), AppendRecord, DecodeRecord)
-		roundTrips(t, filled[SnapshotEntry](t, r), AppendSnapshotEntry, DecodeSnapshotEntry)
 	}
 }
 

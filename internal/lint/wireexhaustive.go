@@ -10,9 +10,8 @@ import (
 // switch annotated //tcache:exhaustive must mention every package-level
 // constant of its tag type in an explicit case — so adding an Op
 // constant breaks the build of both dispatch switches until they answer
-// it. (Codec symmetry — every field of a wire struct encoded and decoded
-// — is not a name check here but a round trip of every field, filled by
-// testing/quick, in each codec's tests.)
+// it. Codec symmetry is checked by each codec's tests, which round-trip
+// every field of its structs filled by testing/quick.
 var WireExhaustive = &Analyzer{
 	Name: "wireexhaustive",
 	Doc:  "annotated switches cover every constant of their tag type",
