@@ -95,6 +95,27 @@ var allocTable = []struct {
 		return rmw(cache, true)
 	}},
 
+	// The database's update transaction alone: a 5-key read-modify-write
+	// on an in-process db.DB (dependency bound 3, no log, no subscriber).
+	{"CommitUpdate5", 53, "", func(t *testing.T) func() error {
+		d := db.Open(db.Config{DepBound: 3})
+		t.Cleanup(func() { d.Close() })
+		seedCluster(t, d, 5)
+		keys := benchKeys(5)
+		reads := make([]kv.ObservedRead, len(keys))
+		writes := make([]kv.KeyValue, len(keys))
+		val := kv.Value("v")
+		return func() error {
+			for i, k := range keys {
+				item, found := d.Get(k)
+				reads[i] = kv.ObservedRead{Key: k, Version: item.Version, Found: found}
+				writes[i] = kv.KeyValue{Key: k, Value: val}
+			}
+			_, err := d.CommitUpdate(bgb, reads, writes)
+			return err
+		}
+	}},
+
 	// One durable commit: WAL append + fsync, then the standby's stream,
 	// then its acknowledgment.
 	{"DurableCommit", 32, "", func(t *testing.T) func() error { return durableCommit(t, false, 0) }},

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sort"
 	"testing"
 
 	"tcache/internal/kv"
@@ -291,4 +292,45 @@ func TestMonitorHeapPerUpdate(t *testing.T) {
 		t.Fatalf("monitor retains %.0f bytes per update, ceiling %d", per, ceiling)
 	}
 	t.Logf("%.0f bytes retained per update (ceiling %d)", per, ceiling)
+}
+
+// TestSeekMatchesSearch compares seek with sort.Search over random
+// sorted histories (with gaps, and versions differing only in Node),
+// probing the empty history, below the first entry, above the last, each
+// of the last three entries and their neighbours, and every other entry.
+func TestSeekMatchesSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	check := func(h []entry, q kv.Version) {
+		t.Helper()
+		want := sort.Search(len(h), func(i int) bool { return !h[i].ver.Less(q) })
+		i, found := seek(h, q)
+		if i != want || found != (want < len(h) && h[want].ver == q) {
+			t.Fatalf("seek(%d entries, %v) = %d, %v; sort.Search gives %d", len(h), q, i, found, want)
+		}
+	}
+	check(nil, kv.Version{})
+	check(nil, v(5))
+	for n := 1; n <= 300; n++ {
+		h := make([]entry, 0, n)
+		var last kv.Version
+		for len(h) < n {
+			next := kv.Version{Counter: last.Counter + 1 + uint64(rng.Intn(3))}
+			if len(h) > 0 && rng.Intn(4) == 0 {
+				next = kv.Version{Counter: last.Counter, Node: last.Node + 1 + uint32(rng.Intn(2))}
+			}
+			h = append(h, entry{ver: next})
+			last = next
+		}
+		check(h, kv.Version{})
+		check(h, kv.Version{Counter: last.Counter + 1})
+		check(h, kv.Version{Counter: last.Counter + 100})
+		for j := 0; j < n; j++ {
+			e := h[j].ver
+			check(h, e)
+			check(h, kv.Version{Counter: e.Counter, Node: e.Node + 1})
+			if e.Counter > 0 {
+				check(h, kv.Version{Counter: e.Counter - 1, Node: 7})
+			}
+		}
+	}
 }
