@@ -13,16 +13,15 @@ import (
 // until Release. Tests use it to park commits mid-flight — and Queued to
 // know they are parked — instead of sleeping and hoping.
 type KeyHold struct {
-	d     *DB
-	key   string
-	owner lock.Owner
+	d   *DB
+	key string
 }
 
 // HoldKey takes key's exclusive lock, waiting behind any current holder,
 // and returns the hold.
 func (d *DB) HoldKey(ctx context.Context, key kv.Key) (*KeyHold, error) {
-	h := &KeyHold{d: d, key: string(key), owner: lock.Owner(d.txnC.Add(1))}
-	if err := d.locks.Acquire(ctx, h.owner, h.key, lock.Exclusive); err != nil {
+	h := &KeyHold{d: d, key: string(key)}
+	if err := d.locks.Acquire(ctx, h.key, lock.Exclusive); err != nil {
 		return nil, err
 	}
 	return h, nil
@@ -42,4 +41,4 @@ func (h *KeyHold) Queued(ctx context.Context, n int) error {
 }
 
 // Release frees the key: the queued updates proceed in arrival order.
-func (h *KeyHold) Release() { h.d.locks.ReleaseAll(h.owner) }
+func (h *KeyHold) Release() { h.d.locks.Release(h.key, lock.Exclusive) }

@@ -94,8 +94,9 @@ func (d *DB) CommitUpdate(ctx context.Context, reads []kv.ObservedRead, writes [
 // first occurrence of each key read and of each key written, in request
 // order.
 type txn struct {
-	id     uint64    // lock owner and CommitRecord.TxnID
+	id     uint64    // CommitRecord.TxnID
 	keys   []keyLock // one per key, in key order (see lockPlan)
+	locked int       // keys[:locked] are held
 	reads  []readAccess
 	writes []writeAccess
 }
@@ -155,17 +156,26 @@ func (d *DB) lockKeys(ctx context.Context, t *txn) error {
 		return err
 	}
 	for _, k := range t.keys {
-		if err := d.locks.Acquire(ctx, lock.Owner(t.id), string(k.key), k.mode); err != nil {
+		if err := d.locks.Acquire(ctx, string(k.key), k.mode); err != nil {
 			return fmt.Errorf("db: acquire %s on %q: %w", k.mode, k.key, err)
 		}
+		t.locked++
 	}
 	return nil
+}
+
+// unlock releases the locks t holds.
+func (d *DB) unlock(t *txn) {
+	for _, k := range t.keys[:t.locked] {
+		d.locks.Release(string(k.key), k.mode)
+	}
+	t.locked = 0
 }
 
 // abort ends t without committing anything: its locks are released and
 // err is returned.
 func (d *DB) abort(t *txn, err error) error {
-	d.locks.ReleaseAll(lock.Owner(t.id))
+	d.unlock(t)
 	d.metrics.TxnsAborted.Add(1)
 	return err
 }
@@ -215,7 +225,7 @@ func (d *DB) commit(ctx context.Context, t *txn) (kv.Version, []kv.Item, error) 
 	if len(t.writes) == 0 {
 		// Nothing to apply; under the shared locks the reads are
 		// trivially serializable at this point in time.
-		d.locks.ReleaseAll(lock.Owner(t.id))
+		d.unlock(t)
 		d.metrics.TxnsCommitted.Add(1)
 		return kv.Version{}, nil, nil
 	}
@@ -289,7 +299,7 @@ func (d *DB) commit(ctx context.Context, t *txn) (kv.Version, []kv.Item, error) 
 	for i, w := range t.writes {
 		d.store.Put(w.key, items[i])
 	}
-	d.locks.ReleaseAll(lock.Owner(t.id))
+	d.unlock(t)
 	d.metrics.TxnsCommitted.Add(1)
 
 	// Report and invalidate, still holding the door ticket so observers

@@ -9,9 +9,12 @@
 // needs only these locks and one log record.
 //
 // The database takes every lock a transaction needs up front, each key
-// once, in its final mode and in key order, and releases them together.
-// Under that discipline the table needs neither upgrades nor deadlock
-// detection: a waiter holds only keys smaller than the one it waits on,
+// once, in its final mode and in key order, and releases by key each
+// one it got. So the table knows no owners: a key's state is a count of
+// shared holders, an exclusive bit and a FIFO queue, recycled once no
+// one holds or waits on the key, and Release names the key and mode it
+// frees. Under that discipline the table needs neither upgrades nor
+// deadlock detection: a waiter holds only keys smaller than the one it waits on,
 // so it waits either for a holder that is itself waiting on a larger
 // key, or for a waiter queued ahead of it on the same key, and no chain
 // of waits can close into a cycle. Every wait ends in a grant, the
@@ -22,6 +25,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -49,25 +53,22 @@ func (m Mode) String() string {
 // ErrClosed is returned when the manager is shut down while waiting.
 var ErrClosed = errors.New("lock: manager closed")
 
-// Owner identifies a lock-holding transaction.
-type Owner uint64
-
 // Manager is a lock table keyed by string keys. The zero value is not
 // usable; construct with NewManager.
 type Manager struct {
 	mu     sync.Mutex //tcache:lockclass lockmgr
 	locks  map[string]*lockState
-	held   map[Owner][]string // reverse index for ReleaseAll
+	free   []*lockState // states of keys no one holds or waits on, for reuse
 	closed bool
 }
 
+// lockState is one key's lock and the requests queued behind it.
 type lockState struct {
-	holders map[Owner]Mode
+	holders int // how many hold it shared, or -1 while one holds it exclusive
 	queue   []*waiter
 }
 
 type waiter struct {
-	owner Owner
 	mode  Mode
 	ready chan error // buffered(1); receives nil on grant
 	done  bool       // set under Manager.mu once resolved
@@ -75,19 +76,14 @@ type waiter struct {
 
 // NewManager returns an empty lock table.
 func NewManager() *Manager {
-	return &Manager{
-		locks: make(map[string]*lockState),
-		held:  make(map[Owner][]string),
-	}
+	return &Manager{locks: make(map[string]*lockState)}
 }
 
-// Acquire blocks until owner holds key in mode, behind every request
-// already queued on key. Re-acquiring a key already held in the same or
-// a stronger mode is a no-op; there are no upgrades, so asking for
-// Exclusive while holding Shared is an error. It returns ctx.Err() if
-// the context is cancelled while waiting, or ErrClosed if the manager
-// shuts down.
-func (m *Manager) Acquire(ctx context.Context, owner Owner, key string, mode Mode) error {
+// Acquire blocks until the caller holds key in mode, behind every
+// request already queued on key; one Release of the same key and mode
+// undoes it. It returns ctx.Err() if the context is cancelled while
+// waiting, or ErrClosed if the manager shuts down.
+func (m *Manager) Acquire(ctx context.Context, key string, mode Mode) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -98,22 +94,18 @@ func (m *Manager) Acquire(ctx context.Context, owner Owner, key string, mode Mod
 	}
 	ls := m.locks[key]
 	if ls == nil {
-		ls = &lockState{holders: make(map[Owner]Mode)}
+		if n := len(m.free); n > 0 {
+			ls, m.free = m.free[n-1], m.free[:n-1]
+		} else {
+			ls = &lockState{}
+		}
 		m.locks[key] = ls
 	}
-	if cur, ok := ls.holders[owner]; ok {
-		m.mu.Unlock()
-		if cur < mode {
-			return fmt.Errorf("lock: owner %d holds %q in mode %s and cannot upgrade", owner, key, cur)
-		}
-		return nil
-	}
-	if len(ls.queue) == 0 && compatible(ls, mode) {
-		m.grantLocked(ls, key, owner, mode)
+	if len(ls.queue) == 0 && ls.grant(mode) {
 		m.mu.Unlock()
 		return nil
 	}
-	w := &waiter{owner: owner, mode: mode, ready: make(chan error, 1)}
+	w := &waiter{mode: mode, ready: make(chan error, 1)}
 	ls.queue = append(ls.queue, w)
 	m.mu.Unlock()
 
@@ -121,46 +113,33 @@ func (m *Manager) Acquire(ctx context.Context, owner Owner, key string, mode Mod
 	case err := <-w.ready:
 		return err
 	case <-ctx.Done():
-		return m.abandonWait(ls, key, w, ctx.Err())
 	}
-}
-
-// abandonWait withdraws w from the queue after a cancellation, unless
-// the grant raced the wakeup — then the lock is kept. Waiters queued
-// behind w that w alone was holding back are granted at once.
-func (m *Manager) abandonWait(ls *lockState, key string, w *waiter, reason error) error {
-	m.mu.Lock()
-	if w.done {
-		// Granted concurrently with the cancel; keep the lock (the
-		// caller's ReleaseAll frees it).
-		m.mu.Unlock()
-		return <-w.ready
-	}
-	for i, q := range ls.queue {
-		if q == w {
-			ls.queue = append(ls.queue[:i], ls.queue[i+1:]...)
-			break
-		}
-	}
-	m.pumpLocked(ls, key)
-	m.maybeGCLocked(key, ls)
-	m.mu.Unlock()
-	return reason
-}
-
-// ReleaseAll releases every lock held by owner and wakes newly grantable
-// waiters. A transaction releases everything at once, at commit or
-// abort.
-func (m *Manager) ReleaseAll(owner Owner) {
+	// Withdraw from the queue, unless the grant raced the cancel: then
+	// the lock is kept, and the caller's Release frees it.
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, key := range m.held[owner] {
-		ls := m.locks[key]
-		delete(ls.holders, owner)
-		m.pumpLocked(ls, key)
-		m.maybeGCLocked(key, ls)
+	if w.done {
+		return <-w.ready
 	}
-	delete(m.held, owner)
+	ls.queue = slices.DeleteFunc(ls.queue, func(q *waiter) bool { return q == w })
+	m.settleLocked(key, ls)
+	return ctx.Err()
+}
+
+// Release frees one hold of key in mode.
+func (m *Manager) Release(key string, mode Mode) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	ls := m.locks[key]
+	if ls == nil || ls.holders == 0 || (ls.holders < 0) != (mode == Exclusive) {
+		panic(fmt.Sprintf("lock: release of %q in mode %s, which is not held", key, mode))
+	}
+	if mode == Exclusive {
+		ls.holders = 0
+	} else {
+		ls.holders--
+	}
+	m.settleLocked(key, ls)
 }
 
 // Waiting reports how many requests are queued on key. It is a test
@@ -194,40 +173,35 @@ func (m *Manager) Close() {
 	}
 }
 
-// compatible reports whether mode can be granted beside ls's holders.
-func compatible(ls *lockState, mode Mode) bool {
-	for _, hm := range ls.holders {
-		if mode == Exclusive || hm == Exclusive {
-			return false
-		}
+// grant takes the lock in mode if that is compatible with its holders.
+func (ls *lockState) grant(mode Mode) bool {
+	switch {
+	case ls.holders < 0 || (mode == Exclusive && ls.holders > 0):
+		return false
+	case mode == Exclusive:
+		ls.holders = -1
+	default:
+		ls.holders++
 	}
 	return true
 }
 
-//tcache:holds lockmgr
-func (m *Manager) grantLocked(ls *lockState, key string, owner Owner, mode Mode) {
-	ls.holders[owner] = mode
-	m.held[owner] = append(m.held[owner], key)
-}
-
-// pumpLocked grants queued waiters that became compatible, in FIFO order,
-// stopping at the first one that still conflicts.
+// settleLocked grants the queued waiters that became compatible, in
+// FIFO order, stopping at the first one that still conflicts; a key no
+// one holds or waits on goes to the free list.
 //
 //tcache:holds lockmgr
-func (m *Manager) pumpLocked(ls *lockState, key string) {
-	for len(ls.queue) > 0 && compatible(ls, ls.queue[0].mode) {
+func (m *Manager) settleLocked(key string, ls *lockState) {
+	for len(ls.queue) > 0 && ls.grant(ls.queue[0].mode) {
 		w := ls.queue[0]
-		ls.queue = ls.queue[1:]
-		m.grantLocked(ls, key, w.owner, w.mode)
+		ls.queue[0], ls.queue = nil, ls.queue[1:]
 		w.done = true
 		//lint:ignore locks ready is buffered(1) and written at most once per waiter, so this send can never block
 		w.ready <- nil
 	}
-}
-
-//tcache:holds lockmgr
-func (m *Manager) maybeGCLocked(key string, ls *lockState) {
-	if len(ls.holders) == 0 && len(ls.queue) == 0 {
+	if ls.holders == 0 && len(ls.queue) == 0 {
 		delete(m.locks, key)
+		ls.queue = ls.queue[:0]
+		m.free = append(m.free, ls)
 	}
 }

@@ -162,7 +162,8 @@ func (m *refManager) maybeGCLocked(key string, ls *refLockState) {
 }
 
 // table is what a schedule drives: the reference, or Manager behind
-// the calls the database makes.
+// the calls the database makes — it releases by key, in plan order,
+// what the reference releases by owner.
 type table interface {
 	acquire(ctx context.Context, owner uint64, key string, mode Mode) error
 	// release frees the keys owner acquired, in the order it acquired them.
@@ -188,11 +189,15 @@ func (r refTable) close()                            { r.m.Close() }
 type realTable struct{ m *Manager }
 
 func (r realTable) acquire(ctx context.Context, owner uint64, key string, mode Mode) error {
-	return r.m.Acquire(ctx, Owner(owner), key, mode)
+	return r.m.Acquire(ctx, key, mode)
 }
-func (r realTable) release(owner uint64, _ []keyMode) { r.m.ReleaseAll(Owner(owner)) }
-func (r realTable) waiting(key string) int            { return r.m.Waiting(key) }
-func (r realTable) close()                            { r.m.Close() }
+func (r realTable) release(_ uint64, keys []keyMode) {
+	for _, km := range keys {
+		r.m.Release(km.key, km.mode)
+	}
+}
+func (r realTable) waiting(key string) int { return r.m.Waiting(key) }
+func (r realTable) close()                 { r.m.Close() }
 
 // run is one table under a schedule: the acquisitions in flight, and
 // the outcomes they reported.
