@@ -19,6 +19,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -153,10 +154,15 @@ type DB struct {
 	// (§VII future direction; see pins.go).
 	pinned pinSet
 
-	subMu       sync.Mutex
-	subs        map[string]InvalidationSink
-	hookMu      sync.Mutex
-	commitHooks []CommitHook
+	// sinks and hooks are what a commit calls: snapshots replaced whole
+	// (under subMu and hookMu) on Subscribe, its cancel and OnCommit, so
+	// a commit reads them without a lock or a copy. sinks is in
+	// subscriber-name order.
+	subMu  sync.Mutex
+	subs   map[string]InvalidationSink
+	sinks  atomic.Pointer[[]InvalidationSink]
+	hookMu sync.Mutex
+	hooks  atomic.Pointer[[]CommitHook]
 
 	// wal, when non-nil, makes commits durable (see Recover). door
 	// sequences the apply phase so version order survives the move of
@@ -289,7 +295,8 @@ func (d *DB) Seed(key kv.Key, value kv.Value, version kv.Version) {
 // Subscribe registers an invalidation sink under name. A name already in
 // use is rejected with ErrDuplicateSubscriber: silently replacing the
 // previous sink (the historical behavior) starved one of two same-named
-// caches of invalidations. Unsubscribe with the returned cancel.
+// caches of invalidations. Each commit calls the sinks in name order.
+// Unsubscribe with the returned cancel.
 func (d *DB) Subscribe(name string, sink InvalidationSink) (cancel func(), err error) {
 	d.subMu.Lock()
 	defer d.subMu.Unlock()
@@ -297,28 +304,48 @@ func (d *DB) Subscribe(name string, sink InvalidationSink) (cancel func(), err e
 		return nil, fmt.Errorf("%w: %q", ErrDuplicateSubscriber, name)
 	}
 	d.subs[name] = sink
+	d.publishSinksLocked()
 	return func() {
 		d.subMu.Lock()
 		defer d.subMu.Unlock()
 		delete(d.subs, name)
+		d.publishSinksLocked()
 	}, nil
+}
+
+// publishSinksLocked replaces the sink snapshot commits read. The caller
+// holds subMu.
+func (d *DB) publishSinksLocked() {
+	names := make([]string, 0, len(d.subs))
+	for name := range d.subs {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	sinks := make([]InvalidationSink, len(names))
+	for i, name := range names {
+		sinks[i] = d.subs[name]
+	}
+	d.sinks.Store(&sinks)
 }
 
 // OnCommit registers a hook observing every committed update transaction.
 func (d *DB) OnCommit(h CommitHook) {
 	d.hookMu.Lock()
 	defer d.hookMu.Unlock()
-	d.commitHooks = append(d.commitHooks, h)
+	var hooks []CommitHook
+	if cur := d.hooks.Load(); cur != nil {
+		hooks = *cur
+	}
+	hooks = append(slices.Clip(hooks), h) // a new array: commits may be reading the old one
+	d.hooks.Store(&hooks)
 }
 
 func (d *DB) emitInvalidations(writes []kv.Key, version kv.Version) {
-	d.subMu.Lock()
-	sinks := make([]InvalidationSink, 0, len(d.subs))
-	for _, s := range d.subs {
-		sinks = append(sinks, s)
+	sinks := d.sinks.Load()
+	if sinks == nil {
+		return
 	}
-	d.subMu.Unlock()
-	for _, s := range sinks {
+	for _, s := range *sinks {
 		for _, k := range writes {
 			d.metrics.InvalidationsSent.Add(1)
 			s(Invalidation{Key: k, Version: version})
@@ -327,12 +354,10 @@ func (d *DB) emitInvalidations(writes []kv.Key, version kv.Version) {
 }
 
 func (d *DB) runCommitHooks(rec CommitRecord) {
-	d.hookMu.Lock()
-	hooks := make([]CommitHook, len(d.commitHooks))
-	copy(hooks, d.commitHooks)
-	d.hookMu.Unlock()
-	for _, h := range hooks {
-		h(rec)
+	if hooks := d.hooks.Load(); hooks != nil {
+		for _, h := range *hooks {
+			h(rec)
+		}
 	}
 }
 

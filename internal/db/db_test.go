@@ -249,6 +249,33 @@ func TestSubscribeDuplicateNameRejected(t *testing.T) {
 	cancel2()
 }
 
+// TestSubscribersHearCommitsInNameOrder: each commit reaches its
+// subscribers in name order, however they were registered — across
+// commits, and after one of them leaves and rejoins.
+func TestSubscribersHearCommitsInNameOrder(t *testing.T) {
+	d := open(t, Config{})
+	var heard []string
+	subscribe := func(name string) func() {
+		cancel, err := d.Subscribe(name, func(Invalidation) { heard = append(heard, name) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cancel
+	}
+	for _, name := range []string{"edge-b", "edge-c"} {
+		defer subscribe(name)()
+	}
+	subscribe("edge-a")()
+	defer subscribe("edge-a")()
+	for i := 0; i < 100; i++ {
+		heard = heard[:0]
+		mustCommit(t, d, nil, kv.KeyValue{Key: kv.Key(fmt.Sprintf("k%d", i)), Value: kv.Value("v")})
+		if fmt.Sprint(heard) != "[edge-a edge-b edge-c]" {
+			t.Fatalf("commit %d reached its subscribers in the order %v", i, heard)
+		}
+	}
+}
+
 // TestCancelledTxnUnblocksLockWait: a transaction queued for a lock
 // returns ctx's error when cancelled, having taken the lock of the key
 // it had already locked (a, before k in key order) and released it.

@@ -14,10 +14,10 @@ const storeStripes = 8
 // over storeStripes locks. Items carry their commit version and
 // dependency list (kv.Item); the store imposes no consistency semantics
 // — that is the job of the database's concurrency control. It is safe
-// for concurrent use. Items are deep-copied on the way in, and — except
-// for GetShared, which shares storage under a read-only copy-on-write
-// contract — on the way out, so callers can never alias mutable
-// internal state.
+// for concurrent use. Items are deep-copied on the way in — except by
+// keep, whose caller hands its item over — and on the way out — except
+// by GetShared, which shares storage under a read-only copy-on-write
+// contract — so callers can never alias mutable internal state.
 type store struct {
 	shards [storeStripes]storeShard
 }
@@ -41,7 +41,8 @@ func (s *store) shardOf(key kv.Key) *storeShard {
 
 // GetShared returns the item stored under key without copying — the
 // read hot path. Stored items are effectively immutable: Put deep-copies
-// on the way in and replaces the map entry wholesale, so a shared item's
+// on the way in, keep takes items no one writes again, and both replace
+// the map entry wholesale, so a shared item's
 // Value and Deps are never mutated afterwards. Callers must honor the copy-on-write contract and treat
 // them as read-only; Clone the item for a private copy.
 func (s *store) GetShared(key kv.Key) (kv.Item, bool) {
@@ -64,10 +65,16 @@ func (s *store) Version(key kv.Key) (kv.Version, bool) {
 
 // Put stores a deep copy of item under key, replacing any prior item.
 func (s *store) Put(key kv.Key, item kv.Item) {
+	s.keep(key, item.Clone())
+}
+
+// keep stores item itself under key, replacing any prior item: the
+// caller hands over its Value and Deps and never writes them again.
+func (s *store) keep(key kv.Key, item kv.Item) {
 	sh := s.shardOf(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	sh.items[key] = item.Clone()
+	sh.items[key] = item
 }
 
 // Len returns the total number of stored items.

@@ -35,12 +35,14 @@ import (
 // The result carries the commit version and, per write (by request
 // index), the dependency list stored with it — everything but the value
 // of each committed item, which the writer already holds. The lists are
-// the transaction's own: the store keeps copies. A read-only
-// transaction commits at the zero version.
+// the ones the store keeps, so they are read-only (see kv.CommitResult).
+// A read-only transaction commits at the zero version.
 func (d *DB) CommitUpdate(ctx context.Context, reads []kv.ObservedRead, writes []kv.KeyValue) (kv.CommitResult, error) {
 	start := time.Now()
 	d.metrics.TxnsStarted.Add(1)
-	t := &txn{id: d.txnC.Add(1), keys: lockPlan(reads, writes)}
+	t := &txn{id: d.txnC.Add(1)}
+	t.keys = lockPlan(t.keyBuf[:0], reads, writes)
+	t.reads, t.writes = t.readBuf[:0], t.writeBuf[:0]
 	if d.closed.Load() {
 		return kv.CommitResult{}, d.abort(t, ErrClosed)
 	}
@@ -99,7 +101,20 @@ type txn struct {
 	locked int       // keys[:locked] are held
 	reads  []readAccess
 	writes []writeAccess
+
+	// Inline backing for the slices above and for commit's scratch: a
+	// transaction of up to txnInline reads and as many writes allocates
+	// none of them.
+	keyBuf    [2 * txnInline]keyLock
+	readBuf   [txnInline]readAccess
+	writeBuf  [txnInline]writeAccess
+	accessBuf [2 * txnInline]kv.Access
+	itemBuf   [txnInline]kv.Item
 }
+
+// txnInline is the number of reads, and of writes, a txn holds without
+// allocating; the paper's transactions touch at most a handful of keys.
+const txnInline = 8
 
 type readAccess struct {
 	key   kv.Key
@@ -124,9 +139,9 @@ type keyLock struct {
 }
 
 // lockPlan lists each key the transaction touches once, in key order,
-// with its mode: exclusive if written, shared if only read.
-func lockPlan(reads []kv.ObservedRead, writes []kv.KeyValue) []keyLock {
-	plan := make([]keyLock, 0, len(reads)+len(writes))
+// with its mode: exclusive if written, shared if only read. It appends
+// to plan.
+func lockPlan(plan []keyLock, reads []kv.ObservedRead, writes []kv.KeyValue) []keyLock {
 	for _, w := range writes {
 		plan = append(plan, keyLock{key: w.Key, mode: lock.Exclusive, read: -1, write: -1})
 	}
@@ -257,7 +272,7 @@ func (d *DB) commit(ctx context.Context, t *txn) (kv.Version, []kv.Item, error) 
 	// Aggregate the full dependency list (§III-A). Write-set entries use
 	// the new version vt; read-set entries use the version observed.
 	// Entries for never-written keys carry no information and are skipped.
-	accesses := make([]kv.Access, 0, len(t.writes)+len(t.reads))
+	accesses := t.accessBuf[:0]
 	for _, w := range t.writes {
 		accesses = append(accesses, kv.Access{Key: w.key, Version: vt, Deps: w.old.Deps})
 	}
@@ -273,13 +288,14 @@ func (d *DB) commit(ctx context.Context, t *txn) (kv.Version, []kv.Item, error) 
 	}
 	full := merge(d.mergeBound(t), accesses)
 
-	items := make([]kv.Item, len(t.writes))
-	for i, w := range t.writes {
-		items[i] = kv.Item{
-			Value:   w.value,
+	// Each stored item is built here, once: the store keeps it as is.
+	items := t.itemBuf[:0]
+	for _, w := range t.writes {
+		items = append(items, kv.Item{
+			Value:   w.value.Clone(),
 			Version: vt,
 			Deps:    d.composeDeps(w.key, full, t, vt),
-		}
+		})
 	}
 	ticket := d.door.enter()
 	d.commitMu.Unlock()
@@ -297,7 +313,7 @@ func (d *DB) commit(ctx context.Context, t *txn) (kv.Version, []kv.Item, error) 
 
 	// Apply, in version order behind the door.
 	for i, w := range t.writes {
-		d.store.Put(w.key, items[i])
+		d.store.keep(w.key, items[i])
 	}
 	d.unlock(t)
 	d.metrics.TxnsCommitted.Add(1)
@@ -305,9 +321,9 @@ func (d *DB) commit(ctx context.Context, t *txn) (kv.Version, []kv.Item, error) 
 	// Report and invalidate, still holding the door ticket so observers
 	// see commits in version order; actual delivery to caches is
 	// asynchronous (the sink schedules it).
-	rec := CommitRecord{TxnID: t.id, Version: vt}
-	for _, r := range t.reads {
-		rec.Reads = append(rec.Reads, ReadRecord{Key: r.key, Version: r.item.Version})
+	rec := CommitRecord{TxnID: t.id, Version: vt, Reads: make([]ReadRecord, len(t.reads))}
+	for i, r := range t.reads {
+		rec.Reads[i] = ReadRecord{Key: r.key, Version: r.item.Version}
 	}
 	writtenKeys := make([]kv.Key, len(t.writes))
 	for i, w := range t.writes {
