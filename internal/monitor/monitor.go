@@ -237,9 +237,23 @@ func (m *Monitor) intern(key kv.Key) int32 {
 }
 
 // seek returns the index of the first entry of h at or after v, and
-// whether it is v.
+// whether it is v. It gallops back from the tail — the last entry, then
+// 2, 4, 8… entries back — and binary-searches the bracket it lands in:
+// the versions a commit or a read asks about are almost always the
+// newest, so the last entry costs O(1) and one d entries from the tail
+// O(log d).
 func seek(h []entry, v kv.Version) (int, bool) {
+	// Entries at or after hi are at or after v; lo is 0 or one past an
+	// entry before v.
 	lo, hi := 0, len(h)
+	for step := 1; hi > 0; step <<= 1 {
+		p := max(hi-step, 0)
+		if h[p].ver.Less(v) {
+			lo = p + 1
+			break
+		}
+		hi = p
+	}
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		if h[mid].ver.Less(v) {
