@@ -139,6 +139,11 @@ type KeyValue struct {
 // it wrote instead of refetching it. A key written twice in one write set
 // carries the same list in both positions; its last value is the one
 // committed.
+//
+// An in-process database answers with the very lists its store keeps:
+// Deps is the caller's slice, but its lists are read-only under the
+// same copy-on-write contract as the store's reads (Clone one to change
+// it). tcachelint's sharedvalue analyzer flags a write into them.
 type CommitResult struct {
 	Version Version
 	Deps    []DepList

@@ -31,10 +31,14 @@ const (
 	kindShared
 	// kindItem: a kv.Item whose Value/Deps fields are shared.
 	kindItem
-	// kindValues: a fresh []Value whose elements are shared.
+	// kindValues: a fresh slice ([]Value, []DepList) whose elements
+	// are shared.
 	kindValues
 	// kindLookups: a fresh []Lookup whose Items carry shared bytes.
 	kindLookups
+	// kindCommit: a kv.CommitResult whose Deps is a kindValues slice of
+	// the lists the store keeps.
+	kindCommit
 )
 
 // cowSource is one read API whose result aliases store memory.
@@ -64,6 +68,8 @@ var cowSources = []cowSource{
 	{"tcache/internal/db", "DB", "ReadItem", kindItem},
 	{"tcache/internal/db", "DB", "ReadItems", kindLookups},
 	{"tcache/internal/db", "store", "GetShared", kindItem},
+	{"tcache", "DB", "CommitUpdate", kindCommit},
+	{"tcache/internal/db", "DB", "CommitUpdate", kindCommit},
 }
 
 func runSharedValue(pass *Pass) error {
@@ -153,6 +159,8 @@ func (tr *taintTracker) kindOf(e ast.Expr) taint {
 			return taint{kind: kindShared, src: base.src}
 		case base.kind == kindLookups && e.Sel.Name == "Item":
 			return taint{kind: kindItem, src: base.src}
+		case base.kind == kindCommit && e.Sel.Name == "Deps":
+			return taint{kind: kindValues, src: base.src}
 		}
 	case *ast.IndexExpr:
 		base := tr.kindOf(e.X)

@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"tcache/internal/db"
+	"tcache/internal/kv"
 )
 
 func mutateIndex(d *db.DB) {
@@ -29,4 +30,16 @@ func mutateSort(d *db.DB) {
 	it, _ := d.Get("k")
 	v := it.Value
 	sort.Slice(v, func(i, j int) bool { return v[i] < v[j] }) // want `in-place sort of shared copy-on-write value returned by DB.Get`
+}
+
+func mutateCommitDeps(ctx context.Context, d *db.DB) kv.DepList {
+	res, _ := d.CommitUpdate(ctx, nil, nil)
+	return append(res.Deps[0], kv.DepEntry{Key: "x"}) // want `append to shared copy-on-write value returned by DB.CommitUpdate`
+}
+
+func mutateCommitDepsRange(ctx context.Context, d *db.DB) {
+	res, _ := d.CommitUpdate(ctx, nil, nil)
+	for _, deps := range res.Deps {
+		deps[0] = kv.DepEntry{} // want `index assignment into shared copy-on-write value returned by DB.CommitUpdate`
+	}
 }
