@@ -98,11 +98,12 @@ walsmoke:
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime 15s ./internal/wal
 
 # benchsmoke is the CI quick pass: hot paths, what the consistency check
-# adds to a plain read (check-ns/txn), the experiment's monitor, the codec micro-benchmarks, and
+# adds to a plain read (check-ns/txn), the experiment's monitor, the
+# database's update commit and its dependency merge, the codec micro-benchmarks, and
 # two figures through the printer itself (every figure's table is
 # internal/experiment's golden test, part of `go test ./...`).
 benchsmoke:
-	$(GO) test -run '^$$' -bench 'Cache|Remote|NominalOverhead|Monitor' -benchtime 100ms .
+	$(GO) test -run '^$$' -bench 'Cache|Remote|NominalOverhead|Monitor|DBUpdateTxn|MergeDeps' -benchtime 100ms .
 	$(GO) test -run '^$$' -bench 'Codec|WireRoundTrip' -benchtime 100ms ./internal/transport
 	$(GO) run ./cmd/tcache-figs -quick -fig 3,headline
 
