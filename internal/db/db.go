@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -154,15 +155,12 @@ type DB struct {
 	// (§VII future direction; see pins.go).
 	pinned pinSet
 
-	// sinks and hooks are what a commit calls: snapshots replaced whole
-	// (under subMu and hookMu) on Subscribe, its cancel and OnCommit, so
-	// a commit reads them without a lock or a copy. sinks is in
-	// subscriber-name order.
-	subMu  sync.Mutex
-	subs   map[string]InvalidationSink
-	sinks  atomic.Pointer[[]InvalidationSink]
-	hookMu sync.Mutex
-	hooks  atomic.Pointer[[]CommitHook]
+	// subs (in name order) and commitHooks are snapshots: replaced
+	// whole, never written in place, so a commit calls them uncopied.
+	subMu       sync.Mutex
+	subs        []subscriber
+	hookMu      sync.Mutex
+	commitHooks []CommitHook
 
 	// wal, when non-nil, makes commits durable (see Recover). door
 	// sequences the apply phase so version order survives the move of
@@ -203,7 +201,6 @@ func Open(cfg Config) *DB {
 		cfg:   cfg,
 		store: newStore(),
 		locks: lock.NewManager(),
-		subs:  make(map[string]InvalidationSink),
 		door:  newCommitDoor(),
 		tel:   tel,
 	}
@@ -300,64 +297,48 @@ func (d *DB) Seed(key kv.Key, value kv.Value, version kv.Version) {
 func (d *DB) Subscribe(name string, sink InvalidationSink) (cancel func(), err error) {
 	d.subMu.Lock()
 	defer d.subMu.Unlock()
-	if _, taken := d.subs[name]; taken {
+	i, taken := slices.BinarySearchFunc(d.subs, name, func(s subscriber, name string) int { return strings.Compare(s.name, name) })
+	if taken {
 		return nil, fmt.Errorf("%w: %q", ErrDuplicateSubscriber, name)
 	}
-	d.subs[name] = sink
-	d.publishSinksLocked()
+	d.subs = slices.Insert(slices.Clip(d.subs), i, subscriber{name, sink})
 	return func() {
 		d.subMu.Lock()
 		defer d.subMu.Unlock()
-		delete(d.subs, name)
-		d.publishSinksLocked()
+		d.subs = slices.DeleteFunc(slices.Clone(d.subs), func(s subscriber) bool { return s.name == name })
 	}, nil
 }
 
-// publishSinksLocked replaces the sink snapshot commits read. The caller
-// holds subMu.
-func (d *DB) publishSinksLocked() {
-	names := make([]string, 0, len(d.subs))
-	for name := range d.subs {
-		names = append(names, name)
-	}
-	slices.Sort(names)
-	sinks := make([]InvalidationSink, len(names))
-	for i, name := range names {
-		sinks[i] = d.subs[name]
-	}
-	d.sinks.Store(&sinks)
+type subscriber struct {
+	name string
+	sink InvalidationSink
 }
 
 // OnCommit registers a hook observing every committed update transaction.
 func (d *DB) OnCommit(h CommitHook) {
 	d.hookMu.Lock()
 	defer d.hookMu.Unlock()
-	var hooks []CommitHook
-	if cur := d.hooks.Load(); cur != nil {
-		hooks = *cur
-	}
-	hooks = append(slices.Clip(hooks), h) // a new array: commits may be reading the old one
-	d.hooks.Store(&hooks)
+	d.commitHooks = append(slices.Clip(d.commitHooks), h)
 }
 
 func (d *DB) emitInvalidations(writes []kv.Key, version kv.Version) {
-	sinks := d.sinks.Load()
-	if sinks == nil {
-		return
-	}
-	for _, s := range *sinks {
+	d.subMu.Lock()
+	subs := d.subs
+	d.subMu.Unlock()
+	for _, s := range subs {
 		for _, k := range writes {
 			d.metrics.InvalidationsSent.Add(1)
-			s(Invalidation{Key: k, Version: version})
+			s.sink(Invalidation{Key: k, Version: version})
 		}
 	}
 }
 
 func (d *DB) runCommitHooks(rec CommitRecord) {
-	if hooks := d.hooks.Load(); hooks != nil {
-		for _, h := range *hooks {
-			h(rec)
-		}
+	d.hookMu.Lock()
+	hooks := d.commitHooks
+	d.hookMu.Unlock()
+	for _, h := range hooks {
+		h(rec)
 	}
 }
 

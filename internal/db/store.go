@@ -40,10 +40,9 @@ func (s *store) shardOf(key kv.Key) *storeShard {
 }
 
 // GetShared returns the item stored under key without copying — the
-// read hot path. Stored items are effectively immutable: Put deep-copies
-// on the way in, keep takes items no one writes again, and both replace
-// the map entry wholesale, so a shared item's
-// Value and Deps are never mutated afterwards. Callers must honor the copy-on-write contract and treat
+// read hot path. Stored items are effectively immutable: Put and keep
+// store items no one writes again, replacing the map entry wholesale, so
+// a shared item's Value and Deps are never mutated afterwards. Callers must honor the copy-on-write contract and treat
 // them as read-only; Clone the item for a private copy.
 func (s *store) GetShared(key kv.Key) (kv.Item, bool) {
 	sh := s.shardOf(key)
@@ -68,8 +67,7 @@ func (s *store) Put(key kv.Key, item kv.Item) {
 	s.keep(key, item.Clone())
 }
 
-// keep stores item itself under key, replacing any prior item: the
-// caller hands over its Value and Deps and never writes them again.
+// keep is Put without the copy: the caller hands item over.
 func (s *store) keep(key kv.Key, item kv.Item) {
 	sh := s.shardOf(key)
 	sh.mu.Lock()

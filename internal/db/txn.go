@@ -41,8 +41,7 @@ func (d *DB) CommitUpdate(ctx context.Context, reads []kv.ObservedRead, writes [
 	start := time.Now()
 	d.metrics.TxnsStarted.Add(1)
 	t := &txn{id: d.txnC.Add(1)}
-	t.keys = lockPlan(t.keyBuf[:0], reads, writes)
-	t.reads, t.writes = t.readBuf[:0], t.writeBuf[:0]
+	t.keys, t.reads, t.writes = lockPlan(t.keyBuf[:0], reads, writes), t.readBuf[:0], t.writeBuf[:0]
 	if d.closed.Load() {
 		return kv.CommitResult{}, d.abort(t, ErrClosed)
 	}
@@ -102,19 +101,14 @@ type txn struct {
 	reads  []readAccess
 	writes []writeAccess
 
-	// Inline backing for the slices above and for commit's scratch: a
-	// transaction of up to txnInline reads and as many writes allocates
-	// none of them.
-	keyBuf    [2 * txnInline]keyLock
-	readBuf   [txnInline]readAccess
-	writeBuf  [txnInline]writeAccess
-	accessBuf [2 * txnInline]kv.Access
-	itemBuf   [txnInline]kv.Item
+	// Inline backing for the slices above and commit's scratch, so a
+	// transaction of up to 8 reads and 8 writes allocates none of them.
+	keyBuf    [16]keyLock
+	readBuf   [8]readAccess
+	writeBuf  [8]writeAccess
+	accessBuf [16]kv.Access
+	itemBuf   [8]kv.Item
 }
-
-// txnInline is the number of reads, and of writes, a txn holds without
-// allocating; the paper's transactions touch at most a handful of keys.
-const txnInline = 8
 
 type readAccess struct {
 	key   kv.Key
@@ -139,8 +133,7 @@ type keyLock struct {
 }
 
 // lockPlan lists each key the transaction touches once, in key order,
-// with its mode: exclusive if written, shared if only read. It appends
-// to plan.
+// with its mode, appended to plan: exclusive if written, shared if only read.
 func lockPlan(plan []keyLock, reads []kv.ObservedRead, writes []kv.KeyValue) []keyLock {
 	for _, w := range writes {
 		plan = append(plan, keyLock{key: w.Key, mode: lock.Exclusive, read: -1, write: -1})
@@ -288,8 +281,7 @@ func (d *DB) commit(ctx context.Context, t *txn) (kv.Version, []kv.Item, error) 
 	}
 	full := merge(d.mergeBound(t), accesses)
 
-	// Each stored item is built here, once: the store keeps it as is.
-	items := t.itemBuf[:0]
+	items := t.itemBuf[:0] // built once: the store keeps them as they are
 	for _, w := range t.writes {
 		items = append(items, kv.Item{
 			Value:   w.value.Clone(),

@@ -139,11 +139,8 @@ type KeyValue struct {
 // it wrote instead of refetching it. A key written twice in one write set
 // carries the same list in both positions; its last value is the one
 // committed.
-//
-// An in-process database answers with the very lists its store keeps:
-// Deps is the caller's slice, but its lists are read-only under the
-// same copy-on-write contract as the store's reads (Clone one to change
-// it). tcachelint's sharedvalue analyzer flags a write into them.
+// An in-process database answers with the lists its store keeps: they
+// are read-only (Clone one to change it), like the store's reads.
 type CommitResult struct {
 	Version Version
 	Deps    []DepList

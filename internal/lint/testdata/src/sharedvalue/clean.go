@@ -1,11 +1,6 @@
 package sharedvalue
 
-import (
-	"context"
-
-	"tcache/internal/db"
-	"tcache/internal/kv"
-)
+import "tcache/internal/db"
 
 func cloneFirst(d *db.DB) {
 	it, _ := d.Get("k")
@@ -31,12 +26,4 @@ func readOnly(d *db.DB) int {
 		n += int(b)
 	}
 	return n
-}
-
-// commitDepsCloned mutates a private copy of a stored list, and replaces
-// a whole element of the result's fresh slice.
-func commitDepsCloned(ctx context.Context, d *db.DB) kv.DepList {
-	res, _ := d.CommitUpdate(ctx, nil, nil)
-	res.Deps[1] = nil
-	return append(res.Deps[0].Clone(), kv.DepEntry{Key: "x"})
 }

@@ -34,12 +34,5 @@ func mutateSort(d *db.DB) {
 
 func mutateCommitDeps(ctx context.Context, d *db.DB) kv.DepList {
 	res, _ := d.CommitUpdate(ctx, nil, nil)
-	return append(res.Deps[0], kv.DepEntry{Key: "x"}) // want `append to shared copy-on-write value returned by DB.CommitUpdate`
-}
-
-func mutateCommitDepsRange(ctx context.Context, d *db.DB) {
-	res, _ := d.CommitUpdate(ctx, nil, nil)
-	for _, deps := range res.Deps {
-		deps[0] = kv.DepEntry{} // want `index assignment into shared copy-on-write value returned by DB.CommitUpdate`
-	}
+	return append(res.Deps[0], kv.DepEntry{}) // want `append to shared copy-on-write value returned by DB.CommitUpdate`
 }

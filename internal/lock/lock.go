@@ -9,12 +9,11 @@
 // needs only these locks and one log record.
 //
 // The database takes every lock a transaction needs up front, each key
-// once, in its final mode and in key order, and releases by key each
-// one it got. So the table knows no owners: a key's state is a count of
-// shared holders, an exclusive bit and a FIFO queue, recycled once no
-// one holds or waits on the key, and Release names the key and mode it
-// frees. Under that discipline the table needs neither upgrades nor
-// deadlock detection: a waiter holds only keys smaller than the one it waits on,
+// once, in its final mode and in key order, and releases by key and
+// mode each one it got. So the table knows no owners: a key's state is
+// a holder count and a FIFO queue, recycled once the key is free.
+// Under that discipline the table needs neither upgrades nor deadlock
+// detection: a waiter holds only keys smaller than the one it waits on,
 // so it waits either for a holder that is itself waiting on a larger
 // key, or for a waiter queued ahead of it on the same key, and no chain
 // of waits can close into a cycle. Every wait ends in a grant, the
@@ -162,12 +161,10 @@ func (m *Manager) Close() {
 	}
 	m.closed = true
 	for _, ls := range m.locks {
-		for _, w := range ls.queue {
-			if !w.done {
-				w.done = true
-				//lint:ignore locks ready is buffered(1) and written at most once per waiter, so this send can never block
-				w.ready <- ErrClosed
-			}
+		for _, w := range ls.queue { // a queued waiter is never done
+			w.done = true
+			//lint:ignore locks ready is buffered(1) and written at most once per waiter, so this send can never block
+			w.ready <- ErrClosed
 		}
 		ls.queue = nil
 	}

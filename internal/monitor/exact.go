@@ -311,13 +311,8 @@ func (m *Monitor) reachesLocked(start int32, targets []int32, maxVer kv.Version,
 		}
 		// rw successors per read version: its next version.
 		for _, r := range s.reads[up.r.off : up.r.off+up.r.n] {
-			h := m.hist[r.id]
-			j, ok := seek(h, r.ver)
-			if ok {
-				j++
-			}
-			if j < len(h) && !maxVer.Less(h[j].ver) {
-				if o := s.updateAt(h[j]); o >= 0 {
+			if e, ok := m.nextLocked(r.id, r.ver); ok && !maxVer.Less(e.ver) {
+				if o := s.updateAt(e); o >= 0 {
 					stack = append(stack, o)
 				}
 			}

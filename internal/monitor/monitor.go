@@ -237,15 +237,11 @@ func (m *Monitor) intern(key kv.Key) int32 {
 }
 
 // seek returns the index of the first entry of h at or after v, and
-// whether it is v. It gallops back from the tail — the last entry, then
-// 2, 4, 8… entries back — and binary-searches the bracket it lands in:
-// the versions a commit or a read asks about are almost always the
-// newest, so the last entry costs O(1) and one d entries from the tail
-// O(log d).
+// whether it is v. The versions asked about are mostly a key's newest,
+// so it gallops back from the tail (1, 2, 4… entries back) and then
+// binary-searches the bracket: O(1) for the newest, O(log d) d back.
 func seek(h []entry, v kv.Version) (int, bool) {
-	// Entries at or after hi are at or after v; lo is 0 or one past an
-	// entry before v.
-	lo, hi := 0, len(h)
+	lo, hi := 0, len(h) // h[hi:] is at or after v; h[:lo] is before it
 	for step := 1; hi > 0; step <<= 1 {
 		p := max(hi-step, 0)
 		if h[p].ver.Less(v) {
