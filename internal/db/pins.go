@@ -109,11 +109,11 @@ func (d *DB) boundFor(key kv.Key) int {
 // vt. Called under commitMu, so store version lookups are stable.
 func (d *DB) composeDeps(key kv.Key, full kv.DepList, t *txn, vt kv.Version) kv.DepList {
 	bound := d.boundFor(key)
-	rest := full.WithoutKey(key)
 	pins := d.pinned.get(key)
 	if len(pins) == 0 {
-		return rest.Truncate(bound)
+		return full.WithoutKey(key, bound)
 	}
+	rest := full.WithoutKey(key, kv.Unbounded)
 
 	out := make(kv.DepList, 0, len(pins)+len(rest))
 	for _, p := range pins {

@@ -177,7 +177,6 @@ func (d *DB) unlock(t *txn) {
 	for _, k := range t.keys[:t.locked] {
 		d.locks.Release(string(k.key), k.mode)
 	}
-	t.locked = 0
 }
 
 // abort ends t without committing anything: its locks are released and

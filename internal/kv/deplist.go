@@ -209,18 +209,26 @@ func mergeDeps(bound int, accesses []Access, positional bool) DepList {
 	return merged
 }
 
-// WithoutKey returns a copy of the list with any entry for key removed.
-// The database uses it to strip an object's self-entry before storing its
-// own dependency list (an object trivially depends on itself).
-func (l DepList) WithoutKey(key Key) DepList {
-	out := make(DepList, 0, len(l))
+// WithoutKey returns a copy of the list without key's entries, cut to at
+// most bound entries (bound < 0: uncut). A list holding key once — every
+// merged list does — gets a copy of just that size, which the database
+// stores as an object's own list (an object trivially depends on itself).
+func (l DepList) WithoutKey(key Key, bound int) DepList {
+	n := len(l)
+	if _, self := l.Lookup(key); self {
+		n--
+	}
+	if bound >= 0 {
+		n = min(n, bound)
+	}
+	if n <= 0 {
+		return nil
+	}
+	out := make(DepList, 0, n)
 	for _, e := range l {
-		if e.Key != key {
+		if e.Key != key && len(out) < n {
 			out = append(out, e)
 		}
-	}
-	if len(out) == 0 {
-		return nil
 	}
 	return out
 }

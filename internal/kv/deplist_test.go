@@ -153,12 +153,33 @@ func TestDepListCloneIndependence(t *testing.T) {
 
 func TestDepListWithoutKey(t *testing.T) {
 	l := DepList{{"a", v(1)}, {"b", v(2)}, {"a", v(3)}}
-	got := l.WithoutKey("a")
+	got := l.WithoutKey("a", Unbounded)
 	if len(got) != 1 || got[0].Key != "b" {
 		t.Fatalf("WithoutKey = %v", got)
 	}
-	if got := (DepList{{"a", v(1)}}).WithoutKey("a"); got != nil {
+	if got := (DepList{{"a", v(1)}}).WithoutKey("a", Unbounded); got != nil {
 		t.Fatalf("WithoutKey to empty should be nil, got %v", got)
+	}
+	// Cut to the bound, in a copy of just that size whether or not the
+	// key was in the list.
+	l = DepList{{"a", v(1)}, {"b", v(2)}, {"c", v(3)}, {"d", v(4)}}
+	for _, c := range []struct {
+		key   Key
+		bound int
+		want  string
+	}{
+		{"b", 2, "[a@1.0 c@3.0]"},
+		{"x", 2, "[a@1.0 b@2.0]"},
+		{"a", Unbounded, "[b@2.0 c@3.0 d@4.0]"},
+		{"d", 3, "[a@1.0 b@2.0 c@3.0]"},
+	} {
+		got := l.WithoutKey(c.key, c.bound)
+		if got.String() != c.want || cap(got) != len(got) {
+			t.Errorf("WithoutKey(%q, %d) = %v (cap %d), want %s at cap %d", c.key, c.bound, got, cap(got), c.want, len(got))
+		}
+	}
+	if got := l.WithoutKey("a", 0); got != nil {
+		t.Fatalf("WithoutKey at bound 0 = %v, want nil", got)
 	}
 }
 

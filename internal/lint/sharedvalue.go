@@ -31,13 +31,11 @@ const (
 	kindShared
 	// kindItem: a kv.Item whose Value/Deps fields are shared.
 	kindItem
-	// kindValues: a fresh slice ([]Value, []DepList) whose elements
-	// are shared.
+	// kindValues: a fresh slice ([]Value, []DepList) of shared elements.
 	kindValues
 	// kindLookups: a fresh []Lookup whose Items carry shared bytes.
 	kindLookups
-	// kindCommit: a kv.CommitResult whose Deps is a kindValues slice of
-	// the lists the store keeps.
+	// kindCommit: a kv.CommitResult whose Deps is kindValues.
 	kindCommit
 )
 

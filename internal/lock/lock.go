@@ -133,11 +133,7 @@ func (m *Manager) Release(key string, mode Mode) {
 	if ls == nil || ls.holders == 0 || (ls.holders < 0) != (mode == Exclusive) {
 		panic(fmt.Sprintf("lock: release of %q in mode %s, which is not held", key, mode))
 	}
-	if mode == Exclusive {
-		ls.holders = 0
-	} else {
-		ls.holders--
-	}
+	ls.holders = max(ls.holders-1, 0) // an exclusive hold (-1) ends at 0 too
 	m.settleLocked(key, ls)
 }
 

@@ -237,9 +237,8 @@ func (m *Monitor) intern(key kv.Key) int32 {
 }
 
 // seek returns the index of the first entry of h at or after v, and
-// whether it is v. The versions asked about are mostly a key's newest,
-// so it gallops back from the tail (1, 2, 4… entries back) and then
-// binary-searches the bracket: O(1) for the newest, O(log d) d back.
+// whether it is v. Asks are mostly for the newest versions: it gallops
+// back from the tail, then binary-searches, in O(log d) for d back.
 func seek(h []entry, v kv.Version) (int, bool) {
 	lo, hi := 0, len(h) // h[hi:] is at or after v; h[:lo] is before it
 	for step := 1; hi > 0; step <<= 1 {
