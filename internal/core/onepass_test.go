@@ -16,15 +16,18 @@ import (
 // Tests of the one-pass read (read.go, batch.go): a batch must be
 // indistinguishable from the same keys read one at a time.
 
-// diffSide is one of the two caches of the differential test with the
-// completions its hook saw.
+// diffSide is one of the caches of the differential test with the
+// completions its hook saw and, on an owned-transaction side, its open
+// transaction (nil until its next read).
 type diffSide struct {
+	name  string
 	c     *Cache
 	comps []Completion
+	txn   *Txn
 }
 
-func newDiffSide(t *testing.T, cfg Config, hooks bool) *diffSide {
-	s := &diffSide{c: newCache(t, cfg)}
+func newDiffSide(t *testing.T, name string, cfg Config, hooks bool) *diffSide {
+	s := &diffSide{name: name, c: newCache(t, cfg)}
 	if hooks {
 		// Kept as delivered: a hook owns the reads it is handed.
 		s.c.OnComplete(func(cp Completion) { s.comps = append(s.comps, cp) })
@@ -32,25 +35,58 @@ func newDiffSide(t *testing.T, cfg Config, hooks bool) *diffSide {
 	return s
 }
 
-// sequential is the reference: one Read per key, the last carrying
-// lastOp, stopping at the first error. It reports how many keys it read.
-// With no key to carry it, lastOp rides on an empty batch.
-func sequential(c *Cache, id kv.TxnID, keys []kv.Key, lastOp bool) ([]kv.Value, int, error) {
+// open returns s's open transaction, beginning it as id if there is none.
+func (s *diffSide) open(id kv.TxnID) *Txn {
+	if s.txn == nil {
+		s.txn = s.c.Begin(id, time.Time{})
+	}
+	return s.txn
+}
+
+// finish ends s's open transaction, if it has one, committed or aborted.
+func (s *diffSide) finish(commit bool) {
+	if s.txn != nil {
+		s.txn.Finish(commit)
+		s.txn = nil
+	}
+}
+
+// perKey is the reference: one Txn.Read per key, stopping at the first
+// error. It reports how many keys it read.
+func perKey(txn *Txn, keys []kv.Key) ([]kv.Value, int, error) {
 	if len(keys) == 0 {
-		if lastOp {
-			c.ReadMulti(bgc, id, nil, true)
-		}
 		return nil, 0, nil
 	}
 	vals := make([]kv.Value, len(keys))
 	for i, k := range keys {
-		v, err := c.Read(bgc, id, k, lastOp && i == len(keys)-1)
+		v, err := txn.Read(bgc, k)
 		if err != nil {
 			return nil, i, err
 		}
 		vals[i] = v
 	}
 	return vals, len(keys), nil
+}
+
+// sequential is one Read per key by ID, the last carrying lastOp,
+// stopping at the first error. With no key to carry it, lastOp rides on
+// an empty batch.
+func sequential(c *Cache, id kv.TxnID, keys []kv.Key, lastOp bool) ([]kv.Value, error) {
+	if len(keys) == 0 {
+		if lastOp {
+			c.ReadMulti(bgc, id, nil, true)
+		}
+		return nil, nil
+	}
+	vals := make([]kv.Value, len(keys))
+	for i, k := range keys {
+		v, err := c.Read(bgc, id, k, lastOp && i == len(keys)-1)
+		if err != nil {
+			return nil, err
+		}
+		vals[i] = v
+	}
+	return vals, nil
 }
 
 // errShape reduces an error to what callers can observe of it.
@@ -73,10 +109,9 @@ func errShape(err error) string {
 // the one-pass read: over a small key space with interleaved backend
 // writes (whose dependency lists make eq.1 and eq.2 fire), partially
 // delivered invalidations, duplicate and absent keys and every strategy,
-// ReadMulti(keys) on one cache, the sequence of Read(key) on a twin and
-// Txn.ReadMulti on a transaction from Begin on a third produce identical
-// values, errors, completions, resident keys and counter deltas at every
-// step.
+// a batch of keys read in one call produces the same values, errors,
+// completions, resident keys and counter deltas at every step as the same
+// keys read one Txn.Read at a time on a twin cache.
 func TestReadMultiMatchesSequentialReads(t *testing.T) {
 	var eq1At, eq2At [5]int // violations seen per batch position, all configs
 	for _, strategy := range []Strategy{StrategyAbort, StrategyEvict, StrategyRetry} {
@@ -94,20 +129,24 @@ func TestReadMultiMatchesSequentialReads(t *testing.T) {
 	}
 }
 
-// runDifferential drives one seeded history through the three sides: the
-// ID-keyed batch and single reads, and an owned transaction (Begin,
-// Txn.ReadMulti, Finish) that ends where lastOp would end the ID-keyed
-// ones and is abandoned or aborted where they are. With batchHash set,
-// the batch side hashes its keys with it instead of hashKey.
+// runDifferential drives one seeded history through the sides. The
+// reference reads per key through an owned transaction (Begin, Txn.Read,
+// Finish), stopping at the first error; the owned batch side reads the
+// same keys with Txn.ReadMulti. Both end their transaction where lastOp
+// would, and abandon or abort it where the history does. The ID-keyed
+// sides read by TxnID: ReadMulti, and one Read per key. With batchHash
+// set, the batch sides hash their keys with it instead of hashKey.
 func runDifferential(t *testing.T, name string, cfg Config, hooks bool, seed int64, batchHash func(kv.Key) uint64, eq1At, eq2At *[5]int) {
 	rng := rand.New(rand.NewSource(seed))
 	b := newBatchBackend()
 	cfg.Backend = b
-	batch, single, owned := newDiffSide(t, cfg, hooks), newDiffSide(t, cfg, hooks), newDiffSide(t, cfg, hooks)
+	ref, owned := newDiffSide(t, "Txn.Read", cfg, hooks), newDiffSide(t, "Txn.ReadMulti", cfg, hooks)
+	batch, single := newDiffSide(t, "ReadMulti", cfg, hooks), newDiffSide(t, "Read", cfg, hooks)
 	if batchHash != nil {
-		batch.c.hash = batchHash // before the first insert
+		owned.c.hash = batchHash // before the first insert
+		batch.c.hash = batchHash
 	}
-	sides := []*diffSide{batch, single, owned}
+	sides := []*diffSide{ref, owned, batch, single}
 	keys := []kv.Key{"a", "b", "c", "d", "e", "f", "ghost"} // ghost is never written
 	version := uint64(0)
 	current := map[kv.Key]uint64{}
@@ -120,7 +159,6 @@ func runDifferential(t *testing.T, name string, cfg Config, hooks bool, seed int
 		write(k)
 	}
 	id := kv.TxnID(1)
-	var txn *Txn // the owned side's open transaction; nil until its next read
 	for step := 0; step < 120; step++ {
 		fail := func(format string, args ...any) {
 			t.Helper()
@@ -151,52 +189,56 @@ func runDifferential(t *testing.T, name string, cfg Config, hooks bool, seed int
 			}
 		}
 		lastOp := rng.Intn(2) == 0
-		beforeB, beforeS, beforeO := batch.c.Metrics(), single.c.Metrics(), owned.c.Metrics()
-		gotVals, gotErr := batch.c.ReadMulti(bgc, id, read, lastOp)
-		wantVals, stopped, wantErr := sequential(single.c, id, read, lastOp)
-		if txn == nil {
-			txn = owned.c.Begin(id, time.Time{})
+		before := make([]MetricsSnapshot, len(sides))
+		for i, s := range sides {
+			before[i] = s.c.Metrics()
 		}
-		ownVals, ownErr := txn.ReadMulti(bgc, read)
+		wantVals, stopped, wantErr := perKey(ref.open(id), read)
+		ownVals, ownErr := owned.open(id).ReadMulti(bgc, read)
+		gotVals, gotErr := batch.c.ReadMulti(bgc, id, read, lastOp)
+		seqVals, seqErr := sequential(single.c, id, read, lastOp)
 		if lastOp && (wantErr == nil || stopped == len(read)-1) {
 			// lastOp's rule: the transaction ends with this read, as
 			// committed — unless the read aborted it (ending it already)
 			// or stopped short of its last key.
-			txn.Finish(true)
-			txn = nil
+			ref.finish(true)
+			owned.finish(true)
 		}
 		for _, got := range []struct {
-			side string
+			side *diffSide
 			vals []kv.Value
 			err  error
-		}{{"ReadMulti", gotVals, gotErr}, {"Txn.ReadMulti", ownVals, ownErr}} {
+		}{{owned, ownVals, ownErr}, {batch, gotVals, gotErr}, {single, seqVals, seqErr}} {
 			if errShape(got.err) != errShape(wantErr) {
-				fail("%s(%v) = %v, sequential reads = %v", got.side, read, got.err, wantErr)
+				fail("%s(%v) = %v, Txn.Read per key = %v", got.side.name, read, got.err, wantErr)
 			}
 			if !reflect.DeepEqual(got.vals, wantVals) {
-				fail("%s(%v) values %q, sequential reads %q", got.side, read, got.vals, wantVals)
+				fail("%s(%v) values %q, Txn.Read per key %q", got.side.name, read, got.vals, wantVals)
 			}
 		}
-		if !reflect.DeepEqual(batch.comps, single.comps) || !reflect.DeepEqual(owned.comps, single.comps) {
-			fail("completions diverged after %v:\n batch  %+v\n single %+v\n owned  %+v", read, batch.comps, single.comps, owned.comps)
-		}
-		deltaB, deltaS, deltaO := metricsDelta(batch.c.Metrics(), beforeB), metricsDelta(single.c.Metrics(), beforeS), metricsDelta(owned.c.Metrics(), beforeO)
-		// Only a batch issues batch backend calls.
-		deltaB.BatchPrefetches, deltaB.BatchPrefetchedKeys = 0, 0
-		deltaO.BatchPrefetches, deltaO.BatchPrefetchedKeys = 0, 0
 		var ie *InconsistencyError
-		if errors.As(gotErr, &ie) && ie.Equation == 1 && slices.Contains(read[stopped+1:], ie.StaleKey) {
-			// The one legitimate difference: the eq.1 violator is also a
-			// later key of this batch, so the batch may have refetched it
-			// before the violation was found — nothing stale is left for
-			// EVICT/RETRY to evict.
-			deltaB.Evictions, deltaS.Evictions, deltaO.Evictions = 0, 0, 0
-		}
-		if deltaB != deltaS || deltaO != deltaS {
-			fail("counter deltas diverged after %v (err %v):\n batch  %+v\n single %+v\n owned  %+v", read, gotErr, deltaB, deltaS, deltaO)
-		}
-		if deltaB.Reads != deltaB.Hits+deltaB.Misses {
-			fail("Reads %d != Hits %d + Misses %d", deltaB.Reads, deltaB.Hits, deltaB.Misses)
+		// The one legitimate difference: the eq.1 violator is also a later
+		// key of this batch, so a batch may have refetched it before the
+		// violation was found — nothing stale is left for EVICT/RETRY to
+		// evict.
+		refetched := errors.As(wantErr, &ie) && ie.Equation == 1 && slices.Contains(read[stopped+1:], ie.StaleKey)
+		deltas := make([]MetricsSnapshot, len(sides))
+		for i, s := range sides {
+			if !reflect.DeepEqual(s.comps, ref.comps) {
+				fail("%s completions diverged after %v:\n got  %+v\n want %+v", s.name, read, s.comps, ref.comps)
+			}
+			d := metricsDelta(s.c.Metrics(), before[i])
+			if d.Reads != d.Hits+d.Misses {
+				fail("%s: Reads %d != Hits %d + Misses %d", s.name, d.Reads, d.Hits, d.Misses)
+			}
+			// Only a batch issues batch backend calls.
+			d.BatchPrefetches, d.BatchPrefetchedKeys = 0, 0
+			if refetched {
+				d.Evictions = 0
+			}
+			if deltas[i] = d; d != deltas[0] {
+				fail("%s counter deltas diverged after %v (err %v):\n got  %+v\n want %+v", s.name, read, wantErr, d, deltas[0])
+			}
 		}
 		if ie != nil {
 			if ie.Equation == 1 {
@@ -205,7 +247,7 @@ func runDifferential(t *testing.T, name string, cfg Config, hooks bool, seed int
 				eq2At[stopped]++
 			}
 		}
-		if gotErr != nil {
+		if wantErr != nil {
 			// The batches looked up (and filled) the keys behind the
 			// failing one before validating; the single reads never
 			// reached them. Bring every cache to the same contents before
@@ -217,23 +259,26 @@ func runDifferential(t *testing.T, name string, cfg Config, hooks bool, seed int
 			}
 		}
 		for _, k := range keys {
-			if b, s, o := batch.c.Contains(k), single.c.Contains(k), owned.c.Contains(k); b != s || o != s {
-				fail("after %v (err %v): Contains(%s) batch %v, single %v, owned %v", read, gotErr, k, b, s, o)
-			}
-		}
-		if b, s, o := batch.c.ActiveTxns(), single.c.ActiveTxns(), owned.c.ActiveTxns(); b != s || o != s {
-			fail("ActiveTxns batch %d, single %d, owned %d", b, s, o)
-		}
-		if lastOp || errors.Is(gotErr, ErrTxnAborted) || rng.Intn(4) == 0 {
-			if rng.Intn(2) == 0 { // leaves no record behind either way
-				batch.c.Abort(id)
-				single.c.Abort(id)
-				if txn != nil {
-					txn.Finish(false)
+			for _, s := range sides {
+				if got, want := s.c.Contains(k), ref.c.Contains(k); got != want {
+					fail("after %v (err %v): Contains(%s) %s %v, reference %v", read, wantErr, k, s.name, got, want)
 				}
 			}
+		}
+		for _, s := range sides {
+			if got, want := s.c.ActiveTxns(), ref.c.ActiveTxns(); got != want {
+				fail("ActiveTxns %s %d, reference %d", s.name, got, want)
+			}
+		}
+		if lastOp || errors.Is(wantErr, ErrTxnAborted) || rng.Intn(4) == 0 {
+			if rng.Intn(2) == 0 { // leaves no record behind either way
+				ref.finish(false)
+				owned.finish(false)
+				batch.c.Abort(id)
+				single.c.Abort(id)
+			}
 			// Otherwise an open transaction is abandoned, on every side.
-			txn = nil
+			ref.txn, owned.txn = nil, nil
 			id++
 		}
 	}
