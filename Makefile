@@ -17,7 +17,7 @@ test:
 # (the commit door, key-ordered locking, the money-transfer invariant
 # with crossed key orders),
 # over the write path's tests (commit, install, relay), over the read transactions' (owned ReadTxn handles,
-# the ID-keyed table, Close mid-flight) and over the routed read's
+# core.Cache.Read's parked transactions, Close mid-flight) and over the routed read's
 # (callers writing their own frames on a shared connection, pipelined
 # sub-batches, dispatch workers), the wire's read transactions
 # (server-minted, one per request, several clients at once) and the

@@ -323,7 +323,8 @@ func durableCommit(t *testing.T, standby bool, minSync int) func() error {
 }
 
 // coreWarmHit returns one five-read validated transaction, all hits, on
-// a core cache built from cfg over an in-process database.
+// a core cache built from cfg over an in-process database: Begin,
+// Txn.Read per key and Finish, as ReadTxn runs it.
 func coreWarmHit(t *testing.T, cfg core.Config) func() error {
 	d := db.Open(db.Config{DepBound: 5})
 	t.Cleanup(func() { d.Close() })
@@ -339,12 +340,14 @@ func coreWarmHit(t *testing.T, cfg core.Config) func() error {
 	var id kv.TxnID
 	return func() error {
 		id++
-		for r, k := range keys {
-			if _, err := cache.Read(bgb, id, k, r == len(keys)-1); err != nil {
+		txn := cache.Begin(id, time.Time{})
+		for _, k := range keys {
+			if _, err := txn.Read(bgb, k); err != nil {
+				txn.Finish(false)
 				return err
 			}
 		}
-		return nil
+		return txn.Finish(true)
 	}
 }
 

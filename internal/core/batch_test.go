@@ -56,7 +56,7 @@ func TestReadMultiPrefetchesInOneBatch(t *testing.T) {
 		b.put(k, "v-"+string(k), 1)
 	}
 
-	vals, err := c.ReadMulti(bgc, 1, []kv.Key{"a", "b", "x"}, true)
+	vals, err := readTxn(c, 1, []kv.Key{"a", "b", "x"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestReadMultiPrefetchesInOneBatch(t *testing.T) {
 	}
 
 	// A second transaction over the same keys is pure hits.
-	if _, err := c.ReadMulti(bgc, 2, []kv.Key{"a", "b", "x"}, true); err != nil {
+	if _, err := readTxn(c, 2, []kv.Key{"a", "b", "x"}); err != nil {
 		t.Fatal(err)
 	}
 	m = c.Metrics()
@@ -101,7 +101,7 @@ func TestReadMultiOnlyFetchesMisses(t *testing.T) {
 	if _, err := c.Get(bgc, "hot"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.ReadMulti(bgc, 1, []kv.Key{"hot", "cold"}, true); err != nil {
+	if _, err := readTxn(c, 1, []kv.Key{"hot", "cold"}); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Metrics().BatchPrefetchedKeys; got != 1 {
@@ -124,7 +124,7 @@ func TestReadMultiValidatesLikeRead(t *testing.T) {
 
 	// Prefetch skips B (cached, stale, cache doesn't know) and fetches A;
 	// reading A then B trips equation 2 on B.
-	_, err := c.ReadMulti(bgc, 1, []kv.Key{"A", "B"}, true)
+	_, err := readTxn(c, 1, []kv.Key{"A", "B"})
 	var ie *InconsistencyError
 	if !errors.As(err, &ie) || ie.Equation != 2 || ie.StaleKey != "B" {
 		t.Fatalf("ReadMulti = %v, want eq.2 violation on B", err)
@@ -144,7 +144,7 @@ func TestReadMultiRetryHealsThroughBatch(t *testing.T) {
 	b.put("B", "b-new", 2)
 	b.put("A", "a-new", 2, dep("B", 2))
 
-	vals, err := c.ReadMulti(bgc, 1, []kv.Key{"A", "B"}, true)
+	vals, err := readTxn(c, 1, []kv.Key{"A", "B"})
 	if err != nil {
 		t.Fatalf("RETRY should have healed: %v", err)
 	}
@@ -160,7 +160,7 @@ func TestReadMultiSurvivesBatchFailure(t *testing.T) {
 	c := newCache(t, Config{Backend: b})
 	b.put("a", "1", 1)
 	b.put("b", "2", 1)
-	vals, err := c.ReadMulti(bgc, 1, []kv.Key{"a", "b"}, true)
+	vals, err := readTxn(c, 1, []kv.Key{"a", "b"})
 	if err != nil || len(vals) != 2 {
 		t.Fatalf("ReadMulti = %q, %v", vals, err)
 	}
@@ -173,7 +173,7 @@ func TestReadMultiWithoutBatchBackend(t *testing.T) {
 	b := newMapBackend() // no ReadItems
 	c := newCache(t, Config{Backend: b})
 	b.put("a", "1", 1)
-	vals, err := c.ReadMulti(bgc, 1, []kv.Key{"a"}, true)
+	vals, err := readTxn(c, 1, []kv.Key{"a"})
 	if err != nil || string(vals[0]) != "1" {
 		t.Fatalf("ReadMulti = %q, %v", vals, err)
 	}
@@ -183,15 +183,16 @@ func TestReadMultiEmptyLastOpCompletes(t *testing.T) {
 	b := newBatchBackend()
 	c := newCache(t, Config{Backend: b})
 	b.put("x", "1", 1)
-	if _, err := c.Read(bgc, 1, "x", false); err != nil {
+	txn := c.Begin(1, time.Time{})
+	if _, err := txn.Read(bgc, "x"); err != nil {
 		t.Fatal(err)
 	}
-	vals, err := c.ReadMulti(bgc, 1, nil, true)
+	vals, err := txn.ReadMulti(bgc, nil)
 	if err != nil || len(vals) != 0 {
 		t.Fatalf("empty ReadMulti = %q, %v", vals, err)
 	}
-	if c.ActiveTxns() != 0 {
-		t.Fatal("empty lastOp batch leaked the txn record")
+	if err := txn.Finish(true); err != nil || c.ActiveTxns() != 0 {
+		t.Fatalf("Finish after an empty batch = %v, %d active; want nil, 0", err, c.ActiveTxns())
 	}
 	if got := c.Metrics().TxnsCommitted; got != 1 {
 		t.Fatalf("TxnsCommitted = %d, want 1", got)
@@ -209,12 +210,12 @@ func TestReadMultiRefreshesExpiredEntriesInOneBatch(t *testing.T) {
 	for _, k := range keys {
 		b.put(k, "static", 1)
 	}
-	if _, err := c.ReadMulti(bgc, 1, keys, true); err != nil {
+	if _, err := readTxn(c, 1, keys); err != nil {
 		t.Fatal(err)
 	}
 	clk.RunFor(2 * time.Second) // expire everything
 	gets := b.getCount()
-	if _, err := c.ReadMulti(bgc, 2, keys, true); err != nil {
+	if _, err := readTxn(c, 2, keys); err != nil {
 		t.Fatal(err)
 	}
 	if got := b.getCount() - gets; got != 3 {
@@ -225,7 +226,7 @@ func TestReadMultiRefreshesExpiredEntriesInOneBatch(t *testing.T) {
 	}
 	// The prefetch restarted the TTL: a third pass is all hits, no fetch.
 	gets = b.getCount()
-	if _, err := c.ReadMulti(bgc, 3, keys, true); err != nil {
+	if _, err := readTxn(c, 3, keys); err != nil {
 		t.Fatal(err)
 	}
 	if got := b.getCount() - gets; got != 0 {
@@ -250,17 +251,18 @@ func TestReadCancelledContext(t *testing.T) {
 func TestCancelMidFetchLeavesRecoverableTxn(t *testing.T) {
 	// The ctx dies during the backend fetch of the second read. The error
 	// surfaces, the record survives (the caller owns the abort decision),
-	// and an explicit Abort releases it.
+	// and Finish aborts it.
 	b := newBatchBackend()
 	c := newCache(t, Config{Backend: b})
 	b.put("x", "1", 1)
 	b.put("y", "2", 1)
-	if _, err := c.Read(bgc, 7, "x", false); err != nil {
+	txn := c.Begin(7, time.Time{})
+	if _, err := txn.Read(bgc, "x"); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := c.Read(ctx, 7, "y", false); !errors.Is(err, context.Canceled) {
+	if _, err := txn.Read(ctx, "y"); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Read = %v, want context.Canceled", err)
 	}
 	if c.ActiveTxns() != 1 {
@@ -268,9 +270,9 @@ func TestCancelMidFetchLeavesRecoverableTxn(t *testing.T) {
 	}
 	var comp Completion
 	c.OnComplete(func(cp Completion) { comp = cp })
-	c.Abort(7)
+	txn.Finish(false)
 	if c.ActiveTxns() != 0 {
-		t.Fatal("Abort after cancellation leaked the record")
+		t.Fatal("abort after cancellation leaked the record")
 	}
 	if comp.Committed || len(comp.Reads) != 1 {
 		t.Fatalf("completion = %+v", comp)

@@ -22,12 +22,10 @@
 // held, because a record always has exactly one holder. The strategy code
 // a failed check falls into locks only the shard of an entry it evicts.
 //
-// A transaction from Begin (the public API's ReadTxn, a cache server's
-// read transaction) is owned by its caller and is in no table. The
-// txnStripes (64) stripes of the transaction table only map the TxnIDs of
-// the ID-keyed API (Read, ReadMulti and Abort by ID) to their Txns, under
-// the rule txn.go states; a stripe's mutex is never held together with a
-// shard's.
+// A transaction is a Txn from Begin (the public API's ReadTxn, a cache
+// server's read transaction), owned by its caller: nothing locks it. Read,
+// the TxnID-keyed form of the paper's interface, parks its open Txn
+// between calls under one leaf mutex, never held together with a shard's.
 // Completion hooks are always invoked with no cache lock held, so hooks
 // may call back into the cache.
 package core
@@ -89,9 +87,6 @@ var (
 	ErrNotFound = errors.New("tcache: key not found")
 	// ErrClosed reports that the cache is shut down.
 	ErrClosed = errors.New("tcache: closed")
-	// ErrTxnBusy reports an ID-keyed call (Read, ReadMulti, Abort) on a
-	// transaction another call is still inside.
-	ErrTxnBusy = errors.New("tcache: transaction busy in another call")
 )
 
 // InconsistencyError is the concrete error wrapped into ErrTxnAborted; it
@@ -126,7 +121,7 @@ type Backend interface {
 }
 
 // BatchBackend is the optional batch extension of Backend: one round trip
-// for many keys. ReadMulti uses it to prefetch all missing keys of a
+// for many keys. Txn.ReadMulti uses it to prefetch all missing keys of a
 // transactional batch read at once; backends that do not implement it are
 // read key by key.
 type BatchBackend interface {
@@ -242,8 +237,8 @@ type Config struct {
 	// least one unit), so a memory bound no longer costs the lock
 	// striping. 1 makes per-shard LRU exactly global LRU. With
 	// Shards > 1 eviction is approximately global: each shard ranks
-	// only its own residents. The transaction table is striped
-	// separately (txnStripes): its stripes own no budget.
+	// only its own residents. The transaction counters are striped
+	// separately (txnStripes) and own no budget.
 	Shards int
 	// Telemetry, when non-nil, receives latency observations from the
 	// read paths (sampled warm hits, cold fills, whole batches). Nil
@@ -265,6 +260,11 @@ type Cache struct {
 
 	closed atomic.Bool
 
+	// parked holds the open transactions of Read between its calls, by
+	// TxnID; nil until the first.
+	parkMu sync.Mutex //tcache:lockclass parked
+	parked map[kv.TxnID]*Txn
+
 	// hooks is copy-on-write: OnComplete (serialized by hookMu) stores
 	// a fresh slice, emit reads it with one atomic load and no lock.
 	hookMu sync.Mutex
@@ -281,10 +281,11 @@ type Cache struct {
 	policyEvictions *uint64v
 }
 
-// The locking protocol, as enforced by tcachelint's locks analyzer:
-// the cache's two lock classes, shard and stripe, are never held together
-// — no lockorder relation joins them, so any nesting is flagged — and at
-// most one lock of each is held at a time.
+// The locking protocol, as enforced by tcachelint's locks analyzer: an
+// entry shard's mutex (lock class shard) is the only lock a read, fill or
+// eviction takes, one at a time. Read's parkMu (class parked) is a leaf
+// that guards the parked map alone: no lockorder relation joins the two
+// classes, so any nesting is flagged.
 
 // The counters every read and every transaction moves are not Metrics'
 // shared atomics: each is kept beside the shard or stripe it belongs to
@@ -333,20 +334,16 @@ type cacheShard struct {
 	_  [64]byte // keeps the next shard's mutex off this shard's last line
 }
 
-// txnStripes is the number of stripes of the transaction table and its
-// counters. Stripes own no budget, so there are many: consecutive TxnIDs
-// land on different stripes and concurrent transactions rarely meet.
+// txnStripes is the number of stripes of the transaction counters.
+// Stripes own no budget, so there are many: consecutive TxnIDs land on
+// different stripes and concurrent transactions rarely meet.
 const txnStripes = 64
 
-// txnStripe is one stripe of the transaction table — the ID-keyed
-// transactions, under txn.go's rule — and of the transaction counters,
-// padded to two cache lines so neighbours in Cache.stripes never share
-// one.
+// txnStripe is one stripe of the transaction counters, padded to two
+// cache lines so neighbours in Cache.stripes never share one.
 type txnStripe struct {
-	mu   sync.Mutex //tcache:lockclass stripe
-	txns map[kv.TxnID]*Txn
-	hot  [len(hotNames)]uint64v
-	_    [80]byte // 48 bytes of fields above + 80 = 128
+	hot [len(hotNames)]uint64v
+	_   [96]byte // 32 bytes of counters + 96 = 128
 }
 
 // entry is one cached key. It holds exactly one committed version: an
@@ -534,9 +531,6 @@ func New(cfg Config) (*Cache, error) {
 	for i := range c.shards {
 		c.shards[i] = &cacheShard{entries: make(map[kv.Key]*entry)}
 	}
-	for i := range c.stripes {
-		c.stripes[i].txns = make(map[kv.TxnID]*Txn)
-	}
 	switch cfg.Policy {
 	case evict.Clock:
 		c.policyEvictions = &c.metrics.EvictionsClock
@@ -589,29 +583,19 @@ func (c *Cache) stripeFor(txnID kv.TxnID) *txnStripe {
 
 // Close ends every in-flight transaction as aborted-on-close, reporting
 // each as an uncommitted Completion to the registered hooks (so monitors
-// never undercount aborts): the idle ones of the transaction table at
-// once, one an ID-keyed call holds when the call hands it back (checkin),
-// an owned one (Begin) at its next read or Finish. Subsequent reads fail
-// with ErrClosed. Close is idempotent.
+// never undercount aborts): those parked by Read at once, one a caller
+// holds (Begin's, or Read's mid-call) at its next read or Finish.
+// Subsequent reads fail with ErrClosed. Close is idempotent.
 func (c *Cache) Close() {
 	if !c.closed.CompareAndSwap(false, true) {
 		return
 	}
-	var ended []*Txn
-	for i := range c.stripes {
-		st := &c.stripes[i]
-		st.mu.Lock()
-		for id, t := range st.txns {
-			if !t.busy {
-				delete(st.txns, id)
-				ended = append(ended, t)
-			}
-		}
-		st.mu.Unlock()
-	}
-	for _, t := range ended {
-		t.end(&c.metrics.TxnsAbortedOnClose, false, nil)
-		t.recycle()
+	c.parkMu.Lock()
+	parked := c.parked
+	c.parked = nil
+	c.parkMu.Unlock()
+	for _, t := range parked {
+		t.Finish(false) // meets the closed cache: aborted-on-close
 	}
 }
 
@@ -714,7 +698,8 @@ func (c *Cache) MaxBytes() uint64 { return uint64(c.cfg.MaxBytes) }
 func (c *Cache) EvictionPolicy() evict.Kind { return c.cfg.Policy }
 
 // ActiveTxns returns the number of transactions begun and not yet ended,
-// owned and ID-keyed alike: every start counted, less every ending.
+// held by their callers or parked by Read: every start counted, less
+// every ending.
 func (c *Cache) ActiveTxns() int {
 	// Endings first: a transaction they include began earlier, so the
 	// starts loaded afterwards include it too.

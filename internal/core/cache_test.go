@@ -64,6 +64,18 @@ func newCache(t *testing.T, cfg Config) *Cache {
 	return c
 }
 
+// readTxn reads keys as one transaction id, the way tcache.Cache.ReadTxn
+// runs one: Begin, Txn.ReadMulti, then Finish — committed if the read
+// succeeded, aborted if it failed.
+func readTxn(c *Cache, id kv.TxnID, keys []kv.Key) ([]kv.Value, error) {
+	txn := c.Begin(id, time.Time{})
+	vals, err := txn.ReadMulti(bgc, keys)
+	if ferr := txn.Finish(err == nil); err == nil && ferr != nil {
+		return nil, ferr
+	}
+	return vals, err
+}
+
 func dep(key kv.Key, ver uint64) kv.DepEntry {
 	return kv.DepEntry{Key: key, Version: kv.Version{Counter: ver}}
 }
@@ -301,16 +313,17 @@ func TestExplicitAbort(t *testing.T) {
 	b := newMapBackend()
 	c := newCache(t, Config{Backend: b})
 	b.put("x", "1", 1)
-	if _, err := c.Read(bgc, 3, "x", false); err != nil {
+	txn := c.Begin(3, time.Time{})
+	if _, err := txn.Read(bgc, "x"); err != nil {
 		t.Fatal(err)
 	}
 	var comp Completion
 	c.OnComplete(func(cp Completion) { comp = cp })
-	c.Abort(3)
+	txn.Finish(false)
 	if comp.Committed || comp.TxnID != 3 || len(comp.Reads) != 1 {
 		t.Fatalf("completion = %+v", comp)
 	}
-	c.Abort(99) // unknown: no-op
+	c.Begin(99, time.Time{}).Finish(false) // never read: no report
 	if got := c.Metrics().TxnsAborted; got != 1 {
 		t.Fatalf("TxnsAborted = %d, want 1", got)
 	}
@@ -458,17 +471,21 @@ func TestNotFoundKeepsTxnAlive(t *testing.T) {
 	b := newMapBackend()
 	c := newCache(t, Config{Backend: b})
 	b.put("x", "1", 1)
-	if _, err := c.Read(bgc, 1, "x", false); err != nil {
+	txn := c.Begin(1, time.Time{})
+	if _, err := txn.Read(bgc, "x"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Read(bgc, 1, "ghost", false); !errors.Is(err, ErrNotFound) {
+	if _, err := txn.Read(bgc, "ghost"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("err = %v", err)
 	}
 	if c.ActiveTxns() != 1 {
 		t.Fatal("not-found read killed the transaction")
 	}
-	if _, err := c.Read(bgc, 1, "x", true); err != nil {
+	if _, err := txn.Read(bgc, "x"); err != nil {
 		t.Fatal(err)
+	}
+	if err := txn.Finish(true); err != nil || c.Metrics().TxnsCommitted != 1 {
+		t.Fatalf("Finish = %v, committed %d; want nil, 1", err, c.Metrics().TxnsCommitted)
 	}
 }
 

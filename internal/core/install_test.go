@@ -36,7 +36,7 @@ func TestInstallIsAFillWithoutAFetch(t *testing.T) {
 		c := newCache(t, Config{Backend: b})
 		c.Install("a", itemAt("a5", 5, dep("b", 5)))
 		c.Install("b", itemAt("b5", 5, dep("a", 5)))
-		vals, err := c.ReadMulti(bgc, 1, []kv.Key{"a", "b"}, true)
+		vals, err := readTxn(c, 1, []kv.Key{"a", "b"})
 		if err != nil || string(vals[0]) != "a5" || string(vals[1]) != "b5" {
 			t.Fatalf("read of installed items = %q, %v", vals, err)
 		}

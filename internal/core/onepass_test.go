@@ -68,27 +68,6 @@ func perKey(txn *Txn, keys []kv.Key) ([]kv.Value, int, error) {
 	return vals, len(keys), nil
 }
 
-// sequential is one Read per key by ID, the last carrying lastOp,
-// stopping at the first error. With no key to carry it, lastOp rides on
-// an empty batch.
-func sequential(c *Cache, id kv.TxnID, keys []kv.Key, lastOp bool) ([]kv.Value, error) {
-	if len(keys) == 0 {
-		if lastOp {
-			c.ReadMulti(bgc, id, nil, true)
-		}
-		return nil, nil
-	}
-	vals := make([]kv.Value, len(keys))
-	for i, k := range keys {
-		v, err := c.Read(bgc, id, k, lastOp && i == len(keys)-1)
-		if err != nil {
-			return nil, err
-		}
-		vals[i] = v
-	}
-	return vals, nil
-}
-
 // errShape reduces an error to what callers can observe of it.
 func errShape(err error) string {
 	var ie *InconsistencyError
@@ -131,22 +110,19 @@ func TestReadMultiMatchesSequentialReads(t *testing.T) {
 
 // runDifferential drives one seeded history through the sides. The
 // reference reads per key through an owned transaction (Begin, Txn.Read,
-// Finish), stopping at the first error; the owned batch side reads the
-// same keys with Txn.ReadMulti. Both end their transaction where lastOp
-// would, and abandon or abort it where the history does. The ID-keyed
-// sides read by TxnID: ReadMulti, and one Read per key. With batchHash
-// set, the batch sides hash their keys with it instead of hashKey.
+// Finish), stopping at the first error; the batch side reads the same
+// keys with Txn.ReadMulti. Both end their transaction where lastOp would,
+// and abandon or abort it where the history does. With batchHash set,
+// the batch side hashes its keys with it instead of hashKey.
 func runDifferential(t *testing.T, name string, cfg Config, hooks bool, seed int64, batchHash func(kv.Key) uint64, eq1At, eq2At *[5]int) {
 	rng := rand.New(rand.NewSource(seed))
 	b := newBatchBackend()
 	cfg.Backend = b
 	ref, owned := newDiffSide(t, "Txn.Read", cfg, hooks), newDiffSide(t, "Txn.ReadMulti", cfg, hooks)
-	batch, single := newDiffSide(t, "ReadMulti", cfg, hooks), newDiffSide(t, "Read", cfg, hooks)
 	if batchHash != nil {
 		owned.c.hash = batchHash // before the first insert
-		batch.c.hash = batchHash
 	}
-	sides := []*diffSide{ref, owned, batch, single}
+	sides := []*diffSide{ref, owned}
 	keys := []kv.Key{"a", "b", "c", "d", "e", "f", "ghost"} // ghost is never written
 	version := uint64(0)
 	current := map[kv.Key]uint64{}
@@ -195,8 +171,6 @@ func runDifferential(t *testing.T, name string, cfg Config, hooks bool, seed int
 		}
 		wantVals, stopped, wantErr := perKey(ref.open(id), read)
 		ownVals, ownErr := owned.open(id).ReadMulti(bgc, read)
-		gotVals, gotErr := batch.c.ReadMulti(bgc, id, read, lastOp)
-		seqVals, seqErr := sequential(single.c, id, read, lastOp)
 		if lastOp && (wantErr == nil || stopped == len(read)-1) {
 			// lastOp's rule: the transaction ends with this read, as
 			// committed — unless the read aborted it (ending it already)
@@ -204,21 +178,15 @@ func runDifferential(t *testing.T, name string, cfg Config, hooks bool, seed int
 			ref.finish(true)
 			owned.finish(true)
 		}
-		for _, got := range []struct {
-			side *diffSide
-			vals []kv.Value
-			err  error
-		}{{owned, ownVals, ownErr}, {batch, gotVals, gotErr}, {single, seqVals, seqErr}} {
-			if errShape(got.err) != errShape(wantErr) {
-				fail("%s(%v) = %v, Txn.Read per key = %v", got.side.name, read, got.err, wantErr)
-			}
-			if !reflect.DeepEqual(got.vals, wantVals) {
-				fail("%s(%v) values %q, Txn.Read per key %q", got.side.name, read, got.vals, wantVals)
-			}
+		if errShape(ownErr) != errShape(wantErr) {
+			fail("Txn.ReadMulti(%v) = %v, Txn.Read per key = %v", read, ownErr, wantErr)
+		}
+		if !reflect.DeepEqual(ownVals, wantVals) {
+			fail("Txn.ReadMulti(%v) values %q, Txn.Read per key %q", read, ownVals, wantVals)
 		}
 		var ie *InconsistencyError
 		// The one legitimate difference: the eq.1 violator is also a later
-		// key of this batch, so a batch may have refetched it before the
+		// key of this batch, so the batch may have refetched it before the
 		// violation was found — nothing stale is left for EVICT/RETRY to
 		// evict.
 		refetched := errors.As(wantErr, &ie) && ie.Equation == 1 && slices.Contains(read[stopped+1:], ie.StaleKey)
@@ -248,9 +216,8 @@ func runDifferential(t *testing.T, name string, cfg Config, hooks bool, seed int
 			}
 		}
 		if wantErr != nil {
-			// The batches looked up (and filled) the keys behind the
-			// failing one before validating; the single reads never
-			// reached them. Bring every cache to the same contents before
+			// The batch looked up (and filled) the keys behind the failing
+			// one before validating; the single reads never reached them. Bring every cache to the same contents before
 			// going on.
 			for _, k := range read[stopped:] {
 				for _, s := range sides {
@@ -274,8 +241,6 @@ func runDifferential(t *testing.T, name string, cfg Config, hooks bool, seed int
 			if rng.Intn(2) == 0 { // leaves no record behind either way
 				ref.finish(false)
 				owned.finish(false)
-				batch.c.Abort(id)
-				single.c.Abort(id)
 			}
 			// Otherwise an open transaction is abandoned, on every side.
 			ref.txn, owned.txn = nil, nil
@@ -310,7 +275,7 @@ func TestReadsEqualHitsPlusMisses(t *testing.T) {
 		b.put("a", "1", 1)
 		b.put("b", "1", 1)
 		c.Read(bgc, 1, "a", true)                                // miss
-		c.ReadMulti(bgc, 2, []kv.Key{"a", "b", "b"}, true)       // hit, miss, hit (served by b's fill)
+		readTxn(c, 2, []kv.Key{"a", "b", "b"})                   // hit, miss, hit (served by b's fill)
 		c.GetItems(bgc, []kv.Key{"a", "zz", "zz"}, kv.Version{}) // hit, miss, miss (never found)
 		check(t, c, 7, 3)
 	})
@@ -342,7 +307,7 @@ func TestReadsEqualHitsPlusMisses(t *testing.T) {
 		b := newBatchBackend()
 		c := newCache(t, Config{Backend: b, MaxBytes: 1 << 20, Admission: true, Shards: 1})
 		b.put("a", "1", 1)
-		c.ReadMulti(bgc, 1, []kv.Key{"a", "a"}, true) // declined, then admitted: two misses
+		readTxn(c, 1, []kv.Key{"a", "a"}) // declined, then admitted: two misses
 		c.Get(bgc, "a")
 		check(t, c, 3, 1)
 		if got := c.Metrics().AdmissionRejects; got != 1 {
@@ -351,7 +316,7 @@ func TestReadsEqualHitsPlusMisses(t *testing.T) {
 	})
 	t.Run("retry refetch", func(t *testing.T) {
 		c, _ := staleBCache(t, StrategyRetry)
-		if _, err := c.ReadMulti(bgc, 1, []kv.Key{"A", "B"}, true); err != nil {
+		if _, err := readTxn(c, 1, []kv.Key{"A", "B"}); err != nil {
 			t.Fatal(err)
 		}
 		m := c.Metrics()
@@ -362,7 +327,8 @@ func TestReadsEqualHitsPlusMisses(t *testing.T) {
 	t.Run("failed fetch", func(t *testing.T) {
 		b := newMapBackend()
 		c := newCache(t, Config{Backend: failingBackend{b}})
-		if _, err := c.ReadMulti(bgc, 1, []kv.Key{"a", "b"}, true); err == nil {
+		txn := c.Begin(1, time.Time{})
+		if _, err := txn.ReadMulti(bgc, []kv.Key{"a", "b"}); err == nil {
 			t.Fatal("ReadMulti over a dead backend succeeded")
 		}
 		check(t, c, 1, 0) // stopped at the first key
@@ -372,6 +338,7 @@ func TestReadsEqualHitsPlusMisses(t *testing.T) {
 		if c.ActiveTxns() != 1 {
 			t.Fatal("a failed fetch must leave the transaction to its caller")
 		}
+		txn.Finish(false)
 	})
 }
 
@@ -391,7 +358,9 @@ func TestReadMultiCancelledDuringBatchFetch(t *testing.T) {
 	b.put("a", "1", 1)
 	b.put("b", "1", 1)
 	ctx, cancel := context.WithCancel(context.Background())
-	_, err := c.ReadMulti(context.WithValue(ctx, cancelKey{}, cancel), 1, []kv.Key{"a", "b"}, true)
+	txn := c.Begin(1, time.Time{})
+	defer txn.Finish(false)
+	_, err := txn.ReadMulti(context.WithValue(ctx, cancelKey{}, cancel), []kv.Key{"a", "b"})
 	if err != context.Canceled {
 		t.Fatalf("ReadMulti = %v, want context.Canceled itself", err)
 	}
@@ -427,7 +396,7 @@ func TestReadMultiLargeBatchAndDuplicates(t *testing.T) {
 	}
 	var comp Completion
 	c.OnComplete(func(cp Completion) { comp = cp })
-	vals, err := c.ReadMulti(bgc, 1, keys, true)
+	vals, err := readTxn(c, 1, keys)
 	if err != nil {
 		t.Fatal(err)
 	}

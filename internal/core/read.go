@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"time"
 
 	"tcache/internal/kv"
 )
@@ -16,68 +17,48 @@ type violation struct {
 	staleBelow kv.Version
 }
 
-// Read is the transactional read interface of §III-B:
-//
-//	read(ctx, txnID, key, lastOp)
-//
-// It returns the cached (or fetched) value for key, validating it against
-// every previous read of the same transaction. The returned value is
-// shared with the cache (copy-on-write: updates replace whole items, so
-// a served slice is never mutated) and must be treated as read-only;
-// callers that need to modify it must copy it first (kv.Value.Clone). If an inconsistency is
-// detected the transaction is aborted and an error wrapping ErrTxnAborted
-// is returned (for StrategyRetry, only when the read-through could not
-// resolve the violation). lastOp ends the transaction, reported as
-// committed, and releases its record.
-//
-// ctx bounds the backend fetch on a miss; a cancellation surfaces as
-// ctx.Err() and leaves the transaction record intact (the caller decides
-// whether to Abort it).
-//
-// Read is the ID-keyed form of Txn.Read, for an in-process caller whose
-// transaction spans calls: the transaction lives in the transaction table
-// between calls (txn.go). A call for a transaction another call is still
-// inside fails at once with ErrTxnBusy.
+// Read is the paper's read interface, read(txnID, key, lastOp) (§III-B),
+// for an in-process caller whose transaction spans calls by its TxnID:
+// Begin, Txn.Read and Finish behind one ID. Between calls the open Txn
+// is parked under txnID; a call takes it out for its own length, so calls
+// of one ID must not overlap, as on a Txn. lastOp ends the transaction
+// committed. An error ends it aborted, so no parked transaction outlives
+// a failed read; a commit needs lastOp and no error.
 func (c *Cache) Read(ctx context.Context, txnID kv.TxnID, key kv.Key, lastOp bool) (kv.Value, error) {
-	t, err := c.checkout(txnID)
-	if err != nil {
-		return nil, err
+	c.parkMu.Lock()
+	t := c.parked[txnID]
+	delete(c.parked, txnID)
+	c.parkMu.Unlock()
+	if t == nil {
+		t = c.Begin(txnID, time.Time{})
 	}
-	val, last, err := t.read(ctx, key)
-	if cerr := c.checkin(t, lastOp && last); err == nil {
-		err = cerr
-	}
-	if err != nil {
+	val, err := t.Read(ctx, key)
+	switch {
+	case err != nil:
+		t.Finish(false)
 		return nil, err
+	case lastOp || !c.park(t):
+		if err := t.Finish(lastOp); err != nil {
+			return nil, err
+		}
 	}
 	return val, nil
 }
 
-// ReadMulti performs the transactional reads of keys, in order, within
-// txnID — the values, errors, completions, evictions and counters of
-// calling Read once per key, with the final read carrying lastOp — in
-// one pass: every entry shard the keys touch is locked once, and all keys
-// the cache cannot serve are fetched from the backend in ONE batch
-// request (BatchBackend). A remote transactional read of N cold keys
-// costs one round trip instead of N.
-//
-// Validation is unchanged: every key still passes the §III-B checks
-// against the transaction record one at a time, in key order, and the
-// configured strategy applies to any detected inconsistency. The first
-// error stops the batch and is returned; keys behind it were looked up
-// (and filled) but are neither validated nor counted as reads.
-//
-// Like Read, it is the ID-keyed form of its Txn method.
-func (c *Cache) ReadMulti(ctx context.Context, txnID kv.TxnID, keys []kv.Key, lastOp bool) ([]kv.Value, error) {
-	t, err := c.checkout(txnID)
-	if err != nil {
-		return nil, err
+// park holds t under its ID until the next Read of that ID takes it out.
+// Once the cache is closed it refuses, leaving t to its caller: Close
+// ends only the transactions parked before it.
+func (c *Cache) park(t *Txn) bool {
+	c.parkMu.Lock()
+	defer c.parkMu.Unlock()
+	if c.closed.Load() {
+		return false
 	}
-	vals, last, err := t.readMulti(ctx, keys)
-	if cerr := c.checkin(t, lastOp && last); err == nil && cerr != nil {
-		return nil, cerr
+	if c.parked == nil {
+		c.parked = make(map[kv.TxnID]*Txn)
 	}
-	return vals, err
+	c.parked[t.id] = t
+	return true
 }
 
 // batchInline is the batch size whose per-key scratch fits the stack
@@ -90,31 +71,28 @@ const batchInline = 8
 // which t's holder owns, so under no lock — writing each value it serves
 // to vals. A key that fails its check goes to handleViolation (RETRY's
 // refetch, or the abort), and the pass resumes behind it. out and slots
-// are per-key scratch, len(keys) each. last reports that the pass reached
-// its last key: served it, or stopped on it (absent, or its fetch failed)
-// with t still open — where the ID-keyed API's lastOp commits.
+// are per-key scratch, len(keys) each.
 //
 // ctx is consulted only when there is something to fetch: a pass that
 // collect served whole cannot block, and the transaction's owner checks
 // its ctx once before committing (tcache.Cache.ReadTxn).
-func (c *Cache) readPass(ctx context.Context, t *Txn, keys []kv.Key, out []kv.Lookup, slots []keySlot, vals []kv.Value) (bool, error) {
+func (c *Cache) readPass(ctx context.Context, t *Txn, keys []kv.Key, out []kv.Lookup, slots []keySlot, vals []kv.Value) error {
 	if err := t.check(); err != nil {
-		return false, err
+		return err
 	}
 	var fetchErr error
 	var missing keyTable
 	if c.collect(keys, kv.Version{}, out, slots, &missing, false); len(missing.rows) > 0 {
 		if err := ctx.Err(); err != nil {
-			return false, err
+			return err
 		}
 		if fetchErr = c.fill(ctx, keys, kv.Version{}, out, slots, missing.rows, false); errors.Is(fetchErr, ErrClosed) {
-			return false, t.closedOut()
+			return t.closedOut()
 		}
 	}
 	t.begin()
 	var (
 		reads, hits uint64
-		last        = true
 		err         error
 	)
 	for i := 0; i < len(keys) && err == nil; i++ {
@@ -125,7 +103,7 @@ func (c *Cache) readPass(ctx context.Context, t *Txn, keys []kv.Key, out []kv.Lo
 		if !out[i].Found {
 			// Backend miss or fetch failure (including ctx cancellation):
 			// the read fails but the transaction survives.
-			err, last = ErrNotFound, i == len(keys)-1
+			err = ErrNotFound
 			if slots[i].state != slotMiss {
 				err = fetchErr
 			}
@@ -142,7 +120,7 @@ func (c *Cache) readPass(ctx context.Context, t *Txn, keys []kv.Key, out []kv.Lo
 		r := keyRead{key: keys[i], hash: slots[i].hash, item: out[i].Item, depHash: slots[i].depHash}
 		served, verr := c.handleViolation(ctx, t, r, v)
 		if verr != nil {
-			err, last = verr, false
+			err = verr
 			break
 		}
 		vals[i] = served.Value
@@ -157,7 +135,7 @@ func (c *Cache) readPass(ctx context.Context, t *Txn, keys []kv.Key, out []kv.Lo
 		}
 	}
 	t.count(reads, hits)
-	return last, err
+	return err
 }
 
 // Get is the plain, non-transactional read API (a consistency-unaware
@@ -166,28 +144,6 @@ func (c *Cache) readPass(ctx context.Context, t *Txn, keys []kv.Key, out []kv.Lo
 func (c *Cache) Get(ctx context.Context, key kv.Key) (kv.Value, error) {
 	item, err := c.lookupOne(ctx, key, kv.Version{})
 	return item.Value, err // shared read-only; see readPass
-}
-
-// Abort ends the transaction txnID without a further read; it is reported
-// as aborted. Aborting an unknown transaction is a no-op. A transaction
-// another call is inside is left to that call: Abort returns ErrTxnBusy.
-func (c *Cache) Abort(txnID kv.TxnID) error {
-	st := c.stripeFor(txnID)
-	st.mu.Lock()
-	t := st.txns[txnID]
-	switch {
-	case t == nil:
-		st.mu.Unlock()
-		return nil
-	case t.busy:
-		st.mu.Unlock()
-		return ErrTxnBusy
-	}
-	delete(st.txns, txnID)
-	st.mu.Unlock()
-	err := t.finish(false)
-	t.recycle()
-	return err
 }
 
 // keyRead is one key on its way through the §III-B checks: the item the

@@ -273,7 +273,7 @@ func TestShardHammer(t *testing.T) {
 						_, err = c.Read(bgc, id, keys[r], r == 4)
 					}
 				} else {
-					_, err = c.ReadMulti(bgc, id, keys, true)
+					_, err = readTxn(c, id, keys)
 				}
 				switch {
 				case errors.Is(err, ErrClosed):

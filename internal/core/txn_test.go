@@ -51,86 +51,63 @@ func TestOwnedTxnMeetsClose(t *testing.T) {
 	}
 }
 
-// gateBackend holds every fetch of the key "slow" until released, so a
-// test can keep an ID-keyed call inside its transaction.
-type gateBackend struct {
-	*mapBackend
-	entered, release chan struct{}
-}
+// cancelBackend cancels the request's ctx inside the fetch of "slow".
+type cancelBackend struct{ *mapBackend }
 
-func newGateBackend() *gateBackend {
-	return &gateBackend{mapBackend: newMapBackend(), entered: make(chan struct{}), release: make(chan struct{})}
-}
-
-func (b *gateBackend) ReadItem(ctx context.Context, key kv.Key) (kv.Item, bool, error) {
+func (b cancelBackend) ReadItem(ctx context.Context, key kv.Key) (kv.Item, bool, error) {
 	if key == "slow" {
-		b.entered <- struct{}{}
-		<-b.release
+		ctx.Value(cancelKey{}).(context.CancelFunc)()
 	}
 	return b.mapBackend.ReadItem(ctx, key)
 }
 
-// TestIDTxnLeftToItsCall: while an ID-keyed call is inside a transaction
-// (blocked in a fetch), a second call or an Abort for the same ID fails at
-// once with ErrTxnBusy and leaves the transaction alone, and so does
-// Close: a Close asked meanwhile ends it when the call returns — once.
-// Without one the transaction stays open for its next call, and Abort
-// ends it.
-func TestIDTxnLeftToItsCall(t *testing.T) {
-	for _, closeIt := range []bool{false, true} {
-		b := newGateBackend()
-		c, err := New(Config{Backend: b})
-		if err != nil {
+// TestIDReadTxnEndsOnError: a failed Read by TxnID ends its transaction
+// aborted — an absent key, a ctx cancelled mid-fetch and an eq.2 abort
+// alike — with exactly one completion, so none is left parked; the ID's
+// next Read begins afresh.
+func TestIDReadTxnEndsOnError(t *testing.T) {
+	b := newMapBackend()
+	c := newCache(t, Config{Backend: cancelBackend{b}, Strategy: StrategyAbort})
+	b.put("x", "1", 1)
+	b.put("slow", "1", 1)
+	b.put("B", "b-old", 1)
+	if _, err := c.Get(bgc, "B"); err != nil { // the cache holds B@1
+		t.Fatal(err)
+	}
+	b.put("B", "b-new", 2)
+	b.put("A", "a-new", 2, dep("B", 2))
+	var comps []Completion
+	c.OnComplete(func(cp Completion) { comps = append(comps, cp) })
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for i, tc := range []struct {
+		ctx       context.Context
+		first     kv.Key
+		failing   kv.Key
+		wantError error
+	}{
+		{bgc, "x", "ghost", ErrNotFound},
+		{context.WithValue(ctx, cancelKey{}, cancel), "x", "slow", context.Canceled},
+		{bgc, "A", "B", ErrTxnAborted}, // A@2 expects B@2; the cache serves B@1
+	} {
+		id := kv.TxnID(i + 1)
+		if _, err := c.Read(tc.ctx, id, tc.first, false); err != nil {
 			t.Fatal(err)
 		}
-		b.put("x", "1", 1)
-		b.put("slow", "2", 1)
-		var comps []Completion
-		c.OnComplete(func(cp Completion) { comps = append(comps, cp) })
-		if _, err := c.Read(bgc, 7, "x", false); err != nil {
-			t.Fatal(err)
+		if _, err := c.Read(tc.ctx, id, tc.failing, false); !errors.Is(err, tc.wantError) {
+			t.Fatalf("read of %s = %v, want %v", tc.failing, err, tc.wantError)
 		}
-		done := make(chan error)
-		go func() {
-			_, err := c.Read(bgc, 7, "slow", false)
-			done <- err
-		}()
-		<-b.entered
-		if _, err := c.Read(bgc, 7, "x", false); !errors.Is(err, ErrTxnBusy) {
-			t.Fatalf("overlapping Read = %v, want ErrTxnBusy", err)
+		if len(comps) != 1 || comps[0].TxnID != id || comps[0].Committed || len(comps[0].Reads) != 1 {
+			t.Fatalf("%v: completions %+v, want one aborted with %s read", tc.wantError, comps, tc.first)
 		}
-		if _, err := c.ReadMulti(bgc, 7, []kv.Key{"x"}, true); !errors.Is(err, ErrTxnBusy) {
-			t.Fatalf("overlapping ReadMulti = %v, want ErrTxnBusy", err)
+		if c.ActiveTxns() != 0 {
+			t.Fatalf("%v: %d transactions still active", tc.wantError, c.ActiveTxns())
 		}
-		if err := c.Abort(7); !errors.Is(err, ErrTxnBusy) {
-			t.Fatalf("overlapping Abort = %v, want ErrTxnBusy", err)
+		comps = nil
+		if _, err := c.Read(bgc, id, "x", true); err != nil || len(comps) != 1 || !comps[0].Committed || len(comps[0].Reads) != 1 {
+			t.Fatalf("%v: the ID's next read = %v, completions %+v; want a fresh transaction committed", tc.wantError, err, comps)
 		}
-		if closeIt {
-			c.Close()
-		}
-		if len(comps) != 0 {
-			t.Fatalf("close=%v: the transaction ended under its call: %+v", closeIt, comps)
-		}
-		close(b.release)
-		err = <-done
-		if closeIt {
-			if m := c.Metrics(); !errors.Is(err, ErrClosed) || m.TxnsAbortedOnClose != 1 {
-				t.Fatalf("read across Close = %v, aborted-on-close %d; want ErrClosed, 1", err, m.TxnsAbortedOnClose)
-			}
-		} else {
-			if err != nil || c.ActiveTxns() != 1 {
-				t.Fatalf("read beside the refused calls = %v, active %d; want nil, 1", err, c.ActiveTxns())
-			}
-			if err := c.Abort(7); err != nil {
-				t.Fatal(err)
-			}
-			if m := c.Metrics(); m.TxnsAborted != 1 || len(comps) != 1 || len(comps[0].Reads) != 2 {
-				t.Fatalf("after Abort: aborted %d, completions %+v; want 1 holding x and slow", m.TxnsAborted, comps)
-			}
-		}
-		if len(comps) != 1 || comps[0].Committed || c.ActiveTxns() != 0 {
-			t.Fatalf("close=%v: completions %+v, active %d; want one uncommitted, 0", closeIt, comps, c.ActiveTxns())
-		}
-		c.Close()
+		comps = nil
 	}
 }

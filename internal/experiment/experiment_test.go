@@ -227,7 +227,12 @@ func TestMeasureSubtractsEveryCounter(t *testing.T) {
 
 	mon0, cache0, db0 := col.Mon.Stats(), col.Cache.Metrics(), col.DB.Metrics()
 	m, err := col.Measure(func() error {
-		if _, err := col.Cache.ReadMulti(ctx, kv.TxnID(1)<<40, workload.AllObjectKeys(105)[100:], true); err != nil {
+		txn := col.Cache.Begin(kv.TxnID(1)<<40, time.Time{})
+		_, err := txn.ReadMulti(ctx, workload.AllObjectKeys(105)[100:])
+		if ferr := txn.Finish(err == nil); err == nil {
+			err = ferr
+		}
+		if err != nil {
 			return err
 		}
 		return col.Run(ctx, drive, gen, gen)
