@@ -364,8 +364,7 @@ func WithAdmission() CacheOption {
 }
 
 // WithCacheShards sets the number of lock stripes the cache's entry table
-// is split over (the transaction counters have their own, fixed
-// striping). 1 makes per-shard LRU exactly global LRU; 0 (the default)
+// is split over (the transaction counters have their own, fixed striping). 1 makes per-shard LRU exactly global LRU; 0 (the default)
 // picks runtime.GOMAXPROCS(0) stripes whether or not the cache is
 // bounded — byte budgets are enforced per shard, so a memory bound no
 // longer costs the striping. With more than one shard, a bounded cache's
