@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -21,13 +22,18 @@ import (
 type replRig struct {
 	t       *testing.T
 	primary *db.DB
+	srv     *DBServer
 	addr    string
 	written int // keys key-0 .. key-(written-1) committed so far
 }
 
-func newReplRig(t *testing.T) *replRig {
+func newReplRig(t *testing.T) *replRig { return newReplRigWith(t, db.Config{}) }
+
+// newReplRigWith opens the primary with cfg (its WAL never fsyncs).
+func newReplRigWith(t *testing.T, cfg db.Config) *replRig {
 	t.Helper()
-	d, err := db.Recover(db.Config{WALSync: false}, t.TempDir())
+	cfg.WALSync = false
+	d, err := db.Recover(cfg, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,19 +44,27 @@ func newReplRig(t *testing.T) *replRig {
 		t.Fatal(err)
 	}
 	t.Cleanup(srv.Close)
-	return &replRig{t: t, primary: d, addr: addr}
+	return &replRig{t: t, primary: d, srv: srv, addr: addr}
 }
 
 // commit writes n fresh keys on the primary, one transaction each.
-func (r *replRig) commit(n int) {
+func (r *replRig) commit(n int) { r.commitMany(n, 1, 0) }
+
+// commitMany writes n fresh keys on the primary, per keys to a
+// transaction, each value padded to at least size bytes.
+func (r *replRig) commitMany(n, per, size int) {
 	r.t.Helper()
-	for i := 0; i < n; i++ {
-		k := kv.Key(fmt.Sprintf("key-%d", r.written))
-		v := kv.Value(fmt.Sprintf("val-%d", r.written))
-		if _, err := r.primary.ValidatedUpdate(context.Background(), nil, []kv.KeyValue{{Key: k, Value: v}}); err != nil {
+	for n > 0 {
+		writes := make([]kv.KeyValue, min(n, per))
+		for i := range writes {
+			v := fmt.Appendf(nil, "val-%d", r.written)
+			writes[i] = kv.KeyValue{Key: kv.Key(fmt.Sprintf("key-%d", r.written)), Value: append(v, make([]byte, max(0, size-len(v)))...)}
+			r.written++
+		}
+		if _, err := r.primary.ValidatedUpdate(context.Background(), nil, writes); err != nil {
 			r.t.Fatal(err)
 		}
-		r.written++
+		n -= len(writes)
 	}
 }
 
@@ -58,30 +72,43 @@ func (r *replRig) commit(n int) {
 // (usually the rig address, or a chaos proxy in front of it) and serves
 // it over TCP too.
 func (r *replRig) startStandby(primaryAddr string) (*db.DB, string, context.CancelFunc) {
+	sd, saddr, cancel, _ := r.standbyIn(r.t.TempDir(), primaryAddr)
+	return sd, saddr, cancel
+}
+
+// standbyIn is startStandby on the log in dir. cancel ends only the
+// replication loop; stop also closes the server and the database, so
+// dir can be recovered again.
+func (r *replRig) standbyIn(dir, primaryAddr string) (*db.DB, string, context.CancelFunc, func()) {
 	r.t.Helper()
-	sd, err := db.Recover(db.Config{WALSync: false, NodeID: 1}, r.t.TempDir())
+	sd, err := db.Recover(db.Config{WALSync: false, NodeID: 1}, dir)
 	if err != nil {
 		r.t.Fatal(err)
 	}
-	r.t.Cleanup(func() { sd.Close() })
 	sd.SetStandby(r.addr)
 	srv := NewDBServer(sd, nil)
 	saddr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
+		sd.Close()
 		r.t.Fatal(err)
 	}
-	r.t.Cleanup(srv.Close)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		RunStandby(ctx, sd, StandbyConfig{Primary: primaryAddr, Name: saddr, Logf: r.t.Logf})
 	}()
-	r.t.Cleanup(func() {
-		cancel()
-		<-done
-	})
-	return sd, saddr, cancel
+	var once sync.Once
+	stop := func() {
+		once.Do(func() {
+			cancel()
+			<-done
+			srv.Close()
+			sd.Close()
+		})
+	}
+	r.t.Cleanup(stop)
+	return sd, saddr, cancel, stop
 }
 
 // waitConverged blocks until the standby holds the primary's exact
@@ -471,4 +498,93 @@ func TestReplicationHealsScriptedLoss(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestReplJoinAtCutPoints joins a fresh standby at eight points of the
+// primary's log while a writer commits read-modify-write transactions
+// (so stored dependency lists are not empty), with and without
+// background snapshots truncating the log, and restarts one standby from
+// its own log mid-run. Every standby must converge to the primary's
+// exact state: each key equal in value, version and dependency list,
+// and equal version counters. A last case times the join of a
+// 20,000-object primary, first and repeated.
+func TestReplJoinAtCutPoints(t *testing.T) {
+	for _, every := range []int{0, 40} {
+		t.Run(fmt.Sprintf("SnapshotEvery=%d", every), func(t *testing.T) {
+			rig := newReplRigWith(t, db.Config{SnapshotEvery: every})
+			rig.commit(20)
+			keys := rig.written
+			var commits atomic.Int64
+			quit, wrote := make(chan struct{}), make(chan error, 1)
+			go func() {
+				ctx := context.Background()
+				for n := 0; ; n++ {
+					select {
+					case <-quit:
+						wrote <- nil
+						return
+					default:
+					}
+					rk := kv.Key(fmt.Sprintf("key-%d", n%keys))
+					it, _ := rig.primary.Get(rk)
+					reads := []kv.ObservedRead{{Key: rk, Version: it.Version, Found: true}}
+					writes := []kv.KeyValue{{Key: kv.Key(fmt.Sprintf("key-%d", (n*7+3)%keys)), Value: fmt.Appendf(nil, "rmw-%d", n)}}
+					if _, err := rig.primary.ValidatedUpdate(ctx, reads, writes); err != nil {
+						wrote <- err
+						return
+					}
+					commits.Add(1)
+				}
+			}()
+			var standbys []*db.DB
+			var restartDir string
+			var stopRestarted func()
+			for i := 0; i < 8; i++ {
+				for target := commits.Load() + 15; commits.Load() < target; {
+					time.Sleep(time.Millisecond)
+				}
+				var sd *db.DB
+				if i == 2 {
+					restartDir = t.TempDir()
+					sd, _, _, stopRestarted = rig.standbyIn(restartDir, rig.addr)
+				} else {
+					sd, _, _ = rig.startStandby(rig.addr)
+				}
+				standbys = append(standbys, sd)
+				// The next cut point comes after this join's image.
+				for deadline := time.Now().Add(10 * time.Second); sd.VersionCounter() == 0; time.Sleep(time.Millisecond) {
+					if time.Now().After(deadline) {
+						t.Fatalf("standby %d applied nothing", i)
+					}
+				}
+			}
+			// Restart the standby from its own log: its resume cursor is
+			// gone, so it joins again on top of the state it recovered.
+			stopRestarted()
+			sd, _, _, _ := rig.standbyIn(restartDir, rig.addr)
+			standbys[2] = sd
+			for target := commits.Load() + 30; commits.Load() < target; {
+				time.Sleep(time.Millisecond)
+			}
+			close(quit)
+			if err := <-wrote; err != nil {
+				t.Fatal(err)
+			}
+			for _, sd := range standbys {
+				rig.waitConverged(sd, 20*time.Second)
+			}
+		})
+	}
+	t.Run("20000 objects", func(t *testing.T) {
+		rig := newReplRig(t)
+		rig.commitMany(20000, 500, 0)
+		var took [2]time.Duration
+		for i := range took {
+			start := time.Now()
+			sd, _, _ := rig.startStandby(rig.addr)
+			rig.waitConverged(sd, 60*time.Second)
+			took[i] = time.Since(start)
+		}
+		t.Logf("join of a 20000-object primary: first %s, repeat %s", took[0], took[1])
+	})
 }
