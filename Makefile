@@ -91,11 +91,13 @@ telemetry-smoke:
 # walsmoke is the durability gate: the WAL package race-clean (torture
 # replays — truncations, bit flips, sector holes in an in-place batch —
 # crash windows, group commit, the directory lock), the db-level
-# recovery + process-SIGKILL torture, and a short replay fuzz shake.
+# recovery + process-SIGKILL torture, and short fuzz shakes of the
+# replay path and of the snapshot-image parser.
 walsmoke:
 	$(GO) test -race -count=1 ./internal/wal
 	$(GO) test -race -count=1 -run 'Recover|Snapshot|Crash|Close|Compact|ConcurrentCommits|Background' ./internal/db
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime 15s ./internal/wal
+	$(GO) test -run '^$$' -fuzz FuzzSnapshotImage -fuzztime 15s ./internal/wal
 
 # benchsmoke is the CI quick pass: hot paths, what the consistency check
 # adds to a plain read (check-ns/txn), the experiment's monitor, the
@@ -107,9 +109,11 @@ benchsmoke:
 	$(GO) test -run '^$$' -bench 'Codec|WireRoundTrip' -benchtime 100ms ./internal/transport
 	$(GO) run ./cmd/tcache-figs -quick -fig 3,headline
 
-# fuzz gives the wire codec and the WAL replay path a short adversarial
-# shake (decoders must never panic or over-allocate; accepted inputs
-# must round-trip; recovery must stay stable on hostile segments).
+# fuzz gives the wire codec, the WAL replay path and the snapshot-image
+# parser a short adversarial shake (decoders must never panic or
+# over-allocate; accepted inputs must round-trip; recovery must stay
+# stable on hostile segments; an accepted image must re-parse identically).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzCodecRoundTrip -fuzztime 30s ./internal/transport
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime 30s ./internal/wal
+	$(GO) test -run '^$$' -fuzz FuzzSnapshotImage -fuzztime 15s ./internal/wal

@@ -29,7 +29,6 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"tcache/internal/db"
 	"tcache/internal/transport"
@@ -57,8 +56,7 @@ func run() error {
 		replicaOf    = flag.String("replica-of", "", "run as a warm standby replicating from the primary at this address")
 		advertise    = flag.String("advertise", "", "replica identity registered with the primary (default: the bound listen address)")
 		replMinSync  = flag.Int("repl-min-sync", 0, "primary: each commit waits for this many standby acks (0 = asynchronous replication)")
-		autoPromote  = flag.Bool("auto-promote", false, "standby: promote automatically once the primary has been unreachable for -promote-after")
-		promoteAfter = flag.Duration("promote-after", 3*time.Second, "standby: unreachability window before auto-promotion")
+		promoteAfter = flag.Duration("promote-after", 0, "standby: promote automatically once the primary has been unreachable this long (0 = never)")
 	)
 	flag.Parse()
 
@@ -88,7 +86,6 @@ func run() error {
 		Standby: transport.StandbyConfig{
 			Primary:      *replicaOf,
 			Name:         *advertise,
-			AutoPromote:  *autoPromote,
 			PromoteAfter: *promoteAfter,
 		},
 	})
@@ -119,7 +116,7 @@ func run() error {
 	log.Printf("tdbd: serving on %s (dep-bound=%d, wal=%q sync=%v, role=%s)",
 		node.Addr(), *depBound, *walDir, *walSync, d.Role())
 	if *replicaOf != "" {
-		log.Printf("tdbd: standby of %s (auto-promote=%v after %s)", *replicaOf, *autoPromote, *promoteAfter)
+		log.Printf("tdbd: standby of %s (promote-after=%s)", *replicaOf, *promoteAfter)
 	}
 
 	sig := make(chan os.Signal, 1)

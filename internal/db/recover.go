@@ -107,7 +107,12 @@ func (d *DB) Snapshot() error {
 	}
 	d.snapMu.Lock()
 	defer d.snapMu.Unlock()
+	return d.snapshotLocked()
+}
 
+// snapshotLocked is Snapshot with snapMu held: the one place the log
+// is cut for a state image.
+func (d *DB) snapshotLocked() error {
 	// Cut point: rotate so every record up to now is in a sealed
 	// segment, note the counter, and take a door ticket — all under
 	// commitMu so no commit can mint between the rotation and the

@@ -4,7 +4,9 @@ package db
 // promotion, and synchronous-replication accounting.
 //
 // A primary streams its committed WAL records to warm standbys (the
-// transport layer moves the bytes; see internal/transport). A standby
+// transport layer moves the bytes; see internal/transport); a standby
+// whose position the log no longer holds first gets the primary's
+// newest snapshot file (JoinImage) and tails from its cut. A standby
 // applies received records through ApplyReplicated — appending them to
 // its OWN log first, then applying to the stores and relaying
 // invalidations to its subscribers — so its durable state, version
@@ -20,6 +22,7 @@ package db
 import (
 	"errors"
 	"fmt"
+	"os"
 	"sync"
 	"time"
 
@@ -234,53 +237,31 @@ func (d *DB) noteReplApplyForSnapshot(n int) {
 // stream from.
 var ErrNoWAL = errors.New("db: replication requires a write-ahead log")
 
-// ReplSnapshot streams a consistent full-state image for a joining (or
-// lagged) replica: fn receives every live item, and the returned
-// position is the log cut to tail from — every record at or after it
-// has a version no older than the streamed image of its key, so
-// replaying the tail on top of the image never regresses state. The
-// returned counter is the version counter at the cut.
-func (d *DB) ReplSnapshot(fn func(wal.SnapshotEntry) error) (wal.Pos, uint64, error) {
+// JoinImage opens the state image a joining (or lagged) replica starts
+// from — the newest snapshot file — and the log position to tail from:
+// the file covers every segment below it. It takes a snapshot only when
+// the log has none, deciding under snapMu so replicas joining at once
+// share it: a snapshot per join would truncate the segments live
+// replicas tail, and each would re-join and take another. The caller
+// must Close the file.
+func (d *DB) JoinImage() (*os.File, wal.Pos, error) {
 	if d.wal == nil {
-		return wal.Pos{}, 0, ErrNoWAL
+		return nil, wal.Pos{}, ErrNoWAL
 	}
-	if d.closed.Load() {
-		return wal.Pos{}, 0, ErrClosed
+	d.snapMu.Lock()
+	defer d.snapMu.Unlock()
+	f, cut, err := d.wal.OpenSnapshot()
+	if err == nil && f == nil {
+		if err := d.snapshotLocked(); err != nil {
+			return nil, wal.Pos{}, err
+		}
+		f, cut, err = d.wal.OpenSnapshot()
 	}
-	// The snapshot cut protocol (see DB.Snapshot): rotate and ticket
-	// under commitMu so no commit minted before the cut can be missing
-	// from both the scan and the tail.
-	d.commitMu.Lock()
-	cut, err := d.wal.Rotate()
 	if err != nil {
-		d.commitMu.Unlock()
-		return wal.Pos{}, 0, fmt.Errorf("db: repl snapshot: %w", err)
+		return nil, wal.Pos{}, fmt.Errorf("db: join image: %w", err)
 	}
-	counter := d.versionC.Load()
-	ticket := d.door.enter()
-	d.commitMu.Unlock()
-	d.door.wait(ticket)
-	d.door.exit()
-
-	var addErr error
-	d.store.Range(func(key kv.Key, item kv.Item) bool {
-		addErr = fn(wal.SnapshotEntry{
-			Key:     key,
-			Value:   item.Value,
-			Version: item.Version,
-			Deps:    item.Deps,
-		})
-		return addErr == nil
-	})
-	if addErr != nil {
-		return wal.Pos{}, 0, addErr
-	}
-	return wal.Pos{Seq: cut}, counter, nil
+	return f, wal.Pos{Seq: cut}, nil
 }
-
-// HasWAL reports whether this database was opened on a write-ahead
-// log (Recover); only such a database can serve or join replication.
-func (d *DB) HasWAL() bool { return d.wal != nil }
 
 // WALResumable reports whether the log still holds position from, so a
 // replica's tail can resume there instead of taking a full state

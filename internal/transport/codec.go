@@ -50,7 +50,7 @@ import (
 
 // ProtocolVersion is the wire protocol spoken by this build; both sides
 // of a connection must match exactly.
-const ProtocolVersion = 9
+const ProtocolVersion = 10
 
 // handshakeMagic opens every connection, in both directions.
 var handshakeMagic = [4]byte{'T', 'C', 'W', 'P'}
@@ -68,15 +68,15 @@ const (
 	frameInvalidations = 3
 
 	// Replication stream frames. After an accepted
-	// OpReplicate, the primary pushes frameReplSnapshot frames (a batch
-	// of state entries; a zero-count frame terminates the image and
-	// carries the log cut to tail from) and then frameReplRecords frames
-	// (a contiguous run of committed WAL records stamped with its start
-	// and end positions); the standby sends frameReplAck frames back on
-	// the same connection.
-	frameReplSnapshot = 4
-	frameReplRecords  = 5
-	frameReplAck      = 6
+	// OpReplicate, the primary pushes frameReplImage frames (a run of
+	// its snapshot file's bytes stamped with their offset in the file),
+	// when the answer announced an image, and then frameReplRecords
+	// frames (a contiguous run of committed WAL records stamped with its
+	// start and end positions); the standby sends frameReplAck frames
+	// back on the same connection.
+	frameReplImage   = 4
+	frameReplRecords = 5
+	frameReplAck     = 6
 
 	// maxFramePayload bounds a frame's payload so a corrupt or hostile
 	// length field cannot trigger a giant allocation. Writers enforce it
@@ -235,7 +235,7 @@ func (fr *frameReader) headerValid() bool {
 	}
 	switch fr.hdr[2] {
 	case frameRequest, frameResponse, frameInvalidations,
-		frameReplSnapshot, frameReplRecords, frameReplAck:
+		frameReplImage, frameReplRecords, frameReplAck:
 	default:
 		return false
 	}
@@ -391,7 +391,7 @@ func appendResponse(b []byte, resp *Response) []byte {
 	b = codec.AppendString(b, resp.HealthErr)
 	b = binary.AppendUvarint(b, resp.ReplLag)
 	b = binary.AppendUvarint(b, resp.ReplCounter)
-	b = codec.AppendBool(b, resp.ReplSnapshot)
+	b = binary.AppendUvarint(b, resp.ReplImage)
 	return appendPos(b, resp.ReplPos)
 }
 
@@ -544,7 +544,7 @@ func decodeResponse(payload []byte) (Response, error) {
 		HealthErr:       d.String(),
 		ReplLag:         d.Uvarint(),
 		ReplCounter:     d.Uvarint(),
-		ReplSnapshot:    d.Bool(),
+		ReplImage:       d.Uvarint(),
 		ReplPos:         d.pos(),
 	}
 	return resp, d.Err()

@@ -73,7 +73,7 @@ func sampleResponses() []Response {
 		{Code: CodeAborted, Err: "eq.1 violation"},
 		{Code: CodeConflict, Err: "stale", ConflictKey: "a", ConflictVersion: kv.Version{Counter: 9, Node: 1}, ConflictFound: true},
 		{Code: CodeNotPrimary, Role: "standby", Leader: "10.0.0.1:7070", Healthy: true, ReplLag: 3, ReplCounter: 41},
-		{Code: CodeOK, ReplSnapshot: true, ReplPos: wal.Pos{Seq: 2, Off: 16}},
+		{Code: CodeOK, ReplImage: 1 << 20, ReplPos: wal.Pos{Seq: 2, Off: 16}},
 	}
 }
 

@@ -3,27 +3,33 @@ package transport
 // The replication stream. A standby opens a connection,
 // sends OpReplicate with its resume cursor, and the primary answers
 // with the stream mode: resume (the cursor's segment is still live) or
-// full snapshot (a state image precedes the live records). From then on
-// the connection is a push stream — snapshot-entry frames, then
-// record frames, each stamped with the contiguous [start, end) range of
-// primary-log positions it covers — and the standby sends ack frames
-// back on the same connection, which feed the primary's synchronous-
-// replication waiters and lag metric.
+// image (the primary's newest snapshot file, ReplImage bytes long,
+// precedes the live records, which continue from its cut). From then on
+// the connection is a push stream — image frames, each a run of the
+// file's bytes stamped with its offset, then record frames, each
+// stamped with the contiguous [start, end) range of primary-log
+// positions it covers — and the standby sends ack frames back on the
+// same connection, which feed the primary's synchronous-replication
+// waiters and lag metric.
 //
 // Contiguity is the safety argument: a standby applies a record frame
 // only if the frame's start position equals its cursor, so its state is
-// always an exact committed prefix of the primary's log. Any break —
+// always an exact committed prefix of the primary's log, and it parses
+// an image only once every byte arrived in order, with wal.ReadSnapshot
+// — the parser recovery uses — against the negotiated cut. Any break —
 // a dropped connection, a lost frame, a lagged tailer whose segment was
 // truncated, a decode failure — tears the stream down, and the standby
-// re-negotiates from its cursor (falling back to a full snapshot when
-// the primary no longer holds it).
+// re-negotiates from its cursor (falling back to the image when the
+// primary no longer holds it).
 
 import (
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
+	"os"
 	"sync"
 	"time"
 
@@ -39,8 +45,8 @@ var ErrNotPrimary = fmt.Errorf("transport: peer is not the primary: %w", db.ErrN
 
 // Stream batching bounds: a record frame carries at most
 // maxReplBatchRecords records or ~replFrameBytes of payload, whichever
-// comes first; snapshot frames chunk the same way. Both are comfortably
-// under maxFramePayload.
+// comes first; an image frame carries replFrameBytes of the file. Both
+// are comfortably under maxFramePayload.
 const (
 	maxReplBatchRecords = 256
 	replFrameBytes      = 1 << 20
@@ -48,47 +54,21 @@ const (
 
 // --- Payload codecs -----------------------------------------------------
 //
-// Records and snapshot entries travel in internal/codec's layout — the
-// same bytes the WAL frames on disk.
+// Records travel in internal/codec's layout — the same bytes the WAL
+// frames on disk — and the image is the snapshot file itself.
 
-// Snapshot frame payload: [nil-aware count][count entries]. A nil count
-// terminates the image and carries [cut pos][counter][total] — the log
-// position to tail from, the version counter at the cut, and the total
-// entry count of the image. The total lets the standby detect a lost
-// or reordered entry frame (the stream has no positional contiguity in
-// snapshot mode, unlike record frames) and reject the transfer instead
-// of accepting a silently truncated image.
-func writeReplSnapshotFrame(w net.Conn, mu *sync.Mutex, entries []wal.SnapshotEntry) error {
-	return writeFrame(w, mu, frameReplSnapshot, 0, func(b []byte) []byte {
-		b = codec.AppendCount(b, len(entries))
-		for i := range entries {
-			b = codec.AppendSnapshotEntry(b, &entries[i])
-		}
-		return b
+// Image frame payload: [offset][bytes] — a run of the snapshot file
+// starting at byte offset.
+func writeReplImageFrame(w net.Conn, mu *sync.Mutex, off uint64, chunk []byte) error {
+	return writeFrame(w, mu, frameReplImage, 0, func(b []byte) []byte {
+		return append(binary.AppendUvarint(b, off), chunk...)
 	})
 }
 
-func writeReplSnapshotEndFrame(w net.Conn, mu *sync.Mutex, cut wal.Pos, counter, total uint64) error {
-	return writeFrame(w, mu, frameReplSnapshot, 0, func(b []byte) []byte {
-		b = codec.AppendCount(b, -1)
-		b = appendPos(b, cut)
-		b = binary.AppendUvarint(b, counter)
-		return binary.AppendUvarint(b, total)
-	})
-}
-
-func decodeReplSnapshot(payload []byte) (entries []wal.SnapshotEntry, cut wal.Pos, counter, total uint64, done bool, err error) {
-	d := payloadDecoder{codec.Decoder{B: payload}}
-	n := d.Count(5) // key length + nil value + 2 version varints + nil deps
-	if n < 0 {
-		cut, counter, total = d.pos(), d.Uvarint(), d.Uvarint()
-		return nil, cut, counter, total, true, d.Err()
-	}
-	entries = make([]wal.SnapshotEntry, n)
-	for i := range entries {
-		entries[i] = codec.DecodeSnapshotEntry(&d.Decoder)
-	}
-	return entries, wal.Pos{}, 0, 0, false, d.Err()
+func decodeReplImage(payload []byte) (off uint64, chunk []byte, err error) {
+	d := codec.Decoder{B: payload}
+	off = d.Uvarint()
+	return off, payload[d.Off:], d.Err()
 }
 
 // Record frame payload: [start pos][end pos][nil-aware count][records].
@@ -152,18 +132,24 @@ func (s *DBServer) serveReplication(ctx context.Context, pc *peerConn, id uint64
 		_ = pc.respond(id, &Response{Code: CodeNotPrimary, Err: db.ErrNotPrimary.Error(), Role: st.Role.String(), Leader: st.Leader})
 		return
 	}
-	if !d.HasWAL() {
-		_ = pc.refuse(id, "%v", db.ErrNoWAL)
-		return
-	}
 
-	from := req.ReplFrom
-	resume := !from.IsZero() && d.WALResumable(from)
-	resp := Response{Code: CodeOK, Role: db.RolePrimary.String()}
-	if resume {
-		resp.ReplPos = from
-	} else {
-		resp.ReplSnapshot = true
+	// The image's cut is fixed before the answer names it: the file is
+	// open, so a newer snapshot deleting it cannot cut the transfer short.
+	resp := Response{Code: CodeOK, Role: db.RolePrimary.String(), ReplPos: req.ReplFrom}
+	var image *os.File
+	if req.ReplFrom.IsZero() || !d.WALResumable(req.ReplFrom) {
+		f, cut, err := d.JoinImage()
+		var fi os.FileInfo
+		if err == nil {
+			defer f.Close()
+			fi, err = f.Stat()
+		}
+		if err != nil {
+			s.logf("tdbd: repl image for %s: %v", name, err)
+			_ = pc.refuse(id, "%v", err)
+			return
+		}
+		image, resp.ReplImage, resp.ReplPos = f, uint64(fi.Size()), cut
 	}
 	if err := pc.respond(id, &resp); err != nil {
 		return
@@ -200,59 +186,37 @@ func (s *DBServer) serveReplication(ctx context.Context, pc *peerConn, id uint64
 		}
 	}()
 
-	if !resume {
-		cut, err := s.streamSnapshot(pc)
-		if err != nil {
-			s.logf("tdbd: repl snapshot to %s: %v", name, err)
+	if image != nil {
+		if err := streamImage(pc, image, resp.ReplImage); err != nil {
+			s.logf("tdbd: repl image to %s: %v", name, err)
 			return
 		}
-		from = cut
 	}
-	s.streamRecords(sctx, pc, name, from)
+	s.streamRecords(sctx, pc, name, resp.ReplPos)
 }
 
-// streamSnapshot pushes a consistent full-state image, chunked into
-// frames, then the terminator carrying the log cut to tail from.
-func (s *DBServer) streamSnapshot(pc *peerConn) (wal.Pos, error) {
-	var batch []wal.SnapshotEntry
-	size, total := 0, uint64(0)
-	flush := func() error {
-		if len(batch) == 0 {
-			return nil
+// streamImage pushes the size bytes of the snapshot file f in frames of
+// at most replFrameBytes, each stamped with its offset in the file.
+func streamImage(pc *peerConn, f *os.File, size uint64) error {
+	buf := make([]byte, min(size, replFrameBytes))
+	for off := uint64(0); off < size; {
+		chunk := buf[:min(size-off, uint64(len(buf)))]
+		if _, err := io.ReadFull(f, chunk); err != nil {
+			return err
 		}
-		err := writeReplSnapshotFrame(pc, &pc.writeMu, batch)
-		batch, size = batch[:0], 0
-		return err
-	}
-	cut, counter, err := s.db.ReplSnapshot(func(e wal.SnapshotEntry) error {
-		batch = append(batch, e)
-		total++
-		size += len(e.Key) + len(e.Value) + 32
-		for _, dep := range e.Deps {
-			size += len(dep.Key) + 16
+		if err := writeReplImageFrame(pc, &pc.writeMu, off, chunk); err != nil {
+			return err
 		}
-		if size >= replFrameBytes {
-			return flush()
-		}
-		return nil
-	})
-	if err != nil {
-		return wal.Pos{}, err
+		off += uint64(len(chunk))
 	}
-	if err := flush(); err != nil {
-		return wal.Pos{}, err
-	}
-	if err := writeReplSnapshotEndFrame(pc, &pc.writeMu, cut, counter, total); err != nil {
-		return wal.Pos{}, err
-	}
-	return cut, nil
+	return nil
 }
 
 // streamRecords follows the live log from `from`, coalescing records
 // that are already durable into one frame per wakeup. It returns when
 // the connection, the log, or ctx dies; a lagged tailer (our cursor
 // truncated by a snapshot) just tears the stream down — the standby
-// re-negotiates and gets a fresh image.
+// re-negotiates and gets the newest image.
 func (s *DBServer) streamRecords(ctx context.Context, pc *peerConn, name string, from wal.Pos) {
 	t, err := s.db.WALTail(from)
 	if err != nil {
@@ -318,8 +282,8 @@ type ReplStream struct {
 	c       net.Conn
 	fr      *frameReader
 	writeMu sync.Mutex
-	snap    bool
-	start   wal.Pos
+	image   uint64  // size of the image that precedes the records; 0 = none
+	start   wal.Pos // the records' start: the resume cursor, or the image's cut
 }
 
 // OpenReplication dials the primary at addr and negotiates a
@@ -335,7 +299,7 @@ func OpenReplication(ctx context.Context, addr, name string, from wal.Pos) (*Rep
 	}
 	switch resp.Code {
 	case CodeOK:
-		return &ReplStream{c: c, fr: fr, snap: resp.ReplSnapshot, start: resp.ReplPos}, nil
+		return &ReplStream{c: c, fr: fr, image: resp.ReplImage, start: resp.ReplPos}, nil
 	case CodeNotPrimary:
 		c.Close()
 		return nil, fmt.Errorf("%w: %w", ErrNotPrimary, &db.NotPrimaryError{Leader: resp.Leader})
@@ -345,53 +309,46 @@ func OpenReplication(ctx context.Context, addr, name string, from wal.Pos) (*Rep
 	}
 }
 
-// SnapshotMode reports whether a full state image precedes the record
-// stream (false: the stream resumes at Start).
-func (r *ReplStream) SnapshotMode() bool { return r.snap }
-
-// Start returns the record stream's start position: the negotiated
-// resume cursor, or — after the snapshot terminator has been read — the
-// image's log cut.
-func (r *ReplStream) Start() wal.Pos { return r.start }
-
 // replImageIdle bounds the wait for the next image frame. The primary
 // writes the image back to back, so a silent link mid-image means its
-// terminator was lost; without a bound, a standby of an idle primary
-// would wait for it forever.
+// last frames were lost; without a bound, a standby of an idle primary
+// would wait for them forever.
 var replImageIdle = 10 * time.Second
 
-// NextSnapshot returns the next batch of state-image entries. done
-// reports the image terminator: Start() then holds the log cut the
-// record stream continues from, counter the primary's version counter
-// at the cut, and total the entry count of the complete image — the
-// caller must verify it applied exactly that many entries before
-// trusting the transfer. A record frame before the terminator, or
-// replImageIdle without a frame, means the terminator was lost and fails
-// the transfer.
-func (r *ReplStream) NextSnapshot() (entries []wal.SnapshotEntry, counter, total uint64, done bool, err error) {
-	for {
+// Image returns the snapshot file that precedes the record stream,
+// whole, or nil when the stream resumes. Its bytes arrive in
+// order; an offset gap (a lost frame), a record frame before the last
+// byte, or replImageIdle without a frame means part of it was lost and
+// fails the transfer. The caller checks the bytes with wal.ReadSnapshot.
+func (r *ReplStream) Image() ([]byte, error) {
+	if r.image == 0 {
+		return nil, nil
+	}
+	b := make([]byte, 0, min(r.image, maxFramePayload))
+	for uint64(len(b)) < r.image {
 		_ = r.c.SetReadDeadline(time.Now().Add(replImageIdle))
 		typ, _, payload, err := r.fr.Read()
 		if err != nil {
-			return nil, 0, 0, false, wrapUnavail(fmt.Errorf("transport: repl read: %w", err))
+			return nil, wrapUnavail(fmt.Errorf("transport: repl read: %w", err))
 		}
 		switch typ {
 		case frameReplRecords:
-			return nil, 0, 0, false, errors.New("transport: repl image cut short: record frame before its terminator")
-		case frameReplSnapshot:
+			return nil, errors.New("transport: repl image cut short: record frame before its last byte")
+		case frameReplImage:
 		default:
 			continue
 		}
-		entries, cut, counter, total, done, err := decodeReplSnapshot(payload)
+		off, chunk, err := decodeReplImage(payload)
 		if err != nil {
-			return nil, 0, 0, false, err
+			return nil, err
 		}
-		if done {
-			r.start = cut
-			_ = r.c.SetReadDeadline(time.Time{}) // the record stream may idle
+		if off != uint64(len(b)) {
+			return nil, fmt.Errorf("transport: repl image cut short: frame at offset %d after %d bytes", off, len(b))
 		}
-		return entries, counter, total, done, nil
+		b = append(b, chunk...)
 	}
+	_ = r.c.SetReadDeadline(time.Time{}) // the record stream may idle
+	return b, nil
 }
 
 // NextRecords returns the next contiguous run of committed records and

@@ -25,6 +25,9 @@ type replRig struct {
 	srv     *DBServer
 	addr    string
 	written int // keys key-0 .. key-(written-1) committed so far
+	// promoteAfter is the StandbyConfig.PromoteAfter of standbys started
+	// from now on.
+	promoteAfter time.Duration
 }
 
 func newReplRig(t *testing.T) *replRig { return newReplRigWith(t, db.Config{}) }
@@ -92,11 +95,12 @@ func (r *replRig) standbyIn(dir, primaryAddr string) (*db.DB, string, context.Ca
 		sd.Close()
 		r.t.Fatal(err)
 	}
+	cfg := StandbyConfig{Primary: primaryAddr, Name: saddr, PromoteAfter: r.promoteAfter, Logf: r.t.Logf}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		RunStandby(ctx, sd, StandbyConfig{Primary: primaryAddr, Name: saddr, Logf: r.t.Logf})
+		RunStandby(ctx, sd, cfg)
 	}()
 	var once sync.Once
 	stop := func() {
@@ -302,22 +306,23 @@ type frameDropProxy struct {
 	mu      sync.Mutex
 	drop    func(kind string) bool
 	conns   int           // connections accepted (stream opens)
-	images  int           // image terminators sent, delivered or not
+	images  int           // images begun, delivered or not
 	dropped chan struct{} // closed at the first swallowed frame
 }
 
 // replFrameKind names a server-to-client frame of the replication
-// stream: "entries" and "terminator" for the state image, "records" for
-// the live log, "other" for the rest (the mode response).
+// stream: "image-start" for the image's first frame and "image" for the
+// rest of it, "records" for the live log, "other" for the rest (the
+// mode response).
 func replFrameKind(typ byte, payload []byte) string {
 	switch typ {
 	case frameReplRecords:
 		return "records"
-	case frameReplSnapshot:
-		if _, _, _, _, done, _ := decodeReplSnapshot(payload); done {
-			return "terminator"
+	case frameReplImage:
+		if off, _, _ := decodeReplImage(payload); off == 0 {
+			return "image-start"
 		}
-		return "entries"
+		return "image"
 	}
 	return "other"
 }
@@ -420,7 +425,7 @@ func (p *frameDropProxy) forward(down, up net.Conn) {
 				close(p.dropped)
 			}
 		}
-		if kind == "terminator" {
+		if kind == "image-start" {
 			p.images++
 		}
 		p.mu.Unlock()
@@ -443,12 +448,15 @@ func (p *frameDropProxy) counts() (conns, images int) {
 // replication stream and requires the standby to converge to the exact
 // primary state and acknowledge a live stream after one reconnect —
 // resuming from its cursor when the lost frame held records, and taking
-// a second image only when the first was cut short. Each case names the
+// the image again only when the first was cut short. Each case names the
 // frame it loses, so a failure reproduces every time.
 func TestReplicationHealsScriptedLoss(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		lose string
+		// valueSize pads the ten committed values; 0 keeps them small,
+		// so the image is one frame.
+		valueSize int
 		// after runs once the frame is gone; the standby must notice.
 		after      func(rig *replRig)
 		imageIdle  time.Duration // replImageIdle for the case; 0 keeps the default
@@ -456,14 +464,15 @@ func TestReplicationHealsScriptedLoss(t *testing.T) {
 	}{
 		// The next frame starts past the cursor: reconnect and resume
 		// there, no second image.
-		{"first record after the image", "records", func(rig *replRig) { rig.commit(1) }, 0, 1},
-		// The terminator's entry count exposes the loss.
-		{"one image chunk", "entries", func(*replRig) {}, 0, 2},
-		// A record frame arrives where the terminator should have, well
+		{"first record after the image", "records", 0, func(rig *replRig) { rig.commit(1) }, 0, 1},
+		// A record frame arrives before the image's last byte, well
 		// inside the default image read bound.
-		{"terminator, then a commit", "terminator", func(rig *replRig) { rig.commit(1) }, 0, 2},
+		{"the image's only frame, then a commit", "image-start", 0, func(rig *replRig) { rig.commit(1) }, 0, 2},
 		// Nothing arrives at all: the image read times out.
-		{"terminator, idle primary", "terminator", func(*replRig) {}, 300 * time.Millisecond, 2},
+		{"the image's only frame, idle primary", "image-start", 0, func(*replRig) {}, 300 * time.Millisecond, 2},
+		// 2.5 MiB of values make a three-frame image; the second frame's
+		// offset exposes the loss.
+		{"the first frame of a multi-frame image", "image-start", 256 << 10, func(*replRig) {}, 0, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.imageIdle > 0 {
@@ -471,7 +480,7 @@ func TestReplicationHealsScriptedLoss(t *testing.T) {
 				replImageIdle = tc.imageIdle
 			}
 			rig := newReplRig(t)
-			rig.commit(10)
+			rig.commitMany(10, 1, tc.valueSize)
 			proxy := newFrameDropProxy(t, rig.addr, dropFirst(tc.lose))
 			sd, _, _ := rig.startStandby(proxy.addr)
 			if tc.lose == "records" {
@@ -485,9 +494,9 @@ func TestReplicationHealsScriptedLoss(t *testing.T) {
 			}
 			tc.after(rig)
 			rig.waitConverged(sd, 5*time.Second)
-			// Equal state is not enough — a standby stuck waiting for a lost
-			// terminator holds the image's entries too. It must be following
-			// the live log, which it acknowledges.
+			// Equal state is not enough — a standby stuck waiting for the
+			// rest of an image may hold the state already. It must be
+			// following the live log, which it acknowledges.
 			for deadline := time.Now().Add(5 * time.Second); rig.primary.ReplStatusNow().Replicas != 1; time.Sleep(5 * time.Millisecond) {
 				if time.Now().After(deadline) {
 					t.Fatalf("the standby never acknowledged a live stream: %+v", rig.primary.ReplStatusNow())
@@ -497,6 +506,78 @@ func TestReplicationHealsScriptedLoss(t *testing.T) {
 				t.Fatalf("healed with %d stream opens and %d images, want 2 and %d", conns, images, tc.wantImages)
 			}
 		})
+	}
+}
+
+// TestReplJoinsShareOneSnapshot joins two standbys at once to a primary
+// that has never taken a snapshot: they must share the one the first
+// join takes. A third join must reuse it too — a snapshot per join would
+// truncate the segments the live standbys tail and make them re-join.
+func TestReplJoinsShareOneSnapshot(t *testing.T) {
+	rig := newReplRig(t)
+	rig.commit(10)
+	never := func(string) bool { return false }
+	p1, p2 := newFrameDropProxy(t, rig.addr, never), newFrameDropProxy(t, rig.addr, never)
+	sd1, _, _ := rig.startStandby(p1.addr)
+	sd2, _, _ := rig.startStandby(p2.addr)
+	rig.waitConverged(sd1, 5*time.Second)
+	rig.waitConverged(sd2, 5*time.Second)
+	if n := rig.primary.Metrics().Snapshots; n != 1 {
+		t.Fatalf("two joins took %d snapshots, want 1", n)
+	}
+
+	sd3, _, _ := rig.startStandby(rig.addr)
+	rig.waitConverged(sd3, 5*time.Second)
+	rig.commit(5)
+	for _, sd := range []*db.DB{sd1, sd2, sd3} {
+		rig.waitConverged(sd, 5*time.Second)
+	}
+	if n := rig.primary.Metrics().Snapshots; n != 1 {
+		t.Fatalf("the third join took a snapshot: %d in all, want 1", n)
+	}
+	for i, p := range []*frameDropProxy{p1, p2} {
+		if conns, _ := p.counts(); conns != 1 {
+			t.Fatalf("standby %d opened its stream %d times, want 1", i+1, conns)
+		}
+	}
+}
+
+// TestStandbyAutoPromotes closes the primary under two standbys: the one
+// with PromoteAfter must promote once the primary has been unreachable
+// that long, and not before; the one without must never promote.
+func TestStandbyAutoPromotes(t *testing.T) {
+	const after = 400 * time.Millisecond
+	rig := newReplRig(t)
+	rig.commit(5)
+	rig.promoteAfter = after
+	auto, _, _ := rig.startStandby(rig.addr)
+	rig.promoteAfter = 0
+	manual, _, _ := rig.startStandby(rig.addr)
+	rig.waitConverged(auto, 5*time.Second)
+	rig.waitConverged(manual, 5*time.Second)
+
+	// An idle primary sends no frames: unreachability counts from the
+	// close, not from the last frame.
+	time.Sleep(after)
+	closed := time.Now()
+	rig.srv.Close()
+	time.Sleep(after / 2)
+	if auto.Role() != db.RoleStandby {
+		t.Fatalf("promoted %s after the primary closed, before PromoteAfter %s", time.Since(closed), after)
+	}
+	for auto.Role() == db.RoleStandby {
+		if time.Since(closed) > after+5*time.Second {
+			t.Fatalf("not promoted %s after the primary closed (PromoteAfter %s)", time.Since(closed), after)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if took := time.Since(closed); took < after {
+		t.Fatalf("promoted %s after the primary closed, before PromoteAfter %s", took, after)
+	}
+	// Several of the manual standby's redials have failed by now.
+	time.Sleep(2 * after)
+	if manual.Role() != db.RoleStandby {
+		t.Fatal("the standby with PromoteAfter 0 promoted itself")
 	}
 }
 

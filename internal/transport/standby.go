@@ -8,18 +8,19 @@ package transport
 // a broken stream or a lost frame reconnects from it. It is kept in
 // memory only — a restarted standby re-joins with a full state
 // transfer, which the idempotent apply path (last-wins puts, max-raise
-// counter) makes safe on top of whatever its own log recovered.
+// counter) makes safe on top of whatever its own log recovered. The
+// transfer is the primary's newest snapshot file, checked by the parser
+// recovery uses (wal.ReadSnapshot); the records continue from its cut.
 //
 // On primary loss the loop reconnects with jittered backoff forever,
-// unless AutoPromote is set: once the primary has been unreachable for
-// PromoteAfter, the standby promotes itself and starts minting versions
+// unless PromoteAfter is set: once the primary has been unreachable for
+// that long, the standby promotes itself and starts minting versions
 // strictly above everything it replicated.
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"time"
 
 	"tcache/internal/db"
@@ -33,9 +34,8 @@ type StandbyConfig struct {
 	// Name is the replica identity registered with the primary (its ack
 	// and lag accounting key).
 	Name string
-	// AutoPromote promotes this node once the primary has been
-	// unreachable for PromoteAfter.
-	AutoPromote  bool
+	// PromoteAfter, when > 0, promotes this node once the primary has
+	// been unreachable that long; 0 never promotes on its own.
 	PromoteAfter time.Duration
 	// Logf, if set, receives stream life-cycle messages.
 	Logf func(format string, args ...any)
@@ -60,7 +60,8 @@ func RunStandby(ctx context.Context, d *db.DB, cfg StandbyConfig) {
 		// Bound the negotiation: a peer (or network) that swallows the mode
 		// response must not wedge the loop — time out, back off, redial.
 		// The primary answers before it streams anything, so the bound is
-		// a dial plus one round trip, and a lossy link pays it per loss.
+		// a dial plus one round trip (plus, on a primary without a
+		// snapshot, taking its first), and a lossy link pays it per loss.
 		octx, ocancel := context.WithTimeout(ctx, 2*time.Second)
 		st, err := OpenReplication(octx, cfg.Primary, cfg.Name, cursor)
 		ocancel()
@@ -68,7 +69,7 @@ func RunStandby(ctx context.Context, d *db.DB, cfg StandbyConfig) {
 			if ctx.Err() != nil {
 				return
 			}
-			if cfg.AutoPromote && time.Since(lastContact) > cfg.PromoteAfter {
+			if cfg.PromoteAfter > 0 && time.Since(lastContact) > cfg.PromoteAfter {
 				counter, perr := d.Promote()
 				if perr != nil {
 					logf("tdbd: auto-promote failed: %v", perr)
@@ -79,21 +80,16 @@ func RunStandby(ctx context.Context, d *db.DB, cfg StandbyConfig) {
 				return
 			}
 			// Jittered: standbys of a bouncing primary spread their redials.
-			sleep := backoff/2 + time.Duration(rand.Int63n(int64(backoff/2)+1))
-			select {
-			case <-ctx.Done():
+			if sleepJittered(ctx, backoff) != nil {
 				return
-			case <-time.After(sleep):
 			}
-			if backoff *= 2; backoff > time.Second {
-				backoff = time.Second
-			}
+			backoff = min(2*backoff, time.Second)
 			continue
 		}
 		backoff = 50 * time.Millisecond
-		lastContact = time.Now()
-		err = followStream(ctx, d, st, &cursor, &lastContact, logf)
+		err = followStream(ctx, d, st, &cursor, logf)
 		st.Close()
+		lastContact = time.Now() // the primary was reachable until the stream broke
 		switch {
 		case ctx.Err() != nil:
 			return
@@ -106,56 +102,36 @@ func RunStandby(ctx context.Context, d *db.DB, cfg StandbyConfig) {
 	}
 }
 
-// followStream consumes one negotiated stream: the full state image, if
-// the primary sent one, then contiguous record frames, acknowledging
-// each batch once it is durably applied. It updates the resume cursor
-// and last-contact time as frames arrive and returns when the stream
-// breaks or the apply path refuses (promotion).
-func followStream(ctx context.Context, d *db.DB, st *ReplStream, cursor *wal.Pos, lastContact *time.Time, logf func(string, ...any)) error {
+// followStream consumes one negotiated stream: the state image, if the
+// primary sent one, then contiguous record frames, acknowledging each
+// batch once it is durably applied. It updates the resume cursor as
+// frames arrive and returns when the stream breaks or the apply path
+// refuses (promotion).
+func followStream(ctx context.Context, d *db.DB, st *ReplStream, cursor *wal.Pos, logf func(string, ...any)) error {
 	stop := context.AfterFunc(ctx, st.Close) // unblock synchronous reads on shutdown
 	defer stop()
 
-	if st.SnapshotMode() {
+	img, err := st.Image()
+	if err != nil {
+		// Part of the image was lost. The cursor is unchanged (zero, or
+		// one the primary no longer holds), so the reconnect gets the
+		// image again.
+		return err
+	}
+	if img != nil {
 		// The primary no longer holds our cursor (or we never had one):
 		// everything streams again. Idempotent apply makes the overlap
 		// with already-held state harmless.
-		logf("tdbd: full state transfer from primary (cursor %s not resumable)", *cursor)
-		applied := uint64(0)
-		for {
-			batch, _, total, done, err := st.NextSnapshot()
-			if err != nil {
-				return err
-			}
-			*lastContact = time.Now()
-			if done {
-				// Snapshot frames have no positional contiguity, so a lost
-				// or reordered entry frame is only visible here: the
-				// terminator declares how many entries the image holds.
-				// Refuse a short transfer — the cursor is unchanged (zero,
-				// or one the primary no longer holds), so the reconnect
-				// streams a fresh image.
-				if applied != total {
-					return fmt.Errorf("tdbd: snapshot image incomplete: applied %d of %d entries", applied, total)
-				}
-				break
-			}
-			recs := make([]wal.Record, len(batch))
-			for i, e := range batch {
-				recs[i] = wal.Record{
-					Version: e.Version,
-					Writes:  []wal.Entry{{Key: e.Key, Value: e.Value, Deps: e.Deps}},
-				}
-			}
-			if _, err := d.ApplyReplicated(recs); err != nil {
-				return err
-			}
-			applied += uint64(len(batch))
+		logf("tdbd: full state transfer from primary: %d-byte image (cursor %s not resumable)", len(img), *cursor)
+		n, err := applyImage(d, img, st.start)
+		if err != nil {
+			return err
 		}
-		// The terminator fixed the log cut the records continue from;
-		// acknowledging it tells the primary we hold everything before it.
-		*cursor = st.Start()
+		// The image covers the log below its cut; acknowledging the cut
+		// tells the primary we hold everything before it.
+		*cursor = st.start
 		logf("tdbd: state transfer complete: %d entries, resuming at %s (counter=%d)",
-			applied, *cursor, d.VersionCounter())
+			n, *cursor, d.VersionCounter())
 	}
 	if err := st.Ack(*cursor, d.VersionCounter()); err != nil {
 		return err
@@ -166,12 +142,11 @@ func followStream(ctx context.Context, d *db.DB, st *ReplStream, cursor *wal.Pos
 		if err != nil {
 			return err
 		}
-		*lastContact = time.Now()
 		if start != *cursor {
 			// A frame was lost or reordered. Everything before the cursor
 			// was applied contiguously and acknowledged, so the reconnect
 			// resumes there: the primary re-streams the missing run if its
-			// log still holds it and sends a fresh image only if not.
+			// log still holds it and sends the image only if not.
 			// Zeroing the cursor would turn every lost frame into a full
 			// state transfer — itself lossy — which livelocks a lossy link.
 			return fmt.Errorf("tdbd: replication gap: frame starts at %s, cursor at %s", start, *cursor)
@@ -184,4 +159,26 @@ func followStream(ctx context.Context, d *db.DB, st *ReplStream, cursor *wal.Pos
 			return err
 		}
 	}
+}
+
+// applyImage checks the snapshot image img with wal.ReadSnapshot against
+// the negotiated cut and applies its entries through ApplyReplicated in
+// batches of maxReplBatchRecords as they are parsed, so the standby's own
+// log and ack rule are those of the record stream. It returns the
+// image's entry count.
+func applyImage(d *db.DB, img []byte, cut wal.Pos) (int, error) {
+	recs := make([]wal.Record, 0, maxReplBatchRecords)
+	_, n, err := wal.ReadSnapshot(img, cut.Seq, wal.ReplayHandler{Snapshot: func(e wal.SnapshotEntry) error {
+		recs = append(recs, wal.Record{Version: e.Version, Writes: []wal.Entry{{Key: e.Key, Value: e.Value, Deps: e.Deps}}})
+		if len(recs) < maxReplBatchRecords {
+			return nil
+		}
+		_, err := d.ApplyReplicated(recs)
+		recs = recs[:0]
+		return err
+	}})
+	if err == nil {
+		_, err = d.ApplyReplicated(recs)
+	}
+	return n, err
 }

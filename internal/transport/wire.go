@@ -173,14 +173,12 @@ type Response struct {
 	HealthErr   string
 	ReplLag     uint64
 	ReplCounter uint64
-	// ReplSnapshot, on an OpReplicate acceptance, announces that a full
-	// state image (snapshot-entry frames) precedes the live record
-	// stream; ReplPos is the stream's start position (resume mode only —
-	// in snapshot mode the cut position arrives in the snapshot
-	// terminator frame instead, because it is not known until the image
-	// has been cut).
-	ReplSnapshot bool
-	ReplPos      wal.Pos
+	// ReplImage, on an OpReplicate acceptance, is the size in bytes of
+	// the primary's snapshot file, which precedes the live record stream
+	// in image frames; 0 means the stream resumes. ReplPos is where the
+	// record stream starts: the resume cursor, or the image's cut.
+	ReplImage uint64
+	ReplPos   wal.Pos
 }
 
 // Invalidation is pushed on subscription connections.

@@ -30,6 +30,7 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -158,12 +159,18 @@ func (l *Log) Replay(h ReplayHandler) (ReplayInfo, error) {
 
 	var info ReplayInfo
 	if l.snap != "" {
-		counter, entries, err := readSnapshotFile(filepath.Join(l.dir, l.snap), l.firstSeg, h)
+		path := filepath.Join(l.dir, l.snap)
+		b, err := os.ReadFile(path)
+		if err == nil {
+			info.Counter, info.SnapshotEntries, err = ReadSnapshot(b, l.firstSeg, h)
+		}
+		var cse *CorruptSnapshotError
+		if errors.As(err, &cse) {
+			cse.Path = path
+		}
 		if err != nil {
 			return info, err
 		}
-		info.Counter = counter
-		info.SnapshotEntries = entries
 	}
 
 	var end int64 // first byte after the last segment's readable frames

@@ -3,7 +3,10 @@ package wal
 // Snapshots (checkpoints). A snapshot file holds a consistent
 // point-in-time image of the store: a meta frame with the version
 // counter, one frame per live object, and a footer frame with the entry
-// count. The file covers every segment below its cut sequence.
+// count. The file covers every segment below its cut sequence. It is
+// the one state image of the system: recovery loads it, and a joining
+// replica receives the primary's newest one (OpenSnapshot) and checks it
+// with the same parser, ReadSnapshot.
 //
 // The commit protocol is crash-safe at every step:
 //
@@ -181,16 +184,28 @@ func (w *SnapshotWriter) fail() {
 	w.l.clearSnapping()
 }
 
-// readSnapshotFile loads a committed snapshot. Snapshots are fsynced
-// before the manifest references them, so every defect — torn tail
-// included — is corruption, reported as CorruptSnapshotError.
-func readSnapshotFile(path string, cut uint64, h ReplayHandler) (counter uint64, entries int, err error) {
-	corrupt := func(reason string) (uint64, int, error) {
-		return 0, 0, &CorruptSnapshotError{Path: path, Reason: reason}
+// OpenSnapshot opens the newest committed snapshot and returns it with
+// its cut — the log from Pos{Seq: cut} on top of it converges — or a
+// nil file when the log has none. The open file stays readable after a
+// newer snapshot deletes it.
+func (l *Log) OpenSnapshot() (*os.File, uint64, error) {
+	l.fileMu.Lock()
+	defer l.fileMu.Unlock()
+	if l.snap == "" {
+		return nil, 0, nil
 	}
-	b, rerr := os.ReadFile(path)
-	if rerr != nil {
-		return 0, 0, rerr
+	f, err := os.Open(filepath.Join(l.dir, l.snap))
+	return f, l.firstSeg, err
+}
+
+// ReadSnapshot parses a whole snapshot image that must cover the
+// segments below cut — a file's bytes at recovery, or an image a joining
+// replica received — passing each entry to h.Snapshot, and returns its
+// version counter and entry count. Every defect, a short tail included,
+// is a CorruptSnapshotError; an error from h is returned as is.
+func ReadSnapshot(b []byte, cut uint64, h ReplayHandler) (counter uint64, entries int, err error) {
+	corrupt := func(reason string) (uint64, int, error) {
+		return 0, 0, &CorruptSnapshotError{Reason: reason}
 	}
 	if reason := checkFileHeader(b, snapMagic, cut); reason != "" {
 		return corrupt(reason)

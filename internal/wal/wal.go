@@ -106,16 +106,16 @@ func (e *CorruptSegmentError) Error() string {
 
 func (e *CorruptSegmentError) Unwrap() error { return ErrCorrupt }
 
-// CorruptSnapshotError reports an unreadable snapshot file. Snapshots
+// CorruptSnapshotError reports an unreadable snapshot image. Snapshots
 // are fully fsynced before the manifest references them, so no part of
 // one may be torn.
 type CorruptSnapshotError struct {
-	Path   string
+	Path   string // the file, or "" for an image received over the wire
 	Reason string
 }
 
 func (e *CorruptSnapshotError) Error() string {
-	return fmt.Sprintf("wal: corrupt snapshot %s: %s", e.Path, e.Reason)
+	return strings.TrimSuffix("wal: corrupt snapshot "+e.Path, " ") + ": " + e.Reason
 }
 
 func (e *CorruptSnapshotError) Unwrap() error { return ErrCorrupt }
