@@ -453,3 +453,38 @@ func TestCloseIdempotent(t *testing.T) {
 		t.Fatalf("second Close: %v", err)
 	}
 }
+
+// TestReplicatedApplyNeverLowersAVersion re-applies older writes on a
+// standby — what re-joining from an image older than its own state
+// does — and requires every key to keep the newest version it held,
+// in memory and after recovery from the standby's own log, with every
+// write still appended to that log.
+func TestReplicatedApplyNeverLowersAVersion(t *testing.T) {
+	rec := func(counter uint64, value string) wal.Record {
+		return wal.Record{Version: kv.Version{Counter: counter}, Writes: []wal.Entry{{Key: "k", Value: kv.Value(value)}}}
+	}
+	check := func(d *DB, when string) {
+		t.Helper()
+		if it, ok := d.Get("k"); !ok || it.Version.Counter != 5 || string(it.Value) != "new" || d.VersionCounter() != 5 {
+			t.Fatalf("%s: k = %s@%v (ok %v), counter %d; want new@5.0, counter 5", when, it.Value, it.Version, ok, d.VersionCounter())
+		}
+	}
+	dir := t.TempDir()
+	d := recoverDB(t, Config{}, dir)
+	d.SetStandby("")
+	for _, batch := range [][]wal.Record{{rec(5, "new")}, {rec(2, "old"), rec(5, "new")}, {rec(3, "older")}} {
+		if _, err := d.ApplyReplicated(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check(d, "applied")
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d = recoverDB(t, Config{}, dir)
+	defer d.Close()
+	check(d, "recovered")
+	if n := d.Recovery().Records; n != 4 {
+		t.Fatalf("recovered %d records from the standby's log, want 4", n)
+	}
+}

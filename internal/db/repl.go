@@ -153,9 +153,9 @@ func (d *DB) Promote() (uint64, error) {
 // the primary, in log order: append to this node's own WAL (one group
 // durability round trip for the whole batch), apply to the stores,
 // raise the version counter, and relay invalidations to this node's
-// subscribers. Re-applying an already-applied suffix is harmless
-// (last-wins per key, counter raise is a max), which is what makes
-// position-based resume after a dropped link safe.
+// subscribers. Re-applying an already-applied suffix is harmless (a
+// key never takes an older version, the counter raise is a max), which
+// is what makes position-based resume after a dropped link safe.
 //
 // It holds commitMu for the whole apply, so promotion is strictly
 // ordered against it; after promotion it fails with ErrNotStandby.
@@ -182,17 +182,8 @@ func (d *DB) ApplyReplicated(recs []wal.Record) (wal.Pos, error) {
 	}
 	counter := d.versionC.Load()
 	for i := range recs {
-		rec := &recs[i]
-		if rec.Version.Counter > counter {
-			counter = rec.Version.Counter
-		}
-		for _, w := range rec.Writes {
-			d.store.Put(w.Key, kv.Item{
-				Value:   w.Value,
-				Version: rec.Version,
-				Deps:    w.Deps,
-			})
-		}
+		counter = max(counter, recs[i].Version.Counter)
+		d.applyRecord(&recs[i])
 	}
 	if counter > d.versionC.Load() {
 		d.versionC.Store(counter)
@@ -213,6 +204,18 @@ func (d *DB) ApplyReplicated(recs []wal.Record) (wal.Pos, error) {
 	d.noteReplApplyForSnapshot(len(recs))
 	d.tel.ReplApply.ObserveSince(start)
 	return pos, nil
+}
+
+// applyRecord stores rec's writes except where the key holds a version
+// at least as new: a no-op on a log's first pass, it keeps a standby
+// re-joining from an image older than its own state (after a restart)
+// from losing, for a while or on promotion, the versions it held.
+func (d *DB) applyRecord(rec *wal.Record) {
+	for _, w := range rec.Writes {
+		if v, ok := d.store.Version(w.Key); !ok || v.Less(rec.Version) {
+			d.store.Put(w.Key, kv.Item{Value: w.Value, Version: rec.Version, Deps: w.Deps})
+		}
+	}
 }
 
 // noteReplApplyForSnapshot counts replicated records toward the

@@ -7,7 +7,7 @@ package transport
 // the end of the last applied record frame, in primary-log coordinates;
 // a broken stream or a lost frame reconnects from it. It is kept in
 // memory only — a restarted standby re-joins with a full state
-// transfer, which the idempotent apply path (last-wins puts, max-raise
+// transfer, which the idempotent apply path (newest-wins puts, max-raise
 // counter) makes safe on top of whatever its own log recovered. The
 // transfer is the primary's newest snapshot file, checked by the parser
 // recovery uses (wal.ReadSnapshot); the records continue from its cut.
