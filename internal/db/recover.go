@@ -94,7 +94,8 @@ func (d *DB) Recovery() RecoveryInfo { return d.recovery }
 // and recovery time. Commits proceed concurrently: the snapshot is cut
 // at a segment rotation, and records committed during the scan land in
 // segments the snapshot does not cover, so replay (each key keeps its
-// newest version) converges to the same state. It is a no-op on a database opened without a WAL.
+// newest version) converges to the same state. It is a no-op on a
+// database opened without a WAL.
 func (d *DB) Snapshot() error {
 	if d.wal == nil {
 		return nil
