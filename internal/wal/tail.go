@@ -8,10 +8,11 @@ package wal
 // never straddle segments, any unreadable frame below the boundary is
 // corruption, not a torn write.
 //
-// A tailer can lag: if a snapshot commits while the tailer still needs
-// a segment below the new cut, that segment is deleted and the stream
-// can no longer be contiguous. Next returns ErrTailerLagged and the
-// caller must restart from a full state transfer.
+// A tailer can lag: if a snapshot commits while the tailer still has to
+// open a segment below the new cut, that segment is deleted and the
+// stream can no longer be contiguous. Next returns ErrTailerLagged and
+// the caller must restart from a full state transfer. A tailer that has
+// its segment open reads it to the end.
 
 import (
 	"context"
@@ -91,9 +92,6 @@ func (t *Tailer) Next(ctx context.Context) (Record, Pos, error) {
 		boundary, ch, firstSeg := t.l.flushedBoundary()
 		if t.pos.Seq == 0 {
 			t.pos = Pos{Seq: firstSeg, Off: fileHeaderSize}
-		}
-		if t.pos.Seq < firstSeg {
-			return Record{}, Pos{}, ErrTailerLagged
 		}
 		sealed := t.pos.Seq < boundary.Seq
 		if t.pos.Seq <= boundary.Seq {

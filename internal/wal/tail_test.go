@@ -262,3 +262,43 @@ func TestTailerLaggedAfterTruncation(t *testing.T) {
 		t.Fatalf("post-truncation tail started at version %d, want 21", r.Version.Counter)
 	}
 }
+
+// TestTailerFinishesItsOpenSegmentAcrossTruncation commits a snapshot
+// that deletes the segment a tailer is reading: the tailer keeps up, so
+// it must read that segment to its end and cross into the next one, not
+// lag into a full state transfer.
+func TestTailerFinishesItsOpenSegmentAcrossTruncation(t *testing.T) {
+	l, _ := openLog(t, t.TempDir(), Options{})
+	defer l.Close()
+	for i := uint64(1); i <= 5; i++ {
+		if _, err := l.Append(rec(i, "k")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tl := l.Tail(Pos{})
+	defer tl.Close()
+	tailNext(t, tl)
+
+	cut, err := l.Rotate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw, err := l.BeginSnapshot(cut, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if l.Resumable(Pos{Seq: cut - 1}) {
+		t.Fatal("the truncated segment is still resumable")
+	}
+	if _, err := l.Append(rec(6, "k")); err != nil {
+		t.Fatal(err)
+	}
+	for want := uint64(2); want <= 6; want++ {
+		if r, _ := tailNext(t, tl); r.Version.Counter != want {
+			t.Fatalf("tailer read version %d, want %d", r.Version.Counter, want)
+		}
+	}
+}
