@@ -56,7 +56,7 @@ func Recover(cfg Config, dir string) (*DB, error) {
 			return nil
 		},
 		Record: func(rec wal.Record) error {
-			d.applyRecord(&rec) // a standby's log may re-apply older writes
+			d.applyRecord(&rec)
 			return nil
 		},
 	})
@@ -93,9 +93,8 @@ func (d *DB) Recovery() RecoveryInfo { return d.recovery }
 // truncates the log segments it makes obsolete, bounding both log size
 // and recovery time. Commits proceed concurrently: the snapshot is cut
 // at a segment rotation, and records committed during the scan land in
-// segments the snapshot does not cover, so replay (each key keeps its
-// newest version) converges to the same state. It is a no-op on a
-// database opened without a WAL.
+// segments the snapshot does not cover, so replay (last-wins) converges
+// to the same state. It is a no-op on a database opened without a WAL.
 func (d *DB) Snapshot() error {
 	if d.wal == nil {
 		return nil
@@ -127,8 +126,7 @@ func (d *DB) snapshotLocked() error {
 	// fully applied to the store, so the scan below observes all
 	// of them. Commits minted after the ticket may also be observed —
 	// harmless, because their records live in segments >= cut and
-	// replay keeps each key's newest version (the log never deletes
-	// keys).
+	// replay is last-wins (the log never deletes keys).
 	d.door.wait(ticket)
 	d.door.exit()
 

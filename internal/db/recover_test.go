@@ -3,6 +3,7 @@ package db
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -454,37 +455,39 @@ func TestCloseIdempotent(t *testing.T) {
 	}
 }
 
-// TestReplicatedApplyNeverLowersAVersion re-applies older writes on a
-// standby — what re-joining from an image older than its own state
-// does — and requires every key to keep the newest version it held,
-// in memory and after recovery from the standby's own log, with every
-// write still appended to that log.
-func TestReplicatedApplyNeverLowersAVersion(t *testing.T) {
-	rec := func(counter uint64, value string) wal.Record {
-		return wal.Record{Version: kv.Version{Counter: counter}, Writes: []wal.Entry{{Key: "k", Value: kv.Value(value)}}}
-	}
-	check := func(d *DB, when string) {
+// TestJoinImageNeverOlderThanTheReplica opens join images for replicas
+// holding state through various counters. A replica ahead of the newest
+// snapshot (a restarted standby) gets a fresh one, never older than its
+// state; one at or below it, or ahead of this node (it holds writes this
+// node never made), shares the newest file.
+func TestJoinImageNeverOlderThanTheReplica(t *testing.T) {
+	d := recoverDB(t, Config{}, t.TempDir())
+	defer d.Close()
+	join := func(replica, wantCounter, wantSnapshots uint64) {
 		t.Helper()
-		if it, ok := d.Get("k"); !ok || it.Version.Counter != 5 || string(it.Value) != "new" || d.VersionCounter() != 5 {
-			t.Fatalf("%s: k = %s@%v (ok %v), counter %d; want new@5.0, counter 5", when, it.Value, it.Version, ok, d.VersionCounter())
-		}
-	}
-	dir := t.TempDir()
-	d := recoverDB(t, Config{}, dir)
-	d.SetStandby("")
-	for _, batch := range [][]wal.Record{{rec(5, "new")}, {rec(2, "old"), rec(5, "new")}, {rec(3, "older")}} {
-		if _, err := d.ApplyReplicated(batch); err != nil {
+		f, cut, err := d.JoinImage(replica)
+		if err != nil {
 			t.Fatal(err)
 		}
+		b, err := io.ReadAll(f)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		counter, _, err := wal.ReadSnapshot(b, cut.Seq, wal.ReplayHandler{})
+		if err != nil || counter != wantCounter || d.Metrics().Snapshots != wantSnapshots {
+			t.Fatalf("join at %d: image counter %d (%v), %d snapshots; want counter %d, %d snapshots",
+				replica, counter, err, d.Metrics().Snapshots, wantCounter, wantSnapshots)
+		}
 	}
-	check(d, "applied")
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-	d = recoverDB(t, Config{}, dir)
-	defer d.Close()
-	check(d, "recovered")
-	if n := d.Recovery().Records; n != 4 {
-		t.Fatalf("recovered %d records from the standby's log, want 4", n)
-	}
+	write(t, d, "a")
+	write(t, d, "b")
+	join(0, 2, 1) // no snapshot yet: the first join takes one
+	write(t, d, "a")
+	write(t, d, "c")
+	join(0, 2, 1) // a fresh replica takes the newest file
+	join(2, 2, 1) // so does one that holds no more than it
+	join(9, 2, 1) // and one that holds writes this node never made
+	join(3, 4, 2) // a restarted replica ahead of it gets a fresh image
+	join(4, 4, 2)
 }

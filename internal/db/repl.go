@@ -153,9 +153,9 @@ func (d *DB) Promote() (uint64, error) {
 // the primary, in log order: append to this node's own WAL (one group
 // durability round trip for the whole batch), apply to the stores,
 // raise the version counter, and relay invalidations to this node's
-// subscribers. Re-applying an already-applied suffix is harmless (a
-// key never takes an older version, the counter raise is a max), which
-// is what makes position-based resume after a dropped link safe.
+// subscribers. Re-applying an already-applied suffix is harmless
+// (last-wins per key, counter raise is a max), which is what makes
+// position-based resume after a dropped link safe.
 //
 // It holds commitMu for the whole apply, so promotion is strictly
 // ordered against it; after promotion it fails with ErrNotStandby.
@@ -206,15 +206,11 @@ func (d *DB) ApplyReplicated(recs []wal.Record) (wal.Pos, error) {
 	return pos, nil
 }
 
-// applyRecord stores rec's writes except where the key holds a version
-// at least as new: a no-op on a log's first pass, it keeps a standby
-// re-joining from an image older than its own state (after a restart)
-// from losing, for a while or on promotion, the versions it held.
+// applyRecord stores rec's writes at its version: last write wins, also
+// over writes a standby's primary never made.
 func (d *DB) applyRecord(rec *wal.Record) {
 	for _, w := range rec.Writes {
-		if v, ok := d.store.Version(w.Key); !ok || v.Less(rec.Version) {
-			d.store.Put(w.Key, kv.Item{Value: w.Value, Version: rec.Version, Deps: w.Deps})
-		}
+		d.store.Put(w.Key, kv.Item{Value: w.Value, Version: rec.Version, Deps: w.Deps})
 	}
 }
 
@@ -240,25 +236,28 @@ func (d *DB) noteReplApplyForSnapshot(n int) {
 // stream from.
 var ErrNoWAL = errors.New("db: replication requires a write-ahead log")
 
-// JoinImage opens the state image a joining (or lagged) replica starts
-// from — the newest snapshot file — and the log position to tail from:
-// the file covers every segment below it. It takes a snapshot only when
-// the log has none, deciding under snapMu so replicas joining at once
-// share it: a snapshot per join would truncate the segments live
-// replicas tail, and each would re-join and take another. The caller
-// must Close the file.
-func (d *DB) JoinImage() (*os.File, wal.Pos, error) {
+// JoinImage opens the newest snapshot file for a replica holding state
+// through version counter `replica`, and the log position to tail from.
+// It takes a snapshot first when there is none, or when the file is
+// older than the replica (not ahead of this node, so not holding writes
+// this node never made): the last-wins apply would roll it back. A lagged
+// replica is never newer than the file, and joins decide under snapMu,
+// so replicas share snapshots. The caller must Close the file.
+func (d *DB) JoinImage(replica uint64) (*os.File, wal.Pos, error) {
 	if d.wal == nil {
 		return nil, wal.Pos{}, ErrNoWAL
 	}
 	d.snapMu.Lock()
 	defer d.snapMu.Unlock()
-	f, cut, err := d.wal.OpenSnapshot()
-	if err == nil && f == nil {
+	f, cut, counter, err := d.wal.OpenSnapshot()
+	if err == nil && (f == nil || counter < replica && replica <= d.versionC.Load()) {
+		if f != nil {
+			f.Close()
+		}
 		if err := d.snapshotLocked(); err != nil {
 			return nil, wal.Pos{}, err
 		}
-		f, cut, err = d.wal.OpenSnapshot()
+		f, cut, _, err = d.wal.OpenSnapshot()
 	}
 	if err != nil {
 		return nil, wal.Pos{}, fmt.Errorf("db: join image: %w", err)

@@ -370,7 +370,8 @@ func appendRequest(b []byte, req *Request) []byte {
 	b = appendKeyValues(b, req.Writes)
 	b = codec.AppendVersion(b, req.MinVersion)
 	b = appendObservedReads(b, req.ReadVersions)
-	return appendPos(b, req.ReplFrom)
+	b = appendPos(b, req.ReplFrom)
+	return binary.AppendUvarint(b, req.ReplCounter)
 }
 
 func appendResponse(b []byte, resp *Response) []byte {
@@ -520,6 +521,7 @@ func decodeRequest(payload []byte) (Request, error) {
 		MinVersion:   d.Version(),
 		ReadVersions: d.observedReads(),
 		ReplFrom:     d.pos(),
+		ReplCounter:  d.Uvarint(),
 	}
 	return req, d.Err()
 }

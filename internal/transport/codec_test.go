@@ -35,7 +35,7 @@ func sampleRequests() []Request {
 			{Key: "a", Version: kv.Version{Counter: 7, Node: 2}, Found: true},
 			{Key: "gone", Found: false},
 		}},
-		{Op: OpReplicate, Subscriber: "standby-1", ReplFrom: wal.Pos{Seq: 3, Off: 4096}},
+		{Op: OpReplicate, Subscriber: "standby-1", ReplFrom: wal.Pos{Seq: 3, Off: 4096}, ReplCounter: 17},
 		{Op: "bogus", Key: "weird\x00key", Subscriber: "ütf8"},
 	}
 }

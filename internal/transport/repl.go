@@ -138,7 +138,7 @@ func (s *DBServer) serveReplication(ctx context.Context, pc *peerConn, id uint64
 	resp := Response{Code: CodeOK, Role: db.RolePrimary.String(), ReplPos: req.ReplFrom}
 	var image *os.File
 	if req.ReplFrom.IsZero() || !d.WALResumable(req.ReplFrom) {
-		f, cut, err := d.JoinImage()
+		f, cut, err := d.JoinImage(req.ReplCounter)
 		var fi os.FileInfo
 		if err == nil {
 			defer f.Close()
@@ -286,14 +286,14 @@ type ReplStream struct {
 	start   wal.Pos // the records' start: the resume cursor, or the image's cut
 }
 
-// OpenReplication dials the primary at addr and negotiates a
-// replication stream for replica `name`, resuming from cursor `from`
-// (zero asks for a full state transfer). A standby peer is rejected
-// with ErrNotPrimary (carrying the leader's address via
+// OpenReplication dials the primary at addr and negotiates a stream for
+// replica `name` at version counter `counter`, resuming from cursor
+// `from` (zero asks for a full state transfer). A standby peer is
+// rejected with ErrNotPrimary (carrying the leader's address via
 // *db.NotPrimaryError); an unreachable peer errors with ErrUnavailable
 // in the chain. ctx bounds the exchange only.
-func OpenReplication(ctx context.Context, addr, name string, from wal.Pos) (*ReplStream, error) {
-	c, fr, resp, err := dialPeer(ctx, addr, &Request{Op: OpReplicate, Subscriber: name, ReplFrom: from})
+func OpenReplication(ctx context.Context, addr, name string, from wal.Pos, counter uint64) (*ReplStream, error) {
+	c, fr, resp, err := dialPeer(ctx, addr, &Request{Op: OpReplicate, Subscriber: name, ReplFrom: from, ReplCounter: counter})
 	if err != nil {
 		return nil, err
 	}

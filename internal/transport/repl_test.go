@@ -581,6 +581,80 @@ func TestStandbyAutoPromotes(t *testing.T) {
 	}
 }
 
+// TestReplRestartedStandbyGetsAFreshImage restarts a standby whose
+// state is newer than the primary's only snapshot: its join must take a
+// fresh one, which the last-wins apply cannot roll the standby back
+// with, and converge.
+func TestReplRestartedStandbyGetsAFreshImage(t *testing.T) {
+	rig := newReplRig(t)
+	rig.commit(10)
+	dir := t.TempDir()
+	sd, _, _, stop := rig.standbyIn(dir, rig.addr)
+	rig.waitConverged(sd, 5*time.Second)
+	rig.commit(10)
+	rig.waitConverged(sd, 5*time.Second)
+	stop()
+	sd, _, _, _ = rig.standbyIn(dir, rig.addr)
+	for deadline := time.Now().Add(5 * time.Second); sd.ReplStatusNow().Applied < 20; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the restarted standby never applied an image")
+		}
+	}
+	rig.waitConverged(sd, 5*time.Second)
+	if n := rig.primary.Metrics().Snapshots; n != 2 {
+		t.Fatalf("the primary took %d snapshots, want 2: one at the first join, one at the restarted standby's", n)
+	}
+}
+
+// TestReplStandbyWithLostWritesFollowsPromotedPeer fails a primary over
+// to standby B, which missed the primary's last writes, and restarts
+// standby A, which got them (as an old primary restarted as a standby
+// would), on B. B then rewrites those keys at versions below the lost
+// ones and commits past A's counter: A must take B's image and records
+// over the writes the cluster lost and converge to B's exact state.
+func TestReplStandbyWithLostWritesFollowsPromotedPeer(t *testing.T) {
+	rig := newReplRig(t)
+	rig.commit(10)
+	b, baddr, cancelB := rig.startStandby(rig.addr)
+	aDir := t.TempDir()
+	a, _, _, stopA := rig.standbyIn(aDir, rig.addr)
+	rig.waitConverged(b, 5*time.Second)
+	rig.waitConverged(a, 5*time.Second)
+	rewrite := func(d *db.DB, tag string) {
+		for i := 0; i < 10; i++ {
+			writes := []kv.KeyValue{{Key: kv.Key(fmt.Sprintf("key-%d", i)), Value: fmt.Appendf(nil, "%s-%d", tag, i)}}
+			if _, err := d.ValidatedUpdate(context.Background(), nil, writes); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	cancelB() // B misses what follows
+	rewrite(rig.primary, "lost")
+	rewrite(rig.primary, "lost-again")
+	rig.waitConverged(a, 5*time.Second)
+	lost := a.VersionCounter()
+
+	rig.srv.Close()
+	if _, err := b.Promote(); err != nil {
+		t.Fatal(err)
+	}
+	rig.primary, rig.addr = b, baddr
+	stopA()
+	a, _, _, _ = rig.standbyIn(aDir, baddr)
+	// B's image first, so its rewrites reach A as records.
+	for deadline := time.Now().Add(5 * time.Second); a.ReplStatusNow().Applied < 10; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("A never applied B's image")
+		}
+	}
+	rewrite(b, "kept")
+	if b.VersionCounter() >= lost {
+		t.Fatalf("B rewrote at counter %d, not below the lost writes' %d", b.VersionCounter(), lost)
+	}
+	rig.commit(int(lost))
+	rig.waitConverged(a, 10*time.Second)
+}
+
 // TestReplJoinAtCutPoints joins a fresh standby at eight points of the
 // primary's log while a writer commits read-modify-write transactions
 // (so stored dependency lists are not empty), with and without

@@ -7,10 +7,10 @@ package transport
 // the end of the last applied record frame, in primary-log coordinates;
 // a broken stream or a lost frame reconnects from it. It is kept in
 // memory only — a restarted standby re-joins with a full state
-// transfer, which the idempotent apply path (newest-wins puts, max-raise
-// counter) makes safe on top of whatever its own log recovered. The
-// transfer is the primary's newest snapshot file, checked by the parser
-// recovery uses (wal.ReadSnapshot); the records continue from its cut.
+// transfer on top of what its own log recovered: the primary's newest
+// snapshot file, never older than the standby's version counter,
+// checked by the parser recovery uses (wal.ReadSnapshot); the records
+// continue from its cut.
 //
 // On primary loss the loop reconnects with jittered backoff forever,
 // unless PromoteAfter is set: once the primary has been unreachable for
@@ -63,7 +63,7 @@ func RunStandby(ctx context.Context, d *db.DB, cfg StandbyConfig) {
 		// a dial plus one round trip (plus, on a primary without a
 		// snapshot, taking its first), and a lossy link pays it per loss.
 		octx, ocancel := context.WithTimeout(ctx, 2*time.Second)
-		st, err := OpenReplication(octx, cfg.Primary, cfg.Name, cursor)
+		st, err := OpenReplication(octx, cfg.Primary, cfg.Name, cursor, d.VersionCounter())
 		ocancel()
 		if err != nil {
 			if ctx.Err() != nil {

@@ -84,12 +84,13 @@ type Request struct {
 	// handed stale data by a failed-over node. The zero version means no
 	// floor; the DB server ignores it (its reads are always current).
 	MinVersion kv.Version
-	// ReplFrom is the resume cursor of an OpReplicate request: the
-	// primary-log position after the last record this standby applied. The zero position (a fresh or restarted standby) asks for
-	// a full state transfer; a non-zero position resumes the stream there
-	// if the segment is still live, falling back to a snapshot otherwise.
-	// The replica's identity rides in Subscriber.
-	ReplFrom wal.Pos
+	// ReplFrom is the resume cursor of an OpReplicate request (the
+	// primary-log position after the last record this standby applied;
+	// zero, or a segment no longer live, means a full state transfer),
+	// ReplCounter the standby's version counter (db.JoinImage). The
+	// replica's identity rides in Subscriber.
+	ReplFrom    wal.Pos
+	ReplCounter uint64
 }
 
 // Code classifies a response.

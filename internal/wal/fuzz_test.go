@@ -201,9 +201,9 @@ func writtenSnapshot(f *testing.F) ([]byte, uint64) {
 	if err := sw.Commit(); err != nil {
 		f.Fatal(err)
 	}
-	file, snapCut, err := l.OpenSnapshot()
-	if err != nil || file == nil || snapCut != cut {
-		f.Fatalf("OpenSnapshot = %v, cut %d, %v; want the snapshot at cut %d", file, snapCut, err, cut)
+	file, snapCut, counter, err := l.OpenSnapshot()
+	if err != nil || file == nil || snapCut != cut || counter != 9 {
+		f.Fatalf("OpenSnapshot = %v, cut %d, counter %d, %v; want the snapshot at cut %d, counter 9", file, snapCut, counter, err, cut)
 	}
 	defer file.Close()
 	b, err := io.ReadAll(file)

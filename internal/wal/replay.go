@@ -163,6 +163,7 @@ func (l *Log) Replay(h ReplayHandler) (ReplayInfo, error) {
 		b, err := os.ReadFile(path)
 		if err == nil {
 			info.Counter, info.SnapshotEntries, err = ReadSnapshot(b, l.firstSeg, h)
+			l.snapCtr = info.Counter
 		}
 		var cse *CorruptSnapshotError
 		if errors.As(err, &cse) {

@@ -34,6 +34,7 @@ import (
 type SnapshotWriter struct {
 	l       *Log
 	cut     uint64
+	counter uint64
 	tmp     string
 	final   string
 	f       *os.File
@@ -73,7 +74,7 @@ func (l *Log) BeginSnapshot(cut uint64, counter uint64) (*SnapshotWriter, error)
 		l.clearSnapping()
 		return nil, err
 	}
-	w := &SnapshotWriter{l: l, cut: cut, tmp: tmp, final: final, f: f, bw: bufio.NewWriterSize(f, 1<<16)}
+	w := &SnapshotWriter{l: l, cut: cut, counter: counter, tmp: tmp, final: final, f: f, bw: bufio.NewWriterSize(f, 1<<16)}
 	if _, err := w.bw.Write(fileHeader(snapMagic, cut)); err != nil {
 		w.fail()
 		return nil, err
@@ -156,6 +157,7 @@ func (w *SnapshotWriter) Commit() error {
 	oldSnap := l.snap
 	l.firstSeg = w.cut
 	l.snap = w.final
+	l.snapCtr = w.counter
 	l.fileMu.Unlock()
 
 	// Truncate obsolete history. Failures here are harmless (Open
@@ -185,17 +187,16 @@ func (w *SnapshotWriter) fail() {
 }
 
 // OpenSnapshot opens the newest committed snapshot and returns it with
-// its cut — the log from Pos{Seq: cut} on top of it converges — or a
-// nil file when the log has none. The open file stays readable after a
-// newer snapshot deletes it.
-func (l *Log) OpenSnapshot() (*os.File, uint64, error) {
+// its cut (the log from Pos{Seq: cut} on top of it converges) and
+// counter, or a nil file; it stays readable if a newer one deletes it.
+func (l *Log) OpenSnapshot() (f *os.File, cut, counter uint64, err error) {
 	l.fileMu.Lock()
 	defer l.fileMu.Unlock()
 	if l.snap == "" {
-		return nil, 0, nil
+		return nil, 0, 0, nil
 	}
-	f, err := os.Open(filepath.Join(l.dir, l.snap))
-	return f, l.firstSeg, err
+	f, err = os.Open(filepath.Join(l.dir, l.snap))
+	return f, l.firstSeg, l.snapCtr, err
 }
 
 // ReadSnapshot parses a whole snapshot image that must cover the

@@ -226,6 +226,7 @@ type Log struct {
 	seq      uint64 // active (highest) segment sequence
 	firstSeg uint64 // lowest live segment sequence (manifest)
 	snap     string // snapshot file name ("" = none)
+	snapCtr  uint64 // the snapshot's version counter (set by Replay, Commit)
 	snapping bool
 
 	// flushed is the durable end of the log (for Sync logs, post-fsync):
