@@ -239,10 +239,10 @@ var ErrNoWAL = errors.New("db: replication requires a write-ahead log")
 // JoinImage opens the newest snapshot file for a replica holding state
 // through version counter `replica`, and the log position to tail from.
 // It takes a snapshot first when there is none, or when the file is
-// older than the replica (not ahead of this node, so not holding writes
-// this node never made): the last-wins apply would roll it back. A lagged
-// replica is never newer than the file, and joins decide under snapMu,
-// so replicas share snapshots. The caller must Close the file.
+// older than the replica, which the last-wins apply would roll back
+// (not when the replica is ahead of this node: it holds writes this
+// node never made). A lagged replica is never newer than the file and
+// joins decide under snapMu, so they share snapshots. Close the file.
 func (d *DB) JoinImage(replica uint64) (*os.File, wal.Pos, error) {
 	if d.wal == nil {
 		return nil, wal.Pos{}, ErrNoWAL

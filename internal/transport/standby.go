@@ -58,10 +58,10 @@ func RunStandby(ctx context.Context, d *db.DB, cfg StandbyConfig) {
 			return
 		}
 		// Bound the negotiation: a peer (or network) that swallows the mode
-		// response must not wedge the loop — time out, back off, redial.
-		// The primary answers before it streams anything, so the bound is
-		// a dial plus one round trip (plus, on a primary without a
-		// snapshot, taking its first), and a lossy link pays it per loss.
+		// response must not wedge the loop — time out, back off, redial. It
+		// covers a dial, one round trip and any snapshot the primary takes
+		// for this join (one that outlasts it serves the redial); a lossy
+		// link pays it per loss.
 		octx, ocancel := context.WithTimeout(ctx, 2*time.Second)
 		st, err := OpenReplication(octx, cfg.Primary, cfg.Name, cursor, d.VersionCounter())
 		ocancel()
