@@ -4,7 +4,7 @@
 //
 //	tdbd [-listen 127.0.0.1:7070] [-dep-bound 5]
 //	     [-wal-dir /var/lib/tdbd/wal] [-wal-sync=true]
-//	     [-snapshot-every 10000] [-wal-segment-size 67108864]
+//	     [-wal-segment-size 67108864]
 //	     [-metrics-addr 127.0.0.1:9070]
 //
 // With -metrics-addr an admin HTTP listener serves /metrics (Prometheus
@@ -16,7 +16,8 @@
 // are written to a segmented write-ahead log before being applied, and
 // a restart pointed at the same directory recovers every acknowledged
 // transaction — values, versions, and dependency lists — so the edge
-// floors (eq. 1/eq. 2) stay monotone across crashes.
+// floors (eq. 1/eq. 2) stay monotone across crashes. A background
+// snapshot cuts the log whenever the log outgrows the newest one.
 //
 // Clients are cmd/tcached (edge caches that fill misses from this server
 // and subscribe to its invalidation stream) and cmd/tcache-cli.
@@ -43,12 +44,11 @@ func main() {
 
 func run() error {
 	var (
-		listen    = flag.String("listen", "127.0.0.1:7070", "address to listen on")
-		depBound  = flag.Int("dep-bound", 5, "dependency-list length k per object (0 disables, -1 unbounded)")
-		walDir    = flag.String("wal-dir", "", "write-ahead-log directory; empty = in-memory only")
-		walSync   = flag.Bool("wal-sync", true, "fsync commit batches before acknowledging (requires -wal-dir)")
-		snapEvery = flag.Int("snapshot-every", 10000, "background snapshot after this many commits, 0 = never (requires -wal-dir)")
-		segSize   = flag.Int64("wal-segment-size", 0, "log segment rotation threshold in bytes, 0 = default 64 MiB")
+		listen   = flag.String("listen", "127.0.0.1:7070", "address to listen on")
+		depBound = flag.Int("dep-bound", 5, "dependency-list length k per object (0 disables, -1 unbounded)")
+		walDir   = flag.String("wal-dir", "", "write-ahead-log directory; empty = in-memory only")
+		walSync  = flag.Bool("wal-sync", true, "fsync commit batches before acknowledging (requires -wal-dir)")
+		segSize  = flag.Int64("wal-segment-size", 0, "log segment rotation threshold in bytes, 0 = default 64 MiB")
 
 		metricsAddr = flag.String("metrics-addr", "", "admin HTTP listener for /metrics, /healthz, /debug/pprof (empty = disabled)")
 
@@ -65,7 +65,6 @@ func run() error {
 	if *walDir != "" {
 		cfg.WALSync = *walSync
 		cfg.WALSegmentSize = *segSize
-		cfg.SnapshotEvery = *snapEvery
 		var err error
 		d, err = db.Recover(cfg, *walDir)
 		if err != nil {

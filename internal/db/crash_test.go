@@ -24,8 +24,7 @@ func TestCrashWriterHelper(t *testing.T) {
 	d, err := Recover(Config{
 		DepBound:       5,
 		WALSync:        true,
-		WALSegmentSize: 4096, // constant rotations
-		SnapshotEvery:  25,   // constant snapshots
+		WALSegmentSize: 256, // constant rotations, and snapshots as the log outgrows each image
 	}, dir)
 	if err != nil {
 		fmt.Printf("recover-error %v\n", err)
@@ -79,7 +78,7 @@ func TestCrashTortureProcessKill(t *testing.T) {
 	rounds := 6
 	for round := 0; round < rounds; round++ {
 		// Vary how long the child runs so kills land in different phases
-		// (first commits, snapshot threshold at 25, segment rotations).
+		// (first commits, segment rotations, the snapshots they trigger).
 		targetAcks := 5 + round*9
 
 		cmd := exec.Command(exe, "-test.run=^TestCrashWriterHelper$", "-test.v")

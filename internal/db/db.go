@@ -69,11 +69,11 @@ type Config struct {
 	// across concurrent committers). Without it durability extends only
 	// to the OS page cache.
 	WALSync bool
-	// WALSegmentSize bounds one log segment (0 = the wal default).
+	// WALSegmentSize bounds one log segment (0 = the wal default). It
+	// also paces snapshots: each time a segment seals, a background
+	// snapshot is taken if the log has outgrown its newest image (see
+	// wal.Log.SnapshotDue), which truncates the segments it covers.
 	WALSegmentSize int64
-	// SnapshotEvery, when > 0, triggers a background snapshot after
-	// that many commits, truncating obsolete log segments.
-	SnapshotEvery int
 
 	// ReplMinSync, when > 0, makes every commit wait until that many
 	// standbys have acknowledged its WAL record before returning —
@@ -169,14 +169,14 @@ type DB struct {
 	door     *commitDoor
 	recovery RecoveryInfo
 
-	// snapMu serializes snapshots; the background worker and the
-	// explicit Snapshot entry point share it.
-	snapMu    sync.Mutex
-	snapEvery int
-	sinceSnap atomic.Uint64
-	snapKick  chan struct{}
-	snapQuit  chan struct{}
-	snapDone  chan struct{}
+	// snapMu serializes snapshots; the background worker, joins and the
+	// explicit Snapshot entry point share it. walSeq is the newest log
+	// segment a record has landed in; a newer one wakes the worker.
+	snapMu   sync.Mutex
+	walSeq   atomic.Uint64
+	snapKick chan struct{}
+	snapQuit chan struct{}
+	snapDone chan struct{}
 
 	// role is the replication role (primary/standby; see repl.go). It
 	// only ever transitions standby -> primary, under commitMu. repl

@@ -75,13 +75,10 @@ func Recover(cfg Config, dir string) (*DB, error) {
 		Segments:        info.Segments,
 		TornBytes:       info.TornBytes,
 	}
-	if cfg.SnapshotEvery > 0 {
-		d.snapEvery = cfg.SnapshotEvery
-		d.snapKick = make(chan struct{}, 1)
-		d.snapQuit = make(chan struct{})
-		d.snapDone = make(chan struct{})
-		go d.snapshotWorker()
-	}
+	d.snapKick = make(chan struct{})
+	d.snapQuit = make(chan struct{})
+	d.snapDone = make(chan struct{})
+	go d.snapshotWorker()
 	return d, nil
 }
 
@@ -118,6 +115,7 @@ func (d *DB) snapshotLocked() error {
 		d.metrics.SnapshotFailures.Add(1)
 		return fmt.Errorf("db: snapshot: %w", err)
 	}
+	d.walSeq.Store(cut)
 	counter := d.versionC.Load()
 	ticket := d.door.enter()
 	d.commitMu.Unlock()
@@ -158,24 +156,28 @@ func (d *DB) snapshotLocked() error {
 	return nil
 }
 
-// noteCommitForSnapshot counts a commit toward the SnapshotEvery
-// threshold and kicks the background worker when it is reached.
-func (d *DB) noteCommitForSnapshot() {
-	if d.snapEvery <= 0 {
-		return
-	}
-	if d.sinceSnap.Add(1) < uint64(d.snapEvery) {
+// noteSegment hands the snapshot worker a decision when a record lands
+// in a newer log segment than any seen before, that is, after a segment
+// sealed by size (a snapshot marks the segment of its own cut as seen).
+// The hand-off waits out a snapshot still being taken: a writer that
+// fills segments faster than snapshots cut them waits for one, so the
+// log stays bounded. Callers hold no lock a snapshot takes.
+func (d *DB) noteSegment(pos wal.Pos) {
+	seen := d.walSeq.Load()
+	if pos.Seq <= seen || !d.walSeq.CompareAndSwap(seen, pos.Seq) {
 		return
 	}
 	select {
 	case d.snapKick <- struct{}{}:
-	default:
+	case <-d.snapQuit:
 	}
 }
 
-// snapshotWorker runs snapshots off the commit path. Failures are
+// snapshotWorker takes a snapshot off the commit path when the log has
+// outgrown its newest image. It decides under snapMu, so a join's or an
+// explicit snapshot that landed since the hand-off counts. Failures are
 // counted, not fatal: the log keeps growing but stays correct, and the
-// next threshold crossing retries.
+// next sealed segment retries.
 func (d *DB) snapshotWorker() {
 	defer close(d.snapDone)
 	for {
@@ -183,8 +185,11 @@ func (d *DB) snapshotWorker() {
 		case <-d.snapQuit:
 			return
 		case <-d.snapKick:
-			d.sinceSnap.Store(0)
-			_ = d.Snapshot()
+			d.snapMu.Lock()
+			if d.wal.SnapshotDue() {
+				_ = d.snapshotLocked()
+			}
+			d.snapMu.Unlock()
 		}
 	}
 }

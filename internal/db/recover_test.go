@@ -356,7 +356,7 @@ func TestSnapshotConcurrentWithCommits(t *testing.T) {
 
 func TestBackgroundSnapshotWorker(t *testing.T) {
 	dir := t.TempDir()
-	d := recoverDB(t, Config{DepBound: 5, SnapshotEvery: 10}, dir)
+	d := recoverDB(t, Config{DepBound: 5, WALSegmentSize: 256}, dir)
 	for i := 0; i < 60; i++ {
 		write(t, d, kv.Key(fmt.Sprintf("k%d", i%5)))
 	}
@@ -376,6 +376,66 @@ func TestBackgroundSnapshotWorker(t *testing.T) {
 		if _, ok := d2.Get(kv.Key(fmt.Sprintf("k%d", i))); !ok {
 			t.Fatalf("k%d lost across background snapshot", i)
 		}
+	}
+}
+
+// TestLogStaysBounded commits 20,000 read-modify-write transactions
+// over 200 keys, then restarts: snapshots taken as segments seal keep
+// both the live segment count and the records a restart replays
+// bounded, whatever the commit count.
+func TestLogStaysBounded(t *testing.T) {
+	for _, c := range []struct {
+		seg                 int64
+		maxRecords, maxSegs int
+	}{{4 << 10, 1000, 10}, {64 << 10, 5000, 4}} {
+		t.Run(fmt.Sprintf("segment=%d", c.seg), func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := Config{DepBound: 3, WALSegmentSize: c.seg}
+			d := recoverDB(t, cfg, dir)
+			segs := 0
+			for i := 0; i < 20000; i++ {
+				k := kv.Key(fmt.Sprintf("key-%d", i%200))
+				mustCommit(t, d, []kv.Key{k}, kv.KeyValue{Key: k, Value: kv.Value(strconv.Itoa(i))})
+				segs = max(segs, d.wal.SegmentCount())
+			}
+			if err := d.Close(); err != nil {
+				t.Fatal(err)
+			}
+			d2 := recoverDB(t, cfg, dir)
+			defer d2.Close()
+			info := d2.Recovery()
+			t.Logf("%d snapshots; at most %d live segments; restart replays %d records from %d segments",
+				d.Metrics().Snapshots, segs, info.Records, info.Segments)
+			if info.Records > c.maxRecords || segs > c.maxSegs || d2.Len() != 200 {
+				t.Fatalf("restart replays %d records (max %d), log held up to %d segments (max %d), %d keys",
+					info.Records, c.maxRecords, segs, c.maxSegs, d2.Len())
+			}
+		})
+	}
+}
+
+// TestSnapshotCutTriggersNoSnapshot takes an explicit snapshot, then
+// commits into the segment its cut opened: the segment the snapshot
+// sealed for its own cut must not make the log look outgrown.
+func TestSnapshotCutTriggersNoSnapshot(t *testing.T) {
+	d := recoverDB(t, Config{DepBound: 3}, t.TempDir())
+	for i := 0; i < 50; i++ {
+		write(t, d, kv.Key(fmt.Sprintf("k%d", i%10)))
+	}
+	if err := d.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		write(t, d, kv.Key(fmt.Sprintf("k%d", i%10)))
+	}
+	if d.wal.SnapshotDue() {
+		t.Fatal("the snapshot's own cut counts as log outgrowing it")
+	}
+	if err := d.Close(); err != nil { // waits out the snapshot worker
+		t.Fatal(err)
+	}
+	if n := d.Metrics().Snapshots; n != 1 {
+		t.Fatalf("%d snapshots, want the explicit one only", n)
 	}
 }
 

@@ -20,6 +20,7 @@ package db
 // version minted afterwards is strictly higher than every replayed one.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -159,7 +160,7 @@ func (d *DB) Promote() (uint64, error) {
 //
 // It holds commitMu for the whole apply, so promotion is strictly
 // ordered against it; after promotion it fails with ErrNotStandby.
-func (d *DB) ApplyReplicated(recs []wal.Record) (wal.Pos, error) {
+func (d *DB) ApplyReplicated(recs []wal.Record) (pos wal.Pos, err error) {
 	if d.closed.Load() {
 		return wal.Pos{}, ErrClosed
 	}
@@ -167,14 +168,13 @@ func (d *DB) ApplyReplicated(recs []wal.Record) (wal.Pos, error) {
 		return wal.Pos{}, nil
 	}
 	start := time.Now()
+	defer func() { d.noteSegment(pos) }() // runs after commitMu is released
 	d.commitMu.Lock()
 	defer d.commitMu.Unlock()
 	if Role(d.role.Load()) != RoleStandby {
 		return wal.Pos{}, ErrNotStandby
 	}
-	var pos wal.Pos
 	if d.wal != nil {
-		var err error
 		pos, err = d.wal.AppendBatch(recs)
 		if err != nil {
 			return wal.Pos{}, fmt.Errorf("db: replicated append: %w", err)
@@ -201,7 +201,6 @@ func (d *DB) ApplyReplicated(recs []wal.Record) (wal.Pos, error) {
 	d.repl.mu.Lock()
 	d.repl.applied += uint64(len(recs))
 	d.repl.mu.Unlock()
-	d.noteReplApplyForSnapshot(len(recs))
 	d.tel.ReplApply.ObserveSince(start)
 	return pos, nil
 }
@@ -211,21 +210,6 @@ func (d *DB) ApplyReplicated(recs []wal.Record) (wal.Pos, error) {
 func (d *DB) applyRecord(rec *wal.Record) {
 	for _, w := range rec.Writes {
 		d.store.Put(w.Key, kv.Item{Value: w.Value, Version: rec.Version, Deps: w.Deps})
-	}
-}
-
-// noteReplApplyForSnapshot counts replicated records toward the
-// standby's own SnapshotEvery threshold so its log stays bounded too.
-func (d *DB) noteReplApplyForSnapshot(n int) {
-	if d.snapEvery <= 0 {
-		return
-	}
-	if d.sinceSnap.Add(uint64(n)) < uint64(d.snapEvery) {
-		return
-	}
-	select {
-	case d.snapKick <- struct{}{}:
-	default:
 	}
 }
 
@@ -348,7 +332,7 @@ func (s *replState) satisfiedLocked(pos wal.Pos, minSync int) bool {
 // acknowledged pos, the context ends, or the database closes. With
 // ReplMinSync == 0 (asynchronous replication, the default) it returns
 // immediately.
-func (d *DB) waitReplicated(ctx contextLike, pos wal.Pos) error {
+func (d *DB) waitReplicated(ctx context.Context, pos wal.Pos) error {
 	need := d.cfg.ReplMinSync
 	if need <= 0 {
 		return nil
@@ -376,13 +360,6 @@ func (d *DB) waitReplicated(ctx contextLike, pos wal.Pos) error {
 		s.mu.Unlock()
 		return ctx.Err()
 	}
-}
-
-// contextLike is the slice of context.Context waitReplicated needs;
-// keeping it structural avoids importing context here for one method.
-type contextLike interface {
-	Done() <-chan struct{}
-	Err() error
 }
 
 // ReplStatus is a point-in-time view of the node's replication state.

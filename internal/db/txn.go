@@ -325,7 +325,7 @@ func (d *DB) commit(ctx context.Context, t *txn) (kv.Version, []kv.Item, error) 
 	d.emitInvalidations(writtenKeys, vt)
 	d.door.exit()
 
-	d.noteCommitForSnapshot()
+	d.noteSegment(walPos)
 
 	// Synchronous replication: do not acknowledge until enough standbys
 	// hold the record. The commit has already applied locally either

@@ -30,8 +30,7 @@ func TestFailoverPrimaryHelper(t *testing.T) {
 	d, err := db.Recover(db.Config{
 		WALSync:        true,
 		ReplMinSync:    1,
-		WALSegmentSize: 4096, // constant rotations
-		SnapshotEvery:  50,   // truncation forces snapshot-mode resyncs
+		WALSegmentSize: 512, // constant rotations; the snapshots they trigger force image resyncs
 	}, dir)
 	if err != nil {
 		fmt.Printf("recover-error %v\n", err)

@@ -664,9 +664,9 @@ func TestReplStandbyWithLostWritesFollowsPromotedPeer(t *testing.T) {
 // and equal version counters. A last case times the join of a
 // 20,000-object primary, first and repeated.
 func TestReplJoinAtCutPoints(t *testing.T) {
-	for _, every := range []int{0, 40} {
-		t.Run(fmt.Sprintf("SnapshotEvery=%d", every), func(t *testing.T) {
-			rig := newReplRigWith(t, db.Config{SnapshotEvery: every})
+	for _, seg := range []int64{0, 2 << 10} {
+		t.Run(fmt.Sprintf("WALSegmentSize=%d", seg), func(t *testing.T) {
+			rig := newReplRigWith(t, db.Config{WALSegmentSize: seg})
 			rig.commit(20)
 			keys := rig.written
 			var commits atomic.Int64

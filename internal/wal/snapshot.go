@@ -199,6 +199,28 @@ func (l *Log) OpenSnapshot() (f *os.File, cut, counter uint64, err error) {
 	return f, l.firstSeg, l.snapCtr, err
 }
 
+// SnapshotDue reports whether the segments sealed since the newest
+// snapshot's cut hold at least as many bytes as its file (any sealed
+// segment, when there is none). The segment a snapshot seals for its own
+// cut lies below the cut. Sizes come from the files, so restarts keep it.
+func (l *Log) SnapshotDue() bool {
+	l.fileMu.Lock()
+	defer l.fileMu.Unlock() // a snapshot deletes only files it dropped under fileMu
+	var image, sealed int64
+	if fi, err := os.Stat(filepath.Join(l.dir, l.snap)); err == nil && l.snap != "" {
+		image = fi.Size()
+	}
+	for seq := l.firstSeg; seq < l.seq; seq++ {
+		if fi, err := os.Stat(filepath.Join(l.dir, segName(seq))); err == nil {
+			sealed += fi.Size()
+		}
+		if sealed >= image {
+			return true
+		}
+	}
+	return false
+}
+
 // ReadSnapshot parses a whole snapshot image that must cover the
 // segments below cut — a file's bytes at recovery, or an image a joining
 // replica received — passing each entry to h.Snapshot, and returns its

@@ -183,14 +183,6 @@ func WithSegmentSize(n int64) DBOption {
 	return func(c *db.Config) { c.WALSegmentSize = n }
 }
 
-// WithSnapshotEvery makes OpenDurableDB write a background snapshot
-// after every n commits, truncating the log segments the snapshot makes
-// obsolete (default 0 = only explicit Snapshot calls). It has no effect
-// on OpenDB.
-func WithSnapshotEvery(n int) DBOption {
-	return func(c *db.Config) { c.SnapshotEvery = n }
-}
-
 // OpenDB creates an in-process backend database.
 func OpenDB(opts ...DBOption) *DB {
 	cfg := db.Config{DepBound: 5}
@@ -204,8 +196,9 @@ func OpenDB(opts ...DBOption) *DB {
 // durable in a segmented write-ahead log under dir: values, versions
 // and dependency lists all survive restarts. Commits are fsynced by
 // default (see WithFsync); concurrent committers share batches and
-// fsyncs via group commit. Bound log growth with WithSnapshotEvery or
-// explicit Snapshot calls.
+// fsyncs via group commit. The log bounds itself: when a segment seals
+// and the segments since the newest snapshot hold at least as many
+// bytes as it does, a background snapshot truncates them.
 //
 // dir must be a directory (it is created if absent). Logs written by
 // versions of this package before the segmented format — a single gob

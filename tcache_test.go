@@ -416,7 +416,7 @@ func TestTTLOptionExpiresEntries(t *testing.T) {
 
 func TestOpenDurableDB(t *testing.T) {
 	dir := t.TempDir() + "/wal"
-	d, err := OpenDurableDB(dir, WithFsync(false), WithSegmentSize(1<<20), WithSnapshotEvery(1000))
+	d, err := OpenDurableDB(dir, WithFsync(false), WithSegmentSize(4<<10))
 	if err != nil {
 		t.Fatal(err)
 	}
