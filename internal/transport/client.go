@@ -560,7 +560,7 @@ func (m *mux) redial(ctx context.Context, f *inflight, err error) (Response, err
 		if attempt > 0 {
 			// Jittered: colliding retriers spread out instead of redialing
 			// in lockstep against a struggling server.
-			if serr := sleepJittered(ctx, backoff); serr != nil {
+			if serr := SleepJittered(ctx, backoff); serr != nil {
 				return Response{}, wrapUnavail(err) // report the request failure, not the sleep
 			}
 			backoff *= 2
@@ -592,14 +592,13 @@ func (m *mux) redial(ctx context.Context, f *inflight, err error) (Response, err
 	return resp, wrapUnavail(err)
 }
 
-// sleepJittered sleeps a uniformly random duration in [d/2, d), bailing
-// out early with ctx.Err() on cancellation.
-func sleepJittered(ctx context.Context, d time.Duration) error {
+// SleepJittered sleeps a uniformly random duration in [d/2, d), bailing
+// out early with ctx.Err() on cancellation; d <= 0 does not sleep.
+func SleepJittered(ctx context.Context, d time.Duration) error {
 	if d <= 0 {
 		return ctx.Err()
 	}
-	jittered := d/2 + time.Duration(rand.Int63n(int64(d/2)+1))
-	t := time.NewTimer(jittered)
+	t := time.NewTimer(d/2 + time.Duration(rand.Int63n(int64(d/2)+1)))
 	defer t.Stop()
 	select {
 	case <-t.C:
@@ -839,7 +838,7 @@ func Resubscribe(ctx context.Context, name string, open func(ctx context.Context
 					st = next
 					break
 				}
-				if sleepJittered(sctx, backoff) != nil {
+				if SleepJittered(sctx, backoff) != nil {
 					return
 				}
 			}

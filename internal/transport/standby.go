@@ -80,7 +80,7 @@ func RunStandby(ctx context.Context, d *db.DB, cfg StandbyConfig) {
 				return
 			}
 			// Jittered: standbys of a bouncing primary spread their redials.
-			if sleepJittered(ctx, backoff) != nil {
+			if SleepJittered(ctx, backoff) != nil {
 				return
 			}
 			backoff = min(2*backoff, time.Second)

@@ -185,7 +185,7 @@ func (r *Remote) dialAny(ctx context.Context, start int) (*transport.DBClient, i
 	var lastErr error
 	for attempt := 0; attempt < r.opts.dialAttempts; attempt++ {
 		if attempt > 0 {
-			if err := sleepJittered(ctx, backoff); err != nil {
+			if err := transport.SleepJittered(ctx, backoff); err != nil {
 				return nil, 0, lastErr
 			}
 			if backoff *= 2; backoff > time.Second {

@@ -22,13 +22,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"slices"
 	"time"
 
 	"tcache/internal/core"
 	"tcache/internal/db"
 	"tcache/internal/kv"
+	"tcache/internal/transport"
 )
 
 // Updater is the unified write capability: run fn inside a serializable
@@ -152,28 +152,12 @@ func retryConflicts(ctx context.Context, attempt func(ctx context.Context) error
 		}
 		// Conflict: back off with jitter so colliding retriers spread out
 		// instead of livelocking in step.
-		if err := sleepJittered(ctx, backoff); err != nil {
+		if err := transport.SleepJittered(ctx, backoff); err != nil {
 			return err
 		}
 		if backoff *= 2; backoff > maxBackoff {
 			backoff = maxBackoff
 		}
-	}
-}
-
-// sleepJittered sleeps for a uniformly random duration in [d/2, d),
-// returning early with ctx.Err() on cancellation; d <= 0 does not sleep.
-func sleepJittered(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d/2 + time.Duration(rand.Int63n(int64(d/2)+1)))
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
 	}
 }
 
