@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"tcache"
+	"tcache/internal/telemetry"
 	"tcache/internal/transport"
 )
 
@@ -149,6 +150,19 @@ func TestDialFailover(t *testing.T) {
 	}
 	if _, err := rig.standby.Core().Promote(); err != nil {
 		t.Fatal(err)
+	}
+	// The subscription re-homes on its own goroutine, and a node drops
+	// the invalidations of commits made before a subscriber registers
+	// there (a subscription gap, by design): wait for the survivor to
+	// hold it before writing.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		st, err := remote.Stats(ctx)
+		if err == nil && telemetry.ParseFlat(st).Gauges["subscribers"] > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("subscription never re-homed to the survivor (stats err %v)", err)
+		}
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {

@@ -52,7 +52,10 @@ wait_up() {
 WAL="$LOGS/wal"
 
 echo "== spawning tdbd on $DB (wal: $WAL, metrics: $DB_METRICS) =="
-"$BIN/tdbd" -listen "$DB" -wal-dir "$WAL" -snapshot-every 100 \
+# 64 KiB segments: the load seals several, and each seal snapshots once
+# the log has outgrown the newest snapshot, so the kill -9 leg below
+# recovers from a snapshot plus a tail.
+"$BIN/tdbd" -listen "$DB" -wal-dir "$WAL" -wal-segment-size 65536 \
   -metrics-addr "$DB_METRICS" >"$LOGS/tdbd.log" 2>&1 &
 TDBD_PID=$!
 wait_up "$DB"
@@ -118,6 +121,8 @@ grep -q '^tcache_wal_fsyncs_total [1-9]' "$LOGS/tdbd-metrics.txt"
 grep -q '^tcache_update_commit_ns_count [1-9]' "$LOGS/tdbd-metrics.txt"
 grep -qF 'tcache_update_commit_ns_bucket{le="+Inf"}' "$LOGS/tdbd-metrics.txt"
 grep -q '^tcache_repl_lag 0' "$LOGS/tdbd-metrics.txt"
+# The sealed segments triggered at least one background snapshot.
+grep -q '^tcache_snapshots_total [1-9]' "$LOGS/tdbd-metrics.txt"
 curl -fsS "http://$EDGE0_METRICS/metrics" >"$LOGS/tcached0-metrics.txt"
 # The edge served reads with hits and its read-latency histograms are live.
 grep -q '^tcache_reads_total [1-9]' "$LOGS/tcached0-metrics.txt"
@@ -183,12 +188,13 @@ grep -q "locked by another process" "$LOGS/tdbd-second.log"
 
 kill -9 "$TDBD_PID"
 wait "$TDBD_PID" 2>/dev/null || true
-"$BIN/tdbd" -listen "$DB" -wal-dir "$WAL" -snapshot-every 100 >"$LOGS/tdbd-restart.log" 2>&1 &
+"$BIN/tdbd" -listen "$DB" -wal-dir "$WAL" -wal-segment-size 65536 >"$LOGS/tdbd-restart.log" 2>&1 &
 TDBD_PID=$!
 wait_up "$DB"
 # The killed daemon's lock died with it, and the zero fill it left ahead
-# of its last commit is the clean end of the log, not a torn tail.
-grep -q "recovered $WAL" "$LOGS/tdbd-restart.log"
+# of its last commit is the clean end of the log, not a torn tail. It
+# recovers from the snapshot the load triggered, plus the tail after it.
+grep -q "recovered $WAL: [1-9][0-9]* snapshot entries" "$LOGS/tdbd-restart.log"
 grep -q "torn tail 0 bytes" "$LOGS/tdbd-restart.log"
 
 # The committed value must come back at its exact pre-kill version.
