@@ -207,8 +207,10 @@ func (l *Log) SnapshotDue() bool {
 	l.fileMu.Lock()
 	defer l.fileMu.Unlock() // a snapshot deletes only files it dropped under fileMu
 	var image, sealed int64
-	if fi, err := os.Stat(filepath.Join(l.dir, l.snap)); err == nil && l.snap != "" {
-		image = fi.Size()
+	if l.snap != "" {
+		if fi, err := os.Stat(filepath.Join(l.dir, l.snap)); err == nil {
+			image = fi.Size()
+		}
 	}
 	for seq := l.firstSeg; seq < l.seq; seq++ {
 		if fi, err := os.Stat(filepath.Join(l.dir, segName(seq))); err == nil {
