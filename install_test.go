@@ -281,7 +281,7 @@ func TestBareUpdaterBackendSelfInvalidates(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, k := range keys {
-			if c.Core().Contains(k) {
+			if _, ok := c.Core().Cached(k); ok {
 				t.Fatalf("round %d: %q is still cached after a bare-version commit", round, k)
 			}
 			if v, err := c.Get(ctx, k); err != nil || binary.BigEndian.Uint64(v) != round {

@@ -265,6 +265,10 @@ type Cache struct {
 	parkMu sync.Mutex //tcache:lockclass parked
 	parked map[kv.TxnID]*Txn
 
+	// marks are the written keys of this cache's commits in flight
+	// (commit.go).
+	marks commitMarks
+
 	// hooks is copy-on-write: OnComplete (serialized by hookMu) stores
 	// a fresh slice, emit reads it with one atomic load and no lock.
 	hookMu sync.Mutex
@@ -284,8 +288,9 @@ type Cache struct {
 // The locking protocol, as enforced by tcachelint's locks analyzer: an
 // entry shard's mutex (lock class shard) is the only lock a read, fill or
 // eviction takes, one at a time. Read's parkMu (class parked) is a leaf
-// that guards the parked map alone: no lockorder relation joins the two
-// classes, so any nesting is flagged.
+// that guards the parked map alone: no lockorder relation joins it to
+// another class, so any nesting is flagged. The mark table's mutex
+// (class marks) is taken before a shard's, by a commit's claim only.
 
 // The counters every read and every transaction moves are not Metrics'
 // shared atomics: each is kept beside the shard or stripe it belongs to
@@ -421,18 +426,40 @@ func (t *keyTable) find(from int, hash uint64, key kv.Key) int32 {
 }
 
 // add appends a row for key (not yet in the table) and returns its index.
+// It never appends: the rows stay on the caller's scratch (a stack
+// buffer, or a pooled Txn's) until they outgrow it, where an append
+// would make the scratch escape with them.
 func (t *keyTable) add(hash uint64, key kv.Key) int32 {
-	if t.idx == nil && len(t.rows) >= txnRecordSpill {
-		t.idx = make(map[kv.Key]int32, 2*len(t.rows))
+	n := len(t.rows)
+	if n == cap(t.rows) || n >= txnRecordSpill {
+		t.room(key)
+	}
+	t.rows = t.rows[:n+1]
+	t.rows[n] = recRow{hash: hash, key: key}
+	return int32(n)
+}
+
+// room is add's slow path: it grows full rows onto the heap and keeps
+// the key index of a table past txnRecordSpill, key's entry included.
+// Kept out of line, so that add inlines into the read paths.
+//
+//go:noinline
+func (t *keyTable) room(key kv.Key) {
+	n := len(t.rows)
+	if t.idx == nil && n >= txnRecordSpill {
+		t.idx = make(map[kv.Key]int32, 2*n)
 		for i := range t.rows {
 			t.idx[t.rows[i].key] = int32(i)
 		}
 	}
 	if t.idx != nil {
-		t.idx[key] = int32(len(t.rows))
+		t.idx[key] = int32(n)
 	}
-	t.rows = append(t.rows, recRow{hash: hash, key: key})
-	return int32(len(t.rows) - 1)
+	if n == cap(t.rows) {
+		grown := make([]recRow, n, 2*n+4)
+		copy(grown, t.rows)
+		t.rows = grown
+	}
 }
 
 // txnRecord tracks one in-flight read-only transaction: one row per key
@@ -531,6 +558,7 @@ func New(cfg Config) (*Cache, error) {
 	for i := range c.shards {
 		c.shards[i] = &cacheShard{entries: make(map[kv.Key]*entry)}
 	}
+	c.marks.keys = make(map[kv.Key]chan struct{})
 	switch cfg.Policy {
 	case evict.Clock:
 		c.policyEvictions = &c.metrics.EvictionsClock
@@ -631,31 +659,6 @@ func (c *Cache) Invalidate(key kv.Key, version kv.Version) {
 	c.metrics.InvalidationsStale.Add(1)
 }
 
-// Install caches item as key's committed state without a fetch: the
-// fill of a miss whose answer the caller already holds — the committing
-// client's own write, rebuilt from the commit's version and dependency
-// list. It is insertShardLocked under the shard lock, so it obeys what
-// every fill obeys: an entry already at a newer version stays, an older
-// one is replaced in place, the byte budget is enforced, the admission
-// doorkeeper may decline a first-sighted key, and nothing is inserted
-// after Close; CommitInstalls counts the items kept. And like a fill it
-// can cross a newer invalidation that arrived first and found nothing to
-// evict: the item is then cached behind the database until the §III-B
-// checks or the next invalidation catch it — the exposure of any fetch
-// that crosses an invalidation, no more.
-func (c *Cache) Install(key kv.Key, item kv.Item) {
-	if c.closed.Load() {
-		return
-	}
-	sh := c.shardFor(key)
-	sh.mu.Lock()
-	e := c.insertShardLocked(sh, key, item)
-	sh.mu.Unlock()
-	if e != nil {
-		c.metrics.CommitInstalls.Add(1)
-	}
-}
-
 // sumShards adds up f over the entry shards, each under its lock.
 func (c *Cache) sumShards(f func(*cacheShard) uint64) (n uint64) {
 	for _, sh := range c.shards {
@@ -706,15 +709,6 @@ func (c *Cache) ActiveTxns() int {
 	ended := c.hotSum(hotTxnsCommitted) + c.metrics.TxnsAborted.Load() +
 		c.metrics.TxnsAbortedOnClose.Load()
 	return int(c.hotSum(hotTxnsStarted) - ended)
-}
-
-// Contains reports whether key is currently cached (ignoring TTL).
-func (c *Cache) Contains(key kv.Key) bool {
-	sh := c.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	_, ok := sh.entries[key]
-	return ok
 }
 
 // removeEntry unlinks e from the shard's map and eviction ledger

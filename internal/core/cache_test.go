@@ -136,11 +136,11 @@ func TestInvalidateSemantics(t *testing.T) {
 	}
 
 	c.Invalidate("k", kv.Version{Counter: 5}) // not newer: keep
-	if !c.Contains("k") {
+	if !cached(c, "k") {
 		t.Fatal("equal-version invalidation evicted entry")
 	}
 	c.Invalidate("k", kv.Version{Counter: 6}) // newer: evict
-	if c.Contains("k") {
+	if cached(c, "k") {
 		t.Fatal("newer invalidation did not evict")
 	}
 	c.Invalidate("absent", kv.Version{Counter: 1}) // noop
@@ -177,7 +177,7 @@ func TestEq2DetectedAndAborted(t *testing.T) {
 		t.Fatal("aborted txn record not cleaned up")
 	}
 	// ABORT must not evict: collateral damage is limited to this txn.
-	if !c.Contains("B") {
+	if !cached(c, "B") {
 		t.Fatal("ABORT strategy evicted the stale entry")
 	}
 }
@@ -212,7 +212,7 @@ func TestEvictStrategyRemovesStaleEntry(t *testing.T) {
 	if _, err := c.Read(bgc, 1, "B", true); !errors.Is(err, ErrTxnAborted) {
 		t.Fatalf("err = %v", err)
 	}
-	if c.Contains("B") {
+	if cached(c, "B") {
 		t.Fatal("EVICT did not remove the stale entry")
 	}
 	if got := c.Metrics().Evictions; got != 1 {
@@ -264,7 +264,7 @@ func TestRetryCannotFixEq1(t *testing.T) {
 		t.Fatalf("err = %v, want eq.1 InconsistencyError", err)
 	}
 	// Like EVICT, the stale entry is removed.
-	if c.Contains("B") {
+	if cached(c, "B") {
 		t.Fatal("RETRY(eq1) did not evict the stale entry")
 	}
 }
@@ -434,10 +434,10 @@ func TestCapacityLRUEviction(t *testing.T) {
 	if _, err := c.Get(bgc, "c"); err != nil { // evicts b
 		t.Fatal(err)
 	}
-	if c.Contains("b") {
+	if cached(c, "b") {
 		t.Fatal("LRU victim b still cached")
 	}
-	if !c.Contains("a") || !c.Contains("c") {
+	if !cached(c, "a") || !cached(c, "c") {
 		t.Fatal("wrong entry evicted")
 	}
 	if got := c.Metrics().EvictionsLRU; got != 1 {

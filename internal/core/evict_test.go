@@ -81,7 +81,7 @@ func TestByteBudgetLRUOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if c.Contains("b") || !c.Contains("a") || !c.Contains("c") {
+	if cached(c, "b") || !cached(c, "a") || !cached(c, "c") {
 		t.Fatal("byte-budget LRU did not evict the least recently used entry")
 	}
 }
@@ -120,7 +120,7 @@ func TestGrowingValueTriggersEviction(t *testing.T) {
 	if got := c.ResidentBytes(); got > budget {
 		t.Fatalf("resident bytes %d exceed budget %d after in-place growth", got, budget)
 	}
-	if !c.Contains("g") {
+	if !cached(c, "g") {
 		t.Fatal("the grown entry itself was evicted despite fitting the budget")
 	}
 	if c.Len() >= len(keys) {
@@ -133,7 +133,7 @@ func TestGrowingValueTriggersEviction(t *testing.T) {
 	// the entries actually present.
 	var want uint64
 	for _, k := range keys {
-		if c.Contains(k) {
+		if cached(c, k) {
 			n := 4
 			if k == "g" {
 				n = 700
@@ -177,7 +177,7 @@ func TestAdmissionDoorkeeper(t *testing.T) {
 	if v, err := c.Get(bgc, "k"); err != nil || string(v) != "v" {
 		t.Fatalf("first Get = %q, %v", v, err)
 	}
-	if c.Contains("k") {
+	if cached(c, "k") {
 		t.Fatal("first sighting was cached despite the doorkeeper")
 	}
 	if got := c.Metrics().AdmissionRejects; got != 1 {
@@ -186,7 +186,7 @@ func TestAdmissionDoorkeeper(t *testing.T) {
 	if v, err := c.Get(bgc, "k"); err != nil || string(v) != "v" {
 		t.Fatalf("second Get = %q, %v", v, err)
 	}
-	if !c.Contains("k") {
+	if !cached(c, "k") {
 		t.Fatal("second sighting was not admitted")
 	}
 	fetches := b.getCount()
@@ -212,7 +212,7 @@ func TestAdmissionKeepsWorkingSetUnderScan(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if !c.Contains(k) {
+		if !cached(c, k) {
 			t.Fatalf("hot key %q not admitted after two sightings", k)
 		}
 	}
@@ -231,7 +231,7 @@ func TestAdmissionKeepsWorkingSetUnderScan(t *testing.T) {
 		}
 	}
 	for _, k := range hot {
-		if !c.Contains(k) {
+		if !cached(c, k) {
 			t.Fatalf("scan flushed admitted hot key %q", k)
 		}
 	}

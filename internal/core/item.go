@@ -10,12 +10,13 @@ import (
 
 // lookupPass is the non-transactional read: collect what the cache can
 // serve under floor, then fetch and insert the rest. A backend failure
-// fails the whole call.
-func (c *Cache) lookupPass(ctx context.Context, keys []kv.Key, floor kv.Version, out []kv.Lookup, slots []keySlot) error {
+// fails the whole call. out and slots are per-key scratch, len(keys)
+// each; miss is the empty scratch the miss list is built on.
+func (c *Cache) lookupPass(ctx context.Context, keys []kv.Key, floor kv.Version, out []kv.Lookup, slots []keySlot, miss []recRow) error {
 	if c.closed.Load() {
 		return ErrClosed
 	}
-	var missing keyTable
+	missing := keyTable{rows: miss}
 	if c.collect(keys, floor, out, slots, &missing, true); len(missing.rows) > 0 {
 		// Like readPass, look at ctx only when there is a fetch to bound.
 		if err := ctx.Err(); err != nil {
@@ -33,8 +34,9 @@ func (c *Cache) lookupOne(ctx context.Context, key kv.Key, floor kv.Version) (kv
 		keys  = [1]kv.Key{key}
 		out   [1]kv.Lookup
 		slots [1]keySlot
+		miss  [1]recRow
 	)
-	if err := c.lookupPass(ctx, keys[:], floor, out[:], slots[:]); err != nil {
+	if err := c.lookupPass(ctx, keys[:], floor, out[:], slots[:], miss[:0]); err != nil {
 		return kv.Item{}, err
 	}
 	if !out[0].Found {
@@ -85,12 +87,13 @@ func (c *Cache) GetItems(ctx context.Context, keys []kv.Key, floor kv.Version) (
 		start = time.Now()
 	}
 	var slotBuf [batchInline]keySlot
+	var missBuf [batchInline]recRow
 	slots := slotBuf[:]
 	if len(keys) > batchInline {
 		slots = make([]keySlot, len(keys))
 	}
 	out := make([]kv.Lookup, len(keys))
-	if err := c.lookupPass(ctx, keys, floor, out, slots[:len(keys)]); err != nil {
+	if err := c.lookupPass(ctx, keys, floor, out, slots[:len(keys)], missBuf[:0]); err != nil {
 		return nil, err
 	}
 	if c.tel != nil {

@@ -39,6 +39,8 @@ type Metrics struct {
 	BatchPrefetchedKeys  uint64v `metric:"batch_prefetched_keys"`
 	FloorRefetches       uint64v `metric:"floor_refetches"`
 	CommitInstalls       uint64v `metric:"commit_installs"`
+	CommitWaits          uint64v `metric:"update_commit_waits"`
+	LocalConflicts       uint64v `metric:"update_local_conflicts"`
 }
 
 // uint64v aliases atomic.Uint64 to keep the struct declaration compact.
@@ -73,6 +75,8 @@ type MetricsSnapshot struct {
 	BatchPrefetchedKeys  uint64
 	FloorRefetches       uint64
 	CommitInstalls       uint64
+	CommitWaits          uint64
+	LocalConflicts       uint64
 }
 
 // HitRatio returns hits / (hits + misses), or 1 if there were no reads.

@@ -227,7 +227,7 @@ func runDifferential(t *testing.T, name string, cfg Config, hooks bool, seed int
 		}
 		for _, k := range keys {
 			for _, s := range sides {
-				if got, want := s.c.Contains(k), ref.c.Contains(k); got != want {
+				if got, want := cached(s.c, k), cached(ref.c, k); got != want {
 					fail("after %v (err %v): Contains(%s) %s %v, reference %v", read, wantErr, k, s.name, got, want)
 				}
 			}

@@ -81,7 +81,7 @@ func (c *Cache) readPass(ctx context.Context, t *Txn, keys []kv.Key, out []kv.Lo
 		return err
 	}
 	var fetchErr error
-	var missing keyTable
+	missing := keyTable{rows: t.missBuf[:0]}
 	if c.collect(keys, kv.Version{}, out, slots, &missing, false); len(missing.rows) > 0 {
 		if err := ctx.Err(); err != nil {
 			return err

@@ -49,7 +49,7 @@ func TestShardsOnePreservesSingleMutexSemantics(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if c.Contains("b") || !c.Contains("a") || !c.Contains("c") {
+	if cached(c, "b") || !cached(c, "a") || !cached(c, "c") {
 		t.Fatal("global LRU order not preserved with Shards: 1")
 	}
 
@@ -122,7 +122,7 @@ func TestCrossShardEq1EvictsInOtherShard(t *testing.T) {
 	if !errors.As(err, &ie) || ie.Equation != 1 || ie.StaleKey != keyB {
 		t.Fatalf("err = %v, want eq.1 violation on %q", err, keyB)
 	}
-	if c.Contains(keyB) {
+	if cached(c, keyB) {
 		t.Fatal("stale entry in the other shard was not evicted")
 	}
 	if got := c.Metrics().Evictions; got != 1 {

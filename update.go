@@ -16,7 +16,11 @@ package tcache
 //
 // All of them run one driver, occUpdate, so contended writers retry
 // identically whether they commit in process, over the wire, or through
-// a cluster.
+// a cluster. Updates that meet on one cache do not get that far: while
+// one of the cache's commits is in flight its written keys are marked,
+// and the others' reads of them wait for it; a commit whose read the
+// cache has already seen superseded fails before it is sent and retries
+// at once (core.Cache.Commit).
 
 import (
 	"context"
@@ -138,7 +142,9 @@ func (t *Tx) Set(key Key, value Value) error {
 // retryConflicts runs attempt, retrying ErrConflict failures with
 // jittered exponential backoff until ctx is cancelled. occUpdate, and so
 // every Updater, commits through it, so conflict behavior is identical
-// across the in-process, remote, and cluster write paths.
+// across the in-process, remote, and cluster write paths. A conflict a
+// cache found before its commit left (localConflict) is retried at once:
+// the newer version is cached already, and nothing collided to spread.
 func retryConflicts(ctx context.Context, attempt func(ctx context.Context) error) error {
 	backoff := time.Millisecond
 	const maxBackoff = 100 * time.Millisecond
@@ -149,6 +155,9 @@ func retryConflicts(ctx context.Context, attempt func(ctx context.Context) error
 		err := attempt(ctx)
 		if err == nil || !errors.Is(err, ErrConflict) {
 			return err
+		}
+		if _, local := err.(localConflict); local {
+			continue
 		}
 		// Conflict: back off with jitter so colliding retriers spread out
 		// instead of livelocking in step.
@@ -161,6 +170,12 @@ func retryConflicts(ctx context.Context, attempt func(ctx context.Context) error
 	}
 }
 
+// localConflict is the conflict a cache's commit found against its own
+// cached versions (core.StaleRead), before any round trip.
+type localConflict struct{ *ConflictError }
+
+func (e localConflict) Unwrap() error { return e.ConflictError }
+
 // --- *DB: the in-process implementation --------------------------------
 
 // Update implements Updater: fn runs against optimistic snapshot reads
@@ -171,7 +186,7 @@ func retryConflicts(ctx context.Context, attempt func(ctx context.Context) error
 // backoff; cancelling ctx stops the retry loop and unblocks any lock
 // wait the commit is queued in.
 func (d *DB) Update(ctx context.Context, fn func(tx *Tx) error) error {
-	return occUpdate(ctx, fn, d, d.CommitUpdate, nil, nil)
+	return occUpdate(ctx, fn, d, d.CommitUpdate)
 }
 
 // CommitUpdate implements CommitBackend on the in-process database: the
@@ -295,12 +310,7 @@ func (o *occTx) set(key Key, value Value) error {
 // validated commit, and retry conflicts — each retry first fetching the
 // failed attempt's read set in one request, so a closure that reads key
 // by key pays one round trip for its second try, not one per key.
-// committed (optional) runs after a successful commit with the writes and
-// the commit's answer — the cache's install hook; conflicted (optional)
-// runs on each validation conflict before the retry — the cache-healing
-// hook.
-func occUpdate(ctx context.Context, fn func(tx *Tx) error, snap snapshot, commit core.CommitFunc,
-	committed func(writes []KeyValue, res CommitResult), conflicted func(*ConflictError)) error {
+func occUpdate(ctx context.Context, fn func(tx *Tx) error, snap snapshot, commit core.CommitFunc) error {
 	var again []Key // the read set of the attempt that just conflicted
 	return retryConflicts(ctx, func(ctx context.Context) error {
 		o := &occTx{snap: snap}
@@ -314,20 +324,12 @@ func occUpdate(ctx context.Context, fn func(tx *Tx) error, snap snapshot, commit
 		if err := fn(&Tx{h: o}); err != nil {
 			return err
 		}
-		res, err := commit(ctx, o.reads, o.writes)
-		if err != nil {
-			var ce *ConflictError
-			if conflicted != nil && errors.As(err, &ce) {
-				conflicted(ce)
-			}
+		if _, err := commit(ctx, o.reads, o.writes); err != nil {
 			again = again[:0]
 			for _, r := range o.reads {
 				again = append(again, r.Key)
 			}
 			return err
-		}
-		if committed != nil {
-			committed(o.writes, res)
 		}
 		return nil
 	})
@@ -346,7 +348,7 @@ func occUpdate(ctx context.Context, fn func(tx *Tx) error, snap snapshot, commit
 func (r *Remote) Update(ctx context.Context, fn func(tx *Tx) error) error {
 	// Reads go through the failover-aware path, so a retry loop follows
 	// the Remote to a promoted standby instead of pinning a dead client.
-	return occUpdate(ctx, fn, r, r.CommitUpdate, nil, nil)
+	return occUpdate(ctx, fn, r, r.CommitUpdate)
 }
 
 // Update implements Updater on a cache: fn's reads are served from the
@@ -368,10 +370,20 @@ func (r *Remote) Update(ctx context.Context, fn func(tx *Tx) error) error {
 // of this commit then counts as a stale invalidation). Behind a backend
 // that is only an UpdaterBackend the commit answers with a bare version
 // and the cache falls back to self-invalidation: it evicts its copies of
-// the written keys, and the next read refetches them. On a validation
-// conflict the stale cached copy of the conflicting key is evicted
-// before the retry, so the fresh attempt re-reads through to the backend
-// instead of re-observing the same stale version.
+// the written keys, and the next read refetches them.
+//
+// Updates on one cache wait for each other instead of conflicting at the
+// database. From just before a commit is sent until its writes are
+// installed (or invalidated, or the commit fails) its keys are marked; a
+// read of a marked key waits for that commit, bounded by ctx, and then
+// reads what it installed. Before a commit is sent its reads are checked
+// against the cache: one the cache already holds at a newer version (or
+// holds though it was read absent) fails the attempt locally, with no
+// round trip, and the retry runs at once against the cached version. A
+// conflict the database reports is retried with jittered backoff, and the
+// stale cached copy of the conflicting key is evicted first, so the fresh
+// attempt re-reads through to the backend instead of re-observing the
+// same stale version.
 func (c *Cache) Update(ctx context.Context, fn func(tx *Tx) error) error {
 	if c.updateHist == nil {
 		return c.update(ctx, fn)
@@ -383,14 +395,21 @@ func (c *Cache) Update(ctx context.Context, fn func(tx *Tx) error) error {
 }
 
 // cacheSnapshot reads an optimistic transaction's snapshot through the
-// cache.
+// cache, each read first waiting out the cache's commits in flight on
+// its keys (core.Cache.AwaitCommits), so it reads what they install.
 type cacheSnapshot struct{ c *core.Cache }
 
 func (s cacheSnapshot) ReadItem(ctx context.Context, key Key) (Item, bool, error) {
+	if err := s.c.AwaitCommits(ctx, key); err != nil {
+		return Item{}, false, err
+	}
 	return s.c.GetItem(ctx, key, kv.Version{})
 }
 
 func (s cacheSnapshot) ReadItems(ctx context.Context, keys []Key) ([]Lookup, error) {
+	if err := s.c.AwaitCommits(ctx, keys...); err != nil {
+		return nil, err
+	}
 	return s.c.GetItems(ctx, keys, kv.Version{})
 }
 
@@ -398,25 +417,21 @@ func (c *Cache) update(ctx context.Context, fn func(tx *Tx) error) error {
 	if c.commit == nil {
 		return fmt.Errorf("%w (%T)", ErrUpdatesUnsupported, c.inner.Backend())
 	}
-	return occUpdate(ctx, fn, cacheSnapshot{c.inner}, c.commit,
-		func(writes []KeyValue, res CommitResult) {
-			// The one install-or-invalidate decision: did the lists come
-			// back?
-			install := len(res.Deps) == len(writes)
-			for i, w := range writes {
-				if install {
-					c.inner.Install(w.Key, Item{Value: w.Value, Version: res.Version, Deps: res.Deps[i]})
-				} else {
-					c.inner.Invalidate(w.Key, res.Version)
-				}
+	return occUpdate(ctx, fn, cacheSnapshot{c.inner},
+		func(ctx context.Context, reads []ObservedRead, writes []KeyValue) (CommitResult, error) {
+			res, err := c.inner.Commit(ctx, c.commit, reads, writes)
+			if err == nil {
+				return res, nil
 			}
-		},
-		func(ce *ConflictError) {
+			if stale, ok := err.(*core.StaleRead); ok {
+				return res, localConflict{&ConflictError{Key: stale.Key, Current: stale.Cached, Found: true}}
+			}
 			// Heal the cache: the committed version moved past what we
 			// served; evict so the retry refetches.
-			if ce.Found {
+			var ce *ConflictError
+			if errors.As(err, &ce) && ce.Found {
 				c.inner.Invalidate(ce.Key, ce.Current)
 			}
-		},
-	)
+			return res, err
+		})
 }
