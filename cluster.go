@@ -125,8 +125,8 @@ func (c *ClusterCache) Nodes() []ClusterNode {
 // ClusterNodeStats is one node's health plus its server-side counters.
 type ClusterNodeStats struct {
 	ClusterNode
-	// Stats are the node's counters (reads, hits, misses, ...); nil when
-	// the node was unreachable.
+	// Stats are the node's metrics, keyed as Remote.Stats describes; nil
+	// when the node was unreachable.
 	Stats map[string]uint64
 	// Err is the stats-fetch failure, if any.
 	Err string
@@ -140,15 +140,16 @@ type ClusterStats struct {
 	Local Stats
 	// Nodes is the per-node breakdown.
 	Nodes []ClusterNodeStats
-	// Aggregate sums each counter over all reachable nodes.
+	// Aggregate sums each key over all reachable nodes.
 	Aggregate map[string]uint64
 }
 
-// Stats returns the aggregated cluster counters: unlike the embedded
+// Stats returns the aggregated cluster metrics: unlike the embedded
 // Cache.Stats (which it shadows), it sums every node's server-side
-// counters and exposes the per-node breakdown alongside the local view.
-// Ejected nodes appear in the breakdown with their health state and no
-// counters. ctx bounds the per-node stats round trips.
+// metrics — gauges and histograms too, keyed as Remote.Stats describes —
+// and exposes the per-node breakdown alongside the local view. Ejected
+// nodes appear in the breakdown with their health state and no metrics.
+// ctx bounds the per-node stats round trips.
 func (c *ClusterCache) Stats(ctx context.Context) ClusterStats {
 	nodeStats := c.router.Stats(ctx)
 	out := ClusterStats{

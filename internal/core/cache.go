@@ -265,9 +265,7 @@ type Cache struct {
 	parkMu sync.Mutex //tcache:lockclass parked
 	parked map[kv.TxnID]*Txn
 
-	// marks are the written keys of this cache's commits in flight
-	// (commit.go).
-	marks commitMarks
+	marks commitMarks // the keys of commits in flight (commit.go)
 
 	// hooks is copy-on-write: OnComplete (serialized by hookMu) stores
 	// a fresh slice, emit reads it with one atomic load and no lock.
@@ -289,8 +287,8 @@ type Cache struct {
 // entry shard's mutex (lock class shard) is the only lock a read, fill or
 // eviction takes, one at a time. Read's parkMu (class parked) is a leaf
 // that guards the parked map alone: no lockorder relation joins it to
-// another class, so any nesting is flagged. The mark table's mutex
-// (class marks) is taken before a shard's, by a commit's claim only.
+// another class, so any nesting is flagged. A commit's claim takes the
+// mark table's (class marks) before a shard's.
 
 // The counters every read and every transaction moves are not Metrics'
 // shared atomics: each is kept beside the shard or stripe it belongs to
@@ -426,25 +424,10 @@ func (t *keyTable) find(from int, hash uint64, key kv.Key) int32 {
 }
 
 // add appends a row for key (not yet in the table) and returns its index.
-// It never appends: the rows stay on the caller's scratch (a stack
-// buffer, or a pooled Txn's) until they outgrow it, where an append
-// would make the scratch escape with them.
+// It grows the rows by hand, not by append, so that a table built on a
+// caller's scratch (a stack buffer, a pooled Txn's) does not make the
+// scratch escape.
 func (t *keyTable) add(hash uint64, key kv.Key) int32 {
-	n := len(t.rows)
-	if n == cap(t.rows) || n >= txnRecordSpill {
-		t.room(key)
-	}
-	t.rows = t.rows[:n+1]
-	t.rows[n] = recRow{hash: hash, key: key}
-	return int32(n)
-}
-
-// room is add's slow path: it grows full rows onto the heap and keeps
-// the key index of a table past txnRecordSpill, key's entry included.
-// Kept out of line, so that add inlines into the read paths.
-//
-//go:noinline
-func (t *keyTable) room(key kv.Key) {
 	n := len(t.rows)
 	if t.idx == nil && n >= txnRecordSpill {
 		t.idx = make(map[kv.Key]int32, 2*n)
@@ -456,10 +439,11 @@ func (t *keyTable) room(key kv.Key) {
 		t.idx[key] = int32(n)
 	}
 	if n == cap(t.rows) {
-		grown := make([]recRow, n, 2*n+4)
-		copy(grown, t.rows)
-		t.rows = grown
+		t.rows = append(make([]recRow, 0, 2*n+4), t.rows...)
 	}
+	t.rows = t.rows[:n+1]
+	t.rows[n] = recRow{hash: hash, key: key}
+	return int32(n)
 }
 
 // txnRecord tracks one in-flight read-only transaction: one row per key

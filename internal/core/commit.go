@@ -8,35 +8,22 @@ import (
 	"tcache/internal/kv"
 )
 
-// The commit path of a cache that takes updates: Commit sends an update
-// transaction's reads and writes through the backend and keeps what it
-// wrote (Install). While one of the cache's commits is in flight its
-// written keys are marked. An update that reads a marked key waits
-// (AwaitCommits) and then reads the installed version, and a commit
-// whose read set the cache has already seen superseded fails here
-// (*StaleRead) without reaching the backend — so updates that meet on
-// one cache wait for each other instead of conflicting at the database.
+// commitMarks maps each key a commit in flight (Commit) writes to the
+// channel that commit closes when it is done; an update's read of a
+// marked key waits for it (AwaitCommits). Only a party holding no marks
+// ever waits — a read, or a claim before it marks — so waits cannot form
+// a cycle. A claim checks cached versions under mu, so that checking and
+// marking are one step:
 //
-// Only a party that holds no marks ever waits: a closure's read, or a
-// claim before it marks. A marked commit waits on no mark, so waits
-// cannot form a cycle however the closures order their reads.
-
-// commitMarks is the mark table: each key an in-flight commit writes,
-// mapped to the channel that commit closes when it releases its marks.
+//tcache:lockorder marks < shard
 type commitMarks struct {
 	mu   sync.Mutex //tcache:lockclass marks
 	keys map[kv.Key]chan struct{}
 }
 
-// The claim reads cached versions under the marks mutex, so that the
-// check and the marking are one step.
-//
-//tcache:lockorder marks < shard
-
-// StaleRead is Commit's local validation failure: the transaction read
-// Key at a version older than the one the cache holds, Cached (or read
-// it absent). The database holds at least Cached, so it would refuse the
-// commit too.
+// StaleRead is Commit's local conflict: the transaction read Key at a
+// version older than Cached, the cache's, or read it absent. The database
+// holds at least Cached, so it would refuse the commit too.
 type StaleRead struct {
 	Key    kv.Key
 	Cached kv.Version
@@ -46,17 +33,14 @@ func (e *StaleRead) Error() string {
 	return fmt.Sprintf("tcache: read of %q is stale: the cache holds %s", e.Key, e.Cached)
 }
 
-// AwaitCommits waits until none of keys is marked by an in-flight commit
-// of this cache, or until ctx ends (returning its error). A read that
-// follows it sees what those commits installed.
+// AwaitCommits waits, bounded by ctx, until no commit of this cache in
+// flight writes any of keys.
 func (c *Cache) AwaitCommits(ctx context.Context, keys ...kv.Key) error {
 	for {
-		c.marks.mu.Lock()
 		var done chan struct{}
-		for _, k := range keys {
-			if done = c.marks.keys[k]; done != nil {
-				break
-			}
+		c.marks.mu.Lock()
+		for i := 0; i < len(keys) && done == nil; i++ {
+			done = c.marks.keys[keys[i]]
 		}
 		c.marks.mu.Unlock()
 		if done == nil {
@@ -68,7 +52,6 @@ func (c *Cache) AwaitCommits(ctx context.Context, keys ...kv.Key) error {
 	}
 }
 
-// awaitMark waits for done to close, or for ctx to end.
 func (c *Cache) awaitMark(ctx context.Context, done chan struct{}) error {
 	c.metrics.CommitWaits.Add(1)
 	select {
@@ -80,12 +63,11 @@ func (c *Cache) awaitMark(ctx context.Context, done chan struct{}) error {
 }
 
 // Commit commits an update transaction through commit, the backend's
-// commit call, and installs its writes. Before the call it claims the
-// transaction's keys: it waits while any of them is marked, fails with a
-// *StaleRead if the cache holds a newer version of a read than the one
-// observed, and otherwise marks the writes. The marks last until the
-// writes are installed — or invalidated, when the backend answers
-// without dependency lists — or until the commit fails.
+// call, and installs its writes — or invalidates them, when the answer
+// carries no dependency lists. First it claims the transaction's keys:
+// it waits while any is marked, fails with a *StaleRead if the cache
+// holds a read newer than observed, and otherwise marks the writes until
+// Commit returns.
 func (c *Cache) Commit(ctx context.Context, commit CommitFunc, reads []kv.ObservedRead, writes []kv.KeyValue) (kv.CommitResult, error) {
 	done, err := c.claim(ctx, reads, writes)
 	if err != nil {
@@ -96,7 +78,6 @@ func (c *Cache) Commit(ctx context.Context, commit CommitFunc, reads []kv.Observ
 	if err != nil {
 		return res, err
 	}
-	// The one install-or-invalidate decision: did the lists come back?
 	install := len(res.Deps) == len(writes)
 	for i, w := range writes {
 		if install {
@@ -108,33 +89,34 @@ func (c *Cache) Commit(ctx context.Context, commit CommitFunc, reads []kv.Observ
 	return res, nil
 }
 
-// claim is Commit's check-and-mark; it returns the channel release
-// closes.
 func (c *Cache) claim(ctx context.Context, reads []kv.ObservedRead, writes []kv.KeyValue) (chan struct{}, error) {
 	for {
 		c.marks.mu.Lock()
 		done := c.markedLocked(reads, writes)
-		if done == nil {
-			if err := c.staleLocked(reads); err != nil {
-				c.marks.mu.Unlock()
-				c.metrics.LocalConflicts.Add(1)
+		if done != nil {
+			c.marks.mu.Unlock()
+			if err := c.awaitMark(ctx, done); err != nil {
 				return nil, err
 			}
-			done = make(chan struct{})
-			for _, w := range writes {
-				c.marks.keys[w.Key] = done
+			continue
+		}
+		for _, r := range reads {
+			if v, ok := c.Cached(r.Key); ok && (!r.Found || r.Version.Less(v)) {
+				c.marks.mu.Unlock()
+				c.metrics.LocalConflicts.Add(1)
+				return nil, &StaleRead{Key: r.Key, Cached: v}
 			}
-			c.marks.mu.Unlock()
-			return done, nil
+		}
+		done = make(chan struct{})
+		for _, w := range writes {
+			c.marks.keys[w.Key] = done
 		}
 		c.marks.mu.Unlock()
-		if err := c.awaitMark(ctx, done); err != nil {
-			return nil, err
-		}
+		return done, nil
 	}
 }
 
-// markedLocked returns the mark on the first marked key of the
+// markedLocked returns the mark on the first marked key of a
 // transaction, or nil. Callers hold marks.mu.
 //
 //tcache:holds marks
@@ -152,21 +134,6 @@ func (c *Cache) markedLocked(reads []kv.ObservedRead, writes []kv.KeyValue) chan
 	return nil
 }
 
-// staleLocked returns the first read the cache holds newer than
-// observed. Callers hold marks.mu: no commit of this cache can install a
-// read key between this check and the marking that follows it.
-//
-//tcache:holds marks
-func (c *Cache) staleLocked(reads []kv.ObservedRead) error {
-	for _, r := range reads {
-		if v, ok := c.Cached(r.Key); ok && (!r.Found || r.Version.Less(v)) {
-			return &StaleRead{Key: r.Key, Cached: v}
-		}
-	}
-	return nil
-}
-
-// release drops the marks claim set on writes and wakes their waiters.
 func (c *Cache) release(writes []kv.KeyValue, done chan struct{}) {
 	c.marks.mu.Lock()
 	for _, w := range writes {
@@ -201,8 +168,8 @@ func (c *Cache) Install(key kv.Key, item kv.Item) {
 	}
 }
 
-// Cached returns the version of key's cached entry and whether there is
-// one (ignoring TTL).
+// Cached returns the version of key's cached entry, if there is one
+// (ignoring TTL).
 func (c *Cache) Cached(key kv.Key) (kv.Version, bool) {
 	sh := c.shardFor(key)
 	sh.mu.Lock()

@@ -10,8 +10,7 @@ import (
 
 // lookupPass is the non-transactional read: collect what the cache can
 // serve under floor, then fetch and insert the rest. A backend failure
-// fails the whole call. out and slots are per-key scratch, len(keys)
-// each; miss is the empty scratch the miss list is built on.
+// fails the whole call. miss is empty scratch for the miss list.
 func (c *Cache) lookupPass(ctx context.Context, keys []kv.Key, floor kv.Version, out []kv.Lookup, slots []keySlot, miss []recRow) error {
 	if c.closed.Load() {
 		return ErrClosed

@@ -29,8 +29,7 @@ type Txn struct {
 	// *InconsistencyError of a detected violation, or ErrClosed — and
 	// what every later read and Finish returns; nil while t is open.
 	err error
-	// missBuf backs a read pass's miss list: owned by the pooled Txn, it
-	// is neither allocated nor zeroed per pass.
+	// missBuf backs a read pass's miss list, unzeroed between passes.
 	missBuf [batchInline]recRow
 }
 

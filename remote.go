@@ -491,9 +491,11 @@ func (r *Remote) Status(ctx context.Context) (transport.NodeStatus, error) {
 	return st, err
 }
 
-// Stats fetches the remote database's counters (transactions, conflicts,
-// reads served, invalidations sent) in one round trip — the server-side
-// complement of the local Cache.Stats view.
+// Stats fetches the remote database's metrics in one round trip — the
+// server-side complement of the local Cache.Stats view. Not all are
+// counters: a counter's key is its name, a gauge's ends in "|g", and a
+// histogram's in "|h<i>" (bucket i) and "|hsum"; telemetry.ParseFlat
+// decodes them.
 func (r *Remote) Stats(ctx context.Context) (map[string]uint64, error) {
 	var stats map[string]uint64
 	err := r.do(ctx, true, func(cli *transport.DBClient) error {

@@ -16,11 +16,8 @@ package tcache
 //
 // All of them run one driver, occUpdate, so contended writers retry
 // identically whether they commit in process, over the wire, or through
-// a cluster. Updates that meet on one cache do not get that far: while
-// one of the cache's commits is in flight its written keys are marked,
-// and the others' reads of them wait for it; a commit whose read the
-// cache has already seen superseded fails before it is sent and retries
-// at once (core.Cache.Commit).
+// a cluster — except that updates on one cache wait for each other
+// instead of conflicting (core.Cache.Commit).
 
 import (
 	"context"
@@ -142,9 +139,8 @@ func (t *Tx) Set(key Key, value Value) error {
 // retryConflicts runs attempt, retrying ErrConflict failures with
 // jittered exponential backoff until ctx is cancelled. occUpdate, and so
 // every Updater, commits through it, so conflict behavior is identical
-// across the in-process, remote, and cluster write paths. A conflict a
-// cache found before its commit left (localConflict) is retried at once:
-// the newer version is cached already, and nothing collided to spread.
+// across the in-process, remote, and cluster write paths. A
+// localConflict is retried at once: the newer version is cached already.
 func retryConflicts(ctx context.Context, attempt func(ctx context.Context) error) error {
 	backoff := time.Millisecond
 	const maxBackoff = 100 * time.Millisecond
@@ -170,8 +166,7 @@ func retryConflicts(ctx context.Context, attempt func(ctx context.Context) error
 	}
 }
 
-// localConflict is the conflict a cache's commit found against its own
-// cached versions (core.StaleRead), before any round trip.
+// localConflict is a core.StaleRead: a conflict found before the round trip.
 type localConflict struct{ *ConflictError }
 
 func (e localConflict) Unwrap() error { return e.ConflictError }
@@ -372,18 +367,12 @@ func (r *Remote) Update(ctx context.Context, fn func(tx *Tx) error) error {
 // and the cache falls back to self-invalidation: it evicts its copies of
 // the written keys, and the next read refetches them.
 //
-// Updates on one cache wait for each other instead of conflicting at the
-// database. From just before a commit is sent until its writes are
-// installed (or invalidated, or the commit fails) its keys are marked; a
-// read of a marked key waits for that commit, bounded by ctx, and then
-// reads what it installed. Before a commit is sent its reads are checked
-// against the cache: one the cache already holds at a newer version (or
-// holds though it was read absent) fails the attempt locally, with no
-// round trip, and the retry runs at once against the cached version. A
-// conflict the database reports is retried with jittered backoff, and the
-// stale cached copy of the conflicting key is evicted first, so the fresh
-// attempt re-reads through to the backend instead of re-observing the
-// same stale version.
+// Updates on one cache wait for each other instead of conflicting: while
+// a commit is in flight its written keys are marked, and a read of a
+// marked key waits (bounded by ctx) for what it installs. A read the
+// cache already holds newer fails the attempt before its round trip, and
+// the retry runs at once. A conflict the database reports evicts the
+// stale cached copy, so the retry (after backoff) re-reads through.
 func (c *Cache) Update(ctx context.Context, fn func(tx *Tx) error) error {
 	if c.updateHist == nil {
 		return c.update(ctx, fn)
@@ -395,8 +384,7 @@ func (c *Cache) Update(ctx context.Context, fn func(tx *Tx) error) error {
 }
 
 // cacheSnapshot reads an optimistic transaction's snapshot through the
-// cache, each read first waiting out the cache's commits in flight on
-// its keys (core.Cache.AwaitCommits), so it reads what they install.
+// cache, once the cache's commits in flight on its keys are done.
 type cacheSnapshot struct{ c *core.Cache }
 
 func (s cacheSnapshot) ReadItem(ctx context.Context, key Key) (Item, bool, error) {
