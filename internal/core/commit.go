@@ -142,41 +142,3 @@ func (c *Cache) release(writes []kv.KeyValue, done chan struct{}) {
 	c.marks.mu.Unlock()
 	close(done)
 }
-
-// Install caches item as key's committed state without a fetch: the
-// fill of a miss whose answer the caller already holds — the committing
-// client's own write, rebuilt from the commit's version and dependency
-// list. It is insertShardLocked under the shard lock, so it obeys what
-// every fill obeys: an entry already at a newer version stays, an older
-// one is replaced in place, the byte budget is enforced, the admission
-// doorkeeper may decline a first-sighted key, and nothing is inserted
-// after Close; CommitInstalls counts the items kept. And like a fill it
-// can cross a newer invalidation that arrived first and found nothing to
-// evict: the item is then cached behind the database until the §III-B
-// checks or the next invalidation catch it — the exposure of any fetch
-// that crosses an invalidation, no more.
-func (c *Cache) Install(key kv.Key, item kv.Item) {
-	if c.closed.Load() {
-		return
-	}
-	sh := c.shardFor(key)
-	sh.mu.Lock()
-	e := c.insertShardLocked(sh, key, item)
-	sh.mu.Unlock()
-	if e != nil {
-		c.metrics.CommitInstalls.Add(1)
-	}
-}
-
-// Cached returns the version of key's cached entry, if there is one
-// (ignoring TTL).
-func (c *Cache) Cached(key kv.Key) (kv.Version, bool) {
-	sh := c.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e, ok := sh.entries[key]
-	if !ok {
-		return kv.Version{}, false
-	}
-	return e.item.Version, true
-}
