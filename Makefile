@@ -86,7 +86,7 @@ replsmoke:
 # telemetry-on == telemetry-off row pair.
 telemetry-smoke:
 	$(GO) test -race -count=1 ./internal/telemetry
-	$(GO) test -race -count=1 -run 'ServeMetrics|WithTelemetry|ClusterStatsReports' .
+	$(GO) test -race -count=1 -run 'ServeMetrics|OpStatsMatches|WithTelemetry|ClusterStatsReports' .
 
 # walsmoke is the durability gate: the WAL package race-clean (torture
 # replays — truncations, bit flips, sector holes in an in-place batch —

@@ -98,6 +98,9 @@ func (e *Edge) Addr() string { return e.addr }
 // Cache exposes the edge's cache for metrics.
 func (e *Edge) Cache() *core.Cache { return e.cache }
 
+// Registry returns the registry the edge's OpStats and /metrics serve.
+func (e *Edge) Registry() *telemetry.Registry { return e.srv.Registry() }
+
 // ServeMetrics starts the edge's admin HTTP listener at addr: /metrics
 // serves the node's registry (hit/miss counters, read latency
 // histograms, relay and conn-pool gauges), /healthz answers role=edge,
@@ -179,6 +182,9 @@ func ServeDB(d *db.DB, cfg DBNodeConfig) (*DBNode, error) {
 
 // Addr returns the node's bound listen address.
 func (n *DBNode) Addr() string { return n.addr }
+
+// Registry returns the registry the node's OpStats and /metrics serve.
+func (n *DBNode) Registry() *telemetry.Registry { return n.srv.Registry() }
 
 // ServeMetrics starts the node's admin HTTP listener at addr: /metrics
 // serves the registry OpStats answers from, /healthz is role-aware (a

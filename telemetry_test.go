@@ -2,12 +2,19 @@ package tcache_test
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"net/http"
+	"reflect"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"tcache"
+	"tcache/internal/telemetry"
+	"tcache/internal/transport"
 )
 
 // scrape fetches an admin endpoint and returns the body.
@@ -227,4 +234,164 @@ func TestWithTelemetryClientHistograms(t *testing.T) {
 	if !strings.Contains(sb.String(), "tcache_client_read_txn_ns_count 2") {
 		t.Errorf("WritePrometheus missing client_read_txn_ns_count:\n%s", sb.String())
 	}
+}
+
+// TestOpStatsMatchesMetrics: a quiescent database node and edge answer
+// OpStats and /metrics with the same numbers, matched by registry name —
+// counter against tcache_<n>_total, gauge against tcache_<n>, histogram
+// count and sum against _count and _sum — and both surfaces carry
+// exactly the registry's names.
+func TestOpStatsMatchesMetrics(t *testing.T) {
+	ctx := context.Background()
+	d := tcache.OpenDB()
+	defer d.Close()
+	dbNode, err := transport.ServeDB(d.Core(), transport.DBNodeConfig{Listen: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dbNode.Close()
+	e, err := tcache.ServeEdge(ctx, dbNode.Addr(), "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+
+	dbCli, err := tcache.Dial(ctx, dbNode.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dbCli.Close()
+	edgeCli, err := tcache.Dial(ctx, e.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer edgeCli.Close()
+	for i := 0; i < 3; i++ {
+		if err := dbCli.Update(ctx, func(tx *tcache.Tx) error {
+			return tx.Set(tcache.Key(fmt.Sprintf("k%d", i)), tcache.Value("v"))
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < 2; j++ {
+			if _, _, err := edgeCli.ReadItem(ctx, tcache.Key(fmt.Sprintf("k%d", i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	for _, node := range []struct {
+		name  string
+		reg   *telemetry.Registry
+		cli   *tcache.Remote
+		serve func(string) (string, func(), error)
+	}{
+		{"db", dbNode.Registry(), dbCli, dbNode.ServeMetrics},
+		{"edge", e.Registry(), edgeCli, e.ServeMetrics},
+	} {
+		t.Run(node.name, func(t *testing.T) {
+			bound, stop, err := node.serve("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer stop()
+			opStats := func() telemetry.Snapshot {
+				stats, err := node.cli.Stats(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return telemetry.ParseFlat(stats)
+			}
+			// Invalidation pushes land asynchronously: take the scrape
+			// between two equal OpStats answers.
+			var snap telemetry.Snapshot
+			var prom map[string]promFamily
+			for try := 0; ; try++ {
+				before := opStats()
+				_, body := scrape(t, "http://"+bound+"/metrics")
+				prom = parseProm(t, body)
+				if snap = opStats(); reflect.DeepEqual(before, snap) {
+					break
+				}
+				if try == 50 {
+					t.Fatal("OpStats never settled")
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+
+			names := node.reg.Names()
+			var opNames, promNames []string
+			for n := range snap.Counters {
+				opNames = append(opNames, n)
+			}
+			for n := range snap.Gauges {
+				opNames = append(opNames, n)
+			}
+			for n := range snap.Histograms {
+				opNames = append(opNames, n)
+			}
+			for n := range prom {
+				promNames = append(promNames, n)
+			}
+			sort.Strings(opNames)
+			sort.Strings(promNames)
+			if !reflect.DeepEqual(opNames, names) || !reflect.DeepEqual(promNames, names) {
+				t.Fatalf("name sets differ:\nregistry %v\nOpStats  %v\n/metrics %v", names, opNames, promNames)
+			}
+			for _, n := range names {
+				f := prom[n]
+				if v, ok := snap.Counters[n]; ok {
+					if f.kind != "counter" || f.values["_total"] != v {
+						t.Errorf("counter %s: OpStats %d, /metrics %+v", n, v, f)
+					}
+				} else if v, ok := snap.Gauges[n]; ok {
+					if f.kind != "gauge" || f.values[""] != v {
+						t.Errorf("gauge %s: OpStats %d, /metrics %+v", n, v, f)
+					}
+				} else {
+					h := snap.Histograms[n]
+					if f.kind != "histogram" || f.values["_count"] != h.Count() || f.values["_sum"] != h.Sum {
+						t.Errorf("histogram %s: OpStats count %d sum %d, /metrics %+v", n, h.Count(), h.Sum, f)
+					}
+				}
+			}
+		})
+	}
+}
+
+// promFamily is one metric family of a Prometheus text scrape: its
+// # TYPE and its unlabelled samples by suffix ("_total", "", "_count",
+// "_sum").
+type promFamily struct {
+	kind   string
+	values map[string]uint64
+}
+
+// parseProm reads a tcache_-prefixed Prometheus text scrape into its
+// families, keyed by registry name.
+func parseProm(t *testing.T, body string) map[string]promFamily {
+	t.Helper()
+	out := make(map[string]promFamily)
+	var name, full string
+	for _, line := range strings.Split(strings.TrimSpace(body), "\n") {
+		if typ, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			var kind string
+			full, kind, _ = strings.Cut(typ, " ")
+			name = strings.TrimPrefix(full, "tcache_")
+			if kind == "counter" {
+				name = strings.TrimSuffix(name, "_total")
+			}
+			out[name] = promFamily{kind: kind, values: make(map[string]uint64)}
+			continue
+		}
+		sample, val, ok := strings.Cut(line, " ")
+		if !ok || strings.Contains(sample, "{") {
+			continue
+		}
+		v, err := strconv.ParseUint(val, 10, 64)
+		if err != nil || !strings.HasPrefix(sample, "tcache_"+name) {
+			t.Fatalf("unexpected /metrics line %q", line)
+		}
+		out[name].values[strings.TrimPrefix(sample, "tcache_"+name)] = v
+	}
+	return out
 }
