@@ -81,8 +81,8 @@ replsmoke:
 # telemetry-smoke is the observability gate: the telemetry package
 # race-clean (histogram hammer, registry, Prometheus golden file,
 # admin listener) and the end-to-end metric-surface tests (live /metrics
-# scrapes on both daemons, WithTelemetry hooks, cluster stats
-# breakdown). The warm-hit overhead gate is alloc_test.go's
+# scrapes on both daemons, OpStats and /metrics matched by registry
+# name, WithTelemetry hooks, cluster stats breakdown). The warm-hit overhead gate is alloc_test.go's
 # telemetry-on == telemetry-off row pair.
 telemetry-smoke:
 	$(GO) test -race -count=1 ./internal/telemetry

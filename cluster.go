@@ -122,12 +122,11 @@ func (c *ClusterCache) Nodes() []ClusterNode {
 	return out
 }
 
-// ClusterNodeStats is one node's health plus its server-side counters.
+// ClusterNodeStats is one node's health plus its server-side metrics.
 type ClusterNodeStats struct {
 	ClusterNode
-	// Stats are the node's metrics, keyed as Remote.Stats describes; nil
-	// when the node was unreachable.
-	Stats map[string]uint64
+	// Stats are the node's metrics; empty when the node was unreachable.
+	Stats ServerStats
 	// Err is the stats-fetch failure, if any.
 	Err string
 }
@@ -140,22 +139,22 @@ type ClusterStats struct {
 	Local Stats
 	// Nodes is the per-node breakdown.
 	Nodes []ClusterNodeStats
-	// Aggregate sums each key over all reachable nodes.
-	Aggregate map[string]uint64
+	// Aggregate merges every reachable node's metrics by name
+	// (ServerStats.Merge): counters and histograms add, and gauges add
+	// into a fleet total, such as cache_resident_bytes over all nodes.
+	Aggregate ServerStats
 }
 
 // Stats returns the aggregated cluster metrics: unlike the embedded
-// Cache.Stats (which it shadows), it sums every node's server-side
-// metrics — gauges and histograms too, keyed as Remote.Stats describes —
-// and exposes the per-node breakdown alongside the local view. Ejected
-// nodes appear in the breakdown with their health state and no metrics.
-// ctx bounds the per-node stats round trips.
+// Cache.Stats (which it shadows), it merges every node's server-side
+// metrics and exposes the per-node breakdown alongside the local view.
+// Ejected nodes appear in the breakdown with their health state and no
+// metrics. ctx bounds the per-node stats round trips.
 func (c *ClusterCache) Stats(ctx context.Context) ClusterStats {
 	nodeStats := c.router.Stats(ctx)
 	out := ClusterStats{
-		Local:     c.Cache.Stats(),
-		Nodes:     make([]ClusterNodeStats, len(nodeStats)),
-		Aggregate: make(map[string]uint64),
+		Local: c.Cache.Stats(),
+		Nodes: make([]ClusterNodeStats, len(nodeStats)),
 	}
 	for i, ns := range nodeStats {
 		out.Nodes[i] = ClusterNodeStats{
@@ -163,9 +162,7 @@ func (c *ClusterCache) Stats(ctx context.Context) ClusterStats {
 			Stats:       ns.Stats,
 			Err:         ns.Err,
 		}
-		for k, v := range ns.Stats {
-			out.Aggregate[k] += v
-		}
+		out.Aggregate.Merge(ns.Stats)
 	}
 	return out
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"reflect"
 	"testing"
 	"time"
 
@@ -50,11 +51,11 @@ func TestClusterStatsReportsUnscrapedNodes(t *testing.T) {
 		t.Fatalf("got %d nodes, want 2", len(st.Nodes))
 	}
 	live, dead := st.Nodes[0], st.Nodes[1]
-	if live.Err != "" || live.Stats == nil {
+	if live.Err != "" || live.Stats.Counters == nil {
 		t.Errorf("live node: Err=%q Stats=%v, want scraped cleanly", live.Err, live.Stats)
 	}
-	if dead.Stats != nil {
-		t.Errorf("dead node: Stats=%v, want nil", dead.Stats)
+	if !reflect.DeepEqual(dead.Stats, tcache.ServerStats{}) {
+		t.Errorf("dead node: Stats=%v, want empty", dead.Stats)
 	}
 	if dead.Err == "" {
 		t.Errorf("dead node: empty Err, want an explanation (state=%s)", dead.State)
@@ -82,7 +83,8 @@ func newClusterRig(t *testing.T, nEdges int, opts ...tcache.ClusterOption) *clus
 	r := &clusterRig{db: d}
 	addrs := make([]string, nEdges)
 	for i := range addrs {
-		e, err := tcache.ServeEdge(ctx, dbAddr, "127.0.0.1:0")
+		// Each edge times its reads, as tcached's does.
+		e, err := tcache.ServeEdge(ctx, dbAddr, "127.0.0.1:0", tcache.WithTelemetry(tcache.NewTelemetry()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,19 +166,29 @@ func TestClusterReadTxnEndToEnd(t *testing.T) {
 	if len(st.Nodes) != 3 {
 		t.Fatalf("stats cover %d nodes, want 3", len(st.Nodes))
 	}
-	var nodeReads uint64
+	// The aggregate adds counters, histograms and gauges node by node.
+	var nodeReads, nodeColdReads, nodeEntries uint64
 	served := 0
 	for _, ns := range st.Nodes {
 		if ns.State != "up" {
 			t.Fatalf("node %s state %s, want up", ns.Addr, ns.State)
 		}
-		nodeReads += ns.Stats["reads"]
-		if ns.Stats["reads"] > 0 {
+		nodeReads += ns.Stats.Counters["reads"]
+		cold := ns.Stats.Histograms["read_cold_ns"]
+		nodeColdReads += cold.Count()
+		nodeEntries += ns.Stats.Gauges["cache_entries"]
+		if ns.Stats.Counters["reads"] > 0 {
 			served++
 		}
 	}
-	if st.Aggregate["reads"] != nodeReads {
-		t.Fatalf("aggregate reads %d != summed per-node %d", st.Aggregate["reads"], nodeReads)
+	if st.Aggregate.Counters["reads"] != nodeReads {
+		t.Fatalf("aggregate reads %d != summed per-node %d", st.Aggregate.Counters["reads"], nodeReads)
+	}
+	if cold := st.Aggregate.Histograms["read_cold_ns"]; nodeColdReads == 0 || cold.Count() != nodeColdReads {
+		t.Fatalf("aggregate read_cold_ns count %d, summed per-node %d (want equal, nonzero)", cold.Count(), nodeColdReads)
+	}
+	if got := st.Aggregate.Gauges["cache_entries"]; nodeEntries == 0 || got != nodeEntries {
+		t.Fatalf("aggregate cache_entries %d, summed per-node %d (want equal, nonzero)", got, nodeEntries)
 	}
 	if served < 2 {
 		t.Fatalf("only %d of 3 nodes served reads — the ring is not spreading 30 keys", served)

@@ -273,14 +273,7 @@ func run() error {
 		if j {
 			return emitJSON(map[string]any{"addr": *cacheAddr, "stats": statsJSON(stats)})
 		}
-		keys := make([]string, 0, len(stats))
-		for k := range stats {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			fmt.Printf("%-16s %d\n", k, stats[k])
-		}
+		printStats(stats, "")
 		return nil
 
 	default:
@@ -344,7 +337,7 @@ func runCluster(ctx context.Context, addrs []string, cmd string, rest []string, 
 				if ns.Err != "" {
 					n["err"] = ns.Err
 				}
-				if ns.Stats != nil {
+				if ns.Err == "" {
 					n["stats"] = statsJSON(ns.Stats)
 				}
 				nodes[i] = n
@@ -372,14 +365,22 @@ func runCluster(ctx context.Context, addrs []string, cmd string, rest []string, 
 	return fmt.Errorf("unknown command %q", cmd)
 }
 
-func printStats(stats map[string]uint64, indent string) {
-	keys := make([]string, 0, len(stats))
-	for k := range stats {
-		keys = append(keys, k)
+// printStats prints a snapshot one metric per line, sorted by name: a
+// counter or gauge as "name value", a histogram as "name count=N p50=…
+// p99=… max=…".
+func printStats(s telemetry.Snapshot, indent string) {
+	var lines []string
+	for _, m := range []map[string]uint64{s.Counters, s.Gauges} {
+		for name, v := range m {
+			lines = append(lines, fmt.Sprintf("%s%-28s %d", indent, name, v))
+		}
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Printf("%s%-18s %d\n", indent, k, stats[k])
+	for name, h := range s.Histograms {
+		lines = append(lines, fmt.Sprintf("%s%-28s count=%d p50=%d p99=%d max=%d", indent, name, h.Count(), h.P50(), h.P99(), h.Max()))
+	}
+	sort.Strings(lines)
+	for _, l := range lines {
+		fmt.Println(l)
 	}
 }
 
@@ -401,12 +402,9 @@ type latJSON struct {
 	Max   uint64 `json:"max_ns"`
 }
 
-// statsJSON decodes a flat OpStats map into its typed JSON shape:
-// counters and gauges stay numeric, histograms become latency
-// summaries. Pre-telemetry servers send only plain keys, which land in
-// "counters" — the document shape is the same either way.
-func statsJSON(flat map[string]uint64) map[string]any {
-	snap := telemetry.ParseFlat(flat)
+// statsJSON is a snapshot's JSON shape: counters and gauges stay
+// numeric, histograms become latency summaries.
+func statsJSON(snap telemetry.Snapshot) map[string]any {
 	hists := make(map[string]latJSON, len(snap.Histograms))
 	for name, h := range snap.Histograms {
 		hists[name] = latJSON{Count: h.Count(), P50: h.P50(), P95: h.P95(), P99: h.P99(), Max: h.Max()}
@@ -451,7 +449,7 @@ func (n *topNode) poll(ctx context.Context) (prev, cur telemetry.Snapshot, haveD
 		}
 		n.cli = cli
 	}
-	flat, serr := n.cli.Stats(ctx)
+	cur, serr := n.cli.Stats(ctx)
 	if serr != nil {
 		// Drop the connection so the next tick redials; a restart also
 		// resets the node's counters, so the stale baseline must go too.
@@ -460,7 +458,6 @@ func (n *topNode) poll(ctx context.Context) (prev, cur telemetry.Snapshot, haveD
 		n.ok = false
 		return prev, cur, false, serr
 	}
-	cur = telemetry.ParseFlat(flat)
 	prev, haveDelta = n.prev, n.ok
 	n.prev, n.ok = cur, true
 	return prev, cur, haveDelta, nil

@@ -262,13 +262,13 @@ func run() error {
 				local.HitRatio(), local.Detected, local.Retries, local.FloorRefetches, local.CommitInstalls)
 		}
 		for _, ns := range st.Nodes {
-			hits, misses := ns.Stats["hits"], ns.Stats["misses"]
+			hits, misses := ns.Stats.Counters["hits"], ns.Stats.Counters["misses"]
 			ratio := 0.0
 			if hits+misses > 0 {
 				ratio = float64(hits) / float64(hits+misses)
 			}
 			fmt.Printf("node %-22s [%s] hit ratio %.3f (reads %d, floor refetches %d)\n",
-				ns.Addr, ns.State, ratio, ns.Stats["reads"], ns.Stats["floor_refetches"])
+				ns.Addr, ns.State, ratio, ns.Stats.Counters["reads"], ns.Stats.Counters["floor_refetches"])
 		}
 		return nil
 	}
@@ -276,10 +276,10 @@ func run() error {
 	if err == nil {
 		defer cli.Close()
 		if s, err := cli.Stats(ctx); err == nil {
-			hits, misses := s["hits"], s["misses"]
+			hits, misses := s.Counters["hits"], s.Counters["misses"]
 			if hits+misses > 0 {
 				fmt.Printf("cache hit ratio: %.3f (detected %d, retries %d)\n",
-					float64(hits)/float64(hits+misses), s["detected"], s["retries"])
+					float64(hits)/float64(hits+misses), s.Counters["detected"], s.Counters["retries"])
 			}
 		}
 	}

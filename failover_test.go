@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"tcache"
-	"tcache/internal/telemetry"
 	"tcache/internal/transport"
 )
 
@@ -157,7 +156,7 @@ func TestDialFailover(t *testing.T) {
 	// hold it before writing.
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
 		st, err := remote.Stats(ctx)
-		if err == nil && telemetry.ParseFlat(st).Gauges["subscribers"] > 0 {
+		if err == nil && st.Gauges["subscribers"] > 0 {
 			break
 		}
 		if time.Now().After(deadline) {

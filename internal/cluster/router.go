@@ -816,20 +816,20 @@ func (r *Router) openSub(ctx context.Context, name string) (*transport.InvStream
 
 // --- Stats --------------------------------------------------------------
 
-// NodeStats is one node's health plus its server-side counters.
+// NodeStats is one node's health plus its server-side metrics.
 type NodeStats struct {
 	Addr             string
 	State            NodeState
 	ConsecutiveFails int
-	// Stats are the node's OpStats counters; nil when unreachable.
-	Stats map[string]uint64
+	// Stats is the node's OpStats snapshot; empty when unreachable.
+	Stats telemetry.Snapshot
 	// Err is the fetch failure, if any.
 	Err string
 }
 
-// Stats fetches every node's counters concurrently and the per-node
+// Stats fetches every node's metrics concurrently and the per-node
 // health breakdown. Nodes that are not scraped — ejected, never dialed,
-// or erroring mid-scrape — report WHY in Err, never a silently nil
+// or erroring mid-scrape — report WHY in Err, never a silently empty
 // Stats with an empty Err: a fleet dashboard must distinguish "node
 // served zero ops" from "node was not asked".
 func (r *Router) Stats(ctx context.Context) []NodeStats {

@@ -3,8 +3,8 @@
 // gauges, and a registry that aggregates the per-tier counters
 // (core.Metrics, db.Metrics, WAL, router, client) into one named
 // snapshot. The same snapshot feeds three surfaces — the Prometheus
-// text exposition on the admin listener, the OpStats flat
-// map (see flat.go), and the in-process tcache.WithTelemetry hooks —
+// text exposition on the admin listener, the OpStats answer on the
+// wire, and the in-process tcache.WithTelemetry hooks —
 // so every tier reports through one vocabulary.
 //
 // Everything on the record path is wait-free: a histogram observation
@@ -30,8 +30,7 @@ const NumBuckets = 64
 // (by convention nanoseconds). Recording is wait-free — an atomic
 // increment of one power-of-two bucket plus an atomic add to the sum —
 // so it is safe on the hottest paths; reading is a Snapshot, which is
-// mergeable across histograms (and across nodes, via the flat wire
-// encoding).
+// mergeable across histograms (and across nodes, via OpStats).
 //
 // The zero value is ready to use. A nil *Histogram is a valid no-op
 // receiver for Observe/ObserveSince, which is how telemetry is

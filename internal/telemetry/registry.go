@@ -58,8 +58,8 @@ func NewRegistry() *Registry {
 
 // ValidMetricName reports whether name is lowercase_snake: a lowercase
 // letter followed by lowercase letters, digits, or underscores. The
-// grammar deliberately excludes every separator the flat wire encoding
-// (flat.go) and the Prometheus encoder reserve.
+// grammar deliberately excludes every separator the Prometheus encoder
+// reserves.
 func ValidMetricName(name string) bool {
 	if name == "" {
 		return false
@@ -118,6 +118,32 @@ type Snapshot struct {
 	Counters   map[string]uint64
 	Gauges     map[string]uint64
 	Histograms map[string]HistogramSnapshot
+}
+
+// Merge adds other into s, name by name. Counters and histograms add
+// exactly. Gauges add too, so a merged gauge is a fleet total
+// (cache_resident_bytes summed over the nodes), not any one node's value.
+func (s *Snapshot) Merge(other Snapshot) {
+	s.Counters = addInto(s.Counters, other.Counters)
+	s.Gauges = addInto(s.Gauges, other.Gauges)
+	if s.Histograms == nil {
+		s.Histograms = make(map[string]HistogramSnapshot, len(other.Histograms))
+	}
+	for name, h := range other.Histograms {
+		sum := s.Histograms[name]
+		sum.Merge(h)
+		s.Histograms[name] = sum
+	}
+}
+
+func addInto(dst, src map[string]uint64) map[string]uint64 {
+	if dst == nil {
+		dst = make(map[string]uint64, len(src))
+	}
+	for name, v := range src {
+		dst[name] += v
+	}
+	return dst
 }
 
 // Snapshot samples every registered source. Sources are read outside

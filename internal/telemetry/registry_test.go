@@ -70,47 +70,35 @@ func TestRegistrySnapshot(t *testing.T) {
 	}
 }
 
-func TestFlattenParseRoundTrip(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("reads", func() uint64 { return 42 })
-	r.Gauge("repl_lag", func() uint64 { return 5 })
-	h := new(Histogram)
-	r.Histogram("read_warm_ns", h)
-	h.Observe(0)
-	h.Observe(100)
-	h.Observe(1 << 20)
-
-	snap := r.Snapshot()
-	flat := Flatten(snap)
-
-	// The legacy plain-counter key survives untouched.
-	if flat["reads"] != 42 {
-		t.Fatalf("counter key missing: %v", flat)
+// TestSnapshotMerge: counters, gauges and histograms all add by name,
+// into a zero Snapshot too — the cluster aggregate's rule.
+func TestSnapshotMerge(t *testing.T) {
+	var h1, h2 HistogramSnapshot
+	h1.Counts[3], h1.Sum = 2, 10
+	h2.Counts[3], h2.Counts[9], h2.Sum = 1, 1, 300
+	a := Snapshot{
+		Counters:   map[string]uint64{"reads": 4},
+		Gauges:     map[string]uint64{"cache_resident_bytes": 100},
+		Histograms: map[string]HistogramSnapshot{"read_ns": h1},
 	}
-	if flat["repl_lag|g"] != 5 {
-		t.Fatalf("gauge key missing: %v", flat)
+	b := Snapshot{
+		Counters:   map[string]uint64{"reads": 5, "hits": 1},
+		Gauges:     map[string]uint64{"cache_resident_bytes": 50},
+		Histograms: map[string]HistogramSnapshot{"read_ns": h2},
 	}
-
-	back := ParseFlat(flat)
-	if !reflect.DeepEqual(back.Counters, snap.Counters) {
-		t.Errorf("counters: %v != %v", back.Counters, snap.Counters)
+	var sum Snapshot
+	sum.Merge(a)
+	sum.Merge(b)
+	var want HistogramSnapshot
+	want.Counts[3], want.Counts[9], want.Sum = 3, 1, 310
+	if !reflect.DeepEqual(sum, Snapshot{
+		Counters:   map[string]uint64{"reads": 9, "hits": 1},
+		Gauges:     map[string]uint64{"cache_resident_bytes": 150},
+		Histograms: map[string]HistogramSnapshot{"read_ns": want},
+	}) {
+		t.Fatalf("merged = %+v", sum)
 	}
-	if !reflect.DeepEqual(back.Gauges, snap.Gauges) {
-		t.Errorf("gauges: %v != %v", back.Gauges, snap.Gauges)
-	}
-	if !reflect.DeepEqual(back.Histograms, snap.Histograms) {
-		t.Errorf("histograms: %v != %v", back.Histograms, snap.Histograms)
-	}
-
-	// A pre-telemetry stats map (plain keys only) parses as counters.
-	legacy := ParseFlat(map[string]uint64{"hits": 1, "misses": 2})
-	if legacy.Counters["hits"] != 1 || len(legacy.Histograms) != 0 || len(legacy.Gauges) != 0 {
-		t.Fatalf("legacy map mis-parsed: %+v", legacy)
-	}
-
-	// Malformed suffixes are preserved as counters, never dropped.
-	odd := ParseFlat(map[string]uint64{"x|h999": 3, "y|zz": 4, "|g": 5})
-	if odd.Counters["x|h999"] != 3 || odd.Counters["y|zz"] != 4 || odd.Counters["|g"] != 5 {
-		t.Fatalf("malformed keys dropped: %+v", odd)
+	if a.Counters["reads"] != 4 || a.Histograms["read_ns"] != h1 {
+		t.Fatalf("merge changed its argument: %+v", a)
 	}
 }

@@ -453,11 +453,14 @@ func (m *mux) Ping(ctx context.Context) error {
 	return err
 }
 
-// Stats fetches the server's registry snapshot in the flat wire
-// encoding — a tdbd's database metrics, or a tcached's cache metrics.
-func (m *mux) Stats(ctx context.Context) (map[string]uint64, error) {
+// Stats fetches the server's registry snapshot — a tdbd's database
+// metrics, or a tcached's cache metrics.
+func (m *mux) Stats(ctx context.Context) (telemetry.Snapshot, error) {
 	resp, err := m.call(ctx, Request{Op: OpStats})
-	return resp.Stats, err
+	if resp.Stats == nil {
+		return telemetry.Snapshot{}, err
+	}
+	return *resp.Stats, err
 }
 
 // call is roundTrip for the ops whose only failure answer is CodeError.

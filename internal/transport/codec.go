@@ -45,12 +45,14 @@ import (
 
 	"tcache/internal/codec"
 	"tcache/internal/kv"
+	"tcache/internal/telemetry"
 	"tcache/internal/wal"
 )
 
 // ProtocolVersion is the wire protocol spoken by this build; both sides
-// of a connection must match exactly.
-const ProtocolVersion = 10
+// of a connection must match exactly. v11: OpStats answers with a typed
+// registry snapshot instead of a flat name-to-number map.
+const ProtocolVersion = 11
 
 // handshakeMagic opens every connection, in both directions.
 var handshakeMagic = [4]byte{'T', 'C', 'W', 'P'}
@@ -348,14 +350,35 @@ func appendDepLists(b []byte, ls []kv.DepList) []byte {
 	return b
 }
 
-func appendStats(b []byte, m map[string]uint64) []byte {
+// appendStats writes a registry snapshot: one presence byte (a response
+// without stats is just that byte), then the counters, gauges and
+// histograms as nil-aware maps by metric name. A histogram is its sum
+// and its NumBuckets bucket counts.
+func appendStats(b []byte, s *telemetry.Snapshot) []byte {
+	b = codec.AppendBool(b, s != nil)
+	if s == nil {
+		return b
+	}
+	b = appendStatsMap(b, s.Counters, binary.AppendUvarint)
+	b = appendStatsMap(b, s.Gauges, binary.AppendUvarint)
+	return appendStatsMap(b, s.Histograms, appendHistogram)
+}
+
+func appendStatsMap[V any](b []byte, m map[string]V, value func([]byte, V) []byte) []byte {
 	if m == nil {
 		return codec.AppendCount(b, -1)
 	}
 	b = codec.AppendCount(b, len(m))
-	for k, v := range m {
-		b = codec.AppendString(b, k)
-		b = binary.AppendUvarint(b, v)
+	for name, v := range m {
+		b = value(codec.AppendString(b, name), v)
+	}
+	return b
+}
+
+func appendHistogram(b []byte, h telemetry.HistogramSnapshot) []byte {
+	b = binary.AppendUvarint(b, h.Sum)
+	for _, c := range h.Counts {
+		b = binary.AppendUvarint(b, c)
 	}
 	return b
 }
@@ -495,17 +518,36 @@ func (d *payloadDecoder) depLists() []kv.DepList {
 	return ls
 }
 
-func (d *payloadDecoder) stats() map[string]uint64 {
-	n := d.Count(2)
+func (d *payloadDecoder) stats() *telemetry.Snapshot {
+	if !d.Bool() {
+		return nil
+	}
+	return &telemetry.Snapshot{
+		Counters:   statsMap(d, 2, d.Uvarint), // name length + value
+		Gauges:     statsMap(d, 2, d.Uvarint),
+		Histograms: statsMap(d, 2+telemetry.NumBuckets, d.histogram),
+	}
+}
+
+func statsMap[V any](d *payloadDecoder, minBytes int, value func() V) map[string]V {
+	n := d.Count(minBytes)
 	if n < 0 {
 		return nil
 	}
-	m := make(map[string]uint64, n)
+	m := make(map[string]V, n)
 	for i := 0; i < n && d.Err() == nil; i++ {
-		k := d.String()
-		m[k] = d.Uvarint()
+		name := d.String()
+		m[name] = value()
 	}
 	return m
+}
+
+func (d *payloadDecoder) histogram() telemetry.HistogramSnapshot {
+	h := telemetry.HistogramSnapshot{Sum: d.Uvarint()}
+	for i := range h.Counts {
+		h.Counts[i] = d.Uvarint()
+	}
+	return h
 }
 
 // --- Message decoders ---------------------------------------------------

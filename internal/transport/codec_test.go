@@ -13,6 +13,7 @@ import (
 
 	"tcache/internal/codec"
 	"tcache/internal/kv"
+	"tcache/internal/telemetry"
 	"tcache/internal/wal"
 )
 
@@ -68,12 +69,41 @@ func sampleResponses() []Response {
 			{},
 		}},
 		{Code: CodeOK, Values: []kv.Value{kv.Value("a"), nil, kv.Value{}}},
-		{Code: CodeOK, Stats: map[string]uint64{"hits": 12, "misses": 3}},
-		{Code: CodeOK, Stats: map[string]uint64{}},
+		{Code: CodeOK, Stats: sampleStats()},
+		{Code: CodeOK, Stats: &telemetry.Snapshot{}},
+		{Code: CodeOK, Stats: &telemetry.Snapshot{Counters: map[string]uint64{}, Gauges: map[string]uint64{}, Histograms: map[string]telemetry.HistogramSnapshot{}}},
 		{Code: CodeAborted, Err: "eq.1 violation"},
 		{Code: CodeConflict, Err: "stale", ConflictKey: "a", ConflictVersion: kv.Version{Counter: 9, Node: 1}, ConflictFound: true},
 		{Code: CodeNotPrimary, Role: "standby", Leader: "10.0.0.1:7070", Healthy: true, ReplLag: 3, ReplCounter: 41},
 		{Code: CodeOK, ReplImage: 1 << 20, ReplPos: wal.Pos{Seq: 2, Off: 16}},
+	}
+}
+
+// sampleStats is a registry snapshot with all three kinds of metric.
+func sampleStats() *telemetry.Snapshot {
+	var h telemetry.HistogramSnapshot
+	h.Counts[0], h.Counts[7], h.Counts[telemetry.NumBuckets-1], h.Sum = 1, 12, 1, 1<<40
+	return &telemetry.Snapshot{
+		Counters:   map[string]uint64{"hits": 12, "misses": 3},
+		Gauges:     map[string]uint64{"subscribers": 2, "cache_resident_bytes": 1 << 33},
+		Histograms: map[string]telemetry.HistogramSnapshot{"read_warm_ns": h, "read_cold_ns": {}},
+	}
+}
+
+// TestNoStatsIsOneByte: every answer but OpStats carries the stats
+// field, so its absence costs one byte and no decode allocation.
+func TestNoStatsIsOneByte(t *testing.T) {
+	enc := appendStats(nil, nil)
+	if len(enc) != 1 {
+		t.Fatalf("no stats encodes as %d bytes, want 1", len(enc))
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		d := payloadDecoder{codec.Decoder{B: enc}}
+		if d.stats() != nil || d.Err() != nil {
+			t.Fatal("no stats decoded as stats")
+		}
+	}); allocs != 0 {
+		t.Fatalf("decoding no stats allocates %.0f times", allocs)
 	}
 }
 
@@ -320,24 +350,28 @@ func TestHandshakeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestHandshakeRefusesV6: the update response grew a field in v7, so a
-// v6 peer — whose decoder would misread every response after it — is
-// turned away by either side before any frame is exchanged.
+// TestHandshakeRefusesV6: the update response grew a field in v7, and
+// v11's stats answer is a typed snapshot where v10's was a flat map, so
+// a v6 or v10 peer — whose decoder would misread responses — is turned
+// away by either side before any frame is exchanged.
 func TestHandshakeRefusesV6(t *testing.T) {
-	v6 := handshakeBytes()
-	v6[4] = 6
-	for side, shake := range map[string]func(net.Conn, io.Reader) error{"server": serverHandshake, "client": clientHandshake} {
-		local, peer := net.Pipe()
-		// The peer presents v6 and swallows whatever we send (net.Pipe is
-		// unbuffered, so each direction needs its own goroutine).
-		go io.Copy(io.Discard, peer)
-		go peer.Write(v6[:])
-		err := shake(local, local)
-		var vm *VersionMismatchError
-		if !errors.As(err, &vm) || vm.Local != ProtocolVersion || vm.Peer != 6 {
-			t.Errorf("%s handshake with a v6 peer = %v, want a v%d/v6 mismatch", side, err, ProtocolVersion)
+	for _, old := range []byte{6, 10} {
+		hs := handshakeBytes()
+		hs[4] = old
+		for side, shake := range map[string]func(net.Conn, io.Reader) error{"server": serverHandshake, "client": clientHandshake} {
+			local, peer := net.Pipe()
+			// The peer presents the old version and swallows whatever we
+			// send (net.Pipe is unbuffered, so each direction needs its own
+			// goroutine).
+			go io.Copy(io.Discard, peer)
+			go peer.Write(hs[:])
+			err := shake(local, local)
+			var vm *VersionMismatchError
+			if !errors.As(err, &vm) || vm.Local != ProtocolVersion || vm.Peer != old {
+				t.Errorf("%s handshake with a v%d peer = %v, want a v%d/v%d mismatch", side, old, err, ProtocolVersion, old)
+			}
+			local.Close()
+			peer.Close()
 		}
-		local.Close()
-		peer.Close()
 	}
 }

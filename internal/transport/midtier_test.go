@@ -250,7 +250,7 @@ func TestDBStatsOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats["txns_committed"] == 0 {
+	if stats.Counters["txns_committed"] == 0 {
 		t.Fatalf("db stats missing commits: %v", stats)
 	}
 	// And the cache server's stats through a DBClient.
@@ -266,10 +266,10 @@ func TestDBStatsOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cstats["reads"] == 0 {
+	if cstats.Counters["reads"] == 0 {
 		t.Fatalf("cache stats missing reads: %v", cstats)
 	}
-	if _, ok := cstats["floor_refetches"]; !ok {
+	if _, ok := cstats.Counters["floor_refetches"]; !ok {
 		t.Fatalf("cache stats missing floor_refetches: %v", cstats)
 	}
 }

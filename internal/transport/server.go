@@ -66,8 +66,7 @@ type server struct {
 	// as this server produces it.
 	invDropped atomic.Uint64
 
-	// reg is what OpStats answers from: counters, gauges and histograms
-	// in the flat wire encoding.
+	// reg is what OpStats answers from: counters, gauges and histograms.
 	reg atomic.Pointer[telemetry.Registry]
 }
 
@@ -93,7 +92,8 @@ func (s *server) Registry() *telemetry.Registry { return s.reg.Load() }
 func (s *server) SetRegistry(reg *telemetry.Registry) { s.reg.Store(reg) }
 
 func (s *server) statsResponse() Response {
-	return Response{Code: CodeOK, Stats: telemetry.Flatten(s.reg.Load().Snapshot())}
+	snap := s.reg.Load().Snapshot()
+	return Response{Code: CodeOK, Stats: &snap}
 }
 
 // registerDropped registers the dropped-invalidation counter, under one

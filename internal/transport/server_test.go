@@ -355,9 +355,12 @@ func TestInvalidationOverflowCountedAndDropped(t *testing.T) {
 	// 1 KiB keys: a few thousand fill the loopback socket buffers, after
 	// which the pusher is stuck in a write and the queue only grows.
 	key := kv.Key(strings.Repeat("k", 1024))
-	stats := func() map[string]uint64 { return srv.statsResponse().Stats }
+	stats := func() (queued, dropped uint64) {
+		st := srv.statsResponse().Stats
+		return st.Gauges["relay_queue"], st.Counters["relay_invalidations_dropped"]
+	}
 	sent := uint64(0)
-	for st := stats(); st["relay_invalidations_dropped"] < 1000 || st["relay_queue|g"] < maxQueuedInvalidations; st = stats() {
+	for queued, dropped := stats(); dropped < 1000 || queued < maxQueuedInvalidations; queued, dropped = stats() {
 		if sent > 50*maxQueuedInvalidations {
 			t.Fatalf("no drop after %d invalidations at a subscriber that reads nothing", sent)
 		}
@@ -366,19 +369,19 @@ func TestInvalidationOverflowCountedAndDropped(t *testing.T) {
 			srv.Broadcast(Invalidation{Key: key, Version: kv.Version{Counter: sent}})
 		}
 	}
-	st := stats()
-	if st["relay_queue|g"] != maxQueuedInvalidations {
-		t.Fatalf("relay_queue = %d with drops counted, want it held at the bound %d", st["relay_queue|g"], maxQueuedInvalidations)
+	queued, dropped := stats()
+	if queued != maxQueuedInvalidations {
+		t.Fatalf("relay_queue = %d with drops counted, want it held at the bound %d", queued, maxQueuedInvalidations)
 	}
 	// Everything sent is queued, dropped, or was taken by the pusher: what
 	// the socket swallowed plus the one batch it is stuck writing.
-	if onWire := sent - st["relay_queue|g"] - st["relay_invalidations_dropped"]; onWire == 0 || onWire > 2*maxQueuedInvalidations {
-		t.Fatalf("sent %d, queued %d, dropped %d: %d unaccounted for", sent, st["relay_queue|g"], st["relay_invalidations_dropped"], onWire)
+	if onWire := sent - queued - dropped; onWire == 0 || onWire > 2*maxQueuedInvalidations {
+		t.Fatalf("sent %d, queued %d, dropped %d: %d unaccounted for", sent, queued, dropped, onWire)
 	}
 	// The tdbd registry carries the same counter.
 	d := db.Open(db.Config{})
 	t.Cleanup(func() { d.Close() })
-	if _, ok := NewDBServer(d, nil).statsResponse().Stats["relay_invalidations_dropped"]; !ok {
+	if _, ok := NewDBServer(d, nil).statsResponse().Stats.Counters["relay_invalidations_dropped"]; !ok {
 		t.Fatal("tdbd registry has no relay_invalidations_dropped")
 	}
 }

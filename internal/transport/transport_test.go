@@ -247,7 +247,7 @@ func TestCacheStatsOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats["hits"] != 1 || stats["misses"] != 1 {
+	if stats.Counters["hits"] != 1 || stats.Counters["misses"] != 1 {
 		t.Fatalf("stats = %v", stats)
 	}
 }

@@ -14,6 +14,7 @@ import (
 
 	"tcache/internal/db"
 	"tcache/internal/kv"
+	"tcache/internal/telemetry"
 	"tcache/internal/wal"
 )
 
@@ -150,8 +151,9 @@ type Response struct {
 	Batch []kv.Lookup
 	// Values is set for OpReadTxn: one value per requested key.
 	Values []kv.Value
-	// Stats is set for OpStats.
-	Stats map[string]uint64
+	// Stats is set for OpStats: the server's registry snapshot. Nil
+	// on every other answer.
+	Stats *telemetry.Snapshot
 	// ConflictKey and ConflictVersion detail a CodeConflict from an
 	// OpUpdate: the observed read that failed
 	// validation and the version now committed for it (ConflictFound

@@ -491,13 +491,15 @@ func (r *Remote) Status(ctx context.Context) (transport.NodeStatus, error) {
 	return st, err
 }
 
-// Stats fetches the remote database's metrics in one round trip — the
-// server-side complement of the local Cache.Stats view. Not all are
-// counters: a counter's key is its name, a gauge's ends in "|g", and a
-// histogram's in "|h<i>" (bucket i) and "|hsum"; telemetry.ParseFlat
-// decodes them.
-func (r *Remote) Stats(ctx context.Context) (map[string]uint64, error) {
-	var stats map[string]uint64
+// ServerStats is a server's metrics registry as OpStats reports it:
+// counters, gauges and latency histograms, each keyed by metric name
+// (the names /metrics serves under the tcache_ prefix).
+type ServerStats = telemetry.Snapshot
+
+// Stats fetches the remote server's metrics in one round trip — the
+// server-side complement of the local Cache.Stats view.
+func (r *Remote) Stats(ctx context.Context) (ServerStats, error) {
+	var stats ServerStats
 	err := r.do(ctx, true, func(cli *transport.DBClient) error {
 		var e error
 		stats, e = cli.Stats(ctx)

@@ -84,7 +84,7 @@ func TestServeMetricsDB(t *testing.T) {
 
 // TestServeMetricsEdge: a live edge node scrapes hit/miss counters,
 // latency histogram families, and relay/conn-pool gauges, and its wire
-// OpStats carries the same registry in the flat encoding.
+// OpStats carries the same registry.
 func TestServeMetricsEdge(t *testing.T) {
 	ctx := context.Background()
 	d := tcache.OpenDB()
@@ -149,17 +149,16 @@ func TestServeMetricsEdge(t *testing.T) {
 		t.Fatalf("/healthz = %d %q, want 200 ok role=edge", code, health)
 	}
 
-	// The same registry rides the wire protocol: legacy counter keys stay
-	// plain, histograms appear under reserved suffixes.
+	// The same registry rides the wire protocol, histograms included.
 	stats, err := r.Stats(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats["reads"] != 2 || stats["hits"] != 1 {
-		t.Fatalf("wire stats reads=%d hits=%d, want 2/1", stats["reads"], stats["hits"])
+	if stats.Counters["reads"] != 2 || stats.Counters["hits"] != 1 {
+		t.Fatalf("wire stats reads=%d hits=%d, want 2/1", stats.Counters["reads"], stats.Counters["hits"])
 	}
-	if _, ok := stats["read_warm_ns|hsum"]; !ok {
-		t.Fatalf("wire stats missing flat histogram key read_warm_ns|hsum: %v", stats)
+	if _, ok := stats.Histograms["read_warm_ns"]; !ok {
+		t.Fatalf("wire stats missing histogram read_warm_ns: %v", stats)
 	}
 }
 
@@ -299,7 +298,7 @@ func TestOpStatsMatchesMetrics(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				return telemetry.ParseFlat(stats)
+				return stats
 			}
 			// Invalidation pushes land asynchronously: take the scrape
 			// between two equal OpStats answers.
