@@ -51,7 +51,7 @@ import (
 
 // ProtocolVersion is the wire protocol spoken by this build; both sides
 // of a connection must match exactly. v11: OpStats answers with a typed
-// registry snapshot instead of a flat name-to-number map.
+// registry snapshot.
 const ProtocolVersion = 11
 
 // handshakeMagic opens every connection, in both directions.
