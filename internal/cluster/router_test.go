@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -209,6 +210,69 @@ func TestFailoverMidGetMulti(t *testing.T) {
 	wg.Wait()
 	if t.Failed() {
 		t.FailNow()
+	}
+}
+
+// TestRouterAdmitsNodeDownAtStart: a node whose address refuses
+// connections when NewRouter runs starts ejected and says it was never
+// connected; once a tcached comes up there, the health machinery dials
+// it, admits it into probation, and reads of its key ranges are served
+// by it.
+func TestRouterAdmitsNodeDownAtStart(t *testing.T) {
+	r := newRig(t, 2)
+	keys := testKeys(40)
+	r.set(keys, "v1")
+	r.kill(1) // nothing listens at r.addrs[1] until the restart below
+
+	router, err := cluster.NewRouter(bg, fastConfig(r.addrs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer router.Close()
+	if s := router.Nodes()[1].State; s != cluster.NodeEjected {
+		t.Fatalf("down node state = %s, want %s", s, cluster.NodeEjected)
+	}
+	if st := router.Stats(bg)[1]; !strings.Contains(st.Err, "never connected") {
+		t.Fatalf("down node Stats.Err = %q, want it to say never connected", st.Err)
+	}
+
+	if err := r.restart(1); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 10*time.Second, "admission into probation", func() bool {
+		return router.Nodes()[1].State == cluster.NodeProbation
+	})
+
+	ring, err := cluster.NewRing(r.addrs, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var owned []kv.Key
+	for _, k := range keys {
+		if m, _ := ring.Lookup(k); m == 1 {
+			owned = append(owned, k)
+		}
+	}
+	if len(owned) == 0 {
+		t.Fatal("no test key hashes to node 1")
+	}
+	for _, k := range owned {
+		item, ok, err := router.ReadItem(bg, k)
+		if err != nil || !ok || string(item.Value) != "v1" {
+			t.Fatalf("ReadItem(%s) = %q, %v, %v; want v1", k, item.Value, ok, err)
+		}
+		if _, cached := r.edges[1].Cache().Cached(k); !cached {
+			t.Fatalf("key %s was not served by its admitted home node", k)
+		}
+	}
+	lookups, err := router.ReadItems(bg, owned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, lu := range lookups {
+		if !lu.Found || string(lu.Item.Value) != "v1" {
+			t.Fatalf("ReadItems[%s] = %+v, want v1", owned[i], lu)
+		}
 	}
 }
 
