@@ -43,19 +43,17 @@ type Config struct {
 	// FailThreshold is the consecutive transport-failure count that
 	// ejects a node (0 = 3).
 	FailThreshold int
-	// ProbeInterval is the background health-check period, and the first
-	// re-probe delay of an ejected node (0 = 500ms).
+	// ProbeInterval is the health-check period: every node, live or
+	// ejected, is pinged once per interval (0 = 500ms).
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one health-check ping (0 = 1s).
 	ProbeTimeout time.Duration
-	// ProbeBackoffMax caps the ejected node re-probe backoff (0 = 5s).
-	ProbeBackoffMax time.Duration
 	// Probation is how long a freshly re-admitted node keeps serving
 	// floored reads: while it may have missed invalidations during its
 	// absence, the floor forces it to prove (or refetch) freshness
 	// (0 = 10s).
 	Probation time.Duration
-	// Clock is the time source for probation windows and the probe and
+	// Clock is the time source for probation windows and the
 	// health-check timers (nil = wall clock). Tests inject a simulated
 	// clock so health transitions are deterministic instead of racing
 	// real sleeps.
@@ -76,9 +74,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ProbeTimeout <= 0 {
 		c.ProbeTimeout = time.Second
-	}
-	if c.ProbeBackoffMax <= 0 {
-		c.ProbeBackoffMax = 5 * time.Second
 	}
 	if c.Probation <= 0 {
 		c.Probation = 10 * time.Second
@@ -101,8 +96,8 @@ const (
 	NodeUp NodeState = "up"
 	// NodeProbation is a re-admitted node still serving floored reads.
 	NodeProbation NodeState = "probation"
-	// NodeEjected is a node removed from routing, being re-probed with
-	// backoff; its key ranges are served by ring successors.
+	// NodeEjected is a node removed from routing, still pinged every
+	// ProbeInterval; its key ranges are served by ring successors.
 	NodeEjected NodeState = "ejected"
 )
 
@@ -112,7 +107,8 @@ type node struct {
 	// clk stamps and checks the probation window (the router's Clock).
 	clk clock.Clock
 	// cli is nil until the first successful dial (a node may be down at
-	// DialCluster time and join later through the probe loop).
+	// DialCluster time and join later through its watcher, the only
+	// writer after NewRouter).
 	cli atomic.Pointer[transport.DBClient]
 	// ejected removes the node from routing.
 	ejected atomic.Bool
@@ -121,8 +117,6 @@ type node struct {
 	// probationUntil is the UnixNano deadline of the post-re-admission
 	// floored-reads window (0 = none).
 	probationUntil atomic.Int64
-	// probing guards against spawning two re-probe loops.
-	probing atomic.Bool
 }
 
 func (n *node) available() bool {
@@ -173,7 +167,8 @@ type Router struct {
 	// path, so read-only deployments never pay for it.
 	wm [numRanges]atomic.Pointer[kv.Version]
 
-	// ctx parents probes and subscription streams; Close cancels it.
+	// ctx parents the node watchers and subscription streams; Close
+	// cancels it.
 	ctx    context.Context
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
@@ -184,7 +179,7 @@ type Router struct {
 	closed bool
 
 	// rtHist, when set, times every node's wire round trips — applied to
-	// live clients and to any client a probe dials later.
+	// live clients and to any client a watcher dials later.
 	rtHist atomic.Pointer[telemetry.Histogram]
 
 	// scratch recycles ReadItems' working memory (*readScratch).
@@ -202,10 +197,11 @@ func (r *Router) SetRoundTripHistogram(h *telemetry.Histogram) {
 	}
 }
 
-// NewRouter builds the fleet client: a ring over cfg.Addrs and one
-// multiplexed DBClient per node. Nodes that cannot be dialed start
-// ejected and join when their probe succeeds; only a fleet with zero
-// reachable nodes fails. ctx bounds the initial dials.
+// NewRouter builds the fleet client: a ring over cfg.Addrs, one
+// multiplexed DBClient per node and one health watcher per node. Nodes
+// that cannot be dialed start ejected and join when their watcher's
+// ping succeeds; only a fleet with zero reachable nodes fails. ctx
+// bounds the initial dials.
 func NewRouter(ctx context.Context, cfg Config) (*Router, error) {
 	cfg = cfg.withDefaults()
 	ring, err := NewRing(cfg.Addrs, cfg.VNodes)
@@ -227,15 +223,10 @@ func NewRouter(ctx context.Context, cfg Config) (*Router, error) {
 	for i, addr := range cfg.Addrs {
 		n := &node{addr: addr, clk: cfg.Clock}
 		r.node[i] = n
-		// Nodes fail fast to this router's health machinery: one redial
-		// per call, short backoff, instead of every caller nursing a
-		// flapping node through long retry loops.
-		cli, derr := transport.DialDB(ctx, addr, cfg.PoolSize,
-			transport.WithMaxRedials(1), transport.WithRedialBackoff(time.Millisecond))
+		cli, derr := r.dial(ctx, addr)
 		if derr != nil {
 			cfg.Logf("cluster: node %s unreachable at start: %v", addr, derr)
 			n.ejected.Store(true)
-			r.startProbe(n)
 			continue
 		}
 		n.cli.Store(cli)
@@ -245,9 +236,19 @@ func NewRouter(ctx context.Context, cfg Config) (*Router, error) {
 		r.Close()
 		return nil, fmt.Errorf("%w: none of %d nodes reachable", ErrNoNodes, len(cfg.Addrs))
 	}
-	r.wg.Add(1)
-	go r.healthLoop()
+	r.wg.Add(len(r.node))
+	for _, n := range r.node {
+		go r.watch(n)
+	}
 	return r, nil
+}
+
+// dial connects to one node. Nodes fail fast to this router's health
+// machinery: one redial per call, short backoff, instead of every
+// caller nursing a flapping node through long retry loops.
+func (r *Router) dial(ctx context.Context, addr string) (*transport.DBClient, error) {
+	return transport.DialDB(ctx, addr, r.cfg.PoolSize,
+		transport.WithMaxRedials(1), transport.WithRedialBackoff(time.Millisecond))
 }
 
 // Close stops health checking and subscriptions and closes every node
@@ -343,7 +344,7 @@ func (r *Router) readFloor(rg int, offHome bool) kv.Version {
 // --- Health -------------------------------------------------------------
 
 // recordFailure counts one transport failure against n, ejecting it at
-// the threshold and starting its re-probe loop.
+// the threshold; its watcher keeps pinging it.
 func (r *Router) recordFailure(n *node) {
 	if int(n.fails.Add(1)) < r.cfg.FailThreshold {
 		return
@@ -351,7 +352,6 @@ func (r *Router) recordFailure(n *node) {
 	if n.ejected.CompareAndSwap(false, true) {
 		r.cfg.Logf("cluster: node %s ejected after %d consecutive failures", n.addr, r.cfg.FailThreshold)
 	}
-	r.startProbe(n)
 }
 
 func (n *node) recordSuccess() {
@@ -360,48 +360,33 @@ func (n *node) recordSuccess() {
 	}
 }
 
-// startProbe launches the re-probe loop for an ejected node (at most one
-// per node at a time). The wg.Add runs under subMu against the closed
-// flag: Close sets closed under this mutex before it calls wg.Wait, so
-// an Add outside the critical section could race Wait (documented
-// WaitGroup misuse) — and reads racing Close may still be recording
-// failures.
-func (r *Router) startProbe(n *node) {
-	if !n.probing.CompareAndSwap(false, true) {
-		return
-	}
-	r.subMu.Lock()
-	if r.closed {
-		r.subMu.Unlock()
-		n.probing.Store(false)
-		return
-	}
-	r.wg.Add(1)
-	r.subMu.Unlock()
-	go r.probeLoop(n)
-}
-
-// probeLoop re-probes an ejected node with exponential backoff until it
-// answers a ping, then re-admits it into probation: it serves again, but
-// with read floors attached until Probation elapses, since it may have
+// watch is n's health loop for the router's lifetime: every
+// ProbeInterval it pings n, so a quiet cluster still notices a dead node
+// before the next client read does. A live node's failed ping counts
+// toward FailThreshold; an ejected node that answers a ping begun while
+// it was out is re-admitted into probation — it serves again, but with
+// read floors attached until Probation elapses, since it may have
 // missed invalidations while out.
-func (r *Router) probeLoop(n *node) {
+func (r *Router) watch(n *node) {
 	defer r.wg.Done()
-	defer n.probing.Store(false)
-	backoff := r.cfg.ProbeInterval
-	for {
-		if !waitClock(r.ctx, r.cfg.Clock, backoff) {
-			return
-		}
-		if r.probeOnce(n) {
+	for waitClock(r.ctx, r.cfg.Clock, r.cfg.ProbeInterval) {
+		wasEjected := n.ejected.Load()
+		err := r.ping(n)
+		switch {
+		case err == nil && wasEjected:
 			n.probationUntil.Store(r.cfg.Clock.Now().Add(r.cfg.Probation).UnixNano())
 			n.fails.Store(0)
 			n.ejected.Store(false)
 			r.cfg.Logf("cluster: node %s re-admitted (probation %v)", n.addr, r.cfg.Probation)
-			return
-		}
-		if backoff *= 2; backoff > r.cfg.ProbeBackoffMax {
-			backoff = r.cfg.ProbeBackoffMax
+		case err == nil:
+			n.recordSuccess()
+		case !wasEjected && r.ctx.Err() == nil &&
+			(errors.Is(err, transport.ErrUnavailable) || errors.Is(err, context.DeadlineExceeded)):
+			// The ping owns its deadline, so DeadlineExceeded here means the
+			// node held the connection open but never answered — the
+			// fail-slow case the probe timeout exists to catch; only a dying
+			// router (r.ctx cancelled) makes the error meaningless.
+			r.recordFailure(n)
 		}
 	}
 }
@@ -421,120 +406,72 @@ func waitClock(ctx context.Context, clk clock.Clock, d time.Duration) bool {
 	}
 }
 
-// probeOnce pings n, dialing its client first if the node was never
-// reached (or its client was torn down).
-func (r *Router) probeOnce(n *node) bool {
+// ping checks n within ProbeTimeout, dialing its client first if the
+// node was never reached.
+func (r *Router) ping(n *node) error {
 	ctx, cancel := context.WithTimeout(r.ctx, r.cfg.ProbeTimeout)
 	defer cancel()
 	cli := n.cli.Load()
 	if cli == nil {
-		dialed, err := transport.DialDB(ctx, n.addr, r.cfg.PoolSize,
-			transport.WithMaxRedials(1), transport.WithRedialBackoff(time.Millisecond))
-		if err != nil {
-			return false
+		var err error
+		if cli, err = r.dial(ctx, n.addr); err != nil {
+			return err
 		}
-		if !n.cli.CompareAndSwap(nil, dialed) {
-			dialed.Close()
-		} else if h := r.rtHist.Load(); h != nil {
-			dialed.SetRoundTripHistogram(h)
+		// Store before loading rtHist: SetRoundTripHistogram stores first
+		// and loads the clients after, so one of the two sees the other.
+		n.cli.Store(cli)
+		if h := r.rtHist.Load(); h != nil {
+			cli.SetRoundTripHistogram(h)
 		}
-		cli = n.cli.Load()
 	}
-	return cli.Ping(ctx) == nil
-}
-
-// healthLoop pings every routed node each ProbeInterval so a quiet
-// cluster still notices a dead node before the next client read does.
-func (r *Router) healthLoop() {
-	defer r.wg.Done()
-	for {
-		if !waitClock(r.ctx, r.cfg.Clock, r.cfg.ProbeInterval) {
-			return
-		}
-		var wg sync.WaitGroup
-		for _, n := range r.node {
-			if !n.available() {
-				continue
-			}
-			wg.Add(1)
-			go func(n *node) {
-				defer wg.Done()
-				ctx, cancel := context.WithTimeout(r.ctx, r.cfg.ProbeTimeout)
-				defer cancel()
-				if err := n.cli.Load().Ping(ctx); err != nil {
-					// The probe owns its deadline, so DeadlineExceeded here
-					// means the node held the connection open but never
-					// answered — the fail-slow case the probe timeout exists
-					// to catch; only a dying router (r.ctx cancelled) makes
-					// the error meaningless.
-					if r.ctx.Err() == nil &&
-						(errors.Is(err, transport.ErrUnavailable) || errors.Is(err, context.DeadlineExceeded)) {
-						r.recordFailure(n)
-					}
-					return
-				}
-				n.recordSuccess()
-			}(n)
-		}
-		wg.Wait()
-	}
+	return cli.Ping(ctx)
 }
 
 // --- Routing ------------------------------------------------------------
 
 // ReadItem implements the Backend read: route key to its ring owner and
 // read it there, failing over clockwise to the next live node when the
-// owner is down. Off-owner reads (and reads on a probation node) carry
-// the range's high-water floor, so a survivor whose cache is behind the
-// client's history refetches from the database instead of serving stale
-// data. The routing decision itself never allocates.
+// owner is down — the one-key form of ReadItems, on the same serveFor
+// walk and per-call exclusion. Off-owner reads (and reads on a
+// probation node) carry the range's high-water floor, so a survivor
+// whose cache is behind the client's history refetches from the
+// database instead of serving stale data. The routing decision itself
+// never allocates.
 func (r *Router) ReadItem(ctx context.Context, key kv.Key) (kv.Item, bool, error) {
-	home, hash := r.ring.Lookup(key)
+	hash := KeyHash(key)
 	rg := rangeOf(hash)
-	var (
-		seen    memberSet
-		lastErr error
-	)
-	for pi, steps := r.ring.Start(hash), 0; steps < r.ring.NumPoints(); pi, steps = r.ring.NextPoint(pi), steps+1 {
-		m := r.ring.PointMember(pi)
-		if !seen.add(m) {
-			continue
+	var excluded memberSet
+	lastErr := ErrNoNodes
+	for {
+		m, floored, ok := r.serveFor(hash, &excluded)
+		if !ok {
+			return kv.Item{}, false, fmt.Errorf("cluster: read %q: %w", key, lastErr)
 		}
 		n := r.node[m]
-		if !n.available() {
-			continue
-		}
-		floor := r.readFloor(rg, m != home || n.inProbation())
-		item, ok, err := n.cli.Load().ReadItemFloor(ctx, key, floor)
+		item, found, err := n.cli.Load().ReadItemFloor(ctx, key, r.readFloor(rg, floored))
 		if err == nil {
 			n.recordSuccess()
-			if ok {
+			if found {
 				r.observe(rg, item.Version)
 			}
-			return item, ok, nil
+			return item, found, nil
 		}
-		if ctx.Err() != nil {
-			return kv.Item{}, false, err
-		}
-		if !errors.Is(err, transport.ErrUnavailable) {
-			// The node answered: an application-level error is not a
-			// health signal, and another node would answer the same.
+		if ctx.Err() != nil || !errors.Is(err, transport.ErrUnavailable) {
+			// Cancelled, or the node answered: an application-level error
+			// is not a health signal, and another node would answer the same.
 			return kv.Item{}, false, err
 		}
 		r.recordFailure(n)
+		excluded.add(m)
 		lastErr = err
 	}
-	if lastErr == nil {
-		lastErr = ErrNoNodes
-	}
-	return kv.Item{}, false, fmt.Errorf("cluster: read %q: %w", key, lastErr)
 }
 
 // serveFor returns the node index that currently serves hash, walking
 // the ring past unavailable members and members in excluded (nodes that
-// already failed within the calling batch read — ejection needs a
-// failure streak, but one call must route around a dead node at the
-// first failure), and whether the read needs the range floor (off-owner
+// already failed within the calling read — ejection needs a failure
+// streak, but one call must route around a dead node at the first
+// failure), and whether the read needs the range floor (off-owner
 // or probation). ok is false when no node remains. Never allocates.
 func (r *Router) serveFor(hash uint64, excluded *memberSet) (member int, floored, ok bool) {
 	home := -1

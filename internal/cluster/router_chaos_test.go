@@ -64,7 +64,7 @@ func TestRouterFailoverThroughChaosLink(t *testing.T) {
 		read()
 	}
 
-	// Heal: the probe loop re-admits the node into probation, and its
+	// Heal: the node's watcher re-admits it into probation, and its
 	// floored reads serve correctly.
 	link.Heal()
 	link.SetConfig(chaos.ConnConfig{})

@@ -104,12 +104,11 @@ func testKeys(n int) []kv.Key {
 // fastConfig is a router config tuned for test-speed failure detection.
 func fastConfig(addrs []string) cluster.Config {
 	return cluster.Config{
-		Addrs:           addrs,
-		FailThreshold:   2,
-		ProbeInterval:   25 * time.Millisecond,
-		ProbeTimeout:    500 * time.Millisecond,
-		ProbeBackoffMax: 100 * time.Millisecond,
-		Probation:       2 * time.Second,
+		Addrs:         addrs,
+		FailThreshold: 2,
+		ProbeInterval: 25 * time.Millisecond,
+		ProbeTimeout:  500 * time.Millisecond,
+		Probation:     2 * time.Second,
 	}
 }
 
@@ -196,7 +195,7 @@ func TestFailoverMidGetMulti(t *testing.T) {
 		t.Fatalf("reads still failing after ejection: %d new failures", f-preFails)
 	}
 
-	// Restart the node on its old address: the probe loop must re-admit
+	// Restart the node on its old address: its watcher must re-admit
 	// it (probation first, up after).
 	if err := r.restart(1); err != nil {
 		t.Fatal(err)
