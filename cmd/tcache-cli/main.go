@@ -11,6 +11,10 @@
 //	tcache-cli -db 127.0.0.1:7072 promote                 # standby → primary
 //	tcache-cli -cache 127.0.0.1:7071 top                  # live per-second rates
 //
+// A tcached speaks the same backend protocol as a tdbd, so the -cache
+// commands dial it with the one wire client (transport.DialDB, one
+// connection): read is OpReadTxn, cget is OpGet, stats and top OpStats.
+//
 // With -cluster, read/cget/stats/top address a whole fleet of tcached
 // nodes through the consistent-hash routing tier instead of one daemon:
 //
@@ -216,7 +220,7 @@ func run() error {
 		if len(rest) == 0 {
 			return errors.New("read needs at least one key")
 		}
-		cli, err := transport.DialCache(ctx, *cacheAddr)
+		cli, err := transport.DialDB(ctx, *cacheAddr, 1)
 		if err != nil {
 			return err
 		}
@@ -244,16 +248,19 @@ func run() error {
 		if len(rest) != 1 {
 			return errors.New("cget needs exactly one key")
 		}
-		cli, err := transport.DialCache(ctx, *cacheAddr)
+		cli, err := transport.DialDB(ctx, *cacheAddr, 1)
 		if err != nil {
 			return err
 		}
 		defer cli.Close()
-		val, err := cli.Get(ctx, kv.Key(rest[0]))
+		item, ok, err := cli.ReadItem(ctx, kv.Key(rest[0]))
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%s = %q\n", rest[0], val)
+		if !ok {
+			return transport.ErrNotFound
+		}
+		fmt.Printf("%s = %q\n", rest[0], item.Value)
 		return nil
 
 	case "stats":
@@ -261,7 +268,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		cli, err := transport.DialCache(ctx, *cacheAddr)
+		cli, err := transport.DialDB(ctx, *cacheAddr, 1)
 		if err != nil {
 			return err
 		}
@@ -432,7 +439,7 @@ func histDelta(cur, prev telemetry.HistogramSnapshot) telemetry.HistogramSnapsho
 // topNode is one fleet member's polling state for the top command.
 type topNode struct {
 	addr string
-	cli  *transport.CacheClient
+	cli  *transport.DBClient
 	prev telemetry.Snapshot
 	ok   bool // prev holds a real sample (deltas are meaningful)
 }
@@ -442,7 +449,7 @@ type topNode struct {
 // available.
 func (n *topNode) poll(ctx context.Context) (prev, cur telemetry.Snapshot, haveDelta bool, err error) {
 	if n.cli == nil {
-		cli, derr := transport.DialCache(ctx, n.addr)
+		cli, derr := transport.DialDB(ctx, n.addr, 1)
 		if derr != nil {
 			n.ok = false
 			return prev, cur, false, derr

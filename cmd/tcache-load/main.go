@@ -205,7 +205,7 @@ func run() error {
 				})
 			}
 			if clusterCache == nil {
-				cli, err := transport.DialCache(ctx, *cacheAddr)
+				cli, err := transport.DialDB(ctx, *cacheAddr, 1)
 				if err != nil {
 					fmt.Fprintln(os.Stderr, "dial cache:", err)
 					return
@@ -272,7 +272,7 @@ func run() error {
 		}
 		return nil
 	}
-	cli, err := transport.DialCache(ctx, *cacheAddr)
+	cli, err := transport.DialDB(ctx, *cacheAddr, 1)
 	if err == nil {
 		defer cli.Close()
 		if s, err := cli.Stats(ctx); err == nil {

@@ -302,7 +302,7 @@ func (cn *muxConn) await(ctx context.Context, id uint64, ch chan muxResult) (Res
 	}
 }
 
-// ClientOption tunes a DBClient's (or CacheClient's) failure handling.
+// ClientOption tunes a DBClient's failure handling.
 type ClientOption func(*clientConfig)
 
 // clientConfig carries the tunables shared by both client types.
@@ -624,11 +624,13 @@ func idempotent(op Op) bool {
 	}
 }
 
-// DBClient talks to a tdbd instance. It implements core.Backend (and its
-// batch and updater extensions), so a remote database can back a local
-// cache. Safe for concurrent use; calls are multiplexed over a small
-// fixed set of connections, and failed connections are redialed
-// transparently.
+// DBClient talks to a tdbd or a tcached — both speak the backend
+// protocol. It implements core.Backend (and its batch and updater
+// extensions), so a remote database, or an edge cache as a mid-tier, can
+// back a local cache; against a tcached it also runs whole read
+// transactions (ReadTxn). Safe for concurrent use; calls are multiplexed
+// over a small fixed set of connections, and failed connections are
+// redialed transparently.
 type DBClient struct {
 	*mux
 }
@@ -733,6 +735,29 @@ func (b *BatchRead) Wait(ctx context.Context) ([]kv.Lookup, error) {
 		}
 	}
 	return resp.Batch, nil
+}
+
+// ReadTxn reads keys, in order, as one read-only transaction on a
+// tcached, in one round trip (OpReadTxn): the transaction begins and
+// ends there — committed if every read succeeds, aborted on a detected
+// inconsistency (ErrAborted), a missing key (ErrNotFound) or any other
+// failure.
+func (c *DBClient) ReadTxn(ctx context.Context, keys []kv.Key) ([]kv.Value, error) {
+	resp, err := c.roundTrip(ctx, Request{Op: OpReadTxn, Keys: keys})
+	if err != nil {
+		return nil, err
+	}
+	switch {
+	case resp.Code == CodeAborted:
+		return nil, fmt.Errorf("%w: %s", ErrAborted, resp.Err)
+	case resp.Code == CodeNotFound:
+		return nil, ErrNotFound
+	case resp.Code != CodeOK:
+		return nil, fmt.Errorf("transport: read-txn: %s", resp.Err)
+	case len(resp.Values) != len(keys):
+		return nil, fmt.Errorf("transport: read-txn: %d values for %d keys", len(resp.Values), len(keys))
+	}
+	return resp.Values, nil
 }
 
 // CommitUpdate implements core.CommitBackend over the wire: one OpUpdate
@@ -908,66 +933,5 @@ func (s *InvStream) Run(ctx context.Context, deliver func(Invalidation)) {
 		for _, inv := range invs {
 			deliver(inv)
 		}
-	}
-}
-
-// CacheClient talks to a tcached instance. Safe for concurrent use; its
-// calls are multiplexed over one connection, which redials transparently
-// after failures.
-type CacheClient struct {
-	*mux
-}
-
-// DialCache connects to a tcached at addr. ctx bounds the dial.
-func DialCache(ctx context.Context, addr string, opts ...ClientOption) (*CacheClient, error) {
-	cfg := defaultClientConfig()
-	for _, o := range opts {
-		o(&cfg)
-	}
-	m, err := newMux(ctx, addr, 1, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &CacheClient{mux: m}, nil
-}
-
-// Get performs a plain cache read.
-func (c *CacheClient) Get(ctx context.Context, key kv.Key) (kv.Value, error) {
-	resp, err := c.roundTrip(ctx, Request{Op: OpGet, Key: key})
-	if err != nil {
-		return nil, err
-	}
-	return decodeRead(resp)
-}
-
-// ReadTxn reads keys, in order, as one read-only transaction on the
-// server, in one round trip: the transaction begins and ends there —
-// committed if every read succeeds, aborted on a detected inconsistency
-// (ErrAborted), a missing key (ErrNotFound) or any other failure.
-func (c *CacheClient) ReadTxn(ctx context.Context, keys []kv.Key) ([]kv.Value, error) {
-	resp, err := c.roundTrip(ctx, Request{Op: OpReadTxn, Keys: keys})
-	if err != nil {
-		return nil, err
-	}
-	if resp.Code != CodeOK {
-		_, err := decodeRead(resp)
-		return nil, err
-	}
-	if len(resp.Values) != len(keys) {
-		return nil, fmt.Errorf("transport: read-txn: %d values for %d keys", len(resp.Values), len(keys))
-	}
-	return resp.Values, nil
-}
-
-func decodeRead(resp Response) (kv.Value, error) {
-	switch resp.Code {
-	case CodeOK:
-		return resp.Item.Value, nil
-	case CodeAborted:
-		return nil, fmt.Errorf("%w: %s", ErrAborted, resp.Err)
-	case CodeNotFound:
-		return nil, ErrNotFound
-	default:
-		return nil, fmt.Errorf("transport: read: %s", resp.Err)
 	}
 }

@@ -338,7 +338,7 @@ func TestResubscribeNotLockedOutByStaleName(t *testing.T) {
 }
 
 // TestBatchReadsOverWire covers OpGetBatch (DBClient.ReadItems) and
-// OpReadTxn (CacheClient.ReadTxn): N keys, one round trip each.
+// OpReadTxn (DBClient.ReadTxn): N keys, one round trip each.
 func TestBatchReadsOverWire(t *testing.T) {
 	s := newStack(t, core.StrategyRetry)
 	keys := []kv.Key{"b1", "b2", "b3"}

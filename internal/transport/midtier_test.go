@@ -110,7 +110,7 @@ func TestMidTierServesItemsOverWire(t *testing.T) {
 	if !lookups[2].Found || lookups[2].Item.Version != vb {
 		t.Fatalf("batch[2] = %+v", lookups[2])
 	}
-	// The mid-tier cached everything: a plain CacheClient get agrees.
+	// The mid-tier cached what it served.
 	if m.stack.cache.Len() == 0 {
 		t.Fatal("mid-tier cached nothing")
 	}

@@ -24,7 +24,7 @@ type testStack struct {
 	dbCli    *DBClient
 	cache    *core.Cache
 	cacheSrv *CacheServer
-	cli      *CacheClient
+	cli      *DBClient
 }
 
 // bg is the background context for calls that don't exercise cancellation.
@@ -69,7 +69,7 @@ func newStack(t *testing.T, strategy core.Strategy) *testStack {
 	}
 	t.Cleanup(cacheSrv.Close)
 
-	cli, err := DialCache(bg, cacheAddr)
+	cli, err := DialDB(bg, cacheAddr, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,9 +105,9 @@ func TestUpdateAndGetOverWire(t *testing.T) {
 		t.Fatalf("ReadItem = %+v, %v, %v", item, ok, err)
 	}
 	// Through the cache server too.
-	val, err := s.cli.Get(bg, "k")
-	if err != nil || string(val) != "hello" {
-		t.Fatalf("cache Get = %q, %v", val, err)
+	citem, ok, err := s.cli.ReadItem(bg, "k")
+	if err != nil || !ok || string(citem.Value) != "hello" {
+		t.Fatalf("cache ReadItem = %+v, %v, %v", citem, ok, err)
 	}
 }
 
@@ -116,8 +116,8 @@ func TestGetMissOverWire(t *testing.T) {
 	if _, ok, err := s.dbCli.ReadItem(bg, "ghost"); ok || err != nil {
 		t.Fatalf("found a ghost (%v, %v)", ok, err)
 	}
-	if _, err := s.cli.Get(bg, "ghost"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("cache miss = %v", err)
+	if _, ok, err := s.cli.ReadItem(bg, "ghost"); ok || err != nil {
+		t.Fatalf("cache found a ghost (%v, %v)", ok, err)
 	}
 }
 
@@ -126,7 +126,7 @@ func TestInvalidationsFlowOverWire(t *testing.T) {
 	if _, err := s.dbCli.ValidatedUpdate(bg, nil, []KeyValue{{Key: "k", Value: kv.Value("v1")}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.cli.Get(bg, "k"); err != nil { // cache k@v1
+	if _, _, err := s.cli.ReadItem(bg, "k"); err != nil { // cache k@v1
 		t.Fatal(err)
 	}
 	if _, err := s.dbCli.ValidatedUpdate(bg, nil, []KeyValue{{Key: "k", Value: kv.Value("v2")}}); err != nil {
@@ -134,12 +134,12 @@ func TestInvalidationsFlowOverWire(t *testing.T) {
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		val, err := s.cli.Get(bg, "k")
-		if err == nil && string(val) == "v2" {
+		item, _, err := s.cli.ReadItem(bg, "k")
+		if err == nil && string(item.Value) == "v2" {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("invalidation never propagated; still %q (%v)", val, err)
+			t.Fatalf("invalidation never propagated; still %q (%v)", item.Value, err)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -147,7 +147,7 @@ func TestInvalidationsFlowOverWire(t *testing.T) {
 
 // lossyStack is a wire deployment whose invalidation bridge was never
 // connected: every invalidation is "lost", the harshest §IV condition.
-func newLossyStack(t *testing.T, strategy core.Strategy) (*DBClient, *CacheClient) {
+func newLossyStack(t *testing.T, strategy core.Strategy) (*DBClient, *DBClient) {
 	t.Helper()
 	d := db.Open(db.Config{DepBound: 5})
 	t.Cleanup(func() { d.Close() })
@@ -173,7 +173,7 @@ func newLossyStack(t *testing.T, strategy core.Strategy) (*DBClient, *CacheClien
 		t.Fatal(err)
 	}
 	t.Cleanup(cacheSrv.Close)
-	cli, err := DialCache(bg, cacheAddr)
+	cli, err := DialDB(bg, cacheAddr, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestTransactionalReadDetectionOverWire(t *testing.T) {
 	}
 	seed("a", "a0")
 	seed("b", "b0")
-	if _, err := cli.Get(bg, "b"); err != nil { // cache b@v0; it will go stale
+	if _, _, err := cli.ReadItem(bg, "b"); err != nil { // cache b@v0; it will go stale
 		t.Fatal(err)
 	}
 	// One update transaction rewrites both; no invalidations arrive.
@@ -214,7 +214,7 @@ func TestRetryHealsOverWire(t *testing.T) {
 	if _, err := dbCli.ValidatedUpdate(bg, nil, []KeyValue{{Key: "b", Value: kv.Value("b0")}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cli.Get(bg, "b"); err != nil {
+	if _, _, err := cli.ReadItem(bg, "b"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := dbCli.ValidatedUpdate(bg, nil, []KeyValue{
@@ -237,10 +237,10 @@ func TestCacheStatsOverWire(t *testing.T) {
 	if _, err := s.dbCli.ValidatedUpdate(bg, nil, []KeyValue{{Key: "k", Value: kv.Value("v")}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.cli.Get(bg, "k"); err != nil {
+	if _, _, err := s.cli.ReadItem(bg, "k"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.cli.Get(bg, "k"); err != nil {
+	if _, _, err := s.cli.ReadItem(bg, "k"); err != nil {
 		t.Fatal(err)
 	}
 	stats, err := s.cli.Stats(bg)
@@ -315,7 +315,7 @@ func TestConcurrentWireClients(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			cli, err := DialCache(bg, s.cacheSrv.ln.Addr().String())
+			cli, err := DialDB(bg, s.cacheSrv.ln.Addr().String(), 1)
 			if err != nil {
 				t.Errorf("dial: %v", err)
 				return

@@ -7,6 +7,12 @@
 // multiplexed — many in-flight calls share one connection and responses
 // arrive in completion order — except on subscription connections, which
 // switch to a server-push stream of batched invalidation frames.
+//
+// One client type talks to both servers: DBClient (DialDB). Against a
+// tdbd it is a cache's Backend; against a tcached it is the Backend of a
+// downstream cache (the cluster router reads every edge through one) and
+// also runs whole read transactions (ReadTxn, OpReadTxn) for clients
+// without a cache of their own.
 package transport
 
 import (
