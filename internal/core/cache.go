@@ -695,10 +695,10 @@ func (c *Cache) Len() int {
 	return int(c.sumShards(func(sh *cacheShard) uint64 { return uint64(len(sh.entries)) }))
 }
 
-// ResidentBytes returns the bytes currently charged against the
-// eviction budget (0 when the cache is unbounded): the running sum the
+// ResidentBytes returns the bytes the cache holds, bounded or not: the
+// running sum of entry costs (evict.EntryOverhead + key + value) the
 // shards maintain, not a walk over the entries, so it is exact with
-// respect to the accounting the budget enforces.
+// respect to the accounting a budget enforces.
 func (c *Cache) ResidentBytes() uint64 {
 	return c.sumShards(func(sh *cacheShard) uint64 { return sh.ev.Used() })
 }

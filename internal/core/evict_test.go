@@ -166,6 +166,75 @@ func TestShrinkingValueRefundsBytes(t *testing.T) {
 	}
 }
 
+// TestUnboundedResidentBytesIsExact: without a budget the ledger still
+// counts what the cache holds — after fills, in-place replacements and
+// invalidations, ResidentBytes equals the sum of EntryOverhead + key +
+// value over the entries present (the cache_resident_bytes gauge an
+// unbounded tcached reports).
+func TestUnboundedResidentBytesIsExact(t *testing.T) {
+	b := newMapBackend()
+	c := newCache(t, Config{Backend: b, Shards: 4})
+	rng := rand.New(rand.NewSource(1))
+	held := map[kv.Key]int{} // key → cached value length
+	check := func(stage string) {
+		t.Helper()
+		var want uint64
+		for k, n := range held {
+			if !cached(c, k) {
+				t.Fatalf("%s: %s not cached", stage, k)
+			}
+			want += entryCostFor(k, n)
+		}
+		if c.Len() != len(held) {
+			t.Fatalf("%s: Len = %d, want %d", stage, c.Len(), len(held))
+		}
+		if got := c.ResidentBytes(); got != want {
+			t.Fatalf("%s: ResidentBytes = %d, want %d", stage, got, want)
+		}
+	}
+
+	keys := make([]kv.Key, 60)
+	for i := range keys {
+		keys[i] = kv.Key(fmt.Sprintf("key-%d", i))
+		n := rng.Intn(300)
+		b.put(keys[i], strings.Repeat("v", n), 1)
+		if _, err := c.Get(bgc, keys[i]); err != nil {
+			t.Fatal(err)
+		}
+		held[keys[i]] = n
+	}
+	check("fill")
+
+	for _, k := range keys[:30] { // newer versions of another size, in place
+		n := rng.Intn(300)
+		b.put(k, strings.Repeat("w", n), 2)
+		if _, _, err := c.GetItem(bgc, k, kv.Version{Counter: 2}); err != nil {
+			t.Fatal(err)
+		}
+		held[k] = n
+	}
+	check("replace")
+
+	for i, k := range keys[20:40] {
+		c.Invalidate(k, kv.Version{Counter: 2}) // applied only to version-1 entries
+		if i >= 10 {
+			delete(held, k)
+		}
+	}
+	c.Invalidate("never-cached", kv.Version{Counter: 9})
+	check("invalidate")
+
+	for _, k := range keys[30:40] { // refill what the invalidations removed
+		if _, err := c.Get(bgc, k); err != nil {
+			t.Fatal(err)
+		}
+		b.mu.Lock()
+		held[k] = len(b.items[k].Value)
+		b.mu.Unlock()
+	}
+	check("refill")
+}
+
 // TestAdmissionDoorkeeper pins the doorkeeper contract: a first-sighted
 // key is served without being cached, the second sighting admits it,
 // and from then on it hits.

@@ -49,7 +49,6 @@ func (c *Cache) RegisterMetrics(reg *telemetry.Registry) {
 	c.counters.Register(reg)
 
 	reg.Gauge("cache_entries", func() uint64 { return uint64(c.Len()) })
-	reg.Gauge("cache_bytes", c.Bytes)
 	reg.Gauge("cache_resident_bytes", c.ResidentBytes)
 	reg.Gauge("cache_max_bytes", c.MaxBytes)
 	reg.Gauge("active_txns", func() uint64 { return uint64(c.ActiveTxns()) })
@@ -65,16 +64,4 @@ func (c *Cache) RegisterMetrics(reg *telemetry.Registry) {
 	reg.Histogram("read_cold_ns", cold)
 	reg.Histogram("read_multi_ns", multi)
 	reg.Histogram("eviction_scan", escan)
-}
-
-// Bytes returns the approximate memory footprint of the cached values:
-// the sum of key and value lengths over every entry. It walks the shards
-// under their locks — a scrape-time operation, not a hot-path one.
-func (c *Cache) Bytes() uint64 {
-	return c.sumShards(func(sh *cacheShard) (n uint64) {
-		for key, e := range sh.entries {
-			n += uint64(len(key)) + uint64(len(e.item.Value))
-		}
-		return n
-	})
 }

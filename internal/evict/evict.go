@@ -8,11 +8,11 @@
 // the policy bookkeeping lives in a Handle embedded BY VALUE inside the
 // cache's own entry struct (an intrusive list node), so recording a
 // touch, an insert, or a removal never allocates and never takes a lock
-// of its own. A Shard is the per-cache-shard budget ledger wrapping one
-// Policy; its zero value is an unbounded no-op whose methods cost one
-// predictable branch, keeping the unbounded configuration (the paper's
-// prototype: "all objects fit in the cache") as fast as before the
-// subsystem existed.
+// of its own. A Shard is the per-cache-shard byte ledger wrapping one
+// Policy; its zero value is unbounded: it counts resident bytes (one
+// addition per insert or removal) but links nothing and never evicts,
+// keeping the unbounded configuration (the paper's prototype: "all
+// objects fit in the cache") as fast as before the subsystem existed.
 //
 // Three policies ship behind the one Policy interface:
 //
@@ -101,9 +101,6 @@ type Handle struct {
 	tick uint64
 }
 
-// Cost returns the byte cost currently charged for the handle.
-func (h *Handle) Cost() uint64 { return h.cost }
-
 // linked reports whether h is currently on a policy's list. Unlinked
 // handles (unbounded caches, already-evicted entries) must be ignored
 // by Touch/Remove — the cache may race a touch against its own budget
@@ -141,11 +138,12 @@ func New(k Kind) Policy {
 	}
 }
 
-// Shard is the per-cache-shard budget ledger: one policy, one byte
-// budget, one running resident-byte count, and an optional admission
-// doorkeeper. The zero value is an unbounded no-op (nil policy), which
-// is how unbounded caches pay nothing for the subsystem. Not
-// thread-safe; guarded by the owning cache shard's mutex.
+// Shard is the per-cache-shard byte ledger: one policy, one byte budget,
+// one running resident-byte count, and an optional admission
+// doorkeeper. The zero value is unbounded (nil policy): it keeps the
+// resident-byte count but tracks no handles, so unbounded caches pay one
+// addition per insert or removal for the subsystem. Not thread-safe;
+// guarded by the owning cache shard's mutex.
 type Shard struct {
 	policy Policy
 	door   *Doorkeeper
@@ -170,7 +168,7 @@ func NewShard(k Kind, maxBytes uint64, admission bool) Shard {
 // Bounded reports whether the shard enforces a budget.
 func (s *Shard) Bounded() bool { return s.policy != nil }
 
-// Used returns the resident bytes currently charged against the budget.
+// Used returns the resident bytes currently charged, bounded or not.
 func (s *Shard) Used() uint64 { return s.used }
 
 // Max returns the shard's byte budget (0 = unbounded).
@@ -204,23 +202,33 @@ func (s *Shard) Touch(h *Handle) {
 	s.policy.Touch(h)
 }
 
-// Add links a newly inserted entry and charges its cost. obj is the
-// containing cache entry, handed back verbatim by Evict.
+// Add charges a newly inserted entry's cost and, on a bounded shard,
+// links it. obj is the containing cache entry, handed back verbatim by
+// Evict.
 func (s *Shard) Add(h *Handle, obj any, cost uint64) {
+	h.cost = cost
+	s.used += cost
 	if s.policy == nil {
 		return
 	}
 	h.obj = obj
-	h.cost = cost
-	s.used += cost
 	s.policy.Add(h)
 }
 
-// Update re-charges a linked entry whose byte cost changed in place (its
-// value replaced by a newer version). The accounting delta is applied to
-// the running total; callers then re-check NeedEvict.
+// charged reports whether h's cost is on the ledger: linked on a bounded
+// shard, added and not yet removed on an unbounded one.
+func (s *Shard) charged(h *Handle) bool {
+	if s.policy == nil {
+		return h.cost != 0
+	}
+	return h.linked()
+}
+
+// Update re-charges an entry whose byte cost changed in place (its value
+// replaced by a newer version). The accounting delta is applied to the
+// running total; callers then re-check NeedEvict.
 func (s *Shard) Update(h *Handle, cost uint64) {
-	if s.policy == nil || !h.linked() {
+	if !s.charged(h) {
 		return
 	}
 	s.used += cost - h.cost // unsigned two's-complement delta; used ≥ h.cost always
@@ -228,13 +236,16 @@ func (s *Shard) Update(h *Handle, cost uint64) {
 }
 
 // Remove unlinks an entry and refunds its cost. Safe to call on handles
-// that were never linked or were already evicted.
+// that were never added or were already removed or evicted.
 func (s *Shard) Remove(h *Handle) {
-	if s.policy == nil || !h.linked() {
+	if !s.charged(h) {
 		return
 	}
-	s.policy.Remove(h)
+	if s.policy != nil {
+		s.policy.Remove(h)
+	}
 	s.used -= h.cost
+	h.cost = 0
 }
 
 // NeedEvict reports whether the shard is over budget.

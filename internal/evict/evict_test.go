@@ -49,10 +49,18 @@ func TestZeroShardIsUnboundedNoop(t *testing.T) {
 		t.Fatal("zero Shard reports Bounded")
 	}
 	o := &obj{name: "a"}
-	// None of these may panic or account anything.
+	// None of these may panic or link anything; the ledger still counts
+	// the bytes, and a second Remove refunds nothing.
 	s.Add(&o.h, o, 100)
 	s.Touch(&o.h)
+	if s.Used() != 100 || s.Len() != 0 {
+		t.Fatalf("after Add: used=%d len=%d, want 100/0", s.Used(), s.Len())
+	}
 	s.Update(&o.h, 200)
+	if s.Used() != 200 {
+		t.Fatalf("after Update: used=%d, want 200", s.Used())
+	}
+	s.Remove(&o.h)
 	s.Remove(&o.h)
 	if !s.Admit("anything") {
 		t.Fatal("unbounded shard rejected admission")
