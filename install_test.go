@@ -244,14 +244,18 @@ func TestClusterRMWOneCallPerCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	const commits = 20
-	calls, dbReads := tel.Snapshot().RoundTrip.Count, r.db.Core().Metrics().SingleGets
+	roundTrips := func() uint64 {
+		h := tel.Snapshot().Histograms["client_round_trip_ns"]
+		return h.Count()
+	}
+	calls, dbReads := roundTrips(), r.db.Core().Metrics().SingleGets
 	installs := r.cc.Cache.Stats().CommitInstalls
 	for i := 0; i < commits; i++ {
 		if err := r.cc.Update(ctx, bumpAll(ctx, keys)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := tel.Snapshot().RoundTrip.Count - calls; got != commits {
+	if got := roundTrips() - calls; got != commits {
 		t.Errorf("%d wire calls for %d committed updates, want one each", got, commits)
 	}
 	if got := r.db.Core().Metrics().SingleGets - dbReads; got != 0 {

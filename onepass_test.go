@@ -102,17 +102,19 @@ func TestTelemetryCountsExactAndSampled(t *testing.T) {
 		}
 	}
 	snap := tel.Snapshot()
-	if snap.ReadTxn.Count != txns+1 || snap.ReadMulti.Count != txns+1 {
-		t.Errorf("ReadTxn.Count = %d, ReadMulti.Count = %d, want %d each", snap.ReadTxn.Count, snap.ReadMulti.Count, txns+1)
+	readTxn, multi := snap.Histograms["client_read_txn_ns"], snap.Histograms["client_read_multi_ns"]
+	cold, warm := snap.Histograms["client_read_cold_ns"], snap.Histograms["client_read_warm_ns"]
+	if readTxn.Count() != txns+1 || multi.Count() != txns+1 {
+		t.Errorf("ReadTxn.Count = %d, ReadMulti.Count = %d, want %d each", readTxn.Count(), multi.Count(), txns+1)
 	}
-	if snap.ReadCold.Count != 5 {
-		t.Errorf("ReadCold.Count = %d, want 5 (one per filled key)", snap.ReadCold.Count)
+	if cold.Count() != 5 {
+		t.Errorf("ReadCold.Count = %d, want 5 (one per filled key)", cold.Count())
 	}
 	hits := uint64(txns * 5)
 	if got := c.Stats().Hits; got != hits {
 		t.Errorf("Stats().Hits = %d, want exactly %d", got, hits)
 	}
-	if want := (hits + 63) / 64; snap.ReadWarm.Count != want {
-		t.Errorf("ReadWarm.Count = %d, want %d (every 64th hit of the one shard, the first included)", snap.ReadWarm.Count, want)
+	if want := (hits + 63) / 64; warm.Count() != want {
+		t.Errorf("ReadWarm.Count = %d, want %d (every 64th hit of the one shard, the first included)", warm.Count(), want)
 	}
 }

@@ -15,7 +15,6 @@ package tcache
 
 import (
 	"io"
-	"time"
 
 	"tcache/internal/core"
 	"tcache/internal/telemetry"
@@ -72,67 +71,24 @@ type roundTripSetter interface {
 	setRoundTripHistogram(h *telemetry.Histogram)
 }
 
-// LatencySnapshot summarizes one latency histogram at a point in time.
-// Quantiles are log-linear estimates from power-of-two buckets: exact
-// bucket placement, interpolated position within the bucket (so a p99
-// is within 2x of the true value, and usually much closer).
-type LatencySnapshot struct {
-	// Count is the number of recorded observations.
-	Count uint64
-	// Mean, P50, P95, P99 and Max summarize the distribution.
-	Mean, P50, P95, P99, Max time.Duration
-}
-
-// TelemetrySnapshot is a point-in-time copy of every client-side
-// histogram.
-type TelemetrySnapshot struct {
-	// ReadTxn and Update are whole-transaction latencies (ReadTxn
-	// includes every Get inside the closure; Update includes conflict
-	// retries and backoff).
-	ReadTxn, Update LatencySnapshot
-	// RoundTrip is the wire round trip under a *Remote or cluster
-	// backend (zero for in-process backends).
-	RoundTrip LatencySnapshot
-	// ReadWarm is the cache's lock-to-serve time for one warm hit,
-	// sampled (every 64th hit of each cache shard, the first included),
-	// so its Count is a sample count — Stats().Hits is exact. ReadCold
-	// is the backend fetch and fill, once per filled key; ReadMulti is a
-	// whole GetMulti batch, once per batch. ReadTxn, Update and
-	// ReadMulti counts are exact.
-	ReadWarm, ReadCold, ReadMulti LatencySnapshot
-}
-
-// Snapshot returns a consistent-enough copy of all histograms (each
-// histogram is snapshotted atomically per bucket; concurrent recording
-// proceeds untouched).
-func (t *Telemetry) Snapshot() TelemetrySnapshot {
-	return TelemetrySnapshot{
-		ReadTxn:   latencySnap(t.readTxn),
-		Update:    latencySnap(t.update),
-		RoundTrip: latencySnap(t.roundTrip),
-		ReadWarm:  latencySnap(t.core.ReadWarm),
-		ReadCold:  latencySnap(t.core.ReadCold),
-		ReadMulti: latencySnap(t.core.ReadMulti),
-	}
-}
+// Snapshot returns every client-side histogram by metric name
+// (client_read_txn_ns, client_update_ns, client_round_trip_ns,
+// client_read_warm_ns, client_read_cold_ns, client_read_multi_ns,
+// client_eviction_scan) — the same ServerStats type Remote.Stats
+// returns. Each histogram is snapshotted atomically per bucket;
+// concurrent recording proceeds untouched. ReadTxn spans every Get in
+// the closure and Update its conflict retries and backoff; the round
+// trip is zero under an in-process backend. client_read_warm_ns is
+// sampled (every 64th hit of each cache shard, the first included), so
+// its count is a sample count — Stats().Hits is exact; the cold read
+// counts once per filled key, the multi read once per GetMulti batch.
+func (t *Telemetry) Snapshot() ServerStats { return t.reg.Snapshot() }
 
 // WritePrometheus writes the client-side histograms to w in Prometheus
 // text exposition format (families tcache_client_read_txn_ns and
 // friends) — for embedders that mount their own /metrics handler.
 func (t *Telemetry) WritePrometheus(w io.Writer) error {
 	return telemetry.WritePrometheus(w, telemetry.MetricsPrefix, t.reg.Snapshot())
-}
-
-func latencySnap(h telemetry.HistogramSource) LatencySnapshot {
-	s := h.Snapshot()
-	return LatencySnapshot{
-		Count: s.Count(),
-		Mean:  time.Duration(s.Mean()),
-		P50:   time.Duration(s.P50()),
-		P95:   time.Duration(s.P95()),
-		P99:   time.Duration(s.P99()),
-		Max:   time.Duration(s.Max()),
-	}
 }
 
 // ServeMetrics starts the admin HTTP listener for this database at addr

@@ -210,20 +210,23 @@ func TestWithTelemetryClientHistograms(t *testing.T) {
 	}
 
 	snap := tel.Snapshot()
-	if snap.ReadTxn.Count != 2 {
-		t.Errorf("ReadTxn.Count = %d, want 2", snap.ReadTxn.Count)
+	readTxn, update := snap.Histograms["client_read_txn_ns"], snap.Histograms["client_update_ns"]
+	roundTrip := snap.Histograms["client_round_trip_ns"]
+	warm, cold := snap.Histograms["client_read_warm_ns"], snap.Histograms["client_read_cold_ns"]
+	if readTxn.Count() != 2 {
+		t.Errorf("ReadTxn.Count = %d, want 2", readTxn.Count())
 	}
-	if snap.Update.Count != 1 {
-		t.Errorf("Update.Count = %d, want 1", snap.Update.Count)
+	if update.Count() != 1 {
+		t.Errorf("Update.Count = %d, want 1", update.Count())
 	}
-	if snap.RoundTrip.Count == 0 {
+	if roundTrip.Count() == 0 {
 		t.Error("RoundTrip.Count = 0, want > 0")
 	}
-	if snap.ReadWarm.Count != 1 || snap.ReadCold.Count != 1 {
-		t.Errorf("ReadWarm=%d ReadCold=%d, want 1/1", snap.ReadWarm.Count, snap.ReadCold.Count)
+	if warm.Count() != 1 || cold.Count() != 1 {
+		t.Errorf("ReadWarm=%d ReadCold=%d, want 1/1", warm.Count(), cold.Count())
 	}
-	if snap.ReadTxn.P99 <= 0 || snap.ReadTxn.Max < snap.ReadTxn.P50 {
-		t.Errorf("implausible ReadTxn quantiles: %+v", snap.ReadTxn)
+	if readTxn.P99() == 0 || readTxn.Max() < readTxn.P50() {
+		t.Errorf("implausible ReadTxn quantiles: p50=%d p99=%d max=%d", readTxn.P50(), readTxn.P99(), readTxn.Max())
 	}
 
 	var sb strings.Builder
