@@ -173,11 +173,6 @@ func (r *Ring) Lookup(key kv.Key) (member int, hash uint64) {
 	return int(r.points[r.Start(hash)].member), hash
 }
 
-// Owner returns the member owning an already-computed key hash.
-func (r *Ring) Owner(hash uint64) int {
-	return int(r.points[r.Start(hash)].member)
-}
-
 // fnv64 hashes a string with 64-bit FNV-1a.
 func fnv64(s string) uint64 {
 	const (

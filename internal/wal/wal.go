@@ -572,15 +572,6 @@ func (l *Log) SegmentCount() int {
 	return int(l.seq - l.firstSeg + 1)
 }
 
-// Durable returns the durable end of the log: every byte before it is
-// on disk as whole frames. Replication lag is the distance between a
-// replica's acknowledged cursor and this position.
-func (l *Log) Durable() Pos {
-	l.fileMu.Lock()
-	defer l.fileMu.Unlock()
-	return l.flushed
-}
-
 // flushedBoundary returns the durable boundary, the channel closed on
 // its next advance, and the first live segment (for lag detection).
 func (l *Log) flushedBoundary() (Pos, <-chan struct{}, uint64) {
