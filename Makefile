@@ -19,7 +19,9 @@ test:
 # over the write path's tests (commit, install, relay), over the read transactions' (owned ReadTxn handles,
 # core.Cache.Read's parked transactions, Close mid-flight) and over the routed read's
 # (callers writing their own frames on a shared connection, pipelined
-# sub-batches, dispatch workers), the wire's read transactions
+# sub-batches, dispatch workers, the router's one-key and batch reads
+# and its per-node health watchers: ejection, probation, failover, a
+# node down at start), the wire's read transactions
 # (server-minted, one per request, several clients at once) and the
 # servers' and clients' shutdown and cancellation paths (updates parked
 # behind a held key, db.KeyHold), so a
@@ -38,7 +40,7 @@ race:
 	$(GO) test -race -cpu 1,2,4 -run 'Update|Install|Commit' . ./internal/cluster
 	$(GO) test -race -cpu 1,2,4 -run 'ReadTxn|Close|Txn' . ./internal/core
 	$(GO) test -race -cpu 1,2,4 -run 'Mux|Pipelin|Worker|StaleConn|ReadTxn|WireClients|Blocked|CtxCancelled|Stuck|PendingSlots|Skeleton' ./internal/transport
-	$(GO) test -race -cpu 1,2,4 -run 'ReadItems' ./internal/cluster
+	$(GO) test -race -cpu 1,2,4 -run 'ReadItem|Health|Probation|Failover|DownAtStart' ./internal/cluster
 	$(GO) test -race -cpu 1,2,4 -run 'Determin|Subgraph|Golden|Theorem1' ./internal/graph ./internal/experiment
 	$(GO) test -run 'Alloc' -cpu 1,2,4 .
 
