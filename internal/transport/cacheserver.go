@@ -89,9 +89,8 @@ func (s *CacheServer) dispatch(ctx context.Context, req Request) Response {
 		return readResponse(s.readTxn(ctx, req.Keys))
 
 	case OpGet:
-		// Item-granular so a DBClient peer (a downstream cache's backend)
-		// gets version and dependency list; plain cache clients keep
-		// reading Value and ignore the rest.
+		// Item-granular so a downstream cache's backend gets version and
+		// dependency list; a plain read (tcache-cli cget) uses the Value.
 		item, ok, err := s.cache.GetItem(ctx, req.Key, req.MinVersion)
 		switch {
 		case err != nil:

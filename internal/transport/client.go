@@ -305,7 +305,7 @@ func (cn *muxConn) await(ctx context.Context, id uint64, ch chan muxResult) (Res
 // ClientOption tunes a DBClient's failure handling.
 type ClientOption func(*clientConfig)
 
-// clientConfig carries the tunables shared by both client types.
+// clientConfig carries a DBClient's tunables.
 type clientConfig struct {
 	maxRedials    int
 	redialBackoff time.Duration
@@ -334,8 +334,8 @@ func WithRedialBackoff(d time.Duration) ClientOption {
 	return func(c *clientConfig) { c.redialBackoff = d }
 }
 
-// mux is a fixed-size set of multiplexed connections, the core of both
-// client types: N concurrent calls share these few connections, and a
+// mux is a fixed-size set of multiplexed connections, the core of
+// DBClient: N concurrent calls share these few connections, and a
 // slot whose connection died is redialed on next use, so a restarted
 // server is picked up transparently.
 type mux struct {
