@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -658,4 +660,38 @@ func TestJoinImageNeverOlderThanTheReplica(t *testing.T) {
 	join(9, 2, 1) // and one that holds writes this node never made
 	join(3, 4, 2) // a restarted replica ahead of it gets a fresh image
 	join(4, 4, 2)
+}
+
+// TestRecoveredStorePinsNoSegment is the recovery twin of the standby's
+// frame test (internal/transport): recovery reads each log segment into
+// one buffer, and an item recovered from it must own its bytes, or the
+// surviving version of a key rewritten many times would keep the whole
+// segment read alive. One key pair is rewritten until the segment is
+// ≈ 8 MiB; the heap a recovered database holds must stay far below that.
+func TestRecoveredStorePinsNoSegment(t *testing.T) {
+	dir := t.TempDir()
+	d := recoverDB(t, Config{DepBound: 5}, dir)
+	value := kv.Value(strings.Repeat("v", 4<<10))
+	for i := 0; i < 1000; i++ {
+		mustCommit(t, d, []kv.Key{"a", "b"}, kv.KeyValue{Key: "a", Value: value}, kv.KeyValue{Key: "b", Value: value})
+	}
+	want := stateOf(d)
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	logged := dirSize(t, dir)
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	d = recoverDB(t, Config{DepBound: 5}, dir)
+	defer d.Close()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if held := int64(after.HeapAlloc) - int64(before.HeapAlloc); held > logged/8 {
+		t.Fatalf("the recovered database holds %d heap bytes for a %d-byte log: an item pins its segment read", held, logged)
+	}
+	if got := stateOf(d); !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered state differs:\n got %v\nwant %v", got, want)
+	}
 }

@@ -7,14 +7,18 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"tcache/internal/chaos"
+	"tcache/internal/codec"
 	"tcache/internal/db"
 	"tcache/internal/kv"
+	"tcache/internal/wal"
 )
 
 // replRig is a primary with a WAL, served over TCP, plus helpers to
@@ -742,4 +746,80 @@ func TestReplJoinAtCutPoints(t *testing.T) {
 		}
 		t.Logf("join of a 20000-object primary: first %s, repeat %s", took[0], took[1])
 	})
+}
+
+// TestStandbyStorePinsNoFrame: what a standby stores from a replication
+// frame owns its bytes. Records with dependency lists are encoded into a
+// payload the test owns, decoded with decodeReplRecords and applied
+// through ApplyReplicated; once the payload is dropped a GC must be able
+// to free it, and the stored items must still equal the applied ones. A
+// stored dependency key that aliased the payload would keep the whole
+// frame alive for as long as the key is stored.
+//
+// The collection is observed with runtime.SetFinalizer rather than
+// runtime.AddCleanup, which the oldest toolchains CI builds with lack.
+func TestStandbyStorePinsNoFrame(t *testing.T) {
+	d := db.Open(db.Config{})
+	defer d.Close()
+	d.SetStandby("primary:0")
+	dep := func(k string, c uint64) kv.DepEntry {
+		return kv.DepEntry{Key: kv.Key(k), Version: kv.Version{Counter: c, Node: 1}}
+	}
+	recs := []wal.Record{
+		{Version: kv.Version{Counter: 3, Node: 1}, Writes: []wal.Entry{
+			{Key: "a", Value: kv.Value("value-of-a"), Deps: kv.DepList{dep("b", 3), dep("far-away-key", 2)}},
+			{Key: "b", Value: kv.Value("value-of-b"), Deps: kv.DepList{dep("a", 3)}},
+		}},
+		{Version: kv.Version{Counter: 4, Node: 1}, Writes: []wal.Entry{
+			{Key: "c", Value: kv.Value{}, Deps: kv.DepList{dep("", 1), dep("a", 3)}},
+			{Key: "d", Value: nil, Deps: nil},
+		}},
+	}
+	freed := make(chan struct{})
+	applyFrame(t, d, recs, func(payload []byte) {
+		runtime.SetFinalizer(&payload[0], func(*byte) { close(freed) })
+	})
+	for i := 0; ; i++ {
+		runtime.GC()
+		select {
+		case <-freed:
+		case <-time.After(10 * time.Millisecond):
+			if i < 100 {
+				continue
+			}
+			t.Fatal("the replication payload is still reachable after its records were applied: a stored item aliases it")
+		}
+		break
+	}
+	for _, rec := range recs {
+		for _, w := range rec.Writes {
+			want := kv.Item{Value: w.Value, Version: rec.Version, Deps: w.Deps}
+			if got, ok := d.Get(w.Key); !ok || !reflect.DeepEqual(got, want) {
+				t.Fatalf("stored %q = %#v (found %v), want %#v", w.Key, got, ok, want)
+			}
+		}
+	}
+}
+
+// applyFrame encodes recs as a replication-records payload, hands it to
+// watch, then decodes and applies it to d; nothing it allocated is
+// reachable from the caller afterwards except through d.
+func applyFrame(t *testing.T, d *db.DB, recs []wal.Record, watch func([]byte)) {
+	t.Helper()
+	b := appendPos(nil, wal.Pos{Seq: 1})
+	b = appendPos(b, wal.Pos{Seq: 1, Off: 1})
+	b = codec.AppendCount(b, len(recs))
+	for i := range recs {
+		b = codec.AppendRecord(b, &recs[i])
+	}
+	payload := make([]byte, len(b)) // its own allocation, as frameReader's
+	copy(payload, b)
+	watch(payload)
+	_, _, got, err := decodeReplRecords(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.ApplyReplicated(got); err != nil {
+		t.Fatal(err)
+	}
 }
