@@ -57,7 +57,7 @@ var allocTable = []struct {
 	// Cold: every key evicted, then one OpGetBatch round trip; each of
 	// the five fills allocates its entry and the entry's dependency-key
 	// hashes (the CoreInstall5Deps row).
-	{"ColdReadTxnGetMulti5OverDial", 49, "", func(t *testing.T) func() error {
+	{"ColdReadTxnGetMulti5OverDial", 43, "", func(t *testing.T) func() error {
 		_, _, cache := remoteBench(t, 5)
 		return readTxnMulti(cache, benchKeys(5), true)
 	}},
@@ -71,8 +71,8 @@ var allocTable = []struct {
 		return readTxnMulti(clusterBench(t, 1).Cache, benchKeys(1), true)
 	}},
 	// Five keys land on two or three nodes depending on the edges' ports:
-	// 50 or 56, up to 68 under -race.
-	{"ColdReadTxnGetMulti5OverCluster", 72, "", func(t *testing.T) func() error {
+	// 39 or 44, up to 56 under -race.
+	{"ColdReadTxnGetMulti5OverCluster", 67, "", func(t *testing.T) func() error {
 		return readTxnMulti(clusterBench(t, 5).Cache, benchKeys(5), true)
 	}},
 
@@ -82,15 +82,15 @@ var allocTable = []struct {
 		d, _, _ := remoteBench(t, 1)
 		return rmw(d, true)
 	}},
-	{"UpdateRemote", 35, "", func(t *testing.T) func() error {
+	{"UpdateRemote", 34, "", func(t *testing.T) func() error {
 		_, remote, _ := remoteBench(t, 1)
 		return rmw(remote, true)
 	}},
-	{"UpdateRemoteBlind", 24, "", func(t *testing.T) func() error {
+	{"UpdateRemoteBlind", 23, "", func(t *testing.T) func() error {
 		_, remote, _ := remoteBench(t, 1)
 		return rmw(remote, false)
 	}},
-	{"UpdateCache", 31, "", func(t *testing.T) func() error {
+	{"UpdateCache", 30, "", func(t *testing.T) func() error {
 		_, _, cache := remoteBench(t, 1)
 		return rmw(cache, true)
 	}},
@@ -98,9 +98,10 @@ var allocTable = []struct {
 	// The database's update transaction alone: a 5-key read-modify-write
 	// on an in-process db.DB (dependency bound 3, no log, no subscriber).
 	// Per written key: its value and its dependency list, which the store
-	// keeps (10); per commit: the transaction, the merge's result and
-	// scratch, the record's read and write sets, and the result's slice.
-	{"CommitUpdate5", 18, "", func(t *testing.T) func() error {
+	// keeps (10); per commit: the merge's result and scratch, the record's
+	// read and write sets, and the result's slice. The transaction is
+	// pooled.
+	{"CommitUpdate5", 17, "", func(t *testing.T) func() error {
 		d := db.Open(db.Config{DepBound: 3})
 		t.Cleanup(func() { d.Close() })
 		seedCluster(t, d, 5)

@@ -133,17 +133,13 @@ func AppendSnapshotEntry(b []byte, e *SnapshotEntry) []byte {
 // first failure sticks: from then on every accessor returns a zero
 // value and consumes nothing, and Err reports ErrTruncated — so a
 // message decoder reads its fields straight through and checks once.
+// An item a caller keeps owns its bytes; only transient values (Bytes)
+// alias B. Item, DepList and the record and snapshot-entry decoders
+// copy, so no store, cache or installer pins a frame or a segment read.
 type Decoder struct {
 	B   []byte
 	Off int
-	// Copy makes decoded byte slices and dependency-list keys
-	// independent copies. Unset, they alias B (zero copy) — right for a
-	// wire frame, whose payload buffer is allocated per frame and never
-	// written again; set, nothing decoded pins B — right for the WAL,
-	// whose recovered values live for the life of the process and must
-	// not hold a 64 MiB segment read in memory.
-	Copy bool
-	err  error
+	err error
 }
 
 // Err returns ErrTruncated if any accessor so far ran off the payload
@@ -190,29 +186,25 @@ func (d *Decoder) take(n uint64) []byte {
 // String decodes a length-prefixed string, always copying.
 func (d *Decoder) String() string { return string(d.take(d.Uvarint())) }
 
-// sharedString decodes a string whose bytes alias B unless Copy is set.
-// The string pins the payload for as long as it lives, so it is used
-// only where the win is real: dependency-list keys, the dominant string
-// volume on the read path.
-func (d *Decoder) sharedString() string {
+// Name decodes a string that is usually one of names: a match returns
+// that element without allocating, anything else a copy.
+func Name[S ~string](d *Decoder, names []S) S {
 	p := d.take(d.Uvarint())
-	if d.Copy || len(p) == 0 {
-		return string(p)
+	for _, n := range names {
+		if string(p) == string(n) {
+			return n
+		}
 	}
-	return unsafe.String(&p[0], len(p))
+	return S(p)
 }
 
-// Bytes decodes a nil-aware byte slice.
+// Bytes decodes a nil-aware byte slice aliasing B: a transient value.
 func (d *Decoder) Bytes() []byte {
 	n := d.Uvarint()
 	if n == 0 {
 		return nil
 	}
-	p := d.take(n - 1)
-	if d.err != nil || !d.Copy {
-		return p
-	}
-	return append(make([]byte, 0, len(p)), p...)
+	return d.take(n - 1)
 }
 
 // Count decodes a nil-aware element count, validated against the
@@ -236,20 +228,63 @@ func (d *Decoder) Version() kv.Version {
 	return kv.Version{Counter: d.Uvarint(), Node: uint32(d.Uvarint())}
 }
 
+// DepList decodes a dependency list that owns its keys: they share one
+// new buffer.
 func (d *Decoder) DepList() kv.DepList {
-	n := d.Count(3) // key length + two version varints
-	if n < 0 {
-		return nil
-	}
-	l := make(kv.DepList, n)
-	for i := range l {
-		l[i] = kv.DepEntry{Key: kv.Key(d.sharedString()), Version: d.Version()}
-	}
+	_, l := d.owned(nil)
 	return l
 }
 
+// Item decodes an item laid out as value, version, dependency list (the
+// wire's layout) into one buffer holding the value and every dependency
+// key, plus the list: two allocations, none shared with B.
+func (d *Decoder) Item() kv.Item {
+	it := kv.Item{Value: d.Bytes(), Version: d.Version()}
+	it.Value, it.Deps = d.owned(it.Value)
+	return it
+}
+
+// owned decodes the dependency list that follows value (which aliases
+// B) and copies value and the list's keys into one new buffer, so
+// neither result pins B. The value is capped at its length: appending
+// to it cannot reach the keys behind it.
+func (d *Decoder) owned(value []byte) (kv.Value, kv.DepList) {
+	var l kv.DepList
+	if n := d.Count(3); n >= 0 { // key length + two version varints
+		l = make(kv.DepList, n)
+	}
+	size := len(value)
+	for i := range l {
+		k := d.take(d.Uvarint())
+		if l[i].Version = d.Version(); len(k) > 0 {
+			l[i].Key = kv.Key(unsafe.String(&k[0], len(k))) // re-homed below
+			size += len(k)
+		}
+	}
+	if d.err != nil {
+		return nil, nil
+	}
+	var buf []byte
+	if size > 0 || value != nil {
+		buf = make([]byte, 0, size) // non-nil even empty: value keeps the nil/empty distinction
+	}
+	if value != nil {
+		buf = append(buf, value...)
+		value = buf[:len(value):len(value)]
+	}
+	for i := range l {
+		if k := l[i].Key; k != "" {
+			buf = append(buf, k...)
+			l[i].Key = kv.Key(unsafe.String(&buf[len(buf)-len(k)], len(k)))
+		}
+	}
+	return value, l
+}
+
 func DecodeEntry(d *Decoder) Entry {
-	return Entry{Key: kv.Key(d.String()), Value: d.Bytes(), Deps: d.DepList()}
+	e := Entry{Key: kv.Key(d.String()), Value: d.Bytes()}
+	e.Value, e.Deps = d.owned(e.Value)
+	return e
 }
 
 func DecodeRecord(d *Decoder) Record {
@@ -266,5 +301,7 @@ func DecodeRecord(d *Decoder) Record {
 }
 
 func DecodeSnapshotEntry(d *Decoder) SnapshotEntry {
-	return SnapshotEntry{Key: kv.Key(d.String()), Value: d.Bytes(), Version: d.Version(), Deps: d.DepList()}
+	e := SnapshotEntry{Key: kv.Key(d.String()), Value: d.Bytes(), Version: d.Version()}
+	e.Value, e.Deps = d.owned(e.Value)
+	return e
 }

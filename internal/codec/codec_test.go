@@ -37,8 +37,7 @@ func sampleSnapshotEntries() []SnapshotEntry {
 	}
 }
 
-// TestRoundTripExact: decode(encode(x)) reproduces x exactly in both
-// decoder modes — aliasing (the wire) and copying (the WAL) — for the
+// TestRoundTripExact: decode(encode(x)) reproduces x exactly, for the
 // samples and for values with every field filled.
 func TestRoundTripExact(t *testing.T) {
 	for _, e := range filled[Entry](t, 100) {
@@ -49,6 +48,9 @@ func TestRoundTripExact(t *testing.T) {
 	}
 	for _, e := range append(sampleSnapshotEntries(), filled[SnapshotEntry](t, 100)...) {
 		roundTrips(t, e, AppendSnapshotEntry, DecodeSnapshotEntry)
+	}
+	for _, it := range filled[kv.Item](t, 100) {
+		roundTrips(t, it, appendItem, (*Decoder).Item)
 	}
 }
 
@@ -75,55 +77,60 @@ func filled[T any](t *testing.T, n int) []T {
 	return out
 }
 
-// roundTrips checks that dec(enc(want)) is want, byte for byte consumed,
-// in both decoder modes.
+// roundTrips checks that dec(enc(want)) is want, byte for byte
+// consumed, and still is once the encoding is overwritten: what the
+// decoder returned owns its bytes.
 func roundTrips[T any](t *testing.T, want T, enc func([]byte, *T) []byte, dec func(*Decoder) T) {
 	t.Helper()
-	for _, copyOut := range []bool{false, true} {
-		d := Decoder{B: enc(nil, &want), Copy: copyOut}
-		got := dec(&d)
-		if d.Err() != nil || d.Remaining() != 0 || !reflect.DeepEqual(got, want) {
-			t.Fatalf("%T round trip (copy=%v): err %v, %d bytes left over\n got %#v\nwant %#v", want, copyOut, d.Err(), d.Remaining(), got, want)
-		}
+	d := Decoder{B: enc(nil, &want)}
+	got := dec(&d)
+	if d.Err() != nil || d.Remaining() != 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("%T round trip: err %v, %d bytes left over\n got %#v\nwant %#v", want, d.Err(), d.Remaining(), got, want)
+	}
+	scribble(d.B)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%T still aliases its encoding:\n got %#v\nwant %#v", want, got, want)
 	}
 }
 
-// TestCopyModeDetachesFromBuffer is the WAL's safety property: what a
-// Copy decoder returns survives the buffer being overwritten (a segment
-// read going away), while the aliasing decoder's values follow the
-// buffer — which is the zero-copy contract the wire relies on.
-func TestCopyModeDetachesFromBuffer(t *testing.T) {
-	want := Record{Version: v(5), Writes: []Entry{{
-		Key: "key", Value: kv.Value("value-bytes"), Deps: kv.DepList{{Key: "dep-key", Version: v(4)}},
-	}}}
-	decode := func(copyOut bool) (Record, []byte) {
-		buf := AppendRecord(nil, &want)
-		d := Decoder{B: buf, Copy: copyOut}
-		rec := DecodeRecord(&d)
-		if d.Err() != nil {
-			t.Fatal(d.Err())
-		}
-		return rec, buf
+// scribble overwrites b with 0xA5, as a payload buffer put to other use
+// would be.
+func scribble(b []byte) {
+	for i := range b {
+		b[i] = 0xA5
 	}
-	scribble := func(buf []byte) {
-		for i := range buf {
-			buf[i] = 'X'
-		}
+}
+
+// appendItem lays an item out as the wire does: value, version, list.
+func appendItem(b []byte, it *kv.Item) []byte {
+	return AppendDepList(AppendVersion(AppendBytes(b, it.Value), it.Version), it.Deps)
+}
+
+// TestDecoderOwnsKeptItems: what Item, DepList and the record and
+// snapshot-entry decoders return survives the payload being overwritten
+// (a frame or a segment read going away), while Bytes — for transient
+// values — follows it. An item with a dependency list costs two
+// allocations: one buffer for the value and the keys, and the list.
+func TestDecoderOwnsKeptItems(t *testing.T) {
+	it := kv.Item{Value: kv.Value("value-bytes"), Version: v(5), Deps: kv.DepList{{Key: "dep-key", Version: v(4)}, {Key: "", Version: v(3)}}}
+	d := Decoder{B: appendItem(nil, &it)}
+	got := d.Item()
+	scribble(d.B)
+	if d.Err() != nil || !reflect.DeepEqual(got, it) {
+		t.Fatalf("decoded item follows its payload: %#v", got)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		d := Decoder{B: appendItem(make([]byte, 0, 64), &it)}
+		d.Item()
+	}); allocs != 3 { // the payload, the buffer, the list
+		t.Fatalf("an item with a list decodes in %.0f allocations, want 2 and the payload", allocs)
 	}
 
-	copied, buf := decode(true)
-	scribble(buf)
-	if !reflect.DeepEqual(copied, want) {
-		t.Fatalf("Copy-mode record still aliases its buffer: %#v", copied)
-	}
-	aliased, buf := decode(false)
-	scribble(buf)
-	w := aliased.Writes[0]
-	if string(w.Value) != "XXXXXXXXXXX" || w.Deps[0].Key != "XXXXXXX" {
-		t.Fatalf("aliasing decoder copied: value %q dep key %q", w.Value, w.Deps[0].Key)
-	}
-	if w.Key != "key" {
-		t.Fatalf("entry keys are always copied, got %q", w.Key)
+	d = Decoder{B: AppendBytes(nil, []byte("transient"))}
+	b := d.Bytes()
+	scribble(d.B)
+	if string(b) != "\xa5\xa5\xa5\xa5\xa5\xa5\xa5\xa5\xa5" {
+		t.Fatalf("Bytes copied: %q", b)
 	}
 }
 
@@ -142,7 +149,7 @@ func TestTruncationIsAnError(t *testing.T) {
 	for _, e := range sampleSnapshotEntries() {
 		enc := AppendSnapshotEntry(nil, &e)
 		for i := 0; i < len(enc); i++ {
-			d := Decoder{B: enc[:i], Copy: true}
+			d := Decoder{B: enc[:i]}
 			if DecodeSnapshotEntry(&d); !errors.Is(d.Err(), ErrTruncated) {
 				t.Fatalf("snapshot entry truncated at %d/%d: err = %v", i, len(enc), d.Err())
 			}
@@ -166,11 +173,9 @@ func TestHostileCountsRejectedBeforeAllocating(t *testing.T) {
 				return len(DecodeRecord(d).Writes)
 			},
 		} {
-			for _, copyOut := range []bool{false, true} {
-				d := Decoder{B: claim, Copy: copyOut}
-				if n := decode(&d); n != 0 || !errors.Is(d.Err(), ErrTruncated) {
-					t.Errorf("%s %d (copy=%v): decoded %d elements, err = %v", name, huge, copyOut, n, d.Err())
-				}
+			d := Decoder{B: claim}
+			if n := decode(&d); n != 0 || !errors.Is(d.Err(), ErrTruncated) {
+				t.Errorf("%s %d: decoded %d elements, err = %v", name, huge, n, d.Err())
 			}
 		}
 	}
@@ -193,7 +198,7 @@ func TestErrorSticks(t *testing.T) {
 	d.B = AppendString([]byte{0x80}, "readable if the error did not stick")
 	off := d.Off
 	if d.Byte() != 0 || d.Bool() || d.Uvarint() != 0 || d.String() != "" || d.Bytes() != nil ||
-		d.Count(1) != -1 || !d.Version().IsZero() || d.DepList() != nil || len(DecodeRecord(&d).Writes) != 0 {
+		d.Count(1) != -1 || !d.Version().IsZero() || d.DepList() != nil || d.Item().Value != nil || len(DecodeRecord(&d).Writes) != 0 {
 		t.Fatal("an accessor produced a value after the decoder failed")
 	}
 	if d.Off != off || !errors.Is(d.Err(), ErrTruncated) {

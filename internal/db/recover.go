@@ -48,11 +48,7 @@ func Recover(cfg Config, dir string) (*DB, error) {
 	}
 	info, err := log.Replay(wal.ReplayHandler{
 		Snapshot: func(e wal.SnapshotEntry) error {
-			d.store.Put(e.Key, kv.Item{
-				Value:   e.Value,
-				Version: e.Version,
-				Deps:    e.Deps,
-			})
+			d.store.keep(e.Key, kv.Item{Value: e.Value, Version: e.Version, Deps: e.Deps})
 			return nil
 		},
 		Record: func(rec wal.Record) error {

@@ -160,6 +160,8 @@ func (d *DB) Promote() (uint64, error) {
 //
 // It holds commitMu for the whole apply, so promotion is strictly
 // ordered against it; after promotion it fails with ErrNotStandby.
+// The store keeps the records' values and lists as they are (decoded
+// records own their bytes), so the caller must not write them again.
 func (d *DB) ApplyReplicated(recs []wal.Record) (pos wal.Pos, err error) {
 	if d.closed.Load() {
 		return wal.Pos{}, ErrClosed
@@ -205,11 +207,11 @@ func (d *DB) ApplyReplicated(recs []wal.Record) (pos wal.Pos, err error) {
 	return pos, nil
 }
 
-// applyRecord stores rec's writes at its version: last write wins, also
-// over writes a standby's primary never made.
+// applyRecord stores rec's writes at its version, uncopied: last write
+// wins, also over writes a standby's primary never made.
 func (d *DB) applyRecord(rec *wal.Record) {
 	for _, w := range rec.Writes {
-		d.store.Put(w.Key, kv.Item{Value: w.Value, Version: rec.Version, Deps: w.Deps})
+		d.store.keep(w.Key, kv.Item{Value: w.Value, Version: rec.Version, Deps: w.Deps})
 	}
 }
 

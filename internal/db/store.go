@@ -14,10 +14,10 @@ const storeStripes = 8
 // over storeStripes locks. Items carry their commit version and
 // dependency list (kv.Item); the store imposes no consistency semantics
 // — that is the job of the database's concurrency control. It is safe
-// for concurrent use. Items are deep-copied on the way in — except by
-// keep, whose caller hands its item over — and on the way out — except
-// by GetShared, which shares storage under a read-only copy-on-write
-// contract — so callers can never alias mutable internal state.
+// for concurrent use. Put and Range copy an item's value and list; keep
+// stores an item handed over — a commit's, or a decoded one that owns
+// its bytes — and GetShared shares storage under a read-only
+// copy-on-write contract. No stored item aliases a caller's buffer.
 type store struct {
 	shards [storeStripes]storeShard
 }

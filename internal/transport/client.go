@@ -726,14 +726,6 @@ func (b *BatchRead) Wait(ctx context.Context) ([]kv.Lookup, error) {
 	if len(resp.Batch) != len(keys) {
 		return nil, fmt.Errorf("transport: get-batch: %d results for %d keys", len(resp.Batch), len(keys))
 	}
-	// Batch results are cached long-term by the caller; compact each item
-	// into its own buffer so a surviving cache entry pins only its own
-	// bytes, not the whole batch frame.
-	for i := range resp.Batch {
-		if resp.Batch[i].Found {
-			resp.Batch[i].Item = compactItem(resp.Batch[i].Item)
-		}
-	}
 	return resp.Batch, nil
 }
 
@@ -786,14 +778,11 @@ func (c *DBClient) ValidatedUpdate(ctx context.Context, reads []kv.ObservedRead,
 
 // decodeUpdate maps an OpUpdate response, rehydrating the validation
 // conflict detail when the server supplied one. The lists of a commit
-// are re-homed out of the response frame (see compactItem): a cache that
-// installs one of many written items must not pin the whole frame.
+// own their keys, so a cache that installs one of many written items
+// pins none of the frame.
 func decodeUpdate(resp Response) (kv.CommitResult, error) {
 	switch resp.Code {
 	case CodeOK:
-		for i, l := range resp.WriteDeps {
-			resp.WriteDeps[i] = compactItem(kv.Item{Deps: l}).Deps
-		}
 		return kv.CommitResult{Version: resp.Version, Deps: resp.WriteDeps}, nil
 	case CodeNotPrimary:
 		// Rehydrate the typed rejection so callers can read the leader

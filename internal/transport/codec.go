@@ -29,10 +29,11 @@ package transport
 //
 // Payload fields are laid out by internal/codec (varints, nil-aware
 // counts, no reflection). Encoders append into sync.Pool-ed buffers
-// that are recycled after the write; decoders alias byte-slice fields
-// directly into the frame's payload buffer (freshly allocated per
-// frame, never pooled), so a decoded Response costs one payload
-// allocation plus the slice headers instead of a deep copy.
+// that are recycled after the write. An item a caller keeps owns its
+// bytes; only transient values alias the frame: a decoded item (a read
+// answer, each batch lookup), a commit's dependency lists and a
+// replication record are copied out of the payload, one buffer per item,
+// while request values and a read transaction's values alias it.
 
 import (
 	"encoding/binary"
@@ -41,7 +42,6 @@ import (
 	"io"
 	"net"
 	"sync"
-	"unsafe"
 
 	"tcache/internal/codec"
 	"tcache/internal/kv"
@@ -245,7 +245,7 @@ func (fr *frameReader) headerValid() bool {
 }
 
 // Read returns the next frame. The payload is freshly allocated per
-// frame (decoders alias into it), so it is valid indefinitely.
+// frame and never reused, so transient values aliasing it stay valid.
 func (fr *frameReader) Read() (typ byte, id uint64, payload []byte, err error) {
 	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
 		return 0, 0, nil, err
@@ -431,8 +431,8 @@ func appendInvalidations(b []byte, invs []Invalidation) []byte {
 // --- Field decoders -----------------------------------------------------
 
 // payloadDecoder walks one frame payload: codec.Decoder's bounds-checked,
-// sticky-error accessors (aliasing the payload, zero copy) plus the
-// message-level fields only the wire carries. A message decoder reads
+// sticky-error accessors (owned items, aliased transient values) plus
+// the message-level fields only the wire carries. A message decoder reads
 // its fields in order and reports d.Err() once at the end.
 type payloadDecoder struct{ codec.Decoder }
 
@@ -440,10 +440,6 @@ func (d *payloadDecoder) key() kv.Key { return kv.Key(d.String()) }
 
 func (d *payloadDecoder) pos() wal.Pos {
 	return wal.Pos{Seq: d.Uvarint(), Off: int64(d.Uvarint())}
-}
-
-func (d *payloadDecoder) item() kv.Item {
-	return kv.Item{Value: d.Bytes(), Version: d.Version(), Deps: d.DepList()}
 }
 
 func (d *payloadDecoder) keySlice() []kv.Key {
@@ -501,7 +497,7 @@ func (d *payloadDecoder) lookups() []kv.Lookup {
 	}
 	ls := make([]kv.Lookup, n)
 	for i := range ls {
-		ls[i] = kv.Lookup{Item: d.item(), Found: d.Bool()}
+		ls[i] = kv.Lookup{Item: d.Item(), Found: d.Bool()}
 	}
 	return ls
 }
@@ -552,10 +548,13 @@ func (d *payloadDecoder) histogram() telemetry.HistogramSnapshot {
 
 // --- Message decoders ---------------------------------------------------
 
+// ops is every operation a request names; decoding one allocates nothing.
+var ops = []Op{OpPing, OpGet, OpGetBatch, OpUpdate, OpSubscribe, OpReadTxn, OpStats, OpReplicate, OpPromote}
+
 func decodeRequest(payload []byte) (Request, error) {
 	d := payloadDecoder{codec.Decoder{B: payload}}
 	req := Request{
-		Op:           Op(d.String()),
+		Op:           codec.Name(&d.Decoder, ops),
 		Key:          d.key(),
 		Keys:         d.keySlice(),
 		Subscriber:   d.String(),
@@ -573,7 +572,7 @@ func decodeResponse(payload []byte) (Response, error) {
 	resp := Response{
 		Code:            Code(int(d.Uvarint())),
 		Err:             d.String(),
-		Item:            d.item(),
+		Item:            d.Item(),
 		Version:         d.Version(),
 		WriteDeps:       d.depLists(),
 		Batch:           d.lookups(),
@@ -605,46 +604,6 @@ func decodeInvalidations(payload []byte) ([]Invalidation, error) {
 		invs[i] = Invalidation{Key: d.key(), Version: d.Version()}
 	}
 	return invs, d.Err()
-}
-
-// compactItem re-homes a decoded item into its own single backing buffer
-// (value bytes plus dependency-key bytes, two allocations total). Items
-// decoded from a batch frame alias the whole frame's payload; a cache
-// that retains one item from a large batch would otherwise pin the
-// entire frame until that entry is evicted. After compaction an item
-// pins exactly its own bytes, while the read path keeps the zero-copy
-// decode for everything transient.
-func compactItem(it kv.Item) kv.Item {
-	n := len(it.Value)
-	for _, e := range it.Deps {
-		n += len(e.Key)
-	}
-	var buf []byte
-	if n > 0 || it.Value != nil {
-		// make with cap 0 still yields a non-nil slice, preserving the
-		// nil/empty distinction for empty values.
-		buf = make([]byte, 0, n)
-	}
-	out := it
-	if it.Value != nil {
-		buf = append(buf, it.Value...)
-		out.Value = kv.Value(buf[:len(it.Value):len(it.Value)])
-	}
-	if it.Deps != nil {
-		deps := make(kv.DepList, len(it.Deps))
-		off := len(buf)
-		for i, e := range it.Deps {
-			deps[i].Version = e.Version
-			if len(e.Key) == 0 {
-				continue
-			}
-			buf = append(buf, e.Key...)
-			deps[i].Key = kv.Key(unsafe.String(&buf[off], len(e.Key)))
-			off += len(e.Key)
-		}
-		out.Deps = deps
-	}
-	return out
 }
 
 // --- Frame write helpers ------------------------------------------------

@@ -120,6 +120,8 @@ func TestRequestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestResponseRoundTrip also checks that what a caller keeps of an
+// answer (see kept) survives the payload being overwritten.
 func TestResponseRoundTrip(t *testing.T) {
 	for _, resp := range append(sampleResponses(), filled[Response](t, 100)...) {
 		enc := appendResponse(nil, &resp)
@@ -130,6 +132,68 @@ func TestResponseRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(got, resp) {
 			t.Fatalf("round trip mismatch:\n got %#v\nwant %#v", got, resp)
 		}
+		if scribble(enc); !reflect.DeepEqual(kept(got), kept(resp)) {
+			t.Fatalf("decoded items alias the payload:\n got %#v\nwant %#v", kept(got), kept(resp))
+		}
+	}
+}
+
+// TestReplRecordsRoundTrip: a replication frame's records decode to what
+// was encoded, and keep doing so once the payload is overwritten.
+func TestReplRecordsRoundTrip(t *testing.T) {
+	for _, recs := range [][]wal.Record{nil, {}, filled[wal.Record](t, 100)} {
+		start, end := wal.Pos{Seq: 2, Off: 16}, wal.Pos{Seq: 3, Off: 1 << 20}
+		enc := appendReplRecords(nil, start, end, recs)
+		gotStart, gotEnd, got, err := decodeReplRecords(enc)
+		if err != nil || gotStart != start || gotEnd != end || !reflect.DeepEqual(got, recs) {
+			t.Fatalf("round trip = %v, %v, %v:\n got %#v\nwant %#v", gotStart, gotEnd, err, got, recs)
+		}
+		if scribble(enc); !reflect.DeepEqual(got, recs) {
+			t.Fatalf("decoded records alias the payload:\n got %#v\nwant %#v", got, recs)
+		}
+	}
+}
+
+// TestDecodeOwnsKeptItems: every message that carries items a caller
+// keeps — a single OpGet answer, a batch answer, a commit's lists and a
+// replication frame — decodes into items that own their bytes: they
+// equal what was encoded after the payload is overwritten.
+func TestDecodeOwnsKeptItems(t *testing.T) {
+	item := kv.Item{Value: kv.Value("value-bytes"), Version: kv.Version{Counter: 7, Node: 1}, Deps: kv.DepList{
+		{Key: "dep-a", Version: kv.Version{Counter: 1}},
+		{Key: "", Version: kv.Version{Counter: 2}},
+	}}
+	for name, resp := range map[string]Response{
+		"get":    {Code: CodeOK, Item: item},
+		"batch":  {Code: CodeOK, Batch: []kv.Lookup{{Item: item, Found: true}, {}}},
+		"commit": {Code: CodeOK, Version: item.Version, WriteDeps: []kv.DepList{item.Deps, nil}},
+	} {
+		enc := appendResponse(nil, &resp)
+		got, err := decodeResponse(enc)
+		if scribble(enc); err != nil || !reflect.DeepEqual(kept(got), kept(resp)) {
+			t.Errorf("%s answer (err %v) aliases its payload:\n got %#v\nwant %#v", name, err, kept(got), kept(resp))
+		}
+	}
+	recs := []wal.Record{{Version: item.Version, Writes: []wal.Entry{{Key: "k", Value: item.Value, Deps: item.Deps}}}}
+	enc := appendReplRecords(nil, wal.Pos{}, wal.Pos{}, recs)
+	_, _, got, err := decodeReplRecords(enc)
+	if scribble(enc); err != nil || !reflect.DeepEqual(got, recs) {
+		t.Errorf("replication records (err %v) alias their payload:\n got %#v\nwant %#v", err, got, recs)
+	}
+}
+
+// kept is what a caller keeps of an answer past its frame: the single
+// answer's item, the batch's items and the commit's lists. A read
+// transaction's values are transient and may alias the frame.
+func kept(r Response) Response {
+	return Response{Item: r.Item, Batch: r.Batch, WriteDeps: r.WriteDeps}
+}
+
+// scribble overwrites b with 0xA5, as a frame buffer put to other use
+// would be.
+func scribble(b []byte) {
+	for i := range b {
+		b[i] = 0xA5
 	}
 }
 
@@ -288,9 +352,11 @@ func TestFrameReaderEOFOnGarbageOnly(t *testing.T) {
 	}
 }
 
-// FuzzCodecRoundTrip drives all three decoders with arbitrary bytes: they
-// must never panic and never over-allocate, and anything they accept must
-// survive an encode/decode round trip unchanged.
+// FuzzCodecRoundTrip drives the request, response, invalidation and
+// replication-records decoders with arbitrary bytes: they must never
+// panic and never over-allocate, anything they accept must survive an
+// encode/decode round trip unchanged, and the items a caller keeps must
+// own their bytes.
 func FuzzCodecRoundTrip(f *testing.F) {
 	for _, req := range sampleRequests() {
 		f.Add(appendRequest(nil, &req))
@@ -301,6 +367,9 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add(appendInvalidations(nil, []Invalidation{{Key: "k", Version: kv.Version{Counter: 3}}}))
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})
+	f.Add(appendReplRecords(nil, wal.Pos{Seq: 1}, wal.Pos{Seq: 1, Off: 9}, []wal.Record{{Version: kv.Version{Counter: 4}, Writes: []wal.Entry{
+		{Key: "a", Value: kv.Value("v"), Deps: kv.DepList{{Key: "b", Version: kv.Version{Counter: 4}}}},
+	}}}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if req, err := decodeRequest(data); err == nil {
@@ -321,6 +390,22 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			}
 			if !reflect.DeepEqual(again, resp) {
 				t.Fatalf("response round trip diverged:\n got %#v\nwant %#v", again, resp)
+			}
+			if scribble(enc); !reflect.DeepEqual(kept(again), kept(resp)) {
+				t.Fatalf("decoded items alias the payload:\n got %#v\nwant %#v", kept(again), kept(resp))
+			}
+		}
+		if start, end, recs, err := decodeReplRecords(data); err == nil {
+			enc := appendReplRecords(nil, start, end, recs)
+			_, _, again, err := decodeReplRecords(enc)
+			if err != nil {
+				t.Fatalf("re-decode replication records: %v", err)
+			}
+			if !reflect.DeepEqual(again, recs) {
+				t.Fatalf("replication records round trip diverged:\n got %#v\nwant %#v", again, recs)
+			}
+			if scribble(enc); !reflect.DeepEqual(again, recs) {
+				t.Fatalf("decoded records alias the payload:\n got %#v\nwant %#v", again, recs)
 			}
 		}
 		if invs, err := decodeInvalidations(data); err == nil {

@@ -15,14 +15,12 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"tcache/internal/codec"
 	"tcache/internal/db"
 	"tcache/internal/kv"
 	"tcache/internal/telemetry"
@@ -453,37 +451,6 @@ func TestIdempotentRetryAfterServerRestart(t *testing.T) {
 		if item, ok, err := cli.ReadItem(bg, "k"); err != nil || !ok || string(item.Value) != "v" {
 			t.Fatalf("read %d after restart = %q, %v, %v", i, item.Value, ok, err)
 		}
-	}
-}
-
-// TestCompactItemIndependence verifies that a compacted batch item is
-// equal to the original but shares no memory with the frame it was
-// decoded from.
-func TestCompactItemIndependence(t *testing.T) {
-	payload := appendItem(nil, kv.Item{
-		Value:   kv.Value("value-bytes"),
-		Version: kv.Version{Counter: 7, Node: 1},
-		Deps: kv.DepList{
-			{Key: "dep-a", Version: kv.Version{Counter: 1}},
-			{Key: "", Version: kv.Version{Counter: 2}},
-		},
-	})
-	d := payloadDecoder{codec.Decoder{B: payload}}
-	aliased := d.item()
-	if d.Err() != nil {
-		t.Fatal(d.Err())
-	}
-	compact := compactItem(aliased)
-	if !reflect.DeepEqual(compact, aliased) {
-		t.Fatalf("compactItem changed the item:\n got %#v\nwant %#v", compact, aliased)
-	}
-	// Scribble over the frame payload: the aliased decode changes, the
-	// compacted copy must not.
-	for i := range payload {
-		payload[i] = 'X'
-	}
-	if string(compact.Value) != "value-bytes" || string(compact.Deps[0].Key) != "dep-a" {
-		t.Fatalf("compacted item still aliases the frame: %q %q", compact.Value, compact.Deps[0].Key)
 	}
 }
 

@@ -75,15 +75,17 @@ func decodeReplImage(payload []byte) (off uint64, chunk []byte, err error) {
 // The records are the contiguous run of committed WAL records occupying
 // [start, end) of the primary's log.
 func writeReplRecordsFrame(w net.Conn, mu *sync.Mutex, start, end wal.Pos, recs []wal.Record) error {
-	return writeFrame(w, mu, frameReplRecords, 0, func(b []byte) []byte {
-		b = appendPos(b, start)
-		b = appendPos(b, end)
-		b = codec.AppendCount(b, len(recs))
-		for i := range recs {
-			b = codec.AppendRecord(b, &recs[i])
-		}
-		return b
-	})
+	return writeFrame(w, mu, frameReplRecords, 0, func(b []byte) []byte { return appendReplRecords(b, start, end, recs) })
+}
+
+func appendReplRecords(b []byte, start, end wal.Pos, recs []wal.Record) []byte {
+	b = appendPos(b, start)
+	b = appendPos(b, end)
+	b = codec.AppendLen(b, recs)
+	for i := range recs {
+		b = codec.AppendRecord(b, &recs[i])
+	}
+	return b
 }
 
 func decodeReplRecords(payload []byte) (start, end wal.Pos, recs []wal.Record, err error) {

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"tcache/internal/chaos"
-	"tcache/internal/codec"
 	"tcache/internal/db"
 	"tcache/internal/kv"
 	"tcache/internal/wal"
@@ -806,12 +805,7 @@ func TestStandbyStorePinsNoFrame(t *testing.T) {
 // reachable from the caller afterwards except through d.
 func applyFrame(t *testing.T, d *db.DB, recs []wal.Record, watch func([]byte)) {
 	t.Helper()
-	b := appendPos(nil, wal.Pos{Seq: 1})
-	b = appendPos(b, wal.Pos{Seq: 1, Off: 1})
-	b = codec.AppendCount(b, len(recs))
-	for i := range recs {
-		b = codec.AppendRecord(b, &recs[i])
-	}
+	b := appendReplRecords(nil, wal.Pos{Seq: 1}, wal.Pos{Seq: 1, Off: 1}, recs)
 	payload := make([]byte, len(b)) // its own allocation, as frameReader's
 	copy(payload, b)
 	watch(payload)

@@ -22,6 +22,8 @@ import (
 //     records (the torn tail was zeroed, so recovery is stable):
 //     replay can only ever surface records that were actually framed,
 //     CRC-validated, and decoded — never invented ones.
+//   - Every frame that decodes as a commit record or a snapshot entry
+//     decodes into items that own their bytes (ownsDecoded).
 func FuzzWALReplay(f *testing.F) {
 	// Seed with realistic shapes: a valid log, a torn tail, a bit flip,
 	// a garbage prefix, snapshot-looking bytes in a segment, and what
@@ -61,8 +63,18 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add(append([]byte("garbage-prefix"), valid...))
 	f.Add(fileHeader(snapMagic, 1))
 	f.Add([]byte{})
+	entry := SnapshotEntry{Key: "k", Value: kv.Value("v"), Version: kv.Version{Counter: 2}, Deps: kv.DepList{{Key: "d", Version: kv.Version{Counter: 1}}}}
+	f.Add(appendFramed(fileHeader(segMagic, 1), appendSnapshotEntry(nil, &entry)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		for off := fileHeaderSize; off < len(data); {
+			payload, next, class := nextFrame(data, off)
+			if class != frameOK {
+				break
+			}
+			ownsDecoded(t, payload)
+			off = next
+		}
 		dir, _ := imageDir(t, data)
 		first := replayOnce(t, dir)
 		if first == nil {
@@ -83,6 +95,44 @@ func FuzzWALReplay(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestLogDecodeOwnsItems: a commit record and a snapshot entry decode
+// into items that own their bytes, so a recovered store pins no segment
+// read (see ownsDecoded).
+func TestLogDecodeOwnsItems(t *testing.T) {
+	deps := kv.DepList{{Key: "dep-key", Version: kv.Version{Counter: 4}}, {Key: "", Version: kv.Version{Counter: 1}}}
+	rec := Record{Version: kv.Version{Counter: 5}, Writes: []Entry{
+		{Key: "a", Value: kv.Value("value-a"), Deps: deps},
+		{Key: "b", Value: kv.Value{}, Deps: nil},
+	}}
+	entry := SnapshotEntry{Key: "a", Value: kv.Value("value-a"), Version: kv.Version{Counter: 5}, Deps: deps}
+	for _, payload := range [][]byte{appendRecordPayload(nil, &rec), appendSnapshotEntry(nil, &entry)} {
+		ownsDecoded(t, payload)
+	}
+	got, err := decodeRecordPayload(appendRecordPayload(nil, &rec))
+	if err != nil || !reflect.DeepEqual(got, rec) {
+		t.Fatalf("record round trip = %#v, %v", got, err)
+	}
+}
+
+// ownsDecoded decodes a copy of a frame payload as a commit record and
+// as a snapshot entry, then overwrites the copy with 0xA5: whatever
+// decoded must still equal the same decode of the untouched payload.
+func ownsDecoded(t *testing.T, payload []byte) {
+	t.Helper()
+	p := bytes.Clone(payload)
+	rec, recErr := decodeRecordPayload(p)
+	entry, entryErr := decodeSnapshotEntry(p)
+	for i := range p {
+		p[i] = 0xA5
+	}
+	if want, _ := decodeRecordPayload(payload); recErr == nil && !reflect.DeepEqual(rec, want) {
+		t.Fatalf("decoded record aliases its payload:\n got %#v\nwant %#v", rec, want)
+	}
+	if want, _ := decodeSnapshotEntry(payload); entryErr == nil && !reflect.DeepEqual(entry, want) {
+		t.Fatalf("decoded snapshot entry aliases its payload:\n got %#v\nwant %#v", entry, want)
+	}
 }
 
 // replayOnce opens and replays dir, returning the records or nil on a

@@ -15,8 +15,9 @@ package wal
 // payload byte is the frame kind, so segments and snapshots share one
 // framing. What follows the kind byte is laid out
 // by internal/codec — the same record and entry encoding the
-// replication stream ships — decoded in Copy mode: recovered items live
-// for the life of the process and must not pin 64 MiB segment reads.
+// replication stream ships — and decodes into items that own their
+// bytes, one buffer per written object: recovered items live for the
+// life of the process and must not pin 64 MiB segment reads.
 
 import (
 	"encoding/binary"
@@ -140,7 +141,7 @@ func appendRecordFrame(dst []byte, rec *Record) ([]byte, error) {
 // (including the kind byte). Trailing payload bytes are an error: the
 // CRC matched, so extra bytes mean an encoder/decoder mismatch.
 func decodeRecordPayload(p []byte) (Record, error) {
-	d := codec.Decoder{B: p, Copy: true}
+	d := codec.Decoder{B: p}
 	kind, rec := d.Byte(), codec.DecodeRecord(&d)
 	if kind != kindCommit || d.Err() != nil || d.Remaining() != 0 {
 		return Record{}, codec.ErrTruncated
@@ -151,7 +152,7 @@ func decodeRecordPayload(p []byte) (Record, error) {
 // decodeSnapshotEntry decodes one snapshot entry from a frame payload
 // (including the kind byte).
 func decodeSnapshotEntry(p []byte) (SnapshotEntry, error) {
-	d := codec.Decoder{B: p, Copy: true}
+	d := codec.Decoder{B: p}
 	kind, e := d.Byte(), codec.DecodeSnapshotEntry(&d)
 	if kind != kindSnapEntry || d.Err() != nil || d.Remaining() != 0 {
 		return SnapshotEntry{}, codec.ErrTruncated
