@@ -237,7 +237,7 @@ func (d *Decoder) DepList() kv.DepList {
 
 // Item decodes an item laid out as value, version, dependency list (the
 // wire's layout) into one buffer holding the value and every dependency
-// key, plus the list: two allocations, none shared with B.
+// key, plus the list: at most two allocations, none shared with B.
 func (d *Decoder) Item() kv.Item {
 	it := kv.Item{Value: d.Bytes(), Version: d.Version()}
 	it.Value, it.Deps = d.owned(it.Value)
