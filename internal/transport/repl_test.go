@@ -775,18 +775,15 @@ func TestStandbyStorePinsNoFrame(t *testing.T) {
 		}},
 	}
 	freed := make(chan struct{})
-	applyFrame(t, d, recs, func(payload []byte) {
-		runtime.SetFinalizer(&payload[0], func(*byte) { close(freed) })
-	})
-	for i := 0; ; i++ {
+	applyFrame(t, d, recs, freed)
+	for deadline := time.After(5 * time.Second); ; {
 		runtime.GC()
 		select {
-		case <-freed:
 		case <-time.After(10 * time.Millisecond):
-			if i < 100 {
-				continue
-			}
+			continue
+		case <-deadline:
 			t.Fatal("the replication payload is still reachable after its records were applied: a stored item aliases it")
+		case <-freed:
 		}
 		break
 	}
@@ -800,15 +797,15 @@ func TestStandbyStorePinsNoFrame(t *testing.T) {
 	}
 }
 
-// applyFrame encodes recs as a replication-records payload, hands it to
-// watch, then decodes and applies it to d; nothing it allocated is
-// reachable from the caller afterwards except through d.
-func applyFrame(t *testing.T, d *db.DB, recs []wal.Record, watch func([]byte)) {
+// applyFrame encodes recs as a replication-records payload that closes
+// freed once collected, then decodes and applies it to d; nothing it
+// allocated is reachable from the caller afterwards except through d.
+func applyFrame(t *testing.T, d *db.DB, recs []wal.Record, freed chan struct{}) {
 	t.Helper()
 	b := appendReplRecords(nil, wal.Pos{Seq: 1}, wal.Pos{Seq: 1, Off: 1}, recs)
 	payload := make([]byte, len(b)) // its own allocation, as frameReader's
 	copy(payload, b)
-	watch(payload)
+	runtime.SetFinalizer(&payload[0], func(*byte) { close(freed) })
 	_, _, got, err := decodeReplRecords(payload)
 	if err != nil {
 		t.Fatal(err)
