@@ -134,6 +134,28 @@ func TestDecoderOwnsKeptItems(t *testing.T) {
 	}
 }
 
+// TestDepListOwnsKeysAcrossFrames decodes one dependency key from two
+// frames and overwrites both: each item's value and list still read
+// what was encoded.
+func TestDepListOwnsKeysAcrossFrames(t *testing.T) {
+	it := kv.Item{Value: kv.Value("value"), Version: v(2), Deps: kv.DepList{{Key: "shared-dep", Version: v(1)}}}
+	var got [2]kv.Item
+	var frames [2][]byte
+	for i := range got {
+		d := Decoder{B: appendItem(nil, &it)}
+		got[i] = d.Item()
+		frames[i] = d.B
+	}
+	for _, f := range frames {
+		scribble(f)
+	}
+	for i, g := range got {
+		if len(g.Deps) != 1 || g.Deps[0].Key != "shared-dep" || string(g.Value) != "value" {
+			t.Fatalf("frame %d: decoded item follows its payload: %#v", i, g)
+		}
+	}
+}
+
 // TestTruncationIsAnError feeds every strict prefix of valid encodings
 // to the decoders: each must report ErrTruncated, none may panic.
 func TestTruncationIsAnError(t *testing.T) {
