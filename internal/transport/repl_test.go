@@ -754,9 +754,6 @@ func TestReplJoinAtCutPoints(t *testing.T) {
 // to free it, and the stored items must still equal the applied ones. A
 // stored dependency key that aliased the payload would keep the whole
 // frame alive for as long as the key is stored.
-//
-// The collection is observed with runtime.SetFinalizer rather than
-// runtime.AddCleanup, which the oldest toolchains CI builds with lack.
 func TestStandbyStorePinsNoFrame(t *testing.T) {
 	d := db.Open(db.Config{})
 	defer d.Close()
@@ -805,7 +802,7 @@ func applyFrame(t *testing.T, d *db.DB, recs []wal.Record, freed chan struct{}) 
 	b := appendReplRecords(nil, wal.Pos{Seq: 1}, wal.Pos{Seq: 1, Off: 1}, recs)
 	payload := make([]byte, len(b)) // its own allocation, as frameReader's
 	copy(payload, b)
-	runtime.SetFinalizer(&payload[0], func(*byte) { close(freed) })
+	runtime.AddCleanup(&payload[0], func(freed chan struct{}) { close(freed) }, freed)
 	_, _, got, err := decodeReplRecords(payload)
 	if err != nil {
 		t.Fatal(err)
