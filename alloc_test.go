@@ -167,7 +167,7 @@ var allocTable = []struct {
 		t.Cleanup(cache.Close)
 		item := kv.Item{Value: kv.Value("v")}
 		for _, k := range benchKeys(5) {
-			item.Deps = append(item.Deps, kv.DepEntry{Key: k})
+			item.Deps = append(item.Deps, kv.Dep(k, kv.Version{}))
 		}
 		return func() error {
 			item.Version.Counter++

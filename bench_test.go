@@ -303,10 +303,7 @@ func BenchmarkMergeDeps(b *testing.B) {
 	for i := range accesses {
 		deps := make(kv.DepList, 5)
 		for j := range deps {
-			deps[j] = kv.DepEntry{
-				Key:     kv.Key(fmt.Sprintf("d%d-%d", i, j)),
-				Version: kv.Version{Counter: uint64(10*i + j)},
-			}
+			deps[j] = kv.Dep(kv.Key(fmt.Sprintf("d%d-%d", i, j)), kv.Version{Counter: uint64(10*i + j)})
 		}
 		accesses[i] = kv.Access{
 			Key:     workload.ObjectKey(i),

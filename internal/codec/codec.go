@@ -97,7 +97,7 @@ func AppendVersion(b []byte, v kv.Version) []byte {
 func AppendDepList(b []byte, l kv.DepList) []byte {
 	b = AppendLen(b, l)
 	for _, e := range l {
-		b = AppendString(b, string(e.Key))
+		b = AppendString(b, string(e.Key.Value()))
 		b = AppendVersion(b, e.Version)
 	}
 	return b
@@ -134,8 +134,9 @@ func AppendSnapshotEntry(b []byte, e *SnapshotEntry) []byte {
 // value and consumes nothing, and Err reports ErrTruncated — so a
 // message decoder reads its fields straight through and checks once.
 // An item a caller keeps owns its bytes; only transient values (Bytes)
-// alias B. Item, DepList and the record and snapshot-entry decoders
-// copy, so no store, cache or installer pins a frame or a segment read.
+// alias B. Item, DepList and the record and snapshot-entry decoders copy
+// values and intern dependency keys, so no store, cache or installer pins
+// a frame or a segment read.
 type Decoder struct {
 	B   []byte
 	Off int
@@ -228,16 +229,17 @@ func (d *Decoder) Version() kv.Version {
 	return kv.Version{Counter: d.Uvarint(), Node: uint32(d.Uvarint())}
 }
 
-// DepList decodes a dependency list that owns its keys: they share one
-// new buffer.
+// DepList decodes a dependency list: its keys are interned, so it holds
+// nothing of B.
 func (d *Decoder) DepList() kv.DepList {
 	_, l := d.owned(nil)
 	return l
 }
 
 // Item decodes an item laid out as value, version, dependency list (the
-// wire's layout) into one buffer holding the value and every dependency
-// key, plus the list: at most two allocations, none shared with B.
+// wire's layout): the value is copied into a buffer of its own length and
+// the list's keys are interned — at most two allocations (the value and
+// the list) and one unique.Make per dependency, none shared with B.
 func (d *Decoder) Item() kv.Item {
 	it := kv.Item{Value: d.Bytes(), Version: d.Version()}
 	it.Value, it.Deps = d.owned(it.Value)
@@ -245,40 +247,25 @@ func (d *Decoder) Item() kv.Item {
 }
 
 // owned decodes the dependency list that follows value (which aliases
-// B) and copies value and the list's keys into one new buffer, so
-// neither result pins B. The value is capped at its length: appending
-// to it cannot reach the keys behind it.
+// B), interning each key, and copies value, so neither result pins B.
+// unique.Make copies a key only the first time the process sees it; a
+// key already interned costs a lookup and no allocation.
 func (d *Decoder) owned(value []byte) (kv.Value, kv.DepList) {
 	var l kv.DepList
 	if n := d.Count(3); n >= 0 { // key length + two version varints
 		l = make(kv.DepList, n)
 	}
-	size := len(value)
 	for i := range l {
-		k := d.take(d.Uvarint())
-		if l[i].Version = d.Version(); len(k) > 0 {
-			l[i].Key = kv.Key(unsafe.String(&k[0], len(k))) // re-homed below
-			size += len(k)
+		var key kv.Key
+		if k := d.take(d.Uvarint()); len(k) > 0 {
+			key = kv.Key(unsafe.String(&k[0], len(k))) // copied by unique.Make if new
 		}
+		l[i] = kv.Dep(key, d.Version())
 	}
 	if d.err != nil {
 		return nil, nil
 	}
-	var buf []byte
-	if size > 0 || value != nil {
-		buf = make([]byte, 0, size) // non-nil even empty: value keeps the nil/empty distinction
-	}
-	if value != nil {
-		buf = append(buf, value...)
-		value = buf[:len(value):len(value)]
-	}
-	for i := range l {
-		if k := l[i].Key; k != "" {
-			buf = append(buf, k...)
-			l[i].Key = kv.Key(unsafe.String(&buf[len(buf)-len(k)], len(k)))
-		}
-	}
-	return value, l
+	return kv.Value(value).Clone(), l
 }
 
 func DecodeEntry(d *Decoder) Entry {

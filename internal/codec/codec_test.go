@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+	"unique"
 
 	"tcache/internal/kv"
 )
@@ -23,7 +24,7 @@ func sampleRecords() []Record {
 		{Version: v(3), Writes: []Entry{{Key: "k", Value: nil, Deps: nil}}},
 		{Version: v(4), Writes: []Entry{{Key: "k", Value: kv.Value{}, Deps: kv.DepList{}}}},
 		{Version: kv.Version{Counter: 1 << 60, Node: ^uint32(0)}, Writes: []Entry{
-			{Key: "a", Value: kv.Value("x"), Deps: kv.DepList{{Key: "b", Version: kv.Version{Counter: 9, Node: 3}}, {Key: "", Version: v(1)}}},
+			{Key: "a", Value: kv.Value("x"), Deps: kv.DepList{kv.Dep("b", kv.Version{Counter: 9, Node: 3}), kv.Dep("", v(1))}},
 			{Key: "", Value: kv.Value{0, 1, 2}, Deps: nil},
 		}},
 	}
@@ -32,7 +33,7 @@ func sampleRecords() []Record {
 func sampleSnapshotEntries() []SnapshotEntry {
 	return []SnapshotEntry{
 		{},
-		{Key: "k", Value: kv.Value("v"), Version: kv.Version{Counter: 42, Node: 2}, Deps: kv.DepList{{Key: "d", Version: v(41)}}},
+		{Key: "k", Value: kv.Value("v"), Version: kv.Version{Counter: 42, Node: 2}, Deps: kv.DepList{kv.Dep("d", v(41))}},
 		{Key: "empty", Value: kv.Value{}, Deps: kv.DepList{}},
 	}
 }
@@ -66,7 +67,7 @@ func filled[T any](t *testing.T, n int) []T {
 		v := reflect.ValueOf(&out[k]).Elem()
 		for i := 0; i < v.NumField(); i++ {
 			for f := v.Field(i); f.IsZero(); {
-				g, ok := quick.Value(f.Type(), r)
+				g, ok := quickValue(f.Type(), r)
 				if !ok {
 					t.Fatalf("%s.%s: testing/quick cannot generate a %s", v.Type(), v.Type().Field(i).Name, f.Type())
 				}
@@ -75,6 +76,58 @@ func filled[T any](t *testing.T, n int) []T {
 		}
 	}
 	return out
+}
+
+// handleType is the one field type testing/quick cannot build: a
+// handle's only field is unexported.
+var handleType = reflect.TypeFor[unique.Handle[kv.Key]]()
+
+// quickValue is quick.Value, except that it interns a random key where a
+// unique.Handle[kv.Key] goes, building the structs and slices that hold
+// one itself.
+func quickValue(t reflect.Type, r *rand.Rand) (reflect.Value, bool) {
+	switch {
+	case t == handleType:
+		k, ok := quick.Value(reflect.TypeFor[kv.Key](), r)
+		return reflect.ValueOf(unique.Make(k.Interface().(kv.Key))), ok
+	case !holdsHandle(t):
+		return quick.Value(t, r)
+	case t.Kind() == reflect.Slice:
+		v := reflect.MakeSlice(t, r.Intn(5), 5)
+		for i := range v.Len() {
+			e, ok := quickValue(t.Elem(), r)
+			if !ok {
+				return v, false
+			}
+			v.Index(i).Set(e)
+		}
+		return v, true
+	default: // a struct
+		v := reflect.New(t).Elem()
+		for i := range t.NumField() {
+			f, ok := quickValue(t.Field(i).Type, r)
+			if !ok {
+				return v, false
+			}
+			v.Field(i).Set(f)
+		}
+		return v, true
+	}
+}
+
+// holdsHandle reports whether a value of type t can hold a handle.
+func holdsHandle(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Struct:
+		for i := range t.NumField() {
+			if t.Field(i).Type == handleType || holdsHandle(t.Field(i).Type) {
+				return true
+			}
+		}
+	case reflect.Slice:
+		return t.Elem() == handleType || holdsHandle(t.Elem())
+	}
+	return false
 }
 
 // roundTrips checks that dec(enc(want)) is want, byte for byte
@@ -109,10 +162,10 @@ func appendItem(b []byte, it *kv.Item) []byte {
 // TestDecoderOwnsKeptItems: what Item, DepList and the record and
 // snapshot-entry decoders return survives the payload being overwritten
 // (a frame or a segment read going away), while Bytes — for transient
-// values — follows it. An item with a dependency list costs two
-// allocations: one buffer for the value and the keys, and the list.
+// values — follows it. An item with a dependency list whose keys are
+// interned already costs two allocations: the value and the list.
 func TestDecoderOwnsKeptItems(t *testing.T) {
-	it := kv.Item{Value: kv.Value("value-bytes"), Version: v(5), Deps: kv.DepList{{Key: "dep-key", Version: v(4)}, {Key: "", Version: v(3)}}}
+	it := kv.Item{Value: kv.Value("value-bytes"), Version: v(5), Deps: kv.DepList{kv.Dep("dep-key", v(4)), kv.Dep("", v(3))}}
 	d := Decoder{B: appendItem(nil, &it)}
 	got := d.Item()
 	scribble(d.B)
@@ -122,7 +175,7 @@ func TestDecoderOwnsKeptItems(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() {
 		d := Decoder{B: appendItem(make([]byte, 0, 64), &it)}
 		d.Item()
-	}); allocs != 3 { // the payload, the buffer, the list
+	}); allocs != 3 { // the payload, the value, the list
 		t.Fatalf("an item with a list decodes in %.0f allocations, want 2 and the payload", allocs)
 	}
 
@@ -136,9 +189,10 @@ func TestDecoderOwnsKeptItems(t *testing.T) {
 
 // TestDepListOwnsKeysAcrossFrames decodes one dependency key from two
 // frames and overwrites both: each item's value and list still read
-// what was encoded.
+// what was encoded, the two lists name the key by one handle, and each
+// value's buffer holds the value alone.
 func TestDepListOwnsKeysAcrossFrames(t *testing.T) {
-	it := kv.Item{Value: kv.Value("value"), Version: v(2), Deps: kv.DepList{{Key: "shared-dep", Version: v(1)}}}
+	it := kv.Item{Value: kv.Value("value"), Version: v(2), Deps: kv.DepList{kv.Dep("shared-dep", v(1))}}
 	var got [2]kv.Item
 	var frames [2][]byte
 	for i := range got {
@@ -150,9 +204,15 @@ func TestDepListOwnsKeysAcrossFrames(t *testing.T) {
 		scribble(f)
 	}
 	for i, g := range got {
-		if len(g.Deps) != 1 || g.Deps[0].Key != "shared-dep" || string(g.Value) != "value" {
+		if len(g.Deps) != 1 || g.Deps[0].Key.Value() != "shared-dep" || string(g.Value) != "value" {
 			t.Fatalf("frame %d: decoded item follows its payload: %#v", i, g)
 		}
+		if cap(g.Value) != len(it.Value) {
+			t.Fatalf("frame %d: the value's buffer holds %d bytes for a %d-byte value", i, cap(g.Value), len(it.Value))
+		}
+	}
+	if got[0].Deps[0].Key != got[1].Deps[0].Key {
+		t.Fatal("the two frames' lists name one key by two handles")
 	}
 }
 
@@ -202,7 +262,7 @@ func TestHostileCountsRejectedBeforeAllocating(t *testing.T) {
 		}
 	}
 	// An exactly-fitting count is accepted: the guard is not off by one.
-	l := kv.DepList{{Key: "", Version: v(0)}, {Key: "", Version: v(0)}}
+	l := kv.DepList{kv.Dep("", v(0)), kv.Dep("", v(0))}
 	d := Decoder{B: AppendDepList(nil, l)}
 	if got := d.DepList(); d.Err() != nil || len(got) != 2 {
 		t.Fatalf("tight dep list = %v, %v", got, d.Err())

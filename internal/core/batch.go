@@ -20,11 +20,8 @@ import (
 // single reads would do it.
 type keySlot struct {
 	state int32
-	// hash is the key's hash, computed once per pass: it picks the shard
-	// here and finds the key's row in the transaction record afterwards.
+	// hash is the key's hash, computed once per pass: it picks the shard.
 	hash uint64
-	// depHash is the served entry's (entry.depHash): shared, read-only.
-	depHash []uint64
 }
 
 const (
@@ -54,7 +51,7 @@ func pendingOf(s int32) (d int, dup, ok bool) {
 const warmSampleEvery = 64
 
 // lookupLocked is the servable-entry check — the only one: it stores
-// key's cached item in out (its dependency hashes in slot) and reports
+// key's cached item in out and reports
 // true if the cache may serve it under floor (present, within its TTL,
 // not older than floor unless a fetch under that floor confirmed it),
 // touching it in the eviction order. An expired entry is removed: left
@@ -64,7 +61,7 @@ const warmSampleEvery = 64
 // not one per read. Callers hold sh.mu.
 //
 //tcache:holds shard
-func (c *Cache) lookupLocked(sh *cacheShard, key kv.Key, floor kv.Version, out *kv.Lookup, slot *keySlot) bool {
+func (c *Cache) lookupLocked(sh *cacheShard, key kv.Key, floor kv.Version, out *kv.Lookup) bool {
 	// With c.tel nil (the default) no time stamp is taken at all; enabled,
 	// one hit in warmSampleEvery pays two clock reads and two atomic adds.
 	var start time.Time
@@ -88,7 +85,7 @@ func (c *Cache) lookupLocked(sh *cacheShard, key kv.Key, floor kv.Version, out *
 				c.tel.ReadWarm.ObserveSince(start)
 			}
 		}
-		out.Item, out.Found, slot.depHash = e.item, true, e.depHash
+		out.Item, out.Found = e.item, true
 		return true
 	}
 	return false
@@ -118,16 +115,16 @@ func (c *Cache) collect(keys []kv.Key, floor kv.Version, out []kv.Lookup, slots 
 				continue
 			}
 			key := keys[j]
-			if d := missing.find(0, slot.hash, key); d >= 0 {
+			if d := missing.find(0, key); d >= 0 {
 				slot.state = pendingSlot(int(d), true)
 				continue
 			}
 			reads++
-			if c.lookupLocked(sh, key, floor, &out[j], slot) {
+			if c.lookupLocked(sh, key, floor, &out[j]) {
 				slot.state = slotHit
 				hits++
 			} else {
-				slot.state = pendingSlot(int(missing.add(slot.hash, key)), false)
+				slot.state = pendingSlot(int(missing.add(key)), false)
 			}
 		}
 		if count {
@@ -164,7 +161,7 @@ func (c *Cache) fill(ctx context.Context, keys []kv.Key, floor kv.Version, out [
 		sh.mu.Lock()
 		// A later occurrence of a key this batch already filled is an
 		// ordinary lookup now: a hit, unless admission declined it.
-		if dup && c.lookupLocked(sh, key, floor, &lu, slot) {
+		if dup && c.lookupLocked(sh, key, floor, &lu) {
 			hits = 1
 		}
 		if dup && count {
@@ -176,12 +173,10 @@ func (c *Cache) fill(ctx context.Context, keys []kv.Key, floor kv.Version, out [
 			// (first sighting): the fetched item is served uncached —
 			// for the caller, a served miss like any other.
 			if e := c.insertShardLocked(sh, key, lu.Item); e != nil {
-				lu.Item, slot.depHash = e.item, e.depHash
+				lu.Item = e.item
 				if e.confirmed.Less(floor) {
 					e.confirmed = floor
 				}
-			} else {
-				slot.depHash = c.hashDeps(lu.Item.Deps)
 			}
 		}
 		sh.mu.Unlock()

@@ -14,8 +14,7 @@
 // # Concurrency
 //
 // The entry table (and its eviction ledger) is hash-partitioned into
-// Config.Shards cacheShards, keyed by hashKey (64-bit FNV-1a) — the hash
-// that also finds a key's row in a transaction record. A read — one key
+// Config.Shards cacheShards, keyed by hashKey (64-bit FNV-1a). A read — one key
 // or a batch — is served in one pass (read.go): each entry shard its keys
 // touch is locked once to collect the servable items, then the items are
 // validated in key order against the transaction's record with no lock
@@ -356,12 +355,8 @@ type txnStripe struct {
 // by 2.2–4.2 points under every strategy and topology, turning detected
 // aborts into undetected inconsistency (ROADMAP item 12b).
 type entry struct {
-	key  kv.Key
-	item kv.Item
-	// depHash[i] is the key hash of item.Deps[i] (hashDeps). Like the
-	// item it is replaced whole, never written in place: reads carry the
-	// slice out of the shard lock.
-	depHash   []uint64
+	key       kv.Key
+	item      kv.Item
 	fetchedAt time.Time
 	// confirmed is the highest read floor a backend fetch has returned
 	// this entry (or found it still current) under: floors up to it are
@@ -380,10 +375,6 @@ type entry struct {
 // any of its reads (or their dependency lists) expects of it and, once the
 // key itself was read, the version first returned.
 type recRow struct {
-	// hash is the key's hash, compared before the string: a workload's
-	// keys are same-length, same-prefix strings, so a string mismatch is
-	// decided at its last bytes and a hash mismatch in one compare.
-	hash     uint64
 	key      kv.Key
 	expected kv.Version
 	read     kv.Version // valid when seq > 0
@@ -407,8 +398,8 @@ type keyTable struct {
 const txnRecordSpill = 32
 
 // find returns the index of key's row among the rows from index from on,
-// or -1; hash is the key's hash.
-func (t *keyTable) find(from int, hash uint64, key kv.Key) int32 {
+// or -1.
+func (t *keyTable) find(from int, key kv.Key) int32 {
 	if t.idx != nil {
 		if i, ok := t.idx[key]; ok {
 			return i
@@ -416,7 +407,7 @@ func (t *keyTable) find(from int, hash uint64, key kv.Key) int32 {
 		return -1
 	}
 	for i := from; i < len(t.rows); i++ {
-		if t.rows[i].hash == hash && t.rows[i].key == key {
+		if sameKey(t.rows[i].key, key) {
 			return int32(i)
 		}
 	}
@@ -427,7 +418,7 @@ func (t *keyTable) find(from int, hash uint64, key kv.Key) int32 {
 // It grows the rows by hand, not by append, so that a table built on a
 // caller's scratch (a stack buffer, a pooled Txn's) does not make the
 // scratch escape.
-func (t *keyTable) add(hash uint64, key kv.Key) int32 {
+func (t *keyTable) add(key kv.Key) int32 {
 	n := len(t.rows)
 	if t.idx == nil && n >= txnRecordSpill {
 		t.idx = make(map[kv.Key]int32, 2*n)
@@ -442,8 +433,17 @@ func (t *keyTable) add(hash uint64, key kv.Key) int32 {
 		t.rows = append(make([]recRow, 0, 2*n+4), t.rows...)
 	}
 	t.rows = t.rows[:n+1]
-	t.rows[n] = recRow{hash: hash, key: key}
+	t.rows[n] = recRow{key: key}
 	return int32(n)
+}
+
+// sameKey is a == b, deciding most mismatches on one byte: a workload's
+// keys are same-length, same-prefix strings, which differ at their ends.
+// A dependency's key is its list's interned string, so a key compared
+// with itself is usually one pointer.
+func sameKey(a, b kv.Key) bool {
+	n := len(a)
+	return n == len(b) && (n == 0 || a[n-1] == b[n-1]) && a == b
 }
 
 // txnRecord tracks one in-flight read-only transaction: one row per key
@@ -484,9 +484,9 @@ func (rec *txnRecord) readSet() []ReadVersion {
 }
 
 // hashKey is the cache's key hash, 64-bit FNV-1a: it picks a key's entry
-// shard and finds its row in a transaction record. It is deterministic —
-// which entries share a shard's byte budget, and so what a bounded cache
-// evicts, must not change from one process to the next.
+// shard. It is deterministic — which entries share a shard's byte budget,
+// and so what a bounded cache evicts, must not change from one process to
+// the next.
 func hashKey(key kv.Key) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(key); i++ {
@@ -494,21 +494,6 @@ func hashKey(key kv.Key) uint64 {
 		h *= 1099511628211
 	}
 	return h
-}
-
-// hashDeps returns the hashes of deps' keys, positionally; nil for an
-// empty list. It is computed once per cached item, when the item enters
-// the cache, and lives with the entry — never in kv.DepEntry, whose
-// encodings (wire, WAL, store) it would grow.
-func (c *Cache) hashDeps(deps kv.DepList) []uint64 {
-	if len(deps) == 0 {
-		return nil
-	}
-	out := make([]uint64, len(deps))
-	for i := range deps {
-		out[i] = c.hash(deps[i].Key)
-	}
-	return out
 }
 
 // New creates a cache.
@@ -771,14 +756,6 @@ func (c *Cache) enforceBudgetLocked(sh *cacheShard) {
 	}
 }
 
-// setItemLocked makes item the entry's current version, with the hashes
-// of its dependency keys. Callers hold the entry's shard mutex.
-//
-//tcache:holds shard
-func (c *Cache) setItemLocked(e *entry, item kv.Item) {
-	e.item, e.depHash = item, c.hashDeps(item.Deps)
-}
-
 // insertShardLocked adds or replaces the entry for key, charging the
 // byte budget and enforcing this shard's slice of it. It returns nil
 // when the admission doorkeeper declines a first-sighted key — the
@@ -790,7 +767,7 @@ func (c *Cache) setItemLocked(e *entry, item kv.Item) {
 func (c *Cache) insertShardLocked(sh *cacheShard, key kv.Key, item kv.Item) *entry {
 	if e, ok := sh.entries[key]; ok {
 		if e.item.Version.Less(item.Version) {
-			c.setItemLocked(e, item)
+			e.item = item
 			e.fetchedAt = c.clk.Now()
 			// In-place replacement changed the entry's footprint: re-charge
 			// it (update accounting, not just insert) and re-enforce.
@@ -808,8 +785,7 @@ func (c *Cache) insertShardLocked(sh *cacheShard, key kv.Key, item kv.Item) *ent
 		c.metrics.AdmissionRejects.Add(1)
 		return nil
 	}
-	e := &entry{key: key, fetchedAt: c.clk.Now()}
-	c.setItemLocked(e, item)
+	e := &entry{key: key, item: item, fetchedAt: c.clk.Now()}
 	sh.entries[key] = e
 	sh.ev.Add(&e.h, e, e.cost())
 	c.enforceBudgetLocked(sh)

@@ -77,7 +77,7 @@ func readTxn(c *Cache, id kv.TxnID, keys []kv.Key) ([]kv.Value, error) {
 }
 
 func dep(key kv.Key, ver uint64) kv.DepEntry {
-	return kv.DepEntry{Key: key, Version: kv.Version{Counter: ver}}
+	return kv.Dep(key, kv.Version{Counter: ver})
 }
 
 // staleBCache builds the canonical inconsistency scenario: the backend has

@@ -403,8 +403,8 @@ func TestEvictionConsistencyHammer(t *testing.T) {
 						continue
 					}
 					val := strings.Repeat("w", 10+rng.Intn(150))
-					b.putHist(j, val, v, kv.DepEntry{Key: i, Version: kv.Version{Counter: v}})
-					b.putHist(i, val, v, kv.DepEntry{Key: j, Version: kv.Version{Counter: v}})
+					b.putHist(j, val, v, kv.Dep(i, kv.Version{Counter: v}))
+					b.putHist(i, val, v, kv.Dep(j, kv.Version{Counter: v}))
 					c.Invalidate(i, kv.Version{Counter: v})
 					if rng.Intn(2) == 0 {
 						c.Invalidate(j, kv.Version{Counter: v})
@@ -496,10 +496,10 @@ func TestEvictionConsistencyHammer(t *testing.T) {
 				}
 				for _, rv := range cp.Reads {
 					for _, d := range b.depsOf(rv.Key, rv.Version.Counter) {
-						got, ok := readAt[d.Key]
+						got, ok := readAt[d.Key.Value()]
 						if ok && got < d.Version.Counter {
 							t.Errorf("txn %d committed inconsistently: read %s@%d whose deps expect %s@%d, but read %s@%d",
-								id, rv.Key, rv.Version.Counter, d.Key, d.Version.Counter, d.Key, got)
+								id, rv.Key, rv.Version.Counter, d.Key.Value(), d.Version.Counter, d.Key.Value(), got)
 						}
 					}
 				}

@@ -35,7 +35,7 @@ func v(c uint64) kv.Version { return kv.Version{Counter: c} }
 
 func TestGetItemServesCachedMetadata(t *testing.T) {
 	be := &itemBackend{items: map[kv.Key]kv.Item{
-		"a": {Value: kv.Value("x"), Version: v(3), Deps: kv.DepList{{Key: "b", Version: v(2)}}},
+		"a": {Value: kv.Value("x"), Version: v(3), Deps: kv.DepList{kv.Dep("b", v(2))}},
 	}}
 	c, err := New(Config{Backend: be})
 	if err != nil {
@@ -47,7 +47,7 @@ func TestGetItemServesCachedMetadata(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("GetItem = %v %v", ok, err)
 	}
-	if it.Version != v(3) || len(it.Deps) != 1 || it.Deps[0].Key != "b" {
+	if it.Version != v(3) || len(it.Deps) != 1 || it.Deps[0].Key.Value() != "b" {
 		t.Fatalf("item metadata lost: %+v", it)
 	}
 	if got := be.reads.Load(); got != 1 {

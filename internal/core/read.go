@@ -109,7 +109,7 @@ func (c *Cache) readPass(ctx context.Context, t *Txn, keys []kv.Key, out []kv.Lo
 			}
 			break
 		}
-		v, bad := t.rec.admit(keys[i], slots[i].hash, out[i].Item, slots[i].depHash)
+		v, bad := t.rec.admit(keys[i], out[i].Item)
 		if !bad {
 			// Copy-on-write sharing: cached values are immutable (updates
 			// replace the whole item, never mutate the slice), so the
@@ -117,19 +117,18 @@ func (c *Cache) readPass(ctx context.Context, t *Txn, keys []kv.Key, out []kv.Lo
 			vals[i] = out[i].Item.Value
 			continue
 		}
-		r := keyRead{key: keys[i], hash: slots[i].hash, item: out[i].Item, depHash: slots[i].depHash}
-		served, verr := c.handleViolation(ctx, t, r, v)
+		served, verr := c.handleViolation(ctx, t, keys[i], out[i].Item, v)
 		if verr != nil {
 			err = verr
 			break
 		}
 		vals[i] = served.Value
-		if r.item.Version.Less(served.Version) {
+		if out[i].Item.Version.Less(served.Version) {
 			// RETRY refetched the key: a later duplicate in this batch
 			// must see what the refetch installed, as a later Read would.
 			for j := i + 1; j < len(keys); j++ {
 				if keys[j] == keys[i] {
-					out[j].Item, slots[j].depHash = served, c.hashDeps(served.Deps)
+					out[j].Item = served
 				}
 			}
 		}
@@ -146,19 +145,8 @@ func (c *Cache) Get(ctx context.Context, key kv.Key) (kv.Value, error) {
 	return item.Value, err // shared read-only; see readPass
 }
 
-// keyRead is one key on its way through the §III-B checks: the item the
-// cache or the backend produced for it, and the hashes the checks find
-// record rows by.
-type keyRead struct {
-	key     kv.Key
-	hash    uint64 // the key's hash
-	item    kv.Item
-	depHash []uint64 // the hashes of item.Deps' keys, positionally
-}
-
 // admit evaluates the paper's two consistency checks for reading item —
-// key's, with hash and depHash as in keyRead — under rec and, when both
-// pass, folds the read into the record. A violation leaves the record
+// key's — under rec and, when both pass, folds the read into the record. A violation leaves the record
 // untouched: the key and every dependency are checked before anything is
 // written.
 //
@@ -174,8 +162,8 @@ type keyRead struct {
 //
 // Each of the 1 + len(item.Deps) keys is looked up once: the checks leave
 // the rows they found in rec.at, and the writes go back to them.
-func (rec *txnRecord) admit(key kv.Key, hash uint64, item kv.Item, depHash []uint64) (violation, bool) {
-	at := append(rec.at[:0], rec.find(0, hash, key))
+func (rec *txnRecord) admit(key kv.Key, item kv.Item) (violation, bool) {
+	at := append(rec.at[:0], rec.find(0, key))
 	if i := at[0]; i >= 0 {
 		row := &rec.rows[i]
 		if item.Version.Less(row.expected) {
@@ -185,10 +173,10 @@ func (rec *txnRecord) admit(key kv.Key, hash uint64, item kv.Item, depHash []uin
 			return violation{equation: 1, staleKey: key, staleBelow: item.Version}, true
 		}
 	}
-	for j, dep := range item.Deps {
-		i := rec.find(0, depHash[j], dep.Key)
+	for _, dep := range item.Deps {
+		i := rec.find(0, dep.Key.Value())
 		if i >= 0 && rec.rows[i].seq > 0 && rec.rows[i].read.Less(dep.Version) {
-			return violation{equation: 1, staleKey: dep.Key, staleBelow: dep.Version}, true
+			return violation{equation: 1, staleKey: dep.Key.Value(), staleBelow: dep.Version}, true
 		}
 		at = append(at, i)
 	}
@@ -200,7 +188,7 @@ func (rec *txnRecord) admit(key kv.Key, hash uint64, item kv.Item, depHash []uin
 	fresh := len(rec.rows)
 	i := at[0]
 	if i < 0 {
-		i = rec.add(hash, key)
+		i = rec.add(key)
 	}
 	row := &rec.rows[i]
 	if row.seq == 0 {
@@ -213,8 +201,8 @@ func (rec *txnRecord) admit(key kv.Key, hash uint64, item kv.Item, depHash []uin
 	for j, dep := range item.Deps {
 		i := at[1+j]
 		if i < 0 {
-			if i = rec.find(fresh, depHash[j], dep.Key); i < 0 {
-				i = rec.add(depHash[j], dep.Key)
+			if i = rec.find(fresh, dep.Key.Value()); i < 0 {
+				i = rec.add(dep.Key.Value())
 			}
 		}
 		if row := &rec.rows[i]; row.expected.Less(dep.Version) {
@@ -225,7 +213,7 @@ func (rec *txnRecord) admit(key kv.Key, hash uint64, item kv.Item, depHash []uin
 }
 
 // handleViolation applies the configured strategy to v, the violation
-// reading r found in t's record. When StrategyRetry resolves the read it
+// reading item as key found in t's record. When StrategyRetry resolves the read it
 // returns the item it served; otherwise it ends t aborted — keeping the
 // error as t's, for every later read — and returns an *InconsistencyError.
 // It holds no lock beyond the shard of an entry it evicts.
@@ -234,8 +222,7 @@ func (rec *txnRecord) admit(key kv.Key, hash uint64, item kv.Item, depHash []uin
 // before refetching. An equation-1 violator may hash to any shard; its
 // eviction is version-conditional, so it cannot remove a copy newer than
 // the one that violated.
-func (c *Cache) handleViolation(ctx context.Context, t *Txn, r keyRead, v violation) (kv.Item, error) {
-	key, item := r.key, r.item
+func (c *Cache) handleViolation(ctx context.Context, t *Txn, key kv.Key, item kv.Item, v violation) (kv.Item, error) {
 	c.metrics.Detected.Add(1)
 	if v.equation == 1 {
 		c.metrics.DetectedEq1.Add(1)
@@ -259,7 +246,7 @@ func (c *Cache) handleViolation(ctx context.Context, t *Txn, r keyRead, v violat
 			// abort; the transaction survives for its holder.
 			return kv.Item{}, err
 		case err == nil:
-			v2, bad := t.rec.admit(key, r.hash, fresh, c.hashDeps(fresh.Deps))
+			v2, bad := t.rec.admit(key, fresh)
 			if !bad {
 				c.metrics.RetriesResolved.Add(1)
 				return fresh, nil

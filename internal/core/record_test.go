@@ -10,7 +10,7 @@ import (
 )
 
 // refRecord is the §III-B transaction record at its plainest — two maps
-// and a list — against which the hashed table is checked.
+// and a list — against which the table is checked.
 type refRecord struct {
 	read, expected map[kv.Key]kv.Version
 	order          []ReadVersion
@@ -24,8 +24,8 @@ func (r *refRecord) check(key kv.Key, item kv.Item) (violation, bool) {
 		return violation{equation: 1, staleKey: key, staleBelow: item.Version}, true
 	}
 	for _, d := range item.Deps {
-		if prev, ok := r.read[d.Key]; ok && prev.Less(d.Version) {
-			return violation{equation: 1, staleKey: d.Key, staleBelow: d.Version}, true
+		if prev, ok := r.read[d.Key.Value()]; ok && prev.Less(d.Version) {
+			return violation{equation: 1, staleKey: d.Key.Value(), staleBelow: d.Version}, true
 		}
 	}
 	return violation{}, false
@@ -36,9 +36,9 @@ func (r *refRecord) record(key kv.Key, item kv.Item) {
 		r.read[key] = item.Version
 		r.order = append(r.order, ReadVersion{Key: key, Version: item.Version})
 	}
-	for _, d := range append(kv.DepList{{Key: key, Version: item.Version}}, item.Deps...) {
-		if exp, ok := r.expected[d.Key]; !ok || exp.Less(d.Version) {
-			r.expected[d.Key] = d.Version
+	for _, d := range append(kv.DepList{kv.Dep(key, item.Version)}, item.Deps...) {
+		if exp, ok := r.expected[d.Key.Value()]; !ok || exp.Less(d.Version) {
+			r.expected[d.Key.Value()] = d.Version
 		}
 	}
 }
@@ -69,15 +69,14 @@ func (rec *txnRecord) contents() *refRecord {
 // keys, dependency lists naming keys read earlier, later, never, twice, or
 // the key itself, versions moving both ways, histories past
 // txnRecordSpill — through admit and through refRecord: same verdict,
-// same record, same read order, at every step. hash is the key hash the
-// table is given; the collision test reuses the histories with a bad one.
+// same record, same read order, at every step.
 func TestAdmitMatchesMapReference(t *testing.T) {
 	for seed := int64(1); seed <= 300; seed++ {
-		admitHistory(t, seed, hashKey)
+		admitHistory(t, seed)
 	}
 }
 
-func admitHistory(t *testing.T, seed int64, hash func(kv.Key) uint64) {
+func admitHistory(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	// A third of the histories outgrow the inline rows, a third the spill
 	// threshold as well.
@@ -98,10 +97,10 @@ func admitHistory(t *testing.T, seed int64, hash func(kv.Key) uint64) {
 		key := keys[rng.Intn(universe)]
 		item := kv.Item{Version: version(step)}
 		for n := rng.Intn(7); n > 0; n-- {
-			d := kv.DepEntry{Key: keys[rng.Intn(universe)], Version: version(step)}
+			d := kv.Dep(keys[rng.Intn(universe)], version(step))
 			switch rng.Intn(10) {
 			case 0:
-				d.Key = key // a self-dependency
+				d = kv.Dep(key, d.Version) // a self-dependency
 			case 1:
 				if len(item.Deps) > 0 {
 					d.Key = item.Deps[0].Key // named twice, versions differing
@@ -109,12 +108,8 @@ func admitHistory(t *testing.T, seed int64, hash func(kv.Key) uint64) {
 			}
 			item.Deps = append(item.Deps, d)
 		}
-		depHash := make([]uint64, len(item.Deps))
-		for i, d := range item.Deps {
-			depHash[i] = hash(d.Key)
-		}
 		want, wantBad := ref.check(key, item)
-		got, gotBad := rec.admit(key, hash(key), item, depHash)
+		got, gotBad := rec.admit(key, item)
 		if got != want || gotBad != wantBad {
 			t.Fatalf("seed %d step %d: read %s@%v deps %v: admit = %+v/%v, reference = %+v/%v",
 				seed, step, key, item.Version, item.Deps, got, gotBad, want, wantBad)
@@ -136,36 +131,31 @@ func admitHistory(t *testing.T, seed int64, hash func(kv.Key) uint64) {
 	}
 }
 
-// TestAdmitHashCollisionDecidedByKey: two keys, one hash. The hash only
-// orders the compares — the string still decides, so colliding keys keep
-// separate rows and verdicts name the right one.
-func TestAdmitHashCollisionDecidedByKey(t *testing.T) {
+// TestAdmitRowsDecidedByKey: keys of one length that end in the same
+// byte keep separate rows, and a key read under a string of its own and
+// named by a list under the interned one shares a row, so verdicts name
+// the right key.
+func TestAdmitRowsDecidedByKey(t *testing.T) {
 	v := func(c uint64) kv.Version { return kv.Version{Counter: c} }
 	rec := newTxnRecord()
-	if _, bad := rec.admit("a", 7, kv.Item{Version: v(1)}, nil); bad {
-		t.Fatal("first read of a violated")
+	if _, bad := rec.admit("ax", kv.Item{Version: v(1)}); bad {
+		t.Fatal("first read of ax violated")
 	}
-	// b shares a's hash and is newer than what a was read at: were the
+	// bx ends as ax does and is newer than what ax was read at: were the
 	// rows confused, this would be eq.1 on a repeated read.
-	if viol, bad := rec.admit("b", 7, kv.Item{Version: v(5), Deps: kv.DepList{dep("c", 9)}}, []uint64{7}); bad {
-		t.Fatalf("read of b (colliding with a) = %+v", viol)
+	if viol, bad := rec.admit("bx", kv.Item{Version: v(5), Deps: kv.DepList{dep("cx", 9)}}); bad {
+		t.Fatalf("read of bx = %+v", viol)
 	}
 	if len(rec.rows) != 3 {
-		t.Fatalf("rows = %+v, want one each for a, b, c", rec.rows)
+		t.Fatalf("rows = %+v, want one each for ax, bx, cx", rec.rows)
 	}
-	// c — same hash again — is expected at 9 by b's list only.
-	viol, bad := rec.admit("c", 7, kv.Item{Version: v(8)}, nil)
-	if want := (violation{equation: 2, staleKey: "c", staleBelow: v(9)}); !bad || viol != want {
-		t.Fatalf("stale read of c = %+v/%v, want %+v", viol, bad, want)
+	// cx, read under a string of its own, is expected at 9 by bx's list.
+	viol, bad := rec.admit(kv.Key([]byte("cx")), kv.Item{Version: v(8)})
+	if want := (violation{equation: 2, staleKey: "cx", staleBelow: v(9)}); !bad || viol != want {
+		t.Fatalf("stale read of cx = %+v/%v, want %+v", viol, bad, want)
 	}
-	if got, want := rec.readSet(), []ReadVersion{{"a", v(1)}, {"b", v(5)}}; !reflect.DeepEqual(got, want) {
+	if got, want := rec.readSet(), []ReadVersion{{"ax", v(1)}, {"bx", v(5)}}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("reads = %v, want %v", got, want)
-	}
-	// And wholesale: every history of the reference test, all keys on one
-	// hash, then on two.
-	for seed := int64(1); seed <= 60; seed++ {
-		admitHistory(t, seed, func(kv.Key) uint64 { return 42 })
-		admitHistory(t, seed, func(k kv.Key) uint64 { return uint64(k[len(k)-1] & 1) })
 	}
 }
 

@@ -126,12 +126,12 @@ func (d *DB) composeDeps(key kv.Key, full kv.DepList, t *txn, vt kv.Version) kv.
 			}
 		}
 		if ok && !ver.IsZero() {
-			out = append(out, kv.DepEntry{Key: p, Version: ver})
+			out = append(out, kv.Dep(p, ver))
 		}
 	}
 	pinnedCount := len(out)
 	for _, e := range rest {
-		if !containsKey(pins, e.Key) {
+		if !containsKey(pins, e.Key.Value()) {
 			out = append(out, e)
 		}
 	}

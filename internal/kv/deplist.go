@@ -4,17 +4,29 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"unique"
 )
 
 // DepEntry records that the current version of some object depends on
 // object Key having version at least Version: a read-only transaction that
 // sees the depending object must not see Key at any older version.
+//
+// Key is interned: every list in the process that names a key shares one
+// canonical string, an entry is a (pointer, version) pair, and two
+// entries name the same key exactly when their handles are ==. Keys are
+// interned where lists are made — a decoded list (package codec) or a
+// commit's merge (MergeDeps) — and nowhere else: an interned key costs
+// ≈ 150 bytes of the runtime's table, which on go1.24 kept keys resident
+// long after their last handle went, so only keys a list names pay it.
 type DepEntry struct {
-	Key     Key
+	Key     unique.Handle[Key]
 	Version Version
 }
 
-func (e DepEntry) String() string { return string(e.Key) + "@" + e.Version.String() }
+// Dep returns the entry naming key at version v, interning key.
+func Dep(key Key, v Version) DepEntry { return DepEntry{Key: unique.Make(key), Version: v} }
+
+func (e DepEntry) String() string { return string(e.Key.Value()) + "@" + e.Version.String() }
 
 // DepList is a bounded-length, most-recent-first list of dependencies.
 //
@@ -44,7 +56,7 @@ func (l DepList) Clone() DepList {
 // appears in the list at all.
 func (l DepList) Lookup(key Key) (Version, bool) {
 	for _, e := range l {
-		if e.Key == key {
+		if e.Key.Value() == key {
 			return e.Version, true
 		}
 	}
@@ -55,7 +67,7 @@ func (l DepList) Lookup(key Key) (Version, bool) {
 func (l DepList) Keys() []Key {
 	out := make([]Key, len(l))
 	for i, e := range l {
-		out[i] = e.Key
+		out[i] = e.Key.Value()
 	}
 	return out
 }
@@ -86,7 +98,7 @@ func (l DepList) Equal(o DepList) bool {
 // does not modify the receiver.
 func (l DepList) Normalize() DepList {
 	out := l.Clone()
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	sort.Slice(out, func(i, j int) bool { return out[i].Key.Value() < out[j].Key.Value() })
 	return out
 }
 
@@ -111,10 +123,11 @@ func (l DepList) Normalize() DepList {
 // which degrades T-Cache to a consistency-unaware cache (the k=0 point of
 // Fig. 7c).
 //
-// A merge of at most mergeSpill entries (own accesses plus inherited
-// lists) dedups by a linear scan of the result, allocating only the result
-// and the inherited scratch; a larger merge indexes keys in a map. Both
-// give the same list.
+// Each access's key that can survive the bound is interned (unique.Make:
+// a lookup for a key the process already holds). A merge of at most
+// mergeSpill entries (own accesses plus inherited lists) dedups by a
+// linear scan of the result, allocating only the result and the inherited
+// scratch; a larger merge indexes keys in a map. Both give the same list.
 func MergeDeps(bound int, accesses []Access) DepList {
 	return mergeDeps(bound, accesses, false)
 }
@@ -147,9 +160,9 @@ func mergeDeps(bound int, accesses []Access, positional bool) DepList {
 		capHint += len(a.Deps)
 	}
 	merged := make(DepList, 0, capHint)
-	var index map[Key]int // nil up to mergeSpill entries: add scans merged
+	var index map[unique.Handle[Key]]int // nil up to mergeSpill entries: add scans merged
 	if capHint > mergeSpill {
-		index = make(map[Key]int, capHint)
+		index = make(map[unique.Handle[Key]]int, capHint)
 	}
 
 	add := func(e DepEntry) {
@@ -179,8 +192,18 @@ func mergeDeps(bound int, accesses []Access, positional bool) DepList {
 	}
 
 	// Pass 1: the accesses themselves — the most recently touched objects.
+	// Truncation keeps a prefix, so an access past the bound survives only
+	// as a duplicate of a kept one, and is not interned.
 	for _, a := range accesses {
-		add(DepEntry{Key: a.Key, Version: a.Version})
+		if bound < 0 || len(merged) < bound {
+			add(Dep(a.Key, a.Version))
+			continue
+		}
+		for j := range merged {
+			if merged[j].Key.Value() == a.Key && merged[j].Version.Less(a.Version) {
+				merged[j].Version = a.Version
+			}
+		}
 	}
 	// Pass 2: inherited dependencies, most recently refreshed first
 	// (or in raw list order for the positional ablation).
@@ -226,7 +249,7 @@ func (l DepList) WithoutKey(key Key, bound int) DepList {
 	}
 	out := make(DepList, 0, n)
 	for _, e := range l {
-		if e.Key != key && len(out) < n {
+		if e.Key.Value() != key && len(out) < n {
 			out = append(out, e)
 		}
 	}

@@ -15,26 +15,26 @@ func TestMergeDepsPaperExample(t *testing.T) {
 	// the union; we verify the essential postconditions: (o2, vt) present,
 	// o2's inherited deps present, own accesses most recent.
 	vt := v(100)
-	o1 := Access{Key: "o1", Version: vt, Deps: DepList{{"a", v(1)}, {"b", v(2)}}}
-	o2 := Access{Key: "o2", Version: vt, Deps: DepList{{"c", v(3)}, {"d", v(4)}}}
+	o1 := Access{Key: "o1", Version: vt, Deps: DepList{Dep("a", v(1)), Dep("b", v(2))}}
+	o2 := Access{Key: "o2", Version: vt, Deps: DepList{Dep("c", v(3)), Dep("d", v(4))}}
 	got := MergeDeps(Unbounded, []Access{o1, o2})
 
 	if gv, ok := got.Lookup("o2"); !ok || gv != vt {
 		t.Fatalf("merged list lacks (o2, vt): %v", got)
 	}
-	for _, want := range []DepEntry{{"a", v(1)}, {"b", v(2)}, {"c", v(3)}, {"d", v(4)}} {
-		if gv, ok := got.Lookup(want.Key); !ok || gv != want.Version {
+	for _, want := range []DepEntry{Dep("a", v(1)), Dep("b", v(2)), Dep("c", v(3)), Dep("d", v(4))} {
+		if gv, ok := got.Lookup(want.Key.Value()); !ok || gv != want.Version {
 			t.Fatalf("merged list lacks %v: %v", want, got)
 		}
 	}
 	// Own accesses are the most recent entries.
-	if got[0].Key != "o1" || got[1].Key != "o2" {
+	if got[0].Key.Value() != "o1" || got[1].Key.Value() != "o2" {
 		t.Fatalf("own accesses not most-recent-first: %v", got)
 	}
 }
 
 func TestMergeDepsDedupKeepsLargerVersion(t *testing.T) {
-	a := Access{Key: "x", Version: v(5), Deps: DepList{{"y", v(9)}}}
+	a := Access{Key: "x", Version: v(5), Deps: DepList{Dep("y", v(9))}}
 	b := Access{Key: "y", Version: v(7), Deps: nil}
 	got := MergeDeps(Unbounded, []Access{a, b})
 	gv, ok := got.Lookup("y")
@@ -45,22 +45,22 @@ func TestMergeDepsDedupKeepsLargerVersion(t *testing.T) {
 		t.Fatalf("y version = %v, want 9 (larger wins)", gv)
 	}
 	// y must keep its most-recent position (an own access, position 1).
-	if got[1].Key != "y" {
+	if got[1].Key.Value() != "y" {
 		t.Fatalf("dedup moved y out of its most-recent slot: %v", got)
 	}
 }
 
 func TestMergeDepsBoundTruncatesLeastRecent(t *testing.T) {
 	accesses := []Access{
-		{Key: "a", Version: v(1), Deps: DepList{{"old1", v(1)}, {"old2", v(1)}}},
-		{Key: "b", Version: v(2), Deps: DepList{{"old3", v(1)}}},
+		{Key: "a", Version: v(1), Deps: DepList{Dep("old1", v(1)), Dep("old2", v(1))}},
+		{Key: "b", Version: v(2), Deps: DepList{Dep("old3", v(1))}},
 	}
 	got := MergeDeps(3, accesses)
 	if len(got) != 3 {
 		t.Fatalf("len = %d, want 3", len(got))
 	}
 	// Own accesses survive; the oldest inherited deps are dropped.
-	if got[0].Key != "a" || got[1].Key != "b" || got[2].Key != "old1" {
+	if got[0].Key.Value() != "a" || got[1].Key.Value() != "b" || got[2].Key.Value() != "old1" {
 		t.Fatalf("truncation kept wrong entries: %v", got)
 	}
 }
@@ -100,8 +100,8 @@ func TestMergeDepsProperties(t *testing.T) {
 			ver := randVersion(r)
 			deps := make(DepList, r.Intn(4))
 			for j := range deps {
-				deps[j] = DepEntry{Key: Key(fmt.Sprintf("k%d", r.Intn(8))), Version: randVersion(r)}
-				note(deps[j].Key, deps[j].Version)
+				deps[j] = Dep(Key(fmt.Sprintf("k%d", r.Intn(8))), randVersion(r))
+				note(deps[j].Key.Value(), deps[j].Version)
 			}
 			accesses[i] = Access{Key: key, Version: ver, Deps: deps}
 			note(key, ver)
@@ -110,13 +110,14 @@ func TestMergeDepsProperties(t *testing.T) {
 
 		seen := map[Key]bool{}
 		for _, e := range got {
-			if seen[e.Key] {
-				t.Fatalf("iter %d: duplicate key %s in %v", iter, e.Key, got)
+			key := e.Key.Value()
+			if seen[key] {
+				t.Fatalf("iter %d: duplicate key %s in %v", iter, key, got)
 			}
-			seen[e.Key] = true
-			if e.Version.Less(mention[e.Key]) {
+			seen[key] = true
+			if e.Version.Less(mention[key]) {
 				t.Fatalf("iter %d: key %s kept version %v < max mention %v",
-					iter, e.Key, e.Version, mention[e.Key])
+					iter, key, e.Version, mention[key])
 			}
 		}
 		if bound >= 0 && len(got) > bound {
@@ -130,7 +131,7 @@ func TestMergeDepsProperties(t *testing.T) {
 }
 
 func TestDepListLookup(t *testing.T) {
-	l := DepList{{"a", v(1)}, {"b", v(2)}}
+	l := DepList{Dep("a", v(1)), Dep("b", v(2))}
 	if ver, ok := l.Lookup("b"); !ok || ver != v(2) {
 		t.Fatalf("Lookup(b) = %v,%v", ver, ok)
 	}
@@ -140,7 +141,7 @@ func TestDepListLookup(t *testing.T) {
 }
 
 func TestDepListCloneIndependence(t *testing.T) {
-	l := DepList{{"a", v(1)}}
+	l := DepList{Dep("a", v(1))}
 	c := l.Clone()
 	c[0].Version = v(9)
 	if l[0].Version != v(1) {
@@ -152,17 +153,17 @@ func TestDepListCloneIndependence(t *testing.T) {
 }
 
 func TestDepListWithoutKey(t *testing.T) {
-	l := DepList{{"a", v(1)}, {"b", v(2)}, {"a", v(3)}}
+	l := DepList{Dep("a", v(1)), Dep("b", v(2)), Dep("a", v(3))}
 	got := l.WithoutKey("a", Unbounded)
-	if len(got) != 1 || got[0].Key != "b" {
+	if len(got) != 1 || got[0].Key.Value() != "b" {
 		t.Fatalf("WithoutKey = %v", got)
 	}
-	if got := (DepList{{"a", v(1)}}).WithoutKey("a", Unbounded); got != nil {
+	if got := (DepList{Dep("a", v(1))}).WithoutKey("a", Unbounded); got != nil {
 		t.Fatalf("WithoutKey to empty should be nil, got %v", got)
 	}
 	// Cut to the bound, in a copy of just that size whether or not the
 	// key was in the list.
-	l = DepList{{"a", v(1)}, {"b", v(2)}, {"c", v(3)}, {"d", v(4)}}
+	l = DepList{Dep("a", v(1)), Dep("b", v(2)), Dep("c", v(3)), Dep("d", v(4))}
 	for _, c := range []struct {
 		key   Key
 		bound int
@@ -184,8 +185,8 @@ func TestDepListWithoutKey(t *testing.T) {
 }
 
 func TestDepListTruncate(t *testing.T) {
-	l := DepList{{"a", v(1)}, {"b", v(2)}, {"c", v(3)}}
-	if got := l.Truncate(2); len(got) != 2 || got[1].Key != "b" {
+	l := DepList{Dep("a", v(1)), Dep("b", v(2)), Dep("c", v(3))}
+	if got := l.Truncate(2); len(got) != 2 || got[1].Key.Value() != "b" {
 		t.Fatalf("Truncate(2) = %v", got)
 	}
 	if got := l.Truncate(Unbounded); len(got) != 3 {
@@ -197,8 +198,8 @@ func TestDepListTruncate(t *testing.T) {
 }
 
 func TestDepListEqualAndNormalize(t *testing.T) {
-	a := DepList{{"b", v(2)}, {"a", v(1)}}
-	b := DepList{{"a", v(1)}, {"b", v(2)}}
+	a := DepList{Dep("b", v(2)), Dep("a", v(1))}
+	b := DepList{Dep("a", v(1)), Dep("b", v(2))}
 	if a.Equal(b) {
 		t.Fatal("order-sensitive Equal matched different orders")
 	}
@@ -211,14 +212,14 @@ func TestDepListEqualAndNormalize(t *testing.T) {
 }
 
 func TestDepListStrings(t *testing.T) {
-	l := DepList{{"a", v(1)}}
+	l := DepList{Dep("a", v(1))}
 	if got := l.String(); got != "[a@1.0]" {
 		t.Fatalf("String = %q", got)
 	}
-	if got := (DepEntry{"x", v(2)}).String(); got != "x@2.0" {
+	if got := Dep("x", v(2)).String(); got != "x@2.0" {
 		t.Fatalf("DepEntry.String = %q", got)
 	}
-	keys := DepList{{"a", v(1)}, {"b", v(2)}}.Keys()
+	keys := DepList{Dep("a", v(1)), Dep("b", v(2))}.Keys()
 	if len(keys) != 2 || keys[0] != "a" || keys[1] != "b" {
 		t.Fatalf("Keys = %v", keys)
 	}
@@ -236,10 +237,10 @@ func TestMergeDepsQuickNoDuplicates(t *testing.T) {
 		got := MergeDeps(int(bound%8), accesses)
 		seen := map[Key]bool{}
 		for _, e := range got {
-			if seen[e.Key] {
+			if seen[e.Key.Value()] {
 				return false
 			}
-			seen[e.Key] = true
+			seen[e.Key.Value()] = true
 		}
 		return true
 	}

@@ -114,12 +114,12 @@ func TestItemClone(t *testing.T) {
 	it := Item{
 		Value:   Value("v"),
 		Version: Version{Counter: 1},
-		Deps:    DepList{{Key: "a", Version: Version{Counter: 1}}},
+		Deps:    DepList{Dep("a", Version{Counter: 1})},
 	}
 	c := it.Clone()
-	c.Deps[0].Key = "b"
+	c.Deps[0] = Dep("b", Version{Counter: 1})
 	c.Value[0] = 'x'
-	if it.Deps[0].Key != "a" || string(it.Value) != "v" {
+	if it.Deps[0].Key.Value() != "a" || string(it.Value) != "v" {
 		t.Fatal("Clone shares state with original")
 	}
 }

@@ -21,17 +21,17 @@ func refMergeDeps(bound int, accesses []Access, positional bool) DepList {
 	merged := make(DepList, 0, capHint)
 	index := make(map[Key]int, capHint)
 	add := func(e DepEntry) {
-		if i, ok := index[e.Key]; ok {
+		if i, ok := index[e.Key.Value()]; ok {
 			if merged[i].Version.Less(e.Version) {
 				merged[i].Version = e.Version
 			}
 			return
 		}
-		index[e.Key] = len(merged)
+		index[e.Key.Value()] = len(merged)
 		merged = append(merged, e)
 	}
 	for _, a := range accesses {
-		add(DepEntry{Key: a.Key, Version: a.Version})
+		add(Dep(a.Key, a.Version))
 	}
 	inherited := make(DepList, 0, capHint-len(accesses))
 	for _, a := range accesses {
@@ -66,7 +66,7 @@ func randMergeInput(r *rand.Rand, accesses, maxDeps, alphabet int) []Access {
 		if n := r.Intn(maxDeps + 1); n > 0 {
 			deps = make(DepList, n)
 			for j := range deps {
-				deps[j] = DepEntry{Key: key(), Version: ver()}
+				deps[j] = Dep(key(), ver())
 			}
 		}
 		out[i] = Access{Key: key(), Version: ver(), Deps: deps}
@@ -129,7 +129,7 @@ func TestMergeDepsAllocs(t *testing.T) {
 	for i := range accesses {
 		deps := make(DepList, 3)
 		for j := range deps {
-			deps[j] = DepEntry{Key: Key(fmt.Sprintf("d%d-%d", i, j)), Version: Version{Counter: uint64(10*i + j)}}
+			deps[j] = Dep(Key(fmt.Sprintf("d%d-%d", i, j)), Version{Counter: uint64(10*i + j)})
 		}
 		accesses[i] = Access{Key: Key(fmt.Sprintf("o%d", i)), Version: Version{Counter: 100}, Deps: deps}
 	}

@@ -24,10 +24,7 @@ func benchResponse() Response {
 	for i := range batch {
 		deps := make(kv.DepList, 5)
 		for j := range deps {
-			deps[j] = kv.DepEntry{
-				Key:     kv.Key(fmt.Sprintf("obj-%d", (i+j)%5)),
-				Version: kv.Version{Counter: uint64(100 + i + j), Node: 1},
-			}
+			deps[j] = kv.Dep(kv.Key(fmt.Sprintf("obj-%d", (i+j)%5)), kv.Version{Counter: uint64(100 + i + j), Node: 1})
 		}
 		batch[i] = kv.Lookup{
 			Item: kv.Item{

@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+	"unique"
 
 	"tcache/internal/codec"
 	"tcache/internal/kv"
@@ -53,16 +54,14 @@ func sampleResponses() []Response {
 			Value:   kv.Value("payload"),
 			Version: kv.Version{Counter: 99, Node: 7},
 			Deps: kv.DepList{
-				{Key: "a", Version: kv.Version{Counter: 1}},
-				{Key: "b", Version: kv.Version{Counter: 2, Node: 3}},
-			},
+				kv.Dep("a", kv.Version{Counter: 1}),
+				kv.Dep("b", kv.Version{Counter: 2, Node: 3})},
 		}},
 		{Code: CodeOK, Version: kv.Version{Counter: 1 << 60, Node: ^uint32(0)}},
 		{Code: CodeOK, Version: kv.Version{Counter: 8, Node: 1}, WriteDeps: []kv.DepList{
-			{{Key: "b", Version: kv.Version{Counter: 8, Node: 1}}, {Key: "old", Version: kv.Version{Counter: 2}}},
+			{kv.Dep("b", kv.Version{Counter: 8, Node: 1}), kv.Dep("old", kv.Version{Counter: 2})},
 			nil,
-			{},
-		}},
+			{}}},
 		{Code: CodeOK, WriteDeps: []kv.DepList{}},
 		{Code: CodeOK, Batch: []kv.Lookup{
 			{Item: kv.Item{Value: kv.Value("v"), Version: kv.Version{Counter: 5}, Deps: kv.DepList{}}, Found: true},
@@ -160,9 +159,8 @@ func TestReplRecordsRoundTrip(t *testing.T) {
 // equal what was encoded after the payload is overwritten.
 func TestDecodeOwnsKeptItems(t *testing.T) {
 	item := kv.Item{Value: kv.Value("value-bytes"), Version: kv.Version{Counter: 7, Node: 1}, Deps: kv.DepList{
-		{Key: "dep-a", Version: kv.Version{Counter: 1}},
-		{Key: "", Version: kv.Version{Counter: 2}},
-	}}
+		kv.Dep("dep-a", kv.Version{Counter: 1}),
+		kv.Dep("", kv.Version{Counter: 2})}}
 	for name, resp := range map[string]Response{
 		"get":    {Code: CodeOK, Item: item},
 		"batch":  {Code: CodeOK, Batch: []kv.Lookup{{Item: item, Found: true}, {}}},
@@ -209,7 +207,7 @@ func filled[T any](t *testing.T, n int) []T {
 		v := reflect.ValueOf(&out[k]).Elem()
 		for i := 0; i < v.NumField(); i++ {
 			for f := v.Field(i); f.IsZero(); {
-				g, ok := quick.Value(f.Type(), r)
+				g, ok := quickValue(f.Type(), r)
 				if !ok {
 					t.Fatalf("%s.%s: testing/quick cannot generate a %s", v.Type(), v.Type().Field(i).Name, f.Type())
 				}
@@ -218,6 +216,58 @@ func filled[T any](t *testing.T, n int) []T {
 		}
 	}
 	return out
+}
+
+// handleType is the one field type testing/quick cannot build: a
+// handle's only field is unexported.
+var handleType = reflect.TypeFor[unique.Handle[kv.Key]]()
+
+// quickValue is quick.Value, except that it interns a random key where a
+// unique.Handle[kv.Key] goes, building the structs and slices that hold
+// one itself.
+func quickValue(t reflect.Type, r *rand.Rand) (reflect.Value, bool) {
+	switch {
+	case t == handleType:
+		k, ok := quick.Value(reflect.TypeFor[kv.Key](), r)
+		return reflect.ValueOf(unique.Make(k.Interface().(kv.Key))), ok
+	case !holdsHandle(t):
+		return quick.Value(t, r)
+	case t.Kind() == reflect.Slice:
+		v := reflect.MakeSlice(t, r.Intn(5), 5)
+		for i := range v.Len() {
+			e, ok := quickValue(t.Elem(), r)
+			if !ok {
+				return v, false
+			}
+			v.Index(i).Set(e)
+		}
+		return v, true
+	default: // a struct
+		v := reflect.New(t).Elem()
+		for i := range t.NumField() {
+			f, ok := quickValue(t.Field(i).Type, r)
+			if !ok {
+				return v, false
+			}
+			v.Field(i).Set(f)
+		}
+		return v, true
+	}
+}
+
+// holdsHandle reports whether a value of type t can hold a handle.
+func holdsHandle(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Struct:
+		for i := range t.NumField() {
+			if t.Field(i).Type == handleType || holdsHandle(t.Field(i).Type) {
+				return true
+			}
+		}
+	case reflect.Slice:
+		return t.Elem() == handleType || holdsHandle(t.Elem())
+	}
+	return false
 }
 
 func TestInvalidationRoundTrip(t *testing.T) {
@@ -368,7 +418,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})
 	f.Add(appendReplRecords(nil, wal.Pos{Seq: 1}, wal.Pos{Seq: 1, Off: 9}, []wal.Record{{Version: kv.Version{Counter: 4}, Writes: []wal.Entry{
-		{Key: "a", Value: kv.Value("v"), Deps: kv.DepList{{Key: "b", Version: kv.Version{Counter: 4}}}},
+		{Key: "a", Value: kv.Value("v"), Deps: kv.DepList{kv.Dep("b", kv.Version{Counter: 4})}},
 	}}}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {

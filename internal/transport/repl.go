@@ -267,7 +267,7 @@ func recordWireSize(rec *wal.Record) int {
 		w := &rec.Writes[i]
 		n += len(w.Key) + len(w.Value) + 16
 		for _, dep := range w.Deps {
-			n += len(dep.Key) + 16
+			n += len(dep.Key.Value()) + 16
 		}
 	}
 	return n

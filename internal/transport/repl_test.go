@@ -759,7 +759,7 @@ func TestStandbyStorePinsNoFrame(t *testing.T) {
 	defer d.Close()
 	d.SetStandby("primary:0")
 	dep := func(k string, c uint64) kv.DepEntry {
-		return kv.DepEntry{Key: kv.Key(k), Version: kv.Version{Counter: c, Node: 1}}
+		return kv.Dep(kv.Key(k), kv.Version{Counter: c, Node: 1})
 	}
 	recs := []wal.Record{
 		{Version: kv.Version{Counter: 3, Node: 1}, Writes: []wal.Entry{

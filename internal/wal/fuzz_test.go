@@ -33,7 +33,7 @@ func FuzzWALReplay(f *testing.F) {
 		return Record{Version: kv.Version{Counter: i}, Writes: []Entry{{
 			Key:   "k",
 			Value: kv.Value("v"),
-			Deps:  kv.DepList{{Key: "d", Version: kv.Version{Counter: i - 1}}},
+			Deps:  kv.DepList{kv.Dep("d", kv.Version{Counter: i - 1})},
 		}}}
 	}
 	valid := fileHeader(segMagic, 1)
@@ -63,7 +63,7 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add(append([]byte("garbage-prefix"), valid...))
 	f.Add(fileHeader(snapMagic, 1))
 	f.Add([]byte{})
-	entry := SnapshotEntry{Key: "k", Value: kv.Value("v"), Version: kv.Version{Counter: 2}, Deps: kv.DepList{{Key: "d", Version: kv.Version{Counter: 1}}}}
+	entry := SnapshotEntry{Key: "k", Value: kv.Value("v"), Version: kv.Version{Counter: 2}, Deps: kv.DepList{kv.Dep("d", kv.Version{Counter: 1})}}
 	f.Add(appendFramed(fileHeader(segMagic, 1), appendSnapshotEntry(nil, &entry)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -101,7 +101,7 @@ func FuzzWALReplay(f *testing.F) {
 // into items that own their bytes, so a recovered store pins no segment
 // read (see ownsDecoded).
 func TestLogDecodeOwnsItems(t *testing.T) {
-	deps := kv.DepList{{Key: "dep-key", Version: kv.Version{Counter: 4}}, {Key: "", Version: kv.Version{Counter: 1}}}
+	deps := kv.DepList{kv.Dep("dep-key", kv.Version{Counter: 4}), kv.Dep("", kv.Version{Counter: 1})}
 	rec := Record{Version: kv.Version{Counter: 5}, Writes: []Entry{
 		{Key: "a", Value: kv.Value("value-a"), Deps: deps},
 		{Key: "b", Value: kv.Value{}, Deps: nil},
@@ -243,7 +243,7 @@ func writtenSnapshot(f *testing.F) ([]byte, uint64) {
 			Key:     kv.Key([]byte{'k', byte('0' + i)}),
 			Value:   bytes.Repeat([]byte("v"), int(i)),
 			Version: kv.Version{Counter: i},
-			Deps:    kv.DepList{{Key: "d", Version: kv.Version{Counter: i - 1}}},
+			Deps:    kv.DepList{kv.Dep("d", kv.Version{Counter: i - 1})},
 		}); err != nil {
 			f.Fatal(err)
 		}

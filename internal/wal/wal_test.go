@@ -22,7 +22,7 @@ func rec(ver uint64, keys ...kv.Key) Record {
 		r.Writes = append(r.Writes, Entry{
 			Key:   k,
 			Value: kv.Value("val-" + k),
-			Deps:  kv.DepList{{Key: "dep", Version: v(ver - 1)}},
+			Deps:  kv.DepList{kv.Dep("dep", v(ver-1))},
 		})
 	}
 	return r
@@ -89,7 +89,7 @@ func TestRoundTrip(t *testing.T) {
 		if len(r.Writes) != 2 || string(r.Writes[0].Value) != "val-a" {
 			t.Fatalf("record %d writes = %+v", i, r.Writes)
 		}
-		if len(r.Writes[0].Deps) != 1 || r.Writes[0].Deps[0].Key != "dep" {
+		if len(r.Writes[0].Deps) != 1 || r.Writes[0].Deps[0].Key.Value() != "dep" {
 			t.Fatalf("record %d deps lost: %+v", i, r.Writes[0].Deps)
 		}
 	}
@@ -669,7 +669,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		}
 	}
 	snapshotAt(t, l, 5, []SnapshotEntry{
-		{Key: "k", Value: kv.Value("val-k"), Version: v(5), Deps: kv.DepList{{Key: "dep", Version: v(4)}}},
+		{Key: "k", Value: kv.Value("val-k"), Version: v(5), Deps: kv.DepList{kv.Dep("dep", v(4))}},
 	})
 	// Tail records after the snapshot.
 	for i := uint64(6); i <= 8; i++ {
@@ -685,7 +685,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if len(snaps) != 1 || snaps[0].Key != "k" || snaps[0].Version != v(5) {
 		t.Fatalf("snapshot entries = %+v", snaps)
 	}
-	if len(snaps[0].Deps) != 1 || snaps[0].Deps[0].Key != "dep" {
+	if len(snaps[0].Deps) != 1 || snaps[0].Deps[0].Key.Value() != "dep" {
 		t.Fatalf("snapshot deps lost: %+v", snaps[0].Deps)
 	}
 	if len(recs) != 3 || recs[0].Version != v(6) {
