@@ -24,9 +24,10 @@ test:
 # node down at start), the wire's read transactions
 # (server-minted, one per request, several clients at once) and the
 # servers' and clients' shutdown and cancellation paths (updates parked
-# behind a held key, db.KeyHold), and over retention (decoded items own
-# their bytes: a standby's or a recovered store pins no replication
-# frame or segment read), so a
+# behind a held key, db.KeyHold), and over retention and interning
+# (decoded items own their bytes: a standby's or a recovered store pins
+# no replication frame or segment read, and lists decoded from two
+# frames share each key's interned string), so a
 # failure that only shows at 2 or 4 CPUs cannot hide on a
 # 1-CPU runner; the 'Determin|Subgraph|Golden|Theorem1' line is the
 # same-seed-same-bytes gate (graph order, topology builds, column runs,
@@ -43,7 +44,7 @@ race:
 	$(GO) test -race -cpu 1,2,4 -run 'ReadTxn|Close|Txn' . ./internal/core
 	$(GO) test -race -cpu 1,2,4 -run 'Mux|Pipelin|Worker|StaleConn|ReadTxn|WireClients|Blocked|CtxCancelled|Stuck|PendingSlots|Skeleton' ./internal/transport
 	$(GO) test -race -cpu 1,2,4 -run 'ReadItem|Health|Probation|Failover|DownAtStart' ./internal/cluster
-	$(GO) test -race -cpu 1,2,4 -run 'Owns|Pins' ./internal/transport ./internal/db ./internal/wal
+	$(GO) test -race -cpu 1,2,4 -run 'Owns|Pins' ./internal/transport ./internal/db ./internal/wal ./internal/kv ./internal/codec
 	$(GO) test -race -cpu 1,2,4 -run 'Determin|Subgraph|Golden|Theorem1' ./internal/graph ./internal/experiment
 	$(GO) test -run 'Alloc' -cpu 1,2,4 .
 

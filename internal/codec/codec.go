@@ -15,6 +15,7 @@ package codec
 import (
 	"encoding/binary"
 	"errors"
+	"unique"
 	"unsafe"
 
 	"tcache/internal/kv"
@@ -141,6 +142,10 @@ type Decoder struct {
 	B   []byte
 	Off int
 	err error
+	// keys holds the last list keys this decoder interned, a batch's
+	// items mostly naming each other; n counts the keys interned.
+	keys [8]unique.Handle[kv.Key]
+	n    int
 }
 
 // Err returns ErrTruncated if any accessor so far ran off the payload
@@ -239,7 +244,7 @@ func (d *Decoder) DepList() kv.DepList {
 // Item decodes an item laid out as value, version, dependency list (the
 // wire's layout): the value is copied into a buffer of its own length and
 // the list's keys are interned — at most two allocations (the value and
-// the list) and one unique.Make per dependency, none shared with B.
+// the list), none shared with B.
 func (d *Decoder) Item() kv.Item {
 	it := kv.Item{Value: d.Bytes(), Version: d.Version()}
 	it.Value, it.Deps = d.owned(it.Value)
@@ -256,16 +261,32 @@ func (d *Decoder) owned(value []byte) (kv.Value, kv.DepList) {
 		l = make(kv.DepList, n)
 	}
 	for i := range l {
-		var key kv.Key
-		if k := d.take(d.Uvarint()); len(k) > 0 {
-			key = kv.Key(unsafe.String(&k[0], len(k))) // copied by unique.Make if new
-		}
-		l[i] = kv.Dep(key, d.Version())
+		l[i].Key = d.intern(d.take(d.Uvarint()))
+		l[i].Version = d.Version()
 	}
 	if d.err != nil {
 		return nil, nil
 	}
 	return kv.Value(value).Clone(), l
+}
+
+// intern returns the handle of list key k (which aliases B): one of the
+// keys this decoder interned last, compared by length and last byte
+// before the bytes, else unique.Make's.
+func (d *Decoder) intern(k []byte) unique.Handle[kv.Key] {
+	for _, h := range d.keys[:min(d.n, len(d.keys))] {
+		if v := h.Value(); len(v) == len(k) && (len(k) == 0 || v[len(v)-1] == k[len(k)-1]) && string(v) == string(k) {
+			return h
+		}
+	}
+	var key kv.Key
+	if len(k) > 0 {
+		key = kv.Key(unsafe.String(&k[0], len(k))) // copied by unique.Make if new
+	}
+	h := unique.Make(key)
+	d.keys[d.n%len(d.keys)] = h
+	d.n++
+	return h
 }
 
 func DecodeEntry(d *Decoder) Entry {

@@ -3,8 +3,11 @@ package kv
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
+	"unique"
+	"unsafe"
 )
 
 func v(c uint64) Version { return Version{Counter: c} }
@@ -246,5 +249,34 @@ func TestMergeDepsQuickNoDuplicates(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDepOwnsItsKey: Dep interns a copy of the key it is given — the
+// caller may overwrite those bytes, as a decoder's frame is — and
+// goroutines interning one key at once all get its one handle.
+func TestDepOwnsItsKey(t *testing.T) {
+	const workers = 4
+	handles := make(chan unique.Handle[Key], workers)
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			b := []byte("interned-key")
+			e := Dep(Key(unsafe.String(&b[0], len(b))), v(1))
+			for i := range b {
+				b[i] = 0xA5
+			}
+			handles <- e.Key
+		}()
+	}
+	wg.Wait()
+	close(handles)
+	want := unique.Make[Key]("interned-key")
+	for h := range handles {
+		if h != want || h.Value() != "interned-key" {
+			t.Fatalf("Dep's handle reads %q, or is not the key's one handle", h.Value())
+		}
 	}
 }
