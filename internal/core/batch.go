@@ -51,10 +51,10 @@ func pendingOf(s int32) (d int, dup, ok bool) {
 const warmSampleEvery = 64
 
 // lookupLocked is the servable-entry check — the only one: it stores
-// key's cached item in out and reports
-// true if the cache may serve it under floor (present, within its TTL,
-// not older than floor unless a fetch under that floor confirmed it),
-// touching it in the eviction order. An expired entry is removed: left
+// key's cached item in out and reports true if the cache may serve it
+// under floor (present, within its TTL, not older than floor unless a
+// fetch under that floor confirmed it), touching it in the eviction
+// order. An expired entry is removed: left
 // in place it would be pinned forever if the backend no longer has the
 // key. An entry behind floor stays cached — the fill replaces it with
 // something newer or confirms it, so a floor costs one fetch per raise,

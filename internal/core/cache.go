@@ -14,12 +14,13 @@
 // # Concurrency
 //
 // The entry table (and its eviction ledger) is hash-partitioned into
-// Config.Shards cacheShards, keyed by hashKey (64-bit FNV-1a). A read — one key
-// or a batch — is served in one pass (read.go): each entry shard its keys
-// touch is locked once to collect the servable items, then the items are
-// validated in key order against the transaction's record with no lock
-// held, because a record always has exactly one holder. The strategy code
-// a failed check falls into locks only the shard of an entry it evicts.
+// Config.Shards cacheShards, keyed by hashKey (64-bit FNV-1a). A read —
+// one key or a batch — is served in one pass (read.go): each entry shard
+// its keys touch is locked once to collect the servable items, then the
+// items are validated in key order against the transaction's record with
+// no lock held, because a record always has exactly one holder. The
+// strategy code a failed check falls into locks only the shard of an
+// entry it evicts.
 //
 // A transaction is a Txn from Begin (the public API's ReadTxn, a cache
 // server's read transaction), owned by its caller: nothing locks it. Read,
@@ -31,12 +32,14 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"tcache/internal/clock"
 	"tcache/internal/evict"
@@ -375,6 +378,9 @@ type entry struct {
 // any of its reads (or their dependency lists) expects of it and, once the
 // key itself was read, the version first returned.
 type recRow struct {
+	// tail is keyTail(key): a mismatch is decided in the row, without
+	// loading the key's bytes.
+	tail     uint64
 	key      kv.Key
 	expected kv.Version
 	read     kv.Version // valid when seq > 0
@@ -406,8 +412,9 @@ func (t *keyTable) find(from int, key kv.Key) int32 {
 		}
 		return -1
 	}
+	tail := keyTail(key)
 	for i := from; i < len(t.rows); i++ {
-		if sameKey(t.rows[i].key, key) {
+		if t.rows[i].tail == tail && t.rows[i].key == key {
 			return int32(i)
 		}
 	}
@@ -433,17 +440,22 @@ func (t *keyTable) add(key kv.Key) int32 {
 		t.rows = append(make([]recRow, 0, 2*n+4), t.rows...)
 	}
 	t.rows = t.rows[:n+1]
-	t.rows[n] = recRow{key: key}
+	t.rows[n] = recRow{tail: keyTail(key), key: key}
 	return int32(n)
 }
 
-// sameKey is a == b, deciding most mismatches on one byte: a workload's
-// keys are same-length, same-prefix strings, which differ at their ends.
-// A dependency's key is its list's interned string, so a key compared
-// with itself is usually one pointer.
-func sameKey(a, b kv.Key) bool {
-	n := len(a)
-	return n == len(b) && (n == 0 || a[n-1] == b[n-1]) && a == b
+// keyTail folds key's length and last eight bytes into one word: a
+// workload's keys share length and prefix, so those bytes tell them
+// apart. A dependency's key is its list's interned string.
+func keyTail(key kv.Key) uint64 {
+	n, t := len(key), uint64(len(key))
+	if n >= 8 {
+		return t ^ binary.LittleEndian.Uint64(unsafe.Slice(unsafe.StringData(string(key[n-8:])), 8))
+	}
+	for i := 0; i < n; i++ {
+		t = t<<8 | uint64(key[i])
+	}
+	return t
 }
 
 // txnRecord tracks one in-flight read-only transaction: one row per key

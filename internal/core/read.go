@@ -146,9 +146,9 @@ func (c *Cache) Get(ctx context.Context, key kv.Key) (kv.Value, error) {
 }
 
 // admit evaluates the paper's two consistency checks for reading item —
-// key's — under rec and, when both pass, folds the read into the record. A violation leaves the record
-// untouched: the key and every dependency are checked before anything is
-// written.
+// key's — under rec and, when both pass, folds the read into the record.
+// A violation leaves the record untouched: the key and every dependency
+// are checked before anything is written.
 //
 // Equation 2: the current read is older than the version some previous
 // read (or a previous read's dependency list) expects for this key.
@@ -213,10 +213,11 @@ func (rec *txnRecord) admit(key kv.Key, item kv.Item) (violation, bool) {
 }
 
 // handleViolation applies the configured strategy to v, the violation
-// reading item as key found in t's record. When StrategyRetry resolves the read it
-// returns the item it served; otherwise it ends t aborted — keeping the
-// error as t's, for every later read — and returns an *InconsistencyError.
-// It holds no lock beyond the shard of an entry it evicts.
+// reading item as key found in t's record. When StrategyRetry resolves
+// the read it returns the item it served; otherwise it ends t aborted —
+// keeping the error as t's, for every later read — and returns an
+// *InconsistencyError. It holds no lock beyond the shard of an entry it
+// evicts.
 //
 // An equation-2 violator is the key being read itself, so RETRY evicts it
 // before refetching. An equation-1 violator may hash to any shard; its

@@ -132,29 +132,33 @@ func admitHistory(t *testing.T, seed int64) {
 }
 
 // TestAdmitRowsDecidedByKey: keys of one length that end in the same
-// byte keep separate rows, and a key read under a string of its own and
-// named by a list under the interned one shares a row, so verdicts name
-// the right key.
+// eight bytes — one keyTail — keep separate rows, and a key read under a
+// string of its own and named by a list under the interned one shares a
+// row, so verdicts name the right key.
 func TestAdmitRowsDecidedByKey(t *testing.T) {
 	v := func(c uint64) kv.Version { return kv.Version{Counter: c} }
-	rec := newTxnRecord()
-	if _, bad := rec.admit("ax", kv.Item{Version: v(1)}); bad {
-		t.Fatal("first read of ax violated")
+	a, b, c := kv.Key("aa-00000001"), kv.Key("bb-00000001"), kv.Key("cc-00000001")
+	if keyTail(a) != keyTail(b) || keyTail(b) != keyTail(c) {
+		t.Fatal("the keys do not share a tail: the test lost its point")
 	}
-	// bx ends as ax does and is newer than what ax was read at: were the
+	rec := newTxnRecord()
+	if _, bad := rec.admit(a, kv.Item{Version: v(1)}); bad {
+		t.Fatal("first read of a violated")
+	}
+	// b shares a's tail and is newer than what a was read at: were the
 	// rows confused, this would be eq.1 on a repeated read.
-	if viol, bad := rec.admit("bx", kv.Item{Version: v(5), Deps: kv.DepList{dep("cx", 9)}}); bad {
-		t.Fatalf("read of bx = %+v", viol)
+	if viol, bad := rec.admit(b, kv.Item{Version: v(5), Deps: kv.DepList{dep(c, 9)}}); bad {
+		t.Fatalf("read of b = %+v", viol)
 	}
 	if len(rec.rows) != 3 {
-		t.Fatalf("rows = %+v, want one each for ax, bx, cx", rec.rows)
+		t.Fatalf("rows = %+v, want one each for a, b, c", rec.rows)
 	}
-	// cx, read under a string of its own, is expected at 9 by bx's list.
-	viol, bad := rec.admit(kv.Key([]byte("cx")), kv.Item{Version: v(8)})
-	if want := (violation{equation: 2, staleKey: "cx", staleBelow: v(9)}); !bad || viol != want {
-		t.Fatalf("stale read of cx = %+v/%v, want %+v", viol, bad, want)
+	// c, read under a string of its own, is expected at 9 by b's list.
+	viol, bad := rec.admit(kv.Key([]byte(c)), kv.Item{Version: v(8)})
+	if want := (violation{equation: 2, staleKey: c, staleBelow: v(9)}); !bad || viol != want {
+		t.Fatalf("stale read of c = %+v/%v, want %+v", viol, bad, want)
 	}
-	if got, want := rec.readSet(), []ReadVersion{{"ax", v(1)}, {"bx", v(5)}}; !reflect.DeepEqual(got, want) {
+	if got, want := rec.readSet(), []ReadVersion{{a, v(1)}, {b, v(5)}}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("reads = %v, want %v", got, want)
 	}
 }

@@ -12,12 +12,10 @@ import (
 // sees the depending object must not see Key at any older version.
 //
 // Key is interned: every list in the process that names a key shares one
-// canonical string, an entry is a (pointer, version) pair, and two
-// entries name the same key exactly when their handles are ==. Keys are
-// interned where lists are made — a decoded list (package codec) or a
-// commit's merge (MergeDeps) — and nowhere else: an interned key costs
-// ≈ 150 bytes of the runtime's table, which on go1.24 kept keys resident
-// long after their last handle went, so only keys a list names pay it.
+// canonical string, and an entry is a (pointer, version) pair. Keys are
+// interned only where lists are made (package codec's decode, MergeDeps):
+// an interned key costs ≈ 150 bytes of the runtime's table and, on
+// go1.24, stayed there long after its last handle went.
 type DepEntry struct {
 	Key     unique.Handle[Key]
 	Version Version
