@@ -54,11 +54,11 @@ const warmSampleEvery = 64
 // key's cached item in out and reports true if the cache may serve it
 // under floor (present, within its TTL, not older than floor unless a
 // fetch under that floor confirmed it), touching it in the eviction
-// order. An expired entry is removed: left
-// in place it would be pinned forever if the backend no longer has the
-// key. An entry behind floor stays cached — the fill replaces it with
-// something newer or confirms it, so a floor costs one fetch per raise,
-// not one per read. Callers hold sh.mu.
+// order. An expired entry is removed: left in place it would be pinned
+// forever if the backend no longer has the key. An entry behind floor
+// stays cached — the fill replaces it with something newer or confirms
+// it, so a floor costs one fetch per raise, not one per read. Callers
+// hold sh.mu.
 //
 //tcache:holds shard
 func (c *Cache) lookupLocked(sh *cacheShard, key kv.Key, floor kv.Version, out *kv.Lookup) bool {

@@ -378,8 +378,7 @@ type entry struct {
 // any of its reads (or their dependency lists) expects of it and, once the
 // key itself was read, the version first returned.
 type recRow struct {
-	// tail is keyTail(key): a mismatch is decided in the row, without
-	// loading the key's bytes.
+	// tail is keyTail(key): most mismatches are decided without key.
 	tail     uint64
 	key      kv.Key
 	expected kv.Version
@@ -444,18 +443,19 @@ func (t *keyTable) add(key kv.Key) int32 {
 	return int32(n)
 }
 
-// keyTail folds key's length and last eight bytes into one word: a
-// workload's keys share length and prefix, so those bytes tell them
-// apart. A dependency's key is its list's interned string.
+// keyTail folds key's length and last bytes, where keys differ, into a word.
 func keyTail(key kv.Key) uint64 {
-	n, t := len(key), uint64(len(key))
+	n, b := uint64(len(key)), unsafe.Slice(unsafe.StringData(string(key)), len(key))
 	if n >= 8 {
-		return t ^ binary.LittleEndian.Uint64(unsafe.Slice(unsafe.StringData(string(key[n-8:])), 8))
+		return n ^ binary.LittleEndian.Uint64(b[n-8:])
 	}
-	for i := 0; i < n; i++ {
-		t = t<<8 | uint64(key[i])
+	if n >= 4 { // two overlapping 4-byte words, not a loop
+		return n ^ uint64(binary.LittleEndian.Uint32(b))<<32 ^ uint64(binary.LittleEndian.Uint32(b[n-4:]))
 	}
-	return t
+	for _, c := range b {
+		n = n<<8 | uint64(c)
+	}
+	return n
 }
 
 // txnRecord tracks one in-flight read-only transaction: one row per key
