@@ -142,10 +142,6 @@ type Decoder struct {
 	B   []byte
 	Off int
 	err error
-	// keys holds the last list keys this decoder interned, a batch's
-	// items mostly naming each other; n counts the keys interned.
-	keys [8]unique.Handle[kv.Key]
-	n    int
 }
 
 // Err returns ErrTruncated if any accessor so far ran off the payload
@@ -261,7 +257,7 @@ func (d *Decoder) owned(value []byte) (kv.Value, kv.DepList) {
 		l = make(kv.DepList, n)
 	}
 	for i := range l {
-		l[i].Key = d.intern(d.take(d.Uvarint()))
+		l[i].Key = intern(d.take(d.Uvarint()))
 		l[i].Version = d.Version()
 	}
 	if d.err != nil {
@@ -270,23 +266,13 @@ func (d *Decoder) owned(value []byte) (kv.Value, kv.DepList) {
 	return kv.Value(value).Clone(), l
 }
 
-// intern returns the handle of list key k (which aliases B): one of the
-// keys this decoder interned last, compared by length and last byte
-// before the bytes, else unique.Make's.
-func (d *Decoder) intern(k []byte) unique.Handle[kv.Key] {
-	for _, h := range d.keys[:min(d.n, len(d.keys))] {
-		if v := h.Value(); len(v) == len(k) && (len(k) == 0 || v[len(v)-1] == k[len(k)-1]) && string(v) == string(k) {
-			return h
-		}
-	}
+// intern returns the handle of list key k, which aliases B.
+func intern(k []byte) unique.Handle[kv.Key] {
 	var key kv.Key
 	if len(k) > 0 {
 		key = kv.Key(unsafe.String(&k[0], len(k))) // copied by unique.Make if new
 	}
-	h := unique.Make(key)
-	d.keys[d.n%len(d.keys)] = h
-	d.n++
-	return h
+	return unique.Make(key)
 }
 
 func DecodeEntry(d *Decoder) Entry {

@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
-	"unique"
 
 	"tcache/internal/kv"
 )
@@ -67,7 +66,7 @@ func filled[T any](t *testing.T, n int) []T {
 		v := reflect.ValueOf(&out[k]).Elem()
 		for i := 0; i < v.NumField(); i++ {
 			for f := v.Field(i); f.IsZero(); {
-				g, ok := quickValue(f.Type(), r)
+				g, ok := quick.Value(f.Type(), r)
 				if !ok {
 					t.Fatalf("%s.%s: testing/quick cannot generate a %s", v.Type(), v.Type().Field(i).Name, f.Type())
 				}
@@ -76,58 +75,6 @@ func filled[T any](t *testing.T, n int) []T {
 		}
 	}
 	return out
-}
-
-// handleType is the one field type testing/quick cannot build: a
-// handle's only field is unexported.
-var handleType = reflect.TypeFor[unique.Handle[kv.Key]]()
-
-// quickValue is quick.Value, except that it interns a random key where a
-// unique.Handle[kv.Key] goes, building the structs and slices that hold
-// one itself.
-func quickValue(t reflect.Type, r *rand.Rand) (reflect.Value, bool) {
-	switch {
-	case t == handleType:
-		k, ok := quick.Value(reflect.TypeFor[kv.Key](), r)
-		return reflect.ValueOf(unique.Make(k.Interface().(kv.Key))), ok
-	case !holdsHandle(t):
-		return quick.Value(t, r)
-	case t.Kind() == reflect.Slice:
-		v := reflect.MakeSlice(t, r.Intn(5), 5)
-		for i := range v.Len() {
-			e, ok := quickValue(t.Elem(), r)
-			if !ok {
-				return v, false
-			}
-			v.Index(i).Set(e)
-		}
-		return v, true
-	default: // a struct
-		v := reflect.New(t).Elem()
-		for i := range t.NumField() {
-			f, ok := quickValue(t.Field(i).Type, r)
-			if !ok {
-				return v, false
-			}
-			v.Field(i).Set(f)
-		}
-		return v, true
-	}
-}
-
-// holdsHandle reports whether a value of type t can hold a handle.
-func holdsHandle(t reflect.Type) bool {
-	switch t.Kind() {
-	case reflect.Struct:
-		for i := range t.NumField() {
-			if t.Field(i).Type == handleType || holdsHandle(t.Field(i).Type) {
-				return true
-			}
-		}
-	case reflect.Slice:
-		return t.Elem() == handleType || holdsHandle(t.Elem())
-	}
-	return false
 }
 
 // roundTrips checks that dec(enc(want)) is want, byte for byte

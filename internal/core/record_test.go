@@ -69,21 +69,25 @@ func (rec *txnRecord) contents() *refRecord {
 // keys, dependency lists naming keys read earlier, later, never, twice, or
 // the key itself, versions moving both ways, histories past
 // txnRecordSpill — through admit and through refRecord: same verdict,
-// same record, same read order, at every step.
+// same record, same read order, at every step. name is the key of each
+// index; TestAdmitRowsDecidedByKey reuses the histories with keys that
+// share their keyTail.
 func TestAdmitMatchesMapReference(t *testing.T) {
 	for seed := int64(1); seed <= 300; seed++ {
-		admitHistory(t, seed)
+		admitHistory(t, seed, func(i int) kv.Key {
+			return kv.Key(fmt.Sprintf("obj-%06d", i)) // same length, same prefix: the workload's shape
+		})
 	}
 }
 
-func admitHistory(t *testing.T, seed int64) {
+func admitHistory(t *testing.T, seed int64, name func(int) kv.Key) {
 	rng := rand.New(rand.NewSource(seed))
 	// A third of the histories outgrow the inline rows, a third the spill
 	// threshold as well.
 	universe := []int{6, 20, 3 * txnRecordSpill}[seed%3]
 	keys := make([]kv.Key, universe)
 	for i := range keys {
-		keys[i] = kv.Key(fmt.Sprintf("obj-%06d", i)) // same length, same prefix: the workload's shape
+		keys[i] = name(i)
 	}
 	// Versions drift upwards with a little noise, so histories are mostly
 	// consistent and trip both equations now and then.
@@ -134,7 +138,8 @@ func admitHistory(t *testing.T, seed int64) {
 // TestAdmitRowsDecidedByKey: keys of one length that end in the same
 // eight bytes — one keyTail — keep separate rows, and a key read under a
 // string of its own and named by a list under the interned one shares a
-// row, so verdicts name the right key.
+// row, so verdicts name the right key; the reference test's histories
+// agree with the map reference when every key shares one tail or two.
 func TestAdmitRowsDecidedByKey(t *testing.T) {
 	v := func(c uint64) kv.Version { return kv.Version{Counter: c} }
 	a, b, c := kv.Key("aa-00000001"), kv.Key("bb-00000001"), kv.Key("cc-00000001")
@@ -160,6 +165,17 @@ func TestAdmitRowsDecidedByKey(t *testing.T) {
 	}
 	if got, want := rec.readSet(), []ReadVersion{{a, v(1)}, {b, v(5)}}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("reads = %v, want %v", got, want)
+	}
+	// And wholesale: every history of the reference test, all keys on one
+	// tail, then on two.
+	oneTail := func(i int) kv.Key { return kv.Key(fmt.Sprintf("%06d--one-tail", i)) }
+	twoTails := func(i int) kv.Key { return kv.Key(fmt.Sprintf("%06d--tail-%d", i, i&1)) }
+	if keyTail(oneTail(0)) != keyTail(oneTail(1)) || keyTail(twoTails(0)) != keyTail(twoTails(2)) {
+		t.Fatal("the histories' keys do not share tails: the sweep lost its point")
+	}
+	for seed := int64(1); seed <= 60; seed++ {
+		admitHistory(t, seed, oneTail)
+		admitHistory(t, seed, twoTails)
 	}
 }
 

@@ -1,6 +1,8 @@
 package kv
 
 import (
+	"math/rand"
+	"reflect"
 	"slices"
 	"sort"
 	"strings"
@@ -23,6 +25,14 @@ type DepEntry struct {
 
 // Dep returns the entry naming key at version v, interning key.
 func Dep(key Key, v Version) DepEntry { return DepEntry{Key: unique.Make(key), Version: v} }
+
+// Generate makes a random entry for testing/quick, which cannot build a
+// handle itself: a handle's only field is unexported.
+func (DepEntry) Generate(r *rand.Rand, size int) reflect.Value {
+	k := make([]byte, r.Intn(size+1))
+	r.Read(k)
+	return reflect.ValueOf(Dep(Key(k), Version{Counter: r.Uint64(), Node: r.Uint32()}))
+}
 
 func (e DepEntry) String() string { return string(e.Key.Value()) + "@" + e.Version.String() }
 
@@ -121,8 +131,8 @@ func (l DepList) Normalize() DepList {
 // which degrades T-Cache to a consistency-unaware cache (the k=0 point of
 // Fig. 7c).
 //
-// Each access's key that can survive the bound is interned (unique.Make:
-// a lookup for a key the process already holds). A merge of at most
+// Each access's key is interned (unique.Make: a lookup for a key the
+// process already holds). A merge of at most
 // mergeSpill entries (own accesses plus inherited lists) dedups by a
 // linear scan of the result, allocating only the result and the inherited
 // scratch; a larger merge indexes keys in a map. Both give the same list.
@@ -190,18 +200,8 @@ func mergeDeps(bound int, accesses []Access, positional bool) DepList {
 	}
 
 	// Pass 1: the accesses themselves — the most recently touched objects.
-	// Truncation keeps a prefix, so an access past the bound survives only
-	// as a duplicate of a kept one, and is not interned.
 	for _, a := range accesses {
-		if bound < 0 || len(merged) < bound {
-			add(Dep(a.Key, a.Version))
-			continue
-		}
-		for j := range merged {
-			if merged[j].Key.Value() == a.Key && merged[j].Version.Less(a.Version) {
-				merged[j].Version = a.Version
-			}
-		}
+		add(Dep(a.Key, a.Version))
 	}
 	// Pass 2: inherited dependencies, most recently refreshed first
 	// (or in raw list order for the positional ablation).
