@@ -131,8 +131,8 @@ func (l DepList) Normalize() DepList {
 // which degrades T-Cache to a consistency-unaware cache (the k=0 point of
 // Fig. 7c).
 //
-// Each access's key is interned (unique.Make: a lookup for a key the
-// process already holds). A merge of at most
+// Each access's key that can survive the bound is interned (unique.Make:
+// a lookup for a key the process already holds). A merge of at most
 // mergeSpill entries (own accesses plus inherited lists) dedups by a
 // linear scan of the result, allocating only the result and the inherited
 // scratch; a larger merge indexes keys in a map. Both give the same list.
@@ -200,7 +200,15 @@ func mergeDeps(bound int, accesses []Access, positional bool) DepList {
 	}
 
 	// Pass 1: the accesses themselves — the most recently touched objects.
+	// Truncation keeps a prefix, so an access past the bound matters only
+	// as a duplicate of a kept one; the others are not interned, which
+	// spares a large commit (a 100-key load batch) a table entry per key.
 	for _, a := range accesses {
+		if bound >= 0 && len(merged) >= bound {
+			if _, kept := merged.Lookup(a.Key); !kept {
+				continue
+			}
+		}
 		add(Dep(a.Key, a.Version))
 	}
 	// Pass 2: inherited dependencies, most recently refreshed first
