@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint loc benchsmoke clustersmoke walsmoke replsmoke telemetry-smoke fuzz
+.PHONY: all build test race vet lint loc benchsmoke clustersmoke fuzz
 
 all: lint build test
 
@@ -10,42 +10,12 @@ build:
 test:
 	$(GO) test ./...
 
-# race also sweeps GOMAXPROCS over the packages whose behaviour depends
-# on the stripe count (and over the workload generators' shared key
-# tables and the monitor's reused classification scratch), over the log (flusher, appenders and tailers share
-# one positioned-write file), over the database and its lock manager
-# (the commit door, key-ordered locking, the money-transfer invariant
-# with crossed key orders),
-# over the write path's tests (commit, install, relay), over the read transactions' (owned ReadTxn handles,
-# core.Cache.Read's parked transactions, Close mid-flight) and over the routed read's
-# (callers writing their own frames on a shared connection, pipelined
-# sub-batches, dispatch workers, the router's one-key and batch reads
-# and its per-node health watchers: ejection, probation, failover, a
-# node down at start), the wire's read transactions
-# (server-minted, one per request, several clients at once) and the
-# servers' and clients' shutdown and cancellation paths (updates parked
-# behind a held key, db.KeyHold), and over retention and interning
-# (decoded items own their bytes: a standby's or a recovered store pins
-# no replication frame or segment read, and lists decoded from two
-# frames share each key's interned string), so a
-# failure that only shows at 2 or 4 CPUs cannot hide on a
-# 1-CPU runner; the 'Determin|Subgraph|Golden|Theorem1' line is the
-# same-seed-same-bytes gate (graph order, topology builds, column runs,
-# every figure's -quick table) plus Theorem 1 on both topologies under
-# every strategy. The last line runs
-# the allocs/op table (alloc_test.go) without the race detector, which
-# moves its pooled-record rows.
+# race runs every test under the race detector at 1, 2 and 4 CPUs (one
+# test binary runs all three, so internal/experiment needs more than the
+# default 10 min on 2 CPUs), then the allocs/op table (alloc_test.go)
+# without the detector, which moves the pooled-record rows.
 race:
-	$(GO) test -race ./...
-	$(GO) test -race -cpu 1,2,4 ./internal/core ./internal/evict ./internal/kv ./internal/codec ./internal/telemetry ./internal/workload ./internal/monitor
-	$(GO) test -race -cpu 1,2,4 ./internal/wal
-	$(GO) test -race -cpu 1,2,4 ./internal/db ./internal/lock
-	$(GO) test -race -cpu 1,2,4 -run 'Update|Install|Commit' . ./internal/cluster
-	$(GO) test -race -cpu 1,2,4 -run 'ReadTxn|Close|Txn' . ./internal/core
-	$(GO) test -race -cpu 1,2,4 -run 'Mux|Pipelin|Worker|StaleConn|ReadTxn|WireClients|Blocked|CtxCancelled|Stuck|PendingSlots|Skeleton' ./internal/transport
-	$(GO) test -race -cpu 1,2,4 -run 'ReadItem|Health|Probation|Failover|DownAtStart' ./internal/cluster
-	$(GO) test -race -cpu 1,2,4 -run 'Owns|Pins' ./internal/transport ./internal/db ./internal/wal ./internal/kv ./internal/codec
-	$(GO) test -race -cpu 1,2,4 -run 'Determin|Subgraph|Golden|Theorem1' ./internal/graph ./internal/experiment
+	$(GO) test -race -cpu 1,2,4 -timeout 20m ./...
 	$(GO) test -run 'Alloc' -cpu 1,2,4 .
 
 # loc prints non-test Go lines per package (bench/ excluded) — the size
@@ -75,35 +45,6 @@ lint: vet
 # version floors must survive.
 clustersmoke:
 	./scripts/cluster_smoke.sh
-
-# replsmoke is the replication gate: the WAL tailer and replication
-# stream race-clean (end-to-end streaming, restart resync, 20%-loss
-# chaos), the SIGKILL-the-primary promotion torture, client failover
-# through tcache.Dial, and router failover through a chaos link.
-replsmoke:
-	$(GO) test -race -count=1 -run 'Tailer|Repl|Standby|Failover' ./internal/wal ./internal/transport
-	$(GO) test -race -count=1 -run 'Dial|Probation|RouterFailover' . ./internal/cluster
-
-# telemetry-smoke is the observability gate: the telemetry package
-# race-clean (histogram hammer, registry, Prometheus golden file,
-# admin listener) and the end-to-end metric-surface tests (live /metrics
-# scrapes on both daemons, OpStats and /metrics matched by registry
-# name, WithTelemetry hooks, cluster stats breakdown). The warm-hit overhead gate is alloc_test.go's
-# telemetry-on == telemetry-off row pair.
-telemetry-smoke:
-	$(GO) test -race -count=1 ./internal/telemetry
-	$(GO) test -race -count=1 -run 'ServeMetrics|OpStatsMatches|WithTelemetry|ClusterStatsReports' .
-
-# walsmoke is the durability gate: the WAL package race-clean (torture
-# replays — truncations, bit flips, sector holes in an in-place batch —
-# crash windows, group commit, the directory lock), the db-level
-# recovery + process-SIGKILL torture, and short fuzz shakes of the
-# replay path and of the snapshot-image parser.
-walsmoke:
-	$(GO) test -race -count=1 ./internal/wal
-	$(GO) test -race -count=1 -run 'Recover|Snapshot|Crash|Close|Compact|ConcurrentCommits|Background' ./internal/db
-	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime 15s ./internal/wal
-	$(GO) test -run '^$$' -fuzz FuzzSnapshotImage -fuzztime 15s ./internal/wal
 
 # benchsmoke is the CI quick pass: hot paths, what the consistency check
 # adds to a plain read (check-ns/txn), the experiment's monitor, the

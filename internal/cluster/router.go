@@ -173,10 +173,7 @@ type Router struct {
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 
-	subMu  sync.Mutex //tcache:lockclass sub
-	subSeq uint64
-	subs   map[uint64]func() // each live subscription's stop
-	closed bool
+	subs transport.SubGroup
 
 	// rtHist, when set, times every node's wire round trips — applied to
 	// live clients and to any client a watcher dials later.
@@ -216,7 +213,6 @@ func NewRouter(ctx context.Context, cfg Config) (*Router, error) {
 		node:   make([]*node, len(cfg.Addrs)),
 		ctx:    rctx,
 		cancel: cancel,
-		subs:   make(map[uint64]func()),
 	}
 	r.scratch.New = func() any { return &readScratch{groups: make([]subBatch, 2*len(cfg.Addrs))} }
 	live := 0
@@ -254,19 +250,8 @@ func (r *Router) dial(ctx context.Context, addr string) (*transport.DBClient, er
 // Close stops health checking and subscriptions and closes every node
 // client.
 func (r *Router) Close() {
-	r.subMu.Lock()
-	if r.closed {
-		r.subMu.Unlock()
-		return
-	}
-	r.closed = true
-	stops := r.subs
-	r.subs = nil
-	r.subMu.Unlock()
 	r.cancel()
-	for _, stop := range stops {
-		stop() // r.cancel ended the stream; this waits for its goroutine
-	}
+	r.subs.Close()
 	r.wg.Wait()
 	for _, n := range r.node {
 		if cli := n.cli.Load(); cli != nil {
@@ -683,41 +668,15 @@ func (r *Router) ValidatedUpdate(ctx context.Context, reads []kv.ObservedRead, w
 // designed to survive, and exactly why failover reads carry floors.
 //
 // The initial subscribe must succeed on some node (a duplicate name is
-// reported immediately); transport.Resubscribe owns the reconnect loop.
+// reported immediately); transport.SubGroup.Resubscribe owns the
+// reconnect loop.
 func (r *Router) Subscribe(name string, sink func(transport.Invalidation)) (cancel func(), err error) {
-	r.subMu.Lock()
-	if r.closed {
-		r.subMu.Unlock()
-		return nil, transport.ErrClientClosed
-	}
-	r.subMu.Unlock()
-
 	deliver := func(inv transport.Invalidation) {
 		r.observe(rangeOf(KeyHash(inv.Key)), inv.Version)
 		sink(inv)
 	}
 
-	stop, err := transport.Resubscribe(r.ctx, name, r.openSub, deliver)
-	if err != nil {
-		return nil, err
-	}
-
-	r.subMu.Lock()
-	if r.closed {
-		r.subMu.Unlock()
-		stop()
-		return nil, transport.ErrClientClosed
-	}
-	r.subSeq++
-	id := r.subSeq
-	r.subs[id] = stop
-	r.subMu.Unlock()
-	return func() {
-		r.subMu.Lock()
-		delete(r.subs, id)
-		r.subMu.Unlock()
-		stop()
-	}, nil
+	return r.subs.Resubscribe(r.ctx, name, r.openSub, deliver)
 }
 
 // openSub opens an invalidation stream on the first node that accepts

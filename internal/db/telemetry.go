@@ -6,16 +6,15 @@ import (
 )
 
 // Telemetry is the database's latency instrumentation: histograms fed
-// from the validated-update commit path, the WAL group-commit flusher,
-// and the standby's replication apply loop. Unlike the cache's (which
-// guards a ~300ns warm hit), it is always on — a commit is microseconds
-// at minimum and the cost is two clock reads and two atomic adds, zero
-// allocations.
+// from CommitUpdate, the WAL group-commit flusher, and the standby's
+// replication apply loop. Unlike the cache's (which guards a ~300ns warm
+// hit), it is always on — a commit is microseconds at minimum and the
+// cost is two clock reads and two atomic adds, zero allocations.
 type Telemetry struct {
-	// UpdateCommit observes successful ValidatedUpdate calls (ns),
+	// UpdateCommit observes successful CommitUpdate calls (ns),
 	// validation + commit + WAL durability included.
 	UpdateCommit *telemetry.Histogram
-	// UpdateConflict observes ValidatedUpdate calls rejected with a
+	// UpdateConflict observes CommitUpdate calls rejected with a
 	// validation conflict (ns) — the cost of an optimistic miss.
 	UpdateConflict *telemetry.Histogram
 	// WALBatch observes one group-commit batch write (ns): buffered

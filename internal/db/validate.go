@@ -7,7 +7,7 @@ import (
 	"tcache/internal/kv"
 )
 
-// ConflictError is the ErrConflict flavor ValidatedUpdate raises when an
+// ConflictError is the ErrConflict flavor CommitUpdate raises when an
 // observed read no longer matches the committed state. It names the key
 // and the committed version that superseded the observation, so an
 // optimistic caller (an edge cache, a cluster router) can invalidate its

@@ -810,9 +810,27 @@ func decodeUpdate(resp Response) (kv.CommitResult, error) {
 // frame; deliver is called once per invalidation, on the receive
 // goroutine.
 func SubscribeInvalidations(ctx context.Context, addr, name string, deliver func(Invalidation)) (stop func(), err error) {
-	return Resubscribe(ctx, name, func(ctx context.Context, name string) (*InvStream, error) {
+	return new(SubGroup).Resubscribe(ctx, name, func(ctx context.Context, name string) (*InvStream, error) {
 		return OpenInvalidationStream(ctx, addr, name)
 	}, deliver)
+}
+
+// SubGroup is the set of subscriptions one client owns. Close waits
+// for every Resubscribe loop started in the group (the owner cancels
+// their ctx first) and makes any later Resubscribe fail with
+// ErrClientClosed. The zero value is ready to use.
+type SubGroup struct {
+	mu     sync.Mutex
+	closed bool
+	wg     sync.WaitGroup
+}
+
+// Close marks the group closed and waits for its stream goroutines.
+func (g *SubGroup) Close() {
+	g.mu.Lock()
+	g.closed = true
+	g.mu.Unlock()
+	g.wg.Wait()
 }
 
 // Resubscribe keeps one invalidation subscription alive until ctx is
@@ -833,15 +851,24 @@ func SubscribeInvalidations(ctx context.Context, addr, name string, deliver func
 // may still hold an earlier registration (it only notices the dead peer
 // when a push fails or its read errors), and retrying a name it refused
 // would be locked out by our own corpse forever.
-func Resubscribe(ctx context.Context, name string, open func(ctx context.Context, name string) (*InvStream, error), deliver func(Invalidation)) (stop func(), err error) {
+func (g *SubGroup) Resubscribe(ctx context.Context, name string, open func(ctx context.Context, name string) (*InvStream, error), deliver func(Invalidation)) (stop func(), err error) {
+	g.mu.Lock()
+	if g.closed {
+		g.mu.Unlock()
+		return nil, ErrClientClosed
+	}
+	g.wg.Add(1)
+	g.mu.Unlock()
 	sctx, cancel := context.WithCancel(ctx)
 	st, err := open(sctx, name)
 	if err != nil {
 		cancel()
+		g.wg.Done()
 		return nil, err
 	}
 	done := make(chan struct{})
 	go func() {
+		defer g.wg.Done()
 		defer close(done)
 		for epoch := 1; ; {
 			st.Run(sctx, deliver)

@@ -3,6 +3,8 @@ package transport
 import (
 	"context"
 	"errors"
+	"io"
+	"net"
 	"testing"
 	"time"
 
@@ -334,6 +336,40 @@ func TestResubscribeNotLockedOutByStaleName(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("resubscribe locked out by stale same-name registration")
 		}
+	}
+}
+
+// TestSubGroupCloseWaitsAndRefuses: once its owner's ctx is cancelled,
+// SubGroup.Close returns only after every stream in the group is torn
+// down, and a Resubscribe after Close fails with ErrClientClosed
+// without opening anything.
+func TestSubGroupCloseWaitsAndRefuses(t *testing.T) {
+	ctx, cancel := context.WithCancel(bg)
+	defer cancel()
+	var g SubGroup
+	var peers []net.Conn
+	open := func(context.Context, string) (*InvStream, error) {
+		c, peer := net.Pipe()
+		peers = append(peers, peer)
+		return &InvStream{c: c, fr: newFrameReader(c, nil)}, nil
+	}
+	for _, name := range []string{"a", "b"} {
+		if _, err := g.Resubscribe(ctx, name, open, func(Invalidation) {}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cancel()
+	g.Close()
+	for i, p := range peers {
+		if _, err := p.Write([]byte{0}); !errors.Is(err, io.ErrClosedPipe) {
+			t.Fatalf("stream %d after Close: peer write = %v, want io.ErrClosedPipe", i, err)
+		}
+	}
+	if _, err := g.Resubscribe(bg, "c", open, func(Invalidation) {}); !errors.Is(err, ErrClientClosed) {
+		t.Fatalf("Resubscribe after Close = %v, want ErrClientClosed", err)
+	}
+	if len(peers) != 2 {
+		t.Fatalf("%d streams opened, want 2", len(peers))
 	}
 }
 

@@ -53,10 +53,7 @@ type Remote struct {
 	cur   int
 	cli   *transport.DBClient
 
-	mu     sync.Mutex
-	stops  map[uint64]func()
-	stopID uint64
-	closed bool
+	subs transport.SubGroup
 
 	// rtHist, when set, times every wire round trip — applied to the
 	// current client and to every client a failover dials later.
@@ -151,7 +148,6 @@ func Dial(ctx context.Context, addr string, opts ...DialOption) (*Remote, error)
 		addrs:  addrs,
 		ctx:    rctx,
 		cancel: cancel,
-		stops:  make(map[uint64]func()),
 	}
 	cli, idx, err := r.dialAny(ctx, 0)
 	if err != nil {
@@ -332,22 +328,8 @@ func (r *Remote) do(ctx context.Context, idempotent bool, op func(*transport.DBC
 
 // Close cancels every subscription and closes all pooled connections.
 func (r *Remote) Close() {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return
-	}
-	r.closed = true
-	stops := make([]func(), 0, len(r.stops))
-	for _, stop := range r.stops {
-		stops = append(stops, stop)
-	}
-	r.stops = nil
-	r.mu.Unlock()
 	r.cancel()
-	for _, stop := range stops {
-		stop()
-	}
+	r.subs.Close()
 	r.cliMu.Lock()
 	cli := r.cli
 	r.cli = nil
@@ -382,7 +364,7 @@ func (r *Remote) ReadItems(ctx context.Context, keys []Key) ([]Lookup, error) {
 
 // Subscribe implements Backend: it opens a dedicated connection that
 // streams the database's invalidations into sink, resubscribing
-// automatically whenever the stream breaks (transport.Resubscribe),
+// automatically whenever the stream breaks (transport.SubGroup.Resubscribe),
 // until the Remote is closed (or the returned cancel is called). A name
 // already registered at the server errors. With multiple addresses the
 // subscription follows the failover: each (re)connect first tries the
@@ -390,35 +372,7 @@ func (r *Remote) ReadItems(ctx context.Context, keys []Key) ([]Lookup, error) {
 // after a promotion the edge is attached to the new primary's (relayed)
 // invalidation stream.
 func (r *Remote) Subscribe(name string, sink func(Invalidation)) (cancel func(), err error) {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return nil, fmt.Errorf("tcache: %w", transport.ErrClientClosed)
-	}
-	r.mu.Unlock()
-	stop, err := transport.Resubscribe(r.ctx, name, r.openInvStream, sink)
-	if err != nil {
-		return nil, err
-	}
-
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		stop()
-		return nil, fmt.Errorf("tcache: %w", transport.ErrClientClosed)
-	}
-	r.stopID++
-	id := r.stopID
-	r.stops[id] = stop
-	r.mu.Unlock()
-	// The returned cancel deregisters itself, so a long-lived Remote
-	// serving many short-lived caches doesn't accumulate dead stops.
-	return func() {
-		r.mu.Lock()
-		delete(r.stops, id)
-		r.mu.Unlock()
-		stop()
-	}, nil
+	return r.subs.Resubscribe(r.ctx, name, r.openInvStream, sink)
 }
 
 // openInvStream opens an invalidation stream under name on the first

@@ -14,7 +14,7 @@ import (
 
 // TestResubscribeRefusedReopenTakesNextEpoch: the three subscription
 // entry points — a fixed address, a Remote's failover list, a Router's
-// fleet — reconnect through one loop (transport.Resubscribe), and a
+// fleet — reconnect through one loop (transport.SubGroup.Resubscribe), and a
 // reopen the server refuses must not be retried under the name it
 // refused. Here "<name>#1", the first reopen's name, is already live on
 // the server when the stream breaks; the subscription has to come back

@@ -60,7 +60,6 @@ import (
 	"tcache/internal/clock"
 	"tcache/internal/core"
 	"tcache/internal/db"
-	"tcache/internal/evict"
 	"tcache/internal/kv"
 	"tcache/internal/telemetry"
 )
@@ -318,34 +317,11 @@ func WithTTL(ttl time.Duration) CacheOption {
 // charged key length + value length + a fixed per-entry overhead.
 // 0 = unbounded. The budget is split across the cache shards and
 // enforced per shard under the shard lock, so a bounded cache keeps the
-// same multi-core scaling as an unbounded one. Pair with
-// WithEvictionPolicy to choose how victims are picked and WithAdmission
-// to keep one-hit wonders out.
+// same multi-core scaling as an unbounded one. Victims are picked by
+// exact per-shard LRU; pair with WithAdmission to keep one-hit wonders
+// out.
 func WithMaxBytes(n int64) CacheOption {
 	return func(o *cacheOptions) { o.core.MaxBytes = n }
-}
-
-// EvictionPolicy selects how a bounded cache (WithMaxBytes) chooses
-// eviction victims.
-type EvictionPolicy = evict.Kind
-
-const (
-	// EvictLRU is exact per-shard least-recently-used (the default).
-	EvictLRU = evict.LRU
-	// EvictClock is the second-chance ring: the cheapest warm-hit touch
-	// (one bool store, no list splice) at the price of approximate
-	// recency ordering.
-	EvictClock = evict.Clock
-	// EvictCost is cost-aware sampled eviction: victims score by
-	// bytes × staleness, so one huge cold blob doesn't outlive a
-	// thousand small hot entries.
-	EvictCost = evict.Cost
-)
-
-// WithEvictionPolicy selects the eviction policy of a bounded cache.
-// Ignored when the cache is unbounded.
-func WithEvictionPolicy(p EvictionPolicy) CacheOption {
-	return func(o *cacheOptions) { o.core.Policy = p }
 }
 
 // WithAdmission enables doorkeeper admission control on a bounded
